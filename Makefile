@@ -41,9 +41,12 @@
 #                          tests, and the fleet reroute scenario
 #   make alloc-gate        allocs-per-op gates: binary frame encode,
 #                          journal record append, quantile-histogram
-#                          Observe and sampled-event append must all be
-#                          allocation-free (run without -race; the gates
-#                          skip under it)
+#                          Observe, sampled-event append and the
+#                          reservation table's ledger reads (Available,
+#                          CommittedAt at 2000 live entries) must all be
+#                          allocation-free, and an admit+cancel pair may
+#                          allocate only its Reservation and handle (run
+#                          without -race; the gates skip under it)
 #   make bench             benchmark harness
 #   make bench-codec       binary vs JSON codec micro-benchmarks with
 #                          -benchmem (the encode arm the alloc gate pins)
@@ -83,7 +86,7 @@ verify: build metrics-lint alloc-gate race-concurrency race-recovery race-subflo
 	$(GO) test -race ./...
 
 alloc-gate:
-	$(GO) test -run 'AllocationFree' ./internal/signalling ./internal/journal ./internal/obs
+	$(GO) test -run 'AllocationFree' ./internal/signalling ./internal/journal ./internal/obs ./internal/resv
 
 race-concurrency:
 	$(GO) test -race -run 'Concurrent' ./internal/signalling ./internal/bb

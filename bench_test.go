@@ -572,20 +572,28 @@ func BenchmarkAblationCapabilityDelegation(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAdmissionControl measures the advance-reservation
-// sweep as the table fills.
+// BenchmarkAblationAdmissionControl measures one admission — a peak
+// query on the table's time-axis ledger plus the insert — as the table
+// fills. The first arms stagger hour-long windows a minute apart, so at
+// most sixty overlap the request; the last packs 2000 windows a second
+// apart, all of them overlapping each other and the request.
 func BenchmarkAblationAdmissionControl(b *testing.B) {
-	for _, preload := range []int{0, 100, 1000} {
-		b.Run(fmt.Sprintf("existing=%d", preload), func(b *testing.B) {
+	for _, arm := range []struct {
+		preload int
+		stagger time.Duration
+	}{
+		{0, time.Minute}, {100, time.Minute}, {1000, time.Minute}, {2000, time.Second},
+	} {
+		b.Run(fmt.Sprintf("existing=%d", arm.preload), func(b *testing.B) {
 			table, err := resv.NewTable("bench", units.Bandwidth(1<<40))
 			if err != nil {
 				b.Fatal(err)
 			}
 			base := time.Now()
-			for i := 0; i < preload; i++ {
+			for i := 0; i < arm.preload; i++ {
 				if _, err := table.Admit(resv.AdmitRequest{
 					Bandwidth: units.Mbps,
-					Window:    units.NewWindow(base.Add(time.Duration(i)*time.Minute), time.Hour),
+					Window:    units.NewWindow(base.Add(time.Duration(i)*arm.stagger), time.Hour),
 				}); err != nil {
 					b.Fatal(err)
 				}

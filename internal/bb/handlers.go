@@ -468,6 +468,9 @@ func (b *BB) processReserve(key string, peer signalling.Peer, payload *signallin
 		}
 		bw = units.Bandwidth(payload.SplitBW)
 	}
+	// One reading of the headroom serves both the SLA check and the
+	// policy query, so a concurrent admit cannot show them two states.
+	avail := b.table.Available(spec.Window)
 	if !fromUser {
 		upBB := verified.Path[len(verified.Path)-1]
 		upDomain, ok := b.domainOfBB(upBB)
@@ -483,8 +486,7 @@ func (b *BB) processReserve(key string, peer signalling.Peer, payload *signallin
 		if !contract.Valid(now) {
 			return b.deny(spec.RARID, fmt.Sprintf("%s: SLA with %s not valid", b.cfg.Domain, upDomain))
 		}
-		committed := b.cfg.Capacity - b.table.Available(spec.Window)
-		if err := contract.Conforms(committed, bw); err != nil {
+		if err := contract.Conforms(b.cfg.Capacity-avail, bw); err != nil {
 			return b.deny(spec.RARID, fmt.Sprintf("%s: %v", b.cfg.Domain, err))
 		}
 	}
@@ -495,7 +497,7 @@ func (b *BB) processReserve(key string, peer signalling.Peer, payload *signallin
 		User:               spec.User,
 		Bandwidth:          bw,
 		Window:             spec.Window,
-		Available:          b.table.Available(spec.Window),
+		Available:          avail,
 		SourceDomain:       spec.SourceDomain,
 		DestDomain:         spec.DestDomain,
 		Assertions:         spec.Assertions,

@@ -48,6 +48,36 @@ func TestFleetSmoke(t *testing.T) {
 	}
 }
 
+// TestFleetSmokeDigestsPinned pins the smoke tier's digests — grants,
+// denials, cancels and final table snapshots of every scenario. They
+// were recorded at commit c0f7e73, when resv.Table still answered every
+// admission with a sort-and-sweep over the map, so a change to the
+// table that moves one verdict, handle or snapshot byte fails here.
+func TestFleetSmokeDigestsPinned(t *testing.T) {
+	res, err := RunFleet(smokeFleetConfig())
+	if err != nil {
+		t.Fatalf("RunFleet: %v", err)
+	}
+	want := map[string]string{
+		"diurnal":        "c5334bbee032b7da8e3e13d0bedd613fae98d2d7ecbec05fb8debf6207de2734",
+		"flash":          "ea1961b1622fe6aca22ef3e3e7275788abbaa6fe1b31e3d6fd14445148bad45e",
+		"churn":          "a1f3bd9f06dc52bf27aac00a08df8414c5112be4ed7e01ed1447e3a7468a028a",
+		"misreservation": "983c959ff29d96564a40fef27b3fa72c2c8ef1641e110a66fd036791f1d4fc8f",
+	}
+	for _, s := range res.Scenarios {
+		if s.Digest != want[s.Name] {
+			t.Errorf("%s digest %s, pinned %s", s.Name, s.Digest, want[s.Name])
+		}
+	}
+	if len(res.Scenarios) != len(want) {
+		t.Errorf("got %d scenarios, pinned %d", len(res.Scenarios), len(want))
+	}
+	const fleet = "b0768b99380ce9954450599e0cf7928ba7dff0627936a2673e1b3c7ce773eb2e"
+	if res.Digest != fleet {
+		t.Errorf("fleet digest %s, pinned %s", res.Digest, fleet)
+	}
+}
+
 // TestFleetSeededDeterminism is the reproducibility contract: two
 // runs with the same seed must produce byte-identical digests, and a
 // different seed must not.

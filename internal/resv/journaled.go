@@ -189,7 +189,7 @@ func (s *StreamReplayer) Apply(rec journal.Record) error {
 			delete(s.tombs, a.Resv.Handle)
 		} else if _, ok := t.resv[a.Resv.Handle]; !ok {
 			r := a.Resv
-			t.resv[r.Handle] = &r
+			t.insertLocked(&r)
 		}
 		t.mu.Unlock()
 	case opModify:
@@ -199,7 +199,7 @@ func (s *StreamReplayer) Apply(rec journal.Record) error {
 		}
 		t.mu.Lock()
 		if r, ok := t.resv[m.Handle]; ok && r.Status == Granted {
-			r.Bandwidth = m.Bandwidth
+			t.setBandwidthLocked(r, m.Bandwidth)
 		}
 		t.mu.Unlock()
 	case opCancel:
@@ -209,8 +209,7 @@ func (s *StreamReplayer) Apply(rec journal.Record) error {
 		}
 		t.mu.Lock()
 		if r, ok := t.resv[c.Handle]; ok && r.Status == Granted {
-			r.Status = Cancelled
-			r.CancelledAt = c.CancelledAt
+			t.killLocked(r, c.CancelledAt)
 		}
 		t.mu.Unlock()
 	case opCompact:
@@ -220,7 +219,9 @@ func (s *StreamReplayer) Apply(rec journal.Record) error {
 		}
 		t.mu.Lock()
 		for _, h := range c.Removed {
-			delete(t.resv, h)
+			if r, ok := t.resv[h]; ok {
+				t.dropLocked(r)
+			}
 			s.tombs[h] = s.seq
 		}
 		t.mu.Unlock()
@@ -292,14 +293,14 @@ func Replay(t *Table, recs []journal.Record) (int, error) {
 				break // snapshot already reflects it
 			}
 			r := a.Resv
-			t.resv[r.Handle] = &r
+			t.insertLocked(&r)
 		case opModify:
 			var m modifyRec
 			if err := rec.Decode(&m); err != nil {
 				return applied, err
 			}
 			if r, ok := t.resv[m.Handle]; ok && r.Status == Granted {
-				r.Bandwidth = m.Bandwidth
+				t.setBandwidthLocked(r, m.Bandwidth)
 			}
 		case opCancel:
 			var c cancelRec
@@ -307,8 +308,7 @@ func Replay(t *Table, recs []journal.Record) (int, error) {
 				return applied, err
 			}
 			if r, ok := t.resv[c.Handle]; ok && r.Status == Granted {
-				r.Status = Cancelled
-				r.CancelledAt = c.CancelledAt
+				t.killLocked(r, c.CancelledAt)
 			}
 		case opCompact:
 			var c compactRec
@@ -316,7 +316,9 @@ func Replay(t *Table, recs []journal.Record) (int, error) {
 				return applied, err
 			}
 			for _, h := range c.Removed {
-				delete(t.resv, h)
+				if r, ok := t.resv[h]; ok {
+					t.dropLocked(r)
+				}
 			}
 		default:
 			return applied, fmt.Errorf("resv: replay: unknown record op %q", rec.Op)

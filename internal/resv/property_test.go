@@ -44,7 +44,8 @@ func reconstruct(t *testing.T, dir, name string, capacity units.Bandwidth) *Tabl
 // journaled twin through the same seeded random mutation sequence —
 // cut off at a random point per trial — then crashes the journal and
 // asserts the table reconstructed from disk is byte-identical to the
-// plain table's snapshot. Checkpoints, fsync policies, clock jumps,
+// plain table's snapshot and that its admission ledger matches its
+// map. Checkpoints, fsync policies, clock jumps,
 // compaction sweeps and appended garbage all vary per trial.
 func TestJournalCrashReplayProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20010807))
@@ -166,6 +167,11 @@ func TestJournalCrashReplayProperty(t *testing.T) {
 		}
 
 		rebuilt := reconstruct(t, dir, "net-prop", capacity)
+		// Restore and replay write the map through the same mutators as
+		// the live paths: the reconstructed ledger must be the one the
+		// reconstructed map implies.
+		checkLedger(t, rebuilt)
+		checkLedger(t, plain)
 		want, err := plain.Snapshot()
 		if err != nil {
 			t.Fatal(err)

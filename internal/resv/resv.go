@@ -87,10 +87,16 @@ const sweepEvery = 128
 // callers needing a permanent record must keep their own (the broker's
 // structured log is that record).
 type Table struct {
-	mu        sync.Mutex
-	name      string
-	capacity  units.Bandwidth
+	mu       sync.Mutex
+	name     string
+	capacity units.Bandwidth
+	// resv holds every reservation, dead or alive, and led is the time
+	// axis of the ones that count against capacity. Invariant: led is
+	// exactly what booking every counted entry of resv would build.
+	// Only insertLocked, killLocked, setBandwidthLocked and dropLocked
+	// (and ResetFrom, which swaps both at once) write either.
 	resv      map[string]*Reservation
+	led       ledger
 	seq       int64
 	retention time.Duration
 	clock     func() time.Time
@@ -138,62 +144,74 @@ func (t *Table) SetRetention(d time.Duration) {
 }
 
 // Capacity returns the managed capacity.
-func (t *Table) Capacity() units.Bandwidth { return t.capacity }
+func (t *Table) Capacity() units.Bandwidth {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.capacity
+}
 
 // Name returns the table's label.
-func (t *Table) Name() string { return t.name }
+func (t *Table) Name() string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.name
+}
 
-// maxCommittedLocked computes the peak committed bandwidth during w,
-// optionally ignoring one handle. Caller holds t.mu.
-func (t *Table) maxCommittedLocked(w units.Window, ignore string) units.Bandwidth {
-	type edge struct {
-		at    time.Time
-		delta units.Bandwidth
+// counted reports whether r holds capacity on the time axis. A granted
+// reservation counts until compaction drops it, window-expired or not;
+// an ill-formed window (only a damaged journal record can carry one)
+// covers no instant and counts for nothing.
+func counted(r *Reservation) bool {
+	return r.Status == Granted && r.Window.Valid()
+}
+
+// bookLocked moves r's share of the time axis by bw; entries that do
+// not count have none to move.
+func (t *Table) bookLocked(r *Reservation, bw units.Bandwidth) {
+	if counted(r) {
+		t.led.book(r.Window, bw)
 	}
-	var edges []edge
-	for h, r := range t.resv {
-		if h == ignore || r.Status != Granted || !r.Window.Overlaps(w) {
-			continue
-		}
-		iv, _ := r.Window.Intersect(w)
-		edges = append(edges, edge{iv.Start, r.Bandwidth}, edge{iv.End, -r.Bandwidth})
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if !edges[i].at.Equal(edges[j].at) {
-			return edges[i].at.Before(edges[j].at)
-		}
-		// Process releases before acquisitions at the same instant
-		// (half-open windows).
-		return edges[i].delta < edges[j].delta
-	})
-	var cur, max units.Bandwidth
-	for _, e := range edges {
-		cur += e.delta
-		if cur > max {
-			max = cur
-		}
-	}
-	return max
+}
+
+// insertLocked adds r, whose handle the table does not hold yet.
+// Like the three mutators below it keeps map and ledger in step;
+// caller holds t.mu.
+func (t *Table) insertLocked(r *Reservation) {
+	t.resv[r.Handle] = r
+	t.bookLocked(r, r.Bandwidth)
+}
+
+// killLocked withdraws r, releasing its capacity at once.
+func (t *Table) killLocked(r *Reservation, at time.Time) {
+	t.bookLocked(r, -r.Bandwidth)
+	r.Status = Cancelled
+	r.CancelledAt = at
+}
+
+// setBandwidthLocked changes r's bandwidth to bw.
+func (t *Table) setBandwidthLocked(r *Reservation, bw units.Bandwidth) {
+	t.bookLocked(r, bw-r.Bandwidth)
+	r.Bandwidth = bw
+}
+
+// dropLocked forgets r altogether (compaction).
+func (t *Table) dropLocked(r *Reservation) {
+	t.bookLocked(r, -r.Bandwidth)
+	delete(t.resv, r.Handle)
 }
 
 // Available returns the guaranteed headroom throughout w.
 func (t *Table) Available(w units.Window) units.Bandwidth {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.capacity - t.maxCommittedLocked(w, "")
+	return t.capacity - t.led.peak(w)
 }
 
 // CommittedAt returns the committed bandwidth at instant at.
 func (t *Table) CommittedAt(at time.Time) units.Bandwidth {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var sum units.Bandwidth
-	for _, r := range t.resv {
-		if r.ActiveAt(at) {
-			sum += r.Bandwidth
-		}
-	}
-	return sum
+	return t.led.level(at)
 }
 
 // AdmitRequest describes a candidate reservation.
@@ -232,7 +250,7 @@ func (t *Table) admit(req AdmitRequest) (*Reservation, []event, error) {
 			events = append(events, compactEvent(swept))
 		}
 	}
-	peak := t.maxCommittedLocked(req.Window, "")
+	peak := t.led.peak(req.Window)
 	if peak+req.Bandwidth > t.capacity {
 		return nil, events, fmt.Errorf("resv: %s: insufficient capacity: peak committed %v + request %v > capacity %v",
 			t.name, peak, req.Bandwidth, t.capacity)
@@ -249,7 +267,7 @@ func (t *Table) admit(req AdmitRequest) (*Reservation, []event, error) {
 		Tunnel:    req.Tunnel,
 		Created:   now,
 	}
-	t.resv[r.Handle] = r
+	t.insertLocked(r)
 	if t.emit != nil {
 		events = append(events, admitEvent(r, t.seq))
 	}
@@ -273,8 +291,7 @@ func (t *Table) cancel(handle string) ([]event, error) {
 	if r.Status == Cancelled {
 		return nil, fmt.Errorf("resv: handle %q already cancelled", handle)
 	}
-	r.Status = Cancelled
-	r.CancelledAt = t.clock()
+	t.killLocked(r, t.clock())
 	if t.emit != nil {
 		return []event{cancelEvent(handle, r.CancelledAt)}, nil
 	}
@@ -321,7 +338,7 @@ func (t *Table) compactLocked(now time.Time) []string {
 			deadSince = r.Window.End
 		}
 		if deadSince.Before(horizon) {
-			delete(t.resv, h)
+			t.dropLocked(r)
 			removed = append(removed, h)
 		}
 	}
@@ -354,12 +371,17 @@ func (t *Table) modify(handle string, bw units.Bandwidth) ([]event, error) {
 	if !ok || r.Status != Granted {
 		return nil, fmt.Errorf("resv: no granted reservation %q", handle)
 	}
-	peak := t.maxCommittedLocked(r.Window, handle)
+	// r spans its whole window, so the peak of everything else over it
+	// is the ledger's peak less r's own share.
+	peak := t.led.peak(r.Window)
+	if counted(r) {
+		peak -= r.Bandwidth
+	}
 	if peak+bw > t.capacity {
 		return nil, fmt.Errorf("resv: %s: cannot grow %q to %v: peak committed %v, capacity %v",
 			t.name, handle, bw, peak, t.capacity)
 	}
-	r.Bandwidth = bw
+	t.setBandwidthLocked(r, bw)
 	if t.emit != nil {
 		return []event{modifyEvent(handle, bw)}, nil
 	}
@@ -395,8 +417,10 @@ func (t *Table) Timeline(w units.Window, samples int) []units.Bandwidth {
 	}
 	out := make([]units.Bandwidth, samples+1)
 	step := w.Duration() / time.Duration(samples)
-	for i := 0; i <= samples; i++ {
-		out[i] = t.CommittedAt(w.Start.Add(time.Duration(i) * step))
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range out {
+		out[i] = t.led.level(w.Start.Add(time.Duration(i) * step))
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"time"
 
 	"e2eqos/internal/units"
 )
@@ -39,7 +40,7 @@ func (t *Table) Snapshot() ([]byte, error) {
 // RestoreTable rebuilds a table from a snapshot in either encoding
 // (binary, or the JSON written before the binary codec existed). The
 // restored state is validated: committed bandwidth may not exceed the
-// capacity at any reservation boundary.
+// capacity at any instant, checked in one walk of the rebuilt ledger.
 func RestoreTable(data []byte) (*Table, error) {
 	var s snapshot
 	if len(data) > 0 && data[0] == snapMagic {
@@ -62,17 +63,17 @@ func RestoreTable(data []byte) (*Table, error) {
 		if _, dup := t.resv[r.Handle]; dup {
 			return nil, fmt.Errorf("resv: restore: duplicate handle %q", r.Handle)
 		}
-		t.resv[r.Handle] = &r
+		t.insertLocked(&r)
 	}
-	// Validate the invariant over every granted reservation's window.
-	for _, r := range t.resv {
-		if r.Status != Granted {
-			continue
+	t.led.each(func(at time.Time, level units.Bandwidth) bool {
+		if level > t.capacity {
+			err = fmt.Errorf("resv: restore: snapshot overcommits %v > %v at %s",
+				level, t.capacity, at.Format(time.RFC3339Nano))
 		}
-		if peak := t.maxCommittedLocked(r.Window, ""); peak > t.capacity {
-			return nil, fmt.Errorf("resv: restore: snapshot overcommits %v > %v during %v",
-				peak, t.capacity, r.Window)
-		}
+		return err == nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -94,7 +95,7 @@ func (t *Table) ResetFrom(data []byte) error {
 	defer t.mu.Unlock()
 	t.name = fresh.name
 	t.capacity = fresh.capacity
-	t.resv = fresh.resv
+	t.resv, t.led = fresh.resv, fresh.led
 	t.seq = fresh.seq
 	t.admits = 0
 	return nil

@@ -14,7 +14,8 @@
 #                          tests under -race (the durability layer's
 #                          correctness battery)
 #   make fuzz-short        ~10s per fuzz target over every Fuzz* in the
-#                          tree (envelope decode, signalling decode,
+#                          tree (envelope decode, concurrent Unwrap
+#                          against its serial twin, signalling decode,
 #                          policy parse, journal record decode), seeded
 #                          from the checked-in corpora
 #   make metrics-lint      metric-name rules: every registered name is
@@ -44,10 +45,23 @@
 #                          Observe, sampled-event append and the
 #                          reservation table's ledger reads (Available,
 #                          CommittedAt at 2000 live entries) must all be
-#                          allocation-free, and an admit+cancel pair may
-#                          allocate only its Reservation and handle (run
-#                          without -race; the gates skip under it)
+#                          allocation-free, an admit+cancel pair may
+#                          allocate only its Reservation and handle, and
+#                          a warm core.Broker.Verify parses no
+#                          certificate (allocs per layer at 8 layers no
+#                          more than at 2) (run without -race; the gates
+#                          skip under it)
+#   make bench-e2e         the repository's benchmark (bench/README.md):
+#                          go run ./bench — four workloads, end to end
+#                          then traced, rows appended to bench/out/
+#   make bench-e2e-compare A=parent.jsonl B=change.jsonl
+#                          go run ./bench -compare: gate B's rows against
+#                          A's under the bounds in BENCHMARK.json
 #   make bench             benchmark harness
+#   make bench-chain       destination Verify of a warm 1/2/3/5/8-layer
+#                          chain with -benchmem, plus ns/layer and
+#                          allocs/layer (everything about a layer but its
+#                          signature check should be flat from 2 to 8)
 #   make bench-codec       binary vs JSON codec micro-benchmarks with
 #                          -benchmem (the encode arm the alloc gate pins)
 #   make bench-concurrency reserve throughput vs parallel requesters
@@ -73,7 +87,7 @@
 
 GO ?= go
 
-.PHONY: build test verify alloc-gate bench bench-codec bench-concurrency bench-subflow bench-obs bench-replication bench-fleet bench-route metrics-lint race-concurrency race-recovery race-subflow race-replication race-fleet race-multipath fuzz-short
+.PHONY: build test verify alloc-gate bench bench-e2e bench-e2e-compare bench-chain bench-codec bench-concurrency bench-subflow bench-obs bench-replication bench-fleet bench-route metrics-lint race-concurrency race-recovery race-subflow race-replication race-fleet race-multipath fuzz-short
 
 build:
 	$(GO) build ./...
@@ -86,7 +100,7 @@ verify: build metrics-lint alloc-gate race-concurrency race-recovery race-subflo
 	$(GO) test -race ./...
 
 alloc-gate:
-	$(GO) test -run 'AllocationFree' ./internal/signalling ./internal/journal ./internal/obs ./internal/resv
+	$(GO) test -run 'AllocationFree' ./internal/signalling ./internal/journal ./internal/obs ./internal/resv ./internal/core
 
 race-concurrency:
 	$(GO) test -race -run 'Concurrent' ./internal/signalling ./internal/bb
@@ -115,6 +129,7 @@ race-multipath:
 
 fuzz-short:
 	$(GO) test -run NONE -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/envelope
+	$(GO) test -run NONE -fuzz '^FuzzUnwrapMatchesSerial$$' -fuzztime 10s ./internal/envelope
 	$(GO) test -run NONE -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s ./internal/signalling
 	$(GO) test -run NONE -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/policy
 	$(GO) test -run NONE -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/journal
@@ -122,8 +137,17 @@ fuzz-short:
 metrics-lint:
 	$(GO) test -run 'TestMetricsLint' ./internal/obs ./internal/experiment
 
+bench-e2e:
+	$(GO) run ./bench
+
+bench-e2e-compare:
+	$(GO) run ./bench -compare $(A) $(B)
+
 bench:
 	$(GO) test -bench=. -benchmem
+
+bench-chain:
+	$(GO) test -run NONE -bench 'TrustChainVerify' -benchmem .
 
 bench-codec: alloc-gate
 	$(GO) test -run NONE -bench 'BenchmarkCodec' -benchmem ./internal/signalling

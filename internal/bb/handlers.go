@@ -540,6 +540,9 @@ func (b *BB) processReserve(key string, peer signalling.Peer, payload *signallin
 	if isDest || local {
 		return b.finishGrant(key, peer, verified, r, fromUser, isDest && !local)
 	}
+	// A forwarding hop: its own approval is signed while downstream
+	// works, once, whatever paths and split children the forward tries.
+	grant := b.presignGrant(spec.RARID, r.Handle)
 
 	// Forward downstream. A pinned payload (a re-route attempt or split
 	// child minted by the ingress) follows its pin — NextHop would put
@@ -552,17 +555,17 @@ func (b *BB) processReserve(key string, peer signalling.Peer, payload *signallin
 			b.rollback(r.Handle, spec.RARID, "not on pinned path")
 			return b.deny(spec.RARID, fmt.Sprintf("%s: not on pinned path", b.cfg.Domain))
 		}
-		return b.forwardVia(key, next, peer, payload, env, verified, res, r, span)
+		return b.forwardVia(key, next, peer, payload, env, verified, res, r, grant, span)
 	}
 	if fromUser && b.maxPaths() > 1 {
-		return b.forwardMultipath(key, peer, payload, env, verified, res, r, span)
+		return b.forwardMultipath(key, peer, payload, env, verified, res, r, grant, span)
 	}
 	nextDomain, err := b.cfg.Topo.NextHop(b.cfg.Domain, spec.DestDomain)
 	if err != nil {
 		b.rollback(r.Handle, spec.RARID, "no route")
 		return b.deny(spec.RARID, fmt.Sprintf("%s: routing: %v", b.cfg.Domain, err))
 	}
-	return b.forwardVia(key, nextDomain, peer, payload, env, verified, res, r, span)
+	return b.forwardVia(key, nextDomain, peer, payload, env, verified, res, r, grant, span)
 }
 
 // pinnedNext finds the successor of domain on a pinned path.
@@ -631,7 +634,7 @@ func (b *BB) forwardChild(childKey string, nd *topology.Domain, peer signalling.
 // the single-path case: legacy hop-by-hop forwarding and mid-chain
 // hops of a pinned path. Transport failure or denial rolls back the
 // local admission and propagates; a grant records the route.
-func (b *BB) forwardVia(key, nextDomain string, peer signalling.Peer, payload *signalling.ReservePayload, env *envelope.Envelope, verified *core.VerifiedRequest, res *policysrv.Result, r *resv.Reservation, span *obs.Span) *signalling.Message {
+func (b *BB) forwardVia(key, nextDomain string, peer signalling.Peer, payload *signalling.ReservePayload, env *envelope.Envelope, verified *core.VerifiedRequest, res *policysrv.Result, r *resv.Reservation, grant *grantApproval, span *obs.Span) *signalling.Message {
 	spec := verified.Spec
 	nd, ok := b.cfg.Topo.Domain(nextDomain)
 	if !ok {
@@ -669,7 +672,7 @@ func (b *BB) forwardVia(key, nextDomain string, peer signalling.Peer, payload *s
 		}
 		return resp
 	}
-	return b.settleGrant(key, key, nd.BBDN, peer, verified, r, downstream)
+	return b.settleGrant(key, key, nd.BBDN, peer, verified, r, grant, downstream)
 }
 
 // deniedAtDest reports whether a denial came from the destination
@@ -694,7 +697,7 @@ func deniedAtDest(res *signalling.ResultPayload, dest string) bool {
 // re-route for a retransmission — and, when no single path grants the
 // full bandwidth because of a mid-chain refusal, fall back to
 // splitting the reservation across paths.
-func (b *BB) forwardMultipath(key string, peer signalling.Peer, payload *signalling.ReservePayload, env *envelope.Envelope, verified *core.VerifiedRequest, res *policysrv.Result, r *resv.Reservation, span *obs.Span) *signalling.Message {
+func (b *BB) forwardMultipath(key string, peer signalling.Peer, payload *signalling.ReservePayload, env *envelope.Envelope, verified *core.VerifiedRequest, res *policysrv.Result, r *resv.Reservation, grant *grantApproval, span *obs.Span) *signalling.Message {
 	spec := verified.Spec
 	paths, err := b.cfg.Topo.Paths(b.cfg.Domain, spec.DestDomain, b.maxPaths())
 	if err != nil {
@@ -731,7 +734,7 @@ func (b *BB) forwardMultipath(key string, peer signalling.Peer, payload *signall
 			continue // transport failure; the rollback cancel is scheduled
 		}
 		if downstream.Result.Granted {
-			return b.settleGrant(key, childKey, nd.BBDN, peer, verified, r, downstream)
+			return b.settleGrant(key, childKey, nd.BBDN, peer, verified, r, grant, downstream)
 		}
 		lastDenial = downstream.Result
 		if deniedAtDest(downstream.Result, spec.DestDomain) {
@@ -740,7 +743,7 @@ func (b *BB) forwardMultipath(key string, peer signalling.Peer, payload *signall
 		midDenials++
 	}
 	if midDenials > 0 && b.splitParts() > 0 && len(paths) >= 2 && !spec.Tunnel {
-		if resp := b.splitAcross(key, peer, payload, env, verified, res, r, paths, span); resp != nil {
+		if resp := b.splitAcross(key, peer, payload, env, verified, res, r, grant, paths, span); resp != nil {
 			return resp
 		}
 	}
@@ -776,7 +779,7 @@ func (b *BB) forwardMultipath(key string, peer signalling.Peer, payload *signall
 // release the local admission (the caller must then NOT rollback
 // again). Returns nil when fewer than two paths were usable — the
 // caller falls through to the ordinary denial.
-func (b *BB) splitAcross(key string, peer signalling.Peer, payload *signalling.ReservePayload, env *envelope.Envelope, verified *core.VerifiedRequest, res *policysrv.Result, r *resv.Reservation, paths [][]string, span *obs.Span) *signalling.Message {
+func (b *BB) splitAcross(key string, peer signalling.Peer, payload *signalling.ReservePayload, env *envelope.Envelope, verified *core.VerifiedRequest, res *policysrv.Result, r *resv.Reservation, grant *grantApproval, paths [][]string, span *obs.Span) *signalling.Message {
 	spec := verified.Spec
 	parts := b.splitParts()
 	usable := make([][]string, 0, parts)
@@ -862,7 +865,7 @@ func (b *BB) splitAcross(key string, peer signalling.Peer, payload *signalling.R
 			PolicyInfo: policyInfo,
 			Trace:      trace,
 		}}
-		if a, err := b.signApproval(spec.RARID, r.Handle, true, ""); err == nil {
+		if a, err := grant.wait(); err == nil {
 			resp.Result.Approvals = append(resp.Result.Approvals, a)
 		}
 		return resp
@@ -893,9 +896,10 @@ func (b *BB) splitAcross(key string, peer signalling.Peer, payload *signalling.R
 // settleGrant records a forwarded grant: tunnel registration, route
 // state — downKey is the route key the downstream leg runs under,
 // which differs from the hop's own key when the ingress re-routed —
-// the data plane, and this domain's approval stacked on top of the
-// downstream ones.
-func (b *BB) settleGrant(key, downKey string, next identity.DN, peer signalling.Peer, verified *core.VerifiedRequest, r *resv.Reservation, downstream *signalling.Message) *signalling.Message {
+// the data plane, and this domain's approval — signed while downstream
+// worked, collected here now that downstream has granted — stacked on
+// top of the downstream ones.
+func (b *BB) settleGrant(key, downKey string, next identity.DN, peer signalling.Peer, verified *core.VerifiedRequest, r *resv.Reservation, grant *grantApproval, downstream *signalling.Message) *signalling.Message {
 	spec := verified.Spec
 	fromUser := len(verified.Path) == 1
 	// Tunnel registration happens before the grant is recorded: a RAR
@@ -922,7 +926,7 @@ func (b *BB) settleGrant(key, downKey string, next identity.DN, peer signalling.
 		PolicyInfo: downstream.Result.PolicyInfo,
 		Trace:      downstream.Result.Trace,
 	}}
-	if a, err := b.signApproval(spec.RARID, r.Handle, true, ""); err == nil {
+	if a, err := grant.wait(); err == nil {
 		resp.Result.Approvals = append(resp.Result.Approvals, a)
 	}
 	return resp

@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/ecdsa"
 	"fmt"
+	"sync"
 	"time"
 
 	"e2eqos/internal/envelope"
@@ -39,6 +40,10 @@ type Broker struct {
 	// may be at verification time, limiting the replay window of a
 	// captured RAR. Zero disables the check.
 	MaxRequestAge time.Duration
+	// certs holds the parsed form of the channel and introduced
+	// certificates of chains this broker has verified. It is the
+	// broker's own: brokers sharing a process do not warm each other.
+	certs pki.CertCache
 }
 
 // NewBroker assembles a protocol broker.
@@ -93,17 +98,40 @@ func (b *Broker) Verify(env *envelope.Envelope, channelPeer identity.DN, channel
 	if at.IsZero() {
 		at = time.Now()
 	}
-	depth := -1 // layer counter: outermost layer is depth 0
 	maxDepth := b.Trust.MaxIntroducerDepth()
-	resolve := func(dn identity.DN, certHint []byte) (*ecdsa.PublicKey, error) {
-		depth++
+	// Certificates met for the first time wait here and enter the cache
+	// only once the chain that carried them has verified. Inner layers
+	// are resolved from several goroutines, hence the lock.
+	var (
+		freshMu sync.Mutex
+		fresh   []*pki.Certificate
+	)
+	parse := func(der []byte) (*pki.Certificate, error) {
+		if cert, ok := b.certs.Get(der); ok {
+			return cert, nil
+		}
+		// A private copy: the parsed form may outlive this request.
+		cert, err := pki.ParseCertificate(append([]byte(nil), der...))
+		if err != nil {
+			return nil, err
+		}
+		freshMu.Lock()
+		fresh = append(fresh, cert)
+		freshMu.Unlock()
+		return cert, nil
+	}
+	// The outermost layer is depth 0. envelope.Unwrap may resolve inner
+	// layers that carry a certificate in any order and before the layers
+	// outside them have verified, so that branch reads its arguments and
+	// the cache and writes nothing but this request's fresh list.
+	resolve := func(depth int, dn identity.DN, certHint []byte) (*ecdsa.PublicKey, error) {
 		if depth == 0 {
 			// The channel handshake authenticated this key.
 			if pinned, ok := b.Trust.PeerKey(dn); ok {
 				return pinned, nil
 			}
 			if channelPeerCert != nil {
-				cert, err := pki.ParseCertificate(channelPeerCert)
+				cert, err := parse(channelPeerCert)
 				if err != nil {
 					return nil, err
 				}
@@ -129,7 +157,7 @@ func (b *Broker) Verify(env *envelope.Envelope, channelPeer identity.DN, channel
 			}
 			return nil, fmt.Errorf("core: layer %d (%s) has no introducing certificate", depth, dn)
 		}
-		cert, err := pki.ParseCertificate(certHint)
+		cert, err := parse(certHint)
 		if err != nil {
 			return nil, fmt.Errorf("core: introduced certificate for %s: %w", dn, err)
 		}
@@ -148,6 +176,9 @@ func (b *Broker) Verify(env *envelope.Envelope, channelPeer identity.DN, channel
 	chain, err := envelope.Unwrap(env, resolve)
 	if err != nil {
 		return nil, err
+	}
+	for _, cert := range fresh {
+		b.certs.Add(cert)
 	}
 	if err := b.checkPathNaming(chain); err != nil {
 		return nil, err
@@ -183,7 +214,7 @@ func (b *Broker) Verify(env *envelope.Envelope, channelPeer identity.DN, channel
 		Path:            chain.PathDNs(),
 		PolicyInfo:      chain.PolicyInfo(),
 		Capabilities:    caps,
-		IntroducerDepth: depth,
+		IntroducerDepth: len(chain.Layers) - 1,
 	}, nil
 }
 

@@ -1,0 +1,197 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"e2eqos/internal/envelope"
+	"e2eqos/internal/identity"
+	"e2eqos/internal/pki"
+)
+
+// chainFixture is a linear path of any length: one user and hops
+// brokers under one CA, broker 0 trusting the CA for its users and
+// every broker pinning its two neighbours, as SLA peers do.
+type chainFixture struct {
+	user    *UserAgent
+	brokers []*Broker
+	certs   []*pki.Certificate
+}
+
+// buildChain builds the fixture; lifetimes[i], when set, is how long
+// broker i's certificate lasts (default a year).
+func buildChain(tb testing.TB, hops int, lifetimes map[int]time.Duration) *chainFixture {
+	tb.Helper()
+	ca, err := pki.NewCA(identity.NewDN("Grid", "Chain", "CA"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fx := &chainFixture{}
+	uk, err := identity.GenerateKeyPair(identity.NewDN("Grid", "D0", "Alice"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ucert, err := ca.IssueIdentity(uk.DN, uk.Public(), 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if fx.user, err = NewUserAgent(uk, ucert, nil); err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < hops; i++ {
+		key, err := identity.GenerateKeyPair(identity.NewDN("Grid", fmt.Sprintf("D%d", i), "bb"))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cert, err := ca.IssueIdentity(key.DN, key.Public(), lifetimes[i], "bb")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		trust := pki.NewTrustStore(hops)
+		if i == 0 {
+			if err := trust.AddRoot(&pki.Certificate{Cert: ca.Certificate(), DER: ca.CertificateDER()}); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		bb, err := NewBroker(key, cert, trust)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		fx.brokers = append(fx.brokers, bb)
+		fx.certs = append(fx.certs, cert)
+	}
+	for i := 1; i < hops; i++ {
+		fx.brokers[i].Trust.PinPeer(fx.brokers[i-1].DN(), fx.brokers[i-1].Key.Public())
+		fx.brokers[i-1].Trust.PinPeer(fx.brokers[i].DN(), fx.brokers[i].Key.Public())
+	}
+	return fx
+}
+
+// carry signs a fresh RAR and walks it through brokers 0..dest-1,
+// returning what broker dest receives: the envelope and its channel
+// peer. tamper, when set, is handed the envelope broker dest-1 is about
+// to wrap — the dishonest-last-hop position.
+func (fx *chainFixture) carry(tb testing.TB, dest int, at time.Time, tamper func(*envelope.Envelope)) (*envelope.Envelope, identity.DN, []byte) {
+	tb.Helper()
+	spec := testSpec(fx.user.Key.DN)
+	env, err := fx.user.BuildRAR(spec, fx.certs[0])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	peerDN, peerCert := fx.user.Key.DN, fx.user.Cert.DER
+	for i := 0; i < dest; i++ {
+		verified, err := fx.brokers[i].Verify(env, peerDN, peerCert, at)
+		if err != nil {
+			tb.Fatalf("broker %d: %v", i, err)
+		}
+		if tamper != nil && i == dest-1 {
+			tamper(env)
+		}
+		if env, err = fx.brokers[i].Extend(env, peerCert, verified, fx.certs[i+1], nil); err != nil {
+			tb.Fatal(err)
+		}
+		peerDN, peerCert = fx.brokers[i].DN(), fx.certs[i].DER
+	}
+	return env, peerDN, peerCert
+}
+
+// TestCachedCertificateStillExpires: a certificate parsed and cached
+// while valid is refused once the clock passes its NotAfter, with the
+// words a broker that never saw it uses.
+func TestCachedCertificateStillExpires(t *testing.T) {
+	fx := buildChain(t, 3, map[int]time.Duration{0: 10 * time.Minute})
+	now := time.Now()
+	env, peerDN, peerCert := fx.carry(t, 2, now, nil)
+	dest := fx.brokers[2]
+	if _, err := dest.Verify(env, peerDN, peerCert, now); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := dest.certs.Get(fx.certs[0].DER); !ok {
+		t.Fatal("introduced certificate not cached by the chain that verified")
+	}
+	later := now.Add(time.Hour)
+	_, err := dest.Verify(env, peerDN, peerCert, later)
+	if err == nil {
+		t.Fatal("cached certificate outlived its NotAfter")
+	}
+	cold, cerr := NewBroker(dest.Key, dest.Cert, dest.Trust)
+	if cerr != nil {
+		t.Fatal(cerr)
+	}
+	if _, want := cold.Verify(env, peerDN, peerCert, later); want == nil || want.Error() != err.Error() {
+		t.Fatalf("warm and cold brokers disagree:\n warm: %v\n cold: %v", err, want)
+	}
+}
+
+// TestFailedChainLeavesCacheUntouched: certificates carried by a chain
+// that does not verify are not remembered — here the last hop vouches
+// for an inner layer it has altered, so the outer layer verifies and
+// the chain still fails; the same certificates enter the cache with
+// the first chain that does verify.
+func TestFailedChainLeavesCacheUntouched(t *testing.T) {
+	fx := buildChain(t, 3, nil)
+	now := time.Now()
+	dest := fx.brokers[2]
+	introduced := [][]byte{fx.certs[0].DER, fx.user.Cert.DER}
+
+	env, peerDN, peerCert := fx.carry(t, 2, now, func(e *envelope.Envelope) { e.Signature[8] ^= 0x40 })
+	if _, err := dest.Verify(env, peerDN, peerCert, now); err == nil {
+		t.Fatal("altered inner layer accepted")
+	}
+	for i, der := range introduced {
+		if _, ok := dest.certs.Get(der); ok {
+			t.Fatalf("certificate %d cached on the strength of a chain that failed", i)
+		}
+	}
+	env, peerDN, peerCert = fx.carry(t, 2, now, nil)
+	if _, err := dest.Verify(env, peerDN, peerCert, now); err != nil {
+		t.Fatal(err)
+	}
+	for i, der := range introduced {
+		if _, ok := dest.certs.Get(der); !ok {
+			t.Fatalf("certificate %d not cached by a chain that verified", i)
+		}
+	}
+}
+
+// TestWarmVerifyAllocationFree gates the cache: once a broker has seen
+// a path's certificates, verifying another RAR over it parses none of
+// them (allocation-free in x509 terms, whatever else a layer costs).
+// A layer of a warm 8-layer chain allocates no more than a layer of a
+// warm 2-layer chain, and each layer beyond the second costs less than
+// half of what one certificate parse allocates.
+func TestWarmVerifyAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	now := time.Now()
+	warm := func(hops int) float64 {
+		fx := buildChain(t, hops, nil)
+		env, peerDN, peerCert := fx.carry(t, hops-1, now, nil)
+		dest := fx.brokers[hops-1]
+		verify := func() {
+			if _, err := dest.Verify(env, peerDN, peerCert, now); err != nil {
+				t.Fatal(err)
+			}
+		}
+		verify()
+		return testing.AllocsPerRun(50, verify)
+	}
+	fx := buildChain(t, 1, nil)
+	parse := testing.AllocsPerRun(50, func() {
+		if _, err := pki.ParseCertificate(fx.certs[0].DER); err != nil {
+			t.Fatal(err)
+		}
+	})
+	at2, at8 := warm(2), warm(8)
+	t.Logf("warm Verify: %.0f allocs at 2 layers, %.0f at 8; one certificate parse: %.0f", at2, at8, parse)
+	if at8/8 > at2/2 {
+		t.Errorf("allocs per layer rose with depth: %.1f at 8 layers, %.1f at 2", at8/8, at2/2)
+	}
+	if perExtra := (at8 - at2) / 6; perExtra > parse/2 {
+		t.Errorf("each extra layer costs %.1f allocs, a certificate parse %.0f: something is parsed per layer", perExtra, parse)
+	}
+}

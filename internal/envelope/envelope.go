@@ -19,6 +19,9 @@ import (
 	"crypto/ecdsa"
 	"encoding/json"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"e2eqos/internal/identity"
@@ -97,14 +100,18 @@ func (e *Envelope) Open(pub *ecdsa.PublicKey) (*Body, error) {
 	if e == nil {
 		return nil, fmt.Errorf("envelope: nil envelope")
 	}
+	if err := e.verify(pub); err != nil {
+		return nil, err
+	}
+	return e.PeekBody()
+}
+
+// verify checks the layer's signature over its payload bytes.
+func (e *Envelope) verify(pub *ecdsa.PublicKey) error {
 	if err := identity.Verify(pub, e.Payload, e.Signature); err != nil {
-		return nil, fmt.Errorf("envelope: layer signed by %s: %w", e.SignerDN, err)
+		return fmt.Errorf("envelope: layer signed by %s: %w", e.SignerDN, err)
 	}
-	body, err := decodeBody(e.Payload)
-	if err != nil {
-		return nil, fmt.Errorf("envelope: body signed by %s: %w", e.SignerDN, err)
-	}
-	return body, nil
+	return nil
 }
 
 // PeekBody decodes the body WITHOUT verifying the signature. It is used
@@ -171,48 +178,166 @@ func (c *Chain) PolicyInfo() map[string]string {
 	return merged
 }
 
-// KeyResolver resolves the public key to verify a layer signed by dn.
-// The certDER hint is the certificate the NEXT outer layer attached for
-// this signer (cert_N in the paper); it may be nil for the outermost
-// layer, whose key the verifier knows from the TLS handshake.
-type KeyResolver func(dn identity.DN, certDER []byte) (*ecdsa.PublicKey, error)
+// KeyResolver resolves the public key to verify the layer at depth
+// (0 is the outermost) signed by dn. The certDER hint is the certificate
+// the NEXT outer layer attached for this signer (cert_N in the paper);
+// it is nil for the outermost layer, whose key the verifier knows from
+// the TLS handshake, and for an inner layer whose wrapper attached none.
+//
+// Unwrap calls it once per layer. A call that carries a hint may come
+// from any goroutine, alongside other such calls, and before the layers
+// outside it have verified: it must depend on its arguments only and
+// leave nothing behind. A call without a hint — the one that may ask a
+// directory — is made only once every layer outside has verified, and
+// never beside another call without a hint.
+type KeyResolver func(depth int, dn identity.DN, certDER []byte) (*ecdsa.PublicKey, error)
 
-// Unwrap peels and verifies every layer of the onion. resolve is called
-// once per layer. The outermost layer's certificate hint is nil (its
-// key comes from the channel); every inner layer's hint is the
-// UpstreamCertDER its wrapping layer attached.
+// Unwrap peels and verifies every layer of the onion and returns the
+// chain only if every layer verified; the error is the one a walk from
+// the outside in, one layer at a time, would have met first.
+//
+// The outermost layer is resolved, verified and decoded on its own, so
+// not one byte inside the neighbour's envelope is decoded before the
+// neighbour's signature holds. The layers inside it are then decoded,
+// and their keys resolved and signatures checked by the caller and up
+// to min(GOMAXPROCS, layers)-1 helper goroutines. A layer without a
+// certificate hint is a flush point: its key is asked for only after
+// every layer outside it has verified.
 func Unwrap(outer *Envelope, resolve KeyResolver) (*Chain, error) {
-	chain := &Chain{}
-	env := outer
-	var certHint []byte
-	for depth := 0; env != nil; depth++ {
-		if depth > maxDepth {
-			return nil, fmt.Errorf("envelope: chain deeper than %d layers", maxDepth)
+	if outer == nil {
+		return nil, fmt.Errorf("envelope: empty chain")
+	}
+	envs := append(make([]*Envelope, 0, 8), outer)
+	chain := &Chain{Layers: make([]Layer, 0, 8)}
+	check := func(d int) error {
+		env := envs[d]
+		var hint []byte
+		if d > 0 {
+			hint = chain.Layers[d-1].Body.UpstreamCertDER
 		}
-		pub, err := resolve(env.SignerDN, certHint)
+		pub, err := resolve(d, env.SignerDN, hint)
 		if err != nil {
-			return nil, fmt.Errorf("envelope: resolving key for layer %d (%s): %w", depth, env.SignerDN, err)
+			return fmt.Errorf("envelope: resolving key for layer %d (%s): %w", d, env.SignerDN, err)
 		}
-		body, err := env.Open(pub)
-		if err != nil {
-			return nil, fmt.Errorf("envelope: layer %d: %w", depth, err)
+		if err := env.verify(pub); err != nil {
+			return fmt.Errorf("envelope: layer %d: %w", d, err)
 		}
+		return nil
+	}
+	if err := check(0); err != nil {
+		return nil, err
+	}
+
+	// Decode inward. after is what the walk ran into where it stopped;
+	// it is reported only if every layer found on the way verifies.
+	var after error
+	for env := outer; ; {
+		body, err := env.PeekBody()
 		chain.Layers = append(chain.Layers, Layer{SignerDN: env.SignerDN, Body: body})
+		if err != nil {
+			after = fmt.Errorf("envelope: layer %d: %w", len(envs)-1, err)
+			break
+		}
 		if body.Inner == nil {
 			if body.Request == nil {
-				return nil, fmt.Errorf("envelope: innermost layer (%s) carries no request", env.SignerDN)
+				after = fmt.Errorf("envelope: innermost layer (%s) carries no request", env.SignerDN)
 			}
 			chain.Request = body.Request
-			return chain, nil
+			break
 		}
-		certHint = body.UpstreamCertDER
+		if len(envs) == maxDepth {
+			after = fmt.Errorf("envelope: chain deeper than %d layers", maxDepth)
+			break
+		}
 		env = body.Inner
+		envs = append(envs, env)
 	}
-	return nil, fmt.Errorf("envelope: empty chain")
+
+	// One run of layers at a time: a run starts at layer 1 or at a
+	// flush point and ends before the next flush point.
+	for start := 1; start < len(envs); {
+		end := start + 1
+		for end < len(envs) && chain.Layers[end-1].Body.UpstreamCertDER != nil {
+			end++
+		}
+		if err := checkRun(start, end, check); err != nil {
+			return nil, err
+		}
+		start = end
+	}
+	if after != nil {
+		return nil, after
+	}
+	return chain, nil
+}
+
+// checkRun runs check on layers [start, end) and returns the error of
+// the outermost layer that failed. The caller takes layer start, then
+// draws from the cursor it shares with the helpers, so a helper that
+// wakes late finds the work done. With one layer or one processor it
+// starts no goroutine.
+func checkRun(start, end int, check func(d int) error) error {
+	workers := min(runtime.GOMAXPROCS(0), end-start)
+	if workers <= 1 {
+		for d := start; d < end; d++ {
+			if err := check(d); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var (
+		errs   = make([]error, end-start)
+		next   atomic.Int64 // the next layer to hand out
+		failed atomic.Int64 // the outermost layer known to have failed
+		wg     sync.WaitGroup
+	)
+	next.Store(int64(start + 1))
+	failed.Store(int64(end))
+	run := func(d int) {
+		if int64(d) > failed.Load() {
+			return // a walk from the outside would have stopped before d
+		}
+		if errs[d-start] = check(d); errs[d-start] == nil {
+			return
+		}
+		for f := failed.Load(); int64(d) < f; f = failed.Load() {
+			if failed.CompareAndSwap(f, int64(d)) {
+				break
+			}
+		}
+	}
+	draw := func() {
+		for {
+			d := int(next.Add(1)) - 1
+			if d >= end {
+				return
+			}
+			run(d)
+		}
+	}
+	wg.Add(workers - 1)
+	for i := 1; i < workers; i++ {
+		go func() {
+			defer wg.Done()
+			draw()
+		}()
+	}
+	run(start)
+	draw()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // maxDepth bounds the number of nested layers Unwrap accepts,
-// protecting against maliciously deep onions.
+// protecting against maliciously deep onions. Inner layers are decoded
+// before they are verified, so this is also the most unauthenticated
+// decoding one request can ask for.
 const maxDepth = 64
 
 // Encode serialises the envelope in its binary form.

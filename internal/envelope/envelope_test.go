@@ -59,7 +59,7 @@ func resolverFor(keys []*identity.KeyPair) KeyResolver {
 	for _, k := range keys {
 		byDN[k.DN] = k.Public()
 	}
-	return func(dn identity.DN, _ []byte) (*ecdsa.PublicKey, error) {
+	return func(_ int, dn identity.DN, _ []byte) (*ecdsa.PublicKey, error) {
 		pub, ok := byDN[dn]
 		if !ok {
 			return nil, fmt.Errorf("unknown signer %s", dn)
@@ -180,11 +180,34 @@ func TestUnwrapDepthBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < maxDepth+2; i++ {
-		env, err = Seal(user, Body{Inner: env})
-		if err != nil {
+	resolve := resolverFor([]*identity.KeyPair{user})
+	wrap := func() {
+		if env, err = Seal(user, Body{Inner: env}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// The bound is exact: maxDepth layers pass, one more is refused
+	// under the message that names the bound.
+	for layers := 1; layers < maxDepth; layers++ {
+		wrap()
+	}
+	chain, err := Unwrap(env, resolve)
+	if err != nil {
+		t.Fatalf("%d layers refused: %v", maxDepth, err)
+	}
+	if len(chain.Layers) != maxDepth {
+		t.Fatalf("layers = %d, want %d", len(chain.Layers), maxDepth)
+	}
+	wrap()
+	_, err = Unwrap(env, resolve)
+	if want := fmt.Sprintf("envelope: chain deeper than %d layers", maxDepth); err == nil || err.Error() != want {
+		t.Fatalf("%d layers: err = %v, want %q", maxDepth+1, err, want)
+	}
+	if _, twinErr := serialTwin(env, resolve); twinErr == nil || twinErr.Error() != err.Error() {
+		t.Fatalf("twin disagrees at the bound: %v", twinErr)
+	}
+	for i := 0; i < 2; i++ {
+		wrap()
 	}
 	if _, err := Unwrap(env, resolverFor([]*identity.KeyPair{user})); err == nil {
 		t.Fatal("over-deep onion accepted")

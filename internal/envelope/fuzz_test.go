@@ -4,6 +4,8 @@ import (
 	"crypto/ecdsa"
 	"encoding/json"
 	"fmt"
+	mrand "math/rand"
+	"runtime"
 	"testing"
 
 	"e2eqos/internal/identity"
@@ -31,7 +33,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(`garbage`))
 
-	resolve := func(dn identity.DN, _ []byte) (*ecdsa.PublicKey, error) {
+	resolve := func(_ int, dn identity.DN, _ []byte) (*ecdsa.PublicKey, error) {
 		if dn == key.DN {
 			return key.Public(), nil
 		}
@@ -47,5 +49,39 @@ func FuzzDecode(f *testing.F) {
 		_, _ = Unwrap(env, resolve)
 		_, _ = env.PeekBody()
 		_ = env.WireSize()
+	})
+}
+
+// FuzzUnwrapMatchesSerial holds the concurrent Unwrap to the serial
+// twin on whatever bytes the fuzzer makes of the differential test's
+// own chains: same verdict, error text, chain and directory lookups,
+// under any introduction limit, with and without a directory.
+func FuzzUnwrapMatchesSerial(f *testing.F) {
+	signers := twinFixture(f)
+	rng := mrand.New(mrand.NewSource(1301))
+	for i := 0; i < 48; i++ {
+		tc := genTwinCase(f, rng)
+		data, err := tc.outer.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data, uint8(tc.limit), tc.dir != nil)
+	}
+	dir := map[identity.DN]*ecdsa.PublicKey{}
+	for _, s := range signers[:len(signers)/2] {
+		dir[s.key.DN] = s.key.Public()
+	}
+	// Helpers are started only when there are processors to run them on.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	f.Fuzz(func(t *testing.T, data []byte, limit uint8, withDir bool) {
+		env, err := Decode(data)
+		if err != nil {
+			return
+		}
+		tc := twinCase{outer: env, limit: int(limit), summary: fmt.Sprintf("limit=%d dir=%v", limit, withDir)}
+		if withDir {
+			tc.dir = dir
+		}
+		diffAgainstTwin(t, tc)
 	})
 }

@@ -26,9 +26,13 @@ func TestExpositionGolden(t *testing.T) {
 		h.Observe(v)
 	}
 	q := r.Quantile("demo_lat_seconds", "striped latency", 0, 0)
-	for i := 0; i < 1000; i++ {
-		// A deterministic spread: quantile lines get distinct values.
-		q.Observe(0.001 * math.Pow(1.002, float64(i)))
+	for i := 1; i <= 1000; i++ {
+		// A deterministic spread, so the quantile lines get distinct
+		// values, of multiples of 2^-17: every partial sum is exact, so
+		// _sum does not depend on the order the histogram's stripes are
+		// added up in (under -race sync.Pool sheds stripes and the order
+		// changes).
+		q.Observe(float64(i) / (1 << 17))
 	}
 
 	var sb strings.Builder

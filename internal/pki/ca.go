@@ -150,20 +150,40 @@ func (ca *CA) IssueIdentity(dn identity.DN, pub *ecdsa.PublicKey, validity time.
 	if err != nil {
 		return nil, fmt.Errorf("pki: parsing issued cert: %w", err)
 	}
-	return &Certificate{Cert: cert, DER: der}, nil
+	return newCertificate(cert, der), nil
 }
 
 // Certificate couples a parsed x509 certificate with its DER encoding.
+// It is not modified after construction, so one value may be shared
+// between goroutines (and kept in a CertCache).
 type Certificate struct {
 	Cert *x509.Certificate
 	DER  []byte
+	// subject and issuer hold the canonical DNs of a certificate built
+	// by this package; a literal leaves them empty and pays for the
+	// conversion on every call.
+	subject, issuer identity.DN
+}
+
+func newCertificate(cert *x509.Certificate, der []byte) *Certificate {
+	return &Certificate{Cert: cert, DER: der, subject: NameToDN(cert.Subject), issuer: NameToDN(cert.Issuer)}
 }
 
 // SubjectDN returns the canonical subject DN.
-func (c *Certificate) SubjectDN() identity.DN { return NameToDN(c.Cert.Subject) }
+func (c *Certificate) SubjectDN() identity.DN {
+	if c.subject != "" {
+		return c.subject
+	}
+	return NameToDN(c.Cert.Subject)
+}
 
 // IssuerDN returns the canonical issuer DN.
-func (c *Certificate) IssuerDN() identity.DN { return NameToDN(c.Cert.Issuer) }
+func (c *Certificate) IssuerDN() identity.DN {
+	if c.issuer != "" {
+		return c.issuer
+	}
+	return NameToDN(c.Cert.Issuer)
+}
 
 // PublicKey returns the embedded ECDSA public key, or nil for other key
 // types.
@@ -178,7 +198,7 @@ func ParseCertificate(der []byte) (*Certificate, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pki: parse certificate: %w", err)
 	}
-	return &Certificate{Cert: cert, DER: der}, nil
+	return newCertificate(cert, der), nil
 }
 
 // CheckSignedBy verifies that c carries a valid ECDSA P-256/SHA-256

@@ -2,6 +2,7 @@ package pki
 
 import (
 	"crypto/ecdsa"
+	"crypto/sha256"
 	"fmt"
 	"sync"
 	"time"
@@ -49,6 +50,11 @@ type TrustStore struct {
 	// maxIntroducerDepth limits accepted introduction chains; 0 means
 	// introductions are refused entirely.
 	maxIntroducerDepth int
+	// caChecked maps the DER digest of a certificate to the root key its
+	// CA signature verified under — that exact key value, so an entry
+	// says nothing about any other root. AddRoot empties it; it holds at
+	// most certCacheBound entries.
+	caChecked map[[sha256.Size]byte]*ecdsa.PublicKey
 }
 
 // NewTrustStore creates an empty store accepting introducer chains up
@@ -58,6 +64,7 @@ func NewTrustStore(maxIntroducerDepth int) *TrustStore {
 		roots:              make(map[identity.DN]*ecdsa.PublicKey),
 		peers:              make(map[identity.DN]*ecdsa.PublicKey),
 		maxIntroducerDepth: maxIntroducerDepth,
+		caChecked:          make(map[[sha256.Size]byte]*ecdsa.PublicKey),
 	}
 }
 
@@ -84,6 +91,7 @@ func (t *TrustStore) AddRoot(ca *Certificate) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.roots[ca.SubjectDN()] = pub
+	clear(t.caChecked)
 	return nil
 }
 
@@ -105,7 +113,9 @@ func (t *TrustStore) PeerKey(dn identity.DN) (*ecdsa.PublicKey, bool) {
 
 // DirectlyTrusted resolves the public key for a certificate the store
 // trusts without introductions: either the subject is a pinned peer
-// with a matching key, or a trusted root CA signed the certificate.
+// with a matching key, or a trusted root CA signed the certificate. The
+// CA signature over one exact DER encoding is checked once per root
+// key and remembered; the validity window is checked on every call.
 func (t *TrustStore) DirectlyTrusted(cert *Certificate, at time.Time) (*ecdsa.PublicKey, error) {
 	if cert == nil {
 		return nil, fmt.Errorf("pki: nil certificate")
@@ -117,15 +127,25 @@ func (t *TrustStore) DirectlyTrusted(cert *Certificate, at time.Time) (*ecdsa.Pu
 	if pub == nil {
 		return nil, fmt.Errorf("pki: certificate for %s has non-ECDSA key", cert.SubjectDN())
 	}
+	// The lock covers the map reads only: the signature check runs
+	// outside it, so a PinPeer or AddRoot waiting to write never holds up
+	// the verifications queued behind it.
+	digest := sha256.Sum256(cert.Cert.Raw) // the bytes CheckSignedBy reads from
 	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if pinned, ok := t.peers[cert.SubjectDN()]; ok && pinned.Equal(pub) {
+	pinned, isPeer := t.peers[cert.SubjectDN()]
+	caKey, hasRoot := t.roots[cert.IssuerDN()]
+	checked := hasRoot && t.caChecked[digest] == caKey
+	t.mu.RUnlock()
+	if checked || isPeer && pinned.Equal(pub) {
 		return pub, nil
 	}
-	if caKey, ok := t.roots[cert.IssuerDN()]; ok {
-		if err := cert.CheckSignedBy(caKey); err == nil {
-			return pub, nil
+	if hasRoot && cert.CheckSignedBy(caKey) == nil {
+		t.mu.Lock()
+		if t.roots[cert.IssuerDN()] == caKey {
+			putBounded(t.caChecked, digest, caKey)
 		}
+		t.mu.Unlock()
+		return pub, nil
 	}
 	return nil, fmt.Errorf("pki: no direct trust path to %s", cert.SubjectDN())
 }

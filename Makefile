@@ -2,12 +2,13 @@
 #
 #   make build             compile everything
 #   make test              tier-1: full test suite
-#   make verify            tier-2: go vet + metrics lint + concurrency
-#                          race smoke + journal crash-recovery under -race
-#                          + short fuzz pass + race-detector run over the
-#                          whole tree (the concurrent control plane —
-#                          transport, signalling, bb — plus the bench
-#                          world setup all run under -race)
+#   make verify            tier-2: metrics lint + allocation gates + short
+#                          fuzz pass (none of which the race run contains:
+#                          the gates skip under -race, fuzzing is its own
+#                          mode), then go vet and the race detector over
+#                          the whole tree. The race-* targets below are
+#                          subsets of that last step, kept for quick local
+#                          runs; verify does not repeat them
 #   make race-concurrency  fast -race smoke over the multiplexed-client
 #                          and broker concurrency tests only
 #   make race-recovery     journal, crash-replay and broker recovery
@@ -16,8 +17,9 @@
 #   make fuzz-short        ~10s per fuzz target over every Fuzz* in the
 #                          tree (envelope decode, concurrent Unwrap
 #                          against its serial twin, signalling decode,
-#                          policy parse, journal record decode), seeded
-#                          from the checked-in corpora
+#                          policy parse, journal record decode, spec
+#                          decode, saga record and snapshot decode),
+#                          seeded from the checked-in corpora
 #   make metrics-lint      metric-name rules: every registered name is
 #                          lowercase_snake, counters end in _total, every
 #                          metric carries non-empty HELP text, and each
@@ -62,8 +64,10 @@
 #                          chain with -benchmem, plus ns/layer and
 #                          allocs/layer (everything about a layer but its
 #                          signature check should be flat from 2 to 8)
-#   make bench-codec       binary vs JSON codec micro-benchmarks with
-#                          -benchmem (the encode arm the alloc gate pins)
+#   make bench-wire        signalling frame encode and decode on the
+#                          batch-64 frame with -benchmem, after the
+#                          allocation gates (which pin the encode arm at
+#                          zero allocations)
 #   make bench-concurrency reserve throughput vs parallel requesters
 #                          (the numbers recorded in BENCH_concurrency.json)
 #   make bench-subflow     sub-flow admission throughput, per-RPC vs
@@ -87,7 +91,7 @@
 
 GO ?= go
 
-.PHONY: build test verify alloc-gate bench bench-e2e bench-e2e-compare bench-chain bench-codec bench-concurrency bench-subflow bench-obs bench-replication bench-fleet bench-route metrics-lint race-concurrency race-recovery race-subflow race-replication race-fleet race-multipath fuzz-short
+.PHONY: build test verify alloc-gate bench bench-e2e bench-e2e-compare bench-chain bench-wire bench-concurrency bench-subflow bench-obs bench-replication bench-fleet bench-route metrics-lint race-concurrency race-recovery race-subflow race-replication race-fleet race-multipath fuzz-short
 
 build:
 	$(GO) build ./...
@@ -95,7 +99,7 @@ build:
 test: build
 	$(GO) test ./...
 
-verify: build metrics-lint alloc-gate race-concurrency race-recovery race-subflow race-replication race-fleet race-multipath fuzz-short
+verify: build metrics-lint alloc-gate fuzz-short
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
@@ -133,6 +137,8 @@ fuzz-short:
 	$(GO) test -run NONE -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s ./internal/signalling
 	$(GO) test -run NONE -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/policy
 	$(GO) test -run NONE -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/journal
+	$(GO) test -run NONE -fuzz '^FuzzDecodeSpec$$' -fuzztime 10s ./internal/core
+	$(GO) test -run NONE -fuzz '^FuzzSagaRecord$$' -fuzztime 10s ./internal/saga
 
 metrics-lint:
 	$(GO) test -run 'TestMetricsLint' ./internal/obs ./internal/experiment
@@ -149,7 +155,7 @@ bench:
 bench-chain:
 	$(GO) test -run NONE -bench 'TrustChainVerify' -benchmem .
 
-bench-codec: alloc-gate
+bench-wire: alloc-gate
 	$(GO) test -run NONE -bench 'BenchmarkCodec' -benchmem ./internal/signalling
 
 bench-concurrency:

@@ -13,7 +13,6 @@ import (
 	"e2eqos/internal/pki"
 	"e2eqos/internal/policy"
 	"e2eqos/internal/policysrv"
-	"e2eqos/internal/signalling"
 	"e2eqos/internal/sla"
 	"e2eqos/internal/topology"
 	"e2eqos/internal/transport"
@@ -79,11 +78,6 @@ type FileConfig struct {
 	// or "never" (OS write-through only). Overridable with
 	// -fsync-policy.
 	FsyncPolicy string `json:"fsync_policy,omitempty"`
-	// Wire selects the encoding of outbound signalling calls: "binary"
-	// (the default) or "json" (debug/interop). Peers always answer in
-	// the caller's encoding, so this never needs to match the peer's
-	// own setting. Overridable with -wire.
-	Wire string `json:"wire,omitempty"`
 
 	// ReplicaID and ReplicaPeers turn the broker into one member of a
 	// replicated group: ReplicaPeers maps every replica id (including
@@ -337,10 +331,6 @@ func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, e
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("bbd: %w", err)
 	}
-	wireMode, err := signalling.ParseWireMode(cfg.Wire)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("bbd: %w", err)
-	}
 
 	var recorder *obs.Recorder
 	if cfg.EventsDir != "" {
@@ -373,7 +363,6 @@ func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, e
 		Metrics:          metrics,
 		StateDir:         cfg.StateDir,
 		Fsync:            fsync,
-		Wire:             wireMode,
 		Recorder:         recorder,
 		SampleRate:       cfg.SampleRate,
 	}

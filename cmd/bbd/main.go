@@ -43,7 +43,6 @@ func main() {
 	sampleRate := flag.Float64("sample-rate", -1, "override sample_rate: flight-recorder sampling probability in [0,1]")
 	logLevel := flag.String("log-level", "", "override log_level: debug, info, warn or error (default info)")
 	logFormat := flag.String("log-format", "", "override log_format: text or json (default text)")
-	wireMode := flag.String("wire", "", "override wire: binary or json signalling encoding for outbound calls (default binary)")
 	flag.Parse()
 	if *configPath == "" {
 		fmt.Fprintln(os.Stderr, "bbd: -config is required")
@@ -94,9 +93,6 @@ func main() {
 	}
 	if *logFormat != "" {
 		cfg.LogFormat = *logFormat
-	}
-	if *wireMode != "" {
-		cfg.Wire = *wireMode
 	}
 	broker, ln, recorder, err := cfg.Build()
 	if err != nil {

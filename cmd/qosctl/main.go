@@ -43,7 +43,6 @@ func main() {
 	certFile := flag.String("cert", "", "user certificate PEM (required)")
 	roots := flag.String("roots", "", "comma-separated trusted CA certificate PEMs (required)")
 	timeout := flag.Duration("timeout", 30*time.Second, "bound on connecting and on each call (0 waits forever)")
-	wireFlag := flag.String("wire", "", "signalling encoding: binary (default) or json (debug/interop)")
 	flag.Parse()
 	if flag.NArg() < 1 {
 		die("usage: qosctl [flags] reserve|cancel|status|tunnel-alloc|tunnel-release|tunnel-batch-alloc|tunnel-batch-release|events|top [command flags]")
@@ -87,10 +86,6 @@ func main() {
 	}
 	defer client.Close()
 	client.Timeout = *timeout
-	client.Wire, err = signalling.ParseWireMode(*wireFlag)
-	if err != nil {
-		die("%v", err)
-	}
 
 	switch flag.Arg(0) {
 	case "reserve":

@@ -136,12 +136,6 @@ type Config struct {
 	// journal.FsyncBatch). Only meaningful with StateDir set.
 	Fsync journal.Policy
 
-	// Wire selects the encoding for outbound signalling calls
-	// (default WireBinary). Servers always answer in the caller's
-	// encoding, so this only needs to match what the peer can parse;
-	// WireJSON is the debug/interop mode.
-	Wire signalling.WireMode
-
 	// ReplicaID / ReplicaAddrs turn the broker into one member of a
 	// replicated group (DESIGN.md §6.8): ReplicaAddrs maps every
 	// replica id in the group — including this broker's own ReplicaID —
@@ -194,9 +188,9 @@ type rarState struct {
 
 // childRoute is one downstream leg of a split reservation.
 type childRoute struct {
-	Next identity.DN `json:"next"`
-	Key  string      `json:"key"`
-	BW   int64       `json:"bw,omitempty"`
+	Next identity.DN
+	Key  string
+	BW   int64
 }
 
 // BB is a bandwidth broker.
@@ -360,7 +354,6 @@ func (b *BB) dialPeer(dn identity.DN) (*signalling.Client, error) {
 		return nil, fmt.Errorf("bb %s: dialing %s: %w", b.cfg.Domain, dn, err)
 	}
 	c.Timeout = b.cfg.CallTimeout
-	c.Wire = b.cfg.Wire
 	if c.PeerDN() != dn {
 		c.Close()
 		return nil, fmt.Errorf("bb %s: dialed %s but authenticated peer is %s", b.cfg.Domain, dn, c.PeerDN())

@@ -1,8 +1,6 @@
 package bb
 
 import (
-	"fmt"
-
 	"e2eqos/internal/identity"
 	"e2eqos/internal/signalling"
 	"e2eqos/internal/tunnel"
@@ -274,10 +272,34 @@ func (r *tunnelBatchSnap) DecodeBinary(data []byte) error {
 	return d.Err()
 }
 
+// compArg: 1=peer 2=key 3=handle.
+func (c compArg) AppendBinary(buf []byte) []byte {
+	buf = wire.AppendString(buf, 1, string(c.Peer))
+	buf = wire.AppendString(buf, 2, c.Key)
+	return wire.AppendString(buf, 3, c.Handle)
+}
+
+func (c *compArg) DecodeBinary(data []byte) error {
+	d := wire.Dec{Buf: data}
+	for d.More() {
+		f, wt := d.Tag()
+		switch {
+		case f == 1 && wt == wire.TBytes:
+			c.Peer = identity.DN(d.String())
+		case f == 2 && wt == wire.TBytes:
+			c.Key = d.String()
+		case f == 3 && wt == wire.TBytes:
+			c.Handle = d.String()
+		default:
+			d.Skip(wt)
+		}
+	}
+	return d.Err()
+}
+
 // Broker snapshot binary layout: bbSnapMagic, bbSnapVersion, then
 // 1=table(the resv snapshot bytes) 2=rars 3=tunnels 4=tunnel_batches
-// 5=epoch 6=sagas(the coordinator's JSON snapshot). recoverState still
-// accepts the JSON form written before the binary codec existed.
+// 5=epoch 6=sagas(the coordinator's snapshot bytes).
 const (
 	bbSnapMagic   = 0xB3
 	bbSnapVersion = 1
@@ -309,13 +331,11 @@ func (st *brokerState) appendBinary(buf []byte) []byte {
 }
 
 func (st *brokerState) decodeBinary(data []byte) error {
-	if len(data) < 2 || data[0] != bbSnapMagic {
-		return fmt.Errorf("bb: not a binary snapshot")
+	fields, err := wire.Header(data, bbSnapMagic, bbSnapVersion)
+	if err != nil {
+		return err
 	}
-	if data[1] != bbSnapVersion {
-		return fmt.Errorf("bb: unsupported snapshot version %d", data[1])
-	}
-	d := wire.Dec{Buf: data[2:]}
+	d := wire.Dec{Buf: fields}
 	for d.More() {
 		f, wt := d.Tag()
 		switch {

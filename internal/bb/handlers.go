@@ -1,7 +1,6 @@
 package bb
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -815,8 +814,7 @@ func (b *BB) splitAcross(key string, peer signalling.Peer, payload *signalling.R
 	if err := b.sagas.Begin(sagaID); err != nil {
 		return nil
 	}
-	relData, _ := json.Marshal(releaseComp{Handle: r.Handle, Key: key})
-	_ = b.sagas.Did(sagaID, "release", relData)
+	_ = b.sagas.Did(sagaID, "release", compArg{Key: key, Handle: r.Handle}.AppendBinary(nil))
 	b.log.Info("reserve: splitting across disjoint paths",
 		obs.AttrRAR, spec.RARID, "parts", parts, "bw", spec.Bandwidth.String())
 
@@ -832,8 +830,7 @@ func (b *BB) splitAcross(key string, peer signalling.Peer, payload *signalling.R
 		child.SplitOf = parts
 		child.SplitBW = shares[p]
 		childKey := routeKey(spec.RARID, &child)
-		cd, _ := json.Marshal(cancelComp{Peer: nds[p].BBDN, Key: childKey})
-		_ = b.sagas.Did(sagaID, "cancel", cd)
+		_ = b.sagas.Did(sagaID, "cancel", compArg{Peer: nds[p].BBDN, Key: childKey}.AppendBinary(nil))
 		downstream, err := b.forwardChild(childKey, nds[p], peer, &child, env, verified, res, span)
 		if err != nil {
 			break

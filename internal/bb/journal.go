@@ -1,7 +1,6 @@
 package bb
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
@@ -41,38 +40,38 @@ const (
 // a cancel (ids come from requesters and may legitimately reappear),
 // so replay never lets a stale cancel remove a fresh entry.
 type rarRec struct {
-	RARID    string              `json:"rar_id"`
-	Epoch    int64               `json:"epoch"`
-	Handle   string              `json:"handle,omitempty"`
-	Next     identity.DN         `json:"next,omitempty"`
-	Tunnel   bool                `json:"tunnel,omitempty"`
-	SourceBB identity.DN         `json:"source_bb,omitempty"`
-	DownKey  string              `json:"down_key,omitempty"`
-	Children []childRoute        `json:"children,omitempty"`
-	Outcome  *signalling.Message `json:"outcome,omitempty"`
+	RARID    string
+	Epoch    int64
+	Handle   string
+	Next     identity.DN
+	Tunnel   bool
+	SourceBB identity.DN
+	DownKey  string
+	Children []childRoute
+	Outcome  *signalling.Message
 }
 
 // rarCancelRec journals the removal of a RAR entry.
 type rarCancelRec struct {
-	RARID string `json:"rar_id"`
-	Epoch int64  `json:"epoch"`
+	RARID string
+	Epoch int64
 }
 
 // tunnelOpRec is one applied sub-flow mutation. Bandwidth is set for
 // allocations only.
 type tunnelOpRec struct {
-	Action    string `json:"action"` // "alloc" or "release"
-	SubFlowID string `json:"sub_flow_id"`
-	Bandwidth int64  `json:"bandwidth,omitempty"`
-	Gen       int64  `json:"gen"`
+	Action    string // "alloc" or "release"
+	SubFlowID string
+	Bandwidth int64
+	Gen       int64
 }
 
 // tunnelOpRecord journals one sub-flow mutation outside a batch. Epoch
 // pins the op to a specific registration of the tunnel RAR id, exactly
 // like rarCancelRec does for routes.
 type tunnelOpRecord struct {
-	RARID string `json:"rar_id"`
-	Epoch int64  `json:"epoch"`
+	RARID string
+	Epoch int64
 	tunnelOpRec
 }
 
@@ -81,21 +80,21 @@ type tunnelOpRecord struct {
 // outcome message replayed verbatim on retransmission. One record per
 // batch is what makes batching cheap on the journal too.
 type tunnelBatchRec struct {
-	RARID   string              `json:"rar_id"`
-	Epoch   int64               `json:"epoch"`
-	BatchID string              `json:"batch_id"`
-	Ops     []tunnelOpRec       `json:"ops,omitempty"`
-	Outcome *signalling.Message `json:"outcome,omitempty"`
+	RARID   string
+	Epoch   int64
+	BatchID string
+	Ops     []tunnelOpRec
+	Outcome *signalling.Message
 }
 
 // tunnelBatchSnap is the snapshot form of a settled batch: the ops are
 // already reflected in the endpoint snapshot, only the replay-cache
 // entry survives.
 type tunnelBatchSnap struct {
-	RARID   string              `json:"rar_id"`
-	Epoch   int64               `json:"epoch"`
-	BatchID string              `json:"batch_id"`
-	Outcome *signalling.Message `json:"outcome,omitempty"`
+	RARID   string
+	Epoch   int64
+	BatchID string
+	Outcome *signalling.Message
 }
 
 // brokerState is the rotated snapshot: the reservation table plus
@@ -103,14 +102,14 @@ type tunnelBatchSnap struct {
 // sub-flows, the batch replay cache, and the epoch counter so
 // recovered brokers keep minting unique epochs.
 type brokerState struct {
-	Table         json.RawMessage           `json:"table"`
-	RARs          []rarRec                  `json:"rars,omitempty"`
-	Tunnels       []tunnel.EndpointSnapshot `json:"tunnels,omitempty"`
-	TunnelBatches []tunnelBatchSnap         `json:"tunnel_batches,omitempty"`
-	// Sagas is the compensation coordinator's snapshot (saga.SnapshotJSON):
+	Table         []byte
+	RARs          []rarRec
+	Tunnels       []tunnel.EndpointSnapshot
+	TunnelBatches []tunnelBatchSnap
+	// Sagas is the compensation coordinator's snapshot (saga.Snapshot):
 	// rollback debt still owed when the journal rotated.
-	Sagas json.RawMessage `json:"sagas,omitempty"`
-	Epoch int64           `json:"epoch"`
+	Sagas []byte
+	Epoch int64
 }
 
 // openJournal opens (or creates) the broker's journal directory,
@@ -199,10 +198,8 @@ func (b *BB) recoverState(rec *journal.Recovered) (int, error) {
 		for _, bs := range st.TunnelBatches {
 			b.tunnels.restoreBatch(bs.RARID, bs.Epoch, bs.BatchID, bs.Outcome)
 		}
-		if len(st.Sagas) > 0 {
-			if err := b.sagas.RestoreJSON(st.Sagas); err != nil {
-				return 0, fmt.Errorf("restoring sagas: %w", err)
-			}
+		if err := b.sagas.Restore(st.Sagas); err != nil {
+			return 0, fmt.Errorf("restoring sagas: %w", err)
 		}
 	}
 	applied, err := resv.Replay(b.table, rec.Records)
@@ -232,16 +229,13 @@ func (b *BB) recoverState(rec *journal.Recovered) (int, error) {
 	return applied, nil
 }
 
-// decodeBrokerState parses a rotated snapshot in either encoding
-// (binary, or the JSON written before the binary codec existed). Boot
-// recovery and the replication follower's snapshot install share it.
+// decodeBrokerState parses a rotated snapshot; bytes that do not open
+// with the snapshot's magic and version are wire.ErrUnsupportedFormat.
+// Boot recovery and the replication follower's snapshot install share
+// it.
 func decodeBrokerState(data []byte) (brokerState, error) {
 	var st brokerState
-	if len(data) > 0 && data[0] == bbSnapMagic {
-		if err := st.decodeBinary(data); err != nil {
-			return st, fmt.Errorf("decoding snapshot: %w", err)
-		}
-	} else if err := json.Unmarshal(data, &st); err != nil {
+	if err := st.decodeBinary(data); err != nil {
 		return st, fmt.Errorf("decoding snapshot: %w", err)
 	}
 	return st, nil
@@ -349,7 +343,7 @@ func (b *BB) applyBBRecord(r journal.Record) ([]tunnelOpRecord, bool, error) {
 		// coordinator; Resume, after the scan, presumed-aborts whatever
 		// is still live and restarts its compensations.
 		if saga.IsSagaOp(r.Op) {
-			_, err := b.sagas.ApplyRecord(r.Op, r.Decode)
+			_, err := b.sagas.ApplyRecord(r)
 			return nil, err == nil, err
 		}
 		return nil, false, nil
@@ -443,7 +437,7 @@ func (b *BB) snapshotState() ([]byte, error) {
 		})
 	}
 	b.mu.Unlock()
-	st.Sagas = b.sagas.SnapshotJSON()
+	st.Sagas = b.sagas.Snapshot()
 	sort.Slice(st.RARs, func(i, j int) bool { return st.RARs[i].RARID < st.RARs[j].RARID })
 	// Registry.All is sorted by RAR id and Endpoint.Snapshot sorts
 	// sub-flows, so identical state always marshals identically.

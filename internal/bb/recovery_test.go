@@ -2,12 +2,18 @@ package bb_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"e2eqos/internal/experiment"
 	"e2eqos/internal/resv"
 	"e2eqos/internal/units"
+	"e2eqos/internal/wire"
 )
 
 // grantedIn counts granted reservations in one domain's table.
@@ -180,5 +186,48 @@ func TestGracefulRestartFlushesBatchJournal(t *testing.T) {
 	}
 	if n := grantedIn(w, "Domain0"); n != 1 {
 		t.Errorf("%d granted reservations after restart, want 1", n)
+	}
+}
+
+// TestRestartRefusesStateOfAnotherFormat: a state directory left by a
+// build from before the binary codec — a JSON snapshot, JSON records in
+// whole CRC-valid frames — is neither migrated nor mistaken for a torn
+// tail and dropped: the broker refuses to start, names the reason, and
+// leaves both files exactly as they were.
+func TestRestartRefusesStateOfAnotherFormat(t *testing.T) {
+	legacyRecord := []byte(`{"op":"resv.admit","data":{"resv":{"Handle":"net-Domain0-1","Bandwidth":10000000},"seq":1}}`)
+	frame := make([]byte, 8, 8+len(legacyRecord))
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(legacyRecord)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(legacyRecord, crc32.MakeTable(crc32.Castagnoli)))
+	frame = append(frame, legacyRecord...)
+
+	for name, files := range map[string]map[string][]byte{
+		"JSON snapshot": {"snapshot.json": []byte(`{"table":{"name":"net-Domain0","capacity":100000000,"seq":0,"reservations":[]},"epoch":3}`)},
+		"JSON record":   {"wal.log": frame},
+	} {
+		t.Run(name, func(t *testing.T) {
+			state := t.TempDir()
+			w, err := experiment.BuildWorld(experiment.WorldConfig{NumDomains: 1, StateDir: state, FsyncPolicy: "always"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(w.Close)
+			if err := w.CrashDomain("Domain0"); err != nil {
+				t.Fatal(err)
+			}
+			for file, data := range files {
+				if err := os.WriteFile(filepath.Join(state, "Domain0", file), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.RestartDomainFromJournal("Domain0"); !errors.Is(err, wire.ErrUnsupportedFormat) {
+				t.Fatalf("restart: err = %v, want wire.ErrUnsupportedFormat", err)
+			}
+			for file, data := range files {
+				if now, err := os.ReadFile(filepath.Join(state, "Domain0", file)); err != nil || !bytes.Equal(now, data) {
+					t.Errorf("%s changed under the refused restart (%v): %d bytes, was %d", file, err, len(now), len(data))
+				}
+			}
+		})
 	}
 }

@@ -234,7 +234,6 @@ func (r *replicator) dialReplica(id int) (*signalling.Client, error) {
 		return nil, err
 	}
 	c.Timeout = r.callTimeout()
-	c.Wire = b.cfg.Wire
 	if c.PeerDN() != b.DN() {
 		c.Close()
 		return nil, fmt.Errorf("bb %s: replica %d at %s authenticated as %s, not this domain's broker",
@@ -661,12 +660,13 @@ func (r *replicator) installSnapshot(data []byte, seq int64) error {
 	}
 	b.tunnels.reg.ResetTo(eps)
 	b.tunnels.resetBatches(st.TunnelBatches)
-	if len(st.Sagas) > 0 {
-		// The leader's open rollback debt rides its snapshot; a follower
-		// holds it passively until promotion resumes the compensations.
-		if err := b.sagas.RestoreJSON(st.Sagas); err != nil {
-			b.log.Error("replication: saga snapshot restore failed", "err", err)
-		}
+	// The leader's open rollback debt rides its snapshot; a follower
+	// holds it passively until promotion resumes the compensations. A
+	// snapshot without sagas clears the follower's set: a saga it still
+	// holds was settled by the leader, and resuming it on promotion would
+	// compensate against a granted reservation.
+	if err := b.sagas.Restore(st.Sagas); err != nil {
+		return fmt.Errorf("bb: replication: restoring sagas: %w", err)
 	}
 	// Stream-side scratch state is superseded wholesale.
 	r.pendingOps = make(map[string][]tunnelOpRecord)

@@ -1,7 +1,6 @@
 package bb
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"e2eqos/internal/identity"
@@ -18,18 +17,13 @@ import (
 // journal-backed through the broker's WAL, so a crashed broker resumes
 // its rollback debt on recovery.
 
-// cancelComp is the argument of a "cancel" compensation: withdraw the
-// route key at the downstream peer.
-type cancelComp struct {
-	Peer identity.DN `json:"peer"`
-	Key  string      `json:"key"`
-}
-
-// releaseComp is the argument of a "release" compensation: cancel the
-// local admission held under Handle.
-type releaseComp struct {
-	Handle string `json:"handle"`
-	Key    string `json:"key"`
+// compArg is the argument of either compensation (encoded in
+// binwire.go): "cancel" withdraws the route Key at the downstream Peer,
+// "release" cancels the local admission held under Handle for Key.
+type compArg struct {
+	Peer   identity.DN
+	Key    string
+	Handle string
 }
 
 // cancelAttempts bounds each compensation incarnation's retries. It is
@@ -62,10 +56,15 @@ func (b *BB) newSagaCoordinator() *saga.Coordinator {
 // schedule a retry; any protocol-level response — including a refusal
 // for a key the peer never saw — counts as settled, exactly like the
 // old best-effort rollback cancel.
+//
+// An argument that does not decode cannot be paid. Saying so with an
+// error lets the coordinator spend its attempts and then abandon the
+// step out loud (compAbandoned), the debt still on the journal;
+// returning nil would write it off as settled.
 func (b *BB) execCancelComp(data []byte) error {
-	var c cancelComp
-	if err := json.Unmarshal(data, &c); err != nil {
-		return nil // malformed debt is unpayable; don't retry forever
+	var c compArg
+	if err := c.DecodeBinary(data); err != nil || c.Peer == "" || c.Key == "" {
+		return fmt.Errorf("bb: unpayable cancel compensation % x: %v", data, err)
 	}
 	client, err := b.clientFor(c.Peer)
 	if err != nil {
@@ -88,9 +87,9 @@ func (b *BB) execCancelComp(data []byte) error {
 // the admission is already gone (cancelled through another path, or
 // never replayed) — settled either way.
 func (b *BB) execReleaseComp(data []byte) error {
-	var rc releaseComp
-	if err := json.Unmarshal(data, &rc); err != nil {
-		return nil
+	var rc compArg
+	if err := rc.DecodeBinary(data); err != nil || rc.Handle == "" {
+		return fmt.Errorf("bb: unpayable release compensation % x: %v", data, err)
 	}
 	if err := b.table.Cancel(rc.Handle); err == nil {
 		b.m.rollbacks.Inc()
@@ -106,17 +105,9 @@ func (b *BB) execReleaseComp(data []byte) error {
 // still owes the debt, so a restarted broker retries it.
 func (b *BB) compAbandoned(id string, step saga.Step) {
 	b.m.rollbacksAbandoned.Inc()
-	var key, peer string
-	switch step.Kind {
-	case "cancel":
-		var c cancelComp
-		_ = json.Unmarshal(step.Data, &c)
-		key, peer = c.Key, string(c.Peer)
-	case "release":
-		var rc releaseComp
-		_ = json.Unmarshal(step.Data, &rc)
-		key = rc.Key
-	}
+	var arg compArg
+	_ = arg.DecodeBinary(step.Data) // an unreadable argument is reported with empty fields
+	key, peer := arg.Key, string(arg.Peer)
 	b.log.Error("rollback cancel abandoned, downstream state unknown",
 		obs.AttrRAR, key, obs.AttrPeer, peer, "saga", id, "attempts", cancelAttempts)
 	if b.cfg.Recorder != nil {
@@ -146,7 +137,7 @@ func (b *BB) mintSagaID(prefix string) string {
 // and, being journaled, survives a crash (the pre-saga version was a
 // fire-and-forget goroutine that died with the process).
 func (b *BB) cancelDownstream(dn identity.DN, key string) {
-	data, _ := json.Marshal(cancelComp{Peer: dn, Key: key})
+	data := compArg{Peer: dn, Key: key}.AppendBinary(nil)
 	id := b.mintSagaID("cancel:" + key)
 	b.m.sagasStarted.Inc()
 	if err := b.sagas.RunOne(id, "cancel", data); err != nil {

@@ -17,41 +17,41 @@ package core
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 
 	"e2eqos/internal/identity"
 	"e2eqos/internal/units"
+	"e2eqos/internal/wire"
 )
 
 // Spec is the res_spec of the paper: everything the user asks for.
 type Spec struct {
 	// RARID uniquely names this resource allocation request; capability
 	// delegations are scoped to it ("valid for RAR").
-	RARID string `json:"rar_id"`
+	RARID string
 	// User is the requesting principal.
-	User identity.DN `json:"user"`
+	User identity.DN
 	// SrcHost / DstHost are the flow endpoints.
-	SrcHost string `json:"src_host"`
-	DstHost string `json:"dst_host"`
+	SrcHost string
+	DstHost string
 	// SourceDomain / DestDomain are resolved by the first broker (or
 	// the user agent) from the hosts.
-	SourceDomain string `json:"source_domain"`
-	DestDomain   string `json:"dest_domain"`
+	SourceDomain string
+	DestDomain   string
 	// Bandwidth is the requested rate; Window the reservation interval.
-	Bandwidth units.Bandwidth `json:"bandwidth"`
-	Window    units.Window    `json:"window"`
+	Bandwidth units.Bandwidth
+	Window    units.Window
 	// Tunnel requests an aggregate reservation usable for sub-flow
 	// allocation via the direct source/end-domain channel.
-	Tunnel bool `json:"tunnel,omitempty"`
+	Tunnel bool
 	// CostLimit is the maximum cost the user accepts (opaque).
-	CostLimit string `json:"cost_limit,omitempty"`
+	CostLimit string
 	// Assertions are the user's unvalidated group claims
 	// ("I am a physicist").
-	Assertions []string `json:"assertions,omitempty"`
+	Assertions []string
 	// LinkedHandles reference co-reservations by resource type, e.g.
 	// {"cpu": "cpu-domainc-17"} (Figure 6's CPU_Reservation_ID).
-	LinkedHandles map[string]string `json:"linked_handles,omitempty"`
+	LinkedHandles map[string]string
 }
 
 // Validate checks the user-controlled fields.
@@ -91,19 +91,91 @@ func NewRARID() string {
 	return "RAR-" + hex.EncodeToString(buf[:])
 }
 
-// encodeSpec marshals the spec for embedding in the innermost layer.
-func encodeSpec(s *Spec) (json.RawMessage, error) {
-	data, err := json.Marshal(s)
-	if err != nil {
-		return nil, fmt.Errorf("core: marshal spec: %w", err)
+// Spec encoding (DESIGN.md §6.6): specMagic, specVersion, then
+// 1=rar_id 2=user 3=src_host 4=dst_host 5=source_domain 6=dest_domain
+// 7=bandwidth 8=window_start 9=window_end 10=tunnel 11=cost_limit
+// 12=assertions (repeated) 13=linked_handles (key-sorted pairs). These
+// are the bytes the user signs. Times travel as instants: whatever zone
+// the user wrote the window in, every hop reads it back in UTC.
+const (
+	specMagic   = 0xE6
+	specVersion = 1
+)
+
+// AppendBinary appends the spec's canonical encoding.
+func (s *Spec) AppendBinary(buf []byte) []byte {
+	buf = append(buf, specMagic, specVersion)
+	buf = wire.AppendString(buf, 1, s.RARID)
+	buf = wire.AppendString(buf, 2, string(s.User))
+	buf = wire.AppendString(buf, 3, s.SrcHost)
+	buf = wire.AppendString(buf, 4, s.DstHost)
+	buf = wire.AppendString(buf, 5, s.SourceDomain)
+	buf = wire.AppendString(buf, 6, s.DestDomain)
+	buf = wire.AppendInt(buf, 7, int64(s.Bandwidth))
+	buf = wire.AppendTime(buf, 8, s.Window.Start)
+	buf = wire.AppendTime(buf, 9, s.Window.End)
+	buf = wire.AppendBool(buf, 10, s.Tunnel)
+	buf = wire.AppendString(buf, 11, s.CostLimit)
+	for _, a := range s.Assertions {
+		buf = wire.AppendTag(buf, 12, wire.TBytes)
+		buf = wire.AppendUvarint(buf, uint64(len(a)))
+		buf = append(buf, a...)
 	}
-	return data, nil
+	return wire.AppendStringMap(buf, 13, s.LinkedHandles)
 }
 
-// DecodeSpec unmarshals a spec from a verified chain's request.
-func DecodeSpec(raw json.RawMessage) (*Spec, error) {
+// DecodeBinary reverses AppendBinary. Input that does not open with the
+// spec's magic and version is wire.ErrUnsupportedFormat.
+func (s *Spec) DecodeBinary(data []byte) error {
+	fields, err := wire.Header(data, specMagic, specVersion)
+	if err != nil {
+		return err
+	}
+	d := wire.Dec{Buf: fields}
+	for d.More() {
+		f, wt := d.Tag()
+		switch {
+		case f == 1 && wt == wire.TBytes:
+			s.RARID = d.String()
+		case f == 2 && wt == wire.TBytes:
+			s.User = identity.DN(d.String())
+		case f == 3 && wt == wire.TBytes:
+			s.SrcHost = d.String()
+		case f == 4 && wt == wire.TBytes:
+			s.DstHost = d.String()
+		case f == 5 && wt == wire.TBytes:
+			s.SourceDomain = d.String()
+		case f == 6 && wt == wire.TBytes:
+			s.DestDomain = d.String()
+		case f == 7 && wt == wire.TVarint:
+			s.Bandwidth = units.Bandwidth(d.Varint())
+		case f == 8 && wt == wire.TBytes:
+			s.Window.Start = d.Time()
+		case f == 9 && wt == wire.TBytes:
+			s.Window.End = d.Time()
+		case f == 10 && wt == wire.TVarint:
+			s.Tunnel = d.Bool()
+		case f == 11 && wt == wire.TBytes:
+			s.CostLimit = d.String()
+		case f == 12 && wt == wire.TBytes:
+			s.Assertions = append(s.Assertions, d.String())
+		case f == 13 && wt == wire.TBytes:
+			if s.LinkedHandles == nil {
+				s.LinkedHandles = make(map[string]string)
+			}
+			k, v := d.StringPair()
+			s.LinkedHandles[k] = v
+		default:
+			d.Skip(wt)
+		}
+	}
+	return d.Err()
+}
+
+// DecodeSpec decodes a spec from a verified chain's request.
+func DecodeSpec(raw []byte) (*Spec, error) {
 	var s Spec
-	if err := json.Unmarshal(raw, &s); err != nil {
+	if err := s.DecodeBinary(raw); err != nil {
 		return nil, fmt.Errorf("core: decode spec: %w", err)
 	}
 	return &s, nil

@@ -49,12 +49,8 @@ func (ua *UserAgent) BuildRAR(spec *Spec, firstHop *pki.Certificate) (*envelope.
 	if firstHop == nil {
 		return nil, fmt.Errorf("core: BuildRAR needs the first hop certificate")
 	}
-	req, err := encodeSpec(spec)
-	if err != nil {
-		return nil, err
-	}
 	body := envelope.Body{
-		Request:   req,
+		Request:   spec.AppendBinary(nil),
 		NextHopDN: firstHop.SubjectDN(),
 	}
 	if ua.Credential != nil {

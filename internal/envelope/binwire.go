@@ -2,7 +2,6 @@ package envelope
 
 import (
 	"fmt"
-	"sort"
 
 	"e2eqos/internal/identity"
 	"e2eqos/internal/wire"
@@ -81,23 +80,7 @@ func appendBody(buf []byte, b *Body) []byte {
 		buf = wire.AppendUvarint(buf, uint64(len(der)))
 		buf = append(buf, der...)
 	}
-	if len(b.PolicyInfo) > 0 {
-		keys := make([]string, 0, len(b.PolicyInfo))
-		for k := range b.PolicyInfo {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			var start int
-			buf, start = wire.BeginNested(buf, 6)
-			buf = wire.AppendUvarint(buf, uint64(len(k)))
-			buf = append(buf, k...)
-			v := b.PolicyInfo[k]
-			buf = wire.AppendUvarint(buf, uint64(len(v)))
-			buf = append(buf, v...)
-			buf = wire.EndNested(buf, start)
-		}
-	}
+	buf = wire.AppendStringMap(buf, 6, b.PolicyInfo)
 	buf = wire.AppendTime(buf, 7, b.Timestamp)
 	return buf
 }
@@ -127,12 +110,7 @@ func decodeBody(data []byte) (*Body, error) {
 			if b.PolicyInfo == nil {
 				b.PolicyInfo = make(map[string]string)
 			}
-			sub := wire.Dec{Buf: d.Bytes()}
-			k := sub.String()
-			v := sub.String()
-			if err := sub.Err(); err != nil {
-				return nil, fmt.Errorf("envelope: policy info: %w", err)
-			}
+			k, v := d.StringPair()
 			b.PolicyInfo[k] = v
 		case f == 7 && wt == wire.TBytes:
 			b.Timestamp = wire.DecodeTime(d.Bytes())

@@ -17,7 +17,6 @@ package envelope
 
 import (
 	"crypto/ecdsa"
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
@@ -33,15 +32,15 @@ import (
 // signer's ECDSA signature over exactly those bytes.
 type Envelope struct {
 	// SignerDN names the entity that signed this layer.
-	SignerDN identity.DN `json:"signer_dn"`
+	SignerDN identity.DN
 	// Payload is the canonical binary encoding of the Body (see
 	// binwire.go), kept verbatim from sealing to verification so the
 	// signature never depends on re-marshal stability. An inner
 	// envelope nests as a field of its wrapper's payload, so wrapping
 	// grows the message additively, not multiplicatively.
-	Payload []byte `json:"payload"`
+	Payload []byte
 	// Signature is SignerDN's signature over Payload.
-	Signature []byte `json:"signature"`
+	Signature []byte
 }
 
 // Body is the content of one envelope layer. Exactly one of Inner or
@@ -50,34 +49,34 @@ type Envelope struct {
 type Body struct {
 	// Inner is the envelope received from upstream, absent in the
 	// innermost (user) layer.
-	Inner *Envelope `json:"inner,omitempty"`
+	Inner *Envelope
 	// Request is the application payload of the innermost layer.
-	Request json.RawMessage `json:"request,omitempty"`
+	Request []byte
 	// UpstreamCertDER carries the certificate of the entity that
 	// produced Inner (cert_U, cert_A, ... in the paper), as learned
 	// from the TLS handshake with the upstream hop.
-	UpstreamCertDER []byte `json:"upstream_cert,omitempty"`
+	UpstreamCertDER []byte
 	// NextHopDN is the DN of the downstream BB this layer is addressed
 	// to (DN_BBB, DN_BBC, ...). Naming the next hop in the signed body
 	// is what lets the destination audit the intended path and lets a
 	// downstream domain confirm that its upstream peer approved the SLA
 	// ("BB_A ... did approve the SLA with domain B by listing the DN of
 	// BB_B in its request").
-	NextHopDN identity.DN `json:"next_hop_dn,omitempty"`
+	NextHopDN identity.DN
 	// CapabilityDERs are the capability certificates this hop adds
 	// (Capability_Cert'_N): normally the single delegation of the
 	// received capability to the next hop; the user layer carries two
 	// (the CAS-issued certificate plus the delegation to the first
 	// broker). Optional ("Note that the delegation is only performed
 	// when capabilities are transported").
-	CapabilityDERs [][]byte `json:"capabilities,omitempty"`
+	CapabilityDERs [][]byte
 	// PolicyInfo carries additional signed policy attributes the hop
 	// appends (constraints from a policy server, SLS parameters for
 	// downstream domains, cost offers, ...). The protocol is
 	// deliberately syntax-agnostic, so this is opaque key/value data.
-	PolicyInfo map[string]string `json:"policy_info,omitempty"`
+	PolicyInfo map[string]string
 	// Timestamp records when the layer was created.
-	Timestamp time.Time `json:"timestamp"`
+	Timestamp time.Time
 }
 
 // Seal signs body with the given key and returns the envelope layer.
@@ -140,7 +139,7 @@ type Layer struct {
 // innermost (signed by the user). Request is the innermost payload.
 type Chain struct {
 	Layers  []Layer
-	Request json.RawMessage
+	Request []byte
 }
 
 // PathDNs returns the signer DNs from the user outward:

@@ -90,7 +90,6 @@ func (u *User) clientTo(domain string) (*signalling.Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.Wire = u.world.wire
 	// A user call may fan out across every hop of the chain before a
 	// result comes back, so its deadline is the per-hop budget scaled
 	// by the worst-case path length (plus one hop of slack).

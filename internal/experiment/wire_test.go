@@ -7,18 +7,15 @@ import (
 	"e2eqos/internal/units"
 )
 
-// TestJSONWireModeFullBattery runs the signalling battery over the
-// `-wire json` interop mode: every broker and user in the world speaks
-// JSON frames instead of the default binary encoding. An end-to-end
-// reserve must be granted with verifiable approvals from every domain,
-// a tunnel establishment plus batched sub-flow allocation must succeed
-// over the wire, and cancels must propagate — proving the debug/interop
-// encoding carries the full protocol, not just the happy path.
-func TestJSONWireModeFullBattery(t *testing.T) {
+// TestWireFullBattery runs the signalling battery in one world, over
+// the one encoding there is: an end-to-end reserve must be granted with
+// verifiable approvals from every domain, a tunnel establishment plus
+// batched sub-flow allocation must succeed over the wire, and cancels
+// must propagate — the full protocol, not just the happy path.
+func TestWireFullBattery(t *testing.T) {
 	w, err := BuildWorld(WorldConfig{
 		NumDomains: 3,
 		Capacity:   100 * units.Mbps,
-		Wire:       "json",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -35,16 +32,16 @@ func TestJSONWireModeFullBattery(t *testing.T) {
 	spec := alice.NewSpec(SpecOptions{DestDomain: w.DestDomain(), Bandwidth: 10 * units.Mbps})
 	res, err := alice.ReserveE2E(spec)
 	if err != nil {
-		t.Fatalf("reserve over JSON wire: %v", err)
+		t.Fatalf("reserve: %v", err)
 	}
 	if !res.Granted {
-		t.Fatalf("reserve over JSON wire denied: %s", res.Reason)
+		t.Fatalf("reserve denied: %s", res.Reason)
 	}
 	if len(res.Approvals) != 3 {
 		t.Fatalf("got %d approvals, want one per domain (3)", len(res.Approvals))
 	}
 	if err := w.VerifyApprovals(res); err != nil {
-		t.Fatalf("approval signatures did not survive the JSON wire: %v", err)
+		t.Fatalf("approval signatures did not survive the wire: %v", err)
 	}
 
 	// Tunnel establishment plus a batched sub-flow allocation, both as
@@ -56,7 +53,7 @@ func TestJSONWireModeFullBattery(t *testing.T) {
 	})
 	tres, err := alice.ReserveE2E(tun)
 	if err != nil || !tres.Granted {
-		t.Fatalf("tunnel establishment over JSON wire: %v %+v", err, tres)
+		t.Fatalf("tunnel establishment: %v %+v", err, tres)
 	}
 	batch, err := alice.TunnelBatch(w.SourceDomain(), &signalling.TunnelBatchPayload{
 		TunnelRARID: tun.RARID,
@@ -68,7 +65,7 @@ func TestJSONWireModeFullBattery(t *testing.T) {
 		},
 	})
 	if err != nil {
-		t.Fatalf("tunnel batch over JSON wire: %v", err)
+		t.Fatalf("tunnel batch: %v", err)
 	}
 	if !batch.Granted {
 		t.Fatalf("tunnel batch denied: %s", batch.Reason)
@@ -81,9 +78,9 @@ func TestJSONWireModeFullBattery(t *testing.T) {
 
 	// Cancels propagate along the recorded path.
 	if err := alice.Cancel(w.SourceDomain(), spec.RARID); err != nil {
-		t.Fatalf("cancel over JSON wire: %v", err)
+		t.Fatalf("cancel: %v", err)
 	}
 	if err := alice.Cancel(w.SourceDomain(), tun.RARID); err != nil {
-		t.Fatalf("tunnel cancel over JSON wire: %v", err)
+		t.Fatalf("tunnel cancel: %v", err)
 	}
 }

@@ -130,10 +130,6 @@ type WorldConfig struct {
 	// broker: "batch" (default), "always" or "never". Only meaningful
 	// with StateDir set.
 	FsyncPolicy string
-	// Wire selects the signalling encoding ("binary" default, or
-	// "json" for the debug/interop mode) used by every broker's
-	// outbound calls and every user created with NewUser.
-	Wire string
 	// Logger, when set, receives every broker's structured log records
 	// (each stamped with its domain). Nil keeps brokers silent.
 	Logger *slog.Logger
@@ -176,7 +172,6 @@ type World struct {
 	enableObs   bool
 	clock       func() time.Time
 	callTimeout time.Duration
-	wire        signalling.WireMode
 }
 
 // replicaGroup tracks one domain's replica set: every broker ever
@@ -253,10 +248,6 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 		callTimeout: cfg.CallTimeout,
 	}
 	fsync, err := journal.ParsePolicy(cfg.FsyncPolicy)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %w", err)
-	}
-	w.wire, err = signalling.ParseWireMode(cfg.Wire)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
@@ -447,7 +438,6 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 				SplitParts:       cfg.SplitParts,
 				Logger:           cfg.Logger,
 				Metrics:          reg,
-				Wire:             w.wire,
 				Recorder:         recorder,
 				SampleRate:       cfg.SampleRate,
 			}

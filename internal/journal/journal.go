@@ -13,11 +13,14 @@
 package journal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
+
+	"e2eqos/internal/wire"
 )
 
 // Policy selects when appended records reach stable storage.
@@ -100,6 +103,8 @@ type Options struct {
 }
 
 const (
+	// snapshotFile keeps the name existing state directories use; what it
+	// holds is whatever bytes the owner's state function returns.
 	snapshotFile = "snapshot.json"
 	walFile      = "wal.log"
 	tmpSuffix    = ".tmp"
@@ -107,9 +112,10 @@ const (
 
 // Recovered is the state read back from a journal directory: the last
 // rotated snapshot (nil if none) and every intact record appended
-// after it, in order. Torn reports that trailing bytes failed to
-// decode and were discarded — the expected aftermath of a crash
-// mid-append, tolerated silently by Open.
+// after it, in order. Torn reports that the log ends in a frame that
+// is cut short or fails its length or checksum test, discarded with
+// whatever follows it — the expected aftermath of a crash mid-append,
+// tolerated silently by Open.
 type Recovered struct {
 	Snapshot []byte
 	Records  []Record
@@ -120,7 +126,11 @@ type Recovered struct {
 
 // Recover reads a journal directory without opening it for writing;
 // Open uses it internally and tests use it to audit a live directory
-// (after Sync) without disturbing the writer.
+// (after Sync) without disturbing the writer. A frame that was written
+// whole but is not a record this build reads — a log from before the
+// binary codec, or from a later version — fails the recovery with
+// wire.ErrUnsupportedFormat: dropping it as if torn would silently
+// discard it and every record behind it.
 func Recover(dir string) (*Recovered, error) {
 	rec := &Recovered{}
 	snap, err := os.ReadFile(filepath.Join(dir, snapshotFile))
@@ -139,10 +149,14 @@ func Recover(dir string) (*Recovered, error) {
 	}
 	for off := 0; off < len(wal); {
 		r, n, err := DecodeRecord(wal[off:])
+		if errors.Is(err, wire.ErrUnsupportedFormat) {
+			return nil, fmt.Errorf("journal: wal record %d at offset %d: %w", len(rec.Records), off, err)
+		}
 		if err != nil {
-			// First bad frame ends the replay: everything beyond it is
-			// the torn tail of a crashed write (or garbage shadowed by
-			// it) and cannot be trusted.
+			// A frame that is cut short or fails its length or checksum
+			// test ends the replay: everything beyond it is the torn tail
+			// of a crashed write (or garbage shadowed by it) and cannot be
+			// trusted.
 			rec.Torn = true
 			break
 		}
@@ -209,7 +223,8 @@ type Stats struct {
 
 // Open recovers the directory's persisted state, truncates any torn
 // tail, and opens the journal for appending. The caller replays
-// Recovered before appending new records.
+// Recovered before appending new records. When Recover fails, Open
+// leaves every file in the directory as it found it.
 func Open(dir string, opts Options) (*Journal, *Recovered, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
@@ -258,10 +273,10 @@ func Open(dir string, opts Options) (*Journal, *Recovered, error) {
 // policy. The returned error is also sticky (see Stats.Err): callers
 // on the hot path may ignore it and rely on the OnError hook.
 //
-// Payloads implementing BinaryRecord are framed directly into the
-// journal's own buffers (the batch buffer or the direct-write scratch),
-// so a steady-state append allocates nothing.
-func (j *Journal) Append(op string, data any) error {
+// The payload is framed directly into the journal's own buffers (the
+// batch buffer or the direct-write scratch), so a steady-state append
+// allocates nothing.
+func (j *Journal) Append(op string, data BinaryRecord) error {
 	if j == nil {
 		return nil
 	}

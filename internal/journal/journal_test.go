@@ -4,17 +4,40 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"e2eqos/internal/wire"
 )
 
+// payload is the tests' record type: 1=n 2=s.
 type payload struct {
-	N int    `json:"n"`
-	S string `json:"s,omitempty"`
+	N int
+	S string
+}
+
+func (p payload) AppendBinary(buf []byte) []byte {
+	buf = wire.AppendInt(buf, 1, int64(p.N))
+	return wire.AppendString(buf, 2, p.S)
+}
+
+func (p *payload) DecodeBinary(data []byte) error {
+	d := wire.Dec{Buf: data}
+	for d.More() {
+		f, wt := d.Tag()
+		switch {
+		case f == 1 && wt == wire.TVarint:
+			p.N = int(d.Varint())
+		case f == 2 && wt == wire.TBytes:
+			p.S = d.String()
+		default:
+			d.Skip(wt)
+		}
+	}
+	return d.Err()
 }
 
 func openT(t *testing.T, dir string, opts Options) (*Journal, *Recovered) {
@@ -81,14 +104,62 @@ func TestDecodeRecordErrors(t *testing.T) {
 		t.Errorf("oversized length: err = %v, want ErrCorrupt", err)
 	}
 
-	// Valid frame around a non-JSON payload.
-	junk := []byte("not json")
-	frame := make([]byte, headerSize+len(junk))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(junk)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(junk, crcTable))
-	copy(frame[headerSize:], junk)
-	if _, _, err := DecodeRecord(frame); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("non-JSON payload: err = %v, want ErrCorrupt", err)
+	// Whole frames (length and checksum hold) around payloads that are
+	// not a record of this version: not a tear, not corruption.
+	for name, payload := range map[string][]byte{
+		"legacy JSON record":  []byte(`{"op":"resv.admit","data":{"seq":1}}`),
+		"future version":      {recMagic, recVersion + 1, 0x01, 'x'},
+		"magic alone":         {recMagic},
+		"empty op":            {recMagic, recVersion, 0x00},
+		"torn op length":      {recMagic, recVersion, 0x80},
+		"op past end of data": {recMagic, recVersion, 0x09, 'x'},
+	} {
+		_, n, err := DecodeRecord(frameRaw(payload))
+		if !errors.Is(err, wire.ErrUnsupportedFormat) || errors.Is(err, ErrCorrupt) || n != 0 {
+			t.Errorf("%s: n = %d, err = %v, want wire.ErrUnsupportedFormat", name, n, err)
+		}
+	}
+}
+
+// TestOpenRefusesWholeFramesItCannotRead: a log holding a frame that was
+// written whole by another build — the JSON records of the pre-binary
+// journal, or a record version from the future — must fail Open by name
+// and stay byte-identical on disk. Treating it as a torn tail would drop
+// that frame and every record behind it without a word.
+func TestOpenRefusesWholeFramesItCannotRead(t *testing.T) {
+	for name, foreign := range map[string][]byte{
+		"legacy JSON record": []byte(`{"op":"resv.admit","data":{"resv":{"Handle":"net-d1-1","Bandwidth":1000000},"seq":1}}`),
+		"future version":     {recMagic, recVersion + 1, 0x04, 't', 'e', 's', 't'},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			j, _ := openT(t, dir, Options{Fsync: FsyncAlways})
+			j.Append("test.op", payload{N: 1})
+			j.Close()
+			path := filepath.Join(dir, walFile)
+			wal, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after, _ := EncodeRecord("test.op", payload{N: 2})
+			wal = append(append(wal, frameRaw(foreign)...), after...) // mid-WAL: a good record follows
+			if err := os.WriteFile(path, wal, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Recover(dir); !errors.Is(err, wire.ErrUnsupportedFormat) {
+				t.Fatalf("Recover: err = %v, want wire.ErrUnsupportedFormat", err)
+			}
+			j2, rec, err := Open(dir, Options{Fsync: FsyncAlways})
+			if !errors.Is(err, wire.ErrUnsupportedFormat) {
+				if j2 != nil {
+					j2.Close()
+				}
+				t.Fatalf("Open: err = %v (recovered %+v), want wire.ErrUnsupportedFormat", err, rec)
+			}
+			if now, _ := os.ReadFile(path); !bytes.Equal(now, wal) {
+				t.Fatalf("failed Open rewrote the log: %d bytes, was %d", len(now), len(wal))
+			}
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package journal
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -13,37 +12,23 @@ import (
 
 // Record is one typed journal entry. Op names the mutation (the owning
 // layer defines the vocabulary: "resv.admit", "bb.rar", ...) and Data
-// carries its payload verbatim. Records must be absolute — they state
-// the resulting value, not a delta — so that replaying a record on top
-// of a snapshot that already reflects it is a no-op.
-//
-// Two payload encodings coexist behind the same CRC framing. The hot
-// path writes binary records (recMagic-prefixed, decoded through the
-// BinaryDecoder interface); JSON records remain both the fallback for
-// payload types without a binary codec and the format of journals
-// written before the binary codec existed, so old state directories
-// recover unchanged.
+// carries its payload verbatim: the op type's AppendBinary bytes.
+// Records must be absolute — they state the resulting value, not a
+// delta — so that replaying a record on top of a snapshot that already
+// reflects it is a no-op.
 type Record struct {
-	Op   string          `json:"op"`
-	Data json.RawMessage `json:"data,omitempty"`
-
-	// bin marks a binary-encoded payload (Data holds the type's
-	// AppendBinary bytes, not JSON).
-	bin bool
+	Op   string
+	Data []byte
 }
 
-// IsBinary reports whether the payload uses the binary encoding.
-func (r Record) IsBinary() bool { return r.bin }
-
-// BinaryRecord is implemented by payload types that encode themselves
-// with the wire package; Append uses it to journal without reflection
+// BinaryRecord is what a journal payload must be: a type that encodes
+// itself with the wire package, so Append journals without reflection
 // or intermediate buffers.
 type BinaryRecord interface {
 	AppendBinary(buf []byte) []byte
 }
 
-// BinaryDecoder is the decode half: Record.Decode dispatches to it for
-// binary records, so replay call sites stay encoding-agnostic.
+// BinaryDecoder is the decode half, taken by Record.Decode.
 type BinaryDecoder interface {
 	DecodeBinary(data []byte) error
 }
@@ -61,11 +46,11 @@ func (r RawBinary) AppendBinary(buf []byte) []byte { return append(buf, r...) }
 //
 //	uint32 LE  payload length n (1 .. MaxRecordSize)
 //	uint32 LE  CRC-32C (Castagnoli) of the payload
-//	n bytes    payload — binary (recMagic ...) or a JSON Record
+//	n bytes    payload
 //
-// Binary payload layout:
+// Payload layout:
 //
-//	byte 0   recMagic (0xB1; JSON payloads start with '{')
+//	byte 0   recMagic (0xB1)
 //	byte 1   recVersion
 //	bytes    uvarint op length, op
 //	bytes    payload data (the op type's AppendBinary encoding),
@@ -82,9 +67,12 @@ const (
 // the decoder attempt a multi-gigabyte read.
 const MaxRecordSize = 1 << 24
 
-// Decode errors. Both end a replay; ErrTruncated is the expected shape
-// of a torn final write, ErrCorrupt means the frame is complete but
-// lies (bad length, checksum or payload).
+// Decode errors. ErrTruncated is the expected shape of a torn final
+// write; ErrCorrupt means the frame's length or checksum does not hold,
+// so nothing says it was ever written whole. A frame whose length and
+// checksum do hold but whose payload is not a record of this version
+// was written whole by some other build: DecodeRecord reports it as
+// wire.ErrUnsupportedFormat, which recovery refuses to treat as a tear.
 var (
 	ErrTruncated = errors.New("journal: truncated record")
 	ErrCorrupt   = errors.New("journal: corrupt record")
@@ -92,33 +80,21 @@ var (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// AppendRecord frames op+data onto buf. Payload types implementing
-// BinaryRecord (and nil payloads) encode binary straight into buf —
-// the journal's zero-allocation append path; anything else marshals as
-// JSON. On error buf is returned with its original length, never with
-// a partial frame.
-func AppendRecord(buf []byte, op string, data any) ([]byte, error) {
+// AppendRecord frames op+data onto buf, encoding the payload straight
+// into it — the journal's zero-allocation append path. A nil payload
+// journals the op alone. On error buf is returned with its original
+// length, never with a partial frame.
+func AppendRecord(buf []byte, op string, data BinaryRecord) ([]byte, error) {
 	if op == "" {
 		return buf, fmt.Errorf("journal: record without op")
 	}
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // header, patched below
-	switch v := data.(type) {
-	case BinaryRecord:
-		buf = appendBinHeader(buf, op)
-		buf = v.AppendBinary(buf)
-	case nil:
-		buf = appendBinHeader(buf, op)
-	default:
-		raw, err := json.Marshal(data)
-		if err != nil {
-			return buf[:start], fmt.Errorf("journal: encoding %s payload: %w", op, err)
-		}
-		payload, err := json.Marshal(Record{Op: op, Data: raw})
-		if err != nil {
-			return buf[:start], fmt.Errorf("journal: encoding %s record: %w", op, err)
-		}
-		buf = append(buf, payload...)
+	buf = append(buf, recMagic, recVersion)
+	buf = wire.AppendUvarint(buf, uint64(len(op)))
+	buf = append(buf, op...)
+	if data != nil {
+		buf = data.AppendBinary(buf)
 	}
 	n := len(buf) - start - headerSize
 	if n > MaxRecordSize {
@@ -130,22 +106,18 @@ func AppendRecord(buf []byte, op string, data any) ([]byte, error) {
 	return buf, nil
 }
 
-func appendBinHeader(buf []byte, op string) []byte {
-	buf = append(buf, recMagic, recVersion)
-	buf = wire.AppendUvarint(buf, uint64(len(op)))
-	return append(buf, op...)
-}
-
 // EncodeRecord frames op+data into a fresh append-ready buffer.
-func EncodeRecord(op string, data any) ([]byte, error) {
+func EncodeRecord(op string, data BinaryRecord) ([]byte, error) {
 	return AppendRecord(nil, op, data)
 }
 
 // DecodeRecord parses one framed record from the front of buf,
 // returning the record and the number of bytes consumed. io.EOF means
 // buf is empty (clean end); ErrTruncated means buf ends mid-frame;
-// ErrCorrupt means the frame is malformed. DecodeRecord never reads
-// past len(buf) and never panics on arbitrary input.
+// ErrCorrupt that its length or checksum is wrong;
+// wire.ErrUnsupportedFormat that a whole frame holds something other
+// than a record of this version. DecodeRecord never reads past len(buf)
+// and never panics on arbitrary input.
 func DecodeRecord(buf []byte) (Record, int, error) {
 	if len(buf) == 0 {
 		return Record{}, 0, io.EOF
@@ -164,44 +136,22 @@ func DecodeRecord(buf []byte) (Record, int, error) {
 	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(buf[4:8]) {
 		return Record{}, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	if payload[0] == recMagic {
-		if len(payload) < 2 || payload[1] != recVersion {
-			return Record{}, 0, fmt.Errorf("%w: unsupported record version", ErrCorrupt)
-		}
-		d := wire.Dec{Buf: payload[2:]}
-		op := d.String()
-		data := d.Rest()
-		if d.Err() != nil || op == "" {
-			return Record{}, 0, fmt.Errorf("%w: bad binary record header", ErrCorrupt)
-		}
-		return Record{Op: op, Data: data, bin: true}, headerSize + int(n), nil
+	fields, err := wire.Header(payload, recMagic, recVersion)
+	if err != nil {
+		return Record{}, 0, fmt.Errorf("journal: record payload: %w", err)
 	}
-	var rec Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return Record{}, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	d := wire.Dec{Buf: fields}
+	op := d.String()
+	data := d.Rest()
+	if d.Err() != nil || op == "" {
+		return Record{}, 0, fmt.Errorf("journal: record payload: %w: no op after the header", wire.ErrUnsupportedFormat)
 	}
-	if rec.Op == "" {
-		return Record{}, 0, fmt.Errorf("%w: record without op", ErrCorrupt)
-	}
-	return rec, headerSize + int(n), nil
+	return Record{Op: op, Data: data}, headerSize + int(n), nil
 }
 
-// Decode unmarshals a record's payload into out, dispatching on the
-// record's encoding: binary payloads require out to implement
-// BinaryDecoder, JSON payloads unmarshal reflectively. Replay loops
-// pass the same typed pointers either way.
-func (r Record) Decode(out any) error {
-	if r.bin {
-		bd, ok := out.(BinaryDecoder)
-		if !ok {
-			return fmt.Errorf("journal: decoding %s payload: %T has no binary decoder", r.Op, out)
-		}
-		if err := bd.DecodeBinary(r.Data); err != nil {
-			return fmt.Errorf("journal: decoding %s payload: %w", r.Op, err)
-		}
-		return nil
-	}
-	if err := json.Unmarshal(r.Data, out); err != nil {
+// Decode decodes the record's payload into out.
+func (r Record) Decode(out BinaryDecoder) error {
+	if err := out.DecodeBinary(r.Data); err != nil {
 		return fmt.Errorf("journal: decoding %s payload: %w", r.Op, err)
 	}
 	return nil

@@ -252,13 +252,16 @@ func (c bwCond) String() string {
 
 // timeCond matches when the request time-of-day falls inside
 // [from, to) minutes. A window wrapping midnight (from > to) matches
-// the complement interval.
+// the complement interval. The clock is UTC: the instant decides, not
+// the zone its sender wrote it in — a requester must not move a rule's
+// hours by choosing an offset.
 type timeCond struct {
 	fromMin, toMin int
 }
 
 func (c timeCond) Eval(r *Request) bool {
-	m := r.Time.Hour()*60 + r.Time.Minute()
+	t := r.Time.UTC()
+	m := t.Hour()*60 + t.Minute()
 	if c.fromMin <= c.toMin {
 		return m >= c.fromMin && m < c.toMin
 	}

@@ -134,6 +134,14 @@ deny
 	if p.Evaluate(&Request{Time: at(7, 59)}).Granted() {
 		t.Error("07:59 must be outside")
 	}
+	// The rule reads the instant, not the zone it was written in: 22:00
+	// UTC is outside the window however the requester spells it.
+	night := at(22, 0)
+	for _, zone := range []*time.Location{time.FixedZone("+10:00", 10*3600), time.FixedZone("-09:00", -9*3600)} {
+		if spelled := night.In(zone); p.Evaluate(&Request{Time: spelled}).Granted() {
+			t.Errorf("22:00 UTC written as %s got inside 08:00..17:00", spelled.Format(time.RFC3339))
+		}
+	}
 }
 
 func TestTimeWindowWrapsMidnight(t *testing.T) {

@@ -1,8 +1,6 @@
 package resv
 
 import (
-	"fmt"
-
 	"e2eqos/internal/identity"
 	"e2eqos/internal/units"
 	"e2eqos/internal/wire"
@@ -162,8 +160,6 @@ func (c *compactRec) DecodeBinary(data []byte) error {
 // Table snapshot binary layout: snapMagic, snapVersion, then 1=name
 // 2=capacity 3=seq 4=reservations (repeated, sorted by handle — the
 // deterministic-bytes property the recovery tests assert on).
-// RestoreTable still accepts the JSON form for snapshots rotated
-// before the binary codec existed.
 const (
 	snapMagic   = 0xB2
 	snapVersion = 1
@@ -184,13 +180,11 @@ func (s *snapshot) appendBinary(buf []byte) []byte {
 }
 
 func (s *snapshot) decodeBinary(data []byte) error {
-	if len(data) < 2 || data[0] != snapMagic {
-		return fmt.Errorf("resv: not a binary snapshot")
+	fields, err := wire.Header(data, snapMagic, snapVersion)
+	if err != nil {
+		return err
 	}
-	if data[1] != snapVersion {
-		return fmt.Errorf("resv: unsupported snapshot version %d", data[1])
-	}
-	d := wire.Dec{Buf: data[2:]}
+	d := wire.Dec{Buf: fields}
 	for d.More() {
 		f, wt := d.Tag()
 		switch {

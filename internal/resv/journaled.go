@@ -24,7 +24,7 @@ const (
 // delivered after it is released.
 type event struct {
 	op   string
-	data any
+	data journal.BinaryRecord
 }
 
 // admitRec journals a successful admission: the full reservation copy
@@ -32,27 +32,27 @@ type event struct {
 // reservation (not the request) makes replay exact — handle, creation
 // stamp and all.
 type admitRec struct {
-	Resv Reservation `json:"resv"`
-	Seq  int64       `json:"seq"`
+	Resv Reservation
+	Seq  int64
 }
 
 // modifyRec journals a bandwidth change as the absolute new value.
 type modifyRec struct {
-	Handle    string          `json:"handle"`
-	Bandwidth units.Bandwidth `json:"bandwidth"`
+	Handle    string
+	Bandwidth units.Bandwidth
 }
 
 // cancelRec journals a withdrawal with its retirement stamp.
 type cancelRec struct {
-	Handle      string    `json:"handle"`
-	CancelledAt time.Time `json:"cancelled_at"`
+	Handle      string
+	CancelledAt time.Time
 }
 
 // compactRec journals the exact handle set a compaction removed.
 // Handles are never reused, so removal commutes with admissions of
 // other handles during replay.
 type compactRec struct {
-	Removed []string `json:"removed"`
+	Removed []string
 }
 
 func admitEvent(r *Reservation, seq int64) event {
@@ -82,7 +82,7 @@ func (t *Table) emitAll(events []event) {
 // setEmit installs the journal emission hook. Must be called before
 // the table is shared between goroutines (broker construction time):
 // the hook pointer itself is read without the table lock.
-func (t *Table) setEmit(fn func(op string, data any)) {
+func (t *Table) setEmit(fn func(op string, data journal.BinaryRecord)) {
 	t.mu.Lock()
 	t.emit = fn
 	t.mu.Unlock()
@@ -106,7 +106,7 @@ func AttachJournal(t *Table, j *journal.Journal) {
 		t.setEmit(nil)
 		return
 	}
-	t.setEmit(func(op string, data any) {
+	t.setEmit(func(op string, data journal.BinaryRecord) {
 		// Durability errors are sticky in the journal (Stats.Err /
 		// OnError); admission itself must not fail on a full disk.
 		_ = j.Append(op, data)

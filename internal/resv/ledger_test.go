@@ -320,7 +320,7 @@ func TestLedgerMatchesSweepProperty(t *testing.T) {
 		pending []journal.Record // emitted, not yet applied to the follower
 		tail    []journal.Record // emitted since base was taken
 	)
-	hook := func(op string, data any) {
+	hook := func(op string, data journal.BinaryRecord) {
 		b := encodeEvent(t, event{op, data})
 		rec, _, err := journal.DecodeRecord(b)
 		if err != nil {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"e2eqos/internal/identity"
+	"e2eqos/internal/journal"
 	"e2eqos/internal/units"
 )
 
@@ -54,7 +55,7 @@ type Reservation struct {
 	// CancelledAt records when Cancel withdrew the reservation (zero
 	// while granted); compaction uses it as the retirement timestamp
 	// for entries whose window would otherwise keep them around.
-	CancelledAt time.Time `json:",omitempty"`
+	CancelledAt time.Time
 }
 
 // ActiveAt reports whether the reservation consumes capacity at t.
@@ -106,7 +107,7 @@ type Table struct {
 	// mutation (see journaled.go). Mutators collect events under mu and
 	// invoke emit after releasing it, so the hook may block on I/O or
 	// take locks of its own without stalling the table.
-	emit func(op string, data any)
+	emit func(op string, data journal.BinaryRecord)
 }
 
 // NewTable creates a table managing the given capacity.

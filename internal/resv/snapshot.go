@@ -1,7 +1,6 @@
 package resv
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
@@ -11,10 +10,10 @@ import (
 
 // snapshot is the persisted form of a table.
 type snapshot struct {
-	Name         string          `json:"name"`
-	Capacity     units.Bandwidth `json:"capacity"`
-	Seq          int64           `json:"seq"`
-	Reservations []Reservation   `json:"reservations"`
+	Name         string
+	Capacity     units.Bandwidth
+	Seq          int64
+	Reservations []Reservation
 }
 
 // Snapshot serialises the table so a restarting broker can restore its
@@ -37,17 +36,14 @@ func (t *Table) Snapshot() ([]byte, error) {
 	return s.appendBinary(nil), nil
 }
 
-// RestoreTable rebuilds a table from a snapshot in either encoding
-// (binary, or the JSON written before the binary codec existed). The
-// restored state is validated: committed bandwidth may not exceed the
-// capacity at any instant, checked in one walk of the rebuilt ledger.
+// RestoreTable rebuilds a table from a snapshot; bytes that do not open
+// with the snapshot's magic and version are wire.ErrUnsupportedFormat.
+// The restored state is validated: committed bandwidth may not exceed
+// the capacity at any instant, checked in one walk of the rebuilt
+// ledger.
 func RestoreTable(data []byte) (*Table, error) {
 	var s snapshot
-	if len(data) > 0 && data[0] == snapMagic {
-		if err := s.decodeBinary(data); err != nil {
-			return nil, fmt.Errorf("resv: restore: %w", err)
-		}
-	} else if err := json.Unmarshal(data, &s); err != nil {
+	if err := s.decodeBinary(data); err != nil {
 		return nil, fmt.Errorf("resv: restore: %w", err)
 	}
 	t, err := NewTable(s.Name, s.Capacity)

@@ -2,12 +2,13 @@ package resv
 
 import (
 	"bytes"
-	"encoding/json"
+	"errors"
 	"testing"
 	"time"
 
 	"e2eqos/internal/journal"
 	"e2eqos/internal/units"
+	"e2eqos/internal/wire"
 )
 
 // TestSnapshotDeterministic pins the byte-determinism contract:
@@ -139,32 +140,33 @@ func TestSnapshotRoundTripRetentionOverride(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripCancelledWithoutStamp covers the legacy
-// cancelled-entry edge: snapshots written before CancelledAt existed
-// carry cancelled entries with a zero stamp, and restore + compaction
-// must fall back to the window end as the retirement time instead of
-// treating zero time as "dead since forever".
+// TestSnapshotRoundTripCancelledWithoutStamp covers the unstamped
+// cancelled-entry edge: a snapshot may carry a cancelled entry with a
+// zero CancelledAt, and restore + compaction must fall back to the
+// window end as the retirement time instead of treating zero time as
+// "dead since forever".
 func TestSnapshotRoundTripCancelledWithoutStamp(t *testing.T) {
-	legacy := `{"name":"net-old","capacity":100000000,"seq":1,"reservations":[
-	 {"Handle":"net-old-1","Bandwidth":1000000,
-	  "Window":{"Start":"2001-08-07T09:00:00Z","End":"2001-08-07T10:00:00Z"},
-	  "Status":1}]}`
-	restored, err := RestoreTable([]byte(legacy))
+	start := time.Date(2001, 8, 7, 9, 0, 0, 0, time.UTC)
+	unstamped := snapshot{Name: "net-old", Capacity: 100 * units.Mbps, Seq: 1, Reservations: []Reservation{{
+		Handle: "net-old-1", Bandwidth: units.Mbps, Status: Cancelled,
+		Window: units.Window{Start: start, End: start.Add(time.Hour)},
+	}}}
+	restored, err := RestoreTable(unstamped.appendBinary(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, ok := restored.Lookup("net-old-1")
 	if !ok || got.Status != Cancelled || !got.CancelledAt.IsZero() {
-		t.Fatalf("restored legacy entry = %+v ok=%v", got, ok)
+		t.Fatalf("restored unstamped entry = %+v ok=%v", got, ok)
 	}
 	// Window ends 10:00; default retention 5m. Within the grace period
 	// the corpse stays; after it, it goes.
 	end := time.Date(2001, 8, 7, 10, 0, 0, 0, time.UTC)
 	if n := restored.Compact(end.Add(4 * time.Minute)); n != 0 {
-		t.Errorf("legacy cancelled entry compacted %d before window-end retention", n)
+		t.Errorf("unstamped cancelled entry compacted %d before window-end retention", n)
 	}
 	if n := restored.Compact(end.Add(6 * time.Minute)); n != 1 {
-		t.Errorf("legacy cancelled entry compacted %d after retention, want 1", n)
+		t.Errorf("unstamped cancelled entry compacted %d after retention, want 1", n)
 	}
 }
 
@@ -201,12 +203,8 @@ func TestSnapshotRoundTripThroughReplayIsIdempotent(t *testing.T) {
 	}
 	// Re-apply the full mutation history as journal records on top of
 	// the already-final snapshot.
-	mk := func(op string, payload any) journal.Record {
-		b, err := json.Marshal(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return journal.Record{Op: op, Data: b}
+	mk := func(op string, payload journal.BinaryRecord) journal.Record {
+		return journal.Record{Op: op, Data: payload.AppendBinary(nil)}
 	}
 	recs := []journal.Record{
 		mk(opAdmit, admitRec{Resv: mustLookup(t, tab, r1.Handle), Seq: 1}),
@@ -233,4 +231,26 @@ func mustLookup(t *testing.T, tab *Table, handle string) Reservation {
 		t.Fatalf("handle %s missing", handle)
 	}
 	return r
+}
+
+// TestRestoreTableRefusesOtherFormats: a snapshot from before the binary
+// codec (JSON) or from a later version is named as such, not decoded by
+// some other path and not reported as plain corruption.
+func TestRestoreTableRefusesOtherFormats(t *testing.T) {
+	tab := newTable(t, 100*units.Mbps)
+	good, err := tab.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	future := append([]byte(nil), good...)
+	future[1]++
+	for name, data := range map[string][]byte{
+		"legacy JSON":    []byte(`{"name":"net-old","capacity":100000000,"seq":1,"reservations":[]}`),
+		"future version": future,
+		"empty":          nil,
+	} {
+		if _, err := RestoreTable(data); !errors.Is(err, wire.ErrUnsupportedFormat) {
+			t.Errorf("%s: err = %v, want wire.ErrUnsupportedFormat", name, err)
+		}
+	}
 }

@@ -12,23 +12,24 @@
 package saga
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
+
+	"e2eqos/internal/journal"
 )
 
 // Journal is the append-only log sagas persist through. *journal.Journal
 // satisfies it; a nil Journal keeps the coordinator memory-only (sagas
 // still run, they just don't survive a crash).
 type Journal interface {
-	Append(op string, v any) error
+	Append(op string, data journal.BinaryRecord) error
 }
 
-// Journal record vocabulary. Records marshal as JSON through the
-// journal's fallback encoding; the "saga." prefix routes them to
-// ApplyRecord during recovery and on replication followers.
+// Journal record vocabulary. All six ops carry one payload type (record,
+// binwire.go); the "saga." prefix routes them to ApplyRecord during
+// recovery and on replication followers.
 const (
 	OpBegin  = "saga.begin"  // saga created
 	OpStep   = "saga.step"   // compensation registered for a completed step
@@ -44,13 +45,13 @@ func IsSagaOp(op string) bool {
 }
 
 // Step is one registered compensation: Kind selects the executor, Data
-// is its opaque (JSON) argument. Done flips when the compensation has
-// executed to completion after an abort.
+// is its argument, opaque to this package. Done flips when the
+// compensation has executed to completion after an abort.
 type Step struct {
-	ID   int             `json:"id"`
-	Kind string          `json:"kind"`
-	Data json.RawMessage `json:"data,omitempty"`
-	Done bool            `json:"done,omitempty"`
+	ID   int
+	Kind string
+	Data []byte
+	Done bool
 }
 
 // Exec runs one compensation. A nil error means the compensation
@@ -59,25 +60,17 @@ type Exec func(data []byte) error
 
 // Snap is the snapshot form of one live saga, for journal rotation.
 type Snap struct {
-	ID       string `json:"id"`
-	Aborting bool   `json:"aborting,omitempty"`
-	Steps    []Step `json:"steps,omitempty"`
+	ID       string
+	Aborting bool
+	Steps    []Step
 }
 
-// journal record payloads.
-type beginRec struct {
-	ID string `json:"id"`
-}
-type stepRec struct {
-	ID   string `json:"id"`
-	Step Step   `json:"step"`
-}
-type markRec struct {
-	ID string `json:"id"`
-}
-type compRec struct {
-	ID     string `json:"id"`
-	StepID int    `json:"step_id"`
+// record is the payload of every saga journal record: begin, commit,
+// abort and done name the saga; step carries the registered Step whole;
+// comp names the settled step and carries Done.
+type record struct {
+	ID   string
+	Step Step
 }
 
 // sagaState is one live saga.
@@ -89,6 +82,16 @@ type sagaState struct {
 	// exhausting retries; they stay un-Done in the journal so a restart
 	// retries them with a fresh budget.
 	abandoned map[int]bool
+}
+
+// step finds a registered step by id.
+func (s *sagaState) step(id int) *Step {
+	for i := range s.steps {
+		if s.steps[i].ID == id {
+			return &s.steps[i]
+		}
+	}
+	return nil
 }
 
 func (s *sagaState) pending() *Step {
@@ -173,14 +176,14 @@ func (c *Coordinator) AttachJournal(j Journal) {
 	c.mu.Unlock()
 }
 
-func (c *Coordinator) append(op string, v any) {
+func (c *Coordinator) append(op string, r record) {
 	c.mu.Lock()
 	j := c.journal
 	c.mu.Unlock()
 	if j == nil {
 		return
 	}
-	_ = j.Append(op, v)
+	_ = j.Append(op, r)
 }
 
 // Begin creates a saga. IDs are caller-minted and must be unique among
@@ -193,7 +196,7 @@ func (c *Coordinator) Begin(id string) error {
 	}
 	c.sagas[id] = &sagaState{id: id, abandoned: make(map[int]bool)}
 	c.mu.Unlock()
-	c.append(OpBegin, beginRec{ID: id})
+	c.append(OpBegin, record{ID: id})
 	return nil
 }
 
@@ -209,10 +212,10 @@ func (c *Coordinator) Did(id, kind string, data []byte) error {
 		return fmt.Errorf("saga: unknown saga %q", id)
 	}
 	c.nextID[id]++
-	st := Step{ID: c.nextID[id], Kind: kind, Data: append(json.RawMessage(nil), data...)}
+	st := Step{ID: c.nextID[id], Kind: kind, Data: append([]byte(nil), data...)}
 	s.steps = append(s.steps, st)
 	c.mu.Unlock()
-	c.append(OpStep, stepRec{ID: id, Step: st})
+	c.append(OpStep, record{ID: id, Step: st})
 	return nil
 }
 
@@ -223,7 +226,7 @@ func (c *Coordinator) Commit(id string) {
 	delete(c.sagas, id)
 	delete(c.nextID, id)
 	c.mu.Unlock()
-	c.append(OpCommit, markRec{ID: id})
+	c.append(OpCommit, record{ID: id})
 }
 
 // Abort marks a saga failed and starts its compensation worker. Safe
@@ -238,7 +241,7 @@ func (c *Coordinator) Abort(id string) {
 	s.aborting = true
 	c.wg.Add(1)
 	c.mu.Unlock()
-	c.append(OpAbort, markRec{ID: id})
+	c.append(OpAbort, record{ID: id})
 	if c.opts.OnAborted != nil {
 		c.opts.OnAborted(id)
 	}
@@ -281,7 +284,7 @@ func (c *Coordinator) compensate(id string) {
 			}
 			c.mu.Unlock()
 			if clean {
-				c.append(OpDone, markRec{ID: id})
+				c.append(OpDone, record{ID: id})
 			}
 			return
 		}
@@ -307,13 +310,9 @@ func (c *Coordinator) compensate(id string) {
 		}
 		if settled {
 			c.mu.Lock()
-			for i := range s.steps {
-				if s.steps[i].ID == step.ID {
-					s.steps[i].Done = true
-				}
-			}
+			s.step(step.ID).Done = true
 			c.mu.Unlock()
-			c.append(OpComp, compRec{ID: id, StepID: step.ID})
+			c.append(OpComp, record{ID: id, Step: Step{ID: step.ID, Done: true}})
 			if c.opts.OnCompensated != nil {
 				c.opts.OnCompensated(id, step)
 			}
@@ -333,72 +332,39 @@ func (c *Coordinator) compensate(id string) {
 // ApplyRecord replays one journal record into the coordinator's state
 // without running anything: boot recovery and replication followers
 // share it. Returns whether the op belonged to the saga vocabulary.
-func (c *Coordinator) ApplyRecord(op string, decode func(any) error) (bool, error) {
-	switch op {
-	case OpBegin:
-		var r beginRec
-		if err := decode(&r); err != nil {
+func (c *Coordinator) ApplyRecord(rec journal.Record) (bool, error) {
+	var r record
+	if IsSagaOp(rec.Op) {
+		if err := rec.Decode(&r); err != nil {
 			return false, err
 		}
-		c.mu.Lock()
-		if _, dup := c.sagas[r.ID]; !dup {
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := c.sagas[r.ID]
+	switch rec.Op {
+	case OpBegin:
+		if s == nil {
 			c.sagas[r.ID] = &sagaState{id: r.ID, abandoned: make(map[int]bool)}
 		}
-		c.mu.Unlock()
 	case OpStep:
-		var r stepRec
-		if err := decode(&r); err != nil {
-			return false, err
+		if s != nil && s.step(r.Step.ID) == nil {
+			s.steps = append(s.steps, r.Step)
+			c.nextID[r.ID] = max(c.nextID[r.ID], r.Step.ID)
 		}
-		c.mu.Lock()
-		if s, ok := c.sagas[r.ID]; ok {
-			dup := false
-			for i := range s.steps {
-				if s.steps[i].ID == r.Step.ID {
-					dup = true
-				}
-			}
-			if !dup {
-				s.steps = append(s.steps, r.Step)
-				if r.Step.ID > c.nextID[r.ID] {
-					c.nextID[r.ID] = r.Step.ID
-				}
-			}
-		}
-		c.mu.Unlock()
 	case OpCommit, OpDone:
-		var r markRec
-		if err := decode(&r); err != nil {
-			return false, err
-		}
-		c.mu.Lock()
 		delete(c.sagas, r.ID)
 		delete(c.nextID, r.ID)
-		c.mu.Unlock()
 	case OpAbort:
-		var r markRec
-		if err := decode(&r); err != nil {
-			return false, err
-		}
-		c.mu.Lock()
-		if s, ok := c.sagas[r.ID]; ok {
+		if s != nil {
 			s.aborting = true
 		}
-		c.mu.Unlock()
 	case OpComp:
-		var r compRec
-		if err := decode(&r); err != nil {
-			return false, err
-		}
-		c.mu.Lock()
-		if s, ok := c.sagas[r.ID]; ok {
-			for i := range s.steps {
-				if s.steps[i].ID == r.StepID {
-					s.steps[i].Done = true
-				}
+		if s != nil {
+			if st := s.step(r.Step.ID); st != nil {
+				st.Done = true
 			}
 		}
-		c.mu.Unlock()
 	default:
 		return false, nil
 	}
@@ -409,7 +375,7 @@ func (c *Coordinator) ApplyRecord(op string, decode func(any) error) (bool, erro
 // presumed aborted — one that had committed would have vanished with
 // its OpCommit record — and its unfinished compensations re-run with a
 // fresh retry budget. Returns how many sagas resumed. Call once, after
-// ApplyRecord/RestoreJSON replayed everything and the journal is
+// ApplyRecord/Restore replayed everything and the journal is
 // attached.
 func (c *Coordinator) Resume() int {
 	c.mu.Lock()
@@ -429,7 +395,7 @@ func (c *Coordinator) Resume() int {
 	}
 	c.mu.Unlock()
 	for _, id := range presumed {
-		c.append(OpAbort, markRec{ID: id})
+		c.append(OpAbort, record{ID: id})
 	}
 	for _, id := range ids {
 		if c.opts.OnAborted != nil {
@@ -440,49 +406,38 @@ func (c *Coordinator) Resume() int {
 	return len(ids)
 }
 
-// SnapshotJSON serialises the live saga set, sorted for deterministic
+// Snapshot serialises the live saga set, sorted for deterministic
 // bytes; nil when no sagas are live. Journal rotation embeds it in the
 // broker snapshot.
-func (c *Coordinator) SnapshotJSON() []byte {
+func (c *Coordinator) Snapshot() []byte {
 	c.mu.Lock()
 	snaps := make([]Snap, 0, len(c.sagas))
 	for _, s := range c.sagas {
-		sn := Snap{ID: s.id, Aborting: s.aborting, Steps: append([]Step(nil), s.steps...)}
-		snaps = append(snaps, sn)
+		snaps = append(snaps, Snap{ID: s.id, Aborting: s.aborting, Steps: append([]Step(nil), s.steps...)})
 	}
 	c.mu.Unlock()
-	if len(snaps) == 0 {
-		return nil
-	}
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].ID < snaps[j].ID })
-	out, err := json.Marshal(snaps)
-	if err != nil {
-		return nil
-	}
-	return out
+	return appendSnaps(nil, snaps)
 }
 
-// RestoreJSON replaces the saga set with a snapshot's. Workers are not
-// started — Resume does that once recovery completes.
-func (c *Coordinator) RestoreJSON(data []byte) error {
-	var snaps []Snap
-	if err := json.Unmarshal(data, &snaps); err != nil {
+// Restore replaces the saga set with a snapshot's; an empty snapshot
+// leaves no saga live. Workers are not started — Resume does that once
+// recovery completes.
+func (c *Coordinator) Restore(data []byte) error {
+	snaps, err := decodeSnaps(data)
+	if err != nil {
 		return fmt.Errorf("saga: decoding snapshot: %w", err)
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.sagas = make(map[string]*sagaState, len(snaps))
 	c.nextID = make(map[string]int, len(snaps))
 	for _, sn := range snaps {
-		s := &sagaState{id: sn.ID, aborting: sn.Aborting, abandoned: make(map[int]bool)}
-		s.steps = append(s.steps, sn.Steps...)
+		c.sagas[sn.ID] = &sagaState{id: sn.ID, aborting: sn.Aborting, steps: sn.Steps, abandoned: make(map[int]bool)}
 		for _, st := range sn.Steps {
-			if st.ID > c.nextID[sn.ID] {
-				c.nextID[sn.ID] = st.ID
-			}
+			c.nextID[sn.ID] = max(c.nextID[sn.ID], st.ID)
 		}
-		c.sagas[sn.ID] = s
 	}
-	c.mu.Unlock()
 	return nil
 }
 

@@ -1,31 +1,34 @@
 package saga
 
 import (
-	"encoding/json"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"e2eqos/internal/journal"
 )
 
-// fakeJournal records every appended (op, payload) pair and can replay
-// them into a fresh coordinator the way recovery does.
+// fakeJournal keeps every appended record as the frame the real journal
+// would write, and can replay the frames into a fresh coordinator the
+// way recovery and a replication follower do.
 type fakeJournal struct {
-	mu   sync.Mutex
-	ops  []string
-	recs []json.RawMessage
+	mu     sync.Mutex
+	ops    []string
+	frames [][]byte
 }
 
-func (f *fakeJournal) Append(op string, v any) error {
-	raw, err := json.Marshal(v)
+func (f *fakeJournal) Append(op string, data journal.BinaryRecord) error {
+	frame, err := journal.EncodeRecord(op, data)
 	if err != nil {
 		return err
 	}
 	f.mu.Lock()
 	f.ops = append(f.ops, op)
-	f.recs = append(f.recs, raw)
+	f.frames = append(f.frames, frame)
 	f.mu.Unlock()
 	return nil
 }
@@ -33,14 +36,17 @@ func (f *fakeJournal) Append(op string, v any) error {
 func (f *fakeJournal) replayInto(c *Coordinator) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for i, op := range f.ops {
-		raw := f.recs[i]
-		handled, err := c.ApplyRecord(op, func(v any) error { return json.Unmarshal(raw, v) })
+	for _, frame := range f.frames {
+		rec, _, err := journal.DecodeRecord(frame)
+		if err != nil {
+			return err
+		}
+		handled, err := c.ApplyRecord(rec)
 		if err != nil {
 			return err
 		}
 		if !handled {
-			return fmt.Errorf("op %q not handled", op)
+			return fmt.Errorf("op %q not handled", rec.Op)
 		}
 	}
 	return nil
@@ -81,10 +87,10 @@ func TestCommitDropsCompensations(t *testing.T) {
 	if err := c.Begin("s1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Did("s1", "undo", []byte(`"a"`)); err != nil {
+	if err := c.Did("s1", "undo", []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Did("s1", "undo", []byte(`"b"`)); err != nil {
+	if err := c.Did("s1", "undo", []byte("b")); err != nil {
 		t.Fatal(err)
 	}
 	c.Commit("s1")
@@ -106,8 +112,7 @@ func TestAbortCompensatesInReverse(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
 	c.RegisterExec("undo", func(data []byte) error {
-		var s string
-		_ = json.Unmarshal(data, &s)
+		s := string(data)
 		mu.Lock()
 		order = append(order, s)
 		mu.Unlock()
@@ -117,7 +122,7 @@ func TestAbortCompensatesInReverse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range []string{"first", "second", "third"} {
-		if err := c.Did("s1", "undo", []byte(`"`+d+`"`)); err != nil {
+		if err := c.Did("s1", "undo", []byte(d)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -189,7 +194,7 @@ func TestAbandonment(t *testing.T) {
 		mu.Unlock()
 		return errors.New("permanent")
 	})
-	if err := c.RunOne("r1", "doomed", []byte(`"x"`)); err != nil {
+	if err := c.RunOne("r1", "doomed", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -231,8 +236,7 @@ func TestCrashReplayResumesCompensation(t *testing.T) {
 	var mu sync.Mutex
 	firstDone := false
 	c1.RegisterExec("undo", func(data []byte) error {
-		var s string
-		_ = json.Unmarshal(data, &s)
+		s := string(data)
 		mu.Lock()
 		defer mu.Unlock()
 		if s == "late" { // registered second, compensated first
@@ -244,10 +248,10 @@ func TestCrashReplayResumesCompensation(t *testing.T) {
 	if err := c1.Begin("s1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.Did("s1", "undo", []byte(`"early"`)); err != nil {
+	if err := c1.Did("s1", "undo", []byte("early")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.Did("s1", "undo", []byte(`"late"`)); err != nil {
+	if err := c1.Did("s1", "undo", []byte("late")); err != nil {
 		t.Fatal(err)
 	}
 	c1.Abort("s1")
@@ -264,8 +268,7 @@ func TestCrashReplayResumesCompensation(t *testing.T) {
 	defer c2.Close()
 	var replayed []string
 	c2.RegisterExec("undo", func(data []byte) error {
-		var s string
-		_ = json.Unmarshal(data, &s)
+		s := string(data)
 		mu.Lock()
 		replayed = append(replayed, s)
 		mu.Unlock()
@@ -347,33 +350,32 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if err := c.Begin(id); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Did(id, "undo", []byte(`"`+id+`"`)); err != nil {
+		if err := c.Did(id, "undo", []byte(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s1 := c.SnapshotJSON()
-	s2 := c.SnapshotJSON()
+	s1 := c.Snapshot()
+	s2 := c.Snapshot()
 	if string(s1) != string(s2) {
 		t.Fatalf("snapshot not deterministic:\n%s\n%s", s1, s2)
 	}
 
 	c2 := New(Options{Backoff: time.Millisecond})
 	defer c2.Close()
-	if err := c2.RestoreJSON(s1); err != nil {
+	if err := c2.Restore(s1); err != nil {
 		t.Fatal(err)
 	}
 	if c2.Live() != 2 {
 		t.Fatalf("restored live=%d, want 2", c2.Live())
 	}
-	if string(c2.SnapshotJSON()) != string(s1) {
-		t.Fatalf("restored snapshot differs:\n%s\n%s", c2.SnapshotJSON(), s1)
+	if string(c2.Snapshot()) != string(s1) {
+		t.Fatalf("restored snapshot differs:\n%s\n%s", c2.Snapshot(), s1)
 	}
 	// Restored sagas resume as presumed aborts and compensate.
 	var mu sync.Mutex
 	var got []string
 	c2.RegisterExec("undo", func(data []byte) error {
-		var s string
-		_ = json.Unmarshal(data, &s)
+		s := string(data)
 		mu.Lock()
 		got = append(got, s)
 		mu.Unlock()
@@ -389,9 +391,90 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("compensated %v", got)
 	}
 	// Empty coordinator snapshots to nil.
-	if b := c2.SnapshotJSON(); b != nil {
+	if b := c2.Snapshot(); b != nil {
 		t.Fatalf("empty snapshot = %q, want nil", b)
 	}
+	// And an empty snapshot restores to no sagas, whatever was live.
+	if err := c.Restore(nil); err != nil || c.Live() != 0 {
+		t.Fatalf("Restore(nil): err=%v live=%d, want an empty set", err, c.Live())
+	}
+}
+
+// TestGoldenVectors pins the bytes of the saga journal record in each
+// shape it takes (a mark naming the saga, a registered step, a settled
+// step) and of the coordinator snapshot: a codec change that moves a
+// byte breaks recovery of journals already on disk and must show here.
+func TestGoldenVectors(t *testing.T) {
+	step := Step{ID: 2, Kind: "cancel", Data: []byte{0x0a, 0x01, 'p'}}
+	for _, g := range []struct {
+		name string
+		rec  record
+		hex  string
+	}{
+		{"mark", record{ID: "split:RAR-1#7"}, "0a0d73706c69743a5241522d312337"},
+		{"step", record{ID: "split:RAR-1#7", Step: step}, "0a0d73706c69743a5241522d3123371004" + "1a0663616e63656c" + "22030a0170"},
+		{"comp", record{ID: "split:RAR-1#7", Step: Step{ID: 2, Done: true}}, "0a0d73706c69743a5241522d31233710042801"},
+	} {
+		got := g.rec.AppendBinary(nil)
+		if hex.EncodeToString(got) != g.hex {
+			t.Errorf("%s: encoded %x\n      want %s", g.name, got, g.hex)
+		}
+		var back record
+		if err := back.DecodeBinary(got); err != nil || !reflect.DeepEqual(back, g.rec) {
+			t.Errorf("%s: decoded %+v (%v), want %+v", g.name, back, err, g.rec)
+		}
+	}
+
+	snaps := []Snap{
+		{ID: "a", Aborting: true, Steps: []Step{{ID: 1, Kind: "release", Data: []byte("h"), Done: true}, step}},
+		{ID: "b"},
+	}
+	const snapHex = "0a28" + "0a0161" + "1001" + "1a10" + "1002" + "1a0772656c65617365" + "220168" + "2801" +
+		"1a0f" + "1004" + "1a0663616e63656c" + "22030a0170" +
+		"0a03" + "0a0162"
+	got := appendSnaps(nil, snaps)
+	if hex.EncodeToString(got) != snapHex {
+		t.Errorf("snapshot encoded %x\n            want %s", got, snapHex)
+	}
+	if back, err := decodeSnaps(got); err != nil || !reflect.DeepEqual(back, snaps) {
+		t.Errorf("snapshot decoded %+v (%v), want %+v", back, err, snaps)
+	}
+}
+
+// FuzzSagaRecord: arbitrary bytes never panic the record or snapshot
+// decoders or ApplyRecord under any op, and whatever decodes re-encodes
+// to bytes that decode to the same value.
+func FuzzSagaRecord(f *testing.F) {
+	f.Add(record{ID: "s"}.AppendBinary(nil))
+	f.Add(record{ID: "s", Step: Step{ID: 1, Kind: "cancel", Data: []byte{1, 2, 3}}}.AppendBinary(nil))
+	f.Add(record{ID: "s", Step: Step{ID: 1, Done: true}}.AppendBinary(nil))
+	f.Add(appendSnaps(nil, []Snap{{ID: "s", Aborting: true, Steps: []Step{{ID: 3, Kind: "release"}}}}))
+	f.Add([]byte{0x0a, 0xff})       // id length past the end
+	f.Add([]byte{0x10, 0x80})       // torn step id
+	f.Add([]byte(`{"id":"split"}`)) // a record from before the binary codec
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r record
+		if err := r.DecodeBinary(data); err == nil {
+			var again record
+			if err := again.DecodeBinary(r.AppendBinary(nil)); err != nil || !reflect.DeepEqual(again, r) {
+				t.Fatalf("record %+v re-decoded as %+v (%v)", r, again, err)
+			}
+		}
+		if snaps, err := decodeSnaps(data); err == nil {
+			again, err := decodeSnaps(appendSnaps(nil, snaps))
+			if err != nil || !reflect.DeepEqual(again, snaps) {
+				t.Fatalf("snapshot %+v re-decoded as %+v (%v)", snaps, again, err)
+			}
+		}
+		c := New(Options{})
+		defer c.Close()
+		for _, op := range []string{OpBegin, OpStep, OpAbort, OpComp, OpStep, OpCommit, OpBegin, OpDone, "saga.unknown"} {
+			_, _ = c.ApplyRecord(journal.Record{Op: op, Data: data})
+		}
+		if err := c.Restore(data); err == nil {
+			_ = c.Snapshot()
+		}
+	})
 }
 
 // TestDuplicateBeginRejected pins the id-uniqueness contract.

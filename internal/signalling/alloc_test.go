@@ -2,9 +2,8 @@ package signalling
 
 import "testing"
 
-// TestEncodeAllocationFree is the gate behind `make bench-codec`: the
-// binary encoders must not allocate when appending to a buffer with
-// capacity — that is the whole point of replacing the JSON hot path.
+// TestEncodeAllocationFree is the gate behind `make bench-wire`: the
+// encoders must not allocate when appending to a buffer with capacity.
 // Decoding is allowed its bounded per-field allocations (strings,
 // slices), but encoding a frame the RPC layer has a pooled buffer for
 // must cost zero.

@@ -2,7 +2,6 @@ package signalling
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"e2eqos/internal/identity"
@@ -10,10 +9,9 @@ import (
 	"e2eqos/internal/wire"
 )
 
-// Binary frame layout (the default wire encoding, DESIGN.md §6.6):
+// Frame layout (DESIGN.md §6.6):
 //
-//	byte 0   BinMagic (0xE2) — JSON frames start with '{', so one byte
-//	         discriminates the two encodings per message
+//	byte 0   BinMagic (0xE2)
 //	byte 1   BinVersion
 //	byte 2   message type code (see typeCode)
 //	uvarint  message ID
@@ -28,38 +26,6 @@ const (
 	// from the future rather than misparse them.
 	BinVersion = 1
 )
-
-// WireMode selects the frame encoding a client speaks. The server side
-// needs no mode: it answers every request in the encoding the request
-// arrived in, which is how the per-connection negotiation works — a
-// `-wire json` client simply never sees a binary byte.
-type WireMode int
-
-const (
-	// WireBinary is the default hot-path encoding.
-	WireBinary WireMode = iota
-	// WireJSON is the debug/interop encoding (the pre-binary format).
-	WireJSON
-)
-
-func (m WireMode) String() string {
-	if m == WireJSON {
-		return "json"
-	}
-	return "binary"
-}
-
-// ParseWireMode parses a -wire flag value; empty selects binary.
-func ParseWireMode(s string) (WireMode, error) {
-	switch s {
-	case "", "binary":
-		return WireBinary, nil
-	case "json":
-		return WireJSON, nil
-	default:
-		return WireBinary, fmt.Errorf("signalling: unknown wire mode %q (want binary or json)", s)
-	}
-}
 
 // typeCode maps MsgType to its single-byte wire code and back. Codes
 // are part of the wire format: never renumber, only append.
@@ -86,9 +52,14 @@ func typeCode(t MsgType) byte {
 // AppendBinary appends the canonical binary frame for m. Encoding is
 // infallible by construction (every field type has a total encoding),
 // which is what lets the hot path run without error plumbing.
-func (m *Message) AppendBinary(buf []byte) []byte {
+func (m *Message) AppendBinary(buf []byte) []byte { return m.appendFrame(buf, m.ID) }
+
+// appendFrame is AppendBinary under an ID other than m's own: the RPC
+// layer numbers a frame without copying or writing to a message that
+// other calls may share.
+func (m *Message) appendFrame(buf []byte, id uint64) []byte {
 	buf = append(buf, BinMagic, BinVersion, typeCode(m.Type))
-	buf = wire.AppendUvarint(buf, m.ID)
+	buf = wire.AppendUvarint(buf, id)
 	switch {
 	case m.Reserve != nil:
 		buf = m.Reserve.appendFields(buf)
@@ -111,11 +82,8 @@ func (m *Message) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-// decodeBinary parses a binary frame (data[0] == BinMagic).
+// decodeBinary parses a frame DecodeMessage found the magic on.
 func decodeBinary(data []byte) (*Message, error) {
-	if len(data) < 3 {
-		return nil, fmt.Errorf("signalling: binary frame of %d bytes", len(data))
-	}
 	if data[1] != BinVersion {
 		return nil, fmt.Errorf("signalling: unsupported frame version %d", data[1])
 	}
@@ -274,7 +242,7 @@ func (p *TunnelReleasePayload) decodeFields(d *wire.Dec) error {
 	return d.Err()
 }
 
-// Batch op action codes; string forms stay on the JSON wire only.
+// Batch op action codes.
 const (
 	opCodeAlloc   = 1
 	opCodeRelease = 2
@@ -447,9 +415,8 @@ func (p *JournalStreamPayload) appendFields(buf []byte) []byte {
 	buf = wire.AppendBytes(buf, 6, p.Snapshot)
 	buf = wire.AppendInt(buf, 7, p.SnapSeq)
 	for _, rec := range p.Records {
-		// Records may legitimately be empty placeholders on the JSON
-		// side, but the journal never frames a zero-byte record, so the
-		// always-emit form (AppendBytes omits empties) is safe here.
+		// The journal never frames a zero-byte record, so AppendBytes
+		// omitting empties loses nothing here.
 		buf = wire.AppendBytes(buf, 8, rec)
 	}
 	buf = wire.AppendInt(buf, 9, int64(p.Kind))
@@ -498,7 +465,7 @@ func (p *ResultPayload) appendFields(buf []byte) []byte {
 		buf = p.Approvals[i].appendFields(buf)
 		buf = wire.EndNested(buf, start)
 	}
-	buf = appendPolicyInfo(buf, 5, p.PolicyInfo)
+	buf = wire.AppendStringMap(buf, 5, p.PolicyInfo)
 	buf = wire.AppendString(buf, 6, p.TraceID)
 	for i := range p.Trace {
 		var start int
@@ -538,12 +505,7 @@ func (p *ResultPayload) decodeFields(d *wire.Dec) error {
 			if p.PolicyInfo == nil {
 				p.PolicyInfo = make(map[string]string)
 			}
-			sub := wire.Dec{Buf: d.Bytes()}
-			k := sub.String()
-			v := sub.String()
-			if err := sub.Err(); err != nil {
-				return err
-			}
+			k, v := d.StringPair()
 			p.PolicyInfo[k] = v
 		case f == 6 && wt == wire.TBytes:
 			p.TraceID = d.String()
@@ -571,48 +533,9 @@ func (p *ResultPayload) decodeFields(d *wire.Dec) error {
 	return d.Err()
 }
 
-// appendPolicyInfo encodes a string map as repeated (len-key len-value)
-// pairs in ascending key order, so equal maps encode to equal bytes.
-// Maps are cold-path (cost quotes, SLS attributes): the sort's small
-// allocation is acceptable outside the zero-alloc gate, and empty maps
-// cost nothing.
-func appendPolicyInfo(buf []byte, field uint32, m map[string]string) []byte {
-	if len(m) == 0 {
-		return buf
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		var start int
-		buf, start = wire.BeginNested(buf, field)
-		buf = wire.AppendUvarint(buf, uint64(len(k)))
-		buf = append(buf, k...)
-		v := m[k]
-		buf = wire.AppendUvarint(buf, uint64(len(v)))
-		buf = append(buf, v...)
-		buf = wire.EndNested(buf, start)
-	}
-	return buf
-}
-
 // encBufPool recycles encode buffers for the RPC send paths. Both
 // transports finish with the buffer before Send returns (memory copies,
 // TLS writes through), so returning it to the pool afterwards is safe.
 var encBufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 1024); return &b },
-}
-
-// appendWire encodes m in the requested mode on the given buffer.
-func (m *Message) appendWire(buf []byte, mode WireMode) ([]byte, error) {
-	if mode == WireJSON {
-		data, err := m.EncodeJSON()
-		if err != nil {
-			return nil, err
-		}
-		return append(buf, data...), nil
-	}
-	return m.AppendBinary(buf), nil
 }

@@ -224,44 +224,6 @@ func TestGoldenWireVectors(t *testing.T) {
 	}
 }
 
-// TestJSONBinaryCrossDecode proves the two encodings carry the same
-// information: a message serialised as JSON and re-decoded must equal
-// the binary-decoded original, and vice versa. This is the contract the
-// `-wire json` interop mode rests on.
-func TestJSONBinaryCrossDecode(t *testing.T) {
-	for _, g := range goldenMessages() {
-		jsonBytes, err := g.msg.EncodeJSON()
-		if err != nil {
-			t.Fatalf("%s: EncodeJSON: %v", g.name, err)
-		}
-		fromJSON, err := DecodeMessage(jsonBytes)
-		if err != nil {
-			t.Fatalf("%s: decode of JSON frame: %v", g.name, err)
-		}
-		fromBinary, err := DecodeMessage(g.msg.AppendBinary(nil))
-		if err != nil {
-			t.Fatalf("%s: decode of binary frame: %v", g.name, err)
-		}
-		if !reflect.DeepEqual(fromJSON, fromBinary) {
-			t.Errorf("%s: JSON decode\n%+v\ndisagrees with binary decode\n%+v",
-				g.name, fromJSON, fromBinary)
-		}
-		// And a binary-decoded message must survive re-encoding as JSON.
-		reJSON, err := fromBinary.EncodeJSON()
-		if err != nil {
-			t.Fatalf("%s: re-encode as JSON: %v", g.name, err)
-		}
-		again, err := DecodeMessage(reJSON)
-		if err != nil {
-			t.Fatalf("%s: decode of re-encoded JSON: %v", g.name, err)
-		}
-		if !reflect.DeepEqual(again, fromBinary) {
-			t.Errorf("%s: binary->JSON->decode drifted:\n%+v\nwant\n%+v",
-				g.name, again, fromBinary)
-		}
-	}
-}
-
 // TestBinaryFramesSkipUnknownFields pins the forward-compatibility
 // rule: a frame carrying a field number this decoder has never heard
 // of must still decode, dropping only the unknown field.

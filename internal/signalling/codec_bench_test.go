@@ -20,46 +20,25 @@ func benchBatchMessage(n int) *Message {
 	}}
 }
 
-// BenchmarkCodec compares the binary codec against the JSON interop
-// encoding on the batch-64 frame — the `make bench-codec` numbers. Run
-// with -benchmem: the binary encode arm is the one the allocation gate
-// (TestEncodeAllocationFree) holds at zero.
+// BenchmarkCodec measures the codec on the batch-64 frame — the
+// `make bench-wire` numbers. Run with -benchmem: the encode arm is the
+// one the allocation gate (TestEncodeAllocationFree) holds at zero.
 func BenchmarkCodec(b *testing.B) {
 	msg := benchBatchMessage(64)
-	binFrame := msg.AppendBinary(nil)
-	jsonFrame, err := msg.EncodeJSON()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("frame bytes: binary=%d json=%d", len(binFrame), len(jsonFrame))
+	frame := msg.AppendBinary(nil)
+	b.Logf("frame bytes: %d", len(frame))
 
-	b.Run("encode-binary", func(b *testing.B) {
-		buf := make([]byte, 0, 2*len(binFrame))
+	b.Run("encode", func(b *testing.B) {
+		buf := make([]byte, 0, 2*len(frame))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			buf = msg.AppendBinary(buf[:0])
 		}
 	})
-	b.Run("encode-json", func(b *testing.B) {
+	b.Run("decode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := msg.EncodeJSON(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode-binary", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := DecodeMessage(binFrame); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode-json", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := DecodeMessage(jsonFrame); err != nil {
+			if _, err := DecodeMessage(frame); err != nil {
 				b.Fatal(err)
 			}
 		}

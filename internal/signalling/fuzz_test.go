@@ -10,39 +10,38 @@ import (
 // validate must be structurally sound (no duplicate sub-flow IDs, no
 // non-positive alloc bandwidth).
 func FuzzDecodeMessage(f *testing.F) {
+	batch := func(id string, ops ...TunnelOp) []byte {
+		return (&Message{Type: MsgTunnelBatch, ID: 4, TunnelBatch: &TunnelBatchPayload{
+			TunnelRARID: "r", BatchID: id, User: "/O=Grid/CN=alice", Ops: ops,
+		}}).AppendBinary(nil)
+	}
 	seeds := [][]byte{
-		[]byte(`{"type":"reserve","id":1,"reserve":{"mode":"e2e","envelope":{}}}`),
+		// Batches Validate must judge: well-formed, duplicate sub-flow,
+		// zero and negative bandwidth, unknown action, no ops.
+		batch("B-1", TunnelOp{OpAlloc, "s1", 1000000}, TunnelOp{OpRelease, "s2", 0}),
+		batch("B-2", TunnelOp{OpAlloc, "dup", 1}, TunnelOp{OpRelease, "dup", 0}),
+		batch("B-3", TunnelOp{OpAlloc, "s", 0}),
+		batch("B-4", TunnelOp{OpAlloc, "s", -5}),
+		batch("B-5", TunnelOp{"flood", "s", 0}),
+		batch(""),
+		// Not frames at all: the decoder has one encoding and must refuse
+		// everything else, a JSON body included.
 		[]byte(`{"type":"cancel","id":2,"cancel":{"rar_id":"RAR-1"}}`),
-		[]byte(`{"type":"result","id":3,"result":{"granted":true,"handle":"h"}}`),
-		[]byte(`{"type":"tunnel-alloc","tunnel_alloc":{"tunnel_rar_id":"r","sub_flow_id":"s","bandwidth":1}}`),
-		[]byte(`{"type":"tunnel-batch","id":4,"tunnel_batch":{"tunnel_rar_id":"r","batch_id":"B-1","user":"/O=Grid/CN=alice","ops":[{"a":"alloc","id":"s1","bw":1000000},{"a":"release","id":"s2"}]}}`),
-		[]byte(`{"type":"tunnel-batch","tunnel_batch":{"tunnel_rar_id":"r","batch_id":"B-2","ops":[{"a":"alloc","id":"dup","bw":1},{"a":"release","id":"dup"}]}}`),
-		[]byte(`{"type":"tunnel-batch","tunnel_batch":{"tunnel_rar_id":"r","batch_id":"B-3","ops":[{"a":"alloc","id":"s","bw":0}]}}`),
-		[]byte(`{"type":"tunnel-batch","tunnel_batch":{"tunnel_rar_id":"r","batch_id":"B-4","ops":[{"a":"alloc","id":"s","bw":-5}]}}`),
-		[]byte(`{"type":"tunnel-batch","tunnel_batch":{"tunnel_rar_id":"","batch_id":"","ops":[]}}`),
-		[]byte(`{"type":"tunnel-batch","tunnel_batch":{"tunnel_rar_id":"r","batch_id":"B-5","ops":[{"a":"flood","id":"s"}]}}`),
-		[]byte(`{"type":"result","id":6,"result":{"granted":false,"batch_results":[{"id":"s1","ok":true},{"id":"s2","err":"no capacity"}]}}`),
-		[]byte(`{"type":"journal-stream","id":7,"journal_stream":{"domain":"DomainA","term":3,"leader_id":1,"from_seq":7,"commit_seq":6,"records":["sQE=","sQI="]}}`),
-		[]byte(`{"type":"journal-stream","id":8,"journal_stream":{"kind":1,"domain":"DomainA","term":4,"leader_id":2,"from_seq":9}}`),
-		[]byte(`{"type":"result","id":9,"result":{"granted":true,"ack_seq":42,"term":3}}`),
-		[]byte(`{"type":"tunnel-batch","tunnel_batch":{"tunnel_rar_id":"r","batch_id":"B-7","ops":[{"a":"all`),
-		[]byte(`{}`),
-		[]byte(`null`),
-		[]byte(`[1,2,3]`),
 		[]byte("\x00\x01\x02"),
 		[]byte(``),
 	}
-	// Binary-frame seeds: each golden frame, plus the malformed shapes
-	// the binary decoder must classify without panicking — torn varints,
+	// Each golden frame, plus the malformed shapes the decoder must
+	// classify without panicking — torn varints, unknown fields,
 	// truncated frames, wrong wire types on known tags, and frames from
 	// the future.
 	for _, g := range goldenMessages() {
 		frame := g.msg.AppendBinary(nil)
 		seeds = append(seeds,
 			frame,
-			frame[:len(frame)-1],             // truncated tail
-			frame[:3],                        // header only, ID missing
-			append(frame[:len(frame):len(frame)], 0x80), // torn trailing varint
+			frame[:len(frame)-1], // truncated tail
+			frame[:3],            // header only, ID missing
+			append(frame[:len(frame):len(frame)], 0x80),       // torn trailing varint
+			append(frame[:len(frame):len(frame)], 0x78, 0x01), // a field this decoder has never heard of
 		)
 	}
 	seeds = append(seeds,

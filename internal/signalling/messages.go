@@ -9,7 +9,6 @@ import (
 	"crypto/ecdsa"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 
 	"e2eqos/internal/envelope"
@@ -66,54 +65,53 @@ const (
 // Message is the wire frame; exactly one payload field is set
 // according to Type.
 type Message struct {
-	Type MsgType `json:"type"`
+	Type MsgType
 	// ID matches responses to requests over a shared connection.
-	ID uint64 `json:"id"`
+	ID uint64
 
-	Reserve       *ReservePayload       `json:"reserve,omitempty"`
-	Cancel        *CancelPayload        `json:"cancel,omitempty"`
-	TunnelAlloc   *TunnelAllocPayload   `json:"tunnel_alloc,omitempty"`
-	TunnelRelease *TunnelReleasePayload `json:"tunnel_release,omitempty"`
-	TunnelBatch   *TunnelBatchPayload   `json:"tunnel_batch,omitempty"`
-	Status        *StatusPayload        `json:"status,omitempty"`
-	Result        *ResultPayload        `json:"result,omitempty"`
-	JournalStream *JournalStreamPayload `json:"journal_stream,omitempty"`
+	Reserve       *ReservePayload
+	Cancel        *CancelPayload
+	TunnelAlloc   *TunnelAllocPayload
+	TunnelRelease *TunnelReleasePayload
+	TunnelBatch   *TunnelBatchPayload
+	Status        *StatusPayload
+	Result        *ResultPayload
+	JournalStream *JournalStreamPayload
 }
 
 // ReservePayload carries the RAR envelope.
 type ReservePayload struct {
-	Mode ReserveMode `json:"mode"`
+	Mode ReserveMode
 	// TraceID, when non-empty, asks every hop on the chain to record
 	// a trace span; the spans come back in the result payload. Empty
 	// disables tracing at zero per-hop cost.
-	TraceID string `json:"trace_id,omitempty"`
+	TraceID string
 	// Sampled marks a flight-recorder pick made by the ingress hop (the
 	// broker that received the RAR from the user). It propagates down
 	// the chain so every hop records the same requests — mid-chain hops
 	// never roll their own dice, which would compound the rate per hop.
-	Sampled bool `json:"sampled,omitempty"`
+	Sampled bool
 	// EnvelopeData is the encoded envelope (RAR_U, RAR_A, ...),
-	// carried as opaque bytes: the envelope's canonical binary
-	// encoding, base64-wrapped when the frame itself travels as JSON.
-	EnvelopeData []byte `json:"envelope"`
+	// carried as opaque bytes: the envelope's canonical binary encoding.
+	EnvelopeData []byte
 	// PathPin is the full domain path the ingress broker selected for
 	// this attempt. Mid-chain hops forward along it instead of running
 	// their own next-hop computation, so a re-routed or split RAR stays
 	// on its edge-disjoint path. Empty means legacy hop-by-hop routing.
 	// Brokers reject it on user-facing channels: only peers pin paths.
-	PathPin []string `json:"path_pin,omitempty"`
+	PathPin []string
 	// Attempt is the ingress re-route attempt index (0 = primary path).
 	// It salts the per-hop idempotency key so a re-routed RAR is not
 	// mistaken for a duplicate at domains shared between paths.
-	Attempt int `json:"attempt,omitempty"`
+	Attempt int
 	// SplitPart / SplitOf / SplitBW describe one child of a reservation
 	// the ingress split across disjoint paths: this child is part
 	// SplitPart of SplitOf and asks for SplitBW bits per second of the
 	// signed total (SplitBW may only reduce the user-signed bandwidth,
 	// never raise it). Zero values mean an unsplit reservation.
-	SplitPart int   `json:"split_part,omitempty"`
-	SplitOf   int   `json:"split_of,omitempty"`
-	SplitBW   int64 `json:"split_bw,omitempty"`
+	SplitPart int
+	SplitOf   int
+	SplitBW   int64
 }
 
 // Envelope decodes the carried envelope.
@@ -123,7 +121,7 @@ func (p *ReservePayload) Envelope() (*envelope.Envelope, error) {
 
 // CancelPayload withdraws the reservation created under RARID.
 type CancelPayload struct {
-	RARID string `json:"rar_id"`
+	RARID string
 }
 
 // TunnelAllocPayload requests a sub-flow of Bandwidth (bits per
@@ -131,16 +129,16 @@ type CancelPayload struct {
 // names the new flow; User identifies the requestor (authenticated by
 // the channel).
 type TunnelAllocPayload struct {
-	TunnelRARID string      `json:"tunnel_rar_id"`
-	SubFlowID   string      `json:"sub_flow_id"`
-	User        identity.DN `json:"user"`
-	Bandwidth   int64       `json:"bandwidth"`
+	TunnelRARID string
+	SubFlowID   string
+	User        identity.DN
+	Bandwidth   int64
 }
 
 // TunnelReleasePayload frees a sub-flow.
 type TunnelReleasePayload struct {
-	TunnelRARID string `json:"tunnel_rar_id"`
-	SubFlowID   string `json:"sub_flow_id"`
+	TunnelRARID string
+	SubFlowID   string
 }
 
 // TunnelOpAction discriminates batch operations.
@@ -156,13 +154,10 @@ const (
 
 // TunnelOp is one alloc or release inside a batch. Bandwidth (bits per
 // second) is required for alloc and ignored for release.
-// The wire keys are deliberately terse: a batch carries hundreds of
-// ops and the arrays dominate the frame, so key bytes are hot-path
-// decode cost, not readability budget.
 type TunnelOp struct {
-	Action    TunnelOpAction `json:"a"`
-	SubFlowID string         `json:"id"`
-	Bandwidth int64          `json:"bw,omitempty"`
+	Action    TunnelOpAction
+	SubFlowID string
+	Bandwidth int64
 }
 
 // TunnelBatchPayload applies Ops, in order, against the tunnel
@@ -170,15 +165,15 @@ type TunnelOp struct {
 // cache: retransmissions with the same BatchID return the recorded
 // outcome instead of re-applying the ops.
 type TunnelBatchPayload struct {
-	TunnelRARID string      `json:"tunnel_rar_id"`
-	BatchID     string      `json:"batch_id"`
-	User        identity.DN `json:"user"`
-	Ops         []TunnelOp  `json:"ops"`
+	TunnelRARID string
+	BatchID     string
+	User        identity.DN
+	Ops         []TunnelOp
 	// TraceID/Sampled carry the source broker's flight-recorder pick to
 	// the far endpoint, so sampled events cover both halves of a batch
 	// under one trace id (same contract as ReservePayload).
-	TraceID string `json:"trace_id,omitempty"`
-	Sampled bool   `json:"sampled,omitempty"`
+	TraceID string
+	Sampled bool
 }
 
 // Validate rejects structurally bad batches before any op is applied.
@@ -217,9 +212,9 @@ func (p *TunnelBatchPayload) Validate() error {
 // TunnelOpResult is the per-op verdict inside a batch result, in the
 // same order as the request's Ops.
 type TunnelOpResult struct {
-	SubFlowID string `json:"id"`
-	Granted   bool   `json:"ok,omitempty"`
-	Reason    string `json:"err,omitempty"`
+	SubFlowID string
+	Granted   bool
+	Reason    string
 }
 
 // NewBatchID mints a random batch identifier.
@@ -233,7 +228,7 @@ func NewBatchID() string {
 
 // StatusPayload queries the reservation created under RARID.
 type StatusPayload struct {
-	RARID string `json:"rar_id"`
+	RARID string
 }
 
 // Journal stream kinds (JournalStreamPayload.Kind).
@@ -258,30 +253,30 @@ const (
 type JournalStreamPayload struct {
 	// Kind discriminates record batches (StreamRecords) from vote
 	// requests (StreamVote).
-	Kind int `json:"kind,omitempty"`
+	Kind int
 	// Domain is the replicated domain; a replica rejects streams for a
 	// domain it does not serve.
-	Domain string `json:"domain"`
+	Domain string
 	// Term is the sender's election term. A receiver with a higher term
 	// answers Granted=false with its own term, fencing the stale leader.
-	Term int64 `json:"term"`
+	Term int64
 	// LeaderID identifies the sending replica (the candidate, for
 	// votes).
-	LeaderID int `json:"leader_id"`
+	LeaderID int
 	// FromSeq is the sequence number the first record in Records
 	// extends (i.e. records cover FromSeq+1 .. FromSeq+len(Records)).
 	// For votes it is the candidate's last applied sequence.
-	FromSeq int64 `json:"from_seq,omitempty"`
+	FromSeq int64
 	// CommitSeq is the group's majority-acknowledged sequence.
-	CommitSeq int64 `json:"commit_seq,omitempty"`
+	CommitSeq int64
 	// Snapshot, when non-empty, is a full broker state snapshot the
 	// follower must install before applying Records; SnapSeq is the
 	// journal sequence it was cut at.
-	Snapshot []byte `json:"snapshot,omitempty"`
-	SnapSeq  int64  `json:"snap_seq,omitempty"`
+	Snapshot []byte
+	SnapSeq  int64
 	// Records are raw journal frames, exactly as they sit in the
 	// leader's WAL.
-	Records [][]byte `json:"records,omitempty"`
+	Records [][]byte
 }
 
 // ResultPayload answers any request. For reserve requests, Approvals
@@ -290,41 +285,41 @@ type JournalStreamPayload struct {
 // policy information and propagates the modified request to the
 // previous intermediate domain BB").
 type ResultPayload struct {
-	Granted bool   `json:"granted"`
-	Reason  string `json:"reason,omitempty"`
+	Granted bool
+	Reason  string
 	// Handle is the local reservation handle in the responding domain.
-	Handle string `json:"handle,omitempty"`
+	Handle string
 	// Approvals accumulate along the return path, destination first.
-	Approvals []DomainApproval `json:"approvals,omitempty"`
+	Approvals []DomainApproval
 	// PolicyInfo carries returned attributes (cost quotes etc.).
-	PolicyInfo map[string]string `json:"policy_info,omitempty"`
+	PolicyInfo map[string]string
 	// TraceID echoes the request's trace id on traced reserves.
-	TraceID string `json:"trace_id,omitempty"`
+	TraceID string
 	// Trace accumulates per-hop spans along the return path,
 	// destination first — the observability analogue of Approvals.
-	Trace []obs.Span `json:"trace,omitempty"`
+	Trace []obs.Span
 	// BatchResults carries the per-op verdicts for a tunnel batch, in
 	// request order. Granted above is the AND of all op verdicts.
-	BatchResults []TunnelOpResult `json:"batch_results,omitempty"`
+	BatchResults []TunnelOpResult
 	// AckSeq acknowledges a journal stream: the highest sequence the
 	// answering follower has applied (and re-journaled). Zero outside
 	// replication traffic.
-	AckSeq int64 `json:"ack_seq,omitempty"`
+	AckSeq int64
 	// Term is the answering replica's election term, echoed so a stale
 	// leader (or candidate) learns it has been superseded.
-	Term int64 `json:"term,omitempty"`
+	Term int64
 }
 
 // DomainApproval is one domain's signed statement about a RAR.
 type DomainApproval struct {
-	Domain  string      `json:"domain"`
-	BBDN    identity.DN `json:"bb_dn"`
-	RARID   string      `json:"rar_id"`
-	Handle  string      `json:"handle"`
-	Granted bool        `json:"granted"`
-	Reason  string      `json:"reason,omitempty"`
+	Domain  string
+	BBDN    identity.DN
+	RARID   string
+	Handle  string
+	Granted bool
+	Reason  string
 	// Signature is the broker's signature over the canonical payload.
-	Signature []byte `json:"signature"`
+	Signature []byte
 }
 
 // approvalPayload is the canonical byte string a domain approval
@@ -360,38 +355,18 @@ func VerifyApproval(a *DomainApproval, pub *ecdsa.PublicKey) error {
 	return nil
 }
 
-// Encode serialises a message in the canonical binary framing. The
-// JSON form remains available through EncodeJSON for the `-wire json`
-// interop mode; DecodeMessage accepts both.
+// Encode serialises a message in the canonical binary framing.
 func (m *Message) Encode() ([]byte, error) {
 	return m.AppendBinary(nil), nil
 }
 
-// EncodeJSON serialises a message in the JSON debug/interop framing.
-func (m *Message) EncodeJSON() ([]byte, error) {
-	data, err := json.Marshal(m)
-	if err != nil {
-		return nil, fmt.Errorf("signalling: encode: %w", err)
-	}
-	return data, nil
-}
-
-// DecodeMessage parses one frame in either encoding, discriminated by
-// the first byte: binary frames start with BinMagic, JSON frames with
-// '{'. The per-connection wire negotiation rests on this — a server
-// answers in whatever encoding the request arrived in.
+// DecodeMessage parses one frame. A frame that does not start with
+// BinMagic is malformed: there is one encoding and nothing is sniffed.
 func DecodeMessage(data []byte) (*Message, error) {
-	if len(data) > 0 && data[0] == BinMagic {
-		return decodeBinary(data)
+	if len(data) < 3 || data[0] != BinMagic {
+		return nil, fmt.Errorf("signalling: not a signalling frame (%d bytes, want leading %#x)", len(data), BinMagic)
 	}
-	var m Message
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("signalling: decode: %w", err)
-	}
-	if m.Type == "" {
-		return nil, fmt.Errorf("signalling: message without type")
-	}
-	return &m, nil
+	return decodeBinary(data)
 }
 
 // NewReserveMessage wraps an envelope for the wire.

@@ -1,7 +1,6 @@
 package signalling
 
 import (
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"runtime/debug"
@@ -150,13 +149,6 @@ func serveConn(conn transport.Conn, h Handler, logger *slog.Logger) {
 		if err != nil {
 			return
 		}
-		// Answer in the encoding the request arrived in: this is the
-		// whole per-connection wire negotiation. A `-wire json` client
-		// only ever sends JSON frames, so it only ever receives them.
-		mode := WireBinary
-		if len(data) == 0 || data[0] != BinMagic {
-			mode = WireJSON
-		}
 		msg, err := DecodeMessage(data)
 		if err != nil {
 			// The transport is message-oriented, so one undecodable body
@@ -165,9 +157,7 @@ func serveConn(conn transport.Conn, h Handler, logger *slog.Logger) {
 			// timing out) and keep serving the other multiplexed calls.
 			logger.Warn("signalling: malformed message body",
 				obs.AttrPeer, string(peer.DN), "err", err)
-			resp := ErrorResult("malformed request: " + err.Error())
-			resp.ID = peekID(data)
-			sendResponse(conn, resp, mode, peer, logger)
+			sendResponse(conn, ErrorResult("malformed request: "+err.Error()), peekID(data), peer, logger)
 			continue
 		}
 		// One goroutine per request: the transport's Send is safe for
@@ -176,32 +166,20 @@ func serveConn(conn transport.Conn, h Handler, logger *slog.Logger) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp := safeHandle(h, peer, msg, logger)
-			if resp == nil {
-				resp = ErrorResult("internal: no response")
-			}
-			// Copy before stamping the ID: handlers may return a shared
-			// message (e.g. a recorded outcome replayed to duplicate
-			// requests), and two requests must not race on its ID field.
-			stamped := *resp
-			stamped.ID = msg.ID
-			sendResponse(conn, &stamped, mode, peer, logger)
+			// The response is encoded under the request's ID, never
+			// stamped with it: handlers may return a shared message (e.g.
+			// a recorded outcome replayed to duplicate requests), and two
+			// requests must not race on its ID field.
+			sendResponse(conn, safeHandle(h, peer, msg, logger), msg.ID, peer, logger)
 		}()
 	}
 }
 
-// sendResponse encodes resp in the request's wire mode on a pooled
-// buffer and sends it, closing the connection on transport failure.
-func sendResponse(conn transport.Conn, resp *Message, mode WireMode, peer Peer, logger *slog.Logger) {
+// sendResponse encodes resp under the request's id on a pooled buffer
+// and sends it, closing the connection on transport failure.
+func sendResponse(conn transport.Conn, resp *Message, id uint64, peer Peer, logger *slog.Logger) {
 	bufp := encBufPool.Get().(*[]byte)
-	out, err := resp.appendWire((*bufp)[:0], mode)
-	if err != nil {
-		encBufPool.Put(bufp)
-		logger.Error("signalling: encoding response failed",
-			obs.AttrPeer, string(peer.DN), "err", err)
-		conn.Close()
-		return
-	}
+	out := resp.appendFrame((*bufp)[:0], id)
 	sendErr := conn.Send(out)
 	*bufp = out[:0]
 	encBufPool.Put(bufp)
@@ -211,9 +189,8 @@ func sendResponse(conn transport.Conn, resp *Message, mode WireMode, peer Peer, 
 }
 
 // peekID extracts the request ID from a frame whose body failed to
-// decode, so the error result reaches the waiting call. Binary frames
-// carry the ID right after the fixed header; for JSON a lenient
-// partial decode is attempted. Zero (no waiter) when nothing can be
+// decode, so the error result reaches the waiting call: the ID sits
+// right after the fixed header. Zero (no waiter) when nothing can be
 // recovered — the peer's call then times out instead of failing fast,
 // which is safe, just slower.
 func peekID(data []byte) uint64 {
@@ -222,21 +199,15 @@ func peekID(data []byte) uint64 {
 		if id := d.Uvarint(); d.Err() == nil {
 			return id
 		}
-		return 0
 	}
-	var hdr struct {
-		ID uint64 `json:"id"`
-	}
-	if err := json.Unmarshal(data, &hdr); err != nil {
-		return 0
-	}
-	return hdr.ID
+	return 0
 }
 
 // safeHandle dispatches one request, converting a handler panic into
 // a logged error (with stack trace) and a denied result instead of
 // silently killing the connection's goroutine — a poisoned request
 // must not take the whole server down, and the operator must see it.
+// A handler that returns nothing is answered for the same way.
 func safeHandle(h Handler, peer Peer, msg *Message, logger *slog.Logger) (resp *Message) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -248,7 +219,10 @@ func safeHandle(h Handler, peer Peer, msg *Message, logger *slog.Logger) (resp *
 			resp = ErrorResult("internal: handler panic")
 		}
 	}()
-	return h.Handle(peer, msg)
+	if resp = h.Handle(peer, msg); resp == nil {
+		resp = ErrorResult("internal: no response")
+	}
+	return resp
 }
 
 // ErrorResult builds a denied/failed result message.
@@ -277,11 +251,6 @@ type Client struct {
 	// response) when positive; zero waits forever. It may be set any
 	// time before the first call.
 	Timeout time.Duration
-
-	// Wire selects the frame encoding for outbound requests (the
-	// server mirrors it per request). Set before the first call;
-	// the zero value is the binary hot path, WireJSON the debug mode.
-	Wire WireMode
 
 	sendMu sync.Mutex // serializes Send and send-deadline handling
 
@@ -441,19 +410,12 @@ func (c *Client) CallTimeout(msg *Message, timeout time.Duration) (*Message, err
 	c.waiters[id] = ch
 	c.mu.Unlock()
 
-	// Copy before assigning the ID: the caller may reuse msg across
-	// clients or retries, and a shared mutation would corrupt the
-	// request/response matching of concurrent calls.
-	m := *msg
-	m.ID = id
+	// Encoded under this call's ID without touching msg: the caller may
+	// reuse it across clients or retries, and a shared mutation would
+	// corrupt the request/response matching of concurrent calls.
 	bufp := encBufPool.Get().(*[]byte)
-	data, err := m.appendWire((*bufp)[:0], c.Wire)
-	if err != nil {
-		encBufPool.Put(bufp)
-		c.unregister(id)
-		return nil, err
-	}
-	err = c.send(data, timeout)
+	data := msg.appendFrame((*bufp)[:0], id)
+	err := c.send(data, timeout)
 	*bufp = data[:0]
 	encBufPool.Put(bufp)
 	if err != nil {

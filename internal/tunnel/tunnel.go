@@ -195,8 +195,8 @@ func (e *Endpoint) SubFlows() []string {
 
 // SubFlow is one live allocation in a snapshot.
 type SubFlow struct {
-	ID        string          `json:"id"`
-	Bandwidth units.Bandwidth `json:"bandwidth"`
+	ID        string
+	Bandwidth units.Bandwidth
 }
 
 // EndpointSnapshot is the persisted form of an endpoint. Sub-flows are
@@ -204,14 +204,14 @@ type SubFlow struct {
 // holding the same state marshal to identical bytes — the property the
 // crash-recovery tests assert on.
 type EndpointSnapshot struct {
-	RARID     string          `json:"rar_id"`
-	Aggregate units.Bandwidth `json:"aggregate"`
-	Window    units.Window    `json:"window"`
-	PeerBB    identity.DN     `json:"peer_bb"`
-	Owner     identity.DN     `json:"owner"`
-	Epoch     int64           `json:"epoch"`
-	Gen       int64           `json:"gen"`
-	SubFlows  []SubFlow       `json:"sub_flows,omitempty"`
+	RARID     string
+	Aggregate units.Bandwidth
+	Window    units.Window
+	PeerBB    identity.DN
+	Owner     identity.DN
+	Epoch     int64
+	Gen       int64
+	SubFlows  []SubFlow
 }
 
 // Snapshot captures a consistent point-in-time view: all shard locks

@@ -13,7 +13,31 @@
 // which is what lets envelope signatures cover encoded bytes directly.
 package wire
 
-import "time"
+import (
+	"errors"
+	"fmt"
+	"sort"
+	"time"
+)
+
+// ErrUnsupportedFormat reports input that arrived whole but is not in
+// the one encoding this build reads and writes: a stored or signed
+// value whose leading magic and version bytes are not the expected
+// pair. State written by a build from before the binary codec (JSON,
+// leading '{') and by a build from the future both land here. Nothing
+// falls back to another decoder, and the journal does not mistake it
+// for the torn tail of a crash.
+var ErrUnsupportedFormat = errors.New("unsupported format")
+
+// Header checks the magic and version bytes a top-level encoding starts
+// with and returns what follows them.
+func Header(data []byte, magic, version byte) ([]byte, error) {
+	if len(data) < 2 || data[0] != magic || data[1] != version {
+		return nil, fmt.Errorf("%w: starts % x, want %02x %02x",
+			ErrUnsupportedFormat, data[:min(len(data), 2)], magic, version)
+	}
+	return data[2:], nil
+}
 
 // Wire types. Only two exist: everything is either a varint or bytes.
 const (
@@ -129,6 +153,32 @@ func DecodeTime(b []byte) time.Time {
 	return time.Unix(sec, int64(nsec)).UTC()
 }
 
+// AppendStringMap appends m as repeated field entries, each a nested
+// (uvarint length, key, uvarint length, value) pair, in ascending key
+// order so equal maps encode to equal bytes. An empty map costs nothing;
+// a non-empty one allocates the sorted key slice.
+func AppendStringMap(buf []byte, field uint32, m map[string]string) []byte {
+	if len(m) == 0 {
+		return buf
+	}
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		var start int
+		buf, start = BeginNested(buf, field)
+		buf = AppendUvarint(buf, uint64(len(k)))
+		buf = append(buf, k...)
+		v := m[k]
+		buf = AppendUvarint(buf, uint64(len(v)))
+		buf = append(buf, v...)
+		buf = EndNested(buf, start)
+	}
+	return buf
+}
+
 // BeginNested opens a length-delimited nested message for field,
 // returning the buffer and the offset where the nested content starts.
 // The caller appends the nested fields, then calls EndNested with the
@@ -146,7 +196,7 @@ func EndNested(buf []byte, start int) []byte {
 	n := len(buf) - start
 	var tmp [maxVarintLen]byte
 	ln := len(AppendUvarint(tmp[:0], uint64(n)))
-	buf = append(buf, tmp[:ln]...)       // grow by the prefix size
+	buf = append(buf, tmp[:ln]...)           // grow by the prefix size
 	copy(buf[start+ln:], buf[start:start+n]) // shift the nested content right
 	copy(buf[start:], tmp[:ln])
 	return buf
@@ -242,6 +292,16 @@ func (d *Dec) Bytes() []byte {
 
 // String reads one length-delimited field as a string (one allocation).
 func (d *Dec) String() string { return string(d.Bytes()) }
+
+// StringPair reads one AppendStringMap entry.
+func (d *Dec) StringPair() (k, v string) {
+	sub := Dec{Buf: d.Bytes()}
+	k, v = sub.String(), sub.String()
+	if sub.err != nil && d.err == nil {
+		d.err = sub.err
+	}
+	return k, v
+}
 
 // Rest returns every byte not yet consumed (nil after an error). The
 // journal's record framing uses it: the final field of a record is the

@@ -10,7 +10,8 @@
 #                          subsets of that last step, kept for quick local
 #                          runs; verify does not repeat them
 #   make race-concurrency  fast -race smoke over the multiplexed-client
-#                          and broker concurrency tests only
+#                          (calls, posts, the per-connection request
+#                          workers) and broker concurrency tests only
 #   make race-recovery     journal, crash-replay and broker recovery
 #                          tests under -race (the durability layer's
 #                          correctness battery)
@@ -30,8 +31,11 @@
 #                          handlers and the tunnel crash-recovery tests
 #   make race-replication  replica-group battery under -race: journal
 #                          streaming unit tests, follower convergence,
-#                          and the randomized leader-kill/promote
-#                          failover property suite
+#                          the randomized leader-kill/promote failover
+#                          property suite, the pipelined stream under
+#                          scripted frame/ack faults with the checks a
+#                          follower makes pinned one by one, and the
+#                          signalling layer under it (Post, workers)
 #   make race-fleet        scenario-fleet smoke tier under -race: all four
 #                          scenario families (diurnal, flash crowd, churn,
 #                          misreservation) at reduced population plus the
@@ -67,7 +71,9 @@
 #   make bench-wire        signalling frame encode and decode on the
 #                          batch-64 frame with -benchmem, after the
 #                          allocation gates (which pin the encode arm at
-#                          zero allocations)
+#                          zero allocations), and one request/response
+#                          on a warm connection (newstack-seen must read
+#                          0: request goroutines keep their stacks)
 #   make bench-concurrency reserve throughput vs parallel requesters
 #                          (the numbers recorded in BENCH_concurrency.json)
 #   make bench-subflow     sub-flow admission throughput, per-RPC vs
@@ -80,7 +86,9 @@
 #                          (the numbers recorded in BENCH_obs.json)
 #   make bench-replication end-to-end admission, unreplicated vs a
 #                          3-replica commit-gated group (the numbers
-#                          recorded in BENCH_replication.json)
+#                          recorded in BENCH_replication.json), then the
+#                          commit gate alone: one append carried to a
+#                          majority commit, with -benchmem
 #   make bench-fleet       full scenario fleet at 100k users; regenerates
 #                          BENCH_scale.json (grant-latency and goodput
 #                          p50/p99/p999 per scenario)
@@ -107,7 +115,7 @@ alloc-gate:
 	$(GO) test -run 'AllocationFree' ./internal/signalling ./internal/journal ./internal/obs ./internal/resv ./internal/core
 
 race-concurrency:
-	$(GO) test -race -run 'Concurrent' ./internal/signalling ./internal/bb
+	$(GO) test -race -run 'Concurrent|Worker|Post' ./internal/signalling ./internal/bb
 
 race-recovery:
 	$(GO) test -race ./internal/journal
@@ -119,7 +127,8 @@ race-subflow:
 
 race-replication:
 	$(GO) test -race -run 'Stream' ./internal/journal
-	$(GO) test -race -run 'Replicat|Failover' ./internal/bb
+	$(GO) test -race -run 'Replicat|Failover|Stream|Pipelin' ./internal/bb
+	$(GO) test -race -run 'Post|Worker' ./internal/signalling
 
 race-fleet:
 	$(GO) test -race -run 'Fleet' ./internal/experiment
@@ -156,7 +165,7 @@ bench-chain:
 	$(GO) test -run NONE -bench 'TrustChainVerify' -benchmem .
 
 bench-wire: alloc-gate
-	$(GO) test -run NONE -bench 'BenchmarkCodec' -benchmem ./internal/signalling
+	$(GO) test -run NONE -bench 'BenchmarkCodec|BenchmarkServeRoundTrip' -benchmem ./internal/signalling
 
 bench-concurrency:
 	$(GO) test -run NONE -bench 'ConcurrentReserveChain' -benchtime 2s .
@@ -169,6 +178,7 @@ bench-obs:
 
 bench-replication:
 	$(GO) test -run NONE -bench 'ReplicatedAdmit' -benchtime 500x -count 3 .
+	$(GO) test -run NONE -bench 'ReplCommitGate' -benchtime 20000x -count 3 -benchmem ./internal/bb
 
 bench-fleet:
 	$(GO) run ./cmd/experiments -exp fleet -fleet-users 100000 -fleet-bench BENCH_scale.json

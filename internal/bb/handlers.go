@@ -64,12 +64,15 @@ func (t *tunnelRegistry) begin(rarID, batchID string, epoch int64) (st *batchSta
 	return st, false
 }
 
-// settle records a batch outcome and releases any waiting duplicates.
-func (t *tunnelRegistry) settle(st *batchState, outcome *signalling.Message) {
+// record stores a batch's outcome ahead of the journal append that
+// carries it, as a reserve stores its own: a snapshot cut between the
+// append and the settle reflects the batch's ops, and a follower
+// installing it never gets the record itself, so the replay entry has
+// to be in that snapshot too. Duplicates still wait for done.
+func (t *tunnelRegistry) record(st *batchState, outcome *signalling.Message) {
 	t.mu.Lock()
 	st.outcome = outcome
 	t.mu.Unlock()
-	close(st.done)
 }
 
 // outcomeOf reads a settled outcome (nil while in flight).
@@ -1268,12 +1271,14 @@ func (b *BB) handleTunnelBatch(peer signalling.Peer, payload *signalling.TunnelB
 		resp.Result.BatchResults = results
 		resp.Result.Reason = fmt.Sprintf("%s: %d/%d ops denied", b.cfg.Domain, denied, len(results))
 	}
-	// Journal the outcome before releasing duplicate waiters, so a
-	// retransmission never observes an unjournaled application — and,
-	// in a replica group, withhold it until a majority holds the record.
+	// Record the outcome, then journal it before releasing duplicate
+	// waiters, so a retransmission never observes an unjournaled
+	// application — and, in a replica group, withhold it until a
+	// majority holds the record.
+	b.tunnels.record(st, resp)
 	b.journalTunnelBatch(ep, payload.BatchID, applied, resp)
 	b.replWaitCommit()
-	b.tunnels.settle(st, resp)
+	close(st.done)
 	b.m.tunnelBatches.Inc()
 	b.m.tunnelBatchSeconds.ObserveSince(t0)
 	verdict := obs.VerdictGranted

@@ -54,6 +54,7 @@ type bbMetrics struct {
 	replSnapshotsInstalled *obs.Counter // catch-up snapshots installed (follower side)
 	replAcks               *obs.Counter // follower acknowledgements processed
 	replStreamErrors       *obs.Counter // stream transport/apply failures (either side)
+	replStreamResyncs      *obs.Counter // established streams restarted from a snapshot (leader side)
 	replElections          *obs.Counter // elections won by this replica
 	replRedirects          *obs.Counter // mutating requests redirected to the leader
 	replCommitTimeouts     *obs.Counter // settles that proceeded without majority ack
@@ -122,6 +123,7 @@ func newBBMetrics(r *obs.Registry) bbMetrics {
 		replSnapshotsInstalled: r.Counter("bb_repl_snapshots_installed_total", "replication catch-up snapshots installed by this follower"),
 		replAcks:               r.Counter("bb_repl_acks_total", "follower stream acknowledgements processed by the leader"),
 		replStreamErrors:       r.Counter("bb_repl_stream_errors_total", "replication stream transport or apply failures"),
+		replStreamResyncs:      r.Counter("bb_repl_stream_resyncs_total", "pipelined follower streams torn down and restarted from a snapshot (the cause is in the log)"),
 		replElections:          r.Counter("bb_repl_elections_total", "replica-group elections won by this broker"),
 		replRedirects:          r.Counter("bb_repl_redirects_total", "mutating requests redirected from this follower to the leader"),
 		replCommitTimeouts:     r.Counter("bb_repl_commit_timeouts_total", "settlements that proceeded after the majority-ack wait timed out"),
@@ -175,6 +177,8 @@ func (b *BB) registerGauges(r *obs.Registry) {
 			func() float64 { return float64(b.ReplicationStatus().CommitSeq) })
 		r.GaugeFunc("bb_repl_applied_seq", "highest streamed journal sequence applied by this follower",
 			func() float64 { return float64(b.ReplicationStatus().AppliedSeq) })
+		r.GaugeFunc("bb_repl_inflight_frames", "stream messages written to followers and not yet acknowledged",
+			func() float64 { return float64(b.repl.inflight.Load()) })
 		r.GaugeFunc("bb_repl_lag_records", "journal records not yet majority-acknowledged (leader) or not yet applied (follower)",
 			func() float64 {
 				s := b.ReplicationStatus()

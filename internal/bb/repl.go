@@ -2,9 +2,10 @@ package bb
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"e2eqos/internal/journal"
@@ -42,6 +43,11 @@ const (
 	// replHeartbeat paces empty stream messages on an idle group: they
 	// assert the leader's term and share the commit sequence.
 	replHeartbeat = 100 * time.Millisecond
+	// replEagerDelay is how long the pump leaves an append for the next
+	// settle to take along before sending it on its own: one group-commit
+	// window, so a record nobody waits for reaches the followers no later
+	// than it reaches the local disk under the batch policy.
+	replEagerDelay = journal.DefBatchInterval
 	// replRedialBackoff is the pause before a pump redials a follower
 	// it could not reach.
 	replRedialBackoff = 20 * time.Millisecond
@@ -76,15 +82,20 @@ type replicator struct {
 	leaderID   int // -1 while unknown
 	appliedSeq int64
 	commitSeq  int64
-	acks       map[int]int64 // leader: highest seq acked per follower
+	streams    []*stream     // leader: one per follower, for this term
 	pumpStop   chan struct{} // non-nil while leading
 	closed     bool
 	lastHeard  time.Time // follower: last leader contact, for auto-election
 
 	pumpWG sync.WaitGroup
+	// inflight counts stream messages written and not yet answered,
+	// over every follower (the bb_repl_inflight_frames gauge).
+	inflight atomic.Int64
 
-	// applyMu serializes stream application on a follower (the leader
-	// retries on a lost ack, so two copies of a message may race).
+	// applyMu serializes stream application on a follower and guards
+	// writes to appliedSeq: one connection's messages arrive in order on
+	// its reader, but a redialled stream, or a new leader's, may overlap
+	// the tail of the old one.
 	applyMu sync.Mutex
 	// resvApply replays reservation-table records in stream order,
 	// tolerating the emission inversions batch recovery tolerates.
@@ -106,7 +117,6 @@ func newReplicator(b *BB) *replicator {
 		id:         b.cfg.ReplicaID,
 		addrs:      b.cfg.ReplicaAddrs,
 		leaderID:   -1,
-		acks:       make(map[int]int64),
 		resvApply:  resv.NewStreamReplayer(b.table),
 		pendingOps: make(map[string][]tunnelOpRecord),
 		appliedSeq: b.journal.Seq(),
@@ -146,17 +156,21 @@ func (r *replicator) close() {
 	r.pumpWG.Wait()
 }
 
-// startPumpsLocked launches one streaming pump per follower. Caller
-// holds r.mu (or owns r exclusively, during construction).
+// startPumpsLocked opens this term's stream to every follower and
+// launches its pump. Caller holds r.mu (or owns r exclusively, during
+// construction).
 func (r *replicator) startPumpsLocked() {
 	stop := make(chan struct{})
 	r.pumpStop = stop
+	r.streams = nil
 	for id := range r.addrs {
 		if id == r.id {
 			continue
 		}
+		s := &stream{r: r, id: id, term: r.term, sent: -1, kick: make(chan struct{}, 1)}
+		r.streams = append(r.streams, s)
 		r.pumpWG.Add(1)
-		go r.pump(id, stop)
+		go s.pump(stop)
 	}
 }
 
@@ -262,157 +276,272 @@ func streamReply(granted bool, ack, term int64) *signalling.Message {
 }
 
 // ---------------------------------------------------------------------
-// Leader side: pumps, acknowledgements, group commit.
+// Leader side: the pipelined stream, acknowledgements, group commit.
 
-// pump is the leader's streaming loop toward one follower. It owns a
-// dedicated client (never the DN-keyed pool — every replica shares the
-// domain DN) and tracks the follower's acknowledged sequence. An
-// unknown or lost position resyncs with a snapshot; everything after
-// streams incrementally off the journal's in-memory tail.
-func (r *replicator) pump(id int, stop chan struct{}) {
-	defer r.pumpWG.Done()
-	b := r.b
-	var client *signalling.Client
-	defer func() {
-		if client != nil {
-			client.Close()
+// stream is the leader's journal stream to one follower for one term:
+// a pipeline of MsgJournalStream messages on a dedicated client (never
+// the DN-keyed pool — every replica shares the domain DN), each
+// splicing onto the one before it, none waiting for the previous
+// answer. Three parties touch it. Whoever has records to get out writes
+// them: the goroutine settling a reserve, cancel or tunnel batch
+// (replWaitCommit) and, for appends nobody settles soon, the pump.
+// The client's demux goroutine folds each answer into commitSeq
+// (onAck). The pump alone does what takes time or a timer: dial, cut
+// the snapshot a new or refused connection starts from, heartbeat an
+// idle group, and give up on a connection whose oldest unanswered
+// message is older than a call may be.
+type stream struct {
+	r    *replicator
+	id   int
+	term int64
+	// acked is the highest sequence the follower acknowledged (r.mu).
+	acked int64
+	// kick tells the pump the stream has to start over, so the redial or
+	// the snapshot does not wait for the next tick.
+	kick chan struct{}
+
+	// mu admits one writer at a time and guards the fields below. Only
+	// writers take it — never the demux goroutine, which a writer
+	// blocked in a send may be waiting on.
+	mu   sync.Mutex
+	conn *streamConn // nil while down
+	// sent is the highest sequence written to conn; -1 means a snapshot
+	// goes first (a new connection, or one that fell off the tail).
+	sent int64
+	// quiet is set by every pump tick and cleared by every message: a
+	// tick that finds it still set heartbeats.
+	quiet bool
+}
+
+// streamConn is one connection's worth of a stream. A refusal, a lost
+// connection or an overdue answer condemns the connection and every
+// message still in flight on it; the next one starts from a snapshot.
+type streamConn struct {
+	s      *stream
+	client *signalling.Client
+	ack    func(*signalling.Message) // onAck, bound once
+	dead   atomic.Bool
+}
+
+// fail condemns the connection (once), names the cause, and wakes the
+// pump to start over. Safe from any goroutine; takes no stream lock.
+func (c *streamConn) fail(cause string) {
+	if c.dead.Swap(true) {
+		return
+	}
+	c.s.r.b.m.replStreamErrors.Inc()
+	c.client.Close()
+	c.s.resync(cause)
+}
+
+// resync counts one restart-from-snapshot of an established stream and
+// hands it to the pump.
+func (s *stream) resync(cause string) {
+	s.r.b.m.replStreamResyncs.Inc()
+	s.r.b.log.Warn("replication: stream restarts from a snapshot", "replica", s.id, "cause", cause)
+	select {
+	case s.kick <- struct{}{}:
+	default:
+	}
+}
+
+// onAck is the response callback of every message posted on c: it runs
+// on the client's demux goroutine in the order the follower answered,
+// or with nil once the client has died.
+func (c *streamConn) onAck(resp *signalling.Message) {
+	r := c.s.r
+	r.inflight.Add(-1)
+	switch {
+	case resp == nil:
+		c.fail("connection lost")
+	case resp.Result == nil:
+		c.fail("malformed acknowledgement")
+	case resp.Result.Granted:
+		r.noteAck(c.s, resp.Result.AckSeq)
+	case resp.Result.Term > c.s.term:
+		// A higher term exists: this leadership is over.
+		r.observeTerm(resp.Result.Term, -1)
+	default:
+		// The follower could not splice or apply the message, so it will
+		// refuse everything queued behind it too.
+		c.fail("refusal")
+	}
+}
+
+// post writes one stream message on c. Caller holds s.mu.
+func (s *stream) post(c *streamConn, p *signalling.JournalStreamPayload) bool {
+	r := s.r
+	p.Domain, p.Term, p.LeaderID = r.b.cfg.Domain, s.term, r.id
+	r.mu.Lock()
+	p.CommitSeq = r.commitSeq
+	r.mu.Unlock()
+	r.inflight.Add(1)
+	msg := &signalling.Message{Type: signalling.MsgJournalStream, JournalStream: p}
+	if err := c.client.Post(msg, r.callTimeout(), c.ack); err != nil {
+		r.inflight.Add(-1)
+		c.fail("send failure")
+		return false
+	}
+	s.quiet = false
+	return true
+}
+
+// flushLocked writes whatever the journal holds past s.sent, in order.
+// A stream that is down or owes a snapshot is left to the pump. Caller
+// holds s.mu.
+func (s *stream) flushLocked() {
+	c := s.conn
+	if c == nil || c.dead.Load() || s.sent < 0 {
+		return
+	}
+	b := s.r.b
+	recs, ok := b.journal.TailSince(s.sent)
+	if !ok {
+		// Fell off the in-memory tail. The connection is sound and what
+		// is in flight on it is in order, so the snapshot queues behind.
+		s.sent = -1
+		s.resync("fell off the tail")
+		return
+	}
+	for len(recs) > 0 {
+		n := min(len(recs), replBatchRecords)
+		frames := make([][]byte, n)
+		for i, sr := range recs[:n] {
+			frames[i] = sr.Frame
 		}
-	}()
-	acked := int64(-1) // unknown follower position: snapshot first
-	for {
-		select {
-		case <-stop:
+		if !s.post(c, &signalling.JournalStreamPayload{FromSeq: s.sent, Records: frames}) {
 			return
-		default:
 		}
+		b.m.replRecordsStreamed.Add(int64(n))
+		s.sent = recs[n-1].Seq
+		recs = recs[n:]
+	}
+}
+
+// maintain is the pump's turn at the stream: retire a condemned or
+// overdue connection, dial and snapshot a new one, write the tail,
+// heartbeat on a quiet tick. It reports false when the pump should back
+// off before trying again.
+func (s *stream) maintain(tick bool) bool {
+	r, b := s.r, s.r.b
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if c := s.conn; c != nil {
+		if tick {
+			if at, ok := c.client.OldestPost(); ok && time.Since(at) > r.callTimeout() {
+				c.fail("ack timeout")
+			}
+		}
+		if c.dead.Load() {
+			s.conn = nil
+			return false
+		}
+	}
+	if s.conn == nil {
+		client, err := r.dialReplica(s.id)
+		if err != nil {
+			return false
+		}
+		c := &streamConn{s: s, client: client}
+		c.ack = c.onAck
+		// A reconnected follower may have restarted: snapshot first.
+		s.conn, s.sent = c, -1
+	}
+	if s.sent < 0 {
+		data, seq, err := b.journal.SnapshotWith(b.snapshotState)
+		if err != nil {
+			b.log.Error("replication: snapshot for follower failed", "replica", s.id, "err", err)
+			return false
+		}
+		if !s.post(s.conn, &signalling.JournalStreamPayload{Snapshot: data, SnapSeq: seq}) {
+			return false
+		}
+		b.m.replSnapshotsSent.Inc()
+		s.sent = seq
+	}
+	s.flushLocked()
+	if tick {
+		// The heartbeat doubles as the term assert and commit-sequence
+		// share on an idle group.
+		if s.quiet && s.sent >= 0 {
+			s.post(s.conn, &signalling.JournalStreamPayload{FromSeq: s.sent})
+		}
+		s.quiet = true
+	}
+	return true
+}
+
+// pump runs the stream until this term's leadership ends.
+func (s *stream) pump(stop chan struct{}) {
+	r := s.r
+	defer r.pumpWG.Done()
+	defer func() {
+		s.mu.Lock()
+		if c := s.conn; c != nil {
+			c.dead.Store(true) // an ending, not a failure: nothing to count
+			c.client.Close()
+			s.conn = nil
+		}
+		s.mu.Unlock()
+	}()
+	ticker := time.NewTicker(min(replHeartbeat, r.callTimeout()))
+	defer ticker.Stop()
+	tick := false
+	for {
 		r.mu.Lock()
-		leading := r.role == replLeader && !r.closed
-		term := r.term
-		commit := r.commitSeq
+		leading := r.role == replLeader && r.term == s.term && !r.closed
 		r.mu.Unlock()
 		if !leading {
 			return
 		}
-
-		if client == nil {
-			c, err := r.dialReplica(id)
-			if err != nil {
-				if !sleepOrStop(stop, replRedialBackoff) {
-					return
-				}
-				continue
-			}
-			client = c
-			acked = -1 // a reconnected follower may have restarted
-		}
-
 		// Arm the change notification before reading the tail, so an
-		// append racing the read wakes the idle wait below.
-		changed := b.journal.Changes()
-		var msg *signalling.Message
-		if acked < 0 {
-			data, seq, err := b.journal.SnapshotWith(b.snapshotState)
-			if err != nil {
-				b.log.Error("replication: snapshot for follower failed", "replica", id, "err", err)
-				if !sleepOrStop(stop, replRedialBackoff) {
-					return
-				}
-				continue
-			}
-			msg = &signalling.Message{Type: signalling.MsgJournalStream, JournalStream: &signalling.JournalStreamPayload{
-				Domain: b.cfg.Domain, Term: term, LeaderID: r.id,
-				Snapshot: data, SnapSeq: seq, CommitSeq: commit,
-			}}
-			b.m.replSnapshotsSent.Inc()
-		} else {
-			recs, ok := b.journal.TailSince(acked)
-			if !ok {
-				acked = -1 // fell off the tail: resync
-				continue
-			}
-			if len(recs) == 0 {
-				// Caught up: wait for an append, a heartbeat tick, or
-				// shutdown. The heartbeat doubles as the term assert and
-				// commit-sequence share on an idle group.
-				hb := time.NewTimer(replHeartbeat)
-				select {
-				case <-stop:
-					hb.Stop()
-					return
-				case <-changed:
-					hb.Stop()
-					continue
-				case <-hb.C:
-				}
-			}
-			if len(recs) > replBatchRecords {
-				recs = recs[:replBatchRecords]
-			}
-			frames := make([][]byte, len(recs))
-			for i, sr := range recs {
-				frames[i] = sr.Frame
-			}
-			msg = &signalling.Message{Type: signalling.MsgJournalStream, JournalStream: &signalling.JournalStreamPayload{
-				Domain: b.cfg.Domain, Term: term, LeaderID: r.id,
-				FromSeq: acked, Records: frames, CommitSeq: commit,
-			}}
-			if n := len(frames); n > 0 {
-				b.m.replRecordsStreamed.Add(int64(n))
-			}
-		}
-
-		resp, err := client.CallTimeout(msg, r.callTimeout())
-		if err != nil {
-			b.m.replStreamErrors.Inc()
-			client.Close()
-			client = nil
+		// append racing the read wakes the wait below.
+		changed := r.b.journal.Changes()
+		ok := s.maintain(tick)
+		tick = false
+		if !ok {
 			if !sleepOrStop(stop, replRedialBackoff) {
 				return
 			}
 			continue
 		}
-		res := resp.Result
-		if res == nil {
-			b.m.replStreamErrors.Inc()
-			continue
-		}
-		if !res.Granted {
-			if res.Term > term {
-				// A higher term exists: this leadership is over.
-				r.observeTerm(res.Term, -1)
+		select {
+		case <-stop:
+			return
+		case <-changed:
+			// Most appends are settled moments later, and the settle
+			// writes them (one message, not two). The pump sends only what
+			// is still unsent a little later.
+			if !sleepOrStop(stop, replEagerDelay) {
 				return
 			}
-			// The follower refused the batch (gap, apply failure):
-			// resync from a snapshot.
-			acked = -1
-			continue
+		case <-s.kick:
+		case <-ticker.C:
+			tick = true
 		}
-		acked = res.AckSeq
-		r.noteAck(id, acked)
 	}
 }
 
 // noteAck records a follower acknowledgement and recomputes the group
 // commit sequence: the median of {leader's own sequence} ∪ follower
 // acks — the highest sequence held by a majority.
-func (r *replicator) noteAck(id int, seq int64) {
+func (r *replicator) noteAck(s *stream, seq int64) {
 	b := r.b
-	own := b.journal.Seq()
+	var buf [8]int64 // on the stack for any group of up to eight
+	seqs := append(buf[:0], b.journal.Seq())
 	r.mu.Lock()
-	if seq > r.acks[id] {
-		r.acks[id] = seq
-	}
-	seqs := make([]int64, 0, len(r.addrs))
-	seqs = append(seqs, own)
-	for rid := range r.addrs {
-		if rid != r.id {
-			seqs = append(seqs, r.acks[rid])
+	if r.role == replLeader && r.term == s.term {
+		if seq > s.acked {
+			s.acked = seq
 		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
-	if commit := seqs[len(seqs)/2]; commit > r.commitSeq {
-		r.commitSeq = commit
-		r.commitCond.Broadcast()
+		for _, f := range r.streams {
+			seqs = append(seqs, f.acked)
+		}
+		slices.Sort(seqs)
+		if commit := seqs[(len(seqs)-1)/2]; commit > r.commitSeq {
+			r.commitSeq = commit
+			r.commitCond.Broadcast()
+		}
 	}
 	r.mu.Unlock()
 	b.m.replAcks.Inc()
@@ -420,7 +549,9 @@ func (r *replicator) noteAck(id int, seq int64) {
 
 // replWaitCommit blocks a leader's settle path until the broker's own
 // journal sequence — covering every record the settlement depends on —
-// is majority-acknowledged, bounded by replCommitTimeout. On an
+// is majority-acknowledged, bounded by replCommitTimeout. The settling
+// goroutine writes the unsent journal tail to every follower itself,
+// then waits for the demux goroutines to fold the answers in. On an
 // unreplicated broker, a follower (the settle raced a step-down), or a
 // timeout (counted: the group is degraded, keep serving) it returns
 // immediately; the outcome the caller settles is then durable locally
@@ -432,6 +563,22 @@ func (b *BB) replWaitCommit() {
 		return
 	}
 	target := b.journal.Seq()
+	r.mu.Lock()
+	if r.commitSeq >= target || r.role != replLeader || r.closed {
+		r.mu.Unlock()
+		return
+	}
+	streams := r.streams
+	r.mu.Unlock()
+	for _, s := range streams {
+		// A stream someone else is writing — another settle, or the pump
+		// mid-dial — is not waited for: the append that set target also
+		// woke the pump, which sends whatever that writer misses.
+		if s.mu.TryLock() {
+			s.flushLocked()
+			s.mu.Unlock()
+		}
+	}
 	timedOut := false
 	timer := time.AfterFunc(replCommitTimeout, func() {
 		r.mu.Lock()
@@ -499,57 +646,60 @@ func (r *replicator) handleStream(p *signalling.JournalStreamPayload) *signallin
 
 	r.applyMu.Lock()
 	defer r.applyMu.Unlock()
-	if len(p.Snapshot) > 0 {
-		if err := r.installSnapshot(p.Snapshot, p.SnapSeq); err != nil {
-			b.m.replStreamErrors.Inc()
-			b.log.Error("replication: snapshot install failed", "err", err)
-			return streamReply(false, r.applied(), term)
-		}
+	applied, err := r.applyMessage(p, r.appliedSeq)
+	if applied != r.appliedSeq {
+		r.mu.Lock()
+		r.appliedSeq = applied
+		r.mu.Unlock()
 	}
-	if len(p.Records) > 0 {
-		if p.FromSeq != r.applied() {
-			// Gap or replayed batch we cannot splice: ask for resync.
-			return streamReply(false, r.applied(), term)
-		}
-		for _, frame := range p.Records {
-			if err := r.applyFrame(frame); err != nil {
-				b.m.replStreamErrors.Inc()
-				b.log.Error("replication: record apply failed", "seq", r.applied()+1, "err", err)
-				return streamReply(false, r.applied(), term)
-			}
-			r.setApplied(r.applied() + 1)
-			b.m.replRecordsApplied.Inc()
-		}
+	if err != nil {
+		// Refused: the leader restarts the stream from a snapshot.
+		b.m.replStreamErrors.Inc()
+		b.log.Error("replication: stream message refused", "applied", applied, "err", err)
+		return streamReply(false, applied, term)
 	}
 	b.maybeCheckpoint()
-	return streamReply(true, r.applied(), term)
+	return streamReply(true, applied, term)
 }
 
-func (r *replicator) applied() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.appliedSeq
+// applyMessage installs the message's snapshot, if any, then applies its
+// frames in order on top of applied, and returns the sequence reached —
+// short of the message's end when it stops at an error. Caller holds
+// applyMu.
+func (r *replicator) applyMessage(p *signalling.JournalStreamPayload, applied int64) (int64, error) {
+	if len(p.Snapshot) > 0 {
+		if err := r.installSnapshot(p.Snapshot); err != nil {
+			return applied, fmt.Errorf("installing snapshot: %w", err)
+		}
+		applied = p.SnapSeq
+	}
+	if len(p.Records) > 0 && p.FromSeq != applied {
+		// A gap, or a copy of something already applied: nothing here
+		// splices onto this follower's state.
+		return applied, fmt.Errorf("frames follow sequence %d, this follower is at %d", p.FromSeq, applied)
+	}
+	for _, frame := range p.Records {
+		if err := r.applyFrame(frame); err != nil {
+			return applied, fmt.Errorf("applying record %d: %w", applied+1, err)
+		}
+		applied++
+		r.b.m.replRecordsApplied.Inc()
+	}
+	return applied, nil
 }
 
-func (r *replicator) setApplied(seq int64) {
-	r.mu.Lock()
-	r.appliedSeq = seq
-	r.mu.Unlock()
-}
-
-// applyFrame applies one raw journal frame to the follower's live
-// state, then re-journals it verbatim. Apply precedes append: a frame
-// that fails to apply must not enter the WAL, and every applied frame
-// is also journaled before it is acknowledged.
-func (r *replicator) applyFrame(frame []byte) error {
+// applyFrame validates one raw journal frame (once: the checked Frame
+// is what both the apply and the append below consume), applies it to
+// the follower's live state, then re-journals it verbatim. Apply
+// precedes append: a frame that fails to apply must not enter the WAL,
+// and every applied frame is also journaled before it is acknowledged.
+func (r *replicator) applyFrame(raw []byte) error {
 	b := r.b
-	rec, n, err := journal.DecodeRecord(frame)
+	frame, err := journal.CheckFrame(raw)
 	if err != nil {
 		return err
 	}
-	if n != len(frame) {
-		return fmt.Errorf("bb: replication: frame holds %d trailing bytes", len(frame)-n)
-	}
+	rec := frame.Record()
 	if err := r.resvApply.Apply(rec); err != nil {
 		return err
 	}
@@ -632,7 +782,7 @@ func (r *replicator) drainTunnelOps(rarID string) error {
 // leader's snapshot, in place (gauges and handlers keep their table and
 // registry pointers), then rotates the follower's own journal onto the
 // installed state so no stale pre-resync suffix survives a restart.
-func (r *replicator) installSnapshot(data []byte, seq int64) error {
+func (r *replicator) installSnapshot(data []byte) error {
 	b := r.b
 	st, err := decodeBrokerState(data)
 	if err != nil {
@@ -671,7 +821,6 @@ func (r *replicator) installSnapshot(data []byte, seq int64) error {
 	// Stream-side scratch state is superseded wholesale.
 	r.pendingOps = make(map[string][]tunnelOpRecord)
 	r.resvApply.Reset()
-	r.setApplied(seq)
 	if err := b.journal.Rotate(b.snapshotState); err != nil {
 		// The WAL is degraded but the live state is correct; the sticky
 		// journal error surfaces through its own stats.
@@ -760,6 +909,16 @@ func (r *replicator) promote() error {
 			b.cfg.Domain, term, votes, majority, lastErr)
 	}
 
+	// Epoch fence: every epoch this leader mints is strictly above
+	// anything the dead leader journaled but failed to replicate, so
+	// the replay cache's epoch ordering rejects stale-leader writes.
+	// Raised before the streams start: the counter rides every snapshot,
+	// and one cut ahead of the fence would leave the followers' copy
+	// behind the leader's until the next registration.
+	b.mu.Lock()
+	b.rarEpoch += epochFenceStride
+	b.mu.Unlock()
+
 	r.mu.Lock()
 	if r.term != term || r.closed {
 		r.mu.Unlock()
@@ -767,16 +926,13 @@ func (r *replicator) promote() error {
 	}
 	r.role = replLeader
 	r.leaderID = r.id
-	r.acks = make(map[int]int64)
+	// Sequences are per incarnation: what the old leader called committed
+	// says nothing about this broker's own journal numbering, which is
+	// what settles wait on from here.
+	r.commitSeq = 0
 	r.startPumpsLocked()
 	r.mu.Unlock()
 
-	// Epoch fence: every epoch this leader mints is strictly above
-	// anything the dead leader journaled but failed to replicate, so
-	// the replay cache's epoch ordering rejects stale-leader writes.
-	b.mu.Lock()
-	b.rarEpoch += epochFenceStride
-	b.mu.Unlock()
 	b.syncDataPlane()
 	// The dead leader's rollback debt streamed here with its journal;
 	// as leader this replica now owes it, so start the compensations.

@@ -16,20 +16,26 @@ import (
 )
 
 // waitReplicated blocks until every live follower of domain has
-// applied (and re-journaled) everything the current leader holds.
-// Quiesce only — callers stop mutating first.
+// applied (and re-journaled) everything the current leader holds and
+// holds the leader's state. Quiesce only — callers stop mutating first.
+// The sequence test alone is not enough after a failover: sequences are
+// per incarnation, so until a follower installs the new leader's
+// snapshot its AppliedSeq still counts in the dead leader's numbering
+// and can pass the comparison by accident.
 func waitReplicated(t *testing.T, w *experiment.World, domain string, live []int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		leader := w.LeaderOf(domain)
 		target := w.ReplicaBB(domain, leader).ReplicationStatus().JournalSeq
+		want := replicaDigest(t, w, domain, leader)
 		caught := true
 		for _, i := range live {
 			if i == leader {
 				continue
 			}
-			if w.ReplicaBB(domain, i).ReplicationStatus().AppliedSeq < target {
+			if w.ReplicaBB(domain, i).ReplicationStatus().AppliedSeq < target ||
+				!bytes.Equal(replicaDigest(t, w, domain, i), want) {
 				caught = false
 				break
 			}
@@ -92,6 +98,15 @@ func TestReplicationFollowersConverge(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(u.Close)
+	// The load below must reach the followers as streamed records, not
+	// inside the snapshot a late joiner starts from.
+	for _, d := range w.Domains {
+		for i := 1; i < 3; i++ {
+			eventually(t, fmt.Sprintf("%s replica %d joins the stream", d, i), func() bool {
+				return replMetric(w, d, i, "bb_repl_snapshots_installed_total") >= 1
+			})
+		}
+	}
 
 	var cancelID string
 	for i := 0; i < 5; i++ {

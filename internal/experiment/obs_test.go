@@ -48,6 +48,21 @@ func TestMetricsLintRegistries(t *testing.T) {
 		check(domain, reg)
 	}
 	check("network", w.NetMetrics)
+
+	// A replica group registers the replication gauges on top.
+	rw, err := BuildWorld(WorldConfig{NumDomains: 1, Replicas: 2, StateDir: t.TempDir(), EnableObs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rw.Close()
+	for domain, reg := range rw.Metrics {
+		check(domain+" (replicated)", reg)
+		for _, name := range []string{"bb_repl_stream_resyncs_total", "bb_repl_inflight_frames"} {
+			if reg.Help(name) == "" {
+				t.Errorf("%s: %s is not registered", domain, name)
+			}
+		}
+	}
 }
 
 // TestFaultSweepReportsObsColumns runs one tiny cell of the faults

@@ -6,7 +6,8 @@ import "fmt"
 // the most recently appended CRC-framed records in an in-memory tail,
 // numbered by a per-incarnation sequence. A replication leader reads
 // the tail with TailSince and ships the raw frames to followers, which
-// re-journal them verbatim with AppendFrame — the follower's WAL ends
+// validate each once with CheckFrame and re-journal it verbatim with
+// AppendFrame — the follower's WAL ends
 // up byte-identical to the leader's suffix, so recovery replays the
 // same records on either side. A reader that fell off the tail (or a
 // fresh follower) takes a snapshot via SnapshotWith instead.
@@ -100,21 +101,45 @@ func (j *Journal) TailSince(after int64) ([]StreamRecord, bool) {
 	return out, true
 }
 
-// AppendFrame journals one pre-framed record verbatim under the
-// configured fsync policy — the follower half of replication: frames
-// streamed off a leader's tail are re-journaled byte-for-byte, so the
-// follower's own recovery replays exactly what the leader logged. The
-// frame is validated against the CRC framing before it touches the
-// buffer; a frame that does not decode cleanly (or carries trailing
-// bytes) is rejected without corrupting the WAL.
-func (j *Journal) AppendFrame(frame []byte) error {
+// Frame is one raw framed record that CheckFrame found whole: length,
+// checksum and header hold and nothing trails it. Only CheckFrame makes
+// one, so whoever holds a Frame may apply its record and journal its
+// bytes without validating either again.
+type Frame struct {
+	raw []byte
+	rec Record
+}
+
+// Record returns the record the frame holds (its Data aliases the
+// frame's bytes).
+func (f Frame) Record() Record { return f.rec }
+
+// CheckFrame validates one streamed frame against the CRC framing. A
+// frame that does not decode cleanly, or carries trailing bytes, is
+// refused.
+func CheckFrame(raw []byte) (Frame, error) {
+	rec, n, err := DecodeRecord(raw)
+	if err != nil {
+		return Frame{}, fmt.Errorf("journal: streamed frame: %w", err)
+	}
+	if n != len(raw) {
+		return Frame{}, fmt.Errorf("journal: streamed frame: %d trailing bytes", len(raw)-n)
+	}
+	return Frame{raw: raw, rec: rec}, nil
+}
+
+// AppendFrame journals one checked frame verbatim under the configured
+// fsync policy — the follower half of replication: frames streamed off
+// a leader's tail are re-journaled byte-for-byte, so the follower's own
+// recovery replays exactly what the leader logged. The Frame type is
+// the proof that the bytes were validated before they touch the buffer.
+func (j *Journal) AppendFrame(f Frame) error {
 	if j == nil {
 		return nil
 	}
-	if _, n, err := DecodeRecord(frame); err != nil {
-		return fmt.Errorf("journal: append-frame: %w", err)
-	} else if n != len(frame) {
-		return fmt.Errorf("journal: append-frame: %d trailing bytes", len(frame)-n)
+	frame := f.raw
+	if len(frame) == 0 {
+		return fmt.Errorf("journal: append-frame: frame was not checked")
 	}
 	j.mu.Lock()
 	if j.closed {

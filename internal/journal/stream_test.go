@@ -91,7 +91,7 @@ func TestStreamAppendFrameReplicatesVerbatim(t *testing.T) {
 		t.Fatal("leader tail unexpectedly evicted")
 	}
 	for _, sr := range recs {
-		if err := follower.AppendFrame(sr.Frame); err != nil {
+		if err := appendRaw(follower, sr.Frame); err != nil {
 			t.Fatalf("AppendFrame seq %d: %v", sr.Seq, err)
 		}
 	}
@@ -122,28 +122,40 @@ func TestStreamAppendFrameReplicatesVerbatim(t *testing.T) {
 	}
 }
 
+// appendRaw is the follower's sequence: validate once, then journal.
+func appendRaw(j *Journal, raw []byte) error {
+	f, err := CheckFrame(raw)
+	if err != nil {
+		return err
+	}
+	return j.AppendFrame(f)
+}
+
 func TestStreamAppendFrameRejectsBadFrames(t *testing.T) {
 	j, _ := openT(t, t.TempDir(), streamOpts(1<<20))
 	defer j.Close()
-	if err := j.AppendFrame([]byte("not a frame")); err == nil {
+	if err := j.AppendFrame(Frame{}); err == nil {
+		t.Fatal("AppendFrame accepted a frame CheckFrame never saw")
+	}
+	if err := appendRaw(j, []byte("not a frame")); err == nil {
 		t.Fatal("AppendFrame accepted garbage")
 	}
 	good, err := EncodeRecord("test.op", payload{N: 1})
 	if err != nil {
 		t.Fatalf("EncodeRecord: %v", err)
 	}
-	if err := j.AppendFrame(append(good, 0xff)); err == nil {
+	if err := appendRaw(j, append(good, 0xff)); err == nil {
 		t.Fatal("AppendFrame accepted trailing bytes")
 	}
 	corrupt := append([]byte(nil), good...)
 	corrupt[len(corrupt)-1] ^= 0xff
-	if err := j.AppendFrame(corrupt); err == nil {
+	if err := appendRaw(j, corrupt); err == nil {
 		t.Fatal("AppendFrame accepted a bad CRC")
 	}
 	if got := j.Seq(); got != 0 {
 		t.Fatalf("rejected frames advanced seq to %d", got)
 	}
-	if err := j.AppendFrame(good); err != nil {
+	if err := appendRaw(j, good); err != nil {
 		t.Fatalf("AppendFrame valid frame: %v", err)
 	}
 	if got := j.Seq(); got != 1 {

@@ -58,10 +58,10 @@ func NewServer(h Handler, logger *slog.Logger) *Server {
 }
 
 // Serve accepts connections from ln until the listener closes or
-// Shutdown is called. Each connection gets its own goroutine, and each
-// request on a connection is handled in its own goroutine: responses
-// are matched to requests by message ID, not by ordering, so a slow
-// request never blocks the ones behind it.
+// Shutdown is called. Each connection gets its own goroutine, and
+// requests on a connection are handled concurrently (see serveConn):
+// responses are matched to requests by message ID, not by ordering, so
+// a slow request never blocks the ones behind it.
 func (s *Server) Serve(ln transport.Listener) {
 	s.mu.Lock()
 	if s.shut {
@@ -139,11 +139,42 @@ func ServeWith(ln transport.Listener, h Handler, logger *slog.Logger) {
 	NewServer(h, logger).Serve(ln)
 }
 
+// parkedWorkers bounds the request goroutines a connection keeps parked
+// between requests. A fresh goroutine starts on a 2 KiB stack and every
+// handler of any depth copies it to 4, 8 and 16 KiB on the way down; a
+// parked worker keeps the stack it grew, so a connection that carries
+// one request after another (a broker's pooled channel to its
+// neighbour) pays for the growth once, not per request.
+const parkedWorkers = 4
+
+// serveConn reads requests off one connection until it fails. A request
+// is handed to a parked worker when one is waiting; otherwise it gets a
+// goroutine of its own, which stays on as a worker while fewer than
+// parkedWorkers exist and ends with its one request beyond that — so a
+// slow request occupies a goroutine, never the reader, and nothing
+// queues behind it. Journal-stream frames are the exception: they are
+// an ordered stream (each splices onto the one before), so the reader
+// handles them itself, in arrival order, before it reads the next.
 func serveConn(conn transport.Conn, h Handler, logger *slog.Logger) {
 	defer conn.Close()
 	peer := Peer{DN: conn.PeerDN(), CertDER: conn.PeerCertDER()}
+	// The response is encoded under the request's ID, never stamped with
+	// it: handlers may return a shared message (e.g. a recorded outcome
+	// replayed to duplicate requests), and two requests must not race on
+	// its ID field. The transport's Send is safe for concurrent use on
+	// both implementations and the mux client matches responses by ID, so
+	// out-of-order completion is fine.
+	serve := func(msg *Message) {
+		sendResponse(conn, safeHandle(h, peer, msg, logger), msg.ID, peer, logger)
+	}
 	var wg sync.WaitGroup
 	defer wg.Wait()
+	// Unbuffered: a send succeeds only into a worker parked in receive.
+	// Closed (before the wait above) when the reader returns, which is
+	// what ends the workers.
+	work := make(chan *Message)
+	defer close(work)
+	workers := 0
 	for {
 		data, err := conn.Recv()
 		if err != nil {
@@ -160,17 +191,30 @@ func serveConn(conn transport.Conn, h Handler, logger *slog.Logger) {
 			sendResponse(conn, ErrorResult("malformed request: "+err.Error()), peekID(data), peer, logger)
 			continue
 		}
-		// One goroutine per request: the transport's Send is safe for
-		// concurrent use on both implementations, and the mux client
-		// matches responses by ID, so out-of-order completion is fine.
+		if msg.Type == MsgJournalStream {
+			serve(msg)
+			continue
+		}
+		select {
+		case work <- msg:
+			continue
+		default:
+		}
 		wg.Add(1)
+		stay := workers < parkedWorkers
+		if stay {
+			workers++
+		}
 		go func() {
 			defer wg.Done()
-			// The response is encoded under the request's ID, never
-			// stamped with it: handlers may return a shared message (e.g.
-			// a recorded outcome replayed to duplicate requests), and two
-			// requests must not race on its ID field.
-			sendResponse(conn, safeHandle(h, peer, msg, logger), msg.ID, peer, logger)
+			serve(msg)
+			for stay {
+				m, ok := <-work
+				if !ok {
+					return
+				}
+				serve(m)
+			}
 		}()
 	}
 }
@@ -244,6 +288,8 @@ func OKResult(handle string) *Message {
 // exits — transport error, peer crash, Close — every in-flight and
 // future call fails with the terminal error and Alive reports false,
 // so a connection owner (the broker's peer pool) can evict and redial.
+// Post is the pipelined form: it returns once the request is written
+// and the response is handed to a callback on the demux goroutine.
 type Client struct {
 	conn transport.Conn
 
@@ -256,7 +302,7 @@ type Client struct {
 
 	mu      sync.Mutex
 	nextID  uint64
-	waiters map[uint64]chan *Message
+	waiters map[uint64]waiter
 	err     error // terminal fault, set once when the client dies
 	closing bool  // CloseWhenIdle called: refuse new calls, close at drain
 
@@ -266,12 +312,20 @@ type Client struct {
 	late atomic.Int64 // responses dropped because their waiter was gone
 }
 
+// waiter is what a request left behind for its response: the channel a
+// Call blocks on, or a Post's callback and the time it was sent.
+type waiter struct {
+	ch chan *Message
+	fn func(*Message)
+	at time.Time
+}
+
 // NewClient wraps an established connection and starts its demux
 // goroutine.
 func NewClient(conn transport.Conn) *Client {
 	c := &Client{
 		conn:    conn,
-		waiters: make(map[uint64]chan *Message),
+		waiters: make(map[uint64]waiter),
 		done:    make(chan struct{}),
 	}
 	go c.demux()
@@ -318,16 +372,32 @@ func (c *Client) Err() error {
 // skip, now an accounting detail instead of a failure mode.
 func (c *Client) LateDropped() int64 { return c.late.Load() }
 
-// Pending reports the number of in-flight calls.
+// Pending reports the number of in-flight calls and posts.
 func (c *Client) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.waiters)
 }
 
+// OldestPost reports when the oldest Post still awaiting its response
+// was sent (false when none is). A pipelined sender has no per-request
+// timer; its owner polls this and closes a client whose oldest post
+// has waited longer than a call may.
+func (c *Client) OldestPost() (at time.Time, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, w := range c.waiters {
+		if w.fn != nil && (!ok || w.at.Before(at)) {
+			at, ok = w.at, true
+		}
+	}
+	return at, ok
+}
+
 // demux is the reader loop: it routes each inbound response to the
-// call that registered its ID and drops (counting) responses whose
-// caller already gave up. Any receive or decode failure is terminal —
+// call that registered its ID (running a Post's callback right here)
+// and drops (counting) responses whose caller already gave up. Any
+// receive or decode failure is terminal —
 // the framing may be desynchronized — so the loop records the fault,
 // wakes every waiter, and exits.
 func (c *Client) demux() {
@@ -343,16 +413,19 @@ func (c *Client) demux() {
 			return
 		}
 		c.mu.Lock()
-		ch, ok := c.waiters[resp.ID]
+		w, ok := c.waiters[resp.ID]
 		if ok {
 			delete(c.waiters, resp.ID)
 		}
 		drained := c.closing && len(c.waiters) == 0
 		c.mu.Unlock()
-		if ok {
-			ch <- resp // buffered: never blocks the loop
-		} else {
+		switch {
+		case !ok:
 			c.late.Add(1)
+		case w.fn != nil:
+			w.fn(resp)
+		default:
+			w.ch <- resp // buffered: never blocks the loop
 		}
 		if drained {
 			// Last in-flight call settled after CloseWhenIdle: the next
@@ -365,17 +438,33 @@ func (c *Client) demux() {
 // fail records the terminal error, wakes every in-flight call, and
 // marks the client dead. Idempotent: the demux loop calls it when Recv
 // fails, and a send fault calls it directly so Alive flips false
-// before the demux loop ever notices the closed connection.
+// before the demux loop ever notices the closed connection. Posts still
+// waiting get nil on a goroutine of their own, never on this stack: a
+// sender may reach here from inside Post, holding whatever lock its
+// callback takes.
 func (c *Client) fail(err error) {
 	c.failOnce.Do(func() {
 		c.mu.Lock()
 		if c.err == nil {
 			c.err = err
 		}
-		c.waiters = make(map[uint64]chan *Message)
+		var posted []func(*Message)
+		for _, w := range c.waiters {
+			if w.fn != nil {
+				posted = append(posted, w.fn)
+			}
+		}
+		c.waiters = make(map[uint64]waiter)
 		c.mu.Unlock()
 		close(c.done) // waiters and Alive observe the death through done
 		c.conn.Close()
+		if len(posted) > 0 {
+			go func() {
+				for _, fn := range posted {
+					fn(nil)
+				}
+			}()
+		}
 	})
 }
 
@@ -394,33 +483,10 @@ func (c *Client) Call(msg *Message) (*Message, error) {
 // request may still be processed remotely, so callers owning remote
 // state should clean it up separately.
 func (c *Client) CallTimeout(msg *Message, timeout time.Duration) (*Message, error) {
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		return nil, err
-	}
-	if c.closing {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("signalling: client to %s is draining", c.conn.PeerDN())
-	}
-	c.nextID++
-	id := c.nextID
 	ch := make(chan *Message, 1)
-	c.waiters[id] = ch
-	c.mu.Unlock()
-
-	// Encoded under this call's ID without touching msg: the caller may
-	// reuse it across clients or retries, and a shared mutation would
-	// corrupt the request/response matching of concurrent calls.
-	bufp := encBufPool.Get().(*[]byte)
-	data := msg.appendFrame((*bufp)[:0], id)
-	err := c.send(data, timeout)
-	*bufp = data[:0]
-	encBufPool.Put(bufp)
+	id, err := c.request(msg, waiter{ch: ch}, timeout)
 	if err != nil {
-		c.unregister(id)
-		return nil, fmt.Errorf("signalling: send to %s: %w", c.conn.PeerDN(), err)
+		return nil, err
 	}
 
 	var expiry <-chan time.Time
@@ -450,6 +516,49 @@ func (c *Client) CallTimeout(msg *Message, timeout time.Duration) (*Message, err
 	}
 }
 
+// Post sends msg and returns as soon as it is written, bounded by
+// timeout like a call's send. When Post returns nil, fn runs exactly
+// once: with the matching response on the demux goroutine — so it must
+// not block, and responses reach it in the order the peer sent them —
+// or with nil, on a goroutine of its own, if the client dies first. It
+// never runs on the caller's stack, and not at all when Post returns an
+// error. Nothing times a posted request out: see OldestPost.
+func (c *Client) Post(msg *Message, timeout time.Duration, fn func(*Message)) error {
+	_, err := c.request(msg, waiter{fn: fn, at: time.Now()}, timeout)
+	return err
+}
+
+// request registers w under a fresh message ID and sends msg under it.
+func (c *Client) request(msg *Message, w waiter, timeout time.Duration) (uint64, error) {
+	c.mu.Lock()
+	if c.err != nil {
+		err := c.err
+		c.mu.Unlock()
+		return 0, err
+	}
+	if c.closing {
+		c.mu.Unlock()
+		return 0, fmt.Errorf("signalling: client to %s is draining", c.conn.PeerDN())
+	}
+	c.nextID++
+	id := c.nextID
+	c.waiters[id] = w
+	c.mu.Unlock()
+
+	// Encoded under this call's ID without touching msg: the caller may
+	// reuse it across clients or retries, and a shared mutation would
+	// corrupt the request/response matching of concurrent calls.
+	bufp := encBufPool.Get().(*[]byte)
+	data := msg.appendFrame((*bufp)[:0], id)
+	err := c.send(data, id, timeout)
+	*bufp = data[:0]
+	encBufPool.Put(bufp)
+	if err != nil {
+		return 0, fmt.Errorf("signalling: send to %s: %w", c.conn.PeerDN(), err)
+	}
+	return id, nil
+}
+
 // send transmits one frame under the send mutex, bounding the write
 // with a send-only deadline so a concurrent demux Recv is unaffected.
 // Any send failure is terminal for the whole client: a deadline expiry
@@ -457,18 +566,21 @@ func (c *Client) CallTimeout(msg *Message, timeout time.Duration) (*Message, err
 // frame on the wire, and the next write would land mid-frame. Marking
 // the client dead here makes Alive report false immediately, so the
 // peer pool evicts and redials instead of writing onto a corrupt
-// stream.
-func (c *Client) send(data []byte, timeout time.Duration) error {
+// stream. The failed request's own waiter is withdrawn first: its
+// caller gets the error, so fail must not answer it a second time.
+func (c *Client) send(data []byte, id uint64, timeout time.Duration) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
 	if timeout > 0 {
 		if err := c.conn.SetSendDeadline(time.Now().Add(timeout)); err != nil {
+			c.unregister(id)
 			c.fail(fmt.Errorf("signalling: send deadline on %s: %w", c.conn.PeerDN(), err))
 			return err
 		}
 		defer c.conn.SetSendDeadline(time.Time{})
 	}
 	if err := c.conn.Send(data); err != nil {
+		c.unregister(id)
 		c.fail(fmt.Errorf("signalling: send to %s: %w", c.conn.PeerDN(), err))
 		return err
 	}

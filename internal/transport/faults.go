@@ -39,7 +39,29 @@ type FaultConfig struct {
 	CrashAfter int64
 	// Seed makes the fault sequence deterministic (0 behaves as 1).
 	Seed int64
+	// Script, when set, picks the fault for each message by looking at
+	// it, and the probabilities above apply only to messages it passes:
+	// it is how a test hits one particular frame of a pipelined stream.
+	// addr is the address the connection was dialled to, send whether the
+	// dialling side is sending the message or receiving it. Called
+	// concurrently; it must not block.
+	Script func(addr string, send bool, msg []byte) FaultAction
 }
+
+// FaultAction is a Script's decision for one message.
+type FaultAction int
+
+const (
+	// FaultPass leaves the message to the probabilistic faults.
+	FaultPass FaultAction = iota
+	// FaultDrop discards it silently, as SendDropProb / RecvDropProb do.
+	FaultDrop
+	// FaultDelay stalls it for FaultConfig.Delay. The connection stays
+	// in order: whatever follows waits behind it.
+	FaultDelay
+	// FaultDuplicate delivers it twice, back to back.
+	FaultDuplicate
+)
 
 // FaultStats counts injected faults, for experiment reporting.
 type FaultStats struct {
@@ -102,7 +124,7 @@ func (d *FaultyDialer) Dial(addr string) (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &faultyConn{inner: c, d: d, closed: make(chan struct{})}, nil
+	return &faultyConn{inner: c, d: d, addr: addr, closed: make(chan struct{})}, nil
 }
 
 // faultyConn injects faults around an underlying Conn. It tracks the
@@ -111,7 +133,11 @@ func (d *FaultyDialer) Dial(addr string) (Conn, error) {
 type faultyConn struct {
 	inner Conn
 	d     *FaultyDialer
+	addr  string
 	msgs  atomic.Int64
+	// again holds the second copy of a received message a Script asked
+	// to duplicate, for the next Recv (one reader per connection).
+	again []byte
 
 	dlMu         sync.Mutex
 	sendDeadline time.Time
@@ -166,11 +192,33 @@ func (c *faultyConn) crashed() bool {
 	return n > 0 && c.msgs.Add(1) > n
 }
 
+// scripted asks the Script, if any, about one message.
+func (c *faultyConn) scripted(send bool, msg []byte) FaultAction {
+	if c.d.cfg.Script == nil {
+		return FaultPass
+	}
+	return c.d.cfg.Script(c.addr, send, msg)
+}
+
 func (c *faultyConn) Send(msg []byte) error {
 	if c.crashed() {
 		c.d.stats.Crashes.Add(1)
 		c.Close()
 		return fmt.Errorf("transport: injected crash after %d messages", c.d.cfg.CrashAfter)
+	}
+	switch c.scripted(true, msg) {
+	case FaultDrop:
+		c.d.stats.SendDrops.Add(1)
+		return nil
+	case FaultDelay:
+		c.d.stats.Delays.Add(1)
+		time.Sleep(c.d.cfg.Delay)
+		return c.inner.Send(msg)
+	case FaultDuplicate:
+		if err := c.inner.Send(msg); err != nil {
+			return err
+		}
+		return c.inner.Send(msg)
 	}
 	switch {
 	case c.d.roll(c.d.cfg.ResetProb):
@@ -190,6 +238,10 @@ func (c *faultyConn) Send(msg []byte) error {
 }
 
 func (c *faultyConn) Recv() ([]byte, error) {
+	if msg := c.again; msg != nil {
+		c.again = nil
+		return msg, nil
+	}
 	for {
 		if c.crashed() {
 			c.d.stats.Crashes.Add(1)
@@ -210,6 +262,18 @@ func (c *faultyConn) Recv() ([]byte, error) {
 		msg, err := c.inner.Recv()
 		if err != nil {
 			return nil, err
+		}
+		switch c.scripted(false, msg) {
+		case FaultDrop:
+			c.d.stats.RecvDrops.Add(1)
+			continue
+		case FaultDelay:
+			c.d.stats.Delays.Add(1)
+			time.Sleep(c.d.cfg.Delay)
+			return msg, nil
+		case FaultDuplicate:
+			c.again = msg
+			return msg, nil
 		}
 		if c.d.roll(c.d.cfg.RecvDropProb) {
 			c.d.stats.RecvDrops.Add(1)

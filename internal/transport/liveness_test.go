@@ -342,3 +342,49 @@ func TestFaultyRecvDropSkipsMessage(t *testing.T) {
 		t.Error("RecvDrops not recorded")
 	}
 }
+
+// TestFaultyScriptPicksMessages: a Script sees the dialled address, the
+// direction and the payload, and its verdict — drop, duplicate, pass —
+// lands on exactly the message it was given for, in both directions.
+func TestFaultyScriptPicksMessages(t *testing.T) {
+	n := NewNetwork(0)
+	echoListener(t, n, "echo")
+	d := NewFaultyDialer(n.NewEndpoint("/CN=c", nil), FaultConfig{
+		Script: func(addr string, send bool, msg []byte) FaultAction {
+			if addr != "echo" {
+				t.Errorf("script saw address %q", addr)
+			}
+			switch {
+			case send && string(msg) == "lost":
+				return FaultDrop
+			case send && string(msg) == "twice":
+				return FaultDuplicate
+			case !send && string(msg) == "echoed-twice":
+				return FaultDuplicate
+			case !send && string(msg) == "unheard":
+				return FaultDrop
+			}
+			return FaultPass
+		},
+	})
+	conn, err := d.Dial("echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for _, m := range []string{"lost", "a", "twice", "unheard", "echoed-twice", "b"} {
+		if err := conn.Send([]byte(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn.SetDeadline(time.Now().Add(2 * time.Second))
+	for _, want := range []string{"a", "twice", "twice", "echoed-twice", "echoed-twice", "b"} {
+		got, err := conn.Recv()
+		if err != nil || string(got) != want {
+			t.Fatalf("Recv = %q, %v; want %q", got, err, want)
+		}
+	}
+	if s := d.Stats(); s.SendDrops.Load() != 1 || s.RecvDrops.Load() != 1 {
+		t.Errorf("drops recorded: send %d, recv %d, want one each", s.SendDrops.Load(), s.RecvDrops.Load())
+	}
+}

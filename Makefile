@@ -19,8 +19,10 @@
 #                          tree (envelope decode, concurrent Unwrap
 #                          against its serial twin, signalling decode,
 #                          policy parse, journal record decode, spec
-#                          decode, saga record and snapshot decode),
-#                          seeded from the checked-in corpora
+#                          decode, saga record and snapshot decode,
+#                          signature verify on arbitrary key, message
+#                          and signature bytes), seeded from the
+#                          checked-in corpora
 #   make metrics-lint      metric-name rules: every registered name is
 #                          lowercase_snake, counters end in _total, every
 #                          metric carries non-empty HELP text, and each
@@ -52,11 +54,12 @@
 #                          reservation table's ledger reads (Available,
 #                          CommittedAt at 2000 live entries) must all be
 #                          allocation-free, an admit+cancel pair may
-#                          allocate only its Reservation and handle, and
-#                          a warm core.Broker.Verify parses no
-#                          certificate (allocs per layer at 8 layers no
-#                          more than at 2) (run without -race; the gates
-#                          skip under it)
+#                          allocate only its Reservation and handle, a
+#                          signature check allocates nothing, and a warm
+#                          core.Broker.Verify parses no certificate
+#                          (allocs per layer at 8 layers no more than at
+#                          2, at most 8 per layer beyond the second)
+#                          (run without -race; the gates skip under it)
 #   make bench-e2e         the repository's benchmark (bench/README.md):
 #                          go run ./bench — four workloads, end to end
 #                          then traced, rows appended to bench/out/
@@ -67,7 +70,9 @@
 #   make bench-chain       destination Verify of a warm 1/2/3/5/8-layer
 #                          chain with -benchmem, plus ns/layer and
 #                          allocs/layer (everything about a layer but its
-#                          signature check should be flat from 2 to 8)
+#                          signature check should be flat from 2 to 8),
+#                          then the price of that check: identity.Sign
+#                          and Verify on 256 B and 4 KiB messages
 #   make bench-wire        signalling frame encode and decode on the
 #                          batch-64 frame with -benchmem, after the
 #                          allocation gates (which pin the encode arm at
@@ -112,7 +117,7 @@ verify: build metrics-lint alloc-gate fuzz-short
 	$(GO) test -race ./...
 
 alloc-gate:
-	$(GO) test -run 'AllocationFree' ./internal/signalling ./internal/journal ./internal/obs ./internal/resv ./internal/core
+	$(GO) test -run 'AllocationFree' ./internal/signalling ./internal/journal ./internal/obs ./internal/resv ./internal/core ./internal/identity
 
 race-concurrency:
 	$(GO) test -race -run 'Concurrent|Worker|Post' ./internal/signalling ./internal/bb
@@ -148,6 +153,7 @@ fuzz-short:
 	$(GO) test -run NONE -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/journal
 	$(GO) test -run NONE -fuzz '^FuzzDecodeSpec$$' -fuzztime 10s ./internal/core
 	$(GO) test -run NONE -fuzz '^FuzzSagaRecord$$' -fuzztime 10s ./internal/saga
+	$(GO) test -run NONE -fuzz '^FuzzVerify$$' -fuzztime 10s ./internal/identity
 
 metrics-lint:
 	$(GO) test -run 'TestMetricsLint' ./internal/obs ./internal/experiment
@@ -163,6 +169,7 @@ bench:
 
 bench-chain:
 	$(GO) test -run NONE -bench 'TrustChainVerify' -benchmem .
+	$(GO) test -run NONE -bench 'SignVerify' -benchmem ./internal/identity
 
 bench-wire: alloc-gate
 	$(GO) test -run NONE -bench 'BenchmarkCodec|BenchmarkServeRoundTrip' -benchmem ./internal/signalling

@@ -1,10 +1,17 @@
 package main
 
 import (
+	"crypto/ecdsa"
+	"crypto/elliptic"
+	"crypto/rand"
+	"crypto/x509"
+	"encoding/pem"
+	"errors"
 	"fmt"
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -220,6 +227,49 @@ func TestDaemonEndToEndReservationOverTLS(t *testing.T) {
 	}
 	if cancelResp.Result == nil || !cancelResp.Result.Granted {
 		t.Fatalf("cancel failed: %+v", cancelResp.Result)
+	}
+}
+
+// TestBuildRefusesOtherKeyAlgorithm: a key file left over from before
+// the tree had one signature scheme stops the daemon with the named
+// error, the file's path and the way out.
+func TestBuildRefusesOtherKeyAlgorithm(t *testing.T) {
+	dir := t.TempDir()
+	ca, err := pki.NewCA(identity.NewDN("Grid", "", "RootCA"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := identity.GenerateKeyPair(identity.NewDN("Grid", "DomainA", "bb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert, err := ca.IssueIdentity(key.DN, key.Public(), 0, "bb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := &FileConfig{CertFile: filepath.Join(dir, "bb.cert.pem"), KeyFile: filepath.Join(dir, "bb.key.pem")}
+	if err := pki.SaveCertFile(cfg.CertFile, cert.DER); err != nil {
+		t.Fatal(err)
+	}
+	p256, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec1, err := x509.MarshalECPrivateKey(p256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cfg.KeyFile, pem.EncodeToMemory(&pem.Block{Type: "EC PRIVATE KEY", Bytes: sec1}), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, err = cfg.Build()
+	if !errors.Is(err, identity.ErrKeyAlgorithm) {
+		t.Fatalf("Build with an EC key file: err = %v, want identity.ErrKeyAlgorithm", err)
+	}
+	for _, want := range []string{cfg.KeyFile, "EC PRIVATE KEY", "re-issue with qosca"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
 	}
 }
 

@@ -247,11 +247,7 @@ func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, e
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		pub := peerCert.PublicKey()
-		if pub == nil {
-			return nil, nil, nil, fmt.Errorf("bbd: peer %s has non-ECDSA key", p.Domain)
-		}
-		trust.PinPeer(peerCert.SubjectDN(), pub)
+		trust.PinPeer(peerCert.SubjectDN(), peerCert.PublicKey())
 		peerCerts[peerCert.SubjectDN()] = peerCert
 		peerAddrs[peerCert.SubjectDN()] = p.Addr
 		rate := capacity

@@ -7,7 +7,10 @@
 //	qosca cert -out-dir pki -ca pki/ca -org Grid -unit DomainA -name Alice
 //
 // "ca" writes <dir>/ca.cert.pem and <dir>/ca.key.pem. "cert" reads
-// those and writes <name>.cert.pem / <name>.key.pem.
+// those and writes <name>.cert.pem / <name>.key.pem. Keys are Ed25519,
+// written as PKCS#8 "PRIVATE KEY" blocks; a key or certificate of any
+// other algorithm (an "EC PRIVATE KEY" from an earlier version) is
+// refused and has to be issued again.
 package main
 
 import (

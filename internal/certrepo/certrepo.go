@@ -15,7 +15,6 @@
 package certrepo
 
 import (
-	"crypto/ecdsa"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -45,7 +44,7 @@ func New(key *identity.KeyPair) *Repository {
 func (r *Repository) DN() identity.DN { return r.key.DN }
 
 // PublicKey is what consumers pin.
-func (r *Repository) PublicKey() *ecdsa.PublicKey { return r.key.Public() }
+func (r *Repository) PublicKey() identity.PublicKey { return r.key.Public() }
 
 // Publish stores (or replaces) the certificate for its subject.
 func (r *Repository) Publish(cert *pki.Certificate) error {
@@ -108,7 +107,7 @@ func (r *Repository) Lookup(dn identity.DN) (*Response, error) {
 
 // VerifyResponse checks a signed lookup answer against the pinned
 // repository key and a freshness bound (zero maxAge means no bound).
-func VerifyResponse(resp *Response, repoKey *ecdsa.PublicKey, maxAge time.Duration) (*pki.Certificate, error) {
+func VerifyResponse(resp *Response, repoKey identity.PublicKey, maxAge time.Duration) (*pki.Certificate, error) {
 	if resp == nil {
 		return nil, fmt.Errorf("certrepo: nil response")
 	}
@@ -136,7 +135,7 @@ type Directory struct {
 	Repo *Repository
 	// TrustedKey is the pinned repository key (normally Repo's own,
 	// but kept explicit so tests can model key mismatch).
-	TrustedKey *ecdsa.PublicKey
+	TrustedKey identity.PublicKey
 	// MaxAge bounds response freshness (zero: unbounded).
 	MaxAge time.Duration
 	// At overrides the certificate-validity check time (zero: now).
@@ -145,7 +144,7 @@ type Directory struct {
 
 // LookupKey resolves dn via the repository, verifying the signed
 // response and the certificate validity window.
-func (d *Directory) LookupKey(dn identity.DN) (*ecdsa.PublicKey, error) {
+func (d *Directory) LookupKey(dn identity.DN) (identity.PublicKey, error) {
 	if d == nil || d.Repo == nil || d.TrustedKey == nil {
 		return nil, fmt.Errorf("certrepo: directory not configured")
 	}
@@ -164,9 +163,5 @@ func (d *Directory) LookupKey(dn identity.DN) (*ecdsa.PublicKey, error) {
 	if !cert.ValidAt(at) {
 		return nil, fmt.Errorf("certrepo: certificate for %s not valid at %s", dn, at)
 	}
-	pub := cert.PublicKey()
-	if pub == nil {
-		return nil, fmt.Errorf("certrepo: certificate for %s has non-ECDSA key", dn)
-	}
-	return pub, nil
+	return cert.PublicKey(), nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"crypto/ecdsa"
 	"fmt"
 	"sync"
 	"time"
@@ -16,7 +15,7 @@ import (
 // "Maintain a certificate repository accessible through secure LDAP."
 // internal/certrepo provides the reference implementation.
 type KeyDirectory interface {
-	LookupKey(dn identity.DN) (*ecdsa.PublicKey, error)
+	LookupKey(dn identity.DN) (identity.PublicKey, error)
 }
 
 // Broker is the protocol half of a bandwidth broker: it verifies
@@ -124,7 +123,7 @@ func (b *Broker) Verify(env *envelope.Envelope, channelPeer identity.DN, channel
 	// layers that carry a certificate in any order and before the layers
 	// outside them have verified, so that branch reads its arguments and
 	// the cache and writes nothing but this request's fresh list.
-	resolve := func(depth int, dn identity.DN, certHint []byte) (*ecdsa.PublicKey, error) {
+	resolve := func(depth int, dn identity.DN, certHint []byte) (identity.PublicKey, error) {
 		if depth == 0 {
 			// The channel handshake authenticated this key.
 			if pinned, ok := b.Trust.PeerKey(dn); ok {
@@ -167,11 +166,7 @@ func (b *Broker) Verify(env *envelope.Envelope, channelPeer identity.DN, channel
 		if !cert.ValidAt(at) {
 			return nil, fmt.Errorf("core: introduced certificate for %s not valid at %s", dn, at)
 		}
-		pub := cert.PublicKey()
-		if pub == nil {
-			return nil, fmt.Errorf("core: introduced certificate for %s has non-ECDSA key", dn)
-		}
-		return pub, nil
+		return cert.PublicKey(), nil
 	}
 	chain, err := envelope.Unwrap(env, resolve)
 	if err != nil {
@@ -263,7 +258,7 @@ func (b *Broker) Extend(inbound *envelope.Envelope, upstreamCert []byte, verifie
 	if len(verified.Capabilities) > 0 {
 		hopPub := nextHop.PublicKey()
 		if hopPub == nil {
-			return nil, fmt.Errorf("core: next hop certificate has non-ECDSA key")
+			return nil, fmt.Errorf("core: next hop certificate: %w", identity.ErrKeyAlgorithm)
 		}
 		last := verified.Capabilities[len(verified.Capabilities)-1]
 		if last.SubjectDN() != b.Key.DN {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"crypto/ecdsa"
 	"fmt"
 	"testing"
 	"time"
@@ -13,10 +12,10 @@ import (
 // certrepo package (which cannot be imported here without a cycle in
 // its own tests).
 type mapDirectory struct {
-	keys map[identity.DN]*ecdsa.PublicKey
+	keys map[identity.DN]identity.PublicKey
 }
 
-func (d *mapDirectory) LookupKey(dn identity.DN) (*ecdsa.PublicKey, error) {
+func (d *mapDirectory) LookupKey(dn identity.DN) (identity.PublicKey, error) {
 	pub, ok := d.keys[dn]
 	if !ok {
 		return nil, fmt.Errorf("no key for %s", dn)
@@ -30,7 +29,7 @@ func (d *mapDirectory) LookupKey(dn identity.DN) (*ecdsa.PublicKey, error) {
 // directory instead.
 func TestDirectoryKeyDistribution(t *testing.T) {
 	w := buildWorld(t, false)
-	dir := &mapDirectory{keys: map[identity.DN]*ecdsa.PublicKey{
+	dir := &mapDirectory{keys: map[identity.DN]identity.PublicKey{
 		w.alice.Key.DN: w.alice.Key.Public(),
 	}}
 	for i, broker := range w.brokers {
@@ -60,7 +59,7 @@ func TestDirectoryMissingKeyFails(t *testing.T) {
 	w := buildWorld(t, false)
 	for _, broker := range w.brokers {
 		broker.OmitIntroducerCerts = true
-		broker.Directory = &mapDirectory{keys: map[identity.DN]*ecdsa.PublicKey{}}
+		broker.Directory = &mapDirectory{keys: map[identity.DN]identity.PublicKey{}}
 	}
 	spec := testSpec(w.alice.Key.DN)
 	now := time.Now()

@@ -56,7 +56,7 @@ func (ua *UserAgent) BuildRAR(spec *Spec, firstHop *pki.Certificate) (*envelope.
 	if ua.Credential != nil {
 		hopPub := firstHop.PublicKey()
 		if hopPub == nil {
-			return nil, fmt.Errorf("core: first hop certificate has non-ECDSA key")
+			return nil, fmt.Errorf("core: first hop certificate: %w", identity.ErrKeyAlgorithm)
 		}
 		delegated, err := pki.Delegate(
 			ua.Credential.Certificate,

@@ -16,7 +16,6 @@
 package envelope
 
 import (
-	"crypto/ecdsa"
 	"fmt"
 	"runtime"
 	"sync"
@@ -29,7 +28,7 @@ import (
 
 // Envelope is one layer of the nested structure. Payload is the
 // canonical binary encoding of the layer body; Signature is the
-// signer's ECDSA signature over exactly those bytes.
+// signer's signature over exactly those bytes.
 type Envelope struct {
 	// SignerDN names the entity that signed this layer.
 	SignerDN identity.DN
@@ -95,7 +94,7 @@ func Seal(signer *identity.KeyPair, body Body) (*Envelope, error) {
 
 // Open verifies the signature with pub and decodes the body. It does
 // NOT resolve trust in pub; callers combine this with a pki.TrustStore.
-func (e *Envelope) Open(pub *ecdsa.PublicKey) (*Body, error) {
+func (e *Envelope) Open(pub identity.PublicKey) (*Body, error) {
 	if e == nil {
 		return nil, fmt.Errorf("envelope: nil envelope")
 	}
@@ -106,7 +105,7 @@ func (e *Envelope) Open(pub *ecdsa.PublicKey) (*Body, error) {
 }
 
 // verify checks the layer's signature over its payload bytes.
-func (e *Envelope) verify(pub *ecdsa.PublicKey) error {
+func (e *Envelope) verify(pub identity.PublicKey) error {
 	if err := identity.Verify(pub, e.Payload, e.Signature); err != nil {
 		return fmt.Errorf("envelope: layer signed by %s: %w", e.SignerDN, err)
 	}
@@ -189,7 +188,7 @@ func (c *Chain) PolicyInfo() map[string]string {
 // leave nothing behind. A call without a hint — the one that may ask a
 // directory — is made only once every layer outside has verified, and
 // never beside another call without a hint.
-type KeyResolver func(depth int, dn identity.DN, certDER []byte) (*ecdsa.PublicKey, error)
+type KeyResolver func(depth int, dn identity.DN, certDER []byte) (identity.PublicKey, error)
 
 // Unwrap peels and verifies every layer of the onion and returns the
 // chain only if every layer verified; the error is the one a walk from

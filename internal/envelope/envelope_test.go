@@ -1,7 +1,6 @@
 package envelope
 
 import (
-	"crypto/ecdsa"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -55,11 +54,11 @@ func buildOnion(t *testing.T, hops int) (keys []*identity.KeyPair, outer *Envelo
 }
 
 func resolverFor(keys []*identity.KeyPair) KeyResolver {
-	byDN := make(map[identity.DN]*ecdsa.PublicKey)
+	byDN := make(map[identity.DN]identity.PublicKey)
 	for _, k := range keys {
 		byDN[k.DN] = k.Public()
 	}
-	return func(_ int, dn identity.DN, _ []byte) (*ecdsa.PublicKey, error) {
+	return func(_ int, dn identity.DN, _ []byte) (identity.PublicKey, error) {
 		pub, ok := byDN[dn]
 		if !ok {
 			return nil, fmt.Errorf("unknown signer %s", dn)

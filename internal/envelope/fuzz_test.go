@@ -1,7 +1,6 @@
 package envelope
 
 import (
-	"crypto/ecdsa"
 	"encoding/json"
 	"fmt"
 	mrand "math/rand"
@@ -33,7 +32,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(`garbage`))
 
-	resolve := func(_ int, dn identity.DN, _ []byte) (*ecdsa.PublicKey, error) {
+	resolve := func(_ int, dn identity.DN, _ []byte) (identity.PublicKey, error) {
 		if dn == key.DN {
 			return key.Public(), nil
 		}
@@ -67,7 +66,7 @@ func FuzzUnwrapMatchesSerial(f *testing.F) {
 		}
 		f.Add(data, uint8(tc.limit), tc.dir != nil)
 	}
-	dir := map[identity.DN]*ecdsa.PublicKey{}
+	dir := map[identity.DN]identity.PublicKey{}
 	for _, s := range signers[:len(signers)/2] {
 		dir[s.key.DN] = s.key.Public()
 	}

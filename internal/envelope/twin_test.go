@@ -2,7 +2,6 @@ package envelope
 
 import (
 	"bytes"
-	"crypto/ecdsa"
 	"crypto/rand"
 	"crypto/x509"
 	"crypto/x509/pkix"
@@ -100,7 +99,7 @@ func twinFixture(tb testing.TB) []*twinSigner {
 				NotAfter:  to,
 				KeyUsage:  x509.KeyUsageDigitalSignature,
 			}
-			der, err := x509.CreateCertificate(rand.Reader, tmpl, ca.Certificate(), kp.Public(), ca.Key().Private)
+			der, err := x509.CreateCertificate(rand.Reader, tmpl, ca.Certificate(), kp.Public().Crypto(), ca.Key().Private.Signer())
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -137,11 +136,11 @@ func twinFixture(tb testing.TB) []*twinSigner {
 // confirms that calls without a hint never run beside one another.
 type twinVerifier struct {
 	limit   int
-	dir     map[identity.DN]*ecdsa.PublicKey // nil: no directory
+	dir     map[identity.DN]identity.PublicKey // nil: no directory
 	lookups []identity.DN
 }
 
-func (v *twinVerifier) resolve(depth int, dn identity.DN, hint []byte) (*ecdsa.PublicKey, error) {
+func (v *twinVerifier) resolve(depth int, dn identity.DN, hint []byte) (identity.PublicKey, error) {
 	if depth == 0 {
 		for _, s := range twinSigners {
 			if s.key.DN == dn {
@@ -176,7 +175,7 @@ func (v *twinVerifier) resolve(depth int, dn identity.DN, hint []byte) (*ecdsa.P
 	}
 	pub := cert.PublicKey()
 	if pub == nil {
-		return nil, fmt.Errorf("twin: introduced certificate for %s has non-ECDSA key", dn)
+		return nil, fmt.Errorf("twin: introduced certificate for %s: %w", dn, identity.ErrKeyAlgorithm)
 	}
 	return pub, nil
 }
@@ -207,7 +206,7 @@ const (
 type twinCase struct {
 	outer   *Envelope
 	limit   int
-	dir     map[identity.DN]*ecdsa.PublicKey
+	dir     map[identity.DN]identity.PublicKey
 	summary string
 }
 
@@ -325,7 +324,7 @@ func genTwinCase(tb testing.TB, rng *mrand.Rand) twinCase {
 	// A directory that knows everyone, one that has lost a few entries,
 	// or none.
 	if mode := rng.Intn(3); mode > 0 {
-		tc.dir = map[identity.DN]*ecdsa.PublicKey{}
+		tc.dir = map[identity.DN]identity.PublicKey{}
 		for _, s := range signers {
 			if mode == 1 || rng.Intn(4) > 0 {
 				tc.dir[s.key.DN] = s.key.Public()
@@ -399,7 +398,7 @@ func TestUnwrapForgedWrapperAsksNoDirectory(t *testing.T) {
 		}
 		rng := mrand.New(mrand.NewSource(int64(forged)))
 		outer := buildTwinChain(t, rng, layers, corrupt)
-		v := &twinVerifier{limit: twinMaxLayers, dir: map[identity.DN]*ecdsa.PublicKey{}}
+		v := &twinVerifier{limit: twinMaxLayers, dir: map[identity.DN]identity.PublicKey{}}
 		for _, s := range signers {
 			v.dir[s.key.DN] = s.key.Public()
 		}

@@ -3,14 +3,23 @@
 // servers, community authorization servers and certificate authorities.
 //
 // Entities are identified by an X.500-style distinguished name (DN) such
-// as "/O=Grid/OU=DomainA/CN=bb-a". Each entity owns an ECDSA P-256 key
-// pair used both for TLS channel authentication and for the detached
-// message signatures that implement the paper's nested RAR envelopes.
+// as "/O=Grid/OU=DomainA/CN=bb-a". Each entity owns one key pair used
+// both for TLS channel authentication and for the detached message
+// signatures that implement the paper's nested RAR envelopes.
+//
+// The signature scheme is this package's decision and nobody else's:
+// pure Ed25519 (RFC 8032; RFC 8410 inside X.509 and PKCS#8). Messages are
+// signed as they are, with no pre-hash, so the signature on an X.509
+// certificate (PureEd25519 over the TBS bytes) and the signature on an
+// envelope layer go through the same Verify. No other package imports a
+// signature algorithm; they hold the key types below and call these
+// functions (imports_test.go keeps it so).
 package identity
 
 import (
-	"crypto/ecdsa"
-	"crypto/elliptic"
+	"bytes"
+	"crypto"
+	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/x509"
@@ -89,18 +98,79 @@ func (d DN) Valid() bool {
 
 func (d DN) String() string { return string(d) }
 
-// KeyPair is an ECDSA P-256 key pair bound to a DN.
-type KeyPair struct {
-	DN      DN
-	Private *ecdsa.PrivateKey
+// ErrKeyAlgorithm is wrapped by every refusal of a key, certificate or
+// key file made for another signature algorithm.
+var ErrKeyAlgorithm = errors.New("identity: key is not Ed25519")
+
+// PublicKey is the verifying half of an entity's key. Values arrive in
+// certificates off the wire, so nothing may assume the length is right.
+type PublicKey []byte
+
+// PrivateKey is the signing half.
+type PrivateKey []byte
+
+// check reports a key of the wrong length as an error; the standard
+// library answers one with a panic.
+func (p PublicKey) check() error {
+	if len(p) != ed25519.PublicKeySize {
+		return fmt.Errorf("identity: public key of %d bytes, want %d", len(p), ed25519.PublicKeySize)
+	}
+	return nil
 }
 
-// GenerateKeyPair creates a fresh P-256 key pair for the given DN.
+func (k PrivateKey) check() error {
+	if len(k) != ed25519.PrivateKeySize {
+		return fmt.Errorf("identity: private key of %d bytes, want %d", len(k), ed25519.PrivateKeySize)
+	}
+	return nil
+}
+
+// Equal reports whether two public keys are the same key. An empty
+// value is no key and equals nothing.
+func (p PublicKey) Equal(o PublicKey) bool { return len(p) != 0 && bytes.Equal(p, o) }
+
+// Public returns the verifying half of k, nil for a malformed key. It
+// shares k's memory.
+func (k PrivateKey) Public() PublicKey {
+	if k.check() != nil {
+		return nil
+	}
+	return PublicKey(k[ed25519.SeedSize:])
+}
+
+// Crypto and Signer hand the keys to crypto/x509 and crypto/tls in the
+// form those packages recognise the algorithm by. Signer is for keys
+// from GenerateKey or ParsePrivateKey, which are well-formed.
+func (p PublicKey) Crypto() crypto.PublicKey { return ed25519.PublicKey(p) }
+func (k PrivateKey) Signer() crypto.Signer   { return ed25519.PrivateKey(k) }
+
+// SubjectKey returns the subject public key of a parsed certificate.
+func SubjectKey(cert *x509.Certificate) (PublicKey, error) {
+	pub, ok := cert.PublicKey.(ed25519.PublicKey)
+	if !ok {
+		return nil, fmt.Errorf("%w: subject key is %s", ErrKeyAlgorithm, cert.PublicKeyAlgorithm)
+	}
+	return PublicKey(pub), nil
+}
+
+// GenerateKey creates a fresh private key.
+func GenerateKey() (PrivateKey, error) {
+	_, priv, err := ed25519.GenerateKey(rand.Reader)
+	return PrivateKey(priv), err
+}
+
+// KeyPair is a private key bound to a DN.
+type KeyPair struct {
+	DN      DN
+	Private PrivateKey
+}
+
+// GenerateKeyPair creates a fresh key pair for the given DN.
 func GenerateKeyPair(dn DN) (*KeyPair, error) {
 	if !dn.Valid() {
 		return nil, fmt.Errorf("identity: invalid DN %q", dn)
 	}
-	priv, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	priv, err := GenerateKey()
 	if err != nil {
 		return nil, fmt.Errorf("identity: generating key for %s: %w", dn, err)
 	}
@@ -108,62 +178,96 @@ func GenerateKeyPair(dn DN) (*KeyPair, error) {
 }
 
 // Public returns the public half of the pair.
-func (k *KeyPair) Public() *ecdsa.PublicKey { return &k.Private.PublicKey }
+func (k *KeyPair) Public() PublicKey { return k.Private.Public() }
 
-// Sign produces an ASN.1 DER ECDSA signature over SHA-256(msg).
+// Sign signs msg as the pair's DN.
 func (k *KeyPair) Sign(msg []byte) ([]byte, error) {
-	if k == nil || k.Private == nil {
+	if k == nil {
 		return nil, errors.New("identity: nil key pair")
 	}
-	sum := sha256.Sum256(msg)
-	sig, err := ecdsa.SignASN1(rand.Reader, k.Private, sum[:])
+	sig, err := Sign(k.Private, msg)
 	if err != nil {
 		return nil, fmt.Errorf("identity: signing as %s: %w", k.DN, err)
 	}
 	return sig, nil
 }
 
-// Verify checks an ASN.1 DER ECDSA signature over SHA-256(msg) against
-// the given public key.
-func Verify(pub *ecdsa.PublicKey, msg, sig []byte) error {
-	if pub == nil {
-		return errors.New("identity: nil public key")
+// Sign produces the signature of priv over msg. The same key and message
+// always give the same signature.
+func Sign(priv PrivateKey, msg []byte) ([]byte, error) {
+	if err := priv.check(); err != nil {
+		return nil, err
 	}
-	sum := sha256.Sum256(msg)
-	if !ecdsa.VerifyASN1(pub, sum[:], sig) {
+	return ed25519.Sign(ed25519.PrivateKey(priv), msg), nil
+}
+
+// Verify checks sig over msg against pub. A key or signature of the
+// wrong length is an error like any other bad signature, never a panic.
+func Verify(pub PublicKey, msg, sig []byte) error {
+	if err := pub.check(); err != nil {
+		return err
+	}
+	if !ed25519.Verify(ed25519.PublicKey(pub), msg, sig) {
 		return errors.New("identity: signature verification failed")
 	}
 	return nil
 }
 
 // MarshalPublicKey encodes a public key in PKIX DER form.
-func MarshalPublicKey(pub *ecdsa.PublicKey) ([]byte, error) {
-	der, err := x509.MarshalPKIXPublicKey(pub)
+func MarshalPublicKey(pub PublicKey) ([]byte, error) {
+	if err := pub.check(); err != nil {
+		return nil, err
+	}
+	der, err := x509.MarshalPKIXPublicKey(ed25519.PublicKey(pub))
 	if err != nil {
 		return nil, fmt.Errorf("identity: marshal public key: %w", err)
 	}
 	return der, nil
 }
 
-// ParsePublicKey decodes a PKIX DER public key and requires it to be
-// ECDSA.
-func ParsePublicKey(der []byte) (*ecdsa.PublicKey, error) {
+// ParsePublicKey decodes a PKIX DER public key.
+func ParsePublicKey(der []byte) (PublicKey, error) {
 	pub, err := x509.ParsePKIXPublicKey(der)
 	if err != nil {
 		return nil, fmt.Errorf("identity: parse public key: %w", err)
 	}
-	ec, ok := pub.(*ecdsa.PublicKey)
+	ed, ok := pub.(ed25519.PublicKey)
 	if !ok {
-		return nil, fmt.Errorf("identity: public key is %T, want *ecdsa.PublicKey", pub)
+		return nil, fmt.Errorf("%w: public key is %T", ErrKeyAlgorithm, pub)
 	}
-	return ec, nil
+	return PublicKey(ed), nil
+}
+
+// MarshalPrivateKey encodes a private key in PKCS#8 DER form.
+func MarshalPrivateKey(priv PrivateKey) ([]byte, error) {
+	if err := priv.check(); err != nil {
+		return nil, err
+	}
+	der, err := x509.MarshalPKCS8PrivateKey(ed25519.PrivateKey(priv))
+	if err != nil {
+		return nil, fmt.Errorf("identity: marshal private key: %w", err)
+	}
+	return der, nil
+}
+
+// ParsePrivateKey decodes a PKCS#8 DER private key.
+func ParsePrivateKey(der []byte) (PrivateKey, error) {
+	priv, err := x509.ParsePKCS8PrivateKey(der)
+	if err != nil {
+		return nil, fmt.Errorf("identity: parse private key: %w", err)
+	}
+	ed, ok := priv.(ed25519.PrivateKey)
+	if !ok {
+		return nil, fmt.Errorf("%w: private key is %T", ErrKeyAlgorithm, priv)
+	}
+	return PrivateKey(ed), nil
 }
 
 // KeyFingerprint returns a short, stable identifier for a public key:
 // base64 (raw URL alphabet) of the first 12 bytes of SHA-256 over the
 // PKIX encoding.
-func KeyFingerprint(pub *ecdsa.PublicKey) string {
-	der, err := x509.MarshalPKIXPublicKey(pub)
+func KeyFingerprint(pub PublicKey) string {
+	der, err := MarshalPublicKey(pub)
 	if err != nil {
 		return "invalid-key"
 	}

@@ -5,13 +5,12 @@
 // cascaded capability delegation using proxy keys, and per-entity trust
 // stores implementing the paper's web-of-trust key-introducer model.
 //
-// All certificates are real crypto/x509 certificates signed with ECDSA
-// P-256 over SHA-256, so they interoperate with crypto/tls for the
-// mutually authenticated inter-BB channels.
+// All certificates are real crypto/x509 certificates signed with the
+// one scheme internal/identity owns, so they interoperate with
+// crypto/tls for the mutually authenticated inter-BB channels.
 package pki
 
 import (
-	"crypto/ecdsa"
 	"crypto/rand"
 	"crypto/x509"
 	"crypto/x509/pkix"
@@ -69,7 +68,7 @@ func NewCA(dn identity.DN) (*CA, error) {
 		BasicConstraintsValid: true,
 		IsCA:                  true,
 	}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, tmpl, kp.Public(), kp.Private)
+	der, err := x509.CreateCertificate(rand.Reader, tmpl, tmpl, kp.Public().Crypto(), kp.Private.Signer())
 	if err != nil {
 		return nil, fmt.Errorf("pki: creating CA cert for %s: %w", dn, err)
 	}
@@ -104,7 +103,7 @@ func (ca *CA) Certificate() *x509.Certificate { return ca.cert }
 func (ca *CA) CertificateDER() []byte { return ca.der }
 
 // PublicKey returns the CA's public key.
-func (ca *CA) PublicKey() *ecdsa.PublicKey { return ca.key.Public() }
+func (ca *CA) PublicKey() identity.PublicKey { return ca.key.Public() }
 
 // Key exposes the CA key pair; used by daemons that also sign protocol
 // messages with the CA identity (e.g. test fixtures).
@@ -123,7 +122,7 @@ func (ca *CA) nextSerial() *big.Int {
 // pub, valid for validity (or 1 year when zero). The certificate is
 // suitable for TLS client and server authentication; hosts lists the
 // DNS names to embed as SANs.
-func (ca *CA) IssueIdentity(dn identity.DN, pub *ecdsa.PublicKey, validity time.Duration, hosts ...string) (*Certificate, error) {
+func (ca *CA) IssueIdentity(dn identity.DN, pub identity.PublicKey, validity time.Duration, hosts ...string) (*Certificate, error) {
 	if !dn.Valid() {
 		return nil, fmt.Errorf("pki: invalid subject DN %q", dn)
 	}
@@ -142,15 +141,11 @@ func (ca *CA) IssueIdentity(dn identity.DN, pub *ecdsa.PublicKey, validity time.
 		ExtKeyUsage:  []x509.ExtKeyUsage{x509.ExtKeyUsageServerAuth, x509.ExtKeyUsageClientAuth},
 		DNSNames:     append([]string{}, hosts...),
 	}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, ca.cert, pub, ca.key.Private)
+	der, err := x509.CreateCertificate(rand.Reader, tmpl, ca.cert, pub.Crypto(), ca.key.Private.Signer())
 	if err != nil {
 		return nil, fmt.Errorf("pki: issuing identity cert for %s: %w", dn, err)
 	}
-	cert, err := x509.ParseCertificate(der)
-	if err != nil {
-		return nil, fmt.Errorf("pki: parsing issued cert: %w", err)
-	}
-	return newCertificate(cert, der), nil
+	return ParseCertificate(der)
 }
 
 // Certificate couples a parsed x509 certificate with its DER encoding.
@@ -185,28 +180,34 @@ func (c *Certificate) IssuerDN() identity.DN {
 	return NameToDN(c.Cert.Issuer)
 }
 
-// PublicKey returns the embedded ECDSA public key, or nil for other key
-// types.
-func (c *Certificate) PublicKey() *ecdsa.PublicKey {
-	pub, _ := c.Cert.PublicKey.(*ecdsa.PublicKey)
+// PublicKey returns the subject public key. It is nil only for a
+// Certificate literal around a certificate made for another signature
+// algorithm; ParseCertificate refuses those.
+func (c *Certificate) PublicKey() identity.PublicKey {
+	pub, _ := identity.SubjectKey(c.Cert)
 	return pub
 }
 
-// ParseCertificate decodes a DER certificate into our wrapper.
+// ParseCertificate decodes a DER certificate into our wrapper. A
+// certificate whose subject key is of another signature algorithm is
+// refused with identity.ErrKeyAlgorithm.
 func ParseCertificate(der []byte) (*Certificate, error) {
 	cert, err := x509.ParseCertificate(der)
 	if err != nil {
 		return nil, fmt.Errorf("pki: parse certificate: %w", err)
 	}
+	if _, err := identity.SubjectKey(cert); err != nil {
+		return nil, fmt.Errorf("pki: certificate for %s: %w", NameToDN(cert.Subject), err)
+	}
 	return newCertificate(cert, der), nil
 }
 
-// CheckSignedBy verifies that c carries a valid ECDSA P-256/SHA-256
-// signature by issuerPub over its TBS certificate. It deliberately does
+// CheckSignedBy verifies that c carries a valid signature by issuerPub
+// over its TBS certificate. It deliberately does
 // not enforce CA basic constraints: capability certificates are signed
 // by end entities and proxy keys, exactly as the paper's delegation
 // model requires.
-func (c *Certificate) CheckSignedBy(issuerPub *ecdsa.PublicKey) error {
+func (c *Certificate) CheckSignedBy(issuerPub identity.PublicKey) error {
 	if c == nil || c.Cert == nil {
 		return fmt.Errorf("pki: nil certificate")
 	}

@@ -1,8 +1,6 @@
 package pki
 
 import (
-	"crypto/ecdsa"
-	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/x509"
 	"crypto/x509/pkix"
@@ -72,12 +70,12 @@ func containsAll(a, b []string) bool { return subsetOf(a, b) }
 // holds to prove possession and to sign the first delegation step
 // (Neuman's proxy-based authorization).
 type ProxyKey struct {
-	Private *ecdsa.PrivateKey
+	Private identity.PrivateKey
 }
 
-// NewProxyKey generates a fresh P-256 proxy key pair.
+// NewProxyKey generates a fresh proxy key pair.
 func NewProxyKey() (*ProxyKey, error) {
-	priv, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	priv, err := identity.GenerateKey()
 	if err != nil {
 		return nil, fmt.Errorf("pki: generating proxy key: %w", err)
 	}
@@ -85,7 +83,7 @@ func NewProxyKey() (*ProxyKey, error) {
 }
 
 // Public returns the public proxy key.
-func (p *ProxyKey) Public() *ecdsa.PublicKey { return &p.Private.PublicKey }
+func (p *ProxyKey) Public() identity.PublicKey { return p.Private.Public() }
 
 // CapabilityCertificate is an X.509v3 certificate flagged as carrying
 // capability attributes. The subject public key is either a proxy key
@@ -109,7 +107,7 @@ func capabilityExtensions(attrs CapabilityAttrs) ([]pkix.Extension, error) {
 
 // issueCapability builds and signs a capability certificate.
 // issuerDN/issuerKey sign; subjectDN/subjectPub are bound.
-func issueCapability(issuerDN identity.DN, issuerKey *ecdsa.PrivateKey, subjectDN identity.DN, subjectPub *ecdsa.PublicKey, attrs CapabilityAttrs, validity time.Duration) (*CapabilityCertificate, error) {
+func issueCapability(issuerDN identity.DN, issuerKey identity.PrivateKey, subjectDN identity.DN, subjectPub identity.PublicKey, attrs CapabilityAttrs, validity time.Duration) (*CapabilityCertificate, error) {
 	if issuerKey == nil {
 		return nil, fmt.Errorf("pki: nil issuer key for capability from %s", issuerDN)
 	}
@@ -139,7 +137,7 @@ func issueCapability(issuerDN identity.DN, issuerKey *ecdsa.PrivateKey, subjectD
 	// CreateCertificate does not demand CA key usage: capability
 	// certificates are issued by end entities, per the paper.
 	parent := &x509.Certificate{Subject: dnToName(issuerDN)}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, parent, subjectPub, issuerKey)
+	der, err := x509.CreateCertificate(rand.Reader, tmpl, parent, subjectPub.Crypto(), issuerKey.Signer())
 	if err != nil {
 		return nil, fmt.Errorf("pki: issuing capability cert %s -> %s: %w", issuerDN, subjectDN, err)
 	}
@@ -169,7 +167,7 @@ func IssueCommunityCapability(casDN identity.DN, casKey *identity.KeyPair, userD
 // public key of the previous certificate) issues a new capability
 // certificate to delegateDN, binding the delegate's *real* public key
 // and appending restrictions. Capabilities may only shrink.
-func Delegate(prev *CapabilityCertificate, signerDN identity.DN, signerKey *ecdsa.PrivateKey, delegateDN identity.DN, delegatePub *ecdsa.PublicKey, extraRestrictions []string, validity time.Duration) (*CapabilityCertificate, error) {
+func Delegate(prev *CapabilityCertificate, signerDN identity.DN, signerKey identity.PrivateKey, delegateDN identity.DN, delegatePub identity.PublicKey, extraRestrictions []string, validity time.Duration) (*CapabilityCertificate, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("pki: delegate from nil certificate")
 	}
@@ -235,7 +233,7 @@ type CapabilityChain []*CapabilityCertificate
 type VerifyOptions struct {
 	// CASKey is the trusted public key of the community authorization
 	// server that must anchor the chain.
-	CASKey *ecdsa.PublicKey
+	CASKey identity.PublicKey
 	// At is the evaluation time (zero means time.Now()).
 	At time.Time
 	// RequireRestriction, when non-empty, requires every delegated
@@ -280,7 +278,7 @@ func (c CapabilityChain) Verify(opts VerifyOptions) (CapabilityAttrs, error) {
 		prev := c[i-1]
 		signer := prev.PublicKey()
 		if signer == nil {
-			return CapabilityAttrs{}, fmt.Errorf("pki: chain certificate %d has non-ECDSA subject key", i-1)
+			return CapabilityAttrs{}, fmt.Errorf("pki: chain certificate %d: %w", i-1, identity.ErrKeyAlgorithm)
 		}
 		if err := cert.CheckSignedBy(signer); err != nil {
 			return CapabilityAttrs{}, fmt.Errorf("pki: delegation %d (%s -> %s) not signed by predecessor subject key: %w",
@@ -310,9 +308,8 @@ func (c CapabilityChain) Verify(opts VerifyOptions) (CapabilityAttrs, error) {
 // verifier checks it against the subject public key of the final chain
 // certificate. This implements the "prove knowledge of the private
 // proxy key" step of §6.5.
-func ProvePossession(holderKey *ecdsa.PrivateKey, nonce []byte) ([]byte, error) {
-	kp := &identity.KeyPair{DN: "/CN=holder", Private: holderKey}
-	return kp.Sign(nonce)
+func ProvePossession(holderKey identity.PrivateKey, nonce []byte) ([]byte, error) {
+	return identity.Sign(holderKey, nonce)
 }
 
 // VerifyPossession checks the final holder's proof of possession.
@@ -322,7 +319,7 @@ func (c CapabilityChain) VerifyPossession(nonce, proof []byte) error {
 	}
 	pub := c[len(c)-1].PublicKey()
 	if pub == nil {
-		return fmt.Errorf("pki: final chain certificate has non-ECDSA key")
+		return fmt.Errorf("pki: final chain certificate: %w", identity.ErrKeyAlgorithm)
 	}
 	return identity.Verify(pub, nonce, proof)
 }

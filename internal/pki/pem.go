@@ -1,11 +1,11 @@
 package pki
 
 import (
-	"crypto/ecdsa"
-	"crypto/x509"
 	"encoding/pem"
+	"errors"
 	"fmt"
 	"os"
+	"strings"
 
 	"e2eqos/internal/identity"
 )
@@ -13,7 +13,7 @@ import (
 // PEM block types used by the tooling.
 const (
 	pemCertType = "CERTIFICATE"
-	pemKeyType  = "EC PRIVATE KEY"
+	pemKeyType  = "PRIVATE KEY" // PKCS#8
 )
 
 // EncodeCertPEM renders a DER certificate as PEM.
@@ -35,29 +35,34 @@ func DecodeCertPEM(data []byte) (*Certificate, error) {
 	}
 }
 
-// EncodeKeyPEM renders an ECDSA private key as PEM.
-func EncodeKeyPEM(key *ecdsa.PrivateKey) ([]byte, error) {
-	der, err := x509.MarshalECPrivateKey(key)
+// EncodeKeyPEM renders a private key as a PKCS#8 PEM block.
+func EncodeKeyPEM(key identity.PrivateKey) ([]byte, error) {
+	der, err := identity.MarshalPrivateKey(key)
 	if err != nil {
-		return nil, fmt.Errorf("pki: marshal key: %w", err)
+		return nil, fmt.Errorf("pki: %w", err)
 	}
 	return pem.EncodeToMemory(&pem.Block{Type: pemKeyType, Bytes: der}), nil
 }
 
-// DecodeKeyPEM parses the first EC private key block in data.
-func DecodeKeyPEM(data []byte) (*ecdsa.PrivateKey, error) {
+// DecodeKeyPEM parses the first private key block in data. A key block
+// in another format ("EC PRIVATE KEY", "RSA PRIVATE KEY") is refused by
+// name with identity.ErrKeyAlgorithm, not skipped.
+func DecodeKeyPEM(data []byte) (identity.PrivateKey, error) {
 	for {
 		var block *pem.Block
 		block, data = pem.Decode(data)
 		if block == nil {
-			return nil, fmt.Errorf("pki: no EC private key block found")
+			return nil, fmt.Errorf("pki: no private key block found")
 		}
 		if block.Type == pemKeyType {
-			key, err := x509.ParseECPrivateKey(block.Bytes)
+			key, err := identity.ParsePrivateKey(block.Bytes)
 			if err != nil {
-				return nil, fmt.Errorf("pki: parse key: %w", err)
+				return nil, fmt.Errorf("pki: %w", err)
 			}
 			return key, nil
+		}
+		if strings.HasSuffix(block.Type, pemKeyType) {
+			return nil, fmt.Errorf("pki: %q block: %w", block.Type, identity.ErrKeyAlgorithm)
 		}
 	}
 }
@@ -68,10 +73,21 @@ func LoadCertFile(path string) (*Certificate, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pki: %w", err)
 	}
-	return DecodeCertPEM(data)
+	cert, err := DecodeCertPEM(data)
+	return cert, fileError(path, err)
 }
 
-// LoadKeyFile reads a PEM EC key from disk and binds it to the DN of
+// fileError names the file, and the way out, when a file on disk was
+// written for another signature algorithm: every tool reads its keys
+// and certificates through here.
+func fileError(path string, err error) error {
+	if errors.Is(err, identity.ErrKeyAlgorithm) {
+		return fmt.Errorf("%s: %w (re-issue with qosca)", path, err)
+	}
+	return err
+}
+
+// LoadKeyFile reads a PEM key from disk and binds it to the DN of
 // the accompanying certificate when given; dn may be empty otherwise.
 func LoadKeyFile(path string, dn identity.DN) (*identity.KeyPair, error) {
 	data, err := os.ReadFile(path)
@@ -80,7 +96,7 @@ func LoadKeyFile(path string, dn identity.DN) (*identity.KeyPair, error) {
 	}
 	key, err := DecodeKeyPEM(data)
 	if err != nil {
-		return nil, err
+		return nil, fileError(path, err)
 	}
 	return &identity.KeyPair{DN: dn, Private: key}, nil
 }
@@ -91,7 +107,7 @@ func SaveCertFile(path string, der []byte) error {
 }
 
 // SaveKeyFile writes a private key as PEM with 0600 permissions.
-func SaveKeyFile(path string, key *ecdsa.PrivateKey) error {
+func SaveKeyFile(path string, key identity.PrivateKey) error {
 	data, err := EncodeKeyPEM(key)
 	if err != nil {
 		return err

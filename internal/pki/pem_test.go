@@ -1,6 +1,12 @@
 package pki
 
 import (
+	"crypto/ecdsa"
+	"crypto/elliptic"
+	"crypto/rand"
+	"crypto/x509"
+	"encoding/pem"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -46,11 +52,49 @@ func TestKeyPEMRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !key.PublicKey.Equal(kp.Public()) {
+	if !key.Public().Equal(kp.Public()) {
 		t.Error("key round trip mismatch")
 	}
 	if _, err := DecodeKeyPEM([]byte("garbage")); err == nil {
 		t.Error("junk decoded as key")
+	}
+}
+
+// TestDecodeKeyPEMRefusesOtherAlgorithms: a key file written for
+// another signature algorithm is refused by name — the SEC 1 block the
+// tooling used to write, and a PKCS#8 block holding a P-256 key — even
+// when a usable key follows it in the same file.
+func TestDecodeKeyPEMRefusesOtherAlgorithms(t *testing.T) {
+	p256, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec1, err := x509.MarshalECPrivateKey(p256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkcs8, err := x509.MarshalPKCS8PrivateKey(p256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := EncodeKeyPEM(mustKey(t, identity.NewDN("Grid", "A", "alice")).Private)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, block := range map[string]*pem.Block{
+		"EC PRIVATE KEY":    {Type: "EC PRIVATE KEY", Bytes: sec1},
+		"PKCS#8 P-256":      {Type: "PRIVATE KEY", Bytes: pkcs8},
+		"RSA PRIVATE KEY":   {Type: "RSA PRIVATE KEY", Bytes: []byte("whatever")},
+		"ENCRYPTED PRIVATE": {Type: "ENCRYPTED PRIVATE KEY", Bytes: []byte("whatever")},
+	} {
+		data := append(pem.EncodeToMemory(block), good...)
+		key, err := DecodeKeyPEM(data)
+		if !errors.Is(err, identity.ErrKeyAlgorithm) {
+			t.Errorf("%s: err = %v, want identity.ErrKeyAlgorithm", name, err)
+		}
+		if key != nil {
+			t.Errorf("%s: a key came back beside the error", name)
+		}
 	}
 }
 

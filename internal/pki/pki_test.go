@@ -4,6 +4,9 @@ import (
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
+	"crypto/x509"
+	"errors"
+	"math/big"
 	"testing"
 	"time"
 
@@ -445,8 +448,85 @@ func TestProxyKeyDistinctFromUserKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	user, _ := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
-	if proxy.Public().Equal(&user.PublicKey) {
+	user := mustKey(t, identity.NewDN("Grid", "A", "Alice"))
+	if proxy.Public().Equal(user.Public()) {
 		t.Fatal("proxy key must be independent")
+	}
+}
+
+// p256Certificate has ca sign a certificate whose subject key is P-256:
+// well-formed X.509 under a trusted root, made for a signature
+// algorithm this tree does not speak.
+func p256Certificate(t *testing.T, ca *CA, dn identity.DN) *x509.Certificate {
+	t.Helper()
+	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl := &x509.Certificate{
+		SerialNumber: big.NewInt(7),
+		Subject:      dnToName(dn),
+		NotBefore:    time.Now().Add(-time.Hour),
+		NotAfter:     time.Now().Add(time.Hour),
+	}
+	der, err := x509.CreateCertificate(rand.Reader, tmpl, ca.Certificate(), &key.PublicKey, ca.Key().Private.Signer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert, err := x509.ParseCertificate(der)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cert
+}
+
+// TestOtherKeyAlgorithmRefusedByName: a CA-signed certificate carrying
+// a P-256 subject key never yields a key, nil or otherwise, without an
+// error that names the reason — parsed, presented as the target of a
+// resolution, or introduced by a trusted peer.
+func TestOtherKeyAlgorithmRefusedByName(t *testing.T) {
+	ca := mustCA(t, "RootCA")
+	dn := identity.NewDN("Grid", "A", "bb-a")
+	odd := p256Certificate(t, ca, dn)
+	if err := odd.CheckSignatureFrom(ca.Certificate()); err != nil {
+		t.Fatalf("the fixture is not CA-signed: %v", err)
+	}
+	if _, err := ParseCertificate(odd.Raw); !errors.Is(err, identity.ErrKeyAlgorithm) {
+		t.Errorf("ParseCertificate: err = %v, want identity.ErrKeyAlgorithm", err)
+	}
+	if _, err := DecodeCertPEM(EncodeCertPEM(odd.Raw)); !errors.Is(err, identity.ErrKeyAlgorithm) {
+		t.Errorf("DecodeCertPEM: err = %v, want identity.ErrKeyAlgorithm", err)
+	}
+
+	ts := NewTrustStore(2)
+	if err := ts.AddRoot(&Certificate{Cert: ca.Certificate(), DER: ca.CertificateDER()}); err != nil {
+		t.Fatal(err)
+	}
+	literal := &Certificate{Cert: odd, DER: odd.Raw}
+	if pub := literal.PublicKey(); pub != nil {
+		t.Errorf("PublicKey of a P-256 certificate = %x, want nil", pub)
+	}
+	if pub, _, err := ts.ResolveKey(literal, nil, time.Now()); !errors.Is(err, identity.ErrKeyAlgorithm) || pub != nil {
+		t.Errorf("ResolveKey(target): key %x, err = %v, want identity.ErrKeyAlgorithm", pub, err)
+	}
+	if err := ts.AddRoot(literal); !errors.Is(err, identity.ErrKeyAlgorithm) {
+		t.Errorf("AddRoot: err = %v, want identity.ErrKeyAlgorithm", err)
+	}
+
+	// Introduced by a pinned peer: the introduction's signature holds,
+	// the certificate inside it is still refused.
+	bbB := mustKey(t, identity.NewDN("Grid", "B", "bb-b"))
+	ts.PinPeer(bbB.DN, bbB.Public())
+	intro, err := NewIntroduction(bbB, odd.Raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stranger := mustKey(t, dn)
+	target, err := mustCA(t, "ElsewhereCA").IssueIdentity(dn, stranger.Public(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pub, _, err := ts.ResolveKey(target, []Introduction{intro}, time.Now()); !errors.Is(err, identity.ErrKeyAlgorithm) || pub != nil {
+		t.Errorf("ResolveKey(introduced): key %x, err = %v, want identity.ErrKeyAlgorithm", pub, err)
 	}
 }

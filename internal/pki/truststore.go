@@ -1,8 +1,8 @@
 package pki
 
 import (
-	"crypto/ecdsa"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -43,28 +43,28 @@ func NewIntroduction(introducer *identity.KeyPair, certDER []byte) (Introduction
 type TrustStore struct {
 	mu sync.RWMutex
 	// roots maps CA DN -> CA public key.
-	roots map[identity.DN]*ecdsa.PublicKey
+	roots map[identity.DN]identity.PublicKey
 	// peers maps peer DN -> pinned public key (from SLA configuration
 	// or a completed TLS handshake).
-	peers map[identity.DN]*ecdsa.PublicKey
+	peers map[identity.DN]identity.PublicKey
 	// maxIntroducerDepth limits accepted introduction chains; 0 means
 	// introductions are refused entirely.
 	maxIntroducerDepth int
 	// caChecked maps the DER digest of a certificate to the root key its
-	// CA signature verified under — that exact key value, so an entry
-	// says nothing about any other root. AddRoot empties it; it holds at
-	// most certCacheBound entries.
-	caChecked map[[sha256.Size]byte]*ecdsa.PublicKey
+	// CA signature verified under, compared by value (Equal), so an entry
+	// says nothing about a root with any other key. AddRoot empties it;
+	// it holds at most certCacheBound entries.
+	caChecked map[[sha256.Size]byte]identity.PublicKey
 }
 
 // NewTrustStore creates an empty store accepting introducer chains up
 // to maxIntroducerDepth links.
 func NewTrustStore(maxIntroducerDepth int) *TrustStore {
 	return &TrustStore{
-		roots:              make(map[identity.DN]*ecdsa.PublicKey),
-		peers:              make(map[identity.DN]*ecdsa.PublicKey),
+		roots:              make(map[identity.DN]identity.PublicKey),
+		peers:              make(map[identity.DN]identity.PublicKey),
 		maxIntroducerDepth: maxIntroducerDepth,
-		caChecked:          make(map[[sha256.Size]byte]*ecdsa.PublicKey),
+		caChecked:          make(map[[sha256.Size]byte]identity.PublicKey),
 	}
 }
 
@@ -86,7 +86,7 @@ func (t *TrustStore) SetMaxIntroducerDepth(d int) {
 func (t *TrustStore) AddRoot(ca *Certificate) error {
 	pub := ca.PublicKey()
 	if pub == nil {
-		return fmt.Errorf("pki: CA %s has non-ECDSA key", ca.SubjectDN())
+		return fmt.Errorf("pki: CA %s: %w", ca.SubjectDN(), identity.ErrKeyAlgorithm)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -97,14 +97,14 @@ func (t *TrustStore) AddRoot(ca *Certificate) error {
 
 // PinPeer records a directly trusted peer key, as established by an SLA
 // or a mutually authenticated handshake.
-func (t *TrustStore) PinPeer(dn identity.DN, pub *ecdsa.PublicKey) {
+func (t *TrustStore) PinPeer(dn identity.DN, pub identity.PublicKey) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.peers[dn] = pub
 }
 
 // PeerKey returns the pinned key for dn, if any.
-func (t *TrustStore) PeerKey(dn identity.DN) (*ecdsa.PublicKey, bool) {
+func (t *TrustStore) PeerKey(dn identity.DN) (identity.PublicKey, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	pub, ok := t.peers[dn]
@@ -116,7 +116,7 @@ func (t *TrustStore) PeerKey(dn identity.DN) (*ecdsa.PublicKey, bool) {
 // with a matching key, or a trusted root CA signed the certificate. The
 // CA signature over one exact DER encoding is checked once per root
 // key and remembered; the validity window is checked on every call.
-func (t *TrustStore) DirectlyTrusted(cert *Certificate, at time.Time) (*ecdsa.PublicKey, error) {
+func (t *TrustStore) DirectlyTrusted(cert *Certificate, at time.Time) (identity.PublicKey, error) {
 	if cert == nil {
 		return nil, fmt.Errorf("pki: nil certificate")
 	}
@@ -125,7 +125,7 @@ func (t *TrustStore) DirectlyTrusted(cert *Certificate, at time.Time) (*ecdsa.Pu
 	}
 	pub := cert.PublicKey()
 	if pub == nil {
-		return nil, fmt.Errorf("pki: certificate for %s has non-ECDSA key", cert.SubjectDN())
+		return nil, fmt.Errorf("pki: certificate for %s: %w", cert.SubjectDN(), identity.ErrKeyAlgorithm)
 	}
 	// The lock covers the map reads only: the signature check runs
 	// outside it, so a PinPeer or AddRoot waiting to write never holds up
@@ -134,14 +134,14 @@ func (t *TrustStore) DirectlyTrusted(cert *Certificate, at time.Time) (*ecdsa.Pu
 	t.mu.RLock()
 	pinned, isPeer := t.peers[cert.SubjectDN()]
 	caKey, hasRoot := t.roots[cert.IssuerDN()]
-	checked := hasRoot && t.caChecked[digest] == caKey
+	checked := hasRoot && t.caChecked[digest].Equal(caKey)
 	t.mu.RUnlock()
 	if checked || isPeer && pinned.Equal(pub) {
 		return pub, nil
 	}
 	if hasRoot && cert.CheckSignedBy(caKey) == nil {
 		t.mu.Lock()
-		if t.roots[cert.IssuerDN()] == caKey {
+		if t.roots[cert.IssuerDN()].Equal(caKey) {
 			putBounded(t.caChecked, digest, caKey)
 		}
 		t.mu.Unlock()
@@ -161,9 +161,13 @@ func (t *TrustStore) DirectlyTrusted(cert *Certificate, at time.Time) (*ecdsa.Pu
 // BB's key without a shared CA: "This web of trust allows each domain
 // to access a list of key introducers when deciding whether to accept
 // the public key stored in the certificate."
-func (t *TrustStore) ResolveKey(target *Certificate, introductions []Introduction, at time.Time) (*ecdsa.PublicKey, int, error) {
-	if pub, err := t.DirectlyTrusted(target, at); err == nil {
+func (t *TrustStore) ResolveKey(target *Certificate, introductions []Introduction, at time.Time) (identity.PublicKey, int, error) {
+	pub, err := t.DirectlyTrusted(target, at)
+	if err == nil {
 		return pub, 0, nil
+	}
+	if errors.Is(err, identity.ErrKeyAlgorithm) {
+		return nil, 0, err
 	}
 	if len(introductions) == 0 {
 		return nil, 0, fmt.Errorf("pki: %s not directly trusted and no introductions supplied", target.SubjectDN())
@@ -189,12 +193,8 @@ func (t *TrustStore) ResolveKey(target *Certificate, introductions []Introductio
 		if !cert.ValidAt(at) {
 			return nil, 0, fmt.Errorf("pki: introduced certificate %d for %s not valid at %s", i, cert.SubjectDN(), at)
 		}
-		pub := cert.PublicKey()
-		if pub == nil {
-			return nil, 0, fmt.Errorf("pki: introduced certificate %d has non-ECDSA key", i)
-		}
 		// The introduced subject becomes the introducer of the next link.
-		introducerKey = pub
+		introducerKey = cert.PublicKey()
 		lastCert = cert
 		if i+1 < len(introductions) && introductions[i+1].IntroducerDN != cert.SubjectDN() {
 			return nil, 0, fmt.Errorf("pki: introduction chain broken: link %d introduces %s but link %d claims introducer %s",

@@ -14,7 +14,6 @@
 package policysrv
 
 import (
-	"crypto/ecdsa"
 	"fmt"
 	"sync"
 	"time"
@@ -75,7 +74,7 @@ type Server struct {
 	// groupServers maps group name -> the server trusted to accredit it.
 	groupServers map[string]*group.Server
 	// casKeys maps community -> trusted CAS public key.
-	casKeys map[string]*ecdsa.PublicKey
+	casKeys map[string]identity.PublicKey
 	// additions are static domain-wide attributes.
 	additions map[string]string
 	// nowFn is injectable for tests.
@@ -88,7 +87,7 @@ func New(domain string, pol *policy.Policy) *Server {
 		domain:       domain,
 		pol:          pol,
 		groupServers: make(map[string]*group.Server),
-		casKeys:      make(map[string]*ecdsa.PublicKey),
+		casKeys:      make(map[string]identity.PublicKey),
 		additions:    make(map[string]string),
 		nowFn:        time.Now,
 	}
@@ -112,7 +111,7 @@ func (s *Server) TrustGroupServer(groupName string, gs *group.Server) {
 }
 
 // TrustCAS pins the CAS public key for a community.
-func (s *Server) TrustCAS(community string, key *ecdsa.PublicKey) {
+func (s *Server) TrustCAS(community string, key identity.PublicKey) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.casKeys[community] = key

@@ -6,7 +6,6 @@
 package signalling
 
 import (
-	"crypto/ecdsa"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -345,7 +344,7 @@ func SignApproval(a *DomainApproval, key *identity.KeyPair) error {
 }
 
 // VerifyApproval checks the approval against the broker's public key.
-func VerifyApproval(a *DomainApproval, pub *ecdsa.PublicKey) error {
+func VerifyApproval(a *DomainApproval, pub identity.PublicKey) error {
 	if a == nil {
 		return fmt.Errorf("signalling: nil approval")
 	}

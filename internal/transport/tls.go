@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"crypto/ecdsa"
 	"crypto/tls"
 	"crypto/x509"
 	"encoding/binary"
@@ -24,7 +23,7 @@ const maxFrame = 16 << 20
 // certificate authority").
 type TLSConfig struct {
 	CertDER []byte
-	Key     *ecdsa.PrivateKey
+	Key     identity.PrivateKey
 	// RootDERs are the trusted CA certificates.
 	RootDERs [][]byte
 }
@@ -43,7 +42,7 @@ func (c *TLSConfig) build(server bool) (*tls.Config, error) {
 		}
 		pool.AddCert(cert)
 	}
-	tlsCert := tls.Certificate{Certificate: [][]byte{c.CertDER}, PrivateKey: c.Key}
+	tlsCert := tls.Certificate{Certificate: [][]byte{c.CertDER}, PrivateKey: c.Key.Signer()}
 	cfg := &tls.Config{
 		Certificates: []tls.Certificate{tlsCert},
 		MinVersion:   tls.VersionTLS12,

@@ -58,7 +58,13 @@
 #                          signature check allocates nothing, and a warm
 #                          core.Broker.Verify parses no certificate
 #                          (allocs per layer at 8 layers no more than at
-#                          2, at most 8 per layer beyond the second)
+#                          2, at most 8 per layer beyond the second);
+#                          validating a tunnel batch of up to 512 ops
+#                          allocates nothing, decoding a 256-op frame
+#                          at most 10 objects and no more than a 64-op
+#                          one, and a granted release batch costs the
+#                          destination no more objects or bytes at 256
+#                          ops than at 64
 #                          (run without -race; the gates skip under it)
 #   make bench-e2e         the repository's benchmark (bench/README.md):
 #                          go run ./bench — four workloads, end to end
@@ -82,7 +88,8 @@
 #   make bench-concurrency reserve throughput vs parallel requesters
 #                          (the numbers recorded in BENCH_concurrency.json)
 #   make bench-subflow     sub-flow admission throughput, per-RPC vs
-#                          batched, plus the 1%-sampled telemetry arm
+#                          batched, with -benchmem (bytes and objects
+#                          per sub-flow), plus the 1%-sampled telemetry arm
 #                          (the numbers in BENCH_subflow.json and
 #                          BENCH_obs.json)
 #   make bench-obs         telemetry micro-benchmarks with -benchmem:
@@ -117,7 +124,7 @@ verify: build metrics-lint alloc-gate fuzz-short
 	$(GO) test -race ./...
 
 alloc-gate:
-	$(GO) test -run 'AllocationFree' ./internal/signalling ./internal/journal ./internal/obs ./internal/resv ./internal/core ./internal/identity
+	$(GO) test -run 'AllocationFree|AllocationBound' ./internal/signalling ./internal/journal ./internal/obs ./internal/resv ./internal/core ./internal/identity ./internal/bb
 
 race-concurrency:
 	$(GO) test -race -run 'Concurrent|Worker|Post' ./internal/signalling ./internal/bb
@@ -178,7 +185,7 @@ bench-concurrency:
 	$(GO) test -run NONE -bench 'ConcurrentReserveChain' -benchtime 2s .
 
 bench-subflow:
-	$(GO) test -run NONE -bench 'SubFlowThroughput' -benchtime 150000x .
+	$(GO) test -run NONE -bench 'SubFlowThroughput' -benchtime 150000x -benchmem .
 
 bench-obs:
 	$(GO) test -run NONE -bench 'QHistObserve|MutexHistObserve|QHistQuantile|SamplerSample|RecorderAppend' -benchmem ./internal/obs

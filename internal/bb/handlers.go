@@ -54,13 +54,14 @@ func newTunnelRegistry() *tunnelRegistry {
 // begin registers a batch placeholder, or returns the existing entry
 // with dup=true.
 func (t *tunnelRegistry) begin(rarID, batchID string, epoch int64) (st *batchState, dup bool) {
+	key := batchKey(rarID, batchID)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if st, ok := t.batches[batchKey(rarID, batchID)]; ok {
+	if st, ok := t.batches[key]; ok {
 		return st, true
 	}
 	st = &batchState{done: make(chan struct{}), epoch: epoch, rarID: rarID, id: batchID}
-	t.batches[batchKey(rarID, batchID)] = st
+	t.batches[key] = st
 	return st, false
 }
 
@@ -1226,48 +1227,60 @@ func (b *BB) handleTunnelBatch(peer signalling.Peer, payload *signalling.TunnelB
 		}
 		return signalling.ErrorResult(fmt.Sprintf("%s: batch %s settled without outcome", b.cfg.Domain, payload.BatchID))
 	}
-	results := make([]signalling.TunnelOpResult, len(payload.Ops))
-	applied := make([]tunnelOpRec, 0, len(payload.Ops))
-	granted := true
-	for i, op := range payload.Ops {
-		results[i].SubFlowID = op.SubFlowID
-		switch op.Action {
-		case signalling.OpAlloc:
-			gen, err := ep.Allocate(op.SubFlowID, units.Bandwidth(op.Bandwidth))
-			if err != nil {
-				results[i].Reason = err.Error()
-				granted = false
-				b.m.tunnelDenied.Inc()
-				continue
+	// A fully granted batch, the common case, builds no per-op state:
+	// results exists from the first denial on (the ops before it filled
+	// in as granted), applied only when there is a journal to write it
+	// to, and the counters move once per batch. The ids alias the decoded
+	// frame (DESIGN.md §6.5), so the two places that keep one past this
+	// request, the endpoint's map and the recorded outcome, clone it.
+	var results []signalling.TunnelOpResult
+	var applied []tunnelOpRec
+	if b.journal != nil {
+		applied = make([]tunnelOpRec, 0, len(payload.Ops))
+	}
+	var allocs, releases, denied int
+	for i := range payload.Ops {
+		op := &payload.Ops[i]
+		rec := tunnelOpRec{Action: "release", SubFlowID: op.SubFlowID}
+		var err error
+		if op.Action == signalling.OpAlloc {
+			rec.Action, rec.Bandwidth = "alloc", op.Bandwidth
+			rec.Gen, err = ep.Allocate(strings.Clone(op.SubFlowID), units.Bandwidth(op.Bandwidth))
+		} else {
+			_, rec.Gen, err = ep.Release(op.SubFlowID)
+		}
+		if err != nil {
+			if results == nil {
+				results = make([]signalling.TunnelOpResult, len(payload.Ops))
+				for k := range payload.Ops[:i] {
+					results[k] = signalling.TunnelOpResult{SubFlowID: strings.Clone(payload.Ops[k].SubFlowID), Granted: true}
+				}
 			}
-			results[i].Granted = true
-			b.m.tunnelAllocs.Inc()
-			applied = append(applied, tunnelOpRec{Action: "alloc", SubFlowID: op.SubFlowID, Bandwidth: op.Bandwidth, Gen: gen})
-		case signalling.OpRelease:
-			_, gen, err := ep.Release(op.SubFlowID)
-			if err != nil {
-				results[i].Reason = err.Error()
-				granted = false
-				b.m.tunnelDenied.Inc()
-				continue
-			}
-			results[i].Granted = true
-			b.m.tunnelReleases.Inc()
-			applied = append(applied, tunnelOpRec{Action: "release", SubFlowID: op.SubFlowID, Gen: gen})
+			results[i] = signalling.TunnelOpResult{SubFlowID: strings.Clone(op.SubFlowID), Reason: err.Error()}
+			denied++
+			continue
+		}
+		if results != nil {
+			results[i] = signalling.TunnelOpResult{SubFlowID: strings.Clone(op.SubFlowID), Granted: true}
+		}
+		if op.Action == signalling.OpAlloc {
+			allocs++
+		} else {
+			releases++
+		}
+		if b.journal != nil {
+			applied = append(applied, rec)
 		}
 	}
+	b.m.tunnelAllocs.Add(int64(allocs))
+	b.m.tunnelReleases.Add(int64(releases))
+	b.m.tunnelDenied.Add(int64(denied))
 	// Dense success path: a fully-granted batch answers with the single
 	// granted bit — the sender knows its own op list, so per-op results
 	// only enumerate when some op was denied. On large batches the
 	// results array would otherwise dominate the response frame.
-	resp := &signalling.Message{Type: signalling.MsgResult, Result: &signalling.ResultPayload{Granted: granted}}
-	if !granted {
-		denied := 0
-		for _, r := range results {
-			if !r.Granted {
-				denied++
-			}
-		}
+	resp := &signalling.Message{Type: signalling.MsgResult, Result: &signalling.ResultPayload{Granted: denied == 0}}
+	if denied > 0 {
 		resp.Result.BatchResults = results
 		resp.Result.Reason = fmt.Sprintf("%s: %d/%d ops denied", b.cfg.Domain, denied, len(results))
 	}
@@ -1282,7 +1295,7 @@ func (b *BB) handleTunnelBatch(peer signalling.Peer, payload *signalling.TunnelB
 	b.m.tunnelBatches.Inc()
 	b.m.tunnelBatchSeconds.ObserveSince(t0)
 	verdict := obs.VerdictGranted
-	if !granted {
+	if denied > 0 {
 		verdict = obs.VerdictDenied
 	}
 	b.recordBatchEvent(payload, len(payload.Ops), verdict, resp.Result.Reason, t0)
@@ -1413,45 +1426,70 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 	}
 	results := make([]signalling.TunnelOpResult, len(ops))
 	// Local halves first; only locally-admitted ops travel to the peer.
-	remote := make([]signalling.TunnelOp, 0, len(ops))
-	remoteIdx := make([]int, 0, len(ops))
-	released := make(map[string]units.Bandwidth, len(ops)) // undo data for remote-denied releases
+	// While every op is admitted that is the caller's own slice: remote
+	// and remoteIdx (the op index of each travelling op) exist from the
+	// first local denial on.
+	var remote []signalling.TunnelOp
+	var remoteIdx []int
+	var released []units.Bandwidth // by op index: undo data for remote-denied releases
 	for i, op := range ops {
 		results[i].SubFlowID = op.SubFlowID
+		var err error
 		switch op.Action {
 		case signalling.OpAlloc:
-			if err := b.localAlloc(ep, op.SubFlowID, units.Bandwidth(op.Bandwidth)); err != nil {
-				results[i].Reason = err.Error()
-				b.m.tunnelDenied.Inc()
-				continue
-			}
+			err = b.localAlloc(ep, op.SubFlowID, units.Bandwidth(op.Bandwidth))
 		case signalling.OpRelease:
-			bw, gen, err := ep.Release(op.SubFlowID)
-			if err != nil {
-				results[i].Reason = err.Error()
-				b.m.tunnelDenied.Inc()
-				continue
+			var bw units.Bandwidth
+			var gen int64
+			if bw, gen, err = ep.Release(op.SubFlowID); err == nil {
+				b.journalTunnelRelease(ep, op.SubFlowID, gen)
+				if released == nil {
+					released = make([]units.Bandwidth, len(ops))
+				}
+				released[i] = bw
 			}
-			b.journalTunnelRelease(ep, op.SubFlowID, gen)
-			released[op.SubFlowID] = bw
 		}
-		remote = append(remote, op)
-		remoteIdx = append(remoteIdx, i)
+		if err != nil {
+			results[i].Reason = err.Error()
+			b.m.tunnelDenied.Inc()
+			if remoteIdx == nil {
+				remote = append(make([]signalling.TunnelOp, 0, len(ops)-1), ops[:i]...)
+				remoteIdx = make([]int, i, len(ops)-1)
+				for k := range remoteIdx {
+					remoteIdx[k] = k
+				}
+			}
+			continue
+		}
+		if remoteIdx != nil {
+			remote = append(remote, op)
+			remoteIdx = append(remoteIdx, i)
+		}
 	}
-	if len(remote) == 0 {
+	sent := len(ops)
+	if remoteIdx != nil {
+		payload.Ops, sent = remote, len(remote)
+	}
+	opIndex := func(k int) int { // of the k-th travelling op, in ops
+		if remoteIdx != nil {
+			return remoteIdx[k]
+		}
+		return k
+	}
+	if sent == 0 {
 		// Every op failed locally: nothing travelled, the batch settles
 		// here as a denial.
 		b.recordBatchEvent(payload, len(ops), obs.VerdictDenied, firstReason(results), t0)
 		return results, nil
 	}
-	payload.Ops = remote
 	resp, _, err := b.callPeer(ep.PeerBB, &signalling.Message{Type: signalling.MsgTunnelBatch, TunnelBatch: payload})
 	if err != nil || resp.Result == nil {
 		// Unknown destination state: undo every local half. The batch id
 		// in the destination's replay cache keeps any successful
 		// application there answerable; a fresh batch must use a fresh id.
-		for _, i := range remoteIdx {
-			b.undoLocalOp(ep, ops[i], released)
+		for k := 0; k < sent; k++ {
+			i := opIndex(k)
+			b.undoLocalOp(ep, ops[i], released, i)
 		}
 		if err == nil {
 			err = fmt.Errorf("destination sent no result")
@@ -1459,7 +1497,9 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 		b.recordBatchEvent(payload, len(ops), obs.VerdictError, err.Error(), t0)
 		return nil, fmt.Errorf("bb %s: tunnel batch at destination: %w", b.cfg.Domain, err)
 	}
-	for k, i := range remoteIdx {
+	var allocs, releases, denied int
+	for k := 0; k < sent; k++ {
+		i := opIndex(k)
 		var rr *signalling.TunnelOpResult
 		if k < len(resp.Result.BatchResults) {
 			rr = &resp.Result.BatchResults[k]
@@ -1467,9 +1507,9 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 		if resp.Result.Granted || (rr != nil && rr.Granted) {
 			results[i].Granted = true
 			if ops[i].Action == signalling.OpAlloc {
-				b.m.tunnelAllocs.Inc()
+				allocs++
 			} else {
-				b.m.tunnelReleases.Inc()
+				releases++
 			}
 			continue
 		}
@@ -1479,9 +1519,12 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 		if rr != nil && rr.Reason != "" {
 			results[i].Reason = rr.Reason
 		}
-		b.m.tunnelDenied.Inc()
-		b.undoLocalOp(ep, ops[i], released)
+		denied++
+		b.undoLocalOp(ep, ops[i], released, i)
 	}
+	b.m.tunnelAllocs.Add(int64(allocs))
+	b.m.tunnelReleases.Add(int64(releases))
+	b.m.tunnelDenied.Add(int64(denied))
 	b.m.tunnelBatches.Inc()
 	if b.cfg.Recorder != nil {
 		verdict := obs.VerdictGranted
@@ -1508,14 +1551,12 @@ func firstReason(results []signalling.TunnelOpResult) string {
 
 // undoLocalOp reverses the local half of a batch op whose remote half
 // failed.
-func (b *BB) undoLocalOp(ep *tunnel.Endpoint, op signalling.TunnelOp, released map[string]units.Bandwidth) {
+func (b *BB) undoLocalOp(ep *tunnel.Endpoint, op signalling.TunnelOp, released []units.Bandwidth, i int) {
 	switch op.Action {
 	case signalling.OpAlloc:
 		b.localRelease(ep, op.SubFlowID)
 	case signalling.OpRelease:
-		if bw, ok := released[op.SubFlowID]; ok {
-			_ = b.localAlloc(ep, op.SubFlowID, bw)
-		}
+		_ = b.localAlloc(ep, op.SubFlowID, released[i])
 	}
 }
 

@@ -1,9 +1,14 @@
 package bb_test
 
 import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"e2eqos/internal/experiment"
 	"e2eqos/internal/identity"
@@ -20,6 +25,7 @@ func buildTunnelWorld(t *testing.T, domains int, aggregate units.Bandwidth) (*ex
 		NumDomains:  domains,
 		Capacity:    1000 * units.Mbps,
 		CallTimeout: 2 * time.Second,
+		EnableObs:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -37,6 +43,16 @@ func buildTunnelWorld(t *testing.T, domains int, aggregate units.Bandwidth) (*ex
 		t.Fatalf("tunnel establishment: res=%+v err=%v", res, err)
 	}
 	return w, u, spec.RARID
+}
+
+// wantTunnelCounters checks a broker's three per-op tunnel counters.
+func wantTunnelCounters(t *testing.T, w *experiment.World, domain string, allocs, releases, denied float64) {
+	t.Helper()
+	snap := w.BBs[domain].MetricsRegistry().Snapshot()
+	got := [3]float64{snap["bb_tunnel_allocs_total"], snap["bb_tunnel_releases_total"], snap["bb_tunnel_ops_denied_total"]}
+	if got != [3]float64{allocs, releases, denied} {
+		t.Errorf("%s: tunnel allocs/releases/denied counters = %v, want [%v %v %v]", domain, got, allocs, releases, denied)
+	}
 }
 
 // TestTunnelBatchPartialDenial: one over-capacity op inside a batch is
@@ -68,6 +84,9 @@ func TestTunnelBatchPartialDenial(t *testing.T) {
 			t.Errorf("%s: used=%v len=%d, want 80Mb/s over 2 sub-flows", d, ep.Used(), ep.Len())
 		}
 	}
+	// The source refused f3 itself, so it never travelled.
+	wantTunnelCounters(t, w, src, 2, 0, 1)
+	wantTunnelCounters(t, w, dest, 2, 0, 0)
 }
 
 // TestTunnelBatchRollsBackLocalHalves: when the destination refuses an
@@ -75,30 +94,9 @@ func TestTunnelBatchPartialDenial(t *testing.T) {
 // a denied alloc is released, a denied release is re-admitted with its
 // original bandwidth.
 func TestTunnelBatchRollsBackLocalHalves(t *testing.T) {
-	w, u, rarID := buildTunnelWorld(t, 2, 100*units.Mbps)
+	w, u, rarID := desyncedTunnelWorld(t)
 	src, dest := w.SourceDomain(), w.DestDomain()
 	srcEP, _ := w.BBs[src].Tunnel(rarID)
-
-	// Desynchronise the two ends on purpose with direct destination
-	// batches: "ghost" exists only at the destination, and after the
-	// second batch "lonely" exists only at the source.
-	if res, err := u.TunnelBatch(dest, &signalling.TunnelBatchPayload{
-		TunnelRARID: rarID, BatchID: signalling.NewBatchID(), User: u.DN(),
-		Ops: []signalling.TunnelOp{{Action: signalling.OpAlloc, SubFlowID: "ghost", Bandwidth: int64(10 * units.Mbps)}},
-	}); err != nil || !res.Granted {
-		t.Fatalf("seeding ghost at destination: res=%+v err=%v", res, err)
-	}
-	if results, err := w.BBs[src].TunnelBatch(rarID, []signalling.TunnelOp{
-		{Action: signalling.OpAlloc, SubFlowID: "lonely", Bandwidth: int64(20 * units.Mbps)},
-	}, u.DN()); err != nil || !results[0].Granted {
-		t.Fatalf("allocating lonely: results=%+v err=%v", results, err)
-	}
-	if res, err := u.TunnelBatch(dest, &signalling.TunnelBatchPayload{
-		TunnelRARID: rarID, BatchID: signalling.NewBatchID(), User: u.DN(),
-		Ops: []signalling.TunnelOp{{Action: signalling.OpRelease, SubFlowID: "lonely"}},
-	}); err != nil || !res.Granted {
-		t.Fatalf("dropping lonely at destination: res=%+v err=%v", res, err)
-	}
 
 	// Alloc of "ghost": the source admits it, the destination refuses
 	// the duplicate, the source must roll back.
@@ -128,6 +126,276 @@ func TestTunnelBatchRollsBackLocalHalves(t *testing.T) {
 	}
 	if bw, ok := srcEP.Lookup("lonely"); !ok || bw != 20*units.Mbps {
 		t.Errorf("source half of remotely-denied release not restored: bw=%v ok=%t", bw, ok)
+	}
+	// Source: lonely admitted, two remote denials rolled back.
+	// Destination: ghost and lonely admitted, lonely released, the
+	// duplicate alloc and the unknown release denied.
+	wantTunnelCounters(t, w, src, 1, 0, 2)
+	wantTunnelCounters(t, w, dest, 2, 1, 2)
+}
+
+// desyncedTunnelWorld is a 100 Mb/s tunnel whose ends disagree on
+// purpose: "ghost" (10 Mb/s) is known to the destination only and
+// "lonely" (20 Mb/s) to the source only.
+func desyncedTunnelWorld(t *testing.T) (*experiment.World, *experiment.User, string) {
+	t.Helper()
+	w, u, rarID := buildTunnelWorld(t, 2, 100*units.Mbps)
+	direct := func(op signalling.TunnelOp) {
+		t.Helper()
+		if res, err := u.TunnelBatch(w.DestDomain(), &signalling.TunnelBatchPayload{
+			TunnelRARID: rarID, BatchID: signalling.NewBatchID(), User: u.DN(), Ops: []signalling.TunnelOp{op},
+		}); err != nil || !res.Granted {
+			t.Fatalf("direct %s of %s at the destination: res=%+v err=%v", op.Action, op.SubFlowID, res, err)
+		}
+	}
+	direct(signalling.TunnelOp{Action: signalling.OpAlloc, SubFlowID: "ghost", Bandwidth: int64(10 * units.Mbps)})
+	if results, err := w.BBs[w.SourceDomain()].TunnelBatch(rarID, []signalling.TunnelOp{
+		{Action: signalling.OpAlloc, SubFlowID: "lonely", Bandwidth: int64(20 * units.Mbps)},
+	}, u.DN()); err != nil || !results[0].Granted {
+		t.Fatalf("allocating lonely: results=%+v err=%v", results, err)
+	}
+	direct(signalling.TunnelOp{Action: signalling.OpRelease, SubFlowID: "lonely"})
+	return w, u, rarID
+}
+
+// mixedBatch has a denial of every kind between two grants: refused by
+// the source (so the ops after it travel at a smaller index than their
+// own), refused by the destination as an alloc and as a release.
+var mixedBatch = []signalling.TunnelOp{
+	{Action: signalling.OpAlloc, SubFlowID: "first", Bandwidth: int64(5 * units.Mbps)},
+	{Action: signalling.OpAlloc, SubFlowID: "too-big", Bandwidth: int64(200 * units.Mbps)},
+	{Action: signalling.OpAlloc, SubFlowID: "ghost", Bandwidth: int64(10 * units.Mbps)},
+	{Action: signalling.OpRelease, SubFlowID: "lonely"},
+	{Action: signalling.OpAlloc, SubFlowID: "last", Bandwidth: int64(5 * units.Mbps)},
+}
+
+// TestTunnelBatchMixedDenialsKeepOpOrder: with a local denial in the
+// middle of a batch the destination's k-th verdict belongs to a later
+// op; results, reasons and rollbacks must still land on the right one.
+func TestTunnelBatchMixedDenialsKeepOpOrder(t *testing.T) {
+	w, u, rarID := desyncedTunnelWorld(t)
+	src, dest := w.SourceDomain(), w.DestDomain()
+	results, err := w.BBs[src].TunnelBatch(rarID, mixedBatch, u.DN())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"", "exceeds free capacity", `"ghost" already allocated`, `unknown sub-flow "lonely"`, ""} {
+		r := results[i]
+		if r.SubFlowID != mixedBatch[i].SubFlowID || r.Granted != (want == "") || !strings.Contains(r.Reason, want) || (want == "" && r.Reason != "") {
+			t.Errorf("op %d (%s): %+v, want reason containing %q", i, mixedBatch[i].SubFlowID, r, want)
+		}
+	}
+	srcEP, _ := w.BBs[src].Tunnel(rarID)
+	destEP, _ := w.BBs[dest].Tunnel(rarID)
+	if got := fmt.Sprint(srcEP.SubFlows(), srcEP.Used()); got != fmt.Sprint([]string{"first", "last", "lonely"}, 30*units.Mbps) {
+		t.Errorf("source holds %s", got)
+	}
+	if got := fmt.Sprint(destEP.SubFlows(), destEP.Used()); got != fmt.Sprint([]string{"first", "ghost", "last"}, 20*units.Mbps) {
+		t.Errorf("destination holds %s", got)
+	}
+	if bw, _ := srcEP.Lookup("lonely"); bw != 20*units.Mbps {
+		t.Errorf("lonely re-admitted at %v, want its original 20Mb/s", bw)
+	}
+	wantTunnelCounters(t, w, src, 3, 0, 3)
+	wantTunnelCounters(t, w, dest, 4, 1, 2)
+}
+
+// TestTunnelBatchTransportFailureUndoesLocalHalves: when the batch
+// cannot reach the destination, every op the source applied is undone
+// (an alloc released, a release re-admitted at its original size) and
+// the ones it refused itself stay refused.
+func TestTunnelBatchTransportFailureUndoesLocalHalves(t *testing.T) {
+	w, u, rarID := desyncedTunnelWorld(t)
+	srcEP, _ := w.BBs[w.SourceDomain()].Tunnel(rarID)
+	if err := w.StopDomain(w.DestDomain()); err != nil {
+		t.Fatal(err)
+	}
+	results, err := w.BBs[w.SourceDomain()].TunnelBatch(rarID, mixedBatch, u.DN())
+	if err == nil || results != nil || !strings.Contains(err.Error(), "tunnel batch at destination") {
+		t.Fatalf("batch to a dead destination: results=%+v err=%v", results, err)
+	}
+	if got := fmt.Sprint(srcEP.SubFlows(), srcEP.Used()); got != fmt.Sprint([]string{"lonely"}, 20*units.Mbps) {
+		t.Errorf("source holds %s after the undo", got)
+	}
+}
+
+// eachString calls fn for every string reachable from v.
+func eachString(v reflect.Value, fn func(string)) {
+	switch v.Kind() {
+	case reflect.String:
+		fn(v.String())
+	case reflect.Pointer, reflect.Interface:
+		if !v.IsNil() {
+			eachString(v.Elem(), fn)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			eachString(v.Field(i), fn)
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			eachString(v.Index(i), fn)
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			eachString(it.Key(), fn)
+			eachString(it.Value(), fn)
+		}
+	}
+}
+
+// TestBatchRetainsNoFrame: a decoded batch's sub-flow ids are substrings
+// of one copy of its frame, so whatever outlives the request must hold
+// copies of its own — one retained id pins the whole frame, and the
+// replay cache lives as long as the tunnel. After a granted alloc
+// batch, a partially denied one and a replayed duplicate, nothing the
+// destination keeps points into a frame's text.
+func TestBatchRetainsNoFrame(t *testing.T) {
+	w, u, rarID := buildTunnelWorld(t, 2, 100*units.Mbps)
+	dst := w.BBs[w.DestDomain()]
+
+	type span struct{ lo, hi uintptr }
+	var texts []span
+	var held []*signalling.Message // keeps every text allocated, so no address is reused
+	inText := func(s string) bool {
+		at := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		for _, tx := range texts {
+			if at >= tx.lo && at < tx.hi {
+				return true
+			}
+		}
+		return false
+	}
+	// deliver takes the batch through the codec, as a connection would,
+	// and hands the decoded message to the destination.
+	deliver := func(batchID string, ops ...signalling.TunnelOp) *signalling.ResultPayload {
+		t.Helper()
+		frame := (&signalling.Message{Type: signalling.MsgTunnelBatch, ID: 9, TunnelBatch: &signalling.TunnelBatchPayload{
+			TunnelRARID: rarID, BatchID: batchID, User: u.DN(), Ops: ops, TraceID: "t-retains-no-frame",
+		}}).AppendBinary(nil)
+		msg, err := signalling.DecodeMessage(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The text is a copy of frame[3:]; where the first id sits in the
+		// frame gives its base.
+		first := msg.TunnelBatch.Ops[0].SubFlowID
+		if bytes.Count(frame, []byte(first)) != 1 {
+			t.Fatalf("id %q is not unique in its frame", first)
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.StringData(first))) - uintptr(bytes.Index(frame[3:], []byte(first)))
+		texts = append(texts, span{lo, lo + uintptr(len(frame)-3)})
+		held = append(held, msg)
+		for _, op := range msg.TunnelBatch.Ops {
+			at := uintptr(unsafe.Pointer(unsafe.StringData(op.SubFlowID)))
+			if at-lo != uintptr(bytes.Index(frame[3:], []byte(op.SubFlowID))) {
+				t.Fatalf("decoded id %q is not a substring of one copy of its frame: the test checks nothing", op.SubFlowID)
+			}
+		}
+		resp := dst.Handle(rawPeer(u), msg)
+		if resp == nil || resp.Result == nil {
+			t.Fatalf("batch %s: no result", batchID)
+		}
+		return resp.Result
+	}
+	alloc := func(id string, mbps int) signalling.TunnelOp {
+		return signalling.TunnelOp{Action: signalling.OpAlloc, SubFlowID: id, Bandwidth: int64(units.Bandwidth(mbps) * units.Mbps)}
+	}
+
+	if res := deliver("B-granted", alloc("granted-one", 30), alloc("granted-two", 30), alloc("granted-three", 30)); !res.Granted {
+		t.Fatalf("alloc batch denied: %+v", res)
+	}
+	// Granted, denied (capacity), granted, denied (already allocated):
+	// the first result is filled in after the fact, the third in passing.
+	mixed := []signalling.TunnelOp{
+		alloc("mixed-fits", 5), alloc("mixed-too-big", 40),
+		{Action: signalling.OpRelease, SubFlowID: "granted-one"}, alloc("granted-two", 1),
+	}
+	res := deliver("B-mixed", mixed...)
+	if got := fmt.Sprint(res.Granted, len(res.BatchResults)); got != "false 4" {
+		t.Fatalf("mixed batch: granted, results = %s, want false 4: %+v", got, res)
+	}
+	for i, want := range []bool{true, false, true, false} {
+		if r := res.BatchResults[i]; r.Granted != want || r.SubFlowID != mixed[i].SubFlowID || (r.Reason == "") == !want {
+			t.Errorf("mixed batch op %d: %+v, want granted=%t for %s", i, r, want, mixed[i].SubFlowID)
+		}
+	}
+	if replay := deliver("B-mixed", mixed...); !reflect.DeepEqual(replay, res) {
+		t.Errorf("replayed duplicate answered %+v, want the recorded %+v", replay, res)
+	}
+	if n := dst.MetricsRegistry().Snapshot()["bb_tunnel_batch_replays_total"]; n != 1 {
+		t.Errorf("bb_tunnel_batch_replays_total = %v, want 1", n)
+	}
+
+	ep, _ := dst.Tunnel(rarID)
+	if got := fmt.Sprint(ep.SubFlows()); got != "[granted-three granted-two mixed-fits]" {
+		t.Errorf("destination holds %s", got)
+	}
+	for _, id := range ep.SubFlows() {
+		if inText(id) {
+			t.Errorf("endpoint key %q points into a decoded frame", id)
+		}
+	}
+	entries := dst.ReplayEntries()
+	if len(entries) != 2 {
+		t.Errorf("replay cache holds %d batches, want 2", len(entries))
+	}
+	eachString(reflect.ValueOf(entries), func(s string) {
+		if inText(s) {
+			t.Errorf("replay cache string %q points into a decoded frame", s)
+		}
+	})
+	runtime.KeepAlive(held)
+}
+
+// TestTunnelBatchDenseAllocationBound: what the destination allocates
+// for a fully granted batch does not depend on how many ops it carries.
+// A release batch stores no new key, so that is all of it: no more
+// objects and no more bytes for 256 ops than for 64, the decode (done by
+// the connection, gated in internal/signalling) excluded.
+func TestTunnelBatchDenseAllocationBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate is meaningless under the race detector")
+	}
+	// cost is the least one Handle call allocated over a series of
+	// batches: the least, because the world's other goroutines and the
+	// replay cache's map growth add to some calls.
+	cost := func(ops int) (objects, bytes uint64) {
+		w, u, rarID := buildTunnelWorld(t, 2, units.Gbps)
+		dst := w.BBs[w.DestDomain()]
+		ep, _ := dst.Tunnel(rarID)
+		batch := make([]signalling.TunnelOp, ops)
+		for i := range batch {
+			batch[i] = signalling.TunnelOp{Action: signalling.OpRelease, SubFlowID: fmt.Sprintf("sf-%d", i)}
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		objects, bytes = ^uint64(0), ^uint64(0)
+		for run := 0; run < 30; run++ {
+			for _, op := range batch {
+				if _, err := ep.Allocate(op.SubFlowID, units.Kbps); err != nil {
+					t.Fatal(err)
+				}
+			}
+			msg := &signalling.Message{Type: signalling.MsgTunnelBatch, TunnelBatch: &signalling.TunnelBatchPayload{
+				TunnelRARID: rarID, BatchID: fmt.Sprintf("B-%d", run), User: u.DN(), Ops: batch,
+			}}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			resp := dst.Handle(rawPeer(u), msg)
+			runtime.ReadMemStats(&after)
+			if resp.Result == nil || !resp.Result.Granted || ep.Len() != 0 {
+				t.Fatalf("release batch of %d: %+v, %d flows left", ops, resp.Result, ep.Len())
+			}
+			objects = min(objects, after.Mallocs-before.Mallocs)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+		return objects, bytes
+	}
+	smallObjects, smallBytes := cost(64)
+	largeObjects, largeBytes := cost(256)
+	if largeObjects > smallObjects || largeBytes > smallBytes {
+		t.Errorf("granted release batch: %d objects / %d B for 256 ops, %d / %d for 64; want no growth with the op count",
+			largeObjects, largeBytes, smallObjects, smallBytes)
 	}
 }
 

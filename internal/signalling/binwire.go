@@ -282,7 +282,8 @@ func (op *TunnelOp) decodeFields(d *wire.Dec) error {
 		case f == 3 && wt == wire.TVarint:
 			op.Bandwidth = d.Varint()
 		case f == 4 && wt == wire.TBytes:
-			op.Action = TunnelOpAction(d.String())
+			// A copy of its own: only SubFlowID may alias the frame text.
+			op.Action = TunnelOpAction(d.Bytes())
 		default:
 			skipUnknown(d, wt)
 		}
@@ -307,7 +308,28 @@ func (p *TunnelBatchPayload) appendFields(buf []byte) []byte {
 	return buf
 }
 
+// decodeFields allocates per frame, not per op: a first pass counts the
+// op fields (and refuses a count past MaxBatchOps before anything is
+// made), Ops is made once, and every op's SubFlowID is a substring of
+// one string made from the frame. Those ids therefore pin the frame's
+// text for as long as they live: whoever keeps one past the request
+// clones it (DESIGN.md §6.5). The payload's own strings stay copies.
 func (p *TunnelBatchPayload) decodeFields(d *wire.Dec) error {
+	n := 0
+	for c := *d; c.More(); {
+		f, wt := c.Tag()
+		if f == 4 && wt == wire.TBytes {
+			if n++; n > MaxBatchOps {
+				return errBatchTooLarge
+			}
+		}
+		c.Skip(wt)
+	}
+	var text string
+	if n > 0 {
+		text = string(d.Buf)
+		p.Ops = make([]TunnelOp, 0, n)
+	}
 	for d.More() {
 		f, wt := d.Tag()
 		switch {
@@ -318,12 +340,11 @@ func (p *TunnelBatchPayload) decodeFields(d *wire.Dec) error {
 		case f == 3 && wt == wire.TBytes:
 			p.User = identity.DN(d.String())
 		case f == 4 && wt == wire.TBytes:
-			sub := wire.Dec{Buf: d.Bytes()}
-			var op TunnelOp
-			if err := op.decodeFields(&sub); err != nil {
+			sub := d.NestedIn(text)
+			p.Ops = append(p.Ops, TunnelOp{})
+			if err := p.Ops[len(p.Ops)-1].decodeFields(&sub); err != nil {
 				return err
 			}
-			p.Ops = append(p.Ops, op)
 		case f == 5 && wt == wire.TBytes:
 			p.TraceID = d.String()
 		case f == 6 && wt == wire.TVarint:

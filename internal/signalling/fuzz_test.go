@@ -6,9 +6,9 @@ import (
 
 // FuzzDecodeMessage ensures arbitrary wire bytes never panic the
 // decoder and that accepted messages re-encode. Batch payloads that
-// decode must additionally never panic Validate, and batches that
-// validate must be structurally sound (no duplicate sub-flow IDs, no
-// non-positive alloc bandwidth).
+// decode must additionally never panic Validate, stay within
+// MaxBatchOps, and get from Validate the verdict the map-based oracle
+// gives them, whichever way it falls.
 func FuzzDecodeMessage(f *testing.F) {
 	batch := func(id string, ops ...TunnelOp) []byte {
 		return (&Message{Type: MsgTunnelBatch, ID: 4, TunnelBatch: &TunnelBatchPayload{
@@ -24,6 +24,8 @@ func FuzzDecodeMessage(f *testing.F) {
 		batch("B-4", TunnelOp{OpAlloc, "s", -5}),
 		batch("B-5", TunnelOp{"flood", "s", 0}),
 		batch(""),
+		// One op past MaxBatchOps: refused while counting.
+		append(batch("B-6"), emptyOpFields(MaxBatchOps+1)...),
 		// Not frames at all: the decoder has one encoding and must refuse
 		// everything else, a JSON body included.
 		[]byte(`{"type":"cancel","id":2,"cancel":{"rar_id":"RAR-1"}}`),
@@ -70,18 +72,10 @@ func FuzzDecodeMessage(f *testing.F) {
 			t.Fatalf("accepted message failed to re-encode: %v", err)
 		}
 		if b := msg.TunnelBatch; b != nil {
-			if err := b.Validate(); err == nil {
-				seen := make(map[string]struct{}, len(b.Ops))
-				for _, op := range b.Ops {
-					if _, dup := seen[op.SubFlowID]; dup {
-						t.Fatalf("validated batch has duplicate sub-flow %q", op.SubFlowID)
-					}
-					seen[op.SubFlowID] = struct{}{}
-					if op.Action == OpAlloc && op.Bandwidth <= 0 {
-						t.Fatalf("validated batch allocs %d b/s", op.Bandwidth)
-					}
-				}
+			if len(b.Ops) > MaxBatchOps {
+				t.Fatalf("decoder accepted a batch of %d ops", len(b.Ops))
 			}
+			sameVerdict(t, b)
 		}
 	})
 }

@@ -9,6 +9,8 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"hash/maphash"
+	"math/bits"
 
 	"e2eqos/internal/envelope"
 	"e2eqos/internal/identity"
@@ -175,6 +177,18 @@ type TunnelBatchPayload struct {
 	Sampled bool
 }
 
+// MaxBatchOps is the most ops one batch may carry. The decoder sizes
+// Ops from a count of the frame's op fields, so without a bound that
+// allocation would be the sender's to choose.
+const MaxBatchOps = 1 << 16
+
+var errBatchTooLarge = fmt.Errorf("signalling: batch of more than %d ops", MaxBatchOps)
+
+// dupSeed keys the hash of Validate's duplicate table per process, as
+// the runtime keys its maps: a peer cannot choose ids that share one
+// probe run.
+var dupSeed = maphash.MakeSeed()
+
 // Validate rejects structurally bad batches before any op is applied.
 func (p *TunnelBatchPayload) Validate() error {
 	if p.TunnelRARID == "" {
@@ -186,15 +200,33 @@ func (p *TunnelBatchPayload) Validate() error {
 	if len(p.Ops) == 0 {
 		return fmt.Errorf("signalling: empty batch")
 	}
-	seen := make(map[string]struct{}, len(p.Ops))
-	for i, op := range p.Ops {
+	if len(p.Ops) > MaxBatchOps {
+		return errBatchTooLarge
+	}
+	// Duplicate ids are found with an open-addressed table of op indexes
+	// (stored +1, zero is an empty slot), at most half full and probed
+	// linearly. Up to 512 ops it lives on the stack, so validating a
+	// batch allocates nothing.
+	var stack [1024]uint32
+	tab := stack[:]
+	if 2*len(p.Ops) > len(tab) {
+		tab = make([]uint32, 1<<bits.Len(uint(2*len(p.Ops)-1)))
+	}
+	mask := uint64(len(tab) - 1)
+	for i := range p.Ops {
+		op := &p.Ops[i]
 		if op.SubFlowID == "" {
 			return fmt.Errorf("signalling: batch op %d without sub-flow id", i)
 		}
-		if _, dup := seen[op.SubFlowID]; dup {
-			return fmt.Errorf("signalling: batch op %d: duplicate sub-flow %q", i, op.SubFlowID)
+		for s := maphash.String(dupSeed, op.SubFlowID) & mask; ; s = (s + 1) & mask {
+			if tab[s] == 0 {
+				tab[s] = uint32(i) + 1
+				break
+			}
+			if p.Ops[tab[s]-1].SubFlowID == op.SubFlowID {
+				return fmt.Errorf("signalling: batch op %d: duplicate sub-flow %q", i, op.SubFlowID)
+			}
 		}
-		seen[op.SubFlowID] = struct{}{}
 		switch op.Action {
 		case OpAlloc:
 			if op.Bandwidth <= 0 {

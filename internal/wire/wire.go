@@ -214,8 +214,13 @@ func (e corruptError) Error() string { return "wire: " + string(e) }
 // Err once. Byte reads return subslices of Buf (no copying).
 type Dec struct {
 	Buf []byte
-	off int
-	err error
+	// Text, when set, holds the same bytes as Buf, and String returns
+	// substrings of it instead of copies: a decoder of many short strings
+	// pays one allocation for all of them. Every such string keeps the
+	// whole of Text alive, so it is for values dropped with the message.
+	Text string
+	off  int
+	err  error
 }
 
 // Err returns the sticky decode error, nil while healthy.
@@ -290,8 +295,23 @@ func (d *Dec) Bytes() []byte {
 	return b
 }
 
-// String reads one length-delimited field as a string (one allocation).
-func (d *Dec) String() string { return string(d.Bytes()) }
+// String reads one length-delimited field as a string: one allocation,
+// or none and a substring of Text when that is set.
+func (d *Dec) String() string {
+	b := d.Bytes()
+	if d.Text == "" {
+		return string(b)
+	}
+	return d.Text[d.off-len(b) : d.off]
+}
+
+// NestedIn reads one length-delimited field as a decoder of its own
+// whose strings are substrings of text, which must hold the same bytes
+// as Buf.
+func (d *Dec) NestedIn(text string) Dec {
+	b := d.Bytes()
+	return Dec{Buf: b, Text: text[d.off-len(b) : d.off]}
+}
 
 // StringPair reads one AppendStringMap entry.
 func (d *Dec) StringPair() (k, v string) {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestUvarintRoundTrip(t *testing.T) {
@@ -169,6 +170,71 @@ func TestNestedRoundTrip(t *testing.T) {
 	if pre != "pre" || post != "post" || inner != long || n != 99 {
 		t.Fatalf("nested round-trip mismatch: pre=%q post=%q len(inner)=%d n=%d",
 			pre, post, len(inner), n)
+	}
+}
+
+// TestNestedInSlicesText: a decoder made by NestedIn returns its strings
+// as substrings of the text it was given (no allocation), the decoder it
+// was read from keeps copying, and a torn field yields an empty decoder
+// with the error left on the outer one.
+func TestNestedInSlicesText(t *testing.T) {
+	buf := AppendString(nil, 1, "outer")
+	for _, id := range []string{"first", "second"} {
+		var start int
+		buf, start = BeginNested(buf, 2)
+		buf = AppendInt(buf, 1, 7)
+		buf = AppendString(buf, 2, id)
+		buf = EndNested(buf, start)
+	}
+	text := string(buf)
+	d := Dec{Buf: buf}
+	var outer string
+	var ids []string
+	for d.More() {
+		switch f, _ := d.Tag(); f {
+		case 1:
+			outer = d.String()
+		case 2:
+			sub := d.NestedIn(text)
+			for sub.More() {
+				if sf, swt := sub.Tag(); sf == 2 {
+					ids = append(ids, sub.String())
+				} else {
+					sub.Skip(swt)
+				}
+			}
+			if sub.Err() != nil {
+				t.Fatal(sub.Err())
+			}
+		}
+	}
+	if d.Err() != nil || outer != "outer" || len(ids) != 2 || ids[0] != "first" || ids[1] != "second" {
+		t.Fatalf("decoded outer=%q ids=%q err=%v", outer, ids, d.Err())
+	}
+	within := func(s string) bool {
+		lo := uintptr(unsafe.Pointer(unsafe.StringData(text)))
+		at := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return at >= lo && at < lo+uintptr(len(text))
+	}
+	if !within(ids[0]) || !within(ids[1]) {
+		t.Error("a nested string is not a substring of the text")
+	}
+	if within(outer) {
+		t.Error("a string read without Text aliases the text")
+	}
+
+	torn := Dec{Buf: buf[:len(buf)-3]}
+	for torn.More() {
+		if f, _ := torn.Tag(); f == 2 {
+			if sub := torn.NestedIn(text); torn.Err() != nil && (sub.More() || sub.String() != "") {
+				t.Error("a torn nested field produced a decoder with content")
+			}
+		} else {
+			torn.Skip(TBytes)
+		}
+	}
+	if torn.Err() == nil {
+		t.Error("a torn nested field decoded without error")
 	}
 }
 

@@ -58,7 +58,12 @@
 #                          signature check allocates nothing, and a warm
 #                          core.Broker.Verify parses no certificate
 #                          (allocs per layer at 8 layers no more than at
-#                          2, at most 8 per layer beyond the second);
+#                          2, at most 3 per layer beyond the second) and
+#                          copies no layer of the onion (bytes at 8
+#                          layers at most 4.5 times those at 2 and twice
+#                          the envelope's length), and Seal allocates
+#                          its payload, signature and Envelope whatever
+#                          the depth;
 #                          validating a tunnel batch of up to 512 ops
 #                          allocates nothing, decoding a 256-op frame
 #                          at most 10 objects and no more than a 64-op

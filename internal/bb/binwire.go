@@ -1,6 +1,8 @@
 package bb
 
 import (
+	"bytes"
+
 	"e2eqos/internal/identity"
 	"e2eqos/internal/signalling"
 	"e2eqos/internal/tunnel"
@@ -23,12 +25,15 @@ func appendOutcome(buf []byte, field uint32, m *signalling.Message) []byte {
 	return wire.EndNested(buf, start)
 }
 
+// decodeOutcome decodes a copy of the nested frame: a message decoded
+// in place aliases its frame, and a replay cache entry must not keep the
+// whole log or snapshot it was recovered from alive.
 func decodeOutcome(d *wire.Dec) (*signalling.Message, error) {
 	b := d.Bytes()
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	return signalling.DecodeMessage(b)
+	return signalling.DecodeMessage(bytes.Clone(b))
 }
 
 // childRoute: 1=next 2=key 3=bw.

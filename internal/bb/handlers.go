@@ -1,7 +1,10 @@
 package bb
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"log/slog"
 	"sort"
 	"strings"
 	"sync"
@@ -408,22 +411,23 @@ func (b *BB) handleReserve(peer signalling.Peer, payload *signalling.ReservePayl
 }
 
 // logReserveVerdict emits the one per-reserve log record: grants at
-// info, denials (which were silent before the obs layer) at warn.
+// info, denials (which were silent before the obs layer) at warn. A
+// logger that is off is asked first: building the record formats the
+// bandwidth and boxes seven values.
 func (b *BB) logReserveVerdict(spec *core.Spec, traceID string, resp *signalling.Message, took time.Duration) {
 	if resp.Result == nil {
 		return
 	}
+	level, msg, key, val := slog.LevelWarn, "reserve denied", "reason", resp.Result.Reason
 	if resp.Result.Granted {
-		b.log.Info("reserve granted",
+		level, msg, key, val = slog.LevelInfo, "reserve granted", "handle", resp.Result.Handle
+	}
+	if b.log.Enabled(context.Background(), level) {
+		b.log.Log(context.Background(), level, msg,
 			obs.AttrRAR, spec.RARID, obs.AttrTrace, traceID,
 			"user", string(spec.User), "bw", spec.Bandwidth.String(),
-			"dest", spec.DestDomain, "handle", resp.Result.Handle, "took", took)
-		return
+			"dest", spec.DestDomain, key, val, "took", took)
 	}
-	b.log.Warn("reserve denied",
-		obs.AttrRAR, spec.RARID, obs.AttrTrace, traceID,
-		"user", string(spec.User), "bw", spec.Bandwidth.String(),
-		"dest", spec.DestDomain, "reason", resp.Result.Reason, "took", took)
 }
 
 // rollback cancels an optimistic local admission that must not
@@ -664,7 +668,7 @@ func (b *BB) forwardVia(key, nextDomain string, peer signalling.Peer, payload *s
 		// denial (with the downstream approvals/reasons) upstream.
 		b.rollback(r.Handle, spec.RARID, "downstream denied")
 		resp := signalling.ErrorResult(downstream.Result.Reason)
-		resp.Result.Approvals = downstream.Result.Approvals
+		resp.Result.Approvals = adoptApprovals(downstream.Result.Approvals)
 		resp.Result.Trace = downstream.Result.Trace
 		if a, err := b.signApproval(spec.RARID, "", false, "upstream of denial"); err == nil {
 			resp.Result.Approvals = append(resp.Result.Approvals, a)
@@ -676,6 +680,21 @@ func (b *BB) forwardVia(key, nextDomain string, peer signalling.Peer, payload *s
 		return resp
 	}
 	return b.settleGrant(key, key, nd.BBDN, peer, verified, r, grant, downstream)
+}
+
+// adoptApprovals takes the approvals of a downstream result into this
+// hop's own, leaving room for the hop's approval on top. The result goes
+// to the caller and into the route entry as the replayable outcome, which
+// outlives the frame downstream answered in: each signature, a sub-slice
+// of that frame, gets bytes of its own. The strings are cut from the one
+// string the decoder made of that frame; it holds little besides them,
+// so the outcome keeps it whole (DESIGN.md §6.6, "Who owns a frame").
+func adoptApprovals(down []signalling.DomainApproval) []signalling.DomainApproval {
+	out := append(make([]signalling.DomainApproval, 0, len(down)+1), down...)
+	for i := range out {
+		out[i].Signature = bytes.Clone(out[i].Signature)
+	}
+	return out
 }
 
 // deniedAtDest reports whether a denial came from the destination
@@ -753,7 +772,7 @@ func (b *BB) forwardMultipath(key string, peer signalling.Peer, payload *signall
 	b.rollback(r.Handle, spec.RARID, "no path granted")
 	if lastDenial != nil {
 		resp := signalling.ErrorResult(lastDenial.Reason)
-		resp.Result.Approvals = lastDenial.Approvals
+		resp.Result.Approvals = adoptApprovals(lastDenial.Approvals)
 		resp.Result.Trace = lastDenial.Trace
 		if a, err := b.signApproval(spec.RARID, "", false, "upstream of denial"); err == nil {
 			resp.Result.Approvals = append(resp.Result.Approvals, a)
@@ -844,7 +863,7 @@ func (b *BB) splitAcross(key string, peer signalling.Peer, payload *signalling.R
 			break
 		}
 		children = append(children, childRoute{Next: nds[p].BBDN, Key: childKey, BW: shares[p]})
-		approvals = append(approvals, downstream.Result.Approvals...)
+		approvals = append(approvals, adoptApprovals(downstream.Result.Approvals)...)
 		trace = append(trace, downstream.Result.Trace...)
 		for k, v := range downstream.Result.PolicyInfo {
 			policyInfo[k] = v
@@ -882,7 +901,7 @@ func (b *BB) splitAcross(key string, peer signalling.Peer, payload *signalling.R
 	}
 	resp := signalling.ErrorResult(reason)
 	if failure != nil {
-		resp.Result.Approvals = failure.Approvals
+		resp.Result.Approvals = adoptApprovals(failure.Approvals)
 		resp.Result.Trace = failure.Trace
 	}
 	if a, err := b.signApproval(spec.RARID, "", false, "split aborted"); err == nil {
@@ -923,7 +942,7 @@ func (b *BB) settleGrant(key, downKey string, next identity.DN, peer signalling.
 	resp := &signalling.Message{Type: signalling.MsgResult, Result: &signalling.ResultPayload{
 		Granted:    true,
 		Handle:     r.Handle,
-		Approvals:  downstream.Result.Approvals,
+		Approvals:  adoptApprovals(downstream.Result.Approvals),
 		PolicyInfo: downstream.Result.PolicyInfo,
 		Trace:      downstream.Result.Trace,
 	}}
@@ -1066,8 +1085,10 @@ func (b *BB) handleCancel(peer signalling.Peer, payload *signalling.CancelPayloa
 			b.cancelDownstream(st.next, downKey)
 		}
 	}
-	b.log.Info("cancel: released reservation",
-		obs.AttrRAR, payload.RARID, obs.AttrPeer, string(peer.DN), "handle", st.handle)
+	if b.log.Enabled(context.Background(), slog.LevelInfo) {
+		b.log.Info("cancel: released reservation",
+			obs.AttrRAR, payload.RARID, obs.AttrPeer, string(peer.DN), "handle", st.handle)
+	}
 	// The cancel's own records (route removal, table cancel, tunnel
 	// teardown) join the group commit before the caller hears back.
 	b.replWaitCommit()
@@ -1105,7 +1126,9 @@ func (b *BB) registerTunnelDest(verified *core.VerifiedRequest, peer signalling.
 	spec := verified.Spec
 	sourceBB := peer.DN
 	if len(verified.Path) > 1 {
-		sourceBB = verified.Path[1] // [user, BB_src, ...]
+		// [user, BB_src, ...]; a layer's DN is cut from the string copy of
+		// the whole onion, which the endpoint must not keep alive.
+		sourceBB = identity.DN(strings.Clone(string(verified.Path[1])))
 	}
 	ep, err := tunnel.NewEndpoint(spec.RARID, spec.Bandwidth, spec.Window, sourceBB, spec.User)
 	if err != nil {
@@ -1121,7 +1144,7 @@ func (b *BB) registerTunnelSource(spec *core.Spec, result *signalling.ResultPayl
 	var destBB identity.DN
 	for _, a := range result.Approvals {
 		if a.Domain == spec.DestDomain && a.Granted {
-			destBB = a.BBDN
+			destBB = identity.DN(strings.Clone(string(a.BBDN))) // not the result frame's text
 			break
 		}
 	}

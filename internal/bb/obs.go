@@ -153,7 +153,7 @@ func (b *BB) registerGauges(r *obs.Registry) {
 		func() float64 { return float64(b.tunnels.reg.Len()) })
 	r.GaugeFunc("bb_tunnel_subflows", "live sub-flow allocations across all tunnels",
 		func() float64 { return float64(b.tunnels.reg.SubFlowTotal()) })
-	r.GaugeFunc("bb_open_rars", "RAR route entries currently held (in-flight plus granted)",
+	r.GaugeFunc("bb_open_rars", "RAR route entries held, settled denials and expired grants included (see ROADMAP item 2)",
 		func() float64 {
 			b.mu.Lock()
 			defer b.mu.Unlock()

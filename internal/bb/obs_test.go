@@ -1,7 +1,11 @@
 package bb_test
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -316,5 +320,131 @@ func TestBrokerMetricsLifecycle(t *testing.T) {
 		if snap["bb_reserved_bps"] != 0 {
 			t.Errorf("%s reserved gauge %v after cancel, want 0", name, snap["bb_reserved_bps"])
 		}
+	}
+}
+
+// recordingHandler is a slog handler that counts what it is asked and
+// keeps what it is given. Loggers derived from it share its counters.
+type recordingHandler struct {
+	level slog.Level
+	log   *recordedLog
+	attrs []slog.Attr
+}
+
+type recordedLog struct {
+	mu      sync.Mutex
+	asked   int
+	records []map[string]string // message under "msg", attributes in "keys" order
+}
+
+func (h recordingHandler) Enabled(_ context.Context, l slog.Level) bool {
+	h.log.mu.Lock()
+	h.log.asked++
+	h.log.mu.Unlock()
+	return l >= h.level
+}
+
+func (h recordingHandler) Handle(_ context.Context, r slog.Record) error {
+	rec := map[string]string{"msg": r.Message, "level": r.Level.String()}
+	var keys []string
+	add := func(a slog.Attr) bool {
+		rec[a.Key] = a.Value.String()
+		keys = append(keys, a.Key)
+		return true
+	}
+	for _, a := range h.attrs {
+		add(a)
+	}
+	r.Attrs(add)
+	rec["keys"] = strings.Join(keys, ",")
+	h.log.mu.Lock()
+	h.log.records = append(h.log.records, rec)
+	h.log.mu.Unlock()
+	return nil
+}
+
+func (h recordingHandler) WithAttrs(as []slog.Attr) slog.Handler {
+	h.attrs = append(h.attrs[:len(h.attrs):len(h.attrs)], as...)
+	return h
+}
+
+func (h recordingHandler) WithGroup(string) slog.Handler { return h }
+
+func (l *recordedLog) find(domain, msg string) map[string]string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, r := range l.records {
+		if r["msg"] == msg && r[obs.AttrDomain] == domain {
+			return r
+		}
+	}
+	return nil
+}
+
+// TestVerdictLogRecords: the reserve and cancel paths ask a logger
+// whether it is on before they build their per-request records, and a
+// logger that is on still gets the records it always got — same level,
+// same message, same attributes in the same order with the same values.
+// One that is off is asked and handed nothing.
+func TestVerdictLogRecords(t *testing.T) {
+	run := func(level slog.Level) (*recordedLog, *experiment.World, [2]string, string) {
+		log := &recordedLog{}
+		w, err := experiment.BuildWorld(experiment.WorldConfig{
+			NumDomains: 2,
+			Policies:   map[string]*policy.Policy{"Domain1": policy.MustParse("small-only", "allow if bw <= 50Mb/s\ndeny")},
+			Logger:     slog.New(recordingHandler{level: level, log: log}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(w.Close)
+		u, err := w.NewUser("alice", "", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(u.Close)
+		ok := u.NewSpec(experiment.SpecOptions{DestDomain: w.DestDomain(), Bandwidth: 10 * units.Mbps})
+		res, err := u.ReserveE2E(ok)
+		if err != nil || !res.Granted {
+			t.Fatalf("reserve: res=%+v err=%v", res, err)
+		}
+		big := u.NewSpec(experiment.SpecOptions{DestDomain: w.DestDomain(), Bandwidth: 80 * units.Mbps})
+		if res, err := u.ReserveE2E(big); err != nil || res.Granted {
+			t.Fatalf("over-policy reserve: res=%+v err=%v", res, err)
+		}
+		if err := u.Cancel(w.SourceDomain(), ok.RARID); err != nil {
+			t.Fatal(err)
+		}
+		return log, w, [2]string{ok.RARID, big.RARID}, res.Handle
+	}
+
+	log, w, ids, handle := run(slog.LevelInfo)
+	user := log.find("Domain0", "reserve granted")["user"]
+	for _, want := range []map[string]string{
+		{"msg": "reserve granted", "level": "INFO", "keys": "domain,rar,trace,user,bw,dest,handle,took",
+			"rar": ids[0], "trace": "", "user": user, "bw": (10 * units.Mbps).String(), "dest": w.DestDomain(), "handle": handle},
+		{"msg": "reserve denied", "level": "WARN", "keys": "domain,rar,trace,user,bw,dest,reason,took",
+			"rar": ids[1], "trace": "", "user": user, "bw": (80 * units.Mbps).String(), "dest": w.DestDomain()},
+		{"msg": "cancel: released reservation", "level": "INFO", "keys": "domain,rar,peer,handle",
+			"rar": ids[0], "peer": user, "handle": handle},
+	} {
+		got := log.find("Domain0", want["msg"])
+		if got == nil {
+			t.Errorf("no %q record from Domain0", want["msg"])
+			continue
+		}
+		for k, v := range want {
+			if got[k] != v {
+				t.Errorf("%q record: %s = %q, want %q", want["msg"], k, got[k], v)
+			}
+		}
+	}
+	if user == "" || !strings.Contains(log.find("Domain0", "reserve denied")["reason"], "policy denied") {
+		t.Errorf("records lost their values: user %q, denial %+v", user, log.find("Domain0", "reserve denied"))
+	}
+
+	off, _, _, _ := run(slog.LevelError + 4)
+	if len(off.records) != 0 || off.asked == 0 {
+		t.Errorf("a logger that is off was asked %d times and handed %d records, want asked and handed none", off.asked, len(off.records))
 	}
 }

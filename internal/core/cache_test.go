@@ -210,14 +210,46 @@ func TestOtherKeyAlgorithmRefusedByName(t *testing.T) {
 	}
 }
 
+// warmVerify builds a hops-long chain, warms the destination's
+// certificate cache with one verification and returns the envelope the
+// destination receives and the function that verifies it again.
+func warmVerify(t *testing.T, hops int, now time.Time) (*envelope.Envelope, func()) {
+	t.Helper()
+	fx := buildChain(t, hops, nil)
+	env, peerDN, peerCert := fx.carry(t, hops-1, now, nil)
+	dest := fx.brokers[hops-1]
+	verify := func() {
+		if _, err := dest.Verify(env, peerDN, peerCert, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	verify()
+	return env, verify
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
 // TestWarmVerifyAllocationFree gates the cache: once a broker has seen
 // a path's certificates, verifying another RAR over it parses none of
 // them (allocation-free in x509 terms, whatever else a layer costs).
 // A layer of a warm 8-layer chain allocates no more than a layer of a
 // warm 2-layer chain, each layer beyond the second costs less than
-// half of what one certificate parse allocates, and no more than 8
-// allocations in absolute terms: the signature check itself allocates
-// nothing (7 were measured; 17 when a verification allocated 10).
+// half of what one certificate parse allocates, and no more than 3
+// allocations in absolute terms: the onion is decoded in place, so a
+// layer is its Envelope and its Body and nothing is copied out of it
+// (2 were measured; 7 when every field was copied, 17 when a
+// verification allocated 10).
 func TestWarmVerifyAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -225,15 +257,7 @@ func TestWarmVerifyAllocationFree(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	now := time.Now()
 	warm := func(hops int) float64 {
-		fx := buildChain(t, hops, nil)
-		env, peerDN, peerCert := fx.carry(t, hops-1, now, nil)
-		dest := fx.brokers[hops-1]
-		verify := func() {
-			if _, err := dest.Verify(env, peerDN, peerCert, now); err != nil {
-				t.Fatal(err)
-			}
-		}
-		verify()
+		_, verify := warmVerify(t, hops, now)
 		return testing.AllocsPerRun(50, verify)
 	}
 	fx := buildChain(t, 1, nil)
@@ -251,7 +275,63 @@ func TestWarmVerifyAllocationFree(t *testing.T) {
 	if perExtra > parse/2 {
 		t.Errorf("each extra layer costs %.1f allocs, a certificate parse %.0f: something is parsed per layer", perExtra, parse)
 	}
-	if perExtra > 8 {
-		t.Errorf("each extra layer costs %.1f allocs, want at most 8: the signature check allocates again", perExtra)
+	if perExtra > 3 {
+		t.Errorf("each extra layer costs %.1f allocs, want at most 3: a layer's fields are copied out of the onion again", perExtra)
+	}
+}
+
+// TestWarmVerifyBytesAllocationBound: the bytes a warm Verify allocates
+// grow with the onion, not with its square. Decoding in place, a layer
+// costs its two structs and the onion costs one string copy of its
+// payload, so eight layers allocate no more than 4.5 times what two do
+// and less than twice the envelope's own encoded length (when every
+// nesting level copied its payload again the 3.9 KB onion cost 19 KB).
+func TestWarmVerifyBytesAllocationBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	now := time.Now()
+	_, verify2 := warmVerify(t, 2, now)
+	env8, verify8 := warmVerify(t, 8, now)
+	at2, at8 := bytesPerRun(50, verify2), bytesPerRun(50, verify8)
+	wire := float64(env8.WireSize())
+	t.Logf("warm Verify: %.0f B at 2 layers, %.0f B at 8 (%.0f B on the wire)", at2, at8, wire)
+	if at8 > 4.5*at2 {
+		t.Errorf("8 layers allocate %.0f B, 2 layers %.0f B: more than 4.5 times, the onion is copied per layer", at8, at2)
+	}
+	if at8 > 2*wire {
+		t.Errorf("verifying a %.0f B envelope allocates %.0f B, want at most twice its length", wire, at8)
+	}
+}
+
+// TestSealAllocationBound: wrapping an 8-layer onion allocates what
+// wrapping a 1-layer one does — the payload, made once at its exact
+// size, the signature and the Envelope — and the payload is the only
+// one of the three that grows with the onion.
+func TestSealAllocationBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	now := time.Now()
+	fx := buildChain(t, 9, nil)
+	seal := func(inner *envelope.Envelope) func() {
+		body := envelope.Body{Inner: inner, UpstreamCertDER: fx.certs[0].DER, NextHopDN: fx.brokers[8].DN(), Timestamp: now}
+		return func() {
+			if _, err := envelope.Seal(fx.brokers[7].Key, body); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	env1, _, _ := fx.carry(t, 0, now, nil)
+	env8, _, _ := fx.carry(t, 7, now, nil)
+	at1, at8 := testing.AllocsPerRun(50, seal(env1)), testing.AllocsPerRun(50, seal(env8))
+	bytes8 := bytesPerRun(50, seal(env8))
+	t.Logf("Seal: %.0f allocs over 1 layer, %.0f over 8 (%.0f B for a %d B inner envelope)", at1, at8, bytes8, env8.WireSize())
+	if at8 > 3 || at8 != at1 {
+		t.Errorf("Seal allocates %.0f objects over 8 layers and %.0f over 1, want the same and at most 3", at8, at1)
+	}
+	// Size classes round an allocation up by an eighth at most.
+	if limit := 1.125*float64(env8.WireSize()+len(fx.certs[0].DER)) + 512; bytes8 > limit {
+		t.Errorf("Seal over a %d B envelope allocates %.0f B, want at most %.0f: the payload is built more than once", env8.WireSize(), bytes8, limit)
 	}
 }

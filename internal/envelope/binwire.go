@@ -24,6 +24,11 @@ const (
 	envVersion = 1
 )
 
+// envelopeSize is the length of e's binary encoding.
+func envelopeSize(e *Envelope) int {
+	return 2 + wire.SizeBytes(1, len(e.SignerDN)) + wire.SizeBytes(2, len(e.Payload)) + wire.SizeBytes(3, len(e.Signature))
+}
+
 // appendEnvelope appends e's binary encoding.
 func appendEnvelope(buf []byte, e *Envelope) []byte {
 	buf = append(buf, envMagic, envVersion)
@@ -33,25 +38,33 @@ func appendEnvelope(buf []byte, e *Envelope) []byte {
 	return buf
 }
 
-// decodeEnvelope parses one binary envelope.
-func decodeEnvelope(data []byte) (*Envelope, error) {
-	if len(data) < 2 || data[0] != envMagic {
+// decodeEnvelope parses one binary envelope in place: Payload and
+// Signature are sub-slices of d.Buf, and so the caller's to keep only
+// for as long as it owns those bytes (DESIGN.md §6.6, "Who owns a
+// frame"). SignerDN is a substring of d.Text when the decoder has one
+// and a copy otherwise.
+func decodeEnvelope(d wire.Dec) (*Envelope, error) {
+	if len(d.Buf) < 2 || d.Buf[0] != envMagic {
 		return nil, fmt.Errorf("envelope: not a binary envelope")
 	}
-	if data[1] != envVersion {
-		return nil, fmt.Errorf("envelope: unsupported version %d", data[1])
+	if d.Buf[1] != envVersion {
+		return nil, fmt.Errorf("envelope: unsupported version %d", d.Buf[1])
+	}
+	d.Buf = d.Buf[2:]
+	if d.Text != "" {
+		d.Text = d.Text[2:]
 	}
 	e := &Envelope{}
-	d := wire.Dec{Buf: data[2:]}
 	for d.More() {
 		f, wt := d.Tag()
 		switch {
 		case f == 1 && wt == wire.TBytes:
 			e.SignerDN = identity.DN(d.String())
 		case f == 2 && wt == wire.TBytes:
-			e.Payload = append([]byte(nil), d.Bytes()...)
+			payload := d.Nested()
+			e.Payload, e.text = payload.Buf, payload.Text
 		case f == 3 && wt == wire.TBytes:
-			e.Signature = append([]byte(nil), d.Bytes()...)
+			e.Signature = d.Bytes()
 		default:
 			d.Skip(wt)
 		}
@@ -62,13 +75,26 @@ func decodeEnvelope(data []byte) (*Envelope, error) {
 	return e, nil
 }
 
+// bodySize is the length of b's canonical field encoding: every field's
+// length is known before a byte is written, so Seal allocates the
+// payload once and the inner envelope is never moved.
+func bodySize(b *Body) int {
+	n := wire.SizeBytes(2, len(b.Request)) + wire.SizeBytes(3, len(b.UpstreamCertDER)) + wire.SizeBytes(4, len(b.NextHopDN))
+	if b.Inner != nil {
+		n += wire.SizeBytes(1, envelopeSize(b.Inner))
+	}
+	// A capability entry is written even when empty; its tag is one byte.
+	for _, der := range b.CapabilityDERs {
+		n += 1 + wire.SizeUvarint(uint64(len(der))) + len(der)
+	}
+	var ts [24]byte
+	return n + wire.SizeStringMap(6, b.PolicyInfo) + len(wire.AppendTime(ts[:0], 7, b.Timestamp))
+}
+
 // appendBody appends b's canonical field encoding — the signed bytes.
 func appendBody(buf []byte, b *Body) []byte {
 	if b.Inner != nil {
-		var start int
-		buf, start = wire.BeginNested(buf, 1)
-		buf = appendEnvelope(buf, b.Inner)
-		buf = wire.EndNested(buf, start)
+		buf = b.Inner.AppendField(buf, 1)
 	}
 	buf = wire.AppendBytes(buf, 2, b.Request)
 	buf = wire.AppendBytes(buf, 3, b.UpstreamCertDER)
@@ -85,27 +111,31 @@ func appendBody(buf []byte, b *Body) []byte {
 	return buf
 }
 
-// decodeBody parses a payload produced by appendBody.
-func decodeBody(data []byte) (*Body, error) {
+// decodeBody parses a payload produced by appendBody, in place: every
+// bytes field of the body, and of the envelope inside it, is a
+// sub-slice of data. text, when set, holds the same bytes as data, and
+// the layer's DNs are substrings of it: one copy per onion, made by
+// Unwrap, serves every layer. Policy attributes stay copies.
+func decodeBody(data []byte, text string) (*Body, error) {
 	b := &Body{}
-	d := wire.Dec{Buf: data}
+	d := wire.Dec{Buf: data, Text: text}
 	for d.More() {
 		f, wt := d.Tag()
 		switch {
 		case f == 1 && wt == wire.TBytes:
-			inner, err := decodeEnvelope(d.Bytes())
+			inner, err := decodeEnvelope(d.Nested())
 			if err != nil {
 				return nil, err
 			}
 			b.Inner = inner
 		case f == 2 && wt == wire.TBytes:
-			b.Request = append([]byte(nil), d.Bytes()...)
+			b.Request = d.Bytes()
 		case f == 3 && wt == wire.TBytes:
-			b.UpstreamCertDER = append([]byte(nil), d.Bytes()...)
+			b.UpstreamCertDER = d.Bytes()
 		case f == 4 && wt == wire.TBytes:
 			b.NextHopDN = identity.DN(d.String())
 		case f == 5 && wt == wire.TBytes:
-			b.CapabilityDERs = append(b.CapabilityDERs, append([]byte(nil), d.Bytes()...))
+			b.CapabilityDERs = append(b.CapabilityDERs, d.Bytes())
 		case f == 6 && wt == wire.TBytes:
 			if b.PolicyInfo == nil {
 				b.PolicyInfo = make(map[string]string)

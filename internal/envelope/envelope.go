@@ -24,6 +24,7 @@ import (
 
 	"e2eqos/internal/identity"
 	"e2eqos/internal/pki"
+	"e2eqos/internal/wire"
 )
 
 // Envelope is one layer of the nested structure. Payload is the
@@ -40,6 +41,10 @@ type Envelope struct {
 	Payload []byte
 	// Signature is SignerDN's signature over Payload.
 	Signature []byte
+	// text, when set, holds the same bytes as Payload: the slice of the
+	// onion's one string copy that a layer decoded under it gets, so
+	// decoding this layer's body copies no DN either.
+	text string
 }
 
 // Body is the content of one envelope layer. Exactly one of Inner or
@@ -84,7 +89,7 @@ func Seal(signer *identity.KeyPair, body Body) (*Envelope, error) {
 	if body.Timestamp.IsZero() {
 		body.Timestamp = time.Now()
 	}
-	payload := appendBody(nil, &body)
+	payload := appendBody(make([]byte, 0, bodySize(&body)), &body)
 	sig, err := signer.Sign(payload)
 	if err != nil {
 		return nil, fmt.Errorf("envelope: sign: %w", err)
@@ -119,7 +124,11 @@ func (e *Envelope) PeekBody() (*Body, error) {
 	if e == nil {
 		return nil, fmt.Errorf("envelope: nil envelope")
 	}
-	body, err := decodeBody(e.Payload)
+	return e.peekBody(e.text)
+}
+
+func (e *Envelope) peekBody(text string) (*Body, error) {
+	body, err := decodeBody(e.Payload, text)
 	if err != nil {
 		return nil, fmt.Errorf("envelope: body signed by %s: %w", e.SignerDN, err)
 	}
@@ -226,11 +235,15 @@ func Unwrap(outer *Envelope, resolve KeyResolver) (*Chain, error) {
 		return nil, err
 	}
 
-	// Decode inward. after is what the walk ran into where it stopped;
-	// it is reported only if every layer found on the way verifies.
+	// Decode inward, in place: every layer's bytes stay where outer's
+	// payload has them, and one string copy of that payload, made now
+	// that its signature holds, serves the DNs of every layer inside.
+	// after is what the walk ran into where it stopped; it is reported
+	// only if every layer found on the way verifies.
 	var after error
-	for env := outer; ; {
-		body, err := env.PeekBody()
+	text := string(outer.Payload)
+	for env := outer; ; text = env.text { // an inner layer's slice of it
+		body, err := env.peekBody(text)
 		chain.Layers = append(chain.Layers, Layer{SignerDN: env.SignerDN, Body: body})
 		if err != nil {
 			after = fmt.Errorf("envelope: layer %d: %w", len(envs)-1, err)
@@ -340,20 +353,29 @@ const maxDepth = 64
 
 // Encode serialises the envelope in its binary form.
 func (e *Envelope) Encode() ([]byte, error) {
-	return appendEnvelope(nil, e), nil
+	return appendEnvelope(make([]byte, 0, e.WireSize()), e), nil
 }
 
-// Decode reverses Encode.
+// AppendField appends the envelope's binary form as a length-delimited
+// field, the length — known before a byte of the envelope is written —
+// first: a body nests its inner envelope, and a frame encoder writes the
+// onion straight into its own buffer, without an encoded copy between.
+func (e *Envelope) AppendField(buf []byte, field uint32) []byte {
+	buf = wire.AppendTag(buf, field, wire.TBytes)
+	buf = wire.AppendUvarint(buf, uint64(envelopeSize(e)))
+	return appendEnvelope(buf, e)
+}
+
+// Decode reverses Encode, in place: the envelope's Payload and Signature,
+// and every bytes field of the bodies later decoded out of it, are
+// sub-slices of data. The caller must own data for as long as it uses
+// them, and nothing that outlives data's owner may keep one without
+// copying it (DESIGN.md §6.6, "Who owns a frame").
 func Decode(data []byte) (*Envelope, error) {
-	return decodeEnvelope(data)
+	return decodeEnvelope(wire.Dec{Buf: data})
 }
 
 // WireSize returns the encoded size in bytes, used by the Figure 7 /
-// §6.4 message-growth experiments.
-func (e *Envelope) WireSize() int {
-	data, err := e.Encode()
-	if err != nil {
-		return 0
-	}
-	return len(data)
-}
+// §6.4 message-growth experiments and by encoders that write the
+// length before the envelope.
+func (e *Envelope) WireSize() int { return envelopeSize(e) }

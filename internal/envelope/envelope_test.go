@@ -3,6 +3,7 @@ package envelope
 import (
 	"encoding/json"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -136,11 +137,47 @@ func TestUnwrapThreeHops(t *testing.T) {
 	}
 }
 
+// TestUnwrapChecksEachLayerOnce: a RAR crossing eight domains is
+// unwrapped once per hop, and each unwrap resolves one key — and checks
+// one signature with it — per layer it finds: 1+2+...+8 = 36, whether
+// the onion was sealed here or decoded in place out of a frame.
+func TestUnwrapChecksEachLayerOnce(t *testing.T) {
+	checks := 0
+	for hops := 0; hops < 8; hops++ {
+		keys, outer := buildOnion(t, hops)
+		data, err := outer.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		received, err := Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resolve := resolverFor(keys)
+		var mu sync.Mutex
+		chain, err := Unwrap(received, func(depth int, dn identity.DN, hint []byte) (identity.PublicKey, error) {
+			mu.Lock()
+			checks++
+			mu.Unlock()
+			return resolve(depth, dn, hint)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(chain.Layers) != hops+1 || chain.PathDNs()[0] != keys[0].DN {
+			t.Fatalf("%d hops: unwrapped %d layers from %v", hops, len(chain.Layers), chain.PathDNs())
+		}
+	}
+	if checks != 36 {
+		t.Errorf("an 8-domain RAR cost %d signature checks, want 36", checks)
+	}
+}
+
 func TestUnwrapDetectsInnerTampering(t *testing.T) {
 	keys, outer := buildOnion(t, 2)
 	// Tamper with the innermost layer through the outer payload bytes:
 	// flip a byte inside the encoded inner envelope's payload.
-	body, err := decodeBody(outer.Payload)
+	body, err := decodeBody(outer.Payload, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package envelope
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	mrand "math/rand"
@@ -11,7 +12,11 @@ import (
 )
 
 // FuzzDecode ensures arbitrary bytes never panic the envelope decoder
-// or the unwrapping machinery.
+// or the unwrapping machinery, that neither writes one byte of the
+// input (they decode in place, so a write would corrupt the frame for
+// its owner), and that what the encoder writes decodes back to itself
+// at the size the size functions announce: the outer envelope and, one
+// level in, the body.
 func FuzzDecode(f *testing.F) {
 	key, err := identity.GenerateKeyPair("/CN=seed")
 	if err != nil {
@@ -23,6 +28,17 @@ func FuzzDecode(f *testing.F) {
 	}
 	data, err := genuine.Encode()
 	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	wrapped, err := Seal(key, Body{
+		Inner: genuine, UpstreamCertDER: []byte("cert"), NextHopDN: "/CN=next",
+		CapabilityDERs: [][]byte{[]byte("cap"), nil}, PolicyInfo: map[string]string{"k": "v", "": ""},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if data, err = wrapped.Encode(); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(data)
@@ -39,6 +55,7 @@ func FuzzDecode(f *testing.F) {
 		return nil, fmt.Errorf("unknown %s", dn)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		input := bytes.Clone(data)
 		env, err := Decode(data)
 		if err != nil {
 			return
@@ -46,8 +63,36 @@ func FuzzDecode(f *testing.F) {
 		// Unwrap may fail (bad signature, unknown signer) but must not
 		// panic.
 		_, _ = Unwrap(env, resolve)
-		_, _ = env.PeekBody()
-		_ = env.WireSize()
+		body, perr := env.PeekBody()
+		if !bytes.Equal(data, input) {
+			t.Fatalf("decoding wrote to its input:\n before % x\n after  % x", input, data)
+		}
+
+		enc, _ := env.Encode()
+		if len(enc) != env.WireSize() || cap(enc) != len(enc) {
+			t.Fatalf("Encode wrote %d bytes into %d, WireSize says %d", len(enc), cap(enc), env.WireSize())
+		}
+		again, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("the encoder's own output does not decode: %v", err)
+		}
+		if re, _ := again.Encode(); !bytes.Equal(re, enc) {
+			t.Fatalf("decode then encode changed an encoded envelope:\n in  % x\n out % x", enc, re)
+		}
+		if perr != nil {
+			return
+		}
+		signed := appendBody(nil, body)
+		if len(signed) != bodySize(body) {
+			t.Fatalf("appendBody wrote %d bytes, bodySize says %d", len(signed), bodySize(body))
+		}
+		rebody, err := decodeBody(signed, string(signed))
+		if err != nil {
+			t.Fatalf("the encoder's own body does not decode: %v", err)
+		}
+		if re := appendBody(nil, rebody); !bytes.Equal(re, signed) {
+			t.Fatalf("decode then encode changed an encoded body:\n in  % x\n out % x", signed, re)
+		}
 	})
 }
 

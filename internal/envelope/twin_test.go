@@ -344,6 +344,15 @@ func diffAgainstTwin(t *testing.T, tc twinCase) {
 	wantChain, wantErr := serialTwin(tc.outer, want.resolve)
 	got := &twinVerifier{limit: tc.limit, dir: tc.dir}
 	gotChain, gotErr := Unwrap(tc.outer, got.resolve)
+	if gotChain != nil {
+		// Where a layer's DNs are stored is not part of what was decoded:
+		// the twin copies each, Unwrap cuts them from one string.
+		for _, l := range gotChain.Layers {
+			if l.Body.Inner != nil {
+				l.Body.Inner.text = ""
+			}
+		}
+	}
 	switch {
 	case (wantErr == nil) != (gotErr == nil):
 		t.Fatalf("%s: verdicts differ: twin err = %v, Unwrap err = %v", tc.summary, wantErr, gotErr)

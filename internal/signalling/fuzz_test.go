@@ -1,11 +1,15 @@
 package signalling
 
 import (
+	"bytes"
 	"testing"
 )
 
 // FuzzDecodeMessage ensures arbitrary wire bytes never panic the
-// decoder and that accepted messages re-encode. Batch payloads that
+// decoder, that it writes none of them (it decodes in place: a write
+// would corrupt the frame for its owner), and that accepted messages
+// re-encode to a frame the codec maps to itself — decode then encode
+// returns every frame the encoder could have produced. Batch payloads that
 // decode must additionally never panic Validate, stay within
 // MaxBatchOps, and get from Validate the verdict the map-based oracle
 // gives them, whichever way it falls.
@@ -26,6 +30,12 @@ func FuzzDecodeMessage(f *testing.F) {
 		batch(""),
 		// One op past MaxBatchOps: refused while counting.
 		append(batch("B-6"), emptyOpFields(MaxBatchOps+1)...),
+		// A follower's resync: a snapshot and the records that extend it
+		// in one frame, which no golden vector carries together.
+		(&Message{Type: MsgJournalStream, ID: 14, JournalStream: &JournalStreamPayload{
+			Domain: "DomainA", Term: 5, LeaderID: 1, FromSeq: 5, CommitSeq: 6,
+			Snapshot: []byte{0xB3, 0x01, 0x0A}, SnapSeq: 5, Records: [][]byte{{0xB1, 0x01, 0x07}, {0xB1, 0x01}},
+		}}).AppendBinary(nil),
 		// Not frames at all: the decoder has one encoding and must refuse
 		// everything else, a JSON body included.
 		[]byte(`{"type":"cancel","id":2,"cancel":{"rar_id":"RAR-1"}}`),
@@ -61,15 +71,27 @@ func FuzzDecodeMessage(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		input := bytes.Clone(data)
 		msg, err := DecodeMessage(data)
+		if !bytes.Equal(data, input) {
+			t.Fatalf("decoding wrote to its input:\n before % x\n after  % x", input, data)
+		}
 		if err != nil {
 			return
 		}
 		if msg.Type == "" {
 			t.Fatal("decoder accepted a typeless message")
 		}
-		if _, err := msg.Encode(); err != nil {
+		enc, err := msg.Encode()
+		if err != nil {
 			t.Fatalf("accepted message failed to re-encode: %v", err)
+		}
+		again, err := DecodeMessage(enc)
+		if err != nil {
+			t.Fatalf("the encoder's own frame does not decode: %v\n % x", err, enc)
+		}
+		if re, _ := again.Encode(); !bytes.Equal(re, enc) {
+			t.Fatalf("decode then encode changed an encoded frame:\n in  % x\n out % x", enc, re)
 		}
 		if b := msg.TunnelBatch; b != nil {
 			if len(b.Ops) > MaxBatchOps {

@@ -113,10 +113,18 @@ type ReservePayload struct {
 	SplitPart int
 	SplitOf   int
 	SplitBW   int64
+
+	// env is the envelope of a payload built here (NewReserveMessage):
+	// it is encoded straight into the frame, never into EnvelopeData.
+	env *envelope.Envelope
 }
 
-// Envelope decodes the carried envelope.
+// Envelope returns the carried envelope, decoded in place out of
+// EnvelopeData on a received payload.
 func (p *ReservePayload) Envelope() (*envelope.Envelope, error) {
+	if p.env != nil {
+		return p.env, nil
+	}
 	return envelope.Decode(p.EnvelopeData)
 }
 
@@ -402,12 +410,5 @@ func DecodeMessage(data []byte) (*Message, error) {
 
 // NewReserveMessage wraps an envelope for the wire.
 func NewReserveMessage(mode ReserveMode, env *envelope.Envelope) (*Message, error) {
-	data, err := env.Encode()
-	if err != nil {
-		return nil, err
-	}
-	return &Message{
-		Type:    MsgReserve,
-		Reserve: &ReservePayload{Mode: mode, EnvelopeData: data},
-	}, nil
+	return &Message{Type: MsgReserve, Reserve: &ReservePayload{Mode: mode, env: env}}, nil
 }

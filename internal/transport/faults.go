@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -272,7 +273,8 @@ func (c *faultyConn) Recv() ([]byte, error) {
 			time.Sleep(c.d.cfg.Delay)
 			return msg, nil
 		case FaultDuplicate:
-			c.again = msg
+			// One Recv, one owner: the second delivery is its own bytes.
+			c.again = bytes.Clone(msg)
 			return msg, nil
 		}
 		if c.d.roll(c.d.cfg.RecvDropProb) {

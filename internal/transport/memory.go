@@ -261,22 +261,29 @@ func (c *memConn) Send(msg []byte) error {
 		return ErrClosed
 	default:
 	}
-	timeout, stop := c.expiry(true)
-	defer stop()
 	cp := make([]byte, len(msg))
 	copy(cp, msg)
 	tm := timedMsg{data: cp, deliverAt: time.Now().Add(c.net.Latency)}
+	// The queue is tried before a deadline timer is armed: a sender that
+	// bounds every frame would otherwise build one per message and wait
+	// on none of them.
 	select {
 	case c.out <- tm:
-		c.net.msgs.Add(1)
-		c.net.bytes.Add(int64(len(msg)))
-		return nil
-	case <-c.done:
-		return ErrClosed
-	case <-timeout:
-		c.net.Metrics.timeout()
-		return ErrTimeout
+	default:
+		timeout, stop := c.expiry(true)
+		defer stop()
+		select {
+		case c.out <- tm:
+		case <-c.done:
+			return ErrClosed
+		case <-timeout:
+			c.net.Metrics.timeout()
+			return ErrTimeout
+		}
 	}
+	c.net.msgs.Add(1)
+	c.net.bytes.Add(int64(len(msg)))
+	return nil
 }
 
 func (c *memConn) Recv() ([]byte, error) {

@@ -42,7 +42,11 @@ func IsTimeout(err error) bool {
 type Conn interface {
 	// Send transmits one message.
 	Send(msg []byte) error
-	// Recv blocks for the next message.
+	// Recv blocks for the next message. The returned slice belongs to
+	// the caller: the transport never reuses it, writes to it or hands
+	// it out again, so a decoder may keep sub-slices of it for as long
+	// as the caller keeps the message (DESIGN.md §6.6, "Who owns a
+	// frame").
 	Recv() ([]byte, error)
 	// SetDeadline bounds subsequent Send and Recv calls: an operation
 	// that would block past t fails with a timeout error (IsTimeout).

@@ -16,6 +16,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 )
@@ -58,6 +59,20 @@ func AppendUvarint(buf []byte, v uint64) []byte {
 		v >>= 7
 	}
 	return append(buf, byte(v))
+}
+
+// SizeUvarint is the number of bytes AppendUvarint writes for v.
+func SizeUvarint(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// SizeBytes is what AppendBytes and AppendString add for n bytes of
+// content — tag, length prefix and content, or nothing for none. An
+// encoder that knows the size of what it nests writes the prefix first
+// and never has to shift the content (compare EndNested).
+func SizeBytes(field uint32, n int) int {
+	if n == 0 {
+		return 0
+	}
+	return SizeUvarint(uint64(field)<<3) + SizeUvarint(uint64(n)) + n
 }
 
 // Zigzag maps a signed value to the unsigned space so small negatives
@@ -179,6 +194,15 @@ func AppendStringMap(buf []byte, field uint32, m map[string]string) []byte {
 	return buf
 }
 
+// SizeStringMap is what AppendStringMap adds for m. An entry holds two
+// length prefixes at least, so SizeBytes never takes it for omitted.
+func SizeStringMap(field uint32, m map[string]string) (n int) {
+	for k, v := range m {
+		n += SizeBytes(field, SizeUvarint(uint64(len(k)))+len(k)+SizeUvarint(uint64(len(v)))+len(v))
+	}
+	return n
+}
+
 // BeginNested opens a length-delimited nested message for field,
 // returning the buffer and the offset where the nested content starts.
 // The caller appends the nested fields, then calls EndNested with the
@@ -280,19 +304,20 @@ func (d *Dec) Tag() (field uint32, wt byte) {
 	return uint32(t >> 3), byte(t & 7)
 }
 
-// Bytes reads one length-delimited field as a subslice of Buf.
+// Bytes reads one length-delimited field as a subslice of Buf: nil when
+// the field is empty, as a copy of it would be, and with no capacity
+// beyond its own end, so appending to it never writes into Buf.
 func (d *Dec) Bytes() []byte {
 	n := d.Uvarint()
-	if d.err != nil {
+	if d.err != nil || n == 0 {
 		return nil
 	}
 	if n > uint64(len(d.Buf)-d.off) {
 		d.fail("bytes length past end of buffer")
 		return nil
 	}
-	b := d.Buf[d.off : d.off+int(n)]
 	d.off += int(n)
-	return b
+	return d.Buf[d.off-int(n) : d.off : d.off]
 }
 
 // String reads one length-delimited field as a string: one allocation,
@@ -311,6 +336,15 @@ func (d *Dec) String() string {
 func (d *Dec) NestedIn(text string) Dec {
 	b := d.Bytes()
 	return Dec{Buf: b, Text: text[d.off-len(b) : d.off]}
+}
+
+// Nested reads one length-delimited field as a decoder of its own,
+// whose strings are substrings of d's Text when d has one.
+func (d *Dec) Nested() Dec {
+	if d.Text == "" {
+		return Dec{Buf: d.Bytes()}
+	}
+	return d.NestedIn(d.Text)
 }
 
 // StringPair reads one AppendStringMap entry.

@@ -289,3 +289,59 @@ func TestCanonicalBytes(t *testing.T) {
 		t.Fatal("identical values encoded to different bytes")
 	}
 }
+
+// TestSizesMatchAppends: the size functions announce exactly what their
+// encoders write, at every length-prefix width, and nothing for what
+// the encoders omit.
+func TestSizesMatchAppends(t *testing.T) {
+	for _, v := range []uint64{0, 1, 127, 128, 16383, 16384, 1 << 21, 1 << 35, 1 << 63, math.MaxUint64} {
+		if got, want := SizeUvarint(v), len(AppendUvarint(nil, v)); got != want {
+			t.Errorf("SizeUvarint(%d) = %d, AppendUvarint writes %d", v, got, want)
+		}
+	}
+	for _, m := range []map[string]string{nil, {"": ""}, {"k": "v", "": "x", string(make([]byte, 200)): ""}} {
+		if got, want := SizeStringMap(6, m), len(AppendStringMap(nil, 6, m)); got != want {
+			t.Errorf("SizeStringMap(%d entries) = %d, AppendStringMap writes %d", len(m), got, want)
+		}
+	}
+	for _, field := range []uint32{1, 15, 16, 2047, 2048} {
+		for _, n := range []int{0, 1, 127, 128, 16383, 16384} {
+			if got, want := SizeBytes(field, n), len(AppendBytes(nil, field, make([]byte, n))); got != want {
+				t.Errorf("SizeBytes(%d, %d) = %d, AppendBytes writes %d", field, n, got, want)
+			}
+		}
+	}
+}
+
+// TestBytesOwnsNoMoreThanItsField: a bytes field read in place cannot be
+// appended into the buffer behind it, an empty one is nil like its copy
+// would be, and Nested hands a decoder's Text down (or none, when there
+// is none to hand down).
+func TestBytesOwnsNoMoreThanItsField(t *testing.T) {
+	var start int
+	buf := AppendBytes(nil, 1, []byte("ab"))
+	buf = append(AppendTag(buf, 2, TBytes), 0) // present, empty
+	buf, start = BeginNested(buf, 3)
+	buf = AppendString(buf, 1, "inner")
+	buf = EndNested(buf, start)
+	orig := bytes.Clone(buf)
+	for _, text := range []string{"", string(buf)} {
+		d := Dec{Buf: buf, Text: text}
+		d.Tag()
+		if b := d.Bytes(); string(b) != "ab" || cap(b) != 2 || !bytes.Equal(append(b, 'X')[:2], []byte("ab")) || !bytes.Equal(buf, orig) {
+			t.Fatalf("Bytes = %q (cap %d), buffer now % x", b, cap(b), buf)
+		}
+		d.Tag()
+		if b := d.Bytes(); b != nil {
+			t.Errorf("an empty field read as %#v, want nil", b)
+		}
+		d.Tag()
+		sub := d.Nested()
+		sub.Tag()
+		s := sub.String()
+		aliases := text != "" && unsafe.StringData(s) == unsafe.StringData(text[len(text)-len("inner"):])
+		if s != "inner" || d.Err() != nil || sub.Err() != nil || aliases != (text != "") {
+			t.Errorf("Nested under text %q read %q (aliases: %v, errs %v %v)", text, s, aliases, d.Err(), sub.Err())
+		}
+	}
+}

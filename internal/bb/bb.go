@@ -157,40 +157,21 @@ type Config struct {
 	ElectionTimeout time.Duration
 }
 
-// rarState remembers what a reserve created locally, for cancellation
-// and tunnel management.
+// rarState is one entry of the route cache: the journaled record of
+// what a reserve created locally (rarRec, journal.go) plus the signal
+// that the reserve is still in flight.
 type rarState struct {
-	handle   string
-	next     identity.DN // downstream broker the RAR was forwarded to
-	tunnel   bool
-	sourceBB identity.DN // authenticated source-domain broker (or user)
-	spec     *core.Spec
+	rarRec
 	// done is closed once the reserve that created this entry has
 	// settled; duplicates and cancels arriving mid-flight wait on it.
 	done chan struct{}
-	// outcome is the response originally returned for this RAR,
-	// replayed verbatim when a retransmitted reserve arrives (the
-	// upstream hop retries after losing the response; re-admitting
-	// would double-book, denying a granted chain would strand it).
-	outcome *signalling.Message
-	// epoch uniquely identifies this registration of the RAR id in the
-	// journal (ids may reappear after a cancel; epochs never repeat).
-	// Immutable after registration.
-	epoch int64
-	// downKey is the route key this hop forwarded downstream under — it
-	// differs from the entry's own key when the ingress re-routed onto
-	// an alternate path (attempt-salted keys). Cancels propagate it.
-	downKey string
-	// children are the per-path child RARs of a split reservation at
-	// its ingress (empty otherwise); cancels fan out to all of them.
-	children []childRoute
 }
 
-// childRoute is one downstream leg of a split reservation.
+// childRoute is one downstream leg of a reservation.
 type childRoute struct {
 	Next identity.DN
 	Key  string
-	BW   int64
+	BW   int64 // a split leg's share; zero for a whole reservation
 }
 
 // BB is a bandwidth broker.
@@ -331,12 +312,6 @@ func (b *BB) Table() *resv.Table { return b.table }
 
 // Cert returns the broker certificate.
 func (b *BB) Cert() *pki.Certificate { return b.cfg.Cert }
-
-// domainOfBB resolves a broker DN to its domain via the topology's
-// reverse index.
-func (b *BB) domainOfBB(dn identity.DN) (string, bool) {
-	return b.cfg.Topo.DomainOfBB(dn)
-}
 
 // dialPeer opens and authenticates a fresh signalling client to the
 // given peer broker; the pool owns caching and lifecycle. Reads only

@@ -61,20 +61,27 @@ func (c *childRoute) decodeFields(d *wire.Dec) error {
 }
 
 // rarRec: 1=rar_id 2=epoch 3=handle 4=next 5=tunnel 6=source_bb
-// 7=outcome 8=down_key 9=children(repeated).
+// 7=outcome 8=down_key 9=children(repeated). The record is older than
+// the one list of downstream legs and keeps its fields: the one leg of a
+// whole reservation travels as next and down_key, the shares of a split
+// as children.
 func (r rarRec) AppendBinary(buf []byte) []byte {
+	var whole childRoute
+	if len(r.Legs) == 1 && r.Legs[0].BW == 0 {
+		whole = r.Legs[0]
+	}
 	buf = wire.AppendString(buf, 1, r.RARID)
 	buf = wire.AppendInt(buf, 2, r.Epoch)
 	buf = wire.AppendString(buf, 3, r.Handle)
-	buf = wire.AppendString(buf, 4, string(r.Next))
+	buf = wire.AppendString(buf, 4, string(whole.Next))
 	buf = wire.AppendBool(buf, 5, r.Tunnel)
 	buf = wire.AppendString(buf, 6, string(r.SourceBB))
 	buf = appendOutcome(buf, 7, r.Outcome)
-	buf = wire.AppendString(buf, 8, r.DownKey)
-	for i := range r.Children {
+	buf = wire.AppendString(buf, 8, whole.Key)
+	for i := 0; whole.Next == "" && i < len(r.Legs); i++ {
 		var start int
 		buf, start = wire.BeginNested(buf, 9)
-		buf = r.Children[i].appendFields(buf)
+		buf = r.Legs[i].appendFields(buf)
 		buf = wire.EndNested(buf, start)
 	}
 	return buf
@@ -82,6 +89,7 @@ func (r rarRec) AppendBinary(buf []byte) []byte {
 
 func (r *rarRec) DecodeBinary(data []byte) error {
 	d := wire.Dec{Buf: data}
+	var whole childRoute
 	for d.More() {
 		f, wt := d.Tag()
 		switch {
@@ -92,7 +100,7 @@ func (r *rarRec) DecodeBinary(data []byte) error {
 		case f == 3 && wt == wire.TBytes:
 			r.Handle = d.String()
 		case f == 4 && wt == wire.TBytes:
-			r.Next = identity.DN(d.String())
+			whole.Next = identity.DN(d.String())
 		case f == 5 && wt == wire.TVarint:
 			r.Tunnel = d.Bool()
 		case f == 6 && wt == wire.TBytes:
@@ -104,17 +112,20 @@ func (r *rarRec) DecodeBinary(data []byte) error {
 			}
 			r.Outcome = m
 		case f == 8 && wt == wire.TBytes:
-			r.DownKey = d.String()
+			whole.Key = d.String()
 		case f == 9 && wt == wire.TBytes:
 			sub := wire.Dec{Buf: d.Bytes()}
 			var c childRoute
 			if err := c.decodeFields(&sub); err != nil {
 				return err
 			}
-			r.Children = append(r.Children, c)
+			r.Legs = append(r.Legs, c)
 		default:
 			d.Skip(wt)
 		}
+	}
+	if whole.Next != "" {
+		r.Legs = []childRoute{whole}
 	}
 	return d.Err()
 }

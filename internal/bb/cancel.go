@@ -1,0 +1,94 @@
+package bb
+
+import (
+	"context"
+	"fmt"
+	"log/slog"
+
+	"e2eqos/internal/obs"
+	"e2eqos/internal/signalling"
+)
+
+func (b *BB) handleCancel(peer signalling.Peer, payload *signalling.CancelPayload) *signalling.Message {
+	b.m.cancels.Inc()
+	b.mu.Lock()
+	st, ok := b.routes[payload.RARID]
+	b.mu.Unlock()
+	if !ok {
+		return signalling.ErrorResult(fmt.Sprintf("%s: unknown RAR %s", b.cfg.Domain, payload.RARID))
+	}
+	// If the reserve that created this entry is still in flight (an
+	// upstream hop gave up on it and is now cancelling), wait for it to
+	// settle so its admission — and its recorded downstream hop — are
+	// visible to cancel.
+	<-st.done
+	b.mu.Lock()
+	if cur, still := b.routes[payload.RARID]; !still || cur != st {
+		b.mu.Unlock()
+		return signalling.ErrorResult(fmt.Sprintf("%s: unknown RAR %s", b.cfg.Domain, payload.RARID))
+	}
+	delete(b.routes, payload.RARID)
+	b.mu.Unlock()
+	// Journal the route removal even if the table cancel below fails:
+	// the entry is gone from the live map either way, and a recovered
+	// broker must agree.
+	b.journalRARCancel(payload.RARID, st.Epoch)
+	// Tear the tunnel endpoint down before the table cancel can bail
+	// out: the route entry is already gone, and a stale endpoint left
+	// behind would collide with a re-establishment of the same RAR id.
+	// Tunnels and edge flows live under the signed RAR id, whatever
+	// route-key salt this hop holds.
+	base := baseRARID(payload.RARID)
+	if ep, live := b.tunnels.reg.Get(base); live {
+		b.tunnels.reg.Remove(base)
+		b.tunnels.dropBatches(base, ep.Epoch)
+		b.journalTunnelRemove(base, ep.Epoch)
+	}
+	b.removeEdgeFlow(base)
+	if err := b.table.Cancel(st.Handle); err != nil {
+		return signalling.ErrorResult(fmt.Sprintf("%s: %v", b.cfg.Domain, err))
+	}
+	b.syncDataPlane()
+	// Propagate downstream along the recorded legs, each under that
+	// leg's own route key (best effort, under the call deadline: a dead
+	// hop must not wedge the cancel chain). If the synchronous attempt
+	// fails, hand the cancel to the persistent async path so hops below
+	// the failure don't stay booked.
+	for _, leg := range st.Legs {
+		if _, _, err := b.callPeer(leg.Next, &signalling.Message{
+			Type:   signalling.MsgCancel,
+			Cancel: &signalling.CancelPayload{RARID: leg.Key},
+		}); err != nil {
+			b.cancelDownstream(leg.Next, leg.Key)
+		}
+	}
+	if b.log.Enabled(context.Background(), slog.LevelInfo) {
+		b.log.Info("cancel: released reservation",
+			obs.AttrRAR, payload.RARID, obs.AttrPeer, string(peer.DN), "handle", st.Handle)
+	}
+	// The cancel's own records (route removal, table cancel, tunnel
+	// teardown) join the group commit before the caller hears back.
+	b.replWaitCommit()
+	b.maybeCheckpoint()
+	return signalling.OKResult(st.Handle)
+}
+
+func (b *BB) handleStatus(payload *signalling.StatusPayload) *signalling.Message {
+	b.mu.Lock()
+	st, ok := b.routes[payload.RARID]
+	b.mu.Unlock()
+	if !ok {
+		return signalling.ErrorResult(fmt.Sprintf("%s: unknown RAR %s", b.cfg.Domain, payload.RARID))
+	}
+	r, ok := b.table.Lookup(st.Handle)
+	if !ok {
+		return signalling.ErrorResult(fmt.Sprintf("%s: handle %s vanished", b.cfg.Domain, st.Handle))
+	}
+	resp := signalling.OKResult(st.Handle)
+	resp.Result.PolicyInfo = map[string]string{
+		"status":    r.Status.String(),
+		"bandwidth": r.Bandwidth.String(),
+		"window":    r.Window.String(),
+	}
+	return resp
+}

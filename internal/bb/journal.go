@@ -34,21 +34,31 @@ const (
 	opTunnelBatch   = "bb.tunnel_batch"
 )
 
-// rarRec journals one settled RAR entry: the route bookkeeping plus
-// the outcome message replayed verbatim when an upstream hop
-// retransmits. Epoch disambiguates re-registrations of a RAR id after
-// a cancel (ids come from requesters and may legitimately reappear),
-// so replay never lets a stale cancel remove a fresh entry.
+// rarRec is what a reserve created locally, for cancellation, tunnel
+// management and replay — the route entry kept in memory (rarState) and,
+// once the reserve has settled, journaled whole.
 type rarRec struct {
-	RARID    string
+	// RARID is the route key the entry is registered under.
+	RARID string
+	// Epoch uniquely identifies this registration of the RAR id in the
+	// journal (ids come from requesters and may legitimately reappear
+	// after a cancel; epochs never repeat), so replay never lets a stale
+	// cancel remove a fresh entry. Immutable after registration.
 	Epoch    int64
 	Handle   string
-	Next     identity.DN
 	Tunnel   bool
-	SourceBB identity.DN
-	DownKey  string
-	Children []childRoute
-	Outcome  *signalling.Message
+	SourceBB identity.DN // authenticated source-domain broker (or user)
+	// Legs are where the reserve went from here, each under the route
+	// key that leg runs under; cancels follow them. None at the end of
+	// the line; one on a single path — its key differs from the entry's
+	// own when the ingress re-routed onto an alternate path — with BW
+	// zero; one per share, BW set, at the ingress of a split.
+	Legs []childRoute
+	// Outcome is the response originally returned for this RAR,
+	// replayed verbatim when a retransmitted reserve arrives (the
+	// upstream hop retries after losing the response; re-admitting
+	// would double-book, denying a granted chain would strand it).
+	Outcome *signalling.Message
 }
 
 // rarCancelRec journals the removal of a RAR entry.
@@ -264,7 +274,7 @@ func (b *BB) applyBBRecord(r journal.Record) ([]tunnelOpRecord, bool, error) {
 		}
 		// Concurrent emission can reorder records for a reused RAR
 		// id; the higher epoch is always the later registration.
-		if cur, ok := b.routes[rr.RARID]; !ok || cur.epoch <= rr.Epoch {
+		if cur, ok := b.routes[rr.RARID]; !ok || cur.Epoch <= rr.Epoch {
 			b.routes[rr.RARID] = recoveredRARState(rr)
 		}
 		b.mu.Unlock()
@@ -280,7 +290,7 @@ func (b *BB) applyBBRecord(r journal.Record) ([]tunnelOpRecord, bool, error) {
 		}
 		// Remove only the registration this cancel actually ended: a
 		// stale cancel must not evict a fresh re-registration.
-		if cur, ok := b.routes[cr.RARID]; ok && cur.epoch == cr.Epoch {
+		if cur, ok := b.routes[cr.RARID]; ok && cur.Epoch == cr.Epoch {
 			delete(b.routes, cr.RARID)
 		}
 		b.mu.Unlock()
@@ -395,17 +405,7 @@ func (b *BB) applyTunnelOps(ops []tunnelOpRecord) error {
 func recoveredRARState(r rarRec) *rarState {
 	done := make(chan struct{})
 	close(done)
-	return &rarState{
-		handle:   r.Handle,
-		next:     r.Next,
-		tunnel:   r.Tunnel,
-		sourceBB: r.SourceBB,
-		downKey:  r.DownKey,
-		children: r.Children,
-		outcome:  r.Outcome,
-		epoch:    r.Epoch,
-		done:     done,
-	}
+	return &rarState{rarRec: r, done: done}
 }
 
 // snapshotState serialises the broker's durable state for rotation.
@@ -420,21 +420,10 @@ func (b *BB) snapshotState() ([]byte, error) {
 	}
 	b.mu.Lock()
 	st := brokerState{Table: tbl, Epoch: b.rarEpoch}
-	for id, rs := range b.routes {
-		if rs.outcome == nil {
-			continue
+	for _, rs := range b.routes {
+		if rs.Outcome != nil {
+			st.RARs = append(st.RARs, rs.rarRec)
 		}
-		st.RARs = append(st.RARs, rarRec{
-			RARID:    id,
-			Epoch:    rs.epoch,
-			Handle:   rs.handle,
-			Next:     rs.next,
-			Tunnel:   rs.tunnel,
-			SourceBB: rs.sourceBB,
-			DownKey:  rs.downKey,
-			Children: rs.children,
-			Outcome:  rs.outcome,
-		})
 	}
 	b.mu.Unlock()
 	st.Sagas = b.sagas.Snapshot()
@@ -499,24 +488,14 @@ func (b *BB) journalTunnelBatch(ep *tunnel.Endpoint, batchID string, ops []tunne
 	})
 }
 
-// journalRAR appends the settled route entry for rarID. Called after
-// the outcome is recorded and with no locks held.
-func (b *BB) journalRAR(rarID string, st *rarState) {
+// journalRAR appends the settled route entry. Called after the outcome
+// is recorded and with no locks held.
+func (b *BB) journalRAR(st *rarState) {
 	if b.journal == nil {
 		return
 	}
 	b.mu.Lock()
-	rec := rarRec{
-		RARID:    rarID,
-		Epoch:    st.epoch,
-		Handle:   st.handle,
-		Next:     st.next,
-		Tunnel:   st.tunnel,
-		SourceBB: st.sourceBB,
-		DownKey:  st.downKey,
-		Children: st.children,
-		Outcome:  st.outcome,
-	}
+	rec := st.rarRec
 	b.mu.Unlock()
 	_ = b.journal.Append(opRAR, rec)
 }

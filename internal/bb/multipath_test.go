@@ -2,15 +2,23 @@ package bb_test
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"path/filepath"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"e2eqos/internal/bb"
 	"e2eqos/internal/experiment"
+	"e2eqos/internal/identity"
+	"e2eqos/internal/journal"
 	"e2eqos/internal/obs"
 	"e2eqos/internal/resv"
+	"e2eqos/internal/saga"
+	"e2eqos/internal/signalling"
 	"e2eqos/internal/topology"
 	"e2eqos/internal/transport"
 	"e2eqos/internal/units"
@@ -524,4 +532,381 @@ func TestAbandonedRollbackCountedAndRecorded(t *testing.T) {
 	if !found {
 		t.Error("no rollback-abandoned event in Domain0's flight recorder")
 	}
+}
+
+// tapDialer wraps one broker's outbound dialer for the outcome matrix.
+// It records the route keys of the cancels the broker sends, and can
+// inject the three faults the matrix needs: rewrite the (unsigned) path
+// pin of forwarded reserves, swallow the first reply, or sever the n-th
+// reserve sent to one address.
+type tapDialer struct {
+	inner      transport.Dialer
+	rewritePin func(pin []string) []string
+	loseReply  atomic.Bool
+	severAddr  string
+	severNth   int64
+	reserves   atomic.Int64 // reserves sent to severAddr
+
+	mu      sync.Mutex
+	cancels []string
+}
+
+func (d *tapDialer) Dial(addr string) (transport.Conn, error) {
+	conn, err := d.inner.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &tapConn{Conn: conn, d: d, addr: addr}, nil
+}
+
+func (d *tapDialer) cancelKeys() []string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return append([]string(nil), d.cancels...)
+}
+
+type tapConn struct {
+	transport.Conn
+	d    *tapDialer
+	addr string
+}
+
+func (c *tapConn) Send(frame []byte) error {
+	msg, err := signalling.DecodeMessage(frame)
+	if err != nil {
+		return c.Conn.Send(frame)
+	}
+	switch {
+	case msg.Cancel != nil:
+		c.d.mu.Lock()
+		c.d.cancels = append(c.d.cancels, msg.Cancel.RARID)
+		c.d.mu.Unlock()
+	case msg.Reserve != nil:
+		if c.addr == c.d.severAddr && c.d.reserves.Add(1) == c.d.severNth {
+			return fmt.Errorf("tap: link to %s severed", c.addr)
+		}
+		if c.d.rewritePin != nil && len(msg.Reserve.PathPin) > 0 {
+			msg.Reserve.PathPin = c.d.rewritePin(msg.Reserve.PathPin)
+			if frame, err = msg.Encode(); err != nil {
+				return err
+			}
+		}
+	}
+	return c.Conn.Send(frame)
+}
+
+func (c *tapConn) Recv() ([]byte, error) {
+	for {
+		frame, err := c.Conn.Recv()
+		if err == nil && c.d.loseReply.CompareAndSwap(true, false) {
+			continue
+		}
+		return frame, err
+	}
+}
+
+// forwardCounters are the counters every matrix row pins, summed over
+// the world's brokers after quiesce.
+var forwardCounters = [...]string{
+	"bb_rollbacks_total", "bb_sagas_started_total", "bb_reroutes_total",
+	"bb_reroute_path_skips_total", "bb_splits_total", "bb_split_failures_total",
+}
+
+// TestForwardOutcomeMatrix pins what one forward of one reserve can come
+// to, row by row: the verdict, the exact reason, who approved or refused
+// in stack order, the ingress hop's span, what the counters moved by, the
+// route keys a later cancel follows, and that nothing stays booked. The
+// expectations were recorded before single-path forwarding, re-routing
+// and splitting became one routine, and hold for it unchanged — except
+// the last row, which the old code failed: it withdrew a split leg lost
+// in transport twice (two sagas, four compensations, two cancels).
+func TestForwardOutcomeMatrix(t *testing.T) {
+	const mb = units.Mbps
+	otherBranch := map[string]string{"Domain1": "Domain2", "Domain2": "Domain1"}
+	// The first call on Domain0's connection to Domain1, timed out.
+	const lostReply = "bb Domain0: call to /O=Grid/OU=Domain1/CN=bb-1 (attempt 1): signalling: call 1 to /O=Grid/OU=Domain1/CN=bb-1: transport: deadline exceeded"
+	rows := []struct {
+		name     string
+		branches int // 0: a three-domain chain; n: an n-branch fan re-routing over n paths
+		split    bool
+		caps     map[string]units.Bandwidth
+		tap      func(*tapDialer)
+		durable  bool // journal to disk, so the row can read its records back
+
+		granted    bool
+		reason     string
+		stack      []string // approvals bottom-up: "Domain2 ok", "Domain1 no"
+		verdict    string   // the ingress hop's span
+		spanReason string
+		counters   [len(forwardCounters)]float64
+		cancels    []string // after a grant: what the ingress's cancel carries downstream ("R" is the RAR id)
+		sagaComps  float64  // bb_saga_compensations_total
+		destCancel float64  // bb_cancels_total at Domain2, rows that pin it
+		rarRecord  string   // normalized bb.rar record at the ingress, hex
+		sagaOps    bool     // the split saga's records, in order and byte for byte
+	}{
+		{
+			name: "k=1 grant", durable: true,
+			granted: true, stack: []string{"Domain2 ok", "Domain1 ok", "Domain0 ok"},
+			verdict: obs.VerdictGranted, cancels: []string{"R"},
+			rarRecord: "0a015210021a0148221a2f4f3d477269642f4f553d446f6d61696e312f434e3d62622d31321b2f4f3d477269642f4f553d446f6d61696e302f434e3d616c696365420152",
+		},
+		{
+			name: "k=1 downstream denial", caps: map[string]units.Bandwidth{"Domain1": 5 * mb},
+			reason: "Domain1: policy denied: rule 2: deny", stack: []string{"Domain1 no", "Domain0 no"},
+			verdict: obs.VerdictRolledBack, counters: [...]float64{1, 0, 0, 0, 0, 0},
+		},
+		{
+			name: "k=1 lost response", tap: func(d *tapDialer) { d.loseReply.Store(true) },
+			reason: "Domain0: downstream call: " + lostReply, stack: []string{"Domain0 no"},
+			verdict: obs.VerdictError, spanReason: lostReply,
+			counters: [...]float64{1, 1, 0, 0, 0, 0}, sagaComps: 1,
+		},
+		{
+			name: "hop not on its pin", branches: 2,
+			tap: func(d *tapDialer) {
+				d.rewritePin = func(pin []string) []string { return []string{pin[0], "DomainX", pin[2]} }
+			},
+			reason: "Domain2: not on pinned path", stack: []string{"Domain2 no", "Domain0 no"},
+			verdict: obs.VerdictRolledBack, counters: [...]float64{3, 0, 1, 0, 0, 0},
+		},
+		{
+			name: "pinned next hop not adjacent", branches: 2,
+			tap: func(d *tapDialer) {
+				d.rewritePin = func(pin []string) []string {
+					return []string{pin[0], pin[1], otherBranch[pin[1]], pin[2]}
+				}
+			},
+			reason: "Domain2: pinned next hop Domain1 is not a neighbour", stack: []string{"Domain2 no", "Domain0 no"},
+			verdict: obs.VerdictRolledBack, counters: [...]float64{3, 0, 1, 0, 0, 0},
+		},
+		{
+			name: "re-route grant on attempt 1", branches: 2, durable: true,
+			caps:    map[string]units.Bandwidth{"Domain1": 5 * mb},
+			granted: true, stack: []string{"Domain3 ok", "Domain2 ok", "Domain0 ok"},
+			verdict: obs.VerdictGranted, counters: [...]float64{0, 0, 1, 0, 0, 0},
+			cancels:   []string{"R~a1"},
+			rarRecord: "0a015210021a0148221a2f4f3d477269642f4f553d446f6d61696e322f434e3d62622d32321b2f4f3d477269642f4f553d446f6d61696e302f434e3d616c6963654204527e6131",
+		},
+		{
+			name: "all paths refused mid-chain, splitting off", branches: 2,
+			caps:   map[string]units.Bandwidth{"Domain1": 5 * mb, "Domain2": 5 * mb},
+			reason: "Domain2: policy denied: rule 2: deny", stack: []string{"Domain2 no", "Domain0 no"},
+			verdict: obs.VerdictRolledBack, counters: [...]float64{1, 0, 1, 0, 0, 0},
+		},
+		{
+			name: "destination refusal stops the walk", branches: 2,
+			caps:   map[string]units.Bandwidth{"Domain3": 5 * mb},
+			reason: "Domain3: policy denied: rule 2: deny", stack: []string{"Domain3 no", "Domain1 no", "Domain0 no"},
+			verdict: obs.VerdictRolledBack, counters: [...]float64{2, 0, 0, 0, 0, 0},
+		},
+		{
+			name: "split grant", branches: 2, split: true, durable: true,
+			caps:    map[string]units.Bandwidth{"Domain1": 5 * mb, "Domain2": 5 * mb},
+			granted: true, stack: []string{"Domain3 ok", "Domain1 ok", "Domain3 ok", "Domain2 ok", "Domain0 ok"},
+			verdict: obs.VerdictGranted, counters: [...]float64{0, 1, 1, 0, 1, 0},
+			cancels:   []string{"R~s1", "R~s2"},
+			rarRecord: "0a015210021a0148321b2f4f3d477269642f4f553d446f6d61696e302f434e3d616c6963654a270a1a2f4f3d477269642f4f553d446f6d61696e312f434e3d62622d311204527e73311880ade2044a270a1a2f4f3d477269642f4f553d446f6d61696e322f434e3d62622d321204527e73321880ade204",
+			sagaOps:   true,
+		},
+		{
+			name: "split partial denial", branches: 2, split: true,
+			caps:   map[string]units.Bandwidth{"Domain1": 5 * mb, "Domain2": 3 * mb},
+			reason: "Domain2: policy denied: rule 2: deny", stack: []string{"Domain2 no", "Domain0 no"},
+			verdict: obs.VerdictRolledBack, counters: [...]float64{1, 1, 1, 0, 0, 1}, sagaComps: 3,
+		},
+		{
+			// The second reserve Domain0 sends Domain2 is the split leg (the
+			// first is the whole-bandwidth attempt Domain2 refuses). One
+			// saga owns the undo: a cancel per leg forwarded plus the local
+			// release, and Domain2 hears of the lost leg's key once.
+			name: "split leg transport failure", branches: 2, split: true,
+			caps:   map[string]units.Bandwidth{"Domain1": 5 * mb, "Domain2": 5 * mb},
+			tap:    func(d *tapDialer) { d.severAddr, d.severNth = "bb.Domain2", 2 },
+			reason: "Domain0: split reservation aborted", stack: []string{"Domain0 no"},
+			verdict: obs.VerdictRolledBack, counters: [...]float64{1, 1, 1, 0, 0, 1},
+			sagaComps: 3, destCancel: 1,
+		},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			tap := &tapDialer{}
+			if row.tap != nil {
+				row.tap(tap)
+			}
+			cfg := experiment.WorldConfig{
+				NumDomains:   3,
+				Capacity:     10 * mb,
+				Capacities:   row.caps,
+				CallTimeout:  150 * time.Millisecond,
+				RetryBackoff: time.Millisecond,
+				MaxPaths:     row.branches,
+				EnableObs:    true,
+				WrapDialer: func(domain string, d transport.Dialer) transport.Dialer {
+					if domain != "Domain0" {
+						return d
+					}
+					tap.inner = d
+					return tap
+				},
+			}
+			if row.split {
+				cfg.SplitParts = 2
+			}
+			if row.durable {
+				cfg.StateDir, cfg.FsyncPolicy = t.TempDir(), "always"
+			}
+			var w *experiment.World
+			if row.branches > 0 {
+				w = multiWorld(t, row.branches, cfg)
+			} else {
+				var err error
+				if w, err = experiment.BuildWorld(cfg); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(w.Close)
+			}
+			u, err := w.NewUser("alice", "", nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(u.Close)
+			u.Trace = true
+
+			spec := u.NewSpec(experiment.SpecOptions{DestDomain: w.DestDomain(), Bandwidth: 10 * mb})
+			res, err := u.ReserveE2E(spec)
+			if err != nil {
+				t.Fatalf("reserve: %v", err)
+			}
+			if res.Granted != row.granted || res.Reason != row.reason {
+				t.Errorf("result: granted=%v reason %q, want granted=%v reason %q", res.Granted, res.Reason, row.granted, row.reason)
+			}
+			var stack []string
+			for _, a := range res.Approvals {
+				verdict := " no"
+				if a.Granted {
+					verdict = " ok"
+				}
+				stack = append(stack, a.Domain+verdict)
+			}
+			if fmt.Sprint(stack) != fmt.Sprint(row.stack) {
+				t.Errorf("approval stack %v, want %v", stack, row.stack)
+			}
+			if err := w.VerifyApprovals(res); err != nil {
+				t.Errorf("approval signatures: %v", err)
+			}
+			if len(res.Trace) == 0 {
+				t.Fatal("traced reserve returned no spans")
+			}
+			if span := res.Trace[len(res.Trace)-1]; span.Domain != "Domain0" || span.Verdict != row.verdict || span.Reason != row.spanReason {
+				t.Errorf("ingress span: %s verdict %q reason %q, want Domain0 %q %q", span.Domain, span.Verdict, span.Reason, row.verdict, row.spanReason)
+			}
+
+			if row.rarRecord != "" {
+				records := journalRecords(t, w, cfg.StateDir, "Domain0")
+				var rar []byte
+				for _, rec := range records {
+					if rec.Op == "bb.rar" {
+						rar = rec.Data
+					}
+				}
+				norm, err := bb.NormalizeRARRecord(rar, spec.RARID)
+				if err != nil {
+					t.Fatalf("bb.rar record: %v", err)
+				}
+				if got := hex.EncodeToString(norm); got != row.rarRecord {
+					t.Errorf("bb.rar record (normalized):\n got %s\nwant %s", got, row.rarRecord)
+				}
+				if row.sagaOps {
+					// What a coordinator journals for begin, the local release,
+					// one cancel per leg, commit — the saga is the broker's
+					// second epoch, after the route registration.
+					want := &recordingJournal{}
+					ref := saga.New(saga.Options{})
+					ref.AttachJournal(want)
+					id := "split:" + spec.RARID + "#2"
+					_ = ref.Begin(id)
+					_ = ref.Did(id, "release", bb.CompArg("", spec.RARID, res.Handle))
+					_ = ref.Did(id, "cancel", bb.CompArg(bbDN(w, "Domain1"), spec.RARID+"~s1", ""))
+					_ = ref.Did(id, "cancel", bb.CompArg(bbDN(w, "Domain2"), spec.RARID+"~s2", ""))
+					ref.Commit(id)
+					var got []journal.Record
+					for _, rec := range records {
+						if saga.IsSagaOp(rec.Op) {
+							got = append(got, rec)
+						}
+					}
+					if fmt.Sprintf("%x", got) != fmt.Sprintf("%x", want.records) {
+						t.Errorf("split saga records:\n got %x\nwant %x", got, want.records)
+					}
+				}
+			}
+
+			if res.Granted {
+				if err := u.Cancel("Domain0", spec.RARID); err != nil {
+					t.Fatalf("cancel: %v", err)
+				}
+			}
+			// Quiesce: nothing booked anywhere, no compensation still owed.
+			waitForCleanTables(t, w)
+			eventually(t, "every saga closed", func() bool { return w.CounterTotal("bb_sagas_live") == 0 })
+			for _, d := range w.Domains {
+				if bw := w.BBs[d].Table().CommittedAt(spec.Window.Start); bw != 0 {
+					t.Errorf("%s: %s still committed", d, bw)
+				}
+			}
+			var counters [len(forwardCounters)]float64
+			for i, name := range forwardCounters {
+				counters[i] = w.CounterTotal(name)
+			}
+			if counters != row.counters {
+				t.Errorf("counters %v = %v, want %v", forwardCounters, counters, row.counters)
+			}
+			if got := w.CounterTotal("bb_saga_compensations_total"); got != row.sagaComps {
+				t.Errorf("bb_saga_compensations_total = %v, want %v", got, row.sagaComps)
+			}
+			if row.destCancel != 0 {
+				if got := w.Metrics["Domain2"].Snapshot()["bb_cancels_total"]; got != row.destCancel {
+					t.Errorf("Domain2 bb_cancels_total = %v, want %v", got, row.destCancel)
+				}
+			}
+			var cancels []string
+			for _, key := range tap.cancelKeys() {
+				cancels = append(cancels, strings.Replace(key, spec.RARID, "R", 1))
+			}
+			if !res.Granted {
+				cancels = nil // a denial's compensating cancels are counted above
+			}
+			if fmt.Sprint(cancels) != fmt.Sprint(row.cancels) {
+				t.Errorf("cancel route keys %v, want %v", cancels, row.cancels)
+			}
+		})
+	}
+}
+
+// recordingJournal keeps what a saga coordinator appends.
+type recordingJournal struct{ records []journal.Record }
+
+func (j *recordingJournal) Append(op string, data journal.BinaryRecord) error {
+	j.records = append(j.records, journal.Record{Op: op, Data: data.AppendBinary(nil)})
+	return nil
+}
+
+// journalRecords reads back what a live broker has journaled so far.
+func journalRecords(t *testing.T, w *experiment.World, stateDir, domain string) []journal.Record {
+	t.Helper()
+	if err := w.BBs[domain].Journal().Sync(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := journal.Recover(filepath.Join(stateDir, domain))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec.Records
+}
+
+// bbDN is the identity of a domain's broker.
+func bbDN(w *experiment.World, domain string) identity.DN {
+	d, _ := w.Topo.Domain(domain)
+	return d.BBDN
 }

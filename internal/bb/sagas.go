@@ -132,15 +132,11 @@ func (b *BB) mintSagaID(prefix string) string {
 	return fmt.Sprintf("%s#%d", prefix, e)
 }
 
-// cancelDownstream hands a downstream withdrawal to the saga layer: a
-// one-step saga whose "cancel" compensation is retried with backoff
-// and, being journaled, survives a crash (the pre-saga version was a
-// fire-and-forget goroutine that died with the process).
+// cancelDownstream hands a cancel that could not be propagated to the
+// saga layer: a saga of one "cancel" step, born aborting, so the cancel
+// is retried with backoff and, being journaled, survives a crash.
 func (b *BB) cancelDownstream(dn identity.DN, key string) {
-	data := compArg{Peer: dn, Key: key}.AppendBinary(nil)
-	id := b.mintSagaID("cancel:" + key)
-	b.m.sagasStarted.Inc()
-	if err := b.sagas.RunOne(id, "cancel", data); err != nil {
-		b.log.Error("saga: rollback cancel not scheduled", obs.AttrRAR, key, "err", err)
-	}
+	var saga string
+	b.owe(&saga, "cancel", compArg{Peer: dn, Key: key})
+	b.sagas.Abort(saga)
 }

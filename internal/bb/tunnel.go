@@ -1,0 +1,615 @@
+package bb
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+	"sync"
+	"time"
+
+	"e2eqos/internal/core"
+	"e2eqos/internal/identity"
+	"e2eqos/internal/obs"
+	"e2eqos/internal/signalling"
+	"e2eqos/internal/tunnel"
+	"e2eqos/internal/units"
+)
+
+// tunnelRegistry wraps the tunnel package registry and keeps the batch
+// replay cache: per-batch outcomes keyed (tunnel RAR, batch id), with
+// the same in-flight dedup scheme the RAR cache uses — a concurrent
+// retransmission finds the first copy's placeholder and waits for its
+// done channel instead of re-applying ops.
+type tunnelRegistry struct {
+	reg *tunnel.Registry
+
+	mu      sync.Mutex
+	batches map[string]*batchState
+}
+
+// batchState is one batch's replay-cache entry.
+type batchState struct {
+	// done is closed once the batch has been applied and its outcome
+	// recorded; duplicates arriving mid-flight wait on it.
+	done chan struct{}
+	// outcome is replayed verbatim on retransmission.
+	outcome *signalling.Message
+	// epoch pins the entry to a specific registration of the tunnel
+	// RAR id, so snapshots and teardown can tell stale entries apart.
+	epoch int64
+	rarID string
+	id    string
+}
+
+func batchKey(rarID, batchID string) string { return rarID + "\x00" + batchID }
+
+func newTunnelRegistry() *tunnelRegistry {
+	return &tunnelRegistry{reg: tunnel.NewRegistry(), batches: make(map[string]*batchState)}
+}
+
+// begin registers a batch placeholder, or returns the existing entry
+// with dup=true.
+func (t *tunnelRegistry) begin(rarID, batchID string, epoch int64) (st *batchState, dup bool) {
+	key := batchKey(rarID, batchID)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if st, ok := t.batches[key]; ok {
+		return st, true
+	}
+	st = &batchState{done: make(chan struct{}), epoch: epoch, rarID: rarID, id: batchID}
+	t.batches[key] = st
+	return st, false
+}
+
+// record stores a batch's outcome ahead of the journal append that
+// carries it, as a reserve stores its own: a snapshot cut between the
+// append and the settle reflects the batch's ops, and a follower
+// installing it never gets the record itself, so the replay entry has
+// to be in that snapshot too. Duplicates still wait for done.
+func (t *tunnelRegistry) record(st *batchState, outcome *signalling.Message) {
+	t.mu.Lock()
+	st.outcome = outcome
+	t.mu.Unlock()
+}
+
+// outcomeOf reads a settled outcome (nil while in flight).
+func (t *tunnelRegistry) outcomeOf(st *batchState) *signalling.Message {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return st.outcome
+}
+
+// restoreBatch repopulates a replay-cache entry during journal
+// recovery; done comes pre-closed because the batch settled in a
+// previous life.
+func (t *tunnelRegistry) restoreBatch(rarID string, epoch int64, batchID string, outcome *signalling.Message) {
+	done := make(chan struct{})
+	close(done)
+	t.mu.Lock()
+	t.batches[batchKey(rarID, batchID)] = &batchState{
+		done: done, outcome: outcome, epoch: epoch, rarID: rarID, id: batchID,
+	}
+	t.mu.Unlock()
+}
+
+// dropBatches evicts replay-cache entries for a torn-down tunnel
+// registration (matching epoch only — a re-established tunnel keeps
+// its own batches).
+func (t *tunnelRegistry) dropBatches(rarID string, epoch int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for k, st := range t.batches {
+		if st.rarID == rarID && st.epoch == epoch {
+			delete(t.batches, k)
+		}
+	}
+}
+
+// resetBatches replaces the whole replay cache with a snapshot's
+// settled entries — a replication follower installing a leader
+// snapshot. In-flight entries are discarded with it: a follower never
+// has batches of its own in flight.
+func (t *tunnelRegistry) resetBatches(snaps []tunnelBatchSnap) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.batches = make(map[string]*batchState, len(snaps))
+	for _, bs := range snaps {
+		done := make(chan struct{})
+		close(done)
+		t.batches[batchKey(bs.RARID, bs.BatchID)] = &batchState{
+			done: done, outcome: bs.Outcome, epoch: bs.Epoch, rarID: bs.RARID, id: bs.BatchID,
+		}
+	}
+}
+
+// settledBatches snapshots the replay cache for journal rotation,
+// sorted for deterministic bytes. In-flight entries are skipped: they
+// journal themselves when they settle, after the rotation completes.
+func (t *tunnelRegistry) settledBatches() []tunnelBatchSnap {
+	t.mu.Lock()
+	out := make([]tunnelBatchSnap, 0, len(t.batches))
+	for _, st := range t.batches {
+		if st.outcome == nil {
+			continue
+		}
+		out = append(out, tunnelBatchSnap{RARID: st.rarID, Epoch: st.epoch, BatchID: st.id, Outcome: st.outcome})
+	}
+	t.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].RARID != out[j].RARID {
+			return out[i].RARID < out[j].RARID
+		}
+		return out[i].BatchID < out[j].BatchID
+	})
+	return out
+}
+
+// registerTunnelDest records the tunnel endpoint at the destination
+// domain; the authenticated source broker (the first BB on the path)
+// is the only entity allowed to drive sub-flow allocations over the
+// direct channel. A duplicate RAR id — the establishing reservation of
+// a still-live tunnel — is an error the caller must surface as a
+// denial, not swallow.
+func (b *BB) registerTunnelDest(verified *core.VerifiedRequest, peer signalling.Peer) error {
+	spec := verified.Spec
+	sourceBB := peer.DN
+	if len(verified.Path) > 1 {
+		// [user, BB_src, ...]; a layer's DN is cut from the string copy of
+		// the whole onion, which the endpoint must not keep alive.
+		sourceBB = identity.DN(strings.Clone(string(verified.Path[1])))
+	}
+	ep, err := tunnel.NewEndpoint(spec.RARID, spec.Bandwidth, spec.Window, sourceBB, spec.User)
+	if err != nil {
+		return err
+	}
+	return b.registerTunnel(ep)
+}
+
+// registerTunnelSource records the tunnel endpoint at the source
+// domain, remembering the destination broker from the signed
+// approvals so sub-flow requests can go directly to it.
+func (b *BB) registerTunnelSource(spec *core.Spec, result *signalling.ResultPayload) error {
+	var destBB identity.DN
+	for _, a := range result.Approvals {
+		if a.Domain == spec.DestDomain && a.Granted {
+			destBB = identity.DN(strings.Clone(string(a.BBDN))) // not the result frame's text
+			break
+		}
+	}
+	ep, err := tunnel.NewEndpoint(spec.RARID, spec.Bandwidth, spec.Window, destBB, spec.User)
+	if err != nil {
+		return err
+	}
+	return b.registerTunnel(ep)
+}
+
+// registerTunnel stamps the endpoint with a fresh registration epoch,
+// adds it to the registry (duplicate RAR ids are refused) and journals
+// the establishment.
+func (b *BB) registerTunnel(ep *tunnel.Endpoint) error {
+	b.mu.Lock()
+	b.rarEpoch++
+	ep.Epoch = b.rarEpoch
+	b.mu.Unlock()
+	if err := b.tunnels.reg.Add(ep); err != nil {
+		return err
+	}
+	b.journalTunnel(ep)
+	return nil
+}
+
+// RegisterTunnelEndpoint registers a pre-provisioned tunnel endpoint at
+// this broker (an out-of-band established aggregate); the registration
+// is journaled like one created through the signalling path. Duplicate
+// RAR ids are refused.
+func (b *BB) RegisterTunnelEndpoint(ep *tunnel.Endpoint) error {
+	return b.registerTunnel(ep)
+}
+
+// tunnelFor resolves a tunnel endpoint and checks that the peer is
+// authorized on it: only the broker authenticated during establishment
+// (or the tunnel owner, for the source side) may drive sub-flows.
+func (b *BB) tunnelFor(peer signalling.Peer, rarID string) (*tunnel.Endpoint, string) {
+	ep, ok := b.tunnels.reg.Get(rarID)
+	if !ok {
+		return nil, fmt.Sprintf("%s: no tunnel %s", b.cfg.Domain, rarID)
+	}
+	if peer.DN != ep.PeerBB && peer.DN != ep.Owner {
+		return nil, fmt.Sprintf("%s: %s is not authorized on tunnel %s", b.cfg.Domain, peer.DN, rarID)
+	}
+	return ep, ""
+}
+
+func (b *BB) handleTunnelAlloc(peer signalling.Peer, payload *signalling.TunnelAllocPayload) *signalling.Message {
+	ep, reason := b.tunnelFor(peer, payload.TunnelRARID)
+	if ep == nil {
+		return signalling.ErrorResult(reason)
+	}
+	gen, err := ep.Allocate(payload.SubFlowID, units.Bandwidth(payload.Bandwidth))
+	if err != nil {
+		b.m.tunnelDenied.Inc()
+		return signalling.ErrorResult(err.Error())
+	}
+	b.m.tunnelAllocs.Inc()
+	b.journalTunnelAlloc(ep, payload.SubFlowID, units.Bandwidth(payload.Bandwidth), gen)
+	return signalling.OKResult(payload.SubFlowID)
+}
+
+func (b *BB) handleTunnelRelease(peer signalling.Peer, payload *signalling.TunnelReleasePayload) *signalling.Message {
+	ep, reason := b.tunnelFor(peer, payload.TunnelRARID)
+	if ep == nil {
+		return signalling.ErrorResult(reason)
+	}
+	_, gen, err := ep.Release(payload.SubFlowID)
+	if err != nil {
+		b.m.tunnelDenied.Inc()
+		return signalling.ErrorResult(err.Error())
+	}
+	b.m.tunnelReleases.Inc()
+	b.journalTunnelRelease(ep, payload.SubFlowID, gen)
+	return signalling.OKResult(payload.SubFlowID)
+}
+
+// handleTunnelBatch applies many sub-flow ops in one RPC. Batches are
+// idempotent: the first copy applies the ops, journals one record
+// (applied ops + outcome) and caches the outcome; a retransmission with
+// the same batch id — including one racing the original mid-flight —
+// gets the recorded outcome instead of a second application.
+func (b *BB) handleTunnelBatch(peer signalling.Peer, payload *signalling.TunnelBatchPayload) *signalling.Message {
+	t0 := time.Now()
+	if err := payload.Validate(); err != nil {
+		b.recordBatchEvent(payload, len(payload.Ops), obs.VerdictDenied, err.Error(), t0)
+		return signalling.ErrorResult(err.Error())
+	}
+	ep, reason := b.tunnelFor(peer, payload.TunnelRARID)
+	if ep == nil {
+		b.recordBatchEvent(payload, len(payload.Ops), obs.VerdictDenied, reason, t0)
+		return signalling.ErrorResult(reason)
+	}
+	st, dup := b.tunnels.begin(payload.TunnelRARID, payload.BatchID, ep.Epoch)
+	if dup {
+		<-st.done
+		b.m.tunnelBatchReplays.Inc()
+		b.log.Info("tunnel: replaying recorded batch outcome",
+			obs.AttrRAR, payload.TunnelRARID, obs.AttrPeer, string(peer.DN), "batch", payload.BatchID)
+		if outcome := b.tunnels.outcomeOf(st); outcome != nil {
+			resp := *outcome // shallow copy: Serve stamps the per-call ID
+			return &resp
+		}
+		return signalling.ErrorResult(fmt.Sprintf("%s: batch %s settled without outcome", b.cfg.Domain, payload.BatchID))
+	}
+	// A fully granted batch, the common case, builds no per-op state:
+	// results exists from the first denial on (the ops before it filled
+	// in as granted), applied only when there is a journal to write it
+	// to, and the counters move once per batch. The ids alias the decoded
+	// frame (DESIGN.md §6.5), so the two places that keep one past this
+	// request, the endpoint's map and the recorded outcome, clone it.
+	var results []signalling.TunnelOpResult
+	var applied []tunnelOpRec
+	if b.journal != nil {
+		applied = make([]tunnelOpRec, 0, len(payload.Ops))
+	}
+	var allocs, releases, denied int
+	for i := range payload.Ops {
+		op := &payload.Ops[i]
+		rec := tunnelOpRec{Action: "release", SubFlowID: op.SubFlowID}
+		var err error
+		if op.Action == signalling.OpAlloc {
+			rec.Action, rec.Bandwidth = "alloc", op.Bandwidth
+			rec.Gen, err = ep.Allocate(strings.Clone(op.SubFlowID), units.Bandwidth(op.Bandwidth))
+		} else {
+			_, rec.Gen, err = ep.Release(op.SubFlowID)
+		}
+		if err != nil {
+			if results == nil {
+				results = make([]signalling.TunnelOpResult, len(payload.Ops))
+				for k := range payload.Ops[:i] {
+					results[k] = signalling.TunnelOpResult{SubFlowID: strings.Clone(payload.Ops[k].SubFlowID), Granted: true}
+				}
+			}
+			results[i] = signalling.TunnelOpResult{SubFlowID: strings.Clone(op.SubFlowID), Reason: err.Error()}
+			denied++
+			continue
+		}
+		if results != nil {
+			results[i] = signalling.TunnelOpResult{SubFlowID: strings.Clone(op.SubFlowID), Granted: true}
+		}
+		if op.Action == signalling.OpAlloc {
+			allocs++
+		} else {
+			releases++
+		}
+		if b.journal != nil {
+			applied = append(applied, rec)
+		}
+	}
+	b.m.tunnelAllocs.Add(int64(allocs))
+	b.m.tunnelReleases.Add(int64(releases))
+	b.m.tunnelDenied.Add(int64(denied))
+	// Dense success path: a fully-granted batch answers with the single
+	// granted bit — the sender knows its own op list, so per-op results
+	// only enumerate when some op was denied. On large batches the
+	// results array would otherwise dominate the response frame.
+	resp := &signalling.Message{Type: signalling.MsgResult, Result: &signalling.ResultPayload{Granted: denied == 0}}
+	if denied > 0 {
+		resp.Result.BatchResults = results
+		resp.Result.Reason = fmt.Sprintf("%s: %d/%d ops denied", b.cfg.Domain, denied, len(results))
+	}
+	// Record the outcome, then journal it before releasing duplicate
+	// waiters, so a retransmission never observes an unjournaled
+	// application — and, in a replica group, withhold it until a
+	// majority holds the record.
+	b.tunnels.record(st, resp)
+	b.journalTunnelBatch(ep, payload.BatchID, applied, resp)
+	b.replWaitCommit()
+	close(st.done)
+	b.m.tunnelBatches.Inc()
+	b.m.tunnelBatchSeconds.ObserveSince(t0)
+	verdict := obs.VerdictGranted
+	if denied > 0 {
+		verdict = obs.VerdictDenied
+	}
+	b.recordBatchEvent(payload, len(payload.Ops), verdict, resp.Result.Reason, t0)
+	b.maybeCheckpoint()
+	return resp
+}
+
+// AllocateTunnelFlow is the source-side API: allocate a sub-flow
+// locally and at the destination over the direct channel. Intermediate
+// domains are not contacted.
+func (b *BB) AllocateTunnelFlow(tunnelRARID, subFlowID string, bw units.Bandwidth, user identity.DN) error {
+	ep, ok := b.tunnels.reg.Get(tunnelRARID)
+	if !ok {
+		return fmt.Errorf("bb %s: no tunnel %s", b.cfg.Domain, tunnelRARID)
+	}
+	if err := b.localAlloc(ep, subFlowID, bw); err != nil {
+		b.m.tunnelDenied.Inc()
+		return err
+	}
+	resp, _, err := b.callPeer(ep.PeerBB, &signalling.Message{
+		Type: signalling.MsgTunnelAlloc,
+		TunnelAlloc: &signalling.TunnelAllocPayload{
+			TunnelRARID: tunnelRARID,
+			SubFlowID:   subFlowID,
+			User:        user,
+			Bandwidth:   int64(bw),
+		},
+	})
+	if err != nil {
+		// Roll back the local half; the destination may or may not
+		// have allocated, so best-effort release there too.
+		b.localRelease(ep, subFlowID)
+		go func() {
+			if client, cerr := b.clientFor(ep.PeerBB); cerr == nil {
+				_, _ = client.CallTimeout(&signalling.Message{
+					Type:          signalling.MsgTunnelRelease,
+					TunnelRelease: &signalling.TunnelReleasePayload{TunnelRARID: tunnelRARID, SubFlowID: subFlowID},
+				}, b.cfg.CallTimeout)
+			}
+		}()
+		return fmt.Errorf("bb %s: tunnel alloc at destination: %w", b.cfg.Domain, err)
+	}
+	if resp.Result == nil || !resp.Result.Granted {
+		b.localRelease(ep, subFlowID)
+		reason := "no result"
+		if resp.Result != nil {
+			reason = resp.Result.Reason
+		}
+		return fmt.Errorf("bb %s: destination refused sub-flow: %s", b.cfg.Domain, reason)
+	}
+	b.m.tunnelAllocs.Inc()
+	return nil
+}
+
+// ReleaseTunnelFlow frees a sub-flow at both ends.
+func (b *BB) ReleaseTunnelFlow(tunnelRARID, subFlowID string) error {
+	ep, ok := b.tunnels.reg.Get(tunnelRARID)
+	if !ok {
+		return fmt.Errorf("bb %s: no tunnel %s", b.cfg.Domain, tunnelRARID)
+	}
+	_, gen, err := ep.Release(subFlowID)
+	if err != nil {
+		return err
+	}
+	b.journalTunnelRelease(ep, subFlowID, gen)
+	b.m.tunnelReleases.Inc()
+	resp, _, err := b.callPeer(ep.PeerBB, &signalling.Message{
+		Type:          signalling.MsgTunnelRelease,
+		TunnelRelease: &signalling.TunnelReleasePayload{TunnelRARID: tunnelRARID, SubFlowID: subFlowID},
+	})
+	if err != nil {
+		return err
+	}
+	if resp.Result == nil || !resp.Result.Granted {
+		return fmt.Errorf("bb %s: destination refused release", b.cfg.Domain)
+	}
+	return nil
+}
+
+// localAlloc / localRelease mutate the local endpoint half of a
+// two-ended sub-flow operation and journal the mutation; rollbacks go
+// through them too, so a recovered broker always agrees with the live
+// one.
+func (b *BB) localAlloc(ep *tunnel.Endpoint, subID string, bw units.Bandwidth) error {
+	gen, err := ep.Allocate(subID, bw)
+	if err != nil {
+		return err
+	}
+	b.journalTunnelAlloc(ep, subID, bw, gen)
+	return nil
+}
+
+func (b *BB) localRelease(ep *tunnel.Endpoint, subID string) {
+	if _, gen, err := ep.Release(subID); err == nil {
+		b.journalTunnelRelease(ep, subID, gen)
+	}
+}
+
+// TunnelBatch is the batched source-side API: apply many alloc/release
+// ops locally, ship the locally-successful subset to the destination in
+// one MsgTunnelBatch, and reconcile — an op succeeds only when both
+// ends applied it; local halves of remotely-denied ops are rolled back
+// (a denied alloc is released, a denied release is re-admitted with its
+// original bandwidth). A transport failure rolls back every local op;
+// the destination's replay cache makes the retransmitted batch id safe.
+// The returned results are in op order.
+func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user identity.DN) ([]signalling.TunnelOpResult, error) {
+	t0 := time.Now()
+	ep, ok := b.tunnels.reg.Get(tunnelRARID)
+	if !ok {
+		return nil, fmt.Errorf("bb %s: no tunnel %s", b.cfg.Domain, tunnelRARID)
+	}
+	payload := &signalling.TunnelBatchPayload{
+		TunnelRARID: tunnelRARID,
+		BatchID:     signalling.NewBatchID(),
+		User:        user,
+		Ops:         ops,
+	}
+	if err := payload.Validate(); err != nil {
+		return nil, err
+	}
+	// Source-side batches enter the network here, so this is where the
+	// flight-recorder dice roll happens; the decision and trace id ride
+	// the payload to the far endpoint.
+	if b.sampler.Sample() {
+		payload.Sampled = true
+		payload.TraceID = obs.NewTraceID()
+	}
+	results := make([]signalling.TunnelOpResult, len(ops))
+	// Local halves first; only locally-admitted ops travel to the peer.
+	// While every op is admitted that is the caller's own slice: remote
+	// and remoteIdx (the op index of each travelling op) exist from the
+	// first local denial on.
+	var remote []signalling.TunnelOp
+	var remoteIdx []int
+	var released []units.Bandwidth // by op index: undo data for remote-denied releases
+	for i, op := range ops {
+		results[i].SubFlowID = op.SubFlowID
+		var err error
+		switch op.Action {
+		case signalling.OpAlloc:
+			err = b.localAlloc(ep, op.SubFlowID, units.Bandwidth(op.Bandwidth))
+		case signalling.OpRelease:
+			var bw units.Bandwidth
+			var gen int64
+			if bw, gen, err = ep.Release(op.SubFlowID); err == nil {
+				b.journalTunnelRelease(ep, op.SubFlowID, gen)
+				if released == nil {
+					released = make([]units.Bandwidth, len(ops))
+				}
+				released[i] = bw
+			}
+		}
+		if err != nil {
+			results[i].Reason = err.Error()
+			b.m.tunnelDenied.Inc()
+			if remoteIdx == nil {
+				remote = append(make([]signalling.TunnelOp, 0, len(ops)-1), ops[:i]...)
+				remoteIdx = make([]int, i, len(ops)-1)
+				for k := range remoteIdx {
+					remoteIdx[k] = k
+				}
+			}
+			continue
+		}
+		if remoteIdx != nil {
+			remote = append(remote, op)
+			remoteIdx = append(remoteIdx, i)
+		}
+	}
+	sent := len(ops)
+	if remoteIdx != nil {
+		payload.Ops, sent = remote, len(remote)
+	}
+	opIndex := func(k int) int { // of the k-th travelling op, in ops
+		if remoteIdx != nil {
+			return remoteIdx[k]
+		}
+		return k
+	}
+	if sent == 0 {
+		// Every op failed locally: nothing travelled, the batch settles
+		// here as a denial.
+		b.recordBatchEvent(payload, len(ops), obs.VerdictDenied, firstReason(results), t0)
+		return results, nil
+	}
+	resp, _, err := b.callPeer(ep.PeerBB, &signalling.Message{Type: signalling.MsgTunnelBatch, TunnelBatch: payload})
+	if err != nil || resp.Result == nil {
+		// Unknown destination state: undo every local half. The batch id
+		// in the destination's replay cache keeps any successful
+		// application there answerable; a fresh batch must use a fresh id.
+		for k := 0; k < sent; k++ {
+			i := opIndex(k)
+			b.undoLocalOp(ep, ops[i], released, i)
+		}
+		if err == nil {
+			err = fmt.Errorf("destination sent no result")
+		}
+		b.recordBatchEvent(payload, len(ops), obs.VerdictError, err.Error(), t0)
+		return nil, fmt.Errorf("bb %s: tunnel batch at destination: %w", b.cfg.Domain, err)
+	}
+	var allocs, releases, denied int
+	for k := 0; k < sent; k++ {
+		i := opIndex(k)
+		var rr *signalling.TunnelOpResult
+		if k < len(resp.Result.BatchResults) {
+			rr = &resp.Result.BatchResults[k]
+		}
+		if resp.Result.Granted || (rr != nil && rr.Granted) {
+			results[i].Granted = true
+			if ops[i].Action == signalling.OpAlloc {
+				allocs++
+			} else {
+				releases++
+			}
+			continue
+		}
+		// Destination refused (or the whole batch was refused before any
+		// op ran, leaving no per-op results): roll the local half back.
+		results[i].Reason = resp.Result.Reason
+		if rr != nil && rr.Reason != "" {
+			results[i].Reason = rr.Reason
+		}
+		denied++
+		b.undoLocalOp(ep, ops[i], released, i)
+	}
+	b.m.tunnelAllocs.Add(int64(allocs))
+	b.m.tunnelReleases.Add(int64(releases))
+	b.m.tunnelDenied.Add(int64(denied))
+	b.m.tunnelBatches.Inc()
+	if b.cfg.Recorder != nil {
+		verdict := obs.VerdictGranted
+		for _, r := range results {
+			if !r.Granted {
+				verdict = obs.VerdictDenied
+				break
+			}
+		}
+		b.recordBatchEvent(payload, len(ops), verdict, firstReason(results), t0)
+	}
+	return results, nil
+}
+
+// firstReason surfaces the first per-op denial reason of a batch.
+func firstReason(results []signalling.TunnelOpResult) string {
+	for _, r := range results {
+		if !r.Granted && r.Reason != "" {
+			return r.Reason
+		}
+	}
+	return ""
+}
+
+// undoLocalOp reverses the local half of a batch op whose remote half
+// failed.
+func (b *BB) undoLocalOp(ep *tunnel.Endpoint, op signalling.TunnelOp, released []units.Bandwidth, i int) {
+	switch op.Action {
+	case signalling.OpAlloc:
+		b.localRelease(ep, op.SubFlowID)
+	case signalling.OpRelease:
+		_ = b.localAlloc(ep, op.SubFlowID, released[i])
+	}
+}
+
+// Tunnel exposes a tunnel endpoint for inspection.
+func (b *BB) Tunnel(rarID string) (*tunnel.Endpoint, bool) { return b.tunnels.reg.Get(rarID) }

@@ -10,19 +10,10 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // nameRE is the lowercase_snake rule every metric name must satisfy.
 var nameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
-
-// DefLatencyBuckets are the default histogram buckets for control-plane
-// latencies, in seconds (0.1ms .. 5s — one signalling hop up to a full
-// retried chain).
-var DefLatencyBuckets = []float64{
-	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
-	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5,
-}
 
 // metric is anything the registry can expose.
 type metric interface {
@@ -115,77 +106,6 @@ func (g *gaugeFunc) expose(w io.Writer) {
 	fmt.Fprintf(w, "%s %s\n", g.name, formatFloat(g.fn()))
 }
 
-// Histogram is a cumulative-bucket latency histogram in the Prometheus
-// style. Observations are in seconds.
-type Histogram struct {
-	name, help string
-	buckets    []float64 // upper bounds, ascending
-
-	mu     sync.Mutex
-	counts []uint64 // one per bucket, non-cumulative
-	sum    float64
-	count  uint64
-}
-
-// Observe records one value. NaN observations are dropped: a single
-// NaN added to the running sum would poison _sum forever (NaN is
-// absorbing under addition), wrecking every rate(sum)/rate(count)
-// query downstream.
-func (h *Histogram) Observe(v float64) {
-	if h == nil || v != v {
-		return
-	}
-	i := sort.SearchFloat64s(h.buckets, v)
-	h.mu.Lock()
-	if i < len(h.counts) {
-		h.counts[i]++
-	}
-	h.sum += v
-	h.count++
-	h.mu.Unlock()
-}
-
-// ObserveSince records the seconds elapsed since t0.
-func (h *Histogram) ObserveSince(t0 time.Time) {
-	if h != nil {
-		h.Observe(time.Since(t0).Seconds())
-	}
-}
-
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum returns the sum of observed values (0 on nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-func (h *Histogram) expose(w io.Writer) {
-	writeHeader(w, h.name, h.help, "histogram")
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var cum uint64
-	for i, ub := range h.buckets {
-		cum += h.counts[i]
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", h.name, formatFloat(ub), cum)
-	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", h.name, h.count)
-	fmt.Fprintf(w, "%s_sum %s\n", h.name, formatFloat(h.sum))
-	fmt.Fprintf(w, "%s_count %d\n", h.name, h.count)
-}
-
 // Registry owns a set of uniquely named metrics. A nil *Registry is
 // the disabled state: it hands out nil handles whose methods no-op.
 type Registry struct {
@@ -265,26 +185,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(name, help, &gaugeFunc{name: name, help: help, fn: fn})
 }
 
-// Histogram registers and returns a histogram with the given ascending
-// bucket upper bounds (DefLatencyBuckets when nil). Returns nil on a
-// nil registry.
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	if buckets == nil {
-		buckets = DefLatencyBuckets
-	}
-	for i := 1; i < len(buckets); i++ {
-		if buckets[i] <= buckets[i-1] {
-			panic(fmt.Sprintf("obs: histogram %q buckets not ascending", name))
-		}
-	}
-	h := &Histogram{name: name, help: help, buckets: buckets, counts: make([]uint64, len(buckets))}
-	r.register(name, help, h)
-	return h
-}
-
 // Names returns the registered metric names in registration order.
 func (r *Registry) Names() []string {
 	if r == nil {
@@ -336,9 +236,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 			out[n] = v.Value()
 		case *gaugeFunc:
 			out[n] = v.fn()
-		case *Histogram:
-			out[n+"_count"] = float64(v.Count())
-			out[n+"_sum"] = v.Sum()
 		case *QHist:
 			out[n+"_count"] = float64(v.Count())
 			out[n+"_sum"] = v.Sum()

@@ -3,7 +3,7 @@
 // and hop-by-hop trace spans for the inter-BB signalling chain.
 //
 // The package is designed so that "disabled" costs nothing on the hot
-// path: every metric handle (Counter, Gauge, Histogram) is no-op safe
+// path: every metric handle (Counter, Gauge, QHist) is no-op safe
 // on a nil receiver, a nil *Registry hands out nil handles, and NopLogger
 // returns a *slog.Logger whose handler discards everything before
 // attribute formatting. Callers therefore thread the same code path

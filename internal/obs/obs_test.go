@@ -14,7 +14,7 @@ func TestNilSafety(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total", "")
 	g := r.Gauge("x", "")
-	h := r.Histogram("x_seconds", "", nil)
+	h := r.Quantile("x_seconds", "", 0, 0)
 	c.Inc()
 	c.Add(3)
 	g.Set(1)
@@ -52,34 +52,6 @@ func TestCounterAndGauge(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat_seconds", "latency", []float64{0.1, 1, 10})
-	for _, v := range []float64{0.05, 0.5, 5, 50} {
-		h.Observe(v)
-	}
-	if h.Count() != 4 {
-		t.Fatalf("count = %d, want 4", h.Count())
-	}
-	if h.Sum() != 55.55 {
-		t.Fatalf("sum = %v, want 55.55", h.Sum())
-	}
-	var sb strings.Builder
-	r.WriteText(&sb)
-	out := sb.String()
-	for _, want := range []string{
-		`lat_seconds_bucket{le="0.1"} 1`,
-		`lat_seconds_bucket{le="1"} 2`,
-		`lat_seconds_bucket{le="10"} 3`,
-		`lat_seconds_bucket{le="+Inf"} 4`,
-		"lat_seconds_count 4",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestWriteTextFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_total", "b help").Inc()
@@ -109,7 +81,7 @@ func TestSnapshot(t *testing.T) {
 	r.Counter("n_total", "events").Add(5)
 	r.Gauge("g", "level").Set(1.5)
 	r.GaugeFunc("f", "computed", func() float64 { return 9 })
-	h := r.Histogram("h_seconds", "latency", nil)
+	h := r.Quantile("h_seconds", "latency", 0, 0)
 	h.Observe(2)
 	snap := r.Snapshot()
 	for k, want := range map[string]float64{

@@ -96,7 +96,6 @@ func TestTopSnapshotClassifiesMetrics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("req_total", "requests")
 	g := r.Gauge("depth", "queue depth")
-	h := r.Histogram("old_seconds", "bucketed latency", nil)
 	q := r.Quantile("lat_seconds", "striped latency", 0, 0)
 	top := NewTop("DomainA", r)
 
@@ -107,7 +106,6 @@ func TestTopSnapshotClassifiesMetrics(t *testing.T) {
 		q.Observe(0.002)
 	}
 	g.Set(7)
-	h.Observe(0.5)
 	snap := top.Snapshot(t0.Add(time.Second))
 
 	if snap.Domain != "DomainA" || snap.WindowSec != 10 {
@@ -120,7 +118,7 @@ func TestTopSnapshotClassifiesMetrics(t *testing.T) {
 		t.Fatalf("gauge = %v, want 7", snap.Gauges["depth"])
 	}
 	// Histogram scalars must not masquerade as gauges or rates.
-	for _, name := range []string{"old_seconds_count", "old_seconds_sum", "lat_seconds_count", "lat_seconds_sum"} {
+	for _, name := range []string{"lat_seconds_count", "lat_seconds_sum"} {
 		if _, ok := snap.Gauges[name]; ok {
 			t.Fatalf("%s leaked into gauges", name)
 		}

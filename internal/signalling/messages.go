@@ -128,6 +128,15 @@ func (p *ReservePayload) Envelope() (*envelope.Envelope, error) {
 	return envelope.Decode(p.EnvelopeData)
 }
 
+// Forward builds the message that carries env on to the next hop with
+// everything else of p riding along unchanged: the trace id and sampling
+// decision, the pin, the attempt and the split fields.
+func (p *ReservePayload) Forward(env *envelope.Envelope) *Message {
+	next := *p
+	next.Mode, next.EnvelopeData, next.env = ModeEndToEnd, nil, env
+	return &Message{Type: MsgReserve, Reserve: &next}
+}
+
 // CancelPayload withdraws the reservation created under RARID.
 type CancelPayload struct {
 	RARID string

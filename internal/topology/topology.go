@@ -297,7 +297,7 @@ func (t *Topology) disjointLocked(src, dst string) [][]string {
 // may exist — callers get what the graph has, never an error for
 // asking too much. The set is deterministic (lexicographic tiebreaks)
 // and served from a cache invalidated on every topology change. The
-// returned inner slices are shared and must not be mutated.
+// returned slices are shared and must not be mutated.
 func (t *Topology) Paths(src, dst string, k int) ([][]string, error) {
 	t.mu.RLock()
 	if t.domains[src] == nil {
@@ -321,14 +321,12 @@ func (t *Topology) Paths(src, dst string, k int) ([][]string, error) {
 	if len(all) == 0 {
 		return nil, fmt.Errorf("topology: no path from %s to %s", src, dst)
 	}
-	if k > 0 && k < len(all) {
-		all = all[:k]
+	if k <= 0 || k > len(all) {
+		k = len(all)
 	}
-	// Copy the outer slice so callers appending to the result never
-	// alias the cache; the inner path slices stay shared.
-	out := make([][]string, len(all))
-	copy(out, all)
-	return out, nil
+	// The result is the cache's own memory, capped at its length so a
+	// caller appending to it reallocates instead of writing into the cache.
+	return all[:k:k], nil
 }
 
 // Path computes the minimum-cost domain path from src to dst (inclusive

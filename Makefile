@@ -41,9 +41,9 @@
 #                          a warm connection (newstack-seen must read 0)
 #   make bench-concurrency reserve throughput vs parallel requesters
 #                          (BENCH_concurrency.json)
-#   make bench-subflow     sub-flow admission throughput, per-RPC vs
-#                          batched, with -benchmem, plus the 1%-sampled
-#                          telemetry arm (BENCH_subflow.json)
+#   make bench-subflow     sub-flow admission throughput at batch sizes
+#                          1 to 256, with -benchmem, plus the 1%-sampled
+#                          telemetry arm
 #   make bench-obs         telemetry micro-benchmarks with -benchmem:
 #                          histogram Observe, quantile merge, sampler
 #                          draw and flight-recorder append (BENCH_obs.json)
@@ -87,6 +87,7 @@ fuzz-short:
 	$(GO) test -run NONE -fuzz '^FuzzDecodeSpec$$' -fuzztime 10s ./internal/core
 	$(GO) test -run NONE -fuzz '^FuzzSagaRecord$$' -fuzztime 10s ./internal/saga
 	$(GO) test -run NONE -fuzz '^FuzzVerify$$' -fuzztime 10s ./internal/identity
+	$(GO) test -run NONE -fuzz '^FuzzDecodeBrokerState$$' -fuzztime 10s ./internal/bb
 
 metrics-lint:
 	$(GO) test -run 'TestMetricsLint' ./internal/obs ./internal/experiment

@@ -95,82 +95,45 @@ func main() {
 	case "status":
 		runSimple(client, signalling.MsgStatus, flag.Args()[1:])
 	case "tunnel-alloc":
-		runTunnelAlloc(client, key, flag.Args()[1:])
+		runTunnelBatch(client, key, signalling.OpAlloc, true, flag.Args()[1:])
 	case "tunnel-release":
-		runTunnelRelease(client, flag.Args()[1:])
+		runTunnelBatch(client, key, signalling.OpRelease, true, flag.Args()[1:])
 	case "tunnel-batch-alloc":
-		runTunnelBatch(client, key, signalling.OpAlloc, flag.Args()[1:])
+		runTunnelBatch(client, key, signalling.OpAlloc, false, flag.Args()[1:])
 	case "tunnel-batch-release":
-		runTunnelBatch(client, key, signalling.OpRelease, flag.Args()[1:])
+		runTunnelBatch(client, key, signalling.OpRelease, false, flag.Args()[1:])
 	default:
 		die("unknown command %q", flag.Arg(0))
 	}
 }
 
-// runTunnelAlloc allocates a sub-flow inside an established tunnel.
-// The command talks to the broker terminating the tunnel at the
-// user's side; that broker coordinates with the far end over the
-// direct channel.
-func runTunnelAlloc(client *signalling.Client, key *identity.KeyPair, args []string) {
-	fs := flag.NewFlagSet("tunnel-alloc", flag.ExitOnError)
+// runTunnelBatch allocates or releases sub-flows inside an established
+// tunnel in one round trip: many with tunnel-batch-alloc / -release
+// (-subs), one with tunnel-alloc / -release (single: -sub, a batch of
+// one op). The broker it talks to applies the ops at its own endpoint
+// only; a user driving a tunnel herself sends the same batch to the
+// brokers at both ends. The batch id is printed so a user whose
+// connection died can retransmit the identical batch with
+// tunnel-batch-* -batch-id and get the recorded answer instead of a
+// double admission.
+func runTunnelBatch(client *signalling.Client, key *identity.KeyPair, action signalling.TunnelOpAction, single bool, args []string) {
+	name, subsFlag, subsHelp := "tunnel-batch-"+string(action), "subs", "comma-separated sub-flow ids (required)"
+	if single {
+		name, subsFlag, subsHelp = "tunnel-"+string(action), "sub", "sub-flow id (required)"
+	}
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
 	rar := fs.String("rar", "", "tunnel RAR id (required)")
-	sub := fs.String("sub", "", "sub-flow id (required)")
-	bwStr := fs.String("bw", "1Mb/s", "sub-flow bandwidth")
-	_ = fs.Parse(args)
-	if *rar == "" || *sub == "" {
-		die("tunnel-alloc: -rar and -sub are required")
+	subs := fs.String(subsFlag, "", subsHelp)
+	bwStr, batchID := new(string), new(string)
+	if !single || action == signalling.OpAlloc {
+		bwStr = fs.String("bw", "1Mb/s", "per-sub-flow bandwidth (alloc only)")
 	}
-	bw, err := units.ParseBandwidth(*bwStr)
-	if err != nil {
-		die("%v", err)
+	if !single {
+		batchID = fs.String("batch-id", "", "batch id to reuse when retransmitting (default: fresh)")
 	}
-	resp, err := client.Call(&signalling.Message{
-		Type: signalling.MsgTunnelAlloc,
-		TunnelAlloc: &signalling.TunnelAllocPayload{
-			TunnelRARID: *rar,
-			SubFlowID:   *sub,
-			User:        key.DN,
-			Bandwidth:   int64(bw),
-		},
-	})
-	if err != nil {
-		die("%v", err)
-	}
-	printResult(*rar+"/"+*sub, resp)
-}
-
-// runTunnelRelease frees a sub-flow.
-func runTunnelRelease(client *signalling.Client, args []string) {
-	fs := flag.NewFlagSet("tunnel-release", flag.ExitOnError)
-	rar := fs.String("rar", "", "tunnel RAR id (required)")
-	sub := fs.String("sub", "", "sub-flow id (required)")
-	_ = fs.Parse(args)
-	if *rar == "" || *sub == "" {
-		die("tunnel-release: -rar and -sub are required")
-	}
-	resp, err := client.Call(&signalling.Message{
-		Type:          signalling.MsgTunnelRelease,
-		TunnelRelease: &signalling.TunnelReleasePayload{TunnelRARID: *rar, SubFlowID: *sub},
-	})
-	if err != nil {
-		die("%v", err)
-	}
-	printResult(*rar+"/"+*sub, resp)
-}
-
-// runTunnelBatch allocates or releases many sub-flows in one round
-// trip. The batch id is printed so a user whose connection died can
-// retransmit the identical batch with -batch-id and get the recorded
-// answer instead of a double admission.
-func runTunnelBatch(client *signalling.Client, key *identity.KeyPair, action signalling.TunnelOpAction, args []string) {
-	fs := flag.NewFlagSet("tunnel-batch-"+string(action), flag.ExitOnError)
-	rar := fs.String("rar", "", "tunnel RAR id (required)")
-	subs := fs.String("subs", "", "comma-separated sub-flow ids (required)")
-	bwStr := fs.String("bw", "1Mb/s", "per-sub-flow bandwidth (alloc only)")
-	batchID := fs.String("batch-id", "", "batch id to reuse when retransmitting (default: fresh)")
 	_ = fs.Parse(args)
 	if *rar == "" || *subs == "" {
-		die("tunnel-batch-%s: -rar and -subs are required", action)
+		die("%s: -rar and -%s are required", name, subsFlag)
 	}
 	var bw units.Bandwidth
 	if action == signalling.OpAlloc {
@@ -187,7 +150,11 @@ func runTunnelBatch(client *signalling.Client, key *identity.KeyPair, action sig
 	if payload.BatchID == "" {
 		payload.BatchID = signalling.NewBatchID()
 	}
-	for _, sub := range strings.Split(*subs, ",") {
+	ids := []string{*subs}
+	if !single {
+		ids = strings.Split(*subs, ",")
+	}
+	for _, sub := range ids {
 		op := signalling.TunnelOp{Action: action, SubFlowID: strings.TrimSpace(sub)}
 		if action == signalling.OpAlloc {
 			op.Bandwidth = int64(bw)
@@ -195,7 +162,7 @@ func runTunnelBatch(client *signalling.Client, key *identity.KeyPair, action sig
 		payload.Ops = append(payload.Ops, op)
 	}
 	if err := payload.Validate(); err != nil {
-		die("tunnel-batch-%s: %v", action, err)
+		die("%s: %v", name, err)
 	}
 	resp, err := client.Call(&signalling.Message{Type: signalling.MsgTunnelBatch, TunnelBatch: payload})
 	if err != nil {

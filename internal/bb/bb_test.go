@@ -50,8 +50,8 @@ func TestHandleRejectsMalformedMessages(t *testing.T) {
 	cases := []*signalling.Message{
 		{Type: signalling.MsgReserve},           // missing payload
 		{Type: signalling.MsgCancel},            // missing payload
-		{Type: signalling.MsgTunnelAlloc},       // missing payload
-		{Type: signalling.MsgTunnelRelease},     // missing payload
+		{Type: signalling.MsgTunnelBatch},       // missing payload
+		{Type: "tunnel-alloc"},                  // retired type
 		{Type: signalling.MsgStatus},            // missing payload
 		{Type: signalling.MsgType("wire-fuzz")}, // unknown type
 		{Type: signalling.MsgResult},            // results are not requests
@@ -216,20 +216,22 @@ func TestDenialCarriesSignedRefusals(t *testing.T) {
 	}
 }
 
+// oneOp is a MsgTunnelBatch of one op, what a single allocation or
+// release is on the wire.
+func oneOp(rarID string, user identity.DN, op signalling.TunnelOp) *signalling.Message {
+	return &signalling.Message{Type: signalling.MsgTunnelBatch, TunnelBatch: &signalling.TunnelBatchPayload{
+		TunnelRARID: rarID, BatchID: signalling.NewBatchID(), User: user, Ops: []signalling.TunnelOp{op},
+	}}
+}
+
 func TestTunnelAllocViaUnknownTunnel(t *testing.T) {
 	w, u := testWorld(t, 2)
 	broker := w.BBs[w.SourceDomain()]
-	resp := broker.Handle(rawPeer(u), &signalling.Message{
-		Type:        signalling.MsgTunnelAlloc,
-		TunnelAlloc: &signalling.TunnelAllocPayload{TunnelRARID: "RAR-ghost", SubFlowID: "s", Bandwidth: 1},
-	})
+	resp := broker.Handle(rawPeer(u), oneOp("RAR-ghost", u.DN(), signalling.TunnelOp{Action: signalling.OpAlloc, SubFlowID: "s", Bandwidth: 1}))
 	if resp.Result.Granted {
 		t.Fatal("allocation on unknown tunnel granted")
 	}
-	resp = broker.Handle(rawPeer(u), &signalling.Message{
-		Type:          signalling.MsgTunnelRelease,
-		TunnelRelease: &signalling.TunnelReleasePayload{TunnelRARID: "RAR-ghost", SubFlowID: "s"},
-	})
+	resp = broker.Handle(rawPeer(u), oneOp("RAR-ghost", u.DN(), signalling.TunnelOp{Action: signalling.OpRelease, SubFlowID: "s"}))
 	if resp.Result.Granted {
 		t.Fatal("release on unknown tunnel granted")
 	}
@@ -245,15 +247,8 @@ func TestTunnelOwnerMayAllocateDirectly(t *testing.T) {
 		t.Fatalf("setup: %v %+v", err, res)
 	}
 	broker := w.BBs[w.SourceDomain()]
-	resp := broker.Handle(rawPeer(u), &signalling.Message{
-		Type: signalling.MsgTunnelAlloc,
-		TunnelAlloc: &signalling.TunnelAllocPayload{
-			TunnelRARID: spec.RARID,
-			SubFlowID:   "owner-flow",
-			User:        u.DN(),
-			Bandwidth:   int64(10 * units.Mbps),
-		},
-	})
+	resp := broker.Handle(rawPeer(u), oneOp(spec.RARID, u.DN(),
+		signalling.TunnelOp{Action: signalling.OpAlloc, SubFlowID: "owner-flow", Bandwidth: int64(10 * units.Mbps)}))
 	if !resp.Result.Granted {
 		t.Fatalf("owner allocation refused: %+v", resp.Result)
 	}

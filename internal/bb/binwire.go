@@ -179,37 +179,6 @@ func (r *tunnelOpRec) decodeFields(d *wire.Dec) error {
 	return d.Err()
 }
 
-// tunnelOpRecord: 1=rar_id 2=epoch 3=op.
-func (r tunnelOpRecord) AppendBinary(buf []byte) []byte {
-	buf = wire.AppendString(buf, 1, r.RARID)
-	buf = wire.AppendInt(buf, 2, r.Epoch)
-	var start int
-	buf, start = wire.BeginNested(buf, 3)
-	buf = r.tunnelOpRec.appendFields(buf)
-	return wire.EndNested(buf, start)
-}
-
-func (r *tunnelOpRecord) DecodeBinary(data []byte) error {
-	d := wire.Dec{Buf: data}
-	for d.More() {
-		f, wt := d.Tag()
-		switch {
-		case f == 1 && wt == wire.TBytes:
-			r.RARID = d.String()
-		case f == 2 && wt == wire.TVarint:
-			r.Epoch = d.Varint()
-		case f == 3 && wt == wire.TBytes:
-			sub := wire.Dec{Buf: d.Bytes()}
-			if err := r.tunnelOpRec.decodeFields(&sub); err != nil {
-				return err
-			}
-		default:
-			d.Skip(wt)
-		}
-	}
-	return d.Err()
-}
-
 // tunnelBatchRec: 1=rar_id 2=epoch 3=batch_id 4=ops(repeated)
 // 5=outcome.
 func (r tunnelBatchRec) AppendBinary(buf []byte) []byte {

@@ -27,8 +27,8 @@ func (b *BB) ReplayEntries() []ReplayEntry {
 	b.tunnels.mu.Lock()
 	defer b.tunnels.mu.Unlock()
 	out := make([]ReplayEntry, 0, len(b.tunnels.batches))
-	for _, st := range b.tunnels.batches {
-		out = append(out, ReplayEntry{RARID: st.rarID, BatchID: st.id, Outcome: st.outcome})
+	for k, st := range b.tunnels.batches {
+		out = append(out, ReplayEntry{RARID: k.rar, BatchID: k.id, Outcome: st.outcome})
 	}
 	return out
 }

@@ -14,8 +14,7 @@ import (
 func (b *BB) Handle(peer signalling.Peer, msg *signalling.Message) *signalling.Message {
 	if b.repl.isFollower() {
 		switch msg.Type {
-		case signalling.MsgReserve, signalling.MsgCancel, signalling.MsgTunnelAlloc,
-			signalling.MsgTunnelRelease, signalling.MsgTunnelBatch:
+		case signalling.MsgReserve, signalling.MsgCancel, signalling.MsgTunnelBatch:
 			return b.redirect()
 		}
 	}
@@ -30,16 +29,6 @@ func (b *BB) Handle(peer signalling.Peer, msg *signalling.Message) *signalling.M
 			return signalling.ErrorResult("cancel message without payload")
 		}
 		return b.handleCancel(peer, msg.Cancel)
-	case signalling.MsgTunnelAlloc:
-		if msg.TunnelAlloc == nil {
-			return signalling.ErrorResult("tunnel-alloc message without payload")
-		}
-		return b.handleTunnelAlloc(peer, msg.TunnelAlloc)
-	case signalling.MsgTunnelRelease:
-		if msg.TunnelRelease == nil {
-			return signalling.ErrorResult("tunnel-release message without payload")
-		}
-		return b.handleTunnelRelease(peer, msg.TunnelRelease)
 	case signalling.MsgTunnelBatch:
 		if msg.TunnelBatch == nil {
 			return signalling.ErrorResult("tunnel-batch message without payload")

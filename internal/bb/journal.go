@@ -3,6 +3,7 @@ package bb
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"e2eqos/internal/identity"
@@ -21,17 +22,15 @@ import (
 const (
 	opRAR       = "bb.rar"
 	opRARCancel = "bb.rar_cancel"
-	// Tunnel vocabulary: endpoint lifecycle plus the per-sub-flow hot
-	// path. Sub-flow records carry the endpoint generation minted under
-	// the mutated flow's shard lock; emit-after-unlock means the WAL
-	// interleaving of records for *different* sub-flows can disagree
-	// with generation order, so recovery re-sorts by generation before
-	// applying (see applyTunnelOps).
-	opTunnel        = "bb.tunnel"
-	opTunnelRemove  = "bb.tunnel_remove"
-	opTunnelAlloc   = "bb.tunnel_alloc"
-	opTunnelRelease = "bb.tunnel_release"
-	opTunnelBatch   = "bb.tunnel_batch"
+	// Tunnel vocabulary: endpoint lifecycle plus the sub-flow hot path,
+	// one record per batch at either end. A batch's ops carry the
+	// endpoint generation minted under the mutated flow's shard lock;
+	// emit-after-unlock means the WAL interleaving of ops for *different*
+	// sub-flows can disagree with generation order, so recovery re-sorts
+	// by generation before applying (see applyTunnelOps).
+	opTunnel       = "bb.tunnel"
+	opTunnelRemove = "bb.tunnel_remove"
+	opTunnelBatch  = "bb.tunnel_batch"
 )
 
 // rarRec is what a reserve created locally, for cancellation, tunnel
@@ -76,9 +75,10 @@ type tunnelOpRec struct {
 	Gen       int64
 }
 
-// tunnelOpRecord journals one sub-flow mutation outside a batch. Epoch
-// pins the op to a specific registration of the tunnel RAR id, exactly
-// like rarCancelRec does for routes.
+// tunnelOpRecord is one journaled sub-flow mutation as recovery and the
+// follower hold it in memory, out of its batch record. Epoch pins the op
+// to a specific registration of the tunnel RAR id, exactly like
+// rarCancelRec does for routes.
 type tunnelOpRecord struct {
 	RARID string
 	Epoch int64
@@ -86,9 +86,11 @@ type tunnelOpRecord struct {
 }
 
 // tunnelBatchRec journals an applied batch atomically: the ops that
-// actually mutated the endpoint (with their generations) plus the
-// outcome message replayed verbatim on retransmission. One record per
-// batch is what makes batching cheap on the journal too.
+// actually mutated the endpoint (with their generations) plus, at the
+// end that answers retransmissions, the batch id and the outcome message
+// replayed verbatim. The source's records (local halves, undone halves)
+// carry neither. One record per batch is what makes batching cheap on
+// the journal too.
 type tunnelBatchRec struct {
 	RARID   string
 	Epoch   int64
@@ -255,12 +257,17 @@ func decodeBrokerState(data []byte) (brokerState, error) {
 // state, with fine-grained locking, so boot-time recovery and the
 // replication follower's live stream apply share one semantics:
 // higher-epoch-wins for route and tunnel (re)registrations, exact-epoch
-// matching for removals. Sub-flow mutation records are NOT applied here
-// — they need ordering the caller owns (recovery sorts the whole tail
-// by generation; the follower holds a dense-generation reorder buffer)
-// — so they are decoded and returned instead. The bool reports whether
-// the record belonged to the "bb." vocabulary at all; foreign ops (the
-// table's "resv." records) return (nil, false, nil).
+// matching for removals. A batch record's sub-flow mutations are NOT
+// applied here — they need ordering the caller owns (recovery sorts the
+// whole tail by generation; the follower holds a dense-generation
+// reorder buffer) — so they are decoded and returned instead. The bool
+// reports whether the record belonged to the "bb." or saga vocabulary at
+// all; foreign ops (the table's "resv." records) return (nil, false,
+// nil). An unknown "bb." op is an error, as an unknown "resv." op is to
+// resv.Replay: a version-skew tripwire — a journal written one release
+// back holds its single-op sub-flows as bb.tunnel_alloc /
+// bb.tunnel_release, and skipping those would recover a tunnel without
+// them.
 func (b *BB) applyBBRecord(r journal.Record) ([]tunnelOpRecord, bool, error) {
 	switch r.Op {
 	case opRAR:
@@ -331,12 +338,6 @@ func (b *BB) applyBBRecord(r journal.Record) ([]tunnelOpRecord, bool, error) {
 			b.tunnels.dropBatches(cr.RARID, cr.Epoch)
 		}
 		return nil, true, nil
-	case opTunnelAlloc, opTunnelRelease:
-		var tr tunnelOpRecord
-		if err := r.Decode(&tr); err != nil {
-			return nil, false, err
-		}
-		return []tunnelOpRecord{tr}, true, nil
 	case opTunnelBatch:
 		var br tunnelBatchRec
 		if err := r.Decode(&br); err != nil {
@@ -346,7 +347,9 @@ func (b *BB) applyBBRecord(r journal.Record) ([]tunnelOpRecord, bool, error) {
 		for _, op := range br.Ops {
 			ops = append(ops, tunnelOpRecord{RARID: br.RARID, Epoch: br.Epoch, tunnelOpRec: op})
 		}
-		b.tunnels.restoreBatch(br.RARID, br.Epoch, br.BatchID, br.Outcome)
+		if br.BatchID != "" {
+			b.tunnels.restoreBatch(br.RARID, br.Epoch, br.BatchID, br.Outcome)
+		}
 		return ops, true, nil
 	default:
 		// Saga records (the rollback-debt ledger) replay into the
@@ -355,6 +358,9 @@ func (b *BB) applyBBRecord(r journal.Record) ([]tunnelOpRecord, bool, error) {
 		if saga.IsSagaOp(r.Op) {
 			_, err := b.sagas.ApplyRecord(r)
 			return nil, err == nil, err
+		}
+		if strings.HasPrefix(r.Op, "bb.") {
+			return nil, false, fmt.Errorf("bb: unknown journal op %q", r.Op)
 		}
 		return nil, false, nil
 	}
@@ -455,32 +461,12 @@ func (b *BB) journalTunnelRemove(rarID string, epoch int64) {
 	_ = b.journal.Append(opTunnelRemove, rarCancelRec{RARID: rarID, Epoch: epoch})
 }
 
-// journalTunnelAlloc appends one admitted sub-flow (non-batch path).
-func (b *BB) journalTunnelAlloc(ep *tunnel.Endpoint, subID string, bw units.Bandwidth, gen int64) {
-	if b.journal == nil {
-		return
-	}
-	_ = b.journal.Append(opTunnelAlloc, tunnelOpRecord{
-		RARID: ep.RARID, Epoch: ep.Epoch,
-		tunnelOpRec: tunnelOpRec{Action: "alloc", SubFlowID: subID, Bandwidth: int64(bw), Gen: gen},
-	})
-}
-
-// journalTunnelRelease appends one released sub-flow (non-batch path).
-func (b *BB) journalTunnelRelease(ep *tunnel.Endpoint, subID string, gen int64) {
-	if b.journal == nil {
-		return
-	}
-	_ = b.journal.Append(opTunnelRelease, tunnelOpRecord{
-		RARID: ep.RARID, Epoch: ep.Epoch,
-		tunnelOpRec: tunnelOpRec{Action: "release", SubFlowID: subID, Gen: gen},
-	})
-}
-
 // journalTunnelBatch appends an applied batch: every op that mutated
-// the endpoint plus the replayable outcome, in one record.
+// the endpoint plus, from the end that answers retransmissions, the
+// replayable outcome, in one record. A record with neither says nothing
+// and is not written.
 func (b *BB) journalTunnelBatch(ep *tunnel.Endpoint, batchID string, ops []tunnelOpRec, outcome *signalling.Message) {
-	if b.journal == nil {
+	if b.journal == nil || (len(ops) == 0 && outcome == nil) {
 		return
 	}
 	_ = b.journal.Append(opTunnelBatch, tunnelBatchRec{

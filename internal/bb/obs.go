@@ -103,7 +103,7 @@ func newBBMetrics(r *obs.Registry) bbMetrics {
 
 		tunnelAllocs:       r.Counter("bb_tunnel_allocs_total", "tunnel sub-flow allocations admitted"),
 		tunnelReleases:     r.Counter("bb_tunnel_releases_total", "tunnel sub-flow releases applied"),
-		tunnelBatches:      r.Counter("bb_tunnel_batches_total", "tunnel sub-flow batches applied"),
+		tunnelBatches:      r.Counter("bb_tunnel_batches_total", "tunnel sub-flow batches applied (a single alloc or release is a batch of one)"),
 		tunnelBatchReplays: r.Counter("bb_tunnel_batch_replays_total", "batch retransmissions answered from the replay cache"),
 		tunnelDenied:       r.Counter("bb_tunnel_ops_denied_total", "tunnel sub-flow operations denied or rolled back"),
 

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"e2eqos/internal/experiment"
+	"e2eqos/internal/journal"
 	"e2eqos/internal/resv"
 	"e2eqos/internal/units"
 	"e2eqos/internal/wire"
@@ -227,6 +230,42 @@ func TestRestartRefusesStateOfAnotherFormat(t *testing.T) {
 				if now, err := os.ReadFile(filepath.Join(state, "Domain0", file)); err != nil || !bytes.Equal(now, data) {
 					t.Errorf("%s changed under the refused restart (%v): %d bytes, was %d", file, err, len(now), len(data))
 				}
+			}
+		})
+	}
+}
+
+// TestRestartRefusesUnknownBrokerOps: a journal record in the broker's
+// own vocabulary that this build does not know — bb.tunnel_alloc and
+// bb.tunnel_release, which a build one release back wrote for every
+// single sub-flow op, or an op from a later one — stops recovery with an
+// error naming it. Skipping it would bring the broker up with a tunnel
+// missing the sub-flows those records admitted.
+func TestRestartRefusesUnknownBrokerOps(t *testing.T) {
+	for _, op := range []string{"bb.tunnel_alloc", "bb.tunnel_release", "bb.from_a_later_build"} {
+		t.Run(op, func(t *testing.T) {
+			state := t.TempDir()
+			w, err := experiment.BuildWorld(experiment.WorldConfig{NumDomains: 1, StateDir: state, FsyncPolicy: "always"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(w.Close)
+			if err := w.CrashDomain("Domain0"); err != nil {
+				t.Fatal(err)
+			}
+			// rar_id, epoch, and the op nested: what the retired records held.
+			payload := wire.AppendInt(wire.AppendString(nil, 1, "RAR-T"), 2, 1)
+			payload = wire.AppendBytes(payload, 3, wire.AppendString(wire.AppendString(nil, 1, "alloc"), 2, "sf-1"))
+			frame, err := journal.EncodeRecord(op, journal.RawBinary(payload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(state, "Domain0", "wal.log"), frame, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			err = w.RestartDomainFromJournal("Domain0")
+			if want := fmt.Sprintf("unknown journal op %q", op); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("restart: err = %v, want one saying %s", err, want)
 			}
 		})
 	}

@@ -469,6 +469,12 @@ func TestStreamFollowerChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A record of the retired single-op vocabulary, as a leader one
+	// release back would stream it.
+	retired, err := journal.EncodeRecord("bb.tunnel_alloc", journal.RawBinary{0x0a, 0x01, 'R'})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	f := w.ReplicaBB(domain, 1)
 	digest := replicaDigest(t, w, domain, 1)
@@ -522,6 +528,7 @@ func TestStreamFollowerChecks(t *testing.T) {
 	expect("frame with a bad checksum", send(self, frames(st.applied, corrupt)), st, 0, false)
 	expect("frame with a trailing byte", send(self, frames(st.applied, trailing)), st, 0, false)
 	expect("valid frame that does not apply", send(self, frames(st.applied, unappliable)), st, 0, false)
+	expect("frame of an op this build does not know", send(self, frames(st.applied, retired)), st, 0, false)
 	expect("good frame then a bad one", send(self, frames(st.applied, good, corrupt)), st, 1, false)
 	st = statusOf(f)
 	expect("two good frames", send(self, frames(st.applied, good, good)), st, 2, true)

@@ -24,8 +24,11 @@ type tunnelRegistry struct {
 	reg *tunnel.Registry
 
 	mu      sync.Mutex
-	batches map[string]*batchState
+	batches map[batchRef]*batchState
 }
+
+// batchRef names one batch of one tunnel RAR.
+type batchRef struct{ rar, id string }
 
 // batchState is one batch's replay-cache entry.
 type batchState struct {
@@ -37,26 +40,30 @@ type batchState struct {
 	// epoch pins the entry to a specific registration of the tunnel
 	// RAR id, so snapshots and teardown can tell stale entries apart.
 	epoch int64
-	rarID string
-	id    string
 }
 
-func batchKey(rarID, batchID string) string { return rarID + "\x00" + batchID }
+// settledBatch is a replay-cache entry whose batch settled in a previous
+// life or on the leader: done comes pre-closed.
+func settledBatch(epoch int64, outcome *signalling.Message) *batchState {
+	done := make(chan struct{})
+	close(done)
+	return &batchState{done: done, outcome: outcome, epoch: epoch}
+}
 
 func newTunnelRegistry() *tunnelRegistry {
-	return &tunnelRegistry{reg: tunnel.NewRegistry(), batches: make(map[string]*batchState)}
+	return &tunnelRegistry{reg: tunnel.NewRegistry(), batches: make(map[batchRef]*batchState)}
 }
 
 // begin registers a batch placeholder, or returns the existing entry
 // with dup=true.
 func (t *tunnelRegistry) begin(rarID, batchID string, epoch int64) (st *batchState, dup bool) {
-	key := batchKey(rarID, batchID)
+	key := batchRef{rarID, batchID}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if st, ok := t.batches[key]; ok {
 		return st, true
 	}
-	st = &batchState{done: make(chan struct{}), epoch: epoch, rarID: rarID, id: batchID}
+	st = &batchState{done: make(chan struct{}), epoch: epoch}
 	t.batches[key] = st
 	return st, false
 }
@@ -80,15 +87,10 @@ func (t *tunnelRegistry) outcomeOf(st *batchState) *signalling.Message {
 }
 
 // restoreBatch repopulates a replay-cache entry during journal
-// recovery; done comes pre-closed because the batch settled in a
-// previous life.
+// recovery.
 func (t *tunnelRegistry) restoreBatch(rarID string, epoch int64, batchID string, outcome *signalling.Message) {
-	done := make(chan struct{})
-	close(done)
 	t.mu.Lock()
-	t.batches[batchKey(rarID, batchID)] = &batchState{
-		done: done, outcome: outcome, epoch: epoch, rarID: rarID, id: batchID,
-	}
+	t.batches[batchRef{rarID, batchID}] = settledBatch(epoch, outcome)
 	t.mu.Unlock()
 }
 
@@ -99,7 +101,7 @@ func (t *tunnelRegistry) dropBatches(rarID string, epoch int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for k, st := range t.batches {
-		if st.rarID == rarID && st.epoch == epoch {
+		if k.rar == rarID && st.epoch == epoch {
 			delete(t.batches, k)
 		}
 	}
@@ -112,13 +114,9 @@ func (t *tunnelRegistry) dropBatches(rarID string, epoch int64) {
 func (t *tunnelRegistry) resetBatches(snaps []tunnelBatchSnap) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.batches = make(map[string]*batchState, len(snaps))
+	t.batches = make(map[batchRef]*batchState, len(snaps))
 	for _, bs := range snaps {
-		done := make(chan struct{})
-		close(done)
-		t.batches[batchKey(bs.RARID, bs.BatchID)] = &batchState{
-			done: done, outcome: bs.Outcome, epoch: bs.Epoch, rarID: bs.RARID, id: bs.BatchID,
-		}
+		t.batches[batchRef{bs.RARID, bs.BatchID}] = settledBatch(bs.Epoch, bs.Outcome)
 	}
 }
 
@@ -128,11 +126,11 @@ func (t *tunnelRegistry) resetBatches(snaps []tunnelBatchSnap) {
 func (t *tunnelRegistry) settledBatches() []tunnelBatchSnap {
 	t.mu.Lock()
 	out := make([]tunnelBatchSnap, 0, len(t.batches))
-	for _, st := range t.batches {
+	for k, st := range t.batches {
 		if st.outcome == nil {
 			continue
 		}
-		out = append(out, tunnelBatchSnap{RARID: st.rarID, Epoch: st.epoch, BatchID: st.id, Outcome: st.outcome})
+		out = append(out, tunnelBatchSnap{RARID: k.rar, Epoch: st.epoch, BatchID: k.id, Outcome: st.outcome})
 	}
 	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
@@ -220,41 +218,12 @@ func (b *BB) tunnelFor(peer signalling.Peer, rarID string) (*tunnel.Endpoint, st
 	return ep, ""
 }
 
-func (b *BB) handleTunnelAlloc(peer signalling.Peer, payload *signalling.TunnelAllocPayload) *signalling.Message {
-	ep, reason := b.tunnelFor(peer, payload.TunnelRARID)
-	if ep == nil {
-		return signalling.ErrorResult(reason)
-	}
-	gen, err := ep.Allocate(payload.SubFlowID, units.Bandwidth(payload.Bandwidth))
-	if err != nil {
-		b.m.tunnelDenied.Inc()
-		return signalling.ErrorResult(err.Error())
-	}
-	b.m.tunnelAllocs.Inc()
-	b.journalTunnelAlloc(ep, payload.SubFlowID, units.Bandwidth(payload.Bandwidth), gen)
-	return signalling.OKResult(payload.SubFlowID)
-}
-
-func (b *BB) handleTunnelRelease(peer signalling.Peer, payload *signalling.TunnelReleasePayload) *signalling.Message {
-	ep, reason := b.tunnelFor(peer, payload.TunnelRARID)
-	if ep == nil {
-		return signalling.ErrorResult(reason)
-	}
-	_, gen, err := ep.Release(payload.SubFlowID)
-	if err != nil {
-		b.m.tunnelDenied.Inc()
-		return signalling.ErrorResult(err.Error())
-	}
-	b.m.tunnelReleases.Inc()
-	b.journalTunnelRelease(ep, payload.SubFlowID, gen)
-	return signalling.OKResult(payload.SubFlowID)
-}
-
-// handleTunnelBatch applies many sub-flow ops in one RPC. Batches are
-// idempotent: the first copy applies the ops, journals one record
-// (applied ops + outcome) and caches the outcome; a retransmission with
-// the same batch id — including one racing the original mid-flight —
-// gets the recorded outcome instead of a second application.
+// handleTunnelBatch applies a batch of sub-flow ops, one or many, at
+// this endpoint. Batches are idempotent: the first copy applies the ops,
+// journals one record (applied ops + outcome) and caches the outcome; a
+// retransmission with the same batch id — including one racing the
+// original mid-flight — gets the recorded outcome instead of a second
+// application.
 func (b *BB) handleTunnelBatch(peer signalling.Peer, payload *signalling.TunnelBatchPayload) *signalling.Message {
 	t0 := time.Now()
 	if err := payload.Validate(); err != nil {
@@ -354,105 +323,41 @@ func (b *BB) handleTunnelBatch(peer signalling.Peer, payload *signalling.TunnelB
 	return resp
 }
 
-// AllocateTunnelFlow is the source-side API: allocate a sub-flow
-// locally and at the destination over the direct channel. Intermediate
-// domains are not contacted.
+// AllocateTunnelFlow allocates one sub-flow at both ends of the tunnel:
+// a TunnelBatch of one op. Intermediate domains are not contacted.
 func (b *BB) AllocateTunnelFlow(tunnelRARID, subFlowID string, bw units.Bandwidth, user identity.DN) error {
-	ep, ok := b.tunnels.reg.Get(tunnelRARID)
-	if !ok {
-		return fmt.Errorf("bb %s: no tunnel %s", b.cfg.Domain, tunnelRARID)
-	}
-	if err := b.localAlloc(ep, subFlowID, bw); err != nil {
-		b.m.tunnelDenied.Inc()
-		return err
-	}
-	resp, _, err := b.callPeer(ep.PeerBB, &signalling.Message{
-		Type: signalling.MsgTunnelAlloc,
-		TunnelAlloc: &signalling.TunnelAllocPayload{
-			TunnelRARID: tunnelRARID,
-			SubFlowID:   subFlowID,
-			User:        user,
-			Bandwidth:   int64(bw),
-		},
-	})
-	if err != nil {
-		// Roll back the local half; the destination may or may not
-		// have allocated, so best-effort release there too.
-		b.localRelease(ep, subFlowID)
-		go func() {
-			if client, cerr := b.clientFor(ep.PeerBB); cerr == nil {
-				_, _ = client.CallTimeout(&signalling.Message{
-					Type:          signalling.MsgTunnelRelease,
-					TunnelRelease: &signalling.TunnelReleasePayload{TunnelRARID: tunnelRARID, SubFlowID: subFlowID},
-				}, b.cfg.CallTimeout)
-			}
-		}()
-		return fmt.Errorf("bb %s: tunnel alloc at destination: %w", b.cfg.Domain, err)
-	}
-	if resp.Result == nil || !resp.Result.Granted {
-		b.localRelease(ep, subFlowID)
-		reason := "no result"
-		if resp.Result != nil {
-			reason = resp.Result.Reason
-		}
-		return fmt.Errorf("bb %s: destination refused sub-flow: %s", b.cfg.Domain, reason)
-	}
-	b.m.tunnelAllocs.Inc()
-	return nil
+	return b.tunnelOp(tunnelRARID, signalling.TunnelOp{Action: signalling.OpAlloc, SubFlowID: subFlowID, Bandwidth: int64(bw)}, user)
 }
 
-// ReleaseTunnelFlow frees a sub-flow at both ends.
+// ReleaseTunnelFlow frees one sub-flow at both ends.
 func (b *BB) ReleaseTunnelFlow(tunnelRARID, subFlowID string) error {
-	ep, ok := b.tunnels.reg.Get(tunnelRARID)
-	if !ok {
-		return fmt.Errorf("bb %s: no tunnel %s", b.cfg.Domain, tunnelRARID)
-	}
-	_, gen, err := ep.Release(subFlowID)
+	return b.tunnelOp(tunnelRARID, signalling.TunnelOp{Action: signalling.OpRelease, SubFlowID: subFlowID}, "")
+}
+
+// tunnelOp runs a batch of one and turns its one result into an error.
+func (b *BB) tunnelOp(tunnelRARID string, op signalling.TunnelOp, user identity.DN) error {
+	results, err := b.TunnelBatch(tunnelRARID, []signalling.TunnelOp{op}, user)
 	if err != nil {
 		return err
 	}
-	b.journalTunnelRelease(ep, subFlowID, gen)
-	b.m.tunnelReleases.Inc()
-	resp, _, err := b.callPeer(ep.PeerBB, &signalling.Message{
-		Type:          signalling.MsgTunnelRelease,
-		TunnelRelease: &signalling.TunnelReleasePayload{TunnelRARID: tunnelRARID, SubFlowID: subFlowID},
-	})
-	if err != nil {
-		return err
-	}
-	if resp.Result == nil || !resp.Result.Granted {
-		return fmt.Errorf("bb %s: destination refused release", b.cfg.Domain)
+	if !results[0].Granted {
+		return fmt.Errorf("bb %s: sub-flow %s of %s refused: %s", b.cfg.Domain, op.Action, op.SubFlowID, results[0].Reason)
 	}
 	return nil
 }
 
-// localAlloc / localRelease mutate the local endpoint half of a
-// two-ended sub-flow operation and journal the mutation; rollbacks go
-// through them too, so a recovered broker always agrees with the live
-// one.
-func (b *BB) localAlloc(ep *tunnel.Endpoint, subID string, bw units.Bandwidth) error {
-	gen, err := ep.Allocate(subID, bw)
-	if err != nil {
-		return err
-	}
-	b.journalTunnelAlloc(ep, subID, bw, gen)
-	return nil
-}
-
-func (b *BB) localRelease(ep *tunnel.Endpoint, subID string) {
-	if _, gen, err := ep.Release(subID); err == nil {
-		b.journalTunnelRelease(ep, subID, gen)
-	}
-}
-
-// TunnelBatch is the batched source-side API: apply many alloc/release
-// ops locally, ship the locally-successful subset to the destination in
-// one MsgTunnelBatch, and reconcile — an op succeeds only when both
-// ends applied it; local halves of remotely-denied ops are rolled back
-// (a denied alloc is released, a denied release is re-admitted with its
-// original bandwidth). A transport failure rolls back every local op;
-// the destination's replay cache makes the retransmitted batch id safe.
-// The returned results are in op order.
+// TunnelBatch is the source-side sub-flow API, the only one: apply the
+// alloc/release ops locally, ship the locally-successful subset to the
+// destination in one MsgTunnelBatch, and reconcile — an op succeeds only
+// when both ends applied it; local halves of remotely-denied ops are
+// rolled back (a denied alloc is released, a denied release is
+// re-admitted with its original bandwidth). A transport failure rolls
+// back every local op; callPeer retransmits under one batch id, which
+// the destination's replay cache answers without applying twice. With a
+// journal the source writes what it applied the way the destination
+// does, one record per batch: the local halves before the call leaves,
+// the undone ones (if any) after it. The returned results are in op
+// order.
 func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user identity.DN) ([]signalling.TunnelOpResult, error) {
 	t0 := time.Now()
 	ep, ok := b.tunnels.reg.Get(tunnelRARID)
@@ -479,21 +384,25 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 	// Local halves first; only locally-admitted ops travel to the peer.
 	// While every op is admitted that is the caller's own slice: remote
 	// and remoteIdx (the op index of each travelling op) exist from the
-	// first local denial on.
+	// first local denial on, and applied, the journal's op list, only
+	// when there is a journal.
 	var remote []signalling.TunnelOp
 	var remoteIdx []int
 	var released []units.Bandwidth // by op index: undo data for remote-denied releases
+	var applied []tunnelOpRec
+	if b.journal != nil {
+		applied = make([]tunnelOpRec, 0, len(ops))
+	}
 	for i, op := range ops {
 		results[i].SubFlowID = op.SubFlowID
+		rec := tunnelOpRec{Action: "release", SubFlowID: op.SubFlowID}
 		var err error
-		switch op.Action {
-		case signalling.OpAlloc:
-			err = b.localAlloc(ep, op.SubFlowID, units.Bandwidth(op.Bandwidth))
-		case signalling.OpRelease:
+		if op.Action == signalling.OpAlloc {
+			rec.Action, rec.Bandwidth = "alloc", op.Bandwidth
+			rec.Gen, err = ep.Allocate(op.SubFlowID, units.Bandwidth(op.Bandwidth))
+		} else {
 			var bw units.Bandwidth
-			var gen int64
-			if bw, gen, err = ep.Release(op.SubFlowID); err == nil {
-				b.journalTunnelRelease(ep, op.SubFlowID, gen)
+			if bw, rec.Gen, err = ep.Release(op.SubFlowID); err == nil {
 				if released == nil {
 					released = make([]units.Bandwidth, len(ops))
 				}
@@ -516,6 +425,9 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 			remote = append(remote, op)
 			remoteIdx = append(remoteIdx, i)
 		}
+		if b.journal != nil {
+			applied = append(applied, rec)
+		}
 	}
 	sent := len(ops)
 	if remoteIdx != nil {
@@ -533,15 +445,33 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 		b.recordBatchEvent(payload, len(ops), obs.VerdictDenied, firstReason(results), t0)
 		return results, nil
 	}
+	// The source's records carry no batch id and no outcome: nobody
+	// retransmits to the source, so they restore no replay entry.
+	b.journalTunnelBatch(ep, "", applied, nil)
+	// undo reverses the local half of op i, whose remote half failed.
+	var undone []tunnelOpRec
+	undo := func(i int) {
+		rec := tunnelOpRec{Action: "release", SubFlowID: ops[i].SubFlowID}
+		var err error
+		if ops[i].Action == signalling.OpAlloc {
+			_, rec.Gen, err = ep.Release(rec.SubFlowID)
+		} else {
+			rec.Action, rec.Bandwidth = "alloc", int64(released[i])
+			rec.Gen, err = ep.Allocate(rec.SubFlowID, released[i])
+		}
+		if err == nil && b.journal != nil {
+			undone = append(undone, rec)
+		}
+	}
 	resp, _, err := b.callPeer(ep.PeerBB, &signalling.Message{Type: signalling.MsgTunnelBatch, TunnelBatch: payload})
 	if err != nil || resp.Result == nil {
-		// Unknown destination state: undo every local half. The batch id
-		// in the destination's replay cache keeps any successful
-		// application there answerable; a fresh batch must use a fresh id.
+		// Unknown destination state: undo every local half. A batch whose
+		// every attempt failed in transport may still have been applied at
+		// the destination; nothing here takes that back (DESIGN.md §6.5).
 		for k := 0; k < sent; k++ {
-			i := opIndex(k)
-			b.undoLocalOp(ep, ops[i], released, i)
+			undo(opIndex(k))
 		}
+		b.journalTunnelBatch(ep, "", undone, nil)
 		if err == nil {
 			err = fmt.Errorf("destination sent no result")
 		}
@@ -571,8 +501,9 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 			results[i].Reason = rr.Reason
 		}
 		denied++
-		b.undoLocalOp(ep, ops[i], released, i)
+		undo(i)
 	}
+	b.journalTunnelBatch(ep, "", undone, nil)
 	b.m.tunnelAllocs.Add(int64(allocs))
 	b.m.tunnelReleases.Add(int64(releases))
 	b.m.tunnelDenied.Add(int64(denied))
@@ -598,17 +529,6 @@ func firstReason(results []signalling.TunnelOpResult) string {
 		}
 	}
 	return ""
-}
-
-// undoLocalOp reverses the local half of a batch op whose remote half
-// failed.
-func (b *BB) undoLocalOp(ep *tunnel.Endpoint, op signalling.TunnelOp, released []units.Bandwidth, i int) {
-	switch op.Action {
-	case signalling.OpAlloc:
-		b.localRelease(ep, op.SubFlowID)
-	case signalling.OpRelease:
-		_ = b.localAlloc(ep, op.SubFlowID, released[i])
-	}
 }
 
 // Tunnel exposes a tunnel endpoint for inspection.

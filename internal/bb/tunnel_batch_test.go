@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -13,6 +14,7 @@ import (
 	"e2eqos/internal/experiment"
 	"e2eqos/internal/identity"
 	"e2eqos/internal/signalling"
+	"e2eqos/internal/transport"
 	"e2eqos/internal/tunnel"
 	"e2eqos/internal/units"
 )
@@ -21,12 +23,15 @@ import (
 // the world, the user and the tunnel spec.
 func buildTunnelWorld(t *testing.T, domains int, aggregate units.Bandwidth) (*experiment.World, *experiment.User, string) {
 	t.Helper()
-	w, err := experiment.BuildWorld(experiment.WorldConfig{
-		NumDomains:  domains,
-		Capacity:    1000 * units.Mbps,
-		CallTimeout: 2 * time.Second,
-		EnableObs:   true,
-	})
+	return buildTunnelWorldWith(t, experiment.WorldConfig{NumDomains: domains, CallTimeout: 2 * time.Second}, aggregate)
+}
+
+// buildTunnelWorldWith is buildTunnelWorld over a world of the caller's
+// configuration (capacity and metrics are filled in).
+func buildTunnelWorldWith(t *testing.T, cfg experiment.WorldConfig, aggregate units.Bandwidth) (*experiment.World, *experiment.User, string) {
+	t.Helper()
+	cfg.Capacity, cfg.EnableObs = 1000*units.Mbps, true
+	w, err := experiment.BuildWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,6 +145,14 @@ func TestTunnelBatchRollsBackLocalHalves(t *testing.T) {
 func desyncedTunnelWorld(t *testing.T) (*experiment.World, *experiment.User, string) {
 	t.Helper()
 	w, u, rarID := buildTunnelWorld(t, 2, 100*units.Mbps)
+	desyncTunnel(t, w, u, rarID)
+	return w, u, rarID
+}
+
+// desyncTunnel makes the ends of a tunnel disagree as
+// desyncedTunnelWorld describes.
+func desyncTunnel(t *testing.T, w *experiment.World, u *experiment.User, rarID string) {
+	t.Helper()
 	direct := func(op signalling.TunnelOp) {
 		t.Helper()
 		if res, err := u.TunnelBatch(w.DestDomain(), &signalling.TunnelBatchPayload{
@@ -155,7 +168,6 @@ func desyncedTunnelWorld(t *testing.T) (*experiment.World, *experiment.User, str
 		t.Fatalf("allocating lonely: results=%+v err=%v", results, err)
 	}
 	direct(signalling.TunnelOp{Action: signalling.OpRelease, SubFlowID: "lonely"})
-	return w, u, rarID
 }
 
 // mixedBatch has a denial of every kind between two grants: refused by
@@ -217,6 +229,79 @@ func TestTunnelBatchTransportFailureUndoesLocalHalves(t *testing.T) {
 	if got := fmt.Sprint(srcEP.SubFlows(), srcEP.Used()); got != fmt.Sprint([]string{"lonely"}, 20*units.Mbps) {
 		t.Errorf("source holds %s after the undo", got)
 	}
+}
+
+// TestSingleSubFlowOpSurvivesLostResponse: a single allocation or
+// release is a batch of one, so the retransmission callPeer sends when a
+// response is lost carries the first copy's batch id and is answered from
+// the destination's replay cache: the caller is told yes and both ends
+// hold the same thing. (As its own message type the retransmitted alloc
+// was refused as a duplicate: the caller was told no, the source
+// released its half and the destination kept the sub-flow for the life
+// of the tunnel.) When the destination cannot be reached at all the call
+// fails and the source holds exactly what it held before.
+func TestSingleSubFlowOpSurvivesLostResponse(t *testing.T) {
+	var lose atomic.Bool // drop the next response on the source's outbound connection
+	w, u, rarID := buildTunnelWorldWith(t, experiment.WorldConfig{
+		NumDomains:   2,
+		CallTimeout:  150 * time.Millisecond,
+		MaxRetries:   1,
+		RetryBackoff: 5 * time.Millisecond,
+		WrapDialer: faultAt("Domain0", transport.FaultConfig{Script: func(_ string, send bool, _ []byte) transport.FaultAction {
+			if !send && lose.CompareAndSwap(true, false) {
+				return transport.FaultDrop
+			}
+			return transport.FaultPass
+		}}),
+	}, 100*units.Mbps)
+	src, dst := w.BBs[w.SourceDomain()], w.BBs[w.DestDomain()]
+	srcEP, _ := src.Tunnel(rarID)
+	dstEP, _ := dst.Tunnel(rarID)
+	// wantHeld checks both ends hold exactly ids, each at 10 Mb/s, and
+	// that the destination has answered replays retransmissions from its
+	// replay cache.
+	wantHeld := func(when string, replays float64, ids ...string) {
+		t.Helper()
+		for i, ep := range []*tunnel.Endpoint{srcEP, dstEP} {
+			if got, want := fmt.Sprint(ep.SubFlows(), ep.Used()), fmt.Sprint(ids, units.Bandwidth(len(ids))*10*units.Mbps); got != want {
+				t.Errorf("%s: %s holds %s, want %s", when, w.Domains[i], got, want)
+			}
+		}
+		if n := dst.MetricsRegistry().Snapshot()["bb_tunnel_batch_replays_total"]; n != replays {
+			t.Errorf("%s: bb_tunnel_batch_replays_total = %v at the destination, want %v", when, n, replays)
+		}
+	}
+
+	lose.Store(true)
+	if err := src.AllocateTunnelFlow(rarID, "f", 10*units.Mbps, u.DN()); err != nil {
+		t.Errorf("allocation whose first response was lost: %v", err)
+	}
+	wantHeld("after the alloc", 1, "f")
+	lose.Store(true)
+	if err := src.ReleaseTunnelFlow(rarID, "f"); err != nil {
+		t.Errorf("release whose first response was lost: %v", err)
+	}
+	wantHeld("after the release", 2)
+	if lose.Load() {
+		t.Fatal("the script dropped nothing: the test checks nothing")
+	}
+
+	// The destination gone altogether: both calls fail, and the source is
+	// left holding "kept" and nothing else.
+	if err := src.AllocateTunnelFlow(rarID, "kept", 10*units.Mbps, u.DN()); err != nil {
+		t.Fatal(err)
+	}
+	wantHeld("before the stop", 2, "kept")
+	if err := w.StopDomain(w.DestDomain()); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.ReleaseTunnelFlow(rarID, "kept"); err == nil {
+		t.Error("release with the destination down succeeded")
+	}
+	if err := src.AllocateTunnelFlow(rarID, "new", 10*units.Mbps, u.DN()); err == nil {
+		t.Error("allocation with the destination down succeeded")
+	}
+	wantHeld("after the failed calls", 2, "kept")
 }
 
 // eachString calls fn for every string reachable from v.

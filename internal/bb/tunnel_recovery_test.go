@@ -160,10 +160,124 @@ func TestTunnelCrashRecoveryFromJournal(t *testing.T) {
 	}
 }
 
+// TestTunnelSourceRecoversFromJournal: the source journals one record
+// for the halves it applied before a batch leaves and one more for the
+// halves it undid, so a source killed after a partially denied batch
+// (refusals by both ends, an alloc and a release undone) or after one
+// that failed in transport (everything undone) recovers the endpoint
+// byte for byte. A fully granted batch is one append at the source,
+// whatever its size, as it is at the destination.
+func TestTunnelSourceRecoversFromJournal(t *testing.T) {
+	for _, row := range []struct {
+		name      string
+		failInNet bool
+		holds     string // the source after the batch
+	}{
+		{"partially denied", false, "[first last lonely]"},
+		{"transport failed", true, "[lonely]"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			w, u, rarID := buildTunnelWorldWith(t, experiment.WorldConfig{
+				NumDomains: 2, CallTimeout: 2 * time.Second, StateDir: t.TempDir(), FsyncPolicy: "always",
+			}, 100*units.Mbps)
+			desyncTunnel(t, w, u, rarID)
+			src := w.SourceDomain()
+			if row.failInNet {
+				if err := w.StopDomain(w.DestDomain()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			appends := w.Metrics[src].Snapshot()["bb_journal_appends_total"]
+			if _, err := w.BBs[src].TunnelBatch(rarID, mixedBatch, u.DN()); (err != nil) != row.failInNet {
+				t.Fatalf("batch: err=%v, want a transport failure: %t", err, row.failInNet)
+			}
+			if n := w.Metrics[src].Snapshot()["bb_journal_appends_total"] - appends; n != 2 {
+				t.Errorf("the source appended %v records, want 2: the applied halves, the undone halves", n)
+			}
+			ep, _ := w.BBs[src].Tunnel(rarID)
+			if got := fmt.Sprint(ep.SubFlows()); got != row.holds {
+				t.Fatalf("source holds %s after the batch, want %s", got, row.holds)
+			}
+			want := tunnelSnapshot(t, w, src, rarID)
+			if err := w.CrashDomain(src); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.RestartDomainFromJournal(src); err != nil {
+				t.Fatal(err)
+			}
+			if got := tunnelSnapshot(t, w, src, rarID); !bytes.Equal(want, got) {
+				t.Errorf("recovered source endpoint differs from pre-crash state\n want: %s\n  got: %s", want, got)
+			}
+			if n := len(w.BBs[src].ReplayEntries()); n != 0 {
+				t.Errorf("the recovered source holds %d replay entries: its records carry no batch id", n)
+			}
+		})
+	}
+
+	t.Run("one append per granted batch", func(t *testing.T) {
+		w, u, rarID := buildTunnelWorldWith(t, experiment.WorldConfig{
+			NumDomains: 2, CallTimeout: 2 * time.Second, StateDir: t.TempDir(), FsyncPolicy: "never",
+		}, 900*units.Mbps)
+		ops := make([]signalling.TunnelOp, 256)
+		for i := range ops {
+			ops[i] = signalling.TunnelOp{Action: signalling.OpAlloc, SubFlowID: fmt.Sprintf("sub-%d", i), Bandwidth: int64(units.Mbps)}
+		}
+		for _, d := range w.Domains {
+			defer func(before float64) {
+				n := w.Metrics[d].Snapshot()["bb_journal_appends_total"] - before
+				t.Logf("%s: %v journal appends for one granted batch of %d ops", d, n, len(ops))
+				if n != 1 {
+					t.Errorf("%s appended %v records for one granted batch, want 1", d, n)
+				}
+			}(w.Metrics[d].Snapshot()["bb_journal_appends_total"])
+		}
+		if results, err := w.BBs[w.SourceDomain()].TunnelBatch(rarID, ops, u.DN()); err != nil || !results[255].Granted {
+			t.Fatalf("batch: results[255]=%+v err=%v", results[255], err)
+		}
+	})
+}
+
+// TestReplicatedSourceFollowersHoldUndoneBatches: the source's two
+// records per batch reach its followers like any other, so after a
+// partially denied batch and one that failed in transport every replica
+// of the source holds the leader's endpoint, and no replay entry.
+func TestReplicatedSourceFollowersHoldUndoneBatches(t *testing.T) {
+	w, u, rarID := buildTunnelWorldWith(t, experiment.WorldConfig{
+		NumDomains: 2, Replicas: 3, CallTimeout: 500 * time.Millisecond, StateDir: t.TempDir(), FsyncPolicy: "never",
+	}, 100*units.Mbps)
+	desyncTunnel(t, w, u, rarID)
+	src := w.SourceDomain()
+	if _, err := w.BBs[src].TunnelBatch(rarID, mixedBatch, u.DN()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.KillLeader(w.DestDomain()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.BBs[src].TunnelBatch(rarID, []signalling.TunnelOp{
+		{Action: signalling.OpRelease, SubFlowID: "first"},
+		{Action: signalling.OpAlloc, SubFlowID: "never", Bandwidth: int64(units.Mbps)},
+	}, u.DN()); err == nil {
+		t.Fatal("batch to a destination without a leader succeeded")
+	}
+	all := []int{0, 1, 2}
+	waitReplicated(t, w, src, all)
+	requireDigestsEqual(t, w, src, all)
+	for _, i := range all {
+		r := w.ReplicaBB(src, i)
+		ep, ok := r.Tunnel(rarID)
+		if !ok {
+			t.Fatalf("replica %d: no tunnel endpoint", i)
+		}
+		if got := fmt.Sprint(ep.SubFlows(), ep.Used(), len(r.ReplayEntries())); got != "[first last lonely] 30Mb/s 0" {
+			t.Errorf("replica %d holds %s (sub-flows, used, replay entries)", i, got)
+		}
+	}
+}
+
 // TestTunnelGracefulRestartKeepsSubFlows covers the group-commit path:
 // a graceful stop (journal flushed on Close) followed by a rebuild must
-// reproduce the endpoint exactly, including sub-flows journaled through
-// the non-batched single-op handlers.
+// reproduce the endpoint exactly, including sub-flows allocated and
+// released one at a time (batches of one op).
 func TestTunnelGracefulRestartKeepsSubFlows(t *testing.T) {
 	w, err := experiment.BuildWorld(experiment.WorldConfig{
 		NumDomains:  2,

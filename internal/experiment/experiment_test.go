@@ -404,23 +404,16 @@ func TestTunnelAllocRejectsStrangers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mallory.Close()
-	client, err := mallory.clientTo(w.DestDomain())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := client.Call(&signalling.Message{
-		Type: signalling.MsgTunnelAlloc,
-		TunnelAlloc: &signalling.TunnelAllocPayload{
-			TunnelRARID: spec.RARID,
-			SubFlowID:   "steal",
-			User:        mallory.DN(),
-			Bandwidth:   int64(units.Mbps),
-		},
+	res, err = mallory.TunnelBatch(w.DestDomain(), &signalling.TunnelBatchPayload{
+		TunnelRARID: spec.RARID,
+		BatchID:     signalling.NewBatchID(),
+		User:        mallory.DN(),
+		Ops:         []signalling.TunnelOp{{Action: signalling.OpAlloc, SubFlowID: "steal", Bandwidth: int64(units.Mbps)}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Result != nil && resp.Result.Granted {
-		t.Fatal("stranger allocated on someone else's tunnel")
+	if res.Granted || !strings.Contains(res.Reason, "not authorized") {
+		t.Fatalf("stranger's allocation on someone else's tunnel: %+v", res)
 	}
 }

@@ -16,8 +16,8 @@ type SubFlowLoadConfig struct {
 	Users int
 	// OpsPerUser is how many sub-flows each worker allocates.
 	OpsPerUser int
-	// BatchSizes are the arms of the sweep; 1 is the per-RPC baseline
-	// (one MsgTunnelAlloc round trip per sub-flow).
+	// BatchSizes are the arms of the sweep; 1 is the baseline (one round
+	// trip per sub-flow).
 	BatchSizes []int
 	// Domains is the path length of the establishing reservation (the
 	// sub-flow path always touches just the two ends).
@@ -38,8 +38,8 @@ type SubFlowSample struct {
 
 // MeasureSubFlowLoad runs one arm: establish a tunnel over a fresh
 // world, then drive cfg.Users concurrent workers through the source
-// broker — per-RPC when batch is 1, MsgTunnelBatch otherwise — until
-// every worker has allocated cfg.OpsPerUser sub-flows.
+// broker in MsgTunnelBatch calls of batch ops until every worker has
+// allocated cfg.OpsPerUser sub-flows.
 func MeasureSubFlowLoad(cfg SubFlowLoadConfig, batch int) (SubFlowSample, error) {
 	out := SubFlowSample{Batch: batch, Users: cfg.Users, Ops: cfg.Users * cfg.OpsPerUser}
 	need := units.Bandwidth(out.Ops+1) * units.Mbps
@@ -77,16 +77,6 @@ func MeasureSubFlowLoad(cfg SubFlowLoadConfig, batch int) (SubFlowSample, error)
 				n := batch
 				if rest := cfg.OpsPerUser - done; n > rest {
 					n = rest
-				}
-				if n == 1 {
-					id := fmt.Sprintf("u%d-s%d", wkr, done)
-					if err := src.AllocateTunnelFlow(spec.RARID, id, units.Mbps, u.DN()); err != nil {
-						failed.Add(1)
-						firstErr.CompareAndSwap(nil, err)
-						return
-					}
-					done++
-					continue
 				}
 				ops := make([]signalling.TunnelOp, n)
 				for i := range ops {
@@ -130,7 +120,7 @@ func MeasureSubFlowLoad(cfg SubFlowLoadConfig, batch int) (SubFlowSample, error)
 // RunSubFlowLoad sweeps batch sizes over the tunnel sub-flow hot path:
 // the ROADMAP's millions-of-users argument lives or dies on how many
 // per-user admissions the two end domains sustain, so the table shows
-// allocations/sec per batch size against the per-RPC baseline.
+// allocations/sec per batch size against one sub-flow per round trip.
 func RunSubFlowLoad(cfg SubFlowLoadConfig) (*Table, error) {
 	if cfg.Users <= 0 {
 		cfg.Users = 8
@@ -170,7 +160,7 @@ func RunSubFlowLoad(cfg SubFlowLoadConfig) (*Table, error) {
 		)
 	}
 	t.Notes = append(t.Notes,
-		"batch=1 is the per-RPC baseline: one MsgTunnelAlloc round trip per sub-flow",
+		"batch=1 is the baseline: a batch of one op, one round trip per sub-flow",
 		"all arms touch only the two end domains; intermediate brokers see none of this traffic",
 	)
 	return t, nil

@@ -28,12 +28,12 @@ const (
 )
 
 // typeCode maps MsgType to its single-byte wire code and back. Codes
-// are part of the wire format: never renumber, only append.
+// are part of the wire format: never renumber, only append. 3 and 4
+// were the single-op tunnel-alloc and tunnel-release, retired for a
+// MsgTunnelBatch of one op: they stay reserved and are refused by name.
 var typeCodes = [...]MsgType{
 	1: MsgReserve,
 	2: MsgCancel,
-	3: MsgTunnelAlloc,
-	4: MsgTunnelRelease,
 	5: MsgTunnelBatch,
 	6: MsgStatus,
 	7: MsgResult,
@@ -65,11 +65,6 @@ func (m *Message) appendFrame(buf []byte, id uint64) []byte {
 		buf = m.Reserve.appendFields(buf)
 	case m.Cancel != nil:
 		buf = wire.AppendString(buf, 1, m.Cancel.RARID)
-	case m.TunnelAlloc != nil:
-		buf = m.TunnelAlloc.appendFields(buf)
-	case m.TunnelRelease != nil:
-		buf = wire.AppendString(buf, 1, m.TunnelRelease.TunnelRARID)
-		buf = wire.AppendString(buf, 2, m.TunnelRelease.SubFlowID)
 	case m.TunnelBatch != nil:
 		buf = m.TunnelBatch.appendFields(buf)
 	case m.Status != nil:
@@ -91,6 +86,9 @@ func decodeBinary(data []byte) (*Message, error) {
 	if int(code) >= len(typeCodes) || code == 0 {
 		return nil, fmt.Errorf("signalling: unknown message type code %d", code)
 	}
+	if typeCodes[code] == "" {
+		return nil, fmt.Errorf("signalling: message type code %d is retired: a single sub-flow op travels as a tunnel-batch of one", code)
+	}
 	m := &Message{Type: typeCodes[code]}
 	d := &wire.Dec{Buf: data[3:]}
 	m.ID = d.Uvarint()
@@ -104,14 +102,6 @@ func decodeBinary(data []byte) (*Message, error) {
 		p := &CancelPayload{}
 		err = decodeRARIDFields(d, &p.RARID)
 		m.Cancel = p
-	case MsgTunnelAlloc:
-		p := &TunnelAllocPayload{}
-		err = p.decodeFields(d)
-		m.TunnelAlloc = p
-	case MsgTunnelRelease:
-		p := &TunnelReleasePayload{}
-		err = p.decodeFields(d)
-		m.TunnelRelease = p
 	case MsgTunnelBatch:
 		p := &TunnelBatchPayload{}
 		err = p.decodeFields(d)
@@ -197,50 +187,6 @@ func (p *ReservePayload) decodeFields(d *wire.Dec) error {
 			p.SplitOf = int(d.Varint())
 		case f == 9 && wt == wire.TVarint:
 			p.SplitBW = d.Varint()
-		default:
-			skipUnknown(d, wt)
-		}
-	}
-	return d.Err()
-}
-
-// TunnelAllocPayload: 1=tunnel_rar_id 2=sub_flow_id 3=user 4=bandwidth.
-func (p *TunnelAllocPayload) appendFields(buf []byte) []byte {
-	buf = wire.AppendString(buf, 1, p.TunnelRARID)
-	buf = wire.AppendString(buf, 2, p.SubFlowID)
-	buf = wire.AppendString(buf, 3, string(p.User))
-	buf = wire.AppendInt(buf, 4, p.Bandwidth)
-	return buf
-}
-
-func (p *TunnelAllocPayload) decodeFields(d *wire.Dec) error {
-	for d.More() {
-		f, wt := d.Tag()
-		switch {
-		case f == 1 && wt == wire.TBytes:
-			p.TunnelRARID = d.String()
-		case f == 2 && wt == wire.TBytes:
-			p.SubFlowID = d.String()
-		case f == 3 && wt == wire.TBytes:
-			p.User = identity.DN(d.String())
-		case f == 4 && wt == wire.TVarint:
-			p.Bandwidth = d.Varint()
-		default:
-			skipUnknown(d, wt)
-		}
-	}
-	return d.Err()
-}
-
-// TunnelReleasePayload: 1=tunnel_rar_id 2=sub_flow_id.
-func (p *TunnelReleasePayload) decodeFields(d *wire.Dec) error {
-	for d.More() {
-		f, wt := d.Tag()
-		switch {
-		case f == 1 && wt == wire.TBytes:
-			p.TunnelRARID = d.String()
-		case f == 2 && wt == wire.TBytes:
-			p.SubFlowID = d.String()
 		default:
 			skipUnknown(d, wt)
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -40,24 +41,6 @@ func goldenMessages() []struct {
 			name: "cancel",
 			msg:  &Message{Type: MsgCancel, ID: 2, Cancel: &CancelPayload{RARID: "RAR-1"}},
 			hex:  "e20102020a055241522d31",
-		},
-		{
-			name: "tunnel-alloc",
-			msg: &Message{Type: MsgTunnelAlloc, ID: 3, TunnelAlloc: &TunnelAllocPayload{
-				TunnelRARID: "RAR-T",
-				SubFlowID:   "sf-1",
-				User:        identity.DN("/O=Grid/CN=alice"),
-				Bandwidth:   1000000,
-			}},
-			hex: "e20103030a055241522d54120473662d311a102f4f3d477269642f434e3d616c6963652080897a",
-		},
-		{
-			name: "tunnel-release",
-			msg: &Message{Type: MsgTunnelRelease, ID: 4, TunnelRelease: &TunnelReleasePayload{
-				TunnelRARID: "RAR-T",
-				SubFlowID:   "sf-1",
-			}},
-			hex: "e20104040a055241522d54120473662d31",
 		},
 		{
 			name: "tunnel-batch",
@@ -220,6 +203,41 @@ func TestGoldenWireVectors(t *testing.T) {
 		}
 		if !reflect.DeepEqual(dec, g.msg) {
 			t.Errorf("%s: golden bytes decoded to\n%+v\nwant\n%+v", g.name, dec, g.msg)
+		}
+	}
+}
+
+// retiredFrames are the golden vectors of the two retired message types
+// (codes 3 and 4, the single-op tunnel-alloc and tunnel-release), byte
+// for byte what a broker one release back sends.
+func retiredFrames() [][]byte {
+	var frames [][]byte
+	for _, h := range []string{
+		"e20103030a055241522d54120473662d311a102f4f3d477269642f434e3d616c6963652080897a",
+		"e20104040a055241522d54120473662d31",
+	} {
+		frame, err := hex.DecodeString(h)
+		if err != nil {
+			panic(err)
+		}
+		frames = append(frames, frame)
+	}
+	return frames
+}
+
+// TestRetiredFramesRefusedByName: a frame of a retired type is an error
+// that says so, never a message with an empty type or a silent skip, and
+// no message type encodes to a retired code.
+func TestRetiredFramesRefusedByName(t *testing.T) {
+	for _, frame := range retiredFrames() {
+		msg, err := DecodeMessage(frame)
+		if err == nil || msg != nil || !strings.Contains(err.Error(), "retired") {
+			t.Errorf("frame of type code %d: msg=%+v err=%v, want an error that says retired", frame[2], msg, err)
+		}
+	}
+	for code, mt := range typeCodes {
+		if (mt == "") != (code == 0 || code == 3 || code == 4) {
+			t.Errorf("type code %d names %q: exactly 3 and 4 are reserved", code, mt)
 		}
 	}
 }

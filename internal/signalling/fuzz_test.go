@@ -6,7 +6,8 @@ import (
 )
 
 // FuzzDecodeMessage ensures arbitrary wire bytes never panic the
-// decoder, that it writes none of them (it decodes in place: a write
+// decoder, that it accepts no frame of a retired type, that it writes
+// none of them (it decodes in place: a write
 // would corrupt the frame for its owner), and that accepted messages
 // re-encode to a frame the codec maps to itself — decode then encode
 // returns every frame the encoder could have produced. Batch payloads that
@@ -42,12 +43,15 @@ func FuzzDecodeMessage(f *testing.F) {
 		[]byte("\x00\x01\x02"),
 		[]byte(``),
 	}
-	// Each golden frame, plus the malformed shapes the decoder must
-	// classify without panicking — torn varints, unknown fields,
-	// truncated frames, wrong wire types on known tags, and frames from
-	// the future.
+	// Each golden frame and each frame of a retired type (which must
+	// fail), plus the malformed shapes the decoder must classify without
+	// panicking — torn varints, unknown fields, truncated frames, wrong
+	// wire types on known tags, and frames from the future.
+	frames := retiredFrames()
 	for _, g := range goldenMessages() {
-		frame := g.msg.AppendBinary(nil)
+		frames = append(frames, g.msg.AppendBinary(nil))
+	}
+	for _, frame := range frames {
 		seeds = append(seeds,
 			frame,
 			frame[:len(frame)-1], // truncated tail
@@ -78,6 +82,9 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if data[2] == 3 || data[2] == 4 { // a decoded frame has its three header bytes
+			t.Fatalf("decoder accepted a frame of retired type code %d: %+v", data[2], msg)
 		}
 		if msg.Type == "" {
 			t.Fatal("decoder accepted a typeless message")

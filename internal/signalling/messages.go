@@ -26,15 +26,11 @@ const (
 	MsgReserve MsgType = "reserve"
 	// MsgCancel withdraws a reservation by RAR id along the path.
 	MsgCancel MsgType = "cancel"
-	// MsgTunnelAlloc allocates a sub-flow inside an established tunnel
-	// over the direct source/end-domain channel.
-	MsgTunnelAlloc MsgType = "tunnel-alloc"
-	// MsgTunnelRelease frees a sub-flow allocation.
-	MsgTunnelRelease MsgType = "tunnel-release"
-	// MsgTunnelBatch carries many sub-flow alloc/release operations in
-	// one RPC; the result reports a per-op verdict. Batches are
-	// idempotent: a retransmission with the same BatchID is answered
-	// from the receiver's replay cache.
+	// MsgTunnelBatch carries sub-flow alloc/release operations inside an
+	// established tunnel over the direct source/end-domain channel, one
+	// or many per RPC (a single allocation is a batch of one); the result
+	// reports a per-op verdict. Batches are idempotent: a retransmission
+	// with the same BatchID is answered from the receiver's replay cache.
 	MsgTunnelBatch MsgType = "tunnel-batch"
 	// MsgStatus queries a reservation handle.
 	MsgStatus MsgType = "status"
@@ -72,8 +68,6 @@ type Message struct {
 
 	Reserve       *ReservePayload
 	Cancel        *CancelPayload
-	TunnelAlloc   *TunnelAllocPayload
-	TunnelRelease *TunnelReleasePayload
 	TunnelBatch   *TunnelBatchPayload
 	Status        *StatusPayload
 	Result        *ResultPayload
@@ -140,23 +134,6 @@ func (p *ReservePayload) Forward(env *envelope.Envelope) *Message {
 // CancelPayload withdraws the reservation created under RARID.
 type CancelPayload struct {
 	RARID string
-}
-
-// TunnelAllocPayload requests a sub-flow of Bandwidth (bits per
-// second) inside the tunnel established by TunnelRARID. SubFlowID
-// names the new flow; User identifies the requestor (authenticated by
-// the channel).
-type TunnelAllocPayload struct {
-	TunnelRARID string
-	SubFlowID   string
-	User        identity.DN
-	Bandwidth   int64
-}
-
-// TunnelReleasePayload frees a sub-flow.
-type TunnelReleasePayload struct {
-	TunnelRARID string
-	SubFlowID   string
 }
 
 // TunnelOpAction discriminates batch operations.

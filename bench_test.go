@@ -682,8 +682,8 @@ func BenchmarkJournaledAdmit(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			jt := resv.NewJournaledTable(tab, j)
-			admitLoop(b, jt.Table)
+			resv.AttachJournal(tab, j)
+			admitLoop(b, tab)
 			b.StopTimer()
 			if err := j.Close(); err != nil {
 				b.Fatal(err)

@@ -201,6 +201,9 @@ type BB struct {
 	journal *journal.Journal
 	ckptMu  sync.Mutex
 
+	// replay rebuilds durable state from a journal, at boot and on a
+	// replication follower (nil on a memory-only broker).
+	replay *replayer
 	// repl is the replication engine (nil when the broker runs
 	// unreplicated — every caller checks).
 	repl *replicator
@@ -263,9 +266,10 @@ func New(cfg Config) (*BB, error) {
 		return nil, fmt.Errorf("bb %s: replication requires StateDir (the stream is the journal)", cfg.Domain)
 	}
 	if cfg.StateDir != "" {
-		// Recover-on-boot: load the snapshot + record tail persisted by
-		// a previous incarnation (possibly replacing the fresh table),
-		// then start journaling new mutations.
+		// Recover-on-boot: replay the snapshot + record tail persisted by
+		// a previous incarnation into the fresh table, then start
+		// journaling new mutations.
+		b.replay = newReplayer(b)
 		if err := b.openJournal(); err != nil {
 			return nil, err
 		}

@@ -4,7 +4,9 @@ import (
 	"strings"
 
 	"e2eqos/internal/identity"
+	"e2eqos/internal/journal"
 	"e2eqos/internal/signalling"
+	"e2eqos/internal/tunnel"
 )
 
 // CommitGate appends one record that changes nothing (the cancel of a
@@ -56,4 +58,60 @@ func NormalizeRARRecord(data []byte, rarID string) ([]byte, error) {
 	}
 	r.Handle, r.Epoch, r.Outcome = "H", 1, nil
 	return r.AppendBinary(nil), nil
+}
+
+// TunnelOpRec is one journaled sub-flow mutation, for tests that write
+// the tunnel vocabulary's records by hand.
+type TunnelOpRec = tunnelOpRec
+
+// frame encodes one record as the WAL and the replication stream carry
+// it.
+func frame(op string, rec journal.BinaryRecord) []byte {
+	f, err := journal.EncodeRecord(op, rec)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
+// TunnelFrame is a bb.tunnel record: an establishment.
+func TunnelFrame(ts tunnel.EndpointSnapshot) []byte { return frame(opTunnel, ts) }
+
+// TunnelRemoveFrame is a bb.tunnel_remove record.
+func TunnelRemoveFrame(rarID string, epoch int64) []byte {
+	return frame(opTunnelRemove, rarCancelRec{RARID: rarID, Epoch: epoch})
+}
+
+// TunnelBatchFrame is a bb.tunnel_batch record. With a batch id it is
+// the answering end's, and carries a granted outcome; without, the
+// source's.
+func TunnelBatchFrame(rarID string, epoch int64, batchID string, ops ...TunnelOpRec) []byte {
+	rec := tunnelBatchRec{RARID: rarID, Epoch: epoch, BatchID: batchID, Ops: ops}
+	if batchID != "" {
+		rec.Outcome = &signalling.Message{Type: signalling.MsgResult, Result: &signalling.ResultPayload{Granted: true}}
+	}
+	return frame(opTunnelBatch, rec)
+}
+
+// RARCancelFrame is a bb.rar_cancel record; of a RAR nobody registered,
+// at epoch 0, it changes nothing.
+func RARCancelFrame(rarID string, epoch int64) []byte {
+	return frame(opRARCancel, rarCancelRec{RARID: rarID, Epoch: epoch})
+}
+
+// DigestSansEpoch is StateDigest with the epoch counter zeroed: a
+// promoted follower's is fenced past anything its journal holds, by
+// design, so it is the one field that may differ from a broker booted
+// off that journal.
+func (b *BB) DigestSansEpoch() ([]byte, error) {
+	data, err := b.snapshotState()
+	if err != nil {
+		return nil, err
+	}
+	st, err := decodeBrokerState(data)
+	if err != nil {
+		return nil, err
+	}
+	st.Epoch = 0
+	return st.appendBinary(nil), nil
 }

@@ -3,16 +3,13 @@ package bb
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"e2eqos/internal/identity"
 	"e2eqos/internal/journal"
 	"e2eqos/internal/resv"
-	"e2eqos/internal/saga"
 	"e2eqos/internal/signalling"
 	"e2eqos/internal/tunnel"
-	"e2eqos/internal/units"
 )
 
 // Journal record vocabulary for the broker's own durable state: the
@@ -26,8 +23,8 @@ const (
 	// one record per batch at either end. A batch's ops carry the
 	// endpoint generation minted under the mutated flow's shard lock;
 	// emit-after-unlock means the WAL interleaving of ops for *different*
-	// sub-flows can disagree with generation order, so recovery re-sorts
-	// by generation before applying (see applyTunnelOps).
+	// sub-flows can disagree with generation order, so replay applies
+	// them by generation, not by position (see replayer).
 	opTunnel       = "bb.tunnel"
 	opTunnelRemove = "bb.tunnel_remove"
 	opTunnelBatch  = "bb.tunnel_batch"
@@ -73,16 +70,6 @@ type tunnelOpRec struct {
 	SubFlowID string
 	Bandwidth int64
 	Gen       int64
-}
-
-// tunnelOpRecord is one journaled sub-flow mutation as recovery and the
-// follower hold it in memory, out of its batch record. Epoch pins the op
-// to a specific registration of the tunnel RAR id, exactly like
-// rarCancelRec does for routes.
-type tunnelOpRecord struct {
-	RARID string
-	Epoch int64
-	tunnelOpRec
 }
 
 // tunnelBatchRec journals an applied batch atomically: the ops that
@@ -152,8 +139,7 @@ func (b *BB) openJournal() error {
 	if err != nil {
 		return fmt.Errorf("bb %s: %w", b.cfg.Domain, err)
 	}
-	applied, err := b.recoverState(rec)
-	if err != nil {
+	if err := b.recoverState(rec); err != nil {
 		j.Close()
 		return fmt.Errorf("bb %s: journal recovery: %w", b.cfg.Domain, err)
 	}
@@ -168,241 +154,42 @@ func (b *BB) openJournal() error {
 	}
 	took := time.Since(t0)
 	b.m.recoverySeconds.Set(took.Seconds())
-	b.m.recoveredRecords.Add(int64(applied))
+	b.m.recoveredRecords.Add(int64(len(rec.Records)))
 	if rec.Torn {
 		b.log.Warn("journal: discarded torn record tail from a previous crash")
 	}
-	if rec.Snapshot != nil || applied > 0 {
+	if rec.Snapshot != nil || len(rec.Records) > 0 {
 		b.log.Info("journal: recovered broker state",
-			"records", applied, "reservations", b.table.Len(), "took", took)
+			"records", len(rec.Records), "reservations", b.table.Len(), "took", took)
 	}
 	return nil
 }
 
-// recoverState rebuilds the table and route cache from a recovered
-// snapshot + record tail, returning how many records applied. Runs
-// before the broker is shared, so it reads and writes b lock-free.
-func (b *BB) recoverState(rec *journal.Recovered) (int, error) {
+// recoverState feeds the replayer what a previous incarnation left: the
+// snapshot, the record tail in journal order, and the end of the feed.
+// Runs before the broker is shared.
+func (b *BB) recoverState(rec *journal.Recovered) error {
 	if rec.Snapshot != nil {
-		st, err := decodeBrokerState(rec.Snapshot)
-		if err != nil {
-			return 0, err
-		}
-		if len(st.Table) > 0 {
-			tbl, err := resv.RestoreTable(st.Table)
-			if err != nil {
-				return 0, err
-			}
-			tbl.SetClock(b.cfg.Clock)
-			b.table = tbl
-		}
-		b.rarEpoch = st.Epoch
-		for _, r := range st.RARs {
-			b.routes[r.RARID] = recoveredRARState(r)
-		}
-		for _, ts := range st.Tunnels {
-			ep, err := tunnel.Restore(ts)
-			if err != nil {
-				return 0, fmt.Errorf("restoring tunnel %s: %w", ts.RARID, err)
-			}
-			b.tunnels.reg.Replace(ep)
-		}
-		for _, bs := range st.TunnelBatches {
-			b.tunnels.restoreBatch(bs.RARID, bs.Epoch, bs.BatchID, bs.Outcome)
-		}
-		if err := b.sagas.Restore(st.Sagas); err != nil {
-			return 0, fmt.Errorf("restoring sagas: %w", err)
+		if err := b.replay.install(rec.Snapshot); err != nil {
+			return err
 		}
 	}
-	applied, err := resv.Replay(b.table, rec.Records)
-	if err != nil {
-		return applied, err
-	}
-	// Sub-flow mutations are collected during the scan and applied per
-	// endpoint in generation order afterwards: emit-after-unlock lets
-	// WAL order scramble records for distinct sub-flows, and establish /
-	// remove records interleave with them. The epoch filter in
-	// applyTunnelOps discards ops against registrations that did not
-	// survive the scan.
-	var tunnelOps []tunnelOpRecord
 	for _, r := range rec.Records {
-		ops, ok, err := b.applyBBRecord(r)
-		if err != nil {
-			return applied, err
-		}
-		tunnelOps = append(tunnelOps, ops...)
-		if ok {
-			applied++
+		if err := b.replay.apply(r); err != nil {
+			return err
 		}
 	}
-	if err := b.applyTunnelOps(tunnelOps); err != nil {
-		return applied, err
-	}
-	return applied, nil
+	return b.replay.flush()
 }
 
 // decodeBrokerState parses a rotated snapshot; bytes that do not open
 // with the snapshot's magic and version are wire.ErrUnsupportedFormat.
-// Boot recovery and the replication follower's snapshot install share
-// it.
 func decodeBrokerState(data []byte) (brokerState, error) {
 	var st brokerState
 	if err := st.decodeBinary(data); err != nil {
 		return st, fmt.Errorf("decoding snapshot: %w", err)
 	}
 	return st, nil
-}
-
-// applyBBRecord applies one "bb." journal record to the live broker
-// state, with fine-grained locking, so boot-time recovery and the
-// replication follower's live stream apply share one semantics:
-// higher-epoch-wins for route and tunnel (re)registrations, exact-epoch
-// matching for removals. A batch record's sub-flow mutations are NOT
-// applied here — they need ordering the caller owns (recovery sorts the
-// whole tail by generation; the follower holds a dense-generation
-// reorder buffer) — so they are decoded and returned instead. The bool
-// reports whether the record belonged to the "bb." or saga vocabulary at
-// all; foreign ops (the table's "resv." records) return (nil, false,
-// nil). An unknown "bb." op is an error, as an unknown "resv." op is to
-// resv.Replay: a version-skew tripwire — a journal written one release
-// back holds its single-op sub-flows as bb.tunnel_alloc /
-// bb.tunnel_release, and skipping those would recover a tunnel without
-// them.
-func (b *BB) applyBBRecord(r journal.Record) ([]tunnelOpRecord, bool, error) {
-	switch r.Op {
-	case opRAR:
-		var rr rarRec
-		if err := r.Decode(&rr); err != nil {
-			return nil, false, err
-		}
-		b.mu.Lock()
-		if rr.Epoch > b.rarEpoch {
-			b.rarEpoch = rr.Epoch
-		}
-		// Concurrent emission can reorder records for a reused RAR
-		// id; the higher epoch is always the later registration.
-		if cur, ok := b.routes[rr.RARID]; !ok || cur.Epoch <= rr.Epoch {
-			b.routes[rr.RARID] = recoveredRARState(rr)
-		}
-		b.mu.Unlock()
-		return nil, true, nil
-	case opRARCancel:
-		var cr rarCancelRec
-		if err := r.Decode(&cr); err != nil {
-			return nil, false, err
-		}
-		b.mu.Lock()
-		if cr.Epoch > b.rarEpoch {
-			b.rarEpoch = cr.Epoch
-		}
-		// Remove only the registration this cancel actually ended: a
-		// stale cancel must not evict a fresh re-registration.
-		if cur, ok := b.routes[cr.RARID]; ok && cur.Epoch == cr.Epoch {
-			delete(b.routes, cr.RARID)
-		}
-		b.mu.Unlock()
-		return nil, true, nil
-	case opTunnel:
-		var ts tunnel.EndpointSnapshot
-		if err := r.Decode(&ts); err != nil {
-			return nil, false, err
-		}
-		b.mu.Lock()
-		if ts.Epoch > b.rarEpoch {
-			b.rarEpoch = ts.Epoch
-		}
-		b.mu.Unlock()
-		// The higher epoch is always the later registration of a
-		// reused tunnel RAR id.
-		if cur, ok := b.tunnels.reg.Get(ts.RARID); ok && cur.Epoch > ts.Epoch {
-			return nil, true, nil
-		}
-		ep, err := tunnel.Restore(ts)
-		if err != nil {
-			return nil, false, fmt.Errorf("restoring tunnel %s: %w", ts.RARID, err)
-		}
-		b.tunnels.reg.Replace(ep)
-		return nil, true, nil
-	case opTunnelRemove:
-		var cr rarCancelRec
-		if err := r.Decode(&cr); err != nil {
-			return nil, false, err
-		}
-		b.mu.Lock()
-		if cr.Epoch > b.rarEpoch {
-			b.rarEpoch = cr.Epoch
-		}
-		b.mu.Unlock()
-		if cur, ok := b.tunnels.reg.Get(cr.RARID); ok && cur.Epoch == cr.Epoch {
-			b.tunnels.reg.Remove(cr.RARID)
-			b.tunnels.dropBatches(cr.RARID, cr.Epoch)
-		}
-		return nil, true, nil
-	case opTunnelBatch:
-		var br tunnelBatchRec
-		if err := r.Decode(&br); err != nil {
-			return nil, false, err
-		}
-		ops := make([]tunnelOpRecord, 0, len(br.Ops))
-		for _, op := range br.Ops {
-			ops = append(ops, tunnelOpRecord{RARID: br.RARID, Epoch: br.Epoch, tunnelOpRec: op})
-		}
-		if br.BatchID != "" {
-			b.tunnels.restoreBatch(br.RARID, br.Epoch, br.BatchID, br.Outcome)
-		}
-		return ops, true, nil
-	default:
-		// Saga records (the rollback-debt ledger) replay into the
-		// coordinator; Resume, after the scan, presumed-aborts whatever
-		// is still live and restarts its compensations.
-		if saga.IsSagaOp(r.Op) {
-			_, err := b.sagas.ApplyRecord(r)
-			return nil, err == nil, err
-		}
-		if strings.HasPrefix(r.Op, "bb.") {
-			return nil, false, fmt.Errorf("bb: unknown journal op %q", r.Op)
-		}
-		return nil, false, nil
-	}
-}
-
-// applyTunnelOps replays collected sub-flow mutations: grouped per
-// tunnel, filtered to the registration (epoch) that survived the scan,
-// sorted by generation, applied through the endpoint's idempotent
-// replay entry points (which skip anything already reflected in the
-// snapshot the endpoint was restored from).
-func (b *BB) applyTunnelOps(ops []tunnelOpRecord) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	byRAR := make(map[string][]tunnelOpRecord)
-	for _, op := range ops {
-		byRAR[op.RARID] = append(byRAR[op.RARID], op)
-	}
-	for rarID, group := range byRAR {
-		ep, ok := b.tunnels.reg.Get(rarID)
-		if !ok {
-			continue // tunnel removed later in the log
-		}
-		live := group[:0]
-		for _, op := range group {
-			if op.Epoch == ep.Epoch {
-				live = append(live, op)
-			}
-		}
-		sort.Slice(live, func(i, j int) bool { return live[i].Gen < live[j].Gen })
-		for _, op := range live {
-			switch op.Action {
-			case "alloc":
-				if err := ep.ReplayAlloc(op.SubFlowID, units.Bandwidth(op.Bandwidth), op.Gen); err != nil {
-					return err
-				}
-			case "release":
-				ep.ReplayRelease(op.SubFlowID, op.Gen)
-			}
-		}
-	}
-	return nil
 }
 
 // recoveredRARState rebuilds an in-memory route entry from its record.

@@ -10,10 +10,7 @@ import (
 
 	"e2eqos/internal/journal"
 	"e2eqos/internal/obs"
-	"e2eqos/internal/resv"
 	"e2eqos/internal/signalling"
-	"e2eqos/internal/tunnel"
-	"e2eqos/internal/units"
 )
 
 // Replication (DESIGN.md §6.8): a replicated broker group elects one
@@ -95,15 +92,9 @@ type replicator struct {
 	// applyMu serializes stream application on a follower and guards
 	// writes to appliedSeq: one connection's messages arrive in order on
 	// its reader, but a redialled stream, or a new leader's, may overlap
-	// the tail of the old one.
+	// the tail of the old one. It is the lock the broker's replayer runs
+	// under once the broker is shared.
 	applyMu sync.Mutex
-	// resvApply replays reservation-table records in stream order,
-	// tolerating the emission inversions batch recovery tolerates.
-	resvApply *resv.StreamReplayer
-	// pendingOps buffers tunnel sub-flow ops per RAR until they can be
-	// applied dense-in-generation (stream order can invert emission
-	// order under concurrency, but generations are dense per endpoint).
-	pendingOps map[string][]tunnelOpRecord
 
 	electStop chan struct{}
 }
@@ -117,8 +108,6 @@ func newReplicator(b *BB) *replicator {
 		id:         b.cfg.ReplicaID,
 		addrs:      b.cfg.ReplicaAddrs,
 		leaderID:   -1,
-		resvApply:  resv.NewStreamReplayer(b.table),
-		pendingOps: make(map[string][]tunnelOpRecord),
 		appliedSeq: b.journal.Seq(),
 	}
 	r.commitCond = sync.NewCond(&r.mu)
@@ -658,7 +647,12 @@ func (r *replicator) handleStream(p *signalling.JournalStreamPayload) *signallin
 		b.log.Error("replication: stream message refused", "applied", applied, "err", err)
 		return streamReply(false, applied, term)
 	}
-	b.maybeCheckpoint()
+	// A rotation truncates the WAL down to a snapshot of the live state,
+	// which parked ops are not part of yet: their records would be gone
+	// from disk too. The next message retries.
+	if b.replay.idle() {
+		b.maybeCheckpoint()
+	}
 	return streamReply(true, applied, term)
 }
 
@@ -694,133 +688,24 @@ func (r *replicator) applyMessage(p *signalling.JournalStreamPayload, applied in
 // precedes append: a frame that fails to apply must not enter the WAL,
 // and every applied frame is also journaled before it is acknowledged.
 func (r *replicator) applyFrame(raw []byte) error {
-	b := r.b
 	frame, err := journal.CheckFrame(raw)
 	if err != nil {
 		return err
 	}
-	rec := frame.Record()
-	if err := r.resvApply.Apply(rec); err != nil {
+	if err := r.b.replay.apply(frame.Record()); err != nil {
 		return err
 	}
-	ops, _, err := b.applyBBRecord(rec)
-	if err != nil {
-		return err
-	}
-	for _, op := range ops {
-		r.pendingOps[op.RARID] = append(r.pendingOps[op.RARID], op)
-	}
-	switch {
-	case len(ops) > 0:
-		for _, op := range ops {
-			if err := r.drainTunnelOps(op.RARID); err != nil {
-				return err
-			}
-		}
-	case rec.Op == opTunnel || rec.Op == opTunnelBatch:
-		// An endpoint (re)appeared or a batch restored its replay
-		// entry: ops parked while it was absent may now apply.
-		for rarID := range r.pendingOps {
-			if err := r.drainTunnelOps(rarID); err != nil {
-				return err
-			}
-		}
-	}
-	return b.journal.AppendFrame(frame)
-}
-
-// drainTunnelOps applies parked sub-flow ops for one tunnel RAR in
-// dense generation order. Generations are dense per endpoint (every
-// successful allocate/release takes the next one), so the op extending
-// Gen()+1 is always unambiguous; ops from dead epochs are dropped, ops
-// from future epochs wait for their establishment record.
-func (r *replicator) drainTunnelOps(rarID string) error {
-	pend := r.pendingOps[rarID]
-	if len(pend) == 0 {
-		delete(r.pendingOps, rarID)
-		return nil
-	}
-	ep, ok := r.b.tunnels.reg.Get(rarID)
-	if !ok {
-		return nil // establishment not streamed yet; keep parked
-	}
-	kept := pend[:0]
-	for _, op := range pend {
-		if op.Epoch >= ep.Epoch {
-			kept = append(kept, op)
-		}
-	}
-	for progress := true; progress; {
-		progress = false
-		next := ep.Gen() + 1
-		for i, op := range kept {
-			if op.Epoch != ep.Epoch || op.Gen != next {
-				continue
-			}
-			switch op.Action {
-			case "alloc":
-				if err := ep.ReplayAlloc(op.SubFlowID, units.Bandwidth(op.Bandwidth), op.Gen); err != nil {
-					return fmt.Errorf("bb: replication: replaying alloc %s/%s: %w", rarID, op.SubFlowID, err)
-				}
-			case "release":
-				ep.ReplayRelease(op.SubFlowID, op.Gen)
-			}
-			kept = append(kept[:i], kept[i+1:]...)
-			progress = true
-			break
-		}
-	}
-	if len(kept) == 0 {
-		delete(r.pendingOps, rarID)
-	} else {
-		r.pendingOps[rarID] = kept
-	}
-	return nil
+	return r.b.journal.AppendFrame(frame)
 }
 
 // installSnapshot replaces the follower's entire broker state with the
-// leader's snapshot, in place (gauges and handlers keep their table and
-// registry pointers), then rotates the follower's own journal onto the
+// leader's snapshot, then rotates the follower's own journal onto the
 // installed state so no stale pre-resync suffix survives a restart.
 func (r *replicator) installSnapshot(data []byte) error {
 	b := r.b
-	st, err := decodeBrokerState(data)
-	if err != nil {
+	if err := b.replay.install(data); err != nil {
 		return err
 	}
-	if err := b.table.ResetFrom(st.Table); err != nil {
-		return err
-	}
-	b.mu.Lock()
-	if st.Epoch > b.rarEpoch {
-		b.rarEpoch = st.Epoch
-	}
-	b.routes = make(map[string]*rarState, len(st.RARs))
-	for _, rr := range st.RARs {
-		b.routes[rr.RARID] = recoveredRARState(rr)
-	}
-	b.mu.Unlock()
-	eps := make([]*tunnel.Endpoint, 0, len(st.Tunnels))
-	for _, ts := range st.Tunnels {
-		ep, err := tunnel.Restore(ts)
-		if err != nil {
-			return fmt.Errorf("bb: replication: restoring tunnel %s: %w", ts.RARID, err)
-		}
-		eps = append(eps, ep)
-	}
-	b.tunnels.reg.ResetTo(eps)
-	b.tunnels.resetBatches(st.TunnelBatches)
-	// The leader's open rollback debt rides its snapshot; a follower
-	// holds it passively until promotion resumes the compensations. A
-	// snapshot without sagas clears the follower's set: a saga it still
-	// holds was settled by the leader, and resuming it on promotion would
-	// compensate against a granted reservation.
-	if err := b.sagas.Restore(st.Sagas); err != nil {
-		return fmt.Errorf("bb: replication: restoring sagas: %w", err)
-	}
-	// Stream-side scratch state is superseded wholesale.
-	r.pendingOps = make(map[string][]tunnelOpRecord)
-	r.resvApply.Reset()
 	if err := b.journal.Rotate(b.snapshotState); err != nil {
 		// The WAL is degraded but the live state is correct; the sticky
 		// journal error surfaces through its own stats.
@@ -918,6 +803,16 @@ func (r *replicator) promote() error {
 	b.mu.Lock()
 	b.rarEpoch += epochFenceStride
 	b.mu.Unlock()
+
+	// The stream this follower applied has ended exactly as a WAL tail
+	// ends (the term fence refuses the old leader from here on): whatever
+	// the replayer still has parked is all there will be.
+	r.applyMu.Lock()
+	err := b.replay.flush()
+	r.applyMu.Unlock()
+	if err != nil {
+		return fmt.Errorf("bb %s: election at term %d won, but the journaled state does not replay: %w", b.cfg.Domain, term, err)
+	}
 
 	r.mu.Lock()
 	if r.term != term || r.closed {

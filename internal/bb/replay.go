@@ -1,0 +1,271 @@
+package bb
+
+import (
+	"cmp"
+	"fmt"
+	"slices"
+	"strings"
+
+	"e2eqos/internal/journal"
+	"e2eqos/internal/resv"
+	"e2eqos/internal/saga"
+	"e2eqos/internal/tunnel"
+	"e2eqos/internal/units"
+)
+
+// replayer turns journaled state back into broker state, and is the only
+// thing that does (DESIGN.md §6.4, "Replay: one engine, two feeds"). Boot
+// recovery feeds it the snapshot and WAL tail a previous incarnation left;
+// a replication follower feeds it the snapshots and frames its leader
+// streams. Both install a snapshot in place, apply records one at a time
+// in journal order, and flush when the feed ends — the end of the tail at
+// boot, the election win of a promoted follower — so a broker promoted
+// from a stream and one booted from the journal that stream wrote hold
+// the same state by construction.
+//
+// Route and tunnel (re)registrations are higher-epoch-wins, removals
+// match their epoch exactly, table records go through the
+// resv.StreamReplayer. Sub-flow ops need more: emit-after-unlock lets the
+// journal order of ops on different sub-flows disagree with the order
+// they were applied in, and lets an op overtake its tunnel's
+// establishment record. Generations are dense per endpoint, so the op
+// that extends Gen()+1 is always unambiguous; an op that does not is
+// parked until the ones before it arrive.
+//
+// Not safe for concurrent use: New runs it before the broker is shared,
+// a follower under applyMu.
+type replayer struct {
+	b    *BB
+	resv *resv.StreamReplayer
+	// parked holds, per tunnel RAR, the sub-flow ops that cannot apply
+	// yet: their endpoint has not been established, or an op of a lower
+	// generation has not arrived. Their records are in the WAL but not in
+	// any snapshot, so the WAL must not be rotated away while one waits.
+	parked map[string][]parkedOp
+}
+
+// parkedOp is one journaled sub-flow mutation out of its batch record,
+// pinned to the registration (epoch) of the tunnel it was applied to.
+type parkedOp struct {
+	epoch int64
+	tunnelOpRec
+}
+
+func newReplayer(b *BB) *replayer {
+	return &replayer{b: b, resv: resv.NewStreamReplayer(b.table), parked: make(map[string][]parkedOp)}
+}
+
+// idle reports that nothing is parked: the live state reflects every
+// record applied so far.
+func (rp *replayer) idle() bool { return len(rp.parked) == 0 }
+
+// install replaces the broker's entire durable state with a snapshot's,
+// in place: gauges and handlers keep their table and registry pointers.
+// The tunnels and the table are validated before anything is touched.
+func (rp *replayer) install(data []byte) error {
+	b := rp.b
+	st, err := decodeBrokerState(data)
+	if err != nil {
+		return err
+	}
+	eps := make([]*tunnel.Endpoint, 0, len(st.Tunnels))
+	for _, ts := range st.Tunnels {
+		ep, err := tunnel.Restore(ts)
+		if err != nil {
+			return fmt.Errorf("restoring tunnel %s: %w", ts.RARID, err)
+		}
+		eps = append(eps, ep)
+	}
+	if err := b.table.ResetFrom(st.Table); err != nil {
+		return err
+	}
+	b.mu.Lock()
+	b.rarEpoch = max(b.rarEpoch, st.Epoch)
+	b.routes = make(map[string]*rarState, len(st.RARs))
+	for _, rr := range st.RARs {
+		b.routes[rr.RARID] = recoveredRARState(rr)
+	}
+	b.mu.Unlock()
+	b.tunnels.reg.ResetTo(eps)
+	b.tunnels.resetBatches(st.TunnelBatches)
+	// Open rollback debt rides the snapshot; a follower holds it passively
+	// until promotion resumes the compensations. A snapshot without sagas
+	// clears the set: a saga still held was settled by the leader, and
+	// resuming it on promotion would compensate against a granted
+	// reservation.
+	if err := b.sagas.Restore(st.Sagas); err != nil {
+		return fmt.Errorf("restoring sagas: %w", err)
+	}
+	// Whatever was parked or tombstoned belongs to the state just replaced.
+	clear(rp.parked)
+	rp.resv.Reset()
+	return nil
+}
+
+// noteEpoch keeps the epoch counter at or above every epoch a record
+// carries, so a recovered or promoted broker never mints one again.
+func (b *BB) noteEpoch(epoch int64) {
+	b.mu.Lock()
+	b.rarEpoch = max(b.rarEpoch, epoch)
+	b.mu.Unlock()
+}
+
+// apply replays one journal record onto the live state. Every record is
+// absolute, so one the state already reflects is a no-op. An unknown
+// "bb." or "resv." op is an error, not a skip: a version-skew tripwire —
+// a journal written before PR 23 holds its single-op sub-flows as
+// bb.tunnel_alloc / bb.tunnel_release, and skipping those would bring up
+// a tunnel without them. Ops of no known vocabulary are ignored.
+func (rp *replayer) apply(r journal.Record) error {
+	if err := rp.resv.Apply(r); err != nil {
+		return err
+	}
+	b := rp.b
+	switch r.Op {
+	case opRAR:
+		var rr rarRec
+		if err := r.Decode(&rr); err != nil {
+			return err
+		}
+		b.noteEpoch(rr.Epoch)
+		b.mu.Lock()
+		// Concurrent emission can reorder records for a reused RAR
+		// id; the higher epoch is always the later registration.
+		if cur, ok := b.routes[rr.RARID]; !ok || cur.Epoch <= rr.Epoch {
+			b.routes[rr.RARID] = recoveredRARState(rr)
+		}
+		b.mu.Unlock()
+	case opRARCancel:
+		var cr rarCancelRec
+		if err := r.Decode(&cr); err != nil {
+			return err
+		}
+		b.noteEpoch(cr.Epoch)
+		b.mu.Lock()
+		// Remove only the registration this cancel actually ended: a
+		// stale cancel must not evict a fresh re-registration.
+		if cur, ok := b.routes[cr.RARID]; ok && cur.Epoch == cr.Epoch {
+			delete(b.routes, cr.RARID)
+		}
+		b.mu.Unlock()
+	case opTunnel:
+		var ts tunnel.EndpointSnapshot
+		if err := r.Decode(&ts); err != nil {
+			return err
+		}
+		b.noteEpoch(ts.Epoch)
+		// The higher epoch is always the later registration of a reused
+		// tunnel RAR id. The same epoch is the same registration, which
+		// came with a snapshot cut between the registration and this
+		// record's append: it holds at least what the record does, and the
+		// ops since are in the records that follow.
+		if cur, ok := b.tunnels.reg.Get(ts.RARID); ok && cur.Epoch >= ts.Epoch {
+			return nil
+		}
+		ep, err := tunnel.Restore(ts)
+		if err != nil {
+			return fmt.Errorf("restoring tunnel %s: %w", ts.RARID, err)
+		}
+		b.tunnels.reg.Replace(ep)
+		return rp.drain(ts.RARID, false) // ops that overtook this record
+	case opTunnelRemove:
+		var cr rarCancelRec
+		if err := r.Decode(&cr); err != nil {
+			return err
+		}
+		b.noteEpoch(cr.Epoch)
+		if cur, ok := b.tunnels.reg.Get(cr.RARID); ok && cur.Epoch == cr.Epoch {
+			b.tunnels.reg.Remove(cr.RARID)
+			b.tunnels.dropBatches(cr.RARID, cr.Epoch)
+		}
+		// Ops still parked for the registration that just ended are moot.
+		rp.park(cr.RARID, slices.DeleteFunc(rp.parked[cr.RARID], func(op parkedOp) bool { return op.epoch <= cr.Epoch }))
+	case opTunnelBatch:
+		var br tunnelBatchRec
+		if err := r.Decode(&br); err != nil {
+			return err
+		}
+		if br.BatchID != "" {
+			b.tunnels.restoreBatch(br.RARID, br.Epoch, br.BatchID, br.Outcome)
+		}
+		if len(br.Ops) == 0 {
+			return nil
+		}
+		ops := rp.parked[br.RARID]
+		for _, op := range br.Ops {
+			ops = append(ops, parkedOp{br.Epoch, op})
+		}
+		rp.parked[br.RARID] = ops
+		return rp.drain(br.RARID, false)
+	default:
+		// Saga records (the rollback-debt ledger) replay into the
+		// coordinator; Resume, once this broker leads, presumed-aborts
+		// whatever is still live and restarts its compensations.
+		if saga.IsSagaOp(r.Op) {
+			_, err := b.sagas.ApplyRecord(r)
+			return err
+		}
+		if strings.HasPrefix(r.Op, "bb.") {
+			return fmt.Errorf("bb: unknown journal op %q", r.Op)
+		}
+	}
+	return nil
+}
+
+// park stores what is left of a tunnel's parked ops.
+func (rp *replayer) park(rarID string, ops []parkedOp) {
+	if len(ops) == 0 {
+		delete(rp.parked, rarID)
+	} else {
+		rp.parked[rarID] = ops
+	}
+}
+
+// drain applies one tunnel's parked ops in generation order through the
+// endpoint's idempotent replay entry points, for as long as each extends
+// the endpoint's generation by one — or, with gaps set, whatever the
+// generation: flush's rule, for a feed that has ended. Ops of a dead
+// registration, and ops the endpoint already reflects (they came with
+// the snapshot it was restored from), are dropped; ops of a registration
+// not established yet stay parked, as does everything while the tunnel
+// is absent.
+func (rp *replayer) drain(rarID string, gaps bool) error {
+	ops := rp.parked[rarID]
+	ep, ok := rp.b.tunnels.reg.Get(rarID)
+	if !ok || len(ops) == 0 {
+		return nil
+	}
+	slices.SortFunc(ops, func(x, y parkedOp) int { return cmp.Compare(x.Gen, y.Gen) })
+	kept := ops[:0]
+	for _, op := range ops {
+		switch {
+		case op.epoch < ep.Epoch || (op.epoch == ep.Epoch && op.Gen <= ep.Gen()):
+			// dead registration, or already reflected: dropped
+		case op.epoch > ep.Epoch || (!gaps && op.Gen != ep.Gen()+1):
+			kept = append(kept, op)
+		case op.Action == "alloc":
+			if err := ep.ReplayAlloc(op.SubFlowID, units.Bandwidth(op.Bandwidth), op.Gen); err != nil {
+				return err
+			}
+		case op.Action == "release":
+			ep.ReplayRelease(op.SubFlowID, op.Gen)
+		}
+	}
+	rp.park(rarID, kept)
+	return nil
+}
+
+// flush ends a feed: nothing more is coming that could fill a generation
+// gap (the record died with the process that was to emit it) or establish
+// a tunnel, so what is still parked applies in generation order with gaps
+// allowed, and what has no endpoint to apply to is dropped. It runs at
+// the end of boot recovery and when a follower wins an election.
+func (rp *replayer) flush() error {
+	for rarID := range rp.parked {
+		if err := rp.drain(rarID, true); err != nil {
+			return err
+		}
+	}
+	clear(rp.parked)
+	return nil
+}

@@ -1,0 +1,296 @@
+package bb_test
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"e2eqos/internal/bb"
+	"e2eqos/internal/experiment"
+	"e2eqos/internal/journal"
+	"e2eqos/internal/resv"
+	"e2eqos/internal/signalling"
+	"e2eqos/internal/tunnel"
+	"e2eqos/internal/units"
+)
+
+// One replay engine, two feeds (DESIGN.md §6.4): the tests below hand the
+// same journal records to a broker booting from a WAL and to a follower
+// of a dead leader that is then promoted, and hold the two to each other.
+
+const replayTunnel = "RAR-T"
+
+// tunnelAt is the establishment record of replayTunnel's registration at
+// epoch: 100 Mb/s, no sub-flows yet.
+func tunnelAt(epoch int64) []byte {
+	return bb.TunnelFrame(tunnel.EndpointSnapshot{
+		RARID: replayTunnel, Aggregate: 100 * units.Mbps,
+		Window: units.NewWindow(time.Unix(1_700_000_000, 0), time.Hour),
+		PeerBB: "/O=Grid/OU=Domain1/CN=bb", Owner: "/O=Grid/CN=alice", Epoch: epoch,
+	})
+}
+
+func allocOp(sub string, gen int64) bb.TunnelOpRec {
+	return bb.TunnelOpRec{Action: "alloc", SubFlowID: sub, Bandwidth: int64(units.Mbps), Gen: gen}
+}
+
+func releaseOp(sub string, gen int64) bb.TunnelOpRec {
+	return bb.TunnelOpRec{Action: "release", SubFlowID: sub, Gen: gen}
+}
+
+// batchAt is a batch record against replayTunnel's registration at epoch.
+func batchAt(epoch int64, batchID string, ops ...bb.TunnelOpRec) []byte {
+	return bb.TunnelBatchFrame(replayTunnel, epoch, batchID, ops...)
+}
+
+// admitThenCompact returns genuine resv.admit and resv.compact frames of
+// one reservation in a "net-Domain0" table, as that table journaled them.
+func admitThenCompact(t *testing.T) (admit, compact []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	now := time.Unix(1_700_000_000, 0)
+	tbl, err := resv.NewTable("net-"+sagaDomain, 100*units.Mbps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl.SetClock(func() time.Time { return now })
+	j, _, err := journal.Open(dir, journal.Options{Fsync: journal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resv.AttachJournal(tbl, j)
+	if _, err := tbl.Admit(resv.AdmitRequest{Bandwidth: units.Mbps, Window: units.NewWindow(now, time.Minute)}); err != nil {
+		t.Fatal(err)
+	}
+	if n := tbl.Compact(now.Add(24 * time.Hour)); n != 1 {
+		t.Fatalf("compacted %d reservations, want 1", n)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := journal.Recover(dir)
+	if err != nil || len(rec.Records) != 2 {
+		t.Fatalf("scratch journal: %d records, err=%v", len(rec.Records), err)
+	}
+	frames := make([][]byte, 2)
+	for i, r := range rec.Records {
+		if frames[i], err = journal.EncodeRecord(r.Op, journal.RawBinary(r.Data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return frames[0], frames[1]
+}
+
+// bootFrom starts an unreplicated Domain0 broker on a state directory
+// that fill has populated, the way a restarted daemon finds it.
+func bootFrom(t *testing.T, fill func(dir string)) *bb.BB {
+	t.Helper()
+	state := t.TempDir()
+	w, err := experiment.BuildWorld(experiment.WorldConfig{NumDomains: 1, StateDir: state, FsyncPolicy: "never"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	if err := w.CrashDomain(sagaDomain); err != nil {
+		t.Fatal(err)
+	}
+	fill(filepath.Join(state, sagaDomain))
+	if err := w.RestartDomainFromJournal(sagaDomain); err != nil {
+		t.Fatal(err)
+	}
+	return w.BBs[sagaDomain]
+}
+
+// bootFromCopy boots a broker from a copy of another's state directory.
+// (Under the "never" and "always" fsync policies every append is written
+// through, so the files are current while their owner runs.)
+func bootFromCopy(t *testing.T, src string) *bb.BB {
+	t.Helper()
+	return bootFrom(t, func(dir string) {
+		for _, name := range []string{"snapshot.json", "wal.log"} {
+			data, err := os.ReadFile(filepath.Join(src, name))
+			if os.IsNotExist(err) {
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// newIdleFollower is replica 1 of a three-replica Domain0 that holds
+// nothing and whose leader is dead, with its state directory.
+func newIdleFollower(t *testing.T) (*sagaFollower, string) {
+	t.Helper()
+	state := t.TempDir()
+	w, err := experiment.BuildWorld(experiment.WorldConfig{
+		NumDomains: 1, Replicas: 3, StateDir: state, FsyncPolicy: "never", CallTimeout: time.Second, EnableObs: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	for i := 1; i < 3; i++ {
+		eventually(t, fmt.Sprintf("replica %d joins the stream", i), func() bool {
+			return replMetric(w, sagaDomain, i, "bb_repl_snapshots_installed_total") >= 1
+		})
+	}
+	if _, err := w.KillLeader(sagaDomain); err != nil {
+		t.Fatal(err)
+	}
+	return &sagaFollower{t: t, w: w, b: w.ReplicaBB(sagaDomain, 1)}, filepath.Join(state, sagaDomain, "r1")
+}
+
+// streamFrames delivers frames in order, cut into messages of up to max
+// frames at points rng picks.
+func (f *sagaFollower) streamFrames(rng *rand.Rand, max int, frames ...[]byte) {
+	f.t.Helper()
+	for len(frames) > 0 {
+		n := 1 + rng.Intn(min(max, len(frames)))
+		f.stream(signalling.JournalStreamPayload{FromSeq: f.b.ReplicationStatus().AppliedSeq, Records: frames[:n]})
+		frames = frames[n:]
+	}
+}
+
+// holds describes what the replay tests look at: the table's size, the
+// tunnel's registration, generation and sub-flows, the replay cache.
+func holds(b *bb.BB) string {
+	tun := "no tunnel"
+	if ep, ok := b.Tunnel(replayTunnel); ok {
+		tun = fmt.Sprintf("tunnel@%d gen=%d %v", ep.Epoch, ep.Gen(), ep.SubFlows())
+	}
+	return fmt.Sprintf("%d reservations, %s, %d replay entries", b.Table().Len(), tun, len(b.ReplayEntries()))
+}
+
+// TestReplayEdgesThroughBothFeeds: every edge the boot-time and the
+// follower-side replay used to own separately, through both feeds of the
+// one engine. Each row is a journal tail; a broker booted from it and a
+// follower streamed it in randomly cut messages and then promoted must
+// hold the stated state, and the same state byte for byte.
+func TestReplayEdgesThroughBothFeeds(t *testing.T) {
+	admit, compact := admitThenCompact(t)
+	const seed = 24
+	rng := rand.New(rand.NewSource(seed))
+	for _, row := range []struct {
+		name   string
+		frames [][]byte
+		want   string
+	}{
+		{"compact before its admit", [][]byte{compact, admit},
+			"0 reservations, no tunnel, 0 replay entries"},
+		{"generation inversion inside the tail", [][]byte{
+			tunnelAt(1), batchAt(1, "B-2", allocOp("b", 2), allocOp("c", 4)), batchAt(1, "B-1", allocOp("a", 1), releaseOp("b", 3)),
+		}, "0 reservations, tunnel@1 gen=4 [a c], 2 replay entries"},
+		{"generation gap at the end", [][]byte{tunnelAt(1), batchAt(1, "B-2", allocOp("b", 2))},
+			"0 reservations, tunnel@1 gen=2 [b], 1 replay entries"},
+		{"op from a dead epoch", [][]byte{tunnelAt(1), bb.TunnelRemoveFrame(replayTunnel, 1), tunnelAt(2), batchAt(1, "", allocOp("x", 1))},
+			"0 reservations, tunnel@2 gen=0 [], 0 replay entries"},
+		{"op after its tunnel's removal", [][]byte{tunnelAt(1), bb.TunnelRemoveFrame(replayTunnel, 1), batchAt(1, "", allocOp("x", 1))},
+			"0 reservations, no tunnel, 0 replay entries"},
+		{"op ahead of its establishment", [][]byte{batchAt(1, "B-1", allocOp("a", 1)), tunnelAt(1)},
+			"0 reservations, tunnel@1 gen=1 [a], 1 replay entries"},
+		{"tunnel re-registered at a higher epoch", [][]byte{
+			tunnelAt(1), batchAt(1, "", allocOp("a", 1)), batchAt(2, "B-1", allocOp("b", 1)), tunnelAt(2), tunnelAt(1),
+		}, "0 reservations, tunnel@2 gen=1 [b], 1 replay entries"},
+		{"establishment repeated after its ops", [][]byte{tunnelAt(1), batchAt(1, "B-1", allocOp("a", 1)), tunnelAt(1)},
+			"0 reservations, tunnel@1 gen=1 [a], 1 replay entries"},
+		{"establishment that never arrives", [][]byte{batchAt(1, "B-1", allocOp("a", 1))},
+			"0 reservations, no tunnel, 1 replay entries"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			booted := bootFrom(t, func(dir string) {
+				if err := os.WriteFile(filepath.Join(dir, "wal.log"), bytes.Join(row.frames, nil), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			})
+			f, _ := newIdleFollower(t)
+			f.streamFrames(rng, len(row.frames), row.frames...)
+			f.promote()
+			for feed, b := range map[string]*bb.BB{"booted from the WAL": booted, "promoted follower": f.b} {
+				if got := holds(b); got != row.want {
+					t.Errorf("%s (seed %d) holds %s, want %s", feed, seed, got, row.want)
+				}
+			}
+			want, err := booted.DigestSansEpoch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := f.b.DigestSansEpoch(); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("the feeds disagree (seed %d, err=%v)\n booted:   %x\n promoted: %x", seed, err, want, got)
+			}
+		})
+	}
+}
+
+// TestPromotedFollowerHoldsWhatItsJournalHolds: the leader dies between
+// the two halves of an emission inversion — the follower has a tunnel's
+// establishment and a granted batch whose op carries generation 2, and
+// generation 1's record will never come. Both frames were acknowledged
+// and journaled, and the batch's replay entry answers "granted", so the
+// promoted follower must hold the sub-flow, exactly as a broker booted
+// from that replica's state directory does.
+func TestPromotedFollowerHoldsWhatItsJournalHolds(t *testing.T) {
+	f, dir := newIdleFollower(t)
+	f.stream(signalling.JournalStreamPayload{
+		FromSeq: f.b.ReplicationStatus().AppliedSeq,
+		Records: [][]byte{tunnelAt(1), batchAt(1, "B-2", allocOp("b", 2))},
+	})
+	f.promote()
+	booted := bootFromCopy(t, dir)
+	const want = "0 reservations, tunnel@1 gen=2 [b], 1 replay entries"
+	if got := holds(f.b); got != want {
+		t.Errorf("the promoted follower holds %s, want %s", got, want)
+	}
+	if got := holds(booted); got != want {
+		t.Errorf("a broker booted from the follower's journal holds %s, want %s", got, want)
+	}
+	for _, b := range []*bb.BB{f.b, booted} {
+		if e := b.ReplayEntries(); len(e) != 1 || e[0].BatchID != "B-2" || !e[0].Outcome.Result.Granted {
+			t.Errorf("replay entries %+v, want B-2 answered granted", e)
+		}
+	}
+}
+
+// TestFollowerKeepsItsJournalWhileOpsAreParked: a parked op is in the WAL
+// and in no snapshot, so a follower that rotated its journal with one
+// parked would hold it nowhere on disk. It must sit the rotation out — a
+// restart from its directory still finds the sub-flow — and rotate on the
+// first message after the gap has filled.
+func TestFollowerKeepsItsJournalWhileOpsAreParked(t *testing.T) {
+	f, dir := newIdleFollower(t)
+	rng := rand.New(rand.NewSource(24))
+	f.streamFrames(rng, 2, tunnelAt(1), batchAt(1, "B-2", allocOp("b", 2)))
+	checkpoints := f.metric("bb_checkpoints_total")
+	noop := make([][]byte, journal.DefRotateEvery+1)
+	for i := range noop {
+		noop[i] = bb.RARCancelFrame("RAR-nobody", 0)
+	}
+	f.streamFrames(rng, 256, noop...)
+	if n := f.metric("bb_checkpoints_total") - checkpoints; n != 0 {
+		t.Errorf("the follower rotated its journal %v times with an op parked", n)
+	}
+	const want = "0 reservations, tunnel@1 gen=2 [b], 1 replay entries"
+	if got := holds(bootFromCopy(t, dir)); got != want {
+		t.Errorf("a broker booted from the follower's directory holds %s, want %s", got, want)
+	}
+
+	f.streamFrames(rng, 1, batchAt(1, "B-1", allocOp("a", 1)))
+	if n := f.metric("bb_checkpoints_total") - checkpoints; n != 1 {
+		t.Errorf("bb_checkpoints_total moved by %v once nothing was parked, want 1", n)
+	}
+	const filled = "0 reservations, tunnel@1 gen=2 [a b], 2 replay entries"
+	if got := holds(f.b); got != filled {
+		t.Errorf("the follower holds %s, want %s", got, filled)
+	}
+	if got := holds(bootFromCopy(t, dir)); got != filled {
+		t.Errorf("a broker booted from the rotated directory holds %s, want %s", got, filled)
+	}
+}

@@ -88,15 +88,6 @@ func (t *Table) setEmit(fn func(op string, data journal.BinaryRecord)) {
 	t.mu.Unlock()
 }
 
-// JournaledTable pairs a Table with the write-ahead journal recording
-// its mutations. All Table methods are promoted unchanged; the pairing
-// wires the table's emission hook to journal appends and adds the
-// snapshot+truncate checkpoint.
-type JournaledTable struct {
-	*Table
-	Journal *journal.Journal
-}
-
 // AttachJournal wires t's emission hook to j: every subsequent
 // successful Admit, Modify, Cancel and Compact (including the
 // automatic sweep piggybacked on Admit) appends one typed record.
@@ -113,39 +104,29 @@ func AttachJournal(t *Table, j *journal.Journal) {
 	})
 }
 
-// NewJournaledTable attaches j to t (see AttachJournal) and returns
-// the pairing. A nil journal yields a functioning but unjournaled
-// pairing.
-func NewJournaledTable(t *Table, j *journal.Journal) *JournaledTable {
-	if j != nil {
-		AttachJournal(t, j)
-	}
-	return &JournaledTable{Table: t, Journal: j}
-}
-
-// Checkpoint rotates the journal: persists a fresh table snapshot and
-// truncates the record tail.
-func (jt *JournaledTable) Checkpoint() error {
-	return jt.Journal.Rotate(jt.Table.Snapshot)
-}
-
 // streamTombHorizon bounds how long a StreamReplayer remembers a
 // compaction tombstone, in applied records. A tombstone only matters
 // when the compact record overtook the admit record it removes — an
 // inversion produced by a goroutine preempted between applying and
 // emitting, so the two records sit within an emission window of each
 // other, never thousands of records apart. The horizon keeps the
-// tombstone set bounded on a long-lived follower.
+// tombstone set bounded on a long-lived follower; a WAL tail replayed
+// at boot is rotated away at about half of it.
 const streamTombHorizon = 8192
 
 // StreamReplayer applies journaled table records one at a time, in
-// stream order, with the same tolerance for emission-order inversions
-// that batch Replay gets from its tombstone pre-scan: a compact record
-// that arrives before the admit record it removed leaves a tombstone
-// behind, and the late admit is suppressed when it shows up. A
-// replication follower drives one of these with the records streamed
-// off its leader's journal. Not safe for concurrent use; the follower
-// serializes stream application anyway.
+// journal order, on top of a table holding the snapshot they follow (or
+// an empty one): the one way a record reaches a table, at boot from the
+// WAL tail and on a replication follower from its leader's stream. Every
+// record is absolute, so one the table already reflects is a no-op. It
+// tolerates what concurrent emission can do to the order: a compact
+// record that arrives before the admit record it removed (the admitter
+// was preempted between applying and emitting) leaves a tombstone
+// behind, and the late admit is suppressed when it shows up — handles
+// are never reused, so the tombstone is unambiguous; modify and cancel
+// records for absent handles are skipped, the entry was compacted and
+// the mutation is moot. Not safe for concurrent use; both feeds are
+// serial.
 type StreamReplayer struct {
 	t     *Table
 	seq   int64 // records applied, for tombstone aging
@@ -157,16 +138,17 @@ func NewStreamReplayer(t *Table) *StreamReplayer {
 	return &StreamReplayer{t: t, tombs: make(map[string]int64)}
 }
 
-// Reset forgets all stream state — called after the follower installs
-// a full snapshot, which already reflects everything the tombstones
-// were guarding against.
+// Reset forgets the tombstones — called when a full snapshot replaces
+// the table's state, which already reflects everything they were
+// guarding against.
 func (s *StreamReplayer) Reset() {
 	s.tombs = make(map[string]int64)
 }
 
 // Apply replays one journaled record. Records outside the "resv."
-// vocabulary are ignored; unknown "resv." ops are an error, exactly as
-// in Replay.
+// vocabulary are ignored, so a mixed broker journal feeds straight
+// through; an unknown "resv." op is an error (a version-skew tripwire,
+// not a tolerable torn write).
 func (s *StreamReplayer) Apply(rec journal.Record) error {
 	if !strings.HasPrefix(rec.Op, "resv.") {
 		return nil
@@ -236,94 +218,4 @@ func (s *StreamReplayer) Apply(rec journal.Record) error {
 		return fmt.Errorf("resv: replay: unknown record op %q", rec.Op)
 	}
 	return nil
-}
-
-// Replay applies journaled table records on top of t, which holds the
-// snapshot state (or is empty when no snapshot was ever rotated). It
-// returns the number of records applied. Records with ops outside the
-// "resv." vocabulary are ignored so callers can feed a mixed broker
-// journal straight through; unknown "resv." ops are an error (a
-// version-skew tripwire, not a tolerable torn write).
-//
-// Replay is deliberately forgiving about interleavings that concurrent
-// emission can produce: an admit whose handle a later compact record
-// removes is suppressed (handles are never reused, so the tombstone is
-// unambiguous), and modify/cancel records for absent handles are
-// skipped rather than failed — the entry was compacted, making the
-// mutation moot.
-func Replay(t *Table, recs []journal.Record) (int, error) {
-	// Tombstone pre-scan: emission order can place a compact record
-	// before the admit record of a handle it removed (the admitter was
-	// preempted between applying and emitting). Collect every removed
-	// handle first so such admits are never resurrected.
-	tomb := make(map[string]bool)
-	for _, rec := range recs {
-		if rec.Op != opCompact {
-			continue
-		}
-		var c compactRec
-		if err := rec.Decode(&c); err != nil {
-			return 0, err
-		}
-		for _, h := range c.Removed {
-			tomb[h] = true
-		}
-	}
-
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	applied := 0
-	for _, rec := range recs {
-		if !strings.HasPrefix(rec.Op, "resv.") {
-			continue
-		}
-		switch rec.Op {
-		case opAdmit:
-			var a admitRec
-			if err := rec.Decode(&a); err != nil {
-				return applied, err
-			}
-			if a.Seq > t.seq {
-				t.seq = a.Seq
-			}
-			if tomb[a.Resv.Handle] {
-				break // compacted later in this very tail
-			}
-			if _, ok := t.resv[a.Resv.Handle]; ok {
-				break // snapshot already reflects it
-			}
-			r := a.Resv
-			t.insertLocked(&r)
-		case opModify:
-			var m modifyRec
-			if err := rec.Decode(&m); err != nil {
-				return applied, err
-			}
-			if r, ok := t.resv[m.Handle]; ok && r.Status == Granted {
-				t.setBandwidthLocked(r, m.Bandwidth)
-			}
-		case opCancel:
-			var c cancelRec
-			if err := rec.Decode(&c); err != nil {
-				return applied, err
-			}
-			if r, ok := t.resv[c.Handle]; ok && r.Status == Granted {
-				t.killLocked(r, c.CancelledAt)
-			}
-		case opCompact:
-			var c compactRec
-			if err := rec.Decode(&c); err != nil {
-				return applied, err
-			}
-			for _, h := range c.Removed {
-				if r, ok := t.resv[h]; ok {
-					t.dropLocked(r)
-				}
-			}
-		default:
-			return applied, fmt.Errorf("resv: replay: unknown record op %q", rec.Op)
-		}
-		applied++
-	}
-	return applied, nil
 }

@@ -296,9 +296,9 @@ func errText(err error) string {
 // TestLedgerMatchesSweepProperty drives a table and its sweep-only twin
 // through one seeded random history that takes every write path of the
 // map — Admit, Modify, Cancel, Compact and the sweep inside Admit,
-// Snapshot→RestoreTable, ResetFrom, Replay, and StreamReplayer.Apply on
-// a follower fed the table's own records — and after every step holds
-// table and follower to the twin: the same verdicts and error strings,
+// Snapshot→RestoreTable, ResetFrom, a crash recovery's replay of the
+// tail, and StreamReplayer.Apply on a follower fed the table's own
+// records — and after every step holds table and follower to the twin: the same verdicts and error strings,
 // the same journal records, the same snapshot bytes, the same Available
 // and CommittedAt on random and edge-aligned windows, and a ledger that
 // equals the one rebuilt from the map. Windows touch end to start,
@@ -490,9 +490,7 @@ func TestLedgerMatchesSweepProperty(t *testing.T) {
 			}
 		case k < 95: // crash recovery: the last base snapshot plus the tail since
 			recovered := mustRestore(t, base)
-			if _, err := Replay(recovered, tail); err != nil {
-				t.Fatalf("step %d: Replay: %v", step, err)
-			}
+			replayAll(t, recovered, tail)
 			sut = adopt(recovered)
 			base, tail = mustSnapshot(t, sut), nil
 		case k < 98: // failover: the follower takes over and gets a follower of its own
@@ -559,9 +557,7 @@ func TestLedgerIgnoresDamagedWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Replay(tab, []journal.Record{rec}); err != nil {
-		t.Fatal(err)
-	}
+	replayAll(t, tab, []journal.Record{rec})
 	checkLedger(t, tab)
 	if got := tab.Available(win(0, 60)); got != 70*units.Mbps {
 		t.Errorf("Available = %v, want 70Mb/s: the damaged entry counted", got)

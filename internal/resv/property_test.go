@@ -34,10 +34,20 @@ func reconstruct(t *testing.T, dir, name string, capacity units.Bandwidth) *Tabl
 			t.Fatal(err)
 		}
 	}
-	if _, err := Replay(tbl, rec.Records); err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
+	replayAll(t, tbl, rec.Records)
 	return tbl
+}
+
+// replayAll applies a record tail to tbl through a StreamReplayer of its
+// own, as boot recovery does.
+func replayAll(t *testing.T, tbl *Table, recs []journal.Record) {
+	t.Helper()
+	rep := NewStreamReplayer(tbl)
+	for i, rec := range recs {
+		if err := rep.Apply(rec); err != nil {
+			t.Fatalf("replaying record %d (%s): %v", i, rec.Op, err)
+		}
+	}
 }
 
 // TestJournalCrashReplayProperty drives a plain table and its
@@ -78,7 +88,7 @@ func TestJournalCrashReplayProperty(t *testing.T) {
 		if rec.Snapshot != nil || len(rec.Records) != 0 {
 			t.Fatalf("trial %d: fresh dir not empty", trial)
 		}
-		jt := NewJournaledTable(twin, j)
+		AttachJournal(twin, j)
 
 		// The random cut point: each trial stops the mutation stream at
 		// a different place, so recovery is exercised against every
@@ -97,7 +107,7 @@ func TestJournalCrashReplayProperty(t *testing.T) {
 					Tunnel:    rng.Intn(8) == 0,
 				}
 				r1, err1 := plain.Admit(req)
-				r2, err2 := jt.Admit(req)
+				r2, err2 := twin.Admit(req)
 				if (err1 == nil) != (err2 == nil) {
 					t.Fatalf("trial %d op %d: admit diverged: %v vs %v", trial, i, err1, err2)
 				}
@@ -113,7 +123,7 @@ func TestJournalCrashReplayProperty(t *testing.T) {
 				}
 				h := handles[rng.Intn(len(handles))]
 				err1 := plain.Cancel(h)
-				err2 := jt.Cancel(h)
+				err2 := twin.Cancel(h)
 				if (err1 == nil) != (err2 == nil) {
 					t.Fatalf("trial %d op %d: cancel(%s) diverged: %v vs %v", trial, i, h, err1, err2)
 				}
@@ -124,7 +134,7 @@ func TestJournalCrashReplayProperty(t *testing.T) {
 				h := handles[rng.Intn(len(handles))]
 				bw := units.Bandwidth(1+rng.Intn(80)) * units.Mbps
 				err1 := plain.Modify(h, bw)
-				err2 := jt.Modify(h, bw)
+				err2 := twin.Modify(h, bw)
 				if (err1 == nil) != (err2 == nil) {
 					t.Fatalf("trial %d op %d: modify(%s) diverged: %v vs %v", trial, i, h, err1, err2)
 				}
@@ -134,11 +144,11 @@ func TestJournalCrashReplayProperty(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					now := clk.Now()
 					n1 := plain.Compact(now)
-					n2 := jt.Compact(now)
+					n2 := twin.Compact(now)
 					if n1 != n2 {
 						t.Fatalf("trial %d op %d: compact diverged: %d vs %d", trial, i, n1, n2)
 					}
-				} else if err := jt.Checkpoint(); err != nil {
+				} else if err := j.Rotate(twin.Snapshot); err != nil {
 					t.Fatalf("trial %d op %d: checkpoint: %v", trial, i, err)
 				}
 			}
@@ -187,11 +197,11 @@ func TestJournalCrashReplayProperty(t *testing.T) {
 	}
 }
 
-// TestJournaledTableAutoSweepIsJournaled pins the subtle case: the
+// TestAutoSweepIsJournaled pins the subtle case: the
 // compaction sweep piggybacked on Admit (every sweepEvery admissions)
 // removes entries without any explicit Compact call, and the removal
 // must still reach the journal or recovery resurrects corpses.
-func TestJournaledTableAutoSweepIsJournaled(t *testing.T) {
+func TestAutoSweepIsJournaled(t *testing.T) {
 	dir := t.TempDir()
 	clk := &fakeClock{now: t0}
 	capacity := 10000 * units.Mbps
@@ -204,21 +214,21 @@ func TestJournaledTableAutoSweepIsJournaled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jt := NewJournaledTable(tbl, j)
+	AttachJournal(tbl, j)
 
 	// One short-lived reservation, then age it far past retention.
-	if _, err := jt.Admit(AdmitRequest{Bandwidth: units.Mbps, Window: win(0, 1)}); err != nil {
+	if _, err := tbl.Admit(AdmitRequest{Bandwidth: units.Mbps, Window: win(0, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	clk.Set(t0.Add(24 * time.Hour))
 	// sweepEvery admissions trigger exactly one automatic sweep.
 	for i := 0; i < sweepEvery; i++ {
-		if _, err := jt.Admit(AdmitRequest{Bandwidth: units.Mbps, Window: win(1500, 10)}); err != nil {
+		if _, err := tbl.Admit(AdmitRequest{Bandwidth: units.Mbps, Window: win(1500, 10)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if jt.Len() != sweepEvery {
-		t.Fatalf("table holds %d entries, want %d (first entry swept)", jt.Len(), sweepEvery)
+	if tbl.Len() != sweepEvery {
+		t.Fatalf("table holds %d entries, want %d (first entry swept)", tbl.Len(), sweepEvery)
 	}
 	if err := j.Sync(); err != nil {
 		t.Fatal(err)

@@ -377,22 +377,10 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 	if _, err := RestoreTable([]byte("junk")); err == nil {
 		t.Error("junk restored")
 	}
-	// Overcommitted snapshot: two 80M reservations in a 100M table.
-	bad := `{"name":"x","capacity":100000000,"seq":2,"reservations":[
-	 {"Handle":"x-1","Bandwidth":80000000,"Window":{"Start":"2001-08-07T09:00:00Z","End":"2001-08-07T10:00:00Z"},"Status":0},
-	 {"Handle":"x-2","Bandwidth":80000000,"Window":{"Start":"2001-08-07T09:00:00Z","End":"2001-08-07T10:00:00Z"},"Status":0}]}`
-	if _, err := RestoreTable([]byte(bad)); err == nil {
-		t.Error("overcommitted snapshot restored")
-	}
-	dup := `{"name":"x","capacity":100000000,"seq":2,"reservations":[
-	 {"Handle":"x-1","Bandwidth":1,"Window":{"Start":"2001-08-07T09:00:00Z","End":"2001-08-07T10:00:00Z"},"Status":0},
-	 {"Handle":"x-1","Bandwidth":1,"Window":{"Start":"2001-08-07T09:00:00Z","End":"2001-08-07T10:00:00Z"},"Status":0}]}`
-	if _, err := RestoreTable([]byte(dup)); err == nil {
-		t.Error("duplicate-handle snapshot restored")
-	}
-	noWin := `{"name":"x","capacity":100,"seq":1,"reservations":[{"Handle":"x-1","Bandwidth":1,"Status":0}]}`
-	if _, err := RestoreTable([]byte(noWin)); err == nil {
-		t.Error("windowless reservation restored")
+	for name, data := range restoreSeeds() {
+		if _, err := RestoreTable(data); (err == nil) != (name == "sound") {
+			t.Errorf("%s snapshot: err = %v", name, err)
+		}
 	}
 }
 

@@ -212,9 +212,7 @@ func TestSnapshotRoundTripThroughReplayIsIdempotent(t *testing.T) {
 		mk(opAdmit, admitRec{Resv: mustLookup(t, tab, r2.Handle), Seq: 2}),
 		mk(opCancel, cancelRec{Handle: r2.Handle, CancelledAt: mustLookup(t, tab, r2.Handle).CancelledAt}),
 	}
-	if _, err := Replay(restored, recs); err != nil {
-		t.Fatalf("Replay over snapshot: %v", err)
-	}
+	replayAll(t, restored, recs)
 	got, err := restored.Snapshot()
 	if err != nil {
 		t.Fatal(err)

@@ -89,6 +89,7 @@ fuzz-short:
 	$(GO) test -run NONE -fuzz '^FuzzVerify$$' -fuzztime 10s ./internal/identity
 	$(GO) test -run NONE -fuzz '^FuzzDecodeBrokerState$$' -fuzztime 10s ./internal/bb
 	$(GO) test -run NONE -fuzz '^FuzzRestoreTable$$' -fuzztime 10s ./internal/resv
+	$(GO) test -run NONE -fuzz '^FuzzRestoreEndpoint$$' -fuzztime 10s ./internal/tunnel
 
 metrics-lint:
 	$(GO) test -run 'TestMetricsLint' ./internal/obs ./internal/experiment

@@ -3,13 +3,14 @@
 // edge routers of a single administrative network domain". It ties
 // together the core signalling protocol, the policy server, the
 // advance-reservation table, the SLA contracts with peered domains,
-// the tunnel registry, and the DiffServ data plane configuration.
+// the tunnel registrations, and the DiffServ data plane configuration.
 package bb
 
 import (
 	"fmt"
 	"log/slog"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"e2eqos/internal/core"
@@ -157,14 +158,19 @@ type Config struct {
 	ElectionTimeout time.Duration
 }
 
-// rarState is one entry of the route cache: the journaled record of
-// what a reserve created locally (rarRec, journal.go) plus the signal
-// that the reserve is still in flight.
-type rarState struct {
-	rarRec
-	// done is closed once the reserve that created this entry has
-	// settled; duplicates and cancels arriving mid-flight wait on it.
-	done chan struct{}
+// route is what a granted reserve left at this hop, for cancellation,
+// status and tunnel management: the value of a route entry, journaled
+// inside rarRec. A denied reserve's is empty.
+type route struct {
+	Handle   string
+	Tunnel   bool
+	SourceBB identity.DN // authenticated source-domain broker (or user)
+	// Legs are where the reserve went from here, each under the route
+	// key that leg runs under; cancels follow them. None at the end of
+	// the line; one on a single path — its key differs from the entry's
+	// own when the ingress re-routed onto an alternate path — with BW
+	// zero; one per share, BW set, at the ingress of a split.
+	Legs []childRoute
 }
 
 // childRoute is one downstream leg of a reservation.
@@ -187,13 +193,20 @@ type BB struct {
 	// acquired under b.mu.
 	pool *clientPool
 
+	// mu guards the breaker map and nothing else.
 	mu       sync.Mutex
-	routes   map[string]*rarState
 	breakers map[identity.DN]*breaker
-	// rarEpoch mints a unique epoch per route registration (under mu);
-	// journal records carry it so replay can tell re-registrations of a
-	// reused RAR id apart.
-	rarEpoch int64
+
+	// routes holds one entry per route key this hop has seen a reserve
+	// under: in flight, or settled with its replayable outcome.
+	routes *registry[route]
+	// tunnels holds the tunnel registrations ending here, each with the
+	// replay cache of its batches.
+	tunnels *registry[tunnelReg]
+	// epoch mints a unique epoch per registration (routes, tunnels) and
+	// saga id; journal records carry it so replay can tell
+	// re-registrations of a reused RAR id apart.
+	epoch atomic.Int64
 
 	// journal is the broker's write-ahead log (nil when Config.StateDir
 	// is empty; every method on a nil journal no-ops). ckptMu coalesces
@@ -213,8 +226,6 @@ type BB struct {
 	// coordinator retries them persistently (journal-backed, so they
 	// resume across crash recovery). Never nil.
 	sagas *saga.Coordinator
-
-	tunnels *tunnelRegistry
 
 	// sampler makes the flight recorder's ingress sampling decisions
 	// (nil when SampleRate is 0: only forced events are recorded).
@@ -252,12 +263,14 @@ func New(cfg Config) (*BB, error) {
 		table:    table,
 		log:      obs.BrokerLogger(cfg.Logger, cfg.Domain),
 		m:        newBBMetrics(cfg.Metrics),
-		routes:   make(map[string]*rarState),
 		breakers: make(map[identity.DN]*breaker),
-		tunnels:  newTunnelRegistry(),
+		routes:   newRegistry[route](),
+		tunnels:  newRegistry[tunnelReg](),
 		sampler:  obs.NewSampler(cfg.SampleRate),
 	}
-	b.pool = newClientPool(b.dialPeer, func() { b.m.clientEvictions.Inc() })
+	b.pool = newClientPool(func(dn identity.DN) (*signalling.Client, error) {
+		return b.dial("peer "+string(dn), b.cfg.PeerAddrs[dn], dn, b.cfg.CallTimeout)
+	}, func() { b.m.clientEvictions.Inc() })
 	// The saga coordinator exists before the journal opens: recovery
 	// replays "saga." records into it, and compensation only starts
 	// once Resume runs below.
@@ -317,27 +330,38 @@ func (b *BB) Table() *resv.Table { return b.table }
 // Cert returns the broker certificate.
 func (b *BB) Cert() *pki.Certificate { return b.cfg.Cert }
 
-// dialPeer opens and authenticates a fresh signalling client to the
-// given peer broker; the pool owns caching and lifecycle. Reads only
-// immutable config, so it runs without b.mu.
-func (b *BB) dialPeer(dn identity.DN) (*signalling.Client, error) {
-	addr, ok := b.cfg.PeerAddrs[dn]
-	if !ok {
-		return nil, fmt.Errorf("bb %s: no address for peer %s", b.cfg.Domain, dn)
-	}
-	if b.cfg.Dialer == nil {
+// dial opens a signalling client to addr ("" when none is configured)
+// whose calls time out after timeout, and refuses it unless the far end
+// authenticated as want. who names the far end in errors: a peer broker
+// (the pool owns those clients) or a replica of this one (same DN).
+func (b *BB) dial(who, addr string, want identity.DN, timeout time.Duration) (*signalling.Client, error) {
+	switch {
+	case addr == "":
+		return nil, fmt.Errorf("bb %s: no address for %s", b.cfg.Domain, who)
+	case b.cfg.Dialer == nil:
 		return nil, fmt.Errorf("bb %s: no dialer configured", b.cfg.Domain)
 	}
 	c, err := signalling.Dial(b.cfg.Dialer, addr)
 	if err != nil {
-		return nil, fmt.Errorf("bb %s: dialing %s: %w", b.cfg.Domain, dn, err)
+		return nil, fmt.Errorf("bb %s: dialing %s: %w", b.cfg.Domain, who, err)
 	}
-	c.Timeout = b.cfg.CallTimeout
-	if c.PeerDN() != dn {
+	c.Timeout = timeout
+	if got := c.PeerDN(); got != want {
 		c.Close()
-		return nil, fmt.Errorf("bb %s: dialed %s but authenticated peer is %s", b.cfg.Domain, dn, c.PeerDN())
+		return nil, fmt.Errorf("bb %s: %s at %s authenticated as %s, not %s", b.cfg.Domain, who, addr, got, want)
 	}
 	return c, nil
+}
+
+// mintEpoch stamps a new registration or saga id.
+func (b *BB) mintEpoch() int64 { return b.epoch.Add(1) }
+
+// noteEpoch keeps the epoch counter at or above every epoch a record or
+// snapshot carries, so a recovered or promoted broker never mints one
+// again.
+func (b *BB) noteEpoch(epoch int64) {
+	for cur := b.epoch.Load(); cur < epoch && !b.epoch.CompareAndSwap(cur, epoch); cur = b.epoch.Load() {
+	}
 }
 
 // clientFor returns a pooled signalling client to the given peer

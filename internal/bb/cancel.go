@@ -11,41 +11,36 @@ import (
 
 func (b *BB) handleCancel(peer signalling.Peer, payload *signalling.CancelPayload) *signalling.Message {
 	b.m.cancels.Inc()
-	b.mu.Lock()
-	st, ok := b.routes[payload.RARID]
-	b.mu.Unlock()
+	// If the reserve that created the entry is still in flight (an
+	// upstream hop gave up on it and is now cancelling), wait for it to
+	// settle so its admission — and its recorded downstream hop — are
+	// visible to cancel; then remove that registration, unless another
+	// cancel got there first.
+	e, ok := b.routes.get(payload.RARID)
+	if ok {
+		<-e.done
+		e, ok = b.routes.remove(payload.RARID, e.epoch)
+	}
 	if !ok {
 		return signalling.ErrorResult(fmt.Sprintf("%s: unknown RAR %s", b.cfg.Domain, payload.RARID))
 	}
-	// If the reserve that created this entry is still in flight (an
-	// upstream hop gave up on it and is now cancelling), wait for it to
-	// settle so its admission — and its recorded downstream hop — are
-	// visible to cancel.
-	<-st.done
-	b.mu.Lock()
-	if cur, still := b.routes[payload.RARID]; !still || cur != st {
-		b.mu.Unlock()
-		return signalling.ErrorResult(fmt.Sprintf("%s: unknown RAR %s", b.cfg.Domain, payload.RARID))
-	}
-	delete(b.routes, payload.RARID)
-	b.mu.Unlock()
 	// Journal the route removal even if the table cancel below fails:
 	// the entry is gone from the live map either way, and a recovered
 	// broker must agree.
-	b.journalRARCancel(payload.RARID, st.Epoch)
-	// Tear the tunnel endpoint down before the table cancel can bail
-	// out: the route entry is already gone, and a stale endpoint left
-	// behind would collide with a re-establishment of the same RAR id.
-	// Tunnels and edge flows live under the signed RAR id, whatever
-	// route-key salt this hop holds.
+	b.journalRARCancel(payload.RARID, e.epoch)
+	// Tear the tunnel registration down, and its batches' replay cache
+	// with it, before the table cancel can bail out: the route entry is
+	// already gone, and a stale endpoint left behind would collide with a
+	// re-establishment of the same RAR id. Tunnels and edge flows live
+	// under the signed RAR id, whatever route-key salt this hop holds.
 	base := baseRARID(payload.RARID)
-	if ep, live := b.tunnels.reg.Get(base); live {
-		b.tunnels.reg.Remove(base)
-		b.tunnels.dropBatches(base, ep.Epoch)
-		b.journalTunnelRemove(base, ep.Epoch)
+	if t, _ := b.tunnels.get(base); t.val.ep != nil {
+		if _, gone := b.tunnels.remove(base, t.epoch); gone {
+			b.journalTunnelRemove(base, t.epoch)
+		}
 	}
 	b.removeEdgeFlow(base)
-	if err := b.table.Cancel(st.Handle); err != nil {
+	if err := b.table.Cancel(e.val.Handle); err != nil {
 		return signalling.ErrorResult(fmt.Sprintf("%s: %v", b.cfg.Domain, err))
 	}
 	b.syncDataPlane()
@@ -54,7 +49,7 @@ func (b *BB) handleCancel(peer signalling.Peer, payload *signalling.CancelPayloa
 	// hop must not wedge the cancel chain). If the synchronous attempt
 	// fails, hand the cancel to the persistent async path so hops below
 	// the failure don't stay booked.
-	for _, leg := range st.Legs {
+	for _, leg := range e.val.Legs {
 		if _, _, err := b.callPeer(leg.Next, &signalling.Message{
 			Type:   signalling.MsgCancel,
 			Cancel: &signalling.CancelPayload{RARID: leg.Key},
@@ -64,27 +59,25 @@ func (b *BB) handleCancel(peer signalling.Peer, payload *signalling.CancelPayloa
 	}
 	if b.log.Enabled(context.Background(), slog.LevelInfo) {
 		b.log.Info("cancel: released reservation",
-			obs.AttrRAR, payload.RARID, obs.AttrPeer, string(peer.DN), "handle", st.Handle)
+			obs.AttrRAR, payload.RARID, obs.AttrPeer, string(peer.DN), "handle", e.val.Handle)
 	}
 	// The cancel's own records (route removal, table cancel, tunnel
 	// teardown) join the group commit before the caller hears back.
 	b.replWaitCommit()
 	b.maybeCheckpoint()
-	return signalling.OKResult(st.Handle)
+	return signalling.OKResult(e.val.Handle)
 }
 
 func (b *BB) handleStatus(payload *signalling.StatusPayload) *signalling.Message {
-	b.mu.Lock()
-	st, ok := b.routes[payload.RARID]
-	b.mu.Unlock()
+	e, ok := b.routes.get(payload.RARID)
 	if !ok {
 		return signalling.ErrorResult(fmt.Sprintf("%s: unknown RAR %s", b.cfg.Domain, payload.RARID))
 	}
-	r, ok := b.table.Lookup(st.Handle)
+	r, ok := b.table.Lookup(e.val.Handle)
 	if !ok {
-		return signalling.ErrorResult(fmt.Sprintf("%s: handle %s vanished", b.cfg.Domain, st.Handle))
+		return signalling.ErrorResult(fmt.Sprintf("%s: handle %s vanished", b.cfg.Domain, e.val.Handle))
 	}
-	resp := signalling.OKResult(st.Handle)
+	resp := signalling.OKResult(e.val.Handle)
 	resp.Result.PolicyInfo = map[string]string{
 		"status":    r.Status.String(),
 		"bandwidth": r.Bandwidth.String(),

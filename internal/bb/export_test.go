@@ -23,14 +23,14 @@ type ReplayEntry struct {
 	Outcome        *signalling.Message
 }
 
-// ReplayEntries lists the batch replay cache, for tests of what a
-// settled batch leaves behind.
+// ReplayEntries lists the batch replay caches of every tunnel
+// registration, for tests of what a settled batch leaves behind.
 func (b *BB) ReplayEntries() []ReplayEntry {
-	b.tunnels.mu.Lock()
-	defer b.tunnels.mu.Unlock()
-	out := make([]ReplayEntry, 0, len(b.tunnels.batches))
-	for k, st := range b.tunnels.batches {
-		out = append(out, ReplayEntry{RARID: k.rar, BatchID: k.id, Outcome: st.outcome})
+	var out []ReplayEntry
+	for _, t := range b.tunnels.list() {
+		for _, e := range t.val.batches.list() {
+			out = append(out, ReplayEntry{RARID: t.key, BatchID: e.key, Outcome: e.outcome})
+		}
 	}
 	return out
 }

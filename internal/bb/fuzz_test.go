@@ -53,13 +53,13 @@ func seedBrokerState(tb testing.TB) []byte {
 	st := brokerState{
 		Table: tableSnap,
 		RARs: []rarRec{
-			{RARID: "RAR-1", Epoch: 1, Handle: "net-DomainA-1", SourceBB: "/O=Grid/CN=alice", Outcome: granted,
-				Legs: []childRoute{{Next: "/O=Grid/OU=DomainB/CN=bb-b", Key: "RAR-1~a1"}}},
-			{RARID: "RAR-2", Epoch: 2, Handle: "net-DomainA-2", SourceBB: "/O=Grid/CN=alice", Outcome: granted, Legs: []childRoute{
+			{RARID: "RAR-1", Epoch: 1, Outcome: granted, route: route{Handle: "net-DomainA-1", SourceBB: "/O=Grid/CN=alice",
+				Legs: []childRoute{{Next: "/O=Grid/OU=DomainB/CN=bb-b", Key: "RAR-1~a1"}}}},
+			{RARID: "RAR-2", Epoch: 2, Outcome: granted, route: route{Handle: "net-DomainA-2", SourceBB: "/O=Grid/CN=alice", Legs: []childRoute{
 				{Next: "/O=Grid/OU=DomainB/CN=bb-b", Key: "RAR-2~s1", BW: 600_000},
 				{Next: "/O=Grid/OU=DomainC/CN=bb-c", Key: "RAR-2~s2", BW: 400_000},
-			}},
-			{RARID: "RAR-T", Epoch: 3, Handle: "net-DomainA-3", Tunnel: true, Outcome: granted},
+			}}},
+			{RARID: "RAR-T", Epoch: 3, Outcome: granted, route: route{Handle: "net-DomainA-3", Tunnel: true}},
 		},
 		Tunnels:       []tunnel.EndpointSnapshot{ep.Snapshot()},
 		TunnelBatches: []tunnelBatchSnap{{RARID: "RAR-T", Epoch: 3, BatchID: "B-1", Outcome: denied}},

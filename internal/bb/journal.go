@@ -2,10 +2,8 @@ package bb
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
-	"e2eqos/internal/identity"
 	"e2eqos/internal/journal"
 	"e2eqos/internal/resv"
 	"e2eqos/internal/signalling"
@@ -30,31 +28,27 @@ const (
 	opTunnelBatch  = "bb.tunnel_batch"
 )
 
-// rarRec is what a reserve created locally, for cancellation, tunnel
-// management and replay — the route entry kept in memory (rarState) and,
-// once the reserve has settled, journaled whole.
+// rarRec is a settled route entry, journaled whole: its key, its epoch,
+// its route and its outcome.
 type rarRec struct {
 	// RARID is the route key the entry is registered under.
 	RARID string
 	// Epoch uniquely identifies this registration of the RAR id in the
 	// journal (ids come from requesters and may legitimately reappear
 	// after a cancel; epochs never repeat), so replay never lets a stale
-	// cancel remove a fresh entry. Immutable after registration.
-	Epoch    int64
-	Handle   string
-	Tunnel   bool
-	SourceBB identity.DN // authenticated source-domain broker (or user)
-	// Legs are where the reserve went from here, each under the route
-	// key that leg runs under; cancels follow them. None at the end of
-	// the line; one on a single path — its key differs from the entry's
-	// own when the ingress re-routed onto an alternate path — with BW
-	// zero; one per share, BW set, at the ingress of a split.
-	Legs []childRoute
+	// cancel remove a fresh entry.
+	Epoch int64
+	route
 	// Outcome is the response originally returned for this RAR,
 	// replayed verbatim when a retransmitted reserve arrives (the
 	// upstream hop retries after losing the response; re-admitting
 	// would double-book, denying a granted chain would strand it).
 	Outcome *signalling.Message
+}
+
+// rarRecOf is a settled route entry's record.
+func rarRecOf(e *entry[route]) rarRec {
+	return rarRec{RARID: e.key, Epoch: e.epoch, route: e.val, Outcome: e.outcome}
 }
 
 // rarCancelRec journals the removal of a RAR entry.
@@ -192,41 +186,31 @@ func decodeBrokerState(data []byte) (brokerState, error) {
 	return st, nil
 }
 
-// recoveredRARState rebuilds an in-memory route entry from its record.
-// The done channel comes pre-closed: the reserve settled in a previous
-// life, so duplicates and cancels must not wait on it.
-func recoveredRARState(r rarRec) *rarState {
-	done := make(chan struct{})
-	close(done)
-	return &rarState{rarRec: r, done: done}
-}
-
 // snapshotState serialises the broker's durable state for rotation.
-// Entries still in flight (no outcome yet) are skipped: they journal
-// themselves when they settle, after the rotation completes. Called by
-// journal.Rotate with appends blocked; takes table.mu then b.mu, which
-// is safe because no appender holds either while appending.
+// Entries still in flight are left out: they journal themselves when
+// they settle, after the rotation completes. Called by journal.Rotate
+// with appends blocked; takes the table's lock, then each registry's in
+// turn, which is safe because no appender holds one while appending.
+// Every listing is sorted and Endpoint.Snapshot sorts sub-flows, so
+// identical state always marshals identically.
 func (b *BB) snapshotState() ([]byte, error) {
 	tbl, err := b.table.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	b.mu.Lock()
-	st := brokerState{Table: tbl, Epoch: b.rarEpoch}
-	for _, rs := range b.routes {
-		if rs.Outcome != nil {
-			st.RARs = append(st.RARs, rs.rarRec)
+	st := brokerState{Table: tbl, Sagas: b.sagas.Snapshot()}
+	for _, e := range b.routes.list() {
+		st.RARs = append(st.RARs, rarRecOf(&e))
+	}
+	for _, t := range b.tunnels.list() {
+		st.Tunnels = append(st.Tunnels, t.val.ep.Snapshot())
+		for _, bt := range t.val.batches.list() {
+			st.TunnelBatches = append(st.TunnelBatches, tunnelBatchSnap{RARID: t.key, Epoch: t.epoch, BatchID: bt.key, Outcome: bt.outcome})
 		}
 	}
-	b.mu.Unlock()
-	st.Sagas = b.sagas.Snapshot()
-	sort.Slice(st.RARs, func(i, j int) bool { return st.RARs[i].RARID < st.RARs[j].RARID })
-	// Registry.All is sorted by RAR id and Endpoint.Snapshot sorts
-	// sub-flows, so identical state always marshals identically.
-	for _, ep := range b.tunnels.reg.All() {
-		st.Tunnels = append(st.Tunnels, ep.Snapshot())
-	}
-	st.TunnelBatches = b.tunnels.settledBatches()
+	// Read after the listings: the counter is at or above every epoch
+	// they hold.
+	st.Epoch = b.epoch.Load()
 	return st.appendBinary(nil), nil
 }
 
@@ -261,16 +245,13 @@ func (b *BB) journalTunnelBatch(ep *tunnel.Endpoint, batchID string, ops []tunne
 	})
 }
 
-// journalRAR appends the settled route entry. Called after the outcome
-// is recorded and with no locks held.
-func (b *BB) journalRAR(st *rarState) {
+// journalRAR appends the settled route entry. Called by the entry's
+// owner once it has settled, with no locks held.
+func (b *BB) journalRAR(e *entry[route]) {
 	if b.journal == nil {
 		return
 	}
-	b.mu.Lock()
-	rec := st.rarRec
-	b.mu.Unlock()
-	_ = b.journal.Append(opRAR, rec)
+	_ = b.journal.Append(opRAR, rarRecOf(e))
 }
 
 // journalRARCancel appends the removal of a route entry.

@@ -149,16 +149,22 @@ func (b *BB) registerGauges(r *obs.Registry) {
 		func() float64 { return float64(b.cfg.Capacity) })
 	r.GaugeFunc("bb_reserved_bps", "premium bandwidth committed right now (bits per second)",
 		func() float64 { return float64(b.table.CommittedAt(b.cfg.Clock())) })
+	// sumTunnels adds up f over the tunnel registrations.
+	sumTunnels := func(f func(tunnelReg) int) float64 {
+		n := 0
+		for _, t := range b.tunnels.list() {
+			n += f(t.val)
+		}
+		return float64(n)
+	}
 	r.GaugeFunc("bb_open_tunnels", "tunnel endpoints registered at this broker",
-		func() float64 { return float64(b.tunnels.reg.Len()) })
+		func() float64 { return float64(b.tunnels.size()) })
 	r.GaugeFunc("bb_tunnel_subflows", "live sub-flow allocations across all tunnels",
-		func() float64 { return float64(b.tunnels.reg.SubFlowTotal()) })
+		func() float64 { return sumTunnels(func(t tunnelReg) int { return t.ep.Len() }) })
 	r.GaugeFunc("bb_open_rars", "RAR route entries held, settled denials and expired grants included (see ROADMAP item 2)",
-		func() float64 {
-			b.mu.Lock()
-			defer b.mu.Unlock()
-			return float64(len(b.routes))
-		})
+		func() float64 { return float64(b.routes.size()) })
+	r.GaugeFunc("bb_tunnel_batch_entries", "batch replay entries held across all tunnels, each until its tunnel's teardown (see ROADMAP item 2)",
+		func() float64 { return sumTunnels(func(t tunnelReg) int { return t.batches.size() }) })
 	r.GaugeFunc("bb_late_responses_dropped", "downstream responses that arrived after their call gave up",
 		func() float64 { return float64(b.pool.lateDropped()) })
 	r.GaugeFunc("bb_sagas_live", "compensation sagas currently open (active or compensating)",

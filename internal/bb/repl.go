@@ -220,31 +220,6 @@ func (r *replicator) callTimeout() time.Duration {
 	return time.Second
 }
 
-// dialReplica opens an authenticated stream client to a peer replica.
-// Replicas share the domain's identity, so the authorization check is
-// DN equality with our own.
-func (r *replicator) dialReplica(id int) (*signalling.Client, error) {
-	b := r.b
-	addr, ok := r.addrs[id]
-	if !ok {
-		return nil, fmt.Errorf("bb %s: no address for replica %d", b.cfg.Domain, id)
-	}
-	if b.cfg.Dialer == nil {
-		return nil, fmt.Errorf("bb %s: no dialer configured", b.cfg.Domain)
-	}
-	c, err := signalling.Dial(b.cfg.Dialer, addr)
-	if err != nil {
-		return nil, err
-	}
-	c.Timeout = r.callTimeout()
-	if c.PeerDN() != b.DN() {
-		c.Close()
-		return nil, fmt.Errorf("bb %s: replica %d at %s authenticated as %s, not this domain's broker",
-			b.cfg.Domain, id, addr, c.PeerDN())
-	}
-	return c, nil
-}
-
 // sleepOrStop pauses, returning false if stop closed first.
 func sleepOrStop(stop <-chan struct{}, d time.Duration) bool {
 	t := time.NewTimer(d)
@@ -427,7 +402,9 @@ func (s *stream) maintain(tick bool) bool {
 		}
 	}
 	if s.conn == nil {
-		client, err := r.dialReplica(s.id)
+		// Replicas share the domain's identity: the one they authenticate
+		// as is this broker's own.
+		client, err := r.b.dial(fmt.Sprintf("replica %d", s.id), r.addrs[s.id], r.b.DN(), r.callTimeout())
 		if err != nil {
 			return false
 		}
@@ -796,13 +773,11 @@ func (r *replicator) promote() error {
 
 	// Epoch fence: every epoch this leader mints is strictly above
 	// anything the dead leader journaled but failed to replicate, so
-	// the replay cache's epoch ordering rejects stale-leader writes.
+	// the registries' epoch rules reject stale-leader writes.
 	// Raised before the streams start: the counter rides every snapshot,
 	// and one cut ahead of the fence would leave the followers' copy
 	// behind the leader's until the next registration.
-	b.mu.Lock()
-	b.rarEpoch += epochFenceStride
-	b.mu.Unlock()
+	b.epoch.Add(epochFenceStride)
 
 	// The stream this follower applied has ended exactly as a WAL tail
 	// ends (the term fence refuses the old leader from here on): whatever
@@ -843,7 +818,7 @@ func (r *replicator) promote() error {
 // callReplica makes one ad-hoc RPC to a peer replica (elections only;
 // pumps keep persistent clients).
 func (r *replicator) callReplica(id int, msg *signalling.Message) (*signalling.Message, error) {
-	c, err := r.dialReplica(id)
+	c, err := r.b.dial(fmt.Sprintf("replica %d", id), r.addrs[id], r.b.DN(), r.callTimeout())
 	if err != nil {
 		return nil, err
 	}

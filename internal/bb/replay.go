@@ -9,6 +9,7 @@ import (
 	"e2eqos/internal/journal"
 	"e2eqos/internal/resv"
 	"e2eqos/internal/saga"
+	"e2eqos/internal/signalling"
 	"e2eqos/internal/tunnel"
 	"e2eqos/internal/units"
 )
@@ -23,31 +24,36 @@ import (
 // from a stream and one booted from the journal that stream wrote hold
 // the same state by construction.
 //
-// Route and tunnel (re)registrations are higher-epoch-wins, removals
-// match their epoch exactly, table records go through the
-// resv.StreamReplayer. Sub-flow ops need more: emit-after-unlock lets the
+// Route and tunnel (re)registrations and removals go to the registries,
+// which own the epoch rules; table records go through the
+// resv.StreamReplayer. Batch records need more: emit-after-unlock lets the
 // journal order of ops on different sub-flows disagree with the order
-// they were applied in, and lets an op overtake its tunnel's
+// they were applied in, and lets a batch overtake its tunnel's
 // establishment record. Generations are dense per endpoint, so the op
 // that extends Gen()+1 is always unambiguous; an op that does not is
-// parked until the ones before it arrive.
+// parked until the ones before it arrive, and a batch's replay entry until
+// its registration does.
 //
 // Not safe for concurrent use: New runs it before the broker is shared,
 // a follower under applyMu.
 type replayer struct {
 	b    *BB
 	resv *resv.StreamReplayer
-	// parked holds, per tunnel RAR, the sub-flow ops that cannot apply
-	// yet: their endpoint has not been established, or an op of a lower
-	// generation has not arrived. Their records are in the WAL but not in
-	// any snapshot, so the WAL must not be rotated away while one waits.
+	// parked holds, per tunnel RAR, what batch records left that cannot
+	// apply yet: the registration they belong to is absent, or an op of a
+	// lower generation has not arrived. Their records are in the WAL but
+	// not in any snapshot, so the WAL must not be rotated away while one
+	// waits.
 	parked map[string][]parkedOp
 }
 
-// parkedOp is one journaled sub-flow mutation out of its batch record,
-// pinned to the registration (epoch) of the tunnel it was applied to.
+// parkedOp is one item of a batch record, pinned to the registration
+// (epoch) of the tunnel it was applied to: a sub-flow mutation or, with
+// batchID set, the batch's replay entry.
 type parkedOp struct {
-	epoch int64
+	epoch   int64
+	batchID string
+	outcome *signalling.Message
 	tunnelOpRec
 }
 
@@ -60,8 +66,8 @@ func newReplayer(b *BB) *replayer {
 func (rp *replayer) idle() bool { return len(rp.parked) == 0 }
 
 // install replaces the broker's entire durable state with a snapshot's,
-// in place: gauges and handlers keep their table and registry pointers.
-// The tunnels and the table are validated before anything is touched.
+// in place: gauges and handlers keep their table and registries. The
+// tunnels and the table are validated before anything is touched.
 func (rp *replayer) install(data []byte) error {
 	b := rp.b
 	st, err := decodeBrokerState(data)
@@ -79,15 +85,22 @@ func (rp *replayer) install(data []byte) error {
 	if err := b.table.ResetFrom(st.Table); err != nil {
 		return err
 	}
-	b.mu.Lock()
-	b.rarEpoch = max(b.rarEpoch, st.Epoch)
-	b.routes = make(map[string]*rarState, len(st.RARs))
+	b.noteEpoch(st.Epoch)
+	b.routes.reset()
 	for _, rr := range st.RARs {
-		b.routes[rr.RARID] = recoveredRARState(rr)
+		b.routes.register(rr.RARID, rr.Epoch, rr.route, rr.Outcome)
 	}
-	b.mu.Unlock()
-	b.tunnels.reg.ResetTo(eps)
-	b.tunnels.resetBatches(st.TunnelBatches)
+	b.tunnels.reset()
+	for _, ep := range eps {
+		b.tunnels.register(ep.RARID, ep.Epoch, newTunnelReg(ep), nil)
+	}
+	// A replay entry lives in its registration: one whose registration
+	// the snapshot does not hold has no tunnel to answer for.
+	for _, bs := range st.TunnelBatches {
+		if t, ok := b.tunnels.at(bs.RARID, bs.Epoch); ok {
+			t.val.batches.register(bs.BatchID, 0, struct{}{}, bs.Outcome)
+		}
+	}
 	// Open rollback debt rides the snapshot; a follower holds it passively
 	// until promotion resumes the compensations. A snapshot without sagas
 	// clears the set: a saga still held was settled by the leader, and
@@ -102,20 +115,13 @@ func (rp *replayer) install(data []byte) error {
 	return nil
 }
 
-// noteEpoch keeps the epoch counter at or above every epoch a record
-// carries, so a recovered or promoted broker never mints one again.
-func (b *BB) noteEpoch(epoch int64) {
-	b.mu.Lock()
-	b.rarEpoch = max(b.rarEpoch, epoch)
-	b.mu.Unlock()
-}
-
 // apply replays one journal record onto the live state. Every record is
-// absolute, so one the state already reflects is a no-op. An unknown
-// "bb." or "resv." op is an error, not a skip: a version-skew tripwire —
-// a journal written before PR 23 holds its single-op sub-flows as
-// bb.tunnel_alloc / bb.tunnel_release, and skipping those would bring up
-// a tunnel without them. Ops of no known vocabulary are ignored.
+// absolute, so one the state already reflects is a no-op; the registries
+// apply the epoch rules. An unknown "bb." or "resv." op is an error, not
+// a skip: a version-skew tripwire — a journal written before PR 23 holds
+// its single-op sub-flows as bb.tunnel_alloc / bb.tunnel_release, and
+// skipping those would bring up a tunnel without them. Ops of no known
+// vocabulary are ignored.
 func (rp *replayer) apply(r journal.Record) error {
 	if err := rp.resv.Apply(r); err != nil {
 		return err
@@ -128,74 +134,53 @@ func (rp *replayer) apply(r journal.Record) error {
 			return err
 		}
 		b.noteEpoch(rr.Epoch)
-		b.mu.Lock()
-		// Concurrent emission can reorder records for a reused RAR
-		// id; the higher epoch is always the later registration.
-		if cur, ok := b.routes[rr.RARID]; !ok || cur.Epoch <= rr.Epoch {
-			b.routes[rr.RARID] = recoveredRARState(rr)
-		}
-		b.mu.Unlock()
+		b.routes.register(rr.RARID, rr.Epoch, rr.route, rr.Outcome)
 	case opRARCancel:
 		var cr rarCancelRec
 		if err := r.Decode(&cr); err != nil {
 			return err
 		}
 		b.noteEpoch(cr.Epoch)
-		b.mu.Lock()
-		// Remove only the registration this cancel actually ended: a
-		// stale cancel must not evict a fresh re-registration.
-		if cur, ok := b.routes[cr.RARID]; ok && cur.Epoch == cr.Epoch {
-			delete(b.routes, cr.RARID)
-		}
-		b.mu.Unlock()
+		b.routes.remove(cr.RARID, cr.Epoch)
 	case opTunnel:
 		var ts tunnel.EndpointSnapshot
 		if err := r.Decode(&ts); err != nil {
 			return err
 		}
 		b.noteEpoch(ts.Epoch)
-		// The higher epoch is always the later registration of a reused
-		// tunnel RAR id. The same epoch is the same registration, which
-		// came with a snapshot cut between the registration and this
-		// record's append: it holds at least what the record does, and the
-		// ops since are in the records that follow.
-		if cur, ok := b.tunnels.reg.Get(ts.RARID); ok && cur.Epoch >= ts.Epoch {
-			return nil
-		}
 		ep, err := tunnel.Restore(ts)
 		if err != nil {
 			return fmt.Errorf("restoring tunnel %s: %w", ts.RARID, err)
 		}
-		b.tunnels.reg.Replace(ep)
-		return rp.drain(ts.RARID, false) // ops that overtook this record
+		// An equal epoch is the same registration, which came with a
+		// snapshot cut between the registration and this record's append:
+		// it holds at least what the record does, and the ops since are in
+		// the records that follow.
+		if b.tunnels.register(ts.RARID, ts.Epoch, newTunnelReg(ep), nil) {
+			return rp.drain(ts.RARID, false) // what overtook this record
+		}
 	case opTunnelRemove:
 		var cr rarCancelRec
 		if err := r.Decode(&cr); err != nil {
 			return err
 		}
 		b.noteEpoch(cr.Epoch)
-		if cur, ok := b.tunnels.reg.Get(cr.RARID); ok && cur.Epoch == cr.Epoch {
-			b.tunnels.reg.Remove(cr.RARID)
-			b.tunnels.dropBatches(cr.RARID, cr.Epoch)
-		}
-		// Ops still parked for the registration that just ended are moot.
+		b.tunnels.remove(cr.RARID, cr.Epoch)
+		// What is still parked for the registration that just ended is moot.
 		rp.park(cr.RARID, slices.DeleteFunc(rp.parked[cr.RARID], func(op parkedOp) bool { return op.epoch <= cr.Epoch }))
 	case opTunnelBatch:
 		var br tunnelBatchRec
 		if err := r.Decode(&br); err != nil {
 			return err
 		}
-		if br.BatchID != "" {
-			b.tunnels.restoreBatch(br.RARID, br.Epoch, br.BatchID, br.Outcome)
-		}
-		if len(br.Ops) == 0 {
-			return nil
-		}
 		ops := rp.parked[br.RARID]
-		for _, op := range br.Ops {
-			ops = append(ops, parkedOp{br.Epoch, op})
+		if br.BatchID != "" {
+			ops = append(ops, parkedOp{epoch: br.Epoch, batchID: br.BatchID, outcome: br.Outcome})
 		}
-		rp.parked[br.RARID] = ops
+		for _, op := range br.Ops {
+			ops = append(ops, parkedOp{epoch: br.Epoch, tunnelOpRec: op})
+		}
+		rp.park(br.RARID, ops)
 		return rp.drain(br.RARID, false)
 	default:
 		// Saga records (the rollback-debt ledger) replay into the
@@ -221,27 +206,35 @@ func (rp *replayer) park(rarID string, ops []parkedOp) {
 	}
 }
 
-// drain applies one tunnel's parked ops in generation order through the
-// endpoint's idempotent replay entry points, for as long as each extends
-// the endpoint's generation by one — or, with gaps set, whatever the
-// generation: flush's rule, for a feed that has ended. Ops of a dead
-// registration, and ops the endpoint already reflects (they came with
-// the snapshot it was restored from), are dropped; ops of a registration
-// not established yet stay parked, as does everything while the tunnel
-// is absent.
+// drain restores one tunnel's parked replay entries into its registration
+// and applies its parked ops in generation order through the endpoint's
+// idempotent replay entry points, for as long as each extends the
+// endpoint's generation by one — or, with gaps set, whatever the
+// generation: flush's rule, for a feed that has ended. What belongs to a
+// dead registration, and ops the endpoint already reflects (they came
+// with the snapshot it was restored from), are dropped; what belongs to a
+// registration not established yet stays parked, as does everything while
+// the tunnel is absent.
 func (rp *replayer) drain(rarID string, gaps bool) error {
 	ops := rp.parked[rarID]
-	ep, ok := rp.b.tunnels.reg.Get(rarID)
+	t, ok := rp.b.tunnels.get(rarID)
 	if !ok || len(ops) == 0 {
 		return nil
 	}
+	ep := t.val.ep
 	slices.SortFunc(ops, func(x, y parkedOp) int { return cmp.Compare(x.Gen, y.Gen) })
 	kept := ops[:0]
 	for _, op := range ops {
 		switch {
-		case op.epoch < ep.Epoch || (op.epoch == ep.Epoch && op.Gen <= ep.Gen()):
-			// dead registration, or already reflected: dropped
-		case op.epoch > ep.Epoch || (!gaps && op.Gen != ep.Gen()+1):
+		case op.epoch < t.epoch:
+			// a dead registration's: dropped
+		case op.epoch > t.epoch:
+			kept = append(kept, op)
+		case op.batchID != "":
+			t.val.batches.register(op.batchID, 0, struct{}{}, op.outcome)
+		case op.Gen <= ep.Gen():
+			// already reflected: dropped
+		case !gaps && op.Gen != ep.Gen()+1:
 			kept = append(kept, op)
 		case op.Action == "alloc":
 			if err := ep.ReplayAlloc(op.SubFlowID, units.Bandwidth(op.Bandwidth), op.Gen); err != nil {
@@ -258,7 +251,8 @@ func (rp *replayer) drain(rarID string, gaps bool) error {
 // flush ends a feed: nothing more is coming that could fill a generation
 // gap (the record died with the process that was to emit it) or establish
 // a tunnel, so what is still parked applies in generation order with gaps
-// allowed, and what has no endpoint to apply to is dropped. It runs at
+// allowed, and what has no registration to apply to is dropped — the
+// replay entry of a batch answered after its tunnel's removal included. It runs at
 // the end of boot recovery and when a follower wins an election.
 func (rp *replayer) flush() error {
 	for rarID := range rp.parked {

@@ -203,7 +203,9 @@ func TestReplayEdgesThroughBothFeeds(t *testing.T) {
 		{"establishment repeated after its ops", [][]byte{tunnelAt(1), batchAt(1, "B-1", allocOp("a", 1)), tunnelAt(1)},
 			"0 reservations, tunnel@1 gen=1 [a], 1 replay entries"},
 		{"establishment that never arrives", [][]byte{batchAt(1, "B-1", allocOp("a", 1))},
-			"0 reservations, no tunnel, 1 replay entries"},
+			"0 reservations, no tunnel, 0 replay entries"},
+		{"batch answered after its tunnel's removal", [][]byte{tunnelAt(1), bb.TunnelRemoveFrame(replayTunnel, 1), batchAt(1, "B-1", allocOp("x", 1))},
+			"0 reservations, no tunnel, 0 replay entries"},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			booted := bootFrom(t, func(dir string) {

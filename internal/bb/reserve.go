@@ -117,27 +117,16 @@ func (b *BB) handleReserve(peer signalling.Peer, payload *signalling.ReservePayl
 	// fresh keys is what lets a concurrent retransmission find the
 	// first copy.
 	key := routeKey(spec.RARID, payload)
-	b.mu.Lock()
-	st, dup := b.routes[key]
-	if !dup {
-		b.rarEpoch++
-		st = &rarState{rarRec: rarRec{RARID: key, Epoch: b.rarEpoch}, done: make(chan struct{})}
-		b.routes[key] = st
-	}
-	b.mu.Unlock()
+	e, dup := b.routes.begin(key, b.mintEpoch)
 	if dup {
-		<-st.done
-		b.mu.Lock()
-		outcome := st.Outcome
-		b.mu.Unlock()
+		// The recorded outcome already carries this hop's span (and
+		// everything below it), so a replay never duplicates spans.
+		resp := e.replay()
 		b.m.replays.Inc()
 		b.log.Info("reserve: replaying recorded outcome for retransmitted RAR",
 			obs.AttrRAR, spec.RARID, obs.AttrPeer, string(peer.DN), obs.AttrTrace, payload.TraceID)
-		if outcome != nil {
-			// The recorded outcome already carries this hop's span (and
-			// everything below it), so a replay never duplicates spans.
-			resp := *outcome // shallow copy: Serve stamps the per-call ID
-			return &resp
+		if resp != nil {
+			return resp
 		}
 		return b.deny(spec.RARID, fmt.Sprintf("%s: duplicate RAR id %s", b.cfg.Domain, spec.RARID))
 	}
@@ -161,17 +150,15 @@ func (b *BB) handleReserve(peer signalling.Peer, payload *signalling.ReservePayl
 	finishTrace(resp, span, payload.TraceID, t0)
 	b.logReserveVerdict(spec, payload.TraceID, resp, time.Since(t0))
 	b.recordReserveEvent(spec.RARID, string(spec.User), payload, resp, t0)
-	b.mu.Lock()
-	st.Outcome = resp
-	b.mu.Unlock()
+	b.routes.settle(e, fc.route, resp)
 	// Journal the settled entry before releasing waiters, so a cancel
 	// that was blocked on done always journals after this record.
-	b.journalRAR(st)
+	b.journalRAR(e)
 	// Group commit: in a replica group the outcome is withheld until a
 	// majority holds everything up to and including that record, so a
 	// grant the caller ever saw survives this leader's death.
 	b.replWaitCommit()
-	close(st.done)
+	close(e.done)
 	b.maybeCheckpoint()
 	return resp
 }
@@ -215,6 +202,9 @@ type forwardCtx struct {
 	// saga names the open saga holding what this forward owes downstream
 	// ("" while it owes nothing): see owe.
 	saga string
+	// route is what a grant leaves in the route entry (settle fills it
+	// in); empty for a denial.
+	route route
 }
 
 // processReserve runs the admission pipeline for a first-seen RAR:
@@ -598,14 +588,8 @@ func (b *BB) settle(fc *forwardCtx, legs []childRoute, results []*signalling.Res
 			return b.deny(spec.RARID, fmt.Sprintf("%s: tunnel registration: %v", b.cfg.Domain, err))
 		}
 	}
-	// The entry was registered under its route key when the reserve
-	// arrived, so retransmissions and cancels can find it; this fills in
-	// what a cancel needs.
-	b.mu.Lock()
-	if st, ok := b.routes[fc.key]; ok {
-		st.Handle, st.Tunnel, st.SourceBB, st.Legs = fc.r.Handle, spec.Tunnel, fc.peer.DN, legs
-	}
-	b.mu.Unlock()
+	// What a cancel needs; handleReserve settles the route entry with it.
+	fc.route = route{Handle: fc.r.Handle, Tunnel: spec.Tunnel, SourceBB: fc.peer.DN, Legs: legs}
 	if fromUser {
 		// Source domain: program the per-flow edge marker.
 		b.installEdgeFlow(spec)

@@ -125,11 +125,7 @@ func (b *BB) compAbandoned(id string, step saga.Step) {
 // (epochs survive recovery, so restarted brokers never collide with
 // journaled sagas).
 func (b *BB) mintSagaID(prefix string) string {
-	b.mu.Lock()
-	b.rarEpoch++
-	e := b.rarEpoch
-	b.mu.Unlock()
-	return fmt.Sprintf("%s#%d", prefix, e)
+	return fmt.Sprintf("%s#%d", prefix, b.mintEpoch())
 }
 
 // cancelDownstream hands a cancel that could not be propagated to the

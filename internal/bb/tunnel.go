@@ -2,9 +2,7 @@ package bb
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"e2eqos/internal/core"
@@ -15,131 +13,15 @@ import (
 	"e2eqos/internal/units"
 )
 
-// tunnelRegistry wraps the tunnel package registry and keeps the batch
-// replay cache: per-batch outcomes keyed (tunnel RAR, batch id), with
-// the same in-flight dedup scheme the RAR cache uses — a concurrent
-// retransmission finds the first copy's placeholder and waits for its
-// done channel instead of re-applying ops.
-type tunnelRegistry struct {
-	reg *tunnel.Registry
-
-	mu      sync.Mutex
-	batches map[batchRef]*batchState
+// tunnelReg is one tunnel registration: the endpoint, and the replay
+// cache of the batches applied to it, which lives and dies with it.
+type tunnelReg struct {
+	ep      *tunnel.Endpoint
+	batches *registry[struct{}]
 }
 
-// batchRef names one batch of one tunnel RAR.
-type batchRef struct{ rar, id string }
-
-// batchState is one batch's replay-cache entry.
-type batchState struct {
-	// done is closed once the batch has been applied and its outcome
-	// recorded; duplicates arriving mid-flight wait on it.
-	done chan struct{}
-	// outcome is replayed verbatim on retransmission.
-	outcome *signalling.Message
-	// epoch pins the entry to a specific registration of the tunnel
-	// RAR id, so snapshots and teardown can tell stale entries apart.
-	epoch int64
-}
-
-// settledBatch is a replay-cache entry whose batch settled in a previous
-// life or on the leader: done comes pre-closed.
-func settledBatch(epoch int64, outcome *signalling.Message) *batchState {
-	done := make(chan struct{})
-	close(done)
-	return &batchState{done: done, outcome: outcome, epoch: epoch}
-}
-
-func newTunnelRegistry() *tunnelRegistry {
-	return &tunnelRegistry{reg: tunnel.NewRegistry(), batches: make(map[batchRef]*batchState)}
-}
-
-// begin registers a batch placeholder, or returns the existing entry
-// with dup=true.
-func (t *tunnelRegistry) begin(rarID, batchID string, epoch int64) (st *batchState, dup bool) {
-	key := batchRef{rarID, batchID}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if st, ok := t.batches[key]; ok {
-		return st, true
-	}
-	st = &batchState{done: make(chan struct{}), epoch: epoch}
-	t.batches[key] = st
-	return st, false
-}
-
-// record stores a batch's outcome ahead of the journal append that
-// carries it, as a reserve stores its own: a snapshot cut between the
-// append and the settle reflects the batch's ops, and a follower
-// installing it never gets the record itself, so the replay entry has
-// to be in that snapshot too. Duplicates still wait for done.
-func (t *tunnelRegistry) record(st *batchState, outcome *signalling.Message) {
-	t.mu.Lock()
-	st.outcome = outcome
-	t.mu.Unlock()
-}
-
-// outcomeOf reads a settled outcome (nil while in flight).
-func (t *tunnelRegistry) outcomeOf(st *batchState) *signalling.Message {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return st.outcome
-}
-
-// restoreBatch repopulates a replay-cache entry during journal
-// recovery.
-func (t *tunnelRegistry) restoreBatch(rarID string, epoch int64, batchID string, outcome *signalling.Message) {
-	t.mu.Lock()
-	t.batches[batchRef{rarID, batchID}] = settledBatch(epoch, outcome)
-	t.mu.Unlock()
-}
-
-// dropBatches evicts replay-cache entries for a torn-down tunnel
-// registration (matching epoch only — a re-established tunnel keeps
-// its own batches).
-func (t *tunnelRegistry) dropBatches(rarID string, epoch int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for k, st := range t.batches {
-		if k.rar == rarID && st.epoch == epoch {
-			delete(t.batches, k)
-		}
-	}
-}
-
-// resetBatches replaces the whole replay cache with a snapshot's
-// settled entries — a replication follower installing a leader
-// snapshot. In-flight entries are discarded with it: a follower never
-// has batches of its own in flight.
-func (t *tunnelRegistry) resetBatches(snaps []tunnelBatchSnap) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.batches = make(map[batchRef]*batchState, len(snaps))
-	for _, bs := range snaps {
-		t.batches[batchRef{bs.RARID, bs.BatchID}] = settledBatch(bs.Epoch, bs.Outcome)
-	}
-}
-
-// settledBatches snapshots the replay cache for journal rotation,
-// sorted for deterministic bytes. In-flight entries are skipped: they
-// journal themselves when they settle, after the rotation completes.
-func (t *tunnelRegistry) settledBatches() []tunnelBatchSnap {
-	t.mu.Lock()
-	out := make([]tunnelBatchSnap, 0, len(t.batches))
-	for k, st := range t.batches {
-		if st.outcome == nil {
-			continue
-		}
-		out = append(out, tunnelBatchSnap{RARID: k.rar, Epoch: st.epoch, BatchID: k.id, Outcome: st.outcome})
-	}
-	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].RARID != out[j].RARID {
-			return out[i].RARID < out[j].RARID
-		}
-		return out[i].BatchID < out[j].BatchID
-	})
-	return out
+func newTunnelReg(ep *tunnel.Endpoint) tunnelReg {
+	return tunnelReg{ep: ep, batches: newRegistry[struct{}]()}
 }
 
 // registerTunnelDest records the tunnel endpoint at the destination
@@ -181,18 +63,19 @@ func (b *BB) registerTunnelSource(spec *core.Spec, result *signalling.ResultPayl
 	return b.registerTunnel(ep)
 }
 
-// registerTunnel stamps the endpoint with a fresh registration epoch,
-// adds it to the registry (duplicate RAR ids are refused) and journals
-// the establishment.
+// registerTunnel registers the endpoint under a fresh epoch — duplicate
+// RAR ids are refused, and leave the endpoint untouched — and journals
+// the establishment. Until it settles, the registration's placeholder
+// reads as no tunnel.
 func (b *BB) registerTunnel(ep *tunnel.Endpoint) error {
-	b.mu.Lock()
-	b.rarEpoch++
-	ep.Epoch = b.rarEpoch
-	b.mu.Unlock()
-	if err := b.tunnels.reg.Add(ep); err != nil {
-		return err
+	e, dup := b.tunnels.begin(ep.RARID, b.mintEpoch)
+	if dup {
+		return fmt.Errorf("tunnel: %s already registered", ep.RARID)
 	}
+	ep.Epoch = e.epoch
+	b.tunnels.settle(e, newTunnelReg(ep), nil)
 	b.journalTunnel(ep)
+	close(e.done)
 	return nil
 }
 
@@ -204,18 +87,18 @@ func (b *BB) RegisterTunnelEndpoint(ep *tunnel.Endpoint) error {
 	return b.registerTunnel(ep)
 }
 
-// tunnelFor resolves a tunnel endpoint and checks that the peer is
+// tunnelFor resolves a tunnel registration and checks that the peer is
 // authorized on it: only the broker authenticated during establishment
 // (or the tunnel owner, for the source side) may drive sub-flows.
-func (b *BB) tunnelFor(peer signalling.Peer, rarID string) (*tunnel.Endpoint, string) {
-	ep, ok := b.tunnels.reg.Get(rarID)
-	if !ok {
-		return nil, fmt.Sprintf("%s: no tunnel %s", b.cfg.Domain, rarID)
+func (b *BB) tunnelFor(peer signalling.Peer, rarID string) (tunnelReg, string) {
+	t, _ := b.tunnels.get(rarID)
+	if t.val.ep == nil {
+		return tunnelReg{}, fmt.Sprintf("%s: no tunnel %s", b.cfg.Domain, rarID)
 	}
-	if peer.DN != ep.PeerBB && peer.DN != ep.Owner {
-		return nil, fmt.Sprintf("%s: %s is not authorized on tunnel %s", b.cfg.Domain, peer.DN, rarID)
+	if peer.DN != t.val.ep.PeerBB && peer.DN != t.val.ep.Owner {
+		return tunnelReg{}, fmt.Sprintf("%s: %s is not authorized on tunnel %s", b.cfg.Domain, peer.DN, rarID)
 	}
-	return ep, ""
+	return t.val, ""
 }
 
 // handleTunnelBatch applies a batch of sub-flow ops, one or many, at
@@ -230,20 +113,22 @@ func (b *BB) handleTunnelBatch(peer signalling.Peer, payload *signalling.TunnelB
 		b.recordBatchEvent(payload, len(payload.Ops), obs.VerdictDenied, err.Error(), t0)
 		return signalling.ErrorResult(err.Error())
 	}
-	ep, reason := b.tunnelFor(peer, payload.TunnelRARID)
-	if ep == nil {
+	t, reason := b.tunnelFor(peer, payload.TunnelRARID)
+	if t.ep == nil {
 		b.recordBatchEvent(payload, len(payload.Ops), obs.VerdictDenied, reason, t0)
 		return signalling.ErrorResult(reason)
 	}
-	st, dup := b.tunnels.begin(payload.TunnelRARID, payload.BatchID, ep.Epoch)
+	ep := t.ep
+	// A batch racing its tunnel's teardown registers in a registration
+	// that is already gone, and its entry goes with it.
+	e, dup := t.batches.begin(payload.BatchID, nil)
 	if dup {
-		<-st.done
+		resp := e.replay()
 		b.m.tunnelBatchReplays.Inc()
 		b.log.Info("tunnel: replaying recorded batch outcome",
 			obs.AttrRAR, payload.TunnelRARID, obs.AttrPeer, string(peer.DN), "batch", payload.BatchID)
-		if outcome := b.tunnels.outcomeOf(st); outcome != nil {
-			resp := *outcome // shallow copy: Serve stamps the per-call ID
-			return &resp
+		if resp != nil {
+			return resp
 		}
 		return signalling.ErrorResult(fmt.Sprintf("%s: batch %s settled without outcome", b.cfg.Domain, payload.BatchID))
 	}
@@ -308,10 +193,10 @@ func (b *BB) handleTunnelBatch(peer signalling.Peer, payload *signalling.TunnelB
 	// waiters, so a retransmission never observes an unjournaled
 	// application — and, in a replica group, withhold it until a
 	// majority holds the record.
-	b.tunnels.record(st, resp)
+	t.batches.settle(e, struct{}{}, resp)
 	b.journalTunnelBatch(ep, payload.BatchID, applied, resp)
 	b.replWaitCommit()
-	close(st.done)
+	close(e.done)
 	b.m.tunnelBatches.Inc()
 	b.m.tunnelBatchSeconds.ObserveSince(t0)
 	verdict := obs.VerdictGranted
@@ -360,8 +245,9 @@ func (b *BB) tunnelOp(tunnelRARID string, op signalling.TunnelOp, user identity.
 // order.
 func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user identity.DN) ([]signalling.TunnelOpResult, error) {
 	t0 := time.Now()
-	ep, ok := b.tunnels.reg.Get(tunnelRARID)
-	if !ok {
+	t, _ := b.tunnels.get(tunnelRARID)
+	ep := t.val.ep
+	if ep == nil {
 		return nil, fmt.Errorf("bb %s: no tunnel %s", b.cfg.Domain, tunnelRARID)
 	}
 	payload := &signalling.TunnelBatchPayload{
@@ -532,4 +418,7 @@ func firstReason(results []signalling.TunnelOpResult) string {
 }
 
 // Tunnel exposes a tunnel endpoint for inspection.
-func (b *BB) Tunnel(rarID string) (*tunnel.Endpoint, bool) { return b.tunnels.reg.Get(rarID) }
+func (b *BB) Tunnel(rarID string) (*tunnel.Endpoint, bool) {
+	t, _ := b.tunnels.get(rarID)
+	return t.val.ep, t.val.ep != nil
+}

@@ -94,6 +94,34 @@ func TestTunnelBatchPartialDenial(t *testing.T) {
 	wantTunnelCounters(t, w, dest, 2, 0, 0)
 }
 
+// TestBatchEntriesGaugeFollowsItsTunnel: bb_tunnel_batch_entries reads
+// the replay caches of the tunnel registrations. A granted batch leaves
+// one entry at the end that answers retransmissions; the tunnel's cancel
+// takes it away with the registration.
+func TestBatchEntriesGaugeFollowsItsTunnel(t *testing.T) {
+	w, u, rarID := buildTunnelWorld(t, 2, 100*units.Mbps)
+	dest := w.DestDomain()
+	entries := func() float64 { return w.BBs[dest].MetricsRegistry().Snapshot()["bb_tunnel_batch_entries"] }
+	if n := entries(); n != 0 {
+		t.Fatalf("bb_tunnel_batch_entries = %v on a fresh tunnel, want 0", n)
+	}
+	if err := w.BBs[w.SourceDomain()].AllocateTunnelFlow(rarID, "f1", units.Mbps, u.DN()); err != nil {
+		t.Fatal(err)
+	}
+	if n := entries(); n != 1 {
+		t.Errorf("bb_tunnel_batch_entries = %v after a granted batch, want 1", n)
+	}
+	if err := u.Cancel(u.Domain, rarID); err != nil {
+		t.Fatal(err)
+	}
+	if _, live := w.BBs[dest].Tunnel(rarID); live {
+		t.Fatal("the tunnel outlived its cancel")
+	}
+	if n := entries(); n != 0 {
+		t.Errorf("bb_tunnel_batch_entries = %v after the tunnel's cancel, want 0", n)
+	}
+}
+
 // TestTunnelBatchRollsBackLocalHalves: when the destination refuses an
 // op the source already applied, the source's local half is undone —
 // a denied alloc is released, a denied release is re-admitted with its

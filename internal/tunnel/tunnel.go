@@ -140,7 +140,7 @@ func (e *Endpoint) Allocate(subID string, bw units.Bandwidth) (int64, error) {
 	// Aggregate bound without any endpoint-wide lock.
 	for {
 		cur := e.used.Load()
-		if units.Bandwidth(cur)+bw > e.Aggregate {
+		if bw > e.Aggregate-units.Bandwidth(cur) { // not cur+bw: that can wrap
 			return 0, fmt.Errorf("tunnel %s: allocation %v exceeds free capacity %v",
 				e.RARID, bw, e.Aggregate-units.Bandwidth(cur))
 		}
@@ -260,11 +260,12 @@ func Restore(s EndpointSnapshot) (*Endpoint, error) {
 		if _, dup := sh.allocs[sf.ID]; dup {
 			return nil, fmt.Errorf("tunnel: restore %s: duplicate sub-flow %q", s.RARID, sf.ID)
 		}
+		// Compared against what is left, so the total cannot wrap around.
+		if sf.Bandwidth > s.Aggregate-sum {
+			return nil, fmt.Errorf("tunnel: restore %s: allocations exceed aggregate %v at sub-flow %q", s.RARID, s.Aggregate, sf.ID)
+		}
 		sh.allocs[sf.ID] = sf.Bandwidth
 		sum += sf.Bandwidth
-	}
-	if sum > s.Aggregate {
-		return nil, fmt.Errorf("tunnel: restore %s: allocations %v exceed aggregate %v", s.RARID, sum, s.Aggregate)
 	}
 	e.used.Store(int64(sum))
 	e.count.Store(int64(len(s.SubFlows)))
@@ -292,7 +293,7 @@ func (e *Endpoint) ReplayAlloc(subID string, bw units.Bandwidth, gen int64) erro
 	if _, exists := s.allocs[subID]; exists {
 		return nil
 	}
-	if units.Bandwidth(e.used.Load())+bw > e.Aggregate {
+	if bw > e.Aggregate-units.Bandwidth(e.used.Load()) {
 		return fmt.Errorf("tunnel: replay %s: allocation %q overcommits the aggregate", e.RARID, subID)
 	}
 	s.allocs[subID] = bw
@@ -318,95 +319,4 @@ func (e *Endpoint) ReplayRelease(subID string, gen int64) {
 	delete(s.allocs, subID)
 	e.used.Add(-int64(bw))
 	e.count.Add(-1)
-}
-
-// Registry indexes the tunnels terminating at one broker.
-type Registry struct {
-	mu      sync.RWMutex
-	tunnels map[string]*Endpoint
-}
-
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{tunnels: make(map[string]*Endpoint)}
-}
-
-// Add registers an endpoint; duplicate RAR ids are refused.
-func (r *Registry) Add(e *Endpoint) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, exists := r.tunnels[e.RARID]; exists {
-		return fmt.Errorf("tunnel: %s already registered", e.RARID)
-	}
-	r.tunnels[e.RARID] = e
-	return nil
-}
-
-// Replace registers an endpoint, displacing any existing registration
-// of the same RAR id. Journal recovery uses it: a re-establishment
-// record with a newer epoch supersedes the stale endpoint.
-func (r *Registry) Replace(e *Endpoint) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.tunnels[e.RARID] = e
-}
-
-// ResetTo replaces the whole endpoint set in place. A replication
-// follower installing a leader snapshot resets the registry its broker
-// (and its broker's gauges) already point at, instead of swapping the
-// registry out from under them.
-func (r *Registry) ResetTo(eps []*Endpoint) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.tunnels = make(map[string]*Endpoint, len(eps))
-	for _, e := range eps {
-		r.tunnels[e.RARID] = e
-	}
-}
-
-// Get looks an endpoint up.
-func (r *Registry) Get(rarID string) (*Endpoint, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e, ok := r.tunnels[rarID]
-	return e, ok
-}
-
-// Remove tears an endpoint down.
-func (r *Registry) Remove(rarID string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.tunnels, rarID)
-}
-
-// Len reports the number of registered tunnels.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.tunnels)
-}
-
-// All returns the registered endpoints sorted by RAR id (snapshot and
-// inspection order).
-func (r *Registry) All() []*Endpoint {
-	r.mu.RLock()
-	out := make([]*Endpoint, 0, len(r.tunnels))
-	for _, e := range r.tunnels {
-		out = append(out, e)
-	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].RARID < out[j].RARID })
-	return out
-}
-
-// SubFlowTotal reports the live sub-flow allocations summed across all
-// registered tunnels.
-func (r *Registry) SubFlowTotal() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	total := 0
-	for _, e := range r.tunnels {
-		total += e.Len()
-	}
-	return total
 }

@@ -200,30 +200,3 @@ func TestReplayIsIdempotentAndOrdered(t *testing.T) {
 		t.Errorf("gen = %d, want 3", ep.Gen())
 	}
 }
-
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	ep := newEndpoint(t, 10*units.Mbps)
-	if err := r.Add(ep); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Add(ep); err == nil {
-		t.Fatal("duplicate registration accepted")
-	}
-	got, ok := r.Get("RAR-1")
-	if !ok || got != ep {
-		t.Fatal("lookup failed")
-	}
-	if all := r.All(); len(all) != 1 || all[0] != ep {
-		t.Fatalf("All() = %v", all)
-	}
-	ep2 := newEndpoint(t, 20*units.Mbps)
-	r.Replace(ep2)
-	if got, _ := r.Get("RAR-1"); got != ep2 {
-		t.Fatal("Replace did not displace the old endpoint")
-	}
-	r.Remove("RAR-1")
-	if _, ok := r.Get("RAR-1"); ok {
-		t.Fatal("removed endpoint still present")
-	}
-}

@@ -139,7 +139,7 @@ func deploy(t *testing.T) *deployment {
 			t.Fatalf("building %s: %v", dom, err)
 		}
 		t.Cleanup(func() { ln.Close(); broker.Close(); recorder.Close() })
-		go signalling.Serve(ln, broker)
+		go signalling.NewServer(broker, nil).Serve(ln)
 	}
 	return &deployment{
 		dir:      dir,
@@ -291,4 +291,89 @@ func TestLoadConfigValidation(t *testing.T) {
 	if _, err := LoadConfig(path); err == nil {
 		t.Fatal("malformed JSON accepted")
 	}
+}
+
+// TestBuildRefusesConfigThatDisagrees: a peer whose cert_file is another
+// domain's broker, and a replica set that leaves out its own replica_id
+// or has no state_dir, stop the daemon at boot with the broker's named
+// error, not at the first reserve that needs them.
+func TestBuildRefusesConfigThatDisagrees(t *testing.T) {
+	dir := t.TempDir()
+	ca, err := pki.NewCA(identity.NewDN("Grid", "", "RootCA"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	caPath := filepath.Join(dir, "ca.cert.pem")
+	if err := pki.SaveCertFile(caPath, ca.CertificateDER()); err != nil {
+		t.Fatal(err)
+	}
+	var domCfgs []DomainConfig
+	for _, dom := range []string{"DomainA", "DomainB", "DomainC"} {
+		key, err := identity.GenerateKeyPair(identity.NewDN("Grid", dom, "bb"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cert, err := ca.IssueIdentity(key.DN, key.Public(), 0, "bb")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pki.SaveCertFile(filepath.Join(dir, dom+".cert.pem"), cert.DER); err != nil {
+			t.Fatal(err)
+		}
+		if err := pki.SaveKeyFile(filepath.Join(dir, dom+".key.pem"), key.Private); err != nil {
+			t.Fatal(err)
+		}
+		domCfgs = append(domCfgs, DomainConfig{Name: dom, BBDN: string(key.DN)})
+	}
+	config := func() *FileConfig {
+		return &FileConfig{
+			Domain:    "DomainA",
+			Listen:    "127.0.0.1:0",
+			KeyFile:   filepath.Join(dir, "DomainA.key.pem"),
+			CertFile:  filepath.Join(dir, "DomainA.cert.pem"),
+			RootFiles: []string{caPath},
+			Capacity:  "100Mb/s",
+			Domains:   domCfgs,
+			Links:     []LinkConfig{{A: "DomainA", B: "DomainB"}, {A: "DomainB", B: "DomainC"}},
+			Peers:     []PeerConfig{{Domain: "DomainB", Addr: "127.0.0.1:1", CertFile: filepath.Join(dir, "DomainB.cert.pem")}},
+		}
+	}
+	for _, row := range []struct {
+		name string
+		edit func(*FileConfig)
+		want string
+	}{
+		{"a peer's cert_file is another domain's broker", func(c *FileConfig) {
+			c.Peers[0].CertFile = filepath.Join(dir, "DomainC.cert.pem")
+		}, "peer DomainB: certificate subject /O=Grid/OU=DomainC/CN=bb is not the topology's broker for that domain"},
+		{"replica_peers without this broker's replica_id", func(c *FileConfig) {
+			c.StateDir, c.ReplicaID, c.ReplicaPeers = t.TempDir(), 2, map[int]string{0: "127.0.0.1:1", 1: "127.0.0.1:2"}
+		}, "the replica addresses leave out this broker's own replica id 2"},
+		{"replica_peers without state_dir", func(c *FileConfig) {
+			c.ReplicaPeers = map[int]string{0: "127.0.0.1:1", 1: "127.0.0.1:2"}
+		}, "replication requires a state directory"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := config()
+			row.edit(cfg)
+			broker, ln, recorder, err := cfg.Build()
+			if err == nil {
+				ln.Close()
+				broker.Close()
+				recorder.Close()
+				t.Fatalf("Build accepted the config, want an error mentioning %q", row.want)
+			}
+			if !strings.Contains(err.Error(), row.want) {
+				t.Errorf("Build: err = %v, want it to mention %q", err, row.want)
+			}
+		})
+	}
+	// The same files, agreeing, build.
+	broker, ln, recorder, err := config().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.Close()
+	broker.Close()
+	recorder.Close()
 }

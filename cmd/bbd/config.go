@@ -7,13 +7,13 @@ import (
 	"time"
 
 	"e2eqos/internal/bb"
+	"e2eqos/internal/cpusched"
 	"e2eqos/internal/identity"
 	"e2eqos/internal/journal"
 	"e2eqos/internal/obs"
 	"e2eqos/internal/pki"
 	"e2eqos/internal/policy"
 	"e2eqos/internal/policysrv"
-	"e2eqos/internal/sla"
 	"e2eqos/internal/topology"
 	"e2eqos/internal/transport"
 	"e2eqos/internal/units"
@@ -239,16 +239,13 @@ func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, e
 	}
 	ps := policysrv.New(cfg.Domain, pol)
 
-	inbound := make(map[string]*sla.SLA)
-	peerCerts := make(map[identity.DN]*pki.Certificate)
+	peers := make([]bb.Peering, 0, len(cfg.Peers))
 	peerAddrs := make(map[identity.DN]string)
 	for _, p := range cfg.Peers {
 		peerCert, err := pki.LoadCertFile(p.CertFile)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		trust.PinPeer(peerCert.SubjectDN(), peerCert.PublicKey())
-		peerCerts[peerCert.SubjectDN()] = peerCert
 		peerAddrs[peerCert.SubjectDN()] = p.Addr
 		rate := capacity
 		if p.SLARate != "" {
@@ -256,18 +253,7 @@ func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, e
 				return nil, nil, nil, err
 			}
 		}
-		inbound[p.Domain] = &sla.SLA{
-			Upstream:   p.Domain,
-			Downstream: cfg.Domain,
-			Service: sla.SLS{
-				Profile:     sla.TrafficProfile{Rate: rate, BucketBytes: 64_000},
-				Excess:      sla.Drop,
-				MaxLatency:  5 * time.Millisecond,
-				Reliability: 0.999,
-			},
-			DownstreamBBDN: cert.SubjectDN(),
-			UpstreamBBDN:   peerCert.SubjectDN(),
-		}
+		peers = append(peers, bb.Peering{Domain: p.Domain, Cert: peerCert, SLARate: rate})
 	}
 
 	tlsCfg := &transport.TLSConfig{CertDER: cert.DER, Key: key.Private, RootDERs: rootDERs}
@@ -303,15 +289,6 @@ func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, e
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if len(cfg.ReplicaPeers) > 1 {
-		if cfg.StateDir == "" {
-			return nil, nil, nil, fmt.Errorf("bbd: replica_peers requires state_dir (the replication stream is the journal)")
-		}
-		if _, ok := cfg.ReplicaPeers[cfg.ReplicaID]; !ok {
-			return nil, nil, nil, fmt.Errorf("bbd: replica_peers must include this broker's own replica_id %d", cfg.ReplicaID)
-		}
-	}
-
 	level, err := obs.ParseLevel(cfg.LogLevel)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("bbd: %w", err)
@@ -344,8 +321,7 @@ func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, e
 		Policy:           ps,
 		Capacity:         capacity,
 		Topo:             topo,
-		InboundSLAs:      inbound,
-		PeerCerts:        peerCerts,
+		Peers:            peers,
 		PeerAddrs:        peerAddrs,
 		Dialer:           dialer,
 		CallTimeout:      callTimeout,
@@ -361,15 +337,13 @@ func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, e
 		Fsync:            fsync,
 		Recorder:         recorder,
 		SampleRate:       cfg.SampleRate,
-	}
-	if len(cfg.ReplicaPeers) > 1 {
-		bbCfg.ReplicaID = cfg.ReplicaID
-		bbCfg.ReplicaAddrs = cfg.ReplicaPeers
-		bbCfg.StartAsFollower = cfg.StartAsFollower
-		bbCfg.ElectionTimeout = electionTimeout
+		ReplicaID:        cfg.ReplicaID,
+		ReplicaAddrs:     cfg.ReplicaPeers,
+		StartAsFollower:  cfg.StartAsFollower,
+		ElectionTimeout:  electionTimeout,
 	}
 	if cfg.CPUs > 0 {
-		cpuMgr, err := newCPUManager(cfg.Domain, cfg.CPUs)
+		cpuMgr, err := cpusched.NewManager(cfg.Domain, cfg.CPUs)
 		if err != nil {
 			recorder.Close()
 			return nil, nil, nil, err

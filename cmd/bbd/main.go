@@ -17,15 +17,8 @@ import (
 	"os/signal"
 	"syscall"
 
-	"e2eqos/internal/cpusched"
 	"e2eqos/internal/signalling"
 )
-
-// newCPUManager indirects cpusched construction so config.go stays
-// free of resource-manager imports beyond its own.
-func newCPUManager(domain string, cpus int) (*cpusched.Manager, error) {
-	return cpusched.NewManager(domain, cpus)
-}
 
 func main() {
 	configPath := flag.String("config", "", "path to the broker JSON config (required)")
@@ -109,13 +102,14 @@ func main() {
 		defer closeAdmin()
 	}
 
-	go signalling.ServeWith(ln, broker, logger)
+	srv := signalling.NewServer(broker, logger)
+	go srv.Serve(ln)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
 	logger.Info("bbd shutting down")
-	ln.Close()
+	srv.Shutdown()
 	broker.Close()
 	// The recorder outlives the broker: in-flight handlers may still
 	// append events until Close drains them.

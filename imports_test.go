@@ -86,3 +86,21 @@ func TestOneSignatureScheme(t *testing.T) {
 		t.Error("no Go files found")
 	}
 }
+
+// TestOnePeeringAuthor: internal/bb derives everything a peering means —
+// the pinned key, the inbound SLA, the certificate the forwarding path
+// delegates to — from bb.Peering. A daemon or the experiment World that
+// imports internal/sla is assembling SLAs by hand again.
+func TestOnePeeringAuthor(t *testing.T) {
+	assemblies := []string{"cmd", filepath.Join("internal", "experiment", "world.go")}
+	for _, root := range assemblies {
+		files := nonTestImports(t, root, nil, func(path, imp string) {
+			if imp == "e2eqos/internal/sla" {
+				t.Errorf("%s imports internal/sla: peerings are bb.Config.Peers, built into SLAs by bb.New", path)
+			}
+		})
+		if files == 0 {
+			t.Errorf("%s: no Go files found; the list above is stale", root)
+		}
+	}
+}

@@ -31,9 +31,23 @@ import (
 	"e2eqos/internal/units"
 )
 
-// defaultBucketBytes is the burst allowance configured with every
-// installed profile and aggregate when Config.BucketBytes is unset.
-const defaultBucketBytes = 30_000
+// bucketBytes is the burst allowance configured with every installed
+// profile and aggregate.
+const bucketBytes = 30_000
+
+// Peering is one SLA-peered neighbour. Hop-by-hop signalling needs
+// only neighbour trust, and the extended SLA carries the peered
+// brokers' certificates (sla.SLA), so this is all a broker is told
+// about a peer: New pins the certificate's key, builds the inbound SLA
+// and keys the certificate by its DN for capability delegation.
+type Peering struct {
+	Domain string
+	// Cert is the peer broker's certificate; its subject must be the
+	// topology's broker DN for Domain.
+	Cert *pki.Certificate
+	// SLARate is the contracted premium aggregate entering from the peer.
+	SLARate units.Bandwidth
+}
 
 // Config assembles a broker.
 type Config struct {
@@ -42,8 +56,8 @@ type Config struct {
 	// Key / Cert are the broker's identity.
 	Key  *identity.KeyPair
 	Cert *pki.Certificate
-	// Trust is the broker's trust store (SLA peers pinned, home CA
-	// rooted, introducer-depth policy set).
+	// Trust is the broker's trust store (home CA rooted, introducer-depth
+	// policy set); New pins the Peers into it.
 	Trust *pki.TrustStore
 	// Policy is the domain's policy decision point.
 	Policy *policysrv.Server
@@ -51,13 +65,10 @@ type Config struct {
 	Capacity units.Bandwidth
 	// Topo is the inter-domain topology used for next-hop selection.
 	Topo *topology.Topology
-	// InboundSLAs maps an upstream neighbour domain to the SLA
-	// regulating premium traffic entering from it.
-	InboundSLAs map[string]*sla.SLA
-	// PeerCerts maps a peered broker DN to its certificate (exchanged
-	// when the SLA was set up); needed to delegate capabilities to it.
-	PeerCerts map[identity.DN]*pki.Certificate
-	// PeerAddrs maps a broker DN to its transport address.
+	// Peers are the SLA-peered neighbours.
+	Peers []Peering
+	// PeerAddrs maps a broker DN to its transport address: a peer's, or
+	// a tunnel's far end, which need not be a peer.
 	PeerAddrs map[identity.DN]string
 	// Dialer opens signalling channels.
 	Dialer transport.Dialer
@@ -70,9 +81,6 @@ type Config struct {
 	// interface. Nil when the broker runs control-plane-only (daemons,
 	// signalling benchmarks).
 	Plane dataplane.DataPlane
-	// BucketBytes is the burst allowance configured with every
-	// installed profile and aggregate (default 30 kB).
-	BucketBytes int64
 	// Clock is injectable for tests; defaults to time.Now.
 	Clock func() time.Time
 
@@ -141,8 +149,10 @@ type Config struct {
 	// replicated group (DESIGN.md §6.8): ReplicaAddrs maps every
 	// replica id in the group — including this broker's own ReplicaID —
 	// to its transport address. With fewer than two entries the broker
-	// runs unreplicated (the pre-replication behaviour). Replication
-	// requires StateDir: the stream is the journal.
+	// runs unreplicated (the pre-replication behaviour) and ignores
+	// ReplicaID, StartAsFollower and ElectionTimeout. New refuses a
+	// replica set without StateDir (the stream is the journal) or
+	// without its own id.
 	ReplicaID    int
 	ReplicaAddrs map[int]string
 	// StartAsFollower makes the broker boot as a follower awaiting a
@@ -187,6 +197,12 @@ type BB struct {
 	table *resv.Table
 	log   *slog.Logger
 	m     bbMetrics
+
+	// inbound is the SLA regulating premium traffic from each peered
+	// domain; peerCerts is each peer's certificate by its broker DN.
+	// Both are derived from Config.Peers once, in New.
+	inbound   map[string]*sla.SLA
+	peerCerts map[identity.DN]*pki.Certificate
 
 	// pool holds the outbound signalling clients, one multiplexed
 	// connection per peer, with its own per-slot locking — never
@@ -243,6 +259,14 @@ func New(cfg Config) (*BB, error) {
 	if cfg.Topo == nil {
 		return nil, fmt.Errorf("bb: missing topology")
 	}
+	if len(cfg.ReplicaAddrs) > 1 {
+		if cfg.StateDir == "" {
+			return nil, fmt.Errorf("bb %s: replication requires a state directory (the stream is the journal)", cfg.Domain)
+		}
+		if _, ok := cfg.ReplicaAddrs[cfg.ReplicaID]; !ok {
+			return nil, fmt.Errorf("bb %s: the replica addresses leave out this broker's own replica id %d", cfg.Domain, cfg.ReplicaID)
+		}
+	}
 	proto, err := core.NewBroker(cfg.Key, cfg.Cert, cfg.Trust)
 	if err != nil {
 		return nil, err
@@ -258,15 +282,38 @@ func New(cfg Config) (*BB, error) {
 	// simulated time in the experiments.
 	table.SetClock(cfg.Clock)
 	b := &BB{
-		cfg:      cfg,
-		proto:    proto,
-		table:    table,
-		log:      obs.BrokerLogger(cfg.Logger, cfg.Domain),
-		m:        newBBMetrics(cfg.Metrics),
-		breakers: make(map[identity.DN]*breaker),
-		routes:   newRegistry[route](),
-		tunnels:  newRegistry[tunnelReg](),
-		sampler:  obs.NewSampler(cfg.SampleRate),
+		cfg:       cfg,
+		proto:     proto,
+		table:     table,
+		log:       obs.BrokerLogger(cfg.Logger, cfg.Domain),
+		m:         newBBMetrics(cfg.Metrics),
+		inbound:   make(map[string]*sla.SLA, len(cfg.Peers)),
+		peerCerts: make(map[identity.DN]*pki.Certificate, len(cfg.Peers)),
+		breakers:  make(map[identity.DN]*breaker),
+		routes:    newRegistry[route](),
+		tunnels:   newRegistry[tunnelReg](),
+		sampler:   obs.NewSampler(cfg.SampleRate),
+	}
+	for _, p := range cfg.Peers {
+		dn := p.Cert.SubjectDN()
+		if d, ok := cfg.Topo.Domain(p.Domain); !ok || d.BBDN != dn {
+			return nil, fmt.Errorf("bb %s: peer %s: certificate subject %s is not the topology's broker for that domain", cfg.Domain, p.Domain, dn)
+		}
+		cfg.Trust.PinPeer(dn, p.Cert.PublicKey())
+		b.peerCerts[dn] = p.Cert
+		// The premium SLS every peering contracts.
+		b.inbound[p.Domain] = &sla.SLA{
+			Upstream:   p.Domain,
+			Downstream: cfg.Domain,
+			Service: sla.SLS{
+				Profile:     sla.TrafficProfile{Rate: p.SLARate, BucketBytes: 64_000},
+				Excess:      sla.Drop,
+				MaxLatency:  5 * time.Millisecond,
+				Reliability: 0.999,
+			},
+			UpstreamBBDN:   dn,
+			DownstreamBBDN: cfg.Key.DN,
+		}
 	}
 	b.pool = newClientPool(func(dn identity.DN) (*signalling.Client, error) {
 		return b.dial("peer "+string(dn), b.cfg.PeerAddrs[dn], dn, b.cfg.CallTimeout)
@@ -275,9 +322,6 @@ func New(cfg Config) (*BB, error) {
 	// replays "saga." records into it, and compensation only starts
 	// once Resume runs below.
 	b.sagas = b.newSagaCoordinator()
-	if b.replicated() && cfg.StateDir == "" {
-		return nil, fmt.Errorf("bb %s: replication requires StateDir (the stream is the journal)", cfg.Domain)
-	}
 	if cfg.StateDir != "" {
 		// Recover-on-boot: replay the snapshot + record tail persisted by
 		// a previous incarnation into the fresh table, then start
@@ -291,7 +335,7 @@ func New(cfg Config) (*BB, error) {
 	if b.replicated() {
 		b.repl = newReplicator(b)
 	}
-	if !cfg.StartAsFollower {
+	if b.repl == nil || !cfg.StartAsFollower {
 		// Presumed abort: sagas recovered without a commit record restart
 		// their compensations. Followers only mirror saga state; the
 		// leader (or a promoted follower) runs the compensations.
@@ -392,14 +436,6 @@ func (b *BB) Crash() {
 	b.journal.Crash()
 }
 
-// bucket is the burst allowance pushed with every profile.
-func (b *BB) bucket() int64 {
-	if b.cfg.BucketBytes > 0 {
-		return b.cfg.BucketBytes
-	}
-	return defaultBucketBytes
-}
-
 // syncDataPlane pushes the currently committed aggregate into the
 // domain's ingress policer.
 func (b *BB) syncDataPlane() {
@@ -412,7 +448,7 @@ func (b *BB) syncDataPlane() {
 		// A closed policer: nothing admitted, no premium passes.
 		rate = 1 // 1 b/s effectively blocks premium traffic
 	}
-	p.SetAggregate(sla.TrafficProfile{Rate: rate, BucketBytes: b.bucket()})
+	p.SetAggregate(sla.TrafficProfile{Rate: rate, BucketBytes: bucketBytes})
 }
 
 // installEdgeFlow programs the source-domain edge marker for a granted
@@ -424,7 +460,7 @@ func (b *BB) installEdgeFlow(spec *core.Spec) {
 	}
 	p.InstallProfile(spec.RARID, sla.TrafficProfile{
 		Rate:        spec.Bandwidth,
-		BucketBytes: b.bucket(),
+		BucketBytes: bucketBytes,
 	})
 }
 

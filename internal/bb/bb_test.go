@@ -5,15 +5,19 @@ import (
 	"testing"
 	"time"
 
+	"e2eqos/internal/bb"
 	"e2eqos/internal/dsim"
 	"e2eqos/internal/envelope"
 	"e2eqos/internal/experiment"
 	"e2eqos/internal/identity"
 	"e2eqos/internal/netsim"
+	"e2eqos/internal/pki"
 	"e2eqos/internal/policy"
+	"e2eqos/internal/policysrv"
 	"e2eqos/internal/resv"
 	"e2eqos/internal/signalling"
 	"e2eqos/internal/sla"
+	"e2eqos/internal/topology"
 	"e2eqos/internal/units"
 )
 
@@ -435,5 +439,87 @@ func TestDataPlaneSyncOnGrantAndCancel(t *testing.T) {
 	st = sink.Stats(netsim.FlowID(spec.RARID))
 	if st.RxBytesByCls[netsim.BestEffort] == 0 {
 		t.Fatal("cancelled flow still marked premium")
+	}
+}
+
+// TestNewChecksItsConfig: bb.New is the one place a broker's config is
+// checked, so a peering and a replica set that disagree with the rest of
+// the config are refused there, by name, before anything serves — and a
+// peering that agrees is pinned into the trust store.
+func TestNewChecksItsConfig(t *testing.T) {
+	topo, err := topology.Linear(3, 100*units.Mbps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca, err := pki.NewCA(identity.NewDN("Grid", "", "CA"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	certs := make(map[string]*pki.Certificate)
+	keys := make(map[string]*identity.KeyPair)
+	for _, name := range topo.Domains() {
+		d, _ := topo.Domain(name)
+		if keys[name], err = identity.GenerateKeyPair(d.BBDN); err != nil {
+			t.Fatal(err)
+		}
+		if certs[name], err = ca.IssueIdentity(d.BBDN, keys[name].Public(), 0, "bb"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	config := func(edit func(*bb.Config)) bb.Config {
+		cfg := bb.Config{
+			Domain:   "Domain1",
+			Key:      keys["Domain1"],
+			Cert:     certs["Domain1"],
+			Trust:    pki.NewTrustStore(16),
+			Policy:   policysrv.New("Domain1", policy.MustParse("p", "allow if bw <= avail\ndeny")),
+			Capacity: 100 * units.Mbps,
+			Topo:     topo,
+			Peers: []bb.Peering{
+				{Domain: "Domain0", Cert: certs["Domain0"], SLARate: 100 * units.Mbps},
+				{Domain: "Domain2", Cert: certs["Domain2"], SLARate: 100 * units.Mbps},
+			},
+		}
+		edit(&cfg)
+		return cfg
+	}
+	for _, row := range []struct {
+		name string
+		edit func(*bb.Config)
+		want string // "" builds
+	}{
+		{"neighbour peerings", func(*bb.Config) {}, ""},
+		{"a peer's certificate is another domain's broker", func(c *bb.Config) {
+			c.Peers[1].Cert = certs["Domain0"]
+		}, "bb Domain1: peer Domain2: certificate subject " + string(keys["Domain0"].DN) + " is not the topology's broker for that domain"},
+		{"a peer the topology does not know", func(c *bb.Config) {
+			c.Peers[1].Domain = "Elsewhere"
+		}, "bb Domain1: peer Elsewhere: certificate subject " + string(keys["Domain2"].DN) + " is not the topology's broker for that domain"},
+		{"a replica set without this broker's own id", func(c *bb.Config) {
+			c.StateDir, c.ReplicaID, c.ReplicaAddrs = t.TempDir(), 2, map[int]string{0: "r0", 1: "r1"}
+		}, "bb Domain1: the replica addresses leave out this broker's own replica id 2"},
+		{"a replica set without a state directory", func(c *bb.Config) {
+			c.ReplicaAddrs = map[int]string{0: "r0", 1: "r1"}
+		}, "bb Domain1: replication requires a state directory (the stream is the journal)"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := config(row.edit)
+			b, err := bb.New(cfg)
+			if row.want != "" {
+				if err == nil || err.Error() != row.want {
+					t.Fatalf("bb.New: err = %v, want %q", err, row.want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Close()
+			for _, p := range cfg.Peers {
+				if pub, ok := cfg.Trust.PeerKey(p.Cert.SubjectDN()); !ok || !pub.Equal(p.Cert.PublicKey()) {
+					t.Errorf("peer %s is not pinned in the trust store", p.Domain)
+				}
+			}
+		})
 	}
 }

@@ -348,3 +348,63 @@ func TestReplicatedFailoverPreservesTunnelBatches(t *testing.T) {
 	waitReplicated(t, w, src, live)
 	requireDigestsEqual(t, w, src, live)
 }
+
+// TestAutomaticFailoverElectsOneSurvivor: with ElectionTimeout armed and
+// nobody calling Promote, the followers of a killed leader elect one of
+// themselves at a higher term on their own, and the other survivor
+// follows the winner to byte-identical state.
+func TestAutomaticFailoverElectsOneSurvivor(t *testing.T) {
+	w, err := experiment.BuildWorld(experiment.WorldConfig{
+		NumDomains:      2,
+		Replicas:        3,
+		StateDir:        t.TempDir(),
+		FsyncPolicy:     "always",
+		CallTimeout:     2 * time.Second,
+		ElectionTimeout: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	u, err := w.NewUser("alice", "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(u.Close)
+	src := w.SourceDomain()
+	spec := u.NewSpec(experiment.SpecOptions{DestDomain: w.DestDomain(), Bandwidth: 5 * units.Mbps})
+	if res, err := u.ReserveE2E(spec); err != nil || !res.Granted {
+		t.Fatalf("reserve: res=%+v err=%v", res, err)
+	}
+	waitReplicated(t, w, src, []int{0, 1, 2})
+	before := w.ReplicaBB(src, 0).ReplicationStatus()
+	if !before.Leader {
+		t.Fatalf("replica 0 lost its leadership with nothing killed: %+v", before)
+	}
+	killed, err := w.KillLeader(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var survivors []int
+	for i := 0; i < 3; i++ {
+		if i != killed {
+			survivors = append(survivors, i)
+		}
+	}
+	eventually(t, "one survivor wins an election and the other follows it to its state", func() bool {
+		var leaders, followers []int
+		for _, i := range survivors {
+			if st := w.ReplicaBB(src, i).ReplicationStatus(); st.Leader && st.Term > before.Term {
+				leaders = append(leaders, i)
+			} else {
+				followers = append(followers, i)
+			}
+		}
+		if len(leaders) != 1 || w.ReplicaBB(src, followers[0]).ReplicationStatus().LeaderID != leaders[0] {
+			return false
+		}
+		want, err1 := w.ReplicaBB(src, leaders[0]).StateDigest()
+		got, err2 := w.ReplicaBB(src, followers[0]).StateDigest()
+		return err1 == nil && err2 == nil && bytes.Equal(got, want)
+	})
+}

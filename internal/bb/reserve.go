@@ -254,7 +254,7 @@ func (b *BB) processReserve(fc *forwardCtx, now time.Time) *signalling.Message {
 		}
 		// SLA conformance: the premium aggregate entering from the
 		// upstream peer must stay inside the contracted profile.
-		contract := b.cfg.InboundSLAs[upDomain]
+		contract := b.inbound[upDomain]
 		if contract == nil {
 			return b.deny(spec.RARID, fmt.Sprintf("%s: no SLA with upstream domain %s", b.cfg.Domain, upDomain))
 		}
@@ -444,7 +444,7 @@ func (b *BB) forward(fc *forwardCtx) *signalling.Message {
 // answered, grant or refusal. An error means nobody knows what happened
 // below; what to do about that is the caller's business.
 func (b *BB) send(fc *forwardCtx, nd *topology.Domain, leg *signalling.ReservePayload, key string) (*signalling.ResultPayload, error) {
-	nextCert := b.cfg.PeerCerts[nd.BBDN]
+	nextCert := b.peerCerts[nd.BBDN]
 	if nextCert == nil {
 		return nil, fmt.Errorf("no certificate for next hop %s", nd.BBDN)
 	}

@@ -10,12 +10,13 @@
 //
 // Backends live in sub-packages, one package per backend:
 //
-//   - netsimdp wraps the packet-level netsim simulator (the default in
-//     experiment worlds);
+//   - netsimdp wraps the packet-level netsim simulator (what every
+//     experiment world's broker is wired against);
 //   - fake is a thread-safe counting backend with closed-form
-//     token-bucket math, for tests and the large-scale scenario fleet;
-//   - nop enforces nothing and counts nothing, for benchmarks that
-//     only exercise the control plane.
+//     token-bucket math, for tests and the large-scale scenario fleet.
+//
+// A broker with no data plane (Config.Plane nil) runs control-plane
+// only.
 //
 // All implementations must be safe for concurrent use: broker
 // goroutines install and remove profiles while traffic (real or

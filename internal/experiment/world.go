@@ -25,7 +25,6 @@ import (
 	"e2eqos/internal/policy"
 	"e2eqos/internal/policysrv"
 	"e2eqos/internal/signalling"
-	"e2eqos/internal/sla"
 	"e2eqos/internal/topology"
 	"e2eqos/internal/transport"
 	"e2eqos/internal/units"
@@ -50,8 +49,6 @@ type WorldConfig struct {
 	// Policies maps domain name -> policy; missing domains get
 	// "allow if bw <= avail; deny".
 	Policies map[string]*policy.Policy
-	// IntroducerDepth is each broker's trust-chain limit (default 16).
-	IntroducerDepth int
 	// TrustUserCAEverywhere makes every broker root the user CA — the
 	// requirement of the source-domain baseline ("each BB must know
 	// about (and be able to authenticate) Alice").
@@ -69,11 +66,6 @@ type WorldConfig struct {
 	// scenario fleet's RNG streams); it never feeds from the date or
 	// any other ambient source. Zero means 1.
 	Seed uint64
-	// DataPlaneFor, when set, supplies the data plane each broker
-	// replica is wired against. Nil gives every broker an unattached
-	// netsim backend (enforcement begins when an experiment attaches
-	// edge/policer devices through NetsimPlane).
-	DataPlaneFor func(domain string, replica int) dataplane.DataPlane
 
 	// CallTimeout bounds every signalling call made by brokers and by
 	// users created with NewUser (0 = wait forever).
@@ -119,12 +111,16 @@ type WorldConfig struct {
 	// address, the rest boot as followers listening only on their
 	// replica addresses ("bb.<domain>.r<i>"). Requires StateDir — the
 	// replication stream is the journal. KillLeader / PromoteReplica
-	// / PromoteAny drive failover.
+	// / PromoteAny drive failover. Otherwise each domain is a group of
+	// one.
 	Replicas int
 	// ElectionTimeout, when set with Replicas > 1, arms automatic
 	// failover: a follower that hears nothing from its leader for this
 	// long (id-staggered) stands for election on its own. Zero keeps
-	// elections manual (PromoteReplica / PromoteAny).
+	// elections manual (PromoteReplica / PromoteAny). The World does not
+	// follow an automatic win: the domain's well-known address, BBs and
+	// the other views stay on the dead leader until PromoteReplica names
+	// the winner.
 	ElectionTimeout time.Duration
 	// FsyncPolicy selects the journal durability policy for every
 	// broker: "batch" (default), "always" or "never". Only meaningful
@@ -140,6 +136,9 @@ type World struct {
 	Net     *transport.Network
 	Topo    *topology.Topology
 	Domains []string
+	// BBs, Planes, Metrics and Recorders show each domain's front: the
+	// broker serving its well-known address, and after a PromoteReplica
+	// the promoted one.
 	BBs     map[string]*bb.BB
 	BBCerts map[string]*pki.Certificate
 	// UserCA issues end-user certificates (it is domain 0's CA).
@@ -153,39 +152,39 @@ type World struct {
 	// Seed is the deterministic seed the world was built with (from
 	// WorldConfig.Seed; zero becomes 1).
 	Seed uint64
-	// Metrics holds each domain's broker registry (nil unless
+	// Metrics holds each domain's broker registry (none unless
 	// WorldConfig.EnableObs); NetMetrics aggregates transport counters
 	// across the whole in-memory network.
 	Metrics    map[string]*obs.Registry
 	NetMetrics *obs.Registry
-	// Recorders holds each domain's flight recorder (nil map entries
-	// unless WorldConfig.EventsDir).
+	// Recorders holds each domain's flight recorder (none unless
+	// WorldConfig.EventsDir).
 	Recorders map[string]*obs.Recorder
 
-	servers   map[string]*signalling.Server
-	endpoints map[string]*transport.Endpoint
-	addrs     map[identity.DN]string
-	// brokerCfgs remembers each broker's assembly config so
-	// RestartDomainFromJournal can rebuild it from scratch.
-	brokerCfgs  map[string]bb.Config
-	replicas    map[string]*replicaGroup
-	enableObs   bool
+	// stops stops the server at each running domain's well-known
+	// address.
+	stops map[string]func()
+	// members holds every broker built for a domain, in replica order —
+	// one for an unreplicated domain — and leaders which of them fronts
+	// it.
+	members     map[string][]*member
+	leaders     map[string]int
 	clock       func() time.Time
 	callTimeout time.Duration
 }
 
-// replicaGroup tracks one domain's replica set: every broker ever
-// built for the domain (dead ones stay, marked), their endpoints and
-// replica-address listeners, and which replica currently fronts the
-// domain's well-known address.
-type replicaGroup struct {
-	brokers   []*bb.BB
-	endpoints []*transport.Endpoint
-	planes    []dataplane.DataPlane
-	recorders []*obs.Recorder
-	servers   map[int]*signalling.Server // replica-address listeners
-	alive     []bool
-	leader    int
+// member is one broker the World built: its config (what
+// RestartDomainFromJournal rebuilds it from, and where its plane,
+// registry and recorder live), the endpoint it dials and listens on,
+// what stops the server on its replica address (nil in a group of one)
+// and whether it has been killed. Dead members stay: their tables are
+// still inspectable.
+type member struct {
+	broker      *bb.BB
+	cfg         bb.Config
+	endpoint    *transport.Endpoint
+	stopReplica func()
+	alive       bool
 }
 
 // addrOf is the in-memory address convention for a broker.
@@ -204,9 +203,6 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 	}
 	if cfg.SLARate <= 0 {
 		cfg.SLARate = cfg.Capacity
-	}
-	if cfg.IntroducerDepth <= 0 {
-		cfg.IntroducerDepth = 16
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
@@ -238,12 +234,9 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 		Planes:      make(map[string]dataplane.DataPlane),
 		Metrics:     make(map[string]*obs.Registry),
 		Recorders:   make(map[string]*obs.Recorder),
-		servers:     make(map[string]*signalling.Server),
-		endpoints:   make(map[string]*transport.Endpoint),
-		addrs:       make(map[identity.DN]string),
-		brokerCfgs:  make(map[string]bb.Config),
-		replicas:    make(map[string]*replicaGroup),
-		enableObs:   cfg.EnableObs,
+		stops:       make(map[string]func()),
+		members:     make(map[string][]*member),
+		leaders:     make(map[string]int),
 		clock:       cfg.Clock,
 		callTimeout: cfg.CallTimeout,
 	}
@@ -276,6 +269,7 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 		trust *pki.TrustStore
 	}
 	mat := make(map[string]*domainMaterial, len(w.Domains))
+	addrs := make(map[identity.DN]string, len(w.Domains))
 	for i, name := range w.Domains {
 		ca, err := pki.NewCA(identity.NewDN("Grid", name, "CA"))
 		if err != nil {
@@ -290,18 +284,18 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 		if err != nil {
 			return nil, err
 		}
-		trust := pki.NewTrustStore(cfg.IntroducerDepth)
+		trust := pki.NewTrustStore(16) // the introducer depth bbd defaults to
 		mat[name] = &domainMaterial{ca: ca, key: key, cert: cert, trust: trust}
 		w.BBCerts[name] = cert
-		w.addrs[key.DN] = addrOf(name)
+		addrs[key.DN] = addrOf(name)
 		if i == 0 {
 			w.UserCA = ca
 		}
 	}
 
-	// Trust wiring: each broker roots its own CA (local users), pins
-	// its peers, and — in baseline mode — roots the user CA.
-	for name, m := range mat {
+	// Trust wiring: each broker roots its own CA (local users) and — in
+	// baseline mode — the user CA; bb.New pins its peers.
+	for _, m := range mat {
 		own := &pki.Certificate{Cert: m.ca.Certificate(), DER: m.ca.CertificateDER()}
 		if err := m.trust.AddRoot(own); err != nil {
 			return nil, err
@@ -311,10 +305,6 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 			if err := m.trust.AddRoot(userRoot); err != nil {
 				return nil, err
 			}
-		}
-		for _, neighbor := range topo.Neighbors(name) {
-			nm := mat[neighbor]
-			m.trust.PinPeer(nm.key.DN, nm.key.Public())
 		}
 	}
 
@@ -333,25 +323,9 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 		}
 		w.Policy[name] = ps
 
-		inbound := make(map[string]*sla.SLA)
-		peerCerts := make(map[identity.DN]*pki.Certificate)
+		var peers []bb.Peering
 		for _, neighbor := range topo.Neighbors(name) {
-			nm := mat[neighbor]
-			inbound[neighbor] = &sla.SLA{
-				Upstream:   neighbor,
-				Downstream: name,
-				Service: sla.SLS{
-					Profile:     sla.TrafficProfile{Rate: cfg.SLARate, BucketBytes: 64_000},
-					Excess:      sla.Drop,
-					MaxLatency:  5 * time.Millisecond,
-					Reliability: 0.999,
-				},
-				UpstreamBBDN:        nm.key.DN,
-				DownstreamBBDN:      m.key.DN,
-				UpstreamBBCertDER:   nm.cert.DER,
-				DownstreamBBCertDER: m.cert.DER,
-			}
-			peerCerts[nm.key.DN] = nm.cert
+			peers = append(peers, bb.Peering{Domain: neighbor, Cert: mat[neighbor].cert, SLARate: cfg.SLARate})
 		}
 
 		var cpuMgr *cpusched.Manager
@@ -375,43 +349,25 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 		if c, ok := cfg.Capacities[name]; ok {
 			capacity = c
 		}
-		replicas := 1
+		size := max(cfg.Replicas, 1)
 		var replicaAddrs map[int]string
-		if cfg.Replicas > 1 {
-			if cfg.StateDir == "" {
-				return nil, fmt.Errorf("experiment: Replicas > 1 requires StateDir (the replication stream is the journal)")
-			}
-			replicas = cfg.Replicas
-			replicaAddrs = make(map[int]string, replicas)
-			for i := 0; i < replicas; i++ {
+		if size > 1 {
+			replicaAddrs = make(map[int]string, size)
+			for i := 0; i < size; i++ {
 				replicaAddrs[i] = replicaAddrOf(name, i)
 			}
-			w.replicas[name] = &replicaGroup{servers: make(map[int]*signalling.Server)}
 		}
-		for i := 0; i < replicas; i++ {
+		for i := 0; i < size; i++ {
+			// A member of a group of more than one keeps its journal and
+			// events in a subdirectory of its own.
+			sub := name
+			if size > 1 {
+				sub = filepath.Join(name, fmt.Sprintf("r%d", i))
+			}
 			endpoint := w.Net.NewEndpoint(m.key.DN, m.cert.DER)
 			var dialer transport.Dialer = endpoint
 			if cfg.WrapDialer != nil {
 				dialer = cfg.WrapDialer(name, endpoint)
-			}
-			var plane dataplane.DataPlane = netsimdp.New()
-			if cfg.DataPlaneFor != nil {
-				plane = cfg.DataPlaneFor(name, i)
-			}
-			var reg *obs.Registry
-			if cfg.EnableObs {
-				reg = obs.NewRegistry()
-			}
-			var recorder *obs.Recorder
-			if cfg.EventsDir != "" {
-				dir := filepath.Join(cfg.EventsDir, name)
-				if replicas > 1 {
-					dir = filepath.Join(dir, fmt.Sprintf("r%d", i))
-				}
-				recorder, err = obs.OpenRecorder(obs.RecorderOptions{Dir: dir})
-				if err != nil {
-					return nil, fmt.Errorf("experiment: %w", err)
-				}
 			}
 			bcfg := bb.Config{
 				Domain:           name,
@@ -421,13 +377,12 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 				Policy:           ps,
 				Capacity:         capacity,
 				Topo:             topo,
-				InboundSLAs:      inbound,
-				PeerCerts:        peerCerts,
-				PeerAddrs:        w.addrs,
+				Peers:            peers,
+				PeerAddrs:        addrs,
 				Dialer:           dialer,
 				CPU:              cpuMgr,
 				Disk:             diskMgr,
-				Plane:            plane,
+				Plane:            netsimdp.New(),
 				Clock:            cfg.Clock,
 				CallTimeout:      cfg.CallTimeout,
 				MaxRetries:       cfg.MaxRetries,
@@ -437,57 +392,38 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 				MaxPaths:         cfg.MaxPaths,
 				SplitParts:       cfg.SplitParts,
 				Logger:           cfg.Logger,
-				Metrics:          reg,
-				Recorder:         recorder,
 				SampleRate:       cfg.SampleRate,
+				ReplicaID:        i,
+				ReplicaAddrs:     replicaAddrs,
+				StartAsFollower:  i != 0,
+				ElectionTimeout:  cfg.ElectionTimeout,
+			}
+			if cfg.EnableObs {
+				bcfg.Metrics = obs.NewRegistry()
+			}
+			if cfg.EventsDir != "" {
+				if bcfg.Recorder, err = obs.OpenRecorder(obs.RecorderOptions{Dir: filepath.Join(cfg.EventsDir, sub)}); err != nil {
+					return nil, fmt.Errorf("experiment: %w", err)
+				}
 			}
 			if cfg.StateDir != "" {
-				sd := filepath.Join(cfg.StateDir, name)
-				if replicas > 1 {
-					sd = filepath.Join(sd, fmt.Sprintf("r%d", i))
-				}
-				bcfg.StateDir = sd
-				bcfg.Fsync = fsync
-			}
-			if replicas > 1 {
-				bcfg.ReplicaID = i
-				bcfg.ReplicaAddrs = replicaAddrs
-				bcfg.StartAsFollower = i != 0
-				bcfg.ElectionTimeout = cfg.ElectionTimeout
+				bcfg.StateDir, bcfg.Fsync = filepath.Join(cfg.StateDir, sub), fsync
 			}
 			broker, err := bb.New(bcfg)
 			if err != nil {
 				return nil, err
 			}
-			if i == 0 {
-				// Replica 0 (or the sole broker) fronts the domain: it is
-				// what the rest of the world sees through addrOf.
-				w.brokerCfgs[name] = bcfg
-				w.BBs[name] = broker
-				w.endpoints[name] = endpoint
-				w.Planes[name] = plane
-				if reg != nil {
-					w.Metrics[name] = reg
-				}
-				if recorder != nil {
-					w.Recorders[name] = recorder
-				}
-			}
-			if g := w.replicas[name]; g != nil {
-				g.brokers = append(g.brokers, broker)
-				g.endpoints = append(g.endpoints, endpoint)
-				g.planes = append(g.planes, plane)
-				g.recorders = append(g.recorders, recorder)
-				g.alive = append(g.alive, true)
-				ln, err := endpoint.Listen(replicaAddrs[i])
-				if err != nil {
+			mb := &member{broker: broker, cfg: bcfg, endpoint: endpoint, alive: true}
+			if addr, ok := replicaAddrs[i]; ok {
+				if mb.stopReplica, err = serve(endpoint, addr, broker); err != nil {
 					return nil, err
 				}
-				srv := signalling.NewServer(broker, broker.Logger())
-				g.servers[i] = srv
-				go srv.Serve(ln)
 			}
+			w.members[name] = append(w.members[name], mb)
 		}
+		// Replica 0 (or the sole broker) fronts the domain: it is what the
+		// rest of the world sees through addrOf.
+		w.front(name, 0)
 		if err := w.startDomain(name); err != nil {
 			return nil, err
 		}
@@ -495,20 +431,49 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 	return w, nil
 }
 
-// startDomain listens at the domain's well-known address and serves
-// its broker, tracking the server for StopDomain/Close.
+// front makes member i the domain's front: the broker its well-known
+// address serves from the next startDomain on, and what BBs, Planes,
+// Metrics and Recorders show for it.
+func (w *World) front(name string, i int) {
+	m := w.members[name][i]
+	w.leaders[name] = i
+	w.BBs[name] = m.broker
+	w.Planes[name] = m.cfg.Plane
+	if m.cfg.Metrics != nil {
+		w.Metrics[name] = m.cfg.Metrics
+	}
+	if m.cfg.Recorder != nil {
+		w.Recorders[name] = m.cfg.Recorder
+	}
+}
+
+// serve listens at addr on ep and serves broker there. What it returns
+// stops the server and closes the listener itself, which a Serve
+// goroutine that has not started yet would leave bound, so the address
+// is free again when it returns.
+func serve(ep *transport.Endpoint, addr string, broker *bb.BB) (func(), error) {
+	ln, err := ep.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	srv := signalling.NewServer(broker, broker.Logger())
+	go srv.Serve(ln)
+	return func() { srv.Shutdown(); ln.Close() }, nil
+}
+
+// startDomain serves the domain's front broker at its well-known
+// address, tracking the server for StopDomain/Close.
 func (w *World) startDomain(name string) error {
-	broker, ok := w.BBs[name]
+	ms, ok := w.members[name]
 	if !ok {
 		return fmt.Errorf("experiment: unknown domain %q", name)
 	}
-	ln, err := w.endpoints[name].Listen(addrOf(name))
+	m := ms[w.leaders[name]]
+	stop, err := serve(m.endpoint, addrOf(name), m.broker)
 	if err != nil {
 		return err
 	}
-	srv := signalling.NewServer(broker, broker.Logger())
-	w.servers[name] = srv
-	go srv.Serve(ln)
+	w.stops[name] = stop
 	return nil
 }
 
@@ -517,31 +482,31 @@ func (w *World) startDomain(name string) error {
 // process died. The broker's in-memory state (tables, routes) is kept,
 // so RestartDomain models a fast restart with state intact.
 func (w *World) StopDomain(name string) error {
-	srv, ok := w.servers[name]
+	stop, ok := w.stops[name]
 	if !ok {
 		return fmt.Errorf("experiment: domain %q is not running", name)
 	}
-	srv.Shutdown()
-	delete(w.servers, name)
+	stop()
+	delete(w.stops, name)
 	return nil
 }
 
 // RestartDomain brings a stopped domain's broker frontend back at the
 // same address; peers reconnect on their next call.
 func (w *World) RestartDomain(name string) error {
-	if _, running := w.servers[name]; running {
+	if _, running := w.stops[name]; running {
 		return fmt.Errorf("experiment: domain %q is already running", name)
 	}
 	return w.startDomain(name)
 }
 
-// CrashDomain kills a domain the hard way: the frontend drops (like
-// StopDomain) and the broker itself dies mid-flight — outbound clients
-// close and its journal is abandoned without a flush, exactly as a
-// killed process would leave it. Only RestartDomainFromJournal can
-// bring the domain back.
+// CrashDomain kills an unreplicated domain the hard way: the frontend
+// drops (like StopDomain) and the broker itself dies mid-flight —
+// outbound clients close and its journal is abandoned without a flush,
+// exactly as a killed process would leave it. Only
+// RestartDomainFromJournal can bring the domain back.
 func (w *World) CrashDomain(name string) error {
-	if w.replicas[name] != nil {
+	if len(w.members[name]) > 1 {
 		return fmt.Errorf("experiment: domain %q is a replica group; use KillLeader", name)
 	}
 	if err := w.StopDomain(name); err != nil {
@@ -551,41 +516,38 @@ func (w *World) CrashDomain(name string) error {
 	return nil
 }
 
-// RestartDomainFromJournal rebuilds a stopped (or crashed) domain's
-// broker from scratch and brings its frontend back: the new broker
-// recovers its reservation table and RAR replay cache from the journal
-// directory the old one wrote. Requires WorldConfig.StateDir. The
-// rebuilt broker gets a fresh metrics registry (metric names register
-// exactly once per registry), which replaces the domain's entry in
-// World.Metrics.
+// RestartDomainFromJournal rebuilds a stopped (or crashed) unreplicated
+// domain's broker from scratch and brings its frontend back: the new
+// broker recovers its reservation table and RAR replay cache from the
+// journal directory the old one wrote. Requires WorldConfig.StateDir.
+// The rebuilt broker gets a fresh metrics registry (metric names
+// register exactly once per registry), which replaces the domain's
+// entry in World.Metrics.
 func (w *World) RestartDomainFromJournal(name string) error {
-	if w.replicas[name] != nil {
+	ms, ok := w.members[name]
+	switch {
+	case !ok:
+		return fmt.Errorf("experiment: unknown domain %q", name)
+	case len(ms) > 1:
 		return fmt.Errorf("experiment: domain %q is a replica group; use PromoteReplica", name)
 	}
-	if _, running := w.servers[name]; running {
+	if _, running := w.stops[name]; running {
 		return fmt.Errorf("experiment: domain %q is already running", name)
 	}
-	bcfg, ok := w.brokerCfgs[name]
-	if !ok {
-		return fmt.Errorf("experiment: unknown domain %q", name)
-	}
-	if bcfg.StateDir == "" {
+	m := ms[0]
+	if m.cfg.StateDir == "" {
 		return fmt.Errorf("experiment: domain %q has no journal (WorldConfig.StateDir unset)", name)
 	}
-	if old, ok := w.BBs[name]; ok {
-		old.Close() // idempotent after Crash; releases any leftover clients
+	m.broker.Close() // idempotent after Crash; releases any leftover clients
+	if m.cfg.Metrics != nil {
+		m.cfg.Metrics = obs.NewRegistry()
 	}
-	if w.enableObs {
-		reg := obs.NewRegistry()
-		w.Metrics[name] = reg
-		bcfg.Metrics = reg
-	}
-	broker, err := bb.New(bcfg)
+	broker, err := bb.New(m.cfg)
 	if err != nil {
 		return fmt.Errorf("experiment: rebuilding %q from journal: %w", name, err)
 	}
-	w.brokerCfgs[name] = bcfg
-	w.BBs[name] = broker
+	m.broker = broker
+	w.front(name, 0)
 	return w.startDomain(name)
 }
 
@@ -593,24 +555,34 @@ func (w *World) RestartDomainFromJournal(name string) error {
 // Replica-group failover controls.
 
 // LeaderOf returns the replica currently fronting the domain's
-// well-known address (-1 for an unreplicated domain).
+// well-known address (0 in an unreplicated domain, a group of one; -1
+// for an unknown domain).
 func (w *World) LeaderOf(name string) int {
-	g := w.replicas[name]
-	if g == nil {
+	if _, ok := w.members[name]; !ok {
 		return -1
 	}
-	return g.leader
+	return w.leaders[name]
 }
 
-// ReplicaBB returns one member of a domain's replica group (nil for
-// unreplicated domains or out-of-range indices). Dead replicas are
-// returned too — their tables are still inspectable.
+// ReplicaBB returns one member of a domain's replica group — replica 0
+// of an unreplicated domain is its broker — or nil for an out-of-range
+// index. Dead replicas are returned too: their tables are still
+// inspectable.
 func (w *World) ReplicaBB(name string, i int) *bb.BB {
-	g := w.replicas[name]
-	if g == nil || i < 0 || i >= len(g.brokers) {
+	ms := w.members[name]
+	if i < 0 || i >= len(ms) {
 		return nil
 	}
-	return g.brokers[i]
+	return ms[i].broker
+}
+
+// group returns the members of a replicated domain.
+func (w *World) group(name string) ([]*member, error) {
+	ms := w.members[name]
+	if len(ms) < 2 {
+		return nil, fmt.Errorf("experiment: domain %q is not a replica group", name)
+	}
+	return ms, nil
 }
 
 // KillLeader kills the domain's current leader the hard way: the
@@ -620,51 +592,46 @@ func (w *World) ReplicaBB(name string, i int) *bb.BB {
 // process. Returns the killed replica's index. The domain serves
 // nothing until PromoteReplica/PromoteAny installs a successor.
 func (w *World) KillLeader(name string) (int, error) {
-	g := w.replicas[name]
-	if g == nil {
-		return -1, fmt.Errorf("experiment: domain %q is not a replica group", name)
+	ms, err := w.group(name)
+	if err != nil {
+		return -1, err
 	}
-	idx := g.leader
-	if !g.alive[idx] {
+	idx := w.leaders[name]
+	m := ms[idx]
+	if !m.alive {
 		return -1, fmt.Errorf("experiment: domain %q leader (replica %d) is already dead", name, idx)
 	}
-	if srv, ok := w.servers[name]; ok {
-		srv.Shutdown()
-		delete(w.servers, name)
+	if stop, ok := w.stops[name]; ok {
+		stop()
+		delete(w.stops, name)
 	}
-	if srv, ok := g.servers[idx]; ok {
-		srv.Shutdown()
-		delete(g.servers, idx)
-	}
-	g.brokers[idx].Crash()
-	g.alive[idx] = false
+	m.stopReplica()
+	m.broker.Crash()
+	m.alive = false
 	return idx, nil
 }
 
 // PromoteReplica stands replica i for election and, on a win, makes it
-// the domain's public face: the well-known address re-listens backed
-// by the promoted broker, so peers' pooled clients transparently
-// redial into the new leader. Fails if the replica is dead or loses
-// the election (e.g. its applied sequence trails a voter's).
+// the domain's front (BBs, Planes, Metrics, Recorders) and its public
+// face: the well-known address re-listens backed by the promoted
+// broker, so peers' pooled clients transparently redial into the new
+// leader. Fails if the replica is dead or loses the election (e.g. its
+// applied sequence trails a voter's).
 func (w *World) PromoteReplica(name string, i int) error {
-	g := w.replicas[name]
-	if g == nil {
-		return fmt.Errorf("experiment: domain %q is not a replica group", name)
-	}
-	if i < 0 || i >= len(g.brokers) {
+	ms, err := w.group(name)
+	switch {
+	case err != nil:
+		return err
+	case i < 0 || i >= len(ms):
 		return fmt.Errorf("experiment: domain %q has no replica %d", name, i)
-	}
-	if !g.alive[i] {
+	case !ms[i].alive:
 		return fmt.Errorf("experiment: replica %d of %q is dead", i, name)
 	}
-	if err := g.brokers[i].Promote(); err != nil {
+	if err := ms[i].broker.Promote(); err != nil {
 		return err
 	}
-	g.leader = i
-	w.BBs[name] = g.brokers[i]
-	w.endpoints[name] = g.endpoints[i]
-	w.Planes[name] = g.planes[i]
-	if _, running := w.servers[name]; !running {
+	w.front(name, i)
+	if _, running := w.stops[name]; !running {
 		return w.startDomain(name)
 	}
 	return nil
@@ -675,13 +642,13 @@ func (w *World) PromoteReplica(name string, i int) error {
 // voter's lose — the election restriction that keeps every committed
 // record on whoever wins — so this tries each in turn.
 func (w *World) PromoteAny(name string) (int, error) {
-	g := w.replicas[name]
-	if g == nil {
-		return -1, fmt.Errorf("experiment: domain %q is not a replica group", name)
+	ms, err := w.group(name)
+	if err != nil {
+		return -1, err
 	}
 	var lastErr error
-	for i := range g.brokers {
-		if !g.alive[i] {
+	for i, m := range ms {
+		if !m.alive {
 			continue
 		}
 		if err := w.PromoteReplica(name, i); err != nil {
@@ -696,27 +663,18 @@ func (w *World) PromoteAny(name string) (int, error) {
 // Close stops all listeners, established connections, brokers and
 // flight recorders.
 func (w *World) Close() {
-	for _, srv := range w.servers {
-		srv.Shutdown()
+	for _, stop := range w.stops {
+		stop()
 	}
-	w.servers = make(map[string]*signalling.Server)
-	for _, g := range w.replicas {
-		for _, srv := range g.servers {
-			srv.Shutdown()
+	w.stops = make(map[string]func())
+	for _, ms := range w.members {
+		for _, m := range ms {
+			if m.stopReplica != nil {
+				m.stopReplica()
+			}
+			m.broker.Close()
+			m.cfg.Recorder.Close()
 		}
-		g.servers = make(map[int]*signalling.Server)
-		for _, broker := range g.brokers {
-			broker.Close()
-		}
-		for _, rec := range g.recorders {
-			rec.Close()
-		}
-	}
-	for _, broker := range w.BBs {
-		broker.Close()
-	}
-	for _, rec := range w.Recorders {
-		rec.Close()
 	}
 }
 

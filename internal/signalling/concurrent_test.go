@@ -15,14 +15,14 @@ import (
 // the result handle, optionally delayed by the per-request delay func.
 func echoServe(t *testing.T, ln transport.Listener, delay func(rarid string) time.Duration) {
 	t.Helper()
-	go Serve(ln, HandlerFunc(func(_ Peer, msg *Message) *Message {
+	go NewServer(HandlerFunc(func(_ Peer, msg *Message) *Message {
 		if delay != nil {
 			if d := delay(msg.Status.RARID); d > 0 {
 				time.Sleep(d)
 			}
 		}
 		return OKResult(msg.Status.RARID)
-	}))
+	}), nil).Serve(ln)
 }
 
 func dialPair(t *testing.T, latency time.Duration) (*Client, transport.Listener) {

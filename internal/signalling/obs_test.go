@@ -43,12 +43,12 @@ func TestServeReportsHandlerPanic(t *testing.T) {
 	defer ln.Close()
 	sink := &logBuffer{}
 	logger := slog.New(slog.NewTextHandler(sink, nil))
-	go ServeWith(ln, HandlerFunc(func(peer Peer, msg *Message) *Message {
+	go NewServer(HandlerFunc(func(peer Peer, msg *Message) *Message {
 		if msg.Status != nil && msg.Status.RARID == "boom" {
 			panic("poisoned request")
 		}
 		return OKResult("ok")
-	}), logger)
+	}), logger).Serve(ln)
 
 	c, err := Dial(client, "srv")
 	if err != nil {
@@ -96,7 +96,7 @@ func TestServeLogsMalformedMessage(t *testing.T) {
 	defer ln.Close()
 	sink := &logBuffer{}
 	logger := slog.New(slog.NewTextHandler(sink, nil))
-	go ServeWith(ln, HandlerFunc(func(Peer, *Message) *Message { return OKResult("ok") }), logger)
+	go NewServer(HandlerFunc(func(Peer, *Message) *Message { return OKResult("ok") }), logger).Serve(ln)
 
 	conn, err := client.Dial("srv")
 	if err != nil {

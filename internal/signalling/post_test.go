@@ -56,10 +56,10 @@ func TestPostNilOnClientDeath(t *testing.T) {
 	c, ln := dialPair(t, 0)
 	block := make(chan struct{})
 	defer close(block)
-	go Serve(ln, HandlerFunc(func(_ Peer, msg *Message) *Message {
+	go NewServer(HandlerFunc(func(_ Peer, msg *Message) *Message {
 		<-block
 		return OKResult("late")
-	}))
+	}), nil).Serve(ln)
 	got := make(chan *Message, 4)
 	for i := 0; i < 2; i++ {
 		if err := c.Post(statusMsg("p"), time.Second, func(resp *Message) { got <- resp }); err != nil {
@@ -121,7 +121,7 @@ func TestPostSendFailureUnderHeldLock(t *testing.T) {
 	defer ln.Close()
 	block := make(chan struct{})
 	defer close(block)
-	go Serve(ln, HandlerFunc(func(_ Peer, msg *Message) *Message { <-block; return OKResult("") }))
+	go NewServer(HandlerFunc(func(_ Peer, msg *Message) *Message { <-block; return OKResult("") }), nil).Serve(ln)
 	conn, err := net.NewEndpoint("/CN=client", nil).Dial("srv")
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestPostUnansweredPastTimeout(t *testing.T) {
 	c, ln := dialPair(t, 0)
 	block := make(chan struct{})
 	defer close(block)
-	go Serve(ln, HandlerFunc(func(_ Peer, msg *Message) *Message { <-block; return OKResult("") }))
+	go NewServer(HandlerFunc(func(_ Peer, msg *Message) *Message { <-block; return OKResult("") }), nil).Serve(ln)
 	const timeout = 40 * time.Millisecond
 	got := make(chan *Message, 2)
 	start := time.Now()

@@ -68,9 +68,9 @@ func TestCallDoesNotMutateCallerMessage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	go Serve(ln, HandlerFunc(func(_ Peer, msg *Message) *Message {
+	go NewServer(HandlerFunc(func(_ Peer, msg *Message) *Message {
 		return OKResult(msg.Status.RARID)
-	}))
+	}), nil).Serve(ln)
 
 	// One message value shared across two clients and repeated calls:
 	// its ID must stay untouched or concurrent matching corrupts.

@@ -35,9 +35,9 @@ type HandlerFunc func(peer Peer, msg *Message) *Message
 func (f HandlerFunc) Handle(peer Peer, msg *Message) *Message { return f(peer, msg) }
 
 // Server accepts connections and dispatches inbound requests to a
-// Handler. Unlike the bare Serve helpers it tracks its live
-// connections, so Shutdown can tear down the listener and every
-// established channel — the way a crashed broker looks to its peers.
+// Handler. It tracks its live connections, so Shutdown can tear down
+// the listener and every established channel — a daemon's graceful
+// stop, and the way a crashed broker looks to its peers.
 type Server struct {
 	h      Handler
 	logger *slog.Logger
@@ -48,8 +48,9 @@ type Server struct {
 	shut  bool
 }
 
-// NewServer builds a server around h. A nil logger falls back to
-// slog.Default.
+// NewServer builds a server around h. The logger receives protocol
+// errors and handler panics; nil falls back to slog.Default, which
+// writes through the standard log package.
 func NewServer(h Handler, logger *slog.Logger) *Server {
 	if logger == nil {
 		logger = slog.Default()
@@ -122,21 +123,6 @@ func (s *Server) Shutdown() {
 	for _, c := range conns {
 		c.Close()
 	}
-}
-
-// Serve accepts connections from ln and dispatches inbound messages to
-// h until the listener closes. Handler panics are reported through the
-// default logger with a stack trace; use ServeWith to direct them to a
-// structured logger.
-func Serve(ln transport.Listener, h Handler) {
-	ServeWith(ln, h, nil)
-}
-
-// ServeWith is Serve with an explicit structured logger for protocol
-// errors and handler panics (nil falls back to slog.Default, which
-// writes through the standard log package).
-func ServeWith(ln transport.Listener, h Handler, logger *slog.Logger) {
-	NewServer(h, logger).Serve(ln)
 }
 
 // parkedWorkers bounds the request goroutines a connection keeps parked

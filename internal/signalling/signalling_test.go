@@ -104,7 +104,7 @@ func TestClientServerRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	go Serve(ln, echoHandler())
+	go NewServer(echoHandler(), nil).Serve(ln)
 
 	c, err := Dial(client, "srv")
 	if err != nil {
@@ -132,7 +132,7 @@ func TestClientSerialisesConcurrentCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	go Serve(ln, echoHandler())
+	go NewServer(echoHandler(), nil).Serve(ln)
 
 	c, err := Dial(client, "srv")
 	if err != nil {
@@ -171,7 +171,7 @@ func TestServeRejectsNilHandlerResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	go Serve(ln, HandlerFunc(func(Peer, *Message) *Message { return nil }))
+	go NewServer(HandlerFunc(func(Peer, *Message) *Message { return nil }), nil).Serve(ln)
 
 	c, err := Dial(client, "srv")
 	if err != nil {

@@ -34,13 +34,13 @@ func TestWorkerOutOfOrderCompletion(t *testing.T) {
 	c, ln := dialPair(t, 0)
 	release := make(chan struct{})
 	entered := make(chan struct{}, parkedWorkers)
-	go Serve(ln, HandlerFunc(func(_ Peer, msg *Message) *Message {
+	go NewServer(HandlerFunc(func(_ Peer, msg *Message) *Message {
 		if msg.Status.RARID == "block" {
 			entered <- struct{}{}
 			<-release
 		}
 		return OKResult(msg.Status.RARID)
-	}))
+	}), nil).Serve(ln)
 	// Warm the connection so the blocked requests land on parked workers.
 	for i := 0; i < 4*parkedWorkers; i++ {
 		if _, err := c.Call(statusMsg("warm")); err != nil {
@@ -80,7 +80,7 @@ func TestWorkerReusedAndSurvivesPanic(t *testing.T) {
 	var mu sync.Mutex
 	served := make(map[string]int)
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	go ServeWith(ln, HandlerFunc(func(_ Peer, msg *Message) *Message {
+	go NewServer(HandlerFunc(func(_ Peer, msg *Message) *Message {
 		mu.Lock()
 		served[goid()]++
 		mu.Unlock()
@@ -88,7 +88,7 @@ func TestWorkerReusedAndSurvivesPanic(t *testing.T) {
 			panic("poisoned request")
 		}
 		return OKResult(msg.Status.RARID)
-	}), quiet)
+	}), quiet).Serve(ln)
 	const requests = 64
 	for i := 0; i < requests; i++ {
 		id := strconv.Itoa(i)
@@ -121,13 +121,13 @@ func TestWorkerBurstBeyondBound(t *testing.T) {
 	const burst = 16 * parkedWorkers
 	var arrived sync.WaitGroup
 	arrived.Add(burst)
-	go Serve(ln, HandlerFunc(func(_ Peer, msg *Message) *Message {
+	go NewServer(HandlerFunc(func(_ Peer, msg *Message) *Message {
 		if msg.Status.RARID != "warm" {
 			arrived.Done()
 			arrived.Wait() // returns only once the whole burst is in handlers
 		}
 		return OKResult(msg.Status.RARID)
-	}))
+	}), nil).Serve(ln)
 	for i := 0; i < 2*parkedWorkers; i++ {
 		if _, err := c.Call(statusMsg("warm")); err != nil {
 			t.Fatal(err)
@@ -217,7 +217,7 @@ func TestWorkerStreamFramesInOrder(t *testing.T) {
 	var order []int64
 	readers := make(map[string]bool)
 	inHandler := 0
-	go Serve(ln, HandlerFunc(func(_ Peer, msg *Message) *Message {
+	go NewServer(HandlerFunc(func(_ Peer, msg *Message) *Message {
 		if msg.Type != MsgJournalStream {
 			return OKResult("status")
 		}
@@ -234,7 +234,7 @@ func TestWorkerStreamFramesInOrder(t *testing.T) {
 		inHandler--
 		mu.Unlock()
 		return &Message{Type: MsgResult, Result: &ResultPayload{Granted: true, AckSeq: msg.JournalStream.FromSeq}}
-	}))
+	}), nil).Serve(ln)
 	const frames = 100
 	acks := make(chan int64, frames)
 	for i := int64(0); i < frames; i++ {
@@ -290,10 +290,10 @@ func BenchmarkServeRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer ln.Close()
-	go Serve(ln, HandlerFunc(func(_ Peer, msg *Message) *Message {
+	go NewServer(HandlerFunc(func(_ Peer, msg *Message) *Message {
 		deepHandler(10, [512]byte{})
 		return OKResult(msg.Status.RARID)
-	}))
+	}), nil).Serve(ln)
 	c, err := Dial(net.NewEndpoint("/CN=client", nil), "srv")
 	if err != nil {
 		b.Fatal(err)

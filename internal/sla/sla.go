@@ -97,7 +97,9 @@ func (s SLS) Valid() bool {
 // this agreement by adding information to facilitate the trust
 // relationship between two peered BBs. This information includes the
 // certificates of the peered BBs as well as the certificate of the
-// issuing certificate authority."
+// issuing certificate authority." Here the peered broker's certificate
+// is what bb.Peering carries, and the broker pins it when it builds the
+// SLA; the issuing CA is the trust store's business.
 type SLA struct {
 	// Upstream and Downstream name the peered domains; traffic covered
 	// by this SLA flows Upstream -> Downstream.
@@ -108,11 +110,6 @@ type SLA struct {
 	// UpstreamBBDN / DownstreamBBDN identify the peered brokers.
 	UpstreamBBDN   identity.DN
 	DownstreamBBDN identity.DN
-	// UpstreamBBCertDER / DownstreamBBCertDER pin the broker
-	// certificates, and CACertDERs the issuing CAs, per §6.4.
-	UpstreamBBCertDER   []byte
-	DownstreamBBCertDER []byte
-	CACertDERs          [][]byte
 	// ValidFrom/ValidUntil bound the contract.
 	ValidFrom  time.Time
 	ValidUntil time.Time

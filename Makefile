@@ -21,7 +21,8 @@
 #                          frame encode, journal append, QHist Observe,
 #                          event append, ledger reads, signature verify,
 #                          warm chain Verify per layer, Seal, tunnel batch
-#                          validate / decode / dense grant (DESIGN.md
+#                          validate / decode / dense grant, a tunnel
+#                          endpoint's alloc and release batch (DESIGN.md
 #                          §6.5, §6.6, §6.11 give each bound its reason;
 #                          run without -race: the gates skip under it)
 #   make bench-e2e         the repository's benchmark (bench/README.md):
@@ -76,7 +77,7 @@ loc:
 	printf '%6d total\n' $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -vcE '^[[:space:]]*(//.*)?$$')
 
 alloc-gate:
-	$(GO) test -run 'AllocationFree|AllocationBound' ./internal/signalling ./internal/journal ./internal/obs ./internal/resv ./internal/core ./internal/identity ./internal/bb
+	$(GO) test -run 'AllocationFree|AllocationBound' ./internal/signalling ./internal/journal ./internal/obs ./internal/resv ./internal/core ./internal/identity ./internal/bb ./internal/tunnel
 
 fuzz-short:
 	$(GO) test -run NONE -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/envelope
@@ -90,6 +91,7 @@ fuzz-short:
 	$(GO) test -run NONE -fuzz '^FuzzDecodeBrokerState$$' -fuzztime 10s ./internal/bb
 	$(GO) test -run NONE -fuzz '^FuzzRestoreTable$$' -fuzztime 10s ./internal/resv
 	$(GO) test -run NONE -fuzz '^FuzzRestoreEndpoint$$' -fuzztime 10s ./internal/tunnel
+	$(GO) test -run NONE -fuzz '^FuzzDecodeEvent$$' -fuzztime 10s ./internal/obs
 
 metrics-lint:
 	$(GO) test -run 'TestMetricsLint' ./internal/obs ./internal/experiment

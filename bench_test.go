@@ -345,7 +345,7 @@ func BenchmarkSubFlowThroughput(b *testing.B) {
 	// Sub-flow churn is steady-state in deployment — flows come and go,
 	// the live set stays bounded — so every window of allocations is
 	// drained off-timer: the arms measure admission cost, not the cost
-	// of growing one endpoint's shard maps without bound.
+	// of growing one endpoint's sub-flow map without bound.
 	const window = 4096
 	drain := func(b *testing.B, w *experiment.World, u *experiment.User, rarID string, lo, hi int) {
 		b.StopTimer()

@@ -19,10 +19,10 @@ const (
 	opRARCancel = "bb.rar_cancel"
 	// Tunnel vocabulary: endpoint lifecycle plus the sub-flow hot path,
 	// one record per batch at either end. A batch's ops carry the
-	// endpoint generation minted under the mutated flow's shard lock;
-	// emit-after-unlock means the WAL interleaving of ops for *different*
-	// sub-flows can disagree with generation order, so replay applies
-	// them by generation, not by position (see replayer).
+	// endpoint generations minted under the endpoint's lock;
+	// emit-after-unlock means the WAL interleaving of *different* batches
+	// on one tunnel can disagree with generation order, so replay applies
+	// their ops by generation, not by position (see replayer).
 	opTunnel       = "bb.tunnel"
 	opTunnelRemove = "bb.tunnel_remove"
 	opTunnelBatch  = "bb.tunnel_batch"

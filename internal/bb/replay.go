@@ -27,12 +27,12 @@ import (
 // Route and tunnel (re)registrations and removals go to the registries,
 // which own the epoch rules; table records go through the
 // resv.StreamReplayer. Batch records need more: emit-after-unlock lets the
-// journal order of ops on different sub-flows disagree with the order
-// they were applied in, and lets a batch overtake its tunnel's
-// establishment record. Generations are dense per endpoint, so the op
-// that extends Gen()+1 is always unambiguous; an op that does not is
-// parked until the ones before it arrive, and a batch's replay entry until
-// its registration does.
+// journal order of batches on one tunnel disagree with the order they
+// were applied in, and lets a batch overtake its tunnel's establishment
+// record. Generations are dense per endpoint, so the op that extends
+// Gen()+1 is always unambiguous; an op that does not is parked until the
+// ones before it arrive, and a batch's replay entry until its
+// registration does.
 //
 // Not safe for concurrent use: New runs it before the broker is shared,
 // a follower under applyMu.
@@ -207,8 +207,8 @@ func (rp *replayer) park(rarID string, ops []parkedOp) {
 }
 
 // drain restores one tunnel's parked replay entries into its registration
-// and applies its parked ops in generation order through the endpoint's
-// idempotent replay entry points, for as long as each extends the
+// and applies its parked ops in generation order, in one batch, through
+// the endpoint's idempotent replay ops, for as long as each extends the
 // endpoint's generation by one — or, with gaps set, whatever the
 // generation: flush's rule, for a feed that has ended. What belongs to a
 // dead registration, and ops the endpoint already reflects (they came
@@ -221,31 +221,40 @@ func (rp *replayer) drain(rarID string, gaps bool) error {
 	if !ok || len(ops) == 0 {
 		return nil
 	}
-	ep := t.val.ep
-	slices.SortFunc(ops, func(x, y parkedOp) int { return cmp.Compare(x.Gen, y.Gen) })
-	kept := ops[:0]
+	// Replay entries first: the registry is not called under the
+	// endpoint's lock.
 	for _, op := range ops {
-		switch {
-		case op.epoch < t.epoch:
-			// a dead registration's: dropped
-		case op.epoch > t.epoch:
-			kept = append(kept, op)
-		case op.batchID != "":
+		if op.batchID != "" && op.epoch == t.epoch {
 			t.val.batches.register(op.batchID, 0, struct{}{}, op.outcome)
-		case op.Gen <= ep.Gen():
-			// already reflected: dropped
-		case !gaps && op.Gen != ep.Gen()+1:
-			kept = append(kept, op)
-		case op.Action == "alloc":
-			if err := ep.ReplayAlloc(op.SubFlowID, units.Bandwidth(op.Bandwidth), op.Gen); err != nil {
-				return err
-			}
-		case op.Action == "release":
-			ep.ReplayRelease(op.SubFlowID, op.Gen)
 		}
 	}
+	slices.SortFunc(ops, func(x, y parkedOp) int { return cmp.Compare(x.Gen, y.Gen) })
+	kept := ops[:0]
+	var err error
+	t.val.ep.Batch(func(tx tunnel.Tx) {
+		for _, op := range ops {
+			switch {
+			case op.epoch < t.epoch:
+				// a dead registration's: dropped
+			case op.epoch > t.epoch:
+				kept = append(kept, op)
+			case op.batchID != "":
+				// registered above
+			case op.Gen <= tx.Gen():
+				// already reflected: dropped
+			case !gaps && op.Gen != tx.Gen()+1:
+				kept = append(kept, op)
+			case op.Action == "alloc":
+				if err = tx.ReplayAlloc(op.SubFlowID, units.Bandwidth(op.Bandwidth), op.Gen); err != nil {
+					return
+				}
+			case op.Action == "release":
+				tx.ReplayRelease(op.SubFlowID, op.Gen)
+			}
+		}
+	})
 	rp.park(rarID, kept)
-	return nil
+	return err
 }
 
 // flush ends a feed: nothing more is coming that could fill a generation

@@ -132,51 +132,55 @@ func (b *BB) handleTunnelBatch(peer signalling.Peer, payload *signalling.TunnelB
 		}
 		return signalling.ErrorResult(fmt.Sprintf("%s: batch %s settled without outcome", b.cfg.Domain, payload.BatchID))
 	}
-	// A fully granted batch, the common case, builds no per-op state:
-	// results exists from the first denial on (the ops before it filled
-	// in as granted), applied only when there is a journal to write it
-	// to, and the counters move once per batch. The ids alias the decoded
-	// frame (DESIGN.md §6.5), so the two places that keep one past this
-	// request, the endpoint's map and the recorded outcome, clone it.
+	// The whole op list applies in one pass under one acquisition of the
+	// endpoint's lock. A fully granted batch, the common case, builds no
+	// per-op state: results exists from the first denial on (the ops
+	// before it filled in as granted), applied only when there is a
+	// journal to write it to, and the counters move once per batch, after
+	// the pass. The ids alias the decoded frame (DESIGN.md §6.5), so the
+	// two places that keep one past this request, the endpoint's map and
+	// the recorded outcome, clone it.
 	var results []signalling.TunnelOpResult
 	var applied []tunnelOpRec
 	if b.journal != nil {
 		applied = make([]tunnelOpRec, 0, len(payload.Ops))
 	}
 	var allocs, releases, denied int
-	for i := range payload.Ops {
-		op := &payload.Ops[i]
-		rec := tunnelOpRec{Action: "release", SubFlowID: op.SubFlowID}
-		var err error
-		if op.Action == signalling.OpAlloc {
-			rec.Action, rec.Bandwidth = "alloc", op.Bandwidth
-			rec.Gen, err = ep.Allocate(strings.Clone(op.SubFlowID), units.Bandwidth(op.Bandwidth))
-		} else {
-			_, rec.Gen, err = ep.Release(op.SubFlowID)
-		}
-		if err != nil {
-			if results == nil {
-				results = make([]signalling.TunnelOpResult, len(payload.Ops))
-				for k := range payload.Ops[:i] {
-					results[k] = signalling.TunnelOpResult{SubFlowID: strings.Clone(payload.Ops[k].SubFlowID), Granted: true}
-				}
+	ep.Batch(func(tx tunnel.Tx) {
+		for i := range payload.Ops {
+			op := &payload.Ops[i]
+			rec := tunnelOpRec{Action: "release", SubFlowID: op.SubFlowID}
+			var err error
+			if op.Action == signalling.OpAlloc {
+				rec.Action, rec.Bandwidth = "alloc", op.Bandwidth
+				rec.Gen, err = tx.Allocate(strings.Clone(op.SubFlowID), units.Bandwidth(op.Bandwidth))
+			} else {
+				_, rec.Gen, err = tx.Release(op.SubFlowID)
 			}
-			results[i] = signalling.TunnelOpResult{SubFlowID: strings.Clone(op.SubFlowID), Reason: err.Error()}
-			denied++
-			continue
+			if err != nil {
+				if results == nil {
+					results = make([]signalling.TunnelOpResult, len(payload.Ops))
+					for k := range payload.Ops[:i] {
+						results[k] = signalling.TunnelOpResult{SubFlowID: strings.Clone(payload.Ops[k].SubFlowID), Granted: true}
+					}
+				}
+				results[i] = signalling.TunnelOpResult{SubFlowID: strings.Clone(op.SubFlowID), Reason: err.Error()}
+				denied++
+				continue
+			}
+			if results != nil {
+				results[i] = signalling.TunnelOpResult{SubFlowID: strings.Clone(op.SubFlowID), Granted: true}
+			}
+			if op.Action == signalling.OpAlloc {
+				allocs++
+			} else {
+				releases++
+			}
+			if b.journal != nil {
+				applied = append(applied, rec)
+			}
 		}
-		if results != nil {
-			results[i] = signalling.TunnelOpResult{SubFlowID: strings.Clone(op.SubFlowID), Granted: true}
-		}
-		if op.Action == signalling.OpAlloc {
-			allocs++
-		} else {
-			releases++
-		}
-		if b.journal != nil {
-			applied = append(applied, rec)
-		}
-	}
+	})
 	b.m.tunnelAllocs.Add(int64(allocs))
 	b.m.tunnelReleases.Add(int64(releases))
 	b.m.tunnelDenied.Add(int64(denied))
@@ -267,11 +271,11 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 		payload.TraceID = obs.NewTraceID()
 	}
 	results := make([]signalling.TunnelOpResult, len(ops))
-	// Local halves first; only locally-admitted ops travel to the peer.
-	// While every op is admitted that is the caller's own slice: remote
-	// and remoteIdx (the op index of each travelling op) exist from the
-	// first local denial on, and applied, the journal's op list, only
-	// when there is a journal.
+	// Local halves first, in one batch; only locally-admitted ops travel
+	// to the peer. While every op is admitted that is the caller's own
+	// slice: remote and remoteIdx (the op index of each travelling op)
+	// exist from the first local denial on, and applied, the journal's op
+	// list, only when there is a journal.
 	var remote []signalling.TunnelOp
 	var remoteIdx []int
 	var released []units.Bandwidth // by op index: undo data for remote-denied releases
@@ -279,52 +283,48 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 	if b.journal != nil {
 		applied = make([]tunnelOpRec, 0, len(ops))
 	}
-	for i, op := range ops {
-		results[i].SubFlowID = op.SubFlowID
-		rec := tunnelOpRec{Action: "release", SubFlowID: op.SubFlowID}
-		var err error
-		if op.Action == signalling.OpAlloc {
-			rec.Action, rec.Bandwidth = "alloc", op.Bandwidth
-			rec.Gen, err = ep.Allocate(op.SubFlowID, units.Bandwidth(op.Bandwidth))
-		} else {
-			var bw units.Bandwidth
-			if bw, rec.Gen, err = ep.Release(op.SubFlowID); err == nil {
-				if released == nil {
-					released = make([]units.Bandwidth, len(ops))
-				}
-				released[i] = bw
-			}
-		}
-		if err != nil {
-			results[i].Reason = err.Error()
-			b.m.tunnelDenied.Inc()
-			if remoteIdx == nil {
-				remote = append(make([]signalling.TunnelOp, 0, len(ops)-1), ops[:i]...)
-				remoteIdx = make([]int, i, len(ops)-1)
-				for k := range remoteIdx {
-					remoteIdx[k] = k
+	ep.Batch(func(tx tunnel.Tx) {
+		for i, op := range ops {
+			results[i].SubFlowID = op.SubFlowID
+			rec := tunnelOpRec{Action: "release", SubFlowID: op.SubFlowID}
+			var err error
+			if op.Action == signalling.OpAlloc {
+				rec.Action, rec.Bandwidth = "alloc", op.Bandwidth
+				rec.Gen, err = tx.Allocate(op.SubFlowID, units.Bandwidth(op.Bandwidth))
+			} else {
+				var bw units.Bandwidth
+				if bw, rec.Gen, err = tx.Release(op.SubFlowID); err == nil {
+					if released == nil {
+						released = make([]units.Bandwidth, len(ops))
+					}
+					released[i] = bw
 				}
 			}
-			continue
+			if err != nil {
+				results[i].Reason = err.Error()
+				if remoteIdx == nil {
+					remote = append(make([]signalling.TunnelOp, 0, len(ops)-1), ops[:i]...)
+					remoteIdx = make([]int, i, len(ops)-1)
+					for k := range remoteIdx {
+						remoteIdx[k] = k
+					}
+				}
+				continue
+			}
+			if remoteIdx != nil {
+				remote = append(remote, op)
+				remoteIdx = append(remoteIdx, i)
+			}
+			if b.journal != nil {
+				applied = append(applied, rec)
+			}
 		}
-		if remoteIdx != nil {
-			remote = append(remote, op)
-			remoteIdx = append(remoteIdx, i)
-		}
-		if b.journal != nil {
-			applied = append(applied, rec)
-		}
-	}
+	})
 	sent := len(ops)
 	if remoteIdx != nil {
 		payload.Ops, sent = remote, len(remote)
 	}
-	opIndex := func(k int) int { // of the k-th travelling op, in ops
-		if remoteIdx != nil {
-			return remoteIdx[k]
-		}
-		return k
-	}
+	b.m.tunnelDenied.Add(int64(len(ops) - sent))
 	if sent == 0 {
 		// Every op failed locally: nothing travelled, the batch settles
 		// here as a denial.
@@ -334,62 +334,64 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 	// The source's records carry no batch id and no outcome: nobody
 	// retransmits to the source, so they restore no replay entry.
 	b.journalTunnelBatch(ep, "", applied, nil)
-	// undo reverses the local half of op i, whose remote half failed.
-	var undone []tunnelOpRec
-	undo := func(i int) {
-		rec := tunnelOpRec{Action: "release", SubFlowID: ops[i].SubFlowID}
-		var err error
-		if ops[i].Action == signalling.OpAlloc {
-			_, rec.Gen, err = ep.Release(rec.SubFlowID)
-		} else {
-			rec.Action, rec.Bandwidth = "alloc", int64(released[i])
-			rec.Gen, err = ep.Allocate(rec.SubFlowID, released[i])
-		}
-		if err == nil && b.journal != nil {
-			undone = append(undone, rec)
-		}
-	}
 	resp, _, err := b.callPeer(ep.PeerBB, &signalling.Message{Type: signalling.MsgTunnelBatch, TunnelBatch: payload})
-	if err != nil || resp.Result == nil {
-		// Unknown destination state: undo every local half. A batch whose
-		// every attempt failed in transport may still have been applied at
-		// the destination; nothing here takes that back (DESIGN.md §6.5).
+	if err == nil && resp.Result == nil {
+		err = fmt.Errorf("destination sent no result")
+	}
+	// Reconcile in one batch: an op the destination granted is done, and
+	// the local half of every other travelling op rolls back — all of
+	// them after a transport failure, which leaves the destination's state
+	// unknown. A batch whose every attempt failed in transport may still
+	// have been applied at the destination; nothing here takes that back
+	// (DESIGN.md §6.5).
+	var allocs, releases, denied int
+	var undone []tunnelOpRec
+	ep.Batch(func(tx tunnel.Tx) {
 		for k := 0; k < sent; k++ {
-			undo(opIndex(k))
+			i := k // of the k-th travelling op, in ops
+			if remoteIdx != nil {
+				i = remoteIdx[k]
+			}
+			if err == nil {
+				var rr *signalling.TunnelOpResult
+				if k < len(resp.Result.BatchResults) {
+					rr = &resp.Result.BatchResults[k]
+				}
+				if resp.Result.Granted || (rr != nil && rr.Granted) {
+					results[i].Granted = true
+					if ops[i].Action == signalling.OpAlloc {
+						allocs++
+					} else {
+						releases++
+					}
+					continue
+				}
+				// Destination refused (or the whole batch was refused before
+				// any op ran, leaving no per-op results).
+				results[i].Reason = resp.Result.Reason
+				if rr != nil && rr.Reason != "" {
+					results[i].Reason = rr.Reason
+				}
+				denied++
+			}
+			rec := tunnelOpRec{Action: "release", SubFlowID: ops[i].SubFlowID}
+			var uerr error
+			if ops[i].Action == signalling.OpAlloc {
+				_, rec.Gen, uerr = tx.Release(rec.SubFlowID)
+			} else {
+				rec.Action, rec.Bandwidth = "alloc", int64(released[i])
+				rec.Gen, uerr = tx.Allocate(rec.SubFlowID, released[i])
+			}
+			if uerr == nil && b.journal != nil {
+				undone = append(undone, rec)
+			}
 		}
-		b.journalTunnelBatch(ep, "", undone, nil)
-		if err == nil {
-			err = fmt.Errorf("destination sent no result")
-		}
+	})
+	b.journalTunnelBatch(ep, "", undone, nil)
+	if err != nil {
 		b.recordBatchEvent(payload, len(ops), obs.VerdictError, err.Error(), t0)
 		return nil, fmt.Errorf("bb %s: tunnel batch at destination: %w", b.cfg.Domain, err)
 	}
-	var allocs, releases, denied int
-	for k := 0; k < sent; k++ {
-		i := opIndex(k)
-		var rr *signalling.TunnelOpResult
-		if k < len(resp.Result.BatchResults) {
-			rr = &resp.Result.BatchResults[k]
-		}
-		if resp.Result.Granted || (rr != nil && rr.Granted) {
-			results[i].Granted = true
-			if ops[i].Action == signalling.OpAlloc {
-				allocs++
-			} else {
-				releases++
-			}
-			continue
-		}
-		// Destination refused (or the whole batch was refused before any
-		// op ran, leaving no per-op results): roll the local half back.
-		results[i].Reason = resp.Result.Reason
-		if rr != nil && rr.Reason != "" {
-			results[i].Reason = rr.Reason
-		}
-		denied++
-		undo(i)
-	}
-	b.journalTunnelBatch(ep, "", undone, nil)
 	b.m.tunnelAllocs.Add(int64(allocs))
 	b.m.tunnelReleases.Add(int64(releases))
 	b.m.tunnelDenied.Add(int64(denied))

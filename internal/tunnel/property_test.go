@@ -13,7 +13,7 @@ import (
 )
 
 // TestEndpointInvariantsUnderConcurrentChurn is the property test for
-// the sharded endpoint, meant to run under -race: many goroutines
+// the endpoint, meant to run under -race: many goroutines
 // hammer Allocate/Release over a shared sub-flow id space, and the two
 // invariants are checked continuously (Used() never exceeds Aggregate,
 // even mid-mutation) and at every quiescent point between waves
@@ -34,8 +34,8 @@ func TestEndpointInvariantsUnderConcurrentChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A watcher polls the aggregate bound *during* churn: the CAS-loop
-	// admission must hold it at every instant, not only at barriers.
+	// A watcher polls the aggregate bound *during* churn: admission must
+	// hold it at every instant, not only at barriers.
 	stop := make(chan struct{})
 	var violations atomic.Int64
 	var watcher sync.WaitGroup
@@ -94,7 +94,7 @@ func TestEndpointInvariantsUnderConcurrentChurn(t *testing.T) {
 		if ep.Used() > aggregate {
 			t.Fatalf("wave %d: Used() %v exceeds aggregate %v", wave, ep.Used(), aggregate)
 		}
-		// The snapshot taken under all shard locks must agree too.
+		// The snapshot taken under the endpoint's lock must agree too.
 		snap := ep.Snapshot()
 		var snapSum units.Bandwidth
 		for _, sf := range snap.SubFlows {
@@ -108,6 +108,110 @@ func TestEndpointInvariantsUnderConcurrentChurn(t *testing.T) {
 	watcher.Wait()
 	if n := violations.Load(); n > 0 {
 		t.Fatalf("aggregate bound violated %d times during churn", n)
+	}
+}
+
+// TestBatchIsAtomic: several goroutines apply disjoint 256-op
+// alloc-then-release batches while a watcher polls Snapshot and Used.
+// Every snapshot holds all or none of each batch's ids, Used() holds
+// whole batches, equals the snapshot's sum whenever no op ran between
+// the two reads (the generation did not move) and never exceeds the
+// aggregate. Meant for -race -count=10.
+func TestBatchIsAtomic(t *testing.T) {
+	const (
+		workers = 4
+		size    = 256
+		rounds  = 100
+	)
+	aggregate := workers * size * units.Kbps
+	ep, err := NewEndpoint("RAR-atomic", aggregate,
+		units.NewWindow(time.Now(), time.Hour),
+		identity.NewDN("Grid", "C", "bb"), identity.NewDN("Grid", "A", "alice"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([][]string, workers)
+	owner := make(map[string]int)
+	for w := range ids {
+		for i := 0; i < size; i++ {
+			id := fmt.Sprintf("w%d-%03d", w, i)
+			ids[w] = append(ids[w], id)
+			owner[id] = w
+		}
+	}
+	check := func() {
+		snap := ep.Snapshot()
+		used := ep.Used()
+		quiet := ep.Gen() == snap.Gen
+		held := make([]int, workers)
+		var sum units.Bandwidth
+		for _, sf := range snap.SubFlows {
+			held[owner[sf.ID]]++
+			sum += sf.Bandwidth
+		}
+		for w, n := range held {
+			if n != 0 && n != size {
+				t.Errorf("snapshot at gen %d holds %d of worker %d's %d ids", snap.Gen, n, w, size)
+			}
+		}
+		if used%(size*units.Kbps) != 0 || used > aggregate {
+			t.Errorf("Used() = %v: not whole batches, or above the aggregate %v", used, aggregate)
+		}
+		if quiet && used != sum {
+			t.Errorf("Used() = %v but the snapshot of the same generation %d sums to %v", used, snap.Gen, sum)
+		}
+	}
+
+	stop := make(chan struct{})
+	var watcher sync.WaitGroup
+	watcher.Add(1)
+	go func() {
+		defer watcher.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if check(); t.Failed() {
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(mine []string) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				var err error
+				ep.Batch(func(tx Tx) {
+					for _, id := range mine {
+						if _, e := tx.Allocate(id, units.Kbps); e != nil && err == nil {
+							err = e
+						}
+					}
+				})
+				ep.Batch(func(tx Tx) {
+					for _, id := range mine {
+						if _, _, e := tx.Release(id); e != nil && err == nil {
+							err = e
+						}
+					}
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(ids[w])
+	}
+	wg.Wait()
+	close(stop)
+	watcher.Wait()
+	check()
+	if ep.Len() != 0 || ep.Used() != 0 || ep.Gen() != workers*rounds*2*size {
+		t.Errorf("after churn: len %d used %v gen %d", ep.Len(), ep.Used(), ep.Gen())
 	}
 }
 

@@ -7,38 +7,25 @@
 // than the size of the tunnel."
 //
 // Sub-flow admission is the control plane's hot path — one tunnel may
-// carry allocations for thousands of concurrent users — so an Endpoint
-// is built for throughput: the live total is a running atomic counter
-// (O(1) admit and release, no walk over the allocation set), and the
-// sub-flow map is striped across shards keyed by sub-flow ID, so
-// allocations of distinct flows never contend on one endpoint-wide
-// mutex. Every successful mutation is stamped with a monotonically
-// increasing generation, which is what lets a write-ahead journal
-// replay concurrent-emission record streams in a correct per-flow
-// order (see ReplayAlloc/ReplayRelease).
+// carry allocations for thousands of concurrent users — and every
+// sub-flow op reaches an endpoint inside a batch, so an Endpoint is
+// built for batches: one map and two plain counters under one mutex,
+// and Batch applies a whole batch under one acquisition of it. The live
+// total is a running counter (O(1) admit and release, no walk over the
+// allocation set), and every successful mutation is stamped with the
+// next generation, which is what lets a write-ahead journal replay
+// records emitted after the lock is released in a correct per-flow
+// order (see Tx.ReplayAlloc).
 package tunnel
 
 import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"e2eqos/internal/identity"
 	"e2eqos/internal/units"
 )
-
-// numShards stripes the sub-flow map. 16 shards keep contention
-// negligible at typical goroutine counts while the per-endpoint
-// footprint stays small; the shard count is an internal detail and not
-// part of the snapshot format.
-const numShards = 16
-
-// shard is one stripe of the sub-flow map.
-type shard struct {
-	mu     sync.Mutex
-	allocs map[string]units.Bandwidth
-}
 
 // Endpoint is one end domain's view of an established tunnel.
 type Endpoint struct {
@@ -60,18 +47,12 @@ type Endpoint struct {
 	// interpreting it.
 	Epoch int64
 
-	// used is the running sub-flow total in bits per second. Admission
-	// is a CAS loop against it, so Used() is O(1) and the Aggregate
-	// bound holds even for allocations racing across shards.
-	used atomic.Int64
-	// count tracks the live sub-flow population.
-	count atomic.Int64
-	// gen mints the mutation generation. It is advanced while holding
-	// the mutated flow's shard lock, so generations of operations on
-	// the same sub-flow ID are strictly ordered.
-	gen atomic.Int64
-
-	shards [numShards]shard
+	mu sync.Mutex
+	// allocs holds the live sub-flows, used their sum and gen the
+	// generation of the last mutation; all three are guarded by mu.
+	allocs map[string]units.Bandwidth
+	used   units.Bandwidth
+	gen    int64
 }
 
 // NewEndpoint records an established tunnel at one end domain.
@@ -85,110 +66,162 @@ func NewEndpoint(rarID string, aggregate units.Bandwidth, w units.Window, peerBB
 	if !w.Valid() {
 		return nil, fmt.Errorf("tunnel: invalid window %v", w)
 	}
-	e := &Endpoint{
+	return &Endpoint{
 		RARID:     rarID,
 		Aggregate: aggregate,
 		Window:    w,
 		PeerBB:    peerBB,
 		Owner:     owner,
-	}
-	for i := range e.shards {
-		e.shards[i].allocs = make(map[string]units.Bandwidth)
-	}
-	return e, nil
+		allocs:    make(map[string]units.Bandwidth),
+	}, nil
 }
 
-// shardFor picks the stripe owning a sub-flow ID (FNV-1a).
-func (e *Endpoint) shardFor(subID string) *shard {
-	var h uint32 = 2166136261
-	for i := 0; i < len(subID); i++ {
-		h ^= uint32(subID[i])
-		h *= 16777619
-	}
-	return &e.shards[h%numShards]
+// Tx is a batch's access to the endpoint, valid only inside the Batch
+// call that hands it out.
+type Tx struct{ e *Endpoint }
+
+// Batch runs fn with the endpoint's lock held, so the ops fn applies
+// through its Tx are one atomic step to every other reader and writer.
+// fn must do nothing but apply them: no journal append, registry,
+// metrics or transport call runs under the lock (DESIGN.md §6.5).
+func (e *Endpoint) Batch(fn func(Tx)) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	fn(Tx{e})
 }
-
-// Used returns the currently allocated sub-flow total.
-func (e *Endpoint) Used() units.Bandwidth { return units.Bandwidth(e.used.Load()) }
-
-// Free returns the unallocated tunnel bandwidth.
-func (e *Endpoint) Free() units.Bandwidth { return e.Aggregate - e.Used() }
-
-// Len reports the number of live sub-flows.
-func (e *Endpoint) Len() int { return int(e.count.Load()) }
-
-// Gen reports the endpoint's current mutation generation.
-func (e *Endpoint) Gen() int64 { return e.gen.Load() }
 
 // Allocate admits a sub-flow of bw under subID and returns the
 // mutation generation the admission was stamped with (for journaling).
-func (e *Endpoint) Allocate(subID string, bw units.Bandwidth) (int64, error) {
+func (tx Tx) Allocate(subID string, bw units.Bandwidth) (int64, error) {
+	e := tx.e
 	if subID == "" {
 		return 0, fmt.Errorf("tunnel: empty sub-flow id")
 	}
 	if bw <= 0 {
 		return 0, fmt.Errorf("tunnel: non-positive bandwidth %v", bw)
 	}
-	s := e.shardFor(subID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, exists := s.allocs[subID]; exists {
+	if _, exists := e.allocs[subID]; exists {
 		return 0, fmt.Errorf("tunnel: sub-flow %q already allocated", subID)
 	}
-	// CAS admission against the running total: allocations in other
-	// shards race on used concurrently, and the loop guarantees the
-	// Aggregate bound without any endpoint-wide lock.
-	for {
-		cur := e.used.Load()
-		if bw > e.Aggregate-units.Bandwidth(cur) { // not cur+bw: that can wrap
-			return 0, fmt.Errorf("tunnel %s: allocation %v exceeds free capacity %v",
-				e.RARID, bw, e.Aggregate-units.Bandwidth(cur))
-		}
-		if e.used.CompareAndSwap(cur, cur+int64(bw)) {
-			break
-		}
+	if bw > e.Aggregate-e.used { // not used+bw: that can wrap
+		return 0, fmt.Errorf("tunnel %s: allocation %v exceeds free capacity %v", e.RARID, bw, e.Aggregate-e.used)
 	}
-	s.allocs[subID] = bw
-	e.count.Add(1)
-	return e.gen.Add(1), nil
+	e.allocs[subID] = bw
+	e.used += bw
+	e.gen++
+	return e.gen, nil
 }
 
 // Release frees the sub-flow, returning the bandwidth it held and the
 // mutation generation of the release.
-func (e *Endpoint) Release(subID string) (units.Bandwidth, int64, error) {
-	s := e.shardFor(subID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	bw, exists := s.allocs[subID]
+func (tx Tx) Release(subID string) (units.Bandwidth, int64, error) {
+	e := tx.e
+	bw, exists := e.allocs[subID]
 	if !exists {
 		return 0, 0, fmt.Errorf("tunnel %s: unknown sub-flow %q", e.RARID, subID)
 	}
-	delete(s.allocs, subID)
-	e.used.Add(-int64(bw))
-	e.count.Add(-1)
-	return bw, e.gen.Add(1), nil
+	delete(e.allocs, subID)
+	e.used -= bw
+	e.gen++
+	return bw, e.gen, nil
+}
+
+// Gen reports the endpoint's current mutation generation.
+func (tx Tx) Gen() int64 { return tx.e.gen }
+
+// ReplayAlloc applies a journaled allocation during recovery. A record
+// the current state already reflects (gen at or below the endpoint's)
+// is a no-op, as is an allocation whose sub-flow is already present —
+// both are the expected shapes of a record that also survived in a
+// snapshot. The caller must feed records for one endpoint in ascending
+// generation order; per-flow correctness follows because generations
+// are minted under the endpoint's lock.
+func (tx Tx) ReplayAlloc(subID string, bw units.Bandwidth, gen int64) error {
+	e := tx.e
+	if gen <= e.gen {
+		return nil
+	}
+	e.gen = gen
+	if subID == "" || bw <= 0 {
+		return fmt.Errorf("tunnel: replay %s: invalid allocation %q (%v)", e.RARID, subID, bw)
+	}
+	if _, exists := e.allocs[subID]; exists {
+		return nil
+	}
+	if bw > e.Aggregate-e.used {
+		return fmt.Errorf("tunnel: replay %s: allocation %q overcommits the aggregate", e.RARID, subID)
+	}
+	e.allocs[subID] = bw
+	e.used += bw
+	return nil
+}
+
+// ReplayRelease applies a journaled release during recovery; releases
+// of absent sub-flows and already-reflected generations are no-ops.
+func (tx Tx) ReplayRelease(subID string, gen int64) {
+	e := tx.e
+	if gen <= e.gen {
+		return
+	}
+	e.gen = gen
+	if bw, exists := e.allocs[subID]; exists {
+		delete(e.allocs, subID)
+		e.used -= bw
+	}
+}
+
+// Allocate admits one sub-flow: a batch of one.
+func (e *Endpoint) Allocate(subID string, bw units.Bandwidth) (gen int64, err error) {
+	e.Batch(func(tx Tx) { gen, err = tx.Allocate(subID, bw) })
+	return gen, err
+}
+
+// Release frees one sub-flow: a batch of one.
+func (e *Endpoint) Release(subID string) (bw units.Bandwidth, gen int64, err error) {
+	e.Batch(func(tx Tx) { bw, gen, err = tx.Release(subID) })
+	return bw, gen, err
+}
+
+// Used returns the currently allocated sub-flow total.
+func (e *Endpoint) Used() units.Bandwidth {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.used
+}
+
+// Free returns the unallocated tunnel bandwidth.
+func (e *Endpoint) Free() units.Bandwidth { return e.Aggregate - e.Used() }
+
+// Len reports the number of live sub-flows.
+func (e *Endpoint) Len() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.allocs)
+}
+
+// Gen reports the endpoint's current mutation generation.
+func (e *Endpoint) Gen() int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.gen
 }
 
 // Lookup reports the bandwidth held by a sub-flow.
 func (e *Endpoint) Lookup(subID string) (units.Bandwidth, bool) {
-	s := e.shardFor(subID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	bw, ok := s.allocs[subID]
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	bw, ok := e.allocs[subID]
 	return bw, ok
 }
 
 // SubFlows lists current allocations, sorted by id.
 func (e *Endpoint) SubFlows() []string {
-	out := make([]string, 0, e.Len())
-	for i := range e.shards {
-		s := &e.shards[i]
-		s.mu.Lock()
-		for id := range s.allocs {
-			out = append(out, id)
-		}
-		s.mu.Unlock()
+	e.mu.Lock()
+	out := make([]string, 0, len(e.allocs))
+	for id := range e.allocs {
+		out = append(out, id)
 	}
+	e.mu.Unlock()
 	sort.Strings(out)
 	return out
 }
@@ -214,13 +247,10 @@ type EndpointSnapshot struct {
 	SubFlows  []SubFlow
 }
 
-// Snapshot captures a consistent point-in-time view: all shard locks
-// are held together, so no allocation is caught between its admission
-// and its generation stamp.
+// Snapshot captures a consistent point-in-time view: it is taken under
+// the endpoint's lock, so it holds every op of a batch or none.
 func (e *Endpoint) Snapshot() EndpointSnapshot {
-	for i := range e.shards {
-		e.shards[i].mu.Lock()
-	}
+	e.mu.Lock()
 	snap := EndpointSnapshot{
 		RARID:     e.RARID,
 		Aggregate: e.Aggregate,
@@ -228,16 +258,12 @@ func (e *Endpoint) Snapshot() EndpointSnapshot {
 		PeerBB:    e.PeerBB,
 		Owner:     e.Owner,
 		Epoch:     e.Epoch,
-		Gen:       e.gen.Load(),
+		Gen:       e.gen,
 	}
-	for i := range e.shards {
-		for id, bw := range e.shards[i].allocs {
-			snap.SubFlows = append(snap.SubFlows, SubFlow{ID: id, Bandwidth: bw})
-		}
+	for id, bw := range e.allocs {
+		snap.SubFlows = append(snap.SubFlows, SubFlow{ID: id, Bandwidth: bw})
 	}
-	for i := len(e.shards) - 1; i >= 0; i-- {
-		e.shards[i].mu.Unlock()
-	}
+	e.mu.Unlock()
 	sort.Slice(snap.SubFlows, func(i, j int) bool { return snap.SubFlows[i].ID < snap.SubFlows[j].ID })
 	return snap
 }
@@ -250,73 +276,20 @@ func Restore(s EndpointSnapshot) (*Endpoint, error) {
 		return nil, err
 	}
 	e.Epoch = s.Epoch
-	e.gen.Store(s.Gen)
-	var sum units.Bandwidth
+	e.gen = s.Gen
 	for _, sf := range s.SubFlows {
 		if sf.ID == "" || sf.Bandwidth <= 0 {
 			return nil, fmt.Errorf("tunnel: restore %s: invalid sub-flow %q (%v)", s.RARID, sf.ID, sf.Bandwidth)
 		}
-		sh := e.shardFor(sf.ID)
-		if _, dup := sh.allocs[sf.ID]; dup {
+		if _, dup := e.allocs[sf.ID]; dup {
 			return nil, fmt.Errorf("tunnel: restore %s: duplicate sub-flow %q", s.RARID, sf.ID)
 		}
 		// Compared against what is left, so the total cannot wrap around.
-		if sf.Bandwidth > s.Aggregate-sum {
+		if sf.Bandwidth > s.Aggregate-e.used {
 			return nil, fmt.Errorf("tunnel: restore %s: allocations exceed aggregate %v at sub-flow %q", s.RARID, s.Aggregate, sf.ID)
 		}
-		sh.allocs[sf.ID] = sf.Bandwidth
-		sum += sf.Bandwidth
+		e.allocs[sf.ID] = sf.Bandwidth
+		e.used += sf.Bandwidth
 	}
-	e.used.Store(int64(sum))
-	e.count.Store(int64(len(s.SubFlows)))
 	return e, nil
-}
-
-// ReplayAlloc applies a journaled allocation during recovery. A record
-// the current state already reflects (gen at or below the endpoint's)
-// is a no-op, as is an allocation whose sub-flow is already present —
-// both are the expected shapes of a record that also survived in a
-// snapshot. The caller must feed records for one endpoint in ascending
-// generation order; per-flow correctness follows because generations
-// for one sub-flow ID are minted under its shard lock.
-func (e *Endpoint) ReplayAlloc(subID string, bw units.Bandwidth, gen int64) error {
-	if gen <= e.gen.Load() {
-		return nil
-	}
-	e.gen.Store(gen)
-	if subID == "" || bw <= 0 {
-		return fmt.Errorf("tunnel: replay %s: invalid allocation %q (%v)", e.RARID, subID, bw)
-	}
-	s := e.shardFor(subID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, exists := s.allocs[subID]; exists {
-		return nil
-	}
-	if bw > e.Aggregate-units.Bandwidth(e.used.Load()) {
-		return fmt.Errorf("tunnel: replay %s: allocation %q overcommits the aggregate", e.RARID, subID)
-	}
-	s.allocs[subID] = bw
-	e.used.Add(int64(bw))
-	e.count.Add(1)
-	return nil
-}
-
-// ReplayRelease applies a journaled release during recovery; releases
-// of absent sub-flows and already-reflected generations are no-ops.
-func (e *Endpoint) ReplayRelease(subID string, gen int64) {
-	if gen <= e.gen.Load() {
-		return
-	}
-	e.gen.Store(gen)
-	s := e.shardFor(subID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	bw, exists := s.allocs[subID]
-	if !exists {
-		return
-	}
-	delete(s.allocs, subID)
-	e.used.Add(-int64(bw))
-	e.count.Add(-1)
 }

@@ -3,6 +3,7 @@ package tunnel
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -124,6 +125,51 @@ func TestConcurrentAllocationsNeverOversubscribe(t *testing.T) {
 	}
 }
 
+// TestBatchAllocationFree: on an endpoint holding 8192 flows, an alloc
+// batch and a release batch of 256 ids the caller already holds
+// allocate nothing — the batch's closure stays on the caller's stack
+// (the destination clones its ids before the batch, DESIGN.md §6.5).
+func TestBatchAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	ep := newEndpoint(t, 100*units.Gbps)
+	for i := 0; i < 8192; i++ {
+		if _, err := ep.Allocate(fmt.Sprintf("standing-%d", i), units.Kbps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := make([]string, 256)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("batch-%d", i)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		ep.Batch(func(tx Tx) {
+			for _, id := range ids {
+				if _, e := tx.Allocate(id, units.Kbps); e != nil && err == nil {
+					err = e
+				}
+			}
+		})
+		ep.Batch(func(tx Tx) {
+			for _, id := range ids {
+				if _, _, e := tx.Release(id); e != nil && err == nil {
+					err = e
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("an alloc and a release batch of 256 allocate %.0f objects, want 0", allocs)
+	}
+	if ep.Len() != 8192 {
+		t.Errorf("%d flows left, want the 8192 standing ones", ep.Len())
+	}
+}
+
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	ep := newEndpoint(t, 100*units.Mbps)
 	ep.Epoch = 7
@@ -177,22 +223,25 @@ func TestRestoreRejectsOvercommit(t *testing.T) {
 
 func TestReplayIsIdempotentAndOrdered(t *testing.T) {
 	ep := newEndpoint(t, 100*units.Mbps)
+	replayAlloc := func(id string, bw units.Bandwidth, gen int64) {
+		t.Helper()
+		var err error
+		ep.Batch(func(tx Tx) { err = tx.ReplayAlloc(id, bw, gen) })
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	replayRelease := func(id string, gen int64) { ep.Batch(func(tx Tx) { tx.ReplayRelease(id, gen) }) }
 	// gen 1: alloc a@10; gen 2: release a; gen 3: alloc a@20.
-	if err := ep.ReplayAlloc("a", 10*units.Mbps, 1); err != nil {
-		t.Fatal(err)
-	}
-	ep.ReplayRelease("a", 2)
-	if err := ep.ReplayAlloc("a", 20*units.Mbps, 3); err != nil {
-		t.Fatal(err)
-	}
+	replayAlloc("a", 10*units.Mbps, 1)
+	replayRelease("a", 2)
+	replayAlloc("a", 20*units.Mbps, 3)
 	if bw, ok := ep.Lookup("a"); !ok || bw != 20*units.Mbps {
 		t.Fatalf("after replay: a = %v %t", bw, ok)
 	}
 	// Stale records (gen already reflected) are no-ops.
-	ep.ReplayRelease("a", 2)
-	if err := ep.ReplayAlloc("a", 10*units.Mbps, 1); err != nil {
-		t.Fatal(err)
-	}
+	replayRelease("a", 2)
+	replayAlloc("a", 10*units.Mbps, 1)
 	if bw, _ := ep.Lookup("a"); bw != 20*units.Mbps || ep.Used() != 20*units.Mbps {
 		t.Fatalf("stale replay mutated state: %v used=%v", bw, ep.Used())
 	}

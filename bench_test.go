@@ -521,9 +521,9 @@ func BenchmarkConcurrentReserveChain(b *testing.B) {
 
 // --- Ablations -------------------------------------------------------------
 
-// BenchmarkAblationEnvelopeCrypto isolates the cost the nested
-// signatures add per hop: seal+open one layer versus plain JSON
-// encode/decode of the same body.
+// BenchmarkAblationEnvelopeCrypto isolates the cost the signature check
+// adds per hop: seal+open one layer versus seal+PeekBody, which decodes
+// the same binary body without verifying it.
 func BenchmarkAblationEnvelopeCrypto(b *testing.B) {
 	key, err := identity.GenerateKeyPair(identity.NewDN("Grid", "A", "bb"))
 	if err != nil {

@@ -60,6 +60,10 @@ func NormalizeRARRecord(data []byte, rarID string) ([]byte, error) {
 	return r.AppendBinary(nil), nil
 }
 
+// RegisterTunnel registers an endpoint the way an establishment does,
+// for tests that pre-provision one under a RAR id a reserve then reuses.
+func (b *BB) RegisterTunnel(ep *tunnel.Endpoint) error { return b.registerTunnel(ep) }
+
 // TunnelOpRec is one journaled sub-flow mutation, for tests that write
 // the tunnel vocabulary's records by hand.
 type TunnelOpRec = tunnelOpRec

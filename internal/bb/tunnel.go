@@ -79,14 +79,6 @@ func (b *BB) registerTunnel(ep *tunnel.Endpoint) error {
 	return nil
 }
 
-// RegisterTunnelEndpoint registers a pre-provisioned tunnel endpoint at
-// this broker (an out-of-band established aggregate); the registration
-// is journaled like one created through the signalling path. Duplicate
-// RAR ids are refused.
-func (b *BB) RegisterTunnelEndpoint(ep *tunnel.Endpoint) error {
-	return b.registerTunnel(ep)
-}
-
 // tunnelFor resolves a tunnel registration and checks that the peer is
 // authorized on it: only the broker authenticated during establishment
 // (or the tunnel owner, for the source side) may drive sub-flows.

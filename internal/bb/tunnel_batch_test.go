@@ -537,17 +537,17 @@ func TestDuplicateTunnelRegistrationDenied(t *testing.T) {
 		DestDomain: w.DestDomain(), Bandwidth: 10 * units.Mbps, Tunnel: true,
 	})
 	// Pre-provision an endpoint under the same RAR id at the
-	// destination, as an operator would for an out-of-band aggregate.
+	// destination.
 	ep, err := tunnel.NewEndpoint(spec.RARID, 5*units.Mbps, spec.Window,
 		identity.NewDN("Grid", "Elsewhere", "bb"), identity.NewDN("Grid", "Elsewhere", "bob"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.BBs[w.DestDomain()].RegisterTunnelEndpoint(ep); err != nil {
+	if err := w.BBs[w.DestDomain()].RegisterTunnel(ep); err != nil {
 		t.Fatal(err)
 	}
 	// Registering the same id again is itself refused.
-	if err := w.BBs[w.DestDomain()].RegisterTunnelEndpoint(ep); err == nil {
+	if err := w.BBs[w.DestDomain()].RegisterTunnel(ep); err == nil {
 		t.Fatal("second registration of the same RAR id accepted")
 	}
 

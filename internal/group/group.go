@@ -9,27 +9,37 @@
 package group
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
 
 	"e2eqos/internal/identity"
+	"e2eqos/internal/wire"
 )
 
 // Attestation is a signed statement that User belongs to Group until
 // Expires.
 type Attestation struct {
-	ServerDN identity.DN `json:"server_dn"`
-	User     identity.DN `json:"user"`
-	Group    string      `json:"group"`
-	Expires  time.Time   `json:"expires"`
+	ServerDN identity.DN
+	User     identity.DN
+	Group    string
+	Expires  time.Time
 	// Signature is the server's signature over the canonical payload.
-	Signature []byte `json:"signature"`
+	Signature []byte
 }
 
+// attestationPayload is the canonical byte string an attestation
+// signature covers: a domain-separation prefix plus the fields in the
+// wire encoding, 1=server 2=user 3=group 4=expires. Every field is
+// length-prefixed and tagged, so no value can shift bytes into its
+// neighbour — the `|`-joined text this replaces let an attestation for
+// user "alice|x" in group "g" pass as one for "alice" in group "x|g".
 func attestationPayload(server, user identity.DN, group string, expires time.Time) []byte {
-	return []byte(fmt.Sprintf("group-attestation|%s|%s|%s|%d", server, user, group, expires.UnixNano()))
+	buf := append(make([]byte, 0, 128), "e2eqos-group-attestation-v1\x00"...)
+	buf = wire.AppendString(buf, 1, string(server))
+	buf = wire.AppendString(buf, 2, string(user))
+	buf = wire.AppendString(buf, 3, group)
+	return wire.AppendTime(buf, 4, expires)
 }
 
 // Server validates group membership assertions. It is safe for
@@ -121,18 +131,4 @@ func verifyAttestation(a *Attestation, serverKey *identity.KeyPair, at time.Time
 		return fmt.Errorf("group: attestation signature: %w", err)
 	}
 	return nil
-}
-
-// Encode serialises the attestation for transport inside policy info.
-func (a *Attestation) Encode() ([]byte, error) {
-	return json.Marshal(a)
-}
-
-// DecodeAttestation reverses Encode.
-func DecodeAttestation(data []byte) (*Attestation, error) {
-	var a Attestation
-	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, fmt.Errorf("group: decode attestation: %w", err)
-	}
-	return &a, nil
 }

@@ -314,119 +314,6 @@ func TestTrustStorePinnedPeer(t *testing.T) {
 	}
 }
 
-// buildIntroductionChain models the signalling path A -> B -> C where C
-// trusts only its peer B; B introduces A's certificate.
-func buildIntroductionChain(t *testing.T) (ts *TrustStore, target *Certificate, intros []Introduction) {
-	t.Helper()
-	caA := mustCA(t, "CA-A")
-	bbA := mustKey(t, identity.NewDN("Grid", "DomainA", "bb-a"))
-	certA, err := caA.IssueIdentity(bbA.DN, bbA.Public(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bbB := mustKey(t, identity.NewDN("Grid", "DomainB", "bb-b"))
-	intro, err := NewIntroduction(bbB, certA.DER)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts = NewTrustStore(2)
-	ts.PinPeer(bbB.DN, bbB.Public())
-	return ts, certA, []Introduction{intro}
-}
-
-func TestTrustStoreResolveViaIntroducer(t *testing.T) {
-	ts, certA, intros := buildIntroductionChain(t)
-	pub, depth, err := ts.ResolveKey(certA, intros, time.Now())
-	if err != nil {
-		t.Fatalf("introduction rejected: %v", err)
-	}
-	if depth != 1 {
-		t.Errorf("depth = %d, want 1", depth)
-	}
-	if !pub.Equal(certA.PublicKey()) {
-		t.Error("wrong key resolved")
-	}
-}
-
-func TestTrustStoreDepthLimit(t *testing.T) {
-	ts, certA, intros := buildIntroductionChain(t)
-	ts.SetMaxIntroducerDepth(0)
-	if _, _, err := ts.ResolveKey(certA, intros, time.Now()); err == nil {
-		t.Fatal("introduction accepted despite depth limit 0")
-	}
-}
-
-func TestTrustStoreRejectsUnknownIntroducer(t *testing.T) {
-	_, certA, intros := buildIntroductionChain(t)
-	ts := NewTrustStore(5) // does not pin bb-b
-	if _, _, err := ts.ResolveKey(certA, intros, time.Now()); err == nil {
-		t.Fatal("introduction by unknown introducer accepted")
-	}
-}
-
-func TestTrustStoreRejectsTamperedIntroduction(t *testing.T) {
-	ts, certA, intros := buildIntroductionChain(t)
-	intros[0].Signature[0] ^= 0xff
-	if _, _, err := ts.ResolveKey(certA, intros, time.Now()); err == nil {
-		t.Fatal("tampered introduction accepted")
-	}
-}
-
-func TestTrustStoreRejectsMismatchedTarget(t *testing.T) {
-	ts, _, intros := buildIntroductionChain(t)
-	otherCA := mustCA(t, "CA-X")
-	kp := mustKey(t, identity.NewDN("Grid", "X", "bb-x"))
-	otherCert, err := otherCA.IssueIdentity(kp.DN, kp.Public(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ts.ResolveKey(otherCert, intros, time.Now()); err == nil {
-		t.Fatal("introduction chain for a different subject accepted")
-	}
-}
-
-func TestTrustStoreTwoHopIntroduction(t *testing.T) {
-	// D trusts only C; C introduces B's cert; B introduces A's cert.
-	caA := mustCA(t, "CA-A")
-	caB := mustCA(t, "CA-B")
-	bbA := mustKey(t, identity.NewDN("Grid", "DomainA", "bb-a"))
-	bbB := mustKey(t, identity.NewDN("Grid", "DomainB", "bb-b"))
-	bbC := mustKey(t, identity.NewDN("Grid", "DomainC", "bb-c"))
-	certA, err := caA.IssueIdentity(bbA.DN, bbA.Public(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	certB, err := caB.IssueIdentity(bbB.DN, bbB.Public(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	introB, err := NewIntroduction(bbC, certB.DER) // C vouches for B
-	if err != nil {
-		t.Fatal(err)
-	}
-	introA, err := NewIntroduction(bbB, certA.DER) // B vouches for A
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := NewTrustStore(2)
-	ts.PinPeer(bbC.DN, bbC.Public())
-	pub, depth, err := ts.ResolveKey(certA, []Introduction{introB, introA}, time.Now())
-	if err != nil {
-		t.Fatalf("two-hop introduction rejected: %v", err)
-	}
-	if depth != 2 {
-		t.Errorf("depth = %d, want 2", depth)
-	}
-	if !pub.Equal(bbA.Public()) {
-		t.Error("wrong key resolved")
-	}
-	// Depth limit 1 must reject the same chain.
-	ts.SetMaxIntroducerDepth(1)
-	if _, _, err := ts.ResolveKey(certA, []Introduction{introB, introA}, time.Now()); err == nil {
-		t.Fatal("two-hop chain accepted at depth limit 1")
-	}
-}
-
 func TestExtractCapabilityAttrsAbsent(t *testing.T) {
 	ca := mustCA(t, "RootCA")
 	kp := mustKey(t, identity.NewDN("Grid", "A", "a"))
@@ -482,8 +369,9 @@ func p256Certificate(t *testing.T, ca *CA, dn identity.DN) *x509.Certificate {
 
 // TestOtherKeyAlgorithmRefusedByName: a CA-signed certificate carrying
 // a P-256 subject key never yields a key, nil or otherwise, without an
-// error that names the reason — parsed, presented as the target of a
-// resolution, or introduced by a trusted peer.
+// error that names the reason — parsed, asked about directly, or added
+// as a root. (Introduced by a trusted peer, it is refused by the one
+// trust walk, core.Broker.Verify: see core's test of the same name.)
 func TestOtherKeyAlgorithmRefusedByName(t *testing.T) {
 	ca := mustCA(t, "RootCA")
 	dn := identity.NewDN("Grid", "A", "bb-a")
@@ -506,27 +394,10 @@ func TestOtherKeyAlgorithmRefusedByName(t *testing.T) {
 	if pub := literal.PublicKey(); pub != nil {
 		t.Errorf("PublicKey of a P-256 certificate = %x, want nil", pub)
 	}
-	if pub, _, err := ts.ResolveKey(literal, nil, time.Now()); !errors.Is(err, identity.ErrKeyAlgorithm) || pub != nil {
-		t.Errorf("ResolveKey(target): key %x, err = %v, want identity.ErrKeyAlgorithm", pub, err)
+	if pub, err := ts.DirectlyTrusted(literal, time.Now()); !errors.Is(err, identity.ErrKeyAlgorithm) || pub != nil {
+		t.Errorf("DirectlyTrusted: key %x, err = %v, want identity.ErrKeyAlgorithm", pub, err)
 	}
 	if err := ts.AddRoot(literal); !errors.Is(err, identity.ErrKeyAlgorithm) {
 		t.Errorf("AddRoot: err = %v, want identity.ErrKeyAlgorithm", err)
-	}
-
-	// Introduced by a pinned peer: the introduction's signature holds,
-	// the certificate inside it is still refused.
-	bbB := mustKey(t, identity.NewDN("Grid", "B", "bb-b"))
-	ts.PinPeer(bbB.DN, bbB.Public())
-	intro, err := NewIntroduction(bbB, odd.Raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stranger := mustKey(t, dn)
-	target, err := mustCA(t, "ElsewhereCA").IssueIdentity(dn, stranger.Public(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pub, _, err := ts.ResolveKey(target, []Introduction{intro}, time.Now()); !errors.Is(err, identity.ErrKeyAlgorithm) || pub != nil {
-		t.Errorf("ResolveKey(introduced): key %x, err = %v, want identity.ErrKeyAlgorithm", pub, err)
 	}
 }

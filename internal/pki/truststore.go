@@ -2,36 +2,12 @@ package pki
 
 import (
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"e2eqos/internal/identity"
 )
-
-// Introduction is one link of the paper's web-of-trust: an introducer
-// vouches for a subject's certificate by signing it. In the signalling
-// protocol each domain "adds the certificate of the upstream domain —
-// known because of the SSL handshake — and signs it", so downstream
-// domains accumulate a list of key introducers.
-type Introduction struct {
-	// IntroducerDN names the entity vouching for the certificate.
-	IntroducerDN identity.DN
-	// CertDER is the introduced certificate (DER).
-	CertDER []byte
-	// Signature is the introducer's signature over CertDER.
-	Signature []byte
-}
-
-// NewIntroduction signs certDER with the introducer's key.
-func NewIntroduction(introducer *identity.KeyPair, certDER []byte) (Introduction, error) {
-	sig, err := introducer.Sign(certDER)
-	if err != nil {
-		return Introduction{}, err
-	}
-	return Introduction{IntroducerDN: introducer.DN, CertDER: certDER, Signature: sig}, nil
-}
 
 // TrustStore holds an entity's local trust decisions: the CA
 // certificates it trusts directly, the peer certificates pinned via
@@ -148,64 +124,4 @@ func (t *TrustStore) DirectlyTrusted(cert *Certificate, at time.Time) (identity.
 		return pub, nil
 	}
 	return nil, fmt.Errorf("pki: no direct trust path to %s", cert.SubjectDN())
-}
-
-// ResolveKey resolves the public key of a certificate through the web
-// of trust. The introductions are ordered from the verifier outward:
-// introductions[0] must be signed by a directly trusted entity, and
-// each following introduction by the subject of the previous one. The
-// final introduction's certificate is the target. Direct trust is tried
-// first (depth 0).
-//
-// This is the mechanism the destination BB uses to accept the source
-// BB's key without a shared CA: "This web of trust allows each domain
-// to access a list of key introducers when deciding whether to accept
-// the public key stored in the certificate."
-func (t *TrustStore) ResolveKey(target *Certificate, introductions []Introduction, at time.Time) (identity.PublicKey, int, error) {
-	pub, err := t.DirectlyTrusted(target, at)
-	if err == nil {
-		return pub, 0, nil
-	}
-	if errors.Is(err, identity.ErrKeyAlgorithm) {
-		return nil, 0, err
-	}
-	if len(introductions) == 0 {
-		return nil, 0, fmt.Errorf("pki: %s not directly trusted and no introductions supplied", target.SubjectDN())
-	}
-	if len(introductions) > t.MaxIntroducerDepth() {
-		return nil, 0, fmt.Errorf("pki: introduction chain depth %d exceeds local policy limit %d",
-			len(introductions), t.MaxIntroducerDepth())
-	}
-	// The first introducer must be directly trusted.
-	introducerKey, ok := t.PeerKey(introductions[0].IntroducerDN)
-	if !ok {
-		return nil, 0, fmt.Errorf("pki: first introducer %s is not directly trusted", introductions[0].IntroducerDN)
-	}
-	var lastCert *Certificate
-	for i, intro := range introductions {
-		if err := identity.Verify(introducerKey, intro.CertDER, intro.Signature); err != nil {
-			return nil, 0, fmt.Errorf("pki: introduction %d by %s has invalid signature: %w", i, intro.IntroducerDN, err)
-		}
-		cert, err := ParseCertificate(intro.CertDER)
-		if err != nil {
-			return nil, 0, fmt.Errorf("pki: introduction %d: %w", i, err)
-		}
-		if !cert.ValidAt(at) {
-			return nil, 0, fmt.Errorf("pki: introduced certificate %d for %s not valid at %s", i, cert.SubjectDN(), at)
-		}
-		// The introduced subject becomes the introducer of the next link.
-		introducerKey = cert.PublicKey()
-		lastCert = cert
-		if i+1 < len(introductions) && introductions[i+1].IntroducerDN != cert.SubjectDN() {
-			return nil, 0, fmt.Errorf("pki: introduction chain broken: link %d introduces %s but link %d claims introducer %s",
-				i, cert.SubjectDN(), i+1, introductions[i+1].IntroducerDN)
-		}
-	}
-	if lastCert.SubjectDN() != target.SubjectDN() {
-		return nil, 0, fmt.Errorf("pki: introduction chain ends at %s, want %s", lastCert.SubjectDN(), target.SubjectDN())
-	}
-	if !lastCert.PublicKey().Equal(target.PublicKey()) {
-		return nil, 0, fmt.Errorf("pki: introduced key for %s does not match presented certificate", target.SubjectDN())
-	}
-	return target.PublicKey(), len(introductions), nil
 }

@@ -90,28 +90,6 @@ func (a *admitRec) DecodeBinary(data []byte) error {
 	return d.Err()
 }
 
-// modifyRec: 1=handle 2=bandwidth.
-func (m modifyRec) AppendBinary(buf []byte) []byte {
-	buf = wire.AppendString(buf, 1, m.Handle)
-	return wire.AppendInt(buf, 2, int64(m.Bandwidth))
-}
-
-func (m *modifyRec) DecodeBinary(data []byte) error {
-	d := wire.Dec{Buf: data}
-	for d.More() {
-		f, wt := d.Tag()
-		switch {
-		case f == 1 && wt == wire.TBytes:
-			m.Handle = d.String()
-		case f == 2 && wt == wire.TVarint:
-			m.Bandwidth = units.Bandwidth(d.Varint())
-		default:
-			d.Skip(wt)
-		}
-	}
-	return d.Err()
-}
-
 // cancelRec: 1=handle 2=cancelled_at.
 func (c cancelRec) AppendBinary(buf []byte) []byte {
 	buf = wire.AppendString(buf, 1, c.Handle)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"e2eqos/internal/journal"
-	"e2eqos/internal/units"
 )
 
 // Journal record vocabulary for reservation-table mutations. Every
@@ -15,7 +14,6 @@ import (
 // no-op, the idempotency the journal's rotation protocol depends on.
 const (
 	opAdmit   = "resv.admit"
-	opModify  = "resv.modify"
 	opCancel  = "resv.cancel"
 	opCompact = "resv.compact"
 )
@@ -36,12 +34,6 @@ type admitRec struct {
 	Seq  int64
 }
 
-// modifyRec journals a bandwidth change as the absolute new value.
-type modifyRec struct {
-	Handle    string
-	Bandwidth units.Bandwidth
-}
-
 // cancelRec journals a withdrawal with its retirement stamp.
 type cancelRec struct {
 	Handle      string
@@ -57,10 +49,6 @@ type compactRec struct {
 
 func admitEvent(r *Reservation, seq int64) event {
 	return event{opAdmit, admitRec{Resv: *r, Seq: seq}}
-}
-
-func modifyEvent(handle string, bw units.Bandwidth) event {
-	return event{opModify, modifyRec{Handle: handle, Bandwidth: bw}}
 }
 
 func cancelEvent(handle string, at time.Time) event {
@@ -89,7 +77,7 @@ func (t *Table) setEmit(fn func(op string, data journal.BinaryRecord)) {
 }
 
 // AttachJournal wires t's emission hook to j: every subsequent
-// successful Admit, Modify, Cancel and Compact (including the
+// successful Admit, Cancel and Compact (including the
 // automatic sweep piggybacked on Admit) appends one typed record.
 // Attach before sharing t between goroutines. A nil journal detaches.
 func AttachJournal(t *Table, j *journal.Journal) {
@@ -123,9 +111,9 @@ const streamTombHorizon = 8192
 // record that arrives before the admit record it removed (the admitter
 // was preempted between applying and emitting) leaves a tombstone
 // behind, and the late admit is suppressed when it shows up — handles
-// are never reused, so the tombstone is unambiguous; modify and cancel
-// records for absent handles are skipped, the entry was compacted and
-// the mutation is moot. Not safe for concurrent use; both feeds are
+// are never reused, so the tombstone is unambiguous; a cancel record for
+// an absent handle is skipped, the entry was compacted and the
+// withdrawal is moot. Not safe for concurrent use; both feeds are
 // serial.
 type StreamReplayer struct {
 	t     *Table
@@ -172,16 +160,6 @@ func (s *StreamReplayer) Apply(rec journal.Record) error {
 		} else if _, ok := t.resv[a.Resv.Handle]; !ok {
 			r := a.Resv
 			t.insertLocked(&r)
-		}
-		t.mu.Unlock()
-	case opModify:
-		var m modifyRec
-		if err := rec.Decode(&m); err != nil {
-			return err
-		}
-		t.mu.Lock()
-		if r, ok := t.resv[m.Handle]; ok && r.Status == Granted {
-			t.setBandwidthLocked(r, m.Bandwidth)
 		}
 		t.mu.Unlock()
 	case opCancel:

@@ -81,8 +81,8 @@ const sweepEvery = 128
 // pool. It is safe for concurrent use.
 //
 // Dead entries — cancelled reservations and reservations whose window
-// has ended — are removed once they have been dead longer than the
-// retention period, either by an explicit Compact call or by the
+// has ended — are removed once they have been dead longer than
+// DefaultRetention, either by an explicit Compact call or by the
 // automatic sweep piggybacked on Admit. Lookup, Valid, All and
 // Snapshot therefore do not see reservations past their retention;
 // callers needing a permanent record must keep their own (the broker's
@@ -94,13 +94,12 @@ type Table struct {
 	// resv holds every reservation, dead or alive, and led is the time
 	// axis of the ones that count against capacity. Invariant: led is
 	// exactly what booking every counted entry of resv would build.
-	// Only insertLocked, killLocked, setBandwidthLocked and dropLocked
-	// (and ResetFrom, which swaps both at once) write either.
-	resv      map[string]*Reservation
-	led       ledger
-	seq       int64
-	retention time.Duration
-	clock     func() time.Time
+	// Only insertLocked, killLocked and dropLocked (and ResetFrom, which
+	// swaps both at once) write either.
+	resv  map[string]*Reservation
+	led   ledger
+	seq   int64
+	clock func() time.Time
 	// admits counts admissions since the last automatic sweep.
 	admits int
 	// emit, when set, receives one typed journal event per applied
@@ -116,11 +115,10 @@ func NewTable(name string, capacity units.Bandwidth) (*Table, error) {
 		return nil, fmt.Errorf("resv: non-positive capacity %v", capacity)
 	}
 	return &Table{
-		name:      name,
-		capacity:  capacity,
-		resv:      make(map[string]*Reservation),
-		retention: DefaultRetention,
-		clock:     time.Now,
+		name:     name,
+		capacity: capacity,
+		resv:     make(map[string]*Reservation),
+		clock:    time.Now,
 	}, nil
 }
 
@@ -132,15 +130,6 @@ func (t *Table) SetClock(clock func() time.Time) {
 	}
 	t.mu.Lock()
 	t.clock = clock
-	t.mu.Unlock()
-}
-
-// SetRetention changes how long dead reservations stay visible before
-// compaction removes them. Zero or negative disables compaction
-// entirely, including the automatic sweep.
-func (t *Table) SetRetention(d time.Duration) {
-	t.mu.Lock()
-	t.retention = d
 	t.mu.Unlock()
 }
 
@@ -175,7 +164,7 @@ func (t *Table) bookLocked(r *Reservation, bw units.Bandwidth) {
 }
 
 // insertLocked adds r, whose handle the table does not hold yet.
-// Like the three mutators below it keeps map and ledger in step;
+// Like the two mutators below it keeps map and ledger in step;
 // caller holds t.mu.
 func (t *Table) insertLocked(r *Reservation) {
 	t.resv[r.Handle] = r
@@ -187,12 +176,6 @@ func (t *Table) killLocked(r *Reservation, at time.Time) {
 	t.bookLocked(r, -r.Bandwidth)
 	r.Status = Cancelled
 	r.CancelledAt = at
-}
-
-// setBandwidthLocked changes r's bandwidth to bw.
-func (t *Table) setBandwidthLocked(r *Reservation, bw units.Bandwidth) {
-	t.bookLocked(r, bw-r.Bandwidth)
-	r.Bandwidth = bw
 }
 
 // dropLocked forgets r altogether (compaction).
@@ -320,10 +303,7 @@ func (t *Table) Compact(now time.Time) int {
 // compactLocked removes entries dead since before the retention
 // horizon and returns their handles. Caller holds t.mu.
 func (t *Table) compactLocked(now time.Time) []string {
-	if t.retention <= 0 {
-		return nil
-	}
-	horizon := now.Add(-t.retention)
+	horizon := now.Add(-DefaultRetention)
 	var removed []string
 	for h, r := range t.resv {
 		var deadSince time.Time
@@ -354,41 +334,6 @@ func (t *Table) Len() int {
 	return len(t.resv)
 }
 
-// Modify atomically changes the bandwidth of an existing reservation,
-// re-running admission for the delta. Used by tunnel resizing.
-func (t *Table) Modify(handle string, bw units.Bandwidth) error {
-	events, err := t.modify(handle, bw)
-	t.emitAll(events)
-	return err
-}
-
-func (t *Table) modify(handle string, bw units.Bandwidth) ([]event, error) {
-	if bw <= 0 {
-		return nil, fmt.Errorf("resv: non-positive bandwidth %v", bw)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	r, ok := t.resv[handle]
-	if !ok || r.Status != Granted {
-		return nil, fmt.Errorf("resv: no granted reservation %q", handle)
-	}
-	// r spans its whole window, so the peak of everything else over it
-	// is the ledger's peak less r's own share.
-	peak := t.led.peak(r.Window)
-	if counted(r) {
-		peak -= r.Bandwidth
-	}
-	if peak+bw > t.capacity {
-		return nil, fmt.Errorf("resv: %s: cannot grow %q to %v: peak committed %v, capacity %v",
-			t.name, handle, bw, peak, t.capacity)
-	}
-	t.setBandwidthLocked(r, bw)
-	if t.emit != nil {
-		return []event{modifyEvent(handle, bw)}, nil
-	}
-	return nil, nil
-}
-
 // Lookup returns a copy of the reservation for handle.
 func (t *Table) Lookup(handle string) (Reservation, bool) {
 	t.mu.Lock()
@@ -407,23 +352,6 @@ func (t *Table) Valid(handle string, at time.Time) bool {
 	defer t.mu.Unlock()
 	r, ok := t.resv[handle]
 	return ok && r.ActiveAt(at)
-}
-
-// Timeline samples the committed bandwidth across w at the given
-// resolution, for capacity-planning views: it returns samples+1 values
-// covering [w.Start, w.End].
-func (t *Table) Timeline(w units.Window, samples int) []units.Bandwidth {
-	if samples < 1 || !w.Valid() {
-		return nil
-	}
-	out := make([]units.Bandwidth, samples+1)
-	step := w.Duration() / time.Duration(samples)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := range out {
-		out[i] = t.led.level(w.Start.Add(time.Duration(i) * step))
-	}
-	return out
 }
 
 // All returns copies of all reservations still held, sorted by handle.

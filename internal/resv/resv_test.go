@@ -130,33 +130,6 @@ func TestCancelReleasesCapacity(t *testing.T) {
 	}
 }
 
-func TestModify(t *testing.T) {
-	tab := newTable(t, 100*units.Mbps)
-	r, err := tab.Admit(AdmitRequest{Bandwidth: 40 * units.Mbps, Window: win(0, 60), Tunnel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tab.Admit(AdmitRequest{Bandwidth: 30 * units.Mbps, Window: win(0, 60)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Modify(r.Handle, 70*units.Mbps); err != nil {
-		t.Errorf("grow within capacity rejected: %v", err)
-	}
-	if err := tab.Modify(r.Handle, 71*units.Mbps); err == nil {
-		t.Error("grow beyond capacity accepted")
-	}
-	if err := tab.Modify(r.Handle, 0); err == nil {
-		t.Error("zero bandwidth accepted")
-	}
-	if err := tab.Modify("nope", 1); err == nil {
-		t.Error("modify of unknown handle accepted")
-	}
-	got, ok := tab.Lookup(r.Handle)
-	if !ok || got.Bandwidth != 70*units.Mbps {
-		t.Errorf("lookup = %+v ok=%v", got, ok)
-	}
-}
-
 func TestValidHandleCheck(t *testing.T) {
 	tab := newTable(t, 100*units.Mbps)
 	r, err := tab.Admit(AdmitRequest{Bandwidth: 10 * units.Mbps, Window: win(0, 60)})
@@ -301,36 +274,6 @@ func TestHandleUniqueness(t *testing.T) {
 	_ = fmt.Sprintf("%v", seen)
 }
 
-func TestTimeline(t *testing.T) {
-	tab := newTable(t, 100*units.Mbps)
-	if _, err := tab.Admit(AdmitRequest{Bandwidth: 40 * units.Mbps, Window: win(0, 30)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tab.Admit(AdmitRequest{Bandwidth: 20 * units.Mbps, Window: win(30, 30)}); err != nil {
-		t.Fatal(err)
-	}
-	// Sample [0, 60) minutes in 6 steps: first half 40M, second 20M.
-	series := tab.Timeline(win(0, 60), 6)
-	if len(series) != 7 {
-		t.Fatalf("len = %d", len(series))
-	}
-	if series[0] != 40*units.Mbps || series[2] != 40*units.Mbps {
-		t.Errorf("first half = %v", series[:3])
-	}
-	if series[3] != 20*units.Mbps || series[5] != 20*units.Mbps {
-		t.Errorf("second half = %v", series[3:6])
-	}
-	if series[6] != 0 { // w.End is outside both half-open windows
-		t.Errorf("end sample = %v", series[6])
-	}
-	if tab.Timeline(win(0, 60), 0) != nil {
-		t.Error("zero samples must yield nil")
-	}
-	if tab.Timeline(units.Window{}, 5) != nil {
-		t.Error("invalid window must yield nil")
-	}
-}
-
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	tab := newTable(t, 100*units.Mbps)
 	r1, err := tab.Admit(AdmitRequest{User: "/CN=a", Bandwidth: 40 * units.Mbps, Window: win(0, 60), Tunnel: true})
@@ -441,20 +384,6 @@ func TestCompactRemovesDeadReservations(t *testing.T) {
 	}
 	if _, ok := tab.Lookup(live.Handle); !ok {
 		t.Error("live reservation was compacted")
-	}
-}
-
-func TestCompactRetentionDisabled(t *testing.T) {
-	tab := newTable(t, 100*units.Mbps)
-	tab.SetRetention(0)
-	if _, err := tab.Admit(AdmitRequest{User: "/CN=a", Bandwidth: 10 * units.Mbps, Window: win(0, 10)}); err != nil {
-		t.Fatal(err)
-	}
-	if n := tab.Compact(t0.Add(24 * time.Hour)); n != 0 {
-		t.Fatalf("disabled compaction removed %d reservations", n)
-	}
-	if tab.Len() != 1 {
-		t.Errorf("Len = %d, want 1", tab.Len())
 	}
 }
 

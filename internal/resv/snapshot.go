@@ -76,7 +76,7 @@ func RestoreTable(data []byte) (*Table, error) {
 
 // ResetFrom replaces t's state with the snapshot's, in place: name,
 // capacity, sequence counter and reservation set all come from the
-// snapshot while the clock, retention and emission hook are kept. The
+// snapshot while the clock and emission hook are kept. The
 // table pointer stays valid — a replication follower installing a
 // leader snapshot resets the table its gauges and handlers already
 // hold, instead of swapping in a new one under their feet. The

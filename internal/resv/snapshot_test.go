@@ -102,44 +102,6 @@ func TestSnapshotRoundTripPreservesClockSensitiveState(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripRetentionOverride covers the retention edge:
-// SetRetention is runtime configuration, not persisted state — a
-// restored table starts back at DefaultRetention, and a zero-retention
-// (compaction-disabled) original must not leak that setting through
-// the snapshot.
-func TestSnapshotRoundTripRetentionOverride(t *testing.T) {
-	clk := &fakeClock{now: t0}
-	tab := newTable(t, 100*units.Mbps)
-	tab.SetClock(clk.Now)
-	tab.SetRetention(0) // compaction disabled on the original
-
-	r, err := tab.Admit(AdmitRequest{Bandwidth: units.Mbps, Window: win(0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clk.Set(t0.Add(24 * time.Hour))
-	if n := tab.Compact(clk.Now()); n != 0 {
-		t.Fatalf("zero-retention table compacted %d entries", n)
-	}
-
-	data, err := tab.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := RestoreTable(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The long-dead entry rode the snapshot (live-state capture) …
-	if _, ok := restored.Lookup(r.Handle); !ok {
-		t.Fatal("entry missing after restore")
-	}
-	// … and the restored table compacts on the default schedule again.
-	if n := restored.Compact(t0.Add(24 * time.Hour)); n != 1 {
-		t.Errorf("restored table compacted %d entries, want 1 (DefaultRetention restored)", n)
-	}
-}
-
 // TestSnapshotRoundTripCancelledWithoutStamp covers the unstamped
 // cancelled-entry edge: a snapshot may carry a cancelled entry with a
 // zero CancelledAt, and restore + compaction must fall back to the
@@ -182,9 +144,6 @@ func TestSnapshotRoundTripThroughReplayIsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Modify(r1.Handle, 20*units.Mbps); err != nil {
-		t.Fatal(err)
-	}
 	r2, err := tab.Admit(AdmitRequest{Bandwidth: 5 * units.Mbps, Window: win(0, 30)})
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +167,6 @@ func TestSnapshotRoundTripThroughReplayIsIdempotent(t *testing.T) {
 	}
 	recs := []journal.Record{
 		mk(opAdmit, admitRec{Resv: mustLookup(t, tab, r1.Handle), Seq: 1}),
-		mk(opModify, modifyRec{Handle: r1.Handle, Bandwidth: 20 * units.Mbps}),
 		mk(opAdmit, admitRec{Resv: mustLookup(t, tab, r2.Handle), Seq: 2}),
 		mk(opCancel, cancelRec{Handle: r2.Handle, CancelledAt: mustLookup(t, tab, r2.Handle).CancelledAt}),
 	}

@@ -248,20 +248,6 @@ func (c *Coordinator) Abort(id string) {
 	go c.compensate(id)
 }
 
-// RunOne is the fire-and-forget form: a single compensation that must
-// eventually execute (the broker's downstream rollback cancel). It is
-// a one-step saga born aborting.
-func (c *Coordinator) RunOne(id, kind string, data []byte) error {
-	if err := c.Begin(id); err != nil {
-		return err
-	}
-	if err := c.Did(id, kind, data); err != nil {
-		return err
-	}
-	c.Abort(id)
-	return nil
-}
-
 // compensate drains a saga's pending compensations, newest first, each
 // retried with exponential backoff up to MaxAttempts. When every step
 // settled the saga closes (OpDone); abandoned steps keep the saga held

@@ -138,6 +138,19 @@ func TestAbortCompensatesInReverse(t *testing.T) {
 	})
 }
 
+// abortOne runs a one-step saga born aborting, the way the broker owes
+// a downstream rollback cancel: Begin, Did, Abort.
+func abortOne(t *testing.T, c *Coordinator, id, kind string, data []byte) {
+	t.Helper()
+	if err := c.Begin(id); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Did(id, kind, data); err != nil {
+		t.Fatal(err)
+	}
+	c.Abort(id)
+}
+
 // TestRetryWithBackoff: a failing compensation retries and eventually
 // settles within the attempt budget.
 func TestRetryWithBackoff(t *testing.T) {
@@ -155,9 +168,7 @@ func TestRetryWithBackoff(t *testing.T) {
 		}
 		return nil
 	})
-	if err := c.RunOne("r1", "flaky", nil); err != nil {
-		t.Fatal(err)
-	}
+	abortOne(t, c, "r1", "flaky", nil)
 	waitFor(t, "compensation to settle", func() bool { return c.Live() == 0 })
 	mu.Lock()
 	defer mu.Unlock()
@@ -194,9 +205,7 @@ func TestAbandonment(t *testing.T) {
 		mu.Unlock()
 		return errors.New("permanent")
 	})
-	if err := c.RunOne("r1", "doomed", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
+	abortOne(t, c, "r1", "doomed", []byte("x"))
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):

@@ -92,7 +92,8 @@ type ReservePayload struct {
 	// PathPin is the full domain path the ingress broker selected for
 	// this attempt. Mid-chain hops forward along it instead of running
 	// their own next-hop computation, so a re-routed or split RAR stays
-	// on its edge-disjoint path. Empty means legacy hop-by-hop routing.
+	// on its edge-disjoint path. Empty means unpinned forwarding, the
+	// default single-path mode: each hop follows its own best path.
 	// Brokers reject it on user-facing channels: only peers pin paths.
 	PathPin []string
 	// Attempt is the ingress re-route attempt index (0 = primary path).

@@ -189,9 +189,6 @@ func (e *Endpoint) Used() units.Bandwidth {
 	return e.used
 }
 
-// Free returns the unallocated tunnel bandwidth.
-func (e *Endpoint) Free() units.Bandwidth { return e.Aggregate - e.Used() }
-
 // Len reports the number of live sub-flows.
 func (e *Endpoint) Len() int {
 	e.mu.Lock()

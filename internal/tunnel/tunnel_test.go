@@ -43,8 +43,8 @@ func TestAllocateReleaseAccounting(t *testing.T) {
 			t.Fatalf("allocation %d: %v", i, err)
 		}
 	}
-	if ep.Free() != 0 || ep.Used() != 50*units.Mbps {
-		t.Errorf("used=%v free=%v", ep.Used(), ep.Free())
+	if ep.Used() != ep.Aggregate {
+		t.Errorf("used=%v of %v", ep.Used(), ep.Aggregate)
 	}
 	if _, err := ep.Allocate("overflow", units.Mbps); err == nil {
 		t.Fatal("over-allocation succeeded")

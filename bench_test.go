@@ -166,7 +166,7 @@ func BenchmarkFig6EndToEndPolicy(b *testing.B) {
 			"DomainB": policy.Figure6PolicyB,
 			"DomainC": policy.Figure6PolicyC,
 		},
-		CPUs: map[string]int{"DomainC": 1 << 20},
+		Pools: map[string]map[string]units.Bandwidth{"DomainC": {"cpu": 1 << 20}},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -180,7 +180,7 @@ func BenchmarkFig6EndToEndPolicy(b *testing.B) {
 	now := time.Now()
 	noon := time.Date(now.Year(), now.Month(), now.Day(), 12, 0, 0, 0, time.UTC).AddDate(0, 0, 1)
 	win := units.NewWindow(noon, time.Hour)
-	cpuHandle, err := w.CPU["DomainC"].Reserve(alice.DN(), 1, units.NewWindow(noon, 24*time.Hour))
+	cpu, err := w.Pools["DomainC"]["cpu"].Admit(resv.AdmitRequest{User: alice.DN(), Bandwidth: 1, Window: units.NewWindow(noon, 24*time.Hour)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func BenchmarkFig6EndToEndPolicy(b *testing.B) {
 			DestDomain: "DomainC",
 			Bandwidth:  10 * units.Mbps,
 			Window:     win,
-			Linked:     map[string]string{"cpu": cpuHandle},
+			Linked:     map[string]string{"cpu": cpu.Handle},
 		})
 		res, err := alice.ReserveE2E(spec)
 		if err != nil || !res.Granted {

@@ -7,13 +7,13 @@ import (
 	"time"
 
 	"e2eqos/internal/bb"
-	"e2eqos/internal/cpusched"
 	"e2eqos/internal/identity"
 	"e2eqos/internal/journal"
 	"e2eqos/internal/obs"
 	"e2eqos/internal/pki"
 	"e2eqos/internal/policy"
 	"e2eqos/internal/policysrv"
+	"e2eqos/internal/resv"
 	"e2eqos/internal/topology"
 	"e2eqos/internal/transport"
 	"e2eqos/internal/units"
@@ -44,11 +44,12 @@ type FileConfig struct {
 	Links   []LinkConfig   `json:"links"`
 	// Peers lists the SLA-peered brokers.
 	Peers []PeerConfig `json:"peers"`
-	// CPUs, when positive, co-manages a CPU pool of that size.
+	// CPUs, when positive, co-manages a CPU pool of that size, which a
+	// RAR links under "cpu".
 	CPUs int `json:"cpus,omitempty"`
 
 	// CallTimeout bounds every downstream signalling call, e.g. "2s"
-	// (default "5s"; "0" waits forever). Overridable with -call-timeout.
+	// (default "5s"; "0" waits forever).
 	CallTimeout string `json:"call_timeout,omitempty"`
 	// MaxRetries retries transport-failed downstream calls with
 	// exponential backoff starting at RetryBackoff (e.g. "50ms").
@@ -71,12 +72,11 @@ type FileConfig struct {
 	// StateDir, when set, makes the broker durable: reservation and
 	// RAR-cache mutations are journaled there and recovered on boot, so
 	// a restart (or crash) no longer forgets granted reservations.
-	// Overridable with -state-dir. Default "" = memory-only.
+	// Default "" = memory-only.
 	StateDir string `json:"state_dir,omitempty"`
 	// FsyncPolicy selects when journal records reach stable storage:
 	// "batch" (group-commit, the default), "always" (fsync per record)
-	// or "never" (OS write-through only). Overridable with
-	// -fsync-policy.
+	// or "never" (OS write-through only).
 	FsyncPolicy string `json:"fsync_policy,omitempty"`
 
 	// ReplicaID and ReplicaPeers turn the broker into one member of a
@@ -106,13 +106,13 @@ type FileConfig struct {
 	// EventsDir, when set, turns on the flight recorder: sampled wide
 	// events (plus every denial and downstream failure) are written as
 	// binary records into a bounded ring of segment files in this
-	// directory, readable with `qosctl events -dir <dir>`. Overridable
-	// with -events-dir. Default "" = disabled.
+	// directory, readable with `qosctl events -dir <dir>`. Default "" =
+	// disabled.
 	EventsDir string `json:"events_dir,omitempty"`
 	// SampleRate is the flight-recorder sampling probability for
 	// requests entering the network at this broker (0 = record only
 	// forced events, 1 = record everything). Only meaningful with
-	// events_dir set. Overridable with -sample-rate.
+	// events_dir set.
 	SampleRate float64 `json:"sample_rate,omitempty"`
 	// LogLevel is the minimum structured-log severity: "debug", "info",
 	// "warn" or "error". Default "" = "info".
@@ -305,6 +305,15 @@ func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, e
 		return nil, nil, nil, fmt.Errorf("bbd: %w", err)
 	}
 
+	var pools map[string]*resv.Table
+	if cfg.CPUs > 0 {
+		cpus, err := resv.NewTable("cpu-"+cfg.Domain, units.Bandwidth(cfg.CPUs))
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		pools = map[string]*resv.Table{"cpu": cpus}
+	}
+
 	var recorder *obs.Recorder
 	if cfg.EventsDir != "" {
 		recorder, err = obs.OpenRecorder(obs.RecorderOptions{Dir: cfg.EventsDir})
@@ -324,6 +333,7 @@ func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, e
 		Peers:            peers,
 		PeerAddrs:        peerAddrs,
 		Dialer:           dialer,
+		Pools:            pools,
 		CallTimeout:      callTimeout,
 		MaxRetries:       cfg.MaxRetries,
 		RetryBackoff:     retryBackoff,
@@ -341,14 +351,6 @@ func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, e
 		ReplicaAddrs:     cfg.ReplicaPeers,
 		StartAsFollower:  cfg.StartAsFollower,
 		ElectionTimeout:  electionTimeout,
-	}
-	if cfg.CPUs > 0 {
-		cpuMgr, err := cpusched.NewManager(cfg.Domain, cfg.CPUs)
-		if err != nil {
-			recorder.Close()
-			return nil, nil, nil, err
-		}
-		bbCfg.CPU = cpuMgr
 	}
 	broker, err := bb.New(bbCfg)
 	if err != nil {

@@ -27,7 +27,7 @@ func main() {
 			// capability AND a valid CPU reservation.
 			"DomainC": policy.Figure6PolicyC,
 		},
-		CPUs: map[string]int{"DomainC": 16},
+		Pools: map[string]map[string]units.Bandwidth{"DomainC": {"cpu": 16}},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -43,7 +43,9 @@ func main() {
 	defer alice.Close()
 
 	api := gara.NewNetworkAPI(world.Topo)
-	co := &gara.CoReserver{API: api, CPU: world.CPU["DomainC"]}
+	cpus := world.Pools["DomainC"]["cpu"]
+	co := &gara.CoReserver{API: api, Pools: world.Pools["DomainC"]}
+	four := map[string]units.Bandwidth{"cpu": 4}
 
 	// Without the CPU co-reservation DomainC denies the 10 Mb/s flow.
 	bare := alice.NewSpec(experiment.SpecOptions{DestDomain: "DomainC", Bandwidth: 10 * units.Mbps})
@@ -56,7 +58,7 @@ func main() {
 	// The GARA co-reservation acquires 4 CPUs first, links the handle
 	// into the RAR, and retries: every policy is satisfied.
 	spec := alice.NewSpec(experiment.SpecOptions{DestDomain: "DomainC", Bandwidth: 10 * units.Mbps})
-	handles, res, err := co.Reserve(alice, gara.CoRequest{Spec: spec, CPUs: 4}, gara.HopByHop)
+	handles, res, err := co.Reserve(alice, gara.CoRequest{Spec: spec, Pools: four}, gara.HopByHop)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,16 +70,16 @@ func main() {
 		fmt.Printf("  %s\n", h)
 	}
 	fmt.Printf("CPUs free at DomainC during the window: %d of 16\n",
-		world.CPU["DomainC"].Available(spec.Window))
+		cpus.Available(spec.Window))
 
 	// All-or-nothing: an impossible network request releases the CPUs.
 	big := alice.NewSpec(experiment.SpecOptions{DestDomain: "DomainC", Bandwidth: 10 * units.Gbps})
 	start := time.Now()
-	_, res2, err := co.Reserve(alice, gara.CoRequest{Spec: big, CPUs: 4}, gara.HopByHop)
+	_, res2, err := co.Reserve(alice, gara.CoRequest{Spec: big, Pools: four}, gara.HopByHop)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("oversized request: granted=%t in %v; CPUs free again: %d\n",
 		res2.Granted, time.Since(start).Round(time.Millisecond),
-		world.CPU["DomainC"].Available(big.Window))
+		cpus.Available(big.Window))
 }

@@ -14,9 +14,7 @@ import (
 	"time"
 
 	"e2eqos/internal/core"
-	"e2eqos/internal/cpusched"
 	"e2eqos/internal/dataplane"
-	"e2eqos/internal/disksched"
 	"e2eqos/internal/identity"
 	"e2eqos/internal/journal"
 	"e2eqos/internal/obs"
@@ -72,9 +70,9 @@ type Config struct {
 	PeerAddrs map[identity.DN]string
 	// Dialer opens signalling channels.
 	Dialer transport.Dialer
-	// CPU / Disk are the co-managed local resource managers (optional).
-	CPU  *cpusched.Manager
-	Disk *disksched.Manager
+	// Pools are the co-managed local resources (a CPU pool, a disk),
+	// keyed by the name a RAR links them under ("cpu", "disk").
+	Pools map[string]*resv.Table
 	// Plane is the broker's hook into the domain's DiffServ devices —
 	// the per-flow edge marker at the first hop (source domains) and
 	// the per-aggregate ingress policer — behind the dataplane

@@ -2,6 +2,7 @@ package bb_test
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -360,52 +361,80 @@ func TestTunnelFlowLifecycleDirectAPI(t *testing.T) {
 	}
 }
 
+// TestDiskLinkedReservationPolicy: a destination whose policy requires a
+// co-reservation ("allow if has <pool>-reservation") counts a linked
+// handle only if its pool is local, and the handle there is granted,
+// Alice's, and covers the RAR's whole window. Each row, for the cpu and
+// the disk pool alike, reserves through the live hop-by-hop path.
 func TestDiskLinkedReservationPolicy(t *testing.T) {
-	// Destination policy requires a disk co-reservation.
-	w, err := experiment.BuildWorld(experiment.WorldConfig{
-		NumDomains: 2,
-		Capacity:   100 * units.Mbps,
-		Policies: map[string]*policy.Policy{
-			"Domain1": policy.MustParse("d1", "allow if has disk-reservation\ndeny"),
-		},
-		Disks: map[string]units.Bandwidth{"Domain1": 400 * units.Mbps},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Close)
-	u, err := w.NewUser("alice", "", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(u.Close)
+	whole := func(w units.Window) units.Window { return w }
+	firstSecond := func(w units.Window) units.Window { return units.NewWindow(w.Start, time.Second) }
+	lastMinute := func(w units.Window) units.Window { return units.NewWindow(w.End.Add(-time.Minute), time.Minute) }
+	bob := identity.NewDN("Grid", "Domain0", "bob")
+	amount := map[string]units.Bandwidth{"cpu": 4, "disk": 50 * units.Mbps}
+	for _, pool := range []string{"cpu", "disk"} {
+		for _, c := range []struct {
+			name      string
+			foreign   bool // the handle is Bob's
+			window    func(units.Window) units.Window
+			cancelled bool
+			poolAt    string // the one domain with the pool
+			want      bool
+		}{
+			{"own handle over the window", false, whole, false, "Domain1", true},
+			{"another user's handle", true, whole, false, "Domain1", false},
+			{"covers only the first second", false, firstSecond, false, "Domain1", false},
+			{"covers only the last minute", false, lastMinute, false, "Domain1", false},
+			{"cancelled handle", false, whole, true, "Domain1", false},
+			{"no such pool at the destination", false, whole, false, "Domain0", false},
+		} {
+			t.Run(pool+"/"+c.name, func(t *testing.T) {
+				w, err := experiment.BuildWorld(experiment.WorldConfig{
+					NumDomains: 2,
+					Capacity:   100 * units.Mbps,
+					Policies: map[string]*policy.Policy{
+						"Domain1": policy.MustParse("d1", "allow if has "+pool+"-reservation\ndeny"),
+					},
+					Pools: map[string]map[string]units.Bandwidth{c.poolAt: {pool: 400 * units.Mbps}},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(w.Close)
+				u, err := w.NewUser("alice", "", nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(u.Close)
 
-	// Without the disk link: denied.
-	spec := u.NewSpec(experiment.SpecOptions{DestDomain: "Domain1", Bandwidth: 10 * units.Mbps})
-	res, err := u.ReserveE2E(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Granted {
-		t.Fatal("granted without disk co-reservation")
-	}
-	// With it: granted.
-	handle, err := w.Disk["Domain1"].Reserve(u.DN(), 50*units.Mbps, spec.Window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec2 := u.NewSpec(experiment.SpecOptions{
-		DestDomain: "Domain1",
-		Bandwidth:  10 * units.Mbps,
-		Window:     spec.Window,
-		Linked:     map[string]string{"disk": handle},
-	})
-	res, err = u.ReserveE2E(spec2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Granted {
-		t.Fatalf("denied with valid disk link: %s", res.Reason)
+				spec := u.NewSpec(experiment.SpecOptions{DestDomain: "Domain1", Bandwidth: 10 * units.Mbps})
+				holder := u.DN()
+				if c.foreign {
+					holder = bob
+				}
+				table := w.Pools[c.poolAt][pool]
+				r, err := table.Admit(resv.AdmitRequest{User: holder, Bandwidth: amount[pool], Window: c.window(spec.Window)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c.cancelled {
+					if err := table.Cancel(r.Handle); err != nil {
+						t.Fatal(err)
+					}
+				}
+				spec.LinkedHandles = map[string]string{pool: r.Handle}
+				res, err := u.ReserveE2E(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Granted != c.want {
+					t.Fatalf("granted = %v, want %v (%s)", res.Granted, c.want, res.Reason)
+				}
+				if !c.want && !strings.Contains(res.Reason, "Domain1: policy denied") {
+					t.Errorf("denied for another reason: %s", res.Reason)
+				}
+			})
+		}
 	}
 }
 

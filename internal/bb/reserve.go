@@ -705,21 +705,18 @@ func deniedAtDest(res *signalling.ResultPayload, dest string) bool {
 	return false
 }
 
-// validateLinkedHandles checks the co-reservation references against
-// the local resource managers (destination-domain semantics of
-// Figure 6: HasValidCPUResv(RAR)).
+// validateLinkedHandles reports which of the spec's co-reservation
+// links count here (Figure 6's HasValidCPUResv(RAR)): those naming a
+// local pool that the handle there covers for the requester and the
+// whole window. Nil when none does.
 func (b *BB) validateLinkedHandles(spec *core.Spec) map[string]bool {
-	out := make(map[string]bool)
-	for resource, handle := range spec.LinkedHandles {
-		switch resource {
-		case "cpu":
-			if b.cfg.CPU != nil && b.cfg.CPU.ValidDuring(handle, spec.Window) {
-				out["cpu"] = true
+	var out map[string]bool
+	for name, handle := range spec.LinkedHandles {
+		if pool := b.cfg.Pools[name]; pool != nil && pool.Covers(handle, spec.User, spec.Window) {
+			if out == nil {
+				out = make(map[string]bool, len(spec.LinkedHandles))
 			}
-		case "disk":
-			if b.cfg.Disk != nil && b.cfg.Disk.Valid(handle, spec.Window.Start) {
-				out["disk"] = true
-			}
+			out[name] = true
 		}
 	}
 	return out

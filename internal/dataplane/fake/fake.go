@@ -183,14 +183,6 @@ func (p *Plane) Police(premium int64, now time.Duration) int64 {
 	return passed
 }
 
-// RecordBestEffort accounts best-effort bytes crossing the ingress
-// (the policer forwards them untouched; the fake only counts them).
-func (p *Plane) RecordBestEffort(bytes int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.stats.BestEffortBytes += bytes
-}
-
 // FlowStats returns the flow's marking counters.
 func (p *Plane) FlowStats(flow string) (dataplane.FlowStats, bool) {
 	p.mu.Lock()
@@ -220,11 +212,4 @@ func (p *Plane) CallCounts() Calls {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.calls
-}
-
-// InstalledFlows returns how many flows currently hold a profile.
-func (p *Plane) InstalledFlows() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.flows)
 }

@@ -73,13 +73,6 @@ func (p *Plane) AttachPolicer(policer *netsim.Policer) {
 	}
 }
 
-// Edge returns the attached edge marker (nil if none).
-func (p *Plane) Edge() *netsim.EdgeMarker {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.edge
-}
-
 // Policer returns the attached policer (nil if none).
 func (p *Plane) Policer() *netsim.Policer {
 	p.mu.Lock()

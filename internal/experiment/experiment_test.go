@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"e2eqos/internal/policy"
+	"e2eqos/internal/resv"
 	"e2eqos/internal/signalling"
 	"e2eqos/internal/units"
 )
@@ -24,7 +25,7 @@ func figure6World(t *testing.T) *World {
 			"DomainC": policy.Figure6PolicyC,
 		},
 		TrustedGroups: []string{"ATLAS experiment", "physicist"},
-		CPUs:          map[string]int{"DomainC": 16},
+		Pools:         map[string]map[string]units.Bandwidth{"DomainC": {"cpu": 16}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +51,7 @@ func TestFigure6EndToEndGrant(t *testing.T) {
 	defer alice.Close()
 
 	// Alice needs a CPU reservation in DomainC for >= 5 Mb/s at C.
-	cpuHandle, err := w.CPU["DomainC"].Reserve(alice.DN(), 4, daytimeWindow(w))
+	cpu, err := w.Pools["DomainC"]["cpu"].Admit(resv.AdmitRequest{User: alice.DN(), Bandwidth: 4, Window: daytimeWindow(w)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestFigure6EndToEndGrant(t *testing.T) {
 		DestDomain: "DomainC",
 		Bandwidth:  10 * units.Mbps,
 		Window:     daytimeWindow(w),
-		Linked:     map[string]string{"cpu": cpuHandle},
+		Linked:     map[string]string{"cpu": cpu.Handle},
 	})
 	res, err := alice.ReserveE2E(spec)
 	if err != nil {

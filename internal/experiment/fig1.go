@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"e2eqos/internal/policy"
+	"e2eqos/internal/resv"
 	"e2eqos/internal/units"
 )
 
@@ -68,7 +69,7 @@ func RunFigure6() (*Table, error) {
 			"DomainC": policy.Figure6PolicyC,
 		},
 		TrustedGroups: []string{"ATLAS experiment"},
-		CPUs:          map[string]int{"DomainC": 16},
+		Pools:         map[string]map[string]units.Bandwidth{"DomainC": {"cpu": 16}},
 	})
 	if err != nil {
 		return nil, err
@@ -90,32 +91,38 @@ func RunFigure6() (*Table, error) {
 	day := time.Date(now.Year(), now.Month(), now.Day(), 12, 0, 0, 0, time.UTC).AddDate(0, 0, 1)
 	night := time.Date(now.Year(), now.Month(), now.Day(), 22, 0, 0, 0, time.UTC).AddDate(0, 0, 1)
 
+	// cpuHolder, when set, holds the CPU reservation at DomainC that the
+	// request links; only the requester's own counts.
 	type variant struct {
-		label   string
-		user    *User
-		bw      units.Bandwidth
-		start   time.Time
-		withCPU bool
+		label     string
+		user      *User
+		bw        units.Bandwidth
+		start     time.Time
+		cpuHolder *User
 	}
 	variants := []variant{
-		{"Alice", alice, 10 * units.Mbps, day, true},
-		{"Alice", alice, 10 * units.Mbps, day, false},
-		{"Alice", alice, 4 * units.Mbps, day, false},
-		{"Alice", alice, 20 * units.Mbps, day, true},   // over A's business-hours cap
-		{"Alice", alice, 20 * units.Mbps, night, true}, // night: A allows, B caps at 10
-		{"Bob", bob, 10 * units.Mbps, day, true},
+		{"Alice", alice, 10 * units.Mbps, day, alice},
+		{"Alice", alice, 10 * units.Mbps, day, nil},
+		{"Alice", alice, 4 * units.Mbps, day, nil},
+		{"Alice", alice, 20 * units.Mbps, day, alice},   // over A's business-hours cap
+		{"Alice", alice, 20 * units.Mbps, night, alice}, // night: A allows, B caps at 10
+		{"Bob", bob, 10 * units.Mbps, day, bob},
+		{"Alice", alice, 10 * units.Mbps, day, bob}, // Bob's handle backs nothing of Alice's
 	}
 	for _, v := range variants {
 		win := units.NewWindow(v.start, time.Hour)
 		linked := map[string]string(nil)
 		cpuCell := "no"
-		if v.withCPU {
-			h, err := w.CPU["DomainC"].Reserve(v.user.DN(), 1, win)
+		if v.cpuHolder != nil {
+			r, err := w.Pools["DomainC"]["cpu"].Admit(resv.AdmitRequest{User: v.cpuHolder.DN(), Bandwidth: 1, Window: win})
 			if err != nil {
 				return nil, err
 			}
-			linked = map[string]string{"cpu": h}
+			linked = map[string]string{"cpu": r.Handle}
 			cpuCell = "yes"
+			if v.cpuHolder != v.user {
+				cpuCell = v.cpuHolder.DN().CommonName() + "'s"
+			}
 		}
 		spec := v.user.NewSpec(SpecOptions{
 			DestDomain: "DomainC",

@@ -45,12 +45,16 @@ func TestRunFigure6Matrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 6 {
+	if len(tab.Rows) != 7 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	// Row order matches the variants in RunFigure6.
-	wantDecision := []string{"GRANT", "DENY", "GRANT", "DENY", "DENY", "DENY"}
-	wantDenier := []string{"-", "DomainC", "-", "DomainA", "DomainB", "DomainA"}
+	// Row order matches the variants in RunFigure6. The last row links a
+	// CPU reservation Bob holds: DomainC does not count it for Alice.
+	wantDecision := []string{"GRANT", "DENY", "GRANT", "DENY", "DENY", "DENY", "DENY"}
+	wantDenier := []string{"-", "DomainC", "-", "DomainA", "DomainB", "DomainA", "DomainC"}
+	if cell := tab.Rows[6][4]; cell != "Bob's" {
+		t.Errorf("row 6 cpu-resv = %s, want Bob's", cell)
+	}
 	for i, row := range tab.Rows {
 		if row[5] != wantDecision[i] {
 			t.Errorf("row %d decision = %s, want %s (%v)", i, row[5], wantDecision[i], row)

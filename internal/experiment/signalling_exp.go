@@ -166,8 +166,8 @@ func RunCoReservation() (*Table, error) {
 	}
 	for _, scenario := range []struct {
 		label   string
-		cpus    int
-		request int
+		cpus    units.Bandwidth
+		request units.Bandwidth
 		netBW   units.Bandwidth
 	}{
 		{"both fit", 8, 4, 10 * units.Mbps},
@@ -177,7 +177,7 @@ func RunCoReservation() (*Table, error) {
 		w, err := BuildWorld(WorldConfig{
 			NumDomains: 3,
 			Capacity:   100 * units.Mbps,
-			CPUs:       map[string]int{"Domain2": scenario.cpus},
+			Pools:      map[string]map[string]units.Bandwidth{"Domain2": {"cpu": scenario.cpus}},
 		})
 		if err != nil {
 			return nil, err
@@ -188,9 +188,9 @@ func RunCoReservation() (*Table, error) {
 			return nil, err
 		}
 		api := gara.NewNetworkAPI(w.Topo)
-		co := &gara.CoReserver{API: api, CPU: w.CPU["Domain2"]}
+		co := &gara.CoReserver{API: api, Pools: w.Pools["Domain2"]}
 		spec := u.NewSpec(SpecOptions{DestDomain: "Domain2", Bandwidth: scenario.netBW})
-		_, res, err := co.Reserve(u, gara.CoRequest{Spec: spec, CPUs: scenario.request}, gara.HopByHop)
+		_, res, err := co.Reserve(u, gara.CoRequest{Spec: spec, Pools: map[string]units.Bandwidth{"cpu": scenario.request}}, gara.HopByHop)
 		outcome := "GRANTED"
 		switch {
 		case err != nil:
@@ -198,7 +198,7 @@ func RunCoReservation() (*Table, error) {
 		case !res.Granted:
 			outcome = "DENIED (network)"
 		}
-		free := w.CPU["Domain2"].Available(spec.Window)
+		free := w.Pools["Domain2"]["cpu"].Available(spec.Window)
 		t.AddRow(scenario.label,
 			fmt.Sprintf("%d", scenario.cpus),
 			scenario.netBW.String(),

@@ -13,10 +13,8 @@ import (
 
 	"e2eqos/internal/bb"
 	"e2eqos/internal/cas"
-	"e2eqos/internal/cpusched"
 	"e2eqos/internal/dataplane"
 	"e2eqos/internal/dataplane/netsimdp"
-	"e2eqos/internal/disksched"
 	"e2eqos/internal/group"
 	"e2eqos/internal/identity"
 	"e2eqos/internal/journal"
@@ -24,6 +22,7 @@ import (
 	"e2eqos/internal/pki"
 	"e2eqos/internal/policy"
 	"e2eqos/internal/policysrv"
+	"e2eqos/internal/resv"
 	"e2eqos/internal/signalling"
 	"e2eqos/internal/topology"
 	"e2eqos/internal/transport"
@@ -56,10 +55,10 @@ type WorldConfig struct {
 	// TrustedGroups lists group names every policy server delegates to
 	// the shared group server.
 	TrustedGroups []string
-	// CPUs gives a domain a CPU manager of that many processors.
-	CPUs map[string]int
-	// Disks gives a domain a disk-bandwidth manager of that rate.
-	Disks map[string]units.Bandwidth
+	// Pools gives a domain co-managed resource pools: by the name a RAR
+	// links one under ("cpu", "disk"), its capacity (a processor count,
+	// a disk rate).
+	Pools map[string]map[string]units.Bandwidth
 	// Clock is the shared time source (default time.Now).
 	Clock func() time.Time
 	// Seed seeds every deterministic driver built on the world (the
@@ -146,8 +145,9 @@ type World struct {
 	CAS    *cas.Server
 	Groups *group.Server
 	Policy map[string]*policysrv.Server
-	CPU    map[string]*cpusched.Manager
-	Disk   map[string]*disksched.Manager
+	// Pools holds each domain's co-managed pools (WorldConfig.Pools),
+	// shared by every member of its group.
+	Pools  map[string]map[string]*resv.Table
 	Planes map[string]dataplane.DataPlane
 	// Seed is the deterministic seed the world was built with (from
 	// WorldConfig.Seed; zero becomes 1).
@@ -229,8 +229,7 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 		BBs:         make(map[string]*bb.BB),
 		BBCerts:     make(map[string]*pki.Certificate),
 		Policy:      make(map[string]*policysrv.Server),
-		CPU:         make(map[string]*cpusched.Manager),
-		Disk:        make(map[string]*disksched.Manager),
+		Pools:       make(map[string]map[string]*resv.Table),
 		Planes:      make(map[string]dataplane.DataPlane),
 		Metrics:     make(map[string]*obs.Registry),
 		Recorders:   make(map[string]*obs.Recorder),
@@ -328,22 +327,13 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 			peers = append(peers, bb.Peering{Domain: neighbor, Cert: mat[neighbor].cert, SLARate: cfg.SLARate})
 		}
 
-		var cpuMgr *cpusched.Manager
-		if n := cfg.CPUs[name]; n > 0 {
-			cpuMgr, err = cpusched.NewManager(name, n)
-			if err != nil {
+		pools := make(map[string]*resv.Table, len(cfg.Pools[name]))
+		for resource, capacity := range cfg.Pools[name] {
+			if pools[resource], err = resv.NewTable(resource+"-"+name, capacity); err != nil {
 				return nil, err
 			}
-			w.CPU[name] = cpuMgr
 		}
-		var diskMgr *disksched.Manager
-		if rate := cfg.Disks[name]; rate > 0 {
-			diskMgr, err = disksched.NewManager(name, rate)
-			if err != nil {
-				return nil, err
-			}
-			w.Disk[name] = diskMgr
-		}
+		w.Pools[name] = pools
 
 		capacity := cfg.Capacity
 		if c, ok := cfg.Capacities[name]; ok {
@@ -380,8 +370,7 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 				Peers:            peers,
 				PeerAddrs:        addrs,
 				Dialer:           dialer,
-				CPU:              cpuMgr,
-				Disk:             diskMgr,
+				Pools:            pools,
 				Plane:            netsimdp.New(),
 				Clock:            cfg.Clock,
 				CallTimeout:      cfg.CallTimeout,

@@ -12,26 +12,23 @@ package gara
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"e2eqos/internal/core"
-	"e2eqos/internal/cpusched"
-	"e2eqos/internal/disksched"
 	"e2eqos/internal/identity"
+	"e2eqos/internal/resv"
 	"e2eqos/internal/signalling"
 	"e2eqos/internal/topology"
 	"e2eqos/internal/units"
 )
 
-// ResourceType names a GARA-managed resource class.
+// ResourceType names a GARA-managed resource class: Network, or the
+// name of a destination pool ("cpu", "disk").
 type ResourceType string
 
-// Resource classes GARA manages uniformly.
-const (
-	Network ResourceType = "network"
-	CPU     ResourceType = "cpu"
-	Disk    ResourceType = "disk"
-)
+// Network is the end-to-end network reservation's resource class.
+const Network ResourceType = "network"
 
 // Handle is a uniform reservation handle.
 type Handle struct {
@@ -39,8 +36,8 @@ type Handle struct {
 	// Domain is the owning domain ("" for end-to-end network
 	// reservations, which span several).
 	Domain string
-	// ID is the underlying reservation identifier (a table handle for
-	// CPU/disk, the RAR id for network reservations).
+	// ID is the underlying reservation identifier (a pool's table
+	// handle, the RAR id for network reservations).
 	ID string
 }
 
@@ -256,26 +253,25 @@ func (c *Coordinator) ReserveFor(userSpec *core.Spec, strategy Strategy) (*core.
 // Coreservation ------------------------------------------------------------
 
 // CoRequest describes an all-or-nothing multi-resource reservation:
-// the network flow plus CPU and/or disk at the destination (Figure 5:
-// "the use of the GARA API to couple a multi-domain network
+// the network flow plus an amount of each named destination pool
+// (Figure 5: "the use of the GARA API to couple a multi-domain network
 // reservation with a CPU reservation in domain C").
 type CoRequest struct {
 	Spec *core.Spec
-	// CPUs requests that many processors at the destination.
-	CPUs int
-	// DiskRate requests disk bandwidth at the destination.
-	DiskRate units.Bandwidth
+	// Pools asks each named destination pool for that amount over the
+	// spec's window: {"cpu": 4} is four processors.
+	Pools map[string]units.Bandwidth
 }
 
-// CoReserver holds the destination-side resource managers.
+// CoReserver holds the destination's resource pools, keyed by the name
+// a RAR links them under.
 type CoReserver struct {
-	API  *NetworkAPI
-	CPU  *cpusched.Manager
-	Disk *disksched.Manager
+	API   *NetworkAPI
+	Pools map[string]*resv.Table
 }
 
-// Reserve acquires CPU and disk first (cheap, local), links their
-// handles into the network spec, then performs the network
+// Reserve acquires the pools first (cheap, local), in name order, links
+// their handles into the network spec, then performs the network
 // reservation; any failure rolls everything back.
 func (c *CoReserver) Reserve(req Requester, co CoRequest, strategy Strategy) ([]Handle, *signalling.ResultPayload, error) {
 	if co.Spec == nil {
@@ -284,44 +280,30 @@ func (c *CoReserver) Reserve(req Requester, co CoRequest, strategy Strategy) ([]
 	var handles []Handle
 	rollback := func() {
 		for _, h := range handles {
-			switch h.Type {
-			case CPU:
-				if c.CPU != nil {
-					_ = c.CPU.Cancel(h.ID)
-				}
-			case Disk:
-				if c.Disk != nil {
-					_ = c.Disk.Cancel(h.ID)
-				}
-			}
+			_ = c.Pools[string(h.Type)].Cancel(h.ID)
 		}
 	}
-	if co.Spec.LinkedHandles == nil {
-		co.Spec.LinkedHandles = make(map[string]string)
+	names := make([]string, 0, len(co.Pools))
+	for name := range co.Pools {
+		names = append(names, name)
 	}
-	if co.CPUs > 0 {
-		if c.CPU == nil {
-			return nil, nil, fmt.Errorf("gara: no CPU manager at destination")
-		}
-		h, err := c.CPU.Reserve(req.DN(), co.CPUs, co.Spec.Window)
-		if err != nil {
-			return nil, nil, fmt.Errorf("gara: CPU co-reservation: %w", err)
-		}
-		handles = append(handles, Handle{Type: CPU, Domain: c.CPU.Domain(), ID: h})
-		co.Spec.LinkedHandles["cpu"] = h
-	}
-	if co.DiskRate > 0 {
-		if c.Disk == nil {
+	sort.Strings(names)
+	for _, name := range names {
+		pool := c.Pools[name]
+		if pool == nil {
 			rollback()
-			return nil, nil, fmt.Errorf("gara: no disk manager at destination")
+			return nil, nil, fmt.Errorf("gara: no %s pool at destination", name)
 		}
-		h, err := c.Disk.Reserve(req.DN(), co.DiskRate, co.Spec.Window)
+		r, err := pool.Admit(resv.AdmitRequest{User: req.DN(), Bandwidth: co.Pools[name], Window: co.Spec.Window})
 		if err != nil {
 			rollback()
-			return nil, nil, fmt.Errorf("gara: disk co-reservation: %w", err)
+			return nil, nil, fmt.Errorf("gara: %s co-reservation: %w", name, err)
 		}
-		handles = append(handles, Handle{Type: Disk, Domain: c.Disk.Domain(), ID: h})
-		co.Spec.LinkedHandles["disk"] = h
+		handles = append(handles, Handle{Type: ResourceType(name), Domain: co.Spec.DestDomain, ID: r.Handle})
+		if co.Spec.LinkedHandles == nil {
+			co.Spec.LinkedHandles = make(map[string]string, len(names))
+		}
+		co.Spec.LinkedHandles[name] = r.Handle
 	}
 	res, err := c.API.Reserve(req, co.Spec, strategy)
 	if err != nil || !res.Granted {

@@ -506,9 +506,6 @@ func (l *Link) transmitNext() {
 	}
 }
 
-// QueuedBytes reports current occupancy (premium, best effort).
-func (l *Link) QueuedBytes() (int, int) { return l.premBytes, l.beBytes }
-
 // Sink terminates flows and accumulates statistics. It is safe for
 // concurrent use; Stats returns a snapshot copy.
 type Sink struct {

@@ -75,7 +75,7 @@ func (m *sweepTwin) maxCommitted(w units.Window, ignore string) units.Bandwidth 
 func (m *sweepTwin) committedAt(at time.Time) units.Bandwidth {
 	var sum units.Bandwidth
 	for _, r := range m.resv {
-		if r.ActiveAt(at) {
+		if r.Status == Granted && r.Window.Contains(at) {
 			sum += r.Bandwidth
 		}
 	}

@@ -1,8 +1,9 @@
 // Package resv implements GARA-style advance reservations for a single
 // resource pool: a table of bandwidth commitments over time windows
 // with admission control against a fixed capacity. Each bandwidth
-// broker owns one table per engineered path/aggregate; the CPU and
-// disk managers reuse the same mechanics with different units.
+// broker owns one table per engineered path/aggregate; a domain's CPU
+// and disk pools are tables too, counting processors or disk rate in
+// the bandwidth unit.
 package resv
 
 import (
@@ -58,11 +59,6 @@ type Reservation struct {
 	CancelledAt time.Time
 }
 
-// ActiveAt reports whether the reservation consumes capacity at t.
-func (r *Reservation) ActiveAt(t time.Time) bool {
-	return r.Status == Granted && r.Window.Contains(t)
-}
-
 // DefaultRetention is how long a dead reservation (cancelled, or past
 // its window end) stays visible before compaction removes it. The
 // grace period exists for status queries and operator tooling that
@@ -83,7 +79,7 @@ const sweepEvery = 128
 // Dead entries — cancelled reservations and reservations whose window
 // has ended — are removed once they have been dead longer than
 // DefaultRetention, either by an explicit Compact call or by the
-// automatic sweep piggybacked on Admit. Lookup, Valid, All and
+// automatic sweep piggybacked on Admit. Lookup, Covers, All and
 // Snapshot therefore do not see reservations past their retention;
 // callers needing a permanent record must keep their own (the broker's
 // structured log is that record).
@@ -345,13 +341,17 @@ func (t *Table) Lookup(handle string) (Reservation, bool) {
 	return *r, true
 }
 
-// Valid reports whether handle names a granted reservation that covers
-// instant at — the check behind Figure 6's HasValidCPUResv(RAR).
-func (t *Table) Valid(handle string, at time.Time) bool {
+// Covers reports whether handle may back a request user makes over w —
+// the check behind Figure 6's HasValidCPUResv(RAR): the reservation is
+// granted, was admitted for user, and its window holds all of w.
+// Handles are sequential, not secrets, so the user check is what binds
+// a handle to its holder.
+func (t *Table) Covers(handle string, user identity.DN, w units.Window) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	r, ok := t.resv[handle]
-	return ok && r.ActiveAt(at)
+	return ok && r.Status == Granted && r.User == user &&
+		!w.Start.Before(r.Window.Start) && !w.End.After(r.Window.End)
 }
 
 // All returns copies of all reservations still held, sorted by handle.

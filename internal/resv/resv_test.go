@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"e2eqos/internal/identity"
 	"e2eqos/internal/units"
 )
 
@@ -130,24 +131,37 @@ func TestCancelReleasesCapacity(t *testing.T) {
 	}
 }
 
+// TestValidHandleCheck: a handle backs a request only if it is granted,
+// was admitted for the requester, and covers the request's whole window.
 func TestValidHandleCheck(t *testing.T) {
 	tab := newTable(t, 100*units.Mbps)
-	r, err := tab.Admit(AdmitRequest{Bandwidth: 10 * units.Mbps, Window: win(0, 60)})
+	const alice, bob = identity.DN("/CN=alice"), identity.DN("/CN=bob")
+	r, err := tab.Admit(AdmitRequest{User: alice, Bandwidth: 10 * units.Mbps, Window: win(0, 60)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tab.Valid(r.Handle, t0.Add(30*time.Minute)) {
-		t.Error("in-window handle invalid")
-	}
-	if tab.Valid(r.Handle, t0.Add(61*time.Minute)) {
-		t.Error("out-of-window handle valid")
-	}
-	if tab.Valid("nope", t0) {
-		t.Error("unknown handle valid")
+	for _, c := range []struct {
+		name   string
+		handle string
+		user   identity.DN
+		w      units.Window
+		want   bool
+	}{
+		{"the holder, inside the window", r.Handle, alice, win(10, 20), true},
+		{"the holder, the whole window", r.Handle, alice, win(0, 60), true},
+		{"another user", r.Handle, bob, win(10, 20), false},
+		{"starts before the window", r.Handle, alice, win(-1, 30), false},
+		{"runs past the window", r.Handle, alice, win(30, 60), false},
+		{"after the window", r.Handle, alice, win(61, 10), false},
+		{"unknown handle", "nope", alice, win(10, 20), false},
+	} {
+		if got := tab.Covers(c.handle, c.user, c.w); got != c.want {
+			t.Errorf("%s: Covers = %v, want %v", c.name, got, c.want)
+		}
 	}
 	_ = tab.Cancel(r.Handle)
-	if tab.Valid(r.Handle, t0.Add(30*time.Minute)) {
-		t.Error("cancelled handle valid")
+	if tab.Covers(r.Handle, alice, win(10, 20)) {
+		t.Error("cancelled handle covers")
 	}
 }
 
@@ -299,7 +313,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if !ok || got.Bandwidth != 40*units.Mbps || !got.Tunnel {
 		t.Errorf("restored r1 = %+v ok=%v", got, ok)
 	}
-	if restored.Valid(r2.Handle, t0.Add(40*time.Minute)) {
+	if restored.Covers(r2.Handle, "/CN=b", win(40, 10)) {
 		t.Error("cancelled reservation revived by restore")
 	}
 	// Sequence continues: new handles must not collide.

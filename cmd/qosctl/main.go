@@ -111,11 +111,12 @@ func main() {
 // tunnel in one round trip: many with tunnel-batch-alloc / -release
 // (-subs), one with tunnel-alloc / -release (single: -sub, a batch of
 // one op). The broker it talks to applies the ops at its own endpoint
-// only; a user driving a tunnel herself sends the same batch to the
-// brokers at both ends. The batch id is printed so a user whose
-// connection died can retransmit the identical batch with
-// tunnel-batch-* -batch-id and get the recorded answer instead of a
-// double admission.
+// only; a user driving a tunnel themselves sends the same batch to the
+// brokers at both ends. The batch's Seq is the wall clock in ns unless
+// -seq pins it, and it is printed, so a user whose connection died can
+// retransmit the identical batch with tunnel-batch-* -seq and get the
+// recorded answer instead of a double admission. qosctl acknowledges
+// nothing: a broker holds its answers up to a per-sender cap.
 func runTunnelBatch(client *signalling.Client, key *identity.KeyPair, action signalling.TunnelOpAction, single bool, args []string) {
 	name, subsFlag, subsHelp := "tunnel-batch-"+string(action), "subs", "comma-separated sub-flow ids (required)"
 	if single {
@@ -124,12 +125,12 @@ func runTunnelBatch(client *signalling.Client, key *identity.KeyPair, action sig
 	fs := flag.NewFlagSet(name, flag.ExitOnError)
 	rar := fs.String("rar", "", "tunnel RAR id (required)")
 	subs := fs.String(subsFlag, "", subsHelp)
-	bwStr, batchID := new(string), new(string)
+	bwStr, seq := new(string), new(int64)
 	if !single || action == signalling.OpAlloc {
 		bwStr = fs.String("bw", "1Mb/s", "per-sub-flow bandwidth (alloc only)")
 	}
 	if !single {
-		batchID = fs.String("batch-id", "", "batch id to reuse when retransmitting (default: fresh)")
+		seq = fs.Int64("seq", 0, "batch sequence number to reuse when retransmitting (default: the wall clock in ns)")
 	}
 	_ = fs.Parse(args)
 	if *rar == "" || *subs == "" {
@@ -144,11 +145,11 @@ func runTunnelBatch(client *signalling.Client, key *identity.KeyPair, action sig
 	}
 	payload := &signalling.TunnelBatchPayload{
 		TunnelRARID: *rar,
-		BatchID:     *batchID,
+		Seq:         *seq,
 		User:        key.DN,
 	}
-	if payload.BatchID == "" {
-		payload.BatchID = signalling.NewBatchID()
+	if payload.Seq == 0 {
+		payload.Seq = time.Now().UnixNano()
 	}
 	ids := []string{*subs}
 	if !single {
@@ -171,7 +172,7 @@ func runTunnelBatch(client *signalling.Client, key *identity.KeyPair, action sig
 	if resp.Result == nil {
 		die("broker sent no result")
 	}
-	fmt.Printf("batch %s: %d ops, granted=%t", payload.BatchID, len(payload.Ops), resp.Result.Granted)
+	fmt.Printf("batch %d: %d ops, granted=%t", payload.Seq, len(payload.Ops), resp.Result.Granted)
 	if !resp.Result.Granted {
 		fmt.Printf(" (%s)", resp.Result.Reason)
 	}

@@ -3,6 +3,7 @@ package bb_test
 import (
 	"encoding/json"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -221,11 +222,14 @@ func TestDenialCarriesSignedRefusals(t *testing.T) {
 	}
 }
 
+// testSeq numbers the batches tests send by hand: every one is fresh.
+var testSeq atomic.Int64
+
 // oneOp is a MsgTunnelBatch of one op, what a single allocation or
 // release is on the wire.
 func oneOp(rarID string, user identity.DN, op signalling.TunnelOp) *signalling.Message {
 	return &signalling.Message{Type: signalling.MsgTunnelBatch, TunnelBatch: &signalling.TunnelBatchPayload{
-		TunnelRARID: rarID, BatchID: signalling.NewBatchID(), User: user, Ops: []signalling.TunnelOp{op},
+		TunnelRARID: rarID, Seq: testSeq.Add(1), User: user, Ops: []signalling.TunnelOp{op},
 	}}
 }
 

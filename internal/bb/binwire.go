@@ -2,6 +2,7 @@ package bb
 
 import (
 	"bytes"
+	"errors"
 
 	"e2eqos/internal/identity"
 	"e2eqos/internal/signalling"
@@ -179,19 +180,23 @@ func (r *tunnelOpRec) decodeFields(d *wire.Dec) error {
 	return d.Err()
 }
 
-// tunnelBatchRec: 1=rar_id 2=epoch 3=batch_id 4=ops(repeated)
-// 5=outcome.
+// tunnelBatchRec: 1=rar_id 2=epoch 4=ops(repeated) 5=outcome 6=sender
+// 7=seq 8=low 9=sum. Field 3 was the batch id, before batches were
+// numbered by their sender: a record carrying one is refused by name.
 func (r tunnelBatchRec) AppendBinary(buf []byte) []byte {
 	buf = wire.AppendString(buf, 1, r.RARID)
 	buf = wire.AppendInt(buf, 2, r.Epoch)
-	buf = wire.AppendString(buf, 3, r.BatchID)
 	for i := range r.Ops {
 		var start int
 		buf, start = wire.BeginNested(buf, 4)
 		buf = r.Ops[i].appendFields(buf)
 		buf = wire.EndNested(buf, start)
 	}
-	return appendOutcome(buf, 5, r.Outcome)
+	buf = appendOutcome(buf, 5, r.Outcome)
+	buf = wire.AppendString(buf, 6, string(r.Sender))
+	buf = wire.AppendInt(buf, 7, r.Seq)
+	buf = wire.AppendInt(buf, 8, r.Low)
+	return wire.AppendUint(buf, 9, r.Sum)
 }
 
 func (r *tunnelBatchRec) DecodeBinary(data []byte) error {
@@ -204,7 +209,7 @@ func (r *tunnelBatchRec) DecodeBinary(data []byte) error {
 		case f == 2 && wt == wire.TVarint:
 			r.Epoch = d.Varint()
 		case f == 3 && wt == wire.TBytes:
-			r.BatchID = d.String()
+			return errBatchIDs
 		case f == 4 && wt == wire.TBytes:
 			sub := wire.Dec{Buf: d.Bytes()}
 			var op tunnelOpRec
@@ -218,6 +223,14 @@ func (r *tunnelBatchRec) DecodeBinary(data []byte) error {
 				return err
 			}
 			r.Outcome = m
+		case f == 6 && wt == wire.TBytes:
+			r.Sender = identity.DN(d.String())
+		case f == 7 && wt == wire.TVarint:
+			r.Seq = d.Varint()
+		case f == 8 && wt == wire.TVarint:
+			r.Low = d.Varint()
+		case f == 9 && wt == wire.TVarint:
+			r.Sum = d.Uvarint()
 		default:
 			d.Skip(wt)
 		}
@@ -225,37 +238,10 @@ func (r *tunnelBatchRec) DecodeBinary(data []byte) error {
 	return d.Err()
 }
 
-// tunnelBatchSnap: 1=rar_id 2=epoch 3=batch_id 4=outcome.
-func (r tunnelBatchSnap) AppendBinary(buf []byte) []byte {
-	buf = wire.AppendString(buf, 1, r.RARID)
-	buf = wire.AppendInt(buf, 2, r.Epoch)
-	buf = wire.AppendString(buf, 3, r.BatchID)
-	return appendOutcome(buf, 4, r.Outcome)
-}
-
-func (r *tunnelBatchSnap) DecodeBinary(data []byte) error {
-	d := wire.Dec{Buf: data}
-	for d.More() {
-		f, wt := d.Tag()
-		switch {
-		case f == 1 && wt == wire.TBytes:
-			r.RARID = d.String()
-		case f == 2 && wt == wire.TVarint:
-			r.Epoch = d.Varint()
-		case f == 3 && wt == wire.TBytes:
-			r.BatchID = d.String()
-		case f == 4 && wt == wire.TBytes:
-			m, err := decodeOutcome(&d)
-			if err != nil {
-				return err
-			}
-			r.Outcome = m
-		default:
-			d.Skip(wt)
-		}
-	}
-	return d.Err()
-}
+// errBatchIDs refuses state written before batches were numbered by
+// their sender: a replay entry keyed by batch id has no sender's window
+// to go into.
+var errBatchIDs = errors.New("bb: batch replay entries keyed by batch id, the shape before batches were numbered by their sender: end the tunnel with the build that wrote them")
 
 // compArg: 1=peer 2=key 3=handle.
 func (c compArg) AppendBinary(buf []byte) []byte {
@@ -283,8 +269,10 @@ func (c *compArg) DecodeBinary(data []byte) error {
 }
 
 // Broker snapshot binary layout: bbSnapMagic, bbSnapVersion, then
-// 1=table(the resv snapshot bytes) 2=rars 3=tunnels 4=tunnel_batches
-// 5=epoch 6=sagas(the coordinator's snapshot bytes).
+// 1=table(the resv snapshot bytes) 2=rars 3=tunnels 5=epoch 6=sagas(the
+// coordinator's snapshot bytes) 7=tunnel_batches(tunnelBatchRec). Field
+// 4 held batch replay entries keyed by batch id: a snapshot carrying one
+// is refused by name.
 const (
 	bbSnapMagic   = 0xB3
 	bbSnapVersion = 1
@@ -305,14 +293,15 @@ func (st *brokerState) appendBinary(buf []byte) []byte {
 		buf = st.Tunnels[i].AppendBinary(buf)
 		buf = wire.EndNested(buf, start)
 	}
+	buf = wire.AppendInt(buf, 5, st.Epoch)
+	buf = wire.AppendBytes(buf, 6, st.Sagas)
 	for i := range st.TunnelBatches {
 		var start int
-		buf, start = wire.BeginNested(buf, 4)
+		buf, start = wire.BeginNested(buf, 7)
 		buf = st.TunnelBatches[i].AppendBinary(buf)
 		buf = wire.EndNested(buf, start)
 	}
-	buf = wire.AppendInt(buf, 5, st.Epoch)
-	return wire.AppendBytes(buf, 6, st.Sagas)
+	return buf
 }
 
 func (st *brokerState) decodeBinary(data []byte) error {
@@ -339,15 +328,17 @@ func (st *brokerState) decodeBinary(data []byte) error {
 			}
 			st.Tunnels = append(st.Tunnels, ts)
 		case f == 4 && wt == wire.TBytes:
-			var bs tunnelBatchSnap
-			if err := bs.DecodeBinary(d.Bytes()); err != nil {
-				return err
-			}
-			st.TunnelBatches = append(st.TunnelBatches, bs)
+			return errBatchIDs
 		case f == 5 && wt == wire.TVarint:
 			st.Epoch = d.Varint()
 		case f == 6 && wt == wire.TBytes:
 			st.Sagas = append([]byte(nil), d.Bytes()...)
+		case f == 7 && wt == wire.TBytes:
+			var r tunnelBatchRec
+			if err := r.DecodeBinary(d.Bytes()); err != nil {
+				return err
+			}
+			st.TunnelBatches = append(st.TunnelBatches, r)
 		default:
 			d.Skip(wt)
 		}

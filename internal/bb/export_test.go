@@ -19,21 +19,46 @@ func (b *BB) CommitGate() {
 
 // ReplayEntry is what the batch replay cache keeps of one batch.
 type ReplayEntry struct {
-	RARID, BatchID string
-	Outcome        *signalling.Message
+	RARID   string
+	Sender  identity.DN
+	Seq     int64
+	Outcome *signalling.Message
 }
 
-// ReplayEntries lists the batch replay caches of every tunnel
-// registration, for tests of what a settled batch leaves behind.
+// ReplayEntries lists the settled batches in the replay caches of every
+// tunnel registration, for tests of what a settled batch leaves behind.
 func (b *BB) ReplayEntries() []ReplayEntry {
 	var out []ReplayEntry
 	for _, t := range b.tunnels.list() {
-		for _, e := range t.val.batches.list() {
-			out = append(out, ReplayEntry{RARID: t.key, BatchID: e.key, Outcome: e.outcome})
+		for _, r := range t.val.batches.list() {
+			if r.Seq != 0 {
+				out = append(out, ReplayEntry{RARID: t.key, Sender: r.Sender, Seq: r.Seq, Outcome: r.Outcome})
+			}
 		}
 	}
 	return out
 }
+
+// LowWater is sender's acknowledged low-water on tunnel rarID's
+// registration: no batch of that sender at or below it is applied.
+func (b *BB) LowWater(rarID string, sender identity.DN) int64 {
+	t, _ := b.tunnels.get(rarID)
+	if t.val.batches == nil {
+		return 0
+	}
+	t.val.batches.mu.Lock()
+	defer t.val.batches.mu.Unlock()
+	for _, w := range t.val.batches.windows {
+		if w.sender == sender {
+			return w.low
+		}
+	}
+	return 0
+}
+
+// MaxHeldBatches is how many replay entries one sender may hold on one
+// tunnel registration.
+const MaxHeldBatches = maxHeldBatches
 
 // CompArg encodes a compensation argument as the reserve path journals
 // it, for tests that pin saga records byte for byte.
@@ -86,12 +111,13 @@ func TunnelRemoveFrame(rarID string, epoch int64) []byte {
 	return frame(opTunnelRemove, rarCancelRec{RARID: rarID, Epoch: epoch})
 }
 
-// TunnelBatchFrame is a bb.tunnel_batch record. With a batch id it is
-// the answering end's, and carries a granted outcome; without, the
-// source's.
-func TunnelBatchFrame(rarID string, epoch int64, batchID string, ops ...TunnelOpRec) []byte {
-	rec := tunnelBatchRec{RARID: rarID, Epoch: epoch, BatchID: batchID, Ops: ops}
-	if batchID != "" {
+// TunnelBatchFrame is a bb.tunnel_batch record. With a Seq it is the
+// answering end's, from sender at low-water low, and carries a granted
+// outcome; with Seq 0, the source's.
+func TunnelBatchFrame(rarID string, epoch int64, sender identity.DN, seq, low int64, ops ...TunnelOpRec) []byte {
+	rec := tunnelBatchRec{RARID: rarID, Epoch: epoch, Ops: ops}
+	if seq != 0 {
+		rec.Sender, rec.Seq, rec.Low = sender, seq, low
 		rec.Outcome = &signalling.Message{Type: signalling.MsgResult, Result: &signalling.ResultPayload{Granted: true}}
 	}
 	return frame(opTunnelBatch, rec)

@@ -14,9 +14,10 @@ import (
 
 // seedBrokerState is a snapshot with one of everything a broker rotates:
 // an admitted reservation, a single-leg and a split route entry with
-// their outcomes, a tunnel endpoint holding sub-flows, a settled batch
-// and an open saga — each section written by the encoder of the package
-// that owns it.
+// their outcomes, a tunnel endpoint holding sub-flows, one sender's
+// replay window holding two settled batches above its low-water and
+// another's holding none above its, and an open saga — each section
+// written by the encoder of the package that owns it.
 func seedBrokerState(tb testing.TB) []byte {
 	tb.Helper()
 	must := func(err error) {
@@ -61,10 +62,14 @@ func seedBrokerState(tb testing.TB) []byte {
 			}}},
 			{RARID: "RAR-T", Epoch: 3, Outcome: granted, route: route{Handle: "net-DomainA-3", Tunnel: true}},
 		},
-		Tunnels:       []tunnel.EndpointSnapshot{ep.Snapshot()},
-		TunnelBatches: []tunnelBatchSnap{{RARID: "RAR-T", Epoch: 3, BatchID: "B-1", Outcome: denied}},
-		Sagas:         sagas.Snapshot(),
-		Epoch:         3,
+		Tunnels: []tunnel.EndpointSnapshot{ep.Snapshot()},
+		TunnelBatches: []tunnelBatchRec{
+			{RARID: "RAR-T", Epoch: 3, Sender: "/O=Grid/OU=DomainB/CN=bb-b", Seq: 41, Low: 40, Sum: 0x9e3779b97f4a7c15, Outcome: denied},
+			{RARID: "RAR-T", Epoch: 3, Sender: "/O=Grid/OU=DomainB/CN=bb-b", Seq: 43, Low: 40, Sum: 7, Outcome: granted},
+			{RARID: "RAR-T", Epoch: 3, Sender: "/O=Grid/CN=alice", Low: 7},
+		},
+		Sagas: sagas.Snapshot(),
+		Epoch: 3,
 	}
 	return st.appendBinary(nil)
 }
@@ -110,7 +115,7 @@ func TestSeedBrokerStateHoldsEverySection(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(st.Table) == 0 || len(st.RARs) != 3 || len(st.RARs[0].Legs) != 1 || len(st.RARs[1].Legs) != 2 ||
-		len(st.Tunnels) != 1 || len(st.Tunnels[0].SubFlows) != 2 || len(st.TunnelBatches) != 1 ||
+		len(st.Tunnels) != 1 || len(st.Tunnels[0].SubFlows) != 2 || len(st.TunnelBatches) != 3 || st.TunnelBatches[0].Low != 40 || st.TunnelBatches[0].Sum != 0x9e3779b97f4a7c15 ||
 		st.TunnelBatches[0].Outcome == nil || len(st.Sagas) == 0 || st.Epoch != 3 {
 		t.Errorf("seed snapshot decoded to %+v", st)
 	}

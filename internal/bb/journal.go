@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"e2eqos/internal/identity"
 	"e2eqos/internal/journal"
 	"e2eqos/internal/resv"
 	"e2eqos/internal/signalling"
@@ -68,37 +69,33 @@ type tunnelOpRec struct {
 
 // tunnelBatchRec journals an applied batch atomically: the ops that
 // actually mutated the endpoint (with their generations) plus, at the
-// end that answers retransmissions, the batch id and the outcome message
-// replayed verbatim. The source's records (local halves, undone halves)
-// carry neither. One record per batch is what makes batching cheap on
-// the journal too.
+// end that answers retransmissions, the batch's sender and Seq, the
+// sender's low-water once the batch settled, the opsSum of the ops it
+// carried and the outcome message replayed verbatim. The source's
+// records (local halves, undone halves) carry none of those. One record
+// per batch is what makes batching cheap on the journal too.
 type tunnelBatchRec struct {
 	RARID   string
 	Epoch   int64
-	BatchID string
+	Sender  identity.DN
+	Seq     int64
+	Low     int64
+	Sum     uint64
 	Ops     []tunnelOpRec
-	Outcome *signalling.Message
-}
-
-// tunnelBatchSnap is the snapshot form of a settled batch: the ops are
-// already reflected in the endpoint snapshot, only the replay-cache
-// entry survives.
-type tunnelBatchSnap struct {
-	RARID   string
-	Epoch   int64
-	BatchID string
 	Outcome *signalling.Message
 }
 
 // brokerState is the rotated snapshot: the reservation table plus
 // every settled RAR entry, the tunnel endpoints with their live
-// sub-flows, the batch replay cache, and the epoch counter so
+// sub-flows, the batch replay windows, and the epoch counter so
 // recovered brokers keep minting unique epochs.
 type brokerState struct {
-	Table         []byte
-	RARs          []rarRec
-	Tunnels       []tunnel.EndpointSnapshot
-	TunnelBatches []tunnelBatchSnap
+	Table   []byte
+	RARs    []rarRec
+	Tunnels []tunnel.EndpointSnapshot
+	// TunnelBatches are the batch replay windows: each settled batch as
+	// its record carries it, without its ops (the endpoints hold them).
+	TunnelBatches []tunnelBatchRec
 	// Sagas is the compensation coordinator's snapshot (saga.Snapshot):
 	// rollback debt still owed when the journal rotated.
 	Sagas []byte
@@ -204,8 +201,9 @@ func (b *BB) snapshotState() ([]byte, error) {
 	}
 	for _, t := range b.tunnels.list() {
 		st.Tunnels = append(st.Tunnels, t.val.ep.Snapshot())
-		for _, bt := range t.val.batches.list() {
-			st.TunnelBatches = append(st.TunnelBatches, tunnelBatchSnap{RARID: t.key, Epoch: t.epoch, BatchID: bt.key, Outcome: bt.outcome})
+		for _, r := range t.val.batches.list() {
+			r.RARID, r.Epoch = t.key, t.epoch
+			st.TunnelBatches = append(st.TunnelBatches, r)
 		}
 	}
 	// Read after the listings: the counter is at or above every epoch
@@ -232,17 +230,16 @@ func (b *BB) journalTunnelRemove(rarID string, epoch int64) {
 	_ = b.journal.Append(opTunnelRemove, rarCancelRec{RARID: rarID, Epoch: epoch})
 }
 
-// journalTunnelBatch appends an applied batch: every op that mutated
-// the endpoint plus, from the end that answers retransmissions, the
-// replayable outcome, in one record. A record with neither says nothing
-// and is not written.
-func (b *BB) journalTunnelBatch(ep *tunnel.Endpoint, batchID string, ops []tunnelOpRec, outcome *signalling.Message) {
-	if b.journal == nil || (len(ops) == 0 && outcome == nil) {
+// journalTunnelBatch appends an applied batch against ep's registration:
+// every op that mutated the endpoint plus, from the end that answers
+// retransmissions, the replayable outcome, in one record. A record with
+// neither says nothing and is not written.
+func (b *BB) journalTunnelBatch(ep *tunnel.Endpoint, rec tunnelBatchRec) {
+	if b.journal == nil || (len(rec.Ops) == 0 && rec.Outcome == nil) {
 		return
 	}
-	_ = b.journal.Append(opTunnelBatch, tunnelBatchRec{
-		RARID: ep.RARID, Epoch: ep.Epoch, BatchID: batchID, Ops: ops, Outcome: outcome,
-	})
+	rec.RARID, rec.Epoch = ep.RARID, ep.Epoch
+	_ = b.journal.Append(opTunnelBatch, rec)
 }
 
 // journalRAR appends the settled route entry. Called by the entry's

@@ -1,6 +1,8 @@
 package bb
 
 import (
+	"fmt"
+
 	"e2eqos/internal/obs"
 )
 
@@ -36,6 +38,7 @@ type bbMetrics struct {
 	tunnelReleases     *obs.Counter // sub-flow releases applied
 	tunnelBatches      *obs.Counter // tunnel batches applied
 	tunnelBatchReplays *obs.Counter // batch retransmissions answered from the replay cache
+	tunnelBatchesStale *obs.Counter // batches refused at or below their sender's low-water or reusing a held seq
 	tunnelDenied       *obs.Counter // sub-flow ops denied (capacity, duplicates, rollbacks)
 	// Durability-layer counters.
 	journalAppends      *obs.Counter // records appended to the journal
@@ -105,6 +108,7 @@ func newBBMetrics(r *obs.Registry) bbMetrics {
 		tunnelReleases:     r.Counter("bb_tunnel_releases_total", "tunnel sub-flow releases applied"),
 		tunnelBatches:      r.Counter("bb_tunnel_batches_total", "tunnel sub-flow batches applied (a single alloc or release is a batch of one)"),
 		tunnelBatchReplays: r.Counter("bb_tunnel_batch_replays_total", "batch retransmissions answered from the replay cache"),
+		tunnelBatchesStale: r.Counter("bb_tunnel_batches_stale_total", "tunnel batches refused unapplied: at or below their sender's acknowledged low-water, or reusing a held seq for other ops"),
 		tunnelDenied:       r.Counter("bb_tunnel_ops_denied_total", "tunnel sub-flow operations denied or rolled back"),
 
 		journalAppends:      r.Counter("bb_journal_appends_total", "records appended to the write-ahead journal"),
@@ -163,7 +167,7 @@ func (b *BB) registerGauges(r *obs.Registry) {
 		func() float64 { return sumTunnels(func(t tunnelReg) int { return t.ep.Len() }) })
 	r.GaugeFunc("bb_open_rars", "RAR route entries held, settled denials and expired grants included (see ROADMAP item 2)",
 		func() float64 { return float64(b.routes.size()) })
-	r.GaugeFunc("bb_tunnel_batch_entries", "batch replay entries held across all tunnels, each until its tunnel's teardown (see ROADMAP item 2)",
+	r.GaugeFunc("bb_tunnel_batch_entries", fmt.Sprintf("batch replay entries held across all tunnels, each until its sender acknowledges it (at most %d per tunnel for a sender that never does)", maxHeldBatches),
 		func() float64 { return sumTunnels(func(t tunnelReg) int { return t.batches.size() }) })
 	r.GaugeFunc("bb_late_responses_dropped", "downstream responses that arrived after their call gave up",
 		func() float64 { return float64(b.pool.lateDropped()) })

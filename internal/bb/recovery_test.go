@@ -272,3 +272,40 @@ func TestRestartRefusesUnknownBrokerOps(t *testing.T) {
 		})
 	}
 }
+
+// TestRestartRefusesBatchIDState: state written before batches were
+// numbered by their sender holds replay entries keyed by batch id, in a
+// bb.tunnel_batch record (field 3) or in a snapshot (field 4). Neither
+// has a sender's window to go into, so each stops recovery by name
+// rather than bringing the tunnel up without its replay entries.
+func TestRestartRefusesBatchIDState(t *testing.T) {
+	entry := wire.AppendString(wire.AppendInt(wire.AppendString(nil, 1, "RAR-T"), 2, 1), 3, "B-0123456789abcdef")
+	record, err := journal.EncodeRecord("bb.tunnel_batch", journal.RawBinary(entry))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := wire.AppendBytes([]byte{0xB3, 0x01}, 4, entry)
+	for _, row := range []struct {
+		file string
+		data []byte
+	}{{"wal.log", record}, {"snapshot.json", snapshot}} {
+		t.Run(row.file, func(t *testing.T) {
+			state := t.TempDir()
+			w, err := experiment.BuildWorld(experiment.WorldConfig{NumDomains: 1, StateDir: state, FsyncPolicy: "always"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(w.Close)
+			if err := w.CrashDomain("Domain0"); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(state, "Domain0", row.file), row.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			err = w.RestartDomainFromJournal("Domain0")
+			if err == nil || !strings.Contains(err.Error(), "batch replay entries keyed by batch id") {
+				t.Fatalf("restart: err = %v, want one naming replay entries keyed by batch id", err)
+			}
+		})
+	}
+}

@@ -8,10 +8,12 @@ import (
 	"e2eqos/internal/signalling"
 )
 
-// registry is the broker's one shape of keyed state (DESIGN.md §6.4):
-// route entries keyed by route key, tunnel registrations keyed by RAR id
-// and, inside each registration, the replay cache of its batches keyed by
-// batch id. One map, one lock, and three things written once, here:
+// registry is the broker's one shape of epoch-ruled keyed state
+// (DESIGN.md §6.4): route entries keyed by route key and tunnel
+// registrations keyed by RAR id. (A registration's batch replay cache is
+// a batchCache: its entries live by their sender's low-water, not by
+// epoch, and reuse entry and replay.) One map, one lock, and three things
+// written once, here:
 //
 //   - The in-flight dedup protocol. A live entry begins as a placeholder,
 //     or begin hands back the entry already under its key; the owner

@@ -9,7 +9,6 @@ import (
 	"e2eqos/internal/journal"
 	"e2eqos/internal/resv"
 	"e2eqos/internal/saga"
-	"e2eqos/internal/signalling"
 	"e2eqos/internal/tunnel"
 	"e2eqos/internal/units"
 )
@@ -49,11 +48,10 @@ type replayer struct {
 
 // parkedOp is one item of a batch record, pinned to the registration
 // (epoch) of the tunnel it was applied to: a sub-flow mutation or, with
-// batchID set, the batch's replay entry.
+// batch set, the batch's replay entry and its sender's low-water.
 type parkedOp struct {
-	epoch   int64
-	batchID string
-	outcome *signalling.Message
+	epoch int64
+	batch *tunnelBatchRec
 	tunnelOpRec
 }
 
@@ -94,11 +92,12 @@ func (rp *replayer) install(data []byte) error {
 	for _, ep := range eps {
 		b.tunnels.register(ep.RARID, ep.Epoch, newTunnelReg(ep), nil)
 	}
-	// A replay entry lives in its registration: one whose registration
+	// A replay window lives in its registration: one whose registration
 	// the snapshot does not hold has no tunnel to answer for.
-	for _, bs := range st.TunnelBatches {
-		if t, ok := b.tunnels.at(bs.RARID, bs.Epoch); ok {
-			t.val.batches.register(bs.BatchID, 0, struct{}{}, bs.Outcome)
+	for i := range st.TunnelBatches {
+		r := &st.TunnelBatches[i]
+		if t, ok := b.tunnels.at(r.RARID, r.Epoch); ok {
+			t.val.batches.restore(r)
 		}
 	}
 	// Open rollback debt rides the snapshot; a follower holds it passively
@@ -174,8 +173,8 @@ func (rp *replayer) apply(r journal.Record) error {
 			return err
 		}
 		ops := rp.parked[br.RARID]
-		if br.BatchID != "" {
-			ops = append(ops, parkedOp{epoch: br.Epoch, batchID: br.BatchID, outcome: br.Outcome})
+		if br.Seq != 0 {
+			ops = append(ops, parkedOp{epoch: br.Epoch, batch: &br})
 		}
 		for _, op := range br.Ops {
 			ops = append(ops, parkedOp{epoch: br.Epoch, tunnelOpRec: op})
@@ -221,11 +220,11 @@ func (rp *replayer) drain(rarID string, gaps bool) error {
 	if !ok || len(ops) == 0 {
 		return nil
 	}
-	// Replay entries first: the registry is not called under the
-	// endpoint's lock.
+	// Replay entries first: the cache is not called under the endpoint's
+	// lock.
 	for _, op := range ops {
-		if op.batchID != "" && op.epoch == t.epoch {
-			t.val.batches.register(op.batchID, 0, struct{}{}, op.outcome)
+		if op.batch != nil && op.epoch == t.epoch {
+			t.val.batches.restore(op.batch)
 		}
 	}
 	slices.SortFunc(ops, func(x, y parkedOp) int { return cmp.Compare(x.Gen, y.Gen) })
@@ -238,8 +237,8 @@ func (rp *replayer) drain(rarID string, gaps bool) error {
 				// a dead registration's: dropped
 			case op.epoch > t.epoch:
 				kept = append(kept, op)
-			case op.batchID != "":
-				// registered above
+			case op.batch != nil:
+				// restored above
 			case op.Gen <= tx.Gen():
 				// already reflected: dropped
 			case !gaps && op.Gen != tx.Gen()+1:

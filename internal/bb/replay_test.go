@@ -30,7 +30,7 @@ func tunnelAt(epoch int64) []byte {
 	return bb.TunnelFrame(tunnel.EndpointSnapshot{
 		RARID: replayTunnel, Aggregate: 100 * units.Mbps,
 		Window: units.NewWindow(time.Unix(1_700_000_000, 0), time.Hour),
-		PeerBB: "/O=Grid/OU=Domain1/CN=bb", Owner: "/O=Grid/CN=alice", Epoch: epoch,
+		PeerBB: replayPeer, Owner: "/O=Grid/CN=alice", Epoch: epoch,
 	})
 }
 
@@ -42,9 +42,20 @@ func releaseOp(sub string, gen int64) bb.TunnelOpRec {
 	return bb.TunnelOpRec{Action: "release", SubFlowID: sub, Gen: gen}
 }
 
-// batchAt is a batch record against replayTunnel's registration at epoch.
-func batchAt(epoch int64, batchID string, ops ...bb.TunnelOpRec) []byte {
-	return bb.TunnelBatchFrame(replayTunnel, epoch, batchID, ops...)
+// replayPeer is replayTunnel's peer broker, the sender of its batches.
+const replayPeer = "/O=Grid/OU=Domain1/CN=bb"
+
+// batchAt is a batch record against replayTunnel's registration at
+// epoch: with a Seq, the answering end's, its sender acknowledging
+// nothing; with Seq 0, the source's.
+func batchAt(epoch, seq int64, ops ...bb.TunnelOpRec) []byte {
+	return ackedAt(epoch, seq, 0, ops...)
+}
+
+// ackedAt is the answering end's record of batch seq, settled with its
+// sender's low-water at low.
+func ackedAt(epoch, seq, low int64, ops ...bb.TunnelOpRec) []byte {
+	return bb.TunnelBatchFrame(replayTunnel, epoch, replayPeer, seq, low, ops...)
 }
 
 // admitThenCompact returns genuine resv.admit and resv.compact frames of
@@ -187,25 +198,29 @@ func TestReplayEdgesThroughBothFeeds(t *testing.T) {
 		{"compact before its admit", [][]byte{compact, admit},
 			"0 reservations, no tunnel, 0 replay entries"},
 		{"generation inversion inside the tail", [][]byte{
-			tunnelAt(1), batchAt(1, "B-2", allocOp("b", 2), allocOp("c", 4)), batchAt(1, "B-1", allocOp("a", 1), releaseOp("b", 3)),
+			tunnelAt(1), batchAt(1, 2, allocOp("b", 2), allocOp("c", 4)), batchAt(1, 1, allocOp("a", 1), releaseOp("b", 3)),
 		}, "0 reservations, tunnel@1 gen=4 [a c], 2 replay entries"},
-		{"generation gap at the end", [][]byte{tunnelAt(1), batchAt(1, "B-2", allocOp("b", 2))},
+		{"generation gap at the end", [][]byte{tunnelAt(1), batchAt(1, 2, allocOp("b", 2))},
 			"0 reservations, tunnel@1 gen=2 [b], 1 replay entries"},
-		{"op from a dead epoch", [][]byte{tunnelAt(1), bb.TunnelRemoveFrame(replayTunnel, 1), tunnelAt(2), batchAt(1, "", allocOp("x", 1))},
+		{"op from a dead epoch", [][]byte{tunnelAt(1), bb.TunnelRemoveFrame(replayTunnel, 1), tunnelAt(2), batchAt(1, 0, allocOp("x", 1))},
 			"0 reservations, tunnel@2 gen=0 [], 0 replay entries"},
-		{"op after its tunnel's removal", [][]byte{tunnelAt(1), bb.TunnelRemoveFrame(replayTunnel, 1), batchAt(1, "", allocOp("x", 1))},
+		{"op after its tunnel's removal", [][]byte{tunnelAt(1), bb.TunnelRemoveFrame(replayTunnel, 1), batchAt(1, 0, allocOp("x", 1))},
 			"0 reservations, no tunnel, 0 replay entries"},
-		{"op ahead of its establishment", [][]byte{batchAt(1, "B-1", allocOp("a", 1)), tunnelAt(1)},
+		{"op ahead of its establishment", [][]byte{batchAt(1, 1, allocOp("a", 1)), tunnelAt(1)},
 			"0 reservations, tunnel@1 gen=1 [a], 1 replay entries"},
 		{"tunnel re-registered at a higher epoch", [][]byte{
-			tunnelAt(1), batchAt(1, "", allocOp("a", 1)), batchAt(2, "B-1", allocOp("b", 1)), tunnelAt(2), tunnelAt(1),
+			tunnelAt(1), batchAt(1, 0, allocOp("a", 1)), batchAt(2, 1, allocOp("b", 1)), tunnelAt(2), tunnelAt(1),
 		}, "0 reservations, tunnel@2 gen=1 [b], 1 replay entries"},
-		{"establishment repeated after its ops", [][]byte{tunnelAt(1), batchAt(1, "B-1", allocOp("a", 1)), tunnelAt(1)},
+		{"establishment repeated after its ops", [][]byte{tunnelAt(1), batchAt(1, 1, allocOp("a", 1)), tunnelAt(1)},
 			"0 reservations, tunnel@1 gen=1 [a], 1 replay entries"},
-		{"establishment that never arrives", [][]byte{batchAt(1, "B-1", allocOp("a", 1))},
+		{"establishment that never arrives", [][]byte{batchAt(1, 1, allocOp("a", 1))},
 			"0 reservations, no tunnel, 0 replay entries"},
-		{"batch answered after its tunnel's removal", [][]byte{tunnelAt(1), bb.TunnelRemoveFrame(replayTunnel, 1), batchAt(1, "B-1", allocOp("x", 1))},
+		{"batch answered after its tunnel's removal", [][]byte{tunnelAt(1), bb.TunnelRemoveFrame(replayTunnel, 1), batchAt(1, 1, allocOp("x", 1))},
 			"0 reservations, no tunnel, 0 replay entries"},
+		{"a low-water retires the batches it covers", [][]byte{tunnelAt(1), batchAt(1, 1, allocOp("a", 1)), ackedAt(1, 2, 1, allocOp("b", 2))},
+			"0 reservations, tunnel@1 gen=2 [a b], 1 replay entries"},
+		{"an acknowledged batch recorded after its acknowledgement", [][]byte{tunnelAt(1), ackedAt(1, 2, 1, allocOp("b", 2)), batchAt(1, 1, allocOp("a", 1))},
+			"0 reservations, tunnel@1 gen=2 [a b], 1 replay entries"},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			booted := bootFrom(t, func(dir string) {
@@ -243,7 +258,7 @@ func TestPromotedFollowerHoldsWhatItsJournalHolds(t *testing.T) {
 	f, dir := newIdleFollower(t)
 	f.stream(signalling.JournalStreamPayload{
 		FromSeq: f.b.ReplicationStatus().AppliedSeq,
-		Records: [][]byte{tunnelAt(1), batchAt(1, "B-2", allocOp("b", 2))},
+		Records: [][]byte{tunnelAt(1), batchAt(1, 2, allocOp("b", 2))},
 	})
 	f.promote()
 	booted := bootFromCopy(t, dir)
@@ -255,8 +270,8 @@ func TestPromotedFollowerHoldsWhatItsJournalHolds(t *testing.T) {
 		t.Errorf("a broker booted from the follower's journal holds %s, want %s", got, want)
 	}
 	for _, b := range []*bb.BB{f.b, booted} {
-		if e := b.ReplayEntries(); len(e) != 1 || e[0].BatchID != "B-2" || !e[0].Outcome.Result.Granted {
-			t.Errorf("replay entries %+v, want B-2 answered granted", e)
+		if e := b.ReplayEntries(); len(e) != 1 || e[0].Seq != 2 || !e[0].Outcome.Result.Granted {
+			t.Errorf("replay entries %+v, want batch 2 answered granted", e)
 		}
 	}
 }
@@ -269,7 +284,7 @@ func TestPromotedFollowerHoldsWhatItsJournalHolds(t *testing.T) {
 func TestFollowerKeepsItsJournalWhileOpsAreParked(t *testing.T) {
 	f, dir := newIdleFollower(t)
 	rng := rand.New(rand.NewSource(24))
-	f.streamFrames(rng, 2, tunnelAt(1), batchAt(1, "B-2", allocOp("b", 2)))
+	f.streamFrames(rng, 2, tunnelAt(1), batchAt(1, 2, allocOp("b", 2)))
 	checkpoints := f.metric("bb_checkpoints_total")
 	noop := make([][]byte, journal.DefRotateEvery+1)
 	for i := range noop {
@@ -284,7 +299,7 @@ func TestFollowerKeepsItsJournalWhileOpsAreParked(t *testing.T) {
 		t.Errorf("a broker booted from the follower's directory holds %s, want %s", got, want)
 	}
 
-	f.streamFrames(rng, 1, batchAt(1, "B-1", allocOp("a", 1)))
+	f.streamFrames(rng, 1, batchAt(1, 1, allocOp("a", 1)))
 	if n := f.metric("bb_checkpoints_total") - checkpoints; n != 1 {
 		t.Errorf("bb_checkpoints_total moved by %v once nothing was parked, want 1", n)
 	}

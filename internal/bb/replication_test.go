@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -262,7 +263,10 @@ func TestReplicatedFailoverPreservesGrants(t *testing.T) {
 // TestReplicatedFailoverPreservesTunnelBatches: the tunnel sub-flow
 // state and the batch replay cache survive failover — a retransmitted
 // batch is answered with its original per-op results and the endpoint
-// allocation is unchanged; new batches apply on the promoted leader.
+// allocation is unchanged; new batches apply on the promoted leader. The
+// owner's low-water survives too: the followers hold the leader's state
+// after its retirements, and on the promoted leader an acknowledged
+// batch is still stale.
 func TestReplicatedFailoverPreservesTunnelBatches(t *testing.T) {
 	w, err := experiment.BuildWorld(experiment.WorldConfig{
 		NumDomains:  2,
@@ -289,17 +293,30 @@ func TestReplicatedFailoverPreservesTunnelBatches(t *testing.T) {
 	if res, err := u.ReserveE2E(spec); err != nil || !res.Granted {
 		t.Fatalf("tunnel establishment: res=%+v err=%v", res, err)
 	}
+	// Batches 1 and 2 take a sub-flow and give it back; batch 3, the one
+	// retransmitted below, acknowledges them.
+	pre := func(seq int64, op signalling.TunnelOp) *signalling.TunnelBatchPayload {
+		return &signalling.TunnelBatchPayload{TunnelRARID: spec.RARID, Seq: seq, User: u.DN(), Ops: []signalling.TunnelOp{op}}
+	}
+	acked := []*signalling.TunnelBatchPayload{
+		pre(1, signalling.TunnelOp{Action: signalling.OpAlloc, SubFlowID: "f0", Bandwidth: int64(units.Mbps)}),
+		pre(2, signalling.TunnelOp{Action: signalling.OpRelease, SubFlowID: "f0"}),
+	}
 	payload := &signalling.TunnelBatchPayload{
-		TunnelRARID: spec.RARID, BatchID: signalling.NewBatchID(), User: u.DN(),
+		TunnelRARID: spec.RARID, Seq: 3, Acked: 2, User: u.DN(),
 		Ops: []signalling.TunnelOp{
 			{Action: signalling.OpAlloc, SubFlowID: "f1", Bandwidth: int64(40 * units.Mbps)},
 			{Action: signalling.OpAlloc, SubFlowID: "f2", Bandwidth: int64(30 * units.Mbps)},
 		},
 	}
-	res, err := u.TunnelBatch(src, payload)
-	if err != nil || !res.Granted {
-		t.Fatalf("batch: res=%+v err=%v", res, err)
+	for _, p := range append(acked, payload) {
+		if res, err := u.TunnelBatch(src, p); err != nil || !res.Granted {
+			t.Fatalf("batch %d: res=%+v err=%v", p.Seq, res, err)
+		}
 	}
+	all := []int{0, 1, 2}
+	waitReplicated(t, w, src, all)
+	requireDigestsEqual(t, w, src, all)
 
 	killed, err := w.KillLeader(src)
 	if err != nil {
@@ -327,9 +344,20 @@ func TestReplicatedFailoverPreservesTunnelBatches(t *testing.T) {
 	if ep.Used() != 70*units.Mbps || ep.Len() != 2 {
 		t.Fatalf("retransmit changed the endpoint: used=%v len=%d", ep.Used(), ep.Len())
 	}
+	if low := w.BBs[src].LowWater(spec.RARID, u.DN()); low != 2 {
+		t.Errorf("the owner's low-water on the promoted leader is %d, want 2", low)
+	}
+	for _, p := range acked {
+		if res, err := u.TunnelBatch(src, p); err != nil || !strings.Contains(res.Reason, "stale batch") {
+			t.Errorf("acknowledged batch %d after failover: res=%+v err=%v, want a stale batch refusal", p.Seq, res, err)
+		}
+	}
+	if ep.Used() != 70*units.Mbps || ep.Len() != 2 {
+		t.Fatalf("stale batches changed the endpoint: used=%v len=%d", ep.Used(), ep.Len())
+	}
 	// A genuinely new batch still applies.
 	res3, err := u.TunnelBatch(src, &signalling.TunnelBatchPayload{
-		TunnelRARID: spec.RARID, BatchID: signalling.NewBatchID(), User: u.DN(),
+		TunnelRARID: spec.RARID, Seq: 4, Acked: 3, User: u.DN(),
 		Ops: []signalling.TunnelOp{{Action: signalling.OpRelease, SubFlowID: "f2"}},
 	})
 	if err != nil || !res3.Granted {

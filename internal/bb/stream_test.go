@@ -587,3 +587,68 @@ func BenchmarkReplCommitGate(b *testing.B) {
 		b.Fatalf("commitSeq %d behind the journal at %d: the gate timed out", st.CommitSeq, st.JournalSeq)
 	}
 }
+
+// TestPromotedSourceMintsAboveItsLeader: a source batch's Seq is its
+// endpoint's generation after the local halves, so a follower promoted
+// after the leader died must hold the record that carries it, or it
+// mints the same Seq again and the destination answers the new batch
+// with the dead leader's outcome. The leader's frames to its followers
+// run late here; the batch must not leave before a majority holds its
+// record.
+func TestPromotedSourceMintsAboveItsLeader(t *testing.T) {
+	const src = "Domain0"
+	var arm atomic.Bool
+	w, err := experiment.BuildWorld(experiment.WorldConfig{
+		NumDomains: 2, Replicas: 3, Capacity: 1000 * units.Mbps, StateDir: t.TempDir(), FsyncPolicy: "never",
+		CallTimeout: 2 * time.Second, EnableObs: true,
+		WrapDialer: func(_ string, d transport.Dialer) transport.Dialer {
+			return transport.NewFaultyDialer(d, transport.FaultConfig{
+				Delay: 300 * time.Millisecond,
+				Script: func(addr string, send bool, raw []byte) transport.FaultAction {
+					if !arm.Load() || !send || !strings.HasPrefix(addr, "bb."+src+".r") {
+						return transport.FaultPass
+					}
+					if m, err := signalling.DecodeMessage(raw); err == nil && m.JournalStream != nil && len(m.JournalStream.Records) > 0 {
+						return transport.FaultDelay
+					}
+					return transport.FaultPass
+				},
+			})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	u, err := w.NewUser("alice", "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(u.Close)
+	spec := u.NewSpec(experiment.SpecOptions{DestDomain: w.DestDomain(), Bandwidth: 100 * units.Mbps, Tunnel: true})
+	if res, err := u.ReserveE2E(spec); err != nil || !res.Granted {
+		t.Fatalf("tunnel establishment: res=%+v err=%v", res, err)
+	}
+	waitReplicated(t, w, src, []int{0, 1, 2})
+
+	arm.Store(true)
+	if err := w.BBs[src].AllocateTunnelFlow(spec.RARID, "f1", units.Mbps, u.DN()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.KillLeader(src); err != nil {
+		t.Fatal(err)
+	}
+	arm.Store(false)
+	if _, err := w.PromoteAny(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.BBs[src].AllocateTunnelFlow(spec.RARID, "f2", units.Mbps, u.DN()); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []string{src, w.DestDomain()} {
+		ep, _ := w.BBs[d].Tunnel(spec.RARID)
+		if got := fmt.Sprint(ep.SubFlows()); got != "[f1 f2]" {
+			t.Errorf("%s holds %s after the promoted source's batch, want [f1 f2]", d, got)
+		}
+	}
+}

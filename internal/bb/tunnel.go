@@ -13,15 +13,17 @@ import (
 	"e2eqos/internal/units"
 )
 
-// tunnelReg is one tunnel registration: the endpoint, and the replay
-// cache of the batches applied to it, which lives and dies with it.
+// tunnelReg is one tunnel registration: the endpoint, the replay cache
+// of the batches this end answered on it, and the Seqs of the batches it
+// sent that are still in flight; both live and die with it.
 type tunnelReg struct {
 	ep      *tunnel.Endpoint
-	batches *registry[struct{}]
+	batches *batchCache
+	sending *inflight
 }
 
 func newTunnelReg(ep *tunnel.Endpoint) tunnelReg {
-	return tunnelReg{ep: ep, batches: newRegistry[struct{}]()}
+	return tunnelReg{ep: ep, batches: &batchCache{}, sending: &inflight{}}
 }
 
 // registerTunnelDest records the tunnel endpoint at the destination
@@ -96,12 +98,18 @@ func (b *BB) tunnelFor(peer signalling.Peer, rarID string) (tunnelReg, string) {
 // handleTunnelBatch applies a batch of sub-flow ops, one or many, at
 // this endpoint. Batches are idempotent: the first copy applies the ops,
 // journals one record (applied ops + outcome) and caches the outcome; a
-// retransmission with the same batch id — including one racing the
+// retransmission with the same sender and Seq — including one racing the
 // original mid-flight — gets the recorded outcome instead of a second
-// application.
+// application, until the sender acknowledges it. From then on a copy is
+// a stale batch, refused without being applied; so is a batch that
+// reuses a held Seq for other ops.
 func (b *BB) handleTunnelBatch(peer signalling.Peer, payload *signalling.TunnelBatchPayload) *signalling.Message {
 	t0 := time.Now()
-	if err := payload.Validate(); err != nil {
+	err := payload.Validate()
+	if err == nil && payload.Seq == 0 {
+		err = fmt.Errorf("%s: batch without seq", b.cfg.Domain)
+	}
+	if err != nil {
 		b.recordBatchEvent(payload, len(payload.Ops), obs.VerdictDenied, err.Error(), t0)
 		return signalling.ErrorResult(err.Error())
 	}
@@ -113,16 +121,27 @@ func (b *BB) handleTunnelBatch(peer signalling.Peer, payload *signalling.TunnelB
 	ep := t.ep
 	// A batch racing its tunnel's teardown registers in a registration
 	// that is already gone, and its entry goes with it.
-	e, dup := t.batches.begin(payload.BatchID, nil)
+	sum := opsSum(payload.Ops)
+	e, dup, err := t.batches.begin(peer.DN, payload.Seq, payload.Acked, sum)
+	if err != nil {
+		b.m.tunnelBatchesStale.Inc()
+		what := "stale batch"
+		if err == errSeqReused {
+			what = "seq reused by batch"
+		}
+		reason := fmt.Sprintf("%s: %s %d from %s on tunnel %s: %v", b.cfg.Domain, what, payload.Seq, peer.DN, payload.TunnelRARID, err)
+		b.recordBatchEvent(payload, len(payload.Ops), obs.VerdictDenied, reason, t0)
+		return signalling.ErrorResult(reason)
+	}
 	if dup {
 		resp := e.replay()
 		b.m.tunnelBatchReplays.Inc()
 		b.log.Info("tunnel: replaying recorded batch outcome",
-			obs.AttrRAR, payload.TunnelRARID, obs.AttrPeer, string(peer.DN), "batch", payload.BatchID)
+			obs.AttrRAR, payload.TunnelRARID, obs.AttrPeer, string(peer.DN), "seq", payload.Seq)
 		if resp != nil {
 			return resp
 		}
-		return signalling.ErrorResult(fmt.Sprintf("%s: batch %s settled without outcome", b.cfg.Domain, payload.BatchID))
+		return signalling.ErrorResult(fmt.Sprintf("%s: batch %d settled without outcome", b.cfg.Domain, payload.Seq))
 	}
 	// The whole op list applies in one pass under one acquisition of the
 	// endpoint's lock. A fully granted batch, the common case, builds no
@@ -189,8 +208,8 @@ func (b *BB) handleTunnelBatch(peer signalling.Peer, payload *signalling.TunnelB
 	// waiters, so a retransmission never observes an unjournaled
 	// application — and, in a replica group, withhold it until a
 	// majority holds the record.
-	t.batches.settle(e, struct{}{}, resp)
-	b.journalTunnelBatch(ep, payload.BatchID, applied, resp)
+	low := t.batches.settle(peer.DN, e, resp)
+	b.journalTunnelBatch(ep, tunnelBatchRec{Sender: peer.DN, Seq: payload.Seq, Low: low, Sum: sum, Ops: applied, Outcome: resp})
 	b.replWaitCommit()
 	close(e.done)
 	b.m.tunnelBatches.Inc()
@@ -233,8 +252,15 @@ func (b *BB) tunnelOp(tunnelRARID string, op signalling.TunnelOp, user identity.
 // when both ends applied it; local halves of remotely-denied ops are
 // rolled back (a denied alloc is released, a denied release is
 // re-admitted with its original bandwidth). A transport failure rolls
-// back every local op; callPeer retransmits under one batch id, which
-// the destination's replay cache answers without applying twice. With a
+// back every local op; callPeer retransmits under one Seq, which the
+// destination's replay cache answers without applying twice. The Seq is
+// the endpoint's generation after the local halves, which their record
+// carries, so a source restarted or promoted from its journal mints
+// above every Seq that journal saw; the batch acknowledges everything
+// below the lowest Seq still in flight. A source whose journal lost the
+// records of batches that had left (a crash inside the group-commit
+// window) mints those Seqs again: the destination refuses each such
+// batch by name, and its local halves roll back here. With a
 // journal the source writes what it applied the way the destination
 // does, one record per batch: the local halves before the call leaves,
 // the undone ones (if any) after it. The returned results are in op
@@ -248,10 +274,10 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 	}
 	payload := &signalling.TunnelBatchPayload{
 		TunnelRARID: tunnelRARID,
-		BatchID:     signalling.NewBatchID(),
 		User:        user,
 		Ops:         ops,
 	}
+	// The op list is checked before the local pass mints the Seq.
 	if err := payload.Validate(); err != nil {
 		return nil, err
 	}
@@ -267,7 +293,8 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 	// to the peer. While every op is admitted that is the caller's own
 	// slice: remote and remoteIdx (the op index of each travelling op)
 	// exist from the first local denial on, and applied, the journal's op
-	// list, only when there is a journal.
+	// list, only when there is a journal. A pass that applied anything
+	// mints the batch's Seq and puts it in flight.
 	var remote []signalling.TunnelOp
 	var remoteIdx []int
 	var released []units.Bandwidth // by op index: undo data for remote-denied releases
@@ -275,7 +302,9 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 	if b.journal != nil {
 		applied = make([]tunnelOpRec, 0, len(ops))
 	}
+	sending := t.val.sending
 	ep.Batch(func(tx tunnel.Tx) {
+		gen := tx.Gen()
 		for i, op := range ops {
 			results[i].SubFlowID = op.SubFlowID
 			rec := tunnelOpRec{Action: "release", SubFlowID: op.SubFlowID}
@@ -311,6 +340,10 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 				applied = append(applied, rec)
 			}
 		}
+		if tx.Gen() > gen {
+			payload.Seq = tx.Gen()
+			payload.Acked = sending.send(payload.Seq)
+		}
 	})
 	sent := len(ops)
 	if remoteIdx != nil {
@@ -323,9 +356,12 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 		b.recordBatchEvent(payload, len(ops), obs.VerdictDenied, firstReason(results), t0)
 		return results, nil
 	}
-	// The source's records carry no batch id and no outcome: nobody
-	// retransmits to the source, so they restore no replay entry.
-	b.journalTunnelBatch(ep, "", applied, nil)
+	// The source's records carry no Seq and no outcome: they restore no
+	// replay entry. In a replica group the batch leaves once a majority
+	// holds the record that carries its Seq, so a promoted follower mints
+	// above it.
+	b.journalTunnelBatch(ep, tunnelBatchRec{Ops: applied})
+	b.replWaitCommit()
 	resp, _, err := b.callPeer(ep.PeerBB, &signalling.Message{Type: signalling.MsgTunnelBatch, TunnelBatch: payload})
 	if err == nil && resp.Result == nil {
 		err = fmt.Errorf("destination sent no result")
@@ -339,6 +375,7 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 	var allocs, releases, denied int
 	var undone []tunnelOpRec
 	ep.Batch(func(tx tunnel.Tx) {
+		sending.settled(payload.Seq)
 		for k := 0; k < sent; k++ {
 			i := k // of the k-th travelling op, in ops
 			if remoteIdx != nil {
@@ -379,7 +416,7 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 			}
 		}
 	})
-	b.journalTunnelBatch(ep, "", undone, nil)
+	b.journalTunnelBatch(ep, tunnelBatchRec{Ops: undone})
 	if err != nil {
 		b.recordBatchEvent(payload, len(ops), obs.VerdictError, err.Error(), t0)
 		return nil, fmt.Errorf("bb %s: tunnel batch at destination: %w", b.cfg.Domain, err)

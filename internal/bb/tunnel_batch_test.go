@@ -11,6 +11,7 @@ import (
 	"time"
 	"unsafe"
 
+	"e2eqos/internal/bb"
 	"e2eqos/internal/experiment"
 	"e2eqos/internal/identity"
 	"e2eqos/internal/signalling"
@@ -122,6 +123,235 @@ func TestBatchEntriesGaugeFollowsItsTunnel(t *testing.T) {
 	}
 }
 
+// TestNeverRenewedTunnelHoldsTwoBatchEntries: a batch's replay entry
+// lives until its sender acknowledges it, so a tunnel that is never
+// renewed holds a bounded cache however many batches cross it. Each
+// closed-loop batch through BB.TunnelBatch acknowledges the ones before
+// it; while the cache lived as long as its tunnel, the destination held
+// one entry per batch, 10⁴ here.
+func TestNeverRenewedTunnelHoldsTwoBatchEntries(t *testing.T) {
+	w, u, rarID := buildTunnelWorld(t, 2, 100*units.Mbps)
+	src, dst := w.BBs[w.SourceDomain()], w.BBs[w.DestDomain()]
+	const batches = 10_000
+	for i := 0; i < batches/2; i++ {
+		if err := src.AllocateTunnelFlow(rarID, "f", units.Mbps, u.DN()); err != nil {
+			t.Fatalf("batch %d: %v", 2*i, err)
+		}
+		if err := src.ReleaseTunnelFlow(rarID, "f"); err != nil {
+			t.Fatalf("batch %d: %v", 2*i+1, err)
+		}
+	}
+	snap := dst.MetricsRegistry().Snapshot()
+	if n := snap["bb_tunnel_batches_total"]; n != batches {
+		t.Fatalf("bb_tunnel_batches_total = %v at the destination, want %d", n, batches)
+	}
+	if n := snap["bb_tunnel_batch_entries"]; n > 2 {
+		t.Errorf("bb_tunnel_batch_entries = %v after %d closed-loop batches, want at most 2", n, batches)
+	}
+}
+
+// TestConcurrentSourceBatchesNeverGoStale: batches that one source sends
+// on one tunnel at once reach the destination in any order, and each
+// acknowledges only what is below the lowest Seq still in flight, so
+// none is ever refused as stale (fewer batches run than the cap, which
+// is what a slow one may be overtaken by). Once they have settled, the
+// next batch acknowledges every one of them.
+func TestConcurrentSourceBatchesNeverGoStale(t *testing.T) {
+	w, u, rarID := buildTunnelWorld(t, 2, 100*units.Mbps)
+	src, dst := w.BBs[w.SourceDomain()], w.BBs[w.DestDomain()]
+	const workers, rounds = 4, 100
+	errs := make(chan error, workers)
+	for g := 0; g < workers; g++ {
+		go func(g int) {
+			var err error
+			for r := 0; r < rounds && err == nil; r++ {
+				id := fmt.Sprintf("w%d-%d", g, r)
+				if err = src.AllocateTunnelFlow(rarID, id, units.Mbps, u.DN()); err == nil {
+					err = src.ReleaseTunnelFlow(rarID, id)
+				}
+			}
+			errs <- err
+		}(g)
+	}
+	for g := 0; g < workers; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	snap := dst.MetricsRegistry().Snapshot()
+	if snap["bb_tunnel_batches_stale_total"] != 0 || snap["bb_tunnel_batches_total"] != 2*workers*rounds {
+		t.Errorf("destination: %v batches applied, %v stale, want %d and 0",
+			snap["bb_tunnel_batches_total"], snap["bb_tunnel_batches_stale_total"], 2*workers*rounds)
+	}
+	if err := src.AllocateTunnelFlow(rarID, "last", units.Mbps, u.DN()); err != nil {
+		t.Fatal(err)
+	}
+	if n := dst.MetricsRegistry().Snapshot()["bb_tunnel_batch_entries"]; n != 1 {
+		t.Errorf("bb_tunnel_batch_entries = %v after one batch on a quiet tunnel, want 1", n)
+	}
+	if err := src.ReleaseTunnelFlow(rarID, "last"); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []*bb.BB{src, dst} {
+		if ep, _ := b.Tunnel(rarID); ep.Len() != 0 {
+			t.Errorf("%s holds %v after every sub-flow was released", b.DN(), ep.SubFlows())
+		}
+	}
+}
+
+// sendBatch sends a batch straight to one end as the tunnel's owner and
+// returns the answer.
+func sendBatch(t *testing.T, u *experiment.User, domain string, p *signalling.TunnelBatchPayload) *signalling.ResultPayload {
+	t.Helper()
+	res, err := u.TunnelBatch(domain, p)
+	if err != nil {
+		t.Fatalf("batch %d: %v", p.Seq, err)
+	}
+	return res
+}
+
+// TestAcknowledgedBatchIsStale: a retransmission of a batch still in
+// flight (its Seq above the sender's low-water) replays the recorded
+// outcome; once the sender has acknowledged it, a verbatim copy is
+// refused as stale and applies nothing, as are a batch without a Seq and
+// one that reuses a held Seq for other ops. Each sender numbers its own
+// batches: the owner's Seq 1 is fresh however far the source broker's
+// low-water has risen.
+func TestAcknowledgedBatchIsStale(t *testing.T) {
+	w, u, rarID := buildTunnelWorld(t, 2, 100*units.Mbps)
+	src, dst := w.BBs[w.SourceDomain()], w.BBs[w.DestDomain()]
+	for i := 0; i < 3; i++ {
+		if err := src.AllocateTunnelFlow(rarID, fmt.Sprintf("src-%d", i), 10*units.Mbps, u.DN()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if low := dst.LowWater(rarID, src.DN()); low != 2 {
+		t.Fatalf("the source's low-water at the destination is %d after its batches 1..3, want 2", low)
+	}
+	ep, _ := dst.Tunnel(rarID)
+	alloc := func(id string) []signalling.TunnelOp {
+		return []signalling.TunnelOp{{Action: signalling.OpAlloc, SubFlowID: id, Bandwidth: int64(10 * units.Mbps)}}
+	}
+	first := &signalling.TunnelBatchPayload{TunnelRARID: rarID, Seq: 1, User: u.DN(), Ops: alloc("f1")}
+	if res := sendBatch(t, u, w.DestDomain(), first); !res.Granted {
+		t.Fatalf("first batch: %+v", res)
+	}
+	second := &signalling.TunnelBatchPayload{TunnelRARID: rarID, Seq: 2, Acked: 1, User: u.DN(), Ops: alloc("f2")}
+	res := sendBatch(t, u, w.DestDomain(), second)
+	if !res.Granted {
+		t.Fatalf("second batch: %+v", res)
+	}
+	if again := sendBatch(t, u, w.DestDomain(), second); !reflect.DeepEqual(again, res) {
+		t.Errorf("in-flight retransmission answered %+v, want the recorded %+v", again, res)
+	}
+	stale := sendBatch(t, u, w.DestDomain(), first)
+	if stale.Granted || !strings.Contains(stale.Reason, "stale batch") {
+		t.Errorf("acknowledged batch re-sent: %+v, want a stale batch refusal", stale)
+	}
+	// Neither a batch without a Seq nor one that reuses a held Seq for
+	// other ops is applied, and neither is a retransmission. The first is
+	// malformed, not stale, and leaves the stale count alone.
+	unnumbered := &signalling.TunnelBatchPayload{TunnelRARID: rarID, User: u.DN(), Ops: alloc("f0")}
+	if res := sendBatch(t, u, w.DestDomain(), unnumbered); res.Granted || !strings.Contains(res.Reason, "batch without seq") {
+		t.Errorf("batch without a seq: %+v, want it refused by name", res)
+	}
+	if n := dst.MetricsRegistry().Snapshot()["bb_tunnel_batches_stale_total"]; n != 1 {
+		t.Errorf("bb_tunnel_batches_stale_total = %v after one stale batch, want 1", n)
+	}
+	reused := &signalling.TunnelBatchPayload{TunnelRARID: rarID, Seq: 2, Acked: 1, User: u.DN(), Ops: alloc("f3")}
+	if res := sendBatch(t, u, w.DestDomain(), reused); res.Granted || !strings.Contains(res.Reason, "seq reused") {
+		t.Errorf("held seq sent with other ops: %+v, want a seq reused refusal", res)
+	}
+	if got := fmt.Sprint(ep.Used(), ep.Len()); got != fmt.Sprint(50*units.Mbps, 5) {
+		t.Errorf("destination holds %s after the retransmissions, want 50Mb/s over 5", got)
+	}
+	snap := dst.MetricsRegistry().Snapshot()
+	for name, want := range map[string]float64{
+		"bb_tunnel_batches_stale_total": 2, "bb_tunnel_batch_replays_total": 1,
+		"bb_tunnel_batches_total": 5, "bb_tunnel_batch_entries": 2,
+	} {
+		if snap[name] != want {
+			t.Errorf("%s = %v, want %v", name, snap[name], want)
+		}
+	}
+	var owner []int64
+	for _, e := range dst.ReplayEntries() {
+		if e.Sender == u.DN() {
+			owner = append(owner, e.Seq)
+		}
+	}
+	if fmt.Sprint(owner) != "[2]" || dst.LowWater(rarID, u.DN()) != 1 {
+		t.Errorf("the owner's replay entries are %v at low-water %d, want [2] above 1", owner, dst.LowWater(rarID, u.DN()))
+	}
+}
+
+// TestSilentSenderStaysAtTheCap: a sender that never acknowledges (the
+// owner's one-shot qosctl) holds at most bb.MaxHeldBatches entries; each
+// batch past the cap retires the oldest and raises the low-water past
+// it.
+func TestSilentSenderStaysAtTheCap(t *testing.T) {
+	w, u, rarID := buildTunnelWorld(t, 2, 100*units.Mbps)
+	dst := w.BBs[w.DestDomain()]
+	const extra = 10
+	batch := func(seq int64) *signalling.TunnelBatchPayload {
+		return &signalling.TunnelBatchPayload{TunnelRARID: rarID, Seq: seq, User: u.DN(), Ops: []signalling.TunnelOp{
+			{Action: signalling.OpAlloc, SubFlowID: fmt.Sprintf("f%d", seq), Bandwidth: int64(units.Kbps)},
+		}}
+	}
+	for seq := int64(1); seq <= bb.MaxHeldBatches+extra; seq++ {
+		if res := sendBatch(t, u, w.DestDomain(), batch(seq)); !res.Granted {
+			t.Fatalf("batch %d: %+v", seq, res)
+		}
+	}
+	if n := dst.MetricsRegistry().Snapshot()["bb_tunnel_batch_entries"]; n != bb.MaxHeldBatches {
+		t.Errorf("bb_tunnel_batch_entries = %v, want the cap %d", n, bb.MaxHeldBatches)
+	}
+	if low := dst.LowWater(rarID, u.DN()); low != extra {
+		t.Errorf("low-water %d, want %d", low, extra)
+	}
+	if res := sendBatch(t, u, w.DestDomain(), batch(extra)); !strings.Contains(res.Reason, "stale batch") {
+		t.Errorf("a batch the cap retired, re-sent: %+v, want a stale batch refusal", res)
+	}
+	if res := sendBatch(t, u, w.DestDomain(), batch(extra+1)); !res.Granted {
+		t.Errorf("the oldest batch held, re-sent: %+v, want its recorded grant", res)
+	}
+	if ep, _ := dst.Tunnel(rarID); ep.Len() != bb.MaxHeldBatches+extra {
+		t.Errorf("destination holds %d sub-flows, want %d", ep.Len(), bb.MaxHeldBatches+extra)
+	}
+}
+
+// TestAcknowledgingSenderIsNotCapped: a batch whose response was lost is
+// overtaken by more than bb.MaxHeldBatches later batches of its sender,
+// which acknowledge only what is below it. Its retransmission still
+// replays the recorded outcome: the cap binds only a sender that never
+// acknowledges. (Capped, the entry was retired and the retransmission
+// refused as stale, and the source undid a batch the destination kept.)
+func TestAcknowledgingSenderIsNotCapped(t *testing.T) {
+	w, u, rarID := buildTunnelWorld(t, 2, 100*units.Mbps)
+	dst := w.BBs[w.DestDomain()]
+	batch := func(seq int64) *signalling.TunnelBatchPayload {
+		return &signalling.TunnelBatchPayload{TunnelRARID: rarID, Seq: seq, Acked: 1, User: u.DN(), Ops: []signalling.TunnelOp{
+			{Action: signalling.OpAlloc, SubFlowID: fmt.Sprintf("f%d", seq), Bandwidth: int64(units.Kbps)},
+		}}
+	}
+	const last = bb.MaxHeldBatches + 10
+	for seq := int64(2); seq <= last; seq++ {
+		if res := sendBatch(t, u, w.DestDomain(), batch(seq)); !res.Granted {
+			t.Fatalf("batch %d: %+v", seq, res)
+		}
+	}
+	if res := sendBatch(t, u, w.DestDomain(), batch(2)); !res.Granted {
+		t.Errorf("the overtaken batch, retransmitted: %+v, want its recorded grant", res)
+	}
+	snap := dst.MetricsRegistry().Snapshot()
+	if snap["bb_tunnel_batch_replays_total"] != 1 || snap["bb_tunnel_batches_stale_total"] != 0 {
+		t.Errorf("%v replays, %v stale, want 1 and 0", snap["bb_tunnel_batch_replays_total"], snap["bb_tunnel_batches_stale_total"])
+	}
+	if n := snap["bb_tunnel_batch_entries"]; n != last-1 {
+		t.Errorf("bb_tunnel_batch_entries = %v, want every batch above the low-water, %d", n, last-1)
+	}
+}
+
 // TestTunnelBatchRollsBackLocalHalves: when the destination refuses an
 // op the source already applied, the source's local half is undone —
 // a denied alloc is released, a denied release is re-admitted with its
@@ -184,7 +414,7 @@ func desyncTunnel(t *testing.T, w *experiment.World, u *experiment.User, rarID s
 	direct := func(op signalling.TunnelOp) {
 		t.Helper()
 		if res, err := u.TunnelBatch(w.DestDomain(), &signalling.TunnelBatchPayload{
-			TunnelRARID: rarID, BatchID: signalling.NewBatchID(), User: u.DN(), Ops: []signalling.TunnelOp{op},
+			TunnelRARID: rarID, Seq: testSeq.Add(1), User: u.DN(), Ops: []signalling.TunnelOp{op},
 		}); err != nil || !res.Granted {
 			t.Fatalf("direct %s of %s at the destination: res=%+v err=%v", op.Action, op.SubFlowID, res, err)
 		}
@@ -261,7 +491,7 @@ func TestTunnelBatchTransportFailureUndoesLocalHalves(t *testing.T) {
 
 // TestSingleSubFlowOpSurvivesLostResponse: a single allocation or
 // release is a batch of one, so the retransmission callPeer sends when a
-// response is lost carries the first copy's batch id and is answered from
+// response is lost carries the first copy's Seq and is answered from
 // the destination's replay cache: the caller is told yes and both ends
 // hold the same thing. (As its own message type the retransmitted alloc
 // was refused as a duplicate: the caller was told no, the source
@@ -381,10 +611,10 @@ func TestBatchRetainsNoFrame(t *testing.T) {
 	}
 	// deliver takes the batch through the codec, as a connection would,
 	// and hands the decoded message to the destination.
-	deliver := func(batchID string, ops ...signalling.TunnelOp) *signalling.ResultPayload {
+	deliver := func(seq int64, ops ...signalling.TunnelOp) *signalling.ResultPayload {
 		t.Helper()
 		frame := (&signalling.Message{Type: signalling.MsgTunnelBatch, ID: 9, TunnelBatch: &signalling.TunnelBatchPayload{
-			TunnelRARID: rarID, BatchID: batchID, User: u.DN(), Ops: ops, TraceID: "t-retains-no-frame",
+			TunnelRARID: rarID, Seq: seq, User: u.DN(), Ops: ops, TraceID: "t-retains-no-frame",
 		}}).AppendBinary(nil)
 		msg, err := signalling.DecodeMessage(frame)
 		if err != nil {
@@ -407,7 +637,7 @@ func TestBatchRetainsNoFrame(t *testing.T) {
 		}
 		resp := dst.Handle(rawPeer(u), msg)
 		if resp == nil || resp.Result == nil {
-			t.Fatalf("batch %s: no result", batchID)
+			t.Fatalf("batch %d: no result", seq)
 		}
 		return resp.Result
 	}
@@ -415,7 +645,7 @@ func TestBatchRetainsNoFrame(t *testing.T) {
 		return signalling.TunnelOp{Action: signalling.OpAlloc, SubFlowID: id, Bandwidth: int64(units.Bandwidth(mbps) * units.Mbps)}
 	}
 
-	if res := deliver("B-granted", alloc("granted-one", 30), alloc("granted-two", 30), alloc("granted-three", 30)); !res.Granted {
+	if res := deliver(1, alloc("granted-one", 30), alloc("granted-two", 30), alloc("granted-three", 30)); !res.Granted {
 		t.Fatalf("alloc batch denied: %+v", res)
 	}
 	// Granted, denied (capacity), granted, denied (already allocated):
@@ -424,7 +654,7 @@ func TestBatchRetainsNoFrame(t *testing.T) {
 		alloc("mixed-fits", 5), alloc("mixed-too-big", 40),
 		{Action: signalling.OpRelease, SubFlowID: "granted-one"}, alloc("granted-two", 1),
 	}
-	res := deliver("B-mixed", mixed...)
+	res := deliver(2, mixed...)
 	if got := fmt.Sprint(res.Granted, len(res.BatchResults)); got != "false 4" {
 		t.Fatalf("mixed batch: granted, results = %s, want false 4: %+v", got, res)
 	}
@@ -433,7 +663,7 @@ func TestBatchRetainsNoFrame(t *testing.T) {
 			t.Errorf("mixed batch op %d: %+v, want granted=%t for %s", i, r, want, mixed[i].SubFlowID)
 		}
 	}
-	if replay := deliver("B-mixed", mixed...); !reflect.DeepEqual(replay, res) {
+	if replay := deliver(2, mixed...); !reflect.DeepEqual(replay, res) {
 		t.Errorf("replayed duplicate answered %+v, want the recorded %+v", replay, res)
 	}
 	if n := dst.MetricsRegistry().Snapshot()["bb_tunnel_batch_replays_total"]; n != 1 {
@@ -490,7 +720,7 @@ func TestTunnelBatchDenseAllocationBound(t *testing.T) {
 				}
 			}
 			msg := &signalling.Message{Type: signalling.MsgTunnelBatch, TunnelBatch: &signalling.TunnelBatchPayload{
-				TunnelRARID: rarID, BatchID: fmt.Sprintf("B-%d", run), User: u.DN(), Ops: batch,
+				TunnelRARID: rarID, Seq: int64(run + 1), Acked: int64(run), User: u.DN(), Ops: batch,
 			}}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)

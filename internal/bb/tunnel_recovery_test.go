@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,8 +36,9 @@ func tunnelSnapshot(t *testing.T, w *experiment.World, domain, rarID string) []b
 // mutate it through both the batched source API and a direct
 // destination batch, crash the destination broker hard, rebuild it
 // from its journal alone, and require (a) a byte-identical recovered
-// endpoint and (b) that a retransmitted batch is answered from the
-// recovered replay cache without double admission.
+// endpoint, (b) that a retransmitted batch is answered from the
+// recovered replay cache without double admission, and (c) that each
+// sender's low-water survived: an acknowledged batch is still stale.
 func TestTunnelCrashRecoveryFromJournal(t *testing.T) {
 	w, err := experiment.BuildWorld(experiment.WorldConfig{
 		NumDomains:  3,
@@ -79,12 +83,14 @@ func TestTunnelCrashRecoveryFromJournal(t *testing.T) {
 		}
 	}
 
-	// One more batch sent straight to the destination with a pinned
-	// batch id — the retransmission vehicle. It churns existing flows
-	// (release + re-style alloc) so replay ordering matters.
+	// One more batch sent straight to the destination with a pinned Seq
+	// — the retransmission vehicle. It churns existing flows (release +
+	// re-style alloc) so replay ordering matters, and acknowledges the
+	// owner's batches below it.
 	batch := &signalling.TunnelBatchPayload{
 		TunnelRARID: spec.RARID,
-		BatchID:     "B-pinned-retransmit",
+		Seq:         5,
+		Acked:       4,
 		User:        u.DN(),
 		Ops: []signalling.TunnelOp{
 			{Action: signalling.OpRelease, SubFlowID: "sub-3"},
@@ -103,6 +109,21 @@ func TestTunnelCrashRecoveryFromJournal(t *testing.T) {
 	}
 	usedPre := epPre.Used()
 	want := tunnelSnapshot(t, w, dest, spec.RARID)
+	srcDN := w.BBs[src].DN()
+	// windows describes the destination's replay cache: each sender's
+	// low-water and the batches it holds.
+	windows := func() string {
+		b := w.BBs[dest]
+		out := fmt.Sprintf("source %d, owner %d,", b.LowWater(spec.RARID, srcDN), b.LowWater(spec.RARID, u.DN()))
+		for _, e := range b.ReplayEntries() {
+			out += fmt.Sprintf(" %s#%d granted=%t", e.Sender, e.Seq, e.Outcome.Result.Granted)
+		}
+		return out
+	}
+	wantWindows := windows()
+	if !strings.HasPrefix(wantWindows, "source 7, owner 4,") {
+		t.Fatalf("before the crash the destination's windows read %s, want low-waters 7 and 4", wantWindows)
+	}
 
 	// Kill the destination the hard way and rebuild it from disk.
 	if err := w.CrashDomain(dest); err != nil {
@@ -115,6 +136,19 @@ func TestTunnelCrashRecoveryFromJournal(t *testing.T) {
 	got := tunnelSnapshot(t, w, dest, spec.RARID)
 	if !bytes.Equal(want, got) {
 		t.Errorf("recovered tunnel endpoint differs from pre-crash state\n want: %s\n  got: %s", want, got)
+	}
+	if got := windows(); got != wantWindows {
+		t.Errorf("recovered replay windows differ from pre-crash state\n want: %s\n  got: %s", wantWindows, got)
+	}
+	// Recovery checkpointed: a second crash recovers from the snapshot.
+	if err := w.CrashDomain(dest); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.RestartDomainFromJournal(dest); err != nil {
+		t.Fatal(err)
+	}
+	if got := windows(); got != wantWindows {
+		t.Errorf("replay windows recovered from the snapshot differ from pre-crash state\n want: %s\n  got: %s", wantWindows, got)
 	}
 
 	// Retransmit the settled batch verbatim. The user's pooled
@@ -144,6 +178,11 @@ func TestTunnelCrashRecoveryFromJournal(t *testing.T) {
 	}
 	if n := w.Metrics[dest].Snapshot()["bb_tunnel_batch_replays_total"]; n < 1 {
 		t.Errorf("bb_tunnel_batch_replays_total = %v, want >= 1", n)
+	}
+	acked := *batch
+	acked.Seq, acked.Acked = 4, 0
+	if res, err := u.TunnelBatch(dest, &acked); err != nil || !strings.Contains(res.Reason, "stale batch") {
+		t.Errorf("an acknowledged batch after recovery: res=%+v err=%v, want a stale batch refusal", res, err)
 	}
 
 	// The source side keeps working against the recovered destination:
@@ -209,7 +248,7 @@ func TestTunnelSourceRecoversFromJournal(t *testing.T) {
 				t.Errorf("recovered source endpoint differs from pre-crash state\n want: %s\n  got: %s", want, got)
 			}
 			if n := len(w.BBs[src].ReplayEntries()); n != 0 {
-				t.Errorf("the recovered source holds %d replay entries: its records carry no batch id", n)
+				t.Errorf("the recovered source holds %d replay entries: its records carry no Seq", n)
 			}
 		})
 	}
@@ -235,6 +274,82 @@ func TestTunnelSourceRecoversFromJournal(t *testing.T) {
 			t.Fatalf("batch: results[255]=%+v err=%v", results[255], err)
 		}
 	})
+}
+
+// TestSourceThatLostItsLastRecordsIsRefusedByName: the source mints a
+// batch's Seq from its endpoint's generation, so one whose journal lost
+// the records of batches that had already left mints their Seqs again
+// after a restart. Cutting the log back models the loss: the group-commit
+// window under the batch policy, a power failure under never. Each such
+// batch is refused by name and rolled back at the source, never answered
+// with the outcome of the lost batch that held its Seq: every new
+// sub-flow the source reports granted is held at both ends, and every
+// refused one at neither. (The lost batches' sub-flows stay at the
+// destination only: the source's journal no longer knows them.)
+func TestSourceThatLostItsLastRecordsIsRefusedByName(t *testing.T) {
+	state := t.TempDir()
+	w, u, rarID := buildTunnelWorldWith(t, experiment.WorldConfig{
+		NumDomains: 2, CallTimeout: 2 * time.Second, StateDir: state, FsyncPolicy: "never",
+	}, 100*units.Mbps)
+	src, dst := w.SourceDomain(), w.DestDomain()
+	alloc := func(id string) []signalling.TunnelOpResult {
+		t.Helper()
+		results, err := w.BBs[src].TunnelBatch(rarID, []signalling.TunnelOp{{Action: signalling.OpAlloc, SubFlowID: id, Bandwidth: int64(units.Mbps)}}, u.DN())
+		if err != nil {
+			t.Fatalf("alloc %s: %v", id, err)
+		}
+		return results
+	}
+	alloc("kept")
+	wal := filepath.Join(state, src, "wal.log")
+	info, err := os.Stat(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"lost-1", "lost-2", "lost-3"} {
+		alloc(id)
+	}
+	if err := w.CrashDomain(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(wal, info.Size()); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.RestartDomainFromJournal(src); err != nil {
+		t.Fatal(err)
+	}
+	if ep, _ := w.BBs[src].Tunnel(rarID); fmt.Sprint(ep.SubFlows()) != "[kept]" {
+		t.Fatalf("the restarted source holds %v, want [kept]", ep.SubFlows())
+	}
+
+	// The source's generation is back at 1; the destination has seen
+	// Seqs up to 4, acknowledged up to 3, and holds 4 (lost-3). Each
+	// refusal's roll-back moves the generation on by one more.
+	epSrc, _ := w.BBs[src].Tunnel(rarID)
+	epDst, _ := w.BBs[dst].Tunnel(rarID)
+	var verdicts []string
+	for i := 1; i <= 3; i++ {
+		id := fmt.Sprintf("new-%d", i)
+		r := alloc(id)[0]
+		switch {
+		case r.Granted:
+			verdicts = append(verdicts, "granted")
+		case strings.Contains(r.Reason, "stale batch"):
+			verdicts = append(verdicts, "stale batch")
+		case strings.Contains(r.Reason, "seq reused"):
+			verdicts = append(verdicts, "seq reused")
+		default:
+			verdicts = append(verdicts, r.Reason)
+		}
+		_, inSrc := epSrc.Lookup(id)
+		_, inDst := epDst.Lookup(id)
+		if inSrc != r.Granted || inDst != r.Granted {
+			t.Errorf("%s: granted=%t, held at the source %t, at the destination %t", id, r.Granted, inSrc, inDst)
+		}
+	}
+	if got := fmt.Sprint(verdicts); got != "[stale batch seq reused granted]" {
+		t.Errorf("the restarted source's batches were answered %s, want [stale batch seq reused granted]", got)
+	}
 }
 
 // TestReplicatedSourceFollowersHoldUndoneBatches: the source's two

@@ -407,7 +407,7 @@ func TestTunnelAllocRejectsStrangers(t *testing.T) {
 	defer mallory.Close()
 	res, err = mallory.TunnelBatch(w.DestDomain(), &signalling.TunnelBatchPayload{
 		TunnelRARID: spec.RARID,
-		BatchID:     signalling.NewBatchID(),
+		Seq:         1,
 		User:        mallory.DN(),
 		Ops:         []signalling.TunnelOp{{Action: signalling.OpAlloc, SubFlowID: "steal", Bandwidth: int64(units.Mbps)}},
 	})

@@ -209,7 +209,7 @@ func (u *User) ReserveLocalAt(domain string, spec *core.Spec) (*signalling.Resul
 // TunnelBatch sends a batched sub-flow request directly to one end
 // domain's broker — the tunnel hot path: "users authorized to use this
 // tunnel ... contact just the two end domains". The caller controls the
-// payload (including BatchID), so tests can retransmit a batch
+// payload, its Seq and Acked included, so tests can retransmit a batch
 // verbatim and load generators can size batches freely.
 func (u *User) TunnelBatch(domain string, payload *signalling.TunnelBatchPayload) (*signalling.ResultPayload, error) {
 	client, err := u.clientTo(domain)

@@ -57,7 +57,7 @@ func TestWireFullBattery(t *testing.T) {
 	}
 	batch, err := alice.TunnelBatch(w.SourceDomain(), &signalling.TunnelBatchPayload{
 		TunnelRARID: tun.RARID,
-		BatchID:     signalling.NewBatchID(),
+		Seq:         1,
 		User:        alice.DN(),
 		Ops: []signalling.TunnelOp{
 			{Action: signalling.OpAlloc, SubFlowID: "jw-1", Bandwidth: int64(5 * units.Mbps)},

@@ -92,10 +92,10 @@ func (j *Journal) TailSince(after int64) ([]StreamRecord, bool) {
 	if len(j.tail) == 0 || j.tail[0].Seq > after+1 {
 		return nil, false
 	}
-	i := 0
-	for i < len(j.tail) && j.tail[i].Seq <= after {
-		i++
-	}
+	// The tail's sequence numbers are contiguous (appends extend it by
+	// one, eviction and rotation cut only its head), so the first record
+	// past after is found by subtraction.
+	i := int(after + 1 - j.tail[0].Seq)
 	out := make([]StreamRecord, len(j.tail)-i)
 	copy(out, j.tail[i:])
 	return out, true

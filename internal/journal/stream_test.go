@@ -2,6 +2,8 @@ package journal
 
 import (
 	"bytes"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -240,5 +242,70 @@ func TestStreamRotateClearsTail(t *testing.T) {
 	recs, ok := j.TailSince(seq)
 	if !ok || len(recs) != 1 || recs[0].Seq != seq+1 {
 		t.Fatalf("post-rotate TailSince = %+v, ok=%t", recs, ok)
+	}
+}
+
+// TestTailSinceMatchesLinearScan: TailSince indexes the tail by sequence
+// number; the linear definition — every retained record past after, ok
+// unless the tail has lost the record after it — must agree with it for
+// any after, across random appends of random sizes (so the byte budget
+// evicts at varying rates), rotations and frames streamed in.
+func TestTailSinceMatchesLinearScan(t *testing.T) {
+	linear := func(j *Journal, after int64) ([]StreamRecord, bool) {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		if after >= j.seq {
+			return nil, true
+		}
+		var out []StreamRecord
+		reached := false
+		for _, r := range j.tail {
+			reached = reached || r.Seq == after+1
+			if r.Seq > after {
+				out = append(out, r)
+			}
+		}
+		if !reached {
+			return nil, false
+		}
+		return out, true
+	}
+	rng := rand.New(rand.NewSource(30))
+	j, _ := openT(t, t.TempDir(), streamOpts(2048))
+	defer j.Close()
+	for step := 0; step < 3000; step++ {
+		var err error
+		switch n := rng.Intn(100); {
+		case n < 2:
+			err = j.Rotate(func() ([]byte, error) { return []byte("snap"), nil })
+		case n < 10:
+			var frame []byte
+			if frame, err = EncodeRecord("test.op", payload{N: step}); err == nil {
+				err = appendRaw(j, frame)
+			}
+		default:
+			err = j.Append("test.op", payload{N: step, S: strings.Repeat("x", rng.Intn(400))})
+		}
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		seq := j.Seq()
+		for k := 0; k < 4; k++ {
+			after := seq - int64(rng.Intn(40)) + 2
+			if k == 0 {
+				after = rng.Int63n(seq + 2)
+			}
+			got, gotOK := j.TailSince(after)
+			want, wantOK := linear(j, after)
+			if gotOK != wantOK || len(got) != len(want) || (len(got) > 0 && (got[0].Seq != want[0].Seq || got[len(got)-1].Seq != want[len(want)-1].Seq)) {
+				t.Fatalf("step %d, seq %d: TailSince(%d) = %d records ok=%t, the linear scan %d ok=%t",
+					step, seq, after, len(got), gotOK, len(want), wantOK)
+			}
+			for i := range got {
+				if got[i].Seq != want[i].Seq || !bytes.Equal(got[i].Frame, want[i].Frame) {
+					t.Fatalf("step %d: TailSince(%d) record %d is seq %d, the linear scan's %d", step, after, i, got[i].Seq, want[i].Seq)
+				}
+			}
+		}
 	}
 }

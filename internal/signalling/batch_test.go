@@ -17,8 +17,11 @@ func validateOracle(p *TunnelBatchPayload) error {
 	if p.TunnelRARID == "" {
 		return fmt.Errorf("signalling: batch without tunnel rar id")
 	}
-	if p.BatchID == "" {
-		return fmt.Errorf("signalling: batch without batch id")
+	if p.Seq < 0 || p.Acked < 0 {
+		return fmt.Errorf("signalling: batch with negative seq %d or acked %d", p.Seq, p.Acked)
+	}
+	if p.Acked > 0 && p.Acked >= p.Seq {
+		return fmt.Errorf("signalling: batch %d acknowledges %d, not below itself", p.Seq, p.Acked)
 	}
 	if len(p.Ops) == 0 {
 		return fmt.Errorf("signalling: empty batch")
@@ -87,7 +90,7 @@ func TestValidateMatchesOracle(t *testing.T) {
 		if b%4 != 0 {
 			n = 1 + rng.Intn(40) // small batches reach the defect mixes more often
 		}
-		p := &TunnelBatchPayload{TunnelRARID: "r", BatchID: "B", Ops: make([]TunnelOp, n)}
+		p := &TunnelBatchPayload{TunnelRARID: "r", Seq: int64(b + 1), Acked: int64(b), Ops: make([]TunnelOp, n)}
 		for i := range p.Ops {
 			p.Ops[i] = TunnelOp{Action: OpRelease, SubFlowID: "sf" + strconv.Itoa(b) + "." + strconv.Itoa(i)}
 			if rng.Intn(2) == 0 {
@@ -125,14 +128,16 @@ func TestValidateMatchesOracle(t *testing.T) {
 		case 0:
 			p.TunnelRARID = ""
 		case 1:
-			p.BatchID = ""
+			p.Seq = -p.Seq
 		case 2:
+			p.Acked = p.Seq
+		case 3:
 			p.Ops = nil
 		}
 		sameVerdict(t, p)
 	}
 	// Every id of a batch in one probe run, the duplicate at its far end.
-	p := &TunnelBatchPayload{TunnelRARID: "r", BatchID: "B"}
+	p := &TunnelBatchPayload{TunnelRARID: "r", Seq: 1}
 	for _, id := range colliding {
 		p.Ops = append(p.Ops, TunnelOp{Action: OpRelease, SubFlowID: id})
 	}
@@ -146,7 +151,7 @@ func TestValidateMatchesOracle(t *testing.T) {
 
 // releaseBatch is a well-formed batch of n release ops.
 func releaseBatch(n int) *TunnelBatchPayload {
-	p := &TunnelBatchPayload{TunnelRARID: "RAR-tunnel-1", BatchID: "B-1", User: "/O=Grid/CN=alice", Ops: make([]TunnelOp, n)}
+	p := &TunnelBatchPayload{TunnelRARID: "RAR-tunnel-1", Seq: 1, User: "/O=Grid/CN=alice", Ops: make([]TunnelOp, n)}
 	for i := range p.Ops {
 		p.Ops[i] = TunnelOp{Action: OpRelease, SubFlowID: "sf-" + strconv.Itoa(i)}
 	}
@@ -166,7 +171,7 @@ func TestBatchSizeBound(t *testing.T) {
 		return (&Message{Type: MsgTunnelBatch, ID: 1, TunnelBatch: p}).AppendBinary(nil)
 	}
 	emptyOps := func(n int) []byte {
-		return append(frameOf(&TunnelBatchPayload{TunnelRARID: "r", BatchID: "b"}), emptyOpFields(n)...)
+		return append(frameOf(&TunnelBatchPayload{TunnelRARID: "r", Seq: 1}), emptyOpFields(n)...)
 	}
 	for _, tc := range []struct {
 		name    string
@@ -241,8 +246,8 @@ func TestBatchDecodeAllocationBound(t *testing.T) {
 
 // TestBatchDecodeAliasesOnlySubFlowIDs pins which decoded strings share
 // the frame text: every op's SubFlowID does, and nothing else may — the
-// payload's own strings outlive the request (the replay cache keeps the
-// RAR and batch ids for the life of the tunnel) and would pin a whole
+// payload's own strings may outlive the request (a flight-recorder event
+// keeps the RAR id, the user and the trace id) and would pin a whole
 // frame each.
 func TestBatchDecodeAliasesOnlySubFlowIDs(t *testing.T) {
 	in := benchBatchMessage(8)
@@ -271,7 +276,7 @@ func TestBatchDecodeAliasesOnlySubFlowIDs(t *testing.T) {
 		}
 	}
 	for name, s := range map[string]string{
-		"TunnelRARID": p.TunnelRARID, "BatchID": p.BatchID, "User": string(p.User), "TraceID": p.TraceID,
+		"TunnelRARID": p.TunnelRARID, "User": string(p.User), "TraceID": p.TraceID,
 	} {
 		if s == "" || inText(s) {
 			t.Errorf("%s = %q: empty or aliasing the frame text", name, s)

@@ -243,11 +243,11 @@ func (op *TunnelOp) decodeFields(d *wire.Dec) error {
 	return d.Err()
 }
 
-// TunnelBatchPayload: 1=tunnel_rar_id 2=batch_id 3=user 4=ops(repeated)
-// 5=trace_id 6=sampled.
+// TunnelBatchPayload: 1=tunnel_rar_id 3=user 4=ops(repeated) 5=trace_id
+// 6=sampled 7=seq 8=acked. Field 2 was the batch id, retired for the
+// sender's sequence: a frame carrying it is refused by name.
 func (p *TunnelBatchPayload) appendFields(buf []byte) []byte {
 	buf = wire.AppendString(buf, 1, p.TunnelRARID)
-	buf = wire.AppendString(buf, 2, p.BatchID)
 	buf = wire.AppendString(buf, 3, string(p.User))
 	for i := range p.Ops {
 		var start int
@@ -257,7 +257,8 @@ func (p *TunnelBatchPayload) appendFields(buf []byte) []byte {
 	}
 	buf = wire.AppendString(buf, 5, p.TraceID)
 	buf = wire.AppendBool(buf, 6, p.Sampled)
-	return buf
+	buf = wire.AppendInt(buf, 7, p.Seq)
+	return wire.AppendInt(buf, 8, p.Acked)
 }
 
 // decodeFields allocates per frame, not per op: a first pass counts the
@@ -288,7 +289,7 @@ func (p *TunnelBatchPayload) decodeFields(d *wire.Dec) error {
 		case f == 1 && wt == wire.TBytes:
 			p.TunnelRARID = d.String()
 		case f == 2 && wt == wire.TBytes:
-			p.BatchID = d.String()
+			return errBatchID
 		case f == 3 && wt == wire.TBytes:
 			p.User = identity.DN(d.String())
 		case f == 4 && wt == wire.TBytes:
@@ -301,12 +302,18 @@ func (p *TunnelBatchPayload) decodeFields(d *wire.Dec) error {
 			p.TraceID = d.String()
 		case f == 6 && wt == wire.TVarint:
 			p.Sampled = d.Bool()
+		case f == 7 && wt == wire.TVarint:
+			p.Seq = d.Varint()
+		case f == 8 && wt == wire.TVarint:
+			p.Acked = d.Varint()
 		default:
 			skipUnknown(d, wt)
 		}
 	}
 	return d.Err()
 }
+
+var errBatchID = fmt.Errorf("signalling: the batch id (field 2) is retired: a batch is numbered by its sender's seq")
 
 // TunnelOpResult: 1=sub_flow_id 2=granted 3=reason.
 func (r *TunnelOpResult) appendFields(buf []byte) []byte {

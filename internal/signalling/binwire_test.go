@@ -46,14 +46,15 @@ func goldenMessages() []struct {
 			name: "tunnel-batch",
 			msg: &Message{Type: MsgTunnelBatch, ID: 5, TunnelBatch: &TunnelBatchPayload{
 				TunnelRARID: "RAR-T",
-				BatchID:     "B-1",
+				Seq:         7,
+				Acked:       6,
 				User:        identity.DN("/O=Grid/CN=alice"),
 				Ops: []TunnelOp{
 					{Action: OpAlloc, SubFlowID: "s1", Bandwidth: 500},
 					{Action: OpRelease, SubFlowID: "s2"},
 				},
 			}},
-			hex: "e20105050a055241522d541203422d311a102f4f3d477269642f434e3d616c696365220908011202733118e8072206080212027332",
+			hex: "e20105050a055241522d541a102f4f3d477269642f434e3d616c696365220908011202733118e8072206080212027332380e400c",
 		},
 		{
 			// Ingress rolled the flight-recorder dice: the sampled bit
@@ -73,7 +74,7 @@ func goldenMessages() []struct {
 			name: "tunnel-batch-sampled",
 			msg: &Message{Type: MsgTunnelBatch, ID: 9, TunnelBatch: &TunnelBatchPayload{
 				TunnelRARID: "RAR-T",
-				BatchID:     "B-1",
+				Seq:         1,
 				User:        identity.DN("/O=Grid/CN=alice"),
 				Ops: []TunnelOp{
 					{Action: OpAlloc, SubFlowID: "s1", Bandwidth: 500},
@@ -81,7 +82,7 @@ func goldenMessages() []struct {
 				TraceID: "T-2",
 				Sampled: true,
 			}},
-			hex: "e20105090a055241522d541203422d311a102f4f3d477269642f434e3d616c696365220908011202733118e8072a03542d323001",
+			hex: "e20105090a055241522d541a102f4f3d477269642f434e3d616c696365220908011202733118e8072a03542d3230013802",
 		},
 		{
 			// A split child re-routed onto its second disjoint path: the
@@ -207,14 +208,16 @@ func TestGoldenWireVectors(t *testing.T) {
 	}
 }
 
-// retiredFrames are the golden vectors of the two retired message types
-// (codes 3 and 4, the single-op tunnel-alloc and tunnel-release), byte
-// for byte what a broker one release back sends.
+// retiredFrames are golden vectors of retired shapes, byte for byte what
+// an older broker sends: the two retired message types (codes 3 and 4,
+// the single-op tunnel-alloc and tunnel-release) and a tunnel batch
+// identified by a batch id (field 2) instead of its sender's seq.
 func retiredFrames() [][]byte {
 	var frames [][]byte
 	for _, h := range []string{
 		"e20103030a055241522d54120473662d311a102f4f3d477269642f434e3d616c6963652080897a",
 		"e20104040a055241522d54120473662d31",
+		"e20105050a055241522d541203422d311a102f4f3d477269642f434e3d616c696365220908011202733118e8072206080212027332",
 	} {
 		frame, err := hex.DecodeString(h)
 		if err != nil {
@@ -225,7 +228,7 @@ func retiredFrames() [][]byte {
 	return frames
 }
 
-// TestRetiredFramesRefusedByName: a frame of a retired type is an error
+// TestRetiredFramesRefusedByName: a frame of a retired shape is an error
 // that says so, never a message with an empty type or a silent skip, and
 // no message type encodes to a retired code.
 func TestRetiredFramesRefusedByName(t *testing.T) {

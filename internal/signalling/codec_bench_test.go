@@ -14,7 +14,8 @@ func benchBatchMessage(n int) *Message {
 	}
 	return &Message{Type: MsgTunnelBatch, ID: 42, TunnelBatch: &TunnelBatchPayload{
 		TunnelRARID: "RAR-tunnel-1",
-		BatchID:     "B-00000000000000000000001",
+		Seq:         1_000_001,
+		Acked:       1_000_000,
 		User:        "/O=Grid/CN=alice",
 		Ops:         ops,
 	}}

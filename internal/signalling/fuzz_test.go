@@ -15,22 +15,29 @@ import (
 // MaxBatchOps, and get from Validate the verdict the map-based oracle
 // gives them, whichever way it falls.
 func FuzzDecodeMessage(f *testing.F) {
-	batch := func(id string, ops ...TunnelOp) []byte {
+	batch := func(seq, acked int64, ops ...TunnelOp) []byte {
 		return (&Message{Type: MsgTunnelBatch, ID: 4, TunnelBatch: &TunnelBatchPayload{
-			TunnelRARID: "r", BatchID: id, User: "/O=Grid/CN=alice", Ops: ops,
+			TunnelRARID: "r", Seq: seq, Acked: acked, User: "/O=Grid/CN=alice", Ops: ops,
 		}}).AppendBinary(nil)
 	}
 	seeds := [][]byte{
 		// Batches Validate must judge: well-formed, duplicate sub-flow,
-		// zero and negative bandwidth, unknown action, no ops.
-		batch("B-1", TunnelOp{OpAlloc, "s1", 1000000}, TunnelOp{OpRelease, "s2", 0}),
-		batch("B-2", TunnelOp{OpAlloc, "dup", 1}, TunnelOp{OpRelease, "dup", 0}),
-		batch("B-3", TunnelOp{OpAlloc, "s", 0}),
-		batch("B-4", TunnelOp{OpAlloc, "s", -5}),
-		batch("B-5", TunnelOp{"flood", "s", 0}),
-		batch(""),
+		// zero and negative bandwidth, unknown action, no ops; a seq and
+		// low-water that pass, one acknowledging itself, one acknowledging
+		// past itself, a negative seq and a negative low-water.
+		batch(1, 0, TunnelOp{OpAlloc, "s1", 1000000}, TunnelOp{OpRelease, "s2", 0}),
+		batch(2, 1, TunnelOp{OpAlloc, "dup", 1}, TunnelOp{OpRelease, "dup", 0}),
+		batch(3, 1, TunnelOp{OpAlloc, "s", 0}),
+		batch(4, 3, TunnelOp{OpAlloc, "s", -5}),
+		batch(5, 0, TunnelOp{"flood", "s", 0}),
+		batch(6, 5),
+		batch(1_700_000_000_000_000_000, 1_699_999_999_999_999_999, TunnelOp{OpRelease, "s", 0}),
+		batch(7, 7, TunnelOp{OpRelease, "s", 0}),
+		batch(7, 9, TunnelOp{OpRelease, "s", 0}),
+		batch(-7, 0, TunnelOp{OpRelease, "s", 0}),
+		batch(7, -1, TunnelOp{OpRelease, "s", 0}),
 		// One op past MaxBatchOps: refused while counting.
-		append(batch("B-6"), emptyOpFields(MaxBatchOps+1)...),
+		append(batch(8, 7), emptyOpFields(MaxBatchOps+1)...),
 		// A follower's resync: a snapshot and the records that extend it
 		// in one frame, which no golden vector carries together.
 		(&Message{Type: MsgJournalStream, ID: 14, JournalStream: &JournalStreamPayload{

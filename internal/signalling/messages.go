@@ -6,8 +6,6 @@
 package signalling
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"fmt"
 	"hash/maphash"
 	"math/bits"
@@ -30,7 +28,8 @@ const (
 	// established tunnel over the direct source/end-domain channel, one
 	// or many per RPC (a single allocation is a batch of one); the result
 	// reports a per-op verdict. Batches are idempotent: a retransmission
-	// with the same BatchID is answered from the receiver's replay cache.
+	// with the same Seq from the same sender is answered from the
+	// receiver's replay cache.
 	MsgTunnelBatch MsgType = "tunnel-batch"
 	// MsgStatus queries a reservation handle.
 	MsgStatus MsgType = "status"
@@ -157,19 +156,30 @@ type TunnelOp struct {
 }
 
 // TunnelBatchPayload applies Ops, in order, against the tunnel
-// established by TunnelRARID. BatchID keys the receiver's replay
-// cache: retransmissions with the same BatchID return the recorded
+// established by TunnelRARID. A batch is identified by its sender (the
+// peer the receiver authenticated) and Seq, which keys the receiver's
+// replay cache: a retransmission with the same Seq returns the recorded
 // outcome instead of re-applying the ops.
 type TunnelBatchPayload struct {
 	TunnelRARID string
-	BatchID     string
-	User        identity.DN
-	Ops         []TunnelOp
+	// Seq numbers the sender's batches on this tunnel; it only grows.
+	Seq int64
+	// Acked is the sender's low-water: every batch of this sender with
+	// Seq <= Acked has settled and will never be sent again, so the
+	// receiver retires their replay entries and refuses them as stale.
+	Acked int64
+	User  identity.DN
+	Ops   []TunnelOp
 	// TraceID/Sampled carry the source broker's flight-recorder pick to
 	// the far endpoint, so sampled events cover both halves of a batch
 	// under one trace id (same contract as ReservePayload).
 	TraceID string
 	Sampled bool
+
+	// Deprecated: BatchID is neither encoded nor checked; a batch is
+	// identified by its sender and Seq. bench/ladder.go still sets it;
+	// the field and NewBatchID go once it does not.
+	BatchID string
 }
 
 // MaxBatchOps is the most ops one batch may carry. The decoder sizes
@@ -185,12 +195,18 @@ var errBatchTooLarge = fmt.Errorf("signalling: batch of more than %d ops", MaxBa
 var dupSeed = maphash.MakeSeed()
 
 // Validate rejects structurally bad batches before any op is applied.
+// A Seq of 0 passes, so that a source can check its op list before its
+// local pass mints the Seq; no endpoint applies such a batch, 0 being at
+// or below every sender's low-water.
 func (p *TunnelBatchPayload) Validate() error {
 	if p.TunnelRARID == "" {
 		return fmt.Errorf("signalling: batch without tunnel rar id")
 	}
-	if p.BatchID == "" {
-		return fmt.Errorf("signalling: batch without batch id")
+	if p.Seq < 0 || p.Acked < 0 {
+		return fmt.Errorf("signalling: batch with negative seq %d or acked %d", p.Seq, p.Acked)
+	}
+	if p.Acked > 0 && p.Acked >= p.Seq {
+		return fmt.Errorf("signalling: batch %d acknowledges %d, not below itself", p.Seq, p.Acked)
 	}
 	if len(p.Ops) == 0 {
 		return fmt.Errorf("signalling: empty batch")
@@ -243,14 +259,10 @@ type TunnelOpResult struct {
 	Reason    string
 }
 
-// NewBatchID mints a random batch identifier.
-func NewBatchID() string {
-	var b [12]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(fmt.Sprintf("signalling: batch id entropy: %v", err))
-	}
-	return "B-" + hex.EncodeToString(b[:])
-}
+// NewBatchID returns "": nothing reads a BatchID.
+//
+// Deprecated: a batch is identified by its sender and Seq.
+func NewBatchID() string { return "" }
 
 // StatusPayload queries the reservation created under RARID.
 type StatusPayload struct {

@@ -18,7 +18,8 @@
 #                          registered exactly once (obs registry panics
 #                          plus a walk over the live world registries)
 #   make alloc-gate        every Test*AllocationFree / *AllocationBound:
-#                          frame encode, journal append, QHist Observe,
+#                          frame encode, journal append, a follower's
+#                          AppendFrame (no stream tail), QHist Observe,
 #                          event append, ledger reads, signature verify,
 #                          warm chain Verify per layer, Seal, tunnel batch
 #                          validate / decode / dense grant, a tunnel

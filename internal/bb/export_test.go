@@ -60,6 +60,10 @@ func (b *BB) LowWater(rarID string, sender identity.DN) int64 {
 // tunnel registration.
 const MaxHeldBatches = maxHeldBatches
 
+// ReplTailBytes caps the journal tail a replication leader keeps for a
+// follower that stopped acknowledging.
+const ReplTailBytes = replTailBytes
+
 // CompArg encodes a compensation argument as the reserve path journals
 // it, for tests that pin saga records byte for byte.
 func CompArg(peer identity.DN, key, handle string) []byte {

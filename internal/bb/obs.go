@@ -189,6 +189,8 @@ func (b *BB) registerGauges(r *obs.Registry) {
 			func() float64 { return float64(b.ReplicationStatus().AppliedSeq) })
 		r.GaugeFunc("bb_repl_inflight_frames", "stream messages written to followers and not yet acknowledged",
 			func() float64 { return float64(b.repl.inflight.Load()) })
+		r.GaugeFunc("bb_repl_tail_bytes", fmt.Sprintf("journal frame bytes this replica keeps for followers that have not acknowledged them (0 on a follower; a follower that stops acknowledging grows it up to the %d-byte cap)", replTailBytes),
+			func() float64 { return float64(b.journal.Stats().TailBytes) })
 		r.GaugeFunc("bb_repl_lag_records", "journal records not yet majority-acknowledged (leader) or not yet applied (follower)",
 			func() float64 {
 				s := b.ReplicationStatus()

@@ -19,9 +19,10 @@ import (
 // every follower. Followers apply each record live (reservation table,
 // RAR replay cache, tunnel state) and re-journal the frame verbatim,
 // so a promoted follower's WAL is byte-compatible with the dead
-// leader's. A follower that lags past the leader's in-memory tail
-// catches up from a full state snapshot, cut at an exact journal
-// sequence.
+// leader's. The leader keeps a frame in its journal's in-memory tail
+// until every follower of the term has acknowledged it; a follower
+// keeps none. A follower that lags past the tail's cap catches up from
+// a full state snapshot, cut at an exact journal sequence.
 //
 // Commit = majority acknowledgement. The leader withholds a settlement
 // (closing a reserve's done channel, answering a tunnel batch) until
@@ -31,9 +32,10 @@ import (
 // candidate whose applied sequence trails its own, so the winner holds
 // every committed record.
 const (
-	// replTailBytes budgets the in-memory journal tail kept for
-	// incremental streaming; followers further behind than this resync
-	// from a snapshot.
+	// replTailBytes caps the leader's in-memory journal tail. A frame
+	// leaves the tail once every follower acknowledged it, so only a
+	// follower that stopped acknowledging reaches the cap; one further
+	// behind than this resyncs from a snapshot.
 	replTailBytes = 1 << 20
 	// replBatchRecords caps the records per stream message.
 	replBatchRecords = 256
@@ -152,6 +154,9 @@ func (r *replicator) startPumpsLocked() {
 	stop := make(chan struct{})
 	r.pumpStop = stop
 	r.streams = nil
+	// Before any pump cuts its snapshot: every record past a snapshot must
+	// be in the tail for the flush that follows it.
+	r.b.journal.Retain(true)
 	for id := range r.addrs {
 		if id == r.id {
 			continue
@@ -171,6 +176,9 @@ func (r *replicator) stepDownLocked(term int64, leaderID int) {
 	}
 	if r.role == replLeader {
 		r.b.log.Info("replication: stepping down", "term", term, "new_leader", leaderID)
+		// A follower's tail has no reader: a promotion starts every
+		// stream from a snapshot.
+		r.b.journal.Retain(false)
 	}
 	r.role = replFollower
 	r.leaderID = leaderID
@@ -190,6 +198,13 @@ func (r *replicator) observeTerm(term int64, leaderID int) {
 		r.stepDownLocked(term, leaderID)
 	}
 	r.mu.Unlock()
+}
+
+// leading reports whether this replica still leads the given term.
+func (r *replicator) leading(term int64) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.role == replLeader && r.term == term && !r.closed
 }
 
 // isFollower reports whether mutating signalling must be redirected.
@@ -275,6 +290,12 @@ type stream struct {
 	// quiet is set by every pump tick and cleared by every message: a
 	// tick that finds it still set heartbeats.
 	quiet bool
+	// recs and frames are flushLocked's scratch: the tail window and one
+	// message's frames. Post encodes before it returns, so both are
+	// reused, and cleared after each flush so they pin no frame the tail
+	// has dropped.
+	recs   []journal.StreamRecord
+	frames [][]byte
 }
 
 // streamConn is one connection's worth of a stream. A refusal, a lost
@@ -359,27 +380,35 @@ func (s *stream) flushLocked() {
 		return
 	}
 	b := s.r.b
-	recs, ok := b.journal.TailSince(s.sent)
+	recs, ok := b.journal.TailSince(s.recs[:0], s.sent)
 	if !ok {
+		if !s.r.leading(s.term) {
+			// Stepping down dropped the tail; the pump is on its way out.
+			return
+		}
 		// Fell off the in-memory tail. The connection is sound and what
 		// is in flight on it is in order, so the snapshot queues behind.
 		s.sent = -1
 		s.resync("fell off the tail")
 		return
 	}
+	s.recs = recs
 	for len(recs) > 0 {
 		n := min(len(recs), replBatchRecords)
-		frames := make([][]byte, n)
-		for i, sr := range recs[:n] {
-			frames[i] = sr.Frame
+		s.frames = s.frames[:0]
+		for _, sr := range recs[:n] {
+			s.frames = append(s.frames, sr.Frame)
 		}
-		if !s.post(c, &signalling.JournalStreamPayload{FromSeq: s.sent, Records: frames}) {
-			return
+		posted := s.post(c, &signalling.JournalStreamPayload{FromSeq: s.sent, Records: s.frames})
+		clear(s.frames)
+		if !posted {
+			break
 		}
 		b.m.replRecordsStreamed.Add(int64(n))
 		s.sent = recs[n-1].Seq
 		recs = recs[n:]
 	}
+	clear(s.recs)
 }
 
 // maintain is the pump's turn at the stream: retire a condemned or
@@ -454,10 +483,7 @@ func (s *stream) pump(stop chan struct{}) {
 	defer ticker.Stop()
 	tick := false
 	for {
-		r.mu.Lock()
-		leading := r.role == replLeader && r.term == s.term && !r.closed
-		r.mu.Unlock()
-		if !leading {
+		if !r.leading(s.term) {
 			return
 		}
 		// Arm the change notification before reading the tail, so an
@@ -490,7 +516,12 @@ func (s *stream) pump(stop chan struct{}) {
 
 // noteAck records a follower acknowledgement and recomputes the group
 // commit sequence: the median of {leader's own sequence} ∪ follower
-// acks — the highest sequence held by a majority.
+// acks — the highest sequence held by a majority. The lowest of them is
+// held by every follower, so the journal's tail drops everything up to
+// it. That reads acked, not sent: this demux goroutine must never take
+// a stream's writer lock, and a frame sent but not yet acknowledged is
+// only kept a little longer — a condemned connection restarts from a
+// snapshot and reads nothing below it.
 func (r *replicator) noteAck(s *stream, seq int64) {
 	b := r.b
 	var buf [8]int64 // on the stack for any group of up to eight
@@ -510,6 +541,9 @@ func (r *replicator) noteAck(s *stream, seq int64) {
 		}
 	}
 	r.mu.Unlock()
+	if len(seqs) > 1 {
+		b.journal.Trim(seqs[0])
+	}
 	b.m.replAcks.Inc()
 }
 

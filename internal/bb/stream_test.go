@@ -559,6 +559,87 @@ func statusOf(b *bb.BB) followerSeqs {
 	return followerSeqs{st.AppliedSeq, st.JournalSeq}
 }
 
+// TestReplicaTailsDrainOnAcknowledgement: a journal frame stays in the
+// leader's stream tail until every follower has acknowledged it, and a
+// follower keeps no tail at all. After a run of reserve/cancel cycles
+// the tail gauge drains to 0 on every replica. With one follower's
+// acknowledgements lost, the leader keeps what that follower has not
+// acknowledged, within the cap. Once they flow again, the follower
+// catches up by snapshot, the tail drains, and all three replicas hold
+// the same state.
+func TestReplicaTailsDrainOnAcknowledgement(t *testing.T) {
+	const domain = "Domain0"
+	const callTimeout = 3 * time.Second
+	var deaf atomic.Bool
+	script := func(addr string, send bool, m *signalling.Message) transport.FaultAction {
+		if deaf.Load() && !send && addr == replicaAddr(domain, 2) && m.Type == signalling.MsgResult {
+			return transport.FaultDrop
+		}
+		return transport.FaultPass
+	}
+	w, _, arm := streamWorld(t, 1, 3, callTimeout, script)
+	arm.Store(true)
+	u, err := w.NewUser("alice", "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(u.Close)
+	cycles := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			spec := u.NewSpec(experiment.SpecOptions{DestDomain: w.DestDomain(), Bandwidth: units.Mbps})
+			if res, err := u.ReserveE2E(spec); err != nil || !res.Granted {
+				t.Fatalf("reserve %d: res=%+v err=%v", i, res, err)
+			}
+			if err := u.Cancel(w.SourceDomain(), spec.RARID); err != nil {
+				t.Fatalf("cancel %d: %v", i, err)
+			}
+		}
+	}
+	tail := func(i int) float64 {
+		t.Helper()
+		v, ok := w.ReplicaBB(domain, i).MetricsRegistry().Snapshot()["bb_repl_tail_bytes"]
+		if !ok {
+			t.Fatalf("replica %d exports no bb_repl_tail_bytes", i)
+		}
+		return v
+	}
+	drained := func(what string) {
+		t.Helper()
+		eventually(t, what, func() bool { return tail(0) == 0 && tail(1) == 0 && tail(2) == 0 })
+	}
+
+	cycles(200)
+	drained("every replica's tail drains once the followers acknowledged")
+
+	snaps := replMetric(w, domain, 0, "bb_repl_snapshots_sent_total")
+	deaf.Store(true)
+	cycles(200)
+	if got := tail(0); got <= 0 || got > bb.ReplTailBytes {
+		t.Errorf("leader tail holds %v bytes with a follower not acknowledging, want above 0 and at most %d", got, bb.ReplTailBytes)
+	}
+	if a, b := tail(1), tail(2); a != 0 || b != 0 {
+		t.Errorf("follower tails hold %v and %v bytes, want none", a, b)
+	}
+	if got := replMetric(w, domain, 0, "bb_repl_snapshots_sent_total"); got != snaps {
+		t.Fatalf("%v snapshots sent while the follower was deaf: the cycles outlasted the ack timeout", got-snaps)
+	}
+	deaf.Store(false)
+	// The connection whose answers were lost is given up on at the ack
+	// timeout; the next one starts from a snapshot.
+	for deadline := time.Now().Add(callTimeout + 5*time.Second); replMetric(w, domain, 0, "bb_repl_snapshots_sent_total") == snaps; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the healed follower was never sent a snapshot")
+		}
+	}
+	drained("the leader's tail drains once the healed follower caught up")
+	waitReplicated(t, w, domain, []int{0, 1, 2})
+	requireDigestsEqual(t, w, domain, []int{0, 1, 2})
+	if got := replMetric(w, domain, 0, "bb_repl_snapshots_sent_total"); got != snaps+1 {
+		t.Errorf("the healed follower took %v snapshots, want 1", got-snaps)
+	}
+}
+
 // BenchmarkReplCommitGate is one journal append carried to a majority
 // commit on a three-replica group over the in-memory transport: the
 // settling goroutine writes the frame to both followers, each applies

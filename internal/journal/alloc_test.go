@@ -1,6 +1,9 @@
 package journal
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 // binPayload is a minimal BinaryRecord for the allocation gate.
 type binPayload struct{ a, b int64 }
@@ -30,5 +33,43 @@ func TestAppendRecordAllocationFree(t *testing.T) {
 	})
 	if got > 0 {
 		t.Errorf("AppendRecord allocates %.1f per op, want 0", got)
+	}
+}
+
+// TestFollowerAppendFrameAllocationFree gates a follower's hot path: a
+// journal that keeps no stream tail re-journals a checked frame into its
+// warmed group-commit buffer without allocating. Retaining the frame
+// would copy it.
+func TestFollowerAppendFrameAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate is meaningless under the race detector")
+	}
+	// The group commit never fires while the gate measures, so the
+	// buffer only refills the capacity the warm-up left it.
+	j, _ := openT(t, t.TempDir(), Options{Fsync: FsyncBatch, BatchInterval: time.Hour, TailBytes: 1 << 20})
+	defer j.Close()
+	raw, err := EncodeRecord("resv.admit", binPayload{a: 3, b: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := CheckFrame(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		if err := j.AppendFrame(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Sync(); err != nil { // empties the buffer, keeps its capacity
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(200, func() {
+		if err := j.AppendFrame(f); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 0 {
+		t.Errorf("AppendFrame allocates %.1f per frame, want 0", got)
 	}
 }

@@ -86,12 +86,12 @@ type Options struct {
 	// true (default DefRotateEvery; negative disables the hint).
 	RotateEvery int
 
-	// TailBytes, when positive, keeps the most recent appended frames
-	// in memory (up to this byte budget) for replication streaming:
-	// TailSince serves follower catch-up from the tail without touching
-	// the file, and a reader that fell off the tail takes a snapshot
-	// instead. Zero (the default) disables the tail; unreplicated
-	// brokers pay nothing.
+	// TailBytes, when positive, caps the in-memory tail of appended
+	// frames that Retain turns on for replication streaming: TailSince
+	// serves follower catch-up from the tail without touching the file,
+	// Trim drops what every follower holds, and a reader that fell past
+	// the cap takes a snapshot instead. Zero (the default) disables the
+	// tail; unreplicated brokers pay nothing.
 	TailBytes int
 
 	// OnAppend, OnFsync and OnError, when set, observe each append's
@@ -200,10 +200,12 @@ type Journal struct {
 	rotations int64
 
 	// Streaming state (stream.go), guarded by mu: seq numbers every
-	// appended record within this incarnation, tail retains recent
-	// frames for TailSince, and changes is the lazily-created broadcast
-	// channel closed (and replaced) on every append.
+	// appended record within this incarnation, tail keeps the frames
+	// appended while retain is on and not yet trimmed, for TailSince, and
+	// changes is the lazily-created broadcast channel closed (and
+	// replaced) on every append.
 	seq      int64
+	retain   bool
 	tail     []StreamRecord
 	tailSize int
 	changes  chan struct{}
@@ -215,6 +217,9 @@ type Stats struct {
 	Appends, Fsyncs, Rotations int64
 	// Records is the record count appended since the last rotation.
 	Records int
+	// TailBytes is the size of the frames the stream tail holds: those
+	// some follower has not acknowledged yet (see Retain and Trim).
+	TailBytes int
 	// Err is the sticky write-path error, if any: once a write fails
 	// the journal keeps accepting appends best-effort but durability
 	// is gone until the broker restarts.
@@ -509,8 +514,7 @@ func (j *Journal) Rotate(state func() ([]byte, error)) error {
 	j.rotations++
 	// The snapshot reflects every tailed record: a stream reader that
 	// needs anything older than the (now empty) tail takes the snapshot.
-	j.tail = nil
-	j.tailSize = 0
+	j.dropHeadLocked(len(j.tail))
 	return nil
 }
 
@@ -584,7 +588,7 @@ func (j *Journal) Stats() Stats {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return Stats{Appends: j.appends, Fsyncs: j.fsyncs, Rotations: j.rotations, Records: j.records, Err: j.err}
+	return Stats{Appends: j.appends, Fsyncs: j.fsyncs, Rotations: j.rotations, Records: j.records, TailBytes: j.tailSize, Err: j.err}
 }
 
 // Err returns the sticky write-path error, nil while healthy.

@@ -2,15 +2,20 @@ package journal
 
 import "fmt"
 
-// Streaming support: a journal opened with Options.TailBytes > 0 keeps
-// the most recently appended CRC-framed records in an in-memory tail,
-// numbered by a per-incarnation sequence. A replication leader reads
-// the tail with TailSince and ships the raw frames to followers, which
-// validate each once with CheckFrame and re-journal it verbatim with
-// AppendFrame — the follower's WAL ends
+// Streaming support: every appended CRC-framed record is numbered by a
+// per-incarnation sequence. A journal opened with Options.TailBytes > 0
+// and told to Retain keeps the records appended since in an in-memory
+// tail. A replication leader reads the tail with TailSince and ships
+// the raw frames to followers, which validate each once with CheckFrame
+// and re-journal it verbatim with AppendFrame — the follower's WAL ends
 // up byte-identical to the leader's suffix, so recovery replays the
 // same records on either side. A reader that fell off the tail (or a
 // fresh follower) takes a snapshot via SnapshotWith instead.
+//
+// A frame lives in the tail until Trim drops it, once every reader has
+// acknowledged it; TailBytes only caps a tail whose slowest reader
+// stopped acknowledging. A follower does not retain: nobody reads its
+// tail, since a promotion starts every stream from a snapshot.
 //
 // Sequence numbers are deliberately per-incarnation: they start at
 // zero on Open and never try to line up across restarts. Every stream
@@ -54,15 +59,17 @@ func (j *Journal) Changes() <-chan struct{} {
 }
 
 // noteAppendLocked numbers one appended frame, retains it in the tail
-// (within the byte budget) and wakes stream pumps. Caller holds j.mu.
-// The frame is copied before retention: both append paths reuse their
-// buffers.
+// while retention is on (evicting past the byte cap) and wakes stream
+// pumps. Caller holds j.mu. The frame is copied before retention: both
+// append paths reuse their buffers.
 func (j *Journal) noteAppendLocked(frame []byte) {
 	j.seq++
-	if j.opts.TailBytes > 0 {
+	if j.retain {
 		j.tail = append(j.tail, StreamRecord{Seq: j.seq, Frame: append([]byte(nil), frame...)})
 		j.tailSize += len(frame)
 		for j.tailSize > j.opts.TailBytes && len(j.tail) > 0 {
+			// A reader this far behind resyncs from a snapshot. Reslicing
+			// keeps eviction O(1) while that reader stays silent.
 			j.tailSize -= len(j.tail[0].Frame)
 			j.tail[0].Frame = nil
 			j.tail = j.tail[1:]
@@ -74,31 +81,76 @@ func (j *Journal) noteAppendLocked(frame []byte) {
 	}
 }
 
-// TailSince returns every retained record with sequence number greater
-// than after, in order. ok is false when the tail no longer reaches
-// back that far — records were evicted by the byte budget or cleared
-// by a rotation — in which case the reader must resynchronise from a
-// snapshot. An after at or past the current seq returns (nil, true):
-// the reader is caught up.
-func (j *Journal) TailSince(after int64) ([]StreamRecord, bool) {
+// Retain turns the stream tail on or off: on, every later append is
+// kept until Trim or the byte cap drops it; off, the tail is dropped
+// and appends keep nothing. A journal opened with TailBytes zero never
+// retains. A replication leader turns it on before its streams cut
+// their first snapshot, and off when it steps down.
+func (j *Journal) Retain(on bool) {
 	if j == nil {
-		return nil, true
+		return
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.retain = on && j.opts.TailBytes > 0
+	if !j.retain {
+		j.tail, j.tailSize = nil, 0
+	}
+}
+
+// Trim drops every retained record with sequence number at or below
+// through: the leader calls it once every follower has acknowledged
+// them, so no stream will read them again.
+func (j *Journal) Trim(through int64) {
+	if j == nil {
+		return
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if len(j.tail) == 0 || j.tail[0].Seq > through {
+		return
+	}
+	j.dropHeadLocked(int(min(through-j.tail[0].Seq+1, int64(len(j.tail)))))
+}
+
+// dropHeadLocked removes the tail's first n records. The survivors —
+// on a healthy leader, the one message in flight — move to the front,
+// so the backing array is kept and the next appends do not reallocate
+// it. Caller holds j.mu.
+func (j *Journal) dropHeadLocked(n int) {
+	for _, r := range j.tail[:n] {
+		j.tailSize -= len(r.Frame)
+	}
+	m := copy(j.tail, j.tail[n:])
+	clear(j.tail[m:])
+	j.tail = j.tail[:m]
+}
+
+// TailSince appends to dst every retained record with sequence number
+// greater than after, in order, and returns the extended slice. ok is
+// false when the tail no longer reaches back that far — records were
+// trimmed, evicted by the byte cap, cleared by a rotation or never
+// retained — in which case the reader must resynchronise from a
+// snapshot. An after at or past the current seq returns (dst, true):
+// the reader is caught up. Readers that reuse dst should clear it
+// after use, or it pins frames the tail has since dropped.
+func (j *Journal) TailSince(dst []StreamRecord, after int64) ([]StreamRecord, bool) {
+	if j == nil {
+		return dst, true
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if after >= j.seq {
-		return nil, true
+		return dst, true
 	}
 	if len(j.tail) == 0 || j.tail[0].Seq > after+1 {
-		return nil, false
+		return dst, false
 	}
 	// The tail's sequence numbers are contiguous (appends extend it by
-	// one, eviction and rotation cut only its head), so the first record
-	// past after is found by subtraction.
+	// one; trims, eviction and rotation cut only its head), so the first
+	// record past after is found by subtraction.
 	i := int(after + 1 - j.tail[0].Seq)
-	out := make([]StreamRecord, len(j.tail)-i)
-	copy(out, j.tail[i:])
-	return out, true
+	return append(dst, j.tail[i:]...), true
 }
 
 // Frame is one raw framed record that CheckFrame found whole: length,

@@ -10,6 +10,7 @@ import (
 
 // streamOpts opens a journal with the replication tail enabled and no
 // fsync (the streaming contract is independent of durability policy).
+// The tail keeps nothing until Retain turns it on.
 func streamOpts(tailBytes int) Options {
 	return Options{Fsync: FsyncNever, TailBytes: tailBytes}
 }
@@ -17,6 +18,7 @@ func streamOpts(tailBytes int) Options {
 func TestStreamSeqNumbersAppends(t *testing.T) {
 	j, _ := openT(t, t.TempDir(), streamOpts(1<<20))
 	defer j.Close()
+	j.Retain(true)
 	if got := j.Seq(); got != 0 {
 		t.Fatalf("fresh Seq = %d, want 0", got)
 	}
@@ -28,7 +30,7 @@ func TestStreamSeqNumbersAppends(t *testing.T) {
 			t.Fatalf("Seq after %d appends = %d", i, got)
 		}
 	}
-	recs, ok := j.TailSince(0)
+	recs, ok := j.TailSince(nil, 0)
 	if !ok || len(recs) != 5 {
 		t.Fatalf("TailSince(0) = %d records, ok=%t, want 5, true", len(recs), ok)
 	}
@@ -46,11 +48,11 @@ func TestStreamSeqNumbersAppends(t *testing.T) {
 		}
 	}
 	// A caught-up reader gets an empty, ok tail.
-	if recs, ok := j.TailSince(j.Seq()); !ok || len(recs) != 0 {
+	if recs, ok := j.TailSince(nil, j.Seq()); !ok || len(recs) != 0 {
 		t.Fatalf("caught-up TailSince = %d records, ok=%t", len(recs), ok)
 	}
 	// Partial reads resume mid-tail.
-	if recs, ok := j.TailSince(3); !ok || len(recs) != 2 || recs[0].Seq != 4 {
+	if recs, ok := j.TailSince(nil, 3); !ok || len(recs) != 2 || recs[0].Seq != 4 {
 		t.Fatalf("TailSince(3) = %+v, ok=%t", recs, ok)
 	}
 }
@@ -60,16 +62,17 @@ func TestStreamTailEvictionForcesResync(t *testing.T) {
 	// position must be told to resync rather than fed a gapped tail.
 	j, _ := openT(t, t.TempDir(), streamOpts(128))
 	defer j.Close()
+	j.Retain(true)
 	for i := 0; i < 50; i++ {
 		if err := j.Append("test.op", payload{N: i, S: "padding-padding"}); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
-	if _, ok := j.TailSince(0); ok {
+	if _, ok := j.TailSince(nil, 0); ok {
 		t.Fatal("TailSince(0) reported ok over an evicted prefix")
 	}
 	// The newest record is always reachable.
-	recs, ok := j.TailSince(j.Seq() - 1)
+	recs, ok := j.TailSince(nil, j.Seq()-1)
 	if !ok || len(recs) != 1 || recs[0].Seq != j.Seq() {
 		t.Fatalf("TailSince(seq-1) = %+v, ok=%t", recs, ok)
 	}
@@ -83,12 +86,14 @@ func TestStreamAppendFrameReplicatesVerbatim(t *testing.T) {
 	defer leader.Close()
 	followerDir := t.TempDir()
 	follower, _ := openT(t, followerDir, streamOpts(1<<20))
+	leader.Retain(true)
+	follower.Retain(true)
 	for i := 0; i < 10; i++ {
 		if err := leader.Append("test.op", payload{N: i}); err != nil {
 			t.Fatalf("leader Append: %v", err)
 		}
 	}
-	recs, ok := leader.TailSince(0)
+	recs, ok := leader.TailSince(nil, 0)
 	if !ok {
 		t.Fatal("leader tail unexpectedly evicted")
 	}
@@ -101,7 +106,7 @@ func TestStreamAppendFrameReplicatesVerbatim(t *testing.T) {
 		t.Fatalf("follower seq %d, leader seq %d", follower.Seq(), leader.Seq())
 	}
 	// The follower's retained frames are byte-identical to the leader's.
-	frecs, _ := follower.TailSince(0)
+	frecs, _ := follower.TailSince(nil, 0)
 	for i := range recs {
 		if !bytes.Equal(recs[i].Frame, frecs[i].Frame) {
 			t.Fatalf("frame %d diverged between leader and follower", i)
@@ -215,6 +220,7 @@ func TestStreamChangesBroadcastsOnAppend(t *testing.T) {
 func TestStreamRotateClearsTail(t *testing.T) {
 	j, _ := openT(t, t.TempDir(), streamOpts(1<<20))
 	defer j.Close()
+	j.Retain(true)
 	for i := 0; i < 5; i++ {
 		if err := j.Append("test.op", payload{N: i}); err != nil {
 			t.Fatalf("Append: %v", err)
@@ -229,17 +235,17 @@ func TestStreamRotateClearsTail(t *testing.T) {
 	}
 	// Everything pre-rotation is snapshot-only now: readers holding an
 	// old position must resync.
-	if _, ok := j.TailSince(0); ok {
+	if _, ok := j.TailSince(nil, 0); ok {
 		t.Fatal("TailSince(0) ok after rotation cleared the tail")
 	}
-	if recs, ok := j.TailSince(seq); !ok || len(recs) != 0 {
+	if recs, ok := j.TailSince(nil, seq); !ok || len(recs) != 0 {
 		t.Fatalf("caught-up TailSince after rotate = %d records, ok=%t", len(recs), ok)
 	}
 	// New appends stream again from the post-rotation position.
 	if err := j.Append("test.op", payload{N: 99}); err != nil {
 		t.Fatalf("Append after rotate: %v", err)
 	}
-	recs, ok := j.TailSince(seq)
+	recs, ok := j.TailSince(nil, seq)
 	if !ok || len(recs) != 1 || recs[0].Seq != seq+1 {
 		t.Fatalf("post-rotate TailSince = %+v, ok=%t", recs, ok)
 	}
@@ -248,8 +254,11 @@ func TestStreamRotateClearsTail(t *testing.T) {
 // TestTailSinceMatchesLinearScan: TailSince indexes the tail by sequence
 // number; the linear definition — every retained record past after, ok
 // unless the tail has lost the record after it — must agree with it for
-// any after, across random appends of random sizes (so the byte budget
-// evicts at varying rates), rotations and frames streamed in.
+// any after, across random appends of random sizes (so the byte cap
+// evicts at varying rates), rotations, frames streamed in, trims at
+// random acknowledgements and retention switched on and off. The tail's
+// byte count must be the sum of the frames it holds, and a journal that
+// does not retain must hold none.
 func TestTailSinceMatchesLinearScan(t *testing.T) {
 	linear := func(j *Journal, after int64) ([]StreamRecord, bool) {
 		j.mu.Lock()
@@ -270,15 +279,32 @@ func TestTailSinceMatchesLinearScan(t *testing.T) {
 		}
 		return out, true
 	}
+	held := func(j *Journal) (size int, retain bool, n int) {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		for _, r := range j.tail {
+			size += len(r.Frame)
+		}
+		return size, j.retain, len(j.tail)
+	}
 	rng := rand.New(rand.NewSource(30))
 	j, _ := openT(t, t.TempDir(), streamOpts(2048))
 	defer j.Close()
-	for step := 0; step < 3000; step++ {
+	j.Retain(true)
+	var scratch []StreamRecord
+	for step := 0; step < 5000; step++ {
 		var err error
 		switch n := rng.Intn(100); {
 		case n < 2:
 			err = j.Rotate(func() ([]byte, error) { return []byte("snap"), nil })
-		case n < 10:
+		case n < 4:
+			// Mostly on: a leader keeps its tail for a term at a time.
+			j.Retain(rng.Intn(4) > 0)
+		case n < 20:
+			// An acknowledgement anywhere from long past to not yet
+			// appended (a trim past the head drops everything).
+			j.Trim(j.Seq() - int64(rng.Intn(40)) + 2)
+		case n < 28:
 			var frame []byte
 			if frame, err = EncodeRecord("test.op", payload{N: step}); err == nil {
 				err = appendRaw(j, frame)
@@ -289,13 +315,28 @@ func TestTailSinceMatchesLinearScan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
+		size, retain, n := held(j)
+		if got := j.Stats().TailBytes; got != size {
+			t.Fatalf("step %d: the tail counts %d bytes, its frames sum to %d", step, got, size)
+		}
+		if !retain && n > 0 {
+			t.Fatalf("step %d: %d records held with retention off", step, n)
+		}
 		seq := j.Seq()
 		for k := 0; k < 4; k++ {
 			after := seq - int64(rng.Intn(40)) + 2
 			if k == 0 {
 				after = rng.Int63n(seq + 2)
 			}
-			got, gotOK := j.TailSince(after)
+			var got []StreamRecord
+			var gotOK bool
+			if k%2 == 0 {
+				got, gotOK = j.TailSince(nil, after)
+			} else {
+				// A reused window reads the same as a fresh one.
+				scratch, gotOK = j.TailSince(scratch[:0], after)
+				got = scratch
+			}
 			want, wantOK := linear(j, after)
 			if gotOK != wantOK || len(got) != len(want) || (len(got) > 0 && (got[0].Seq != want[0].Seq || got[len(got)-1].Seq != want[len(want)-1].Seq)) {
 				t.Fatalf("step %d, seq %d: TailSince(%d) = %d records ok=%t, the linear scan %d ok=%t",
@@ -307,5 +348,31 @@ func TestTailSinceMatchesLinearScan(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTrimKeepsTheTailsArray: a leader whose followers keep up trims its
+// tail to empty after nearly every message. The backing array must
+// survive that, or every append reallocates it.
+func TestTrimKeepsTheTailsArray(t *testing.T) {
+	j, _ := openT(t, t.TempDir(), streamOpts(1<<20))
+	defer j.Close()
+	j.Retain(true)
+	for i := 0; i < 8; i++ {
+		if err := j.Append("test.op", payload{N: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Trim(j.Seq() - 1)
+	if len(j.tail) != 1 || j.tail[0].Seq != j.Seq() {
+		t.Fatalf("after the trim the tail holds %+v, want only seq %d", j.tail, j.Seq())
+	}
+	j.Trim(j.Seq())
+	if len(j.tail) != 0 || cap(j.tail) < 8 || j.tailSize != 0 {
+		t.Fatalf("emptied tail: len %d cap %d size %d, want 0, at least 8, 0", len(j.tail), cap(j.tail), j.tailSize)
+	}
+	j.Retain(false)
+	if j.tail != nil || j.tailSize != 0 {
+		t.Fatalf("retention off left %d records, %d bytes", len(j.tail), j.tailSize)
 	}
 }

@@ -334,9 +334,10 @@ func New(cfg Config) (*BB, error) {
 		b.repl = newReplicator(b)
 	}
 	if b.repl == nil || !cfg.StartAsFollower {
-		// Presumed abort: sagas recovered without a commit record restart
-		// their compensations. Followers only mirror saga state; the
-		// leader (or a promoted follower) runs the compensations.
+		// Presumed abort: sagas still open after recovery (a committed
+		// one closed with its end record) restart their compensations.
+		// Followers only mirror saga state; the leader (or a promoted
+		// follower) runs the compensations.
 		if n := b.sagas.Resume(); n > 0 {
 			b.log.Info("saga: resumed compensation after recovery", "sagas", n)
 		}

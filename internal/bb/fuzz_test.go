@@ -41,8 +41,7 @@ func seedBrokerState(tb testing.TB) []byte {
 	}
 	sagas := saga.New(saga.Options{})
 	defer sagas.Close()
-	must(sagas.Begin("RAR-2"))
-	must(sagas.Did("RAR-2", "cancel", compArg{Peer: "/O=Grid/OU=DomainB/CN=bb-b", Key: "RAR-2~s1"}.AppendBinary(nil)))
+	sagas.Did("RAR-2", "cancel", compArg{Peer: "/O=Grid/OU=DomainB/CN=bb-b", Key: "RAR-2~s1"}.AppendBinary(nil))
 	granted := &signalling.Message{Type: signalling.MsgResult, ID: 7, Result: &signalling.ResultPayload{
 		Granted: true, Handle: "net-DomainA-1",
 		Approvals: []signalling.DomainApproval{{Domain: "DomainA", BBDN: "/O=Grid/OU=DomainA/CN=bb-a", RARID: "RAR-1", Granted: true, Signature: []byte{0xDE, 0xAD}}},

@@ -341,7 +341,7 @@ func TestSplitAbortsAtomicallyOnPartialDenial(t *testing.T) {
 // branch denies) and block the second Send — the split child — until
 // the gate opens, then fail it. That parks the split mid-saga, after
 // the sibling leg was granted and every compensation journaled, with
-// the commit/abort record still unwritten.
+// the end record still unwritten.
 type splitGateDialer struct {
 	inner  transport.Dialer
 	target string
@@ -375,8 +375,8 @@ func (c *splitGateConn) Send(msg []byte) error {
 
 // TestSplitCrashRecoveryResumesCompensations crashes the ingress
 // broker in the middle of a split — after the first leg was granted
-// downstream and every compensation step hit the journal, before any
-// commit or abort record. The broker rebuilt from that journal must
+// downstream and every compensation step hit the journal, before the
+// saga's end record. The broker rebuilt from that journal must
 // presume abort, resume the compensations, withdraw the granted leg
 // (which propagates to the destination) and release its own admission;
 // and a second crash/rebuild must reproduce the reconciled table
@@ -427,8 +427,8 @@ func TestSplitCrashRecoveryResumesCompensations(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("split never reached the gated second child")
 	}
-	// Saga state on disk at this instant: begin, the release step, both
-	// cancel steps — no commit, no abort. The sibling leg via Domain1
+	// Saga state on disk at this instant: the release step and both
+	// cancel steps — no end. The sibling leg via Domain1
 	// is granted downstream (Domain1 and Domain3 both admitted).
 	if got := grantedIn(w, "Domain1"); got != 1 {
 		t.Fatalf("Domain1: %d granted before crash, want 1 (sibling leg)", got)
@@ -643,7 +643,7 @@ func TestForwardOutcomeMatrix(t *testing.T) {
 		sagaComps  float64  // bb_saga_compensations_total
 		destCancel float64  // bb_cancels_total at Domain2, rows that pin it
 		rarRecord  string   // normalized bb.rar record at the ingress, hex
-		sagaOps    bool     // the split saga's records, in order and byte for byte
+		sagaOps    []string // the ingress's saga records after quiesce, in journal order (durable rows)
 	}{
 		{
 			name: "k=1 grant", durable: true,
@@ -657,10 +657,11 @@ func TestForwardOutcomeMatrix(t *testing.T) {
 			verdict: obs.VerdictRolledBack, counters: [...]float64{1, 0, 0, 0, 0, 0},
 		},
 		{
-			name: "k=1 lost response", tap: func(d *tapDialer) { d.loseReply.Store(true) },
+			name: "k=1 lost response", tap: func(d *tapDialer) { d.loseReply.Store(true) }, durable: true,
 			reason: "Domain0: downstream call: " + lostReply, stack: []string{"Domain0 no"},
 			verdict: obs.VerdictError, spanReason: lostReply,
 			counters: [...]float64{1, 1, 0, 0, 0, 0}, sagaComps: 1,
+			sagaOps: []string{"step", "end"},
 		},
 		{
 			name: "hop not on its pin", branches: 2,
@@ -707,25 +708,27 @@ func TestForwardOutcomeMatrix(t *testing.T) {
 			verdict: obs.VerdictGranted, counters: [...]float64{0, 1, 1, 0, 1, 0},
 			cancels:   []string{"R~s1", "R~s2"},
 			rarRecord: "0a015210021a0148321b2f4f3d477269642f4f553d446f6d61696e302f434e3d616c6963654a270a1a2f4f3d477269642f4f553d446f6d61696e312f434e3d62622d311204527e73311880ade2044a270a1a2f4f3d477269642f4f553d446f6d61696e322f434e3d62622d321204527e73321880ade204",
-			sagaOps:   true,
+			sagaOps:   []string{"step", "step", "step", "end"},
 		},
 		{
-			name: "split partial denial", branches: 2, split: true,
+			name: "split partial denial", branches: 2, split: true, durable: true,
 			caps:   map[string]units.Bandwidth{"Domain1": 5 * mb, "Domain2": 3 * mb},
 			reason: "Domain2: policy denied: rule 2: deny", stack: []string{"Domain2 no", "Domain0 no"},
 			verdict: obs.VerdictRolledBack, counters: [...]float64{1, 1, 1, 0, 0, 1}, sagaComps: 3,
+			sagaOps: []string{"step", "step", "step", "comp", "comp", "end"},
 		},
 		{
 			// The second reserve Domain0 sends Domain2 is the split leg (the
 			// first is the whole-bandwidth attempt Domain2 refuses). One
 			// saga owns the undo: a cancel per leg forwarded plus the local
 			// release, and Domain2 hears of the lost leg's key once.
-			name: "split leg transport failure", branches: 2, split: true,
+			name: "split leg transport failure", branches: 2, split: true, durable: true,
 			caps:   map[string]units.Bandwidth{"Domain1": 5 * mb, "Domain2": 5 * mb},
 			tap:    func(d *tapDialer) { d.severAddr, d.severNth = "bb.Domain2", 2 },
 			reason: "Domain0: split reservation aborted", stack: []string{"Domain0 no"},
 			verdict: obs.VerdictRolledBack, counters: [...]float64{1, 1, 1, 0, 0, 1},
 			sagaComps: 3, destCancel: 1,
+			sagaOps: []string{"step", "step", "step", "comp", "comp", "end"},
 		},
 	}
 	for _, row := range rows {
@@ -817,29 +820,6 @@ func TestForwardOutcomeMatrix(t *testing.T) {
 				if got := hex.EncodeToString(norm); got != row.rarRecord {
 					t.Errorf("bb.rar record (normalized):\n got %s\nwant %s", got, row.rarRecord)
 				}
-				if row.sagaOps {
-					// What a coordinator journals for begin, the local release,
-					// one cancel per leg, commit — the saga is the broker's
-					// second epoch, after the route registration.
-					want := &recordingJournal{}
-					ref := saga.New(saga.Options{})
-					ref.AttachJournal(want)
-					id := "split:" + spec.RARID + "#2"
-					_ = ref.Begin(id)
-					_ = ref.Did(id, "release", bb.CompArg("", spec.RARID, res.Handle))
-					_ = ref.Did(id, "cancel", bb.CompArg(bbDN(w, "Domain1"), spec.RARID+"~s1", ""))
-					_ = ref.Did(id, "cancel", bb.CompArg(bbDN(w, "Domain2"), spec.RARID+"~s2", ""))
-					ref.Commit(id)
-					var got []journal.Record
-					for _, rec := range records {
-						if saga.IsSagaOp(rec.Op) {
-							got = append(got, rec)
-						}
-					}
-					if fmt.Sprintf("%x", got) != fmt.Sprintf("%x", want.records) {
-						t.Errorf("split saga records:\n got %x\nwant %x", got, want.records)
-					}
-				}
 			}
 
 			if res.Granted {
@@ -850,6 +830,35 @@ func TestForwardOutcomeMatrix(t *testing.T) {
 			// Quiesce: nothing booked anywhere, no compensation still owed.
 			waitForCleanTables(t, w)
 			eventually(t, "every saga closed", func() bool { return w.CounterTotal("bb_sagas_live") == 0 })
+			if row.durable {
+				var got []journal.Record
+				var ops []string
+				for _, rec := range journalRecords(t, w, cfg.StateDir, "Domain0") {
+					if saga.IsSagaOp(rec.Op) {
+						got = append(got, rec)
+						ops = append(ops, strings.TrimPrefix(rec.Op, "saga."))
+					}
+				}
+				if fmt.Sprint(ops) != fmt.Sprint(row.sagaOps) {
+					t.Errorf("saga records %v, want %v", ops, row.sagaOps)
+				}
+				if row.split && row.granted {
+					// Byte for byte what a coordinator journals for the local
+					// release, one cancel per leg, and the commit — the saga is
+					// the broker's second epoch, after the route registration.
+					want := &recordingJournal{}
+					ref := saga.New(saga.Options{})
+					ref.AttachJournal(want)
+					id := "split:" + spec.RARID + "#2"
+					ref.Did(id, "release", bb.CompArg("", spec.RARID, res.Handle))
+					ref.Did(id, "cancel", bb.CompArg(bbDN(w, "Domain1"), spec.RARID+"~s1", ""))
+					ref.Did(id, "cancel", bb.CompArg(bbDN(w, "Domain2"), spec.RARID+"~s2", ""))
+					ref.Commit(id)
+					if fmt.Sprintf("%x", got) != fmt.Sprintf("%x", want.records) {
+						t.Errorf("split saga records:\n got %x\nwant %x", got, want.records)
+					}
+				}
+			}
 			for _, d := range w.Domains {
 				if bw := w.BBs[d].Table().CommittedAt(spec.Window.Start); bw != 0 {
 					t.Errorf("%s: %s still committed", d, bw)

@@ -165,7 +165,7 @@ func (b *BB) registerGauges(r *obs.Registry) {
 		func() float64 { return float64(b.tunnels.size()) })
 	r.GaugeFunc("bb_tunnel_subflows", "live sub-flow allocations across all tunnels",
 		func() float64 { return sumTunnels(func(t tunnelReg) int { return t.ep.Len() }) })
-	r.GaugeFunc("bb_open_rars", "RAR route entries held, settled denials and expired grants included (see ROADMAP item 2)",
+	r.GaugeFunc("bb_open_rars", "RAR route entries held, settled denials and expired grants included",
 		func() float64 { return float64(b.routes.size()) })
 	r.GaugeFunc("bb_tunnel_batch_entries", fmt.Sprintf("batch replay entries held across all tunnels, each until its sender acknowledges it (at most %d per tunnel for a sender that never does)", maxHeldBatches),
 		func() float64 { return sumTunnels(func(t tunnelReg) int { return t.batches.size() }) })

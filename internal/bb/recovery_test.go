@@ -236,13 +236,14 @@ func TestRestartRefusesStateOfAnotherFormat(t *testing.T) {
 
 // TestRestartRefusesUnknownBrokerOps: a journal record in the broker's
 // own vocabulary that this build does not know — bb.tunnel_alloc and
-// bb.tunnel_release, which a build one release back wrote for every
-// single sub-flow op, resv.modify, a table record no broker wrote, or an
-// op from a later build — stops recovery with an error naming it.
-// Skipping it would bring the broker up with a tunnel missing the
-// sub-flows those records admitted, or a reservation at the wrong size.
+// bb.tunnel_release, which older builds wrote for every single sub-flow
+// op, resv.modify, a table record no broker wrote, a saga op outside
+// step, comp and end, or an op from a later build — stops recovery with
+// an error naming it. Skipping it would bring the broker up with a
+// tunnel missing the sub-flows those records admitted, a reservation at
+// the wrong size, or a committed saga presumed aborted.
 func TestRestartRefusesUnknownBrokerOps(t *testing.T) {
-	for _, op := range []string{"bb.tunnel_alloc", "bb.tunnel_release", "resv.modify", "bb.from_a_later_build"} {
+	for _, op := range []string{"bb.tunnel_alloc", "bb.tunnel_release", "resv.modify", "saga.bogus", "bb.from_a_later_build"} {
 		t.Run(op, func(t *testing.T) {
 			state := t.TempDir()
 			w, err := experiment.BuildWorld(experiment.WorldConfig{NumDomains: 1, StateDir: state, FsyncPolicy: "always"})

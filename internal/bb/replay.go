@@ -116,11 +116,12 @@ func (rp *replayer) install(data []byte) error {
 
 // apply replays one journal record onto the live state. Every record is
 // absolute, so one the state already reflects is a no-op; the registries
-// apply the epoch rules. An unknown "bb." or "resv." op is an error, not
-// a skip: a version-skew tripwire — a journal written before PR 23 holds
-// its single-op sub-flows as bb.tunnel_alloc / bb.tunnel_release, and
-// skipping those would bring up a tunnel without them. Ops of no known
-// vocabulary are ignored.
+// apply the epoch rules. An unknown "bb.", "resv." or "saga." op is an
+// error, not a skip: a version-skew tripwire — an older journal may hold
+// single-op sub-flows as bb.tunnel_alloc / bb.tunnel_release, and
+// skipping those would bring up a tunnel without them; or saga.commit,
+// and skipping that would presume a committed split aborted. Ops of no
+// known vocabulary are ignored.
 func (rp *replayer) apply(r journal.Record) error {
 	if err := rp.resv.Apply(r); err != nil {
 		return err
@@ -186,8 +187,7 @@ func (rp *replayer) apply(r journal.Record) error {
 		// coordinator; Resume, once this broker leads, presumed-aborts
 		// whatever is still live and restarts its compensations.
 		if saga.IsSagaOp(r.Op) {
-			_, err := b.sagas.ApplyRecord(r)
-			return err
+			return b.sagas.ApplyRecord(r)
 		}
 		if strings.HasPrefix(r.Op, "bb.") {
 			return fmt.Errorf("bb: unknown journal op %q", r.Op)

@@ -658,9 +658,9 @@ func (b *BB) withdraw(fc *forwardCtx, why string) {
 // yet: a forward that loses nothing journals nothing. The debt is on the
 // journal when owe returns. Whoever holds the name aborts the saga when
 // the debts fall due (processReserve, once the forward is over); a crash
-// before that is a presumed abort; either way the coordinator pays, five
-// attempts per step, abandonment counted and recorded. The broker's only
-// sagas.Begin.
+// before that is a presumed abort; either way the coordinator pays,
+// saga.Attempts tries per step, abandonment counted and recorded. The
+// broker's only opener of sagas.
 func (b *BB) owe(saga *string, kind string, arg compArg) {
 	if *saga == "" {
 		name := "cancel:"
@@ -669,11 +669,8 @@ func (b *BB) owe(saga *string, kind string, arg compArg) {
 		}
 		*saga = b.mintSagaID(name + arg.Key)
 		b.m.sagasStarted.Inc()
-		if err := b.sagas.Begin(*saga); err != nil {
-			b.log.Error("saga: rollback not scheduled", obs.AttrRAR, arg.Key, "err", err)
-		}
 	}
-	_ = b.sagas.Did(*saga, kind, arg.AppendBinary(nil))
+	b.sagas.Did(*saga, kind, arg.AppendBinary(nil))
 }
 
 // adoptApprovals takes the approvals of a downstream result into this

@@ -172,10 +172,3 @@ func (b *BB) noteFailure(br *breaker, dn identity.DN) {
 			obs.AttrPeer, string(dn), "cooldown", br.cooldown)
 	}
 }
-
-// The downstream rollback cancel — formerly an ad-hoc goroutine here —
-// now lives in the saga layer: see cancelDownstream in sagas.go. The
-// compensation is journaled, so it survives a crash instead of dying
-// with the process, and an exhausted retry budget is counted
-// (bb_rollbacks_abandoned_total) and force-recorded instead of only
-// logged.

@@ -86,27 +86,20 @@ func (f *sagaFollower) stream(p signalling.JournalStreamPayload) {
 	}
 }
 
-// openSaga streams the records of a saga that registered one step and
-// never settled: saga.begin, then saga.step carrying kind and data.
+// openSaga streams the one record of a saga that registered one step
+// and never settled: saga.step, step 1, carrying kind and data — the
+// first step opens the saga.
 func (f *sagaFollower) openSaga(id, kind string, data []byte) {
 	f.t.Helper()
-	begin := wire.AppendString(nil, 1, id)
 	step := wire.AppendString(nil, 1, id)
 	step = wire.AppendInt(step, 2, 1)
 	step = wire.AppendString(step, 3, kind)
 	step = wire.AppendBytes(step, 4, data)
-	var frames [][]byte
-	for _, rec := range []struct {
-		op      string
-		payload []byte
-	}{{"saga.begin", begin}, {"saga.step", step}} {
-		frame, err := journal.EncodeRecord(rec.op, journal.RawBinary(rec.payload))
-		if err != nil {
-			f.t.Fatal(err)
-		}
-		frames = append(frames, frame)
+	frame, err := journal.EncodeRecord("saga.step", journal.RawBinary(step))
+	if err != nil {
+		f.t.Fatal(err)
 	}
-	f.stream(signalling.JournalStreamPayload{FromSeq: f.b.ReplicationStatus().AppliedSeq, Records: frames})
+	f.stream(signalling.JournalStreamPayload{FromSeq: f.b.ReplicationStatus().AppliedSeq, Records: [][]byte{frame}})
 	if live := f.metric("bb_sagas_live"); live != 1 {
 		f.t.Fatalf("bb_sagas_live = %v after the saga's records, want 1", live)
 	}
@@ -215,5 +208,31 @@ func TestUnpayableCompensationIsAbandonedLoudly(t *testing.T) {
 				t.Error("no rollback-abandoned event in the flight recorder")
 			}
 		})
+	}
+}
+
+// TestFollowerRefusesUnknownSagaOp: a saga record of an op this build
+// does not know — a leader of an older build streams saga.commit — is
+// refused, not skipped: skipping a commit would leave the saga open, and
+// a promotion would presume it aborted and release a granted
+// reservation.
+func TestFollowerRefusesUnknownSagaOp(t *testing.T) {
+	f := newSagaFollower(t)
+	frame, err := journal.EncodeRecord("saga.bogus", journal.RawBinary(wire.AppendString(nil, 1, "split:RAR-split#9")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := f.metric("bb_repl_stream_errors_total")
+	applied := f.b.ReplicationStatus().AppliedSeq
+	p := signalling.JournalStreamPayload{Domain: sagaDomain, Term: 2, FromSeq: applied, Records: [][]byte{frame}}
+	resp := f.b.Handle(signalling.Peer{DN: f.b.DN()}, &signalling.Message{Type: signalling.MsgJournalStream, JournalStream: &p})
+	if resp.Result == nil || resp.Result.Granted {
+		t.Fatalf("follower accepted a saga.bogus record: %+v", resp.Result)
+	}
+	if n := f.metric("bb_repl_stream_errors_total"); n != errs+1 {
+		t.Errorf("bb_repl_stream_errors_total = %v, want %v", n, errs+1)
+	}
+	if now := f.b.ReplicationStatus().AppliedSeq; now != applied {
+		t.Errorf("applied sequence moved %d -> %d on a refused record", applied, now)
 	}
 }

@@ -11,9 +11,8 @@ import (
 
 // Saga integration: the broker's two compensation kinds, wired into
 // the reusable coordinator in internal/saga. "cancel" undoes a
-// downstream forward whose outcome is unknown or must be withdrawn
-// (the persistent replacement for the old ad-hoc cancelDownstream
-// goroutine); "release" undoes an optimistic local admission. Both are
+// downstream forward whose outcome is unknown or must be withdrawn;
+// "release" undoes an optimistic local admission. Both are
 // journal-backed through the broker's WAL, so a crashed broker resumes
 // its rollback debt on recovery.
 
@@ -26,21 +25,12 @@ type compArg struct {
 	Handle string
 }
 
-// cancelAttempts bounds each compensation incarnation's retries. It is
-// deliberately independent of (and larger than) Config.MaxRetries: a
-// stranded reservation costs real bandwidth until its window expires,
-// whereas a redundant cancel is refused harmlessly — and unlike the
-// pre-saga rollback goroutine, an exhausted budget is now re-armed on
-// restart because the debt is journaled.
-const cancelAttempts = 5
-
 // newSagaCoordinator builds the broker's coordinator with both
 // executors registered. The journal attaches later (after recovery).
 func (b *BB) newSagaCoordinator() *saga.Coordinator {
 	c := saga.New(saga.Options{
-		Backoff:     b.cfg.RetryBackoff,
-		MaxAttempts: cancelAttempts,
-		OnAborted:   func(string) { b.m.sagasAborted.Inc() },
+		Backoff:   b.cfg.RetryBackoff,
+		OnAborted: func(string) { b.m.sagasAborted.Inc() },
 		OnCompensated: func(id string, step saga.Step) {
 			b.m.sagaCompensations.Inc()
 			b.log.Info("saga: compensation settled", "saga", id, "kind", step.Kind)
@@ -99,24 +89,27 @@ func (b *BB) execReleaseComp(data []byte) error {
 	return nil
 }
 
-// compAbandoned surfaces a compensation this incarnation gave up on:
-// bandwidth below the failed hop may stay stranded until the window
-// expires. Counted, logged at error, and force-recorded — the journal
-// still owes the debt, so a restarted broker retries it.
+// compAbandoned surfaces a compensation this incarnation gave up on
+// after saga.Attempts tries: bandwidth below the failed hop may stay
+// stranded until the window expires. The budget is deliberately larger
+// than Config.MaxRetries: a stranded reservation costs real bandwidth,
+// a redundant cancel is refused harmlessly. Counted, logged at error,
+// and force-recorded — the journal still owes the debt, so a restarted
+// broker retries it.
 func (b *BB) compAbandoned(id string, step saga.Step) {
 	b.m.rollbacksAbandoned.Inc()
 	var arg compArg
 	_ = arg.DecodeBinary(step.Data) // an unreadable argument is reported with empty fields
 	key, peer := arg.Key, string(arg.Peer)
 	b.log.Error("rollback cancel abandoned, downstream state unknown",
-		obs.AttrRAR, key, obs.AttrPeer, peer, "saga", id, "attempts", cancelAttempts)
+		obs.AttrRAR, key, obs.AttrPeer, peer, "saga", id, "attempts", saga.Attempts)
 	if b.cfg.Recorder != nil {
 		b.m.eventsForced.Inc()
 		b.appendEvent(&obs.Event{
 			Kind:    obs.EventRollbackAbandoned,
 			RARID:   key,
 			Verdict: obs.VerdictError,
-			Reason:  fmt.Sprintf("compensation %s to %s abandoned after %d attempts", step.Kind, peer, cancelAttempts),
+			Reason:  fmt.Sprintf("compensation %s to %s abandoned after %d attempts", step.Kind, peer, saga.Attempts),
 		})
 	}
 }

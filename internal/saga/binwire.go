@@ -30,7 +30,7 @@ func (st *Step) decodeField(d *wire.Dec, f uint32, wt byte) {
 	}
 }
 
-// record: 1=saga id, then the Step fields.
+// record: 1=saga id, then the Step fields (none in an end record).
 func (r record) AppendBinary(buf []byte) []byte {
 	buf = wire.AppendString(buf, 1, r.ID)
 	return r.Step.appendFields(buf)
@@ -49,14 +49,14 @@ func (r *record) DecodeBinary(data []byte) error {
 	return d.Err()
 }
 
-// Snapshot: repeated 1=saga, each 1=id 2=aborting 3=steps (repeated,
-// the Step fields). The caller passes snaps sorted by id.
+// Snapshot: repeated 1=saga, each 1=id 3=steps (repeated, the Step
+// fields). Tag 2, the aborting flag of older snapshots, is retired and
+// skipped. The caller passes snaps sorted by id.
 func appendSnaps(buf []byte, snaps []Snap) []byte {
 	for i := range snaps {
 		var saga int
 		buf, saga = wire.BeginNested(buf, 1)
 		buf = wire.AppendString(buf, 1, snaps[i].ID)
-		buf = wire.AppendBool(buf, 2, snaps[i].Aborting)
 		for j := range snaps[i].Steps {
 			var step int
 			buf, step = wire.BeginNested(buf, 3)
@@ -94,8 +94,6 @@ func decodeSnap(data []byte) (Snap, error) {
 		switch {
 		case f == 1 && wt == wire.TBytes:
 			sn.ID = d.String()
-		case f == 2 && wt == wire.TVarint:
-			sn.Aborting = d.Bool()
 		case f == 3 && wt == wire.TBytes:
 			var st Step
 			sd := wire.Dec{Buf: d.Bytes()}

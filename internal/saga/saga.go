@@ -3,12 +3,11 @@
 // completes, then either commits (nothing to undo) or aborts, at which
 // point the registered compensations run — persistently retried with
 // backoff — until each settles. Sagas are journal-backed: every
-// transition appends a record through the caller's write-ahead log, so
-// a crashed coordinator resumes its unfinished rollbacks on recovery
-// (presumed abort: a saga that never committed is aborted and
-// compensated). The bandwidth broker drives it for multi-path split
-// reservations and for the downstream-cancel rollbacks that used to be
-// an ad-hoc goroutine in internal/bb/robust.go.
+// registered step and every settlement appends a record through the
+// caller's write-ahead log, so a crashed coordinator resumes its
+// unfinished rollbacks on recovery (presumed abort: every saga still
+// open is aborted and compensated). The bandwidth broker drives it for
+// multi-path split reservations and for downstream-cancel rollbacks.
 package saga
 
 import (
@@ -21,37 +20,46 @@ import (
 )
 
 // Journal is the append-only log sagas persist through. *journal.Journal
-// satisfies it; a nil Journal keeps the coordinator memory-only (sagas
+// satisfies it; a coordinator with none attached is memory-only (sagas
 // still run, they just don't survive a crash).
 type Journal interface {
 	Append(op string, data journal.BinaryRecord) error
 }
 
-// Journal record vocabulary. All six ops carry one payload type (record,
-// binwire.go); the "saga." prefix routes them to ApplyRecord during
-// recovery and on replication followers.
+// Journal record vocabulary: what recovery, a follower and Resume read.
+// All three ops carry one payload type (record, binwire.go). An abort is
+// never journaled: every saga a recovered or promoted coordinator finds
+// open is presumed aborted.
 const (
-	OpBegin  = "saga.begin"  // saga created
-	OpStep   = "saga.step"   // compensation registered for a completed step
-	OpCommit = "saga.commit" // forward path succeeded, compensations dropped
-	OpAbort  = "saga.abort"  // forward path failed, compensations due
-	OpComp   = "saga.comp"   // one compensation executed to completion
-	OpDone   = "saga.done"   // every compensation settled, saga closed
+	OpStep = "saga.step" // compensation registered; step 1 opens the saga
+	OpComp = "saga.comp" // one compensation settled, others still owed
+	OpEnd  = "saga.end"  // saga closed: committed, or its last compensation settled
 )
 
-// IsSagaOp reports whether a journal op belongs to this vocabulary.
+// IsSagaOp reports whether a journal op belongs to this package's
+// namespace — known to this build or not.
 func IsSagaOp(op string) bool {
 	return len(op) > 5 && op[:5] == "saga."
 }
 
-// Step is one registered compensation: Kind selects the executor, Data
-// is its argument, opaque to this package. Done flips when the
-// compensation has executed to completion after an abort.
+// Attempts bounds each step's compensation retries per incarnation. An
+// exhausted step is abandoned — reported through OnAbandoned and left
+// un-done in the journal, so a restarted coordinator retries it with a
+// fresh budget.
+const Attempts = 5
+
+// Step is one registered compensation: ID is its position in the saga
+// (from 1), Kind selects the executor, Data is its argument, opaque to
+// this package. Done flips when the compensation has executed to
+// completion after an abort.
 type Step struct {
 	ID   int
 	Kind string
 	Data []byte
 	Done bool
+	// abandoned marks a step this incarnation gave up on; it stays
+	// un-Done in the journal, so a restart retries it.
+	abandoned bool
 }
 
 // Exec runs one compensation. A nil error means the compensation
@@ -60,70 +68,57 @@ type Exec func(data []byte) error
 
 // Snap is the snapshot form of one live saga, for journal rotation.
 type Snap struct {
-	ID       string
-	Aborting bool
-	Steps    []Step
+	ID    string
+	Steps []Step
 }
 
-// record is the payload of every saga journal record: begin, commit,
-// abort and done name the saga; step carries the registered Step whole;
-// comp names the settled step and carries Done.
+// record is the payload of every saga journal record: a step carries the
+// registered Step whole, comp names the settled step and carries Done,
+// end names only the saga.
 type record struct {
 	ID   string
 	Step Step
 }
 
-// sagaState is one live saga.
+// sagaState is one live saga; aborting lives in memory only.
 type sagaState struct {
-	id       string
 	steps    []Step
 	aborting bool
-	// abandoned marks steps this incarnation gave up on after
-	// exhausting retries; they stay un-Done in the journal so a restart
-	// retries them with a fresh budget.
-	abandoned map[int]bool
 }
 
-// step finds a registered step by id.
-func (s *sagaState) step(id int) *Step {
-	for i := range s.steps {
-		if s.steps[i].ID == id {
-			return &s.steps[i]
-		}
-	}
-	return nil
-}
-
-func (s *sagaState) pending() *Step {
-	// Compensate in reverse registration order (LIFO), skipping steps
-	// already settled or abandoned this incarnation.
+// pending is the index of the step to compensate next — the newest one
+// neither settled nor abandoned, compensations running in reverse
+// registration order — or -1.
+func (s *sagaState) pending() int {
 	for i := len(s.steps) - 1; i >= 0; i-- {
-		st := &s.steps[i]
-		if !st.Done && !s.abandoned[st.ID] {
-			return st
+		if !s.steps[i].Done && !s.steps[i].abandoned {
+			return i
 		}
 	}
-	return nil
+	return -1
+}
+
+// settled reports whether every step's compensation has settled.
+func (s *sagaState) settled() bool {
+	for i := range s.steps {
+		if !s.steps[i].Done {
+			return false
+		}
+	}
+	return true
 }
 
 // Options configures a Coordinator.
 type Options struct {
-	// Journal persists transitions (nil: memory-only).
-	Journal Journal
 	// Backoff is the initial compensation retry delay, doubling per
 	// attempt (default 10ms).
 	Backoff time.Duration
-	// MaxAttempts bounds compensation retries per incarnation (default
-	// 5). An exhausted step is abandoned — reported through OnAbandoned
-	// and left un-done in the journal, so a restarted coordinator
-	// retries it with a fresh budget.
-	MaxAttempts int
 	// OnAborted fires when a saga enters the aborting state, including
 	// presumed aborts during Resume.
 	OnAborted func(id string)
 	// OnCompensated fires after each compensation settles.
 	OnCompensated func(id string, step Step)
-	// OnAbandoned fires when a compensation exhausts MaxAttempts.
+	// OnAbandoned fires when a compensation exhausts its Attempts.
 	OnAbandoned func(id string, step Step)
 }
 
@@ -134,30 +129,24 @@ type Coordinator struct {
 	journal Journal
 	execs   map[string]Exec
 	sagas   map[string]*sagaState
-	nextID  map[string]int // per-saga step id mint
 
 	stop    chan struct{}
 	stopped bool
 	wg      sync.WaitGroup
 }
 
-// New builds a coordinator. Executors are registered before any saga
-// runs; the journal may be attached later (recovery opens it after the
-// coordinator exists).
+// New builds a memory-only coordinator. Executors are registered before
+// any saga runs; the journal is attached later (recovery opens it after
+// the coordinator exists).
 func New(opts Options) *Coordinator {
 	if opts.Backoff <= 0 {
 		opts.Backoff = 10 * time.Millisecond
 	}
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = 5
-	}
 	return &Coordinator{
-		opts:    opts,
-		journal: opts.Journal,
-		execs:   make(map[string]Exec),
-		sagas:   make(map[string]*sagaState),
-		nextID:  make(map[string]int),
-		stop:    make(chan struct{}),
+		opts:  opts,
+		execs: make(map[string]Exec),
+		sagas: make(map[string]*sagaState),
+		stop:  make(chan struct{}),
 	}
 }
 
@@ -186,37 +175,24 @@ func (c *Coordinator) append(op string, r record) {
 	_ = j.Append(op, r)
 }
 
-// Begin creates a saga. IDs are caller-minted and must be unique among
-// live sagas (the broker stamps its epoch counter into them).
-func (c *Coordinator) Begin(id string) error {
-	c.mu.Lock()
-	if _, dup := c.sagas[id]; dup {
-		c.mu.Unlock()
-		return fmt.Errorf("saga: duplicate id %q", id)
-	}
-	c.sagas[id] = &sagaState{id: id, abandoned: make(map[int]bool)}
-	c.mu.Unlock()
-	c.append(OpBegin, record{ID: id})
-	return nil
-}
-
 // Did registers the compensation for a step the forward path just
 // completed (or is about to attempt with an unknowable outcome — the
-// compensation must then be idempotent). Journaled before it returns,
-// so a crash after the forward action still finds the debt on replay.
-func (c *Coordinator) Did(id, kind string, data []byte) error {
+// compensation must then be idempotent). The first step opens the saga:
+// IDs are caller-minted and must not name a saga that has closed (the
+// broker stamps its epoch counter into them). Journaled before it
+// returns, so a crash after the forward action still finds the debt on
+// replay.
+func (c *Coordinator) Did(id, kind string, data []byte) {
 	c.mu.Lock()
-	s, ok := c.sagas[id]
-	if !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("saga: unknown saga %q", id)
+	s := c.sagas[id]
+	if s == nil {
+		s = &sagaState{}
+		c.sagas[id] = s
 	}
-	c.nextID[id]++
-	st := Step{ID: c.nextID[id], Kind: kind, Data: append([]byte(nil), data...)}
+	st := Step{ID: len(s.steps) + 1, Kind: kind, Data: append([]byte(nil), data...)}
 	s.steps = append(s.steps, st)
 	c.mu.Unlock()
 	c.append(OpStep, record{ID: id, Step: st})
-	return nil
 }
 
 // Commit closes a saga whose forward path fully succeeded: the
@@ -224,9 +200,8 @@ func (c *Coordinator) Did(id, kind string, data []byte) error {
 func (c *Coordinator) Commit(id string) {
 	c.mu.Lock()
 	delete(c.sagas, id)
-	delete(c.nextID, id)
 	c.mu.Unlock()
-	c.append(OpCommit, record{ID: id})
+	c.append(OpEnd, record{ID: id})
 }
 
 // Abort marks a saga failed and starts its compensation worker. Safe
@@ -241,7 +216,6 @@ func (c *Coordinator) Abort(id string) {
 	s.aborting = true
 	c.wg.Add(1)
 	c.mu.Unlock()
-	c.append(OpAbort, record{ID: id})
 	if c.opts.OnAborted != nil {
 		c.opts.OnAborted(id)
 	}
@@ -249,9 +223,10 @@ func (c *Coordinator) Abort(id string) {
 }
 
 // compensate drains a saga's pending compensations, newest first, each
-// retried with exponential backoff up to MaxAttempts. When every step
-// settled the saga closes (OpDone); abandoned steps keep the saga held
-// open so snapshots and restarts retain the debt.
+// retried with exponential backoff up to Attempts. The settlement that
+// leaves nothing owed closes the saga (OpEnd, in place of its OpComp);
+// abandoned steps keep the saga open so snapshots and restarts retain
+// the debt.
 func (c *Coordinator) compensate(id string) {
 	defer c.wg.Done()
 	for {
@@ -261,26 +236,27 @@ func (c *Coordinator) compensate(id string) {
 			c.mu.Unlock()
 			return
 		}
-		st := s.pending()
-		if st == nil {
-			clean := len(s.abandoned) == 0
-			if clean {
+		i := s.pending()
+		if i < 0 {
+			// Nothing this incarnation can pay: closed if nothing is owed
+			// (an older build's snapshot can hold such a saga), else held.
+			end := s.settled()
+			if end {
 				delete(c.sagas, id)
-				delete(c.nextID, id)
 			}
 			c.mu.Unlock()
-			if clean {
-				c.append(OpDone, record{ID: id})
+			if end {
+				c.append(OpEnd, record{ID: id})
 			}
 			return
 		}
-		step := *st
+		step := s.steps[i]
 		exec := c.execs[step.Kind]
 		c.mu.Unlock()
 
 		settled := false
 		backoff := c.opts.Backoff
-		for attempt := 0; exec != nil && attempt < c.opts.MaxAttempts; attempt++ {
+		for attempt := 0; exec != nil && attempt < Attempts; attempt++ {
 			if attempt > 0 {
 				select {
 				case <-c.stop:
@@ -294,95 +270,89 @@ func (c *Coordinator) compensate(id string) {
 				break
 			}
 		}
-		if settled {
-			c.mu.Lock()
-			s.step(step.ID).Done = true
+		c.mu.Lock()
+		if !settled {
+			// Exhausted (or no executor): abandon for this incarnation. The
+			// journal keeps the step un-done, so a restart retries it.
+			s.steps[i].abandoned = true
 			c.mu.Unlock()
-			c.append(OpComp, record{ID: id, Step: Step{ID: step.ID, Done: true}})
-			if c.opts.OnCompensated != nil {
-				c.opts.OnCompensated(id, step)
+			if c.opts.OnAbandoned != nil {
+				c.opts.OnAbandoned(id, step)
 			}
 			continue
 		}
-		// Exhausted (or no executor): abandon for this incarnation. The
-		// journal keeps the step un-done, so a restart retries it.
-		c.mu.Lock()
-		s.abandoned[step.ID] = true
+		s.steps[i].Done = true
+		end := s.settled()
+		if end {
+			delete(c.sagas, id)
+		}
 		c.mu.Unlock()
-		if c.opts.OnAbandoned != nil {
-			c.opts.OnAbandoned(id, step)
+		if end {
+			c.append(OpEnd, record{ID: id})
+		} else {
+			c.append(OpComp, record{ID: id, Step: Step{ID: step.ID, Done: true}})
+		}
+		if c.opts.OnCompensated != nil {
+			c.opts.OnCompensated(id, step)
 		}
 	}
 }
 
 // ApplyRecord replays one journal record into the coordinator's state
 // without running anything: boot recovery and replication followers
-// share it. Returns whether the op belonged to the saga vocabulary.
-func (c *Coordinator) ApplyRecord(rec journal.Record) (bool, error) {
+// share it. A record the state already reflects is a no-op, and so is a
+// step of a saga that is not open unless it is step 1, which opens it.
+// An op outside the vocabulary is an error: a journal written before
+// the vocabulary shrank holds saga.commit, and skipping it would presume
+// a committed saga aborted.
+func (c *Coordinator) ApplyRecord(rec journal.Record) error {
+	switch rec.Op {
+	case OpStep, OpComp, OpEnd:
+	default:
+		return fmt.Errorf("saga: unknown journal op %q", rec.Op)
+	}
 	var r record
-	if IsSagaOp(rec.Op) {
-		if err := rec.Decode(&r); err != nil {
-			return false, err
-		}
+	if err := rec.Decode(&r); err != nil {
+		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.sagas[r.ID]
 	switch rec.Op {
-	case OpBegin:
-		if s == nil {
-			c.sagas[r.ID] = &sagaState{id: r.ID, abandoned: make(map[int]bool)}
-		}
 	case OpStep:
-		if s != nil && s.step(r.Step.ID) == nil {
-			s.steps = append(s.steps, r.Step)
-			c.nextID[r.ID] = max(c.nextID[r.ID], r.Step.ID)
+		if s == nil && r.Step.ID == 1 {
+			s = &sagaState{}
+			c.sagas[r.ID] = s
 		}
-	case OpCommit, OpDone:
-		delete(c.sagas, r.ID)
-		delete(c.nextID, r.ID)
-	case OpAbort:
-		if s != nil {
-			s.aborting = true
+		if s != nil && r.Step.ID == len(s.steps)+1 {
+			s.steps = append(s.steps, r.Step)
 		}
 	case OpComp:
-		if s != nil {
-			if st := s.step(r.Step.ID); st != nil {
-				st.Done = true
-			}
+		if s != nil && r.Step.ID >= 1 && r.Step.ID <= len(s.steps) {
+			s.steps[r.Step.ID-1].Done = true
 		}
-	default:
-		return false, nil
+	case OpEnd:
+		delete(c.sagas, r.ID)
 	}
-	return true, nil
+	return nil
 }
 
-// Resume restarts compensation after recovery: every recovered saga is
-// presumed aborted — one that had committed would have vanished with
-// its OpCommit record — and its unfinished compensations re-run with a
-// fresh retry budget. Returns how many sagas resumed. Call once, after
-// ApplyRecord/Restore replayed everything and the journal is
-// attached.
+// Resume restarts compensation after recovery or a promotion: every
+// saga still open is presumed aborted — one that had committed would
+// have closed with its OpEnd record — and its unfinished compensations
+// re-run with a fresh retry budget. Nothing is journaled for the abort.
+// Returns how many sagas resumed. Call once, after ApplyRecord/Restore
+// replayed everything and the journal is attached.
 func (c *Coordinator) Resume() int {
 	c.mu.Lock()
-	var ids []string
-	var presumed []string
+	ids := make([]string, 0, len(c.sagas))
 	for id, s := range c.sagas {
-		if !s.aborting {
-			presumed = append(presumed, id)
-		}
+		s.aborting = true
 		ids = append(ids, id)
 	}
-	sort.Strings(ids)
-	sort.Strings(presumed)
-	for _, id := range ids {
-		c.sagas[id].aborting = true
-		c.wg.Add(1)
-	}
+	c.wg.Add(len(ids))
 	c.mu.Unlock()
-	for _, id := range presumed {
-		c.append(OpAbort, record{ID: id})
-	}
+	sort.Strings(ids)
 	for _, id := range ids {
 		if c.opts.OnAborted != nil {
 			c.opts.OnAborted(id)
@@ -398,8 +368,8 @@ func (c *Coordinator) Resume() int {
 func (c *Coordinator) Snapshot() []byte {
 	c.mu.Lock()
 	snaps := make([]Snap, 0, len(c.sagas))
-	for _, s := range c.sagas {
-		snaps = append(snaps, Snap{ID: s.id, Aborting: s.aborting, Steps: append([]Step(nil), s.steps...)})
+	for id, s := range c.sagas {
+		snaps = append(snaps, Snap{ID: id, Steps: append([]Step(nil), s.steps...)})
 	}
 	c.mu.Unlock()
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].ID < snaps[j].ID })
@@ -417,12 +387,8 @@ func (c *Coordinator) Restore(data []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sagas = make(map[string]*sagaState, len(snaps))
-	c.nextID = make(map[string]int, len(snaps))
 	for _, sn := range snaps {
-		c.sagas[sn.ID] = &sagaState{id: sn.ID, aborting: sn.Aborting, steps: sn.Steps, abandoned: make(map[int]bool)}
-		for _, st := range sn.Steps {
-			c.nextID[sn.ID] = max(c.nextID[sn.ID], st.ID)
-		}
+		c.sagas[sn.ID] = &sagaState{steps: sn.Steps}
 	}
 	return nil
 }

@@ -1,10 +1,13 @@
 package saga
 
 import (
+	"bytes"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -41,12 +44,8 @@ func (f *fakeJournal) replayInto(c *Coordinator) error {
 		if err != nil {
 			return err
 		}
-		handled, err := c.ApplyRecord(rec)
-		if err != nil {
+		if err := c.ApplyRecord(rec); err != nil {
 			return err
-		}
-		if !handled {
-			return fmt.Errorf("op %q not handled", rec.Op)
 		}
 	}
 	return nil
@@ -80,19 +79,12 @@ func assertOps(t *testing.T, got, want []string) {
 // compensations and leaves no live state.
 func TestCommitDropsCompensations(t *testing.T) {
 	j := &fakeJournal{}
-	c := New(Options{Journal: j})
+	c := journaled(Options{}, j)
 	defer c.Close()
 	ran := 0
 	c.RegisterExec("undo", func([]byte) error { ran++; return nil })
-	if err := c.Begin("s1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Did("s1", "undo", []byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Did("s1", "undo", []byte("b")); err != nil {
-		t.Fatal(err)
-	}
+	c.Did("s1", "undo", []byte("a"))
+	c.Did("s1", "undo", []byte("b"))
 	c.Commit("s1")
 	if ran != 0 {
 		t.Fatalf("compensations ran %d times after commit", ran)
@@ -100,14 +92,15 @@ func TestCommitDropsCompensations(t *testing.T) {
 	if c.Live() != 0 {
 		t.Fatalf("live=%d after commit", c.Live())
 	}
-	assertOps(t, j.opList(), []string{OpBegin, OpStep, OpStep, OpCommit})
+	assertOps(t, j.opList(), []string{OpStep, OpStep, OpEnd})
 }
 
 // TestAbortCompensatesInReverse: aborting runs compensations newest
-// first, journals each, and closes the saga with OpDone.
+// first and journals each settlement but the last, whose OpEnd closes
+// the saga in its place.
 func TestAbortCompensatesInReverse(t *testing.T) {
 	j := &fakeJournal{}
-	c := New(Options{Journal: j})
+	c := journaled(Options{}, j)
 	defer c.Close()
 	var mu sync.Mutex
 	var order []string
@@ -118,13 +111,8 @@ func TestAbortCompensatesInReverse(t *testing.T) {
 		mu.Unlock()
 		return nil
 	})
-	if err := c.Begin("s1"); err != nil {
-		t.Fatal(err)
-	}
 	for _, d := range []string{"first", "second", "third"} {
-		if err := c.Did("s1", "undo", []byte(d)); err != nil {
-			t.Fatal(err)
-		}
+		c.Did("s1", "undo", []byte(d))
 	}
 	c.Abort("s1")
 	waitFor(t, "saga to close", func() bool { return c.Live() == 0 })
@@ -134,20 +122,21 @@ func TestAbortCompensatesInReverse(t *testing.T) {
 		t.Fatalf("compensation order %v, want reverse registration order", order)
 	}
 	assertOps(t, j.opList(), []string{
-		OpBegin, OpStep, OpStep, OpStep, OpAbort, OpComp, OpComp, OpComp, OpDone,
+		OpStep, OpStep, OpStep, OpComp, OpComp, OpEnd,
 	})
 }
 
+// journaled builds a coordinator with j attached.
+func journaled(opts Options, j Journal) *Coordinator {
+	c := New(opts)
+	c.AttachJournal(j)
+	return c
+}
+
 // abortOne runs a one-step saga born aborting, the way the broker owes
-// a downstream rollback cancel: Begin, Did, Abort.
-func abortOne(t *testing.T, c *Coordinator, id, kind string, data []byte) {
-	t.Helper()
-	if err := c.Begin(id); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Did(id, kind, data); err != nil {
-		t.Fatal(err)
-	}
+// a downstream rollback cancel: Did, Abort.
+func abortOne(c *Coordinator, id, kind string, data []byte) {
+	c.Did(id, kind, data)
 	c.Abort(id)
 }
 
@@ -155,7 +144,7 @@ func abortOne(t *testing.T, c *Coordinator, id, kind string, data []byte) {
 // settles within the attempt budget.
 func TestRetryWithBackoff(t *testing.T) {
 	j := &fakeJournal{}
-	c := New(Options{Journal: j, Backoff: time.Millisecond, MaxAttempts: 5})
+	c := journaled(Options{Backoff: time.Millisecond}, j)
 	defer c.Close()
 	var mu sync.Mutex
 	calls := 0
@@ -168,35 +157,33 @@ func TestRetryWithBackoff(t *testing.T) {
 		}
 		return nil
 	})
-	abortOne(t, c, "r1", "flaky", nil)
+	abortOne(c, "r1", "flaky", nil)
 	waitFor(t, "compensation to settle", func() bool { return c.Live() == 0 })
 	mu.Lock()
 	defer mu.Unlock()
 	if calls != 3 {
 		t.Fatalf("executor ran %d times, want 3", calls)
 	}
-	assertOps(t, j.opList(), []string{OpBegin, OpStep, OpAbort, OpComp, OpDone})
+	assertOps(t, j.opList(), []string{OpStep, OpEnd})
 }
 
 // TestAbandonment: a compensation that never succeeds is abandoned
-// after MaxAttempts — reported via OnAbandoned, never journaled done,
+// after Attempts — reported via OnAbandoned, never journaled done,
 // and the saga stays live (the debt is visible).
 func TestAbandonment(t *testing.T) {
 	j := &fakeJournal{}
 	var abandoned []Step
 	var mu sync.Mutex
 	done := make(chan struct{})
-	c := New(Options{
-		Journal:     j,
-		Backoff:     time.Millisecond,
-		MaxAttempts: 3,
+	c := journaled(Options{
+		Backoff: time.Millisecond,
 		OnAbandoned: func(id string, s Step) {
 			mu.Lock()
 			abandoned = append(abandoned, s)
 			mu.Unlock()
 			close(done)
 		},
-	})
+	}, j)
 	defer c.Close()
 	calls := 0
 	c.RegisterExec("doomed", func([]byte) error {
@@ -205,7 +192,7 @@ func TestAbandonment(t *testing.T) {
 		mu.Unlock()
 		return errors.New("permanent")
 	})
-	abortOne(t, c, "r1", "doomed", []byte("x"))
+	abortOne(c, "r1", "doomed", []byte("x"))
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
@@ -217,9 +204,9 @@ func TestAbandonment(t *testing.T) {
 		return len(abandoned) == 1
 	})
 	mu.Lock()
-	if calls != 3 {
+	if calls != Attempts {
 		mu.Unlock()
-		t.Fatalf("executor ran %d times, want MaxAttempts=3", calls)
+		t.Fatalf("executor ran %d times, want Attempts=%d", calls, Attempts)
 	}
 	if abandoned[0].Kind != "doomed" {
 		mu.Unlock()
@@ -229,8 +216,8 @@ func TestAbandonment(t *testing.T) {
 	if c.Live() != 1 {
 		t.Fatalf("live=%d, abandoned saga must stay open", c.Live())
 	}
-	// No OpComp, no OpDone: the journal still owes this compensation.
-	assertOps(t, j.opList(), []string{OpBegin, OpStep, OpAbort})
+	// No OpComp, no OpEnd: the journal still owes this compensation.
+	assertOps(t, j.opList(), []string{OpStep})
 }
 
 // TestCrashReplayResumesCompensation: replay a journal that ends
@@ -240,7 +227,7 @@ func TestCrashReplayResumesCompensation(t *testing.T) {
 	// First incarnation: registers two steps, compensates one, then
 	// "crashes" (we stop it before the second settles).
 	j := &fakeJournal{}
-	c1 := New(Options{Journal: j, Backoff: time.Millisecond, MaxAttempts: 1})
+	c1 := journaled(Options{Backoff: time.Millisecond}, j)
 	block := errors.New("down")
 	var mu sync.Mutex
 	firstDone := false
@@ -254,26 +241,19 @@ func TestCrashReplayResumesCompensation(t *testing.T) {
 		}
 		return block // the other one keeps failing until the crash
 	})
-	if err := c1.Begin("s1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c1.Did("s1", "undo", []byte("early")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c1.Did("s1", "undo", []byte("late")); err != nil {
-		t.Fatal(err)
-	}
+	c1.Did("s1", "undo", []byte("early"))
+	c1.Did("s1", "undo", []byte("late"))
 	c1.Abort("s1")
 	waitFor(t, "first compensation", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return firstDone
 	})
-	waitFor(t, "late comp journaled", func() bool { return len(j.opList()) >= 5 })
+	waitFor(t, "late comp journaled", func() bool { return len(j.opList()) >= 3 })
 	c1.Close() // crash
 
 	// Second incarnation: replay the journal, then Resume.
-	c2 := New(Options{Backoff: time.Millisecond, MaxAttempts: 3})
+	c2 := New(Options{Backoff: time.Millisecond})
 	defer c2.Close()
 	var replayed []string
 	c2.RegisterExec("undo", func(data []byte) error {
@@ -298,24 +278,21 @@ func TestCrashReplayResumesCompensation(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	// Only the un-compensated step re-runs: "late" settled before the
-	// crash and its OpComp is in the journal.
+	// crash and its OpComp is in the journal; settling "early" leaves
+	// nothing owed, so its OpEnd is the one record.
 	if !reflect.DeepEqual(replayed, []string{"early"}) {
 		t.Fatalf("resumed compensations %v, want only the unfinished one", replayed)
 	}
-	assertOps(t, j2.opList(), []string{OpComp, OpDone})
+	assertOps(t, j2.opList(), []string{OpEnd})
 }
 
-// TestPresumedAbort: a saga with no abort record in the journal (crash
-// before the outcome was decided) is aborted by Resume.
+// TestPresumedAbort: a saga still open in the journal (crash before the
+// outcome was decided) is aborted by Resume, which journals nothing for
+// the abort.
 func TestPresumedAbort(t *testing.T) {
 	j := &fakeJournal{}
-	c1 := New(Options{Journal: j})
-	if err := c1.Begin("s1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c1.Did("s1", "undo", []byte(`1`)); err != nil {
-		t.Fatal(err)
-	}
+	c1 := journaled(Options{}, j)
+	c1.Did("s1", "undo", []byte(`1`))
 	c1.Close() // crash before commit/abort
 
 	c2 := New(Options{Backoff: time.Millisecond})
@@ -347,7 +324,7 @@ func TestPresumedAbort(t *testing.T) {
 	if !reflect.DeepEqual(aborted, []string{"s1"}) {
 		t.Fatalf("OnAborted calls %v", aborted)
 	}
-	assertOps(t, j2.opList(), []string{OpAbort, OpComp, OpDone})
+	assertOps(t, j2.opList(), []string{OpEnd})
 }
 
 // TestSnapshotRoundTrip: snapshot bytes are deterministic and restore
@@ -356,12 +333,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	c := New(Options{})
 	defer c.Close()
 	for _, id := range []string{"b", "a"} { // insertion order must not matter
-		if err := c.Begin(id); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Did(id, "undo", []byte(id)); err != nil {
-			t.Fatal(err)
-		}
+		c.Did(id, "undo", []byte(id))
 	}
 	s1 := c.Snapshot()
 	s2 := c.Snapshot()
@@ -410,9 +382,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestGoldenVectors pins the bytes of the saga journal record in each
-// shape it takes (a mark naming the saga, a registered step, a settled
-// step) and of the coordinator snapshot: a codec change that moves a
-// byte breaks recovery of journals already on disk and must show here.
+// shape it takes (an end naming only the saga, a registered step, a
+// settled step) and of the coordinator snapshot: a codec change that
+// moves a byte breaks recovery of journals already on disk and must show
+// here.
 func TestGoldenVectors(t *testing.T) {
 	step := Step{ID: 2, Kind: "cancel", Data: []byte{0x0a, 0x01, 'p'}}
 	for _, g := range []struct {
@@ -420,7 +393,7 @@ func TestGoldenVectors(t *testing.T) {
 		rec  record
 		hex  string
 	}{
-		{"mark", record{ID: "split:RAR-1#7"}, "0a0d73706c69743a5241522d312337"},
+		{"end", record{ID: "split:RAR-1#7"}, "0a0d73706c69743a5241522d312337"},
 		{"step", record{ID: "split:RAR-1#7", Step: step}, "0a0d73706c69743a5241522d3123371004" + "1a0663616e63656c" + "22030a0170"},
 		{"comp", record{ID: "split:RAR-1#7", Step: Step{ID: 2, Done: true}}, "0a0d73706c69743a5241522d31233710042801"},
 	} {
@@ -435,10 +408,10 @@ func TestGoldenVectors(t *testing.T) {
 	}
 
 	snaps := []Snap{
-		{ID: "a", Aborting: true, Steps: []Step{{ID: 1, Kind: "release", Data: []byte("h"), Done: true}, step}},
+		{ID: "a", Steps: []Step{{ID: 1, Kind: "release", Data: []byte("h"), Done: true}, step}},
 		{ID: "b"},
 	}
-	const snapHex = "0a28" + "0a0161" + "1001" + "1a10" + "1002" + "1a0772656c65617365" + "220168" + "2801" +
+	const snapHex = "0a26" + "0a0161" + "1a10" + "1002" + "1a0772656c65617365" + "220168" + "2801" +
 		"1a0f" + "1004" + "1a0663616e63656c" + "22030a0170" +
 		"0a03" + "0a0162"
 	got := appendSnaps(nil, snaps)
@@ -447,6 +420,11 @@ func TestGoldenVectors(t *testing.T) {
 	}
 	if back, err := decodeSnaps(got); err != nil || !reflect.DeepEqual(back, snaps) {
 		t.Errorf("snapshot decoded %+v (%v), want %+v", back, err, snaps)
+	}
+	// An older snapshot's aborting flag (tag 2) is skipped.
+	old, _ := hex.DecodeString("0a28" + "0a0161" + "1001" + snapHex[10:])
+	if back, err := decodeSnaps(old); err != nil || !reflect.DeepEqual(back, snaps) {
+		t.Errorf("snapshot with tag 2 decoded %+v (%v), want %+v", back, err, snaps)
 	}
 }
 
@@ -457,7 +435,7 @@ func FuzzSagaRecord(f *testing.F) {
 	f.Add(record{ID: "s"}.AppendBinary(nil))
 	f.Add(record{ID: "s", Step: Step{ID: 1, Kind: "cancel", Data: []byte{1, 2, 3}}}.AppendBinary(nil))
 	f.Add(record{ID: "s", Step: Step{ID: 1, Done: true}}.AppendBinary(nil))
-	f.Add(appendSnaps(nil, []Snap{{ID: "s", Aborting: true, Steps: []Step{{ID: 3, Kind: "release"}}}}))
+	f.Add(appendSnaps(nil, []Snap{{ID: "s", Steps: []Step{{ID: 3, Kind: "release"}}}}))
 	f.Add([]byte{0x0a, 0xff})       // id length past the end
 	f.Add([]byte{0x10, 0x80})       // torn step id
 	f.Add([]byte(`{"id":"split"}`)) // a record from before the binary codec
@@ -477,8 +455,8 @@ func FuzzSagaRecord(f *testing.F) {
 		}
 		c := New(Options{})
 		defer c.Close()
-		for _, op := range []string{OpBegin, OpStep, OpAbort, OpComp, OpStep, OpCommit, OpBegin, OpDone, "saga.unknown"} {
-			_, _ = c.ApplyRecord(journal.Record{Op: op, Data: data})
+		for _, op := range []string{OpStep, OpComp, OpStep, OpEnd, OpStep, OpComp, "saga.unknown"} {
+			_ = c.ApplyRecord(journal.Record{Op: op, Data: data})
 		}
 		if err := c.Restore(data); err == nil {
 			_ = c.Snapshot()
@@ -486,17 +464,116 @@ func FuzzSagaRecord(f *testing.F) {
 	})
 }
 
-// TestDuplicateBeginRejected pins the id-uniqueness contract.
-func TestDuplicateBeginRejected(t *testing.T) {
+// TestApplyRecordRefusesUnknownOps: a saga op outside the three — the
+// retired begin, commit, abort and done among them — is an error naming
+// it, not a skip: replaying an old journal without its saga.commit would
+// presume a committed saga aborted.
+func TestApplyRecordRefusesUnknownOps(t *testing.T) {
 	c := New(Options{})
 	defer c.Close()
-	if err := c.Begin("s1"); err != nil {
-		t.Fatal(err)
+	c.Did("s1", "undo", nil)
+	for _, op := range []string{"saga.begin", "saga.commit", "saga.abort", "saga.done", "saga.bogus"} {
+		err := c.ApplyRecord(journal.Record{Op: op, Data: record{ID: "s1"}.AppendBinary(nil)})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", op)) {
+			t.Errorf("%s: err = %v, want one naming the op", op, err)
+		}
 	}
-	if err := c.Begin("s1"); err == nil {
-		t.Fatal("duplicate Begin accepted")
+	if c.Live() != 1 {
+		t.Errorf("live=%d after refused records, want 1", c.Live())
 	}
-	if err := c.Did("nope", "undo", nil); err == nil {
-		t.Fatal("Did on unknown saga accepted")
+}
+
+// TestRecordsReplayToLiveState: whatever a live coordinator journals
+// replays to the state it holds. Random sequences of opens, further
+// steps, commits and aborts run against executors that settle ("ok") or
+// never do ("fail"); each abort's worker finishes before the next
+// operation, so the journal order is the operation order. Two feeds must
+// end with the live coordinator's snapshot bytes: every record through
+// ApplyRecord into a fresh coordinator, and a snapshot cut at a random
+// point, restored, then the records from up to three before the cut —
+// records the snapshot already holds. Stray steps of closed sagas are
+// appended along the way and must change nothing.
+func TestRecordsReplayToLiveState(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	runs := 1000
+	if testing.Short() {
+		runs = 200
+	}
+	fail := errors.New("fail")
+	for run := 0; run < runs; run++ {
+		j := &fakeJournal{}
+		live := journaled(Options{Backoff: time.Nanosecond}, j)
+		live.RegisterExec("ok", func([]byte) error { return nil })
+		live.RegisterExec("fail", func([]byte) error { return fail })
+		kinds := []string{"ok", "ok", "ok", "fail"}
+		var open, closed []string
+		ops := 1 + rng.Intn(16)
+		cutAt := rng.Intn(ops + 1)
+		var snap []byte
+		cut := -1
+		for i := 0; i < ops; i++ {
+			if i == cutAt {
+				snap, cut = live.Snapshot(), len(j.opList())
+			}
+			pick := func() string {
+				k := rng.Intn(len(open))
+				id := open[k]
+				open = append(open[:k], open[k+1:]...)
+				return id
+			}
+			switch r := rng.Intn(10); {
+			case r < 3 || len(open) == 0:
+				id := fmt.Sprintf("s%d", i)
+				live.Did(id, kinds[rng.Intn(len(kinds))], []byte{byte(i)})
+				open = append(open, id)
+			case r < 6:
+				live.Did(open[rng.Intn(len(open))], kinds[rng.Intn(len(kinds))], []byte{byte(i)})
+			case r < 8:
+				id := pick()
+				live.Commit(id)
+				closed = append(closed, id)
+			default:
+				id := pick()
+				live.Abort(id)
+				live.wg.Wait()
+				if live.sagas[id] == nil {
+					closed = append(closed, id)
+				}
+			}
+			if len(closed) > 0 && rng.Intn(4) == 0 {
+				id := closed[rng.Intn(len(closed))]
+				_ = j.Append(OpStep, record{ID: id, Step: Step{ID: 2 + rng.Intn(3), Kind: "ok"}})
+			}
+		}
+		if cut < 0 {
+			snap, cut = live.Snapshot(), len(j.opList())
+		}
+		want := live.Snapshot()
+		live.Close()
+
+		a := New(Options{})
+		if err := j.replayInto(a); err != nil {
+			t.Fatalf("run %d: feed A: %v", run, err)
+		}
+		b := New(Options{})
+		if err := b.Restore(snap); err != nil {
+			t.Fatalf("run %d: restore: %v", run, err)
+		}
+		from := cut - rng.Intn(min(cut, 3)+1)
+		for _, frame := range j.frames[from:] {
+			rec, _, err := journal.DecodeRecord(frame)
+			if err == nil {
+				err = b.ApplyRecord(rec)
+			}
+			if err != nil {
+				t.Fatalf("run %d: feed B: %v", run, err)
+			}
+		}
+		for name, got := range map[string][]byte{"every record": a.Snapshot(), "snapshot then records": b.Snapshot()} {
+			if !bytes.Equal(got, want) {
+				t.Fatalf("run %d: %s replayed to\n %x\nlive coordinator holds\n %x\njournal %v, cut %d, fed from %d",
+					run, name, got, want, j.opList(), cut, from)
+			}
+		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"e2eqos/internal/signalling"
 	"e2eqos/internal/sla"
 	"e2eqos/internal/topology"
+	"e2eqos/internal/transport"
 	"e2eqos/internal/units"
 )
 
@@ -185,6 +186,76 @@ func TestStatusLifecycle(t *testing.T) {
 	if resp.Result.Granted {
 		t.Fatal("status of unknown RAR granted")
 	}
+}
+
+// TestStatusOfDeniedAndInFlightRARs: a hop answers a status query on a
+// RAR it refused, or saw refused below it, with the reason it recorded,
+// and one on a RAR it is still deciding as in flight — not as a
+// reservation whose (empty) handle vanished.
+func TestStatusOfDeniedAndInFlightRARs(t *testing.T) {
+	status := func(broker *bb.BB, u *experiment.User, rarID string) *signalling.ResultPayload {
+		return broker.Handle(rawPeer(u), &signalling.Message{Type: signalling.MsgStatus, Status: &signalling.StatusPayload{RARID: rarID}}).Result
+	}
+	t.Run("denied", func(t *testing.T) {
+		w, err := experiment.BuildWorld(experiment.WorldConfig{
+			NumDomains: 2,
+			Policies:   map[string]*policy.Policy{"Domain1": policy.MustParse("deny-all", "deny")},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(w.Close)
+		u, err := w.NewUser("alice", "", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(u.Close)
+		spec := u.NewSpec(experiment.SpecOptions{DestDomain: w.DestDomain(), Bandwidth: units.Mbps})
+		res, err := u.ReserveE2E(spec)
+		if err != nil || res.Granted || res.Reason == "" {
+			t.Fatalf("reserve through a deny policy: res=%+v err=%v", res, err)
+		}
+		for _, d := range w.Domains {
+			want := d + ": RAR " + spec.RARID + " denied: " + res.Reason
+			if got := status(w.BBs[d], u, spec.RARID); got.Granted || got.Reason != want {
+				t.Errorf("%s answers granted=%t %q, want a denial: %q", d, got.Granted, got.Reason, want)
+			}
+		}
+	})
+	t.Run("in flight", func(t *testing.T) {
+		w, err := experiment.BuildWorld(experiment.WorldConfig{
+			NumDomains:  2,
+			CallTimeout: 300 * time.Millisecond,
+			WrapDialer:  faultAt("Domain0", transport.FaultConfig{HangProb: 1}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(w.Close)
+		u, err := w.NewUser("alice", "", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(u.Close)
+		spec := u.NewSpec(experiment.SpecOptions{DestDomain: w.DestDomain(), Bandwidth: units.Mbps})
+		done := make(chan *signalling.ResultPayload, 1)
+		go func() {
+			res, _ := u.ReserveE2E(spec)
+			done <- res
+		}()
+		src := w.BBs[w.SourceDomain()]
+		inFlight := w.SourceDomain() + ": RAR " + spec.RARID + " in flight"
+		eventually(t, "the source answers the hanging RAR as in flight", func() bool {
+			return status(src, u, spec.RARID).Reason == inFlight
+		})
+		res := <-done
+		if res == nil || res.Granted {
+			t.Fatalf("reserve through a hung hop: %+v", res)
+		}
+		if got := status(src, u, spec.RARID).Reason; !strings.HasSuffix(got, " denied: "+res.Reason) {
+			t.Errorf("once settled the source answers %q, want its recorded denial %q", got, res.Reason)
+		}
+	})
 }
 
 func TestDenialCarriesSignedRefusals(t *testing.T) {

@@ -68,10 +68,19 @@ func (b *BB) handleCancel(peer signalling.Peer, payload *signalling.CancelPayloa
 	return signalling.OKResult(e.val.Handle)
 }
 
+// handleStatus answers what this hop holds for a RAR: a granted entry
+// with its reservation, a denied one with the reason it recorded, one
+// still being decided as in flight.
 func (b *BB) handleStatus(payload *signalling.StatusPayload) *signalling.Message {
 	e, ok := b.routes.get(payload.RARID)
 	if !ok {
 		return signalling.ErrorResult(fmt.Sprintf("%s: unknown RAR %s", b.cfg.Domain, payload.RARID))
+	}
+	if e.pending {
+		return signalling.ErrorResult(fmt.Sprintf("%s: RAR %s in flight", b.cfg.Domain, payload.RARID))
+	}
+	if o := e.outcome; o != nil && o.Result != nil && !o.Result.Granted {
+		return signalling.ErrorResult(fmt.Sprintf("%s: RAR %s denied: %s", b.cfg.Domain, payload.RARID, o.Result.Reason))
 	}
 	r, ok := b.table.Lookup(e.val.Handle)
 	if !ok {

@@ -1,12 +1,14 @@
 package bb
 
 import (
+	"fmt"
 	"strings"
 
 	"e2eqos/internal/identity"
 	"e2eqos/internal/journal"
 	"e2eqos/internal/signalling"
 	"e2eqos/internal/tunnel"
+	"e2eqos/internal/wire"
 )
 
 // CommitGate appends one record that changes nothing (the cancel of a
@@ -148,4 +150,96 @@ func (b *BB) DigestSansEpoch() ([]byte, error) {
 	}
 	st.Epoch = 0
 	return st.appendBinary(nil), nil
+}
+
+// JournalOrder reads the state directory dir and lists every record that
+// is not where the order its object applied it in puts it: on each tunnel
+// registration a batch record before the registration's bb.tunnel record,
+// or an op whose generation does not follow the one before it (ops the
+// snapshot reflects aside); in the table a resv.admit after a
+// resv.compact that removed its handle.
+func JournalOrder(dir string) ([]string, error) {
+	rec, err := journal.Recover(dir)
+	if err != nil {
+		return nil, err
+	}
+	type reg struct{ snap, last int64 }
+	regs := make(map[string]*reg)
+	key := func(rarID string, epoch int64) string { return fmt.Sprintf("%s@%d", rarID, epoch) }
+	if rec.Snapshot != nil {
+		st, err := decodeBrokerState(rec.Snapshot)
+		if err != nil {
+			return nil, err
+		}
+		for _, ts := range st.Tunnels {
+			regs[key(ts.RARID, ts.Epoch)] = &reg{ts.Gen, ts.Gen}
+		}
+	}
+	ended := make(map[string]bool)     // registrations removed
+	compacted := make(map[string]bool) // handles removed
+	var bad []string
+	for i, r := range rec.Records {
+		switch r.Op {
+		case opTunnel:
+			var ts tunnel.EndpointSnapshot
+			if err := r.Decode(&ts); err != nil {
+				return nil, err
+			}
+			if regs[key(ts.RARID, ts.Epoch)] == nil {
+				regs[key(ts.RARID, ts.Epoch)] = &reg{ts.Gen, ts.Gen}
+			}
+		case opTunnelRemove:
+			var cr rarCancelRec
+			if err := r.Decode(&cr); err != nil {
+				return nil, err
+			}
+			ended[key(cr.RARID, cr.Epoch)] = true
+		case opTunnelBatch:
+			var br tunnelBatchRec
+			if err := r.Decode(&br); err != nil {
+				return nil, err
+			}
+			k := key(br.RARID, br.Epoch)
+			g := regs[k]
+			if g == nil {
+				if !ended[k] {
+					bad = append(bad, fmt.Sprintf("record %d: a batch on %s before its establishment", i, k))
+				}
+				continue
+			}
+			for _, op := range br.Ops {
+				if op.Gen > g.snap && op.Gen != g.last+1 {
+					bad = append(bad, fmt.Sprintf("record %d: %s op at generation %d after %d", i, k, op.Gen, g.last))
+				}
+				g.last = max(g.last, op.Gen)
+			}
+		case "resv.admit": // 1=reservation{1=handle}
+			for _, resv := range field1(r.Data) {
+				for _, h := range field1([]byte(resv)) {
+					if compacted[h] {
+						bad = append(bad, fmt.Sprintf("record %d: the admit of %s after a compact removed it", i, h))
+					}
+				}
+			}
+		case "resv.compact": // repeated 1=handle
+			for _, h := range field1(r.Data) {
+				compacted[h] = true
+			}
+		}
+	}
+	return bad, nil
+}
+
+// field1 returns the values of a wire body's length-delimited field 1.
+func field1(body []byte) []string {
+	var out []string
+	d := wire.Dec{Buf: body}
+	for d.More() {
+		if f, wt := d.Tag(); f == 1 && wt == wire.TBytes {
+			out = append(out, d.String())
+		} else {
+			d.Skip(wt)
+		}
+	}
+	return out
 }

@@ -20,10 +20,9 @@ const (
 	opRARCancel = "bb.rar_cancel"
 	// Tunnel vocabulary: endpoint lifecycle plus the sub-flow hot path,
 	// one record per batch at either end. A batch's ops carry the
-	// endpoint generations minted under the endpoint's lock;
-	// emit-after-unlock means the WAL interleaving of *different* batches
-	// on one tunnel can disagree with generation order, so replay applies
-	// their ops by generation, not by position (see replayer).
+	// endpoint generations minted under the endpoint's lock, and the
+	// registration's order lock puts its batch records in the journal in
+	// generation order, after its bb.tunnel record (see replayer).
 	opTunnel       = "bb.tunnel"
 	opTunnelRemove = "bb.tunnel_remove"
 	opTunnelBatch  = "bb.tunnel_batch"
@@ -157,8 +156,8 @@ func (b *BB) openJournal() error {
 }
 
 // recoverState feeds the replayer what a previous incarnation left: the
-// snapshot, the record tail in journal order, and the end of the feed.
-// Runs before the broker is shared.
+// snapshot, then the record tail in journal order. Runs before the
+// broker is shared.
 func (b *BB) recoverState(rec *journal.Recovered) error {
 	if rec.Snapshot != nil {
 		if err := b.replay.install(rec.Snapshot); err != nil {
@@ -170,7 +169,7 @@ func (b *BB) recoverState(rec *journal.Recovered) error {
 			return err
 		}
 	}
-	return b.replay.flush()
+	return nil
 }
 
 // decodeBrokerState parses a rotated snapshot; bytes that do not open

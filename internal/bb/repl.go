@@ -658,12 +658,7 @@ func (r *replicator) handleStream(p *signalling.JournalStreamPayload) *signallin
 		b.log.Error("replication: stream message refused", "applied", applied, "err", err)
 		return streamReply(false, applied, term)
 	}
-	// A rotation truncates the WAL down to a snapshot of the live state,
-	// which parked ops are not part of yet: their records would be gone
-	// from disk too. The next message retries.
-	if b.replay.idle() {
-		b.maybeCheckpoint()
-	}
+	b.maybeCheckpoint()
 	return streamReply(true, applied, term)
 }
 
@@ -812,16 +807,6 @@ func (r *replicator) promote() error {
 	// and one cut ahead of the fence would leave the followers' copy
 	// behind the leader's until the next registration.
 	b.epoch.Add(epochFenceStride)
-
-	// The stream this follower applied has ended exactly as a WAL tail
-	// ends (the term fence refuses the old leader from here on): whatever
-	// the replayer still has parked is all there will be.
-	r.applyMu.Lock()
-	err := b.replay.flush()
-	r.applyMu.Unlock()
-	if err != nil {
-		return fmt.Errorf("bb %s: election at term %d won, but the journaled state does not replay: %w", b.cfg.Domain, term, err)
-	}
 
 	r.mu.Lock()
 	if r.term != term || r.closed {

@@ -1,9 +1,7 @@
 package bb
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"strings"
 
 	"e2eqos/internal/journal"
@@ -17,51 +15,30 @@ import (
 // thing that does (DESIGN.md §6.4, "Replay: one engine, two feeds"). Boot
 // recovery feeds it the snapshot and WAL tail a previous incarnation left;
 // a replication follower feeds it the snapshots and frames its leader
-// streams. Both install a snapshot in place, apply records one at a time
-// in journal order, and flush when the feed ends — the end of the tail at
-// boot, the election win of a promoted follower — so a broker promoted
-// from a stream and one booted from the journal that stream wrote hold
-// the same state by construction.
+// streams. Both install a snapshot in place and apply records one at a
+// time in journal order, so a broker promoted from a stream and one
+// booted from the journal that stream wrote hold the same state by
+// construction.
 //
 // Route and tunnel (re)registrations and removals go to the registries,
 // which own the epoch rules; table records go through the
-// resv.StreamReplayer. Batch records need more: emit-after-unlock lets the
-// journal order of batches on one tunnel disagree with the order they
-// were applied in, and lets a batch overtake its tunnel's establishment
-// record. Generations are dense per endpoint, so the op that extends
-// Gen()+1 is always unambiguous; an op that does not is parked until the
-// ones before it arrive, and a batch's replay entry until its
-// registration does.
+// resv.StreamReplayer. Every journaled object writes its records in the
+// order it applied them (the table's and each tunnel registration's
+// order lock), and a registration's bb.tunnel record precedes its batch
+// records, so a batch record applies at once: generations are dense per
+// endpoint, and an op is either reflected already, the next one, or a
+// sign the journal was not written by this build's rules.
 //
 // Not safe for concurrent use: New runs it before the broker is shared,
 // a follower under applyMu.
 type replayer struct {
 	b    *BB
 	resv *resv.StreamReplayer
-	// parked holds, per tunnel RAR, what batch records left that cannot
-	// apply yet: the registration they belong to is absent, or an op of a
-	// lower generation has not arrived. Their records are in the WAL but
-	// not in any snapshot, so the WAL must not be rotated away while one
-	// waits.
-	parked map[string][]parkedOp
-}
-
-// parkedOp is one item of a batch record, pinned to the registration
-// (epoch) of the tunnel it was applied to: a sub-flow mutation or, with
-// batch set, the batch's replay entry and its sender's low-water.
-type parkedOp struct {
-	epoch int64
-	batch *tunnelBatchRec
-	tunnelOpRec
 }
 
 func newReplayer(b *BB) *replayer {
-	return &replayer{b: b, resv: resv.NewStreamReplayer(b.table), parked: make(map[string][]parkedOp)}
+	return &replayer{b: b, resv: resv.NewStreamReplayer(b.table)}
 }
-
-// idle reports that nothing is parked: the live state reflects every
-// record applied so far.
-func (rp *replayer) idle() bool { return len(rp.parked) == 0 }
 
 // install replaces the broker's entire durable state with a snapshot's,
 // in place: gauges and handlers keep their table and registries. The
@@ -108,9 +85,6 @@ func (rp *replayer) install(data []byte) error {
 	if err := b.sagas.Restore(st.Sagas); err != nil {
 		return fmt.Errorf("restoring sagas: %w", err)
 	}
-	// Whatever was parked or tombstoned belongs to the state just replaced.
-	clear(rp.parked)
-	rp.resv.Reset()
 	return nil
 }
 
@@ -156,9 +130,7 @@ func (rp *replayer) apply(r journal.Record) error {
 		// snapshot cut between the registration and this record's append:
 		// it holds at least what the record does, and the ops since are in
 		// the records that follow.
-		if b.tunnels.register(ts.RARID, ts.Epoch, newTunnelReg(ep), nil) {
-			return rp.drain(ts.RARID, false) // what overtook this record
-		}
+		b.tunnels.register(ts.RARID, ts.Epoch, newTunnelReg(ep), nil)
 	case opTunnelRemove:
 		var cr rarCancelRec
 		if err := r.Decode(&cr); err != nil {
@@ -166,22 +138,12 @@ func (rp *replayer) apply(r journal.Record) error {
 		}
 		b.noteEpoch(cr.Epoch)
 		b.tunnels.remove(cr.RARID, cr.Epoch)
-		// What is still parked for the registration that just ended is moot.
-		rp.park(cr.RARID, slices.DeleteFunc(rp.parked[cr.RARID], func(op parkedOp) bool { return op.epoch <= cr.Epoch }))
 	case opTunnelBatch:
 		var br tunnelBatchRec
 		if err := r.Decode(&br); err != nil {
 			return err
 		}
-		ops := rp.parked[br.RARID]
-		if br.Seq != 0 {
-			ops = append(ops, parkedOp{epoch: br.Epoch, batch: &br})
-		}
-		for _, op := range br.Ops {
-			ops = append(ops, parkedOp{epoch: br.Epoch, tunnelOpRec: op})
-		}
-		rp.park(br.RARID, ops)
-		return rp.drain(br.RARID, false)
+		return rp.applyBatch(&br)
 	default:
 		// Saga records (the rollback-debt ledger) replay into the
 		// coordinator; Resume, once this broker leads, presumed-aborts
@@ -196,53 +158,32 @@ func (rp *replayer) apply(r journal.Record) error {
 	return nil
 }
 
-// park stores what is left of a tunnel's parked ops.
-func (rp *replayer) park(rarID string, ops []parkedOp) {
-	if len(ops) == 0 {
-		delete(rp.parked, rarID)
-	} else {
-		rp.parked[rarID] = ops
-	}
-}
-
-// drain restores one tunnel's parked replay entries into its registration
-// and applies its parked ops in generation order, in one batch, through
-// the endpoint's idempotent replay ops, for as long as each extends the
-// endpoint's generation by one — or, with gaps set, whatever the
-// generation: flush's rule, for a feed that has ended. What belongs to a
-// dead registration, and ops the endpoint already reflects (they came
-// with the snapshot it was restored from), are dropped; what belongs to a
-// registration not established yet stays parked, as does everything while
-// the tunnel is absent.
-func (rp *replayer) drain(rarID string, gaps bool) error {
-	ops := rp.parked[rarID]
-	t, ok := rp.b.tunnels.get(rarID)
-	if !ok || len(ops) == 0 {
+// applyBatch replays one batch record onto the registration of its
+// epoch: the replay entry, if the record carries one, then the ops, in
+// one batch. A record whose registration is not held — removed, replaced
+// by a later epoch, or cut off with its tunnel by a cancel — is dropped.
+// An op at or below the endpoint's generation came with the snapshot and
+// is skipped; an op at the next generation applies; any other op is an
+// error: the endpoint's journal does not hold the ops before it.
+func (rp *replayer) applyBatch(br *tunnelBatchRec) error {
+	t, ok := rp.b.tunnels.at(br.RARID, br.Epoch)
+	if !ok {
 		return nil
 	}
-	// Replay entries first: the cache is not called under the endpoint's
-	// lock.
-	for _, op := range ops {
-		if op.batch != nil && op.epoch == t.epoch {
-			t.val.batches.restore(op.batch)
-		}
+	// The cache is not called under the endpoint's lock.
+	if br.Seq != 0 {
+		t.val.batches.restore(br)
 	}
-	slices.SortFunc(ops, func(x, y parkedOp) int { return cmp.Compare(x.Gen, y.Gen) })
-	kept := ops[:0]
 	var err error
 	t.val.ep.Batch(func(tx tunnel.Tx) {
-		for _, op := range ops {
+		for _, op := range br.Ops {
 			switch {
-			case op.epoch < t.epoch:
-				// a dead registration's: dropped
-			case op.epoch > t.epoch:
-				kept = append(kept, op)
-			case op.batch != nil:
-				// restored above
 			case op.Gen <= tx.Gen():
-				// already reflected: dropped
-			case !gaps && op.Gen != tx.Gen()+1:
-				kept = append(kept, op)
+				// already reflected
+			case op.Gen != tx.Gen()+1:
+				err = fmt.Errorf("tunnel %s: %s of sub-flow %q at generation %d does not follow the endpoint's generation %d",
+					br.RARID, op.Action, op.SubFlowID, op.Gen, tx.Gen())
+				return
 			case op.Action == "alloc":
 				if err = tx.ReplayAlloc(op.SubFlowID, units.Bandwidth(op.Bandwidth), op.Gen); err != nil {
 					return
@@ -252,22 +193,5 @@ func (rp *replayer) drain(rarID string, gaps bool) error {
 			}
 		}
 	})
-	rp.park(rarID, kept)
 	return err
-}
-
-// flush ends a feed: nothing more is coming that could fill a generation
-// gap (the record died with the process that was to emit it) or establish
-// a tunnel, so what is still parked applies in generation order with gaps
-// allowed, and what has no registration to apply to is dropped — the
-// replay entry of a batch answered after its tunnel's removal included. It runs at
-// the end of boot recovery and when a follower wins an election.
-func (rp *replayer) flush() error {
-	for rarID := range rp.parked {
-		if err := rp.drain(rarID, true); err != nil {
-			return err
-		}
-	}
-	clear(rp.parked)
-	return nil
 }

@@ -3,9 +3,11 @@ package bb_test
 import (
 	"bytes"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -97,8 +99,9 @@ func admitThenCompact(t *testing.T) (admit, compact []byte) {
 }
 
 // bootFrom starts an unreplicated Domain0 broker on a state directory
-// that fill has populated, the way a restarted daemon finds it.
-func bootFrom(t *testing.T, fill func(dir string)) *bb.BB {
+// that fill has populated, the way a restarted daemon finds it, and
+// returns the broker or why it did not boot.
+func bootFrom(t *testing.T, fill func(dir string)) (*bb.BB, error) {
 	t.Helper()
 	state := t.TempDir()
 	w, err := experiment.BuildWorld(experiment.WorldConfig{NumDomains: 1, StateDir: state, FsyncPolicy: "never"})
@@ -111,39 +114,19 @@ func bootFrom(t *testing.T, fill func(dir string)) *bb.BB {
 	}
 	fill(filepath.Join(state, sagaDomain))
 	if err := w.RestartDomainFromJournal(sagaDomain); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return w.BBs[sagaDomain]
-}
-
-// bootFromCopy boots a broker from a copy of another's state directory.
-// (Under the "never" and "always" fsync policies every append is written
-// through, so the files are current while their owner runs.)
-func bootFromCopy(t *testing.T, src string) *bb.BB {
-	t.Helper()
-	return bootFrom(t, func(dir string) {
-		for _, name := range []string{"snapshot.json", "wal.log"} {
-			data, err := os.ReadFile(filepath.Join(src, name))
-			if os.IsNotExist(err) {
-				continue
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
+	return w.BBs[sagaDomain], nil
 }
 
 // newIdleFollower is replica 1 of a three-replica Domain0 that holds
-// nothing and whose leader is dead, with its state directory.
-func newIdleFollower(t *testing.T) (*sagaFollower, string) {
+// nothing and whose leader is dead, with the log its replicas write.
+func newIdleFollower(t *testing.T) (*sagaFollower, *recordedLog) {
 	t.Helper()
-	state := t.TempDir()
+	log := &recordedLog{}
 	w, err := experiment.BuildWorld(experiment.WorldConfig{
-		NumDomains: 1, Replicas: 3, StateDir: state, FsyncPolicy: "never", CallTimeout: time.Second, EnableObs: true,
+		NumDomains: 1, Replicas: 3, StateDir: t.TempDir(), FsyncPolicy: "never", CallTimeout: time.Second, EnableObs: true,
+		Logger: slog.New(recordingHandler{level: slog.LevelError, log: log}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,18 +140,21 @@ func newIdleFollower(t *testing.T) (*sagaFollower, string) {
 	if _, err := w.KillLeader(sagaDomain); err != nil {
 		t.Fatal(err)
 	}
-	return &sagaFollower{t: t, w: w, b: w.ReplicaBB(sagaDomain, 1)}, filepath.Join(state, sagaDomain, "r1")
+	return &sagaFollower{t: t, w: w, b: w.ReplicaBB(sagaDomain, 1)}, log
 }
 
 // streamFrames delivers frames in order, cut into messages of up to max
-// frames at points rng picks.
-func (f *sagaFollower) streamFrames(rng *rand.Rand, max int, frames ...[]byte) {
-	f.t.Helper()
+// frames at points rng picks, and reports whether the follower took them
+// all; it stops at the first message the follower refuses.
+func (f *sagaFollower) streamFrames(rng *rand.Rand, max int, frames ...[]byte) bool {
 	for len(frames) > 0 {
 		n := 1 + rng.Intn(min(max, len(frames)))
-		f.stream(signalling.JournalStreamPayload{FromSeq: f.b.ReplicationStatus().AppliedSeq, Records: frames[:n]})
+		if !f.offer(signalling.JournalStreamPayload{FromSeq: f.b.ReplicationStatus().AppliedSeq, Records: frames[:n]}) {
+			return false
+		}
 		frames = frames[n:]
 	}
+	return true
 }
 
 // holds describes what the replay tests look at: the table's size, the
@@ -185,51 +171,75 @@ func holds(b *bb.BB) string {
 // follower-side replay used to own separately, through both feeds of the
 // one engine. Each row is a journal tail; a broker booted from it and a
 // follower streamed it in randomly cut messages and then promoted must
-// hold the stated state, and the same state byte for byte.
+// hold the stated state, and the same state byte for byte — or, for a
+// tail no build writes any more (each object journals in apply order),
+// both must refuse it for the stated reason: the boot stops, the
+// follower refuses the message.
 func TestReplayEdgesThroughBothFeeds(t *testing.T) {
 	admit, compact := admitThenCompact(t)
 	const seed = 24
 	rng := rand.New(rand.NewSource(seed))
+	const outOfOrder = `tunnel RAR-T: alloc of sub-flow "b" at generation 2 does not follow the endpoint's generation 0`
 	for _, row := range []struct {
 		name   string
 		frames [][]byte
 		want   string
+		refuse string
 	}{
+		// No table journals this order; replay keeps no state, so the
+		// late admit applies.
 		{"compact before its admit", [][]byte{compact, admit},
-			"0 reservations, no tunnel, 0 replay entries"},
+			"1 reservations, no tunnel, 0 replay entries", ""},
 		{"generation inversion inside the tail", [][]byte{
 			tunnelAt(1), batchAt(1, 2, allocOp("b", 2), allocOp("c", 4)), batchAt(1, 1, allocOp("a", 1), releaseOp("b", 3)),
-		}, "0 reservations, tunnel@1 gen=4 [a c], 2 replay entries"},
-		{"generation gap at the end", [][]byte{tunnelAt(1), batchAt(1, 2, allocOp("b", 2))},
-			"0 reservations, tunnel@1 gen=2 [b], 1 replay entries"},
+		}, "", outOfOrder},
+		{"generation gap at the end", [][]byte{tunnelAt(1), batchAt(1, 2, allocOp("b", 2))}, "", outOfOrder},
 		{"op from a dead epoch", [][]byte{tunnelAt(1), bb.TunnelRemoveFrame(replayTunnel, 1), tunnelAt(2), batchAt(1, 0, allocOp("x", 1))},
-			"0 reservations, tunnel@2 gen=0 [], 0 replay entries"},
+			"0 reservations, tunnel@2 gen=0 [], 0 replay entries", ""},
 		{"op after its tunnel's removal", [][]byte{tunnelAt(1), bb.TunnelRemoveFrame(replayTunnel, 1), batchAt(1, 0, allocOp("x", 1))},
-			"0 reservations, no tunnel, 0 replay entries"},
+			"0 reservations, no tunnel, 0 replay entries", ""},
+		// A batch record whose registration is not held is dropped.
 		{"op ahead of its establishment", [][]byte{batchAt(1, 1, allocOp("a", 1)), tunnelAt(1)},
-			"0 reservations, tunnel@1 gen=1 [a], 1 replay entries"},
+			"0 reservations, tunnel@1 gen=0 [], 0 replay entries", ""},
 		{"tunnel re-registered at a higher epoch", [][]byte{
-			tunnelAt(1), batchAt(1, 0, allocOp("a", 1)), batchAt(2, 1, allocOp("b", 1)), tunnelAt(2), tunnelAt(1),
-		}, "0 reservations, tunnel@2 gen=1 [b], 1 replay entries"},
+			tunnelAt(1), batchAt(1, 0, allocOp("a", 1)), tunnelAt(2), batchAt(2, 1, allocOp("b", 1)), tunnelAt(1),
+		}, "0 reservations, tunnel@2 gen=1 [b], 1 replay entries", ""},
 		{"establishment repeated after its ops", [][]byte{tunnelAt(1), batchAt(1, 1, allocOp("a", 1)), tunnelAt(1)},
-			"0 reservations, tunnel@1 gen=1 [a], 1 replay entries"},
+			"0 reservations, tunnel@1 gen=1 [a], 1 replay entries", ""},
 		{"establishment that never arrives", [][]byte{batchAt(1, 1, allocOp("a", 1))},
-			"0 reservations, no tunnel, 0 replay entries"},
+			"0 reservations, no tunnel, 0 replay entries", ""},
 		{"batch answered after its tunnel's removal", [][]byte{tunnelAt(1), bb.TunnelRemoveFrame(replayTunnel, 1), batchAt(1, 1, allocOp("x", 1))},
-			"0 reservations, no tunnel, 0 replay entries"},
+			"0 reservations, no tunnel, 0 replay entries", ""},
 		{"a low-water retires the batches it covers", [][]byte{tunnelAt(1), batchAt(1, 1, allocOp("a", 1)), ackedAt(1, 2, 1, allocOp("b", 2))},
-			"0 reservations, tunnel@1 gen=2 [a b], 1 replay entries"},
-		{"an acknowledged batch recorded after its acknowledgement", [][]byte{tunnelAt(1), ackedAt(1, 2, 1, allocOp("b", 2)), batchAt(1, 1, allocOp("a", 1))},
-			"0 reservations, tunnel@1 gen=2 [a b], 1 replay entries"},
+			"0 reservations, tunnel@1 gen=2 [a b], 1 replay entries", ""},
+		// Batch 1 applied no op, so its record may follow batch 2's.
+		{"an acknowledged batch recorded after its acknowledgement", [][]byte{tunnelAt(1), ackedAt(1, 2, 1, allocOp("a", 1)), batchAt(1, 1)},
+			"0 reservations, tunnel@1 gen=1 [a], 1 replay entries", ""},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			booted := bootFrom(t, func(dir string) {
+			booted, bootErr := bootFrom(t, func(dir string) {
 				if err := os.WriteFile(filepath.Join(dir, "wal.log"), bytes.Join(row.frames, nil), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			})
-			f, _ := newIdleFollower(t)
-			f.streamFrames(rng, len(row.frames), row.frames...)
+			f, log := newIdleFollower(t)
+			took := f.streamFrames(rng, len(row.frames), row.frames...)
+			if row.refuse != "" {
+				if bootErr == nil || !strings.Contains(bootErr.Error(), row.refuse) {
+					t.Errorf("the boot ended with %v, want a refusal: %s", bootErr, row.refuse)
+				}
+				refused := log.find(sagaDomain, "replication: stream message refused")
+				if took || !strings.Contains(refused["err"], row.refuse) {
+					t.Errorf("the follower took every message: %t, refused one with %q, want a refusal: %s (seed %d)", took, refused["err"], row.refuse, seed)
+				}
+				return
+			}
+			if bootErr != nil {
+				t.Fatal(bootErr)
+			}
+			if !took {
+				t.Fatalf("the follower refused a message (seed %d): %v", seed, log.find(sagaDomain, "replication: stream message refused"))
+			}
 			f.promote()
 			for feed, b := range map[string]*bb.BB{"booted from the WAL": booted, "promoted follower": f.b} {
 				if got := holds(b); got != row.want {
@@ -244,70 +254,5 @@ func TestReplayEdgesThroughBothFeeds(t *testing.T) {
 				t.Errorf("the feeds disagree (seed %d, err=%v)\n booted:   %x\n promoted: %x", seed, err, want, got)
 			}
 		})
-	}
-}
-
-// TestPromotedFollowerHoldsWhatItsJournalHolds: the leader dies between
-// the two halves of an emission inversion — the follower has a tunnel's
-// establishment and a granted batch whose op carries generation 2, and
-// generation 1's record will never come. Both frames were acknowledged
-// and journaled, and the batch's replay entry answers "granted", so the
-// promoted follower must hold the sub-flow, exactly as a broker booted
-// from that replica's state directory does.
-func TestPromotedFollowerHoldsWhatItsJournalHolds(t *testing.T) {
-	f, dir := newIdleFollower(t)
-	f.stream(signalling.JournalStreamPayload{
-		FromSeq: f.b.ReplicationStatus().AppliedSeq,
-		Records: [][]byte{tunnelAt(1), batchAt(1, 2, allocOp("b", 2))},
-	})
-	f.promote()
-	booted := bootFromCopy(t, dir)
-	const want = "0 reservations, tunnel@1 gen=2 [b], 1 replay entries"
-	if got := holds(f.b); got != want {
-		t.Errorf("the promoted follower holds %s, want %s", got, want)
-	}
-	if got := holds(booted); got != want {
-		t.Errorf("a broker booted from the follower's journal holds %s, want %s", got, want)
-	}
-	for _, b := range []*bb.BB{f.b, booted} {
-		if e := b.ReplayEntries(); len(e) != 1 || e[0].Seq != 2 || !e[0].Outcome.Result.Granted {
-			t.Errorf("replay entries %+v, want batch 2 answered granted", e)
-		}
-	}
-}
-
-// TestFollowerKeepsItsJournalWhileOpsAreParked: a parked op is in the WAL
-// and in no snapshot, so a follower that rotated its journal with one
-// parked would hold it nowhere on disk. It must sit the rotation out — a
-// restart from its directory still finds the sub-flow — and rotate on the
-// first message after the gap has filled.
-func TestFollowerKeepsItsJournalWhileOpsAreParked(t *testing.T) {
-	f, dir := newIdleFollower(t)
-	rng := rand.New(rand.NewSource(24))
-	f.streamFrames(rng, 2, tunnelAt(1), batchAt(1, 2, allocOp("b", 2)))
-	checkpoints := f.metric("bb_checkpoints_total")
-	noop := make([][]byte, journal.DefRotateEvery+1)
-	for i := range noop {
-		noop[i] = bb.RARCancelFrame("RAR-nobody", 0)
-	}
-	f.streamFrames(rng, 256, noop...)
-	if n := f.metric("bb_checkpoints_total") - checkpoints; n != 0 {
-		t.Errorf("the follower rotated its journal %v times with an op parked", n)
-	}
-	const want = "0 reservations, tunnel@1 gen=2 [b], 1 replay entries"
-	if got := holds(bootFromCopy(t, dir)); got != want {
-		t.Errorf("a broker booted from the follower's directory holds %s, want %s", got, want)
-	}
-
-	f.streamFrames(rng, 1, batchAt(1, 1, allocOp("a", 1)))
-	if n := f.metric("bb_checkpoints_total") - checkpoints; n != 1 {
-		t.Errorf("bb_checkpoints_total moved by %v once nothing was parked, want 1", n)
-	}
-	const filled = "0 reservations, tunnel@1 gen=2 [a b], 2 replay entries"
-	if got := holds(f.b); got != filled {
-		t.Errorf("the follower holds %s, want %s", got, filled)
-	}
-	if got := holds(bootFromCopy(t, dir)); got != filled {
-		t.Errorf("a broker booted from the rotated directory holds %s, want %s", got, filled)
 	}
 }

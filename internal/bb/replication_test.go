@@ -268,11 +268,12 @@ func TestReplicatedFailoverPreservesGrants(t *testing.T) {
 // after its retirements, and on the promoted leader an acknowledged
 // batch is still stale.
 func TestReplicatedFailoverPreservesTunnelBatches(t *testing.T) {
+	state := t.TempDir()
 	w, err := experiment.BuildWorld(experiment.WorldConfig{
 		NumDomains:  2,
 		Replicas:    3,
 		Capacity:    1000 * units.Mbps,
-		StateDir:    t.TempDir(),
+		StateDir:    state,
 		FsyncPolicy: "batch",
 		CallTimeout: 2 * time.Second,
 	})
@@ -375,6 +376,7 @@ func TestReplicatedFailoverPreservesTunnelBatches(t *testing.T) {
 	}
 	waitReplicated(t, w, src, live)
 	requireDigestsEqual(t, w, src, live)
+	checkJournalOrder(t, w, state)
 }
 
 // TestAutomaticFailoverElectsOneSurvivor: with ElectionTimeout armed and

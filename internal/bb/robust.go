@@ -29,10 +29,9 @@ type breaker struct {
 	openUntil time.Time
 }
 
+// open reports how much longer the circuit stays open, whatever the
+// threshold: a trip opens one that failures never do.
 func (br *breaker) open(now time.Time) (time.Duration, bool) {
-	if br.threshold <= 0 {
-		return 0, false
-	}
 	br.mu.Lock()
 	defer br.mu.Unlock()
 	if now.Before(br.openUntil) {
@@ -63,15 +62,12 @@ func (br *breaker) ok() {
 	br.openUntil = time.Time{}
 }
 
-// trip forces the circuit open as if the threshold had just been
-// crossed. Fault-injection hook: breakers configured off (threshold 0)
-// arm themselves at threshold 1 so the trip sticks.
+// trip forces the circuit open for one cooldown, as if the threshold
+// had just been crossed. Fault-injection hook: a breaker configured off
+// (threshold 0) stays off once the cooldown ends.
 func (br *breaker) trip(now time.Time) {
 	br.mu.Lock()
 	defer br.mu.Unlock()
-	if br.threshold <= 0 {
-		br.threshold = 1
-	}
 	br.failures = br.threshold
 	br.openUntil = now.Add(br.cooldown)
 }

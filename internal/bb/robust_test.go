@@ -188,6 +188,60 @@ func TestBreakerFailsFastAfterThreshold(t *testing.T) {
 	waitForCleanTables(t, w)
 }
 
+// TestTripOpensABreakerConfiguredOffForOneCooldown: with the breaker
+// configured off, a trip holds the circuit open for one cooldown and no
+// longer. Past it, on the broker's clock, a failing call is an ordinary
+// failure: it opens nothing, and the call after it dials again.
+func TestTripOpensABreakerConfiguredOffForOneCooldown(t *testing.T) {
+	var skew atomic.Int64
+	w, err := experiment.BuildWorld(experiment.WorldConfig{
+		NumDomains:      2,
+		Clock:           func() time.Time { return time.Now().Add(time.Duration(skew.Load())) },
+		BreakerCooldown: time.Minute,
+		EnableObs:       true,
+		WrapDialer: func(name string, d transport.Dialer) transport.Dialer {
+			if name == "Domain0" {
+				return deadDialer{}
+			}
+			return d
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	u, err := w.NewUser("alice", "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(u.Close)
+	reason := func() string {
+		t.Helper()
+		res, err := u.ReserveE2E(u.NewSpec(experiment.SpecOptions{DestDomain: w.DestDomain(), Bandwidth: units.Mbps}))
+		if err != nil || res.Granted {
+			t.Fatalf("reserve over a dead link: res=%+v err=%v", res, err)
+		}
+		return res.Reason
+	}
+	opens := func() float64 { return w.Metrics["Domain0"].Snapshot()["bb_breaker_opens_total"] }
+
+	if err := w.BBs["Domain0"].TripBreaker("Domain1"); err != nil {
+		t.Fatal(err)
+	}
+	if r := reason(); !strings.Contains(r, "circuit") {
+		t.Errorf("within the cooldown: %q, want the open circuit", r)
+	}
+	skew.Store(int64(2 * time.Minute))
+	for i := 0; i < 2; i++ {
+		if r := reason(); !strings.Contains(r, "link to") {
+			t.Errorf("call %d past the cooldown: %q, want the dial's failure", i+1, r)
+		}
+	}
+	if n := opens(); n != 1 {
+		t.Errorf("bb_breaker_opens_total = %v, want 1: the trip's", n)
+	}
+}
+
 // countdownDialer fails its first N dials, then delegates — a
 // deterministic transient fault for exercising the retry loop.
 type countdownDialer struct {

@@ -79,11 +79,17 @@ func newSagaFollower(t *testing.T) *sagaFollower {
 // leader's.
 func (f *sagaFollower) stream(p signalling.JournalStreamPayload) {
 	f.t.Helper()
+	if !f.offer(p) {
+		f.t.Fatal("follower refused the stream")
+	}
+}
+
+// offer delivers one leader message as stream does and reports whether
+// the follower took it.
+func (f *sagaFollower) offer(p signalling.JournalStreamPayload) bool {
 	p.Domain, p.Term, p.LeaderID = sagaDomain, 2, 0
 	resp := f.b.Handle(signalling.Peer{DN: f.b.DN()}, &signalling.Message{Type: signalling.MsgJournalStream, JournalStream: &p})
-	if resp.Result == nil || !resp.Result.Granted {
-		f.t.Fatalf("follower refused the stream: %+v", resp.Result)
-	}
+	return resp.Result != nil && resp.Result.Granted
 }
 
 // openSaga streams the one record of a saga that registered one step

@@ -3,6 +3,7 @@ package bb
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"e2eqos/internal/core"
@@ -15,15 +16,21 @@ import (
 
 // tunnelReg is one tunnel registration: the endpoint, the replay cache
 // of the batches this end answered on it, and the Seqs of the batches it
-// sent that are still in flight; both live and die with it.
+// sent that are still in flight; both live and die with it. order is the
+// registration's order lock: each pass over the endpoint holds it through
+// the append of the pass's record, so the journal holds the endpoint's
+// ops in generation order. It is never taken under the journal's lock or
+// the endpoint's, and never held across a call to the peer or a commit
+// wait.
 type tunnelReg struct {
 	ep      *tunnel.Endpoint
 	batches *batchCache
 	sending *inflight
+	order   *sync.Mutex
 }
 
 func newTunnelReg(ep *tunnel.Endpoint) tunnelReg {
-	return tunnelReg{ep: ep, batches: &batchCache{}, sending: &inflight{}}
+	return tunnelReg{ep: ep, batches: &batchCache{}, sending: &inflight{}, order: &sync.Mutex{}}
 }
 
 // registerTunnelDest records the tunnel endpoint at the destination
@@ -89,6 +96,7 @@ func (b *BB) tunnelFor(peer signalling.Peer, rarID string) (tunnelReg, string) {
 	if t.val.ep == nil {
 		return tunnelReg{}, fmt.Sprintf("%s: no tunnel %s", b.cfg.Domain, rarID)
 	}
+	<-t.done // the registration's record precedes its batches'
 	if peer.DN != t.val.ep.PeerBB && peer.DN != t.val.ep.Owner {
 		return tunnelReg{}, fmt.Sprintf("%s: %s is not authorized on tunnel %s", b.cfg.Domain, peer.DN, rarID)
 	}
@@ -157,6 +165,7 @@ func (b *BB) handleTunnelBatch(peer signalling.Peer, payload *signalling.TunnelB
 		applied = make([]tunnelOpRec, 0, len(payload.Ops))
 	}
 	var allocs, releases, denied int
+	t.order.Lock()
 	ep.Batch(func(tx tunnel.Tx) {
 		for i := range payload.Ops {
 			op := &payload.Ops[i]
@@ -207,9 +216,11 @@ func (b *BB) handleTunnelBatch(peer signalling.Peer, payload *signalling.TunnelB
 	// Record the outcome, then journal it before releasing duplicate
 	// waiters, so a retransmission never observes an unjournaled
 	// application — and, in a replica group, withhold it until a
-	// majority holds the record.
+	// majority holds the record. The order lock, taken before the pass,
+	// is held through the append.
 	low := t.batches.settle(peer.DN, e, resp)
 	b.journalTunnelBatch(ep, tunnelBatchRec{Sender: peer.DN, Seq: payload.Seq, Low: low, Sum: sum, Ops: applied, Outcome: resp})
+	t.order.Unlock()
 	b.replWaitCommit()
 	close(e.done)
 	b.m.tunnelBatches.Inc()
@@ -263,8 +274,8 @@ func (b *BB) tunnelOp(tunnelRARID string, op signalling.TunnelOp, user identity.
 // batch by name, and its local halves roll back here. With a
 // journal the source writes what it applied the way the destination
 // does, one record per batch: the local halves before the call leaves,
-// the undone ones (if any) after it. The returned results are in op
-// order.
+// the undone ones (if any) after it, each pass holding the registration's
+// order lock through its record. The returned results are in op order.
 func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user identity.DN) ([]signalling.TunnelOpResult, error) {
 	t0 := time.Now()
 	t, _ := b.tunnels.get(tunnelRARID)
@@ -272,6 +283,8 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 	if ep == nil {
 		return nil, fmt.Errorf("bb %s: no tunnel %s", b.cfg.Domain, tunnelRARID)
 	}
+	<-t.done // the registration's record precedes its batches'
+	order := t.val.order
 	payload := &signalling.TunnelBatchPayload{
 		TunnelRARID: tunnelRARID,
 		User:        user,
@@ -303,6 +316,7 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 		applied = make([]tunnelOpRec, 0, len(ops))
 	}
 	sending := t.val.sending
+	order.Lock()
 	ep.Batch(func(tx tunnel.Tx) {
 		gen := tx.Gen()
 		for i, op := range ops {
@@ -353,6 +367,7 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 	if sent == 0 {
 		// Every op failed locally: nothing travelled, the batch settles
 		// here as a denial.
+		order.Unlock()
 		b.recordBatchEvent(payload, len(ops), obs.VerdictDenied, firstReason(results), t0)
 		return results, nil
 	}
@@ -361,6 +376,7 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 	// holds the record that carries its Seq, so a promoted follower mints
 	// above it.
 	b.journalTunnelBatch(ep, tunnelBatchRec{Ops: applied})
+	order.Unlock()
 	b.replWaitCommit()
 	resp, _, err := b.callPeer(ep.PeerBB, &signalling.Message{Type: signalling.MsgTunnelBatch, TunnelBatch: payload})
 	if err == nil && resp.Result == nil {
@@ -374,6 +390,7 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 	// (DESIGN.md §6.5).
 	var allocs, releases, denied int
 	var undone []tunnelOpRec
+	order.Lock()
 	ep.Batch(func(tx tunnel.Tx) {
 		sending.settled(payload.Seq)
 		for k := 0; k < sent; k++ {
@@ -417,6 +434,7 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 		}
 	})
 	b.journalTunnelBatch(ep, tunnelBatchRec{Ops: undone})
+	order.Unlock()
 	if err != nil {
 		b.recordBatchEvent(payload, len(ops), obs.VerdictError, err.Error(), t0)
 		return nil, fmt.Errorf("bb %s: tunnel batch at destination: %w", b.cfg.Domain, err)

@@ -40,11 +40,12 @@ func tunnelSnapshot(t *testing.T, w *experiment.World, domain, rarID string) []b
 // recovered replay cache without double admission, and (c) that each
 // sender's low-water survived: an acknowledged batch is still stale.
 func TestTunnelCrashRecoveryFromJournal(t *testing.T) {
+	state := t.TempDir()
 	w, err := experiment.BuildWorld(experiment.WorldConfig{
 		NumDomains:  3,
 		Capacity:    1000 * units.Mbps,
 		CallTimeout: 2 * time.Second,
-		StateDir:    t.TempDir(),
+		StateDir:    state,
 		FsyncPolicy: "always",
 		EnableObs:   true,
 	})
@@ -197,6 +198,7 @@ func TestTunnelCrashRecoveryFromJournal(t *testing.T) {
 	if _, ok := epPost.Lookup("post-crash"); !ok {
 		t.Error("post-recovery allocation missing at the destination")
 	}
+	checkJournalOrder(t, w, state)
 }
 
 // TestTunnelSourceRecoversFromJournal: the source journals one record
@@ -216,8 +218,9 @@ func TestTunnelSourceRecoversFromJournal(t *testing.T) {
 		{"transport failed", true, "[lonely]"},
 	} {
 		t.Run(row.name, func(t *testing.T) {
+			state := t.TempDir()
 			w, u, rarID := buildTunnelWorldWith(t, experiment.WorldConfig{
-				NumDomains: 2, CallTimeout: 2 * time.Second, StateDir: t.TempDir(), FsyncPolicy: "always",
+				NumDomains: 2, CallTimeout: 2 * time.Second, StateDir: state, FsyncPolicy: "always",
 			}, 100*units.Mbps)
 			desyncTunnel(t, w, u, rarID)
 			src := w.SourceDomain()
@@ -250,12 +253,14 @@ func TestTunnelSourceRecoversFromJournal(t *testing.T) {
 			if n := len(w.BBs[src].ReplayEntries()); n != 0 {
 				t.Errorf("the recovered source holds %d replay entries: its records carry no Seq", n)
 			}
+			checkJournalOrder(t, w, state)
 		})
 	}
 
 	t.Run("one append per granted batch", func(t *testing.T) {
+		state := t.TempDir()
 		w, u, rarID := buildTunnelWorldWith(t, experiment.WorldConfig{
-			NumDomains: 2, CallTimeout: 2 * time.Second, StateDir: t.TempDir(), FsyncPolicy: "never",
+			NumDomains: 2, CallTimeout: 2 * time.Second, StateDir: state, FsyncPolicy: "never",
 		}, 900*units.Mbps)
 		ops := make([]signalling.TunnelOp, 256)
 		for i := range ops {
@@ -273,6 +278,7 @@ func TestTunnelSourceRecoversFromJournal(t *testing.T) {
 		if results, err := w.BBs[w.SourceDomain()].TunnelBatch(rarID, ops, u.DN()); err != nil || !results[255].Granted {
 			t.Fatalf("batch: results[255]=%+v err=%v", results[255], err)
 		}
+		checkJournalOrder(t, w, state)
 	})
 }
 
@@ -350,6 +356,7 @@ func TestSourceThatLostItsLastRecordsIsRefusedByName(t *testing.T) {
 	if got := fmt.Sprint(verdicts); got != "[stale batch seq reused granted]" {
 		t.Errorf("the restarted source's batches were answered %s, want [stale batch seq reused granted]", got)
 	}
+	checkJournalOrder(t, w, state)
 }
 
 // TestReplicatedSourceFollowersHoldUndoneBatches: the source's two
@@ -357,8 +364,9 @@ func TestSourceThatLostItsLastRecordsIsRefusedByName(t *testing.T) {
 // partially denied batch and one that failed in transport every replica
 // of the source holds the leader's endpoint, and no replay entry.
 func TestReplicatedSourceFollowersHoldUndoneBatches(t *testing.T) {
+	state := t.TempDir()
 	w, u, rarID := buildTunnelWorldWith(t, experiment.WorldConfig{
-		NumDomains: 2, Replicas: 3, CallTimeout: 500 * time.Millisecond, StateDir: t.TempDir(), FsyncPolicy: "never",
+		NumDomains: 2, Replicas: 3, CallTimeout: 500 * time.Millisecond, StateDir: state, FsyncPolicy: "never",
 	}, 100*units.Mbps)
 	desyncTunnel(t, w, u, rarID)
 	src := w.SourceDomain()
@@ -387,6 +395,7 @@ func TestReplicatedSourceFollowersHoldUndoneBatches(t *testing.T) {
 			t.Errorf("replica %d holds %s (sub-flows, used, replay entries)", i, got)
 		}
 	}
+	checkJournalOrder(t, w, state)
 }
 
 // TestTunnelGracefulRestartKeepsSubFlows covers the group-commit path:
@@ -394,11 +403,12 @@ func TestReplicatedSourceFollowersHoldUndoneBatches(t *testing.T) {
 // reproduce the endpoint exactly, including sub-flows allocated and
 // released one at a time (batches of one op).
 func TestTunnelGracefulRestartKeepsSubFlows(t *testing.T) {
+	state := t.TempDir()
 	w, err := experiment.BuildWorld(experiment.WorldConfig{
 		NumDomains:  2,
 		Capacity:    1000 * units.Mbps,
 		CallTimeout: 2 * time.Second,
-		StateDir:    t.TempDir(),
+		StateDir:    state,
 		FsyncPolicy: "batch",
 	})
 	if err != nil {
@@ -441,4 +451,5 @@ func TestTunnelGracefulRestartKeepsSubFlows(t *testing.T) {
 	if ep.Used() != 30*units.Mbps || ep.Len() != 3 {
 		t.Errorf("recovered endpoint: used=%v len=%d, want 30Mb/s over 3 sub-flows", ep.Used(), ep.Len())
 	}
+	checkJournalOrder(t, w, state)
 }

@@ -19,7 +19,7 @@ const (
 )
 
 // event is one pending journal emission, collected under Table.mu and
-// delivered after it is released.
+// delivered after it is released, under Table.order.
 type event struct {
 	op   string
 	data journal.BinaryRecord
@@ -60,7 +60,8 @@ func compactEvent(removed []string) event {
 }
 
 // emitAll delivers pending events to the emit hook. Called with t.mu
-// released; events is non-empty only when a hook is installed.
+// released and t.order held; events is non-empty only when a hook is
+// installed.
 func (t *Table) emitAll(events []event) {
 	for _, e := range events {
 		t.emit(e.op, e.data)
@@ -92,45 +93,22 @@ func AttachJournal(t *Table, j *journal.Journal) {
 	})
 }
 
-// streamTombHorizon bounds how long a StreamReplayer remembers a
-// compaction tombstone, in applied records. A tombstone only matters
-// when the compact record overtook the admit record it removes — an
-// inversion produced by a goroutine preempted between applying and
-// emitting, so the two records sit within an emission window of each
-// other, never thousands of records apart. The horizon keeps the
-// tombstone set bounded on a long-lived follower; a WAL tail replayed
-// at boot is rotated away at about half of it.
-const streamTombHorizon = 8192
-
 // StreamReplayer applies journaled table records one at a time, in
 // journal order, on top of a table holding the snapshot they follow (or
 // an empty one): the one way a record reaches a table, at boot from the
-// WAL tail and on a replication follower from its leader's stream. Every
-// record is absolute, so one the table already reflects is a no-op. It
-// tolerates what concurrent emission can do to the order: a compact
-// record that arrives before the admit record it removed (the admitter
-// was preempted between applying and emitting) leaves a tombstone
-// behind, and the late admit is suppressed when it shows up — handles
-// are never reused, so the tombstone is unambiguous; a cancel record for
-// an absent handle is skipped, the entry was compacted and the
-// withdrawal is moot. Not safe for concurrent use; both feeds are
-// serial.
+// WAL tail and on a replication follower from its leader's stream. A
+// table journals its mutations in the order it applied them (its order
+// lock), so replay keeps no state of its own: every record is absolute,
+// and one the table already reflects — an admit of a held handle, a
+// cancel of a withdrawn or compacted one, a compact of absent handles —
+// is a no-op. Not safe for concurrent use; both feeds are serial.
 type StreamReplayer struct {
-	t     *Table
-	seq   int64 // records applied, for tombstone aging
-	tombs map[string]int64
+	t *Table
 }
 
 // NewStreamReplayer builds a stream replayer over t.
 func NewStreamReplayer(t *Table) *StreamReplayer {
-	return &StreamReplayer{t: t, tombs: make(map[string]int64)}
-}
-
-// Reset forgets the tombstones — called when a full snapshot replaces
-// the table's state, which already reflects everything they were
-// guarding against.
-func (s *StreamReplayer) Reset() {
-	s.tombs = make(map[string]int64)
+	return &StreamReplayer{t: t}
 }
 
 // Apply replays one journaled record. Records outside the "resv."
@@ -141,7 +119,6 @@ func (s *StreamReplayer) Apply(rec journal.Record) error {
 	if !strings.HasPrefix(rec.Op, "resv.") {
 		return nil
 	}
-	s.seq++
 	t := s.t
 	switch rec.Op {
 	case opAdmit:
@@ -153,11 +130,7 @@ func (s *StreamReplayer) Apply(rec journal.Record) error {
 		if a.Seq > t.seq {
 			t.seq = a.Seq
 		}
-		if _, tombed := s.tombs[a.Resv.Handle]; tombed {
-			// The compact that removed this handle overtook it; the
-			// tombstone has done its job (handles are never reused).
-			delete(s.tombs, a.Resv.Handle)
-		} else if _, ok := t.resv[a.Resv.Handle]; !ok {
+		if _, ok := t.resv[a.Resv.Handle]; !ok {
 			r := a.Resv
 			t.insertLocked(&r)
 		}
@@ -182,16 +155,8 @@ func (s *StreamReplayer) Apply(rec journal.Record) error {
 			if r, ok := t.resv[h]; ok {
 				t.dropLocked(r)
 			}
-			s.tombs[h] = s.seq
 		}
 		t.mu.Unlock()
-		if len(s.tombs) > streamTombHorizon {
-			for h, at := range s.tombs {
-				if s.seq-at > streamTombHorizon {
-					delete(s.tombs, h)
-				}
-			}
-		}
 	default:
 		return fmt.Errorf("resv: replay: unknown record op %q", rec.Op)
 	}

@@ -457,7 +457,6 @@ func TestLedgerMatchesSweepProperty(t *testing.T) {
 				if err := fol.ResetFrom(mustSnapshot(t, sut)); err != nil {
 					t.Fatalf("step %d: follower ResetFrom: %v", step, err)
 				}
-				rep.Reset()
 			}
 		case k < 85: // crash recovery: the last base snapshot plus the tail since
 			recovered := mustRestore(t, base)

@@ -84,6 +84,13 @@ const sweepEvery = 128
 // callers needing a permanent record must keep their own (the broker's
 // structured log is that record).
 type Table struct {
+	// order is the table's order lock: Admit, Cancel and Compact hold it
+	// from their mutation through the append of its record, so the
+	// journal holds the table's records in the order they were applied.
+	// It is taken before mu and never under it or under the journal's
+	// lock: Rotate, holding the journal's lock, takes mu to cut its
+	// snapshot.
+	order    sync.Mutex
 	mu       sync.Mutex
 	name     string
 	capacity units.Bandwidth
@@ -100,8 +107,8 @@ type Table struct {
 	admits int
 	// emit, when set, receives one typed journal event per applied
 	// mutation (see journaled.go). Mutators collect events under mu and
-	// invoke emit after releasing it, so the hook may block on I/O or
-	// take locks of its own without stalling the table.
+	// invoke emit after releasing it, still under order, so the hook may
+	// block on I/O or take locks of its own without stalling readers.
 	emit func(op string, data journal.BinaryRecord)
 }
 
@@ -207,6 +214,8 @@ type AdmitRequest struct {
 // Admit runs admission control and, on success, commits the
 // reservation and returns it.
 func (t *Table) Admit(req AdmitRequest) (*Reservation, error) {
+	t.order.Lock()
+	defer t.order.Unlock()
 	r, events, err := t.admit(req)
 	t.emitAll(events)
 	return r, err
@@ -256,6 +265,8 @@ func (t *Table) admit(req AdmitRequest) (*Reservation, []event, error) {
 
 // Cancel withdraws a reservation, releasing its capacity.
 func (t *Table) Cancel(handle string) error {
+	t.order.Lock()
+	defer t.order.Unlock()
 	events, err := t.cancel(handle)
 	t.emitAll(events)
 	return err
@@ -285,6 +296,8 @@ func (t *Table) cancel(handle string) ([]event, error) {
 // deterministic timing (periodic maintenance, tests, snapshotting a
 // long-idle table).
 func (t *Table) Compact(now time.Time) int {
+	t.order.Lock()
+	defer t.order.Unlock()
 	t.mu.Lock()
 	removed := t.compactLocked(now)
 	var events []event

@@ -13,9 +13,10 @@
 // and Batch applies a whole batch under one acquisition of it. The live
 // total is a running counter (O(1) admit and release, no walk over the
 // allocation set), and every successful mutation is stamped with the
-// next generation, which is what lets a write-ahead journal replay
-// records emitted after the lock is released in a correct per-flow
-// order (see Tx.ReplayAlloc).
+// next generation. The owning broker journals an endpoint's mutations in
+// generation order, so replay can tell from the generation alone whether
+// a journaled op is already reflected, the next one, or out of order
+// (see Tx.ReplayAlloc).
 package tunnel
 
 import (
@@ -133,9 +134,8 @@ func (tx Tx) Gen() int64 { return tx.e.gen }
 // the current state already reflects (gen at or below the endpoint's)
 // is a no-op, as is an allocation whose sub-flow is already present —
 // both are the expected shapes of a record that also survived in a
-// snapshot. The caller must feed records for one endpoint in ascending
-// generation order; per-flow correctness follows because generations
-// are minted under the endpoint's lock.
+// snapshot. The caller feeds an endpoint's ops in generation order, each
+// at the generation after the endpoint's.
 func (tx Tx) ReplayAlloc(subID string, bw units.Bandwidth, gen int64) error {
 	e := tx.e
 	if gen <= e.gen {

@@ -19,13 +19,20 @@
 #                          plus a walk over the live world registries)
 #   make alloc-gate        every Test*AllocationFree / *AllocationBound:
 #                          frame encode, journal append, a follower's
-#                          AppendFrame (no stream tail), QHist Observe,
-#                          event append, ledger reads, signature verify,
-#                          warm chain Verify per layer, Seal, tunnel batch
-#                          validate / decode / dense grant, a tunnel
-#                          endpoint's alloc and release batch (DESIGN.md
-#                          §6.5, §6.6, §6.11 give each bound its reason;
-#                          run without -race: the gates skip under it)
+#                          AppendFrame (no stream tail), the group-commit
+#                          loop (TestGroupCommitAllocationFree), a stream
+#                          message's decode and answer
+#                          (TestStreamExchangeAllocationFree), a
+#                          follower applying a reserve's and a cancel's
+#                          stream message
+#                          (TestFollowerStreamApplyAllocationBound),
+#                          QHist Observe, event append, ledger reads,
+#                          signature verify, warm chain Verify per layer,
+#                          Seal, tunnel batch validate / decode / dense
+#                          grant, a tunnel endpoint's alloc and release
+#                          batch (DESIGN.md §6.5, §6.6, §6.8, §6.11 give
+#                          each bound its reason; run without -race: the
+#                          gates skip under it)
 #   make bench-e2e         the repository's benchmark (bench/README.md):
 #                          go run ./bench — four workloads, end to end
 #                          then traced, rows appended to bench/out/
@@ -51,7 +58,10 @@
 #                          draw and flight-recorder append (BENCH_obs.json)
 #   make bench-replication end-to-end admission, unreplicated vs a
 #                          3-replica commit-gated group, then the commit
-#                          gate alone (BENCH_replication.json)
+#                          gate alone with -benchmem, in two shapes:
+#                          BenchmarkReplCommitGate/rar_cancel (one record)
+#                          and /reserve (resv.admit + bb.rar with a
+#                          3-approval outcome) (BENCH_replication.json)
 #   make bench-fleet       full scenario fleet at 100k users; regenerates
 #                          BENCH_scale.json
 #   make bench-route       route-lookup micro-benchmarks with -benchmem:

@@ -3,6 +3,7 @@ package bb_test
 import (
 	"bytes"
 	"encoding/binary"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -307,5 +308,133 @@ func TestNoFrameAliasOutlivesItsExchange(t *testing.T) {
 	p.mu.Unlock()
 	if poisoned < 20 {
 		t.Fatalf("only %d frames were overwritten: the brokers' connections are not the poisoning ones", poisoned)
+	}
+}
+
+// TestFollowerKeepsNoStreamFrame: a follower decodes its leader's
+// stream in place (DESIGN.md §6.6, "Who owns a frame") and copies what
+// it keeps as it applies each record. Every stream message a follower
+// is handed is overwritten once it is answered; the followers must
+// still hold their leader's state to the byte, and once one of them is
+// promoted it must answer a retransmitted reserve with the recorded
+// outcome, byte for byte.
+func TestFollowerKeepsNoStreamFrame(t *testing.T) {
+	p := &poisoner{}
+	w, err := experiment.BuildWorld(experiment.WorldConfig{
+		NumDomains:  3,
+		Replicas:    3,
+		Capacity:    1000 * units.Mbps,
+		CallTimeout: 2 * time.Second,
+		StateDir:    t.TempDir(),
+		FsyncPolicy: "never",
+		WrapListener: func(_ string, _ int, ln transport.Listener) transport.Listener {
+			return poisonListener{ln, p}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	u, err := w.NewUser("alice", "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(u.Close)
+	src, dest := w.SourceDomain(), w.DestDomain()
+
+	kept := u.NewSpec(experiment.SpecOptions{DestDomain: dest, Bandwidth: 10 * units.Mbps})
+	granted, err := u.ReserveE2E(kept)
+	if err != nil || !granted.Granted || len(granted.Approvals) != len(w.Domains) {
+		t.Fatalf("reserve: res=%+v err=%v", granted, err)
+	}
+	cancelled := u.NewSpec(experiment.SpecOptions{DestDomain: dest, Bandwidth: 10 * units.Mbps})
+	if res, err := u.ReserveE2E(cancelled); err != nil || !res.Granted {
+		t.Fatalf("second reserve: res=%+v err=%v", res, err)
+	}
+	if err := u.Cancel(src, cancelled.RARID); err != nil {
+		t.Fatalf("cancel: %v", err)
+	}
+	// Every frame of the stream so far was overwritten as soon as its
+	// follower answered it: waitReplicated compares digests after that.
+	for _, d := range w.Domains {
+		waitReplicated(t, w, d, []int{0, 1, 2})
+	}
+	p.mu.Lock()
+	poisoned := p.poisoned
+	p.mu.Unlock()
+	if poisoned < 12 {
+		t.Fatalf("only %d stream messages were overwritten: the followers' connections are not the poisoning ones", poisoned)
+	}
+
+	if _, err := w.KillLeader(src); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.PromoteAny(src); err != nil {
+		t.Fatal(err)
+	}
+	u.Close() // the user's pooled connection died with the leader
+	again, err := u.ReserveE2E(kept)
+	if err != nil {
+		t.Fatalf("retransmission after failover: %v", err)
+	}
+	want := (&signalling.Message{Type: signalling.MsgResult, Result: granted}).AppendBinary(nil)
+	got := (&signalling.Message{Type: signalling.MsgResult, Result: again}).AppendBinary(nil)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the promoted follower replayed another outcome:\n grant  %+v\n replay %+v", granted, again)
+	}
+}
+
+// TestRecoveryKeepsNoWALByte: boot recovery decodes the WAL in place
+// too. Every broker's journal replayed into a fresh broker, and every
+// byte recovery read overwritten afterwards, must leave that broker
+// holding the state of the one that wrote the journal.
+func TestRecoveryKeepsNoWALByte(t *testing.T) {
+	stateDir := t.TempDir()
+	w, err := experiment.BuildWorld(experiment.WorldConfig{
+		NumDomains:  3,
+		Capacity:    1000 * units.Mbps,
+		CallTimeout: 2 * time.Second,
+		StateDir:    stateDir,
+		FsyncPolicy: "always",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	u, err := w.NewUser("alice", "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(u.Close)
+	src, dest := w.SourceDomain(), w.DestDomain()
+	for i := 0; i < 2; i++ {
+		if res, err := u.ReserveE2E(u.NewSpec(experiment.SpecOptions{DestDomain: dest, Bandwidth: 10 * units.Mbps})); err != nil || !res.Granted {
+			t.Fatalf("reserve: res=%+v err=%v", res, err)
+		}
+	}
+	cancelled := u.NewSpec(experiment.SpecOptions{DestDomain: dest, Bandwidth: 10 * units.Mbps})
+	if res, err := u.ReserveE2E(cancelled); err != nil || !res.Granted {
+		t.Fatalf("reserve: res=%+v err=%v", res, err)
+	}
+	if err := u.Cancel(src, cancelled.RARID); err != nil {
+		t.Fatalf("cancel: %v", err)
+	}
+	for _, d := range w.Domains {
+		want, err := w.BBs[d].StateDigest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		recovered, err := w.BBs[d].RecoverScribbled(filepath.Join(stateDir, d))
+		if err != nil {
+			t.Fatalf("%s: recovery: %v", d, err)
+		}
+		got, err := recovered.StateDigest()
+		recovered.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: the broker recovered from its journal changed when the bytes it was recovered from were overwritten", d)
+		}
 	}
 }

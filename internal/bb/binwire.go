@@ -88,8 +88,13 @@ func (r rarRec) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
+// DecodeBinary decodes one copy of data: the entry a record becomes
+// outlives the log, snapshot or stream message it was read from
+// (DESIGN.md §6.6, "Who owns a frame"). Every string, the outcome's
+// included, is cut from one string copy of the record; the outcome's
+// signatures from one byte copy of its frame.
 func (r *rarRec) DecodeBinary(data []byte) error {
-	d := wire.Dec{Buf: data}
+	d := wire.Dec{Buf: data, Text: string(data)}
 	var whole childRoute
 	for d.More() {
 		f, wt := d.Tag()
@@ -107,7 +112,11 @@ func (r *rarRec) DecodeBinary(data []byte) error {
 		case f == 6 && wt == wire.TBytes:
 			r.SourceBB = identity.DN(d.String())
 		case f == 7 && wt == wire.TBytes:
-			m, err := decodeOutcome(&d)
+			sub := d.Nested()
+			if d.Err() != nil {
+				return d.Err()
+			}
+			m, err := signalling.DecodeMessageIn(bytes.Clone(sub.Buf), sub.Text)
 			if err != nil {
 				return err
 			}
@@ -115,7 +124,7 @@ func (r *rarRec) DecodeBinary(data []byte) error {
 		case f == 8 && wt == wire.TBytes:
 			whole.Key = d.String()
 		case f == 9 && wt == wire.TBytes:
-			sub := wire.Dec{Buf: d.Bytes()}
+			sub := d.Nested()
 			var c childRoute
 			if err := c.decodeFields(&sub); err != nil {
 				return err
@@ -137,20 +146,22 @@ func (r rarCancelRec) AppendBinary(buf []byte) []byte {
 	return wire.AppendInt(buf, 2, r.Epoch)
 }
 
-func (r *rarCancelRec) DecodeBinary(data []byte) error {
+// decodeRemoval decodes a rarCancelRec in place: the key aliases data,
+// which is all a replayed removal needs of it.
+func decodeRemoval(data []byte) (key []byte, epoch int64, err error) {
 	d := wire.Dec{Buf: data}
 	for d.More() {
 		f, wt := d.Tag()
 		switch {
 		case f == 1 && wt == wire.TBytes:
-			r.RARID = d.String()
+			key = d.Bytes()
 		case f == 2 && wt == wire.TVarint:
-			r.Epoch = d.Varint()
+			epoch = d.Varint()
 		default:
 			d.Skip(wt)
 		}
 	}
-	return d.Err()
+	return key, epoch, d.Err()
 }
 
 // tunnelOpRec: 1=action 2=sub_flow_id 3=bandwidth 4=gen.

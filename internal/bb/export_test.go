@@ -6,8 +6,10 @@ import (
 
 	"e2eqos/internal/identity"
 	"e2eqos/internal/journal"
+	"e2eqos/internal/resv"
 	"e2eqos/internal/signalling"
 	"e2eqos/internal/tunnel"
+	"e2eqos/internal/units"
 	"e2eqos/internal/wire"
 )
 
@@ -17,6 +19,57 @@ import (
 func (b *BB) CommitGate() {
 	b.journalRARCancel("bench-commit-gate", 0)
 	b.replWaitCommit()
+}
+
+// CommitGateReserve journals what a granted reserve journals at its
+// source — the table's resv.admit, then a bb.rar whose outcome carries
+// approvals — and waits for their majority commit: the expensive shape
+// of BenchmarkReplCommitGate. Each call admits a 1 bit/s reservation
+// over window and registers the route under one RAR id at a fresh
+// epoch, so on a window long past the table's sweep and the followers'
+// replacement of the route keep the state from growing.
+func (b *BB) CommitGateReserve(window units.Window, outcome *signalling.Message) error {
+	r, err := b.table.Admit(resv.AdmitRequest{User: b.DN(), SrcHost: "hostA.", DstHost: "hostB.", Bandwidth: 1, Window: window})
+	if err != nil {
+		return err
+	}
+	e := entry[route]{key: "RAR-gate", epoch: b.mintEpoch(), val: route{Handle: r.Handle, SourceBB: b.DN()}, outcome: outcome}
+	b.journalRAR(&e)
+	b.replWaitCommit()
+	return nil
+}
+
+// RecoverScribbled replays the journal directory dir into a memory-only
+// broker built from b's configuration, exactly as boot recovery replays
+// it, then overwrites every byte recovery read — the snapshot and the
+// WAL from the first record on — and returns that broker.
+func (b *BB) RecoverScribbled(dir string) (*BB, error) {
+	rec, err := journal.Recover(dir)
+	if err != nil {
+		return nil, err
+	}
+	cfg := b.cfg
+	cfg.StateDir, cfg.Metrics, cfg.Recorder = "", nil, nil
+	cfg.ReplicaID, cfg.ReplicaAddrs, cfg.StartAsFollower = 0, nil, false
+	nb, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	nb.replay = newReplayer(nb)
+	if err := nb.recoverState(rec); err != nil {
+		nb.Close()
+		return nil, err
+	}
+	scribble := func(b []byte) {
+		for i := range b {
+			b[i] = 0x5A
+		}
+	}
+	scribble(rec.Snapshot)
+	if len(rec.Records) > 0 {
+		scribble(rec.Records[0].Data[:cap(rec.Records[0].Data)])
+	}
+	return nb, nil
 }
 
 // ReplayEntry is what the batch replay cache keeps of one batch.
@@ -189,11 +242,11 @@ func JournalOrder(dir string) ([]string, error) {
 				regs[key(ts.RARID, ts.Epoch)] = &reg{ts.Gen, ts.Gen}
 			}
 		case opTunnelRemove:
-			var cr rarCancelRec
-			if err := r.Decode(&cr); err != nil {
+			rarID, epoch, err := decodeRemoval(r.Data)
+			if err != nil {
 				return nil, err
 			}
-			ended[key(cr.RARID, cr.Epoch)] = true
+			ended[key(string(rarID), epoch)] = true
 		case opTunnelBatch:
 			var br tunnelBatchRec
 			if err := r.Decode(&br); err != nil {

@@ -69,6 +69,9 @@ type bbMetrics struct {
 	grantSeconds         *obs.QHist // end-to-end grant time at the source hop
 	journalAppendSeconds *obs.QHist // journal append latency (buffer or disk)
 	tunnelBatchSeconds   *obs.QHist // destination-side batch application time
+	// replCommitWaitSeconds is how long a leader's settle waited for its
+	// majority commit: observed only by a settle that waits.
+	replCommitWaitSeconds *obs.QHist
 	// recoverySeconds is how long the boot-time journal recovery took
 	// (0 on a memory-only broker).
 	recoverySeconds *obs.Gauge
@@ -137,6 +140,8 @@ func newBBMetrics(r *obs.Registry) bbMetrics {
 		grantSeconds:         r.Quantile("bb_grant_seconds", "end-to-end grant time observed at the source hop", 0, 0),
 		journalAppendSeconds: r.Quantile("bb_journal_append_seconds", "journal append latency as seen by the mutating call", 0, 0),
 		tunnelBatchSeconds:   r.Quantile("bb_tunnel_batch_seconds", "destination-side tunnel batch application time", 0, 0),
+		replCommitWaitSeconds: r.Quantile("bb_repl_commit_wait_seconds",
+			"time a leader's settle waited for majority acknowledgement (a settle whose records were committed already is not observed)", 0, 0),
 
 		recoverySeconds: r.Gauge("bb_recovery_seconds", "boot-time journal recovery duration (0 when memory-only)"),
 	}

@@ -110,6 +110,16 @@ func (r *registry[V]) remove(key string, epoch int64) (entry[V], bool) {
 	return entry[V]{}, false
 }
 
+// evict is remove for a key decoded in place out of a journal record:
+// the lookup reads it without a copy.
+func (r *registry[V]) evict(key []byte, epoch int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e, held := r.m[string(key)]; held && e.epoch == epoch {
+		delete(r.m, e.key)
+	}
+}
+
 func (r *registry[V]) get(key string) (entry[V], bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

@@ -99,6 +99,13 @@ type replicator struct {
 	applyMu sync.Mutex
 
 	electStop chan struct{}
+
+	// commitTimer bounds every commit wait with one timer (r.mu): it is
+	// armed at the earliest deadline of the waiting settles (commitAt)
+	// and broadcasts commitCond when it fires, so each waiter checks its
+	// own deadline and the survivors arm it again at theirs.
+	commitTimer *time.Timer
+	commitAt    time.Time // zero while disarmed
 }
 
 // newReplicator wires the engine into a freshly built broker. Called
@@ -113,6 +120,13 @@ func newReplicator(b *BB) *replicator {
 		appliedSeq: b.journal.Seq(),
 	}
 	r.commitCond = sync.NewCond(&r.mu)
+	r.commitTimer = time.AfterFunc(time.Hour, func() {
+		r.mu.Lock()
+		r.commitAt = time.Time{}
+		r.commitCond.Broadcast()
+		r.mu.Unlock()
+	})
+	r.commitTimer.Stop()
 	if !b.cfg.StartAsFollower {
 		r.role = replLeader
 		r.leaderID = r.id
@@ -142,6 +156,7 @@ func (r *replicator) close() {
 		close(r.electStop)
 		r.electStop = nil
 	}
+	r.commitTimer.Stop()
 	r.commitCond.Broadcast()
 	r.mu.Unlock()
 	r.pumpWG.Wait()
@@ -235,25 +250,6 @@ func (r *replicator) callTimeout() time.Duration {
 	return time.Second
 }
 
-// sleepOrStop pauses, returning false if stop closed first.
-func sleepOrStop(stop <-chan struct{}, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-stop:
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
-// streamReply builds a follower's answer to a stream or vote message.
-func streamReply(granted bool, ack, term int64) *signalling.Message {
-	return &signalling.Message{Type: signalling.MsgResult, Result: &signalling.ResultPayload{
-		Granted: granted, AckSeq: ack, Term: term,
-	}}
-}
-
 // ---------------------------------------------------------------------
 // Leader side: the pipelined stream, acknowledgements, group commit.
 
@@ -291,11 +287,13 @@ type stream struct {
 	// tick that finds it still set heartbeats.
 	quiet bool
 	// recs and frames are flushLocked's scratch: the tail window and one
-	// message's frames. Post encodes before it returns, so both are
-	// reused, and cleared after each flush so they pin no frame the tail
-	// has dropped.
+	// message's frames; out and msg are the message every post writes.
+	// Post encodes before it returns, so all four are reused, and none
+	// keeps a frame past its flush or post.
 	recs   []journal.StreamRecord
 	frames [][]byte
+	out    signalling.JournalStreamPayload
+	msg    signalling.Message
 }
 
 // streamConn is one connection's worth of a stream. A refusal, a lost
@@ -353,16 +351,23 @@ func (c *streamConn) onAck(resp *signalling.Message) {
 	}
 }
 
-// post writes one stream message on c. Caller holds s.mu.
-func (s *stream) post(c *streamConn, p *signalling.JournalStreamPayload) bool {
+// post writes one stream message on c: the frames that follow from, or
+// a snapshot cut at snapSeq, or neither — a heartbeat. Caller holds
+// s.mu.
+func (s *stream) post(c *streamConn, from int64, frames [][]byte, snapshot []byte, snapSeq int64) bool {
 	r := s.r
-	p.Domain, p.Term, p.LeaderID = r.b.cfg.Domain, s.term, r.id
+	s.out = signalling.JournalStreamPayload{
+		Domain: r.b.cfg.Domain, Term: s.term, LeaderID: r.id,
+		FromSeq: from, Records: frames, Snapshot: snapshot, SnapSeq: snapSeq,
+	}
 	r.mu.Lock()
-	p.CommitSeq = r.commitSeq
+	s.out.CommitSeq = r.commitSeq
 	r.mu.Unlock()
 	r.inflight.Add(1)
-	msg := &signalling.Message{Type: signalling.MsgJournalStream, JournalStream: p}
-	if err := c.client.Post(msg, r.callTimeout(), c.ack); err != nil {
+	s.msg = signalling.Message{Type: signalling.MsgJournalStream, JournalStream: &s.out}
+	err := c.client.Post(&s.msg, r.callTimeout(), c.ack)
+	s.out = signalling.JournalStreamPayload{}
+	if err != nil {
 		r.inflight.Add(-1)
 		c.fail("send failure")
 		return false
@@ -399,7 +404,7 @@ func (s *stream) flushLocked() {
 		for _, sr := range recs[:n] {
 			s.frames = append(s.frames, sr.Frame)
 		}
-		posted := s.post(c, &signalling.JournalStreamPayload{FromSeq: s.sent, Records: s.frames})
+		posted := s.post(c, s.sent, s.frames, nil, 0)
 		clear(s.frames)
 		if !posted {
 			break
@@ -448,7 +453,7 @@ func (s *stream) maintain(tick bool) bool {
 			b.log.Error("replication: snapshot for follower failed", "replica", s.id, "err", err)
 			return false
 		}
-		if !s.post(s.conn, &signalling.JournalStreamPayload{Snapshot: data, SnapSeq: seq}) {
+		if !s.post(s.conn, 0, nil, data, seq) {
 			return false
 		}
 		b.m.replSnapshotsSent.Inc()
@@ -459,7 +464,7 @@ func (s *stream) maintain(tick bool) bool {
 		// The heartbeat doubles as the term assert and commit-sequence
 		// share on an idle group.
 		if s.quiet && s.sent >= 0 {
-			s.post(s.conn, &signalling.JournalStreamPayload{FromSeq: s.sent})
+			s.post(s.conn, s.sent, nil, nil, 0)
 		}
 		s.quiet = true
 	}
@@ -481,6 +486,24 @@ func (s *stream) pump(stop chan struct{}) {
 	}()
 	ticker := time.NewTicker(min(replHeartbeat, r.callTimeout()))
 	defer ticker.Stop()
+	// One timer for every pause: it is only reset once its last expiry
+	// was received, so no stale expiry can cut a pause short under either
+	// timer semantics.
+	var timer *time.Timer
+	pause := func(d time.Duration) bool {
+		if timer == nil {
+			timer = time.NewTimer(d)
+		} else {
+			timer.Reset(d)
+		}
+		select {
+		case <-stop:
+			timer.Stop()
+			return false
+		case <-timer.C:
+			return true
+		}
+	}
 	tick := false
 	for {
 		if !r.leading(s.term) {
@@ -492,7 +515,7 @@ func (s *stream) pump(stop chan struct{}) {
 		ok := s.maintain(tick)
 		tick = false
 		if !ok {
-			if !sleepOrStop(stop, replRedialBackoff) {
+			if !pause(replRedialBackoff) {
 				return
 			}
 			continue
@@ -504,7 +527,7 @@ func (s *stream) pump(stop chan struct{}) {
 			// Most appends are settled moments later, and the settle
 			// writes them (one message, not two). The pump sends only what
 			// is still unsent a little later.
-			if !sleepOrStop(stop, replEagerDelay) {
+			if !pause(replEagerDelay) {
 				return
 			}
 		case <-s.kick:
@@ -556,7 +579,9 @@ func (r *replicator) noteAck(s *stream, seq int64) {
 // timeout (counted: the group is degraded, keep serving) it returns
 // immediately; the outcome the caller settles is then durable locally
 // but not yet guaranteed replicated, exactly the pre-replication
-// contract.
+// contract. A wait allocates nothing (the replicator's one commitTimer
+// bounds it), and only a settle that waits is timed
+// (bb_repl_commit_wait_seconds).
 func (b *BB) replWaitCommit() {
 	r := b.repl
 	if r == nil {
@@ -570,6 +595,7 @@ func (b *BB) replWaitCommit() {
 	}
 	streams := r.streams
 	r.mu.Unlock()
+	t0 := time.Now()
 	for _, s := range streams {
 		// A stream someone else is writing — another settle, or the pump
 		// mid-dial — is not waited for: the append that set target also
@@ -579,21 +605,24 @@ func (b *BB) replWaitCommit() {
 			s.mu.Unlock()
 		}
 	}
+	deadline := t0.Add(replCommitTimeout)
 	timedOut := false
-	timer := time.AfterFunc(replCommitTimeout, func() {
-		r.mu.Lock()
-		timedOut = true
-		r.commitCond.Broadcast()
-		r.mu.Unlock()
-	})
 	r.mu.Lock()
-	for r.commitSeq < target && r.role == replLeader && !r.closed && !timedOut {
+	for r.commitSeq < target && r.role == replLeader && !r.closed {
+		now := time.Now()
+		if !now.Before(deadline) {
+			timedOut = true
+			break
+		}
+		if r.commitAt.IsZero() || deadline.Before(r.commitAt) {
+			r.commitAt = deadline
+			r.commitTimer.Reset(deadline.Sub(now))
+		}
 		r.commitCond.Wait()
 	}
-	ok := r.commitSeq >= target
 	r.mu.Unlock()
-	timer.Stop()
-	if !ok && timedOut {
+	b.m.replCommitWaitSeconds.ObserveSince(t0)
+	if timedOut {
 		b.m.replCommitTimeouts.Inc()
 	}
 }
@@ -629,7 +658,7 @@ func (r *replicator) handleStream(p *signalling.JournalStreamPayload) *signallin
 	if p.Term < r.term {
 		term := r.term
 		r.mu.Unlock()
-		return streamReply(false, 0, term) // stale leader: fence it
+		return p.Reply(false, 0, term) // stale leader: fence it
 	}
 	if p.Term > r.term || r.role == replLeader {
 		// A newer term, or a competing leader at our own term after we
@@ -656,10 +685,10 @@ func (r *replicator) handleStream(p *signalling.JournalStreamPayload) *signallin
 		// Refused: the leader restarts the stream from a snapshot.
 		b.m.replStreamErrors.Inc()
 		b.log.Error("replication: stream message refused", "applied", applied, "err", err)
-		return streamReply(false, applied, term)
+		return p.Reply(false, applied, term)
 	}
 	b.maybeCheckpoint()
-	return streamReply(true, applied, term)
+	return p.Reply(true, applied, term)
 }
 
 // applyMessage installs the message's snapshot, if any, then applies its
@@ -731,16 +760,16 @@ func (r *replicator) handleVote(p *signalling.JournalStreamPayload) *signalling.
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if p.Term <= r.term {
-		return streamReply(false, r.appliedSeq, r.term)
+		return p.Reply(false, r.appliedSeq, r.term)
 	}
 	r.stepDownLocked(p.Term, -1)
 	if p.FromSeq < r.appliedSeq {
-		return streamReply(false, r.appliedSeq, r.term)
+		return p.Reply(false, r.appliedSeq, r.term)
 	}
 	// Grant. Reset the failover clock so this voter doesn't stand
 	// against the candidate it just endorsed.
 	r.lastHeard = time.Now()
-	return streamReply(true, r.appliedSeq, r.term)
+	return p.Reply(true, r.appliedSeq, r.term)
 }
 
 // ---------------------------------------------------------------------

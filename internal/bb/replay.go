@@ -104,22 +104,22 @@ func (rp *replayer) apply(r journal.Record) error {
 	switch r.Op {
 	case opRAR:
 		var rr rarRec
-		if err := r.Decode(&rr); err != nil {
-			return err
+		if err := rr.DecodeBinary(r.Data); err != nil {
+			return r.PayloadError(err)
 		}
 		b.noteEpoch(rr.Epoch)
 		b.routes.register(rr.RARID, rr.Epoch, rr.route, rr.Outcome)
 	case opRARCancel:
-		var cr rarCancelRec
-		if err := r.Decode(&cr); err != nil {
-			return err
+		key, epoch, err := decodeRemoval(r.Data)
+		if err != nil {
+			return r.PayloadError(err)
 		}
-		b.noteEpoch(cr.Epoch)
-		b.routes.remove(cr.RARID, cr.Epoch)
+		b.noteEpoch(epoch)
+		b.routes.evict(key, epoch)
 	case opTunnel:
 		var ts tunnel.EndpointSnapshot
-		if err := r.Decode(&ts); err != nil {
-			return err
+		if err := ts.DecodeBinary(r.Data); err != nil {
+			return r.PayloadError(err)
 		}
 		b.noteEpoch(ts.Epoch)
 		ep, err := tunnel.Restore(ts)
@@ -132,16 +132,16 @@ func (rp *replayer) apply(r journal.Record) error {
 		// the records that follow.
 		b.tunnels.register(ts.RARID, ts.Epoch, newTunnelReg(ep), nil)
 	case opTunnelRemove:
-		var cr rarCancelRec
-		if err := r.Decode(&cr); err != nil {
-			return err
+		key, epoch, err := decodeRemoval(r.Data)
+		if err != nil {
+			return r.PayloadError(err)
 		}
-		b.noteEpoch(cr.Epoch)
-		b.tunnels.remove(cr.RARID, cr.Epoch)
+		b.noteEpoch(epoch)
+		b.tunnels.evict(key, epoch)
 	case opTunnelBatch:
 		var br tunnelBatchRec
-		if err := r.Decode(&br); err != nil {
-			return err
+		if err := br.DecodeBinary(r.Data); err != nil {
+			return r.PayloadError(err)
 		}
 		return rp.applyBatch(&br)
 	default:

@@ -13,6 +13,7 @@ import (
 	"e2eqos/internal/bb"
 	"e2eqos/internal/core"
 	"e2eqos/internal/experiment"
+	"e2eqos/internal/identity"
 	"e2eqos/internal/journal"
 	"e2eqos/internal/signalling"
 	"e2eqos/internal/transport"
@@ -640,13 +641,39 @@ func TestReplicaTailsDrainOnAcknowledgement(t *testing.T) {
 	}
 }
 
-// BenchmarkReplCommitGate is one journal append carried to a majority
-// commit on a three-replica group over the in-memory transport: the
-// settling goroutine writes the frame to both followers, each applies
-// and journals it on its reader, and the first acknowledgement folded
-// in on the leader's demux releases the wait. Journals write through
-// without fsync, so the figure is the gate's own.
+// BenchmarkReplCommitGate carries journal appends to a majority commit
+// on a three-replica group over the in-memory transport: the settling
+// goroutine writes the frames to both followers, each applies and
+// journals them on its reader, and the first acknowledgement folded in
+// on the leader's demux releases the wait. Journals write through
+// without fsync, so the figure is the gate's own. rar_cancel commits
+// one record that changes nothing (the cancel of a RAR nobody
+// registered); reserve commits what a granted reserve journals at its
+// source: the table's resv.admit and a bb.rar whose outcome carries
+// three approvals (plus, every 128th, the sweep's resv.compact).
 func BenchmarkReplCommitGate(b *testing.B) {
+	b.Run("rar_cancel", func(b *testing.B) {
+		benchCommitGate(b, func(leader *bb.BB) error {
+			leader.CommitGate()
+			return nil
+		})
+	})
+	b.Run("reserve", func(b *testing.B) {
+		outcome := &signalling.Message{Type: signalling.MsgResult, Result: &signalling.ResultPayload{Granted: true, Handle: "Domain0-1"}}
+		for i, d := range []string{"Domain2", "Domain1", "Domain0"} {
+			outcome.Result.Approvals = append(outcome.Result.Approvals, signalling.DomainApproval{
+				Domain: d, BBDN: identity.DN("/O=Grid/OU=" + d + "/CN=bb"), RARID: "RAR-bench", Handle: d + "-1",
+				Granted: true, Signature: bytes.Repeat([]byte{byte(i + 1)}, 64),
+			})
+		}
+		// Ended long enough ago that every admission sweep removes it.
+		now := time.Now()
+		window := units.Window{Start: now.Add(-3 * time.Hour), End: now.Add(-2 * time.Hour)}
+		benchCommitGate(b, func(leader *bb.BB) error { return leader.CommitGateReserve(window, outcome) })
+	})
+}
+
+func benchCommitGate(b *testing.B, gate func(leader *bb.BB) error) {
 	w, err := experiment.BuildWorld(experiment.WorldConfig{
 		NumDomains: 1, Replicas: 3, StateDir: b.TempDir(), FsyncPolicy: "never", CallTimeout: 2 * time.Second,
 	})
@@ -656,12 +683,16 @@ func BenchmarkReplCommitGate(b *testing.B) {
 	defer w.Close()
 	leader := w.ReplicaBB("Domain0", 0)
 	for i := 0; i < 200; i++ {
-		leader.CommitGate()
+		if err := gate(leader); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		leader.CommitGate()
+		if err := gate(leader); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
 	if st := leader.ReplicationStatus(); st.CommitSeq != st.JournalSeq {
@@ -731,5 +762,188 @@ func TestPromotedSourceMintsAboveItsLeader(t *testing.T) {
 		if got := fmt.Sprint(ep.SubFlows()); got != "[f1 f2]" {
 			t.Errorf("%s holds %s after the promoted source's batch, want [f1 f2]", d, got)
 		}
+	}
+}
+
+// TestCommitWaitersShareOneTimer: the replicator bounds every commit
+// wait with one timer, armed at the earliest waiting deadline. Settles
+// that wait at the same time, from many goroutines, all commit while the
+// followers answer; once nobody answers, each of four staggered waiters
+// gives up at its own one-second bound — not at an earlier waiter's, and
+// not later — and each is counted and timed once.
+func TestCommitWaitersShareOneTimer(t *testing.T) {
+	const domain = "Domain0"
+	var deaf atomic.Bool
+	script := func(addr string, send bool, m *signalling.Message) transport.FaultAction {
+		if send && deaf.Load() && strings.HasPrefix(addr, "bb."+domain+".r") &&
+			m.Type == signalling.MsgJournalStream && len(m.JournalStream.Records) > 0 {
+			return transport.FaultDrop
+		}
+		return transport.FaultPass
+	}
+	w, _, arm := streamWorld(t, 1, 3, 10*time.Second, script)
+	arm.Store(true)
+	leader := w.ReplicaBB(domain, 0)
+	metric := func(name string) float64 { return replMetric(w, domain, 0, name) }
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				leader.CommitGate()
+			}
+		}()
+	}
+	wg.Wait()
+	if st := leader.ReplicationStatus(); st.CommitSeq != st.JournalSeq {
+		t.Fatalf("commitSeq %d behind the journal at %d after every settle returned", st.CommitSeq, st.JournalSeq)
+	}
+	if got := metric("bb_repl_commit_timeouts_total"); got != 0 {
+		t.Fatalf("bb_repl_commit_timeouts_total = %v with both followers answering", got)
+	}
+
+	deaf.Store(true)
+	waited := metric("bb_repl_commit_wait_seconds_count")
+	const waiters, stagger = 4, 150 * time.Millisecond
+	took := make([]time.Duration, waiters)
+	for k := 0; k < waiters; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			time.Sleep(time.Duration(k) * stagger)
+			t0 := time.Now()
+			leader.CommitGate()
+			took[k] = time.Since(t0)
+		}()
+	}
+	wg.Wait()
+	for k, d := range took {
+		if d < time.Second || d > 2*time.Second {
+			t.Errorf("waiter %d gave up after %v, want its own one-second bound", k, d)
+		}
+	}
+	if got := metric("bb_repl_commit_timeouts_total"); got != waiters {
+		t.Errorf("bb_repl_commit_timeouts_total = %v, want one per waiter (%d)", got, waiters)
+	}
+	if got := metric("bb_repl_commit_wait_seconds_count") - waited; got != waiters {
+		t.Errorf("bb_repl_commit_wait_seconds observed %v waits, want %d", got, waiters)
+	}
+}
+
+// TestFollowerStreamApplyAllocationBound gates what a follower
+// allocates to apply one stream message (DESIGN.md §6.8, "What a
+// follower keeps"): the records are decoded in place, and only what the
+// follower keeps is copied — once per record. The frames are a source
+// broker's own, read from its WAL: a granted reserve's (resv.admit,
+// then bb.rar with a three-approval outcome) and a cancel's
+// (bb.rar_cancel, resv.cancel), one message each, applied by an idle
+// follower whose leader is dead, so nothing else runs while the gate
+// counts.
+func TestFollowerStreamApplyAllocationBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate is meaningless under the race detector")
+	}
+	const (
+		runs         = 40
+		reserveBound = 12 // DESIGN.md §6.8
+	)
+	srcDir := t.TempDir()
+	src, err := experiment.BuildWorld(experiment.WorldConfig{
+		NumDomains: 3, Capacity: 10_000 * units.Mbps, CallTimeout: 2 * time.Second, StateDir: srcDir, FsyncPolicy: "never",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(src.Close)
+	u, err := src.NewUser("alice", "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(u.Close)
+	for i := 0; i <= runs; i++ {
+		spec := u.NewSpec(experiment.SpecOptions{DestDomain: src.DestDomain(), Bandwidth: units.Mbps})
+		res, err := u.ReserveE2E(spec)
+		if err != nil || !res.Granted || len(res.Approvals) != 3 {
+			t.Fatalf("reserve %d: res=%+v err=%v", i, res, err)
+		}
+		if err := u.Cancel(src.SourceDomain(), spec.RARID); err != nil {
+			t.Fatalf("cancel %d: %v", i, err)
+		}
+	}
+	rec, err := journal.Recover(filepath.Join(srcDir, src.SourceDomain()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The source journals each cycle as resv.admit, bb.rar, bb.rar_cancel,
+	// resv.cancel.
+	var reserves, cancels [][][]byte
+	for i := 0; i+3 < len(rec.Records); i += 4 {
+		var frames [][]byte
+		for _, r := range rec.Records[i : i+4] {
+			f, err := journal.EncodeRecord(r.Op, journal.RawBinary(r.Data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames = append(frames, f)
+		}
+		if ops := [4]string{rec.Records[i].Op, rec.Records[i+1].Op, rec.Records[i+2].Op, rec.Records[i+3].Op}; ops != [4]string{"resv.admit", "bb.rar", "bb.rar_cancel", "resv.cancel"} {
+			t.Fatalf("cycle at record %d journaled %v", i, ops)
+		}
+		reserves = append(reserves, frames[:2])
+		cancels = append(cancels, frames[2:])
+	}
+	if len(reserves) != runs+1 {
+		t.Fatalf("%d cycles in the source's journal, want %d", len(reserves), runs+1)
+	}
+
+	const domain = "Domain0"
+	w, err := experiment.BuildWorld(experiment.WorldConfig{
+		NumDomains: 1, Replicas: 3, Capacity: 10_000 * units.Mbps, CallTimeout: 2 * time.Second, StateDir: t.TempDir(), FsyncPolicy: "never",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	eventually(t, "replica 1 joins the stream", func() bool { return w.ReplicaBB(domain, 1).ReplicationStatus().LeaderID == 0 })
+	waitReplicated(t, w, domain, []int{0, 1, 2})
+	if _, err := w.KillLeader(domain); err != nil { // nothing streams while the gate counts
+		t.Fatal(err)
+	}
+	f := w.ReplicaBB(domain, 1)
+	self := signalling.Peer{DN: f.DN()}
+	apply := func(what string, messages [][][]byte) float64 {
+		t.Helper()
+		msgs := make([]signalling.Message, len(messages))
+		for i, frames := range messages {
+			msgs[i] = signalling.Message{Type: signalling.MsgJournalStream, JournalStream: &signalling.JournalStreamPayload{
+				Domain: domain, Term: 1, Records: frames,
+			}}
+		}
+		next := 0
+		got := testing.AllocsPerRun(runs, func() {
+			m := &msgs[next]
+			next++
+			m.JournalStream.FromSeq = f.ReplicationStatus().AppliedSeq
+			if resp := f.Handle(self, m); resp.Result == nil || !resp.Result.Granted {
+				t.Fatalf("%s %d refused: %+v", what, next, resp.Result)
+			}
+		})
+		if next != len(msgs) {
+			t.Fatalf("%s: %d of %d messages applied", what, next, len(msgs))
+		}
+		return got
+	}
+	if got := apply("reserve", reserves); got > reserveBound {
+		t.Errorf("a granted reserve's stream message allocates %.1f on the follower, want at most %d", got, reserveBound)
+	} else {
+		t.Logf("a granted reserve's stream message allocates %.1f", got)
+	}
+	if got := apply("cancel", cancels); got > 0 {
+		t.Errorf("a cancel's stream message allocates %.1f on the follower, want 0", got)
+	}
+	if n := grantedIn(w, domain); n != 0 {
+		t.Errorf("%d reservations granted on the follower after every cancel, want 0", n)
 	}
 }

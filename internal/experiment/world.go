@@ -85,6 +85,11 @@ type WorldConfig struct {
 	// the hook the fault-injection experiments use to subject a
 	// specific hop to failure.
 	WrapDialer func(domain string, d transport.Dialer) transport.Dialer
+	// WrapListener, when set, wraps the listener each member of a
+	// replica group serves at its replica address — where a follower
+	// receives its leader's stream — so a test can see, or overwrite,
+	// every frame a follower is handed.
+	WrapListener func(domain string, replica int, ln transport.Listener) transport.Listener
 
 	// EnableObs gives every broker its own metrics registry (exposed as
 	// World.Metrics) and wires transport counters onto the shared
@@ -404,7 +409,11 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 			}
 			mb := &member{broker: broker, cfg: bcfg, endpoint: endpoint, alive: true}
 			if addr, ok := replicaAddrs[i]; ok {
-				if mb.stopReplica, err = serve(endpoint, addr, broker); err != nil {
+				var wrap func(transport.Listener) transport.Listener
+				if cfg.WrapListener != nil {
+					wrap = func(ln transport.Listener) transport.Listener { return cfg.WrapListener(name, i, ln) }
+				}
+				if mb.stopReplica, err = serve(endpoint, addr, broker, wrap); err != nil {
 					return nil, err
 				}
 			}
@@ -436,17 +445,21 @@ func (w *World) front(name string, i int) {
 	}
 }
 
-// serve listens at addr on ep and serves broker there. What it returns
-// stops the server and closes the listener itself, which a Serve
-// goroutine that has not started yet would leave bound, so the address
-// is free again when it returns.
-func serve(ep *transport.Endpoint, addr string, broker *bb.BB) (func(), error) {
+// serve listens at addr on ep and serves broker there, through wrap
+// when it is set. What it returns stops the server and closes the
+// listener itself, which a Serve goroutine that has not started yet
+// would leave bound, so the address is free again when it returns.
+func serve(ep *transport.Endpoint, addr string, broker *bb.BB, wrap func(transport.Listener) transport.Listener) (func(), error) {
 	ln, err := ep.Listen(addr)
 	if err != nil {
 		return nil, err
 	}
 	srv := signalling.NewServer(broker, broker.Logger())
-	go srv.Serve(ln)
+	if wrap != nil {
+		go srv.Serve(wrap(ln))
+	} else {
+		go srv.Serve(ln)
+	}
 	return func() { srv.Shutdown(); ln.Close() }, nil
 }
 
@@ -458,7 +471,7 @@ func (w *World) startDomain(name string) error {
 		return fmt.Errorf("experiment: unknown domain %q", name)
 	}
 	m := ms[w.leaders[name]]
-	stop, err := serve(m.endpoint, addrOf(name), m.broker)
+	stop, err := serve(m.endpoint, addrOf(name), m.broker, nil)
 	if err != nil {
 		return err
 	}

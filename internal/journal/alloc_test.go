@@ -73,3 +73,46 @@ func TestFollowerAppendFrameAllocationFree(t *testing.T) {
 		t.Errorf("AppendFrame allocates %.1f per frame, want 0", got)
 	}
 }
+
+// TestGroupCommitAllocationFree gates the group-commit loop: appends
+// spread over 60 batch windows of a batch-policy journal — each window
+// a timer reset, a buffer swap, a write and an fsync — allocate nothing,
+// in the appender or in the syncer. The count is process-wide, so the
+// syncer's share is in it.
+func TestGroupCommitAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate is meaningless under the race detector")
+	}
+	synced := make(chan struct{}, 1)
+	j, _ := openT(t, t.TempDir(), Options{
+		Fsync:         FsyncBatch,
+		BatchInterval: 100 * time.Microsecond,
+		OnFsync: func() {
+			select {
+			case synced <- struct{}{}:
+			default:
+			}
+		},
+	})
+	defer j.Close()
+	var rec BinaryRecord = binPayload{a: 3, b: 9}
+	window := func() {
+		for i := 0; i < 4; i++ {
+			if err := j.Append("resv.admit", rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		<-synced
+	}
+	for i := 0; i < 20; i++ { // both batch buffers and the timer exist
+		window()
+	}
+	before := j.Stats().Fsyncs
+	got := testing.AllocsPerRun(60, window)
+	if n := j.Stats().Fsyncs - before; n < 50 {
+		t.Fatalf("%d batch windows flushed while the gate measured, want at least 50", n)
+	}
+	if got > 0 {
+		t.Errorf("a batch window of appends allocates %.1f, want 0", got)
+	}
+}

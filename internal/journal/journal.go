@@ -203,11 +203,13 @@ type Journal struct {
 	// appended record within this incarnation, tail keeps the frames
 	// appended while retain is on and not yet trimmed, for TailSince, and
 	// changes is the lazily-created broadcast channel closed (and
-	// replaced) on every append.
+	// replaced) on every append. chunk is what the tail copies frames
+	// into (keepLocked).
 	seq      int64
 	retain   bool
 	tail     []StreamRecord
 	tailSize int
+	chunk    []byte
 	changes  chan struct{}
 }
 
@@ -348,16 +350,23 @@ func (j *Journal) Append(op string, data BinaryRecord) error {
 
 // syncLoop is the FsyncBatch group-commit goroutine: it sleeps one
 // batch interval after the first append of a batch, then flushes the
-// whole accumulated buffer with a single write+fsync.
+// whole accumulated buffer with a single write+fsync. One timer serves
+// every window: it is only reset once its last expiry was received, so
+// no stale expiry can cut a window short under either timer semantics.
 func (j *Journal) syncLoop() {
 	defer close(j.done)
+	var timer *time.Timer
 	for {
 		select {
 		case <-j.stop:
 			return
 		case <-j.kick:
 		}
-		timer := time.NewTimer(j.opts.BatchInterval)
+		if timer == nil {
+			timer = time.NewTimer(j.opts.BatchInterval)
+		} else {
+			timer.Reset(j.opts.BatchInterval)
+		}
 		select {
 		case <-j.stop:
 			timer.Stop()

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
+	"sync"
+	"sync/atomic"
 
 	"e2eqos/internal/wire"
 )
@@ -141,18 +144,62 @@ func DecodeRecord(buf []byte) (Record, int, error) {
 		return Record{}, 0, fmt.Errorf("journal: record payload: %w", err)
 	}
 	d := wire.Dec{Buf: fields}
-	op := d.String()
+	op := d.Bytes()
 	data := d.Rest()
-	if d.Err() != nil || op == "" {
+	if d.Err() != nil || len(op) == 0 {
 		return Record{}, 0, fmt.Errorf("journal: record payload: %w: no op after the header", wire.ErrUnsupportedFormat)
 	}
-	return Record{Op: op, Data: data}, headerSize + int(n), nil
+	return Record{Op: internOp(op), Data: data}, headerSize + int(n), nil
 }
 
-// Decode decodes the record's payload into out.
+// maxOpNames bounds the interned op names. A broker's journal speaks a
+// vocabulary of about a dozen ops; the bound only stops a stream of
+// made-up names from growing the set without end.
+const maxOpNames = 64
+
+// opNames is the interned op-name set: a copy-on-write map, read
+// without a lock by every decode and replaced whole by the rare insert.
+var (
+	opNames   atomic.Pointer[map[string]string]
+	opNamesMu sync.Mutex // serializes inserts
+)
+
+// internOp returns op as a string: the interned copy when the set holds
+// it (a recovery or a follower decodes one op per record, and allocates
+// nothing for it), a fresh one otherwise, interned while the set has
+// room.
+func internOp(op []byte) string {
+	if m := opNames.Load(); m != nil {
+		if s, ok := (*m)[string(op)]; ok {
+			return s
+		}
+	}
+	s := string(op)
+	opNamesMu.Lock()
+	defer opNamesMu.Unlock()
+	m := make(map[string]string)
+	if old := opNames.Load(); old != nil {
+		if len(*old) >= maxOpNames {
+			return s
+		}
+		m = maps.Clone(*old)
+	}
+	m[s] = s
+	opNames.Store(&m)
+	return s
+}
+
+// Decode decodes the record's payload into out. out escapes through
+// the interface, so a replay path that decodes every record calls the
+// concrete DecodeBinary instead and wraps its failure with PayloadError.
 func (r Record) Decode(out BinaryDecoder) error {
 	if err := out.DecodeBinary(r.Data); err != nil {
-		return fmt.Errorf("journal: decoding %s payload: %w", r.Op, err)
+		return r.PayloadError(err)
 	}
 	return nil
+}
+
+// PayloadError wraps a failure to decode the record's payload.
+func (r Record) PayloadError(err error) error {
+	return fmt.Errorf("journal: decoding %s payload: %w", r.Op, err)
 }

@@ -58,6 +58,10 @@ func (j *Journal) Changes() <-chan struct{} {
 	return j.changes
 }
 
+// tailChunkBytes is the size of the chunks the stream tail copies its
+// frames into.
+const tailChunkBytes = 16 << 10
+
 // noteAppendLocked numbers one appended frame, retains it in the tail
 // while retention is on (evicting past the byte cap) and wakes stream
 // pumps. Caller holds j.mu. The frame is copied before retention: both
@@ -65,7 +69,7 @@ func (j *Journal) Changes() <-chan struct{} {
 func (j *Journal) noteAppendLocked(frame []byte) {
 	j.seq++
 	if j.retain {
-		j.tail = append(j.tail, StreamRecord{Seq: j.seq, Frame: append([]byte(nil), frame...)})
+		j.tail = append(j.tail, StreamRecord{Seq: j.seq, Frame: j.keepLocked(frame)})
 		j.tailSize += len(frame)
 		for j.tailSize > j.opts.TailBytes && len(j.tail) > 0 {
 			// A reader this far behind resyncs from a snapshot. Reslicing
@@ -81,6 +85,20 @@ func (j *Journal) noteAppendLocked(frame []byte) {
 	}
 }
 
+// keepLocked copies a frame into the tail's current chunk, starting a
+// new chunk when it does not fit, so the tail holds its frames in a few
+// allocations, not one each. A chunk is written only past the frames
+// already cut from it, and never reused: the last frame to leave the
+// tail lets it go. Caller holds j.mu.
+func (j *Journal) keepLocked(frame []byte) []byte {
+	if len(frame) > cap(j.chunk)-len(j.chunk) {
+		j.chunk = make([]byte, 0, max(tailChunkBytes, len(frame)))
+	}
+	n := len(j.chunk)
+	j.chunk = append(j.chunk, frame...)
+	return j.chunk[n:len(j.chunk):len(j.chunk)]
+}
+
 // Retain turns the stream tail on or off: on, every later append is
 // kept until Trim or the byte cap drops it; off, the tail is dropped
 // and appends keep nothing. A journal opened with TailBytes zero never
@@ -94,7 +112,7 @@ func (j *Journal) Retain(on bool) {
 	defer j.mu.Unlock()
 	j.retain = on && j.opts.TailBytes > 0
 	if !j.retain {
-		j.tail, j.tailSize = nil, 0
+		j.tail, j.tailSize, j.chunk = nil, 0, nil
 	}
 }
 

@@ -1,15 +1,18 @@
 package resv
 
 import (
+	"time"
+
 	"e2eqos/internal/identity"
 	"e2eqos/internal/units"
 	"e2eqos/internal/wire"
 )
 
 // Binary codecs for the table's journal records and snapshot
-// (DESIGN.md §6.6). The AppendBinary/DecodeBinary pairs satisfy the
-// journal's BinaryRecord/BinaryDecoder interfaces, putting every
-// table mutation on the journal's allocation-free append path.
+// (DESIGN.md §6.6). The AppendBinary methods satisfy the journal's
+// BinaryRecord interface, putting every table mutation on the
+// journal's allocation-free append path. Replay decodes an admission
+// into one copy of its record, and a cancel or compaction in place.
 //
 // Reservation fields: 1=handle 2=user 3=src_host 4=dst_host
 // 5=bandwidth 6=window_start 7=window_end 8=status 9=tunnel
@@ -71,13 +74,16 @@ func (a admitRec) AppendBinary(buf []byte) []byte {
 	return wire.AppendInt(buf, 2, a.Seq)
 }
 
+// DecodeBinary cuts the reservation's strings from one copy of data:
+// the reservation outlives the log, snapshot or stream message the
+// record was read from (DESIGN.md §6.6, "Who owns a frame").
 func (a *admitRec) DecodeBinary(data []byte) error {
-	d := wire.Dec{Buf: data}
+	d := wire.Dec{Buf: data, Text: string(data)}
 	for d.More() {
 		f, wt := d.Tag()
 		switch {
 		case f == 1 && wt == wire.TBytes:
-			sub := wire.Dec{Buf: d.Bytes()}
+			sub := d.Nested()
 			if err := a.Resv.decodeFields(&sub); err != nil {
 				return err
 			}
@@ -96,20 +102,22 @@ func (c cancelRec) AppendBinary(buf []byte) []byte {
 	return wire.AppendTime(buf, 2, c.CancelledAt)
 }
 
-func (c *cancelRec) DecodeBinary(data []byte) error {
+// decodeCancel decodes a cancelRec in place: the handle aliases data,
+// which is all a replayed cancel needs of it.
+func decodeCancel(data []byte) (handle []byte, at time.Time, err error) {
 	d := wire.Dec{Buf: data}
 	for d.More() {
 		f, wt := d.Tag()
 		switch {
 		case f == 1 && wt == wire.TBytes:
-			c.Handle = d.String()
+			handle = d.Bytes()
 		case f == 2 && wt == wire.TBytes:
-			c.CancelledAt = d.Time()
+			at = d.Time()
 		default:
 			d.Skip(wt)
 		}
 	}
-	return d.Err()
+	return handle, at, d.Err()
 }
 
 // compactRec: repeated 1=removed handle.
@@ -122,17 +130,27 @@ func (c compactRec) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-func (c *compactRec) DecodeBinary(data []byte) error {
-	d := wire.Dec{Buf: data}
-	for d.More() {
-		f, wt := d.Tag()
-		if f == 1 && wt == wire.TBytes {
-			c.Removed = append(c.Removed, d.String())
-		} else {
-			d.Skip(wt)
+// eachRemoved decodes a compactRec in place: once the whole record has
+// decoded, fn gets each removed handle as a sub-slice of data, so a
+// corrupt record hands it none.
+func eachRemoved(data []byte, fn func(handle []byte)) error {
+	for pass := 0; pass < 2; pass++ {
+		d := wire.Dec{Buf: data}
+		for d.More() {
+			f, wt := d.Tag()
+			if f == 1 && wt == wire.TBytes {
+				if h := d.Bytes(); pass == 1 {
+					fn(h)
+				}
+			} else {
+				d.Skip(wt)
+			}
+		}
+		if err := d.Err(); err != nil {
+			return err
 		}
 	}
-	return d.Err()
+	return nil
 }
 
 // Table snapshot binary layout: snapMagic, snapVersion, then 1=name

@@ -123,8 +123,8 @@ func (s *StreamReplayer) Apply(rec journal.Record) error {
 	switch rec.Op {
 	case opAdmit:
 		var a admitRec
-		if err := rec.Decode(&a); err != nil {
-			return err
+		if err := a.DecodeBinary(rec.Data); err != nil {
+			return rec.PayloadError(err)
 		}
 		t.mu.Lock()
 		if a.Seq > t.seq {
@@ -136,27 +136,27 @@ func (s *StreamReplayer) Apply(rec journal.Record) error {
 		}
 		t.mu.Unlock()
 	case opCancel:
-		var c cancelRec
-		if err := rec.Decode(&c); err != nil {
-			return err
+		// Only a key: decoded in place, replayed without allocating.
+		handle, at, err := decodeCancel(rec.Data)
+		if err != nil {
+			return rec.PayloadError(err)
 		}
 		t.mu.Lock()
-		if r, ok := t.resv[c.Handle]; ok && r.Status == Granted {
-			t.killLocked(r, c.CancelledAt)
+		if r, ok := t.resv[string(handle)]; ok && r.Status == Granted {
+			t.killLocked(r, at)
 		}
 		t.mu.Unlock()
 	case opCompact:
-		var c compactRec
-		if err := rec.Decode(&c); err != nil {
-			return err
-		}
 		t.mu.Lock()
-		for _, h := range c.Removed {
-			if r, ok := t.resv[h]; ok {
+		err := eachRemoved(rec.Data, func(h []byte) {
+			if r, ok := t.resv[string(h)]; ok {
 				t.dropLocked(r)
 			}
-		}
+		})
 		t.mu.Unlock()
+		if err != nil {
+			return rec.PayloadError(err)
+		}
 	default:
 		return fmt.Errorf("resv: replay: unknown record op %q", rec.Op)
 	}

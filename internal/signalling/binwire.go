@@ -77,20 +77,33 @@ func (m *Message) appendFrame(buf []byte, id uint64) []byte {
 	return buf
 }
 
-// decodeBinary parses a frame DecodeMessage found the magic on.
-func decodeBinary(data []byte) (*Message, error) {
+// decodeFrame parses one frame into m. text, when set, holds the
+// frame's bytes as a string, and the message's strings are cut from it
+// (DecodeMessageIn). A result or journal-stream payload already
+// attached to m is decoded into again rather than replaced: the RPC
+// readers keep one message for the stream messages a server handles in
+// order, and one for the Post answers a client's callbacks are done
+// with before the next read.
+func (m *Message) decodeFrame(data []byte, text string) error {
+	if len(data) < 3 || data[0] != BinMagic {
+		return fmt.Errorf("signalling: not a signalling frame (%d bytes, want leading %#x)", len(data), BinMagic)
+	}
 	if data[1] != BinVersion {
-		return nil, fmt.Errorf("signalling: unsupported frame version %d", data[1])
+		return fmt.Errorf("signalling: unsupported frame version %d", data[1])
 	}
 	code := data[2]
 	if int(code) >= len(typeCodes) || code == 0 {
-		return nil, fmt.Errorf("signalling: unknown message type code %d", code)
+		return fmt.Errorf("signalling: unknown message type code %d", code)
 	}
 	if typeCodes[code] == "" {
-		return nil, fmt.Errorf("signalling: message type code %d is retired: a single sub-flow op travels as a tunnel-batch of one", code)
+		return fmt.Errorf("signalling: message type code %d is retired: a single sub-flow op travels as a tunnel-batch of one", code)
 	}
-	m := &Message{Type: typeCodes[code]}
+	result, stream := m.Result, m.JournalStream
+	*m = Message{Type: typeCodes[code]}
 	d := &wire.Dec{Buf: data[3:]}
+	if text != "" {
+		d.Text = text[3:]
+	}
 	m.ID = d.Uvarint()
 	var err error
 	switch m.Type {
@@ -111,18 +124,24 @@ func decodeBinary(data []byte) (*Message, error) {
 		err = decodeRARIDFields(d, &p.RARID)
 		m.Status = p
 	case MsgResult:
-		p := &ResultPayload{}
-		err = p.decodeFields(d)
-		m.Result = p
+		if result == nil {
+			result = &ResultPayload{}
+		} else {
+			*result = ResultPayload{}
+		}
+		err = result.decodeFields(d)
+		m.Result = result
 	case MsgJournalStream:
-		p := &JournalStreamPayload{}
-		err = p.decodeFields(d)
-		m.JournalStream = p
+		if stream == nil {
+			stream = &JournalStreamPayload{}
+		}
+		err = stream.decodeFields(d)
+		m.JournalStream = stream
 	}
 	if err != nil {
-		return nil, fmt.Errorf("signalling: decode %s: %w", m.Type, err)
+		return fmt.Errorf("signalling: decode %s: %w", m.Type, err)
 	}
-	return m, nil
+	return nil
 }
 
 // skipUnknown handles a tag no decoder claimed.
@@ -405,15 +424,35 @@ func (p *JournalStreamPayload) appendFields(buf []byte) []byte {
 	return buf
 }
 
-// decodeFields copies Snapshot and Records out of the frame, unlike the
-// reserve-path decoders: the follower keeps the records in its journal
-// tail long after the frame's request has been answered.
+// decodeFields decodes in place (DESIGN.md §6.6, "Who owns a frame"):
+// Snapshot and every record are sub-slices of d.Buf. A follower copies
+// what it keeps of a record as it applies it, and AppendFrame copies the
+// frame into the WAL buffer, so nothing outlives the message. A first
+// pass counts the records, so Records is sized once. Decoding into a
+// payload decoded before reuses its Records array and, while the domain
+// stays the same, its Domain string: a server decodes every stream
+// message of a connection into one payload, and allocates nothing for
+// either.
 func (p *JournalStreamPayload) decodeFields(d *wire.Dec) error {
+	n := 0
+	for scan := *d; scan.More(); {
+		f, wt := scan.Tag()
+		if f == 8 && wt == wire.TBytes {
+			n++
+		}
+		scan.Skip(wt)
+	}
+	records := p.Records[:0]
+	if cap(records) < n {
+		records = make([][]byte, 0, n)
+	}
+	*p = JournalStreamPayload{Domain: p.Domain, Records: records}
+	var domain []byte
 	for d.More() {
 		f, wt := d.Tag()
 		switch {
 		case f == 1 && wt == wire.TBytes:
-			p.Domain = d.String()
+			domain = d.Bytes()
 		case f == 2 && wt == wire.TVarint:
 			p.Term = d.Varint()
 		case f == 3 && wt == wire.TVarint:
@@ -423,16 +462,19 @@ func (p *JournalStreamPayload) decodeFields(d *wire.Dec) error {
 		case f == 5 && wt == wire.TVarint:
 			p.CommitSeq = d.Varint()
 		case f == 6 && wt == wire.TBytes:
-			p.Snapshot = append([]byte(nil), d.Bytes()...)
+			p.Snapshot = d.Bytes()
 		case f == 7 && wt == wire.TVarint:
 			p.SnapSeq = d.Varint()
 		case f == 8 && wt == wire.TBytes:
-			p.Records = append(p.Records, append([]byte(nil), d.Bytes()...))
+			p.Records = append(p.Records, d.Bytes())
 		case f == 9 && wt == wire.TVarint:
 			p.Kind = int(d.Varint())
 		default:
 			skipUnknown(d, wt)
 		}
+	}
+	if string(domain) != p.Domain {
+		p.Domain = string(domain)
 	}
 	return d.Err()
 }
@@ -475,9 +517,11 @@ func (p *ResultPayload) appendFields(buf []byte) []byte {
 // approval is met, so a result without approvals pays nothing and one
 // with eight pays one copy, not forty. Whoever keeps an approval past
 // the request clones what it keeps. The payload's own strings, the
-// policy attributes, spans and batch results stay copies.
+// policy attributes, spans and batch results stay copies — unless d has
+// a Text, whose substrings the payload's strings and the approvals' are
+// then cut from (DecodeMessageIn).
 func (p *ResultPayload) decodeFields(d *wire.Dec) error {
-	var text string
+	text := d.Text
 	for d.More() {
 		f, wt := d.Tag()
 		switch {

@@ -87,8 +87,20 @@ func FuzzDecodeMessage(f *testing.F) {
 		if !bytes.Equal(data, input) {
 			t.Fatalf("decoding wrote to its input:\n before % x\n after  % x", input, data)
 		}
+		// A reader's kept message, still holding the payloads of earlier
+		// frames, decodes a frame exactly as a fresh one does.
+		kept := Message{
+			Result:        &ResultPayload{Granted: true, Reason: "earlier", AckSeq: 3, Approvals: []DomainApproval{{Domain: "D"}}},
+			JournalStream: &JournalStreamPayload{Kind: StreamVote, Domain: "Earlier", Term: 9, Snapshot: []byte{1}, Records: [][]byte{{2}, {3}}},
+		}
+		if keptErr := kept.decodeFrame(data, ""); (keptErr == nil) != (err == nil) {
+			t.Fatalf("a kept message decodes with error %v, a fresh one with %v", keptErr, err)
+		}
 		if err != nil {
 			return
+		}
+		if got, want := kept.AppendBinary(nil), msg.AppendBinary(nil); !bytes.Equal(got, want) {
+			t.Fatalf("a kept message decoded another message:\n kept  % x\n fresh % x", got, want)
 		}
 		if data[2] == 3 || data[2] == 4 { // a decoded frame has its three header bytes
 			t.Fatalf("decoder accepted a frame of retired type code %d: %+v", data[2], msg)

@@ -287,7 +287,11 @@ const (
 // follower that lags past the leader's in-memory tail first receives a
 // full Snapshot cut at SnapSeq, with Records extending it. CommitSeq
 // is the highest sequence acknowledged by a majority; followers answer
-// with a ResultPayload carrying their own AckSeq and Term.
+// with a ResultPayload carrying their own AckSeq and Term (Reply).
+//
+// A decoded payload aliases its frame (DESIGN.md §6.6, "Who owns a
+// frame"): Snapshot and every record are sub-slices of it, valid while
+// the message is being handled. A receiver copies whatever it keeps.
 type JournalStreamPayload struct {
 	// Kind discriminates record batches (StreamRecords) from vote
 	// requests (StreamVote).
@@ -315,6 +319,21 @@ type JournalStreamPayload struct {
 	// Records are raw journal frames, exactly as they sit in the
 	// leader's WAL.
 	Records [][]byte
+
+	// reply and result hold the answer Reply builds, so answering a
+	// stream message allocates nothing.
+	reply  Message
+	result ResultPayload
+}
+
+// Reply builds the answer to this stream or vote message: Granted, the
+// receiver's acknowledged sequence and its term. The message lives in
+// the payload and is valid until the payload is decoded into or
+// answered again, which the server does only after sending it.
+func (p *JournalStreamPayload) Reply(granted bool, ack, term int64) *Message {
+	p.result = ResultPayload{Granted: granted, AckSeq: ack, Term: term}
+	p.reply = Message{Type: MsgResult, Result: &p.result}
+	return &p.reply
 }
 
 // ResultPayload answers any request. For reserve requests, Approvals
@@ -401,10 +420,29 @@ func (m *Message) Encode() ([]byte, error) {
 // DecodeMessage parses one frame. A frame that does not start with
 // BinMagic is malformed: there is one encoding and nothing is sniffed.
 func DecodeMessage(data []byte) (*Message, error) {
-	if len(data) < 3 || data[0] != BinMagic {
-		return nil, fmt.Errorf("signalling: not a signalling frame (%d bytes, want leading %#x)", len(data), BinMagic)
+	m := &Message{}
+	if err := m.decodeFrame(data, ""); err != nil {
+		return nil, err
 	}
-	return decodeBinary(data)
+	return m, nil
+}
+
+// DecodeMessageIn is DecodeMessage for a caller that keeps the message
+// and holds the frame's bytes as a string too — a substring of one copy
+// of a larger record, say: text must equal string(data). Every string
+// of the message is cut from text rather than copied, while byte fields
+// (an approval's signature) alias data as they always do. A result
+// message and its payload come in one allocation.
+func DecodeMessageIn(data []byte, text string) (*Message, error) {
+	o := &struct {
+		m Message
+		r ResultPayload
+	}{}
+	o.m.Result = &o.r
+	if err := o.m.decodeFrame(data, text); err != nil {
+		return nil, err
+	}
+	return &o.m, nil
 }
 
 // NewReserveMessage wraps an envelope for the wire.

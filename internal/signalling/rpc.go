@@ -140,7 +140,9 @@ const parkedWorkers = 4
 // slow request occupies a goroutine, never the reader, and nothing
 // queues behind it. Journal-stream frames are the exception: they are
 // an ordered stream (each splices onto the one before), so the reader
-// handles them itself, in arrival order, before it reads the next.
+// handles them itself, in arrival order, before it reads the next —
+// each decoded into the one message the connection keeps for them,
+// whose handler is done with it once its answer is sent.
 func serveConn(conn transport.Conn, h Handler, logger *slog.Logger) {
 	defer conn.Close()
 	peer := Peer{DN: conn.PeerDN(), CertDER: conn.PeerCertDER()}
@@ -161,12 +163,18 @@ func serveConn(conn transport.Conn, h Handler, logger *slog.Logger) {
 	work := make(chan *Message)
 	defer close(work)
 	workers := 0
+	var stream Message
 	for {
 		data, err := conn.Recv()
 		if err != nil {
 			return
 		}
-		msg, err := DecodeMessage(data)
+		var msg *Message
+		if len(data) > 2 && data[2] == typeCode(MsgJournalStream) {
+			msg, err = &stream, stream.decodeFrame(data, "")
+		} else {
+			msg, err = DecodeMessage(data)
+		}
 		if err != nil {
 			// The transport is message-oriented, so one undecodable body
 			// is never a framing desync: answer an error result (with a
@@ -177,8 +185,12 @@ func serveConn(conn transport.Conn, h Handler, logger *slog.Logger) {
 			sendResponse(conn, ErrorResult("malformed request: "+err.Error()), peekID(data), peer, logger)
 			continue
 		}
-		if msg.Type == MsgJournalStream {
+		if msg == &stream {
 			serve(msg)
+			// Drop the references to the frame just served.
+			p := stream.JournalStream
+			clear(p.Records)
+			p.Snapshot = nil
 			continue
 		}
 		select {
@@ -385,16 +397,18 @@ func (c *Client) OldestPost() (at time.Time, ok bool) {
 // and drops (counting) responses whose caller already gave up. Any
 // receive or decode failure is terminal —
 // the framing may be desynchronized — so the loop records the fault,
-// wakes every waiter, and exits.
+// wakes every waiter, and exits. Every response is decoded into one
+// message the loop keeps: a Post's callback is done with it when it
+// returns, and a Call gets a copy of its own.
 func (c *Client) demux() {
+	var resp Message
 	for {
 		raw, err := c.conn.Recv()
 		if err != nil {
 			c.fail(fmt.Errorf("signalling: recv from %s: %w", c.conn.PeerDN(), err))
 			return
 		}
-		resp, err := DecodeMessage(raw)
-		if err != nil {
+		if err := resp.decodeFrame(raw, ""); err != nil {
 			c.fail(fmt.Errorf("signalling: undecodable response from %s: %w", c.conn.PeerDN(), err))
 			return
 		}
@@ -409,9 +423,13 @@ func (c *Client) demux() {
 		case !ok:
 			c.late.Add(1)
 		case w.fn != nil:
-			w.fn(resp)
+			w.fn(&resp)
 		default:
-			w.ch <- resp // buffered: never blocks the loop
+			// The call keeps the message and its payloads; the next
+			// response is decoded into fresh ones.
+			m := new(Message)
+			*m, resp = resp, Message{}
+			w.ch <- m // buffered: never blocks the loop
 		}
 		if drained {
 			// Last in-flight call settled after CloseWhenIdle: the next
@@ -509,6 +527,9 @@ func (c *Client) CallTimeout(msg *Message, timeout time.Duration) (*Message, err
 // or with nil, on a goroutine of its own, if the client dies first. It
 // never runs on the caller's stack, and not at all when Post returns an
 // error. Nothing times a posted request out: see OldestPost.
+//
+// The response is valid only while fn runs: the demux goroutine decodes
+// the next response into the same message. fn copies what it keeps.
 func (c *Client) Post(msg *Message, timeout time.Duration, fn func(*Message)) error {
 	_, err := c.request(msg, waiter{fn: fn, at: time.Now()}, timeout)
 	return err

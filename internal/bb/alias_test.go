@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"e2eqos/internal/bb"
 	"e2eqos/internal/experiment"
 	"e2eqos/internal/signalling"
 	"e2eqos/internal/transport"
@@ -271,10 +272,16 @@ func TestNoFrameAliasOutlivesItsExchange(t *testing.T) {
 			t.Fatalf("%s: tunnel endpoint missing or not holding the batch's two sub-flows", d)
 		}
 	}
-	preCrash := settled("the tunnel batch")
+	settled("the tunnel batch")
 
 	// The source broker dies and comes back from its journal holding the
-	// state it had, and answers the retransmission from it.
+	// state it had, its epoch counter fenced one stride up, and answers
+	// the retransmission from it.
+	preCrash, err := w.BBs[src].DigestSansEpoch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	preEpoch := w.BBs[src].Epoch()
 	servers[src].Shutdown()
 	w.BBs[src].Crash()
 	if err := w.RestartDomainFromJournal(src); err != nil {
@@ -282,8 +289,11 @@ func TestNoFrameAliasOutlivesItsExchange(t *testing.T) {
 	}
 	p.front(t, w, src)
 	u.Close() // its connection died with the old frontend
-	if recovered := digests()[src]; !bytes.Equal(recovered, preCrash[src]) {
-		t.Fatalf("%s recovered a state other than the one it crashed with", src)
+	if recovered, err := w.BBs[src].DigestSansEpoch(); err != nil || !bytes.Equal(recovered, preCrash) {
+		t.Fatalf("%s recovered a state other than the one it crashed with (err %v)", src, err)
+	}
+	if got := w.BBs[src].Epoch(); got != preEpoch+bb.EpochFenceStride {
+		t.Fatalf("%s recovered epoch counter %d, want %d + the fence stride", src, got, preEpoch)
 	}
 	replayed("retransmission after recovery")
 	settled("the recovery")

@@ -102,7 +102,9 @@ func (w *batchWindow) hold(h heldBatch) {
 // retiring what its sender acknowledged; a sender that never
 // acknowledged is capped at maxHeldBatches, the oldest retired first.
 // The window's records carry the low-water the cap leaves, so restore
-// needs no cap of its own.
+// needs no cap of its own. acked is at least 0 and below seq
+// (TunnelBatchPayload.Validate refuses any other): a batch held below
+// the low-water it raised is one no record or snapshot restores.
 func (c *batchCache) begin(sender identity.DN, seq, acked int64, sum uint64) (e *entry[struct{}], dup bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -188,10 +188,17 @@ func RARCancelFrame(rarID string, epoch int64) []byte {
 	return frame(opRARCancel, rarCancelRec{RARID: rarID, Epoch: epoch})
 }
 
+// EpochFenceStride is how far a broker raises its epoch counter when
+// it boots from its journal or wins an election.
+const EpochFenceStride = epochFenceStride
+
+// Epoch reads the broker's epoch counter.
+func (b *BB) Epoch() int64 { return b.epoch.Load() }
+
 // DigestSansEpoch is StateDigest with the epoch counter zeroed: a
-// promoted follower's is fenced past anything its journal holds, by
-// design, so it is the one field that may differ from a broker booted
-// off that journal.
+// promoted follower's, or a broker's booted from its journal, is fenced
+// past anything its journal holds, by design, so it is the one field
+// that may differ from the state the journal was written by.
 func (b *BB) DigestSansEpoch() ([]byte, error) {
 	data, err := b.snapshotState()
 	if err != nil {

@@ -71,8 +71,10 @@ type tunnelOpRec struct {
 // end that answers retransmissions, the batch's sender and Seq, the
 // sender's low-water once the batch settled, the opsSum of the ops it
 // carried and the outcome message replayed verbatim. The source's
-// records (local halves, undone halves) carry none of those. One record
-// per batch is what makes batching cheap on the journal too.
+// records (local halves, undone halves) carry no sender and no outcome;
+// the local halves' record carries the Seq the source minted, which
+// replay raises the epoch counter to. One record per batch is what makes
+// batching cheap on the journal too.
 type tunnelBatchRec struct {
 	RARID   string
 	Epoch   int64
@@ -136,11 +138,20 @@ func (b *BB) openJournal() error {
 	b.journal = j
 	resv.AttachJournal(b.table, j)
 	if rec.Snapshot != nil || len(rec.Records) > 0 {
-		if err := j.Rotate(b.snapshotState); err != nil {
-			b.log.Error("journal: post-recovery checkpoint failed", "err", err)
-		} else {
-			b.m.checkpoints.Inc()
+		// Boot fence: what a previous incarnation minted into records it
+		// lost, a batch Seq the far end holds among them, lies above the
+		// recovered counter by at most the records appended since its last
+		// snapshot. The stride clears that, and the rotation below fsyncs
+		// the fenced counter before anything new is minted. A follower
+		// takes its leader's counter instead.
+		if !b.replicated() || !b.cfg.StartAsFollower {
+			b.epoch.Add(epochFenceStride)
 		}
+		if err := j.Rotate(b.snapshotState); err != nil {
+			j.Close()
+			return fmt.Errorf("bb %s: post-recovery checkpoint: %w", b.cfg.Domain, err)
+		}
+		b.m.checkpoints.Inc()
 	}
 	took := time.Since(t0)
 	b.m.recoverySeconds.Set(took.Seconds())

@@ -234,6 +234,47 @@ func TestRestartRefusesStateOfAnotherFormat(t *testing.T) {
 	}
 }
 
+// TestRestartRefusesWithoutItsCheckpoint: the post-recovery rotation is
+// what makes the boot fence durable, so a broker that cannot write it
+// does not start; one that can starts from the same state.
+func TestRestartRefusesWithoutItsCheckpoint(t *testing.T) {
+	state := t.TempDir()
+	w, err := experiment.BuildWorld(experiment.WorldConfig{NumDomains: 2, StateDir: state, FsyncPolicy: "always"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	u, err := w.NewUser("alice", "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(u.Close)
+	if res, err := u.ReserveE2E(u.NewSpec(experiment.SpecOptions{DestDomain: w.DestDomain(), Bandwidth: units.Mbps})); err != nil || !res.Granted {
+		t.Fatalf("reserve: res=%+v err=%v", res, err)
+	}
+	src := w.SourceDomain()
+	if err := w.CrashDomain(src); err != nil {
+		t.Fatal(err)
+	}
+	// A non-empty directory where the snapshot's temporary file goes.
+	blocker := filepath.Join(state, src, "snapshot.json.tmp")
+	if err := os.MkdirAll(filepath.Join(blocker, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.RestartDomainFromJournal(src); err == nil || !strings.Contains(err.Error(), "post-recovery checkpoint") {
+		t.Fatalf("restart without a writable checkpoint: err = %v, want a post-recovery checkpoint error", err)
+	}
+	if err := os.RemoveAll(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.RestartDomainFromJournal(src); err != nil {
+		t.Fatal(err)
+	}
+	if n := grantedIn(w, src); n != 1 {
+		t.Errorf("restarted %s holds %d granted reservations, want 1", src, n)
+	}
+}
+
 // TestRestartRefusesUnknownBrokerOps: a journal record in the broker's
 // own vocabulary that this build does not know — bb.tunnel_alloc and
 // bb.tunnel_release, which older builds wrote for every single sub-flow

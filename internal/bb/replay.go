@@ -166,12 +166,16 @@ func (rp *replayer) apply(r journal.Record) error {
 // is skipped; an op at the next generation applies; any other op is an
 // error: the endpoint's journal does not hold the ops before it.
 func (rp *replayer) applyBatch(br *tunnelBatchRec) error {
+	if br.Sender == "" {
+		// The source's record: its Seq came off the epoch counter.
+		rp.b.noteEpoch(br.Seq)
+	}
 	t, ok := rp.b.tunnels.at(br.RARID, br.Epoch)
 	if !ok {
 		return nil
 	}
 	// The cache is not called under the endpoint's lock.
-	if br.Seq != 0 {
+	if br.Sender != "" {
 		t.val.batches.restore(br)
 	}
 	var err error

@@ -265,13 +265,12 @@ func (b *BB) tunnelOp(tunnelRARID string, op signalling.TunnelOp, user identity.
 // re-admitted with its original bandwidth). A transport failure rolls
 // back every local op; callPeer retransmits under one Seq, which the
 // destination's replay cache answers without applying twice. The Seq is
-// the endpoint's generation after the local halves, which their record
-// carries, so a source restarted or promoted from its journal mints
-// above every Seq that journal saw; the batch acknowledges everything
-// below the lowest Seq still in flight. A source whose journal lost the
-// records of batches that had left (a crash inside the group-commit
-// window) mints those Seqs again: the destination refuses each such
-// batch by name, and its local halves roll back here. With a
+// minted from the broker's epoch counter under the endpoint's lock, so
+// it ascends per tunnel, with gaps. Booting from the journal and winning
+// an election fence the counter past everything minted before, so no
+// source mints a Seq twice, even one whose journal lost the records of
+// batches that had left (DESIGN.md §6.5). The batch
+// acknowledges everything below the lowest Seq still in flight. With a
 // journal the source writes what it applied the way the destination
 // does, one record per batch: the local halves before the call leaves,
 // the undone ones (if any) after it, each pass holding the registration's
@@ -355,7 +354,7 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 			}
 		}
 		if tx.Gen() > gen {
-			payload.Seq = tx.Gen()
+			payload.Seq = b.mintEpoch()
 			payload.Acked = sending.send(payload.Seq)
 		}
 	})
@@ -371,11 +370,12 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 		b.recordBatchEvent(payload, len(ops), obs.VerdictDenied, firstReason(results), t0)
 		return results, nil
 	}
-	// The source's records carry no Seq and no outcome: they restore no
-	// replay entry. In a replica group the batch leaves once a majority
-	// holds the record that carries its Seq, so a promoted follower mints
-	// above it.
-	b.journalTunnelBatch(ep, tunnelBatchRec{Ops: applied})
+	// The source's record carries the Seq, so a follower's epoch counter
+	// keeps up with its leader's, but no sender and no outcome: it
+	// restores no replay entry. In a replica group the batch leaves once a
+	// majority holds it, so a promoted follower holds the local halves the
+	// destination is about to apply.
+	b.journalTunnelBatch(ep, tunnelBatchRec{Seq: payload.Seq, Ops: applied})
 	order.Unlock()
 	b.replWaitCommit()
 	resp, _, err := b.callPeer(ep.PeerBB, &signalling.Message{Type: signalling.MsgTunnelBatch, TunnelBatch: payload})

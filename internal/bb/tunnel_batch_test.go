@@ -225,8 +225,10 @@ func TestAcknowledgedBatchIsStale(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if low := dst.LowWater(rarID, src.DN()); low != 2 {
-		t.Fatalf("the source's low-water at the destination is %d after its batches 1..3, want 2", low)
+	// The source's Seqs come off its epoch counter: its last batch bore
+	// the counter's value and acknowledged everything below it.
+	if low, want := dst.LowWater(rarID, src.DN()), src.Epoch()-1; low != want {
+		t.Fatalf("the source's low-water at the destination is %d after its three batches, want %d", low, want)
 	}
 	ep, _ := dst.Tunnel(rarID)
 	alloc := func(id string) []signalling.TunnelOp {
@@ -248,12 +250,18 @@ func TestAcknowledgedBatchIsStale(t *testing.T) {
 	if stale.Granted || !strings.Contains(stale.Reason, "stale batch") {
 		t.Errorf("acknowledged batch re-sent: %+v, want a stale batch refusal", stale)
 	}
-	// Neither a batch without a Seq nor one that reuses a held Seq for
-	// other ops is applied, and neither is a retransmission. The first is
-	// malformed, not stale, and leaves the stale count alone.
+	// Neither a batch without a Seq, nor one acknowledging its own Seq,
+	// nor one that reuses a held Seq for other ops is applied, and none
+	// is a retransmission. The first two are malformed, not stale, and
+	// leave the stale count alone: the second would raise the low-water
+	// past the batch held under it, a window no record restores.
 	unnumbered := &signalling.TunnelBatchPayload{TunnelRARID: rarID, User: u.DN(), Ops: alloc("f0")}
 	if res := sendBatch(t, u, w.DestDomain(), unnumbered); res.Granted || !strings.Contains(res.Reason, "batch without seq") {
 		t.Errorf("batch without a seq: %+v, want it refused by name", res)
+	}
+	selfAcked := &signalling.TunnelBatchPayload{TunnelRARID: rarID, Seq: 5, Acked: 5, User: u.DN(), Ops: alloc("f4")}
+	if res := sendBatch(t, u, w.DestDomain(), selfAcked); res.Granted || !strings.Contains(res.Reason, "batch 5 acknowledges 5, not below itself") {
+		t.Errorf("batch acknowledging its own seq: %+v, want it refused by name", res)
 	}
 	if n := dst.MetricsRegistry().Snapshot()["bb_tunnel_batches_stale_total"]; n != 1 {
 		t.Errorf("bb_tunnel_batches_stale_total = %v after one stale batch, want 1", n)

@@ -1,10 +1,10 @@
-// Package fake provides a counting data plane for tests and the
-// large-scale scenario fleet. It enforces the same (r, b) token-bucket
-// semantics as the packet simulator, but in closed form at byte
-// granularity: marking or policing N bytes is O(1), independent of
-// packet count, which is what makes 10^5–10^6 simulated users
-// affordable. Every control-plane call is counted so tests can assert
-// on broker behaviour without a network.
+// Package fake provides the closed-form data plane of the large-scale
+// scenario fleet. It enforces the same (r, b) token-bucket semantics as
+// the packet simulator, but at byte granularity: marking or policing N
+// bytes is O(1), independent of packet count, which is what makes
+// 10^5–10^6 simulated users affordable. The fleet holds its planes
+// directly: Mark, Police and ClassStats are its metering, not part of
+// the broker's contract.
 package fake
 
 import (
@@ -69,28 +69,26 @@ func (b *bucket) take(bytes int64, now time.Duration) int64 {
 	return int64(got)
 }
 
-type flowState struct {
-	profile sla.TrafficProfile
-	meter   *bucket
-	premium int64
-	demoted int64
+// ClassStats is the byte accounting at the aggregate policer.
+type ClassStats struct {
+	// PremiumBytes counts premium bytes that conformed to the
+	// aggregate profile and passed the policer.
+	PremiumBytes int64
+	// BestEffortBytes counts best-effort bytes forwarded. The fake
+	// meters premium traffic only, so it stays zero; the fleet's digest
+	// line prints it all the same.
+	BestEffortBytes int64
+	// ExcessPremiumBytes counts premium bytes offered beyond the
+	// aggregate profile.
+	ExcessPremiumBytes int64
 }
 
-// Calls counts control-plane operations against the plane.
-type Calls struct {
-	Installs      int64
-	Removes       int64
-	AggregateSets int64
-}
-
-// Plane is the counting fake backend. It is safe for concurrent use.
+// Plane is the closed-form fake backend. It is safe for concurrent use.
 type Plane struct {
 	mu    sync.Mutex
-	flows map[string]*flowState
+	flows map[string]*bucket
 	agg   *bucket
-	prof  sla.TrafficProfile
-	stats dataplane.ClassStats
-	calls Calls
+	stats ClassStats
 }
 
 var _ dataplane.DataPlane = (*Plane)(nil)
@@ -99,28 +97,23 @@ var _ dataplane.DataPlane = (*Plane)(nil)
 // traffic is excess until SetAggregate is called).
 func New() *Plane {
 	return &Plane{
-		flows: make(map[string]*flowState),
+		flows: make(map[string]*bucket),
 		agg:   newBucket(sla.TrafficProfile{}),
 	}
 }
-
-// Name identifies the backend.
-func (p *Plane) Name() string { return "fake" }
 
 // InstallProfile gives flow a premium profile, replacing (and
 // resetting the meter of) any existing one.
 func (p *Plane) InstallProfile(flow string, prof sla.TrafficProfile) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.calls.Installs++
-	p.flows[flow] = &flowState{profile: prof, meter: newBucket(prof)}
+	p.flows[flow] = newBucket(prof)
 }
 
 // RemoveProfile tears the flow's profile down.
 func (p *Plane) RemoveProfile(flow string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.calls.Removes++
 	delete(p.flows, flow)
 }
 
@@ -128,45 +121,35 @@ func (p *Plane) RemoveProfile(flow string) {
 func (p *Plane) SetAggregate(prof sla.TrafficProfile) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.calls.AggregateSets++
-	p.prof = prof
 	p.agg = newBucket(prof)
 }
 
-// Aggregate returns the currently configured aggregate profile.
-func (p *Plane) Aggregate() sla.TrafficProfile {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.prof
-}
-
 // Mark meters bytes of flow traffic in closed form against the flow's
-// profile; unreserved flows mark nothing premium. The bytes are
-// treated as offered over the window since the flow's previous Mark —
-// call Mark with zero bytes at a window's start to open it (priming
-// the meter) and with the accumulated bytes at its end.
+// profile and returns how many bytes leave the edge marked premium;
+// unreserved flows mark nothing premium. The bytes are treated as
+// offered over the window since the flow's previous Mark — call Mark
+// with zero bytes at a window's start to open it (priming the meter)
+// and with the accumulated bytes at its end. Virtual time must be
+// monotone per plane.
 func (p *Plane) Mark(flow string, bytes int64, now time.Duration) int64 {
 	if bytes < 0 {
 		return 0
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	fs, ok := p.flows[flow]
+	meter, ok := p.flows[flow]
 	if !ok {
 		return 0
 	}
 	if bytes == 0 {
-		fs.meter.touch(now)
+		meter.touch(now)
 		return 0
 	}
-	premium := fs.meter.take(bytes, now)
-	fs.premium += premium
-	fs.demoted += bytes - premium
-	return premium
+	return meter.take(bytes, now)
 }
 
 // Police meters premium bytes against the aggregate in closed form,
-// with the same window semantics as Mark.
+// with the same window semantics as Mark, and returns how many pass.
 func (p *Plane) Police(premium int64, now time.Duration) int64 {
 	if premium < 0 {
 		return 0
@@ -183,33 +166,9 @@ func (p *Plane) Police(premium int64, now time.Duration) int64 {
 	return passed
 }
 
-// FlowStats returns the flow's marking counters.
-func (p *Plane) FlowStats(flow string) (dataplane.FlowStats, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	fs, ok := p.flows[flow]
-	if !ok {
-		return dataplane.FlowStats{}, false
-	}
-	return dataplane.FlowStats{
-		Installed:    true,
-		Profile:      fs.profile,
-		PremiumBytes: fs.premium,
-		DemotedBytes: fs.demoted,
-	}, true
-}
-
 // ClassStats returns the aggregate byte accounting.
-func (p *Plane) ClassStats() dataplane.ClassStats {
+func (p *Plane) ClassStats() ClassStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.stats
-}
-
-// CallCounts returns how many control-plane operations the plane has
-// seen, for tests asserting on broker behaviour.
-func (p *Plane) CallCounts() Calls {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.calls
 }

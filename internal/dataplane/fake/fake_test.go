@@ -26,25 +26,12 @@ func TestMarkRespectsProfile(t *testing.T) {
 	if got < 999_000 || got > 1_001_000 {
 		t.Fatalf("sustained mark = %d, want ~1e6", got)
 	}
-	st, ok := p.FlowStats("alice")
-	if !ok || !st.Installed {
-		t.Fatalf("FlowStats missing for installed flow")
-	}
-	if st.PremiumBytes != 10_000+got {
-		t.Fatalf("premium counter = %d, want %d", st.PremiumBytes, 10_000+got)
-	}
-	if st.DemotedBytes != 2_000_000-got {
-		t.Fatalf("demoted counter = %d, want %d", st.DemotedBytes, 2_000_000-got)
-	}
 }
 
 func TestMarkUnreservedFlowIsBestEffort(t *testing.T) {
 	p := New()
 	if got := p.Mark("mallory", 1_000_000, 0); got != 0 {
 		t.Fatalf("unreserved flow marked %d premium bytes", got)
-	}
-	if _, ok := p.FlowStats("mallory"); ok {
-		t.Fatalf("FlowStats invented state for unreserved flow")
 	}
 }
 
@@ -54,10 +41,6 @@ func TestRemoveProfileStopsMarking(t *testing.T) {
 	p.RemoveProfile("alice")
 	if got := p.Mark("alice", 10_000, 0); got != 0 {
 		t.Fatalf("removed flow still marked %d bytes", got)
-	}
-	c := p.CallCounts()
-	if c.Installs != 1 || c.Removes != 1 {
-		t.Fatalf("call counts = %+v, want 1 install / 1 remove", c)
 	}
 }
 
@@ -108,7 +91,6 @@ func TestConcurrentUse(t *testing.T) {
 				p.InstallProfile(flow, profile(units.Mbps, 10_000))
 				p.Mark(flow, 1500, time.Duration(i)*time.Millisecond)
 				p.Police(1500, time.Duration(i)*time.Millisecond)
-				p.FlowStats(flow)
 				p.ClassStats()
 				if i%50 == 49 {
 					p.RemoveProfile(flow)

@@ -2,9 +2,7 @@ package netsimdp
 
 import (
 	"testing"
-	"time"
 
-	"e2eqos/internal/dataplane"
 	"e2eqos/internal/dsim"
 	"e2eqos/internal/netsim"
 	"e2eqos/internal/sla"
@@ -15,104 +13,75 @@ func profile(rate units.Bandwidth, burst int64) sla.TrafficProfile {
 	return sla.TrafficProfile{Rate: rate, BucketBytes: burst}
 }
 
-// drop is a packet sink that discards everything.
-type drop struct{}
+// send pushes n packets of size bytes of flow into r at the simulator's
+// current time, marked class.
+func send(r netsim.Receiver, flow netsim.FlowID, class netsim.Class, n, size int) {
+	for i := 0; i < n; i++ {
+		r.Receive(&netsim.Packet{Flow: flow, Size: size, Class: class})
+	}
+}
 
-func (drop) Receive(*netsim.Packet) {}
-
-func TestUnattachedPlanePassesThrough(t *testing.T) {
-	p := New()
-	p.InstallProfile("alice", profile(units.Mbps, 10_000))
-	if got := p.Mark("alice", 123_456, 0); got != 123_456 {
-		t.Fatalf("unattached Mark = %d, want pass-through", got)
+// premiumBytes is what the sink received of flow still marked premium.
+func premiumBytes(sink *netsim.Sink, flow netsim.FlowID) int64 {
+	st := sink.Stats(flow)
+	if st == nil {
+		return 0
 	}
-	if got := p.Police(7_890, 0); got != 7_890 {
-		t.Fatalf("unattached Police = %d, want pass-through", got)
-	}
-	st, ok := p.FlowStats("alice")
-	if !ok || !st.Installed {
-		t.Fatalf("unattached plane forgot the installed profile")
-	}
-	if cs := p.ClassStats(); cs != (dataplane.ClassStats{}) {
-		t.Fatalf("unattached ClassStats = %+v, want zero", cs)
-	}
+	return st.RxBytesByCls[netsim.Premium]
 }
 
 func TestAttachEdgeReplaysProfiles(t *testing.T) {
 	sim := dsim.New()
+	sink := netsim.NewSink(sim)
 	p := New()
 	p.InstallProfile("alice", profile(8*units.Mbps, 10_000))
 
-	edge := netsim.NewEdgeMarker(sim, drop{})
+	edge := netsim.NewEdgeMarker(sim, sink)
 	p.AttachEdge(edge)
-	if !edge.Installed("alice") {
-		t.Fatalf("profile not replayed onto late-attached edge")
+	// The profile replayed onto the late-attached edge: its 10 KB burst
+	// leaves marked premium, the rest is demoted.
+	send(edge, "alice", netsim.BestEffort, 15, 1000)
+	if got := premiumBytes(sink, "alice"); got != 10_000 {
+		t.Fatalf("premium bytes through the late-attached edge = %d, want the 10000 burst", got)
 	}
-	// Now decisions go through the real meter: burst passes, the rest
-	// is demoted.
-	if got := p.Mark("alice", 10_000, 0); got != 10_000 {
-		t.Fatalf("burst mark = %d, want 10000", got)
-	}
-	// The packet meter is instantaneous, so sustained load must be
-	// offered spread over time: 20 KB every 10 ms for one second
-	// against a 1 MB/s profile passes ~10 KB per step.
-	var got int64
-	for i := 1; i <= 100; i++ {
-		got += p.Mark("alice", 20_000, time.Duration(i)*10*time.Millisecond)
-	}
-	if got < 950_000 || got > 1_050_000 {
-		t.Fatalf("sustained mark = %d, want ~1e6", got)
-	}
-	st, ok := p.FlowStats("alice")
-	if !ok || st.PremiumBytes != 10_000+got {
-		t.Fatalf("FlowStats = %+v ok=%v, want premium %d", st, ok, 10_000+got)
+	if edge.Drops.Remarked != 5 {
+		t.Fatalf("remarked %d packets, want 5", edge.Drops.Remarked)
 	}
 	p.RemoveProfile("alice")
-	if edge.Installed("alice") {
-		t.Fatalf("RemoveProfile did not reach the edge device")
+	p.InstallProfile("bob", profile(8*units.Mbps, 10_000))
+	send(edge, "alice", netsim.Premium, 1, 1000)
+	send(edge, "bob", netsim.BestEffort, 1, 1000)
+	if got := premiumBytes(sink, "alice"); got != 10_000 {
+		t.Fatalf("RemoveProfile did not reach the edge device: premium bytes = %d", got)
+	}
+	if got := premiumBytes(sink, "bob"); got != 1000 {
+		t.Fatalf("InstallProfile did not reach the attached edge: premium bytes = %d", got)
 	}
 }
 
 func TestAttachPolicerPushesAggregate(t *testing.T) {
 	sim := dsim.New()
+	sink := netsim.NewSink(sim)
 	p := New()
 	p.SetAggregate(profile(8*units.Mbps, 10_000))
 
-	policer := netsim.NewPolicer(sim, profile(0, 0), sla.Drop, drop{})
+	policer := netsim.NewPolicer(sim, profile(0, 0), sla.Drop, sink)
 	p.AttachPolicer(policer)
-	if got := policer.AggregateProfile().Rate; got != 8*units.Mbps {
-		t.Fatalf("aggregate not pushed on attach: rate = %v", got)
-	}
-	if got := p.Police(10_000, 0); got != 10_000 {
-		t.Fatalf("burst police = %d, want 10000", got)
-	}
-	var got, offered int64
-	for i := 1; i <= 100; i++ {
-		offered += 30_000
-		got += p.Police(30_000, time.Duration(i)*10*time.Millisecond)
-	}
-	if got < 950_000 || got > 1_050_000 {
-		t.Fatalf("sustained police = %d, want ~1e6", got)
-	}
-	cs := p.ClassStats()
-	if cs.PremiumBytes != 10_000+got {
-		t.Fatalf("ClassStats premium = %d, want %d", cs.PremiumBytes, 10_000+got)
-	}
-	if cs.ExcessPremiumBytes != offered-got {
-		t.Fatalf("ClassStats excess = %d, want %d", cs.ExcessPremiumBytes, offered-got)
+	send(policer, "f", netsim.Premium, 12, 1000)
+	if got := premiumBytes(sink, "f"); got != 10_000 || policer.Drops.Dropped != 2 {
+		t.Fatalf("policer passed %d bytes and dropped %d packets, want the 10000 burst and 2", got, policer.Drops.Dropped)
 	}
 }
 
 func TestSetAggregateReachesAttachedPolicer(t *testing.T) {
 	sim := dsim.New()
+	sink := netsim.NewSink(sim)
 	p := New()
-	policer := netsim.NewPolicer(sim, profile(0, 0), sla.Drop, drop{})
+	policer := netsim.NewPolicer(sim, profile(0, 0), sla.Drop, sink)
 	p.AttachPolicer(policer)
 	p.SetAggregate(profile(4*units.Mbps, 30_000))
-	if got := policer.AggregateProfile(); got.Rate != 4*units.Mbps || got.BucketBytes != 30_000 {
-		t.Fatalf("policer profile = %+v, want 4Mbps/30000", got)
-	}
-	if got := p.Aggregate(); got.Rate != 4*units.Mbps {
-		t.Fatalf("Aggregate() = %+v", got)
+	send(policer, "f", netsim.Premium, 31, 1000)
+	if got := premiumBytes(sink, "f"); got != 30_000 || policer.Drops.Dropped != 1 {
+		t.Fatalf("policer passed %d bytes and dropped %d packets, want the 30000 burst and 1", got, policer.Drops.Dropped)
 	}
 }

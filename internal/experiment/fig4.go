@@ -217,14 +217,18 @@ func runFig4ScenarioRate(scenario string, duration time.Duration, davidRate unit
 	w.NetsimPlane("DomainB").AttachPolicer(policerB)
 	w.NetsimPlane("DomainC").AttachPolicer(policerC)
 
-	// Alice reserves end-to-end in both scenarios.
+	// Each source seeds its jitter from its flow id, the RAR id: fixed
+	// ids make the figure reproducible run to run.
 	aliceSpec := alice.NewSpec(SpecOptions{DestDomain: "DomainC", Bandwidth: 10 * units.Mbps, Window: win})
+	davidSpec := david.NewSpec(SpecOptions{DestDomain: "DomainC", Bandwidth: davidRate, Window: win})
+	aliceSpec.RARID, davidSpec.RARID = "RAR-fig4-alice", "RAR-fig4-david"
+
+	// Alice reserves end-to-end in both scenarios.
 	res, err := alice.ReserveE2E(aliceSpec)
 	if err != nil || !res.Granted {
 		return out, fmt.Errorf("alice reservation failed: %v %+v", err, res)
 	}
 
-	davidSpec := david.NewSpec(SpecOptions{DestDomain: "DomainC", Bandwidth: davidRate, Window: win})
 	switch scenario {
 	case "source-domain (attack)":
 		// David reserves in D and B only — "makes a reservation in

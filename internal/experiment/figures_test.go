@@ -315,6 +315,23 @@ func TestRunFigure4SweepMonotone(t *testing.T) {
 	}
 }
 
+// TestRunFigure4SweepIsReproducible: every source seeds its jitter from
+// its flow id, so two renders of the same sweep are byte-identical.
+func TestRunFigure4SweepIsReproducible(t *testing.T) {
+	rates := []units.Bandwidth{5 * units.Mbps, 20 * units.Mbps}
+	var renders []string
+	for i := 0; i < 2; i++ {
+		tab, err := RunFigure4Sweep(rates, 500*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		renders = append(renders, tab.Render())
+	}
+	if renders[0] != renders[1] {
+		t.Fatalf("two sweeps differ:\n%s\n%s", renders[0], renders[1])
+	}
+}
+
 func TestRunDiffServChainGuarantee(t *testing.T) {
 	tab, err := RunDiffServChain(4, time.Second)
 	if err != nil {

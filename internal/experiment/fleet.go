@@ -1,12 +1,13 @@
 // Scenario fleet: a deterministic, seed-reproducible closed-loop
-// driver that exercises the broker's admission machinery and the
-// pluggable data plane at 10^5–10^6 simulated users. The fleet is the
+// driver that exercises the broker's admission machinery and
+// data-plane metering at 10^5–10^6 simulated users. The fleet is the
 // standing regression harness for scale work: every scenario runs
 // real resv.Table admission (sharded into per-domain aggregates, the
 // way a deployment splits its premium pool across ingress points),
-// real dataplane enforcement (the closed-form fake backend), and a
-// modelled signalling path — per-hop latency plus a FIFO single-server
-// queue per broker — in dsim virtual time. The full-crypto signalling
+// closed-form token-bucket metering (the fake backend's Mark and
+// Police, which no broker calls), and a modelled signalling path —
+// per-hop latency plus a FIFO single-server queue per broker — in dsim
+// virtual time. The full-crypto signalling
 // path measured in BENCH_concurrency.json runs at ~4.5 ms per
 // reservation; at 10^5 users that is hours of wall clock, so the fleet
 // models the path and drives the real decision logic under it.
@@ -27,7 +28,6 @@ import (
 	"sort"
 	"time"
 
-	"e2eqos/internal/dataplane"
 	"e2eqos/internal/dataplane/fake"
 	"e2eqos/internal/dsim"
 	"e2eqos/internal/identity"
@@ -207,7 +207,7 @@ type fleetDomain struct {
 	name      string
 	capacity  units.Bandwidth
 	shards    []*resv.Table
-	plane     dataplane.DataPlane
+	plane     *fake.Plane
 	busyUntil time.Duration
 	committed units.Bandwidth
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -10,8 +11,8 @@ import (
 	"e2eqos/internal/units"
 )
 
-// These tests pin the thread-safety contract the dataplane backends
-// rely on: markers, policers and meters are hammered from many
+// These tests pin the thread-safety contract the netsim data plane
+// relies on: markers, policers and meters are hammered from many
 // goroutines and must stay exact, not just race-free. Run them with
 // -race (make verify does).
 
@@ -49,8 +50,8 @@ func TestTokenBucketConcurrentConformance(t *testing.T) {
 	if want := int64(burst / size); conformed != want {
 		t.Fatalf("conformed %d packets across %d goroutines, want exactly %d", conformed, workers, want)
 	}
-	if tokens := tb.Tokens(0); tokens >= size {
-		t.Fatalf("bucket still holds %.0f tokens after exhaustion", tokens)
+	if tb.Conform(size, 0) {
+		t.Fatal("bucket still admits after exhaustion")
 	}
 	// After one packet-time of refill the bucket admits again.
 	refillTime := time.Duration(float64(size*8) / float64(8*units.Mbps) * float64(time.Second))
@@ -59,8 +60,8 @@ func TestTokenBucketConcurrentConformance(t *testing.T) {
 	}
 }
 
-// TestTokenBucketConcurrentReaders checks Tokens and TimeToConform can
-// run alongside Conform without corrupting the meter.
+// TestTokenBucketConcurrentReaders checks TimeToConform can run
+// alongside Conform without corrupting the meter.
 func TestTokenBucketConcurrentReaders(t *testing.T) {
 	tb := NewTokenBucket(units.Mbps, 5_000)
 	stop := make(chan struct{})
@@ -75,7 +76,6 @@ func TestTokenBucketConcurrentReaders(t *testing.T) {
 					return
 				default:
 				}
-				tb.Tokens(now)
 				tb.TimeToConform(1500, now)
 			}
 		}()
@@ -87,15 +87,16 @@ func TestTokenBucketConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// TestOnOffSourceStatsDuringRun reads source and sink statistics from
-// reader goroutines while the simulation emits packets — the live
-// telemetry path fleet tooling uses mid-run.
-func TestOnOffSourceStatsDuringRun(t *testing.T) {
+// TestSourceStatsDuringRun reads sink statistics from reader
+// goroutines while the simulation emits packets — the live telemetry
+// path fleet tooling uses mid-run.
+func TestSourceStatsDuringRun(t *testing.T) {
+	const pkt = 1250
 	sim := dsim.New()
 	sink := NewSink(sim)
 	marker := NewEdgeMarker(sim, sink)
 	marker.InstallReservation("f1", sla.TrafficProfile{Rate: 4 * units.Mbps, BucketBytes: 30_000})
-	src := NewOnOffSource(sim, "f1", 8*units.Mbps, 1250, Premium, 20*time.Millisecond, 20*time.Millisecond, marker)
+	src := NewSource(sim, "f1", 8*units.Mbps, pkt, BestEffort, marker)
 	if err := src.Install(0, time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +112,6 @@ func TestOnOffSourceStatsDuringRun(t *testing.T) {
 					return
 				default:
 				}
-				src.Emitted()
-				marker.FlowStats("f1")
-				marker.DropsSnapshot()
 				if st := sink.Stats("f1"); st != nil {
 					_ = st.RxBytes
 				}
@@ -123,26 +121,29 @@ func TestOnOffSourceStatsDuringRun(t *testing.T) {
 	sim.Run(2 * time.Second)
 	close(stop)
 	wg.Wait()
-	emitted := src.Emitted()
-	if emitted == 0 {
-		t.Fatal("source emitted nothing")
-	}
+	// 8 Mb/s of 1250-byte packets for one second is 800 packets, all
+	// delivered: nothing between the marker and the sink drops.
 	st := sink.Stats("f1")
-	if st == nil || st.RxPackets != emitted {
-		t.Fatalf("sink saw %+v, want %d packets", st, emitted)
+	if st == nil || st.RxPackets < 799 || st.RxPackets > 801 || st.RxBytes != st.RxPackets*pkt {
+		t.Fatalf("sink saw %+v, want ~800 packets of %d bytes", st, pkt)
 	}
-	fs := marker.FlowStats("f1")
-	if fs.PremiumBytes+fs.DemotedBytes != emitted*1250 {
-		t.Fatalf("marker accounted %d+%d bytes, want %d", fs.PremiumBytes, fs.DemotedBytes, emitted*1250)
+	premium, demoted := st.RxBytesByCls[Premium], st.RxBytesByCls[BestEffort]
+	if premium+demoted != st.RxBytes || demoted != marker.Drops.Remarked*pkt {
+		t.Fatalf("marker passed %d premium + %d demoted bytes (%d remarked), want %d in all", premium, demoted, marker.Drops.Remarked, st.RxBytes)
+	}
+	// The 4 Mb/s profile with a 30 KB bucket marks at most 530 KB premium.
+	if premium == 0 || premium > 530_000 {
+		t.Fatalf("premium bytes %d, want within the profile's 530000", premium)
 	}
 }
 
 // TestEdgeMarkerConcurrentControlAndData reconfigures reservations
-// from control goroutines while data goroutines push bytes through
-// MarkBytes for other flows; per-flow accounting must stay exact.
+// from control goroutines while data goroutines push packets through
+// the marker for another flow; per-flow marking must stay exact.
 func TestEdgeMarkerConcurrentControlAndData(t *testing.T) {
 	sim := dsim.New()
-	marker := NewEdgeMarker(sim, NewSink(sim))
+	sink := NewSink(sim)
+	marker := NewEdgeMarker(sim, sink)
 	profile := sla.TrafficProfile{Rate: 8 * units.Mbps, BucketBytes: 10_000}
 	marker.InstallReservation("steady", profile)
 	var wg sync.WaitGroup
@@ -156,32 +157,24 @@ func TestEdgeMarkerConcurrentControlAndData(t *testing.T) {
 		}
 	}()
 	// Data plane: the steady flow marks within its burst at t=0.
-	var premium int64
-	var mu sync.Mutex
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			local := int64(0)
 			for i := 0; i < 50; i++ {
-				local += marker.MarkBytes("steady", 100, 100, 0)
+				marker.Receive(newPacket("steady", 100, BestEffort, 0))
 			}
-			mu.Lock()
-			premium += local
-			mu.Unlock()
 		}()
 	}
 	wg.Wait()
 	// 4×50×100B = 20_000B offered at t=0 against a 10_000B burst:
 	// exactly the burst may be marked premium, the rest demoted.
-	if premium != 10_000 {
-		t.Fatalf("premium = %d, want exactly the 10000B burst", premium)
+	st := sink.Stats("steady")
+	if st.RxBytesByCls[Premium] != 10_000 || st.RxBytesByCls[BestEffort] != 10_000 || marker.Drops.Remarked != 100 {
+		t.Fatalf("sink saw %v, %d remarked; want 10000 premium / 10000 best effort, 100 remarked", st.RxBytesByCls, marker.Drops.Remarked)
 	}
-	fs := marker.FlowStats("steady")
-	if fs.PremiumBytes != 10_000 || fs.DemotedBytes != 10_000 {
-		t.Fatalf("flow stats %+v, want 10000 premium / 10000 demoted", fs)
-	}
-	if marker.Installed("churny") {
+	marker.Receive(newPacket("churny", 100, Premium, 0))
+	if st := sink.Stats("churny"); st.RxBytesByCls[Premium] != 0 {
 		t.Fatal("churny flow left installed")
 	}
 }
@@ -196,10 +189,10 @@ func TestPolicerDropVsRemarkBoundary(t *testing.T) {
 		excess sla.ExcessTreatment
 		// after offering burst+1 packets at t=0:
 		wantDropped, wantRemarked int64
-		wantBestEffort            int64
+		want                      []Class // forwarded, in order
 	}{
-		{name: "drop", excess: sla.Drop, wantDropped: 1},
-		{name: "remark", excess: sla.Remark, wantRemarked: 1, wantBestEffort: pkt},
+		{name: "drop", excess: sla.Drop, wantDropped: 1, want: []Class{Premium, Premium}},
+		{name: "remark", excess: sla.Remark, wantRemarked: 1, want: []Class{Premium, Premium, BestEffort}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -210,59 +203,23 @@ func TestPolicerDropVsRemarkBoundary(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				po.Receive(newPacket("f", pkt, Premium, 0))
 			}
-			tot := po.Totals()
-			if tot.PremiumPassedBytes != 2*pkt {
-				t.Fatalf("premium passed %d, want %d (the full bucket)", tot.PremiumPassedBytes, 2*pkt)
+			if fmt.Sprint(forwarded) != fmt.Sprint(tc.want) {
+				t.Fatalf("forwarded %v, want %v (the full bucket, then the boundary packet's treatment)", forwarded, tc.want)
 			}
-			if tot.ExcessPremiumBytes != pkt {
-				t.Fatalf("excess premium %d, want %d", tot.ExcessPremiumBytes, pkt)
-			}
-			if tot.Drops.Dropped != tc.wantDropped || tot.Drops.Remarked != tc.wantRemarked {
-				t.Fatalf("drops %v, want dropped=%d remarked=%d", tot.Drops, tc.wantDropped, tc.wantRemarked)
-			}
-			if tot.BestEffortBytes != tc.wantBestEffort {
-				t.Fatalf("best-effort bytes %d, want %d", tot.BestEffortBytes, tc.wantBestEffort)
-			}
-			wantForwarded := 2
-			if tc.excess == sla.Remark {
-				wantForwarded = 3
-				if forwarded[2] != BestEffort {
-					t.Fatalf("boundary packet forwarded as %v, want best-effort", forwarded[2])
-				}
-			}
-			if len(forwarded) != wantForwarded {
-				t.Fatalf("forwarded %d packets, want %d", len(forwarded), wantForwarded)
+			if po.Drops.Dropped != tc.wantDropped || po.Drops.Remarked != tc.wantRemarked {
+				t.Fatalf("drops %v, want dropped=%d remarked=%d", po.Drops, tc.wantDropped, tc.wantRemarked)
 			}
 		})
 	}
 }
 
-// TestPolicerByteAndPacketPathsAgree drives the same offered load
-// through Receive and PoliceBytes and requires identical accounting —
-// the dataplane byte path must not drift from the packet path.
-func TestPolicerByteAndPacketPathsAgree(t *testing.T) {
-	const pkt = 1000
-	profile := sla.TrafficProfile{Rate: units.Mbps, BucketBytes: 5 * pkt}
-	simA := dsim.New()
-	pktPath := NewPolicer(simA, profile, sla.Remark, NewSink(simA))
-	for i := 0; i < 12; i++ {
-		pktPath.Receive(newPacket("f", pkt, Premium, 0))
-	}
-	simB := dsim.New()
-	bytePath := NewPolicer(simB, profile, sla.Remark, NewSink(simB))
-	bytePath.PoliceBytes(12*pkt, pkt, 0)
-	a, b := pktPath.Totals(), bytePath.Totals()
-	if a != b {
-		t.Fatalf("paths disagree:\n packet %+v\n bytes  %+v", a, b)
-	}
-}
-
 // TestPolicerConcurrentReconfigure races SetAggregateRate against
-// PoliceBytes and checks the final totals stay internally consistent:
-// every offered byte is either passed or excess, never both or neither.
+// premium packets and checks the accounting stays exact: every offered
+// packet is either forwarded or dropped, never both or neither.
 func TestPolicerConcurrentReconfigure(t *testing.T) {
 	sim := dsim.New()
-	po := NewPolicer(sim, sla.TrafficProfile{Rate: units.Mbps, BucketBytes: 10_000}, sla.Drop, NewSink(sim))
+	sink := NewSink(sim)
+	po := NewPolicer(sim, sla.TrafficProfile{Rate: units.Mbps, BucketBytes: 10_000}, sla.Drop, sink)
 	const (
 		workers = 4
 		rounds  = 200
@@ -276,31 +233,21 @@ func TestPolicerConcurrentReconfigure(t *testing.T) {
 			po.SetAggregateRate(units.Bandwidth(1+i)*units.Mbps, 10_000)
 		}
 	}()
-	var passed int64
-	var mu sync.Mutex
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			local := int64(0)
 			for i := 0; i < rounds; i++ {
-				local += po.PoliceBytes(chunk, chunk, 0)
+				po.Receive(newPacket("f", chunk, Premium, 0))
 			}
-			mu.Lock()
-			passed += local
-			mu.Unlock()
 		}()
 	}
 	wg.Wait()
-	tot := po.Totals()
-	offered := int64(workers * rounds * chunk)
-	if tot.PremiumPassedBytes+tot.ExcessPremiumBytes != offered {
-		t.Fatalf("passed %d + excess %d != offered %d", tot.PremiumPassedBytes, tot.ExcessPremiumBytes, offered)
+	var passed int64
+	if st := sink.Stats("f"); st != nil {
+		passed = st.RxPackets
 	}
-	if tot.PremiumPassedBytes != passed {
-		t.Fatalf("totals say %d passed, callers saw %d", tot.PremiumPassedBytes, passed)
-	}
-	if tot.Drops.Dropped != tot.ExcessPremiumBytes/chunk {
-		t.Fatalf("dropped %d chunks, want %d", tot.Drops.Dropped, tot.ExcessPremiumBytes/chunk)
+	if passed == 0 || passed+po.Drops.Dropped != workers*rounds {
+		t.Fatalf("passed %d + dropped %d != offered %d", passed, po.Drops.Dropped, workers*rounds)
 	}
 }

@@ -3,7 +3,6 @@ package netsim
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"e2eqos/internal/dsim"
@@ -30,8 +29,7 @@ type Source struct {
 	// policers and produce pathological win/lose patterns.
 	Jitter float64
 
-	emitted atomic.Int64
-	rng     uint64
+	rng uint64
 }
 
 // NewSource creates a CBR source; call Install to begin emitting.
@@ -89,33 +87,8 @@ func (s *Source) emit() {
 	if s.Stop > 0 && now >= s.Stop {
 		return
 	}
-	s.emitted.Add(1)
 	s.Next.Receive(newPacket(s.Flow, s.Size, s.Class, now))
 	_, _ = s.sim.After(s.interval(), s.emit)
-}
-
-// Emitted returns the number of packets generated so far. Safe to call
-// from any goroutine while the simulation runs.
-func (s *Source) Emitted() int64 { return s.emitted.Load() }
-
-// flowMeter is one installed reservation at an edge marker: the
-// negotiated profile, the token bucket metering against it, and the
-// per-flow marking outcome counters.
-type flowMeter struct {
-	profile      sla.TrafficProfile
-	tb           *TokenBucket
-	premiumBytes int64
-	demotedBytes int64
-}
-
-// FlowMarkStats is the per-flow outcome of edge marking: how many
-// bytes left the edge with the premium marking and how many were
-// demoted to best effort for exceeding the installed profile.
-type FlowMarkStats struct {
-	Installed    bool
-	Profile      sla.TrafficProfile
-	PremiumBytes int64
-	DemotedBytes int64
 }
 
 // EdgeMarker is the first-hop device of a DiffServ domain: it
@@ -132,13 +105,13 @@ type EdgeMarker struct {
 	Drops DropStats
 
 	mu     sync.Mutex
-	meters map[FlowID]*flowMeter
+	meters map[FlowID]*TokenBucket
 	nowFn  func() time.Duration
 }
 
 // NewEdgeMarker creates an edge marker feeding next.
 func NewEdgeMarker(sim *dsim.Sim, next Receiver) *EdgeMarker {
-	return &EdgeMarker{Next: next, meters: make(map[FlowID]*flowMeter), nowFn: sim.Now}
+	return &EdgeMarker{Next: next, meters: make(map[FlowID]*TokenBucket), nowFn: sim.Now}
 }
 
 // InstallReservation gives flow a premium profile (what the BB does to
@@ -146,7 +119,7 @@ func NewEdgeMarker(sim *dsim.Sim, next Receiver) *EdgeMarker {
 func (m *EdgeMarker) InstallReservation(flow FlowID, profile sla.TrafficProfile) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.meters[flow] = &flowMeter{profile: profile, tb: NewTokenBucket(profile.Rate, profile.BucketBytes)}
+	m.meters[flow] = NewTokenBucket(profile.Rate, profile.BucketBytes)
 }
 
 // RemoveReservation tears the profile down.
@@ -156,102 +129,21 @@ func (m *EdgeMarker) RemoveReservation(flow FlowID) {
 	delete(m.meters, flow)
 }
 
-// Installed reports whether flow currently has a reservation profile.
-func (m *EdgeMarker) Installed(flow FlowID) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok := m.meters[flow]
-	return ok
-}
-
-// FlowStats returns the flow's installed profile and marking counters.
-// A flow whose profile was removed reports Installed=false with zeroed
-// counters (the marker does not keep state for torn-down flows).
-func (m *EdgeMarker) FlowStats(flow FlowID) FlowMarkStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	fm, ok := m.meters[flow]
-	if !ok {
-		return FlowMarkStats{}
-	}
-	return FlowMarkStats{
-		Installed:    true,
-		Profile:      fm.profile,
-		PremiumBytes: fm.premiumBytes,
-		DemotedBytes: fm.demotedBytes,
-	}
-}
-
-// DropsSnapshot returns the marker's drop/remark counters; safe to
-// call while the data path runs.
-func (m *EdgeMarker) DropsSnapshot() DropStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.Drops
-}
-
-// classifyLocked runs the marking decision for size bytes of flow at
-// virtual time now, updating per-flow counters. Caller holds m.mu.
-func (m *EdgeMarker) classifyLocked(flow FlowID, size int, now time.Duration) Class {
-	fm, reserved := m.meters[flow]
-	if !reserved {
-		return BestEffort
-	}
-	if fm.tb.Conform(size, now) {
-		fm.premiumBytes += int64(size)
-		return Premium
-	}
-	// Out-of-profile traffic of a reserved flow rides best effort.
-	fm.demotedBytes += int64(size)
-	m.Drops.Remarked++
-	return BestEffort
-}
-
-// Receive classifies and marks the packet.
+// Receive classifies and marks the packet: premium while the flow's
+// reservation profile holds, best effort otherwise. Out-of-profile
+// traffic of a reserved flow is counted as remarked.
 func (m *EdgeMarker) Receive(p *Packet) {
 	m.mu.Lock()
-	p.Class = m.classifyLocked(p.Flow, p.Size, m.nowFn())
+	p.Class = BestEffort
+	if tb, reserved := m.meters[p.Flow]; reserved {
+		if tb.Conform(p.Size, m.nowFn()) {
+			p.Class = Premium
+		} else {
+			m.Drops.Remarked++
+		}
+	}
 	m.mu.Unlock()
 	m.Next.Receive(p)
-}
-
-// MarkBytes classifies bytes of flow traffic offered at virtual time
-// now against the same per-flow meter the packet path uses, without
-// injecting packets into a pipeline: the traffic is metered in pktSize
-// chunks (plus a remainder chunk) and the number of bytes that left
-// the edge marked premium is returned; the rest ride best effort. This
-// is the decision entry point the dataplane backends use.
-func (m *EdgeMarker) MarkBytes(flow FlowID, bytes int64, pktSize int, now time.Duration) (premium int64) {
-	if pktSize <= 0 {
-		pktSize = 1250
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for bytes > 0 {
-		size := pktSize
-		if int64(size) > bytes {
-			size = int(bytes)
-		}
-		if m.classifyLocked(flow, size, now) == Premium {
-			premium += int64(size)
-		}
-		bytes -= int64(size)
-	}
-	return premium
-}
-
-// PolicerTotals is a policer's cumulative byte accounting.
-type PolicerTotals struct {
-	// PremiumPassedBytes counts premium bytes that conformed to the
-	// aggregate profile and passed.
-	PremiumPassedBytes int64
-	// BestEffortBytes counts best-effort bytes forwarded untouched,
-	// including premium excess remarked down to best effort.
-	BestEffortBytes int64
-	// ExcessPremiumBytes counts premium bytes offered beyond the
-	// aggregate profile, whatever their excess treatment.
-	ExcessPremiumBytes int64
-	Drops              DropStats
 }
 
 // Policer is a per-aggregate ingress policer: it meters the *sum* of
@@ -269,23 +161,18 @@ type Policer struct {
 	Drops  DropStats
 	excess sla.ExcessTreatment
 
-	mu              sync.Mutex
-	meter           *TokenBucket
-	profile         sla.TrafficProfile
-	premiumPassed   int64
-	bestEffortBytes int64
-	excessPremium   int64
+	mu    sync.Mutex
+	meter *TokenBucket
 }
 
 // NewPolicer creates an ingress policer with the given aggregate
 // profile.
 func NewPolicer(sim *dsim.Sim, profile sla.TrafficProfile, excess sla.ExcessTreatment, next Receiver) *Policer {
 	return &Policer{
-		sim:     sim,
-		Next:    next,
-		meter:   NewTokenBucket(profile.Rate, profile.BucketBytes),
-		profile: profile,
-		excess:  excess,
+		sim:    sim,
+		Next:   next,
+		meter:  NewTokenBucket(profile.Rate, profile.BucketBytes),
+		excess: excess,
 	}
 }
 
@@ -294,48 +181,22 @@ func NewPolicer(sim *dsim.Sim, profile sla.TrafficProfile, excess sla.ExcessTrea
 func (po *Policer) SetAggregateRate(rate units.Bandwidth, bucketBytes int64) {
 	po.mu.Lock()
 	defer po.mu.Unlock()
-	po.profile = sla.TrafficProfile{Rate: rate, BucketBytes: bucketBytes}
 	po.meter = NewTokenBucket(rate, bucketBytes)
-}
-
-// AggregateProfile returns the currently configured aggregate profile.
-func (po *Policer) AggregateProfile() sla.TrafficProfile {
-	po.mu.Lock()
-	defer po.mu.Unlock()
-	return po.profile
-}
-
-// Totals returns the policer's cumulative byte accounting; safe to
-// call while the data path runs.
-func (po *Policer) Totals() PolicerTotals {
-	po.mu.Lock()
-	defer po.mu.Unlock()
-	return PolicerTotals{
-		PremiumPassedBytes: po.premiumPassed,
-		BestEffortBytes:    po.bestEffortBytes,
-		ExcessPremiumBytes: po.excessPremium,
-		Drops:              po.Drops,
-	}
 }
 
 // Receive polices premium packets against the aggregate profile.
 func (po *Policer) Receive(p *Packet) {
 	if p.Class != Premium {
-		po.mu.Lock()
-		po.bestEffortBytes += int64(p.Size)
-		po.mu.Unlock()
 		po.Next.Receive(p)
 		return
 	}
 	now := po.sim.Now()
 	po.mu.Lock()
 	if po.meter.Conform(p.Size, now) {
-		po.premiumPassed += int64(p.Size)
 		po.mu.Unlock()
 		po.Next.Receive(p)
 		return
 	}
-	po.excessPremium += int64(p.Size)
 	switch po.excess {
 	case sla.Drop:
 		po.Drops.Dropped++
@@ -343,7 +204,6 @@ func (po *Policer) Receive(p *Packet) {
 	case sla.Remark:
 		p.Class = BestEffort
 		po.Drops.Remarked++
-		po.bestEffortBytes += int64(p.Size)
 		po.mu.Unlock()
 		po.Next.Receive(p)
 	case sla.Shape:
@@ -354,9 +214,7 @@ func (po *Policer) Receive(p *Packet) {
 		if _, err := po.sim.After(delay, func() {
 			po.mu.Lock()
 			ok := po.meter.Conform(pkt.Size, po.sim.Now())
-			if ok {
-				po.premiumPassed += int64(pkt.Size)
-			} else {
+			if !ok {
 				po.Drops.Dropped++
 			}
 			po.mu.Unlock()
@@ -371,45 +229,6 @@ func (po *Policer) Receive(p *Packet) {
 	default:
 		po.mu.Unlock()
 	}
-}
-
-// PoliceBytes meters bytes of aggregate premium traffic offered at
-// virtual time now against the same aggregate meter the packet path
-// uses, in pktSize chunks, and returns how many bytes conformed and
-// passed. Non-conforming bytes are accounted per the excess treatment
-// (dropped or remarked; shaping has no timed release on this byte
-// path and counts as shaped-then-dropped). This is the decision entry
-// point the dataplane backends use.
-func (po *Policer) PoliceBytes(bytes int64, pktSize int, now time.Duration) (passed int64) {
-	if pktSize <= 0 {
-		pktSize = 1250
-	}
-	po.mu.Lock()
-	defer po.mu.Unlock()
-	for bytes > 0 {
-		size := pktSize
-		if int64(size) > bytes {
-			size = int(bytes)
-		}
-		if po.meter.Conform(size, now) {
-			po.premiumPassed += int64(size)
-			passed += int64(size)
-		} else {
-			po.excessPremium += int64(size)
-			switch po.excess {
-			case sla.Remark:
-				po.Drops.Remarked++
-				po.bestEffortBytes += int64(size)
-			case sla.Shape:
-				po.Drops.Shaped++
-				po.Drops.Dropped++
-			default:
-				po.Drops.Dropped++
-			}
-		}
-		bytes -= int64(size)
-	}
-	return passed
 }
 
 // Link models an output port plus wire: strict-priority service

@@ -73,11 +73,3 @@ func (tb *TokenBucket) TimeToConform(size int, now time.Duration) time.Duration 
 	secs := deficit * 8 / float64(tb.Rate)
 	return time.Duration(secs * float64(time.Second))
 }
-
-// Tokens reports the current token level at virtual time now.
-func (tb *TokenBucket) Tokens(now time.Duration) float64 {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	tb.refill(now)
-	return tb.tokens
-}

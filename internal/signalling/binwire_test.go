@@ -336,8 +336,6 @@ func (c *slowSinkConn) Recv() ([]byte, error) {
 	return nil, fmt.Errorf("slowSinkConn: closed")
 }
 
-func (c *slowSinkConn) SetDeadline(t time.Time) error { return c.SetSendDeadline(t) }
-
 func (c *slowSinkConn) SetSendDeadline(t time.Time) error {
 	c.mu.Lock()
 	c.deadline = t

@@ -28,8 +28,8 @@ type FaultConfig struct {
 	// DelayProb stalls the operation for Delay before proceeding.
 	DelayProb float64
 	Delay     time.Duration
-	// HangProb blocks the operation until the connection deadline
-	// expires or the connection is closed — a hung peer.
+	// HangProb blocks the operation until the connection is closed or,
+	// for a Send, its send deadline expires — a hung peer.
 	HangProb float64
 	// ResetProb closes the connection mid-operation and returns an
 	// error, like a TCP RST.
@@ -129,7 +129,7 @@ func (d *FaultyDialer) Dial(addr string) (Conn, error) {
 }
 
 // faultyConn injects faults around an underlying Conn. It tracks the
-// deadlines itself so an injected hang still honours SetDeadline /
+// send deadline itself so an injected hang still honours
 // SetSendDeadline.
 type faultyConn struct {
 	inner Conn
@@ -142,18 +142,9 @@ type faultyConn struct {
 
 	dlMu         sync.Mutex
 	sendDeadline time.Time
-	recvDeadline time.Time
 
 	once   sync.Once
 	closed chan struct{}
-}
-
-func (c *faultyConn) SetDeadline(t time.Time) error {
-	c.dlMu.Lock()
-	c.sendDeadline = t
-	c.recvDeadline = t
-	c.dlMu.Unlock()
-	return c.inner.SetDeadline(t)
 }
 
 func (c *faultyConn) SetSendDeadline(t time.Time) error {
@@ -163,16 +154,16 @@ func (c *faultyConn) SetSendDeadline(t time.Time) error {
 	return c.inner.SetSendDeadline(t)
 }
 
-// hang blocks until the relevant deadline passes or the connection
-// closes.
+// hang blocks until the connection closes or, for a Send, its deadline
+// passes.
 func (c *faultyConn) hang(send bool) error {
 	c.d.stats.Hangs.Add(1)
-	c.dlMu.Lock()
-	d := c.recvDeadline
+	var d time.Time
 	if send {
+		c.dlMu.Lock()
 		d = c.sendDeadline
+		c.dlMu.Unlock()
 	}
-	c.dlMu.Unlock()
 	var timeout <-chan time.Time
 	if !d.IsZero() {
 		t := time.NewTimer(time.Until(d))

@@ -205,7 +205,6 @@ type memConn struct {
 
 	dlMu         sync.Mutex
 	sendDeadline time.Time
-	recvDeadline time.Time
 }
 
 // newMemPair wires two half-connections together.
@@ -218,17 +217,7 @@ func newMemPair(n *Network, client, server *Endpoint) (*memConn, *memConn) {
 	return c, s
 }
 
-// SetDeadline bounds subsequent Send and Recv calls.
-func (c *memConn) SetDeadline(t time.Time) error {
-	c.dlMu.Lock()
-	c.sendDeadline = t
-	c.recvDeadline = t
-	c.dlMu.Unlock()
-	return nil
-}
-
-// SetSendDeadline bounds subsequent Send calls only; a concurrent or
-// later Recv keeps its own deadline (or none).
+// SetSendDeadline bounds subsequent Send calls.
 func (c *memConn) SetSendDeadline(t time.Time) error {
 	c.dlMu.Lock()
 	c.sendDeadline = t
@@ -236,15 +225,12 @@ func (c *memConn) SetSendDeadline(t time.Time) error {
 	return nil
 }
 
-// expiry arms a timer for the requested deadline (send or recv). The
-// returned channel is nil (never fires) when no deadline is set; stop
-// releases the timer and is safe to call either way.
-func (c *memConn) expiry(send bool) (<-chan time.Time, func()) {
+// sendExpiry arms a timer for the send deadline. The returned channel
+// is nil (never fires) when no deadline is set; stop releases the timer
+// and is safe to call either way.
+func (c *memConn) sendExpiry() (<-chan time.Time, func()) {
 	c.dlMu.Lock()
-	d := c.recvDeadline
-	if send {
-		d = c.sendDeadline
-	}
+	d := c.sendDeadline
 	c.dlMu.Unlock()
 	if d.IsZero() {
 		return nil, func() {}
@@ -270,7 +256,7 @@ func (c *memConn) Send(msg []byte) error {
 	select {
 	case c.out <- tm:
 	default:
-		timeout, stop := c.expiry(true)
+		timeout, stop := c.sendExpiry()
 		defer stop()
 		select {
 		case c.out <- tm:
@@ -287,40 +273,26 @@ func (c *memConn) Send(msg []byte) error {
 }
 
 func (c *memConn) Recv() ([]byte, error) {
-	timeout, stop := c.expiry(false)
-	defer stop()
 	select {
 	case m := <-c.in:
-		return c.deliver(m, timeout)
+		return deliver(m), nil
 	case <-c.done:
 		// Drain any already queued message to preserve FIFO semantics
 		// on graceful close.
 		select {
 		case m := <-c.in:
-			return c.deliver(m, timeout)
+			return deliver(m), nil
 		default:
 			return nil, ErrClosed
 		}
-	case <-timeout:
-		c.net.Metrics.timeout()
-		return nil, ErrTimeout
 	}
 }
 
 // deliver waits out the modelled propagation latency of a received
-// message, still honouring the read deadline.
-func (c *memConn) deliver(m timedMsg, timeout <-chan time.Time) ([]byte, error) {
-	if wait := time.Until(m.deliverAt); wait > 0 {
-		t := time.NewTimer(wait)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-timeout:
-			c.net.Metrics.timeout()
-			return nil, ErrTimeout
-		}
-	}
-	return m.data, nil
+// message.
+func deliver(m timedMsg) []byte {
+	time.Sleep(time.Until(m.deliverAt))
+	return m.data
 }
 
 func (c *memConn) PeerDN() identity.DN { return c.peerDN }

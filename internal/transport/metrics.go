@@ -14,7 +14,7 @@ type Metrics struct {
 	DialFailures *obs.Counter
 	// Accepts counts authenticated inbound connections.
 	Accepts *obs.Counter
-	// Timeouts counts Send/Recv deadline expiries on established
+	// Timeouts counts send deadline expiries on established
 	// connections.
 	Timeouts *obs.Counter
 }
@@ -29,7 +29,7 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		Dials:        r.Counter("transport_dials_total", "successful outbound connection establishments"),
 		DialFailures: r.Counter("transport_dial_failures_total", "failed outbound dial attempts"),
 		Accepts:      r.Counter("transport_accepts_total", "authenticated inbound connections accepted"),
-		Timeouts:     r.Counter("transport_timeouts_total", "send/recv deadline expiries on established connections"),
+		Timeouts:     r.Counter("transport_timeouts_total", "send deadline expiries on established connections"),
 	}
 }
 

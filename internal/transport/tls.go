@@ -28,11 +28,6 @@ type TLSConfig struct {
 	RootDERs [][]byte
 }
 
-// NewTLSConfig assembles a config from pki artifacts.
-func NewTLSConfig(cert *pki.Certificate, key *identity.KeyPair, roots ...[]byte) *TLSConfig {
-	return &TLSConfig{CertDER: cert.DER, Key: key.Private, RootDERs: roots}
-}
-
 func (c *TLSConfig) build(server bool) (*tls.Config, error) {
 	pool := x509.NewCertPool()
 	for _, der := range c.RootDERs {
@@ -118,9 +113,6 @@ func (c *tlsConn) Recv() ([]byte, error) {
 	defer c.recvMu.Unlock()
 	var hdr [4]byte
 	if _, err := io.ReadFull(c.conn, hdr[:]); err != nil {
-		if IsTimeout(err) {
-			c.metrics.timeout()
-		}
 		return nil, fmt.Errorf("transport: read header: %w", err)
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
@@ -129,20 +121,13 @@ func (c *tlsConn) Recv() ([]byte, error) {
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(c.conn, buf); err != nil {
-		if IsTimeout(err) {
-			c.metrics.timeout()
-		}
 		return nil, fmt.Errorf("transport: read body: %w", err)
 	}
 	return buf, nil
 }
 
-// SetDeadline bounds subsequent Send and Recv calls; expiry surfaces
-// as a net.Error with Timeout() == true (matched by IsTimeout).
-func (c *tlsConn) SetDeadline(t time.Time) error { return c.conn.SetDeadline(t) }
-
-// SetSendDeadline bounds writes only, so the mux client's blocked
-// reader keeps waiting while a caller bounds its own send.
+// SetSendDeadline bounds writes only; expiry surfaces as a net.Error
+// with Timeout() == true (matched by IsTimeout).
 func (c *tlsConn) SetSendDeadline(t time.Time) error { return c.conn.SetWriteDeadline(t) }
 
 func (c *tlsConn) PeerDN() identity.DN { return c.peerDN }
@@ -233,7 +218,7 @@ func (d *TLSDialer) Dial(addr string) (Conn, error) {
 		return nil, err
 	}
 	if d.Timeout > 0 {
-		conn.SetDeadline(time.Time{})
+		raw.SetDeadline(time.Time{})
 	}
 	d.Metrics.dial()
 	return conn, nil

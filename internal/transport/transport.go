@@ -23,9 +23,9 @@ import (
 	"e2eqos/internal/identity"
 )
 
-// ErrTimeout is returned by Send/Recv when the connection deadline
-// passes before the operation completes. TLS connections surface the
-// underlying net.Error instead; use IsTimeout to match both.
+// ErrTimeout is returned by Send when the send deadline passes before
+// the operation completes. TLS connections surface the underlying
+// net.Error instead; use IsTimeout to match both.
 var ErrTimeout = errors.New("transport: deadline exceeded")
 
 // IsTimeout reports whether err is a deadline expiry from either
@@ -48,15 +48,12 @@ type Conn interface {
 	// as the caller keeps the message (DESIGN.md §6.6, "Who owns a
 	// frame").
 	Recv() ([]byte, error)
-	// SetDeadline bounds subsequent Send and Recv calls: an operation
-	// that would block past t fails with a timeout error (IsTimeout).
-	// The zero time clears the deadline.
-	SetDeadline(t time.Time) error
-	// SetSendDeadline bounds subsequent Send calls only, leaving Recv
-	// unaffected. The multiplexed signalling client depends on this
-	// split: its demux goroutine blocks in Recv indefinitely while
-	// callers bound their own sends, so a send deadline must never
-	// make a concurrent Recv expire. The zero time clears it.
+	// SetSendDeadline bounds subsequent Send calls: one that would
+	// block past t fails with a timeout error (IsTimeout). Recv has no
+	// deadline: the multiplexed signalling client's demux goroutine
+	// blocks in it indefinitely while callers bound their own sends and
+	// their waits for an answer, and closing the connection is what
+	// ends a Recv. The zero time clears it.
 	SetSendDeadline(t time.Time) error
 	// PeerDN is the authenticated identity of the remote side.
 	PeerDN() identity.DN

@@ -226,8 +226,9 @@ func tlsFixture(t *testing.T) (serverCfg, clientCfg *TLSConfig, caDER []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewTLSConfig(srvCert, srvKey, ca.CertificateDER()),
-		NewTLSConfig(cliCert, cliKey, ca.CertificateDER()),
+	roots := [][]byte{ca.CertificateDER()}
+	return &TLSConfig{CertDER: srvCert.DER, Key: srvKey.Private, RootDERs: roots},
+		&TLSConfig{CertDER: cliCert.DER, Key: cliKey.Private, RootDERs: roots},
 		ca.CertificateDER()
 }
 

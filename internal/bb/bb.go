@@ -370,9 +370,6 @@ func (b *BB) Domain() string { return b.cfg.Domain }
 // status tooling).
 func (b *BB) Table() *resv.Table { return b.table }
 
-// Cert returns the broker certificate.
-func (b *BB) Cert() *pki.Certificate { return b.cfg.Cert }
-
 // dial opens a signalling client to addr ("" when none is configured)
 // whose calls time out after timeout, and refuses it unless the far end
 // authenticated as want. who names the far end in errors: a peer broker

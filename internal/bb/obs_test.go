@@ -274,7 +274,7 @@ func TestBrokerMetricsLifecycle(t *testing.T) {
 	spec := u.NewSpec(experiment.SpecOptions{
 		DestDomain: w.DestDomain(),
 		Bandwidth:  10 * units.Mbps,
-		Window:     units.NewWindow(w.Clock()().Add(-time.Second), time.Hour),
+		Window:     units.NewWindow(time.Now().Add(-time.Second), time.Hour),
 	})
 	res, err := u.ReserveE2E(spec)
 	if err != nil {

@@ -162,7 +162,7 @@ func (f *sagaFollower) streamFrames(rng *rand.Rand, max int, frames ...[]byte) b
 func holds(b *bb.BB) string {
 	tun := "no tunnel"
 	if ep, ok := b.Tunnel(replayTunnel); ok {
-		tun = fmt.Sprintf("tunnel@%d gen=%d %v", ep.Epoch, ep.Gen(), ep.SubFlows())
+		tun = fmt.Sprintf("tunnel@%d gen=%d %v", ep.Epoch, ep.Snapshot().Gen, ep.SubFlows())
 	}
 	return fmt.Sprintf("%d reservations, %s, %d replay entries", b.Table().Len(), tun, len(b.ReplayEntries()))
 }

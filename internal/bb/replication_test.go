@@ -311,7 +311,7 @@ func TestReplicatedFailoverPreservesTunnelBatches(t *testing.T) {
 		},
 	}
 	for _, p := range append(acked, payload) {
-		if res, err := u.TunnelBatch(src, p); err != nil || !res.Granted {
+		if res, err := userBatch(w, u, src, p); err != nil || !res.Granted {
 			t.Fatalf("batch %d: res=%+v err=%v", p.Seq, res, err)
 		}
 	}
@@ -338,7 +338,7 @@ func TestReplicatedFailoverPreservesTunnelBatches(t *testing.T) {
 	}
 	// Retransmitting the settled batch replays its recorded outcome —
 	// no re-execution, allocation unchanged.
-	res2, err := u.TunnelBatch(src, payload)
+	res2, err := userBatch(w, u, src, payload)
 	if err != nil || !res2.Granted {
 		t.Fatalf("batch retransmit: res=%+v err=%v", res2, err)
 	}
@@ -349,7 +349,7 @@ func TestReplicatedFailoverPreservesTunnelBatches(t *testing.T) {
 		t.Errorf("the owner's low-water on the promoted leader is %d, want 2", low)
 	}
 	for _, p := range acked {
-		if res, err := u.TunnelBatch(src, p); err != nil || !strings.Contains(res.Reason, "stale batch") {
+		if res, err := userBatch(w, u, src, p); err != nil || !strings.Contains(res.Reason, "stale batch") {
 			t.Errorf("acknowledged batch %d after failover: res=%+v err=%v, want a stale batch refusal", p.Seq, res, err)
 		}
 	}
@@ -357,7 +357,7 @@ func TestReplicatedFailoverPreservesTunnelBatches(t *testing.T) {
 		t.Fatalf("stale batches changed the endpoint: used=%v len=%d", ep.Used(), ep.Len())
 	}
 	// A genuinely new batch still applies.
-	res3, err := u.TunnelBatch(src, &signalling.TunnelBatchPayload{
+	res3, err := userBatch(w, u, src, &signalling.TunnelBatchPayload{
 		TunnelRARID: spec.RARID, Seq: 4, Acked: 3, User: u.DN(),
 		Ops: []signalling.TunnelOp{{Action: signalling.OpRelease, SubFlowID: "f2"}},
 	})

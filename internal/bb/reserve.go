@@ -448,7 +448,7 @@ func (b *BB) send(fc *forwardCtx, nd *topology.Domain, leg *signalling.ReservePa
 	if nextCert == nil {
 		return nil, fmt.Errorf("no certificate for next hop %s", nd.BBDN)
 	}
-	extended, err := b.proto.Extend(fc.env, fc.peer.CertDER, fc.verified, nextCert, fc.res.Additions)
+	extended, err := b.proto.Extend(fc.env, fc.peer.CertDER, fc.verified, nextCert, nil)
 	if err != nil {
 		return nil, fmt.Errorf("extend: %w", err)
 	}

@@ -199,11 +199,39 @@ func TestConcurrentSourceBatchesNeverGoStale(t *testing.T) {
 	}
 }
 
-// sendBatch sends a batch straight to one end as the tunnel's owner and
-// returns the answer.
-func sendBatch(t *testing.T, u *experiment.User, domain string, p *signalling.TunnelBatchPayload) *signalling.ResultPayload {
+// subFlow reports the bandwidth ep holds for a sub-flow.
+func subFlow(ep *tunnel.Endpoint, subID string) (units.Bandwidth, bool) {
+	for _, sf := range ep.Snapshot().SubFlows {
+		if sf.ID == subID {
+			return sf.Bandwidth, true
+		}
+	}
+	return 0, false
+}
+
+// userBatch sends a batch straight to one end as u, the way a tunnel's
+// users reach its two ends, on a connection of its own, and returns the
+// answer.
+func userBatch(w *experiment.World, u *experiment.User, domain string, p *signalling.TunnelBatchPayload) (*signalling.ResultPayload, error) {
+	c, err := signalling.Dial(w.Net.NewEndpoint(u.DN(), u.Agent.Cert.DER), w.BBAddr(domain))
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	resp, err := c.Call(&signalling.Message{Type: signalling.MsgTunnelBatch, TunnelBatch: p})
+	if err != nil {
+		return nil, err
+	}
+	if resp.Result == nil {
+		return nil, fmt.Errorf("broker sent no result")
+	}
+	return resp.Result, nil
+}
+
+// sendBatch is userBatch for a batch that must get an answer.
+func sendBatch(t *testing.T, w *experiment.World, u *experiment.User, domain string, p *signalling.TunnelBatchPayload) *signalling.ResultPayload {
 	t.Helper()
-	res, err := u.TunnelBatch(domain, p)
+	res, err := userBatch(w, u, domain, p)
 	if err != nil {
 		t.Fatalf("batch %d: %v", p.Seq, err)
 	}
@@ -235,18 +263,18 @@ func TestAcknowledgedBatchIsStale(t *testing.T) {
 		return []signalling.TunnelOp{{Action: signalling.OpAlloc, SubFlowID: id, Bandwidth: int64(10 * units.Mbps)}}
 	}
 	first := &signalling.TunnelBatchPayload{TunnelRARID: rarID, Seq: 1, User: u.DN(), Ops: alloc("f1")}
-	if res := sendBatch(t, u, w.DestDomain(), first); !res.Granted {
+	if res := sendBatch(t, w, u, w.DestDomain(), first); !res.Granted {
 		t.Fatalf("first batch: %+v", res)
 	}
 	second := &signalling.TunnelBatchPayload{TunnelRARID: rarID, Seq: 2, Acked: 1, User: u.DN(), Ops: alloc("f2")}
-	res := sendBatch(t, u, w.DestDomain(), second)
+	res := sendBatch(t, w, u, w.DestDomain(), second)
 	if !res.Granted {
 		t.Fatalf("second batch: %+v", res)
 	}
-	if again := sendBatch(t, u, w.DestDomain(), second); !reflect.DeepEqual(again, res) {
+	if again := sendBatch(t, w, u, w.DestDomain(), second); !reflect.DeepEqual(again, res) {
 		t.Errorf("in-flight retransmission answered %+v, want the recorded %+v", again, res)
 	}
-	stale := sendBatch(t, u, w.DestDomain(), first)
+	stale := sendBatch(t, w, u, w.DestDomain(), first)
 	if stale.Granted || !strings.Contains(stale.Reason, "stale batch") {
 		t.Errorf("acknowledged batch re-sent: %+v, want a stale batch refusal", stale)
 	}
@@ -256,18 +284,18 @@ func TestAcknowledgedBatchIsStale(t *testing.T) {
 	// leave the stale count alone: the second would raise the low-water
 	// past the batch held under it, a window no record restores.
 	unnumbered := &signalling.TunnelBatchPayload{TunnelRARID: rarID, User: u.DN(), Ops: alloc("f0")}
-	if res := sendBatch(t, u, w.DestDomain(), unnumbered); res.Granted || !strings.Contains(res.Reason, "batch without seq") {
+	if res := sendBatch(t, w, u, w.DestDomain(), unnumbered); res.Granted || !strings.Contains(res.Reason, "batch without seq") {
 		t.Errorf("batch without a seq: %+v, want it refused by name", res)
 	}
 	selfAcked := &signalling.TunnelBatchPayload{TunnelRARID: rarID, Seq: 5, Acked: 5, User: u.DN(), Ops: alloc("f4")}
-	if res := sendBatch(t, u, w.DestDomain(), selfAcked); res.Granted || !strings.Contains(res.Reason, "batch 5 acknowledges 5, not below itself") {
+	if res := sendBatch(t, w, u, w.DestDomain(), selfAcked); res.Granted || !strings.Contains(res.Reason, "batch 5 acknowledges 5, not below itself") {
 		t.Errorf("batch acknowledging its own seq: %+v, want it refused by name", res)
 	}
 	if n := dst.MetricsRegistry().Snapshot()["bb_tunnel_batches_stale_total"]; n != 1 {
 		t.Errorf("bb_tunnel_batches_stale_total = %v after one stale batch, want 1", n)
 	}
 	reused := &signalling.TunnelBatchPayload{TunnelRARID: rarID, Seq: 2, Acked: 1, User: u.DN(), Ops: alloc("f3")}
-	if res := sendBatch(t, u, w.DestDomain(), reused); res.Granted || !strings.Contains(res.Reason, "seq reused") {
+	if res := sendBatch(t, w, u, w.DestDomain(), reused); res.Granted || !strings.Contains(res.Reason, "seq reused") {
 		t.Errorf("held seq sent with other ops: %+v, want a seq reused refusal", res)
 	}
 	if got := fmt.Sprint(ep.Used(), ep.Len()); got != fmt.Sprint(50*units.Mbps, 5) {
@@ -307,7 +335,7 @@ func TestSilentSenderStaysAtTheCap(t *testing.T) {
 		}}
 	}
 	for seq := int64(1); seq <= bb.MaxHeldBatches+extra; seq++ {
-		if res := sendBatch(t, u, w.DestDomain(), batch(seq)); !res.Granted {
+		if res := sendBatch(t, w, u, w.DestDomain(), batch(seq)); !res.Granted {
 			t.Fatalf("batch %d: %+v", seq, res)
 		}
 	}
@@ -317,10 +345,10 @@ func TestSilentSenderStaysAtTheCap(t *testing.T) {
 	if low := dst.LowWater(rarID, u.DN()); low != extra {
 		t.Errorf("low-water %d, want %d", low, extra)
 	}
-	if res := sendBatch(t, u, w.DestDomain(), batch(extra)); !strings.Contains(res.Reason, "stale batch") {
+	if res := sendBatch(t, w, u, w.DestDomain(), batch(extra)); !strings.Contains(res.Reason, "stale batch") {
 		t.Errorf("a batch the cap retired, re-sent: %+v, want a stale batch refusal", res)
 	}
-	if res := sendBatch(t, u, w.DestDomain(), batch(extra+1)); !res.Granted {
+	if res := sendBatch(t, w, u, w.DestDomain(), batch(extra+1)); !res.Granted {
 		t.Errorf("the oldest batch held, re-sent: %+v, want its recorded grant", res)
 	}
 	if ep, _ := dst.Tunnel(rarID); ep.Len() != bb.MaxHeldBatches+extra {
@@ -344,11 +372,11 @@ func TestAcknowledgingSenderIsNotCapped(t *testing.T) {
 	}
 	const last = bb.MaxHeldBatches + 10
 	for seq := int64(2); seq <= last; seq++ {
-		if res := sendBatch(t, u, w.DestDomain(), batch(seq)); !res.Granted {
+		if res := sendBatch(t, w, u, w.DestDomain(), batch(seq)); !res.Granted {
 			t.Fatalf("batch %d: %+v", seq, res)
 		}
 	}
-	if res := sendBatch(t, u, w.DestDomain(), batch(2)); !res.Granted {
+	if res := sendBatch(t, w, u, w.DestDomain(), batch(2)); !res.Granted {
 		t.Errorf("the overtaken batch, retransmitted: %+v, want its recorded grant", res)
 	}
 	snap := dst.MetricsRegistry().Snapshot()
@@ -380,7 +408,7 @@ func TestTunnelBatchRollsBackLocalHalves(t *testing.T) {
 	if results[0].Granted {
 		t.Fatalf("alloc of destination-held sub-flow granted: %+v", results[0])
 	}
-	if _, ok := srcEP.Lookup("ghost"); ok {
+	if _, ok := subFlow(srcEP, "ghost"); ok {
 		t.Error("source kept its half of a remotely-denied alloc")
 	}
 
@@ -395,7 +423,7 @@ func TestTunnelBatchRollsBackLocalHalves(t *testing.T) {
 	if results[0].Granted {
 		t.Fatalf("release unknown to the destination granted: %+v", results[0])
 	}
-	if bw, ok := srcEP.Lookup("lonely"); !ok || bw != 20*units.Mbps {
+	if bw, ok := subFlow(srcEP, "lonely"); !ok || bw != 20*units.Mbps {
 		t.Errorf("source half of remotely-denied release not restored: bw=%v ok=%t", bw, ok)
 	}
 	// Source: lonely admitted, two remote denials rolled back.
@@ -421,7 +449,7 @@ func desyncTunnel(t *testing.T, w *experiment.World, u *experiment.User, rarID s
 	t.Helper()
 	direct := func(op signalling.TunnelOp) {
 		t.Helper()
-		if res, err := u.TunnelBatch(w.DestDomain(), &signalling.TunnelBatchPayload{
+		if res, err := userBatch(w, u, w.DestDomain(), &signalling.TunnelBatchPayload{
 			TunnelRARID: rarID, Seq: testSeq.Add(1), User: u.DN(), Ops: []signalling.TunnelOp{op},
 		}); err != nil || !res.Granted {
 			t.Fatalf("direct %s of %s at the destination: res=%+v err=%v", op.Action, op.SubFlowID, res, err)
@@ -471,7 +499,7 @@ func TestTunnelBatchMixedDenialsKeepOpOrder(t *testing.T) {
 	if got := fmt.Sprint(destEP.SubFlows(), destEP.Used()); got != fmt.Sprint([]string{"first", "ghost", "last"}, 20*units.Mbps) {
 		t.Errorf("destination holds %s", got)
 	}
-	if bw, _ := srcEP.Lookup("lonely"); bw != 20*units.Mbps {
+	if bw, _ := subFlow(srcEP, "lonely"); bw != 20*units.Mbps {
 		t.Errorf("lonely re-admitted at %v, want its original 20Mb/s", bw)
 	}
 	wantTunnelCounters(t, w, src, 3, 0, 3)

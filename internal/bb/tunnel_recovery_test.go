@@ -99,7 +99,7 @@ func TestTunnelCrashRecoveryFromJournal(t *testing.T) {
 			{Action: signalling.OpRelease, SubFlowID: "sub-5"},
 		},
 	}
-	res1, err := u.TunnelBatch(dest, batch)
+	res1, err := userBatch(w, u, dest, batch)
 	if err != nil || !res1.Granted {
 		t.Fatalf("direct destination batch: res=%+v err=%v", res1, err)
 	}
@@ -159,7 +159,7 @@ func TestTunnelCrashRecoveryFromJournal(t *testing.T) {
 	// broker must answer from its recovered replay cache — identical
 	// per-op results, not a single op re-applied.
 	u.Close()
-	res2, err := u.TunnelBatch(dest, batch)
+	res2, err := userBatch(w, u, dest, batch)
 	if err != nil {
 		t.Fatalf("retransmitted batch after recovery: %v", err)
 	}
@@ -184,7 +184,7 @@ func TestTunnelCrashRecoveryFromJournal(t *testing.T) {
 	}
 	acked := *batch
 	acked.Seq, acked.Acked = 4, 0
-	if res, err := u.TunnelBatch(dest, &acked); err != nil || !strings.Contains(res.Reason, "stale batch") {
+	if res, err := userBatch(w, u, dest, &acked); err != nil || !strings.Contains(res.Reason, "stale batch") {
 		t.Errorf("an acknowledged batch after recovery: res=%+v err=%v, want a stale batch refusal", res, err)
 	}
 
@@ -197,7 +197,7 @@ func TestTunnelCrashRecoveryFromJournal(t *testing.T) {
 	if err != nil || !results[0].Granted {
 		t.Fatalf("post-recovery batch: results=%+v err=%v", results, err)
 	}
-	if _, ok := epPost.Lookup("post-crash"); !ok {
+	if _, ok := subFlow(epPost, "post-crash"); !ok {
 		t.Error("post-recovery allocation missing at the destination")
 	}
 	checkJournalOrder(t, w, state)
@@ -335,8 +335,8 @@ func TestSourceThatLostItsLastRecordsIsRefusedByName(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		id := fmt.Sprintf("new-%d", i)
 		r := alloc(id)[0]
-		_, inSrc := epSrc.Lookup(id)
-		_, inDst := epDst.Lookup(id)
+		_, inSrc := subFlow(epSrc, id)
+		_, inDst := subFlow(epDst, id)
 		if !r.Granted || !inSrc || !inDst {
 			t.Errorf("%s: granted=%t (%s), held at the source %t, at the destination %t; want granted and held at both", id, r.Granted, r.Reason, inSrc, inDst)
 		}

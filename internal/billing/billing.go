@@ -16,7 +16,6 @@ package billing
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"e2eqos/internal/identity"
@@ -112,19 +111,14 @@ func SettlePath(path []Party, user identity.DN, usage Usage) ([]Invoice, error) 
 // Ledger accumulates usage per reservation for one domain. It is safe
 // for concurrent use.
 type Ledger struct {
-	domain string
-
 	mu    sync.Mutex
 	usage map[string]*Usage
 }
 
-// NewLedger creates a ledger for domain.
-func NewLedger(domain string) *Ledger {
-	return &Ledger{domain: domain, usage: make(map[string]*Usage)}
+// NewLedger creates an empty ledger.
+func NewLedger() *Ledger {
+	return &Ledger{usage: make(map[string]*Usage)}
 }
-
-// Domain returns the owning domain.
-func (l *Ledger) Domain() string { return l.domain }
 
 // Record adds carried bytes for a reservation.
 func (l *Ledger) Record(rarID string, bytes int64, bw units.Bandwidth) error {
@@ -151,28 +145,4 @@ func (l *Ledger) Usage(rarID string) (Usage, bool) {
 		return Usage{}, false
 	}
 	return *u, true
-}
-
-// Close settles and removes a reservation's usage.
-func (l *Ledger) Close(rarID string) (Usage, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	u, ok := l.usage[rarID]
-	if !ok {
-		return Usage{}, false
-	}
-	delete(l.usage, rarID)
-	return *u, true
-}
-
-// Open lists reservations with recorded usage, sorted.
-func (l *Ledger) Open() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.usage))
-	for id := range l.usage {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }

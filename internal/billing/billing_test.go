@@ -127,10 +127,7 @@ func TestSettlementConservation(t *testing.T) {
 }
 
 func TestLedger(t *testing.T) {
-	l := NewLedger("DomainB")
-	if l.Domain() != "DomainB" {
-		t.Errorf("domain = %s", l.Domain())
-	}
+	l := NewLedger()
 	if err := l.Record("RAR-1", 500, 10*units.Mbps); err != nil {
 		t.Fatal(err)
 	}
@@ -144,19 +141,11 @@ func TestLedger(t *testing.T) {
 	if !ok || u.Bytes != 750 {
 		t.Errorf("usage = %+v ok=%v", u, ok)
 	}
-	open := l.Open()
-	if len(open) != 2 || open[0] != "RAR-1" {
-		t.Errorf("open = %v", open)
+	if u, ok := l.Usage("RAR-2"); !ok || u.Bytes != 100 || u.Bandwidth != units.Mbps {
+		t.Errorf("usage = %+v ok=%v", u, ok)
 	}
-	closed, ok := l.Close("RAR-1")
-	if !ok || closed.Bytes != 750 {
-		t.Errorf("close = %+v ok=%v", closed, ok)
-	}
-	if _, ok := l.Usage("RAR-1"); ok {
-		t.Error("closed usage still present")
-	}
-	if _, ok := l.Close("RAR-1"); ok {
-		t.Error("double close succeeded")
+	if _, ok := l.Usage("RAR-3"); ok {
+		t.Error("unrecorded reservation has usage")
 	}
 	if err := l.Record("RAR-3", -1, 0); err == nil {
 		t.Error("negative bytes recorded")
@@ -164,7 +153,7 @@ func TestLedger(t *testing.T) {
 }
 
 func TestLedgerConcurrent(t *testing.T) {
-	l := NewLedger("X")
+	l := NewLedger()
 	var wg sync.WaitGroup
 	for i := 0; i < 100; i++ {
 		wg.Add(1)

@@ -20,8 +20,8 @@ type Credential struct {
 	// Certificate is the CAS-issued capability certificate (subject:
 	// the user; subject key: the public proxy key).
 	Certificate *pki.CapabilityCertificate
-	// Proxy is the proxy key pair; its private half proves possession
-	// and signs the first delegation.
+	// Proxy is the proxy key pair; its private half signs the first
+	// delegation, which proves the user holds it.
 	Proxy *pki.ProxyKey
 }
 
@@ -50,9 +50,6 @@ func NewServer(key *identity.KeyPair, community string, validity time.Duration) 
 	}
 }
 
-// DN returns the CAS identity.
-func (s *Server) DN() identity.DN { return s.key.DN }
-
 // Key returns the CAS key pair; verifiers pin its public half.
 func (s *Server) Key() *identity.KeyPair { return s.key }
 
@@ -76,13 +73,6 @@ func (s *Server) Grant(user identity.DN, capabilities ...string) {
 			s.grants[user] = append(s.grants[user], c)
 		}
 	}
-}
-
-// Revoke removes all grants for user.
-func (s *Server) Revoke(user identity.DN) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.grants, user)
 }
 
 // Capabilities lists user's current grants.

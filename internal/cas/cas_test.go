@@ -1,6 +1,7 @@
 package cas
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -27,9 +28,8 @@ func TestGrantAndCapabilities(t *testing.T) {
 	if len(caps) != 2 {
 		t.Fatalf("capabilities = %v", caps)
 	}
-	s.Revoke(alice)
-	if len(s.Capabilities(alice)) != 0 {
-		t.Fatal("revoke did not clear grants")
+	if caps := s.Capabilities(identity.NewDN("Grid", "DomainA", "Bob")); len(caps) != 0 {
+		t.Fatalf("ungranted user holds %v", caps)
 	}
 }
 
@@ -56,17 +56,8 @@ func TestLoginIssuesVerifiableCredential(t *testing.T) {
 	if err != nil {
 		t.Fatalf("chain verify: %v", err)
 	}
-	if !attrs.HasCapability("network-reservation") {
+	if !slices.Contains(attrs.Capabilities, "network-reservation") {
 		t.Error("capability missing from verified attrs")
-	}
-	// Possession proof with the proxy key.
-	nonce := []byte("n")
-	proof, err := pki.ProvePossession(cred.Proxy.Private, nonce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := chain.VerifyPossession(nonce, proof); err != nil {
-		t.Errorf("possession rejected: %v", err)
 	}
 }
 

@@ -40,9 +40,6 @@ func New(key *identity.KeyPair) *Repository {
 	return &Repository{key: key, certs: make(map[identity.DN]*pki.Certificate)}
 }
 
-// DN returns the repository identity.
-func (r *Repository) DN() identity.DN { return r.key.DN }
-
 // PublicKey is what consumers pin.
 func (r *Repository) PublicKey() identity.PublicKey { return r.key.Public() }
 
@@ -55,13 +52,6 @@ func (r *Repository) Publish(cert *pki.Certificate) error {
 	defer r.mu.Unlock()
 	r.certs[cert.SubjectDN()] = cert
 	return nil
-}
-
-// Remove deletes the entry for dn.
-func (r *Repository) Remove(dn identity.DN) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.certs, dn)
 }
 
 // Lookups reports how many lookups were served (for the experiments'

@@ -58,14 +58,6 @@ func TestLookupUnknown(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	repo, cert := fixture(t)
-	repo.Remove(cert.SubjectDN())
-	if _, err := repo.Lookup(cert.SubjectDN()); err == nil {
-		t.Fatal("removed entry still resolvable")
-	}
-}
-
 func TestVerifyResponseTamper(t *testing.T) {
 	repo, cert := fixture(t)
 	resp, err := repo.Lookup(cert.SubjectDN())

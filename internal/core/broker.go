@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -17,6 +18,12 @@ import (
 type KeyDirectory interface {
 	LookupKey(dn identity.DN) (identity.PublicKey, error)
 }
+
+// ErrCapabilityHolder refuses a request whose capability chain is
+// delegated to someone other than the broker verifying it. Each earlier
+// holder proved its key by signing the next delegation; the final
+// holder is the verifier, so naming it is the whole possession check.
+var ErrCapabilityHolder = errors.New("core: capability chain is not delegated to this broker")
 
 // Broker is the protocol half of a bandwidth broker: it verifies
 // inbound RARs through the transitive trust model and extends granted
@@ -203,6 +210,9 @@ func (b *Broker) Verify(env *envelope.Envelope, channelPeer identity.DN, channel
 	if err != nil {
 		return nil, fmt.Errorf("core: capability chain: %w", err)
 	}
+	if n := len(caps); n > 0 && caps[n-1].SubjectDN() != b.Key.DN {
+		return nil, fmt.Errorf("%w: it ends at %s, verifier is %s", ErrCapabilityHolder, caps[n-1].SubjectDN(), b.Key.DN)
+	}
 	return &VerifiedRequest{
 		Spec:            spec,
 		Chain:           chain,
@@ -260,10 +270,8 @@ func (b *Broker) Extend(inbound *envelope.Envelope, upstreamCert []byte, verifie
 		if hopPub == nil {
 			return nil, fmt.Errorf("core: next hop certificate: %w", identity.ErrKeyAlgorithm)
 		}
+		// Verify saw to it that the chain ends at this broker.
 		last := verified.Capabilities[len(verified.Capabilities)-1]
-		if last.SubjectDN() != b.Key.DN {
-			return nil, fmt.Errorf("core: capability chain ends at %s, cannot delegate as %s", last.SubjectDN(), b.Key.DN)
-		}
 		delegated, err := pki.Delegate(last, b.Key.DN, b.Key.Private, nextHop.SubjectDN(), hopPub, nil, 0)
 		if err != nil {
 			return nil, fmt.Errorf("core: delegating capability to %s: %w", nextHop.SubjectDN(), err)

@@ -72,9 +72,5 @@ func (ua *UserAgent) BuildRAR(spec *Spec, firstHop *pki.Certificate) (*envelope.
 		}
 		body.CapabilityDERs = [][]byte{ua.Credential.Certificate.DER, delegated.DER}
 	}
-	env, err := envelope.Seal(ua.Key, body)
-	if err != nil {
-		return nil, err
-	}
-	return env, nil
+	return envelope.Seal(ua.Key, body)
 }

@@ -11,17 +11,14 @@ import (
 	"time"
 )
 
-// Event is a callback scheduled at a virtual time.
-type Event struct {
+// event is a callback scheduled at a virtual time.
+type event struct {
 	at  time.Duration
 	seq uint64 // FIFO tiebreak for simultaneous events
 	fn  func()
 }
 
-// At returns the event's scheduled virtual time.
-func (e *Event) At() time.Duration { return e.at }
-
-type eventHeap []*Event
+type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
@@ -31,7 +28,7 @@ func (h eventHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*Event)) }
+func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
@@ -44,10 +41,9 @@ func (h *eventHeap) Pop() interface{} {
 // Sim is a single-threaded discrete-event simulator. It is not safe
 // for concurrent use; all event handlers run on the caller's goroutine.
 type Sim struct {
-	now     time.Duration
-	queue   eventHeap
-	seq     uint64
-	stopped bool
+	now   time.Duration
+	queue eventHeap
+	seq   uint64
 }
 
 // New creates a simulator with the clock at zero.
@@ -60,38 +56,33 @@ func (s *Sim) Now() time.Duration { return s.now }
 
 // Schedule enqueues fn to run at absolute virtual time at. Scheduling
 // in the past is an error.
-func (s *Sim) Schedule(at time.Duration, fn func()) (*Event, error) {
+func (s *Sim) Schedule(at time.Duration, fn func()) error {
 	if fn == nil {
-		return nil, fmt.Errorf("dsim: nil event function")
+		return fmt.Errorf("dsim: nil event function")
 	}
 	if at < s.now {
-		return nil, fmt.Errorf("dsim: scheduling at %v before now %v", at, s.now)
+		return fmt.Errorf("dsim: scheduling at %v before now %v", at, s.now)
 	}
 	s.seq++
-	e := &Event{at: at, seq: s.seq, fn: fn}
-	heap.Push(&s.queue, e)
-	return e, nil
+	heap.Push(&s.queue, &event{at: at, seq: s.seq, fn: fn})
+	return nil
 }
 
 // After enqueues fn to run d from now.
-func (s *Sim) After(d time.Duration, fn func()) (*Event, error) {
+func (s *Sim) After(d time.Duration, fn func()) error {
 	if d < 0 {
-		return nil, fmt.Errorf("dsim: negative delay %v", d)
+		return fmt.Errorf("dsim: negative delay %v", d)
 	}
 	return s.Schedule(s.now+d, fn)
 }
 
-// Stop makes Run return after the currently executing event.
-func (s *Sim) Stop() { s.stopped = true }
-
-// Run executes events in timestamp order until the queue drains, the
-// horizon passes, or Stop is called. It returns the number of events
-// executed. Events scheduled beyond horizon remain queued; a zero
-// horizon means run to exhaustion.
+// Run executes events in timestamp order until the queue drains or the
+// horizon passes. It returns the number of events executed. Events
+// scheduled beyond horizon remain queued; a zero horizon means run to
+// exhaustion.
 func (s *Sim) Run(horizon time.Duration) int {
-	s.stopped = false
 	n := 0
-	for len(s.queue) > 0 && !s.stopped {
+	for len(s.queue) > 0 {
 		next := s.queue[0]
 		if horizon > 0 && next.at > horizon {
 			s.now = horizon
@@ -107,6 +98,3 @@ func (s *Sim) Run(horizon time.Duration) int {
 	}
 	return n
 }
-
-// Pending returns the number of queued events.
-func (s *Sim) Pending() int { return len(s.queue) }

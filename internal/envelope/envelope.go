@@ -97,34 +97,12 @@ func Seal(signer *identity.KeyPair, body Body) (*Envelope, error) {
 	return &Envelope{SignerDN: signer.DN, Payload: payload, Signature: sig}, nil
 }
 
-// Open verifies the signature with pub and decodes the body. It does
-// NOT resolve trust in pub; callers combine this with a pki.TrustStore.
-func (e *Envelope) Open(pub identity.PublicKey) (*Body, error) {
-	if e == nil {
-		return nil, fmt.Errorf("envelope: nil envelope")
-	}
-	if err := e.verify(pub); err != nil {
-		return nil, err
-	}
-	return e.PeekBody()
-}
-
 // verify checks the layer's signature over its payload bytes.
 func (e *Envelope) verify(pub identity.PublicKey) error {
 	if err := identity.Verify(pub, e.Payload, e.Signature); err != nil {
 		return fmt.Errorf("envelope: layer signed by %s: %w", e.SignerDN, err)
 	}
 	return nil
-}
-
-// PeekBody decodes the body WITHOUT verifying the signature. It is used
-// to discover which certificates the message carries before trust in
-// the corresponding keys has been established.
-func (e *Envelope) PeekBody() (*Body, error) {
-	if e == nil {
-		return nil, fmt.Errorf("envelope: nil envelope")
-	}
-	return e.peekBody(e.text)
 }
 
 func (e *Envelope) peekBody(text string) (*Body, error) {
@@ -351,11 +329,6 @@ func checkRun(start, end int, check func(d int) error) error {
 // decoding one request can ask for.
 const maxDepth = 64
 
-// Encode serialises the envelope in its binary form.
-func (e *Envelope) Encode() ([]byte, error) {
-	return appendEnvelope(make([]byte, 0, e.WireSize()), e), nil
-}
-
 // AppendField appends the envelope's binary form as a length-delimited
 // field, the length — known before a byte of the envelope is written —
 // first: a body nests its inner envelope, and a frame encoder writes the
@@ -366,9 +339,9 @@ func (e *Envelope) AppendField(buf []byte, field uint32) []byte {
 	return appendEnvelope(buf, e)
 }
 
-// Decode reverses Encode, in place: the envelope's Payload and Signature,
-// and every bytes field of the bodies later decoded out of it, are
-// sub-slices of data. The caller must own data for as long as it uses
+// Decode reads the envelope bytes that AppendField wraps, in place: the
+// envelope's Payload and Signature, and every bytes field of the bodies
+// later decoded out of it, are sub-slices of data. The caller must own data for as long as it uses
 // them, and nothing that outlives data's owner may keep one without
 // copying it (DESIGN.md §6.6, "Who owns a frame").
 func Decode(data []byte) (*Envelope, error) {

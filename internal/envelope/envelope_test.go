@@ -54,6 +54,20 @@ func buildOnion(t *testing.T, hops int) (keys []*identity.KeyPair, outer *Envelo
 	return keys, env
 }
 
+// encode is the envelope's binary form, written into a buffer of
+// exactly WireSize bytes.
+func encode(e *Envelope) []byte { return appendEnvelope(make([]byte, 0, e.WireSize()), e) }
+
+// open verifies a one-layer envelope under pub on the Unwrap path and
+// returns its body.
+func open(env *Envelope, pub identity.PublicKey) (*Body, error) {
+	chain, err := Unwrap(env, func(int, identity.DN, []byte) (identity.PublicKey, error) { return pub, nil })
+	if err != nil {
+		return nil, err
+	}
+	return chain.Layers[0].Body, nil
+}
+
 func resolverFor(keys []*identity.KeyPair) KeyResolver {
 	byDN := make(map[identity.DN]identity.PublicKey)
 	for _, k := range keys {
@@ -75,7 +89,7 @@ func TestSealOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := env.Open(user.Public())
+	body, err := open(env, user.Public())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +112,7 @@ func TestOpenRejectsWrongKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := env.Open(mallory.Public()); err == nil {
+	if _, err := open(env, mallory.Public()); err == nil {
 		t.Fatal("wrong key accepted")
 	}
 }
@@ -110,7 +124,7 @@ func TestOpenRejectsTamperedPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.Payload[len(env.Payload)-3] ^= 0x01
-	if _, err := env.Open(user.Public()); err == nil {
+	if _, err := open(env, user.Public()); err == nil {
 		t.Fatal("tampered payload accepted")
 	}
 }
@@ -145,10 +159,7 @@ func TestUnwrapChecksEachLayerOnce(t *testing.T) {
 	checks := 0
 	for hops := 0; hops < 8; hops++ {
 		keys, outer := buildOnion(t, hops)
-		data, err := outer.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := encode(outer)
 		received, err := Decode(data)
 		if err != nil {
 			t.Fatal(err)
@@ -270,10 +281,7 @@ func TestPolicyInfoMergeDownstreamWins(t *testing.T) {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	keys, outer := buildOnion(t, 2)
-	data, err := outer.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := encode(outer)
 	decoded, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +311,7 @@ func TestPeekBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := env.PeekBody()
+	body, err := env.peekBody(env.text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +327,7 @@ func TestSealPreservesExplicitTimestamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := env.Open(user.Public())
+	body, err := open(env, user.Public())
 	if err != nil {
 		t.Fatal(err)
 	}

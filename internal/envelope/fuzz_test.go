@@ -26,11 +26,7 @@ func FuzzDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	data, err := genuine.Encode()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(data)
+	f.Add(encode(genuine))
 	wrapped, err := Seal(key, Body{
 		Inner: genuine, UpstreamCertDER: []byte("cert"), NextHopDN: "/CN=next",
 		CapabilityDERs: [][]byte{[]byte("cap"), nil}, PolicyInfo: map[string]string{"k": "v", "": ""},
@@ -38,10 +34,7 @@ func FuzzDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if data, err = wrapped.Encode(); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(data)
+	f.Add(encode(wrapped))
 	f.Add([]byte(`{"signer_dn":"/CN=x","payload":{},"signature":"AA=="}`))
 	f.Add([]byte(`{"signer_dn":"/CN=x","payload":{"inner":{"signer_dn":"/CN=y","payload":{},"signature":""}},"signature":""}`))
 	f.Add([]byte(`{}`))
@@ -63,20 +56,20 @@ func FuzzDecode(f *testing.F) {
 		// Unwrap may fail (bad signature, unknown signer) but must not
 		// panic.
 		_, _ = Unwrap(env, resolve)
-		body, perr := env.PeekBody()
+		body, perr := env.peekBody(env.text)
 		if !bytes.Equal(data, input) {
 			t.Fatalf("decoding wrote to its input:\n before % x\n after  % x", input, data)
 		}
 
-		enc, _ := env.Encode()
+		enc := encode(env)
 		if len(enc) != env.WireSize() || cap(enc) != len(enc) {
-			t.Fatalf("Encode wrote %d bytes into %d, WireSize says %d", len(enc), cap(enc), env.WireSize())
+			t.Fatalf("appendEnvelope wrote %d bytes into %d, WireSize says %d", len(enc), cap(enc), env.WireSize())
 		}
 		again, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("the encoder's own output does not decode: %v", err)
 		}
-		if re, _ := again.Encode(); !bytes.Equal(re, enc) {
+		if re := encode(again); !bytes.Equal(re, enc) {
 			t.Fatalf("decode then encode changed an encoded envelope:\n in  % x\n out % x", enc, re)
 		}
 		if perr != nil {
@@ -105,11 +98,7 @@ func FuzzUnwrapMatchesSerial(f *testing.F) {
 	rng := mrand.New(mrand.NewSource(1301))
 	for i := 0; i < 48; i++ {
 		tc := genTwinCase(f, rng)
-		data, err := tc.outer.Encode()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data, uint8(tc.limit), tc.dir != nil)
+		f.Add(encode(tc.outer), uint8(tc.limit), tc.dir != nil)
 	}
 	dir := map[identity.DN]identity.PublicKey{}
 	for _, s := range signers[:len(signers)/2] {

@@ -38,7 +38,10 @@ func serialTwin(outer *Envelope, resolve KeyResolver) (*Chain, error) {
 		if err != nil {
 			return nil, fmt.Errorf("envelope: resolving key for layer %d (%s): %w", depth, env.SignerDN, err)
 		}
-		body, err := env.Open(pub)
+		if err := env.verify(pub); err != nil {
+			return nil, fmt.Errorf("envelope: layer %d: %w", depth, err)
+		}
+		body, err := env.peekBody(env.text)
 		if err != nil {
 			return nil, fmt.Errorf("envelope: layer %d: %w", depth, err)
 		}

@@ -405,7 +405,7 @@ func TestTunnelAllocRejectsStrangers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mallory.Close()
-	res, err = mallory.TunnelBatch(w.DestDomain(), &signalling.TunnelBatchPayload{
+	res, err = tunnelBatch(mallory, w.DestDomain(), &signalling.TunnelBatchPayload{
 		TunnelRARID: spec.RARID,
 		Seq:         1,
 		User:        mallory.DN(),

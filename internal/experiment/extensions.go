@@ -145,7 +145,7 @@ func RunBilling(duration time.Duration) (*Table, error) {
 	}
 
 	// Each domain's ledger records the carried bytes; settle the path.
-	ledger := billing.NewLedger("DomainC")
+	ledger := billing.NewLedger()
 	if err := ledger.Record(spec.RARID, stats.RxBytes, spec.Bandwidth); err != nil {
 		return nil, err
 	}

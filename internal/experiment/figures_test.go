@@ -1,7 +1,10 @@
 package experiment
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -315,20 +318,54 @@ func TestRunFigure4SweepMonotone(t *testing.T) {
 	}
 }
 
-// TestRunFigure4SweepIsReproducible: every source seeds its jitter from
-// its flow id, so two renders of the same sweep are byte-identical.
-func TestRunFigure4SweepIsReproducible(t *testing.T) {
-	rates := []units.Bandwidth{5 * units.Mbps, 20 * units.Mbps}
-	var renders []string
-	for i := 0; i < 2; i++ {
-		tab, err := RunFigure4Sweep(rates, 500*time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		renders = append(renders, tab.Render())
+// TestExperimentRendersPinned pins what cmd/experiments prints for each
+// experiment at its default flags, as the sha256 of the output: each
+// digest is `go run ./cmd/experiments -exp <name> | sha256sum`. Every
+// source seeds its jitter from its flow id, so the renders are
+// reproducible, and one that moves by a byte is a change in behaviour.
+func TestExperimentRendersPinned(t *testing.T) {
+	const duration = 2 * time.Second // cmd/experiments' -duration default
+	one := func(tab *Table, err error) ([]*Table, error) { return []*Table{tab}, err }
+	cases := []struct {
+		exp    string
+		digest string
+		run    func() ([]*Table, error)
+	}{
+		{"fig1", "5d3e579786d2a87ab51ecbbac0db75acc34e96168c7326cdd76ddad037e00bd2", func() ([]*Table, error) {
+			return []*Table{RunFigure1()}, nil
+		}},
+		{"fig4", "ca7819778612c41900061280d3ec7407d3fce6cc02431a1b8787ef1622d4ccca", func() ([]*Table, error) {
+			_, tab, err := RunFigure4(duration)
+			if err != nil {
+				return nil, err
+			}
+			sweep, err := RunFigure4Sweep(nil, duration)
+			return []*Table{tab, sweep}, err
+		}},
+		{"diffserv", "68696f524b9b58cf41f565dde7038970d9bb29fe6a38ecbf6ce7ae78eb8caf35", func() ([]*Table, error) {
+			return one(RunDiffServChain(5, duration))
+		}},
+		{"billing", "765146dec72d4d3130ab9702cae052e01be16cc50920b4f525481afbb2cf323a", func() ([]*Table, error) {
+			return one(RunBilling(time.Second))
+		}},
+		{"multipath", "942ef01464bc58e6f481268dd914415bef34b804da7c21dbacf655814771b44c", func() ([]*Table, error) {
+			return one(RunMultipathExp(MultipathConfig{}))
+		}},
 	}
-	if renders[0] != renders[1] {
-		t.Fatalf("two sweeps differ:\n%s\n%s", renders[0], renders[1])
+	for _, c := range cases {
+		t.Run(c.exp, func(t *testing.T) {
+			tabs, err := c.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			for _, tab := range tabs {
+				io.WriteString(h, tab.Render()+"\n")
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != c.digest {
+				t.Errorf("-exp %s renders to sha256 %s, pinned %s", c.exp, got, c.digest)
+			}
+		})
 	}
 }
 

@@ -442,7 +442,7 @@ func (e *fleetEngine) holdThenCancel(b *fleetBooking, hold time.Duration) {
 	if b == nil {
 		return
 	}
-	_, _ = e.sim.Schedule(e.sim.Now()+hold, func() { e.cancelBooking(b) })
+	_ = e.sim.Schedule(e.sim.Now()+hold, func() { e.cancelBooking(b) })
 }
 
 // drain cancels every live booking immediately (scenario teardown).

@@ -35,7 +35,7 @@ func (e *fleetEngine) sessionWithRetry(u int, bw units.Bandwidth, hold time.Dura
 		return
 	}
 	e.retries++
-	_, _ = e.sim.After(r.Between(time.Second, 10*time.Second), func() {
+	_ = e.sim.After(r.Between(time.Second, 10*time.Second), func() {
 		e.sessionWithRetry(u, bw, hold, path, retries-1, r)
 	})
 }
@@ -60,7 +60,7 @@ func runDiurnal(cfg FleetConfig) (ScenarioResult, error) {
 			start := time.Duration(s)*slotDur + r.Between(0, slotDur)
 			hold := r.Between(slotDur/2, slotDur*3/2)
 			u := u
-			if _, err := e.sim.Schedule(start, func() {
+			if err := e.sim.Schedule(start, func() {
 				e.sessionWithRetry(u, cfg.PerUserRate, hold, path, 2, r)
 			}); err != nil {
 				return ScenarioResult{}, err
@@ -84,7 +84,7 @@ func runFlashCrowd(cfg FleetConfig) (ScenarioResult, error) {
 			start := r.Between(0, 10*time.Second)
 			hold := r.Between(30*time.Second, 50*time.Second)
 			u := u
-			if _, err := e.sim.Schedule(start, func() {
+			if err := e.sim.Schedule(start, func() {
 				e.sessionWithRetry(u, cfg.PerUserRate, hold, path, 1, r)
 			}); err != nil {
 				return ScenarioResult{}, err
@@ -94,7 +94,7 @@ func runFlashCrowd(cfg FleetConfig) (ScenarioResult, error) {
 			start := 20*time.Second + r.Between(0, 2*time.Second)
 			hold := r.Between(10*time.Second, 20*time.Second)
 			u := u
-			if _, err := e.sim.Schedule(start, func() {
+			if err := e.sim.Schedule(start, func() {
 				e.sessionWithRetry(u, cfg.PerUserRate, hold, path, 0, r)
 			}); err != nil {
 				return ScenarioResult{}, err
@@ -120,7 +120,7 @@ func runChurn(cfg FleetConfig) (ScenarioResult, error) {
 	for u := 0; u < churners; u++ {
 		r := e.userRNG(u, 3)
 		u := u
-		if _, err := e.sim.Schedule(r.Between(0, 5*time.Second), func() {
+		if err := e.sim.Schedule(r.Between(0, 5*time.Second), func() {
 			e.churnLoop(u, r, path, horizon)
 		}); err != nil {
 			return ScenarioResult{}, err
@@ -145,14 +145,14 @@ func (e *fleetEngine) churnLoop(u int, r *rng, path []int, until time.Duration) 
 	hold := r.Between(5*time.Second, 30*time.Second)
 	gap := r.Between(200*time.Millisecond, 2*time.Second)
 	rebook := func() {
-		_, _ = e.sim.After(gap, func() { e.churnLoop(u, r, path, until) })
+		_ = e.sim.After(gap, func() { e.churnLoop(u, r, path, until) })
 	}
 	b := e.reserve(u, e.cfg.PerUserRate, hold, path)
 	if b == nil {
 		rebook()
 		return
 	}
-	_, _ = e.sim.Schedule(e.sim.Now()+hold, func() {
+	_ = e.sim.Schedule(e.sim.Now()+hold, func() {
 		e.cancelBooking(b)
 		rebook()
 	})
@@ -194,7 +194,7 @@ func runReroute(cfg FleetConfig) (ScenarioResult, error) {
 		covered[e.userShard[u]] = true
 		blockers[u] = true
 		u := u
-		if _, err := e.sim.Schedule(outageFrom, func() {
+		if err := e.sim.Schedule(outageFrom, func() {
 			e.holdThenCancel(e.reserve(u, perShard, outageUntil-outageFrom, branchOnly), outageUntil-outageFrom)
 		}); err != nil {
 			return ScenarioResult{}, err
@@ -215,7 +215,7 @@ func runReroute(cfg FleetConfig) (ScenarioResult, error) {
 		start := 5*time.Second + r.Between(0, horizon-45*time.Second)
 		hold := r.Between(15*time.Second, 35*time.Second)
 		u := u
-		if _, err := e.sim.Schedule(start, func() {
+		if err := e.sim.Schedule(start, func() {
 			if b := e.reserve(u, cfg.PerUserRate, hold, primary); b != nil {
 				e.holdThenCancel(b, hold)
 				return
@@ -330,7 +330,7 @@ func runAttackArm(cfg FleetConfig, defended bool) (ScenarioResult, armGoodput, e
 		}
 		start := r.Between(0, joinBy)
 		u := u
-		if _, err := e.sim.Schedule(start, func() {
+		if err := e.sim.Schedule(start, func() {
 			if !isAttacker {
 				e.reserve(u, cfg.PerUserRate, hold, path)
 				return
@@ -352,7 +352,7 @@ func runAttackArm(cfg FleetConfig, defended bool) (ScenarioResult, armGoodput, e
 	var measureErr error
 	// Open the measurement window: consume all pre-window traffic so
 	// the per-flow meters sit at their steady state.
-	if _, err := e.sim.Schedule(measFrom, func() {
+	if err := e.sim.Schedule(measFrom, func() {
 		e.forEachLiveBooking(func(b *fleetBooking) {
 			src := e.domains[b.path[0]]
 			pre := int64(float64(b.bw.BytesIn(e.sim.Now()-b.grantedAt)) * b.offer)
@@ -363,7 +363,7 @@ func runAttackArm(cfg FleetConfig, defended bool) (ScenarioResult, armGoodput, e
 	}); err != nil {
 		return ScenarioResult{}, armGoodput{}, err
 	}
-	if _, err := e.sim.Schedule(measTo, func() {
+	if err := e.sim.Schedule(measTo, func() {
 		arm, measureErr = e.measureGoodput(attackers, measTo-measFrom, defended)
 	}); err != nil {
 		return ScenarioResult{}, armGoodput{}, err

@@ -26,7 +26,7 @@ func TestMetricsLintRegistries(t *testing.T) {
 	defer w.Close()
 	snake := regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 	check := func(owner string, reg *obs.Registry) {
-		names := reg.Names()
+		names, help := exposed(reg)
 		if len(names) == 0 {
 			t.Errorf("%s registry is empty", owner)
 		}
@@ -39,7 +39,7 @@ func TestMetricsLintRegistries(t *testing.T) {
 				t.Errorf("%s metric %q appears twice", owner, n)
 			}
 			seen[n] = true
-			if reg.Help(n) == "" {
+			if help[n] == "" {
 				t.Errorf("%s metric %q has empty HELP text", owner, n)
 			}
 		}
@@ -57,12 +57,32 @@ func TestMetricsLintRegistries(t *testing.T) {
 	defer rw.Close()
 	for domain, reg := range rw.Metrics {
 		check(domain+" (replicated)", reg)
+		_, help := exposed(reg)
 		for _, name := range []string{"bb_repl_stream_resyncs_total", "bb_repl_inflight_frames"} {
-			if reg.Help(name) == "" {
+			if help[name] == "" {
 				t.Errorf("%s: %s is not registered", domain, name)
 			}
 		}
 	}
+}
+
+// exposed reads a registry's exposition: every metric's name, from its
+// TYPE line, and its HELP text.
+func exposed(reg *obs.Registry) (names []string, help map[string]string) {
+	var sb strings.Builder
+	reg.WriteText(&sb)
+	help = make(map[string]string)
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if f := strings.Fields(line); len(f) >= 3 && f[0] == "#" {
+			switch f[1] {
+			case "TYPE":
+				names = append(names, f[2])
+			case "HELP":
+				help[f[2]] = strings.Join(f[3:], " ")
+			}
+		}
+	}
+	return names, help
 }
 
 // TestFaultSweepReportsObsColumns runs one tiny cell of the faults

@@ -206,26 +206,6 @@ func (u *User) ReserveLocalAt(domain string, spec *core.Spec) (*signalling.Resul
 	return resp.Result, nil
 }
 
-// TunnelBatch sends a batched sub-flow request directly to one end
-// domain's broker — the tunnel hot path: "users authorized to use this
-// tunnel ... contact just the two end domains". The caller controls the
-// payload, its Seq and Acked included, so tests can retransmit a batch
-// verbatim and load generators can size batches freely.
-func (u *User) TunnelBatch(domain string, payload *signalling.TunnelBatchPayload) (*signalling.ResultPayload, error) {
-	client, err := u.clientTo(domain)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := client.Call(&signalling.Message{Type: signalling.MsgTunnelBatch, TunnelBatch: payload})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Result == nil {
-		return nil, fmt.Errorf("experiment: broker sent no result")
-	}
-	return resp.Result, nil
-}
-
 // Cancel withdraws a reservation starting at the given domain (the
 // cancel propagates along the recorded path).
 func (u *User) Cancel(domain, rarID string) error {

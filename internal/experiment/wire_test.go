@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"testing"
 
 	"e2eqos/internal/signalling"
@@ -55,7 +56,7 @@ func TestWireFullBattery(t *testing.T) {
 	if err != nil || !tres.Granted {
 		t.Fatalf("tunnel establishment: %v %+v", err, tres)
 	}
-	batch, err := alice.TunnelBatch(w.SourceDomain(), &signalling.TunnelBatchPayload{
+	batch, err := tunnelBatch(alice, w.SourceDomain(), &signalling.TunnelBatchPayload{
 		TunnelRARID: tun.RARID,
 		Seq:         1,
 		User:        alice.DN(),
@@ -83,4 +84,21 @@ func TestWireFullBattery(t *testing.T) {
 	if err := alice.Cancel(w.SourceDomain(), tun.RARID); err != nil {
 		t.Fatalf("tunnel cancel: %v", err)
 	}
+}
+
+// tunnelBatch sends a batched sub-flow request straight to one end
+// domain's broker as u, the way a tunnel's users reach its two ends.
+func tunnelBatch(u *User, domain string, payload *signalling.TunnelBatchPayload) (*signalling.ResultPayload, error) {
+	client, err := u.clientTo(domain)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := client.Call(&signalling.Message{Type: signalling.MsgTunnelBatch, TunnelBatch: payload})
+	if err != nil {
+		return nil, err
+	}
+	if resp.Result == nil {
+		return nil, fmt.Errorf("experiment: broker sent no result")
+	}
+	return resp.Result, nil
 }

@@ -697,9 +697,6 @@ func (w *World) DestDomain() string { return w.Domains[len(w.Domains)-1] }
 // BBAddr returns the signalling address of a domain's broker.
 func (w *World) BBAddr(domain string) string { return addrOf(domain) }
 
-// Clock returns the shared time source.
-func (w *World) Clock() func() time.Time { return w.clock }
-
 // CounterTotal sums one counter (or any scalar series) across every
 // domain's registry — the world-level view of e.g.
 // "bb_retries_total". Zero when observability is disabled.

@@ -261,8 +261,8 @@ func TestCPUPoolValidation(t *testing.T) {
 		t.Fatal("zero CPUs accepted")
 	}
 	cpus := coWorld(t, 100*units.Mbps, map[string]units.Bandwidth{"cpu": 16}).Pools["Domain2"]["cpu"]
-	if cpus.Capacity() != 16 || cpus.Name() != "cpu-Domain2" {
-		t.Errorf("capacity=%d name=%s", cpus.Capacity(), cpus.Name())
+	if free := cpus.Available(units.NewWindow(time.Now(), time.Hour)); free != 16 || cpus.Name() != "cpu-Domain2" {
+		t.Errorf("capacity=%d name=%s", free, cpus.Name())
 	}
 }
 
@@ -348,8 +348,8 @@ func TestDiskReserveCancelCycle(t *testing.T) {
 	co := &gara.CoReserver{API: gara.NewNetworkAPI(w.Topo), Pools: w.Pools["Domain2"]}
 	t0 := time.Now().Add(time.Minute)
 
-	if disk.Capacity() != 400*units.Mbps || disk.Name() != "disk-Domain2" {
-		t.Errorf("capacity=%v name=%s", disk.Capacity(), disk.Name())
+	if free := disk.Available(after(t0, 0, 30)); free != 400*units.Mbps || disk.Name() != "disk-Domain2" {
+		t.Errorf("capacity=%v name=%s", free, disk.Name())
 	}
 	handles, err := coReserve(co, u, after(t0, 0, 30), map[string]units.Bandwidth{"disk": 300 * units.Mbps})
 	if err != nil {

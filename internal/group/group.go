@@ -61,9 +61,6 @@ func NewServer(key *identity.KeyPair, ttl time.Duration) *Server {
 	return &Server{key: key, ttl: ttl, members: make(map[string]map[identity.DN]bool)}
 }
 
-// DN returns the server identity.
-func (s *Server) DN() identity.DN { return s.key.DN }
-
 // Key returns the server key pair (its public half is what verifiers
 // pin).
 func (s *Server) Key() *identity.KeyPair { return s.key }
@@ -76,13 +73,6 @@ func (s *Server) AddMember(group string, user identity.DN) {
 		s.members[group] = make(map[identity.DN]bool)
 	}
 	s.members[group][user] = true
-}
-
-// RemoveMember withdraws a membership.
-func (s *Server) RemoveMember(group string, user identity.DN) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.members[group], user)
 }
 
 // IsMember reports current membership.

@@ -27,10 +27,6 @@ func TestMembership(t *testing.T) {
 	if s.IsMember("CMS", alice) {
 		t.Fatal("spurious membership")
 	}
-	s.RemoveMember("ATLAS experiment", alice)
-	if s.IsMember("ATLAS experiment", alice) {
-		t.Fatal("membership not removed")
-	}
 }
 
 func TestValidateIssuesAttestation(t *testing.T) {
@@ -40,7 +36,7 @@ func TestValidateIssuesAttestation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if att.User != alice || att.Group != "physicist" || att.ServerDN != s.DN() {
+	if att.User != alice || att.Group != "physicist" || att.ServerDN != s.Key().DN {
 		t.Errorf("attestation = %+v", att)
 	}
 	if err := VerifyAttestation(att, s.Key(), time.Now()); err != nil {

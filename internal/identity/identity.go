@@ -21,12 +21,9 @@ import (
 	"crypto"
 	"crypto/ed25519"
 	"crypto/rand"
-	"crypto/sha256"
 	"crypto/x509"
-	"encoding/base64"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -213,31 +210,6 @@ func Verify(pub PublicKey, msg, sig []byte) error {
 	return nil
 }
 
-// MarshalPublicKey encodes a public key in PKIX DER form.
-func MarshalPublicKey(pub PublicKey) ([]byte, error) {
-	if err := pub.check(); err != nil {
-		return nil, err
-	}
-	der, err := x509.MarshalPKIXPublicKey(ed25519.PublicKey(pub))
-	if err != nil {
-		return nil, fmt.Errorf("identity: marshal public key: %w", err)
-	}
-	return der, nil
-}
-
-// ParsePublicKey decodes a PKIX DER public key.
-func ParsePublicKey(der []byte) (PublicKey, error) {
-	pub, err := x509.ParsePKIXPublicKey(der)
-	if err != nil {
-		return nil, fmt.Errorf("identity: parse public key: %w", err)
-	}
-	ed, ok := pub.(ed25519.PublicKey)
-	if !ok {
-		return nil, fmt.Errorf("%w: public key is %T", ErrKeyAlgorithm, pub)
-	}
-	return PublicKey(ed), nil
-}
-
 // MarshalPrivateKey encodes a private key in PKCS#8 DER form.
 func MarshalPrivateKey(priv PrivateKey) ([]byte, error) {
 	if err := priv.check(); err != nil {
@@ -263,32 +235,9 @@ func ParsePrivateKey(der []byte) (PrivateKey, error) {
 	return PrivateKey(ed), nil
 }
 
-// KeyFingerprint returns a short, stable identifier for a public key:
-// base64 (raw URL alphabet) of the first 12 bytes of SHA-256 over the
-// PKIX encoding.
-func KeyFingerprint(pub PublicKey) string {
-	der, err := MarshalPublicKey(pub)
-	if err != nil {
-		return "invalid-key"
-	}
-	sum := sha256.Sum256(der)
-	return base64.RawURLEncoding.EncodeToString(sum[:12])
-}
-
 // Attributes is a set of attribute-value assertions about a principal,
-// e.g. group memberships ("group" -> "ATLAS"). Values of the same key
-// accumulate.
+// e.g. group memberships ("group" -> "ATLAS").
 type Attributes map[string][]string
-
-// Add appends a value under key, skipping duplicates.
-func (a Attributes) Add(key, value string) {
-	for _, v := range a[key] {
-		if v == value {
-			return
-		}
-	}
-	a[key] = append(a[key], value)
-}
 
 // Has reports whether key carries value.
 func (a Attributes) Has(key, value string) bool {
@@ -298,31 +247,4 @@ func (a Attributes) Has(key, value string) bool {
 		}
 	}
 	return false
-}
-
-// Clone deep-copies the attribute set.
-func (a Attributes) Clone() Attributes {
-	out := make(Attributes, len(a))
-	for k, vs := range a {
-		out[k] = append([]string(nil), vs...)
-	}
-	return out
-}
-
-// Canonical renders the attributes deterministically, for signing.
-func (a Attributes) Canonical() string {
-	keys := make([]string, 0, len(a))
-	for k := range a {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		vs := append([]string(nil), a[k]...)
-		sort.Strings(vs)
-		for _, v := range vs {
-			fmt.Fprintf(&b, "%s=%s;", k, v)
-		}
-	}
-	return b.String()
 }

@@ -8,9 +8,7 @@ import (
 	"crypto/x509"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewDNAndComponents(t *testing.T) {
@@ -110,12 +108,6 @@ func TestWrongLengthsAreErrors(t *testing.T) {
 		if err := Verify(make(PublicKey, n), msg, sig); err == nil {
 			t.Errorf("public key of %d bytes verified", n)
 		}
-		if _, err := MarshalPublicKey(make(PublicKey, n)); err == nil {
-			t.Errorf("public key of %d bytes marshalled", n)
-		}
-		if KeyFingerprint(make(PublicKey, n)) != "invalid-key" {
-			t.Errorf("public key of %d bytes has a fingerprint", n)
-		}
 	}
 	for _, n := range []int{0, 1, 63, 65, 128} {
 		if err := Verify(pub, msg, make([]byte, n)); err == nil {
@@ -177,19 +169,12 @@ func TestPrivateKeyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOtherAlgorithmsRefusedByName: a well-formed P-256 key in any of
-// the three places a key is read from is ErrKeyAlgorithm, not a nil key.
+// TestOtherAlgorithmsRefusedByName: a well-formed P-256 key in either
+// place a key is read from is ErrKeyAlgorithm, not a nil key.
 func TestOtherAlgorithmsRefusedByName(t *testing.T) {
 	p256, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
-	}
-	pkix, err := x509.MarshalPKIXPublicKey(&p256.PublicKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pub, err := ParsePublicKey(pkix); !errors.Is(err, ErrKeyAlgorithm) || pub != nil {
-		t.Errorf("ParsePublicKey(P-256): key %x, err = %v, want ErrKeyAlgorithm", pub, err)
 	}
 	pkcs8, err := x509.MarshalPKCS8PrivateKey(p256)
 	if err != nil {
@@ -203,104 +188,13 @@ func TestOtherAlgorithmsRefusedByName(t *testing.T) {
 	}
 }
 
-func TestPublicKeyRoundTrip(t *testing.T) {
-	kp, err := GenerateKeyPair(NewDN("Grid", "A", "alice"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	der, err := MarshalPublicKey(kp.Public())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pub, err := ParsePublicKey(der)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pub.Equal(kp.Public()) {
-		t.Fatal("public key round trip mismatch")
-	}
-	if KeyFingerprint(pub) != KeyFingerprint(kp.Public()) {
-		t.Fatal("fingerprints differ after round trip")
-	}
-}
-
-func TestParsePublicKeyErrors(t *testing.T) {
-	if _, err := ParsePublicKey([]byte("garbage")); err == nil {
-		t.Fatal("garbage DER should not parse")
-	}
-}
-
-func TestKeyFingerprintDistinct(t *testing.T) {
-	a, _ := GenerateKeyPair(NewDN("Grid", "A", "a"))
-	b, _ := GenerateKeyPair(NewDN("Grid", "B", "b"))
-	if KeyFingerprint(a.Public()) == KeyFingerprint(b.Public()) {
-		t.Fatal("distinct keys produced identical fingerprints")
-	}
-}
-
 func TestAttributes(t *testing.T) {
-	a := Attributes{}
-	a.Add("group", "ATLAS")
-	a.Add("group", "ATLAS") // duplicate ignored
-	a.Add("group", "CMS")
-	a.Add("role", "physicist")
+	a := Attributes{"group": {"ATLAS", "CMS"}, "role": {"physicist"}}
 	if !a.Has("group", "ATLAS") || !a.Has("group", "CMS") || !a.Has("role", "physicist") {
 		t.Fatal("expected attributes missing")
 	}
 	if a.Has("group", "LHCb") {
 		t.Fatal("unexpected attribute present")
-	}
-	if len(a["group"]) != 2 {
-		t.Fatalf("duplicate add not ignored: %v", a["group"])
-	}
-}
-
-func TestAttributesClone(t *testing.T) {
-	a := Attributes{}
-	a.Add("group", "ATLAS")
-	b := a.Clone()
-	b.Add("group", "CMS")
-	if a.Has("group", "CMS") {
-		t.Fatal("clone is not independent")
-	}
-}
-
-func TestAttributesCanonicalDeterministic(t *testing.T) {
-	a := Attributes{}
-	a.Add("z", "1")
-	a.Add("a", "2")
-	a.Add("a", "1")
-	b := Attributes{}
-	b.Add("a", "1")
-	b.Add("a", "2")
-	b.Add("z", "1")
-	if a.Canonical() != b.Canonical() {
-		t.Fatalf("canonical forms differ: %q vs %q", a.Canonical(), b.Canonical())
-	}
-	if !strings.HasPrefix(a.Canonical(), "a=1;") {
-		t.Fatalf("canonical not sorted: %q", a.Canonical())
-	}
-}
-
-func TestAttributesCanonicalProperty(t *testing.T) {
-	// Canonical form must be insensitive to insertion order.
-	f := func(keys, vals []string) bool {
-		a := Attributes{}
-		b := Attributes{}
-		n := len(keys)
-		if len(vals) < n {
-			n = len(vals)
-		}
-		for i := 0; i < n; i++ {
-			a.Add(keys[i], vals[i])
-		}
-		for i := n - 1; i >= 0; i-- {
-			b.Add(keys[i], vals[i])
-		}
-		return a.Canonical() == b.Canonical()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -61,7 +61,10 @@ func TestFollowerAppendFrameAllocationFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := j.Sync(); err != nil { // empties the buffer, keeps its capacity
+	j.mu.Lock() // a group commit empties the buffer and keeps its capacity
+	err = j.syncLocked()
+	j.mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
 	got := testing.AllocsPerRun(200, func() {

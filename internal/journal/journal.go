@@ -424,18 +424,6 @@ func (j *Journal) fail(err error) {
 	}
 }
 
-// Sync forces any buffered records to stable storage. It blocks
-// appends for the duration; meant for shutdown and tests, not the hot
-// path.
-func (j *Journal) Sync() error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.syncLocked()
-}
-
 func (j *Journal) syncLocked() error {
 	j.fileMu.Lock()
 	defer j.fileMu.Unlock()

@@ -270,17 +270,18 @@ func TestCrashDropsUnflushedBatch(t *testing.T) {
 	}
 }
 
+// TestSyncMakesBatchDurable: the sync Close does reaches the disk.
 func TestSyncMakesBatchDurable(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := openT(t, dir, Options{Fsync: FsyncBatch, BatchInterval: time.Hour})
 	j.Append("test.op", payload{N: 1})
-	if err := j.Sync(); err != nil {
-		t.Fatalf("Sync: %v", err)
+	if err := j.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
-	j.Crash() // even a crash after Sync loses nothing
+	j.Crash() // even a crash after Close loses nothing
 	rec, _ := Recover(dir)
 	if len(rec.Records) != 1 {
-		t.Fatalf("recovered %d records after Sync+Crash, want 1", len(rec.Records))
+		t.Fatalf("recovered %d records after Close+Crash, want 1", len(rec.Records))
 	}
 }
 
@@ -333,9 +334,6 @@ func TestNilJournalIsInert(t *testing.T) {
 	var j *Journal
 	if err := j.Append("op", nil); err != nil {
 		t.Fatalf("nil Append: %v", err)
-	}
-	if err := j.Sync(); err != nil {
-		t.Fatalf("nil Sync: %v", err)
 	}
 	if err := j.Rotate(func() ([]byte, error) { return nil, nil }); err != nil {
 		t.Fatalf("nil Rotate: %v", err)

@@ -20,6 +20,12 @@ import (
 // conserved quantity under contention: with virtual time frozen there
 // is no refill, so across every goroutine exactly burst/size packets
 // may conform — no more (lost updates would admit extra), no fewer.
+// receiverFunc adapts a function to the Receiver interface.
+type receiverFunc func(p *Packet)
+
+// Receive calls f(p).
+func (f receiverFunc) Receive(p *Packet) { f(p) }
+
 func TestTokenBucketConcurrentConformance(t *testing.T) {
 	const (
 		size    = 100
@@ -198,7 +204,7 @@ func TestPolicerDropVsRemarkBoundary(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sim := dsim.New()
 			var forwarded []Class
-			next := ReceiverFunc(func(p *Packet) { forwarded = append(forwarded, p.Class) })
+			next := receiverFunc(func(p *Packet) { forwarded = append(forwarded, p.Class) })
 			po := NewPolicer(sim, sla.TrafficProfile{Rate: units.Mbps, BucketBytes: 2 * pkt}, tc.excess, next)
 			for i := 0; i < 3; i++ {
 				po.Receive(newPacket("f", pkt, Premium, 0))

@@ -41,7 +41,7 @@ func NewSource(sim *dsim.Sim, flow FlowID, rate units.Bandwidth, pktSize int, cl
 // the simulation horizon".
 func (s *Source) Install(start, stop time.Duration) error {
 	s.Start, s.Stop = start, stop
-	_, err := s.sim.Schedule(start, s.emit)
+	err := s.sim.Schedule(start, s.emit)
 	return err
 }
 
@@ -88,7 +88,7 @@ func (s *Source) emit() {
 		return
 	}
 	s.Next.Receive(newPacket(s.Flow, s.Size, s.Class, now))
-	_, _ = s.sim.After(s.interval(), s.emit)
+	_ = s.sim.After(s.interval(), s.emit)
 }
 
 // EdgeMarker is the first-hop device of a DiffServ domain: it
@@ -211,7 +211,7 @@ func (po *Policer) Receive(p *Packet) {
 		delay := po.meter.TimeToConform(p.Size, now)
 		po.mu.Unlock()
 		pkt := p
-		if _, err := po.sim.After(delay, func() {
+		if err := po.sim.After(delay, func() {
 			po.mu.Lock()
 			ok := po.meter.Conform(pkt.Size, po.sim.Now())
 			if !ok {
@@ -311,11 +311,11 @@ func (l *Link) transmitNext() {
 	l.busy = true
 	tx := time.Duration(float64(p.Size*8) / float64(l.Capacity) * float64(time.Second))
 	pkt := p
-	if _, err := l.sim.After(tx, func() {
+	if err := l.sim.After(tx, func() {
 		l.TxBytes += int64(pkt.Size)
 		// Delivery after propagation happens in parallel with the next
 		// transmission.
-		if _, err := l.sim.After(l.Prop, func() { l.Next.Receive(pkt) }); err != nil {
+		if err := l.sim.After(l.Prop, func() { l.Next.Receive(pkt) }); err != nil {
 			l.Drops.Dropped++
 		}
 		l.transmitNext()
@@ -370,15 +370,4 @@ func (s *Sink) Stats(flow FlowID) *FlowStats {
 		cp.RxBytesByCls[c] = b
 	}
 	return &cp
-}
-
-// Flows lists the flows observed.
-func (s *Sink) Flows() []FlowID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]FlowID, 0, len(s.flows))
-	for f := range s.flows {
-		out = append(out, f)
-	}
-	return out
 }

@@ -65,12 +65,6 @@ type Receiver interface {
 	Receive(p *Packet)
 }
 
-// ReceiverFunc adapts a function to the Receiver interface.
-type ReceiverFunc func(p *Packet)
-
-// Receive calls f(p).
-func (f ReceiverFunc) Receive(p *Packet) { f(p) }
-
 // FlowStats accumulates per-flow counters at a sink.
 type FlowStats struct {
 	RxPackets    int64

@@ -62,11 +62,10 @@ func TestMetricsLintNonEmptyHelp(t *testing.T) {
 	})
 	r := NewRegistry()
 	r.Counter("x_total", "documented")
-	if got := r.Help("x_total"); got != "documented" {
-		t.Fatalf("Help = %q, want %q", got, "documented")
-	}
-	if got := r.Help("unknown"); got != "" {
-		t.Fatalf("Help(unknown) = %q, want empty", got)
+	var sb strings.Builder
+	r.WriteText(&sb)
+	if !strings.Contains(sb.String(), "# HELP x_total documented\n") {
+		t.Fatalf("exposition carries no HELP line for x_total:\n%s", sb.String())
 	}
 }
 

@@ -67,19 +67,6 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
-			return
-		}
-	}
-}
-
 // Value reads the gauge (0 on nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -111,13 +98,12 @@ func (g *gaugeFunc) expose(w io.Writer) {
 type Registry struct {
 	mu      sync.Mutex
 	byName  map[string]metric
-	helps   map[string]string
 	ordered []string
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]metric), helps: make(map[string]string)}
+	return &Registry{byName: make(map[string]metric)}
 }
 
 // register enforces the naming, non-empty-HELP and exactly-once rules;
@@ -136,20 +122,7 @@ func (r *Registry) register(name, help string, m metric) {
 		panic(fmt.Sprintf("obs: metric %q registered twice", name))
 	}
 	r.byName[name] = m
-	r.helps[name] = help
 	r.ordered = append(r.ordered, name)
-}
-
-// Help returns the HELP text a metric registered with ("" when the
-// name is unknown). The metrics-lint walk uses it to assert every
-// live metric carries documentation.
-func (r *Registry) Help(name string) string {
-	if r == nil {
-		return ""
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.helps[name]
 }
 
 // Counter registers and returns a counter. Counter names must end in
@@ -183,16 +156,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 		return
 	}
 	r.register(name, help, &gaugeFunc{name: name, help: help, fn: fn})
-}
-
-// Names returns the registered metric names in registration order.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.ordered...)
 }
 
 // WriteText renders the registry in Prometheus text exposition format,

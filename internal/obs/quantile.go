@@ -182,16 +182,6 @@ func (h *QHist) mid(i int) float64 {
 	return (h.bound(i) + h.bound(i+1)) / 2
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) as the midpoint of the
-// bucket holding that rank, or 0 when the histogram is empty.
-func (h *QHist) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	counts, count, _ := h.merged()
-	return quantileOf(h, counts, count, q)
-}
-
 func quantileOf(h *QHist, counts []uint64, count uint64, q float64) float64 {
 	if count == 0 {
 		return 0

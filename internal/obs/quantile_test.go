@@ -32,8 +32,9 @@ func TestQHistQuantileAccuracy(t *testing.T) {
 		h.Observe(values[i])
 	}
 	sort.Float64s(values)
-	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
-		got := h.Quantile(q)
+	s := h.snapshot()
+	for _, c := range []struct{ q, got float64 }{{0.5, s.P50}, {0.9, s.P90}, {0.99, s.P99}, {0.999, s.P999}} {
+		q, got := c.q, c.got
 		want := refQuantile(values, q)
 		if rel := math.Abs(got-want) / want; rel > 0.01 {
 			t.Errorf("q=%v: got %v want %v (rel err %.4f, budget 0.01)", q, got, want, rel)
@@ -69,7 +70,7 @@ func TestQHistClampingAndNaN(t *testing.T) {
 	if h.Sum() != wantSum {
 		t.Fatalf("sum = %v, want %v (out-of-range must clamp, not poison)", h.Sum(), wantSum)
 	}
-	if q := h.Quantile(1); q > DefQuantileMax || q < DefQuantileMax/2 {
+	if q := h.snapshot().P999; q > DefQuantileMax || q < DefQuantileMax/2 {
 		t.Fatalf("max quantile %v escaped the top octave", q)
 	}
 }
@@ -77,11 +78,11 @@ func TestQHistClampingAndNaN(t *testing.T) {
 func TestQHistEmptyAndNil(t *testing.T) {
 	var nilH *QHist
 	nilH.Observe(1)
-	if nilH.Quantile(0.5) != 0 || nilH.Count() != 0 || nilH.Sum() != 0 {
+	if nilH.Count() != 0 || nilH.Sum() != 0 {
 		t.Fatal("nil QHist must read zero")
 	}
 	h := NewQHist("q_seconds", "latency", 0, 0)
-	if h.Quantile(0.99) != 0 {
+	if s := h.snapshot(); s.P50 != 0 || s.P999 != 0 {
 		t.Fatal("empty histogram must report 0")
 	}
 }
@@ -133,7 +134,6 @@ func TestQHistConcurrentObserveAndExpose(t *testing.T) {
 			var sb strings.Builder
 			r.WriteText(&sb)
 			_ = r.Quantiles()
-			_ = h.Quantile(0.99)
 		}
 	}()
 	var writers sync.WaitGroup
@@ -235,6 +235,7 @@ func BenchmarkQHistQuantile(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = h.Quantile(0.999)
+		counts, count, _ := h.merged()
+		_ = quantileOf(h, counts, count, 0.999)
 	}
 }

@@ -135,14 +135,6 @@ func OpenRecorder(opts RecorderOptions) (*Recorder, error) {
 	return r, nil
 }
 
-// Dir returns the event-log directory ("" on nil).
-func (r *Recorder) Dir() string {
-	if r == nil {
-		return ""
-	}
-	return r.dir
-}
-
 // Append frames ev and writes it to the active segment, rotating
 // first if the segment is full. Nil recorders drop the event.
 func (r *Recorder) Append(ev *Event) error {

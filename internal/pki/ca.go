@@ -102,9 +102,6 @@ func (ca *CA) Certificate() *x509.Certificate { return ca.cert }
 // CertificateDER returns the DER encoding of the CA certificate.
 func (ca *CA) CertificateDER() []byte { return ca.der }
 
-// PublicKey returns the CA's public key.
-func (ca *CA) PublicKey() identity.PublicKey { return ca.key.Public() }
-
 // Key exposes the CA key pair; used by daemons that also sign protocol
 // messages with the CA identity (e.g. test fixtures).
 func (ca *CA) Key() *identity.KeyPair { return ca.key }

@@ -38,16 +38,6 @@ type CapabilityAttrs struct {
 	Restrictions []string `json:"restrictions,omitempty"`
 }
 
-// HasCapability reports whether name is among the granted capabilities.
-func (a CapabilityAttrs) HasCapability(name string) bool {
-	for _, c := range a.Capabilities {
-		if c == name {
-			return true
-		}
-	}
-	return false
-}
-
 // subsetOf reports whether every capability in a also appears in b.
 func subsetOf(a, b []string) bool {
 	set := make(map[string]bool, len(b))
@@ -67,8 +57,8 @@ func containsAll(a, b []string) bool { return subsetOf(a, b) }
 
 // ProxyKey is the key pair whose public half is embedded in a
 // CAS-issued capability certificate and whose private half the user
-// holds to prove possession and to sign the first delegation step
-// (Neuman's proxy-based authorization).
+// holds to sign the first delegation step, which is how it proves
+// possession (Neuman's proxy-based authorization).
 type ProxyKey struct {
 	Private identity.PrivateKey
 }
@@ -304,36 +294,8 @@ func (c CapabilityChain) Verify(opts VerifyOptions) (CapabilityAttrs, error) {
 	return c[len(c)-1].Attrs, nil
 }
 
-// ProvePossession returns a signature over nonce with holderKey; the
-// verifier checks it against the subject public key of the final chain
-// certificate. This implements the "prove knowledge of the private
-// proxy key" step of §6.5.
-func ProvePossession(holderKey identity.PrivateKey, nonce []byte) ([]byte, error) {
-	return identity.Sign(holderKey, nonce)
-}
-
-// VerifyPossession checks the final holder's proof of possession.
-func (c CapabilityChain) VerifyPossession(nonce, proof []byte) error {
-	if len(c) == 0 {
-		return fmt.Errorf("pki: empty capability chain")
-	}
-	pub := c[len(c)-1].PublicKey()
-	if pub == nil {
-		return fmt.Errorf("pki: final chain certificate: %w", identity.ErrKeyAlgorithm)
-	}
-	return identity.Verify(pub, nonce, proof)
-}
-
-// Encode serialises the chain as a list of DER blobs for transport.
-func (c CapabilityChain) Encode() [][]byte {
-	out := make([][]byte, len(c))
-	for i, cert := range c {
-		out[i] = cert.DER
-	}
-	return out
-}
-
-// DecodeCapabilityChain reverses Encode.
+// DecodeCapabilityChain parses a chain from its certificates' DER
+// blobs, in chain order.
 func DecodeCapabilityChain(ders [][]byte) (CapabilityChain, error) {
 	chain := make(CapabilityChain, 0, len(ders))
 	for i, der := range ders {

@@ -173,7 +173,7 @@ func TestLoadCA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cert.CheckSignedBy(orig.PublicKey()); err != nil {
+	if err := cert.CheckSignedBy(orig.Key().Public()); err != nil {
 		t.Errorf("issued cert fails against original CA key: %v", err)
 	}
 	// Mismatched key is refused.

@@ -8,9 +8,7 @@
 // paper's list: validated group-membership assertions (via group
 // servers), cryptographically signed capabilities (via capability
 // chain verification against trusted CAS keys), and the local
-// attribute-value policy (internal/policy). On a grant it returns the
-// domain-wide additions §6.1 describes: extra constraints, cost
-// offers, and traffic-engineering parameters for downstream domains.
+// attribute-value policy (internal/policy).
 package policysrv
 
 import (
@@ -52,17 +50,14 @@ type Query struct {
 	LinkedReservations map[string]bool
 }
 
-// Result is the policy server's answer: the decision plus the
-// modifications to apply to the outgoing request.
+// Result is the policy server's answer: the decision and the
+// authorization material it accepted.
 type Result struct {
 	Decision policy.Decision
 	// ValidatedGroups are the memberships that survived validation.
 	ValidatedGroups []string
 	// Capabilities are the verified capability grants.
 	Capabilities []policy.Capability
-	// Additions are domain-wide attributes to append to the request
-	// (cost offers, TE parameters, peering requirements).
-	Additions map[string]string
 }
 
 // Server is a policy decision point for one domain.
@@ -75,8 +70,6 @@ type Server struct {
 	groupServers map[string]*group.Server
 	// casKeys maps community -> trusted CAS public key.
 	casKeys map[string]identity.PublicKey
-	// additions are static domain-wide attributes.
-	additions map[string]string
 	// nowFn is injectable for tests.
 	nowFn func() time.Time
 }
@@ -88,19 +81,8 @@ func New(domain string, pol *policy.Policy) *Server {
 		pol:          pol,
 		groupServers: make(map[string]*group.Server),
 		casKeys:      make(map[string]identity.PublicKey),
-		additions:    make(map[string]string),
 		nowFn:        time.Now,
 	}
-}
-
-// Domain returns the owning domain name.
-func (s *Server) Domain() string { return s.domain }
-
-// SetPolicy swaps the active policy.
-func (s *Server) SetPolicy(pol *policy.Policy) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pol = pol
 }
 
 // TrustGroupServer delegates accreditation of groupName to gs.
@@ -115,14 +97,6 @@ func (s *Server) TrustCAS(community string, key identity.PublicKey) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.casKeys[community] = key
-}
-
-// AddDomainInfo registers a static domain-wide addition propagated
-// with every granted request.
-func (s *Server) AddDomainInfo(key, value string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.additions[key] = value
 }
 
 // SetClock injects a time source (tests and simulations).
@@ -141,14 +115,10 @@ func (s *Server) Decide(q *Query) (*Result, error) {
 	s.mu.RLock()
 	pol := s.pol
 	nowFn := s.nowFn
-	additions := make(map[string]string, len(s.additions))
-	for k, v := range s.additions {
-		additions[k] = v
-	}
 	s.mu.RUnlock()
 	now := nowFn()
 
-	res := &Result{Additions: additions}
+	res := &Result{}
 
 	// 1. Validate group assertions with the delegated group servers.
 	for _, g := range q.Assertions {

@@ -199,36 +199,10 @@ func TestDecideLinkedReservationsFigure6C(t *testing.T) {
 	}
 }
 
-func TestDomainAdditionsPropagate(t *testing.T) {
-	s := New("DomainA", policy.MustParse("t", "allow"))
-	s.AddDomainInfo("te.shaping", "token-bucket")
-	s.AddDomainInfo("cost.offer", "0.02/GB")
-	res, err := s.Decide(&Query{User: alice, Bandwidth: units.Mbps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Additions["te.shaping"] != "token-bucket" || res.Additions["cost.offer"] != "0.02/GB" {
-		t.Errorf("additions = %v", res.Additions)
-	}
-}
-
 func TestDecideNilQuery(t *testing.T) {
 	s := New("DomainA", policy.MustParse("t", "allow"))
 	if _, err := s.Decide(nil); err == nil {
 		t.Fatal("nil query accepted")
-	}
-}
-
-func TestSetPolicySwaps(t *testing.T) {
-	s := New("DomainA", policy.MustParse("t", "deny"))
-	res, _ := s.Decide(&Query{User: alice, Bandwidth: units.Mbps})
-	if res.Decision.Granted() {
-		t.Fatal("deny policy granted")
-	}
-	s.SetPolicy(policy.MustParse("t", "allow"))
-	res, _ = s.Decide(&Query{User: alice, Bandwidth: units.Mbps})
-	if !res.Decision.Granted() {
-		t.Fatal("allow policy denied")
 	}
 }
 

@@ -143,14 +143,12 @@ func TestJournalCrashReplayProperty(t *testing.T) {
 			}
 		}
 
-		// Crash. Sync first so the batch buffer reaches the file — the
-		// loss window of an unsynced batch is journal_test territory;
-		// here the property is that what reached disk reconstructs
-		// exactly.
-		if err := j.Sync(); err != nil {
-			t.Fatalf("trial %d: Sync: %v", trial, err)
+		// Stop. Close so the batch buffer reaches the file — the loss
+		// window of an unsynced batch is journal_test territory; here
+		// the property is that what reached disk reconstructs exactly.
+		if err := j.Close(); err != nil {
+			t.Fatalf("trial %d: Close: %v", trial, err)
 		}
-		j.Crash()
 
 		// Half the trials die mid-write: garbage lands after the last
 		// good record and recovery must shrug it off.
@@ -219,10 +217,9 @@ func TestAutoSweepIsJournaled(t *testing.T) {
 	if tbl.Len() != sweepEvery {
 		t.Fatalf("table holds %d entries, want %d (first entry swept)", tbl.Len(), sweepEvery)
 	}
-	if err := j.Sync(); err != nil {
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	j.Crash()
 
 	rebuilt := reconstruct(t, dir, "net-sweep", capacity)
 	want, _ := tbl.Snapshot()

@@ -136,13 +136,6 @@ func (t *Table) SetClock(clock func() time.Time) {
 	t.mu.Unlock()
 }
 
-// Capacity returns the managed capacity.
-func (t *Table) Capacity() units.Bandwidth {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.capacity
-}
-
 // Name returns the table's label.
 func (t *Table) Name() string {
 	t.mu.Lock()

@@ -82,7 +82,7 @@ func TestConcurrentCallsInterleaved(t *testing.T) {
 	if n := c.LateDropped(); n != 0 {
 		t.Errorf("dropped %d responses on a healthy exchange", n)
 	}
-	if n := c.Pending(); n != 0 {
+	if n := pending(c); n != 0 {
 		t.Errorf("%d waiters leaked after all calls returned", n)
 	}
 }
@@ -243,7 +243,7 @@ func TestConcurrentCloseWhenIdleDrains(t *testing.T) {
 	}()
 	// Wait until the call is registered before draining.
 	deadline := time.Now().Add(time.Second)
-	for c.Pending() == 0 {
+	for pending(c) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("in-flight call never registered")
 		}

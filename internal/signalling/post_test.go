@@ -41,7 +41,7 @@ func TestPostDeliversResponse(t *testing.T) {
 			t.Fatalf("only %d of %d callbacks ran", i, posts)
 		}
 	}
-	if n := c.Pending(); n != 0 {
+	if n := pending(c); n != 0 {
 		t.Errorf("%d waiters left after every post was answered", n)
 	}
 	if _, ok := c.OldestPost(); ok {

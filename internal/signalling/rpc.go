@@ -28,12 +28,6 @@ type Handler interface {
 	Handle(peer Peer, msg *Message) *Message
 }
 
-// HandlerFunc adapts a function to Handler.
-type HandlerFunc func(peer Peer, msg *Message) *Message
-
-// Handle calls f.
-func (f HandlerFunc) Handle(peer Peer, msg *Message) *Message { return f(peer, msg) }
-
 // Server accepts connections and dispatches inbound requests to a
 // Handler. It tracks its live connections, so Shutdown can tear down
 // the listener and every established channel — a daemon's graceful
@@ -369,13 +363,6 @@ func (c *Client) Err() error {
 // already given up — the demux analogue of the old stale-response
 // skip, now an accounting detail instead of a failure mode.
 func (c *Client) LateDropped() int64 { return c.late.Load() }
-
-// Pending reports the number of in-flight calls and posts.
-func (c *Client) Pending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.waiters)
-}
 
 // OldestPost reports when the oldest Post still awaiting its response
 // was sent (false when none is). A pipelined sender has no per-request

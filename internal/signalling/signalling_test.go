@@ -10,6 +10,19 @@ import (
 	"e2eqos/internal/transport"
 )
 
+// HandlerFunc adapts a function to Handler.
+type HandlerFunc func(peer Peer, msg *Message) *Message
+
+// Handle calls f.
+func (f HandlerFunc) Handle(peer Peer, msg *Message) *Message { return f(peer, msg) }
+
+// pending reports the number of c's in-flight calls and posts.
+func pending(c *Client) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.waiters)
+}
+
 func TestMessageEncodeDecode(t *testing.T) {
 	msg := &Message{
 		Type:   MsgCancel,

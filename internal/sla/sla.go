@@ -147,59 +147,3 @@ func (s *SLA) Conforms(committed, bw units.Bandwidth) error {
 	}
 	return nil
 }
-
-// Chain is an ordered list of SLAs along an inter-domain path; the
-// paper: "End-to-end guarantees can then be built by a chain of SLSs."
-type Chain []*SLA
-
-// EndToEndLatency sums the per-domain latency bounds; ok is false when
-// any hop leaves its bound unspecified.
-func (c Chain) EndToEndLatency() (time.Duration, bool) {
-	var total time.Duration
-	for _, s := range c {
-		if s == nil || s.Service.MaxLatency == 0 {
-			return 0, false
-		}
-		total += s.Service.MaxLatency
-	}
-	return total, true
-}
-
-// BottleneckRate returns the minimum contracted rate along the chain,
-// the end-to-end aggregate capacity.
-func (c Chain) BottleneckRate() units.Bandwidth {
-	var min units.Bandwidth
-	for i, s := range c {
-		if s == nil {
-			return 0
-		}
-		if i == 0 || s.Service.Profile.Rate < min {
-			min = s.Service.Profile.Rate
-		}
-	}
-	return min
-}
-
-// EndToEndReliability multiplies the per-domain reliabilities; ok is
-// false when any hop leaves reliability unspecified.
-func (c Chain) EndToEndReliability() (float64, bool) {
-	rel := 1.0
-	for _, s := range c {
-		if s == nil || s.Service.Reliability == 0 {
-			return 0, false
-		}
-		rel *= s.Service.Reliability
-	}
-	return rel, true
-}
-
-// Contiguous reports whether each SLA's downstream domain is the next
-// SLA's upstream domain, i.e. the chain actually describes one path.
-func (c Chain) Contiguous() bool {
-	for i := 1; i < len(c); i++ {
-		if c[i-1] == nil || c[i] == nil || c[i-1].Downstream != c[i].Upstream {
-			return false
-		}
-	}
-	return true
-}

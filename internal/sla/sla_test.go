@@ -113,61 +113,6 @@ func TestSLAConforms(t *testing.T) {
 	}
 }
 
-func TestChainMetrics(t *testing.T) {
-	ab := validSLA("A", "B")
-	bc := validSLA("B", "C")
-	bc.Service.Profile.Rate = 50 * units.Mbps
-	bc.Service.MaxLatency = 3 * time.Millisecond
-	bc.Service.Reliability = 0.99
-	chain := Chain{ab, bc}
-
-	if !chain.Contiguous() {
-		t.Fatal("contiguous chain reported broken")
-	}
-	lat, ok := chain.EndToEndLatency()
-	if !ok || lat != 8*time.Millisecond {
-		t.Errorf("latency = %v ok=%v, want 8ms", lat, ok)
-	}
-	if got := chain.BottleneckRate(); got != 50*units.Mbps {
-		t.Errorf("bottleneck = %v, want 50Mb/s", got)
-	}
-	rel, ok := chain.EndToEndReliability()
-	if !ok || rel < 0.988 || rel > 0.9891 {
-		t.Errorf("reliability = %v ok=%v", rel, ok)
-	}
-}
-
-func TestChainUnspecifiedMetrics(t *testing.T) {
-	ab := validSLA("A", "B")
-	ab.Service.MaxLatency = 0
-	ab.Service.Reliability = 0
-	chain := Chain{ab}
-	if _, ok := chain.EndToEndLatency(); ok {
-		t.Error("latency reported despite unspecified hop")
-	}
-	if _, ok := chain.EndToEndReliability(); ok {
-		t.Error("reliability reported despite unspecified hop")
-	}
-}
-
-func TestChainContiguity(t *testing.T) {
-	broken := Chain{validSLA("A", "B"), validSLA("X", "C")}
-	if broken.Contiguous() {
-		t.Error("broken chain reported contiguous")
-	}
-	withNil := Chain{validSLA("A", "B"), nil}
-	if withNil.Contiguous() {
-		t.Error("chain with nil reported contiguous")
-	}
-	if withNil.BottleneckRate() != 0 {
-		t.Error("nil hop must zero the bottleneck")
-	}
-	var empty Chain
-	if !empty.Contiguous() {
-		t.Error("empty chain must be trivially contiguous")
-	}
-}
-
 func TestExcessTreatmentString(t *testing.T) {
 	if Drop.String() != "drop" || Remark.String() != "remark" || Shape.String() != "shape" {
 		t.Error("treatment strings wrong")

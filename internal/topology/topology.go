@@ -173,25 +173,6 @@ func (t *Topology) LinkBetween(a, b string) (Link, bool) {
 	return l, ok
 }
 
-// DomainForHost resolves a host identifier to its domain via longest
-// prefix match.
-func (t *Topology) DomainForHost(host string) (string, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	best, bestLen := "", -1
-	for name, d := range t.domains {
-		for _, p := range d.Prefixes {
-			if strings.HasPrefix(host, p) && len(p) > bestLen {
-				best, bestLen = name, len(p)
-			}
-		}
-	}
-	if bestLen < 0 {
-		return "", fmt.Errorf("topology: no domain for host %q", host)
-	}
-	return best, nil
-}
-
 // edgeKey normalises an undirected link to a canonical pair.
 func edgeKey(a, b string) [2]string {
 	if a > b {

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -91,27 +92,6 @@ func TestNextHop(t *testing.T) {
 	}
 }
 
-func TestDomainForHost(t *testing.T) {
-	tp := buildDiamond(t)
-	dom, err := tp.DomainForHost("host-B.cluster.example")
-	if err != nil || dom != "B" {
-		t.Errorf("DomainForHost = %q err=%v", dom, err)
-	}
-	if _, err := tp.DomainForHost("unknown.example"); err == nil {
-		t.Error("unknown host resolved")
-	}
-}
-
-func TestDomainForHostLongestPrefix(t *testing.T) {
-	tp := New()
-	_ = tp.AddDomain(Domain{Name: "wide", Prefixes: []string{"10."}})
-	_ = tp.AddDomain(Domain{Name: "narrow", Prefixes: []string{"10.1."}})
-	dom, err := tp.DomainForHost("10.1.2.3")
-	if err != nil || dom != "narrow" {
-		t.Errorf("longest prefix match = %q err=%v, want narrow", dom, err)
-	}
-}
-
 func TestLinearTopology(t *testing.T) {
 	tp, err := Linear(4, 100*units.Mbps)
 	if err != nil {
@@ -127,9 +107,8 @@ func TestLinearTopology(t *testing.T) {
 	if len(path) != 4 {
 		t.Errorf("path = %v, want 4 hops inclusive", path)
 	}
-	dom, err := tp.DomainForHost("host2.example")
-	if err != nil || dom != "Domain2" {
-		t.Errorf("host2 resolved to %q err=%v", dom, err)
+	if d, ok := tp.Domain("Domain2"); !ok || !slices.Contains(d.Prefixes, "host2.") {
+		t.Errorf("Domain2 = %+v ok=%v, want prefix host2.", d, ok)
 	}
 	l, ok := tp.LinkBetween("Domain1", "Domain2")
 	if !ok || l.Capacity != 100*units.Mbps {

@@ -68,7 +68,7 @@ func FuzzRestoreEndpoint(f *testing.F) {
 		var sum units.Bandwidth
 		ids := ep.SubFlows()
 		for _, id := range ids {
-			bw, ok := ep.Lookup(id)
+			bw, ok := lookup(ep, id)
 			if !ok || bw <= 0 || bw > ep.Aggregate-sum {
 				t.Fatalf("restored sub-flow %q holds %v (listed %t) with %v of %v already held", id, bw, ok, sum, ep.Aggregate)
 			}

@@ -79,7 +79,7 @@ func TestEndpointInvariantsUnderConcurrentChurn(t *testing.T) {
 		var sum units.Bandwidth
 		ids := ep.SubFlows()
 		for _, id := range ids {
-			bw, ok := ep.Lookup(id)
+			bw, ok := lookup(ep, id)
 			if !ok {
 				t.Fatalf("wave %d: SubFlows lists %q but Lookup misses it", wave, id)
 			}
@@ -142,7 +142,7 @@ func TestBatchIsAtomic(t *testing.T) {
 	check := func() {
 		snap := ep.Snapshot()
 		used := ep.Used()
-		quiet := ep.Gen() == snap.Gen
+		quiet := ep.Snapshot().Gen == snap.Gen
 		held := make([]int, workers)
 		var sum units.Bandwidth
 		for _, sf := range snap.SubFlows {
@@ -210,8 +210,8 @@ func TestBatchIsAtomic(t *testing.T) {
 	close(stop)
 	watcher.Wait()
 	check()
-	if ep.Len() != 0 || ep.Used() != 0 || ep.Gen() != workers*rounds*2*size {
-		t.Errorf("after churn: len %d used %v gen %d", ep.Len(), ep.Used(), ep.Gen())
+	if ep.Len() != 0 || ep.Used() != 0 || ep.Snapshot().Gen != workers*rounds*2*size {
+		t.Errorf("after churn: len %d used %v gen %d", ep.Len(), ep.Used(), ep.Snapshot().Gen)
 	}
 }
 

@@ -196,21 +196,6 @@ func (e *Endpoint) Len() int {
 	return len(e.allocs)
 }
 
-// Gen reports the endpoint's current mutation generation.
-func (e *Endpoint) Gen() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.gen
-}
-
-// Lookup reports the bandwidth held by a sub-flow.
-func (e *Endpoint) Lookup(subID string) (units.Bandwidth, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	bw, ok := e.allocs[subID]
-	return bw, ok
-}
-
 // SubFlows lists current allocations, sorted by id.
 func (e *Endpoint) SubFlows() []string {
 	e.mu.Lock()

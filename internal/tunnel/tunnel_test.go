@@ -12,6 +12,14 @@ import (
 	"e2eqos/internal/units"
 )
 
+// lookup reports the bandwidth ep holds for a sub-flow.
+func lookup(ep *Endpoint, subID string) (units.Bandwidth, bool) {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	bw, ok := ep.allocs[subID]
+	return bw, ok
+}
+
 func newEndpoint(t *testing.T, aggregate units.Bandwidth) *Endpoint {
 	t.Helper()
 	ep, err := NewEndpoint("RAR-1", aggregate,
@@ -71,7 +79,7 @@ func TestAllocateReleaseAccounting(t *testing.T) {
 	if len(subs) != 5 || ep.Len() != 5 {
 		t.Errorf("subflows = %v len = %d", subs, ep.Len())
 	}
-	if bw, ok := ep.Lookup("a"); !ok || bw != 10*units.Mbps {
+	if bw, ok := lookup(ep, "a"); !ok || bw != 10*units.Mbps {
 		t.Errorf("lookup a = %v %t", bw, ok)
 	}
 }
@@ -93,8 +101,8 @@ func TestGenerationsAreStrictlyIncreasing(t *testing.T) {
 	if !(g1 < g2 && g2 < g3) {
 		t.Errorf("generations not increasing: %d %d %d", g1, g2, g3)
 	}
-	if ep.Gen() != g3 {
-		t.Errorf("Gen() = %d, want %d", ep.Gen(), g3)
+	if ep.Snapshot().Gen != g3 {
+		t.Errorf("Gen() = %d, want %d", ep.Snapshot().Gen, g3)
 	}
 }
 
@@ -190,9 +198,9 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if restored.Used() != ep.Used() || restored.Len() != ep.Len() ||
-		restored.Gen() != ep.Gen() || restored.Epoch != ep.Epoch {
+		restored.Snapshot().Gen != ep.Snapshot().Gen || restored.Epoch != ep.Epoch {
 		t.Errorf("restored endpoint differs: used=%v len=%d gen=%d epoch=%d",
-			restored.Used(), restored.Len(), restored.Gen(), restored.Epoch)
+			restored.Used(), restored.Len(), restored.Snapshot().Gen, restored.Epoch)
 	}
 	a, _ := json.Marshal(snap)
 	b, _ := json.Marshal(restored.Snapshot())
@@ -236,16 +244,16 @@ func TestReplayIsIdempotentAndOrdered(t *testing.T) {
 	replayAlloc("a", 10*units.Mbps, 1)
 	replayRelease("a", 2)
 	replayAlloc("a", 20*units.Mbps, 3)
-	if bw, ok := ep.Lookup("a"); !ok || bw != 20*units.Mbps {
+	if bw, ok := lookup(ep, "a"); !ok || bw != 20*units.Mbps {
 		t.Fatalf("after replay: a = %v %t", bw, ok)
 	}
 	// Stale records (gen already reflected) are no-ops.
 	replayRelease("a", 2)
 	replayAlloc("a", 10*units.Mbps, 1)
-	if bw, _ := ep.Lookup("a"); bw != 20*units.Mbps || ep.Used() != 20*units.Mbps {
+	if bw, _ := lookup(ep, "a"); bw != 20*units.Mbps || ep.Used() != 20*units.Mbps {
 		t.Fatalf("stale replay mutated state: %v used=%v", bw, ep.Used())
 	}
-	if ep.Gen() != 3 {
-		t.Errorf("gen = %d, want 3", ep.Gen())
+	if ep.Snapshot().Gen != 3 {
+		t.Errorf("gen = %d, want 3", ep.Snapshot().Gen)
 	}
 }

@@ -38,7 +38,7 @@ func (b Bandwidth) String() string {
 	case b >= Gbps:
 		return fmt.Sprintf("%.2fGb/s", float64(b)/float64(Gbps))
 	case b >= Mbps:
-		return fmt.Sprintf("%.2fMb/s", float64(b)/float64(Mbps))
+		return fmt.Sprintf("%.2fMb/s", b.Mbits())
 	case b >= Kbps:
 		return fmt.Sprintf("%.2fKb/s", float64(b)/float64(Kbps))
 	default:
@@ -89,15 +89,6 @@ func (b Bandwidth) BytesIn(d time.Duration) int64 {
 	return int64(bits / 8)
 }
 
-// TimeToSend returns how long a flow at rate b needs to transfer n bytes.
-func (b Bandwidth) TimeToSend(nBytes int64) time.Duration {
-	if b <= 0 {
-		return time.Duration(1<<63 - 1)
-	}
-	secs := float64(nBytes*8) / float64(b)
-	return time.Duration(secs * float64(time.Second))
-}
-
 // ByteSize is a data volume in bytes.
 type ByteSize int64
 
@@ -137,36 +128,6 @@ func NewWindow(start time.Time, d time.Duration) Window {
 
 // Valid reports whether the window is non-empty and well ordered.
 func (w Window) Valid() bool { return w.End.After(w.Start) }
-
-// Duration returns the window length.
-func (w Window) Duration() time.Duration { return w.End.Sub(w.Start) }
-
-// Contains reports whether t falls inside the half-open interval.
-func (w Window) Contains(t time.Time) bool {
-	return !t.Before(w.Start) && t.Before(w.End)
-}
-
-// Overlaps reports whether two half-open windows intersect.
-func (w Window) Overlaps(o Window) bool {
-	return w.Start.Before(o.End) && o.Start.Before(w.End)
-}
-
-// Intersect returns the overlapping part of the two windows; ok is false
-// when they do not intersect.
-func (w Window) Intersect(o Window) (Window, bool) {
-	start := w.Start
-	if o.Start.After(start) {
-		start = o.Start
-	}
-	end := w.End
-	if o.End.Before(end) {
-		end = o.End
-	}
-	if !end.After(start) {
-		return Window{}, false
-	}
-	return Window{Start: start, End: end}, true
-}
 
 func (w Window) String() string {
 	return fmt.Sprintf("[%s, %s)", w.Start.Format(time.RFC3339), w.End.Format(time.RFC3339))

@@ -29,10 +29,18 @@
 #                          QHist Observe, event append, ledger reads,
 #                          signature verify, warm chain Verify per layer,
 #                          Seal, tunnel batch validate / decode / dense
-#                          grant, a tunnel endpoint's alloc and release
-#                          batch (DESIGN.md §6.5, §6.6, §6.8, §6.11 give
-#                          each bound its reason; run without -race: the
-#                          gates skip under it)
+#                          grant of an alloc and a release batch
+#                          (TestTunnelBatchDenseAllocationBound), a batch
+#                          denied at its last op
+#                          (TestTunnelBatchDeniedAllocationBound), a
+#                          follower applying a bb.tunnel_batch record
+#                          (TestTunnelBatchReplayAllocationBound), a
+#                          tunnel endpoint's alloc and release batch, one
+#                          cut from a tunnel.Keys (TestKeysAllocationBound),
+#                          an endpoint snapshot's decode and Restore
+#                          (TestRestoreAllocationBound) (DESIGN.md §6.5,
+#                          §6.6, §6.8, §6.11 give each bound its reason;
+#                          run without -race: the gates skip under it)
 #   make bench-e2e         the repository's benchmark (bench/README.md):
 #                          go run ./bench — four workloads, end to end
 #                          then traced, rows appended to bench/out/

@@ -210,8 +210,25 @@ func (r tunnelBatchRec) AppendBinary(buf []byte) []byte {
 	return wire.AppendUint(buf, 9, r.Sum)
 }
 
+// DecodeBinary allocates per record, not per op: a first pass counts the
+// ops, Ops is made once, and every string is cut from one string copy of
+// the record. Nothing keeps one of them: the sender's window copies its
+// sender, the endpoint copies the alloc ops' ids into a Keys
+// (replayer.applyBatch), and the outcome is decoded from a copy of its
+// own.
 func (r *tunnelBatchRec) DecodeBinary(data []byte) error {
-	d := wire.Dec{Buf: data}
+	n := 0
+	for c := (wire.Dec{Buf: data}); c.More(); {
+		f, wt := c.Tag()
+		if f == 4 && wt == wire.TBytes {
+			n++
+		}
+		c.Skip(wt)
+	}
+	if n > 0 {
+		r.Ops = make([]tunnelOpRec, 0, n)
+	}
+	d := wire.Dec{Buf: data, Text: string(data)}
 	for d.More() {
 		f, wt := d.Tag()
 		switch {
@@ -222,12 +239,11 @@ func (r *tunnelBatchRec) DecodeBinary(data []byte) error {
 		case f == 3 && wt == wire.TBytes:
 			return errBatchIDs
 		case f == 4 && wt == wire.TBytes:
-			sub := wire.Dec{Buf: d.Bytes()}
-			var op tunnelOpRec
-			if err := op.decodeFields(&sub); err != nil {
+			sub := d.Nested()
+			r.Ops = append(r.Ops, tunnelOpRec{})
+			if err := r.Ops[len(r.Ops)-1].decodeFields(&sub); err != nil {
 				return err
 			}
-			r.Ops = append(r.Ops, op)
 		case f == 5 && wt == wire.TBytes:
 			m, err := decodeOutcome(&d)
 			if err != nil {

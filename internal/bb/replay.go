@@ -178,21 +178,23 @@ func (rp *replayer) applyBatch(br *tunnelBatchRec) error {
 	if br.Sender != "" {
 		t.val.batches.restore(br)
 	}
+	// The alloc ops' ids are copied once, into the Keys the endpoint cuts
+	// its keys from; ReplayAlloc takes each op's id, reflected or not.
+	keys := tunnel.NewKeys(len(br.Ops), func(i int) (string, bool) { return br.Ops[i].SubFlowID, br.Ops[i].Action == "alloc" })
 	var err error
 	t.val.ep.Batch(func(tx tunnel.Tx) {
 		for _, op := range br.Ops {
-			switch {
-			case op.Gen <= tx.Gen():
-				// already reflected
-			case op.Gen != tx.Gen()+1:
+			if op.Gen > tx.Gen()+1 {
 				err = fmt.Errorf("tunnel %s: %s of sub-flow %q at generation %d does not follow the endpoint's generation %d",
 					br.RARID, op.Action, op.SubFlowID, op.Gen, tx.Gen())
 				return
-			case op.Action == "alloc":
-				if err = tx.ReplayAlloc(op.SubFlowID, units.Bandwidth(op.Bandwidth), op.Gen); err != nil {
+			}
+			switch op.Action {
+			case "alloc":
+				if err = tx.ReplayAlloc(keys, units.Bandwidth(op.Bandwidth), op.Gen); err != nil {
 					return
 				}
-			case op.Action == "release":
+			case "release":
 				tx.ReplayRelease(op.SubFlowID, op.Gen)
 			}
 		}

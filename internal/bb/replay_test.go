@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -254,5 +255,50 @@ func TestReplayEdgesThroughBothFeeds(t *testing.T) {
 				t.Errorf("the feeds disagree (seed %d, err=%v)\n booted:   %x\n promoted: %x", seed, err, want, got)
 			}
 		})
+	}
+}
+
+// TestTunnelBatchReplayAllocationBound: a follower applying a
+// bb.tunnel_batch record allocates per record, not per op — the record's
+// strings come from one copy of it, its ops slice is made once, and the
+// alloc ops' ids go into one Keys — so a 256-op record of allocations
+// costs it no more objects than a 64-op one.
+func TestTunnelBatchReplayAllocationBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate is meaningless under the race detector")
+	}
+	f, _ := newIdleFollower(t)
+	f.stream(signalling.JournalStreamPayload{FromSeq: f.b.ReplicationStatus().AppliedSeq, Records: [][]byte{tunnelAt(1)}})
+	var gen, seq int64
+	cost := func(n int) uint64 {
+		least := ^uint64(0)
+		for run := 0; run < 20; run++ {
+			allocs, releases := make([]bb.TunnelOpRec, n), make([]bb.TunnelOpRec, n)
+			for i := range allocs {
+				id := fmt.Sprintf("sf-%d-%d", run, i)
+				allocs[i] = bb.TunnelOpRec{Action: "alloc", SubFlowID: id, Bandwidth: int64(units.Kbps), Gen: gen + int64(1+i)}
+				releases[i] = releaseOp(id, gen+int64(n+1+i))
+			}
+			gen += 2 * int64(n)
+			seq++
+			alloc, release := ackedAt(1, seq, seq-1, allocs...), ackedAt(1, seq+1, seq, releases...)
+			seq++
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			took := f.offer(signalling.JournalStreamPayload{FromSeq: f.b.ReplicationStatus().AppliedSeq, Records: [][]byte{alloc}})
+			runtime.ReadMemStats(&after)
+			if ep, _ := f.b.Tunnel(replayTunnel); !took || ep.Len() != n {
+				t.Fatalf("record of %d allocations: taken %t, %s", n, took, holds(f.b))
+			}
+			least = min(least, after.Mallocs-before.Mallocs)
+			f.stream(signalling.JournalStreamPayload{FromSeq: f.b.ReplicationStatus().AppliedSeq, Records: [][]byte{release}})
+		}
+		return least
+	}
+	small, large := cost(64), cost(256)
+	if large > small {
+		t.Errorf("a record of 256 allocations costs the follower %d objects, one of 64 %d; want no growth with the op count", large, small)
+	} else {
+		t.Logf("a record of allocations costs the follower %d objects at 64 ops, %d at 256", small, large)
 	}
 }

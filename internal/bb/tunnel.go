@@ -2,6 +2,7 @@ package bb
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -153,12 +154,16 @@ func (b *BB) handleTunnelBatch(peer signalling.Peer, payload *signalling.TunnelB
 	}
 	// The whole op list applies in one pass under one acquisition of the
 	// endpoint's lock. A fully granted batch, the common case, builds no
-	// per-op state: results exists from the first denial on (the ops
-	// before it filled in as granted), applied only when there is a
-	// journal to write it to, and the counters move once per batch, after
-	// the pass. The ids alias the decoded frame (DESIGN.md §6.5), so the
-	// two places that keep one past this request, the endpoint's map and
-	// the recorded outcome, clone it.
+	// per-op state: results exists from the first denial on, applied only
+	// when there is a journal to write it to, and the counters move once
+	// per batch, after the pass. The ids alias the decoded frame (DESIGN.md
+	// §6.5), so the two places that keep one past this request copy them
+	// once per batch: the endpoint cuts its keys from one copy of the
+	// alloc ops' ids, made here, and a denied batch's recorded outcome its
+	// results from one copy of every op's id (grantedResults).
+	keys := tunnel.NewKeys(len(payload.Ops), func(i int) (string, bool) {
+		return payload.Ops[i].SubFlowID, payload.Ops[i].Action == signalling.OpAlloc
+	})
 	var results []signalling.TunnelOpResult
 	var applied []tunnelOpRec
 	if b.journal != nil {
@@ -173,23 +178,17 @@ func (b *BB) handleTunnelBatch(peer signalling.Peer, payload *signalling.TunnelB
 			var err error
 			if op.Action == signalling.OpAlloc {
 				rec.Action, rec.Bandwidth = "alloc", op.Bandwidth
-				rec.Gen, err = tx.Allocate(strings.Clone(op.SubFlowID), units.Bandwidth(op.Bandwidth))
+				rec.Gen, err = tx.AllocateNext(keys, units.Bandwidth(op.Bandwidth))
 			} else {
 				_, rec.Gen, err = tx.Release(op.SubFlowID)
 			}
 			if err != nil {
 				if results == nil {
-					results = make([]signalling.TunnelOpResult, len(payload.Ops))
-					for k := range payload.Ops[:i] {
-						results[k] = signalling.TunnelOpResult{SubFlowID: strings.Clone(payload.Ops[k].SubFlowID), Granted: true}
-					}
+					results = grantedResults(payload.Ops)
 				}
-				results[i] = signalling.TunnelOpResult{SubFlowID: strings.Clone(op.SubFlowID), Reason: err.Error()}
+				results[i].Granted, results[i].Reason = false, err.Error()
 				denied++
 				continue
-			}
-			if results != nil {
-				results[i] = signalling.TunnelOpResult{SubFlowID: strings.Clone(op.SubFlowID), Granted: true}
 			}
 			if op.Action == signalling.OpAlloc {
 				allocs++
@@ -211,7 +210,7 @@ func (b *BB) handleTunnelBatch(peer signalling.Peer, payload *signalling.TunnelB
 	resp := &signalling.Message{Type: signalling.MsgResult, Result: &signalling.ResultPayload{Granted: denied == 0}}
 	if denied > 0 {
 		resp.Result.BatchResults = results
-		resp.Result.Reason = fmt.Sprintf("%s: %d/%d ops denied", b.cfg.Domain, denied, len(results))
+		resp.Result.Reason = deniedReason(b.cfg.Domain, denied, len(results))
 	}
 	// Record the outcome, then journal it before releasing duplicate
 	// waiters, so a retransmission never observes an unjournaled
@@ -232,6 +231,41 @@ func (b *BB) handleTunnelBatch(peer signalling.Peer, payload *signalling.TunnelB
 	b.recordBatchEvent(payload, len(payload.Ops), verdict, resp.Result.Reason, t0)
 	b.maybeCheckpoint()
 	return resp
+}
+
+// deniedReason is "<domain>: <denied>/<ops> ops denied", built in one
+// string: fmt would box the domain and every count past 255.
+func deniedReason(domain string, denied, ops int) string {
+	var buf [64]byte
+	r := append(buf[:0], domain...)
+	r = append(r, ": "...)
+	r = strconv.AppendInt(r, int64(denied), 10)
+	r = append(r, '/')
+	r = strconv.AppendInt(r, int64(ops), 10)
+	return string(append(r, " ops denied"...))
+}
+
+// grantedResults answers every op of a batch as granted, each id cut
+// from one copy of them all: a denied batch's outcome outlives the frame
+// its ops' ids alias, in the replay cache and the journal record.
+func grantedResults(ops []signalling.TunnelOp) []signalling.TunnelOpResult {
+	n := 0
+	for i := range ops {
+		n += len(ops[i].SubFlowID)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for i := range ops {
+		b.WriteString(ops[i].SubFlowID)
+	}
+	ids := b.String()
+	results := make([]signalling.TunnelOpResult, len(ops))
+	for i := range ops {
+		n := len(ops[i].SubFlowID)
+		results[i] = signalling.TunnelOpResult{SubFlowID: ids[:n], Granted: true}
+		ids = ids[n:]
+	}
+	return results
 }
 
 // AllocateTunnelFlow allocates one sub-flow at both ends of the tunnel:

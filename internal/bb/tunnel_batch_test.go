@@ -728,54 +728,108 @@ func TestBatchRetainsNoFrame(t *testing.T) {
 }
 
 // TestTunnelBatchDenseAllocationBound: what the destination allocates
-// for a fully granted batch does not depend on how many ops it carries.
-// A release batch stores no new key, so that is all of it: no more
-// objects and no more bytes for 256 ops than for 64, the decode (done by
-// the connection, gated in internal/signalling) excluded.
+// for a fully granted batch does not depend on how many ops it carries,
+// the decode (done by the connection, gated in internal/signalling)
+// excluded. An alloc batch copies its ids once, into the Keys its
+// endpoint cuts them from: no more objects for 256 ops than for 64. A
+// release batch stores no key, so that is all of it: no more objects and
+// no more bytes.
 func TestTunnelBatchDenseAllocationBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate is meaningless under the race detector")
 	}
-	// cost is the least one Handle call allocated over a series of
-	// batches: the least, because the world's other goroutines and the
-	// replay cache's map growth add to some calls.
-	cost := func(ops int) (objects, bytes uint64) {
-		w, u, rarID := buildTunnelWorld(t, 2, units.Gbps)
-		dst := w.BBs[w.DestDomain()]
-		ep, _ := dst.Tunnel(rarID)
-		batch := make([]signalling.TunnelOp, ops)
-		for i := range batch {
-			batch[i] = signalling.TunnelOp{Action: signalling.OpRelease, SubFlowID: fmt.Sprintf("sf-%d", i)}
+	for _, shape := range []batchShape{releaseBatch, allocBatch} {
+		small, large := batchCost(t, 64, shape), batchCost(t, 256, shape)
+		if large.objects > small.objects || (shape == releaseBatch && large.bytes > small.bytes) {
+			t.Errorf("granted %s batch: %d objects / %d B for 256 ops, %d / %d for 64; want no growth with the op count",
+				shape, large.objects, large.bytes, small.objects, small.bytes)
 		}
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		objects, bytes = ^uint64(0), ^uint64(0)
-		for run := 0; run < 30; run++ {
+	}
+}
+
+// TestTunnelBatchDeniedAllocationBound: a batch whose last op is denied
+// answers with every op's result, the ids cut from one copy of them: no
+// more objects for 256 ops than for 64.
+func TestTunnelBatchDeniedAllocationBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate is meaningless under the race detector")
+	}
+	small, large := batchCost(t, 64, lastDeniedBatch), batchCost(t, 256, lastDeniedBatch)
+	if large.objects > small.objects {
+		t.Errorf("batch denied at its last op: %d objects / %d B for 256 ops, %d / %d for 64; want no more objects with the op count",
+			large.objects, large.bytes, small.objects, small.bytes)
+	}
+}
+
+// batchShape is the op list batchCost hands the destination.
+type batchShape string
+
+const (
+	releaseBatch    batchShape = "release"     // releases of flows the endpoint holds
+	allocBatch      batchShape = "alloc"       // allocations of fresh ids
+	lastDeniedBatch batchShape = "last-denied" // fresh allocations, then the release of an unknown id
+)
+
+// batchCost is the least one Handle call of a batch of ops ops allocated
+// at the destination over a series of batches: the least, because the
+// world's other goroutines and the replay cache's map growth add to some
+// calls. Between batches, off the meter, the endpoint is put back to
+// what the next batch expects.
+func batchCost(t *testing.T, ops int, shape batchShape) (cost struct{ objects, bytes uint64 }) {
+	t.Helper()
+	w, u, rarID := buildTunnelWorld(t, 2, units.Gbps)
+	dst := w.BBs[w.DestDomain()]
+	ep, _ := dst.Tunnel(rarID)
+	batch := make([]signalling.TunnelOp, ops)
+	for i := range batch {
+		batch[i] = signalling.TunnelOp{Action: signalling.OpAlloc, SubFlowID: fmt.Sprintf("sf-%d", i), Bandwidth: int64(units.Kbps)}
+		if shape == releaseBatch {
+			batch[i] = signalling.TunnelOp{Action: signalling.OpRelease, SubFlowID: batch[i].SubFlowID}
+		}
+	}
+	if shape == lastDeniedBatch {
+		batch[ops-1] = signalling.TunnelOp{Action: signalling.OpRelease, SubFlowID: "sf-unknown"}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cost.objects, cost.bytes = ^uint64(0), ^uint64(0)
+	for run := 0; run < 30; run++ {
+		if shape == releaseBatch {
 			for _, op := range batch {
 				if _, err := ep.Allocate(op.SubFlowID, units.Kbps); err != nil {
 					t.Fatal(err)
 				}
 			}
-			msg := &signalling.Message{Type: signalling.MsgTunnelBatch, TunnelBatch: &signalling.TunnelBatchPayload{
-				TunnelRARID: rarID, Seq: int64(run + 1), Acked: int64(run), User: u.DN(), Ops: batch,
-			}}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			resp := dst.Handle(rawPeer(u), msg)
-			runtime.ReadMemStats(&after)
-			if resp.Result == nil || !resp.Result.Granted || ep.Len() != 0 {
-				t.Fatalf("release batch of %d: %+v, %d flows left", ops, resp.Result, ep.Len())
-			}
-			objects = min(objects, after.Mallocs-before.Mallocs)
-			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 		}
-		return objects, bytes
+		msg := &signalling.Message{Type: signalling.MsgTunnelBatch, TunnelBatch: &signalling.TunnelBatchPayload{
+			TunnelRARID: rarID, Seq: int64(run + 1), Acked: int64(run), User: u.DN(), Ops: batch,
+		}}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp := dst.Handle(rawPeer(u), msg)
+		runtime.ReadMemStats(&after)
+		wantGranted, wantLen := true, 0
+		switch shape {
+		case allocBatch:
+			wantLen = ops
+		case lastDeniedBatch:
+			wantGranted, wantLen = false, ops-1
+		}
+		if resp.Result == nil || resp.Result.Granted != wantGranted || ep.Len() != wantLen {
+			t.Fatalf("%s batch of %d: %+v, %d flows held, want %d", shape, ops, resp.Result, ep.Len(), wantLen)
+		}
+		cost.objects = min(cost.objects, after.Mallocs-before.Mallocs)
+		cost.bytes = min(cost.bytes, after.TotalAlloc-before.TotalAlloc)
+		if shape != releaseBatch {
+			ep.Batch(func(tx tunnel.Tx) {
+				for _, op := range batch[:wantLen] {
+					if _, _, err := tx.Release(op.SubFlowID); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+		}
 	}
-	smallObjects, smallBytes := cost(64)
-	largeObjects, largeBytes := cost(256)
-	if largeObjects > smallObjects || largeBytes > smallBytes {
-		t.Errorf("granted release batch: %d objects / %d B for 256 ops, %d / %d for 64; want no growth with the op count",
-			largeObjects, largeBytes, smallObjects, smallBytes)
-	}
+	return cost
 }
 
 // TestDuplicateTunnelRegistrationDenied is the regression for the

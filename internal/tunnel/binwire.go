@@ -34,8 +34,25 @@ func (s EndpointSnapshot) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-// DecodeBinary reverses AppendBinary.
+// DecodeBinary reverses AppendBinary. It allocates per snapshot, not per
+// sub-flow: a first pass counts the sub-flows, SubFlows is made once, and
+// every sub-flow id is a substring of one string copy of data. The ids
+// therefore pin that copy for as long as they live; Restore copies them
+// into a Keys of its own. The endpoint's own strings stay copies.
 func (s *EndpointSnapshot) DecodeBinary(data []byte) error {
+	n := 0
+	for c := (wire.Dec{Buf: data}); c.More(); {
+		f, wt := c.Tag()
+		if f == 9 && wt == wire.TBytes {
+			n++
+		}
+		c.Skip(wt)
+	}
+	var text string
+	if n > 0 {
+		text = string(data)
+		s.SubFlows = make([]SubFlow, 0, n)
+	}
 	d := wire.Dec{Buf: data}
 	for d.More() {
 		f, wt := d.Tag()
@@ -57,7 +74,7 @@ func (s *EndpointSnapshot) DecodeBinary(data []byte) error {
 		case f == 8 && wt == wire.TVarint:
 			s.Gen = d.Varint()
 		case f == 9 && wt == wire.TBytes:
-			sub := wire.Dec{Buf: d.Bytes()}
+			sub := d.NestedIn(text)
 			var sf SubFlow
 			for sub.More() {
 				sf2, swt := sub.Tag()

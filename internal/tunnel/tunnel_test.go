@@ -16,8 +16,8 @@ import (
 func lookup(ep *Endpoint, subID string) (units.Bandwidth, bool) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	bw, ok := ep.allocs[subID]
-	return bw, ok
+	h, ok := ep.allocs[subID]
+	return h.bw, ok
 }
 
 func newEndpoint(t *testing.T, aggregate units.Bandwidth) *Endpoint {
@@ -135,8 +135,10 @@ func TestConcurrentAllocationsNeverOversubscribe(t *testing.T) {
 
 // TestBatchAllocationFree: on an endpoint holding 8192 flows, an alloc
 // batch and a release batch of 256 ids the caller already holds
-// allocate nothing — the batch's closure stays on the caller's stack
-// (the destination clones its ids before the batch, DESIGN.md §6.5).
+// allocate nothing — the batch's closure stays on the caller's stack.
+// The ids here are strings the caller owns, as the source's are; the
+// destination copies its ids into one Keys before the batch, and
+// TestKeysAllocationBound holds that to two objects.
 func TestBatchAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -175,6 +177,94 @@ func TestBatchAllocationFree(t *testing.T) {
 	}
 	if ep.Len() != 8192 {
 		t.Errorf("%d flows left, want the 8192 standing ones", ep.Len())
+	}
+}
+
+// TestKeysAllocationBound: copying 256 ids into a Keys makes two
+// objects, the Keys and its text, and an alloc batch that takes every id
+// of it and the release batch after it allocate nothing, on an endpoint
+// holding 8192 flows.
+func TestKeysAllocationBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	ep := newEndpoint(t, 100*units.Gbps)
+	for i := 0; i < 8192; i++ {
+		if _, err := ep.Allocate(fmt.Sprintf("standing-%d", i), units.Kbps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := make([]string, 256)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("batch-%d", i)
+	}
+	newKeys := func() *Keys { return NewKeys(len(ids), func(i int) (string, bool) { return ids[i], true }) }
+	if allocs := testing.AllocsPerRun(100, func() { newKeys() }); allocs != 2 {
+		t.Errorf("a Keys of 256 ids costs %.0f objects, want 2", allocs)
+	}
+	const runs = 100
+	keys := make([]*Keys, runs+1) // AllocsPerRun's warm-up call takes one too
+	for i := range keys {
+		keys[i] = newKeys()
+	}
+	next := 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		k := keys[next]
+		next++
+		var err error
+		ep.Batch(func(tx Tx) {
+			for range ids {
+				if _, e := tx.AllocateNext(k, units.Kbps); e != nil && err == nil {
+					err = e
+				}
+			}
+		})
+		ep.Batch(func(tx Tx) {
+			for _, id := range ids {
+				if _, _, e := tx.Release(id); e != nil && err == nil {
+					err = e
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("an alloc batch taking 256 ids from a Keys and its release batch allocate %.0f objects, want 0", allocs)
+	}
+	if ep.Len() != 8192 {
+		t.Errorf("%d flows left, want the 8192 standing ones", ep.Len())
+	}
+}
+
+// TestRestoreAllocationBound: decoding an endpoint snapshot and
+// restoring it allocates per endpoint, not per sub-flow — the ids are
+// cut from one copy of the snapshot, then copied into one Keys — so 256
+// sub-flows cost no more objects than 64.
+func TestRestoreAllocationBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	cost := func(n int) float64 {
+		ep := newEndpoint(t, 100*units.Gbps)
+		for i := 0; i < n; i++ {
+			if _, err := ep.Allocate(fmt.Sprintf("subflow-%06d", i), units.Kbps); err != nil {
+				t.Fatal(err)
+			}
+		}
+		data := ep.Snapshot().AppendBinary(nil)
+		return testing.AllocsPerRun(50, func() {
+			var s EndpointSnapshot
+			if err := s.DecodeBinary(data); err != nil {
+				t.Fatal(err)
+			}
+			if r, err := Restore(s); err != nil || r.Len() != n {
+				t.Fatalf("restore of %d sub-flows: %v", n, err)
+			}
+		})
+	}
+	if small, large := cost(64), cost(256); large > small {
+		t.Errorf("decoding and restoring 256 sub-flows costs %.0f objects, 64 cost %.0f; want no growth with the count", large, small)
 	}
 }
 
@@ -233,8 +323,9 @@ func TestReplayIsIdempotentAndOrdered(t *testing.T) {
 	ep := newEndpoint(t, 100*units.Mbps)
 	replayAlloc := func(id string, bw units.Bandwidth, gen int64) {
 		t.Helper()
+		k := NewKeys(1, func(int) (string, bool) { return id, true })
 		var err error
-		ep.Batch(func(tx Tx) { err = tx.ReplayAlloc(id, bw, gen) })
+		ep.Batch(func(tx Tx) { err = tx.ReplayAlloc(k, bw, gen) })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,6 +23,7 @@ import (
 	"e2eqos/internal/gara"
 	"e2eqos/internal/identity"
 	"e2eqos/internal/journal"
+	"e2eqos/internal/obs"
 	"e2eqos/internal/pki"
 	"e2eqos/internal/policy"
 	"e2eqos/internal/resv"
@@ -436,15 +437,38 @@ func BenchmarkReserveChainTraced(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Cleanup(u.Close)
-		u.Trace = traced
+		reserve := u.ReserveE2E
+		if traced {
+			c, err := signalling.Dial(w.Net.NewEndpoint(u.DN(), u.Agent.Cert.DER), w.BBAddr(u.Domain))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { c.Close() })
+			reserve = func(spec *core.Spec) (*signalling.ResultPayload, error) {
+				rar, err := u.Agent.BuildRAR(spec, w.BBCerts[u.Domain])
+				if err != nil {
+					return nil, err
+				}
+				msg, err := signalling.NewReserveMessage(signalling.ModeEndToEnd, rar)
+				if err != nil {
+					return nil, err
+				}
+				msg.Reserve.TraceID = obs.NewTraceID()
+				resp, err := c.Call(msg)
+				if err != nil {
+					return nil, err
+				}
+				return resp.Result, nil
+			}
+		}
 		warm := u.NewSpec(experiment.SpecOptions{DestDomain: w.DestDomain(), Bandwidth: units.Mbps})
-		if res, err := u.ReserveE2E(warm); err != nil || !res.Granted {
+		if res, err := reserve(warm); err != nil || !res.Granted {
 			b.Fatalf("warmup failed: %v %+v", err, res)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			spec := u.NewSpec(experiment.SpecOptions{DestDomain: "Domain4", Bandwidth: units.Mbps})
-			res, err := u.ReserveE2E(spec)
+			res, err := reserve(spec)
 			if err != nil || !res.Granted {
 				b.Fatalf("reserve failed: %v %+v", err, res)
 			}

@@ -104,7 +104,7 @@ func deploy(t *testing.T) *deployment {
 	// Shared topology snippet.
 	domCfgs := make([]DomainConfig, len(domains))
 	for i, dom := range domains {
-		domCfgs[i] = DomainConfig{Name: dom, BBDN: string(bbDNs[i]), Prefixes: []string{"host" + dom + "."}}
+		domCfgs[i] = DomainConfig{Name: dom, BBDN: string(bbDNs[i])}
 	}
 	links := []LinkConfig{{A: "DomainA", B: "DomainB"}, {A: "DomainB", B: "DomainC"}}
 
@@ -290,6 +290,32 @@ func TestLoadConfigValidation(t *testing.T) {
 	}
 	if _, err := LoadConfig(path); err == nil {
 		t.Fatal("malformed JSON accepted")
+	}
+}
+
+// TestLoadConfigRefusesUnknownKey: a key no setting has — a misspelt
+// one, or one a later version dropped — stops the daemon with an error
+// that names the key, where it used to be dropped without a word.
+func TestLoadConfigRefusesUnknownKey(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "typo.json")
+	base := `"domain":"A","listen":"127.0.0.1:0","key_file":"k.pem","cert_file":"c.pem"`
+	for key, body := range map[string]string{
+		"call_timout": `{` + base + `,"call_timout":"2s"}`,
+		"prefixes":    `{` + base + `,"domains":[{"name":"A","bb_dn":"/CN=bb","prefixes":["hostA."]}]}`,
+		"capacity":    `{` + base + `,"links":[{"a":"A","b":"B","capacity":"1Gb/s"}]}`,
+	} {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadConfig(path); err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Errorf("%s: LoadConfig = %v, want an error naming the key", key, err)
+		}
+	}
+	if err := os.WriteFile(path, []byte(`{`+base+`,"call_timeout":"2s"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadConfig(path); err != nil {
+		t.Errorf("the key spelt right: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -124,17 +125,15 @@ type FileConfig struct {
 
 // DomainConfig mirrors topology.Domain.
 type DomainConfig struct {
-	Name     string   `json:"name"`
-	BBDN     string   `json:"bb_dn"`
-	Prefixes []string `json:"prefixes,omitempty"`
+	Name string `json:"name"`
+	BBDN string `json:"bb_dn"`
 }
 
 // LinkConfig is one peering link.
 type LinkConfig struct {
-	A        string `json:"a"`
-	B        string `json:"b"`
-	Capacity string `json:"capacity,omitempty"`
-	Cost     int    `json:"cost,omitempty"`
+	A    string `json:"a"`
+	B    string `json:"b"`
+	Cost int    `json:"cost,omitempty"`
 }
 
 // PeerConfig is one SLA-peered broker.
@@ -147,14 +146,18 @@ type PeerConfig struct {
 	SLARate string `json:"sla_rate,omitempty"`
 }
 
-// LoadConfig reads and validates a config file.
+// LoadConfig reads and validates a config file. A key the file names
+// that no setting has is refused by name: a misspelt key would
+// otherwise leave its setting at the default without a word.
 func LoadConfig(path string) (*FileConfig, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("bbd: %w", err)
 	}
 	var cfg FileConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
 		return nil, fmt.Errorf("bbd: parsing %s: %w", path, err)
 	}
 	if cfg.Domain == "" || cfg.Listen == "" || cfg.KeyFile == "" || cfg.CertFile == "" {
@@ -202,22 +205,12 @@ func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, e
 
 	topo := topology.New()
 	for _, d := range cfg.Domains {
-		if err := topo.AddDomain(topology.Domain{
-			Name:     d.Name,
-			BBDN:     identity.DN(d.BBDN),
-			Prefixes: d.Prefixes,
-		}); err != nil {
+		if err := topo.AddDomain(topology.Domain{Name: d.Name, BBDN: identity.DN(d.BBDN)}); err != nil {
 			return nil, nil, nil, err
 		}
 	}
 	for _, l := range cfg.Links {
-		capac := capacity
-		if l.Capacity != "" {
-			if capac, err = units.ParseBandwidth(l.Capacity); err != nil {
-				return nil, nil, nil, err
-			}
-		}
-		if err := topo.AddLink(topology.Link{A: l.A, B: l.B, Capacity: capac, Cost: l.Cost}); err != nil {
+		if err := topo.AddLink(topology.Link{A: l.A, B: l.B, Cost: l.Cost}); err != nil {
 			return nil, nil, nil, err
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -114,11 +115,13 @@ func TestOnePeeringAuthor(t *testing.T) {
 
 // TestEveryDeclarationHasACaller: every package-level declaration and
 // method under internal/, exported or not, is used somewhere in the
-// module's non-test code. An entry point only tests call is a second
-// way into the code that the brokers never take, and no review notices
-// when one comes back. The match is by go/types object, not by
-// spelling: a method is not used because another type's method of the
-// same name is.
+// module's non-test code, and every named struct field there is both
+// read and set by it. An entry point only tests call is a second way
+// into the code that the brokers never take; a field nothing reads is
+// state kept for no one, and one only a test sets is an option the
+// program never turns. No review notices when one comes back. The
+// match is by go/types object, not by spelling: a method is not used
+// because another type's method of the same name is.
 func TestEveryDeclarationHasACaller(t *testing.T) {
 	allowed := map[string]string{
 		"journal.EncodeRecord":                      "tests in six packages frame records with it",
@@ -131,11 +134,31 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 		"experiment.World.RestartDomainFromJournal": "the harness of the crash-point sweep, ROADMAP item 2",
 		"signalling.StreamRecords":                  "it names Kind's wire value 0",
 	}
-	uncalled, err := uncalledDecls(".")
+	allowedFields := map[string]string{
+		"signalling.TunnelBatchPayload.BatchID":   "bench/ writes it; it goes with NewBatchID once bench sets Seq (ROADMAP 1A)",
+		"topology.Link.Capacity":                  "topology.Linear's capacity argument, which bench/ passes (ROADMAP 1A)",
+		"policy.Policy.Name":                      "policy.MustParse's name argument, which bench/ passes (ROADMAP 1A)",
+		"policysrv.Server.domain":                 "policysrv.New's domain argument, which bench/ passes (ROADMAP 1A)",
+		"experiment.WorldConfig.Seed":             "bench/ sets it; no world reads it (ROADMAP 1A)",
+		"core.Broker.MaxRequestAge":               "arming the replay window is ROADMAP item 4's decision: the benchmark's stepped clock runs hours ahead of the user's stamps",
+		"experiment.WorldConfig.BreakerThreshold": "mirrors bb.Config.BreakerThreshold, which bbd sets",
+		"experiment.WorldConfig.BreakerCooldown":  "mirrors bb.Config.BreakerCooldown, which bbd sets",
+		"experiment.WorldConfig.ElectionTimeout":  "mirrors bb.Config.ElectionTimeout, which bbd sets",
+		"experiment.WorldConfig.Logger":           "mirrors bb.Config.Logger, which bbd sets",
+		"experiment.WorldConfig.WrapListener":     "the one way to the bytes a follower is handed: an in-memory send copies, so no dialer hook reaches them",
+		"transport.FaultConfig.CrashAfter":        "a fault kind of the test fake ROADMAP item 9's explorer composes",
+		"transport.FaultConfig.Delay":             "a fault kind of the test fake ROADMAP item 9's explorer composes",
+		"transport.FaultConfig.DelayProb":         "a fault kind of the test fake ROADMAP item 9's explorer composes",
+		"transport.FaultConfig.DialFailProb":      "a fault kind of the test fake ROADMAP item 9's explorer composes",
+		"transport.FaultConfig.HangProb":          "a fault kind of the test fake ROADMAP item 9's explorer composes",
+		"transport.FaultConfig.ResetProb":         "a fault kind of the test fake ROADMAP item 9's explorer composes",
+		"transport.FaultConfig.Script":            "a fault kind of the test fake ROADMAP item 9's explorer composes",
+	}
+	m, err := loadModule(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range uncalled {
+	for _, name := range m.uncalledDecls() {
 		if _, ok := allowed[name]; ok {
 			delete(allowed, name)
 			continue
@@ -145,48 +168,63 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 	for name := range allowed {
 		t.Errorf("allowlist entry %s is used now, or gone: drop it", name)
 	}
+	for _, f := range m.idleFields() {
+		if _, ok := allowedFields[f.name]; ok {
+			delete(allowedFields, f.name)
+			continue
+		}
+		t.Errorf("field %s is %s outside the tests: delete it", f.name, f.problem)
+	}
+	for name := range allowedFields {
+		t.Errorf("field allowlist entry %s is read and set now, or gone: drop it", name)
+	}
 }
 
 // TestCallersFenceMatchesByObject runs the fence over a fixture module:
 // a method that shares its name with another type's used method is
 // flagged, while a generic type's method and a sort.Interface method,
-// both in use, are not.
+// both in use, are not; and of the fixture's fields exactly the one no
+// code reads and the one only a test sets are flagged, each other field
+// standing for one way of being set or read, or one exemption.
 func TestCallersFenceMatchesByObject(t *testing.T) {
-	got, err := uncalledDecls(filepath.Join("testdata", "callers"))
+	m, err := loadModule(filepath.Join("testdata", "callers"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"a.Other.Gen"}; !slices.Equal(got, want) {
+	if got, want := m.uncalledDecls(), []string{"a.Other.Gen"}; !slices.Equal(got, want) {
 		t.Errorf("uncalled = %v, want %v", got, want)
+	}
+	want := []idleField{{"a.Fields.readOnly", neverSet}, {"a.Fields.setOnly", neverRead}}
+	if got := m.idleFields(); !slices.Equal(got, want) {
+		t.Errorf("idle fields = %v, want %v", got, want)
 	}
 }
 
-// uncalledDecls type-checks every non-test package of the module rooted
-// at root, honouring build constraints, and returns, sorted, the
-// package-qualified names of the package-level declarations and methods
-// under root/internal that no non-test code uses. A use inside the
-// declaration itself, or as a method's receiver type, does not count. A
-// generic method's use counts for its origin, and a method counts as
-// used when its receiver implements an interface, in the module or the
-// standard library, that declares it.
-func uncalledDecls(root string) ([]string, error) {
+// loadModule type-checks every non-test package of the module rooted
+// at root, honouring build constraints.
+func loadModule(root string) (*moduleChecker, error) {
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
 	}
 	m := &moduleChecker{
-		fset:  token.NewFileSet(),
-		files: map[string][]*ast.File{},
-		pkgs:  map[string]*types.Package{},
-		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
-		std:   importer.Default(),
+		fset:     token.NewFileSet(),
+		files:    map[string][]*ast.File{},
+		pkgs:     map[string]*types.Package{},
+		internal: map[string]bool{},
+		info: &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+		std: importer.Default(),
 	}
 	for _, line := range strings.Split(string(mod), "\n") {
 		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
 			m.module = f[1]
 		}
 	}
-	internal := map[string]bool{} // import paths under root/internal
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -218,7 +256,7 @@ func uncalledDecls(root string) ([]string, error) {
 		}
 		m.files[imp] = append(m.files[imp], f)
 		if strings.HasPrefix(imp, m.module+"/internal/") {
-			internal[imp] = true
+			m.internal[imp] = true
 		}
 		return nil
 	})
@@ -230,7 +268,17 @@ func uncalledDecls(root string) ([]string, error) {
 			return nil, err
 		}
 	}
+	return m, nil
+}
 
+// uncalledDecls returns, sorted, the package-qualified names of the
+// package-level declarations and methods under the module's internal/
+// that no non-test code uses. A use inside the declaration itself, or
+// as a method's receiver type, does not count. A generic method's use
+// counts for its origin, and a method counts as used when its receiver
+// implements an interface, in the module or the standard library, that
+// declares it.
+func (m *moduleChecker) uncalledDecls() []string {
 	type span struct{ pos, end token.Pos }
 	decls := map[types.Object]span{}
 	receivers := map[*ast.Ident]bool{} // a method's receiver type is not a use of it
@@ -247,11 +295,11 @@ func uncalledDecls(root string) ([]string, error) {
 							return true
 						})
 					}
-					if internal[imp] && (dd.Recv != nil || dd.Name.Name != "init") {
+					if m.internal[imp] && (dd.Recv != nil || dd.Name.Name != "init") {
 						decls[m.info.Defs[dd.Name]] = span{dd.Pos(), dd.End()}
 					}
 				case *ast.GenDecl:
-					if !internal[imp] {
+					if !m.internal[imp] {
 						continue
 					}
 					for _, spec := range dd.Specs {
@@ -354,18 +402,234 @@ func uncalledDecls(root string) ([]string, error) {
 		out = append(out, name+obj.Name())
 	}
 	slices.Sort(out)
-	return out, nil
+	return out
+}
+
+// An idleField is a struct field that the module's non-test code never
+// reads, or never sets.
+type idleField struct{ name, problem string }
+
+const (
+	neverRead = "never read"
+	neverSet  = "never set"
+)
+
+// idleFields returns, sorted by name, the named fields of the structs
+// declared under the module's internal/ that non-test code never reads
+// or never sets. A field is set where code assigns it (`=`, `op=`,
+// `++`), names it in a composite literal, keyed or positional, assigns
+// through it (`x.f[i] = v`, `x.f.g = v`, `*x.f = v`), takes its address
+// or calls a pointer method on it; the last two read it as well, since
+// they hand it to code that may do either. Any other use reads it. No
+// read is needed of a field of a struct used as a map key, whose
+// fields the comparison reads, nor of one reachable from a value the
+// program hands to encoding/json's encoder; neither is needed of a `_`
+// field or of one with a json tag, an external format.
+func (m *moduleChecker) idleFields() []idleField {
+	read := map[*types.Var]bool{}
+	set := map[*types.Var]bool{}
+	field := func(id *ast.Ident) *types.Var {
+		if v, ok := m.info.Uses[id].(*types.Var); ok && v.IsField() {
+			return v.Origin()
+		}
+		return nil
+	}
+	setAll := func(t types.Type) {
+		if st, ok := t.Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				set[st.Field(i).Origin()] = true
+			}
+		}
+	}
+	// readAll marks read every field of every struct reachable from t.
+	var readAll func(t types.Type)
+	seen := map[types.Type]bool{}
+	readAll = func(t types.Type) {
+		if seen[t] {
+			return
+		}
+		seen[t] = true
+		switch u := t.Underlying().(type) {
+		case *types.Pointer:
+			readAll(u.Elem())
+		case *types.Slice:
+			readAll(u.Elem())
+		case *types.Array:
+			readAll(u.Elem())
+		case *types.Map:
+			readAll(u.Key())
+			readAll(u.Elem())
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				read[u.Field(i).Origin()] = true
+				readAll(u.Field(i).Type())
+			}
+		}
+	}
+	for _, tv := range m.info.Types {
+		if mt, ok := tv.Type.Underlying().(*types.Map); ok {
+			readAll(mt.Key())
+		}
+	}
+
+	for _, files := range m.files {
+		for _, f := range files {
+			var stack []ast.Node
+			ast.Inspect(f, func(n ast.Node) bool {
+				if n == nil {
+					stack = stack[:len(stack)-1]
+					return true
+				}
+				stack = append(stack, n)
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					if len(n.Elts) > 0 {
+						if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+							setAll(m.info.Types[n].Type)
+						}
+					}
+				case *ast.CallExpr:
+					if fn := staticCallee(m.info, n); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "encoding/json" {
+						switch fn.Name() {
+						case "Marshal", "MarshalIndent", "Encode":
+							readAll(m.info.Types[n.Args[0]].Type)
+						}
+					}
+				case *ast.Ident:
+					v := field(n)
+					if v == nil {
+						return true
+					}
+					parent := stack[len(stack)-2]
+					if kv, ok := parent.(*ast.KeyValueExpr); ok && kv.Key == n {
+						set[v] = true
+						return true
+					}
+					// Climb the selector, index and dereference chain the
+					// field heads, then ask what its top is used for.
+					var cur ast.Node = parent
+					for i := len(stack) - 3; i >= 0; i-- {
+						switch p := stack[i].(type) {
+						case *ast.ParenExpr, *ast.StarExpr:
+							cur = p
+							continue
+						case *ast.IndexExpr:
+							if p.X == cur {
+								cur = p
+								continue
+							}
+						case *ast.SelectorExpr:
+							if p.X != cur {
+								break
+							}
+							sel := m.info.Selections[p]
+							if sel != nil && sel.Kind() == types.FieldVal {
+								cur = p
+								continue
+							}
+							if sel != nil && sel.Kind() == types.MethodVal {
+								if _, ptr := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); ptr {
+									set[v], read[v] = true, true
+									return true
+								}
+							}
+						case *ast.UnaryExpr:
+							if p.Op == token.AND {
+								set[v], read[v] = true, true
+								return true
+							}
+						case *ast.AssignStmt:
+							if p.Tok != token.DEFINE && slices.Contains(p.Lhs, cur.(ast.Expr)) {
+								set[v] = true
+								return true
+							}
+						case *ast.IncDecStmt:
+							set[v] = true
+							return true
+						case *ast.RangeStmt:
+							if p.Tok == token.ASSIGN && (p.Key == cur || p.Value == cur) {
+								set[v] = true
+								return true
+							}
+						}
+						break
+					}
+					read[v] = true
+				}
+				return true
+			})
+		}
+	}
+
+	var out []idleField
+	for imp, files := range m.files {
+		if !m.internal[imp] {
+			continue
+		}
+		for _, f := range files {
+			var owner string // the type or function the struct is declared in
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					owner = n.Name.Name
+				case *ast.StructType:
+					for _, fd := range n.Fields.List {
+						if fd.Tag != nil {
+							tag, _ := strconv.Unquote(fd.Tag.Value)
+							if _, ok := reflect.StructTag(tag).Lookup("json"); ok {
+								continue
+							}
+						}
+						for _, id := range fd.Names {
+							v := m.info.Defs[id].(*types.Var)
+							if id.Name == "_" {
+								continue
+							}
+							name := v.Pkg().Name() + "." + owner + "." + id.Name
+							switch {
+							case !read[v]:
+								out = append(out, idleField{name, neverRead})
+							case !set[v]:
+								out = append(out, idleField{name, neverSet})
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	slices.SortFunc(out, func(a, b idleField) int { return strings.Compare(a.name, b.name) })
+	return out
+}
+
+// staticCallee returns the function or method a call statically
+// calls, or nil.
+func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	}
+	if id == nil {
+		return nil
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
 }
 
 // moduleChecker type-checks a module's packages from source on demand
 // and imports everything else from compiled export data.
 type moduleChecker struct {
-	module string
-	fset   *token.FileSet
-	files  map[string][]*ast.File
-	pkgs   map[string]*types.Package
-	info   *types.Info
-	std    types.Importer
+	module   string
+	fset     *token.FileSet
+	files    map[string][]*ast.File
+	pkgs     map[string]*types.Package
+	internal map[string]bool // import paths under the module's internal/
+	info     *types.Info
+	std      types.Importer
 }
 
 func (m *moduleChecker) Import(path string) (*types.Package, error) {

@@ -305,12 +305,9 @@ func New(cfg Config) (*BB, error) {
 			Downstream: cfg.Domain,
 			Service: sla.SLS{
 				Profile:     sla.TrafficProfile{Rate: p.SLARate, BucketBytes: 64_000},
-				Excess:      sla.Drop,
 				MaxLatency:  5 * time.Millisecond,
 				Reliability: 0.999,
 			},
-			UpstreamBBDN:   dn,
-			DownstreamBBDN: cfg.Key.DN,
 		}
 	}
 	b.pool = newClientPool(func(dn identity.DN) (*signalling.Client, error) {

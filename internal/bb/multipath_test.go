@@ -774,10 +774,9 @@ func TestForwardOutcomeMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(u.Close)
-			u.Trace = true
 
 			spec := u.NewSpec(experiment.SpecOptions{DestDomain: w.DestDomain(), Bandwidth: 10 * mb})
-			res, err := u.ReserveE2E(spec)
+			res, err := tracedReserve(w, u, spec)
 			if err != nil {
 				t.Fatalf("reserve: %v", err)
 			}

@@ -10,14 +10,16 @@ import (
 	"testing"
 	"time"
 
+	"e2eqos/internal/core"
 	"e2eqos/internal/experiment"
 	"e2eqos/internal/obs"
 	"e2eqos/internal/policy"
+	"e2eqos/internal/signalling"
 	"e2eqos/internal/transport"
 	"e2eqos/internal/units"
 )
 
-// traceWorld builds an observability-enabled chain with a tracing user.
+// traceWorld builds an observability-enabled chain and a user in it.
 func traceWorld(t *testing.T, cfg experiment.WorldConfig) (*experiment.World, *experiment.User) {
 	t.Helper()
 	cfg.EnableObs = true
@@ -31,8 +33,35 @@ func traceWorld(t *testing.T, cfg experiment.WorldConfig) (*experiment.World, *e
 		t.Fatal(err)
 	}
 	t.Cleanup(u.Close)
-	u.Trace = true
 	return w, u
+}
+
+// tracedReserve is u.ReserveE2E with a fresh trace id stamped on the
+// request, on a connection of its own: the result comes back with one
+// span per hop it reached.
+func tracedReserve(w *experiment.World, u *experiment.User, spec *core.Spec) (*signalling.ResultPayload, error) {
+	rar, err := u.Agent.BuildRAR(spec, w.BBCerts[u.Domain])
+	if err != nil {
+		return nil, err
+	}
+	msg, err := signalling.NewReserveMessage(signalling.ModeEndToEnd, rar)
+	if err != nil {
+		return nil, err
+	}
+	msg.Reserve.TraceID = obs.NewTraceID()
+	c, err := signalling.Dial(w.Net.NewEndpoint(u.DN(), u.Agent.Cert.DER), w.BBAddr(u.Domain))
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	resp, err := c.Call(msg)
+	if err != nil {
+		return nil, err
+	}
+	if resp.Result == nil {
+		return nil, fmt.Errorf("broker sent no result")
+	}
+	return resp.Result, nil
 }
 
 // assertOneSpanPerDomain checks the structural invariant of a complete
@@ -56,7 +85,7 @@ func assertOneSpanPerDomain(t *testing.T, w *experiment.World, spans []obs.Span)
 func TestTracePropagatesAcrossChain(t *testing.T) {
 	w, u := traceWorld(t, experiment.WorldConfig{NumDomains: 4})
 	spec := u.NewSpec(experiment.SpecOptions{DestDomain: w.DestDomain(), Bandwidth: 10 * units.Mbps})
-	res, err := u.ReserveE2E(spec)
+	res, err := tracedReserve(w, u, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +125,7 @@ func TestTraceIdentifiesDenyingHop(t *testing.T) {
 		Policies:   map[string]*policy.Policy{"Domain2": policy.MustParse("deny-all", "deny")},
 	})
 	spec := u.NewSpec(experiment.SpecOptions{DestDomain: w.DestDomain(), Bandwidth: 10 * units.Mbps})
-	res, err := u.ReserveE2E(spec)
+	res, err := tracedReserve(w, u, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +175,7 @@ func TestTraceMarksFailedHop(t *testing.T) {
 		},
 	})
 	spec := u.NewSpec(experiment.SpecOptions{DestDomain: w.DestDomain(), Bandwidth: 10 * units.Mbps})
-	res, err := u.ReserveE2E(spec)
+	res, err := tracedReserve(w, u, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +253,7 @@ func TestTraceSurvivesRetryWithoutDuplicateSpans(t *testing.T) {
 		},
 	})
 	spec := u.NewSpec(experiment.SpecOptions{DestDomain: w.DestDomain(), Bandwidth: 10 * units.Mbps})
-	res, err := u.ReserveE2E(spec)
+	res, err := tracedReserve(w, u, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +278,6 @@ func TestTraceSurvivesRetryWithoutDuplicateSpans(t *testing.T) {
 // result must stay span-free — the zero-cost disabled path.
 func TestUntracedReserveCarriesNoSpans(t *testing.T) {
 	w, u := traceWorld(t, experiment.WorldConfig{NumDomains: 3})
-	u.Trace = false
 	spec := u.NewSpec(experiment.SpecOptions{DestDomain: w.DestDomain(), Bandwidth: 10 * units.Mbps})
 	res, err := u.ReserveE2E(spec)
 	if err != nil {
@@ -276,7 +304,7 @@ func TestBrokerMetricsLifecycle(t *testing.T) {
 		Bandwidth:  10 * units.Mbps,
 		Window:     units.NewWindow(time.Now().Add(-time.Second), time.Hour),
 	})
-	res, err := u.ReserveE2E(spec)
+	res, err := tracedReserve(w, u, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

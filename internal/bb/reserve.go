@@ -195,7 +195,6 @@ type forwardCtx struct {
 	verified *core.VerifiedRequest
 	span     *obs.Span // nil unless the reserve is traced or sampled
 
-	res   *policysrv.Result // the policy decision, for its additions
 	r     *resv.Reservation // the local admission
 	grant *grantApproval    // this hop's approval, being signed (forwarding hops)
 
@@ -258,7 +257,7 @@ func (b *BB) processReserve(fc *forwardCtx, now time.Time) *signalling.Message {
 		if contract == nil {
 			return b.deny(spec.RARID, fmt.Sprintf("%s: no SLA with upstream domain %s", b.cfg.Domain, upDomain))
 		}
-		if !contract.Valid(now) {
+		if !contract.Valid() {
 			return b.deny(spec.RARID, fmt.Sprintf("%s: SLA with %s not valid", b.cfg.Domain, upDomain))
 		}
 		if err := contract.Conforms(b.cfg.Capacity-avail, bw); err != nil {
@@ -309,7 +308,7 @@ func (b *BB) processReserve(fc *forwardCtx, now time.Time) *signalling.Message {
 		return b.deny(spec.RARID, fmt.Sprintf("%s: admission: %v", b.cfg.Domain, err))
 	}
 
-	fc.res, fc.r = res, r
+	fc.r = r
 
 	if spec.DestDomain == b.cfg.Domain || payload.Mode == signalling.ModeLocal {
 		return b.settle(fc, nil, nil)

@@ -19,7 +19,6 @@ import (
 	"sync"
 
 	"e2eqos/internal/identity"
-	"e2eqos/internal/units"
 )
 
 // Rate is a price in micro-currency-units per gigabyte carried.
@@ -41,15 +40,11 @@ func (r Rate) Charge(bytes int64) Money {
 
 // Usage is the measured consumption of one reservation.
 type Usage struct {
-	RARID string
 	Bytes int64
-	// Bandwidth is the reserved rate (informational on invoices).
-	Bandwidth units.Bandwidth
 }
 
 // Invoice is one billing relation settled for one reservation.
 type Invoice struct {
-	RARID string
 	// From bills To.
 	From string
 	To   string
@@ -88,7 +83,6 @@ func SettlePath(path []Party, user identity.DN, usage Usage) ([]Invoice, error) 
 	for i := len(path) - 1; i >= 1; i-- {
 		amount := owed + path[i].TransitRate.Charge(usage.Bytes)
 		invoices = append(invoices, Invoice{
-			RARID:  usage.RARID,
 			From:   path[i].Domain,
 			To:     path[i-1].Domain,
 			Bytes:  usage.Bytes,
@@ -99,7 +93,6 @@ func SettlePath(path []Party, user identity.DN, usage Usage) ([]Invoice, error) 
 	// Source bills the originator.
 	total := owed + path[0].TransitRate.Charge(usage.Bytes)
 	invoices = append(invoices, Invoice{
-		RARID:  usage.RARID,
 		From:   path[0].Domain,
 		ToUser: user,
 		Bytes:  usage.Bytes,
@@ -121,7 +114,7 @@ func NewLedger() *Ledger {
 }
 
 // Record adds carried bytes for a reservation.
-func (l *Ledger) Record(rarID string, bytes int64, bw units.Bandwidth) error {
+func (l *Ledger) Record(rarID string, bytes int64) error {
 	if bytes < 0 {
 		return fmt.Errorf("billing: negative bytes")
 	}
@@ -129,7 +122,7 @@ func (l *Ledger) Record(rarID string, bytes int64, bw units.Bandwidth) error {
 	defer l.mu.Unlock()
 	u := l.usage[rarID]
 	if u == nil {
-		u = &Usage{RARID: rarID, Bandwidth: bw}
+		u = &Usage{}
 		l.usage[rarID] = u
 	}
 	u.Bytes += bytes

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"e2eqos/internal/identity"
-	"e2eqos/internal/units"
 )
 
 var alice = identity.NewDN("Grid", "DomainA", "Alice")
@@ -42,7 +41,7 @@ func TestMoneyString(t *testing.T) {
 }
 
 func TestSettlePathTransitiveChain(t *testing.T) {
-	usage := Usage{RARID: "RAR-1", Bytes: 10_000_000_000} // 10 GB
+	usage := Usage{Bytes: 10_000_000_000} // 10 GB
 	invoices, err := SettlePath(path3(), alice, usage)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +74,7 @@ func TestSettlePathTransitiveChain(t *testing.T) {
 }
 
 func TestSettlePathSingleDomain(t *testing.T) {
-	invoices, err := SettlePath(path3()[:1], alice, Usage{RARID: "r", Bytes: 1_000_000_000})
+	invoices, err := SettlePath(path3()[:1], alice, Usage{Bytes: 1_000_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +114,7 @@ func TestSettlementConservation(t *testing.T) {
 			path[i] = Party{Domain: string(rune('A' + i)), TransitRate: rate}
 			want += rate.Charge(bytes)
 		}
-		invoices, err := SettlePath(path, alice, Usage{RARID: "p", Bytes: bytes})
+		invoices, err := SettlePath(path, alice, Usage{Bytes: bytes})
 		if err != nil {
 			return false
 		}
@@ -128,26 +127,26 @@ func TestSettlementConservation(t *testing.T) {
 
 func TestLedger(t *testing.T) {
 	l := NewLedger()
-	if err := l.Record("RAR-1", 500, 10*units.Mbps); err != nil {
+	if err := l.Record("RAR-1", 500); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Record("RAR-1", 250, 10*units.Mbps); err != nil {
+	if err := l.Record("RAR-1", 250); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Record("RAR-2", 100, units.Mbps); err != nil {
+	if err := l.Record("RAR-2", 100); err != nil {
 		t.Fatal(err)
 	}
 	u, ok := l.Usage("RAR-1")
 	if !ok || u.Bytes != 750 {
 		t.Errorf("usage = %+v ok=%v", u, ok)
 	}
-	if u, ok := l.Usage("RAR-2"); !ok || u.Bytes != 100 || u.Bandwidth != units.Mbps {
+	if u, ok := l.Usage("RAR-2"); !ok || u.Bytes != 100 {
 		t.Errorf("usage = %+v ok=%v", u, ok)
 	}
 	if _, ok := l.Usage("RAR-3"); ok {
 		t.Error("unrecorded reservation has usage")
 	}
-	if err := l.Record("RAR-3", -1, 0); err == nil {
+	if err := l.Record("RAR-3", -1); err == nil {
 		t.Error("negative bytes recorded")
 	}
 }
@@ -159,7 +158,7 @@ func TestLedgerConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = l.Record("RAR-1", 10, units.Mbps)
+			_ = l.Record("RAR-1", 10)
 		}()
 	}
 	wg.Wait()

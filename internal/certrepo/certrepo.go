@@ -95,13 +95,18 @@ func (r *Repository) Lookup(dn identity.DN) (*Response, error) {
 	}, nil
 }
 
+// maxResponseAge bounds how old a lookup answer may be when it is
+// checked. A directory checks the answer it has just asked for, so the
+// bound only refuses an answer replayed from an earlier lookup.
+const maxResponseAge = time.Minute
+
 // VerifyResponse checks a signed lookup answer against the pinned
-// repository key and a freshness bound (zero maxAge means no bound).
-func VerifyResponse(resp *Response, repoKey identity.PublicKey, maxAge time.Duration) (*pki.Certificate, error) {
+// repository key and the freshness bound maxResponseAge.
+func VerifyResponse(resp *Response, repoKey identity.PublicKey) (*pki.Certificate, error) {
 	if resp == nil {
 		return nil, fmt.Errorf("certrepo: nil response")
 	}
-	if maxAge > 0 && time.Since(resp.Issued) > maxAge {
+	if time.Since(resp.Issued) > maxResponseAge {
 		return nil, fmt.Errorf("certrepo: response for %s is stale", resp.Subject)
 	}
 	payload := responsePayload(resp.RepoDN, resp.Subject, resp.CertDER, resp.Issued)
@@ -126,10 +131,6 @@ type Directory struct {
 	// TrustedKey is the pinned repository key (normally Repo's own,
 	// but kept explicit so tests can model key mismatch).
 	TrustedKey identity.PublicKey
-	// MaxAge bounds response freshness (zero: unbounded).
-	MaxAge time.Duration
-	// At overrides the certificate-validity check time (zero: now).
-	At time.Time
 }
 
 // LookupKey resolves dn via the repository, verifying the signed
@@ -142,15 +143,11 @@ func (d *Directory) LookupKey(dn identity.DN) (identity.PublicKey, error) {
 	if err != nil {
 		return nil, err
 	}
-	cert, err := VerifyResponse(resp, d.TrustedKey, d.MaxAge)
+	cert, err := VerifyResponse(resp, d.TrustedKey)
 	if err != nil {
 		return nil, err
 	}
-	at := d.At
-	if at.IsZero() {
-		at = time.Now()
-	}
-	if !cert.ValidAt(at) {
+	if at := time.Now(); !cert.ValidAt(at) {
 		return nil, fmt.Errorf("certrepo: certificate for %s not valid at %s", dn, at)
 	}
 	return cert.PublicKey(), nil

@@ -39,7 +39,7 @@ func TestLookupAndVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := VerifyResponse(resp, repo.PublicKey(), time.Minute)
+	got, err := VerifyResponse(resp, repo.PublicKey())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestVerifyResponseTamper(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Subject = "/CN=other"
-	if _, err := VerifyResponse(resp, repo.PublicKey(), 0); err == nil {
+	if _, err := VerifyResponse(resp, repo.PublicKey()); err == nil {
 		t.Fatal("tampered response accepted")
 	}
 }
@@ -80,7 +80,7 @@ func TestVerifyResponseWrongKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := VerifyResponse(resp, other.Public(), 0); err == nil {
+	if _, err := VerifyResponse(resp, other.Public()); err == nil {
 		t.Fatal("response accepted under wrong repository key")
 	}
 }
@@ -94,7 +94,7 @@ func TestVerifyResponseStale(t *testing.T) {
 	resp.Issued = time.Now().Add(-time.Hour)
 	// Staleness triggers before signature verification, so no need to
 	// re-sign.
-	if _, err := VerifyResponse(resp, repo.PublicKey(), time.Minute); err == nil {
+	if _, err := VerifyResponse(resp, repo.PublicKey()); err == nil {
 		t.Fatal("stale response accepted")
 	}
 }

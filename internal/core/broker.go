@@ -29,8 +29,7 @@ var ErrCapabilityHolder = errors.New("core: capability chain is not delegated to
 // inbound RARs through the transitive trust model and extends granted
 // requests toward the next hop.
 type Broker struct {
-	Key  *identity.KeyPair
-	Cert *pki.Certificate
+	Key *identity.KeyPair
 	// Trust holds the broker's local trust decisions: pinned SLA peers,
 	// trusted CAs, and the introducer-depth policy.
 	Trust *pki.TrustStore
@@ -52,7 +51,8 @@ type Broker struct {
 	certs pki.CertCache
 }
 
-// NewBroker assembles a protocol broker.
+// NewBroker assembles a protocol broker. cert, when given, must be
+// key's certificate; the broker keeps only the key.
 func NewBroker(key *identity.KeyPair, cert *pki.Certificate, trust *pki.TrustStore) (*Broker, error) {
 	if key == nil || trust == nil {
 		return nil, fmt.Errorf("core: broker needs key and trust store")
@@ -60,7 +60,7 @@ func NewBroker(key *identity.KeyPair, cert *pki.Certificate, trust *pki.TrustSto
 	if cert != nil && cert.SubjectDN() != key.DN {
 		return nil, fmt.Errorf("core: broker certificate subject %s does not match key %s", cert.SubjectDN(), key.DN)
 	}
-	return &Broker{Key: key, Cert: cert, Trust: trust}, nil
+	return &Broker{Key: key, Trust: trust}, nil
 }
 
 // DN returns the broker identity.
@@ -71,20 +71,12 @@ func (b *Broker) DN() identity.DN { return b.Key.DN }
 type VerifiedRequest struct {
 	// Spec is the user's original, signature-protected request.
 	Spec *Spec
-	// Chain holds every verified layer, outermost first.
-	Chain *envelope.Chain
 	// Path is the signalling path from the user outward
 	// ([user, BB_A, BB_B, ...]); the paper's path tracing.
 	Path []identity.DN
-	// PolicyInfo merges the policy attributes added along the path.
-	PolicyInfo map[string]string
 	// Capabilities is the accumulated delegation chain, ready for
 	// policy-engine verification.
 	Capabilities pki.CapabilityChain
-	// IntroducerDepth is the number of hops whose keys were accepted
-	// via introduction rather than direct trust (0 when the sender was
-	// the user itself).
-	IntroducerDepth int
 }
 
 // Verify unwraps an inbound envelope received over a mutually
@@ -213,14 +205,7 @@ func (b *Broker) Verify(env *envelope.Envelope, channelPeer identity.DN, channel
 	if n := len(caps); n > 0 && caps[n-1].SubjectDN() != b.Key.DN {
 		return nil, fmt.Errorf("%w: it ends at %s, verifier is %s", ErrCapabilityHolder, caps[n-1].SubjectDN(), b.Key.DN)
 	}
-	return &VerifiedRequest{
-		Spec:            spec,
-		Chain:           chain,
-		Path:            chain.PathDNs(),
-		PolicyInfo:      chain.PolicyInfo(),
-		Capabilities:    caps,
-		IntroducerDepth: len(chain.Layers) - 1,
-	}, nil
+	return &VerifiedRequest{Spec: spec, Path: chain.PathDNs(), Capabilities: caps}, nil
 }
 
 // checkPathNaming enforces the signed next-hop pointers: each layer

@@ -123,7 +123,7 @@ func TestCachedCertificateStillExpires(t *testing.T) {
 	if err == nil {
 		t.Fatal("cached certificate outlived its NotAfter")
 	}
-	cold, cerr := NewBroker(dest.Key, dest.Cert, dest.Trust)
+	cold, cerr := NewBroker(dest.Key, nil, dest.Trust)
 	if cerr != nil {
 		t.Fatal(cerr)
 	}

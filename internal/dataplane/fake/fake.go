@@ -74,10 +74,6 @@ type ClassStats struct {
 	// PremiumBytes counts premium bytes that conformed to the
 	// aggregate profile and passed the policer.
 	PremiumBytes int64
-	// BestEffortBytes counts best-effort bytes forwarded. The fake
-	// meters premium traffic only, so it stays zero; the fleet's digest
-	// line prints it all the same.
-	BestEffortBytes int64
 	// ExcessPremiumBytes counts premium bytes offered beyond the
 	// aggregate profile.
 	ExcessPremiumBytes int64

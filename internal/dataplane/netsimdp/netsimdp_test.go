@@ -44,8 +44,8 @@ func TestAttachEdgeReplaysProfiles(t *testing.T) {
 	if got := premiumBytes(sink, "alice"); got != 10_000 {
 		t.Fatalf("premium bytes through the late-attached edge = %d, want the 10000 burst", got)
 	}
-	if edge.Drops.Remarked != 5 {
-		t.Fatalf("remarked %d packets, want 5", edge.Drops.Remarked)
+	if got := sink.Stats("alice").RxBytesByCls[netsim.BestEffort]; got != 5_000 {
+		t.Fatalf("demoted bytes = %d, want the 5 packets past the burst", got)
 	}
 	p.RemoveProfile("alice")
 	p.InstallProfile("bob", profile(8*units.Mbps, 10_000))

@@ -150,19 +150,6 @@ func (c *Chain) Capabilities() (pki.CapabilityChain, error) {
 	return pki.DecodeCapabilityChain(ders)
 }
 
-// PolicyInfo merges the policy attributes of all layers; inner layers
-// are applied first so that later (downstream-added) values win on key
-// collision, matching "the BB ... may add additional information".
-func (c *Chain) PolicyInfo() map[string]string {
-	merged := make(map[string]string)
-	for i := len(c.Layers) - 1; i >= 0; i-- {
-		for k, v := range c.Layers[i].Body.PolicyInfo {
-			merged[k] = v
-		}
-	}
-	return merged
-}
-
 // KeyResolver resolves the public key to verify the layer at depth
 // (0 is the outermost) signed by dn. The certDER hint is the certificate
 // the NEXT outer layer attached for this signer (cert_N in the paper);

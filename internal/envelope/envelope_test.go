@@ -261,24 +261,6 @@ func TestUnwrapDepthBound(t *testing.T) {
 	}
 }
 
-func TestPolicyInfoMergeDownstreamWins(t *testing.T) {
-	keys, outer := buildOnion(t, 3)
-	chain, err := Unwrap(outer, resolverFor(keys))
-	if err != nil {
-		t.Fatal(err)
-	}
-	info := chain.PolicyInfo()
-	for i := 0; i < 3; i++ {
-		if info[fmt.Sprintf("hop-%d", i)] != "ok" {
-			t.Errorf("missing policy info from hop %d", i)
-		}
-	}
-	// "last" is written by every hop; the outermost (latest) must win.
-	if info["last"] != "bb-2" {
-		t.Errorf(`info["last"] = %q, want "bb-2"`, info["last"])
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	keys, outer := buildOnion(t, 2)
 	data := encode(outer)

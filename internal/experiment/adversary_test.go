@@ -93,3 +93,161 @@ func TestDestinationRefusesCapabilityHeldByAnother(t *testing.T) {
 		t.Errorf("destination committed %v for a refused request", got)
 	}
 }
+
+// TestDestinationRefusesCapabilityScopedToAnotherRAR: a forwarding
+// broker that holds a capability chain delegated for one RAR — whose
+// user delegation carries "valid-for-rar:<that RAR>" — re-delegates it
+// to the destination under another RAR of the same user. Every
+// signature in the chain holds and it ends at the destination, but the
+// policy server verifies the chain against the RAR it arrived with, so
+// the capability does not count: the destination's capability-only
+// policy refuses the RAR and no table admits it. The same chain under
+// its own RAR is granted.
+func TestDestinationRefusesCapabilityScopedToAnotherRAR(t *testing.T) {
+	w, err := BuildWorld(WorldConfig{
+		NumDomains: 2,
+		Labels:     []string{"DomainA", "DomainB"},
+		Policies: map[string]*policy.Policy{
+			"DomainB": policy.MustParse("needs-capability", "allow if capability from \"ESnet\" and bw <= 10Mb/s\ndeny"),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	src, dst := w.SourceDomain(), w.DestDomain()
+	alice, err := w.NewUser("Alice", src, []string{"network-reservation"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer alice.Close()
+	bbA := w.members[src][0].cfg
+	dstDN := w.BBCerts[dst].SubjectDN()
+
+	// RAR-17 as Alice sent it: her capability, delegated to the source
+	// broker for RAR-17 alone.
+	spec17 := alice.NewSpec(SpecOptions{DestDomain: dst, Bandwidth: 5 * units.Mbps})
+	rar17, err := alice.buildRARFor(spec17, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	userLayer, err := envelope.Unwrap(rar17, func(int, identity.DN, []byte) (identity.PublicKey, error) {
+		return alice.Agent.Key.Public(), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	caps, err := userLayer.Capabilities()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := caps[len(caps)-1].Attrs.Restrictions; len(r) != 1 || r[0] != spec17.RestrictionFor() {
+		t.Fatalf("Alice's delegation carries %v, want [%s]", r, spec17.RestrictionFor())
+	}
+	onward, err := pki.Delegate(caps[len(caps)-1], bbA.Key.DN, bbA.Key.Private, dstDN, w.BBCerts[dst].PublicKey(), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := [][]byte{caps[0].DER, caps[1].DER, onward.DER}
+
+	// RAR-18: Alice's own request, carrying no capability; the source
+	// broker attaches RAR-17's chain to it.
+	spec18 := alice.NewSpec(SpecOptions{DestDomain: dst, Bandwidth: 5 * units.Mbps, Window: spec17.Window})
+	rar18, err := envelope.Seal(alice.Agent.Key, envelope.Body{Request: spec18.AppendBinary(nil), NextHopDN: bbA.Key.DN})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forward := func(inner *envelope.Envelope, capDERs [][]byte) *signalling.ResultPayload {
+		t.Helper()
+		outer, err := envelope.Seal(bbA.Key, envelope.Body{
+			Inner:           inner,
+			UpstreamCertDER: alice.Agent.Cert.DER,
+			NextHopDN:       dstDN,
+			CapabilityDERs:  capDERs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := signalling.Dial(w.Net.NewEndpoint(bbA.Key.DN, bbA.Cert.DER), w.BBAddr(dst))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		msg, err := signalling.NewReserveMessage(signalling.ModeEndToEnd, outer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := c.Call(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Result
+	}
+
+	if res := forward(rar18, chain); res == nil || res.Granted || !strings.Contains(res.Reason, "policy denied") {
+		t.Fatalf("destination answered %+v, want a policy refusal: the chain is RAR-17's", res)
+	}
+	for _, d := range w.Domains {
+		if got := w.BBs[d].Table().CommittedAt(spec18.Window.Start); got != 0 {
+			t.Errorf("%s committed %v for a refused request", d, got)
+		}
+	}
+	// The control: the chain under the RAR it was delegated for.
+	if res := forward(rar17, [][]byte{onward.DER}); res == nil || !res.Granted {
+		t.Fatalf("RAR-17 with its own chain: %+v, want a grant", res)
+	}
+}
+
+// TestDestinationRefusesReusedSeqFromBroker: a peer holding the source
+// broker's real key sends a tunnel's destination two batches under one
+// Seq with different ops. Brokers mint each Seq once (DESIGN.md §6.5),
+// so only a faulty or malicious sender does this; the destination
+// applies the first, refuses the second as a reused Seq without applying
+// it, and counts it.
+func TestDestinationRefusesReusedSeqFromBroker(t *testing.T) {
+	w, err := BuildWorld(WorldConfig{NumDomains: 2, Capacity: 1000 * units.Mbps, EnableObs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	src, dst := w.SourceDomain(), w.DestDomain()
+	alice, err := w.NewUser("Alice", src, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer alice.Close()
+	spec := alice.NewSpec(SpecOptions{DestDomain: dst, Bandwidth: 100 * units.Mbps, Tunnel: true})
+	if res, err := alice.ReserveE2E(spec); err != nil || !res.Granted {
+		t.Fatalf("tunnel establishment: res=%+v err=%v", res, err)
+	}
+	bbA := w.members[src][0].cfg
+	c, err := signalling.Dial(w.Net.NewEndpoint(bbA.Key.DN, bbA.Cert.DER), w.BBAddr(dst))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	send := func(id string) *signalling.ResultPayload {
+		t.Helper()
+		resp, err := c.Call(&signalling.Message{Type: signalling.MsgTunnelBatch, TunnelBatch: &signalling.TunnelBatchPayload{
+			TunnelRARID: spec.RARID, Seq: 7, User: alice.DN(),
+			Ops: []signalling.TunnelOp{{Action: signalling.OpAlloc, SubFlowID: id, Bandwidth: int64(10 * units.Mbps)}},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Result
+	}
+	if res := send("f1"); !res.Granted {
+		t.Fatalf("first batch: %+v", res)
+	}
+	if res := send("f2"); res.Granted || !strings.Contains(res.Reason, "seq reused") {
+		t.Fatalf("second batch under the same seq: %+v, want a seq reused refusal", res)
+	}
+	ep, _ := w.BBs[dst].Tunnel(spec.RARID)
+	if ep.Len() != 1 || ep.Used() != 10*units.Mbps {
+		t.Errorf("destination holds %d sub-flows, %v: want only the first batch's", ep.Len(), ep.Used())
+	}
+	if n := w.BBs[dst].MetricsRegistry().Snapshot()["bb_tunnel_batches_stale_total"]; n != 1 {
+		t.Errorf("bb_tunnel_batches_stale_total = %v, want the reused seq counted once", n)
+	}
+}

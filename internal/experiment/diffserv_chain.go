@@ -13,7 +13,6 @@ import (
 // ChainQoSResult is one measurement of a premium flow crossing a chain
 // of congested DiffServ domains.
 type ChainQoSResult struct {
-	Domains        int
 	PremiumGoodput float64
 	PremiumLatency time.Duration
 	CrossGoodput   float64 // one representative best-effort competitor
@@ -24,7 +23,7 @@ type ChainQoSResult struct {
 // enters at every hop, competing with Alice's premium flow (rate
 // reserved end-to-end and policed per aggregate at each ingress).
 func MeasureDiffServChain(domains int, premium, crossRate, linkRate units.Bandwidth, duration time.Duration) (ChainQoSResult, error) {
-	out := ChainQoSResult{Domains: domains}
+	var out ChainQoSResult
 	if domains < 1 {
 		return out, fmt.Errorf("experiment: need at least one domain")
 	}

@@ -182,8 +182,8 @@ func TestGroupMembershipPathThroughB(t *testing.T) {
 		DestDomain: "DomainC",
 		Bandwidth:  4 * units.Mbps,
 		Window:     daytimeWindow(w),
-		Assertions: []string{"ATLAS experiment"},
 	})
+	spec.Assertions = []string{"ATLAS experiment"}
 	res, err := alice.ReserveE2E(spec)
 	if err != nil {
 		t.Fatal(err)

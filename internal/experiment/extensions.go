@@ -146,7 +146,7 @@ func RunBilling(duration time.Duration) (*Table, error) {
 
 	// Each domain's ledger records the carried bytes; settle the path.
 	ledger := billing.NewLedger()
-	if err := ledger.Record(spec.RARID, stats.RxBytes, spec.Bandwidth); err != nil {
+	if err := ledger.Record(spec.RARID, stats.RxBytes); err != nil {
 		return nil, err
 	}
 	usage, _ := ledger.Usage(spec.RARID)

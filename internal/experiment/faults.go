@@ -57,7 +57,6 @@ func runFaultCell(cfg FaultSweepConfig, prob float64, retries int) (faultCell, e
 		MaxRetries:   retries,
 		RetryBackoff: 2 * time.Millisecond,
 		EnableObs:    true,
-		Seed:         cfg.Seed,
 		WrapDialer: func(domain string, d transport.Dialer) transport.Dialer {
 			if prob <= 0 {
 				return d

@@ -34,12 +34,8 @@ type Figure4Result struct {
 // paths share B -> C.
 func fig4Topology() (*topology.Topology, error) {
 	topo := topology.New()
-	for i, name := range []string{"DomainA", "DomainB", "DomainC", "DomainD"} {
-		if err := topo.AddDomain(topology.Domain{
-			Name:     name,
-			BBDN:     identity.NewDN("Grid", name, "bb"),
-			Prefixes: []string{fmt.Sprintf("host%d.", i)},
-		}); err != nil {
+	for _, name := range []string{"DomainA", "DomainB", "DomainC", "DomainD"} {
+		if err := topo.AddDomain(topology.Domain{Name: name, BBDN: identity.NewDN("Grid", name, "bb")}); err != nil {
 			return nil, err
 		}
 	}

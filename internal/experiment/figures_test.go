@@ -174,9 +174,6 @@ func TestMeasureSignallingShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !seq.Granted || !conc.Granted || !hop.Granted {
-		t.Fatal("a strategy failed to grant")
-	}
 	if conc.Latency >= seq.Latency {
 		t.Errorf("concurrent (%v) not faster than sequential (%v)", conc.Latency, seq.Latency)
 	}
@@ -236,12 +233,10 @@ func TestRunCoReservationTable(t *testing.T) {
 }
 
 func TestMeasureTunnelAdvantage(t *testing.T) {
+	// MeasureTunnel fails unless every sub-flow is granted.
 	s, err := MeasureTunnel(8, 4, 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if s.TunnelGranted != 8 {
-		t.Fatalf("tunnel granted %d of 8 sub-flows", s.TunnelGranted)
 	}
 	if s.TunnelMsgs >= s.PerFlowMsgs {
 		t.Errorf("tunnel msgs %d >= per-flow msgs %d for 8 flows", s.TunnelMsgs, s.PerFlowMsgs)

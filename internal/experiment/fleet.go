@@ -168,7 +168,6 @@ type AttackResult struct {
 // ScenarioResult is one scenario's measured outcome.
 type ScenarioResult struct {
 	Name    string
-	Users   int
 	Grants  int64
 	Denials int64
 	Retries int64
@@ -217,7 +216,6 @@ type fleetBooking struct {
 	flow      string
 	user      int
 	bw        units.Bandwidth
-	window    units.Window
 	handles   []string
 	path      []int
 	grantedAt time.Duration
@@ -374,7 +372,6 @@ func (e *fleetEngine) reserve(user int, bw units.Bandwidth, hold time.Duration, 
 		flow:      flow,
 		user:      user,
 		bw:        bw,
-		window:    win,
 		handles:   handles,
 		path:      append([]int(nil), path...),
 		grantedAt: done,
@@ -473,11 +470,12 @@ func (e *fleetEngine) finish(name string, events int) (ScenarioResult, error) {
 			e.h.Write(snap)
 		}
 		cs := d.plane.ClassStats()
-		fmt.Fprintf(e.h, "plane %s %d %d %d\n", d.name, cs.PremiumBytes, cs.BestEffortBytes, cs.ExcessPremiumBytes)
+		// The middle column was a best-effort byte count the fake plane
+		// never meters; it stays a literal 0 so the pinned digests hold.
+		fmt.Fprintf(e.h, "plane %s %d 0 %d\n", d.name, cs.PremiumBytes, cs.ExcessPremiumBytes)
 	}
 	res := ScenarioResult{
 		Name:           name,
-		Users:          e.cfg.Users,
 		Grants:         e.grants,
 		Denials:        e.denials,
 		Retries:        e.retries,

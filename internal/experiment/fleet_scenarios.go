@@ -277,7 +277,6 @@ func runMisreservation(cfg FleetConfig) (ScenarioResult, error) {
 	fmt.Fprintf(whole, "defended %s\nattack %s\n", defRes.Digest, atkRes.Digest)
 	res := ScenarioResult{
 		Name:           "misreservation",
-		Users:          cfg.Users,
 		Grants:         defRes.Grants + atkRes.Grants,
 		Denials:        defRes.Denials + atkRes.Denials,
 		Retries:        defRes.Retries + atkRes.Retries,

@@ -10,13 +10,8 @@ import (
 
 // SignallingSample is one measured reservation run.
 type SignallingSample struct {
-	Strategy gara.Strategy
-	Domains  int
 	Latency  time.Duration // end-to-end reservation wall time
 	Messages int64
-	Dials    int64
-	Bytes    int64
-	Granted  bool
 }
 
 // MeasureSignalling runs one reservation with the given strategy over
@@ -26,7 +21,7 @@ func MeasureSignalling(n int, hopLatency time.Duration, strategy gara.Strategy, 
 	if trials < 1 {
 		trials = 1
 	}
-	out := SignallingSample{Strategy: strategy, Domains: n}
+	var out SignallingSample
 	w, err := BuildWorld(WorldConfig{
 		NumDomains:            n,
 		Capacity:              units.Gbps,
@@ -61,15 +56,12 @@ func MeasureSignalling(n int, hopLatency time.Duration, strategy gara.Strategy, 
 		if err != nil {
 			return out, err
 		}
-		out.Granted = res.Granted
 		if !res.Granted {
 			return out, fmt.Errorf("trial %d denied: %s", i, res.Reason)
 		}
 	}
 	out.Latency = total / time.Duration(trials)
 	out.Messages = w.Net.Messages() / int64(trials)
-	out.Dials = w.Net.Dials()
-	out.Bytes = w.Net.Bytes() / int64(trials)
 	return out, nil
 }
 

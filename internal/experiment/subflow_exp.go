@@ -29,7 +29,6 @@ type SubFlowLoadConfig struct {
 // SubFlowSample is one arm of the sweep.
 type SubFlowSample struct {
 	Batch    int
-	Users    int
 	Ops      int
 	Took     time.Duration
 	PerSec   float64
@@ -41,7 +40,7 @@ type SubFlowSample struct {
 // broker in MsgTunnelBatch calls of batch ops until every worker has
 // allocated cfg.OpsPerUser sub-flows.
 func MeasureSubFlowLoad(cfg SubFlowLoadConfig, batch int) (SubFlowSample, error) {
-	out := SubFlowSample{Batch: batch, Users: cfg.Users, Ops: cfg.Users * cfg.OpsPerUser}
+	out := SubFlowSample{Batch: batch, Ops: cfg.Users * cfg.OpsPerUser}
 	need := units.Bandwidth(out.Ops+1) * units.Mbps
 	w, err := BuildWorld(WorldConfig{
 		NumDomains:  cfg.Domains,

@@ -5,10 +5,34 @@ import (
 	"strings"
 	"testing"
 
+	"e2eqos/internal/core"
 	"e2eqos/internal/obs"
 	"e2eqos/internal/signalling"
 	"e2eqos/internal/units"
 )
+
+// reserveTraced is ReserveE2E with a fresh trace id stamped on the
+// request, as a requester opting in to tracing sends it.
+func (u *User) reserveTraced(spec *core.Spec) (*signalling.ResultPayload, error) {
+	rar, err := u.buildRARFor(spec, u.Domain)
+	if err != nil {
+		return nil, err
+	}
+	msg, err := signalling.NewReserveMessage(signalling.ModeEndToEnd, rar)
+	if err != nil {
+		return nil, err
+	}
+	msg.Reserve.TraceID = obs.NewTraceID()
+	client, err := u.clientTo(u.Domain)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := client.Call(msg)
+	if err != nil {
+		return nil, err
+	}
+	return resp.Result, nil
+}
 
 // readDomainEvents drains one domain's flight-recorder log.
 func readDomainEvents(t *testing.T, dir, domain string) []*obs.Event {
@@ -89,9 +113,8 @@ func TestFlightRecorderSamplesReserveChain(t *testing.T) {
 	// A requester-traced reserve is sampled all the same: the ingress
 	// dice rolls regardless of opt-in tracing and reuses the user's
 	// trace id instead of minting a second one.
-	u.Trace = true
 	spec2 := u.NewSpec(SpecOptions{DestDomain: w.DestDomain(), Bandwidth: units.Mbps})
-	res2, err := u.ReserveE2E(spec2)
+	res2, err := u.reserveTraced(spec2)
 	if err != nil || !res2.Granted {
 		t.Fatalf("traced reserve: %v %+v", err, res2)
 	}

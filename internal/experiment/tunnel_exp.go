@@ -11,19 +11,16 @@ import (
 // sub-flow allocation for n parallel flows between the same end
 // domains.
 type TunnelSample struct {
-	Flows         int
-	Domains       int
-	PerFlowMsgs   int64
-	PerFlowTime   time.Duration
-	TunnelMsgs    int64 // includes the tunnel establishment
-	TunnelTime    time.Duration
-	TunnelGranted int
+	PerFlowMsgs int64
+	PerFlowTime time.Duration
+	TunnelMsgs  int64 // includes the tunnel establishment
+	TunnelTime  time.Duration
 }
 
 // MeasureTunnel runs both strategies for n flows over a fresh world of
 // d domains with the given hop latency.
 func MeasureTunnel(n, d int, hopLatency time.Duration) (TunnelSample, error) {
-	out := TunnelSample{Flows: n, Domains: d}
+	var out TunnelSample
 
 	// Per-flow end-to-end: n independent hop-by-hop reservations.
 	{
@@ -98,7 +95,6 @@ func MeasureTunnel(n, d int, hopLatency time.Duration) (TunnelSample, error) {
 				w.Close()
 				return out, fmt.Errorf("sub-flow %d: %w", i, err)
 			}
-			out.TunnelGranted++
 		}
 		out.TunnelTime = time.Since(start)
 		out.TunnelMsgs = w.Net.Messages()

@@ -8,7 +8,6 @@ import (
 	"e2eqos/internal/core"
 	"e2eqos/internal/envelope"
 	"e2eqos/internal/identity"
-	"e2eqos/internal/obs"
 	"e2eqos/internal/signalling"
 	"e2eqos/internal/transport"
 	"e2eqos/internal/units"
@@ -21,10 +20,6 @@ type User struct {
 	Agent    *core.UserAgent
 	Domain   string
 	endpoint *transport.Endpoint
-
-	// Trace, when set, stamps a fresh trace id onto every ReserveE2E so
-	// the grant (or denial) comes back with per-hop spans.
-	Trace bool
 
 	mu      sync.Mutex
 	clients map[string]*signalling.Client // domain -> client
@@ -116,7 +111,6 @@ type SpecOptions struct {
 	Bandwidth  units.Bandwidth
 	Window     units.Window
 	Tunnel     bool
-	Assertions []string
 	Linked     map[string]string
 }
 
@@ -137,7 +131,6 @@ func (u *User) NewSpec(opt SpecOptions) *core.Spec {
 		Bandwidth:     opt.Bandwidth,
 		Window:        w,
 		Tunnel:        opt.Tunnel,
-		Assertions:    opt.Assertions,
 		LinkedHandles: opt.Linked,
 	}
 }
@@ -162,9 +155,6 @@ func (u *User) ReserveE2E(spec *core.Spec) (*signalling.ResultPayload, error) {
 	msg, err := signalling.NewReserveMessage(signalling.ModeEndToEnd, rar)
 	if err != nil {
 		return nil, err
-	}
-	if u.Trace {
-		msg.Reserve.TraceID = obs.NewTraceID()
 	}
 	client, err := u.clientTo(u.Domain)
 	if err != nil {

@@ -61,9 +61,8 @@ type WorldConfig struct {
 	Pools map[string]map[string]units.Bandwidth
 	// Clock is the shared time source (default time.Now).
 	Clock func() time.Time
-	// Seed seeds every deterministic driver built on the world (the
-	// scenario fleet's RNG streams); it never feeds from the date or
-	// any other ambient source. Zero means 1.
+	// Seed is not read: bench/ sets it, and every driver built on a
+	// world seeds itself from its own config.
 	Seed uint64
 
 	// CallTimeout bounds every signalling call made by brokers and by
@@ -140,31 +139,24 @@ type World struct {
 	Net     *transport.Network
 	Topo    *topology.Topology
 	Domains []string
-	// BBs, Planes, Metrics and Recorders show each domain's front: the
-	// broker serving its well-known address, and after a PromoteReplica
-	// the promoted one.
+	// BBs, Planes and Metrics show each domain's front: the broker
+	// serving its well-known address, and after a PromoteReplica the
+	// promoted one.
 	BBs     map[string]*bb.BB
 	BBCerts map[string]*pki.Certificate
 	// UserCA issues end-user certificates (it is domain 0's CA).
 	UserCA *pki.CA
 	CAS    *cas.Server
 	Groups *group.Server
-	Policy map[string]*policysrv.Server
 	// Pools holds each domain's co-managed pools (WorldConfig.Pools),
 	// shared by every member of its group.
 	Pools  map[string]map[string]*resv.Table
 	Planes map[string]dataplane.DataPlane
-	// Seed is the deterministic seed the world was built with (from
-	// WorldConfig.Seed; zero becomes 1).
-	Seed uint64
 	// Metrics holds each domain's broker registry (none unless
 	// WorldConfig.EnableObs); NetMetrics aggregates transport counters
 	// across the whole in-memory network.
 	Metrics    map[string]*obs.Registry
 	NetMetrics *obs.Registry
-	// Recorders holds each domain's flight recorder (none unless
-	// WorldConfig.EventsDir).
-	Recorders map[string]*obs.Recorder
 
 	// stops stops the server at each running domain's well-known
 	// address.
@@ -212,9 +204,6 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
 	topo := cfg.Topo
 	if topo == nil {
 		if cfg.NumDomains < 1 {
@@ -229,15 +218,12 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 	w := &World{
 		Net:         transport.NewNetwork(cfg.Latency),
 		Topo:        topo,
-		Seed:        cfg.Seed,
 		Domains:     topo.Domains(),
 		BBs:         make(map[string]*bb.BB),
 		BBCerts:     make(map[string]*pki.Certificate),
-		Policy:      make(map[string]*policysrv.Server),
 		Pools:       make(map[string]map[string]*resv.Table),
 		Planes:      make(map[string]dataplane.DataPlane),
 		Metrics:     make(map[string]*obs.Registry),
-		Recorders:   make(map[string]*obs.Recorder),
 		stops:       make(map[string]func()),
 		members:     make(map[string][]*member),
 		leaders:     make(map[string]int),
@@ -259,11 +245,7 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 		return nil, err
 	}
 	w.CAS = cas.NewServer(casKey, "ESnet", 12*time.Hour)
-	gsKey, err := identity.GenerateKeyPair(identity.NewDN("CERN", "", "vo-server"))
-	if err != nil {
-		return nil, err
-	}
-	w.Groups = group.NewServer(gsKey, time.Hour)
+	w.Groups = group.NewServer()
 
 	// Per-domain material.
 	type domainMaterial struct {
@@ -325,7 +307,6 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 		for _, g := range cfg.TrustedGroups {
 			ps.TrustGroupServer(g, w.Groups)
 		}
-		w.Policy[name] = ps
 
 		var peers []bb.Peering
 		for _, neighbor := range topo.Neighbors(name) {
@@ -430,8 +411,8 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 }
 
 // front makes member i the domain's front: the broker its well-known
-// address serves from the next startDomain on, and what BBs, Planes,
-// Metrics and Recorders show for it.
+// address serves from the next startDomain on, and what BBs, Planes
+// and Metrics show for it.
 func (w *World) front(name string, i int) {
 	m := w.members[name][i]
 	w.leaders[name] = i
@@ -439,9 +420,6 @@ func (w *World) front(name string, i int) {
 	w.Planes[name] = m.cfg.Plane
 	if m.cfg.Metrics != nil {
 		w.Metrics[name] = m.cfg.Metrics
-	}
-	if m.cfg.Recorder != nil {
-		w.Recorders[name] = m.cfg.Recorder
 	}
 }
 
@@ -614,7 +592,7 @@ func (w *World) KillLeader(name string) (int, error) {
 }
 
 // PromoteReplica stands replica i for election and, on a win, makes it
-// the domain's front (BBs, Planes, Metrics, Recorders) and its public
+// the domain's front (BBs, Planes, Metrics) and its public
 // face: the well-known address re-listens backed by the promoted
 // broker, so peers' pooled clients transparently redial into the new
 // leader. Fails if the replica is dead or loses the election (e.g. its

@@ -234,17 +234,3 @@ func ParsePrivateKey(der []byte) (PrivateKey, error) {
 	}
 	return PrivateKey(ed), nil
 }
-
-// Attributes is a set of attribute-value assertions about a principal,
-// e.g. group memberships ("group" -> "ATLAS").
-type Attributes map[string][]string
-
-// Has reports whether key carries value.
-func (a Attributes) Has(key, value string) bool {
-	for _, v := range a[key] {
-		if v == value {
-			return true
-		}
-	}
-	return false
-}

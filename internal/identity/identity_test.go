@@ -188,16 +188,6 @@ func TestOtherAlgorithmsRefusedByName(t *testing.T) {
 	}
 }
 
-func TestAttributes(t *testing.T) {
-	a := Attributes{"group": {"ATLAS", "CMS"}, "role": {"physicist"}}
-	if !a.Has("group", "ATLAS") || !a.Has("group", "CMS") || !a.Has("role", "physicist") {
-		t.Fatal("expected attributes missing")
-	}
-	if a.Has("group", "LHCb") {
-		t.Fatal("unexpected attribute present")
-	}
-}
-
 // TestVerifyAllocationFree: a signature check allocates nothing, which
 // is what lets a warm layer of core.Broker.Verify cost 7 allocations.
 func TestVerifyAllocationFree(t *testing.T) {

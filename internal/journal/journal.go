@@ -195,9 +195,8 @@ type Journal struct {
 	stop chan struct{}
 	done chan struct{}
 
-	appends   int64
-	fsyncs    int64
-	rotations int64
+	appends int64
+	fsyncs  int64
 
 	// Streaming state (stream.go), guarded by mu: seq numbers every
 	// appended record within this incarnation, tail keeps the frames
@@ -215,17 +214,11 @@ type Journal struct {
 
 // Stats is a point-in-time view of the journal's activity.
 type Stats struct {
-	// Appends / Fsyncs / Rotations count since Open.
-	Appends, Fsyncs, Rotations int64
-	// Records is the record count appended since the last rotation.
-	Records int
+	// Appends / Fsyncs count since Open.
+	Appends, Fsyncs int64
 	// TailBytes is the size of the frames the stream tail holds: those
 	// some follower has not acknowledged yet (see Retain and Trim).
 	TailBytes int
-	// Err is the sticky write-path error, if any: once a write fails
-	// the journal keeps accepting appends best-effort but durability
-	// is gone until the broker restarts.
-	Err error
 }
 
 // Open recovers the directory's persisted state, truncates any torn
@@ -277,7 +270,7 @@ func Open(dir string, opts Options) (*Journal, *Recovered, error) {
 }
 
 // Append encodes and logs one record under the configured fsync
-// policy. The returned error is also sticky (see Stats.Err): callers
+// policy. The returned error is also sticky (see Err): callers
 // on the hot path may ignore it and rely on the OnError hook.
 //
 // The payload is framed directly into the journal's own buffers (the
@@ -508,7 +501,6 @@ func (j *Journal) Rotate(state func() ([]byte, error)) error {
 		return fmt.Errorf("journal: truncating wal: %w", err)
 	}
 	j.records = 0
-	j.rotations++
 	// The snapshot reflects every tailed record: a stream reader that
 	// needs anything older than the (now empty) tail takes the snapshot.
 	j.dropHeadLocked(len(j.tail))
@@ -585,7 +577,7 @@ func (j *Journal) Stats() Stats {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return Stats{Appends: j.appends, Fsyncs: j.fsyncs, Rotations: j.rotations, Records: j.records, TailBytes: j.tailSize, Err: j.err}
+	return Stats{Appends: j.appends, Fsyncs: j.fsyncs, TailBytes: j.tailSize}
 }
 
 // Err returns the sticky write-path error, nil while healthy.

@@ -382,7 +382,7 @@ func TestStatsAndHooks(t *testing.T) {
 		j.Append("test.op", payload{N: i})
 	}
 	st := j.Stats()
-	if st.Appends != 4 || st.Records != 4 || st.Err != nil {
+	if st.Appends != 4 || j.Err() != nil {
 		t.Fatalf("Stats = %+v", st)
 	}
 	if appends != 4 || fsyncs != 4 {

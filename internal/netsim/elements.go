@@ -20,7 +20,6 @@ type Source struct {
 	Size  int // packet size, bytes
 	Class Class
 	Next  Receiver
-	Start time.Duration
 	Stop  time.Duration
 	// Jitter randomises each inter-packet gap by up to ±Jitter
 	// (fraction of the nominal interval), using a deterministic
@@ -40,7 +39,7 @@ func NewSource(sim *dsim.Sim, flow FlowID, rate units.Bandwidth, pktSize int, cl
 // Install schedules the first emission. Stop of zero means "run until
 // the simulation horizon".
 func (s *Source) Install(start, stop time.Duration) error {
-	s.Start, s.Stop = start, stop
+	s.Stop = stop
 	err := s.sim.Schedule(start, s.emit)
 	return err
 }
@@ -101,8 +100,7 @@ func (s *Source) emit() {
 // and removes reservations from broker goroutines while the data path
 // classifies packets.
 type EdgeMarker struct {
-	Next  Receiver
-	Drops DropStats
+	Next Receiver
 
 	mu     sync.Mutex
 	meters map[FlowID]*TokenBucket
@@ -130,17 +128,12 @@ func (m *EdgeMarker) RemoveReservation(flow FlowID) {
 }
 
 // Receive classifies and marks the packet: premium while the flow's
-// reservation profile holds, best effort otherwise. Out-of-profile
-// traffic of a reserved flow is counted as remarked.
+// reservation profile holds, best effort otherwise.
 func (m *EdgeMarker) Receive(p *Packet) {
 	m.mu.Lock()
 	p.Class = BestEffort
-	if tb, reserved := m.meters[p.Flow]; reserved {
-		if tb.Conform(p.Size, m.nowFn()) {
-			p.Class = Premium
-		} else {
-			m.Drops.Remarked++
-		}
+	if tb, reserved := m.meters[p.Flow]; reserved && tb.Conform(p.Size, m.nowFn()) {
+		p.Class = Premium
 	}
 	m.mu.Unlock()
 	m.Next.Receive(p)
@@ -244,8 +237,6 @@ type Link struct {
 	premBytes, beBytes int
 	bufLimit           int
 	busy               bool
-	Drops              DropStats
-	TxBytes            int64
 }
 
 // NewLink creates a link feeding next.
@@ -268,14 +259,12 @@ func NewLink(sim *dsim.Sim, capacity units.Bandwidth, prop time.Duration, buffer
 func (l *Link) Receive(p *Packet) {
 	if p.Class == Premium {
 		if l.premBytes+p.Size > l.bufLimit {
-			l.Drops.Dropped++
 			return
 		}
 		l.premQ.PushBack(p)
 		l.premBytes += p.Size
 	} else {
 		if l.beBytes+p.Size > l.bufLimit {
-			l.Drops.Dropped++
 			return
 		}
 		l.beQ.PushBack(p)
@@ -312,15 +301,11 @@ func (l *Link) transmitNext() {
 	tx := time.Duration(float64(p.Size*8) / float64(l.Capacity) * float64(time.Second))
 	pkt := p
 	if err := l.sim.After(tx, func() {
-		l.TxBytes += int64(pkt.Size)
 		// Delivery after propagation happens in parallel with the next
-		// transmission.
-		if err := l.sim.After(l.Prop, func() { l.Next.Receive(pkt) }); err != nil {
-			l.Drops.Dropped++
-		}
+		// transmission; a delivery past the horizon is lost.
+		_ = l.sim.After(l.Prop, func() { l.Next.Receive(pkt) })
 		l.transmitNext()
 	}); err != nil {
-		l.Drops.Dropped++
 		l.busy = false
 	}
 }
@@ -344,14 +329,13 @@ func (s *Sink) Receive(p *Packet) {
 	defer s.mu.Unlock()
 	st := s.flows[p.Flow]
 	if st == nil {
-		st = &FlowStats{RxBytesByCls: make(map[Class]int64), FirstRx: s.sim.Now()}
+		st = &FlowStats{RxBytesByCls: make(map[Class]int64)}
 		s.flows[p.Flow] = st
 	}
 	now := s.sim.Now()
 	st.RxPackets++
 	st.RxBytes += int64(p.Size)
 	st.RxBytesByCls[p.Class] += int64(p.Size)
-	st.LastRx = now
 	st.LatencySum += now - p.Sent
 }
 

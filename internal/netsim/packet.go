@@ -14,7 +14,6 @@ package netsim
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -48,15 +47,11 @@ type Packet struct {
 	Class Class
 	// Sent is the virtual time the source emitted the packet.
 	Sent time.Duration
-	// seq is a global sequence number for debugging.
-	seq uint64
 }
-
-var packetSeq atomic.Uint64
 
 // newPacket stamps a fresh packet.
 func newPacket(flow FlowID, size int, class Class, now time.Duration) *Packet {
-	return &Packet{Flow: flow, Size: size, Class: class, Sent: now, seq: packetSeq.Add(1)}
+	return &Packet{Flow: flow, Size: size, Class: class, Sent: now}
 }
 
 // Receiver is anything that can accept a packet: policers, links,
@@ -70,9 +65,6 @@ type FlowStats struct {
 	RxPackets    int64
 	RxBytes      int64
 	RxBytesByCls map[Class]int64
-	// FirstRx/LastRx bound the measurement interval.
-	FirstRx time.Duration
-	LastRx  time.Duration
 	// LatencySum accumulates per-packet one-way delay.
 	LatencySum time.Duration
 }

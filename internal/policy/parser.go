@@ -21,7 +21,10 @@ import (
 //	       | "time" "within" HH:MM ".." HH:MM
 //	       | "has" IDENT "-reservation"
 //	       | ("source" | "dest") "=" STRING
-//	       | "attr" STRING "=" STRING
+//
+// Any other condition is refused by name. That includes "attr", a
+// free-form attribute test: no broker supplies such facts, so it
+// could never hold.
 func Parse(name, text string) (*Policy, error) {
 	p := &Policy{Name: name}
 	for lineNo, raw := range strings.Split(text, "\n") {
@@ -205,11 +208,6 @@ func parseCondition(toks []token) (Condition, []token, error) {
 			return nil, nil, fmt.Errorf("%s condition: want %s = \"DOMAIN\"", head.text, head.text)
 		}
 		return domainCond{field: head.text, value: toks[2].text}, toks[3:], nil
-	case "attr":
-		if len(toks) < 4 || !toks[1].quoted || toks[2].text != "=" || !toks[3].quoted {
-			return nil, nil, fmt.Errorf("attr condition: want attr \"KEY\" = \"VALUE\"")
-		}
-		return attrCond{key: toks[1].text, value: toks[3].text}, toks[4:], nil
 	default:
 		return nil, nil, fmt.Errorf("unknown condition %q", head.text)
 	}

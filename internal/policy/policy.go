@@ -16,6 +16,12 @@
 //	allow if user = "/O=Grid/OU=DomainA/CN=Alice" and not time within 08:00..17:00 and bw <= avail
 //	deny
 //
+// A condition tests a fact the broker's policy server supplies: the
+// authenticated user, group memberships the group servers validated,
+// capabilities whose chain verified for this RAR, the bandwidth against
+// the local headroom, the time of day, the end domains and linked
+// co-reservations (Parse lists the grammar).
+//
 // Rules are evaluated top to bottom; the first rule whose conditions
 // all hold decides. An empty condition list always matches, so a bare
 // trailing "deny" (or "allow") is the default clause. When no rule
@@ -48,10 +54,9 @@ func (e Effect) String() string {
 }
 
 // Capability summarises one verified capability available to the
-// requestor: the issuing community and the capability names.
+// requestor: the community that issued it.
 type Capability struct {
 	Community string
-	Names     []string
 }
 
 // Request is the evaluation context: everything Figure 6's policy files
@@ -79,8 +84,6 @@ type Request struct {
 	// by resource type, e.g. {"cpu": true} when the request presents a
 	// valid CPU reservation handle (Figure 6's HasValidCPUResv(RAR)).
 	LinkedReservations map[string]bool
-	// Attributes carries any further validated attribute-value facts.
-	Attributes identity.Attributes
 }
 
 // HasGroup reports a validated membership.
@@ -107,9 +110,6 @@ func (r *Request) HasCapabilityFrom(community string) bool {
 // Decision is the result of evaluating a policy.
 type Decision struct {
 	Effect Effect
-	// Rule is the 1-based index of the deciding rule, 0 when no rule
-	// matched (implicit deny).
-	Rule int
 	// Reason is a human-readable trace.
 	Reason string
 }
@@ -154,11 +154,7 @@ func (p *Policy) Evaluate(r *Request) Decision {
 	}
 	for i, ru := range p.Rules {
 		if ru.Matches(r) {
-			return Decision{
-				Effect: ru.Effect,
-				Rule:   i + 1,
-				Reason: fmt.Sprintf("rule %d: %s", i+1, ru.Source),
-			}
+			return Decision{Effect: ru.Effect, Reason: fmt.Sprintf("rule %d: %s", i+1, ru.Source)}
 		}
 	}
 	return Decision{Effect: Deny, Reason: "no matching rule (implicit deny)"}
@@ -292,9 +288,3 @@ func (c domainCond) Eval(r *Request) bool {
 	return r.DestDomain == c.value
 }
 func (c domainCond) String() string { return fmt.Sprintf("%s = %q", c.field, c.value) }
-
-// attrCond matches a validated free-form attribute.
-type attrCond struct{ key, value string }
-
-func (c attrCond) Eval(r *Request) bool { return r.Attributes.Has(c.key, c.value) }
-func (c attrCond) String() string       { return fmt.Sprintf("attr %q = %q", c.key, c.value) }

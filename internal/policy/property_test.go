@@ -95,7 +95,7 @@ func TestParserRoundTripProperty(t *testing.T) {
 			req := genRequest(rng)
 			d1 := p1.Evaluate(req)
 			d2 := p2.Evaluate(req)
-			if d1.Effect != d2.Effect || d1.Rule != d2.Rule {
+			if d1 != d2 {
 				t.Fatalf("round-tripped policy diverged on %+v:\n%s\n-> %+v vs %+v", req, src, d1, d2)
 			}
 		}

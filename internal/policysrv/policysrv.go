@@ -38,9 +38,6 @@ type Query struct {
 	// Assertions are unvalidated group claims carried in the request
 	// ("I am a physicist").
 	Assertions []string
-	// Attestations are pre-validated group attestations propagated from
-	// upstream hops.
-	Attestations []*group.Attestation
 	// CapabilityChain is the (possibly delegated) capability
 	// certificate chain accompanying the request.
 	CapabilityChain pki.CapabilityChain
@@ -128,23 +125,11 @@ func (s *Server) Decide(q *Query) (*Result, error) {
 		if gs == nil {
 			continue // no server trusted for this group: assertion ignored
 		}
-		if _, err := gs.Validate(q.User, g); err == nil {
+		if gs.Validate(q.User, g) == nil {
 			res.ValidatedGroups = append(res.ValidatedGroups, g)
 		}
 	}
-	// 2. Accept upstream attestations from trusted group servers.
-	for _, att := range q.Attestations {
-		s.mu.RLock()
-		gs := s.groupServers[att.Group]
-		s.mu.RUnlock()
-		if gs == nil {
-			continue
-		}
-		if err := group.VerifyAttestation(att, gs.Key(), now); err == nil && att.User == q.User {
-			res.ValidatedGroups = appendUnique(res.ValidatedGroups, att.Group)
-		}
-	}
-	// 3. Verify the capability chain against trusted CAS keys.
+	// 2. Verify the capability chain against trusted CAS keys.
 	if len(q.CapabilityChain) > 0 {
 		community := q.CapabilityChain[0].Attrs.Community
 		s.mu.RLock()
@@ -157,15 +142,12 @@ func (s *Server) Decide(q *Query) (*Result, error) {
 				RequireRestriction: q.RequireRestriction,
 			})
 			if err == nil {
-				res.Capabilities = append(res.Capabilities, policy.Capability{
-					Community: attrs.Community,
-					Names:     attrs.Capabilities,
-				})
+				res.Capabilities = append(res.Capabilities, policy.Capability{Community: attrs.Community})
 			}
 		}
 	}
 
-	// 4. Evaluate local policy over the validated facts.
+	// 3. Evaluate local policy over the validated facts.
 	req := &policy.Request{
 		User:               q.User,
 		Groups:             res.ValidatedGroups,
@@ -188,13 +170,4 @@ func effectiveTime(q *Query, now time.Time) time.Time {
 		return q.Window.Start
 	}
 	return now
-}
-
-func appendUnique(list []string, v string) []string {
-	for _, have := range list {
-		if have == v {
-			return list
-		}
-	}
-	return append(list, v)
 }

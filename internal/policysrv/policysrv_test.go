@@ -56,11 +56,7 @@ func TestDecideFigure6DomainA(t *testing.T) {
 }
 
 func TestDecideValidatesAssertions(t *testing.T) {
-	gsKey, err := identity.GenerateKeyPair(identity.NewDN("CERN", "", "vo"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs := group.NewServer(gsKey, time.Hour)
+	gs := group.NewServer()
 	gs.AddMember("ATLAS experiment", alice)
 
 	s := New("DomainB", policy.Figure6PolicyB)
@@ -88,35 +84,6 @@ func TestDecideValidatesAssertions(t *testing.T) {
 	res, _ = s.Decide(&Query{User: alice, Bandwidth: 10 * units.Mbps, Assertions: []string{"unknown-group"}})
 	if res.Decision.Granted() {
 		t.Error("unvalidatable assertion led to grant")
-	}
-}
-
-func TestDecideAcceptsUpstreamAttestations(t *testing.T) {
-	gsKey, err := identity.GenerateKeyPair(identity.NewDN("CERN", "", "vo"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs := group.NewServer(gsKey, time.Hour)
-	gs.AddMember("ATLAS experiment", alice)
-	att, err := gs.Validate(alice, "ATLAS experiment")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s := New("DomainB", policy.Figure6PolicyB)
-	s.TrustGroupServer("ATLAS experiment", gs)
-	res, err := s.Decide(&Query{User: alice, Bandwidth: 5 * units.Mbps, Attestations: []*group.Attestation{att}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Decision.Granted() {
-		t.Errorf("attested member denied: %s", res.Decision.Reason)
-	}
-
-	// An attestation naming a different user must not help.
-	res, _ = s.Decide(&Query{User: bob, Bandwidth: 5 * units.Mbps, Attestations: []*group.Attestation{att}})
-	if res.Decision.Granted() {
-		t.Error("attestation for another user led to grant")
 	}
 }
 

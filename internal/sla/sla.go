@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"time"
 
-	"e2eqos/internal/identity"
 	"e2eqos/internal/units"
 )
 
@@ -44,26 +43,17 @@ func (e ExcessTreatment) String() string {
 }
 
 // TrafficProfile is a token-bucket traffic specification: the classic
-// (r, b) pair plus a peak rate, matching what DiffServ edge policers
-// implement.
+// (r, b) pair, matching what DiffServ edge policers implement.
 type TrafficProfile struct {
 	// Rate is the sustained token rate.
 	Rate units.Bandwidth
 	// BucketBytes is the burst allowance in bytes.
 	BucketBytes int64
-	// PeakRate bounds instantaneous sending; zero means unconstrained.
-	PeakRate units.Bandwidth
 }
 
 // Valid reports whether the profile is internally consistent.
 func (p TrafficProfile) Valid() bool {
-	if p.Rate <= 0 || p.BucketBytes <= 0 {
-		return false
-	}
-	if p.PeakRate != 0 && p.PeakRate < p.Rate {
-		return false
-	}
-	return true
+	return p.Rate > 0 && p.BucketBytes > 0
 }
 
 // SLS is a service level specification: the measurable QoS parameters
@@ -71,8 +61,6 @@ func (p TrafficProfile) Valid() bool {
 type SLS struct {
 	// Profile is the admitted aggregate traffic envelope.
 	Profile TrafficProfile
-	// Excess is the treatment of out-of-profile traffic.
-	Excess ExcessTreatment
 	// MaxLatency is the per-domain delay bound offered to conforming
 	// traffic; zero means unspecified.
 	MaxLatency time.Duration
@@ -107,29 +95,14 @@ type SLA struct {
 	Downstream string
 	// Service is the premium-class SLS for the aggregate.
 	Service SLS
-	// UpstreamBBDN / DownstreamBBDN identify the peered brokers.
-	UpstreamBBDN   identity.DN
-	DownstreamBBDN identity.DN
-	// ValidFrom/ValidUntil bound the contract.
-	ValidFrom  time.Time
-	ValidUntil time.Time
 }
 
-// Valid reports structural validity at time t.
-func (s *SLA) Valid(t time.Time) bool {
+// Valid reports structural validity.
+func (s *SLA) Valid() bool {
 	if s == nil || !s.Service.Valid() {
 		return false
 	}
-	if s.Upstream == "" || s.Downstream == "" || s.Upstream == s.Downstream {
-		return false
-	}
-	if !s.ValidFrom.IsZero() && t.Before(s.ValidFrom) {
-		return false
-	}
-	if !s.ValidUntil.IsZero() && !t.Before(s.ValidUntil) {
-		return false
-	}
-	return true
+	return s.Upstream != "" && s.Downstream != "" && s.Upstream != s.Downstream
 }
 
 // Conforms checks whether an additional reservation of rate bw on top

@@ -8,7 +8,7 @@ import (
 )
 
 func validProfile() TrafficProfile {
-	return TrafficProfile{Rate: 100 * units.Mbps, BucketBytes: 64_000, PeakRate: 200 * units.Mbps}
+	return TrafficProfile{Rate: 100 * units.Mbps, BucketBytes: 64_000}
 }
 
 func validSLA(up, down string) *SLA {
@@ -17,7 +17,6 @@ func validSLA(up, down string) *SLA {
 		Downstream: down,
 		Service: SLS{
 			Profile:     validProfile(),
-			Excess:      Remark,
 			MaxLatency:  5 * time.Millisecond,
 			Reliability: 0.999,
 		},
@@ -32,16 +31,11 @@ func TestTrafficProfileValid(t *testing.T) {
 		{Rate: 0, BucketBytes: 1},
 		{Rate: 1, BucketBytes: 0},
 		{Rate: -5, BucketBytes: 10},
-		{Rate: 100, BucketBytes: 10, PeakRate: 50}, // peak below rate
 	}
 	for i, p := range bad {
 		if p.Valid() {
 			t.Errorf("bad profile %d accepted: %+v", i, p)
 		}
-	}
-	// Zero peak is unconstrained, hence valid.
-	if !(TrafficProfile{Rate: 1, BucketBytes: 1}).Valid() {
-		t.Error("zero peak must be valid")
 	}
 }
 
@@ -65,30 +59,24 @@ func TestSLSValid(t *testing.T) {
 }
 
 func TestSLAValid(t *testing.T) {
-	now := time.Now()
 	s := validSLA("A", "B")
-	if !s.Valid(now) {
+	if !s.Valid() {
 		t.Fatal("valid SLA rejected")
 	}
-	if (&SLA{}).Valid(now) {
+	if (&SLA{}).Valid() {
 		t.Error("zero SLA accepted")
 	}
 	self := validSLA("A", "A")
-	if self.Valid(now) {
+	if self.Valid() {
 		t.Error("self-peering accepted")
 	}
-	expired := validSLA("A", "B")
-	expired.ValidUntil = now.Add(-time.Hour)
-	if expired.Valid(now) {
-		t.Error("expired SLA accepted")
-	}
-	future := validSLA("A", "B")
-	future.ValidFrom = now.Add(time.Hour)
-	if future.Valid(now) {
-		t.Error("not-yet-valid SLA accepted")
+	noService := validSLA("A", "B")
+	noService.Service.Profile.Rate = 0
+	if noService.Valid() {
+		t.Error("SLA without a contracted rate accepted")
 	}
 	var nilSLA *SLA
-	if nilSLA.Valid(now) {
+	if nilSLA.Valid() {
 		t.Error("nil SLA accepted")
 	}
 }

@@ -9,7 +9,6 @@ package topology
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"e2eqos/internal/identity"
@@ -22,9 +21,6 @@ type Domain struct {
 	Name string
 	// BBDN is the distinguished name of the domain's bandwidth broker.
 	BBDN identity.DN
-	// Prefixes lists the address prefixes (string-prefix matched hosts)
-	// that belong to this domain, e.g. "hostA." or "10.1.".
-	Prefixes []string
 }
 
 // Link is a bidirectional peering between two domains with a physical
@@ -353,11 +349,7 @@ func Linear(n int, capacity units.Bandwidth, labels ...string) (*Topology, error
 		return fmt.Sprintf("Domain%d", i)
 	}
 	for i := 0; i < n; i++ {
-		d := Domain{
-			Name:     name(i),
-			BBDN:     identity.NewDN("Grid", name(i), fmt.Sprintf("bb-%d", i)),
-			Prefixes: []string{fmt.Sprintf("host%d.", i), strings.ToLower(name(i)) + "."},
-		}
+		d := Domain{Name: name(i), BBDN: identity.NewDN("Grid", name(i), fmt.Sprintf("bb-%d", i))}
 		if err := t.AddDomain(d); err != nil {
 			return nil, err
 		}
@@ -376,8 +368,7 @@ func Linear(n int, capacity units.Bandwidth, labels ...string) (*Topology, error
 // domain Domain1..Domain{branches}, each of which peers with the
 // destination. Branch i's links carry cost i, so the disjoint path set
 // comes out in a deterministic order — the branch through Domain1 is
-// always the primary. Naming conventions (BB DNs, host prefixes)
-// match Linear, so the experiment world wires it unchanged.
+// always the primary. Its BB DNs follow Linear's naming, so the experiment world wires it unchanged.
 func Multi(branches int, capacity units.Bandwidth) (*Topology, error) {
 	if branches < 1 {
 		return nil, fmt.Errorf("topology: need at least one branch")
@@ -386,11 +377,7 @@ func Multi(branches int, capacity units.Bandwidth) (*Topology, error) {
 	t := New()
 	name := func(i int) string { return fmt.Sprintf("Domain%d", i) }
 	for i := 0; i < n; i++ {
-		d := Domain{
-			Name:     name(i),
-			BBDN:     identity.NewDN("Grid", name(i), fmt.Sprintf("bb-%d", i)),
-			Prefixes: []string{fmt.Sprintf("host%d.", i), strings.ToLower(name(i)) + "."},
-		}
+		d := Domain{Name: name(i), BBDN: identity.NewDN("Grid", name(i), fmt.Sprintf("bb-%d", i))}
 		if err := t.AddDomain(d); err != nil {
 			return nil, err
 		}

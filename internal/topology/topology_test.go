@@ -1,10 +1,10 @@
 package topology
 
 import (
-	"slices"
 	"testing"
 	"testing/quick"
 
+	"e2eqos/internal/identity"
 	"e2eqos/internal/units"
 )
 
@@ -12,7 +12,7 @@ func buildDiamond(t *testing.T) *Topology {
 	t.Helper()
 	tp := New()
 	for _, name := range []string{"A", "B", "C", "D"} {
-		if err := tp.AddDomain(Domain{Name: name, Prefixes: []string{"host-" + name + "."}}); err != nil {
+		if err := tp.AddDomain(Domain{Name: name}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,8 +107,8 @@ func TestLinearTopology(t *testing.T) {
 	if len(path) != 4 {
 		t.Errorf("path = %v, want 4 hops inclusive", path)
 	}
-	if d, ok := tp.Domain("Domain2"); !ok || !slices.Contains(d.Prefixes, "host2.") {
-		t.Errorf("Domain2 = %+v ok=%v, want prefix host2.", d, ok)
+	if d, ok := tp.Domain("Domain2"); !ok || d.BBDN != identity.NewDN("Grid", "Domain2", "bb-2") {
+		t.Errorf("Domain2 = %+v ok=%v, want broker bb-2", d, ok)
 	}
 	l, ok := tp.LinkBetween("Domain1", "Domain2")
 	if !ok || l.Capacity != 100*units.Mbps {

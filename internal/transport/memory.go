@@ -35,7 +35,6 @@ type Network struct {
 
 	msgs  atomic.Int64
 	bytes atomic.Int64
-	dials atomic.Int64
 }
 
 // NewNetwork creates a network with the given one-way latency.
@@ -49,14 +48,10 @@ func (n *Network) Messages() int64 { return n.msgs.Load() }
 // Bytes returns the total payload bytes sent.
 func (n *Network) Bytes() int64 { return n.bytes.Load() }
 
-// Dials returns the number of connections established.
-func (n *Network) Dials() int64 { return n.dials.Load() }
-
 // ResetCounters zeroes the accounting, between experiment runs.
 func (n *Network) ResetCounters() {
 	n.msgs.Store(0)
 	n.bytes.Store(0)
-	n.dials.Store(0)
 }
 
 // Endpoint is one named party on the network. The DN and certificate
@@ -108,7 +103,6 @@ func (e *Endpoint) Dial(addr string) (Conn, error) {
 		e.net.Metrics.dialFailure()
 		return nil, err
 	}
-	e.net.dials.Add(1)
 	e.net.Metrics.dial()
 	if e.net.Latency > 0 {
 		time.Sleep(e.net.Latency)

@@ -168,11 +168,11 @@ func TestMemoryAccounting(t *testing.T) {
 		}
 	}
 	<-done
-	if n.Messages() != 3 || n.Bytes() != 12 || n.Dials() != 1 {
-		t.Errorf("msgs=%d bytes=%d dials=%d, want 3/12/1", n.Messages(), n.Bytes(), n.Dials())
+	if n.Messages() != 3 || n.Bytes() != 12 {
+		t.Errorf("msgs=%d bytes=%d, want 3/12", n.Messages(), n.Bytes())
 	}
 	n.ResetCounters()
-	if n.Messages() != 0 || n.Bytes() != 0 || n.Dials() != 0 {
+	if n.Messages() != 0 || n.Bytes() != 0 {
 		t.Error("counters not reset")
 	}
 }

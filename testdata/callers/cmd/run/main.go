@@ -12,5 +12,6 @@ func main() {
 	s.Add(1)
 	xs := []string{"ccc", "a", "bb"}
 	a.SortByLen(xs)
-	fmt.Println(a.Used{}.Gen(), a.Other{}, s, xs)
+	b, err := a.Encode()
+	fmt.Println(a.Used{}.Gen(), a.Other{}, s, xs, a.NewFields().Sum(), string(b), err)
 }

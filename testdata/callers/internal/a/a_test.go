@@ -7,3 +7,11 @@ func TestOtherGen(t *testing.T) {
 		t.Fatal("Other.Gen")
 	}
 }
+
+func TestReadOnly(t *testing.T) {
+	f := NewFields()
+	f.readOnly = 1
+	if f.Sum() == 0 {
+		t.Fatal("Sum")
+	}
+}

@@ -590,7 +590,7 @@ func BenchmarkAblationCapabilityDelegation(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := pki.Delegate(cred.Certificate, w.User.Key.DN, cred.Proxy.Private,
-			next.DN, next.Public(), []string{"valid-for-rar:bench"}, 0); err != nil {
+			next.DN, next.Public(), []string{"valid-for-rar:bench"}); err != nil {
 			b.Fatal(err)
 		}
 	}

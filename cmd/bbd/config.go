@@ -309,7 +309,7 @@ func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, e
 
 	var recorder *obs.Recorder
 	if cfg.EventsDir != "" {
-		recorder, err = obs.OpenRecorder(obs.RecorderOptions{Dir: cfg.EventsDir})
+		recorder, err = obs.OpenRecorder(cfg.EventsDir)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("bbd: %w", err)
 		}

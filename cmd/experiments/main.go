@@ -8,8 +8,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -17,22 +19,73 @@ import (
 	"e2eqos/internal/experiment"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment to run: fig1, fig3, fig4, fig5, fig6, fig7, trust, trust-scaling, tunnel, subflows, scale, fleet, keydist, billing, diffserv, faults, multipath, failover, all")
-	md := flag.Bool("md", false, "emit markdown instead of aligned text")
-	hopLatency := flag.Duration("latency", 5*time.Millisecond, "one-way signalling latency per hop")
-	duration := flag.Duration("duration", 2*time.Second, "simulated traffic duration for fig4")
-	trials := flag.Int("trials", 3, "trials per signalling measurement")
-	callTimeout := flag.Duration("call-timeout", 100*time.Millisecond, "per-hop signalling deadline for the faults experiment")
-	faultTrials := flag.Int("fault-trials", 20, "reservations per cell of the faults sweep")
-	fleetUsers := flag.Int("fleet-users", 100_000, "simulated population for the fleet experiment")
-	fleetSeed := flag.Uint64("fleet-seed", 1, "RNG seed for the fleet experiment")
-	fleetBench := flag.String("fleet-bench", "", "write the fleet run as a BENCH_scale.json-style file at this path")
-	flag.Parse()
+// options are the parsed command line.
+type options struct {
+	exp         string
+	md          bool
+	hopLatency  time.Duration
+	duration    time.Duration
+	trials      int
+	callTimeout time.Duration
+	faultTrials int
+	fleetUsers  int
+	fleetSeed   uint64
+	fleetBench  string
+}
 
-	run := func(name string) bool { return *exp == "all" || *exp == name }
+// parseFlags parses args and refuses, by name, a flag whose value no
+// experiment can run with. Every error has been written to out, with
+// the usage for a malformed flag.
+func parseFlags(args []string, out io.Writer) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(out)
+	fs.StringVar(&o.exp, "exp", "all", "experiment to run: fig1, fig3, fig4, fig5, fig6, fig7, trust, trust-scaling, tunnel, subflows, scale, fleet, keydist, billing, diffserv, faults, multipath, failover, all")
+	fs.BoolVar(&o.md, "md", false, "emit markdown instead of aligned text")
+	fs.DurationVar(&o.hopLatency, "latency", 5*time.Millisecond, "one-way signalling latency per hop")
+	fs.DurationVar(&o.duration, "duration", 2*time.Second, "simulated traffic duration for fig4")
+	fs.IntVar(&o.trials, "trials", 3, "trials per signalling measurement")
+	fs.DurationVar(&o.callTimeout, "call-timeout", 100*time.Millisecond, "per-hop signalling deadline for the faults experiment")
+	fs.IntVar(&o.faultTrials, "fault-trials", 20, "reservations per cell of the faults sweep")
+	fs.IntVar(&o.fleetUsers, "fleet-users", 100_000, "simulated population for the fleet experiment")
+	fs.Uint64Var(&o.fleetSeed, "fleet-seed", 1, "RNG seed for the fleet experiment")
+	fs.StringVar(&o.fleetBench, "fleet-bench", "", "write the fleet run as a BENCH_scale.json-style file at this path")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	for _, c := range []struct {
+		name string
+		bad  bool
+		want string
+	}{
+		{"trials", o.trials < 1, "at least 1"},
+		{"fault-trials", o.faultTrials < 1, "at least 1"},
+		{"fleet-users", o.fleetUsers < 1, "at least 1"},
+		{"duration", o.duration <= 0, "positive"},
+		{"call-timeout", o.callTimeout <= 0, "positive"},
+		{"latency", o.hopLatency < 0, "zero or more"},
+	} {
+		if c.bad {
+			err := fmt.Errorf("-%s %s: must be %s", c.name, fs.Lookup(c.name).Value, c.want)
+			fmt.Fprintln(out, err)
+			return o, err
+		}
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+
+	run := func(name string) bool { return o.exp == "all" || o.exp == name }
 	emit := func(t *experiment.Table) {
-		if *md {
+		if o.md {
 			fmt.Println(t.Markdown())
 		} else {
 			fmt.Println(t.Render())
@@ -47,19 +100,19 @@ func main() {
 		emit(experiment.RunFigure1())
 	}
 	if run("fig3") || run("fig5") {
-		t, err := experiment.RunSignallingComparison(nil, *hopLatency, *trials)
+		t, err := experiment.RunSignallingComparison(o.hopLatency, o.trials)
 		if err != nil {
 			fail("fig3+fig5", err)
 		}
 		emit(t)
 	}
 	if run("fig4") {
-		_, t, err := experiment.RunFigure4(*duration)
+		_, t, err := experiment.RunFigure4(o.duration)
 		if err != nil {
 			fail("fig4", err)
 		}
 		emit(t)
-		sweep, err := experiment.RunFigure4Sweep(nil, *duration)
+		sweep, err := experiment.RunFigure4Sweep(o.duration)
 		if err != nil {
 			fail("fig4-sweep", err)
 		}
@@ -80,33 +133,31 @@ func main() {
 		emit(t)
 	}
 	if run("fig7") {
-		t, err := experiment.RunFigure7(4)
+		t, err := experiment.RunFigure7()
 		if err != nil {
 			fail("fig7", err)
 		}
 		emit(t)
 	}
 	if run("trust") {
-		t, err := experiment.RunTrustChain(8)
+		t, err := experiment.RunTrustChain()
 		if err != nil {
 			fail("trust", err)
 		}
 		emit(t)
 	}
 	if run("trust-scaling") {
-		emit(experiment.RunTrustScaling(nil, nil))
+		emit(experiment.RunTrustScaling())
 	}
 	if run("tunnel") {
-		t, err := experiment.RunTunnelScaling(nil, 5, *hopLatency)
+		t, err := experiment.RunTunnelScaling(o.hopLatency)
 		if err != nil {
 			fail("tunnel", err)
 		}
 		emit(t)
 	}
 	if run("subflows") {
-		t, err := experiment.RunSubFlowLoad(experiment.SubFlowLoadConfig{
-			Latency: *hopLatency / 10, // sub-flow signalling skips the chain: two ends, one hop
-		})
+		t, err := experiment.RunSubFlowLoad(o.hopLatency / 10) // sub-flow signalling skips the chain: two ends, one hop
 		if err != nil {
 			fail("subflows", err)
 		}
@@ -119,7 +170,7 @@ func main() {
 		}
 		defer os.RemoveAll(dir)
 		t, err := experiment.RunScaleLoad(experiment.ScaleLoadConfig{
-			Latency:    *hopLatency / 10,
+			Latency:    o.hopLatency / 10,
 			SampleRate: 0.01,
 			EventsDir:  dir,
 		})
@@ -130,35 +181,35 @@ func main() {
 	}
 	// The fleet runs only when asked for by name: at its default
 	// 100k-user population it dominates the suite's wall clock.
-	if *exp == "fleet" {
+	if o.exp == "fleet" {
 		start := time.Now()
 		res, t, err := experiment.RunFleetExperiment(experiment.FleetConfig{
-			Users: *fleetUsers,
-			Seed:  *fleetSeed,
+			Users: o.fleetUsers,
+			Seed:  o.fleetSeed,
 		})
 		if err != nil {
 			fail("fleet", err)
 		}
 		emit(t)
-		if *fleetBench != "" {
+		if o.fleetBench != "" {
 			machine := fmt.Sprintf("linux, Intel Xeon @ 2.10GHz, 1 hardware thread (nproc=%d)", runtime.NumCPU())
 			date := time.Now().Format("2006-01-02")
-			if err := experiment.WriteFleetBench(res, *fleetBench, machine, date, time.Since(start)); err != nil {
+			if err := experiment.WriteFleetBench(res, o.fleetBench, machine, date, time.Since(start)); err != nil {
 				fail("fleet-bench", err)
 			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *fleetBench)
+			fmt.Fprintf(os.Stderr, "wrote %s\n", o.fleetBench)
 		}
 	}
 
 	if run("keydist") {
-		t, err := experiment.RunKeyDistribution(8)
+		t, err := experiment.RunKeyDistribution()
 		if err != nil {
 			fail("keydist", err)
 		}
 		emit(t)
 	}
 	if run("diffserv") {
-		t, err := experiment.RunDiffServChain(5, *duration)
+		t, err := experiment.RunDiffServChain(o.duration)
 		if err != nil {
 			fail("diffserv", err)
 		}
@@ -166,8 +217,8 @@ func main() {
 	}
 	if run("faults") {
 		t, err := experiment.RunFaultSweep(experiment.FaultSweepConfig{
-			CallTimeout: *callTimeout,
-			Trials:      *faultTrials,
+			CallTimeout: o.callTimeout,
+			Trials:      o.faultTrials,
 		})
 		if err != nil {
 			fail("faults", err)
@@ -175,14 +226,14 @@ func main() {
 		emit(t)
 	}
 	if run("multipath") {
-		t, err := experiment.RunMultipathExp(experiment.MultipathConfig{})
+		t, err := experiment.RunMultipathExp()
 		if err != nil {
 			fail("multipath", err)
 		}
 		emit(t)
 	}
 	if run("billing") {
-		t, err := experiment.RunBilling(time.Second)
+		t, err := experiment.RunBilling()
 		if err != nil {
 			fail("billing", err)
 		}
@@ -194,7 +245,7 @@ func main() {
 			fail("failover", err)
 		}
 		defer os.RemoveAll(dir)
-		t, err := experiment.RunFailover(experiment.FailoverConfig{StateDir: dir})
+		t, err := experiment.RunFailover(dir)
 		if err != nil {
 			fail("failover", err)
 		}

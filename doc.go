@@ -8,6 +8,7 @@
 //
 // The implementation lives under internal/ (see DESIGN.md for the
 // system inventory); the runnable entry points are the binaries under
-// cmd/ and the programs under examples/. The benchmarks in
-// bench_test.go regenerate every figure-level experiment.
+// cmd/ and the programs under examples/. cmd/experiments regenerates
+// every figure-level experiment, and bench/ is the repository's
+// end-to-end benchmark.
 package e2eqos

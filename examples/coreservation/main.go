@@ -58,7 +58,7 @@ func main() {
 	// The GARA co-reservation acquires 4 CPUs first, links the handle
 	// into the RAR, and retries: every policy is satisfied.
 	spec := alice.NewSpec(experiment.SpecOptions{DestDomain: "DomainC", Bandwidth: 10 * units.Mbps})
-	handles, res, err := co.Reserve(alice, gara.CoRequest{Spec: spec, Pools: four}, gara.HopByHop)
+	handles, res, err := co.Reserve(alice, gara.CoRequest{Spec: spec, Pools: four})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func main() {
 	// All-or-nothing: an impossible network request releases the CPUs.
 	big := alice.NewSpec(experiment.SpecOptions{DestDomain: "DomainC", Bandwidth: 10 * units.Gbps})
 	start := time.Now()
-	_, res2, err := co.Reserve(alice, gara.CoRequest{Spec: big, Pools: four}, gara.HopByHop)
+	_, res2, err := co.Reserve(alice, gara.CoRequest{Spec: big, Pools: four})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -119,7 +119,10 @@ func TestOnePeeringAuthor(t *testing.T) {
 // read and set by it. An entry point only tests call is a second way
 // into the code that the brokers never take; a field nothing reads is
 // state kept for no one, and one only a test sets is an option the
-// program never turns. No review notices when one comes back. The
+// program never turns. The same holds for values: a value the program
+// always picks the same way is a constant, so an exported field that
+// only its own default sets, and a parameter every caller passes
+// alike, are findings too. No review notices when one comes back. The
 // match is by go/types object, not by spelling: a method is not used
 // because another type's method of the same name is.
 func TestEveryDeclarationHasACaller(t *testing.T) {
@@ -153,6 +156,7 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 		"transport.FaultConfig.HangProb":          "a fault kind of the test fake ROADMAP item 9's explorer composes",
 		"transport.FaultConfig.ResetProb":         "a fault kind of the test fake ROADMAP item 9's explorer composes",
 		"transport.FaultConfig.Script":            "a fault kind of the test fake ROADMAP item 9's explorer composes",
+		"journal.Options.BatchInterval":           "only its default sets it: tests freeze group commit with time.Hour, the allocation gate TestFollowerAppendFrameAllocationFree among them, until ROADMAP item 9's clock replaces it",
 	}
 	m, err := loadModule(".")
 	if err != nil {
@@ -173,19 +177,25 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 			delete(allowedFields, f.name)
 			continue
 		}
-		t.Errorf("field %s is %s outside the tests: delete it", f.name, f.problem)
+		t.Errorf("field %s: %s outside the tests", f.name, f.problem)
 	}
 	for name := range allowedFields {
 		t.Errorf("field allowlist entry %s is read and set now, or gone: drop it", name)
+	}
+	for _, p := range m.constantParams() {
+		t.Errorf("parameter %s: every caller passes %s; make it a constant", p.name, p.value)
 	}
 }
 
 // TestCallersFenceMatchesByObject runs the fence over a fixture module:
 // a method that shares its name with another type's used method is
 // flagged, while a generic type's method and a sort.Interface method,
-// both in use, are not; and of the fixture's fields exactly the one no
-// code reads and the one only a test sets are flagged, each other field
-// standing for one way of being set or read, or one exemption.
+// both in use, are not; of the fixture's fields exactly the one no code
+// reads, the one only a test sets and the one only its own default sets
+// are flagged, each other field standing for one way of being set or
+// read, or one exemption; and of its parameters exactly the one two
+// callers pass alike and the one a single caller passes to its default
+// are flagged, each other parameter standing for one exemption.
 func TestCallersFenceMatchesByObject(t *testing.T) {
 	m, err := loadModule(filepath.Join("testdata", "callers"))
 	if err != nil {
@@ -194,9 +204,13 @@ func TestCallersFenceMatchesByObject(t *testing.T) {
 	if got, want := m.uncalledDecls(), []string{"a.Other.Gen"}; !slices.Equal(got, want) {
 		t.Errorf("uncalled = %v, want %v", got, want)
 	}
-	want := []idleField{{"a.Fields.readOnly", neverSet}, {"a.Fields.setOnly", neverRead}}
+	want := []idleField{{"a.Fields.readOnly", neverSet}, {"a.Fields.setOnly", neverRead}, {"a.Knobs.Defaulted", onlyDefault}}
 	if got := m.idleFields(); !slices.Equal(got, want) {
 		t.Errorf("idle fields = %v, want %v", got, want)
+	}
+	wantParams := []constantParam{{"a.Scale(factor)", "2"}, {"a.Window(size)", "0"}}
+	if got := m.constantParams(); !slices.Equal(got, wantParams) {
+		t.Errorf("constant parameters = %v, want %v", got, wantParams)
 	}
 }
 
@@ -332,8 +346,50 @@ func (m *moduleChecker) uncalledDecls() []string {
 		used[obj] = true
 	}
 
-	// Every interface the module can see, indexed by method name.
-	ifaces := map[string][]*types.Interface{}
+	var out []string
+	for obj := range decls {
+		if used[obj] {
+			continue
+		}
+		name := obj.Pkg().Name() + "."
+		if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
+			recv := sig.Recv().Type()
+			if ptr, ok := recv.(*types.Pointer); ok {
+				recv = ptr.Elem()
+			}
+			if m.implemented(recv.(*types.Named), obj.Name()) {
+				continue
+			}
+			name += recv.(*types.Named).Obj().Name() + "."
+		}
+		out = append(out, name+obj.Name())
+	}
+	slices.Sort(out)
+	return out
+}
+
+// implemented reports whether recv, the named type a method is declared
+// on, or a pointer to it implements an interface, in the module or the
+// standard library, that declares the method.
+func (m *moduleChecker) implemented(recv *types.Named, method string) bool {
+	if m.ifaces == nil {
+		m.indexInterfaces()
+	}
+	if recv.TypeParams().Len() > 0 {
+		return false
+	}
+	for _, it := range m.ifaces[method] {
+		if types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it) {
+			return true
+		}
+	}
+	return false
+}
+
+// indexInterfaces indexes every interface the module can see by the
+// names of its methods.
+func (m *moduleChecker) indexInterfaces() {
+	m.ifaces = map[string][]*types.Interface{}
 	seen := map[*types.Interface]bool{}
 	addIface := func(typ types.Type) {
 		it, ok := typ.Underlying().(*types.Interface)
@@ -342,7 +398,7 @@ func (m *moduleChecker) uncalledDecls() []string {
 		}
 		seen[it] = true
 		for i := 0; i < it.NumMethods(); i++ {
-			ifaces[it.Method(i).Name()] = append(ifaces[it.Method(i).Name()], it)
+			m.ifaces[it.Method(i).Name()] = append(m.ifaces[it.Method(i).Name()], it)
 		}
 	}
 	addIface(types.Universe.Lookup("error").Type())
@@ -368,41 +424,6 @@ func (m *moduleChecker) uncalledDecls() []string {
 	for _, p := range m.pkgs {
 		visit(p)
 	}
-	// implemented reports whether recv, the named type a method is
-	// declared on, or a pointer to it implements an interface that
-	// declares the method.
-	implemented := func(recv *types.Named, method string) bool {
-		if recv.TypeParams().Len() > 0 {
-			return false
-		}
-		for _, it := range ifaces[method] {
-			if types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it) {
-				return true
-			}
-		}
-		return false
-	}
-
-	var out []string
-	for obj := range decls {
-		if used[obj] {
-			continue
-		}
-		name := obj.Pkg().Name() + "."
-		if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
-			recv := sig.Recv().Type()
-			if ptr, ok := recv.(*types.Pointer); ok {
-				recv = ptr.Elem()
-			}
-			if implemented(recv.(*types.Named), obj.Name()) {
-				continue
-			}
-			name += recv.(*types.Named).Obj().Name() + "."
-		}
-		out = append(out, name+obj.Name())
-	}
-	slices.Sort(out)
-	return out
 }
 
 // An idleField is a struct field that the module's non-test code never
@@ -410,8 +431,9 @@ func (m *moduleChecker) uncalledDecls() []string {
 type idleField struct{ name, problem string }
 
 const (
-	neverRead = "never read"
-	neverSet  = "never set"
+	neverRead   = "never read"
+	neverSet    = "never set"
+	onlyDefault = "only its default sets it"
 )
 
 // idleFields returns, sorted by name, the named fields of the structs
@@ -424,10 +446,14 @@ const (
 // read is needed of a field of a struct used as a map key, whose
 // fields the comparison reads, nor of one reachable from a value the
 // program hands to encoding/json's encoder; neither is needed of a `_`
-// field or of one with a json tag, an external format.
+// field or of one with a json tag, an external format. A set inside an
+// `if` whose condition reads the same field is the field's default, and
+// an exported field that only its default sets is a constant spelt as a
+// knob: nothing else ever turns it.
 func (m *moduleChecker) idleFields() []idleField {
 	read := map[*types.Var]bool{}
 	set := map[*types.Var]bool{}
+	defaulted := map[*types.Var]bool{}
 	field := func(id *ast.Ident) *types.Var {
 		if v, ok := m.info.Uses[id].(*types.Var); ok && v.IsField() {
 			return v.Origin()
@@ -475,6 +501,17 @@ func (m *moduleChecker) idleFields() []idleField {
 	for _, files := range m.files {
 		for _, f := range files {
 			var stack []ast.Node
+			// markSet records a set of v, as its default when an
+			// enclosing if's condition reads v.
+			markSet := func(v *types.Var) {
+				for j := len(stack) - 2; j >= 0; j-- {
+					if is, ok := stack[j].(*ast.IfStmt); ok && (stack[j+1] == is.Body || stack[j+1] == is.Else) && m.reads(is.Cond, v) {
+						defaulted[v] = true
+						return
+					}
+				}
+				set[v] = true
+			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				if n == nil {
 					stack = stack[:len(stack)-1]
@@ -502,7 +539,7 @@ func (m *moduleChecker) idleFields() []idleField {
 					}
 					parent := stack[len(stack)-2]
 					if kv, ok := parent.(*ast.KeyValueExpr); ok && kv.Key == n {
-						set[v] = true
+						markSet(v)
 						return true
 					}
 					// Climb the selector, index and dereference chain the
@@ -529,26 +566,28 @@ func (m *moduleChecker) idleFields() []idleField {
 							}
 							if sel != nil && sel.Kind() == types.MethodVal {
 								if _, ptr := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); ptr {
-									set[v], read[v] = true, true
+									markSet(v)
+									read[v] = true
 									return true
 								}
 							}
 						case *ast.UnaryExpr:
 							if p.Op == token.AND {
-								set[v], read[v] = true, true
+								markSet(v)
+								read[v] = true
 								return true
 							}
 						case *ast.AssignStmt:
 							if p.Tok != token.DEFINE && slices.Contains(p.Lhs, cur.(ast.Expr)) {
-								set[v] = true
+								markSet(v)
 								return true
 							}
 						case *ast.IncDecStmt:
-							set[v] = true
+							markSet(v)
 							return true
 						case *ast.RangeStmt:
 							if p.Tok == token.ASSIGN && (p.Key == cur || p.Value == cur) {
-								set[v] = true
+								markSet(v)
 								return true
 							}
 						}
@@ -589,8 +628,10 @@ func (m *moduleChecker) idleFields() []idleField {
 							switch {
 							case !read[v]:
 								out = append(out, idleField{name, neverRead})
-							case !set[v]:
+							case !set[v] && !defaulted[v]:
 								out = append(out, idleField{name, neverSet})
+							case !set[v] && id.IsExported():
+								out = append(out, idleField{name, onlyDefault})
 							}
 						}
 					}
@@ -601,6 +642,155 @@ func (m *moduleChecker) idleFields() []idleField {
 	}
 	slices.SortFunc(out, func(a, b idleField) int { return strings.Compare(a.name, b.name) })
 	return out
+}
+
+// A constantParam is a parameter to which every non-test caller passes
+// the same value.
+type constantParam struct{ name, value string }
+
+// constantParams returns, sorted by name, the parameters of the
+// functions and methods declared under the module's internal/ to which
+// every static non-test call passes the same constant, or nil: a value
+// the program always picks the same way is a constant. A parameter
+// counts when its function has two call sites or more, or when the
+// function's body defaults it (an if that reads it, then assigns it),
+// a default for a value no caller varies. Exempt: a function the
+// program also uses as a value, whose calls cannot all be seen; a method
+// an interface declares, whose signature the interface fixes; a
+// variadic parameter; and a []byte passed as nil, the append idiom.
+func (m *moduleChecker) constantParams() []constantParam {
+	decls := map[*types.Func]*ast.FuncDecl{}
+	for imp, files := range m.files {
+		if !m.internal[imp] {
+			continue
+		}
+		for _, f := range files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					decls[m.info.Defs[fd.Name].(*types.Func)] = fd
+				}
+			}
+		}
+	}
+	calls := map[*types.Func][]*ast.CallExpr{}
+	callees := map[*ast.Ident]bool{}
+	for _, files := range m.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if fn := staticCallee(m.info, call); fn != nil && decls[fn.Origin()] != nil {
+						calls[fn.Origin()] = append(calls[fn.Origin()], call)
+						switch fun := ast.Unparen(call.Fun).(type) {
+						case *ast.Ident:
+							callees[fun] = true
+						case *ast.SelectorExpr:
+							callees[fun.Sel] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for id, obj := range m.info.Uses {
+		if fn, ok := obj.(*types.Func); ok && !callees[id] {
+			delete(calls, fn.Origin())
+		}
+	}
+	bytes := types.NewSlice(types.Typ[types.Byte])
+
+	var out []constantParam
+	for fn, sites := range calls {
+		fd := decls[fn]
+		sig := fn.Type().(*types.Signature)
+		name := fn.Pkg().Name() + "."
+		if recv := sig.Recv(); recv != nil {
+			rt := recv.Type()
+			if ptr, ok := rt.(*types.Pointer); ok {
+				rt = ptr.Elem()
+			}
+			if m.implemented(rt.(*types.Named), fn.Name()) {
+				continue
+			}
+			name += rt.(*types.Named).Obj().Name() + "."
+		}
+		n := sig.Params().Len()
+		if sig.Variadic() {
+			n--
+		}
+	params:
+		for i := 0; i < n; i++ {
+			p := sig.Params().At(i)
+			if p.Name() == "" || p.Name() == "_" {
+				continue
+			}
+			value := ""
+			for _, call := range sites {
+				if len(call.Args) != sig.Params().Len() && !sig.Variadic() {
+					continue params // a multi-valued call
+				}
+				tv := m.info.Types[call.Args[i]]
+				v := "nil"
+				switch {
+				case tv.Value != nil:
+					v = tv.Value.ExactString()
+				case !tv.IsNil():
+					continue params
+				}
+				if value != "" && v != value {
+					continue params
+				}
+				value = v
+			}
+			if value == "nil" && types.Identical(p.Type(), bytes) {
+				continue
+			}
+			if len(sites) >= 2 || m.defaults(fd.Body, p) {
+				out = append(out, constantParam{fmt.Sprintf("%s%s(%s)", name, fn.Name(), p.Name()), value})
+			}
+		}
+	}
+	slices.SortFunc(out, func(a, b constantParam) int { return strings.Compare(a.name, b.name) })
+	return out
+}
+
+// defaults reports whether body holds an if whose condition reads v and
+// whose body then assigns v.
+func (m *moduleChecker) defaults(body *ast.BlockStmt, v *types.Var) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		is, ok := n.(*ast.IfStmt)
+		if !ok || found || !m.reads(is.Cond, v) {
+			return !found
+		}
+		ast.Inspect(is.Body, func(n ast.Node) bool {
+			if as, ok := n.(*ast.AssignStmt); ok {
+				for _, lhs := range as.Lhs {
+					if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && m.info.Uses[id] == v {
+						found = true
+					}
+				}
+			}
+			return !found
+		})
+		return !found
+	})
+	return found
+}
+
+// reads reports whether e uses v, a variable or a field, matched by
+// object.
+func (m *moduleChecker) reads(e ast.Expr, v *types.Var) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if u, ok := m.info.Uses[id].(*types.Var); ok && u.Origin() == v {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // staticCallee returns the function or method a call statically
@@ -630,6 +820,7 @@ type moduleChecker struct {
 	internal map[string]bool // import paths under the module's internal/
 	info     *types.Info
 	std      types.Importer
+	ifaces   map[string][]*types.Interface // by method name; see indexInterfaces
 }
 
 func (m *moduleChecker) Import(path string) (*types.Package, error) {

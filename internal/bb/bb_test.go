@@ -518,7 +518,7 @@ func TestDataPlaneSyncOnGrantAndCancel(t *testing.T) {
 	// Attach a data plane to the source domain.
 	sim := dsim.New()
 	sink := netsim.NewSink(sim)
-	policer := netsim.NewPolicer(sim, sla.TrafficProfile{Rate: 1, BucketBytes: 1}, sla.Drop, sink)
+	policer := netsim.NewPolicer(sim, sla.TrafficProfile{Rate: 1, BucketBytes: 1}, sink)
 	marker := netsim.NewEdgeMarker(sim, policer)
 	w.NetsimPlane(w.SourceDomain()).AttachEdge(marker)
 	w.NetsimPlane(w.SourceDomain()).AttachPolicer(policer)

@@ -295,18 +295,15 @@ func (c *compArg) DecodeBinary(data []byte) error {
 	return d.Err()
 }
 
-// Broker snapshot binary layout: bbSnapMagic, bbSnapVersion, then
+// Broker snapshot binary layout: bbSnapMagic, wire.Version, then
 // 1=table(the resv snapshot bytes) 2=rars 3=tunnels 5=epoch 6=sagas(the
 // coordinator's snapshot bytes) 7=tunnel_batches(tunnelBatchRec). Field
 // 4 held batch replay entries keyed by batch id: a snapshot carrying one
 // is refused by name.
-const (
-	bbSnapMagic   = 0xB3
-	bbSnapVersion = 1
-)
+const bbSnapMagic = 0xB3
 
 func (st *brokerState) appendBinary(buf []byte) []byte {
-	buf = append(buf, bbSnapMagic, bbSnapVersion)
+	buf = append(buf, bbSnapMagic, wire.Version)
 	buf = wire.AppendBytes(buf, 1, st.Table)
 	for i := range st.RARs {
 		var start int
@@ -332,7 +329,7 @@ func (st *brokerState) appendBinary(buf []byte) []byte {
 }
 
 func (st *brokerState) decodeBinary(data []byte) error {
-	fields, err := wire.Header(data, bbSnapMagic, bbSnapVersion)
+	fields, err := wire.Header(data, bbSnapMagic)
 	if err != nil {
 		return err
 	}

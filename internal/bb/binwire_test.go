@@ -43,7 +43,7 @@ func TestDecodeBrokerStateRefusesOtherFormats(t *testing.T) {
 	}
 	for name, data := range map[string][]byte{
 		"legacy JSON":    []byte(`{"table":{"name":"net-DomainA"},"epoch":3}`),
-		"future version": {bbSnapMagic, bbSnapVersion + 1, 0x28, 0x06},
+		"future version": {bbSnapMagic, wire.Version + 1, 0x28, 0x06},
 		"empty":          nil,
 	} {
 		if _, err := decodeBrokerState(data); !errors.Is(err, wire.ErrUnsupportedFormat) {

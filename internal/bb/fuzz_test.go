@@ -10,6 +10,7 @@ import (
 	"e2eqos/internal/signalling"
 	"e2eqos/internal/tunnel"
 	"e2eqos/internal/units"
+	"e2eqos/internal/wire"
 )
 
 // seedBrokerState is a snapshot with one of everything a broker rotates:
@@ -85,10 +86,10 @@ func FuzzDecodeBrokerState(f *testing.F) {
 		f.Add(whole[:len(whole)*i/8])
 	}
 	f.Add((&brokerState{Epoch: 3}).appendBinary(nil))
-	f.Add([]byte{bbSnapMagic, bbSnapVersion})
-	f.Add([]byte{bbSnapMagic, bbSnapVersion, 0x12, 0xff})       // a route entry longer than the snapshot
-	f.Add([]byte{bbSnapMagic, bbSnapVersion, 0x12, 0x02, 0x3a}) // a route entry with a torn outcome
-	f.Add([]byte{bbSnapMagic, bbSnapVersion + 1, 0x28, 0x06})   // a later version
+	f.Add([]byte{bbSnapMagic, wire.Version})
+	f.Add([]byte{bbSnapMagic, wire.Version, 0x12, 0xff})        // a route entry longer than the snapshot
+	f.Add([]byte{bbSnapMagic, wire.Version, 0x12, 0x02, 0x3a})  // a route entry with a torn outcome
+	f.Add([]byte{bbSnapMagic, wire.Version + 1, 0x28, 0x06})    // a later version
 	f.Add([]byte(`{"table":{"name":"net-DomainA"},"epoch":3}`)) // a snapshot from before the binary codec
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := decodeBrokerState(data)

@@ -135,13 +135,13 @@ func newBBMetrics(r *obs.Registry) bbMetrics {
 		replRedirects:          r.Counter("bb_repl_redirects_total", "mutating requests redirected from this follower to the leader"),
 		replCommitTimeouts:     r.Counter("bb_repl_commit_timeouts_total", "settlements that proceeded after the majority-ack wait timed out"),
 
-		handleSeconds:        r.Quantile("bb_handle_seconds", "per-hop reserve handling time", 0, 0),
-		downstreamSeconds:    r.Quantile("bb_downstream_seconds", "downstream call round trip including retries and backoff", 0, 0),
-		grantSeconds:         r.Quantile("bb_grant_seconds", "end-to-end grant time observed at the source hop", 0, 0),
-		journalAppendSeconds: r.Quantile("bb_journal_append_seconds", "journal append latency as seen by the mutating call", 0, 0),
-		tunnelBatchSeconds:   r.Quantile("bb_tunnel_batch_seconds", "destination-side tunnel batch application time", 0, 0),
+		handleSeconds:        r.Quantile("bb_handle_seconds", "per-hop reserve handling time"),
+		downstreamSeconds:    r.Quantile("bb_downstream_seconds", "downstream call round trip including retries and backoff"),
+		grantSeconds:         r.Quantile("bb_grant_seconds", "end-to-end grant time observed at the source hop"),
+		journalAppendSeconds: r.Quantile("bb_journal_append_seconds", "journal append latency as seen by the mutating call"),
+		tunnelBatchSeconds:   r.Quantile("bb_tunnel_batch_seconds", "destination-side tunnel batch application time"),
 		replCommitWaitSeconds: r.Quantile("bb_repl_commit_wait_seconds",
-			"time a leader's settle waited for majority acknowledgement (a settle whose records were committed already is not observed)", 0, 0),
+			"time a leader's settle waited for majority acknowledgement (a settle whose records were committed already is not observed)"),
 
 		recoverySeconds: r.Gauge("bb_recovery_seconds", "boot-time journal recovery duration (0 when memory-only)"),
 	}

@@ -206,11 +206,11 @@ func (r *replicator) stepDownLocked(term int64, leaderID int) {
 }
 
 // observeTerm handles a higher term learned from a stream reply or
-// vote exchange: adopt it and step down.
-func (r *replicator) observeTerm(term int64, leaderID int) {
+// vote exchange: adopt it and step down, the term's leader unknown.
+func (r *replicator) observeTerm(term int64) {
 	r.mu.Lock()
 	if term > r.term {
-		r.stepDownLocked(term, leaderID)
+		r.stepDownLocked(term, -1)
 	}
 	r.mu.Unlock()
 }
@@ -343,7 +343,7 @@ func (c *streamConn) onAck(resp *signalling.Message) {
 		r.noteAck(c.s, resp.Result.AckSeq)
 	case resp.Result.Term > c.s.term:
 		// A higher term exists: this leadership is over.
-		r.observeTerm(resp.Result.Term, -1)
+		r.observeTerm(resp.Result.Term)
 	default:
 		// The follower could not splice or apply the message, so it will
 		// refuse everything queued behind it too.
@@ -820,7 +820,7 @@ func (r *replicator) promote() error {
 		if resp.Result.Granted {
 			votes++
 		} else if resp.Result.Term > term {
-			r.observeTerm(resp.Result.Term, -1)
+			r.observeTerm(resp.Result.Term)
 			return fmt.Errorf("bb %s: election at term %d superseded by term %d", b.cfg.Domain, term, resp.Result.Term)
 		}
 	}

@@ -28,33 +28,30 @@ type Credential struct {
 // Server is a community authorization server. It is safe for
 // concurrent use.
 type Server struct {
-	key       *identity.KeyPair
-	community string
-	validity  time.Duration
+	key *identity.KeyPair
 
 	mu     sync.RWMutex
 	grants map[identity.DN][]string
 }
 
-// NewServer creates a CAS for the named community (e.g. "ESnet"),
-// issuing certificates valid for validity (default 12 hours).
-func NewServer(key *identity.KeyPair, community string, validity time.Duration) *Server {
-	if validity <= 0 {
-		validity = 12 * time.Hour
-	}
-	return &Server{
-		key:       key,
-		community: community,
-		validity:  validity,
-		grants:    make(map[identity.DN][]string),
-	}
+const (
+	// community is the community a server authorizes for.
+	community = "ESnet"
+	// validity is how long an issued certificate is valid.
+	validity = 12 * time.Hour
+)
+
+// NewServer creates a CAS for the community, issuing certificates
+// valid for 12 hours.
+func NewServer(key *identity.KeyPair) *Server {
+	return &Server{key: key, grants: make(map[identity.DN][]string)}
 }
 
 // Key returns the CAS key pair; verifiers pin its public half.
 func (s *Server) Key() *identity.KeyPair { return s.key }
 
 // Community returns the community name.
-func (s *Server) Community() string { return s.community }
+func (s *Server) Community() string { return community }
 
 // Grant records that user holds the given capabilities in this
 // community.
@@ -87,14 +84,14 @@ func (s *Server) Capabilities(user identity.DN) []string {
 func (s *Server) Login(user identity.DN) (*Credential, error) {
 	caps := s.Capabilities(user)
 	if len(caps) == 0 {
-		return nil, fmt.Errorf("cas: %s holds no capabilities in community %q", user, s.community)
+		return nil, fmt.Errorf("cas: %s holds no capabilities in community %q", user, community)
 	}
 	proxy, err := pki.NewProxyKey()
 	if err != nil {
 		return nil, err
 	}
-	attrs := pki.CapabilityAttrs{Community: s.community, Capabilities: caps}
-	cert, err := pki.IssueCommunityCapability(s.key.DN, s.key, user, proxy, attrs, s.validity)
+	attrs := pki.CapabilityAttrs{Community: community, Capabilities: caps}
+	cert, err := pki.IssueCommunityCapability(s.key.DN, s.key, user, proxy, attrs, validity)
 	if err != nil {
 		return nil, fmt.Errorf("cas: issuing capability for %s: %w", user, err)
 	}

@@ -3,7 +3,6 @@ package cas
 import (
 	"slices"
 	"testing"
-	"time"
 
 	"e2eqos/internal/identity"
 	"e2eqos/internal/pki"
@@ -15,7 +14,7 @@ func newCAS(t *testing.T) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewServer(key, "ESnet", time.Hour)
+	return NewServer(key)
 }
 
 var alice = identity.NewDN("Grid", "DomainA", "Alice")

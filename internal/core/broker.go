@@ -257,7 +257,7 @@ func (b *Broker) Extend(inbound *envelope.Envelope, upstreamCert []byte, verifie
 		}
 		// Verify saw to it that the chain ends at this broker.
 		last := verified.Capabilities[len(verified.Capabilities)-1]
-		delegated, err := pki.Delegate(last, b.Key.DN, b.Key.Private, nextHop.SubjectDN(), hopPub, nil, 0)
+		delegated, err := pki.Delegate(last, b.Key.DN, b.Key.Private, nextHop.SubjectDN(), hopPub, nil)
 		if err != nil {
 			return nil, fmt.Errorf("core: delegating capability to %s: %w", nextHop.SubjectDN(), err)
 		}

@@ -33,7 +33,7 @@ func buildWorld(t *testing.T, withCapability bool) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.cas = cas.NewServer(casKey, "ESnet", time.Hour)
+	w.cas = cas.NewServer(casKey)
 
 	// Each domain runs its own CA: no shared roots between A and C.
 	names := []string{"DomainA", "DomainB", "DomainC"}

@@ -91,20 +91,17 @@ func NewRARID() string {
 	return "RAR-" + hex.EncodeToString(buf[:])
 }
 
-// Spec encoding (DESIGN.md §6.6): specMagic, specVersion, then
+// Spec encoding (DESIGN.md §6.6): specMagic, wire.Version, then
 // 1=rar_id 2=user 3=src_host 4=dst_host 5=source_domain 6=dest_domain
 // 7=bandwidth 8=window_start 9=window_end 10=tunnel 11=cost_limit
 // 12=assertions (repeated) 13=linked_handles (key-sorted pairs). These
 // are the bytes the user signs. Times travel as instants: whatever zone
 // the user wrote the window in, every hop reads it back in UTC.
-const (
-	specMagic   = 0xE6
-	specVersion = 1
-)
+const specMagic = 0xE6
 
 // AppendBinary appends the spec's canonical encoding.
 func (s *Spec) AppendBinary(buf []byte) []byte {
-	buf = append(buf, specMagic, specVersion)
+	buf = append(buf, specMagic, wire.Version)
 	buf = wire.AppendString(buf, 1, s.RARID)
 	buf = wire.AppendString(buf, 2, string(s.User))
 	buf = wire.AppendString(buf, 3, s.SrcHost)
@@ -127,7 +124,7 @@ func (s *Spec) AppendBinary(buf []byte) []byte {
 // DecodeBinary reverses AppendBinary. Input that does not open with the
 // spec's magic and version is wire.ErrUnsupportedFormat.
 func (s *Spec) DecodeBinary(data []byte) error {
-	fields, err := wire.Header(data, specMagic, specVersion)
+	fields, err := wire.Header(data, specMagic)
 	if err != nil {
 		return err
 	}

@@ -113,8 +113,8 @@ func FuzzDecodeSpec(f *testing.F) {
 	f.Add(golden)
 	f.Add(golden[:len(golden)-1])
 	f.Add(golden[:2])
-	f.Add([]byte{specMagic, specVersion, 0x6a, 0x03, 0x05, 'a'})  // map key runs past its pair
-	f.Add([]byte{specMagic, specVersion, 0x42, 0x02, 0x80, 0x80}) // torn time
+	f.Add([]byte{specMagic, wire.Version, 0x6a, 0x03, 0x05, 'a'})  // map key runs past its pair
+	f.Add([]byte{specMagic, wire.Version, 0x42, 0x02, 0x80, 0x80}) // torn time
 	f.Add([]byte(`{"rar_id":"RAR-1"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeSpec(data)

@@ -65,7 +65,6 @@ func (ua *UserAgent) BuildRAR(spec *Spec, firstHop *pki.Certificate) (*envelope.
 			firstHop.SubjectDN(),
 			hopPub,
 			[]string{spec.RestrictionFor()},
-			0,
 		)
 		if err != nil {
 			return nil, fmt.Errorf("core: delegating capability to %s: %w", firstHop.SubjectDN(), err)

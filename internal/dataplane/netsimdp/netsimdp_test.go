@@ -65,11 +65,11 @@ func TestAttachPolicerPushesAggregate(t *testing.T) {
 	p := New()
 	p.SetAggregate(profile(8*units.Mbps, 10_000))
 
-	policer := netsim.NewPolicer(sim, profile(0, 0), sla.Drop, sink)
+	policer := netsim.NewPolicer(sim, profile(0, 0), sink)
 	p.AttachPolicer(policer)
 	send(policer, "f", netsim.Premium, 12, 1000)
-	if got := premiumBytes(sink, "f"); got != 10_000 || policer.Drops.Dropped != 2 {
-		t.Fatalf("policer passed %d bytes and dropped %d packets, want the 10000 burst and 2", got, policer.Drops.Dropped)
+	if got := premiumBytes(sink, "f"); got != 10_000 || policer.Dropped != 2 {
+		t.Fatalf("policer passed %d bytes and dropped %d packets, want the 10000 burst and 2", got, policer.Dropped)
 	}
 }
 
@@ -77,11 +77,11 @@ func TestSetAggregateReachesAttachedPolicer(t *testing.T) {
 	sim := dsim.New()
 	sink := netsim.NewSink(sim)
 	p := New()
-	policer := netsim.NewPolicer(sim, profile(0, 0), sla.Drop, sink)
+	policer := netsim.NewPolicer(sim, profile(0, 0), sink)
 	p.AttachPolicer(policer)
 	p.SetAggregate(profile(4*units.Mbps, 30_000))
 	send(policer, "f", netsim.Premium, 31, 1000)
-	if got := premiumBytes(sink, "f"); got != 30_000 || policer.Drops.Dropped != 1 {
-		t.Fatalf("policer passed %d bytes and dropped %d packets, want the 30000 burst and 1", got, policer.Drops.Dropped)
+	if got := premiumBytes(sink, "f"); got != 30_000 || policer.Dropped != 1 {
+		t.Fatalf("policer passed %d bytes and dropped %d packets, want the 30000 burst and 1", got, policer.Dropped)
 	}
 }

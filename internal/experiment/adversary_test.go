@@ -9,6 +9,7 @@ import (
 	"e2eqos/internal/pki"
 	"e2eqos/internal/policy"
 	"e2eqos/internal/signalling"
+	"e2eqos/internal/transport"
 	"e2eqos/internal/units"
 )
 
@@ -59,7 +60,7 @@ func TestDestinationRefusesCapabilityHeldByAnother(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delegated, err := pki.Delegate(caps[len(caps)-1], bbA.Key.DN, bbA.Key.Private, other.DN, other.Public(), nil, 0)
+	delegated, err := pki.Delegate(caps[len(caps)-1], bbA.Key.DN, bbA.Key.Private, other.DN, other.Public(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestDestinationRefusesCapabilityScopedToAnotherRAR(t *testing.T) {
 	if r := caps[len(caps)-1].Attrs.Restrictions; len(r) != 1 || r[0] != spec17.RestrictionFor() {
 		t.Fatalf("Alice's delegation carries %v, want [%s]", r, spec17.RestrictionFor())
 	}
-	onward, err := pki.Delegate(caps[len(caps)-1], bbA.Key.DN, bbA.Key.Private, dstDN, w.BBCerts[dst].PublicKey(), nil, 0)
+	onward, err := pki.Delegate(caps[len(caps)-1], bbA.Key.DN, bbA.Key.Private, dstDN, w.BBCerts[dst].PublicKey(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,4 +251,120 @@ func TestDestinationRefusesReusedSeqFromBroker(t *testing.T) {
 	if n := w.BBs[dst].MetricsRegistry().Snapshot()["bb_tunnel_batches_stale_total"]; n != 1 {
 		t.Errorf("bb_tunnel_batches_stale_total = %v, want the reused seq counted once", n)
 	}
+}
+
+// TestTransitBrokerInflatesDownstreamApproval: a transit broker holding
+// its real key turns the destination's signed refusal into a grant in
+// the answer it returns upstream. Domain2, the destination, has 5 Mb/s
+// and refuses Alice's 10 Mb/s. Domain1 answers Domain0 with a grant: it
+// flips the granted flag of Domain2's approval, which Domain2's
+// signature no longer covers, and signs its own approval as granted.
+// Domain0 adopts the approvals without checking them (adoptApprovals),
+// admits Alice and grants her a reservation no bandwidth backs in
+// Domain1 or Domain2. The user-side check, World.VerifyApprovals, is what
+// refuses the altered approval, and it names Domain2. DESIGN.md §6.11
+// records the gap: no broker verifies downstream approvals.
+func TestTransitBrokerInflatesDownstreamApproval(t *testing.T) {
+	var bb1 *identity.KeyPair
+	forge := func(m *signalling.Message) error {
+		r := m.Result
+		if r == nil || r.Granted {
+			return nil
+		}
+		for i := range r.Approvals {
+			a := &r.Approvals[i]
+			switch a.Domain {
+			case "Domain2":
+				a.Granted, a.Reason = true, ""
+			case "Domain1":
+				a.Granted, a.Reason, a.Handle = true, "", "forged"
+				if err := signalling.SignApproval(a, bb1); err != nil {
+					return err
+				}
+			}
+		}
+		r.Granted, r.Reason, r.Handle = true, "", "forged"
+		return nil
+	}
+	w, err := BuildWorld(WorldConfig{
+		NumDomains: 3,
+		Capacity:   100 * units.Mbps,
+		Capacities: map[string]units.Bandwidth{"Domain2": 5 * units.Mbps},
+		WrapDialer: func(domain string, d transport.Dialer) transport.Dialer {
+			if domain != "Domain0" {
+				return d
+			}
+			return forgingDialer{d, forge}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	bb1 = w.members["Domain1"][0].cfg.Key
+	alice, err := w.NewUser("Alice", "Domain0", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer alice.Close()
+	spec := alice.NewSpec(SpecOptions{DestDomain: "Domain2", Bandwidth: 10 * units.Mbps})
+	res, err := alice.ReserveE2E(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// What Domain0 does today: it takes Domain1's word.
+	if !res.Granted {
+		t.Fatalf("Domain0 answered %+v; it adopts downstream approvals unchecked and should have granted", res)
+	}
+	at := spec.Window.Start
+	if got := w.BBs["Domain0"].Table().CommittedAt(at); got != spec.Bandwidth {
+		t.Errorf("Domain0 committed %v, want the %v it granted", got, spec.Bandwidth)
+	}
+	for _, d := range []string{"Domain1", "Domain2"} {
+		if got := w.BBs[d].Table().CommittedAt(at); got != 0 {
+			t.Errorf("%s committed %v; the forged grant should be backed by nothing there", d, got)
+		}
+	}
+	// What the user's check does: refuse the altered approval by name.
+	err = w.VerifyApprovals(res)
+	if err == nil || !strings.Contains(err.Error(), "Domain2") {
+		t.Fatalf("VerifyApprovals = %v, want a refusal naming Domain2", err)
+	}
+}
+
+// forgingDialer hands out connections whose answers pass through forge,
+// which may rewrite a decoded message before the caller reads it: what a
+// peer that holds its real key can send on the channel it authenticates.
+type forgingDialer struct {
+	transport.Dialer
+	forge func(*signalling.Message) error
+}
+
+func (d forgingDialer) Dial(addr string) (transport.Conn, error) {
+	c, err := d.Dialer.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return forgingConn{c, d.forge}, nil
+}
+
+type forgingConn struct {
+	transport.Conn
+	forge func(*signalling.Message) error
+}
+
+func (c forgingConn) Recv() ([]byte, error) {
+	frame, err := c.Conn.Recv()
+	if err != nil {
+		return nil, err
+	}
+	m, err := signalling.DecodeMessage(frame)
+	if err != nil {
+		return frame, nil
+	}
+	if err := c.forge(m); err != nil {
+		return nil, err
+	}
+	return m.AppendBinary(nil), nil
 }

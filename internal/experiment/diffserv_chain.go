@@ -27,9 +27,6 @@ func MeasureDiffServChain(domains int, premium, crossRate, linkRate units.Bandwi
 	if domains < 1 {
 		return out, fmt.Errorf("experiment: need at least one domain")
 	}
-	if duration <= 0 {
-		duration = time.Second
-	}
 	sim := dsim.New()
 	sink := netsim.NewSink(sim)
 
@@ -38,38 +35,38 @@ func MeasureDiffServChain(domains int, premium, crossRate, linkRate units.Bandwi
 	profile := sla.TrafficProfile{Rate: premium, BucketBytes: 30_000}
 	var links []*netsim.Link
 	for i := domains - 1; i >= 0; i-- {
-		link := netsim.NewLink(sim, linkRate, time.Millisecond, 0, head)
+		link := netsim.NewLink(sim, linkRate, head)
 		links = append(links, link)
-		pol := netsim.NewPolicer(sim, profile, sla.Drop, link)
+		pol := netsim.NewPolicer(sim, profile, link)
 		head = pol
 
 		// A best-effort cross flow enters at this hop and shares the
 		// link with everything coming from upstream.
-		cross := netsim.NewSource(sim, netsim.FlowID(fmt.Sprintf("cross-%d", i)), crossRate, 1250, netsim.BestEffort, link)
+		cross := netsim.NewSource(sim, netsim.FlowID(fmt.Sprintf("cross-%d", i)), crossRate, 1250, link)
 		cross.Jitter = 0.2
-		if err := cross.Install(0, duration); err != nil {
+		if err := cross.Install(duration); err != nil {
 			return out, err
 		}
 	}
 
 	marker := netsim.NewEdgeMarker(sim, head)
 	marker.InstallReservation("premium", profile)
-	src := netsim.NewSource(sim, "premium", premium, 1250, netsim.BestEffort, marker)
+	src := netsim.NewSource(sim, "premium", premium, 1250, marker)
 	src.Jitter = 0.1
-	if err := src.Install(0, duration); err != nil {
+	if err := src.Install(duration); err != nil {
 		return out, err
 	}
 	sim.Run(duration + 500*time.Millisecond)
 
 	if st := sink.Stats("premium"); st != nil {
-		out.PremiumGoodput = st.Goodput(0, duration)
+		out.PremiumGoodput = st.Goodput(duration)
 		out.PremiumLatency = st.MeanLatency()
 	}
 	// The cross flow entering at the last hop shares only the final
 	// link; the first-hop one crosses everything. Report the first-hop
 	// competitor (worst case).
 	if st := sink.Stats(netsim.FlowID(fmt.Sprintf("cross-%d", 0))); st != nil {
-		out.CrossGoodput = st.Goodput(0, duration)
+		out.CrossGoodput = st.Goodput(duration)
 	}
 	return out, nil
 }
@@ -79,14 +76,12 @@ func MeasureDiffServChain(domains int, premium, crossRate, linkRate units.Bandwi
 // to the traffic aggregate, QoS guarantees for bandwidth can be
 // provided" — and they must hold end-to-end across a chain of
 // independently policed domains, not just one hop.
-func RunDiffServChain(maxDomains int, duration time.Duration) (*Table, error) {
-	if maxDomains < 1 {
-		maxDomains = 5
-	}
+func RunDiffServChain(duration time.Duration) (*Table, error) {
 	const (
-		premium  = 10 * units.Mbps
-		cross    = 40 * units.Mbps
-		linkRate = 30 * units.Mbps
+		maxDomains = 5
+		premium    = 10 * units.Mbps
+		cross      = 40 * units.Mbps
+		linkRate   = 30 * units.Mbps
 	)
 	t := &Table{
 		ID:    "diffserv-chain",

@@ -18,10 +18,8 @@ import (
 // queried out of band. The inline design pays with message size; the
 // repository design pays with online lookups and a single point of
 // trust.
-func RunKeyDistribution(maxHops int) (*Table, error) {
-	if maxHops < 3 {
-		maxHops = 8
-	}
+func RunKeyDistribution() (*Table, error) {
+	const maxHops = 8
 	t := &Table{
 		ID:    "keydist",
 		Title: "Key distribution: inline certificates vs trusted repository (§6.4)",
@@ -105,10 +103,8 @@ func keyDistRepoRun(hops int) (wire int, lookups int64, err error) {
 // DiffServ simulator; the delivered bytes are settled along the
 // signalling path, each domain billing its upstream neighbour and the
 // source domain billing Alice.
-func RunBilling(duration time.Duration) (*Table, error) {
-	if duration <= 0 {
-		duration = time.Second
-	}
+func RunBilling() (*Table, error) {
+	const duration = time.Second
 	w, err := BuildWorld(WorldConfig{NumDomains: 3, Labels: []string{"DomainA", "DomainB", "DomainC"}})
 	if err != nil {
 		return nil, err
@@ -133,8 +129,8 @@ func RunBilling(duration time.Duration) (*Table, error) {
 	}
 
 	sim, sink, marker := buildSimplePipeline(w, spec.RARID)
-	src := netsim.NewSource(sim, netsim.FlowID(spec.RARID), spec.Bandwidth, 1250, netsim.BestEffort, marker)
-	if err := src.Install(0, duration); err != nil {
+	src := netsim.NewSource(sim, netsim.FlowID(spec.RARID), spec.Bandwidth, 1250, marker)
+	if err := src.Install(duration); err != nil {
 		return nil, err
 	}
 	sim.Run(duration + 100*time.Millisecond)
@@ -176,7 +172,7 @@ func RunBilling(duration time.Duration) (*Table, error) {
 		t.AddRow(fmt.Sprintf("%s -> %s", inv.From, to), fmt.Sprintf("%d", inv.Bytes), inv.Amount.String())
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("measured delivery: %.2f Mb/s over %v; rates: A=0.10, B=0.05, C=0.20 per GB", stats.Goodput(0, duration)/1e6, duration),
+		fmt.Sprintf("measured delivery: %.2f Mb/s over %v; rates: A=0.10, B=0.05, C=0.20 per GB", stats.Goodput(duration)/1e6, duration),
 		"each hop's invoice covers everything it owes downstream plus its own transit charge",
 	)
 	return t, nil
@@ -189,7 +185,7 @@ func RunBilling(duration time.Duration) (*Table, error) {
 func buildSimplePipeline(w *World, rarID string) (*dsim.Sim, *netsim.Sink, *netsim.EdgeMarker) {
 	sim := dsim.New()
 	sink := netsim.NewSink(sim)
-	link := netsim.NewLink(sim, 100_000_000, time.Millisecond, 0, sink)
+	link := netsim.NewLink(sim, 100_000_000, sink)
 	marker := netsim.NewEdgeMarker(sim, link)
 	w.NetsimPlane("DomainA").AttachEdge(marker)
 	marker.InstallReservation(netsim.FlowID(rarID), sla.TrafficProfile{Rate: 10_000_000, BucketBytes: 30_000})

@@ -10,20 +10,15 @@ import (
 	"e2eqos/internal/units"
 )
 
-// FailoverConfig parameterises the replicated-broker failover
-// demonstration.
-type FailoverConfig struct {
-	// Replicas is the source domain's group size (default 3).
-	Replicas int
-	// Load is how many end-to-end grants to land before the kill
-	// (default 20).
-	Load int
-	// StateDir roots the replicas' journals. Required: the replication
-	// stream is the journal.
-	StateDir string
-	// CallTimeout bounds every signalling call (default 2s).
-	CallTimeout time.Duration
-}
+// The failover demonstration's shape.
+const (
+	// failoverReplicas is the source domain's group size.
+	failoverReplicas = 3
+	// failoverLoad is how many end-to-end grants land before the kill.
+	failoverLoad = 20
+	// failoverCallTimeout bounds every signalling call.
+	failoverCallTimeout = 2 * time.Second
+)
 
 // RunFailover builds a replicated two-domain world, lands a batch of
 // commit-gated grants, kills the source domain's leader the hard way
@@ -31,23 +26,15 @@ type FailoverConfig struct {
 // The table reports what the paper's availability story needs: zero
 // lost grants, every retransmission answered from the promoted
 // follower's replay cache with the original handle, no double
-// admissions, and byte-identical state across the survivors.
-func RunFailover(cfg FailoverConfig) (*Table, error) {
-	if cfg.Replicas <= 1 {
-		cfg.Replicas = 3
-	}
-	if cfg.Load <= 0 {
-		cfg.Load = 20
-	}
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = 2 * time.Second
-	}
+// admissions, and byte-identical state across the survivors. stateDir
+// roots the replicas' journals: the replication stream is the journal.
+func RunFailover(stateDir string) (*Table, error) {
 	w, err := BuildWorld(WorldConfig{
 		NumDomains:  2,
-		Replicas:    cfg.Replicas,
-		StateDir:    cfg.StateDir,
+		Replicas:    failoverReplicas,
+		StateDir:    stateDir,
 		FsyncPolicy: "batch",
-		CallTimeout: cfg.CallTimeout,
+		CallTimeout: failoverCallTimeout,
 		EnableObs:   true,
 	})
 	if err != nil {
@@ -65,9 +52,9 @@ func RunFailover(cfg FailoverConfig) (*Table, error) {
 		spec   *core.Spec
 		handle string
 	}
-	grants := make([]grant, 0, cfg.Load)
+	grants := make([]grant, 0, failoverLoad)
 	loadStart := time.Now()
-	for i := 0; i < cfg.Load; i++ {
+	for i := 0; i < failoverLoad; i++ {
 		spec := u.NewSpec(SpecOptions{DestDomain: w.DestDomain(), Bandwidth: units.Mbps})
 		res, err := u.ReserveE2E(spec)
 		if err != nil || !res.Granted {
@@ -119,7 +106,7 @@ func RunFailover(cfg FailoverConfig) (*Table, error) {
 	for {
 		converged := true
 		target := w.ReplicaBB(src, promoted).ReplicationStatus().JournalSeq
-		for i := 0; i < cfg.Replicas; i++ {
+		for i := 0; i < failoverReplicas; i++ {
 			if i == killed || i == promoted {
 				continue
 			}
@@ -136,7 +123,7 @@ func RunFailover(cfg FailoverConfig) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < cfg.Replicas; i++ {
+	for i := 0; i < failoverReplicas; i++ {
 		if i == killed || i == promoted {
 			continue
 		}
@@ -155,7 +142,7 @@ func RunFailover(cfg FailoverConfig) (*Table, error) {
 		Claim:   "Killing a leader mid-load loses nothing a caller ever saw: a promoted follower serves the same grants, answers retransmissions from its replicated replay cache, and admits new work.",
 		Columns: []string{"measure", "value"},
 	}
-	t.AddRow("replica group size", fmt.Sprintf("%d", cfg.Replicas))
+	t.AddRow("replica group size", fmt.Sprintf("%d", failoverReplicas))
 	t.AddRow("grants before kill", fmt.Sprintf("%d (%.0f/s commit-gated)", len(grants), float64(len(grants))/loadTook.Seconds()))
 	t.AddRow("killed leader", fmt.Sprintf("replica %d (journal buffered, batch fsync)", killed))
 	t.AddRow("promoted follower", fmt.Sprintf("replica %d, term %d", promoted, stLeader.Term))

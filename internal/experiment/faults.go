@@ -11,24 +11,29 @@ import (
 
 // FaultSweepConfig parameterises RunFaultSweep.
 type FaultSweepConfig struct {
-	// Domains is the chain length (default 5).
-	Domains int
-	// Probs are the per-hop message-loss probabilities swept (default
-	// 0, 0.02, 0.05, 0.1, 0.2). Each probability is applied as both a
-	// send-drop and a receive-drop on every inter-broker link.
-	Probs []float64
-	// Trials is the number of reservations attempted per cell
-	// (default 20).
+	// Trials is the number of reservations attempted per cell.
 	Trials int
-	// CallTimeout is the per-hop signalling deadline (default 100ms).
+	// CallTimeout is the per-hop signalling deadline.
 	CallTimeout time.Duration
-	// RetryBudgets are the MaxRetries settings compared per
-	// probability (default 0 and 2).
-	RetryBudgets []int
-	// Seed drives the fault injection (default 1). Same seed, same
-	// faults: the sweep never reads the clock for randomness.
-	Seed uint64
 }
+
+// The fault sweep's grid.
+const (
+	// faultDomains is the chain length.
+	faultDomains = 5
+	// faultSeed drives the fault injection. Same seed, same faults: the
+	// sweep never reads the clock for randomness.
+	faultSeed = 1
+)
+
+// faultProbs are the per-hop message-loss probabilities swept. Each is
+// applied as both a send-drop and a receive-drop on every inter-broker
+// link.
+var faultProbs = []float64{0, 0.02, 0.05, 0.1, 0.2}
+
+// faultRetryBudgets are the MaxRetries settings compared per
+// probability.
+var faultRetryBudgets = []int{0, 2}
 
 // faultCell is one measured (probability, retry-budget) combination.
 type faultCell struct {
@@ -46,12 +51,12 @@ type faultCell struct {
 func runFaultCell(cfg FaultSweepConfig, prob float64, retries int) (faultCell, error) {
 	var out faultCell
 	var dialers []*transport.FaultyDialer
-	// Per-dialer seeds come from the config's seed stream, not a
+	// Per-dialer seeds come from the sweep's seed stream, not a
 	// counter from 1: distinct (seed, prob, retries) cells inject
 	// distinct-but-reproducible fault patterns.
-	seeds := newRNG(cfg.Seed, uint64(prob*1e6)<<8|uint64(retries))
+	seeds := newRNG(faultSeed, uint64(prob*1e6)<<8|uint64(retries))
 	w, err := BuildWorld(WorldConfig{
-		NumDomains:   cfg.Domains,
+		NumDomains:   faultDomains,
 		Capacity:     units.Gbps,
 		CallTimeout:  cfg.CallTimeout,
 		MaxRetries:   retries,
@@ -103,7 +108,7 @@ func runFaultCell(cfg FaultSweepConfig, prob float64, retries int) (faultCell, e
 	// one slot per domain; anything beyond that is bandwidth stranded
 	// by a lost response. Best-effort cancels are asynchronous, so
 	// allow them a settling window before counting.
-	want := out.grants * cfg.Domains
+	want := out.grants * faultDomains
 	settle := time.Now().Add(3 * time.Second)
 	for {
 		got := 0
@@ -131,27 +136,9 @@ func runFaultCell(cfg FaultSweepConfig, prob float64, retries int) (faultCell, e
 // outcome, latency and rollback correctness over a chain whose every
 // inter-broker link loses messages with a swept probability.
 func RunFaultSweep(cfg FaultSweepConfig) (*Table, error) {
-	if cfg.Domains <= 0 {
-		cfg.Domains = 5
-	}
-	if len(cfg.Probs) == 0 {
-		cfg.Probs = []float64{0, 0.02, 0.05, 0.1, 0.2}
-	}
-	if cfg.Trials <= 0 {
-		cfg.Trials = 20
-	}
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = 100 * time.Millisecond
-	}
-	if len(cfg.RetryBudgets) == 0 {
-		cfg.RetryBudgets = []int{0, 2}
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
 	t := &Table{
 		ID:    "faults",
-		Title: fmt.Sprintf("Reservation outcome under per-hop message loss (%d domains, %v hop deadline, %d trials)", cfg.Domains, cfg.CallTimeout, cfg.Trials),
+		Title: fmt.Sprintf("Reservation outcome under per-hop message loss (%d domains, %v hop deadline, %d trials)", faultDomains, cfg.CallTimeout, cfg.Trials),
 		Claim: "a denied or failed hop must propagate upstream within the deadline budget and leave no reservation stranded in any domain",
 		Columns: []string{
 			"loss prob", "retries",
@@ -167,8 +154,8 @@ func RunFaultSweep(cfg FaultSweepConfig) (*Table, error) {
 		}
 		return fmt.Sprintf("%.1fms", float64((total/time.Duration(n)).Microseconds())/1000)
 	}
-	for _, prob := range cfg.Probs {
-		for _, retries := range cfg.RetryBudgets {
+	for _, prob := range faultProbs {
+		for _, retries := range faultRetryBudgets {
 			c, err := runFaultCell(cfg, prob, retries)
 			if err != nil {
 				return nil, fmt.Errorf("p=%.2f retries=%d: %w", prob, retries, err)

@@ -86,6 +86,13 @@ func RunFigure6() (*Table, error) {
 		return nil, err
 	}
 	defer bob.Close()
+	// A second Alice holds no capability but is enrolled in the ATLAS
+	// experiment, the group arm of BB-B's policy.
+	atlas, err := w.NewUser("Alice", "DomainA", nil, []string{"ATLAS experiment"})
+	if err != nil {
+		return nil, err
+	}
+	defer atlas.Close()
 
 	now := w.clock()
 	day := time.Date(now.Year(), now.Month(), now.Day(), 12, 0, 0, 0, time.UTC).AddDate(0, 0, 1)
@@ -108,6 +115,8 @@ func RunFigure6() (*Table, error) {
 		{"Alice", alice, 20 * units.Mbps, night, alice}, // night: A allows, B caps at 10
 		{"Bob", bob, 10 * units.Mbps, day, bob},
 		{"Alice", alice, 10 * units.Mbps, day, bob}, // Bob's handle backs nothing of Alice's
+		{"Alice (ATLAS)", atlas, 4 * units.Mbps, day, nil},
+		{"Alice (ATLAS)", atlas, 10 * units.Mbps, day, atlas}, // C wants a capability at 5 Mb/s
 	}
 	for _, v := range variants {
 		win := units.NewWindow(v.start, time.Hour)
@@ -130,6 +139,11 @@ func RunFigure6() (*Table, error) {
 			Window:     win,
 			Linked:     linked,
 		})
+		capability := "ESnet"
+		if v.user == atlas {
+			capability = "none"
+			spec.Assertions = []string{"ATLAS experiment"}
+		}
 		res, err := v.user.ReserveE2E(spec)
 		if err != nil {
 			return nil, err
@@ -146,7 +160,7 @@ func RunFigure6() (*Table, error) {
 		if v.start.Hour() == 22 {
 			timeCell = "22:00"
 		}
-		t.AddRow(v.label, v.bw.String(), timeCell, "ESnet", cpuCell, decision, deniedBy)
+		t.AddRow(v.label, v.bw.String(), timeCell, capability, cpuCell, decision, deniedBy)
 	}
 	return t, nil
 }

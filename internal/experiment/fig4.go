@@ -66,9 +66,6 @@ func fig4Topology() (*topology.Topology, error) {
 //     state survives; his traffic stays best effort and Alice keeps
 //     her reservation.
 func RunFigure4(duration time.Duration) ([]Figure4Result, *Table, error) {
-	if duration <= 0 {
-		duration = 2 * time.Second
-	}
 	var results []Figure4Result
 	for _, scenario := range []string{"source-domain (attack)", "hop-by-hop (protected)"} {
 		res, err := runFig4Scenario(scenario, duration)
@@ -110,18 +107,15 @@ func runFig4Scenario(scenario string, duration time.Duration) (Figure4Result, er
 	return runFig4ScenarioRate(scenario, duration, 10*units.Mbps)
 }
 
+// fig4SweepRates are the attacker loads of the severity sweep.
+var fig4SweepRates = []units.Bandwidth{
+	2 * units.Mbps, 5 * units.Mbps, 10 * units.Mbps, 20 * units.Mbps, 40 * units.Mbps,
+}
+
 // RunFigure4Sweep measures how the attack's damage to Alice scales
 // with the attacker's unpoliced load: the more premium traffic David
 // injects past B, the smaller Alice's share of C's fixed aggregate.
-func RunFigure4Sweep(davidRates []units.Bandwidth, duration time.Duration) (*Table, error) {
-	if len(davidRates) == 0 {
-		davidRates = []units.Bandwidth{
-			2 * units.Mbps, 5 * units.Mbps, 10 * units.Mbps, 20 * units.Mbps, 40 * units.Mbps,
-		}
-	}
-	if duration <= 0 {
-		duration = 2 * time.Second
-	}
+func RunFigure4Sweep(duration time.Duration) (*Table, error) {
 	t := &Table{
 		ID:    "fig4-sweep",
 		Title: "Misreservation severity vs attacker load (Figure 4)",
@@ -130,7 +124,7 @@ func RunFigure4Sweep(davidRates []units.Bandwidth, duration time.Duration) (*Tab
 			"david load", "alice goodput", "alice share of reservation", "david goodput", "drops at C",
 		},
 	}
-	for _, rate := range davidRates {
+	for _, rate := range fig4SweepRates {
 		r, err := runFig4ScenarioRate("source-domain (attack)", duration, rate)
 		if err != nil {
 			return nil, fmt.Errorf("rate %v: %w", rate, err)
@@ -200,12 +194,12 @@ func runFig4ScenarioRate(scenario string, duration time.Duration, davidRate unit
 	// Data plane.
 	sim := dsim.New()
 	sink := netsim.NewSink(sim)
-	policerC := netsim.NewPolicer(sim, sla.TrafficProfile{Rate: 1, BucketBytes: 1}, sla.Drop, sink)
+	policerC := netsim.NewPolicer(sim, sla.TrafficProfile{Rate: 1, BucketBytes: 1}, sink)
 	// The shared link is provisioned above the combined offered load so
 	// that the destination's aggregate policer — not link congestion —
 	// is what decides packet fates, matching the figure's story.
-	linkBC := netsim.NewLink(sim, 10*units.Mbps+davidRate+20*units.Mbps, time.Millisecond, 0, policerC)
-	policerB := netsim.NewPolicer(sim, sla.TrafficProfile{Rate: 1, BucketBytes: 1}, sla.Drop, linkBC)
+	linkBC := netsim.NewLink(sim, 10*units.Mbps+davidRate+20*units.Mbps, policerC)
+	policerB := netsim.NewPolicer(sim, sla.TrafficProfile{Rate: 1, BucketBytes: 1}, linkBC)
 	markerA := netsim.NewEdgeMarker(sim, policerB) // A's edge feeds B's ingress
 	markerD := netsim.NewEdgeMarker(sim, policerB) // D's edge feeds B's ingress
 	w.NetsimPlane("DomainA").AttachEdge(markerA)
@@ -251,14 +245,14 @@ func runFig4ScenarioRate(scenario string, duration time.Duration, davidRate unit
 
 	// Traffic: both users send their full 10 Mb/s; packet sizes differ
 	// slightly to avoid phase-locking artifacts.
-	srcAlice := netsim.NewSource(sim, netsim.FlowID(aliceSpec.RARID), 10*units.Mbps, 1250, netsim.BestEffort, markerA)
-	srcDavid := netsim.NewSource(sim, netsim.FlowID(davidSpec.RARID), davidRate, 1000, netsim.BestEffort, markerD)
+	srcAlice := netsim.NewSource(sim, netsim.FlowID(aliceSpec.RARID), 10*units.Mbps, 1250, markerA)
+	srcDavid := netsim.NewSource(sim, netsim.FlowID(davidSpec.RARID), davidRate, 1000, markerD)
 	srcAlice.Jitter = 0.2
 	srcDavid.Jitter = 0.2
-	if err := srcAlice.Install(0, duration); err != nil {
+	if err := srcAlice.Install(duration); err != nil {
 		return out, err
 	}
-	if err := srcDavid.Install(0, duration); err != nil {
+	if err := srcDavid.Install(duration); err != nil {
 		return out, err
 	}
 	sim.Run(duration + 500*time.Millisecond)
@@ -266,14 +260,14 @@ func runFig4ScenarioRate(scenario string, duration time.Duration, davidRate unit
 	aliceStats := sink.Stats(netsim.FlowID(aliceSpec.RARID))
 	davidStats := sink.Stats(netsim.FlowID(davidSpec.RARID))
 	if aliceStats != nil {
-		out.AliceGoodput = aliceStats.Goodput(0, duration)
+		out.AliceGoodput = aliceStats.Goodput(duration)
 		if aliceStats.RxBytes > 0 {
 			out.AlicePremiumShare = float64(aliceStats.RxBytesByCls[netsim.Premium]) / float64(aliceStats.RxBytes)
 		}
 	}
 	if davidStats != nil {
-		out.DavidGoodput = davidStats.Goodput(0, duration)
+		out.DavidGoodput = davidStats.Goodput(duration)
 	}
-	out.DropsAtC = policerC.Drops.Dropped
+	out.DropsAtC = policerC.Dropped
 	return out, nil
 }

@@ -48,7 +48,7 @@ func BuildProtocolWorld(n int, withCapability bool) (*ProtocolWorld, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.CAS = cas.NewServer(casKey, "ESnet", 12*time.Hour)
+	w.CAS = cas.NewServer(casKey)
 
 	keys := make([]*identity.KeyPair, n)
 	for i := 0; i < n; i++ {
@@ -173,10 +173,8 @@ func (w *ProtocolWorld) Propagate(spec *core.Spec) ([]ChainSample, error) {
 // RunFigure7 reproduces Figure 7: the capability-certificate list each
 // broker receives, plus the message-size and verification-cost growth
 // the nested-signature construction implies (§6.4).
-func RunFigure7(hops int) (*Table, error) {
-	if hops < 2 {
-		hops = 3
-	}
+func RunFigure7() (*Table, error) {
+	const hops = 4
 	w, err := BuildProtocolWorld(hops, true)
 	if err != nil {
 		return nil, err
@@ -213,10 +211,8 @@ func RunFigure7(hops int) (*Table, error) {
 // RunTrustChain reproduces the §6.4 transitive-trust measurements: the
 // cost of nested-envelope verification as the path grows, and the
 // effect of the introducer-depth policy.
-func RunTrustChain(maxHops int) (*Table, error) {
-	if maxHops < 3 {
-		maxHops = 8
-	}
+func RunTrustChain() (*Table, error) {
+	const maxHops = 8
 	t := &Table{
 		ID:    "trust",
 		Title: "Transitive trust: verification cost and depth policy (§6.4)",

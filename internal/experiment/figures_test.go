@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"e2eqos/internal/gara"
-	"e2eqos/internal/units"
 )
 
 func TestRunFigure1Matrix(t *testing.T) {
@@ -48,15 +47,23 @@ func TestRunFigure6Matrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 7 {
+	if len(tab.Rows) != 9 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	// Row order matches the variants in RunFigure6. The last row links a
-	// CPU reservation Bob holds: DomainC does not count it for Alice.
-	wantDecision := []string{"GRANT", "DENY", "GRANT", "DENY", "DENY", "DENY", "DENY"}
-	wantDenier := []string{"-", "DomainC", "-", "DomainA", "DomainB", "DomainA", "DomainC"}
+	// Row order matches the variants in RunFigure6. Row 6 links a CPU
+	// reservation Bob holds: DomainC does not count it for Alice. The
+	// last two rows are an Alice with no capability who asserts ATLAS
+	// membership: B admits her by group, and C takes her under 5 Mb/s
+	// only, capability or not.
+	wantDecision := []string{"GRANT", "DENY", "GRANT", "DENY", "DENY", "DENY", "DENY", "GRANT", "DENY"}
+	wantDenier := []string{"-", "DomainC", "-", "DomainA", "DomainB", "DomainA", "DomainC", "-", "DomainC"}
 	if cell := tab.Rows[6][4]; cell != "Bob's" {
 		t.Errorf("row 6 cpu-resv = %s, want Bob's", cell)
+	}
+	for _, row := range tab.Rows[7:] {
+		if row[3] != "none" {
+			t.Errorf("ATLAS row capability = %s, want none (%v)", row[3], row)
+		}
 	}
 	for i, row := range tab.Rows {
 		if row[5] != wantDecision[i] {
@@ -98,7 +105,7 @@ func TestRunFigure4AttackAndProtection(t *testing.T) {
 }
 
 func TestRunFigure7ChainLengths(t *testing.T) {
-	tab, err := RunFigure7(4)
+	tab, err := RunFigure7()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +151,7 @@ func TestProtocolWorldWireGrowthLinear(t *testing.T) {
 }
 
 func TestRunTrustChainDepthPolicy(t *testing.T) {
-	tab, err := RunTrustChain(4)
+	tab, err := RunTrustChain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +200,14 @@ func TestMeasureSignallingShapes(t *testing.T) {
 }
 
 func TestRunTrustScalingTable(t *testing.T) {
-	tab := RunTrustScaling([]int{100}, []int{5})
-	if len(tab.Rows) != 1 {
+	tab := RunTrustScaling()
+	if len(tab.Rows) != 9 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	row := tab.Rows[0]
+	row := tab.Rows[4]
+	if row[0] != "100" || row[1] != "5" {
+		t.Fatalf("row 4 = %v, want 100 users over 5 domains", row)
+	}
 	if row[2] != "500" { // 100 users x 5 domains
 		t.Errorf("source-domain pairs = %s", row[2])
 	}
@@ -244,7 +254,7 @@ func TestMeasureTunnelAdvantage(t *testing.T) {
 }
 
 func TestRunKeyDistributionSavings(t *testing.T) {
-	tab, err := RunKeyDistribution(4)
+	tab, err := RunKeyDistribution()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +279,7 @@ func TestRunKeyDistributionSavings(t *testing.T) {
 }
 
 func TestRunBillingChain(t *testing.T) {
-	tab, err := RunBilling(500 * time.Millisecond)
+	tab, err := RunBilling()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,11 +295,11 @@ func TestRunBillingChain(t *testing.T) {
 }
 
 func TestRunFigure4SweepMonotone(t *testing.T) {
-	tab, err := RunFigure4Sweep([]units.Bandwidth{2 * units.Mbps, 10 * units.Mbps, 40 * units.Mbps}, time.Second)
+	tab, err := RunFigure4Sweep(time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 3 {
+	if len(tab.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	var goodputs []float64
@@ -301,14 +311,16 @@ func TestRunFigure4SweepMonotone(t *testing.T) {
 		goodputs = append(goodputs, g)
 	}
 	// Damage must grow with attacker load.
-	if !(goodputs[0] > goodputs[1] && goodputs[1] > goodputs[2]) {
-		t.Errorf("alice goodput not monotone in attacker load: %v", goodputs)
+	for i := 1; i < len(goodputs); i++ {
+		if goodputs[i] >= goodputs[i-1] {
+			t.Errorf("alice goodput not monotone in attacker load: %v", goodputs)
+		}
 	}
 	// Light attack barely hurts; heavy attack is devastating.
 	if goodputs[0] < 6 {
 		t.Errorf("2Mb/s attacker already destroyed the flow: %v", goodputs)
 	}
-	if goodputs[2] > 4 {
+	if goodputs[4] > 4 {
 		t.Errorf("40Mb/s attacker insufficiently harmful: %v", goodputs)
 	}
 }
@@ -334,17 +346,17 @@ func TestExperimentRendersPinned(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			sweep, err := RunFigure4Sweep(nil, duration)
+			sweep, err := RunFigure4Sweep(duration)
 			return []*Table{tab, sweep}, err
 		}},
 		{"diffserv", "68696f524b9b58cf41f565dde7038970d9bb29fe6a38ecbf6ce7ae78eb8caf35", func() ([]*Table, error) {
-			return one(RunDiffServChain(5, duration))
+			return one(RunDiffServChain(duration))
 		}},
 		{"billing", "765146dec72d4d3130ab9702cae052e01be16cc50920b4f525481afbb2cf323a", func() ([]*Table, error) {
-			return one(RunBilling(time.Second))
+			return one(RunBilling())
 		}},
 		{"multipath", "942ef01464bc58e6f481268dd914415bef34b804da7c21dbacf655814771b44c", func() ([]*Table, error) {
-			return one(RunMultipathExp(MultipathConfig{}))
+			return one(RunMultipathExp())
 		}},
 	}
 	for _, c := range cases {
@@ -365,11 +377,11 @@ func TestExperimentRendersPinned(t *testing.T) {
 }
 
 func TestRunDiffServChainGuarantee(t *testing.T) {
-	tab, err := RunDiffServChain(4, time.Second)
+	tab, err := RunDiffServChain(time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 4 {
+	if len(tab.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	for _, row := range tab.Rows {

@@ -47,86 +47,45 @@ const fleetWindowSlack = 2 * time.Minute
 
 // FleetConfig parameterises the scenario fleet.
 type FleetConfig struct {
-	// Users is the simulated population (default 100_000).
+	// Users is the simulated population.
 	Users int
-	// Domains is the signalling chain length (default 3: source,
-	// transit, destination).
-	Domains int
-	// PerUserRate is each honest reservation's bandwidth (default
-	// 1 Mb/s).
-	PerUserRate units.Bandwidth
-	// CapacityFactor sizes each domain's premium aggregate as a
-	// fraction of Users×PerUserRate (default 0.35 — diurnal peaks run
-	// the pool hot without saturating it).
-	CapacityFactor float64
-	// Aggregates is how many admission shards each domain's capacity
-	// is split into — the per-ingress aggregate tables a deployment
-	// would run. Zero derives Users/256 clamped to [16, 4096], which
-	// bounds the per-admit edge scan to a few hundred reservations.
-	Aggregates int
-	// HopLatency is the modelled one-way signalling latency per hop
-	// (default 2ms, matching BENCH_concurrency.json's setup).
-	HopLatency time.Duration
-	// ServiceTime is the modelled per-request broker occupancy; each
-	// broker is a FIFO single server, which is what turns flash crowds
-	// into grant-latency tails (default 50µs).
-	ServiceTime time.Duration
-	// AttackerFraction is the share of users that misreserve in the
-	// misreservation scenario (default 0.01).
-	AttackerFraction float64
-	// AttackerOverbook is how much bandwidth an attacker books in its
-	// source domain relative to PerUserRate (default 10 — misbooking
-	// is cheap when only the source domain checks).
-	AttackerOverbook float64
-	// Seed drives every RNG stream (default 1).
+	// Seed drives every RNG stream.
 	Seed uint64
-	// Scenarios selects a subset by name (diurnal, flash, churn,
-	// misreservation, reroute); nil runs the first four — reroute is
-	// opt-in because its disjoint-branch fan needs four domains.
-	Scenarios []string
 }
 
-func (c FleetConfig) withDefaults() FleetConfig {
-	if c.Users <= 0 {
-		c.Users = 100_000
-	}
-	if c.Domains <= 0 {
-		c.Domains = 3
-	}
-	if c.PerUserRate <= 0 {
-		c.PerUserRate = units.Mbps
-	}
-	if c.CapacityFactor <= 0 {
-		c.CapacityFactor = 0.35
-	}
-	if c.Aggregates <= 0 {
-		c.Aggregates = c.Users / 256
-		if c.Aggregates < 16 {
-			c.Aggregates = 16
-		}
-		if c.Aggregates > 4096 {
-			c.Aggregates = 4096
-		}
-	}
-	if c.HopLatency <= 0 {
-		c.HopLatency = 2 * time.Millisecond
-	}
-	if c.ServiceTime <= 0 {
-		c.ServiceTime = 50 * time.Microsecond
-	}
-	if c.AttackerFraction <= 0 {
-		c.AttackerFraction = 0.01
-	}
-	if c.AttackerOverbook <= 0 {
-		c.AttackerOverbook = 10
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if len(c.Scenarios) == 0 {
-		c.Scenarios = []string{"diurnal", "flash", "churn", "misreservation"}
-	}
-	return c
+// The modelled fleet's constants.
+const (
+	// fleetDomains is the signalling chain length: source, transit,
+	// destination.
+	fleetDomains = 3
+	// fleetPerUserRate is each honest reservation's bandwidth.
+	fleetPerUserRate = units.Mbps
+	// fleetCapacityFactor sizes each domain's premium aggregate as a
+	// fraction of Users×fleetPerUserRate: diurnal peaks run the pool
+	// hot without saturating it.
+	fleetCapacityFactor = 0.35
+	// fleetHopLatency is the modelled one-way signalling latency per
+	// hop, matching BENCH_concurrency.json's setup.
+	fleetHopLatency = 2 * time.Millisecond
+	// fleetServiceTime is the modelled per-request broker occupancy;
+	// each broker is a FIFO single server, which is what turns flash
+	// crowds into grant-latency tails.
+	fleetServiceTime = 50 * time.Microsecond
+	// fleetAttackerFraction is the share of users that misreserve in
+	// the misreservation scenario.
+	fleetAttackerFraction = 0.01
+	// fleetAttackerOverbook is how much bandwidth an attacker books in
+	// its source domain relative to fleetPerUserRate: misbooking is
+	// cheap when only the source domain checks.
+	fleetAttackerOverbook = 10
+)
+
+// fleetAggregates is how many admission shards each domain's capacity
+// is split into, the per-ingress aggregate tables a deployment would
+// run: users/256 clamped to [16, 4096], which bounds the per-admit edge
+// scan to a few hundred reservations.
+func fleetAggregates(users int) int {
+	return min(max(users/256, 16), 4096)
 }
 
 // Quantiles is a p50/p99/p999 summary of one distribution.
@@ -254,19 +213,20 @@ func newFleetEngine(cfg FleetConfig, scenario string) *fleetEngine {
 		h:        sha256.New(),
 	}
 	fmt.Fprintf(e.h, "scenario %s seed %d users %d\n", scenario, cfg.Seed, cfg.Users)
-	capacity := units.Bandwidth(cfg.CapacityFactor * float64(cfg.Users) * float64(cfg.PerUserRate))
-	perShard := capacity / units.Bandwidth(cfg.Aggregates)
-	if perShard < 4*cfg.PerUserRate {
-		perShard = 4 * cfg.PerUserRate // tiny smoke configs still admit
+	aggregates := fleetAggregates(cfg.Users)
+	capacity := units.Bandwidth(fleetCapacityFactor * float64(cfg.Users) * float64(fleetPerUserRate))
+	perShard := capacity / units.Bandwidth(aggregates)
+	if perShard < 4*fleetPerUserRate {
+		perShard = 4 * fleetPerUserRate // tiny smoke configs still admit
 	}
 	clock := func() time.Time { return fleetEpoch.Add(e.sim.Now()) }
-	for d := 0; d < cfg.Domains; d++ {
+	for d := 0; d < fleetDomains; d++ {
 		dom := &fleetDomain{
 			name:     fmt.Sprintf("d%d", d),
-			capacity: perShard * units.Bandwidth(cfg.Aggregates),
+			capacity: perShard * units.Bandwidth(aggregates),
 			plane:    fake.New(),
 		}
-		for a := 0; a < cfg.Aggregates; a++ {
+		for a := 0; a < aggregates; a++ {
 			t, err := resv.NewTable(fmt.Sprintf("d%da%d", d, a), perShard)
 			if err != nil {
 				panic(err) // capacity is positive by construction
@@ -283,7 +243,7 @@ func newFleetEngine(cfg FleetConfig, scenario string) *fleetEngine {
 	shardRNG := newRNG(cfg.Seed, 0xA11)
 	offerRNG := newRNG(cfg.Seed, 0xB22)
 	for u := 0; u < cfg.Users; u++ {
-		e.userShard[u] = shardRNG.Intn(cfg.Aggregates)
+		e.userShard[u] = shardRNG.Intn(aggregates)
 		e.userOffer[u] = 0.70 + 0.55*offerRNG.Float64()
 	}
 	return e
@@ -311,11 +271,11 @@ func (e *fleetEngine) traverse(from time.Duration, path []int, visit func(d *fle
 	arrival := from
 	for i, di := range path {
 		d := e.domains[di]
-		arrival += e.cfg.HopLatency
+		arrival += fleetHopLatency
 		if d.busyUntil > arrival {
 			arrival = d.busyUntil
 		}
-		arrival += e.cfg.ServiceTime
+		arrival += fleetServiceTime
 		d.busyUntil = arrival
 		if visit != nil && !visit(d, i) {
 			return arrival
@@ -353,7 +313,7 @@ func (e *fleetEngine) reserve(user int, bw units.Bandwidth, hold time.Duration, 
 		e.admitOps++
 		return true
 	})
-	latency := done + e.cfg.HopLatency*time.Duration(len(path)) - t
+	latency := done + fleetHopLatency*time.Duration(len(path)) - t
 	if deniedAt >= 0 {
 		// Hop-by-hop rollback of the partial chain, most recent first.
 		for i := len(handles) - 1; i >= 0; i-- {
@@ -492,29 +452,13 @@ func (e *fleetEngine) finish(name string, events int) (ScenarioResult, error) {
 	return res, nil
 }
 
-// RunFleet runs the configured scenarios and returns their results.
-// Any invariant violation fails the run.
+// RunFleet runs the four scenarios and returns their results. Any
+// invariant violation fails the run.
 func RunFleet(cfg FleetConfig) (*FleetResult, error) {
-	cfg = cfg.withDefaults()
-	out := &FleetResult{Users: cfg.Users, Domains: cfg.Domains, Seed: cfg.Seed}
+	out := &FleetResult{Users: cfg.Users, Domains: fleetDomains, Seed: cfg.Seed}
 	whole := sha256.New()
-	for _, name := range cfg.Scenarios {
-		var res ScenarioResult
-		var err error
-		switch name {
-		case "diurnal":
-			res, err = runDiurnal(cfg)
-		case "flash":
-			res, err = runFlashCrowd(cfg)
-		case "churn":
-			res, err = runChurn(cfg)
-		case "misreservation":
-			res, err = runMisreservation(cfg)
-		case "reroute":
-			res, err = runReroute(cfg)
-		default:
-			return nil, fmt.Errorf("fleet: unknown scenario %q", name)
-		}
+	for _, run := range []func(FleetConfig) (ScenarioResult, error){runDiurnal, runFlashCrowd, runChurn, runMisreservation} {
+		res, err := run(cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -61,7 +61,7 @@ func runDiurnal(cfg FleetConfig) (ScenarioResult, error) {
 			hold := r.Between(slotDur/2, slotDur*3/2)
 			u := u
 			if err := e.sim.Schedule(start, func() {
-				e.sessionWithRetry(u, cfg.PerUserRate, hold, path, 2, r)
+				e.sessionWithRetry(u, fleetPerUserRate, hold, path, 2, r)
 			}); err != nil {
 				return ScenarioResult{}, err
 			}
@@ -85,7 +85,7 @@ func runFlashCrowd(cfg FleetConfig) (ScenarioResult, error) {
 			hold := r.Between(30*time.Second, 50*time.Second)
 			u := u
 			if err := e.sim.Schedule(start, func() {
-				e.sessionWithRetry(u, cfg.PerUserRate, hold, path, 1, r)
+				e.sessionWithRetry(u, fleetPerUserRate, hold, path, 1, r)
 			}); err != nil {
 				return ScenarioResult{}, err
 			}
@@ -95,7 +95,7 @@ func runFlashCrowd(cfg FleetConfig) (ScenarioResult, error) {
 			hold := r.Between(10*time.Second, 20*time.Second)
 			u := u
 			if err := e.sim.Schedule(start, func() {
-				e.sessionWithRetry(u, cfg.PerUserRate, hold, path, 0, r)
+				e.sessionWithRetry(u, fleetPerUserRate, hold, path, 0, r)
 			}); err != nil {
 				return ScenarioResult{}, err
 			}
@@ -114,7 +114,7 @@ func runChurn(cfg FleetConfig) (ScenarioResult, error) {
 	path := e.fullPath()
 	churners := cfg.Users / 20
 	if churners < 8 {
-		churners = minInt(8, cfg.Users)
+		churners = min(8, cfg.Users)
 	}
 	const horizon = 12 * time.Minute
 	for u := 0; u < churners; u++ {
@@ -147,7 +147,7 @@ func (e *fleetEngine) churnLoop(u int, r *rng, path []int, until time.Duration) 
 	rebook := func() {
 		_ = e.sim.After(gap, func() { e.churnLoop(u, r, path, until) })
 	}
-	b := e.reserve(u, e.cfg.PerUserRate, hold, path)
+	b := e.reserve(u, fleetPerUserRate, hold, path)
 	if b == nil {
 		rebook()
 		return
@@ -158,91 +158,8 @@ func (e *fleetEngine) churnLoop(u int, r *rng, path []int, until time.Duration) 
 	})
 }
 
-// runReroute is the fleet-scale face of the multipath work: a fan of
-// two disjoint transit branches between ingress and destination.
-// During a mid-horizon "outage" window, blocker load books the primary
-// branch solid, shard by shard; sessions that deny mid-chain on the
-// primary immediately re-route onto the alternate branch, exactly as
-// the broker's multipath forwarder does. Not in the default scenario
-// set — the fan needs four domains, so it is opt-in by name.
-func runReroute(cfg FleetConfig) (ScenarioResult, error) {
-	if cfg.Domains < 4 {
-		cfg.Domains = 4
-	}
-	e := newFleetEngine(cfg, "reroute")
-	last := cfg.Domains - 1
-	primary := []int{0, 1, last}
-	alternate := []int{0, 2, last}
-	const (
-		horizon     = 3 * time.Minute
-		outageFrom  = time.Second // before any session fires
-		outageUntil = 2 * time.Minute
-	)
-	// Blockers: one user per admission shard, each booking the shard's
-	// full capacity on the primary branch alone for the outage window.
-	// They book before the first session starts, so every admission
-	// succeeds and the covered shards deny every session they would
-	// have admitted — which is what forces the re-route.
-	perShard := e.domains[1].capacity / units.Bandwidth(cfg.Aggregates)
-	covered := make(map[int]bool, cfg.Aggregates)
-	blockers := make(map[int]bool, cfg.Aggregates)
-	branchOnly := []int{1}
-	for u := 0; u < cfg.Users && len(covered) < cfg.Aggregates; u++ {
-		if covered[e.userShard[u]] {
-			continue
-		}
-		covered[e.userShard[u]] = true
-		blockers[u] = true
-		u := u
-		if err := e.sim.Schedule(outageFrom, func() {
-			e.holdThenCancel(e.reserve(u, perShard, outageUntil-outageFrom, branchOnly), outageUntil-outageFrom)
-		}); err != nil {
-			return ScenarioResult{}, err
-		}
-	}
-	// Sessions: the rest of the population runs light closed-loop load
-	// across the horizon. The primary branch is tried first; a denial
-	// there re-routes onto the alternate in the same signalling round.
-	// Sessions starting after the outage lifts ride the primary again.
-	for u := 0; u < cfg.Users; u++ {
-		if blockers[u] {
-			continue
-		}
-		r := e.userRNG(u, 5)
-		if r.Float64() >= 0.15 {
-			continue
-		}
-		start := 5*time.Second + r.Between(0, horizon-45*time.Second)
-		hold := r.Between(15*time.Second, 35*time.Second)
-		u := u
-		if err := e.sim.Schedule(start, func() {
-			if b := e.reserve(u, cfg.PerUserRate, hold, primary); b != nil {
-				e.holdThenCancel(b, hold)
-				return
-			}
-			e.retries++
-			fmt.Fprintf(e.h, "reroute u%d %d\n", u, e.sim.Now())
-			if b := e.reserve(u, cfg.PerUserRate, hold, alternate); b != nil {
-				e.holdThenCancel(b, hold)
-			}
-		}); err != nil {
-			return ScenarioResult{}, err
-		}
-	}
-	events := e.sim.Run(horizon + 5*time.Minute)
-	e.drain()
-	res, err := e.finish("reroute", events)
-	if err == nil && res.Retries == 0 {
-		return res, fmt.Errorf("fleet: reroute scenario produced no re-routes — the outage never bit")
-	}
-	if err == nil {
-		res.Invariants = append(res.Invariants, "denied-primary-rerouted")
-	}
-	return res, err
-}
-
 // runMisreservation replays the paper's Figure 4 at fleet scale: 1%
-// of users are attackers booking AttackerOverbook× bandwidth. In the
+// of users are attackers booking fleetAttackerOverbook× bandwidth. In the
 // defended arm provisioning is end-to-end — attackers reserve hop by
 // hop and the destination's aggregate accounts for whatever it
 // granted them. In the attack arm they book only in their source
@@ -307,11 +224,8 @@ func runAttackArm(cfg FleetConfig, defended bool) (ScenarioResult, armGoodput, e
 	}
 	e := newFleetEngine(cfg, name)
 	path := e.fullPath()
-	attackers := int(cfg.AttackerFraction * float64(cfg.Users))
-	if attackers < 1 {
-		attackers = 1
-	}
-	attackerBW := units.Bandwidth(cfg.AttackerOverbook * float64(cfg.PerUserRate))
+	attackers := max(int(fleetAttackerFraction*float64(cfg.Users)), 1)
+	attackerBW := fleetAttackerOverbook * fleetPerUserRate
 	const (
 		joinBy   = 10 * time.Second
 		measFrom = 30 * time.Second
@@ -331,7 +245,7 @@ func runAttackArm(cfg FleetConfig, defended bool) (ScenarioResult, armGoodput, e
 		u := u
 		if err := e.sim.Schedule(start, func() {
 			if !isAttacker {
-				e.reserve(u, cfg.PerUserRate, hold, path)
+				e.reserve(u, fleetPerUserRate, hold, path)
 				return
 			}
 			if defended {
@@ -447,11 +361,4 @@ func (e *fleetEngine) measureGoodput(attackers int, window time.Duration, defend
 	}
 	fmt.Fprintf(e.h, "measure premium %d passed %d agg %d\n", totalPremium, passed, int64(aggRate))
 	return armGoodput{honest: quantilesOf(honest), attacker: quantilesOf(attacker)}, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -9,14 +9,23 @@ import (
 // make verify: small enough to finish in seconds, big enough that
 // every scenario exercises denial, retry and churn paths.
 func smokeFleetConfig() FleetConfig {
-	return FleetConfig{
-		Users:       2_000,
-		Domains:     3,
-		Aggregates:  16,
-		HopLatency:  2 * time.Millisecond,
-		ServiceTime: 50 * time.Microsecond,
-		Seed:        1,
+	return FleetConfig{Users: 2_000, Seed: 1}
+}
+
+// smokeScenario runs the smoke tier and returns the named scenario.
+func smokeScenario(t *testing.T, name string) ScenarioResult {
+	t.Helper()
+	res, err := RunFleet(smokeFleetConfig())
+	if err != nil {
+		t.Fatalf("RunFleet: %v", err)
 	}
+	for _, s := range res.Scenarios {
+		if s.Name == name {
+			return s
+		}
+	}
+	t.Fatalf("no %s scenario in %d", name, len(res.Scenarios))
+	return ScenarioResult{}
 }
 
 // TestFleetSmoke runs all four scenario families at smoke scale and
@@ -117,14 +126,8 @@ func TestFleetSeededDeterminism(t *testing.T) {
 // flash crowd into a real latency tail: p99 must exceed the
 // no-queueing floor of hops × (2×latency + service).
 func TestFleetFlashCrowdQueueing(t *testing.T) {
-	cfg := smokeFleetConfig()
-	cfg.Scenarios = []string{"flash"}
-	res, err := RunFleet(cfg)
-	if err != nil {
-		t.Fatalf("RunFleet: %v", err)
-	}
-	s := res.Scenarios[0]
-	floor := float64(3*(2*2*time.Millisecond+50*time.Microsecond)) / float64(time.Millisecond)
+	s := smokeScenario(t, "flash")
+	floor := float64(fleetDomains*(2*fleetHopLatency+fleetServiceTime)) / float64(time.Millisecond)
 	if s.GrantLatencyMs.P99 <= floor {
 		t.Errorf("flash p99 %.3f ms not above no-queue floor %.3f ms", s.GrantLatencyMs.P99, floor)
 	}
@@ -133,62 +136,12 @@ func TestFleetFlashCrowdQueueing(t *testing.T) {
 	}
 }
 
-// TestFleetReroute runs the opt-in multipath scenario: during the
-// outage window the primary branch is booked solid shard by shard, so
-// sessions must deny there and settle on the alternate branch. The
-// scenario itself fails if no re-route happens; the test additionally
-// pins down determinism and the traffic split across branches.
-func TestFleetReroute(t *testing.T) {
-	cfg := smokeFleetConfig()
-	cfg.Scenarios = []string{"reroute"}
-	res, err := RunFleet(cfg)
-	if err != nil {
-		t.Fatalf("RunFleet: %v", err)
-	}
-	if len(res.Scenarios) != 1 {
-		t.Fatalf("got %d scenarios, want 1", len(res.Scenarios))
-	}
-	s := res.Scenarios[0]
-	if s.Grants == 0 {
-		t.Fatal("no grants")
-	}
-	if s.Retries == 0 {
-		t.Fatal("no re-routes counted")
-	}
-	found := false
-	for _, inv := range s.Invariants {
-		if inv == "denied-primary-rerouted" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("missing denied-primary-rerouted invariant: %v", s.Invariants)
-	}
-	// Same seed, same outage, same re-route decisions.
-	again, err := RunFleet(cfg)
-	if err != nil {
-		t.Fatalf("second run: %v", err)
-	}
-	if again.Scenarios[0].Digest != s.Digest {
-		t.Errorf("reroute digest drifted across same-seed runs")
-	}
-	if again.Scenarios[0].Retries != s.Retries {
-		t.Errorf("re-route count drifted: %d vs %d", again.Scenarios[0].Retries, s.Retries)
-	}
-}
-
 // TestFleetMisreservationAttack checks the scenario reproduces the
 // paper's asymmetry: honest goodput degrades under source-domain
 // provisioning and attackers stay bounded when provisioning is
 // end-to-end.
 func TestFleetMisreservationAttack(t *testing.T) {
-	cfg := smokeFleetConfig()
-	cfg.Scenarios = []string{"misreservation"}
-	res, err := RunFleet(cfg)
-	if err != nil {
-		t.Fatalf("RunFleet: %v", err)
-	}
-	atk := res.Scenarios[0].Attack
+	atk := smokeScenario(t, "misreservation").Attack
 	if atk == nil {
 		t.Fatal("misreservation result missing Attack")
 	}

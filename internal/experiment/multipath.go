@@ -9,11 +9,9 @@ import (
 	"e2eqos/internal/units"
 )
 
-// MultipathConfig parameterises RunMultipathExp.
-type MultipathConfig struct {
-	// CallTimeout is the per-hop signalling deadline (default 2s).
-	CallTimeout time.Duration
-}
+// multipathCallTimeout is the multipath experiment's per-hop
+// signalling deadline.
+const multipathCallTimeout = 2 * time.Second
 
 // multipathCell is one measured scenario of the multipath experiment.
 type multipathCell struct {
@@ -47,13 +45,13 @@ func settleSlots(w *World, want int) int {
 
 // fanWorld builds a Domain0 -> {branches} -> DomainN fan with the
 // multipath knobs armed.
-func fanWorld(branches int, cfg MultipathConfig, w WorldConfig) (*World, error) {
+func fanWorld(branches int, w WorldConfig) (*World, error) {
 	topo, err := topology.Multi(branches, units.Gbps)
 	if err != nil {
 		return nil, err
 	}
 	w.Topo = topo
-	w.CallTimeout = cfg.CallTimeout
+	w.CallTimeout = multipathCallTimeout
 	w.RetryBackoff = 2 * time.Millisecond
 	w.EnableObs = true
 	return BuildWorld(w)
@@ -61,10 +59,10 @@ func fanWorld(branches int, cfg MultipathConfig, w WorldConfig) (*World, error) 
 
 // runMultipathCell runs one scenario: build a world, inject the fault,
 // attempt the reservation, read the brokers' own counters back.
-func runMultipathCell(cfg MultipathConfig, branches int, wcfg WorldConfig, wantSlots int,
+func runMultipathCell(branches int, wcfg WorldConfig, wantSlots int,
 	inject func(*World) error, bw units.Bandwidth, wantGrant bool) (multipathCell, error) {
 	var out multipathCell
-	w, err := fanWorld(branches, cfg, wcfg)
+	w, err := fanWorld(branches, wcfg)
 	if err != nil {
 		return out, err
 	}
@@ -116,10 +114,7 @@ func runMultipathCell(cfg MultipathConfig, branches int, wcfg WorldConfig, wantS
 // capacity-constrained branches with atomic rollback on partial
 // denial. Every number is re-derived from the brokers' tables and
 // metrics, not from the experiment's own bookkeeping.
-func RunMultipathExp(cfg MultipathConfig) (*Table, error) {
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = 2 * time.Second
-	}
+func RunMultipathExp() (*Table, error) {
 	t := &Table{
 		ID:    "multipath",
 		Title: "Multipath domain routing: re-route, breaker skip, and split across disjoint branches",
@@ -185,7 +180,7 @@ func RunMultipathExp(cfg MultipathConfig) (*Table, error) {
 		},
 	}
 	for _, s := range scenarios {
-		c, err := runMultipathCell(cfg, s.branches, s.wcfg, s.wantSlots, s.inject, s.bw, s.grant)
+		c, err := runMultipathCell(s.branches, s.wcfg, s.wantSlots, s.inject, s.bw, s.grant)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", s.name, err)
 		}

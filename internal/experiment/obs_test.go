@@ -85,18 +85,12 @@ func exposed(reg *obs.Registry) (names []string, help map[string]string) {
 	return names, help
 }
 
-// TestFaultSweepReportsObsColumns runs one tiny cell of the faults
-// experiment and checks the table now carries the broker metric
-// columns — the acceptance criterion that a loss sweep answers
-// "what machinery fired" from metrics alone.
+// TestFaultSweepReportsObsColumns runs the faults experiment at one
+// trial per cell and checks the table carries the broker metric
+// columns — the acceptance criterion that a loss sweep answers "what
+// machinery fired" from metrics alone.
 func TestFaultSweepReportsObsColumns(t *testing.T) {
-	tbl, err := RunFaultSweep(FaultSweepConfig{
-		Domains:      3,
-		Probs:        []float64{0.15},
-		Trials:       8,
-		CallTimeout:  60 * time.Millisecond,
-		RetryBudgets: []int{2},
-	})
+	tbl, err := RunFaultSweep(FaultSweepConfig{Trials: 1, CallTimeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +100,8 @@ func TestFaultSweepReportsObsColumns(t *testing.T) {
 			t.Errorf("fault table missing column %q (have %s)", col, joined)
 		}
 	}
-	if len(tbl.Rows) != 1 {
-		t.Fatalf("want 1 row, got %d", len(tbl.Rows))
+	if want := len(faultProbs) * len(faultRetryBudgets); len(tbl.Rows) != want {
+		t.Fatalf("want %d rows, got %d", want, len(tbl.Rows))
 	}
 }
 

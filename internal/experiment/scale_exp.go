@@ -11,18 +11,23 @@ import (
 	"e2eqos/internal/units"
 )
 
+// The mixed load RunScaleLoad drives.
+const (
+	// scaleUsers is the number of concurrent requesters, each with its
+	// own identity and signalling connection.
+	scaleUsers = 8
+	// scaleReserves is how many end-to-end reservations each user
+	// places.
+	scaleReserves = 64
+	// scaleBatchOps is how many tunnel sub-flows are driven through one
+	// aggregate tunnel afterwards (batched 64 at a time).
+	scaleBatchOps = 2048
+	// scaleDomains is the reservation path length.
+	scaleDomains = 5
+)
+
 // ScaleLoadConfig parameterises the fleet-telemetry load experiment.
 type ScaleLoadConfig struct {
-	// Users is the number of concurrent requesters, each with its own
-	// identity and signalling connection.
-	Users int
-	// Reserves is how many end-to-end reservations each user places.
-	Reserves int
-	// BatchOps is how many tunnel sub-flows are driven through one
-	// aggregate tunnel afterwards (batched 64 at a time).
-	BatchOps int
-	// Domains is the reservation path length.
-	Domains int
 	// Latency is the modelled one-way signalling latency per hop.
 	Latency time.Duration
 	// SampleRate is each broker's flight-recorder ingress sampling
@@ -49,30 +54,6 @@ func (c ScaleLoadConfig) validate() error {
 	return nil
 }
 
-// totalOps returns Users×Reserves + BatchOps + 1 — the 1 Mb/s
-// reservation count the capacity budget is sized from — or an error
-// when the product overflows the int64 bandwidth math. Overflow used
-// to wrap silently and build a world with a nonsense (possibly
-// negative) capacity; now it is the caller's error.
-func (c ScaleLoadConfig) totalOps() (int64, error) {
-	ops := int64(c.Users) * int64(c.Reserves)
-	if c.Users != 0 && ops/int64(c.Users) != int64(c.Reserves) {
-		return 0, fmt.Errorf("scale: Users (%d) × Reserves (%d) overflows the capacity budget", c.Users, c.Reserves)
-	}
-	total := ops + int64(c.BatchOps) + 1
-	if total < ops {
-		return 0, fmt.Errorf("scale: Users×Reserves + BatchOps (%d + %d) overflows the capacity budget", ops, c.BatchOps)
-	}
-	// The world is built with twice the budget in bandwidth units.
-	if total > int64(maxBandwidth/(2*units.Mbps)) {
-		return 0, fmt.Errorf("scale: %d reservations × 1 Mb/s exceeds the representable capacity budget", total)
-	}
-	return total, nil
-}
-
-// maxBandwidth is the largest representable bandwidth.
-const maxBandwidth = units.Bandwidth(1<<63 - 1)
-
 // RunScaleLoad drives mixed reserve and sub-flow load through an
 // instrumented world and reports, per broker-side stage, the latency
 // quantiles the striped histograms measured while the load ran. This
@@ -83,25 +64,12 @@ func RunScaleLoad(cfg ScaleLoadConfig) (*Table, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Users <= 0 {
-		cfg.Users = 8
-	}
-	if cfg.Reserves <= 0 {
-		cfg.Reserves = 64
-	}
-	if cfg.BatchOps <= 0 {
-		cfg.BatchOps = 2048
-	}
-	if cfg.Domains < 2 {
-		cfg.Domains = 5
-	}
-	if _, err := cfg.totalOps(); err != nil {
-		return nil, err
-	}
-	reserveNeed := units.Bandwidth(cfg.Users) * units.Bandwidth(cfg.Reserves) * units.Mbps
-	tunnelNeed := units.Bandwidth(cfg.BatchOps+1) * units.Mbps
+	const (
+		reserveNeed = scaleUsers * scaleReserves * units.Mbps
+		tunnelNeed  = (scaleBatchOps + 1) * units.Mbps
+	)
 	w, err := BuildWorld(WorldConfig{
-		NumDomains:  cfg.Domains,
+		NumDomains:  scaleDomains,
 		Capacity:    (reserveNeed + tunnelNeed) * 2,
 		Latency:     cfg.Latency,
 		CallTimeout: 30 * time.Second,
@@ -118,7 +86,7 @@ func RunScaleLoad(cfg ScaleLoadConfig) (*Table, error) {
 	var wg sync.WaitGroup
 	var failed atomic.Int64
 	var firstErr atomic.Value
-	users := make([]*User, cfg.Users)
+	users := make([]*User, scaleUsers)
 	for i := range users {
 		if users[i], err = w.NewUser(fmt.Sprintf("user%d", i), "", nil, nil); err != nil {
 			return nil, err
@@ -130,7 +98,7 @@ func RunScaleLoad(cfg ScaleLoadConfig) (*Table, error) {
 		wg.Add(1)
 		go func(u *User) {
 			defer wg.Done()
-			for r := 0; r < cfg.Reserves; r++ {
+			for r := 0; r < scaleReserves; r++ {
 				spec := u.NewSpec(SpecOptions{DestDomain: w.DestDomain(), Bandwidth: units.Mbps})
 				res, err := u.ReserveE2E(spec)
 				if err != nil {
@@ -158,9 +126,9 @@ func RunScaleLoad(cfg ScaleLoadConfig) (*Table, error) {
 		return nil, fmt.Errorf("tunnel establishment: %v %+v", err, res)
 	}
 	src := w.BBs[w.SourceDomain()]
-	for done := 0; done < cfg.BatchOps; {
+	for done := 0; done < scaleBatchOps; {
 		n := 64
-		if rest := cfg.BatchOps - done; n > rest {
+		if rest := scaleBatchOps - done; n > rest {
 			n = rest
 		}
 		ops := make([]signalling.TunnelOp, n)
@@ -187,7 +155,7 @@ func RunScaleLoad(cfg ScaleLoadConfig) (*Table, error) {
 	t := &Table{
 		ID: "scale",
 		Title: fmt.Sprintf("Per-stage latency quantiles under mixed load (%d users x %d reserves + %d sub-flows, %d domains, %v hop latency)",
-			cfg.Users, cfg.Reserves, cfg.BatchOps, cfg.Domains, cfg.Latency),
+			scaleUsers, scaleReserves, scaleBatchOps, scaleDomains, cfg.Latency),
 		Claim:   "striped quantile histograms give per-stage tail latency at fleet load for the cost of two atomic adds per observation",
 		Columns: []string{"domain", "stage", "n", "p50", "p99", "p999"},
 	}

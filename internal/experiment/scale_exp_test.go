@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -9,8 +8,7 @@ import (
 
 // TestScaleLoadConfigValidation pins the config checks RunScaleLoad
 // used to skip: negative sampling probabilities and latencies were
-// silently absorbed, and a Users×Reserves product that overflowed the
-// int64 bandwidth budget built a world with wrapped capacity.
+// silently absorbed.
 func TestScaleLoadConfigValidation(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -32,16 +30,6 @@ func TestScaleLoadConfigValidation(t *testing.T) {
 			cfg:     ScaleLoadConfig{Latency: -time.Millisecond},
 			wantErr: "Latency",
 		},
-		{
-			name:    "users times reserves overflows",
-			cfg:     ScaleLoadConfig{Users: math.MaxInt64 / 4, Reserves: 8},
-			wantErr: "overflows",
-		},
-		{
-			name:    "budget exceeds representable bandwidth",
-			cfg:     ScaleLoadConfig{Users: 1 << 31, Reserves: 1 << 31},
-			wantErr: "exceeds the representable",
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,7 +45,7 @@ func TestScaleLoadConfigValidation(t *testing.T) {
 }
 
 // TestScaleLoadConfigAccepts pins the boundary values that must keep
-// working: zeroes mean "use the default", not "reject".
+// working: a zero is a value, not a reason to reject.
 func TestScaleLoadConfigAccepts(t *testing.T) {
 	cases := []struct {
 		name string
@@ -72,19 +60,6 @@ func TestScaleLoadConfigAccepts(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := tc.cfg.validate(); err != nil {
 				t.Fatalf("validate(%+v): %v", tc.cfg, err)
-			}
-			c := tc.cfg
-			if c.Users <= 0 {
-				c.Users = 8
-			}
-			if c.Reserves <= 0 {
-				c.Reserves = 64
-			}
-			if c.BatchOps <= 0 {
-				c.BatchOps = 2048
-			}
-			if _, err := c.totalOps(); err != nil {
-				t.Fatalf("totalOps(%+v): %v", c, err)
 			}
 		})
 	}

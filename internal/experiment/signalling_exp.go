@@ -18,9 +18,6 @@ type SignallingSample struct {
 // a fresh linear world of n domains with the given one-way hop
 // latency, and reports wall time plus message accounting.
 func MeasureSignalling(n int, hopLatency time.Duration, strategy gara.Strategy, trials int) (SignallingSample, error) {
-	if trials < 1 {
-		trials = 1
-	}
 	var out SignallingSample
 	w, err := BuildWorld(WorldConfig{
 		NumDomains:            n,
@@ -71,10 +68,7 @@ func MeasureSignalling(n int, hopLatency time.Duration, strategy gara.Strategy, 
 // signalling may be faster than hop-by-hop based signalling, because
 // the reservations for each domain can be made in parallel" — shows up
 // as the Concurrent column staying flat while HopByHop grows linearly.
-func RunSignallingComparison(domainCounts []int, hopLatency time.Duration, trials int) (*Table, error) {
-	if len(domainCounts) == 0 {
-		domainCounts = []int{2, 3, 4, 6, 8}
-	}
+func RunSignallingComparison(hopLatency time.Duration, trials int) (*Table, error) {
 	t := &Table{
 		ID:    "fig3+fig5",
 		Title: fmt.Sprintf("Signalling strategies vs path length (one-way hop latency %v)", hopLatency),
@@ -86,7 +80,7 @@ func RunSignallingComparison(domainCounts []int, hopLatency time.Duration, trial
 			"hop-by-hop latency", "hop-by-hop msgs",
 		},
 	}
-	for _, n := range domainCounts {
+	for _, n := range []int{2, 3, 4, 6, 8} {
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, strat := range []gara.Strategy{gara.Sequential, gara.Concurrent, gara.HopByHop} {
 			s, err := MeasureSignalling(n, hopLatency, strat, trials)
@@ -107,13 +101,7 @@ func RunSignallingComparison(domainCounts []int, hopLatency time.Duration, trial
 // RunTrustScaling quantifies the trust-relationship argument of §3:
 // the number of (user, broker) authentication relationships each
 // approach needs, as users and domains grow.
-func RunTrustScaling(userCounts, domainCounts []int) *Table {
-	if len(userCounts) == 0 {
-		userCounts = []int{10, 100, 1000}
-	}
-	if len(domainCounts) == 0 {
-		domainCounts = []int{3, 5, 8}
-	}
+func RunTrustScaling() *Table {
 	t := &Table{
 		ID:    "trust-scaling",
 		Title: "Authentication relationships required per approach",
@@ -125,8 +113,8 @@ func RunTrustScaling(userCounts, domainCounts []int) *Table {
 			"hop-by-hop pairs",
 		},
 	}
-	for _, u := range userCounts {
-		for _, d := range domainCounts {
+	for _, u := range []int{10, 100, 1000} {
+		for _, d := range []int{3, 5, 8} {
 			sourcePairs := u * d    // every user known to every broker
 			rcPairs := d + u        // RC known to every broker; users known to the RC
 			hopPairs := (d - 1) + u // SLA peerings + users known to their home broker only
@@ -182,7 +170,7 @@ func RunCoReservation() (*Table, error) {
 		api := gara.NewNetworkAPI(w.Topo)
 		co := &gara.CoReserver{API: api, Pools: w.Pools["Domain2"]}
 		spec := u.NewSpec(SpecOptions{DestDomain: "Domain2", Bandwidth: scenario.netBW})
-		_, res, err := co.Reserve(u, gara.CoRequest{Spec: spec, Pools: map[string]units.Bandwidth{"cpu": scenario.request}}, gara.HopByHop)
+		_, res, err := co.Reserve(u, gara.CoRequest{Spec: spec, Pools: map[string]units.Bandwidth{"cpu": scenario.request}})
 		outcome := "GRANTED"
 		switch {
 		case err != nil:

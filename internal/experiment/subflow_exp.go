@@ -10,21 +10,21 @@ import (
 	"e2eqos/internal/units"
 )
 
-// SubFlowLoadConfig parameterises the sub-flow hot-path load generator.
-type SubFlowLoadConfig struct {
-	// Users is the number of concurrent workers hammering the tunnel.
-	Users int
-	// OpsPerUser is how many sub-flows each worker allocates.
-	OpsPerUser int
-	// BatchSizes are the arms of the sweep; 1 is the baseline (one round
-	// trip per sub-flow).
-	BatchSizes []int
-	// Domains is the path length of the establishing reservation (the
-	// sub-flow path always touches just the two ends).
-	Domains int
-	// Latency is the modelled one-way signalling latency per hop.
-	Latency time.Duration
-}
+// The sub-flow load generator's shape.
+const (
+	// subFlowUsers is the number of concurrent workers hammering the
+	// tunnel.
+	subFlowUsers = 8
+	// subFlowOpsPerUser is how many sub-flows each worker allocates.
+	subFlowOpsPerUser = 256
+	// subFlowDomains is the path length of the establishing
+	// reservation (the sub-flow path always touches just the two ends).
+	subFlowDomains = 5
+)
+
+// subFlowBatchSizes are the arms of the sweep; 1 is the baseline (one
+// round trip per sub-flow).
+var subFlowBatchSizes = []int{1, 8, 64}
 
 // SubFlowSample is one arm of the sweep.
 type SubFlowSample struct {
@@ -36,16 +36,17 @@ type SubFlowSample struct {
 }
 
 // MeasureSubFlowLoad runs one arm: establish a tunnel over a fresh
-// world, then drive cfg.Users concurrent workers through the source
-// broker in MsgTunnelBatch calls of batch ops until every worker has
-// allocated cfg.OpsPerUser sub-flows.
-func MeasureSubFlowLoad(cfg SubFlowLoadConfig, batch int) (SubFlowSample, error) {
-	out := SubFlowSample{Batch: batch, Ops: cfg.Users * cfg.OpsPerUser}
+// world whose hops each take latency one way, then drive subFlowUsers
+// concurrent workers through the source broker in MsgTunnelBatch calls
+// of batch ops until every worker has allocated subFlowOpsPerUser
+// sub-flows.
+func MeasureSubFlowLoad(latency time.Duration, batch int) (SubFlowSample, error) {
+	out := SubFlowSample{Batch: batch, Ops: subFlowUsers * subFlowOpsPerUser}
 	need := units.Bandwidth(out.Ops+1) * units.Mbps
 	w, err := BuildWorld(WorldConfig{
-		NumDomains:  cfg.Domains,
+		NumDomains:  subFlowDomains,
 		Capacity:    need * 2,
-		Latency:     cfg.Latency,
+		Latency:     latency,
 		CallTimeout: 30 * time.Second,
 	})
 	if err != nil {
@@ -68,13 +69,13 @@ func MeasureSubFlowLoad(cfg SubFlowLoadConfig, batch int) (SubFlowSample, error)
 	var failed atomic.Int64
 	var firstErr atomic.Value
 	start := time.Now()
-	for wkr := 0; wkr < cfg.Users; wkr++ {
+	for wkr := 0; wkr < subFlowUsers; wkr++ {
 		wg.Add(1)
 		go func(wkr int) {
 			defer wg.Done()
-			for done := 0; done < cfg.OpsPerUser; {
+			for done := 0; done < subFlowOpsPerUser; {
 				n := batch
-				if rest := cfg.OpsPerUser - done; n > rest {
+				if rest := subFlowOpsPerUser - done; n > rest {
 					n = rest
 				}
 				ops := make([]signalling.TunnelOp, n)
@@ -120,29 +121,18 @@ func MeasureSubFlowLoad(cfg SubFlowLoadConfig, batch int) (SubFlowSample, error)
 // the ROADMAP's millions-of-users argument lives or dies on how many
 // per-user admissions the two end domains sustain, so the table shows
 // allocations/sec per batch size against one sub-flow per round trip.
-func RunSubFlowLoad(cfg SubFlowLoadConfig) (*Table, error) {
-	if cfg.Users <= 0 {
-		cfg.Users = 8
-	}
-	if cfg.OpsPerUser <= 0 {
-		cfg.OpsPerUser = 256
-	}
-	if len(cfg.BatchSizes) == 0 {
-		cfg.BatchSizes = []int{1, 8, 64}
-	}
-	if cfg.Domains < 2 {
-		cfg.Domains = 5
-	}
+// latency is the modelled one-way signalling latency per hop.
+func RunSubFlowLoad(latency time.Duration) (*Table, error) {
 	t := &Table{
 		ID: "subflows",
 		Title: fmt.Sprintf("Tunnel sub-flow throughput (%d workers x %d allocs, %d domains, %v hop latency)",
-			cfg.Users, cfg.OpsPerUser, cfg.Domains, cfg.Latency),
+			subFlowUsers, subFlowOpsPerUser, subFlowDomains, latency),
 		Claim:   "batched two-endpoint signalling turns the per-user admission path into the control plane's fast path",
 		Columns: []string{"batch", "allocs", "msgs", "time", "allocs/sec", "speedup"},
 	}
 	var base float64
-	for _, batch := range cfg.BatchSizes {
-		s, err := MeasureSubFlowLoad(cfg, batch)
+	for _, batch := range subFlowBatchSizes {
+		s, err := MeasureSubFlowLoad(latency, batch)
 		if err != nil {
 			return nil, fmt.Errorf("batch=%d: %w", batch, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"e2eqos/internal/core"
 	"e2eqos/internal/obs"
@@ -255,16 +256,13 @@ func TestFlightRecorderForcesDenials(t *testing.T) {
 	}
 }
 
-// TestScaleLoadReportsQuantiles smoke-tests the -exp scale experiment
-// at a tiny size: the table must carry p50/p99/p999 columns with
+// TestScaleLoadReportsQuantiles runs the -exp scale experiment as
+// cmd/experiments does: the table must carry p50/p99/p999 columns with
 // non-zero latencies for the broker's hot stages.
 func TestScaleLoadReportsQuantiles(t *testing.T) {
 	tbl, err := RunScaleLoad(ScaleLoadConfig{
-		Users:      2,
-		Reserves:   4,
-		BatchOps:   64,
-		Domains:    3,
-		SampleRate: 1,
+		Latency:    500 * time.Microsecond,
+		SampleRate: 0.01,
 		EventsDir:  t.TempDir(),
 	})
 	if err != nil {

@@ -108,13 +108,8 @@ func MeasureTunnel(n, d int, hopLatency time.Duration) (TunnelSample, error) {
 // set of applications creates many parallel flows between the same two
 // end-domains, it is infeasible to negotiate an end-to-end reservation
 // for each one."
-func RunTunnelScaling(flowCounts []int, domains int, hopLatency time.Duration) (*Table, error) {
-	if len(flowCounts) == 0 {
-		flowCounts = []int{1, 2, 4, 8, 16, 32}
-	}
-	if domains < 2 {
-		domains = 5
-	}
+func RunTunnelScaling(hopLatency time.Duration) (*Table, error) {
+	const domains = 5
 	t := &Table{
 		ID:    "tunnel",
 		Title: fmt.Sprintf("Per-flow signalling vs tunnel sub-flows (%d domains, %v hop latency)", domains, hopLatency),
@@ -123,7 +118,7 @@ func RunTunnelScaling(flowCounts []int, domains int, hopLatency time.Duration) (
 			"flows", "per-flow msgs", "per-flow time", "tunnel msgs", "tunnel time", "msg ratio",
 		},
 	}
-	for _, n := range flowCounts {
+	for _, n := range []int{1, 2, 4, 8, 16, 32} {
 		s, err := MeasureTunnel(n, domains, hopLatency)
 		if err != nil {
 			return nil, fmt.Errorf("n=%d: %w", n, err)

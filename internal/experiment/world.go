@@ -244,7 +244,7 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.CAS = cas.NewServer(casKey, "ESnet", 12*time.Hour)
+	w.CAS = cas.NewServer(casKey)
 	w.Groups = group.NewServer()
 
 	// Per-domain material.
@@ -377,7 +377,7 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 				bcfg.Metrics = obs.NewRegistry()
 			}
 			if cfg.EventsDir != "" {
-				if bcfg.Recorder, err = obs.OpenRecorder(obs.RecorderOptions{Dir: filepath.Join(cfg.EventsDir, sub)}); err != nil {
+				if bcfg.Recorder, err = obs.OpenRecorder(filepath.Join(cfg.EventsDir, sub)); err != nil {
 					return nil, fmt.Errorf("experiment: %w", err)
 				}
 			}

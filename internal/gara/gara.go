@@ -272,8 +272,8 @@ type CoReserver struct {
 
 // Reserve acquires the pools first (cheap, local), in name order, links
 // their handles into the network spec, then performs the network
-// reservation; any failure rolls everything back.
-func (c *CoReserver) Reserve(req Requester, co CoRequest, strategy Strategy) ([]Handle, *signalling.ResultPayload, error) {
+// reservation hop by hop; any failure rolls everything back.
+func (c *CoReserver) Reserve(req Requester, co CoRequest) ([]Handle, *signalling.ResultPayload, error) {
 	if co.Spec == nil {
 		return nil, nil, fmt.Errorf("gara: co-reservation without network spec")
 	}
@@ -305,7 +305,7 @@ func (c *CoReserver) Reserve(req Requester, co CoRequest, strategy Strategy) ([]
 		}
 		co.Spec.LinkedHandles[name] = r.Handle
 	}
-	res, err := c.API.Reserve(req, co.Spec, strategy)
+	res, err := c.API.Reserve(req, co.Spec, HopByHop)
 	if err != nil || !res.Granted {
 		rollback()
 		if err != nil {

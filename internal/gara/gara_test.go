@@ -169,7 +169,7 @@ func TestCoReservationNetworkPlusCPU(t *testing.T) {
 	co := &gara.CoReserver{API: api, Pools: w.Pools["Domain2"]}
 
 	spec := u.NewSpec(experiment.SpecOptions{DestDomain: "Domain2", Bandwidth: 10 * units.Mbps})
-	handles, res, err := co.Reserve(u, gara.CoRequest{Spec: spec, Pools: map[string]units.Bandwidth{"cpu": 4}}, gara.HopByHop)
+	handles, res, err := co.Reserve(u, gara.CoRequest{Spec: spec, Pools: map[string]units.Bandwidth{"cpu": 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestCoReservationRollsBackCPUOnNetworkFailure(t *testing.T) {
 	co := &gara.CoReserver{API: api, Pools: w.Pools["Domain2"]}
 
 	spec := u.NewSpec(experiment.SpecOptions{DestDomain: "Domain2", Bandwidth: 50 * units.Mbps}) // beyond capacity
-	_, res, err := co.Reserve(u, gara.CoRequest{Spec: spec, Pools: map[string]units.Bandwidth{"cpu": 4}}, gara.HopByHop)
+	_, res, err := co.Reserve(u, gara.CoRequest{Spec: spec, Pools: map[string]units.Bandwidth{"cpu": 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func after(t0 time.Time, startMin, durMin int) units.Window {
 // flow to Domain2, and returns the handles or why they were refused.
 func coReserve(co *gara.CoReserver, u *experiment.User, w units.Window, pools map[string]units.Bandwidth) ([]gara.Handle, error) {
 	spec := u.NewSpec(experiment.SpecOptions{DestDomain: "Domain2", Bandwidth: units.Mbps, Window: w})
-	handles, res, err := co.Reserve(u, gara.CoRequest{Spec: spec, Pools: pools}, gara.HopByHop)
+	handles, res, err := co.Reserve(u, gara.CoRequest{Spec: spec, Pools: pools})
 	if err == nil && !res.Granted {
 		err = fmt.Errorf("denied: %s", res.Reason)
 	}
@@ -387,7 +387,7 @@ func TestCoReservationMissingManager(t *testing.T) {
 	api := gara.NewNetworkAPI(w.Topo)
 	co := &gara.CoReserver{API: api} // no CPU pool
 	spec := u.NewSpec(experiment.SpecOptions{DestDomain: w.DestDomain(), Bandwidth: units.Mbps})
-	if _, _, err := co.Reserve(u, gara.CoRequest{Spec: spec, Pools: map[string]units.Bandwidth{"cpu": 2}}, gara.HopByHop); err == nil {
+	if _, _, err := co.Reserve(u, gara.CoRequest{Spec: spec, Pools: map[string]units.Bandwidth{"cpu": 2}}); err == nil {
 		t.Fatal("co-reservation without CPU pool succeeded")
 	}
 }

@@ -50,7 +50,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add(flipped)
 	// A binary record whose op-length varint is torn (header + CRC made
 	// consistent so the payload decoder, not the framing, sees it).
-	f.Add(frameRaw([]byte{recMagic, recVersion, 0x80}))
+	f.Add(frameRaw([]byte{recMagic, wire.Version, 0x80}))
 	// recMagic with a record version from the future, and a whole frame
 	// from before the binary codec.
 	f.Add(frameRaw([]byte{recMagic, 99, 0x01, 'x'}))

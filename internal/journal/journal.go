@@ -72,8 +72,9 @@ func ParsePolicy(s string) (Policy, error) {
 // DefBatchInterval is the default group-commit window for FsyncBatch.
 const DefBatchInterval = 2 * time.Millisecond
 
-// DefRotateEvery is the default record count between NeedRotate hints.
-const DefRotateEvery = 4096
+// rotateEvery is how many appended records make NeedRotate report
+// true.
+const rotateEvery = 4096
 
 // Options configures a journal.
 type Options struct {
@@ -82,9 +83,6 @@ type Options struct {
 	// BatchInterval is the FsyncBatch group-commit window
 	// (default DefBatchInterval).
 	BatchInterval time.Duration
-	// RotateEvery is how many appended records make NeedRotate report
-	// true (default DefRotateEvery; negative disables the hint).
-	RotateEvery int
 
 	// TailBytes, when positive, caps the in-memory tail of appended
 	// frames that Retain turns on for replication streaming: TailSince
@@ -248,9 +246,6 @@ func Open(dir string, opts Options) (*Journal, *Recovered, error) {
 	}
 	if opts.BatchInterval <= 0 {
 		opts.BatchInterval = DefBatchInterval
-	}
-	if opts.RotateEvery == 0 {
-		opts.RotateEvery = DefRotateEvery
 	}
 	j := &Journal{
 		dir:     dir,
@@ -443,7 +438,7 @@ func (j *Journal) NeedRotate() bool {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.opts.RotateEvery > 0 && j.records >= j.opts.RotateEvery
+	return j.records >= rotateEvery
 }
 
 // Rotate persists a fresh snapshot and truncates the log: the

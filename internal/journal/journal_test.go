@@ -108,11 +108,11 @@ func TestDecodeRecordErrors(t *testing.T) {
 	// not a record of this version: not a tear, not corruption.
 	for name, payload := range map[string][]byte{
 		"legacy JSON record":  []byte(`{"op":"resv.admit","data":{"seq":1}}`),
-		"future version":      {recMagic, recVersion + 1, 0x01, 'x'},
+		"future version":      {recMagic, wire.Version + 1, 0x01, 'x'},
 		"magic alone":         {recMagic},
-		"empty op":            {recMagic, recVersion, 0x00},
-		"torn op length":      {recMagic, recVersion, 0x80},
-		"op past end of data": {recMagic, recVersion, 0x09, 'x'},
+		"empty op":            {recMagic, wire.Version, 0x00},
+		"torn op length":      {recMagic, wire.Version, 0x80},
+		"op past end of data": {recMagic, wire.Version, 0x09, 'x'},
 	} {
 		_, n, err := DecodeRecord(frameRaw(payload))
 		if !errors.Is(err, wire.ErrUnsupportedFormat) || errors.Is(err, ErrCorrupt) || n != 0 {
@@ -129,7 +129,7 @@ func TestDecodeRecordErrors(t *testing.T) {
 func TestOpenRefusesWholeFramesItCannotRead(t *testing.T) {
 	for name, foreign := range map[string][]byte{
 		"legacy JSON record": []byte(`{"op":"resv.admit","data":{"resv":{"Handle":"net-d1-1","Bandwidth":1000000},"seq":1}}`),
-		"future version":     {recMagic, recVersion + 1, 0x04, 't', 'e', 's', 't'},
+		"future version":     {recMagic, wire.Version + 1, 0x04, 't', 'e', 's', 't'},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -287,12 +287,15 @@ func TestSyncMakesBatchDurable(t *testing.T) {
 
 func TestRotateSnapshotsAndTruncates(t *testing.T) {
 	dir := t.TempDir()
-	j, _ := openT(t, dir, Options{Fsync: FsyncAlways, RotateEvery: 3})
-	for i := 0; i < 3; i++ {
+	j, _ := openT(t, dir, Options{Fsync: FsyncNever})
+	for i := 0; i < rotateEvery; i++ {
+		if j.NeedRotate() {
+			t.Fatalf("NeedRotate true after %d appends", i)
+		}
 		j.Append("test.op", payload{N: i})
 	}
 	if !j.NeedRotate() {
-		t.Fatal("NeedRotate false after RotateEvery appends")
+		t.Fatal("NeedRotate false after rotateEvery appends")
 	}
 	state := []byte(`{"reconstructed":true}`)
 	if err := j.Rotate(func() ([]byte, error) { return state, nil }); err != nil {

@@ -54,16 +54,13 @@ func (r RawBinary) AppendBinary(buf []byte) []byte { return append(buf, r...) }
 // Payload layout:
 //
 //	byte 0   recMagic (0xB1)
-//	byte 1   recVersion
+//	byte 1   wire.Version
 //	bytes    uvarint op length, op
 //	bytes    payload data (the op type's AppendBinary encoding),
 //	         running to the end of the frame
 const headerSize = 8
 
-const (
-	recMagic   = 0xB1
-	recVersion = 1
-)
+const recMagic = 0xB1
 
 // MaxRecordSize bounds one record's payload. A length field above it
 // is treated as corruption, which stops a garbage frame from making
@@ -93,7 +90,7 @@ func AppendRecord(buf []byte, op string, data BinaryRecord) ([]byte, error) {
 	}
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // header, patched below
-	buf = append(buf, recMagic, recVersion)
+	buf = append(buf, recMagic, wire.Version)
 	buf = wire.AppendUvarint(buf, uint64(len(op)))
 	buf = append(buf, op...)
 	if data != nil {
@@ -139,7 +136,7 @@ func DecodeRecord(buf []byte) (Record, int, error) {
 	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(buf[4:8]) {
 		return Record{}, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	fields, err := wire.Header(payload, recMagic, recVersion)
+	fields, err := wire.Header(payload, recMagic)
 	if err != nil {
 		return Record{}, 0, fmt.Errorf("journal: record payload: %w", err)
 	}

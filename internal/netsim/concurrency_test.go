@@ -66,33 +66,6 @@ func TestTokenBucketConcurrentConformance(t *testing.T) {
 	}
 }
 
-// TestTokenBucketConcurrentReaders checks TimeToConform can run
-// alongside Conform without corrupting the meter.
-func TestTokenBucketConcurrentReaders(t *testing.T) {
-	tb := NewTokenBucket(units.Mbps, 5_000)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for now := time.Duration(0); ; now += time.Microsecond {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				tb.TimeToConform(1500, now)
-			}
-		}()
-	}
-	for i := 0; i < 2_000; i++ {
-		tb.Conform(125, time.Duration(i)*time.Microsecond)
-	}
-	close(stop)
-	wg.Wait()
-}
-
 // TestSourceStatsDuringRun reads sink statistics from reader
 // goroutines while the simulation emits packets — the live telemetry
 // path fleet tooling uses mid-run.
@@ -102,8 +75,8 @@ func TestSourceStatsDuringRun(t *testing.T) {
 	sink := NewSink(sim)
 	marker := NewEdgeMarker(sim, sink)
 	marker.InstallReservation("f1", sla.TrafficProfile{Rate: 4 * units.Mbps, BucketBytes: 30_000})
-	src := NewSource(sim, "f1", 8*units.Mbps, pkt, BestEffort, marker)
-	if err := src.Install(0, time.Second); err != nil {
+	src := NewSource(sim, "f1", 8*units.Mbps, pkt, marker)
+	if err := src.Install(time.Second); err != nil {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})
@@ -186,34 +159,32 @@ func TestEdgeMarkerConcurrentControlAndData(t *testing.T) {
 }
 
 // TestPolicerDropVsRemarkBoundary pins the exact boundary packet: an
-// aggregate with a one-packet bucket must pass the packet that lands
-// on the burst and apply the excess treatment to the next one.
+// aggregate with a two-packet bucket must pass the packets that land
+// on the burst and drop the next one.
 func TestPolicerDropVsRemarkBoundary(t *testing.T) {
 	const pkt = 1250
 	cases := []struct {
-		name   string
-		excess sla.ExcessTreatment
+		name string
 		// after offering burst+1 packets at t=0:
-		wantDropped, wantRemarked int64
-		want                      []Class // forwarded, in order
+		wantDropped int64
+		want        []Class // forwarded, in order
 	}{
-		{name: "drop", excess: sla.Drop, wantDropped: 1, want: []Class{Premium, Premium}},
-		{name: "remark", excess: sla.Remark, wantRemarked: 1, want: []Class{Premium, Premium, BestEffort}},
+		{name: "drop", wantDropped: 1, want: []Class{Premium, Premium}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sim := dsim.New()
 			var forwarded []Class
 			next := receiverFunc(func(p *Packet) { forwarded = append(forwarded, p.Class) })
-			po := NewPolicer(sim, sla.TrafficProfile{Rate: units.Mbps, BucketBytes: 2 * pkt}, tc.excess, next)
+			po := NewPolicer(sim, sla.TrafficProfile{Rate: units.Mbps, BucketBytes: 2 * pkt}, next)
 			for i := 0; i < 3; i++ {
 				po.Receive(newPacket("f", pkt, Premium, 0))
 			}
 			if fmt.Sprint(forwarded) != fmt.Sprint(tc.want) {
 				t.Fatalf("forwarded %v, want %v (the full bucket, then the boundary packet's treatment)", forwarded, tc.want)
 			}
-			if po.Drops.Dropped != tc.wantDropped || po.Drops.Remarked != tc.wantRemarked {
-				t.Fatalf("drops %v, want dropped=%d remarked=%d", po.Drops, tc.wantDropped, tc.wantRemarked)
+			if po.Dropped != tc.wantDropped {
+				t.Fatalf("dropped %d, want %d", po.Dropped, tc.wantDropped)
 			}
 		})
 	}
@@ -225,7 +196,7 @@ func TestPolicerDropVsRemarkBoundary(t *testing.T) {
 func TestPolicerConcurrentReconfigure(t *testing.T) {
 	sim := dsim.New()
 	sink := NewSink(sim)
-	po := NewPolicer(sim, sla.TrafficProfile{Rate: units.Mbps, BucketBytes: 10_000}, sla.Drop, sink)
+	po := NewPolicer(sim, sla.TrafficProfile{Rate: units.Mbps, BucketBytes: 10_000}, sink)
 	const (
 		workers = 4
 		rounds  = 200
@@ -253,7 +224,7 @@ func TestPolicerConcurrentReconfigure(t *testing.T) {
 	if st := sink.Stats("f"); st != nil {
 		passed = st.RxPackets
 	}
-	if passed == 0 || passed+po.Drops.Dropped != workers*rounds {
-		t.Fatalf("passed %d + dropped %d != offered %d", passed, po.Drops.Dropped, workers*rounds)
+	if passed == 0 || passed+po.Dropped != workers*rounds {
+		t.Fatalf("passed %d + dropped %d != offered %d", passed, po.Dropped, workers*rounds)
 	}
 }

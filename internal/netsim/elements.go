@@ -11,16 +11,15 @@ import (
 )
 
 // Source is a constant-bit-rate traffic generator for one flow. It
-// emits fixed-size packets with the configured class marking; the
-// first edge device downstream decides their fate.
+// emits fixed-size best-effort packets; the first edge device
+// downstream decides their fate.
 type Source struct {
-	sim   *dsim.Sim
-	Flow  FlowID
-	Rate  units.Bandwidth
-	Size  int // packet size, bytes
-	Class Class
-	Next  Receiver
-	Stop  time.Duration
+	sim  *dsim.Sim
+	Flow FlowID
+	Rate units.Bandwidth
+	Size int // packet size, bytes
+	Next Receiver
+	Stop time.Duration
 	// Jitter randomises each inter-packet gap by up to ±Jitter
 	// (fraction of the nominal interval), using a deterministic
 	// per-flow PRNG. Real sources are never perfectly periodic; without
@@ -32,16 +31,15 @@ type Source struct {
 }
 
 // NewSource creates a CBR source; call Install to begin emitting.
-func NewSource(sim *dsim.Sim, flow FlowID, rate units.Bandwidth, pktSize int, class Class, next Receiver) *Source {
-	return &Source{sim: sim, Flow: flow, Rate: rate, Size: pktSize, Class: class, Next: next}
+func NewSource(sim *dsim.Sim, flow FlowID, rate units.Bandwidth, pktSize int, next Receiver) *Source {
+	return &Source{sim: sim, Flow: flow, Rate: rate, Size: pktSize, Next: next}
 }
 
-// Install schedules the first emission. Stop of zero means "run until
-// the simulation horizon".
-func (s *Source) Install(start, stop time.Duration) error {
+// Install schedules the first emission, at time zero. Stop of zero
+// means "run until the simulation horizon".
+func (s *Source) Install(stop time.Duration) error {
 	s.Stop = stop
-	err := s.sim.Schedule(start, s.emit)
-	return err
+	return s.sim.Schedule(0, s.emit)
 }
 
 // interval is the inter-packet gap for the CBR schedule, with
@@ -86,7 +84,7 @@ func (s *Source) emit() {
 	if s.Stop > 0 && now >= s.Stop {
 		return
 	}
-	s.Next.Receive(newPacket(s.Flow, s.Size, s.Class, now))
+	s.Next.Receive(newPacket(s.Flow, s.Size, BestEffort, now))
 	_ = s.sim.After(s.interval(), s.emit)
 }
 
@@ -142,17 +140,16 @@ func (m *EdgeMarker) Receive(p *Packet) {
 // Policer is a per-aggregate ingress policer: it meters the *sum* of
 // premium traffic entering a domain against the admitted aggregate
 // profile, without distinguishing flows. Non-conforming premium
-// packets are dropped, remarked or shaped per the SLA's excess
-// treatment. Best-effort packets pass untouched.
+// packets are dropped. Best-effort packets pass untouched.
 //
 // The policer is safe for concurrent use: the control plane
 // reconfigures the aggregate from broker goroutines while the data
 // path meters packets.
 type Policer struct {
-	sim    *dsim.Sim
-	Next   Receiver
-	Drops  DropStats
-	excess sla.ExcessTreatment
+	sim  *dsim.Sim
+	Next Receiver
+	// Dropped counts the premium packets the aggregate did not admit.
+	Dropped int64
 
 	mu    sync.Mutex
 	meter *TokenBucket
@@ -160,12 +157,11 @@ type Policer struct {
 
 // NewPolicer creates an ingress policer with the given aggregate
 // profile.
-func NewPolicer(sim *dsim.Sim, profile sla.TrafficProfile, excess sla.ExcessTreatment, next Receiver) *Policer {
+func NewPolicer(sim *dsim.Sim, profile sla.TrafficProfile, next Receiver) *Policer {
 	return &Policer{
-		sim:    sim,
-		Next:   next,
-		meter:  NewTokenBucket(profile.Rate, profile.BucketBytes),
-		excess: excess,
+		sim:   sim,
+		Next:  next,
+		meter: NewTokenBucket(profile.Rate, profile.BucketBytes),
 	}
 }
 
@@ -183,44 +179,14 @@ func (po *Policer) Receive(p *Packet) {
 		po.Next.Receive(p)
 		return
 	}
-	now := po.sim.Now()
 	po.mu.Lock()
-	if po.meter.Conform(p.Size, now) {
-		po.mu.Unlock()
-		po.Next.Receive(p)
-		return
+	ok := po.meter.Conform(p.Size, po.sim.Now())
+	if !ok {
+		po.Dropped++
 	}
-	switch po.excess {
-	case sla.Drop:
-		po.Drops.Dropped++
-		po.mu.Unlock()
-	case sla.Remark:
-		p.Class = BestEffort
-		po.Drops.Remarked++
-		po.mu.Unlock()
+	po.mu.Unlock()
+	if ok {
 		po.Next.Receive(p)
-	case sla.Shape:
-		po.Drops.Shaped++
-		delay := po.meter.TimeToConform(p.Size, now)
-		po.mu.Unlock()
-		pkt := p
-		if err := po.sim.After(delay, func() {
-			po.mu.Lock()
-			ok := po.meter.Conform(pkt.Size, po.sim.Now())
-			if !ok {
-				po.Drops.Dropped++
-			}
-			po.mu.Unlock()
-			if ok {
-				po.Next.Receive(pkt)
-			}
-		}); err != nil {
-			po.mu.Lock()
-			po.Drops.Dropped++
-			po.mu.Unlock()
-		}
-	default:
-		po.mu.Unlock()
 	}
 }
 
@@ -228,43 +194,42 @@ func (po *Policer) Receive(p *Packet) {
 // (premium before best effort), finite per-class buffers, a
 // transmission rate and a propagation delay.
 type Link struct {
-	sim      *dsim.Sim
-	Capacity units.Bandwidth
-	Prop     time.Duration
-	Next     Receiver
-	// BufferBytes bounds each queue; zero means 256 KB.
+	sim                *dsim.Sim
+	Capacity           units.Bandwidth
+	Next               Receiver
 	premQ, beQ         *list.List
 	premBytes, beBytes int
-	bufLimit           int
 	busy               bool
 }
 
+// Every link's propagation delay, and the bound on each of its class
+// queues.
+const (
+	linkProp        = time.Millisecond
+	linkBufferBytes = 256 * 1024
+)
+
 // NewLink creates a link feeding next.
-func NewLink(sim *dsim.Sim, capacity units.Bandwidth, prop time.Duration, bufferBytes int, next Receiver) *Link {
-	if bufferBytes <= 0 {
-		bufferBytes = 256 * 1024
-	}
+func NewLink(sim *dsim.Sim, capacity units.Bandwidth, next Receiver) *Link {
 	return &Link{
 		sim:      sim,
 		Capacity: capacity,
-		Prop:     prop,
 		Next:     next,
 		premQ:    list.New(),
 		beQ:      list.New(),
-		bufLimit: bufferBytes,
 	}
 }
 
 // Receive enqueues the packet, dropping on buffer overflow.
 func (l *Link) Receive(p *Packet) {
 	if p.Class == Premium {
-		if l.premBytes+p.Size > l.bufLimit {
+		if l.premBytes+p.Size > linkBufferBytes {
 			return
 		}
 		l.premQ.PushBack(p)
 		l.premBytes += p.Size
 	} else {
-		if l.beBytes+p.Size > l.bufLimit {
+		if l.beBytes+p.Size > linkBufferBytes {
 			return
 		}
 		l.beQ.PushBack(p)
@@ -303,7 +268,7 @@ func (l *Link) transmitNext() {
 	if err := l.sim.After(tx, func() {
 		// Delivery after propagation happens in parallel with the next
 		// transmission; a delivery past the horizon is lost.
-		_ = l.sim.After(l.Prop, func() { l.Next.Receive(pkt) })
+		_ = l.sim.After(linkProp, func() { l.Next.Receive(pkt) })
 		l.transmitNext()
 	}); err != nil {
 		l.busy = false

@@ -31,20 +31,6 @@ func TestTokenBucketConform(t *testing.T) {
 	}
 }
 
-func TestTokenBucketTimeToConform(t *testing.T) {
-	tb := NewTokenBucket(8*units.Mbps, 1000)
-	if !tb.Conform(1000, 0) {
-		t.Fatal("setup")
-	}
-	d := tb.TimeToConform(500, 0)
-	if d != 500*time.Microsecond {
-		t.Errorf("TimeToConform = %v, want 500µs", d)
-	}
-	if got := tb.TimeToConform(0, 0); got != 0 {
-		t.Errorf("zero-size TimeToConform = %v", got)
-	}
-}
-
 func TestTokenBucketMonotonicRefill(t *testing.T) {
 	tb := NewTokenBucket(8*units.Mbps, 10_000)
 	tb.Conform(10_000, 0)
@@ -67,21 +53,21 @@ type pipe struct {
 	sink    *Sink
 }
 
-func buildPipe(t *testing.T, linkRate units.Bandwidth, aggregate units.Bandwidth, excess sla.ExcessTreatment) *pipe {
+func buildPipe(t *testing.T, linkRate units.Bandwidth, aggregate units.Bandwidth) *pipe {
 	t.Helper()
 	sim := dsim.New()
 	sink := NewSink(sim)
-	link := NewLink(sim, linkRate, time.Millisecond, 0, sink)
-	pol := NewPolicer(sim, profile(aggregate), excess, link)
+	link := NewLink(sim, linkRate, sink)
+	pol := NewPolicer(sim, profile(aggregate), link)
 	marker := NewEdgeMarker(sim, pol)
 	return &pipe{sim: sim, marker: marker, policer: pol, link: link, sink: sink}
 }
 
 func TestReservedFlowGetsPremiumService(t *testing.T) {
-	p := buildPipe(t, 100*units.Mbps, 50*units.Mbps, sla.Drop)
+	p := buildPipe(t, 100*units.Mbps, 50*units.Mbps)
 	p.marker.InstallReservation("alice", profile(10*units.Mbps))
-	src := NewSource(p.sim, "alice", 10*units.Mbps, 1250, BestEffort, p.marker)
-	if err := src.Install(0, time.Second); err != nil {
+	src := NewSource(p.sim, "alice", 10*units.Mbps, 1250, p.marker)
+	if err := src.Install(time.Second); err != nil {
 		t.Fatal(err)
 	}
 	p.sim.Run(2 * time.Second)
@@ -95,17 +81,16 @@ func TestReservedFlowGetsPremiumService(t *testing.T) {
 	if st.RxBytesByCls[BestEffort] > st.RxBytesByCls[Premium]/10 {
 		t.Errorf("excessive best-effort leakage: %v", st.RxBytesByCls)
 	}
-	gp := st.Goodput(0, time.Second)
+	gp := st.Goodput(time.Second)
 	if gp < 9e6 || gp > 11e6 {
 		t.Errorf("goodput = %.2f Mb/s, want ~10", gp/1e6)
 	}
 }
 
 func TestUnreservedFlowRemainsBestEffort(t *testing.T) {
-	p := buildPipe(t, 100*units.Mbps, 50*units.Mbps, sla.Drop)
-	src := NewSource(p.sim, "bob", 10*units.Mbps, 1250, Premium, p.marker) // tries to self-mark
-	if err := src.Install(0, 500*time.Millisecond); err != nil {
-		t.Fatal(err)
+	p := buildPipe(t, 100*units.Mbps, 50*units.Mbps)
+	for i := 0; i < 10; i++ {
+		p.marker.Receive(newPacket("bob", 1250, Premium, 0)) // tries to self-mark
 	}
 	p.sim.Run(time.Second)
 	st := p.sink.Stats("bob")
@@ -118,10 +103,10 @@ func TestUnreservedFlowRemainsBestEffort(t *testing.T) {
 }
 
 func TestMarkerRemarksOutOfProfile(t *testing.T) {
-	p := buildPipe(t, 100*units.Mbps, 50*units.Mbps, sla.Drop)
+	p := buildPipe(t, 100*units.Mbps, 50*units.Mbps)
 	p.marker.InstallReservation("alice", profile(5*units.Mbps))
-	src := NewSource(p.sim, "alice", 10*units.Mbps, 1250, BestEffort, p.marker) // sends 2x profile
-	if err := src.Install(0, time.Second); err != nil {
+	src := NewSource(p.sim, "alice", 10*units.Mbps, 1250, p.marker) // sends 2x profile
+	if err := src.Install(time.Second); err != nil {
 		t.Fatal(err)
 	}
 	p.sim.Run(2 * time.Second)
@@ -142,66 +127,26 @@ func TestPolicerDropsAggregateExcess(t *testing.T) {
 	// admits only 10 Mb/s: the policer cannot tell them apart and
 	// drops ~half of the combined premium traffic. This is the core
 	// mechanism behind Figure 4.
-	p := buildPipe(t, 100*units.Mbps, 10*units.Mbps, sla.Drop)
+	p := buildPipe(t, 100*units.Mbps, 10*units.Mbps)
 	p.marker.InstallReservation("alice", profile(10*units.Mbps))
 	p.marker.InstallReservation("david", profile(10*units.Mbps))
 	// Different packet sizes desynchronise the CBR phases so neither
 	// flow systematically wins the shared token bucket.
-	a := NewSource(p.sim, "alice", 10*units.Mbps, 1250, BestEffort, p.marker)
-	d := NewSource(p.sim, "david", 10*units.Mbps, 1000, BestEffort, p.marker)
-	if err := a.Install(0, time.Second); err != nil {
+	a := NewSource(p.sim, "alice", 10*units.Mbps, 1250, p.marker)
+	d := NewSource(p.sim, "david", 10*units.Mbps, 1000, p.marker)
+	if err := a.Install(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Install(0, time.Second); err != nil {
+	if err := d.Install(time.Second); err != nil {
 		t.Fatal(err)
 	}
 	p.sim.Run(2 * time.Second)
-	if p.policer.Drops.Dropped == 0 {
+	if p.policer.Dropped == 0 {
 		t.Fatal("policer never dropped despite 2x aggregate overload")
 	}
-	aliceGp := p.sink.Stats("alice").Goodput(0, time.Second)
+	aliceGp := p.sink.Stats("alice").Goodput(time.Second)
 	if aliceGp > 8e6 {
 		t.Errorf("alice goodput = %.2f Mb/s; expected degradation below 8 Mb/s", aliceGp/1e6)
-	}
-}
-
-func TestPolicerRemarkTreatment(t *testing.T) {
-	p := buildPipe(t, 100*units.Mbps, 5*units.Mbps, sla.Remark)
-	p.marker.InstallReservation("alice", profile(10*units.Mbps))
-	src := NewSource(p.sim, "alice", 10*units.Mbps, 1250, BestEffort, p.marker)
-	if err := src.Install(0, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	p.sim.Run(2 * time.Second)
-	if p.policer.Drops.Remarked == 0 {
-		t.Fatal("policer never remarked")
-	}
-	st := p.sink.Stats("alice")
-	// Nothing is lost on an uncongested link; excess arrives best effort.
-	if st.RxBytesByCls[BestEffort] == 0 {
-		t.Error("no best-effort arrivals despite remark treatment")
-	}
-	gp := st.Goodput(0, time.Second)
-	if gp < 9e6 {
-		t.Errorf("goodput = %.2f Mb/s; remark must not lose traffic on idle link", gp/1e6)
-	}
-}
-
-func TestPolicerShapeTreatment(t *testing.T) {
-	p := buildPipe(t, 100*units.Mbps, 5*units.Mbps, sla.Shape)
-	p.marker.InstallReservation("alice", profile(10*units.Mbps))
-	src := NewSource(p.sim, "alice", 10*units.Mbps, 1250, BestEffort, p.marker)
-	if err := src.Install(0, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	p.sim.Run(3 * time.Second)
-	if p.policer.Drops.Shaped == 0 {
-		t.Fatal("policer never shaped")
-	}
-	st := p.sink.Stats("alice")
-	// Shaped premium traffic still arrives premium, at ~the shaped rate.
-	if st.RxBytesByCls[BestEffort] != 0 {
-		t.Error("shaping must not demote packets")
 	}
 }
 
@@ -210,27 +155,27 @@ func TestPriorityQueueProtectsPremiumUnderCongestion(t *testing.T) {
 	// premium must see full goodput and low latency.
 	sim := dsim.New()
 	sink := NewSink(sim)
-	link := NewLink(sim, 20*units.Mbps, time.Millisecond, 0, sink)
+	link := NewLink(sim, 20*units.Mbps, sink)
 	marker := NewEdgeMarker(sim, link)
 	marker.InstallReservation("alice", profile(10*units.Mbps))
-	a := NewSource(sim, "alice", 10*units.Mbps, 1250, BestEffort, marker)
-	b := NewSource(sim, "crowd", 100*units.Mbps, 1250, BestEffort, marker)
-	if err := a.Install(0, time.Second); err != nil {
+	a := NewSource(sim, "alice", 10*units.Mbps, 1250, marker)
+	b := NewSource(sim, "crowd", 100*units.Mbps, 1250, marker)
+	if err := a.Install(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Install(0, time.Second); err != nil {
+	if err := b.Install(time.Second); err != nil {
 		t.Fatal(err)
 	}
 	sim.Run(2 * time.Second)
 	alice := sink.Stats("alice")
 	crowd := sink.Stats("crowd")
-	if gp := alice.Goodput(0, time.Second); gp < 9e6 {
+	if gp := alice.Goodput(time.Second); gp < 9e6 {
 		t.Errorf("premium goodput = %.2f Mb/s under congestion, want ~10", gp/1e6)
 	}
 	// Leftover capacity is 10 Mb/s; the queued backlog (256 KB ≈ 2 Mb)
 	// drains after the sources stop, so allow a small margin.
-	if crowd != nil && crowd.Goodput(0, time.Second) > 13e6 {
-		t.Errorf("best effort got %.2f Mb/s, exceeding leftover capacity", crowd.Goodput(0, time.Second)/1e6)
+	if crowd != nil && crowd.Goodput(time.Second) > 13e6 {
+		t.Errorf("best effort got %.2f Mb/s, exceeding leftover capacity", crowd.Goodput(time.Second)/1e6)
 	}
 	if alice.MeanLatency() > 5*time.Millisecond {
 		t.Errorf("premium latency = %v, want small", alice.MeanLatency())
@@ -247,27 +192,27 @@ func TestPriorityQueueProtectsPremiumUnderCongestion(t *testing.T) {
 func TestLinkBufferOverflowDrops(t *testing.T) {
 	sim := dsim.New()
 	sink := NewSink(sim)
-	link := NewLink(sim, 1*units.Mbps, 0, 5000, sink) // tiny buffer
-	src := NewSource(sim, "burst", 100*units.Mbps, 1250, BestEffort, link)
-	if err := src.Install(0, 100*time.Millisecond); err != nil {
+	link := NewLink(sim, 1*units.Mbps, sink)
+	src := NewSource(sim, "burst", 100*units.Mbps, 1250, link)
+	if err := src.Install(100 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	sim.Run(0)
 	// 100 ms at 100 Mb/s offers 1000 packets. Drained, a link that
 	// dropped none would have delivered them all; during the burst a
-	// 1 Mb/s link carries 10 and the buffer holds four.
+	// 1 Mb/s link carries 10 and the 256 KB buffer holds about 200.
 	if st := sink.Stats("burst"); st == nil || st.RxPackets >= 500 {
-		t.Errorf("sink saw %+v: the tiny buffer never overflowed", st)
+		t.Errorf("sink saw %+v: the buffer never overflowed", st)
 	}
 }
 
 func TestSinkLatencyAccounting(t *testing.T) {
 	sim := dsim.New()
 	sink := NewSink(sim)
-	// 1250-byte packet at 10 Mb/s tx = 1 ms, plus 2 ms propagation.
-	link := NewLink(sim, 10*units.Mbps, 2*time.Millisecond, 0, sink)
-	src := NewSource(sim, "f", 1*units.Mbps, 1250, Premium, link)
-	if err := src.Install(0, 50*time.Millisecond); err != nil {
+	// 1250-byte packet at 10 Mb/s tx = 1 ms, plus 1 ms propagation.
+	link := NewLink(sim, 10*units.Mbps, sink)
+	src := NewSource(sim, "f", 1*units.Mbps, 1250, link)
+	if err := src.Install(50 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	sim.Run(time.Second)
@@ -276,14 +221,14 @@ func TestSinkLatencyAccounting(t *testing.T) {
 		t.Fatal("no arrivals")
 	}
 	lat := st.MeanLatency()
-	if lat < 3*time.Millisecond || lat > 4*time.Millisecond {
-		t.Errorf("latency = %v, want ~3ms (1ms tx + 2ms prop)", lat)
+	if lat < 2*time.Millisecond || lat > 3*time.Millisecond {
+		t.Errorf("latency = %v, want ~2ms (1ms tx + 1ms prop)", lat)
 	}
 }
 
 func TestFlowStatsNilSafety(t *testing.T) {
 	var st *FlowStats
-	if st.Goodput(0, time.Second) != 0 || st.MeanLatency() != 0 {
+	if st.Goodput(time.Second) != 0 || st.MeanLatency() != 0 {
 		t.Error("nil FlowStats must report zeros")
 	}
 }
@@ -291,8 +236,8 @@ func TestFlowStatsNilSafety(t *testing.T) {
 func TestSourceStopsAtStopTime(t *testing.T) {
 	sim := dsim.New()
 	sink := NewSink(sim)
-	src := NewSource(sim, "f", 8*units.Mbps, 1000, BestEffort, sink)
-	if err := src.Install(0, 10*time.Millisecond); err != nil {
+	src := NewSource(sim, "f", 8*units.Mbps, 1000, sink)
+	if err := src.Install(10 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	sim.Run(time.Second)

@@ -12,10 +12,7 @@
 // flow.
 package netsim
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Class is a DiffServ per-hop-behaviour class.
 type Class int
@@ -70,12 +67,12 @@ type FlowStats struct {
 }
 
 // Goodput returns the average received rate of the flow over the
-// window [from, to] in bits per second.
-func (s *FlowStats) Goodput(from, to time.Duration) float64 {
-	if s == nil || to <= from {
+// window [0, over] in bits per second.
+func (s *FlowStats) Goodput(over time.Duration) float64 {
+	if s == nil || over <= 0 {
 		return 0
 	}
-	return float64(s.RxBytes*8) / (to - from).Seconds()
+	return float64(s.RxBytes*8) / over.Seconds()
 }
 
 // MeanLatency returns the average one-way delay of received packets.
@@ -84,15 +81,4 @@ func (s *FlowStats) MeanLatency() time.Duration {
 		return 0
 	}
 	return s.LatencySum / time.Duration(s.RxPackets)
-}
-
-// DropStats counts packets discarded by one network element.
-type DropStats struct {
-	Dropped  int64
-	Remarked int64
-	Shaped   int64
-}
-
-func (d DropStats) String() string {
-	return fmt.Sprintf("dropped=%d remarked=%d shaped=%d", d.Dropped, d.Remarked, d.Shaped)
 }

@@ -56,20 +56,3 @@ func (tb *TokenBucket) Conform(size int, now time.Duration) bool {
 	}
 	return false
 }
-
-// TimeToConform returns how long after now the bucket will hold size
-// tokens, assuming no intermediate consumption. Used by shapers.
-func (tb *TokenBucket) TimeToConform(size int, now time.Duration) time.Duration {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	tb.refill(now)
-	deficit := float64(size) - tb.tokens
-	if deficit <= 0 {
-		return 0
-	}
-	if tb.Rate <= 0 {
-		return time.Duration(1<<62 - 1)
-	}
-	secs := deficit * 8 / float64(tb.Rate)
-	return time.Duration(secs * float64(time.Second))
-}

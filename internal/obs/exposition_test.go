@@ -20,7 +20,7 @@ func TestExpositionGolden(t *testing.T) {
 	r.Counter("demo_requests_total", "requests accepted").Add(42)
 	r.Gauge("demo_depth", "queue depth\nsecond line with a \\ backslash").Set(3.5)
 	r.GaugeFunc("demo_load", "sampled load", func() float64 { return 0.25 })
-	q := r.Quantile("demo_lat_seconds", "striped latency", 0, 0)
+	q := r.Quantile("demo_lat_seconds", "striped latency")
 	for i := 1; i <= 1000; i++ {
 		// A deterministic spread, so the quantile lines get distinct
 		// values, of multiples of 2^-17: every partial sum is exact, so

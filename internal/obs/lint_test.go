@@ -58,7 +58,7 @@ func TestMetricsLintNonEmptyHelp(t *testing.T) {
 		NewRegistry().GaugeFunc("x", "", func() float64 { return 0 })
 	})
 	mustPanic(t, "empty HELP", func() {
-		NewRegistry().Quantile("x_seconds", "", 0, 0)
+		NewRegistry().Quantile("x_seconds", "")
 	})
 	r := NewRegistry()
 	r.Counter("x_total", "documented")

@@ -14,7 +14,7 @@ func TestNilSafety(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total", "")
 	g := r.Gauge("x", "")
-	h := r.Quantile("x_seconds", "", 0, 0)
+	h := r.Quantile("x_seconds", "")
 	c.Inc()
 	c.Add(3)
 	g.Set(1)
@@ -80,7 +80,7 @@ func TestSnapshot(t *testing.T) {
 	r.Counter("n_total", "events").Add(5)
 	r.Gauge("g", "level").Set(1.5)
 	r.GaugeFunc("f", "computed", func() float64 { return 9 })
-	h := r.Quantile("h_seconds", "latency", 0, 0)
+	h := r.Quantile("h_seconds", "latency")
 	h.Observe(2)
 	snap := r.Snapshot()
 	for k, want := range map[string]float64{

@@ -42,11 +42,11 @@ const (
 	subBucketBits = 6
 	subBuckets    = 1 << subBucketBits
 
-	// DefQuantileMin / DefQuantileMax bound the default latency range:
+	// quantileMin / quantileMax bound every histogram's latency range:
 	// 2^-24 s ≈ 60ns up to 2^6 = 64s, 30 octaves * 64 = 1920 buckets
 	// (15KiB of counters per stripe).
-	DefQuantileMin = 1.0 / (1 << 24)
-	DefQuantileMax = 64.0
+	quantileMin = 1.0 / (1 << 24)
+	quantileMax = 64.0
 )
 
 // qstripe is one observer lane. The hot fields lead and the struct is
@@ -58,29 +58,16 @@ type qstripe struct {
 	counts  []uint64
 }
 
-// NewQHist builds a detached histogram covering [min, max); both
-// bounds are rounded outward to powers of two, and zero values select
-// the default latency range. Use Registry.Quantile to register one.
-func NewQHist(name, help string, min, max float64) *QHist {
-	if min <= 0 {
-		min = DefQuantileMin
-	}
-	if max <= min {
-		max = DefQuantileMax
-	}
-	minExp := math.Ilogb(min)
-	maxExp := math.Ilogb(max)
-	if math.Ldexp(1, maxExp) < max {
-		maxExp++
-	}
-	if maxExp <= minExp {
-		maxExp = minExp + 1
-	}
+// NewQHist builds a detached histogram covering the latency range
+// [quantileMin, quantileMax). Use Registry.Quantile to register one.
+func NewQHist(name, help string) *QHist {
+	minExp := math.Ilogb(quantileMin)
+	maxExp := math.Ilogb(quantileMax)
 	h := &QHist{
 		name:   name,
 		help:   help,
-		minVal: math.Ldexp(1, minExp),
-		maxVal: math.Ldexp(1, maxExp),
+		minVal: quantileMin,
+		maxVal: quantileMax,
 		base:   (minExp + 1023) << subBucketBits,
 		n:      (maxExp - minExp) * subBuckets,
 	}
@@ -268,14 +255,14 @@ func (h *QHist) expose(w io.Writer) {
 	fmt.Fprintf(w, "%s_count %d\n", h.name, count)
 }
 
-// Quantile registers a striped quantile histogram covering [min, max)
-// (zeros select the default latency range of 60ns..64s). Returns a
-// usable no-op histogram when the registry is nil.
-func (r *Registry) Quantile(name, help string, min, max float64) *QHist {
+// Quantile registers a striped quantile histogram covering the latency
+// range 60ns..64s. Returns a usable no-op histogram when the registry
+// is nil.
+func (r *Registry) Quantile(name, help string) *QHist {
 	if r == nil {
 		return nil
 	}
-	h := NewQHist(name, help, min, max)
+	h := NewQHist(name, help)
 	r.register(name, help, h)
 	return h
 }

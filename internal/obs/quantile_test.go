@@ -23,7 +23,7 @@ func refQuantile(sorted []float64, q float64) float64 {
 // log-uniform latency population spanning six decades, every reported
 // quantile must sit within 1% relative error of the exact rank value.
 func TestQHistQuantileAccuracy(t *testing.T) {
-	h := NewQHist("q_seconds", "latency", 0, 0)
+	h := NewQHist("q_seconds", "latency")
 	rng := rand.New(rand.NewSource(7))
 	values := make([]float64, 200_000)
 	for i := range values {
@@ -53,7 +53,7 @@ func TestQHistQuantileAccuracy(t *testing.T) {
 }
 
 func TestQHistClampingAndNaN(t *testing.T) {
-	h := NewQHist("q_seconds", "latency", 0, 0)
+	h := NewQHist("q_seconds", "latency")
 	h.Observe(math.NaN()) // dropped entirely
 	if h.Count() != 0 {
 		t.Fatal("NaN must not be counted")
@@ -66,11 +66,11 @@ func TestQHistClampingAndNaN(t *testing.T) {
 	if h.Count() != 5 {
 		t.Fatalf("count = %d, want 5", h.Count())
 	}
-	wantSum := 3*DefQuantileMin + 2*DefQuantileMax
+	wantSum := 3*quantileMin + 2*quantileMax
 	if h.Sum() != wantSum {
 		t.Fatalf("sum = %v, want %v (out-of-range must clamp, not poison)", h.Sum(), wantSum)
 	}
-	if q := h.snapshot().P999; q > DefQuantileMax || q < DefQuantileMax/2 {
+	if q := h.snapshot().P999; q > quantileMax || q < quantileMax/2 {
 		t.Fatalf("max quantile %v escaped the top octave", q)
 	}
 }
@@ -81,14 +81,14 @@ func TestQHistEmptyAndNil(t *testing.T) {
 	if nilH.Count() != 0 || nilH.Sum() != 0 {
 		t.Fatal("nil QHist must read zero")
 	}
-	h := NewQHist("q_seconds", "latency", 0, 0)
+	h := NewQHist("q_seconds", "latency")
 	if s := h.snapshot(); s.P50 != 0 || s.P999 != 0 {
 		t.Fatal("empty histogram must report 0")
 	}
 }
 
 func TestQHistBucketBoundsMonotone(t *testing.T) {
-	h := NewQHist("q_seconds", "latency", 0, 0)
+	h := NewQHist("q_seconds", "latency")
 	prev := h.bound(0)
 	if prev != h.minVal {
 		t.Fatalf("bound(0) = %v, want %v", prev, h.minVal)
@@ -118,7 +118,7 @@ func TestQHistBucketBoundsMonotone(t *testing.T) {
 // story; in a normal build it checks that no observation is lost.
 func TestQHistConcurrentObserveAndExpose(t *testing.T) {
 	r := NewRegistry()
-	h := r.Quantile("q_seconds", "latency", 0, 0)
+	h := r.Quantile("q_seconds", "latency")
 	const goroutines = 8
 	const perG = 20_000
 	stop := make(chan struct{})
@@ -166,7 +166,7 @@ func TestQHistObserveAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate is meaningless under the race detector")
 	}
-	h := NewQHist("q_seconds", "latency", 0, 0)
+	h := NewQHist("q_seconds", "latency")
 	h.Observe(0.001) // settle the pool
 	got := testing.AllocsPerRun(1000, func() {
 		h.Observe(0.000123)
@@ -178,7 +178,7 @@ func TestQHistObserveAllocationFree(t *testing.T) {
 
 func TestRegistrySnapshotIncludesQHist(t *testing.T) {
 	r := NewRegistry()
-	h := r.Quantile("q_seconds", "latency", 0, 0)
+	h := r.Quantile("q_seconds", "latency")
 	h.Observe(0.5)
 	h.Observe(0.25)
 	snap := r.Snapshot()
@@ -192,7 +192,7 @@ func TestRegistrySnapshotIncludesQHist(t *testing.T) {
 
 func TestQHistExposeSummary(t *testing.T) {
 	r := NewRegistry()
-	h := r.Quantile("q_seconds", "latency quantiles", 0, 0)
+	h := r.Quantile("q_seconds", "latency quantiles")
 	for i := 0; i < 1000; i++ {
 		h.Observe(0.001)
 	}
@@ -217,7 +217,7 @@ func TestQHistExposeSummary(t *testing.T) {
 // bench-obs`, BENCH_obs.json): 0 allocs/op, and flat as GOMAXPROCS goes
 // from 1 to 8.
 func BenchmarkQHistObserveParallel(b *testing.B) {
-	h := NewQHist("q_seconds", "latency", 0, 0)
+	h := NewQHist("q_seconds", "latency")
 	b.SetParallelism(1) // GOMAXPROCS workers
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
@@ -228,7 +228,7 @@ func BenchmarkQHistObserveParallel(b *testing.B) {
 }
 
 func BenchmarkQHistQuantile(b *testing.B) {
-	h := NewQHist("q_seconds", "latency", 0, 0)
+	h := NewQHist("q_seconds", "latency")
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 100_000; i++ {
 		h.Observe(math.Pow(10, -6+6*rng.Float64()))

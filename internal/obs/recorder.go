@@ -18,25 +18,14 @@ import (
 // event log itself.
 const eventOp = "obs.event"
 
-// Recorder defaults: 4MiB segments, 4 of them — a ~16MiB bound on
-// disk no matter how long the broker runs or how hot the sampler is.
+// The recorder rotates its active segment once it exceeds segmentBytes
+// and keeps segments of them, deleting older ones: a ~16MiB bound on
+// disk, plus one in-flight record, no matter how long the broker runs
+// or how hot the sampler is.
 const (
-	DefSegmentBytes = 4 << 20
-	DefSegments     = 4
+	segmentBytes = 4 << 20
+	segments     = 4
 )
-
-// RecorderOptions configures OpenRecorder.
-type RecorderOptions struct {
-	// Dir is the event-log directory (created if missing). Required.
-	Dir string
-	// SegmentBytes rotates the active segment once it exceeds this
-	// size (DefSegmentBytes when 0).
-	SegmentBytes int64
-	// Segments is how many rotated segments are kept; older ones are
-	// deleted (DefSegments when 0). The on-disk bound is
-	// Segments*SegmentBytes plus one in-flight record.
-	Segments int
-}
 
 // Recorder is the flight recorder's disk half: a bounded ring of
 // CRC-framed binary segment files under one directory. Append frames
@@ -50,9 +39,7 @@ type RecorderOptions struct {
 // A nil *Recorder drops everything, so disabled recording threads the
 // same code as disabled metrics.
 type Recorder struct {
-	dir      string
-	segBytes int64
-	segments int
+	dir string
 
 	mu   sync.Mutex
 	f    *os.File
@@ -94,28 +81,17 @@ func listSegments(dir string) ([]uint64, error) {
 	return seqs, nil
 }
 
-// OpenRecorder opens (or creates) the event log under opts.Dir and
-// resumes appending to the newest existing segment.
-func OpenRecorder(opts RecorderOptions) (*Recorder, error) {
-	if opts.Dir == "" {
+// OpenRecorder opens (or creates) the event log under dir and resumes
+// appending to the newest existing segment.
+func OpenRecorder(dir string) (*Recorder, error) {
+	if dir == "" {
 		return nil, errors.New("obs: recorder needs a directory")
 	}
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = DefSegmentBytes
-	}
-	if opts.Segments <= 0 {
-		opts.Segments = DefSegments
-	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	r := &Recorder{
-		dir:      opts.Dir,
-		segBytes: opts.SegmentBytes,
-		segments: opts.Segments,
-		buf:      make([]byte, 0, 4096),
-	}
-	seqs, err := listSegments(opts.Dir)
+	r := &Recorder{dir: dir, buf: make([]byte, 0, 4096)}
+	seqs, err := listSegments(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +127,7 @@ func (r *Recorder) Append(ev *Event) error {
 		return err
 	}
 	r.buf = buf
-	if r.size > 0 && r.size+int64(len(buf)) > r.segBytes {
+	if r.size > 0 && r.size+int64(len(buf)) > segmentBytes {
 		if err := r.rotate(); err != nil {
 			return err
 		}
@@ -173,9 +149,9 @@ func (r *Recorder) rotate() error {
 		return err
 	}
 	r.f, r.size = f, 0
-	if r.seq >= uint64(r.segments) {
+	if r.seq >= segments {
 		// Best-effort prune; a missing file is already pruned.
-		os.Remove(filepath.Join(r.dir, segName(r.seq-uint64(r.segments))))
+		os.Remove(filepath.Join(r.dir, segName(r.seq-segments)))
 	}
 	return nil
 }

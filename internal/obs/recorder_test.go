@@ -52,7 +52,7 @@ func TestEventBinaryRoundTrip(t *testing.T) {
 
 func TestRecorderRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	r, err := OpenRecorder(RecorderOptions{Dir: dir})
+	r, err := OpenRecorder(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 
 func TestRecorderResumeAfterReopen(t *testing.T) {
 	dir := t.TempDir()
-	r, err := OpenRecorder(RecorderOptions{Dir: dir})
+	r, err := OpenRecorder(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestRecorderResumeAfterReopen(t *testing.T) {
 	}
 	r.Close()
 	// A restarted broker appends to the same ring.
-	r2, err := OpenRecorder(RecorderOptions{Dir: dir})
+	r2, err := OpenRecorder(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,26 +114,34 @@ func TestRecorderResumeAfterReopen(t *testing.T) {
 	}
 }
 
-func TestRecorderRotationBoundsDisk(t *testing.T) {
-	dir := t.TempDir()
-	// Tiny segments so a handful of events rotates several times.
-	r, err := OpenRecorder(RecorderOptions{Dir: dir, SegmentBytes: 2048, Segments: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 200
-	for i := 0; i < n; i++ {
-		if err := r.Append(sampleEvent(i)); err != nil {
+// fill appends sampleEvents to r until its active segment is the
+// seq-th, and returns how many it appended.
+func fill(t *testing.T, r *Recorder, seq uint64) int {
+	t.Helper()
+	n := 0
+	for ; r.seq < seq; n++ {
+		if err := r.Append(sampleEvent(n)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return n
+}
+
+func TestRecorderRotationBoundsDisk(t *testing.T) {
+	dir := t.TempDir()
+	r, err := OpenRecorder(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rotate until the ring has pruned its two oldest segments.
+	n := int64(fill(t, r, segments+1))
 	r.Close()
 	segs, err := filepath.Glob(filepath.Join(dir, "events-*.elog"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) > 3 {
-		t.Fatalf("%d segments on disk, ring must keep <= 3", len(segs))
+	if len(segs) > segments {
+		t.Fatalf("%d segments on disk, ring must keep <= %d", len(segs), segments)
 	}
 	// The survivors must be the newest events, still contiguous.
 	var first, last, count int64 = -1, -1, 0
@@ -160,7 +168,7 @@ func TestRecorderRotationBoundsDisk(t *testing.T) {
 
 func TestReadEventsToleratesTornTail(t *testing.T) {
 	dir := t.TempDir()
-	r, err := OpenRecorder(RecorderOptions{Dir: dir})
+	r, err := OpenRecorder(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +258,7 @@ func TestRecorderNilAndClosed(t *testing.T) {
 	if err := r.Append(sampleEvent(0)); err != nil {
 		t.Fatal("nil recorder must be a silent no-op")
 	}
-	r2, err := OpenRecorder(RecorderOptions{Dir: t.TempDir()})
+	r2, err := OpenRecorder(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +275,7 @@ func TestRecorderAppendAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate is meaningless under the race detector")
 	}
-	r, err := OpenRecorder(RecorderOptions{Dir: t.TempDir()})
+	r, err := OpenRecorder(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,8 +302,9 @@ func TestRecorderAppendAllocationFree(t *testing.T) {
 // reader must deliver every fully-written event it can still reach.
 func TestReadEventsRacesLiveWriter(t *testing.T) {
 	dir := t.TempDir()
-	// Tiny segments so rotation (and pruning) happens constantly.
-	r, err := OpenRecorder(RecorderOptions{Dir: dir, SegmentBytes: 2048, Segments: 2})
+	// The writer fills a segment in a few milliseconds, so rotation
+	// (and pruning) happens throughout the read loop.
+	r, err := OpenRecorder(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,15 +368,11 @@ func TestReadEventsRacesLiveWriter(t *testing.T) {
 // (the writer pruned it) is skipped, not an error.
 func TestReadEventsSkipsVanishedSegment(t *testing.T) {
 	dir := t.TempDir()
-	r, err := OpenRecorder(RecorderOptions{Dir: dir, SegmentBytes: 512, Segments: 8})
+	r, err := OpenRecorder(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 50; i++ {
-		if err := r.Append(sampleEvent(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	fill(t, r, 2)
 	r.Close()
 	seqs, err := listSegments(dir)
 	if err != nil {
@@ -397,7 +402,7 @@ func TestReadEventsSkipsVanishedSegment(t *testing.T) {
 // in flight at read time) ends there instead of failing the scan.
 func TestReadEventsToleratesTornActiveFrame(t *testing.T) {
 	dir := t.TempDir()
-	r, err := OpenRecorder(RecorderOptions{Dir: dir})
+	r, err := OpenRecorder(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +446,7 @@ func BenchmarkSamplerSample(b *testing.B) {
 }
 
 func BenchmarkRecorderAppend(b *testing.B) {
-	r, err := OpenRecorder(RecorderOptions{Dir: b.TempDir()})
+	r, err := OpenRecorder(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}

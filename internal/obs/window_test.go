@@ -96,7 +96,7 @@ func TestTopSnapshotClassifiesMetrics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("req_total", "requests")
 	g := r.Gauge("depth", "queue depth")
-	q := r.Quantile("lat_seconds", "striped latency", 0, 0)
+	q := r.Quantile("lat_seconds", "striped latency")
 	top := NewTop("DomainA", r)
 
 	t0 := time.Unix(5000, 0)

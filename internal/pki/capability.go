@@ -104,9 +104,6 @@ func issueCapability(issuerDN identity.DN, issuerKey identity.PrivateKey, subjec
 	if subjectPub == nil {
 		return nil, fmt.Errorf("pki: nil subject key for capability to %s", subjectDN)
 	}
-	if validity <= 0 {
-		validity = 24 * time.Hour
-	}
 	exts, err := capabilityExtensions(attrs)
 	if err != nil {
 		return nil, err
@@ -156,8 +153,9 @@ func IssueCommunityCapability(casDN identity.DN, casKey *identity.KeyPair, userD
 // chain: the holder of signerKey (the private key matching the subject
 // public key of the previous certificate) issues a new capability
 // certificate to delegateDN, binding the delegate's *real* public key
-// and appending restrictions. Capabilities may only shrink.
-func Delegate(prev *CapabilityCertificate, signerDN identity.DN, signerKey identity.PrivateKey, delegateDN identity.DN, delegatePub identity.PublicKey, extraRestrictions []string, validity time.Duration) (*CapabilityCertificate, error) {
+// and appending restrictions. Capabilities may only shrink. The
+// delegation is valid for delegationValidity.
+func Delegate(prev *CapabilityCertificate, signerDN identity.DN, signerKey identity.PrivateKey, delegateDN identity.DN, delegatePub identity.PublicKey, extraRestrictions []string) (*CapabilityCertificate, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("pki: delegate from nil certificate")
 	}
@@ -166,8 +164,12 @@ func Delegate(prev *CapabilityCertificate, signerDN identity.DN, signerKey ident
 		Capabilities: append([]string(nil), prev.Attrs.Capabilities...),
 		Restrictions: append(append([]string(nil), prev.Attrs.Restrictions...), extraRestrictions...),
 	}
-	return issueCapability(signerDN, signerKey, delegateDN, delegatePub, attrs, validity)
+	return issueCapability(signerDN, signerKey, delegateDN, delegatePub, attrs, delegationValidity)
 }
+
+// delegationValidity is how long a delegated capability certificate is
+// valid.
+const delegationValidity = 24 * time.Hour
 
 // ParseCapabilityCertificate parses DER and requires the capability
 // flag extension to be present.

@@ -126,7 +126,7 @@ func buildChain(t *testing.T) (cas *identity.KeyPair, chain CapabilityChain, bbK
 		if i == 0 {
 			restr = []string{"valid-for-rar:RAR-17"}
 		}
-		next, err := Delegate(chain[len(chain)-1], signerDN, signerKey, dn, kp.Public(), restr, time.Hour)
+		next, err := Delegate(chain[len(chain)-1], signerDN, signerKey, dn, kp.Public(), restr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestCapabilityChainRejectsTamperedDelegation(t *testing.T) {
 	// not legitimately produce.
 	mallory := mustKey(t, identity.NewDN("Evil", "", "Mallory"))
 	forged, err := Delegate(chain[1], chain[1].SubjectDN(), mallory.Private,
-		chain[2].SubjectDN(), chain[2].PublicKey(), nil, time.Hour)
+		chain[2].SubjectDN(), chain[2].PublicKey(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

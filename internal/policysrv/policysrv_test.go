@@ -92,7 +92,7 @@ func TestDecideVerifiesCapabilityChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	casSrv := cas.NewServer(casKey, "ESnet", time.Hour)
+	casSrv := cas.NewServer(casKey)
 	casSrv.Grant(alice, "network-reservation")
 	cred, err := casSrv.Login(alice)
 	if err != nil {
@@ -129,7 +129,7 @@ func TestDecideLinkedReservationsFigure6C(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	casSrv := cas.NewServer(casKey, "ESnet", time.Hour)
+	casSrv := cas.NewServer(casKey)
 	casSrv.Grant(alice, "network-reservation")
 	cred, err := casSrv.Login(alice)
 	if err != nil {

@@ -153,16 +153,13 @@ func eachRemoved(data []byte, fn func(handle []byte)) error {
 	return nil
 }
 
-// Table snapshot binary layout: snapMagic, snapVersion, then 1=name
+// Table snapshot binary layout: snapMagic, wire.Version, then 1=name
 // 2=capacity 3=seq 4=reservations (repeated, sorted by handle — the
 // deterministic-bytes property the recovery tests assert on).
-const (
-	snapMagic   = 0xB2
-	snapVersion = 1
-)
+const snapMagic = 0xB2
 
 func (s *snapshot) appendBinary(buf []byte) []byte {
-	buf = append(buf, snapMagic, snapVersion)
+	buf = append(buf, snapMagic, wire.Version)
 	buf = wire.AppendString(buf, 1, s.Name)
 	buf = wire.AppendInt(buf, 2, int64(s.Capacity))
 	buf = wire.AppendInt(buf, 3, s.Seq)
@@ -176,7 +173,7 @@ func (s *snapshot) appendBinary(buf []byte) []byte {
 }
 
 func (s *snapshot) decodeBinary(data []byte) error {
-	fields, err := wire.Header(data, snapMagic, snapVersion)
+	fields, err := wire.Header(data, snapMagic)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"e2eqos/internal/units"
+	"e2eqos/internal/wire"
 )
 
 // restoreSeeds are table snapshots in the binary encoding: one that
@@ -45,8 +46,8 @@ func FuzzRestoreTable(f *testing.F) {
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2])
 	}
-	f.Add([]byte{snapMagic, snapVersion})
-	f.Add([]byte{snapMagic, snapVersion + 1})
+	f.Add([]byte{snapMagic, wire.Version})
+	f.Add([]byte{snapMagic, wire.Version + 1})
 	f.Add([]byte(`{"name":"x","capacity":100000000,"seq":0,"reservations":[]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		target, err := NewTable("target", 10*units.Mbps)

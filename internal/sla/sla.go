@@ -14,34 +14,6 @@ import (
 	"e2eqos/internal/units"
 )
 
-// ExcessTreatment says what an ingress domain does with traffic beyond
-// the contracted profile, one of the SLS parameters §6.1 lists
-// ("parameters for treatment of excess traffic").
-type ExcessTreatment int
-
-// Excess-traffic treatments.
-const (
-	// Drop discards out-of-profile packets at the ingress policer.
-	Drop ExcessTreatment = iota
-	// Remark demotes out-of-profile packets to best effort.
-	Remark
-	// Shape delays out-of-profile packets until they conform.
-	Shape
-)
-
-func (e ExcessTreatment) String() string {
-	switch e {
-	case Drop:
-		return "drop"
-	case Remark:
-		return "remark"
-	case Shape:
-		return "shape"
-	default:
-		return fmt.Sprintf("ExcessTreatment(%d)", int(e))
-	}
-}
-
 // TrafficProfile is a token-bucket traffic specification: the classic
 // (r, b) pair, matching what DiffServ edge policers implement.
 type TrafficProfile struct {

@@ -100,12 +100,3 @@ func TestSLAConforms(t *testing.T) {
 		t.Error("nil SLA accepted request")
 	}
 }
-
-func TestExcessTreatmentString(t *testing.T) {
-	if Drop.String() != "drop" || Remark.String() != "remark" || Shape.String() != "shape" {
-		t.Error("treatment strings wrong")
-	}
-	if ExcessTreatment(99).String() == "" {
-		t.Error("unknown treatment renders empty")
-	}
-}

@@ -30,12 +30,16 @@ import (
 // for the torn tail of a crash.
 var ErrUnsupportedFormat = errors.New("unsupported format")
 
+// Version is the version byte every top-level encoding carries after
+// its magic byte.
+const Version = 1
+
 // Header checks the magic and version bytes a top-level encoding starts
 // with and returns what follows them.
-func Header(data []byte, magic, version byte) ([]byte, error) {
-	if len(data) < 2 || data[0] != magic || data[1] != version {
+func Header(data []byte, magic byte) ([]byte, error) {
+	if len(data) < 2 || data[0] != magic || data[1] != Version {
 		return nil, fmt.Errorf("%w: starts % x, want %02x %02x",
-			ErrUnsupportedFormat, data[:min(len(data), 2)], magic, version)
+			ErrUnsupportedFormat, data[:min(len(data), 2)], magic, Version)
 	}
 	return data[2:], nil
 }

@@ -22,7 +22,13 @@
 #                          AppendFrame (no stream tail), the group-commit
 #                          loop (TestGroupCommitAllocationFree), a stream
 #                          message's decode and answer
-#                          (TestStreamExchangeAllocationFree), a
+#                          (TestStreamExchangeAllocationFree), a timed
+#                          call over the in-memory transport
+#                          (TestCallAllocationBound: <= 5 objects), a
+#                          served reserve, cancel and 256-op batch
+#                          decoded into a kept message
+#                          (TestServedRequestAllocationBound: their
+#                          strings only), a
 #                          follower applying a reserve's and a cancel's
 #                          stream message
 #                          (TestFollowerStreamApplyAllocationBound),

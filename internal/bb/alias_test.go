@@ -29,7 +29,8 @@ import (
 type poisoner struct {
 	mu        sync.Mutex
 	responses [][]byte // delivered, not yet overwritten
-	poisoned  int
+	poisoned  int      // frames overwritten
+	payloads  int      // served request payloads overwritten (poisonHandler)
 }
 
 func (p *poisoner) poison(frame []byte) {
@@ -141,10 +142,69 @@ func (p *poisoner) front(t *testing.T, w *experiment.World, domain string) *sign
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := signalling.NewServer(w.BBs[domain], w.BBs[domain].Logger())
+	srv := signalling.NewServer(poisonHandler{t: t, b: w.BBs[domain], p: p}, w.BBs[domain].Logger())
 	go srv.Serve(poisonListener{ln, p})
 	t.Cleanup(srv.Shutdown)
 	return srv
+}
+
+// poisonHandler serves a broker and overwrites the request payload it
+// served once the broker has answered it: every string, the envelope's
+// bytes, every PathPin entry and every TunnelOp of the Ops array, to
+// its capacity. The server decodes a later request into the same
+// message, payload and arrays (signalling.Handler), so whatever the
+// broker kept of them would change under it: its StateDigest must read
+// the same before and after the overwrite, and the next request must
+// decode as if nothing had been there.
+type poisonHandler struct {
+	t *testing.T
+	b *bb.BB
+	p *poisoner
+}
+
+const poisonText = "\xa5\xa5 overwritten"
+
+func (h poisonHandler) Handle(peer signalling.Peer, msg *signalling.Message) *signalling.Message {
+	resp := h.b.Handle(peer, msg)
+	before, err := h.b.StateDigest()
+	if err != nil {
+		h.t.Errorf("digest: %v", err)
+		return resp
+	}
+	switch {
+	case msg.Reserve != nil:
+		r := msg.Reserve
+		r.Mode, r.TraceID = poisonText, poisonText
+		for i := range r.EnvelopeData {
+			r.EnvelopeData[i] = 0xA5
+		}
+		pins := r.PathPin[:cap(r.PathPin)]
+		for i := range pins {
+			pins[i] = poisonText
+		}
+		r.Attempt, r.SplitPart, r.SplitOf, r.SplitBW = -1, -1, -1, -1
+	case msg.Cancel != nil:
+		msg.Cancel.RARID = poisonText
+	case msg.Status != nil:
+		msg.Status.RARID = poisonText
+	case msg.TunnelBatch != nil:
+		b := msg.TunnelBatch
+		b.TunnelRARID, b.User, b.TraceID = poisonText, poisonText, poisonText
+		b.Seq, b.Acked = -1, -1
+		ops := b.Ops[:cap(b.Ops)]
+		for i := range ops {
+			ops[i] = signalling.TunnelOp{Action: poisonText, SubFlowID: poisonText, Bandwidth: -1}
+		}
+	default:
+		return resp
+	}
+	h.p.mu.Lock()
+	h.p.payloads++
+	h.p.mu.Unlock()
+	if after, err := h.b.StateDigest(); err != nil || !bytes.Equal(before, after) {
+		h.t.Errorf("%s: the broker's state changed when the %s request it had served was overwritten (err %v)", h.b.Domain(), msg.Type, err)
+	}
+	return resp
 }
 
 // TestNoFrameAliasOutlivesItsExchange drives the reserve path's whole
@@ -155,7 +215,10 @@ func (p *poisoner) front(t *testing.T, w *experiment.World, domain string) *sign
 // the cancels. Every step must succeed as it does on plain connections,
 // and at every settled point each broker's StateDigest must read the
 // same before and after the delivered frames are overwritten: the
-// state a broker keeps aliases no frame.
+// state a broker keeps aliases no frame. Each served request's payload
+// is overwritten too, as soon as the broker has answered it
+// (poisonHandler): the state a broker keeps aliases no payload the
+// server will decode the next request into.
 func TestNoFrameAliasOutlivesItsExchange(t *testing.T) {
 	p := &poisoner{}
 	w, err := experiment.BuildWorld(experiment.WorldConfig{
@@ -314,10 +377,13 @@ func TestNoFrameAliasOutlivesItsExchange(t *testing.T) {
 		}
 	}
 	p.mu.Lock() // a server may still be overwriting the request it has just answered
-	poisoned := p.poisoned
+	poisoned, payloads := p.poisoned, p.payloads
 	p.mu.Unlock()
 	if poisoned < 20 {
 		t.Fatalf("only %d frames were overwritten: the brokers' connections are not the poisoning ones", poisoned)
+	}
+	if payloads < 15 {
+		t.Fatalf("only %d served payloads were overwritten: the brokers are not served through poisonHandler", payloads)
 	}
 }
 

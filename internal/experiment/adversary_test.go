@@ -1,9 +1,13 @@
 package experiment
 
 import (
+	"bytes"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"e2eqos/internal/core"
 	"e2eqos/internal/envelope"
 	"e2eqos/internal/identity"
 	"e2eqos/internal/pki"
@@ -331,6 +335,139 @@ func TestTransitBrokerInflatesDownstreamApproval(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "Domain2") {
 		t.Fatalf("VerifyApprovals = %v, want a refusal naming Domain2", err)
 	}
+}
+
+// TestTransitBrokerReplaysCancelledRAR: after a 3-domain grant and its
+// cancel, the transit broker Domain1, holding its real key, re-extends
+// the envelope Domain0 sent it and sends it to Domain2 again. Nothing
+// refuses it: the cancel removed Domain2's route entry for the RAR, so
+// it is no retransmission, and core.Broker.MaxRequestAge, the replay
+// window, is unarmed. Domain2 grants and holds the bandwidth for a
+// reservation no upstream domain holds, and the user never learns of
+// it. DESIGN.md §6.11 records the gap, beside the inflated approval
+// above.
+func TestTransitBrokerReplaysCancelledRAR(t *testing.T) {
+	var (
+		mu    sync.Mutex
+		frame []byte // the reserve Domain0 sent Domain1
+	)
+	w, err := BuildWorld(WorldConfig{
+		NumDomains: 3,
+		Capacity:   100 * units.Mbps,
+		WrapDialer: func(domain string, d transport.Dialer) transport.Dialer {
+			if domain != "Domain0" {
+				return d
+			}
+			return recordingDialer{d, func(sent []byte) {
+				if m, err := signalling.DecodeMessage(sent); err == nil && m.Type == signalling.MsgReserve {
+					mu.Lock()
+					frame = bytes.Clone(sent)
+					mu.Unlock()
+				}
+			}}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	alice, err := w.NewUser("Alice", "Domain0", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer alice.Close()
+	spec := alice.NewSpec(SpecOptions{DestDomain: "Domain2", Bandwidth: 10 * units.Mbps})
+	if res, err := alice.ReserveE2E(spec); err != nil || !res.Granted {
+		t.Fatalf("reserve: res=%+v err=%v", res, err)
+	}
+	if err := alice.Cancel("Domain0", spec.RARID); err != nil {
+		t.Fatalf("cancel: %v", err)
+	}
+	at := spec.Window.Start
+	for _, d := range w.Domains {
+		if got := w.BBs[d].Table().CommittedAt(at); got != 0 {
+			t.Fatalf("%s holds %v after the cancel", d, got)
+		}
+	}
+
+	// Domain1 re-extends what it was sent, as it did for the grant.
+	mu.Lock()
+	sent := frame
+	mu.Unlock()
+	m, err := signalling.DecodeMessage(sent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := m.Reserve.Envelope()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bb1 := w.members["Domain1"][0].cfg
+	proto, err := core.NewBroker(bb1.Key, bb1.Cert, bb1.Trust)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upstream := w.BBCerts["Domain0"]
+	verified, err := proto.Verify(env, upstream.SubjectDN(), upstream.DER, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	extended, err := proto.Extend(env, upstream.DER, verified, w.BBCerts["Domain2"], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, err := signalling.NewReserveMessage(signalling.ModeEndToEnd, extended)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := signalling.Dial(w.Net.NewEndpoint(bb1.Key.DN, bb1.Cert.DER), w.BBAddr("Domain2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	resp, err := c.CallTimeout(replay, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// What Domain2 does today: it grants the replay and holds the
+	// bandwidth, alone on the path.
+	if !resp.Result.Granted {
+		t.Fatalf("Domain2 answered the replay %+v; with no route entry and no replay window it should have granted", resp.Result)
+	}
+	if got := w.BBs["Domain2"].Table().CommittedAt(at); got != spec.Bandwidth {
+		t.Errorf("Domain2 holds %v after the replay, want the %v it granted", got, spec.Bandwidth)
+	}
+	for _, d := range []string{"Domain0", "Domain1"} {
+		if got := w.BBs[d].Table().CommittedAt(at); got != 0 {
+			t.Errorf("%s holds %v; nothing upstream of Domain2 should back the replay", d, got)
+		}
+	}
+}
+
+// recordingDialer hands out connections that show sent every frame
+// they send.
+type recordingDialer struct {
+	transport.Dialer
+	sent func([]byte)
+}
+
+func (d recordingDialer) Dial(addr string) (transport.Conn, error) {
+	c, err := d.Dialer.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return recordingConn{c, d.sent}, nil
+}
+
+type recordingConn struct {
+	transport.Conn
+	sent func([]byte)
+}
+
+func (c recordingConn) Send(frame []byte) error {
+	c.sent(frame)
+	return c.Conn.Send(frame)
 }
 
 // forgingDialer hands out connections whose answers pass through forge,

@@ -1,6 +1,11 @@
 package signalling
 
-import "testing"
+import (
+	"bytes"
+	"fmt"
+	"testing"
+	"time"
+)
 
 // TestEncodeAllocationFree is the gate behind `make bench-wire`: the
 // encoders must not allocate when appending to a buffer with capacity.
@@ -53,7 +58,7 @@ func TestStreamExchangeAllocationFree(t *testing.T) {
 	var stream, answer Message
 	buf := make([]byte, 0, 256)
 	exchange := func() {
-		if err := stream.decodeFrame(frame, ""); err != nil {
+		if err := stream.decodeFrame(frame, "", nil); err != nil {
 			t.Fatal(err)
 		}
 		p := stream.JournalStream
@@ -61,7 +66,7 @@ func TestStreamExchangeAllocationFree(t *testing.T) {
 			t.Fatalf("decoded %+v", p)
 		}
 		buf = p.Reply(true, p.FromSeq+2, p.Term).appendFrame(buf[:0], 7)
-		if err := answer.decodeFrame(buf, ""); err != nil {
+		if err := answer.decodeFrame(buf, "", nil); err != nil {
 			t.Fatal(err)
 		}
 		if !answer.Result.Granted || answer.Result.AckSeq != 43 || answer.ID != 7 {
@@ -71,5 +76,78 @@ func TestStreamExchangeAllocationFree(t *testing.T) {
 	exchange() // the kept messages and their payloads exist from here on
 	if got := testing.AllocsPerRun(200, exchange); got > 0 {
 		t.Errorf("a stream message, its answer and the answer's decode allocate %.1f, want 0", got)
+	}
+}
+
+// TestCallAllocationBound gates one timed call over the in-memory
+// transport, answered with a shared result (DESIGN.md §6.6, "Who owns a
+// frame"): the client's one timer bounds it and its answer channel is
+// the pool's, the server decodes the request into a message its
+// connection keeps, and the answer is copied out of the demux's message
+// in one allocation. What is left is the transport's copy of each frame
+// sent, the request's one string, and the answer the caller keeps.
+func TestCallAllocationBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate is meaningless under the race detector")
+	}
+	c, ln := dialPair(t, 0)
+	ok := OKResult("")
+	go NewServer(HandlerFunc(func(Peer, *Message) *Message { return ok }), nil).Serve(ln)
+	req := &Message{Type: MsgStatus, Status: &StatusPayload{RARID: "RAR-1"}}
+	call := func() {
+		resp, err := c.CallTimeout(req, time.Minute)
+		if err != nil || !resp.Result.Granted {
+			t.Fatalf("call: resp=%+v err=%v", resp, err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		call() // the timer, the kept messages and a parked worker exist from here on
+	}
+	if got := testing.AllocsPerRun(500, call); got > 4 {
+		t.Errorf("a timed call allocates %.1f objects, want <= 4", got)
+	}
+}
+
+// TestServedRequestAllocationBound gates the decode of a served request
+// into the message its connection keeps (serveConn): the payload, the
+// PathPin and the Ops array are the kept message's, so what is left is
+// the request's strings and, for a batch, the one copy of its ids.
+func TestServedRequestAllocationBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate is meaningless under the race detector")
+	}
+	ops := make([]TunnelOp, 256)
+	for i := range ops {
+		ops[i] = TunnelOp{Action: OpAlloc, SubFlowID: fmt.Sprintf("flow-%03d", i), Bandwidth: 1000}
+	}
+	cases := []struct {
+		name    string
+		msg     *Message
+		strings int // the strings a decode makes: the bound
+	}{
+		{"reserve", &Message{Type: MsgReserve, ID: 9, Reserve: &ReservePayload{
+			Mode: ModeEndToEnd, TraceID: "T-1", EnvelopeData: make([]byte, 900),
+			PathPin: []string{"Domain0", "Domain1", "Domain2"}, Attempt: 1,
+		}}, 5}, // mode, trace id, three pins
+		{"cancel", &Message{Type: MsgCancel, ID: 10, Cancel: &CancelPayload{RARID: "RAR-1"}}, 1},
+		{"batch-256", &Message{Type: MsgTunnelBatch, ID: 11, TunnelBatch: &TunnelBatchPayload{
+			TunnelRARID: "RAR-T", Seq: 7, Acked: 6, User: "/O=Grid/CN=alice", Ops: ops,
+		}}, 3}, // rar id, user, the ids' one copy
+	}
+	var r request
+	for _, tc := range cases {
+		frame := tc.msg.AppendBinary(nil)
+		decode := func() {
+			if err := r.decodeFrame(frame, "", &r.kept); err != nil {
+				t.Fatal(err)
+			}
+		}
+		decode() // the arrays exist from here on
+		if got := testing.AllocsPerRun(200, decode); got > float64(tc.strings) {
+			t.Errorf("%s: decoding into a kept message allocates %.1f, want <= %d (its strings)", tc.name, got, tc.strings)
+		}
+		if got := r.AppendBinary(nil); !bytes.Equal(got, frame) {
+			t.Errorf("%s: the kept message re-encodes to another frame", tc.name)
+		}
 	}
 }

@@ -83,8 +83,10 @@ func (m *Message) appendFrame(buf []byte, id uint64) []byte {
 // attached to m is decoded into again rather than replaced: the RPC
 // readers keep one message for the stream messages a server handles in
 // order, and one for the Post answers a client's callbacks are done
-// with before the next read.
-func (m *Message) decodeFrame(data []byte, text string) error {
+// with before the next read. A request is decoded into kept's payload
+// of its type (a served request, serveConn), or into a new set of
+// payloads when kept is nil.
+func (m *Message) decodeFrame(data []byte, text string, kept *payloads) error {
 	if len(data) < 3 || data[0] != BinMagic {
 		return fmt.Errorf("signalling: not a signalling frame (%d bytes, want leading %#x)", len(data), BinMagic)
 	}
@@ -107,22 +109,6 @@ func (m *Message) decodeFrame(data []byte, text string) error {
 	m.ID = d.Uvarint()
 	var err error
 	switch m.Type {
-	case MsgReserve:
-		p := &ReservePayload{}
-		err = p.decodeFields(d)
-		m.Reserve = p
-	case MsgCancel:
-		p := &CancelPayload{}
-		err = decodeRARIDFields(d, &p.RARID)
-		m.Cancel = p
-	case MsgTunnelBatch:
-		p := &TunnelBatchPayload{}
-		err = p.decodeFields(d)
-		m.TunnelBatch = p
-	case MsgStatus:
-		p := &StatusPayload{}
-		err = decodeRARIDFields(d, &p.RARID)
-		m.Status = p
 	case MsgResult:
 		if result == nil {
 			result = &ResultPayload{}
@@ -137,11 +123,60 @@ func (m *Message) decodeFrame(data []byte, text string) error {
 		}
 		err = stream.decodeFields(d)
 		m.JournalStream = stream
+	default: // a request
+		if kept == nil {
+			kept = new(payloads)
+		} else {
+			kept.reset()
+		}
+		switch m.Type {
+		case MsgReserve:
+			m.Reserve, err = &kept.reserve, kept.reserve.decodeFields(d)
+		case MsgCancel:
+			m.Cancel, err = &kept.cancel, decodeRARIDFields(d, &kept.cancel.RARID)
+		case MsgTunnelBatch:
+			m.TunnelBatch, err = &kept.batch, kept.batch.decodeFields(d)
+		case MsgStatus:
+			m.Status, err = &kept.status, decodeRARIDFields(d, &kept.status.RARID)
+		}
 	}
 	if err != nil {
 		return fmt.Errorf("signalling: decode %s: %w", m.Type, err)
 	}
 	return nil
+}
+
+// maxKeptOps bounds the Ops (and PathPin) array a kept request payload
+// holds on to between requests. MaxBatchOps is 65 536, so an array sized
+// by the largest batch a peer chose to send would pin 2.5 MiB per kept
+// message; one over this bound is dropped, and the next batch that size
+// makes its own.
+const maxKeptOps = 1024
+
+// payloads is one payload of each request type, for a message the
+// server keeps between the requests it decodes into it (serveConn).
+type payloads struct {
+	reserve ReservePayload
+	cancel  CancelPayload
+	batch   TunnelBatchPayload
+	status  StatusPayload
+}
+
+// reset drops everything the last request decoded into k holds — of its
+// frame, of its strings — so a kept message pins nothing while it waits.
+// Only the PathPin and Ops arrays stay, cleared and emptied, and only up
+// to maxKeptOps entries; a decode appends into them.
+func (k *payloads) reset() {
+	pins, ops := k.reserve.PathPin, k.batch.Ops
+	clear(pins)
+	clear(ops)
+	if cap(pins) > maxKeptOps {
+		pins = nil
+	}
+	if cap(ops) > maxKeptOps {
+		ops = nil
+	}
+	*k = payloads{reserve: ReservePayload{PathPin: pins[:0]}, batch: TunnelBatchPayload{Ops: ops[:0]}}
 }
 
 // skipUnknown handles a tag no decoder claimed.
@@ -282,8 +317,9 @@ func (p *TunnelBatchPayload) appendFields(buf []byte) []byte {
 
 // decodeFields allocates per frame, not per op: a first pass counts the
 // op fields (and refuses a count past MaxBatchOps before anything is
-// made), Ops is made once, and every op's SubFlowID is a substring of
-// one string made from the frame. Those ids therefore pin the frame's
+// made), Ops is made once, or not at all when the empty Ops of a kept
+// payload has room, and every op's SubFlowID is a substring of one
+// string made from the frame. Those ids therefore pin the frame's
 // text for as long as they live: whoever keeps one past the request
 // clones it (DESIGN.md §6.5). The payload's own strings stay copies.
 func (p *TunnelBatchPayload) decodeFields(d *wire.Dec) error {
@@ -300,7 +336,9 @@ func (p *TunnelBatchPayload) decodeFields(d *wire.Dec) error {
 	var text string
 	if n > 0 {
 		text = string(d.Buf)
-		p.Ops = make([]TunnelOp, 0, n)
+		if cap(p.Ops) < n {
+			p.Ops = make([]TunnelOp, 0, n)
+		}
 	}
 	for d.More() {
 		f, wt := d.Tag()

@@ -1,6 +1,7 @@
 package signalling
 
 import (
+	"bytes"
 	"encoding/hex"
 	"fmt"
 	"reflect"
@@ -379,5 +380,78 @@ func TestSendTimeoutIsTerminal(t *testing.T) {
 	}
 	if waited := time.Since(start); waited > 100*time.Millisecond {
 		t.Fatalf("post-fault call blocked %v; want immediate failure", waited)
+	}
+}
+
+// TestKeptRequestLeavesNothingOfTheLast: a connection decodes every
+// request it serves into a message it keeps (serveConn), reusing the
+// payloads and their PathPin and Ops arrays. A request decoded into a
+// kept message that last held another must come out as it does from a
+// fresh decode, with nothing of the earlier one: not its pin, not its
+// ops beyond the new count, not its type's payload.
+func TestKeptRequestLeavesNothingOfTheLast(t *testing.T) {
+	batch := func(n int) *Message {
+		ops := make([]TunnelOp, n)
+		for i := range ops {
+			ops[i] = TunnelOp{Action: OpAlloc, SubFlowID: fmt.Sprintf("f%d", i), Bandwidth: int64(i + 1)}
+		}
+		return &Message{Type: MsgTunnelBatch, ID: uint64(n), TunnelBatch: &TunnelBatchPayload{
+			TunnelRARID: fmt.Sprintf("RAR-T%d", n), Seq: int64(n), User: "/CN=u", Ops: ops, TraceID: "T", Sampled: n > 100,
+		}}
+	}
+	pinned := &Message{Type: MsgReserve, ID: 1, Reserve: &ReservePayload{
+		Mode: ModeEndToEnd, TraceID: "T-1", Sampled: true, EnvelopeData: []byte{1, 2, 3},
+		PathPin: []string{"Domain0", "Domain1", "Domain2"}, Attempt: 2, SplitPart: 1, SplitOf: 2, SplitBW: 7,
+	}}
+	unpinned := &Message{Type: MsgReserve, ID: 2, Reserve: &ReservePayload{Mode: ModeLocal, EnvelopeData: []byte{4}}}
+	cancel := &Message{Type: MsgCancel, ID: 3, Cancel: &CancelPayload{RARID: "RAR-1"}}
+	for _, seq := range []struct {
+		name        string
+		first, then *Message
+	}{
+		{"a reserve with a pin, then one without", pinned, unpinned},
+		{"a 256-op batch, then a 3-op batch", batch(256), batch(3)},
+		{"a reserve, then a cancel", pinned, cancel},
+	} {
+		var r request
+		if err := r.decodeFrame(seq.first.AppendBinary(nil), "", &r.kept); err != nil {
+			t.Fatal(err)
+		}
+		frame := seq.then.AppendBinary(nil)
+		if err := r.decodeFrame(frame, "", &r.kept); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := DecodeMessage(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.AppendBinary(nil); !bytes.Equal(got, frame) {
+			t.Errorf("%s: the kept message re-encodes to another frame:\n got  % x\n want % x", seq.name, got, frame)
+		}
+		got := r.Message
+		if p := got.Reserve; p != nil && len(p.PathPin) == 0 {
+			p.PathPin = nil // an emptied kept array, as a fresh decode leaves it
+		}
+		if !reflect.DeepEqual(&got, fresh) {
+			t.Errorf("%s: kept decode\n %+v\nfresh decode\n %+v", seq.name, got, fresh)
+		}
+		if b := r.kept.batch; seq.then.TunnelBatch != nil && cap(b.Ops) < 256 {
+			t.Errorf("%s: the kept Ops array was not reused (cap %d)", seq.name, cap(b.Ops))
+		}
+		if b := r.kept.batch.Ops; cap(b) > len(b) {
+			if rest := b[len(b):cap(b)]; rest[0] != (TunnelOp{}) || rest[len(rest)-1] != (TunnelOp{}) {
+				t.Errorf("%s: the kept Ops array still holds the earlier batch's ops past the new count", seq.name)
+			}
+		}
+	}
+
+	// A kept Ops array past maxKeptOps is dropped, not kept.
+	var r request
+	if err := r.decodeFrame(batch(maxKeptOps+1).AppendBinary(nil), "", &r.kept); err != nil {
+		t.Fatal(err)
+	}
+	r.kept.reset()
+	if r.kept.batch.Ops != nil {
+		t.Errorf("a kept message holds on to an Ops array of %d ops, over the bound of %d", cap(r.kept.batch.Ops), maxKeptOps)
 	}
 }

@@ -2,6 +2,7 @@ package signalling
 
 import (
 	"fmt"
+	"regexp"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -330,4 +331,144 @@ func TestConcurrentServerShutdown(t *testing.T) {
 	if err != nil || resp.Result.Handle != "post" {
 		t.Fatalf("call after restart: resp=%v err=%v", resp, err)
 	}
+}
+
+// TestCallsShareOneTimer: a client bounds every timed call with one
+// timer, armed at the earliest waiting deadline (Client.sweep). 64
+// concurrent calls with 64 different deadlines, none of them answered
+// in time, each time out at its own deadline — not at an earlier
+// call's, and not much later — with the error text and type a call has
+// always had. The connection then serves a new call, and the answers
+// the stalled requests finally get are each counted late.
+func TestCallsShareOneTimer(t *testing.T) {
+	c, ln := dialPair(t, 0)
+	release := make(chan struct{})
+	go NewServer(HandlerFunc(func(_ Peer, msg *Message) *Message {
+		if msg.Status.RARID != "after" {
+			<-release
+		}
+		return OKResult(msg.Status.RARID)
+	}), nil).Serve(ln)
+
+	const calls = 64
+	timeout := func(i int) time.Duration { return 50*time.Millisecond + time.Duration(i)*5*time.Millisecond }
+	errs := make([]error, calls)
+	took := make([]time.Duration, calls)
+	var wg sync.WaitGroup
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t0 := time.Now()
+			_, errs[i] = c.CallTimeout(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: strconv.Itoa(i)}}, timeout(i))
+			took[i] = time.Since(t0)
+		}()
+	}
+	wg.Wait()
+	text := regexp.MustCompile(`^signalling: call [0-9]+ to /CN=server: transport: deadline exceeded$`)
+	for i, err := range errs {
+		if !transport.IsTimeout(err) || !text.MatchString(err.Error()) {
+			t.Errorf("call %d: err = %v, want a timeout reading %q", i, err, text)
+		}
+		if took[i] < timeout(i) || took[i] > timeout(i)+time.Second {
+			t.Errorf("call %d gave up after %v, want its own %v", i, took[i], timeout(i))
+		}
+	}
+	if n := pending(c); n != 0 {
+		t.Errorf("%d waiters left after every call timed out", n)
+	}
+	resp, err := c.CallTimeout(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "after"}}, time.Second)
+	if err != nil || resp.Result.Handle != "after" {
+		t.Fatalf("call after the timeouts: resp=%v err=%v", resp, err)
+	}
+	close(release)
+	for deadline := time.Now().Add(5 * time.Second); c.LateDropped() != calls; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("LateDropped = %d, want every stalled answer (%d)", c.LateDropped(), calls)
+		}
+	}
+}
+
+// TestDeadClientKeepsNoTimer: a client that dies with a timed call
+// outstanding stops its timer. An armed timer would keep the dead
+// client, its connection and whatever holds them reachable until it
+// fired — an hour, here.
+func TestDeadClientKeepsNoTimer(t *testing.T) {
+	c, ln := dialPair(t, 0)
+	silentServer(t, ln)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.CallTimeout(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "r"}}, time.Hour)
+		errc <- err
+	}()
+	for deadline := time.Now().Add(2 * time.Second); pending(c) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the call never registered")
+		}
+	}
+	c.mu.Lock()
+	armed := !c.timerAt.IsZero()
+	c.mu.Unlock()
+	if !armed {
+		t.Fatal("a client waiting on a timed call has no timer armed")
+	}
+	c.Close()
+	if err := <-errc; err == nil || transport.IsTimeout(err) {
+		t.Fatalf("the call on a dead client returned %v, want the client's terminal error", err)
+	}
+	if c.timer.Stop() {
+		t.Error("the dead client's timer was still armed")
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.timerAt.IsZero() {
+		t.Errorf("the dead client still records a deadline at %v", c.timerAt)
+	}
+}
+
+// TestAnswerRacingDeadlineIsDeliveredOrCounted: many calls against a
+// server that answers each one right around its deadline. An answer
+// either reaches its call or, if the call has already timed out, is
+// counted by LateDropped — whoever takes a waiter out of the client's
+// table delivers to it. Once every answer has arrived, answers
+// delivered plus LateDropped equals answers sent.
+func TestAnswerRacingDeadlineIsDeliveredOrCounted(t *testing.T) {
+	c, ln := dialPair(t, 0)
+	const timeout = 2 * time.Millisecond
+	go NewServer(HandlerFunc(func(_ Peer, msg *Message) *Message {
+		i, _ := strconv.Atoi(msg.Status.RARID)
+		time.Sleep(timeout + time.Duration(i%11-5)*100*time.Microsecond)
+		return OKResult(msg.Status.RARID)
+	}), nil).Serve(ln)
+
+	const goroutines, each = 16, 40
+	var delivered, timedOut atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				id := strconv.Itoa(g*each + i)
+				resp, err := c.CallTimeout(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: id}}, timeout)
+				switch {
+				case err == nil && resp.Result.Handle == id:
+					delivered.Add(1)
+				case transport.IsTimeout(err):
+					timedOut.Add(1)
+				default:
+					t.Errorf("call %s: resp=%v err=%v", id, resp, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	const sent = goroutines * each
+	for deadline := time.Now().Add(5 * time.Second); delivered.Load()+c.LateDropped() != sent; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d answers delivered + %d counted late = %d, want every answer sent (%d): %d calls timed out",
+				delivered.Load(), c.LateDropped(), delivered.Load()+c.LateDropped(), sent, timedOut.Load())
+		}
+	}
+	t.Logf("%d delivered, %d timed out and counted late", delivered.Load(), c.LateDropped())
 }

@@ -89,11 +89,19 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 		// A reader's kept message, still holding the payloads of earlier
 		// frames, decodes a frame exactly as a fresh one does.
-		kept := Message{
-			Result:        &ResultPayload{Granted: true, Reason: "earlier", AckSeq: 3, Approvals: []DomainApproval{{Domain: "D"}}},
-			JournalStream: &JournalStreamPayload{Kind: StreamVote, Domain: "Earlier", Term: 9, Snapshot: []byte{1}, Records: [][]byte{{2}, {3}}},
+		kept := request{
+			Message: Message{
+				Result:        &ResultPayload{Granted: true, Reason: "earlier", AckSeq: 3, Approvals: []DomainApproval{{Domain: "D"}}},
+				JournalStream: &JournalStreamPayload{Kind: StreamVote, Domain: "Earlier", Term: 9, Snapshot: []byte{1}, Records: [][]byte{{2}, {3}}},
+			},
+			kept: payloads{
+				reserve: ReservePayload{Mode: "earlier", TraceID: "t", Sampled: true, EnvelopeData: []byte{4}, PathPin: []string{"A", "B"}, Attempt: 1, SplitPart: 1, SplitOf: 2, SplitBW: 5},
+				cancel:  CancelPayload{RARID: "earlier"},
+				batch:   TunnelBatchPayload{TunnelRARID: "earlier", Seq: 2, Acked: 1, User: "/CN=u", Ops: []TunnelOp{{Action: OpAlloc, SubFlowID: "e", Bandwidth: 1}}, TraceID: "t", Sampled: true},
+				status:  StatusPayload{RARID: "earlier"},
+			},
 		}
-		if keptErr := kept.decodeFrame(data, ""); (keptErr == nil) != (err == nil) {
+		if keptErr := kept.decodeFrame(data, "", &kept.kept); (keptErr == nil) != (err == nil) {
 			t.Fatalf("a kept message decodes with error %v, a fresh one with %v", keptErr, err)
 		}
 		if err != nil {

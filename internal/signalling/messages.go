@@ -421,7 +421,7 @@ func (m *Message) Encode() ([]byte, error) {
 // BinMagic is malformed: there is one encoding and nothing is sniffed.
 func DecodeMessage(data []byte) (*Message, error) {
 	m := &Message{}
-	if err := m.decodeFrame(data, ""); err != nil {
+	if err := m.decodeFrame(data, "", nil); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -434,15 +434,22 @@ func DecodeMessage(data []byte) (*Message, error) {
 // (an approval's signature) alias data as they always do. A result
 // message and its payload come in one allocation.
 func DecodeMessageIn(data []byte, text string) (*Message, error) {
+	m := newResult(ResultPayload{})
+	if err := m.decodeFrame(data, text, nil); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// newResult builds a result message carrying r, the message and its
+// payload in one allocation.
+func newResult(r ResultPayload) *Message {
 	o := &struct {
 		m Message
 		r ResultPayload
-	}{}
-	o.m.Result = &o.r
-	if err := o.m.decodeFrame(data, text); err != nil {
-		return nil, err
-	}
-	return &o.m, nil
+	}{r: r}
+	o.m = Message{Type: MsgResult, Result: &o.r}
+	return &o.m
 }
 
 // NewReserveMessage wraps an envelope for the wire.

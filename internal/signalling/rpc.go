@@ -24,6 +24,12 @@ type Peer struct {
 // Handler processes one request message and returns the response.
 // Implementations must be safe for concurrent use: requests arriving
 // on one connection are dispatched concurrently.
+//
+// msg and its payload are valid only until Handle returns: the server
+// decodes a later request into the same message, payload and PathPin
+// or Ops array (DESIGN.md §6.6, "Who owns a frame"). A handler copies
+// whatever it keeps past its return, and the response it returns
+// shares nothing with msg but strings.
 type Handler interface {
 	Handle(peer Peer, msg *Message) *Message
 }
@@ -132,29 +138,40 @@ const parkedWorkers = 4
 // goroutine of its own, which stays on as a worker while fewer than
 // parkedWorkers exist and ends with its one request beyond that — so a
 // slow request occupies a goroutine, never the reader, and nothing
-// queues behind it. Journal-stream frames are the exception: they are
-// an ordered stream (each splices onto the one before), so the reader
-// handles them itself, in arrival order, before it reads the next —
-// each decoded into the one message the connection keeps for them,
-// whose handler is done with it once its answer is sent.
+// queues behind it. Each request is decoded into a message the
+// connection keeps (a request, from its free list of at most
+// parkedWorkers+1), which goes back on the list once its answer is
+// sent: the handler is done with it when Handle returns. Journal-stream
+// frames are the exception: they are an ordered stream (each splices
+// onto the one before), so the reader handles them itself, in arrival
+// order, before it reads the next — each decoded into the one message
+// the connection keeps for them.
 func serveConn(conn transport.Conn, h Handler, logger *slog.Logger) {
 	defer conn.Close()
 	peer := Peer{DN: conn.PeerDN(), CertDER: conn.PeerCertDER()}
+	// The free list holds a message for each parked worker and one for
+	// the reader to decode into while they all serve.
+	free := make(chan *request, parkedWorkers+1)
 	// The response is encoded under the request's ID, never stamped with
 	// it: handlers may return a shared message (e.g. a recorded outcome
 	// replayed to duplicate requests), and two requests must not race on
 	// its ID field. The transport's Send is safe for concurrent use on
 	// both implementations and the mux client matches responses by ID, so
 	// out-of-order completion is fine.
-	serve := func(msg *Message) {
-		sendResponse(conn, safeHandle(h, peer, msg, logger), msg.ID, peer, logger)
+	serve := func(r *request) {
+		sendResponse(conn, safeHandle(h, peer, &r.Message, logger), r.ID, peer, logger)
+		r.kept.reset()
+		select {
+		case free <- r:
+		default: // the list is full
+		}
 	}
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	// Unbuffered: a send succeeds only into a worker parked in receive.
 	// Closed (before the wait above) when the reader returns, which is
 	// what ends the workers.
-	work := make(chan *Message)
+	work := make(chan *request)
 	defer close(work)
 	workers := 0
 	var stream Message
@@ -163,32 +180,30 @@ func serveConn(conn transport.Conn, h Handler, logger *slog.Logger) {
 		if err != nil {
 			return
 		}
-		var msg *Message
 		if len(data) > 2 && data[2] == typeCode(MsgJournalStream) {
-			msg, err = &stream, stream.decodeFrame(data, "")
-		} else {
-			msg, err = DecodeMessage(data)
-		}
-		if err != nil {
-			// The transport is message-oriented, so one undecodable body
-			// is never a framing desync: answer an error result (with a
-			// best-effort request ID so the caller fails fast instead of
-			// timing out) and keep serving the other multiplexed calls.
-			logger.Warn("signalling: malformed message body",
-				obs.AttrPeer, string(peer.DN), "err", err)
-			sendResponse(conn, ErrorResult("malformed request: "+err.Error()), peekID(data), peer, logger)
-			continue
-		}
-		if msg == &stream {
-			serve(msg)
+			if err := stream.decodeFrame(data, "", nil); err != nil {
+				malformed(conn, data, err, peer, logger)
+				continue
+			}
+			sendResponse(conn, safeHandle(h, peer, &stream, logger), stream.ID, peer, logger)
 			// Drop the references to the frame just served.
 			p := stream.JournalStream
 			clear(p.Records)
 			p.Snapshot = nil
 			continue
 		}
+		var r *request
 		select {
-		case work <- msg:
+		case r = <-free:
+		default:
+			r = new(request)
+		}
+		if err := r.decodeFrame(data, "", &r.kept); err != nil {
+			malformed(conn, data, err, peer, logger)
+			continue
+		}
+		select {
+		case work <- r:
 			continue
 		default:
 		}
@@ -199,16 +214,34 @@ func serveConn(conn transport.Conn, h Handler, logger *slog.Logger) {
 		}
 		go func() {
 			defer wg.Done()
-			serve(msg)
+			serve(r)
 			for stay {
-				m, ok := <-work
+				r, ok := <-work
 				if !ok {
 					return
 				}
-				serve(m)
+				serve(r)
 			}
 		}()
 	}
+}
+
+// request is a served request: the message a connection decodes it
+// into, and the payloads that message's payload fields point into.
+type request struct {
+	Message
+	kept payloads
+}
+
+// malformed answers a frame whose body does not decode. The transport
+// is message-oriented, so one undecodable body is never a framing
+// desync: it answers an error result (with a best-effort request ID so
+// the caller fails fast instead of timing out), and the connection
+// keeps serving the other multiplexed calls.
+func malformed(conn transport.Conn, data []byte, err error, peer Peer, logger *slog.Logger) {
+	logger.Warn("signalling: malformed message body",
+		obs.AttrPeer, string(peer.DN), "err", err)
+	sendResponse(conn, ErrorResult("malformed request: "+err.Error()), peekID(data), peer, logger)
 }
 
 // sendResponse encodes resp under the request's id on a pooled buffer
@@ -262,13 +295,11 @@ func safeHandle(h Handler, peer Peer, msg *Message, logger *slog.Logger) (resp *
 }
 
 // ErrorResult builds a denied/failed result message.
-func ErrorResult(reason string) *Message {
-	return &Message{Type: MsgResult, Result: &ResultPayload{Granted: false, Reason: reason}}
-}
+func ErrorResult(reason string) *Message { return newResult(ResultPayload{Reason: reason}) }
 
 // OKResult builds a granted result message.
 func OKResult(handle string) *Message {
-	return &Message{Type: MsgResult, Result: &ResultPayload{Granted: true, Handle: handle}}
+	return newResult(ResultPayload{Granted: true, Handle: handle})
 }
 
 // Client is a multiplexed request/response client over one
@@ -297,6 +328,12 @@ type Client struct {
 	waiters map[uint64]waiter
 	err     error // terminal fault, set once when the client dies
 	closing bool  // CloseWhenIdle called: refuse new calls, close at drain
+	// timer bounds every timed call with one timer: it is armed at the
+	// earliest waiting deadline (timerAt, zero while disarmed) and runs
+	// sweep, which answers the calls whose deadline has passed and arms
+	// it again at the next one.
+	timer   *time.Timer
+	timerAt time.Time
 
 	failOnce sync.Once     // makes fail idempotent: demux exit and send faults race
 	done     chan struct{} // closed when the client dies
@@ -305,12 +342,25 @@ type Client struct {
 }
 
 // waiter is what a request left behind for its response: the channel a
-// Call blocks on, or a Post's callback and the time it was sent.
+// Call blocks on and its deadline (zero: none), or a Post's callback and
+// the time it was sent. Whoever deletes a call's waiter from the map,
+// under c.mu, sends it the one value its channel will ever carry: the
+// demux the answer, sweep expiredCall, fail deadCall. So a call that
+// receives is done with its channel, and a reply that races its
+// deadline is either returned or counted late, never lost.
 type waiter struct {
-	ch chan *Message
-	fn func(*Message)
-	at time.Time
+	ch       chan *Message
+	deadline time.Time
+	fn       func(*Message)
+	at       time.Time
 }
+
+// expiredCall and deadCall are what sweep and fail deliver in place of
+// an answer.
+var expiredCall, deadCall = new(Message), new(Message)
+
+// callChans recycles the calls' answer channels (see waiter).
+var callChans = sync.Pool{New: func() any { return make(chan *Message, 1) }}
 
 // NewClient wraps an established connection and starts its demux
 // goroutine.
@@ -320,6 +370,8 @@ func NewClient(conn transport.Conn) *Client {
 		waiters: make(map[uint64]waiter),
 		done:    make(chan struct{}),
 	}
+	c.timer = time.AfterFunc(time.Hour, c.sweep)
+	c.timer.Stop()
 	go c.demux()
 	return c
 }
@@ -395,7 +447,7 @@ func (c *Client) demux() {
 			c.fail(fmt.Errorf("signalling: recv from %s: %w", c.conn.PeerDN(), err))
 			return
 		}
-		if err := resp.decodeFrame(raw, ""); err != nil {
+		if err := resp.decodeFrame(raw, "", nil); err != nil {
 			c.fail(fmt.Errorf("signalling: undecodable response from %s: %w", c.conn.PeerDN(), err))
 			return
 		}
@@ -412,11 +464,18 @@ func (c *Client) demux() {
 		case w.fn != nil:
 			w.fn(&resp)
 		default:
-			// The call keeps the message and its payloads; the next
-			// response is decoded into fresh ones.
-			m := new(Message)
-			*m, resp = resp, Message{}
-			w.ch <- m // buffered: never blocks the loop
+			// The call keeps its answer: a result is copied out, message
+			// and payload in one allocation, and the loop decodes into
+			// its payload again; anything else is handed over whole.
+			var m *Message
+			if resp.Result != nil {
+				m = newResult(*resp.Result)
+				m.ID = resp.ID
+			} else {
+				m = new(Message)
+				*m, resp = resp, Message{}
+			}
+			w.ch <- m // this loop deleted the waiter: the one send
 		}
 		if drained {
 			// Last in-flight call settled after CloseWhenIdle: the next
@@ -432,7 +491,8 @@ func (c *Client) demux() {
 // before the demux loop ever notices the closed connection. Posts still
 // waiting get nil on a goroutine of their own, never on this stack: a
 // sender may reach here from inside Post, holding whatever lock its
-// callback takes.
+// callback takes. The deadline timer is stopped: armed, it would pin
+// the dead client and its connection until it fired.
 func (c *Client) fail(err error) {
 	c.failOnce.Do(func() {
 		c.mu.Lock()
@@ -443,11 +503,15 @@ func (c *Client) fail(err error) {
 		for _, w := range c.waiters {
 			if w.fn != nil {
 				posted = append(posted, w.fn)
+			} else {
+				w.ch <- deadCall // its one send: never blocks
 			}
 		}
 		c.waiters = make(map[uint64]waiter)
+		c.timer.Stop()
+		c.timerAt = time.Time{}
 		c.mu.Unlock()
-		close(c.done) // waiters and Alive observe the death through done
+		close(c.done) // Alive observes the death through done
 		c.conn.Close()
 		if len(posted) > 0 {
 			go func() {
@@ -473,37 +537,68 @@ func (c *Client) Call(msg *Message) (*Message, error) {
 // late response (if it ever arrives) is dropped and counted. The
 // request may still be processed remotely, so callers owning remote
 // state should clean it up separately.
+//
+// The deadline runs from the call's registration, and the client's one
+// timer enforces it (sweep): a call owns no timer, and its channel is
+// the pool's again once it has received its one value.
 func (c *Client) CallTimeout(msg *Message, timeout time.Duration) (*Message, error) {
-	ch := make(chan *Message, 1)
-	id, err := c.request(msg, waiter{ch: ch}, timeout)
+	w := waiter{ch: callChans.Get().(chan *Message)}
+	if timeout > 0 {
+		w.deadline = time.Now().Add(timeout)
+	}
+	id, err := c.request(msg, w, timeout)
 	if err != nil {
+		// Not pooled: a fail that raced the send may have answered it.
 		return nil, err
 	}
-
-	var expiry <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		expiry = t.C
-	}
-	select {
-	case resp := <-ch:
-		return resp, nil
-	case <-c.done:
-		select {
-		case resp := <-ch: // response raced the connection death
-			return resp, nil
-		default:
-		}
-		return nil, c.Err()
-	case <-expiry:
-		c.unregister(id)
-		select {
-		case resp := <-ch: // delivered in the instant before unregister
-			return resp, nil
-		default:
-		}
+	resp := <-w.ch
+	callChans.Put(w.ch)
+	switch resp {
+	case expiredCall:
 		return nil, fmt.Errorf("signalling: call %d to %s: %w", id, c.conn.PeerDN(), transport.ErrTimeout)
+	case deadCall:
+		return nil, c.Err()
+	}
+	return resp, nil
+}
+
+// sweep runs on the client's timer: it answers every call whose
+// deadline has passed and arms the timer at the earliest deadline left.
+// It reads every deadline afresh under c.mu, so a run the timer makes
+// when nothing is due (a Reset racing a firing) only re-arms.
+func (c *Client) sweep() {
+	now := time.Now()
+	c.mu.Lock()
+	c.timerAt = time.Time{}
+	var next time.Time
+	for id, w := range c.waiters {
+		switch {
+		case w.deadline.IsZero():
+		case !now.Before(w.deadline):
+			delete(c.waiters, id)
+			w.ch <- expiredCall // its one send: never blocks
+		case next.IsZero() || w.deadline.Before(next):
+			next = w.deadline
+		}
+	}
+	if !next.IsZero() {
+		c.armLocked(next, now)
+	}
+	drained := c.closing && len(c.waiters) == 0
+	c.mu.Unlock()
+	if drained {
+		c.conn.Close()
+	}
+}
+
+// armLocked moves the timer to deadline if that is earlier than where
+// it is armed. Caller holds c.mu. A closed-loop caller's deadlines only
+// grow, so its calls never move the timer: it fires once per timeout,
+// and sweep re-arms it for whoever is waiting then.
+func (c *Client) armLocked(deadline, now time.Time) {
+	if c.timerAt.IsZero() || deadline.Before(c.timerAt) {
+		c.timerAt = deadline
+		c.timer.Reset(deadline.Sub(now))
 	}
 }
 
@@ -537,6 +632,9 @@ func (c *Client) request(msg *Message, w waiter, timeout time.Duration) (uint64,
 	c.nextID++
 	id := c.nextID
 	c.waiters[id] = w
+	if !w.deadline.IsZero() {
+		c.armLocked(w.deadline, time.Now())
+	}
 	c.mu.Unlock()
 
 	// Encoded under this call's ID without touching msg: the caller may
@@ -581,8 +679,8 @@ func (c *Client) send(data []byte, id uint64, timeout time.Duration) error {
 	return nil
 }
 
-// unregister withdraws a waiter (deadline expiry, send failure) and
-// completes a pending CloseWhenIdle if this was the last one.
+// unregister withdraws the waiter of a request that could not be sent,
+// and completes a pending CloseWhenIdle if it was the last one.
 func (c *Client) unregister(id uint64) {
 	c.mu.Lock()
 	delete(c.waiters, id)

@@ -33,8 +33,13 @@
 #                          stream message
 #                          (TestFollowerStreamApplyAllocationBound),
 #                          QHist Observe, event append, ledger reads,
-#                          signature verify, warm chain Verify per layer,
-#                          Seal, tunnel batch validate / decode / dense
+#                          signature verify, a warm chain Verify (the
+#                          same count at 2 and 8 layers, <= 6), Unwrap
+#                          into a used chain (1 object at any depth), a
+#                          policy decision (0), one 8-domain World
+#                          reserve + cancel (TestReserveChainAllocationBound:
+#                          <= 470 objects), Seal, tunnel batch validate /
+#                          decode / dense
 #                          grant of an alloc and a release batch
 #                          (TestTunnelBatchDenseAllocationBound), a batch
 #                          denied at its last op
@@ -102,7 +107,7 @@ loc:
 	printf '%6d total\n' $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -vcE '^[[:space:]]*(//.*)?$$')
 
 alloc-gate:
-	$(GO) test -run 'AllocationFree|AllocationBound' ./internal/signalling ./internal/journal ./internal/obs ./internal/resv ./internal/core ./internal/identity ./internal/bb ./internal/tunnel
+	$(GO) test -run 'AllocationFree|AllocationBound' ./internal/signalling ./internal/journal ./internal/obs ./internal/resv ./internal/core ./internal/identity ./internal/bb ./internal/tunnel ./internal/envelope ./internal/policy ./internal/experiment
 
 fuzz-short:
 	$(GO) test -run NONE -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/envelope

@@ -16,6 +16,9 @@ type bbMetrics struct {
 	granted   *obs.Counter // reserves granted at this hop
 	denied    *obs.Counter // reserves denied or failed at this hop
 	cancels   *obs.Counter // cancel requests received
+	// layerChecks counts the envelope-layer signatures verified in
+	// accepted reserve chains: N(N+1)/2 across a path of N domains.
+	layerChecks *obs.Counter
 	// Robustness-layer counters.
 	rollbacks       *obs.Counter // optimistic admissions rolled back
 	retries         *obs.Counter // downstream call retries
@@ -89,6 +92,7 @@ func newBBMetrics(r *obs.Registry) bbMetrics {
 		granted:      r.Counter("bb_rars_granted_total", "reserve requests granted at this hop"),
 		denied:       r.Counter("bb_rars_denied_total", "reserve requests denied or failed at this hop"),
 		cancels:      r.Counter("bb_cancels_total", "cancel requests received"),
+		layerChecks:  r.Counter("bb_layer_signatures_verified_total", "envelope layer signatures verified in accepted reserve chains"),
 		rollbacks:    r.Counter("bb_rollbacks_total", "optimistic admissions rolled back after downstream denial or failure"),
 		retries:      r.Counter("bb_retries_total", "downstream call retries after transport failures"),
 		breakerOpens: r.Counter("bb_breaker_opens_total", "per-peer circuit breaker open transitions"),

@@ -86,6 +86,7 @@ func (b *BB) handleReserve(peer signalling.Peer, payload *signalling.ReservePayl
 		b.recordReserveEvent("", "", payload, resp, t0)
 		return resp
 	}
+	b.m.layerChecks.Add(int64(verified.Signatures))
 	spec := verified.Spec
 
 	// Flight-recorder sampling: only the ingress hop — the broker that
@@ -276,8 +277,10 @@ func (b *BB) processReserve(fc *forwardCtx, now time.Time) *signalling.Message {
 		DestDomain:         spec.DestDomain,
 		Assertions:         spec.Assertions,
 		CapabilityChain:    verified.Capabilities,
-		RequireRestriction: spec.RestrictionFor(),
 		LinkedReservations: b.validateLinkedHandles(spec),
+	}
+	if len(q.CapabilityChain) > 0 {
+		q.RequireRestriction = spec.RestrictionFor()
 	}
 	tPolicy := time.Now()
 	res, err := b.cfg.Policy.Decide(q)

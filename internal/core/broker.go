@@ -49,6 +49,9 @@ type Broker struct {
 	// certificates of chains this broker has verified. It is the
 	// broker's own: brokers sharing a process do not warm each other.
 	certs pki.CertCache
+	// scratch pools the *verifyScratch that Verify works in; it too is
+	// the broker's own.
+	scratch sync.Pool
 }
 
 // NewBroker assembles a protocol broker. cert, when given, must be
@@ -77,6 +80,9 @@ type VerifiedRequest struct {
 	// Capabilities is the accumulated delegation chain, ready for
 	// policy-engine verification.
 	Capabilities pki.CapabilityChain
+	// Signatures is how many layer signatures verifying the request
+	// checked: one per layer, N(N+1)/2 over a path of N domains.
+	Signatures int
 }
 
 // Verify unwraps an inbound envelope received over a mutually
@@ -96,93 +102,61 @@ func (b *Broker) Verify(env *envelope.Envelope, channelPeer identity.DN, channel
 	if at.IsZero() {
 		at = time.Now()
 	}
-	maxDepth := b.Trust.MaxIntroducerDepth()
+	s, _ := b.scratch.Get().(*verifyScratch)
+	if s == nil {
+		s = new(verifyScratch)
+	}
+	s.b, s.channelPeerCert, s.at, s.maxDepth = b, channelPeerCert, at, b.Trust.MaxIntroducerDepth()
+	verified, err := s.verify(env)
+	s.release()
+	b.scratch.Put(s)
+	return verified, err
+}
+
+// verifyScratch is what one Verify works in besides what it returns:
+// the chain it unwraps into, the certificates it meets for the first
+// time, and the request's trust inputs. Each broker pools its own.
+// Nothing a VerifiedRequest holds points into one, and release leaves
+// it holding nothing of the request but the capacity of its arrays.
+type verifyScratch struct {
+	chain           envelope.Chain
+	b               *Broker
+	channelPeerCert []byte
+	at              time.Time
+	maxDepth        int
 	// Certificates met for the first time wait here and enter the cache
 	// only once the chain that carried them has verified. Inner layers
 	// are resolved from several goroutines, hence the lock.
-	var (
-		freshMu sync.Mutex
-		fresh   []*pki.Certificate
-	)
-	parse := func(der []byte) (*pki.Certificate, error) {
-		if cert, ok := b.certs.Get(der); ok {
-			return cert, nil
-		}
-		// A private copy: the parsed form may outlive this request.
-		cert, err := pki.ParseCertificate(append([]byte(nil), der...))
-		if err != nil {
-			return nil, err
-		}
-		freshMu.Lock()
-		fresh = append(fresh, cert)
-		freshMu.Unlock()
-		return cert, nil
-	}
-	// The outermost layer is depth 0. envelope.Unwrap may resolve inner
-	// layers that carry a certificate in any order and before the layers
-	// outside them have verified, so that branch reads its arguments and
-	// the cache and writes nothing but this request's fresh list.
-	resolve := func(depth int, dn identity.DN, certHint []byte) (identity.PublicKey, error) {
-		if depth == 0 {
-			// The channel handshake authenticated this key.
-			if pinned, ok := b.Trust.PeerKey(dn); ok {
-				return pinned, nil
-			}
-			if channelPeerCert != nil {
-				cert, err := parse(channelPeerCert)
-				if err != nil {
-					return nil, err
-				}
-				if cert.SubjectDN() != dn {
-					return nil, fmt.Errorf("core: channel certificate subject %s does not match signer %s", cert.SubjectDN(), dn)
-				}
-				return b.Trust.DirectlyTrusted(cert, at)
-			}
-			return nil, fmt.Errorf("core: no trust path to channel peer %s", dn)
-		}
-		// Inner layers: the verified wrapping layer introduced this
-		// signer by embedding its certificate.
-		if depth > maxDepth {
-			return nil, fmt.Errorf("core: introduction depth %d exceeds local policy limit %d", depth, maxDepth)
-		}
-		if certHint == nil {
-			if b.Directory != nil {
-				pub, err := b.Directory.LookupKey(dn)
-				if err != nil {
-					return nil, fmt.Errorf("core: directory lookup for %s: %w", dn, err)
-				}
-				return pub, nil
-			}
-			return nil, fmt.Errorf("core: layer %d (%s) has no introducing certificate", depth, dn)
-		}
-		cert, err := parse(certHint)
-		if err != nil {
-			return nil, fmt.Errorf("core: introduced certificate for %s: %w", dn, err)
-		}
-		if cert.SubjectDN() != dn {
-			return nil, fmt.Errorf("core: introduced certificate names %s, layer signed by %s", cert.SubjectDN(), dn)
-		}
-		if !cert.ValidAt(at) {
-			return nil, fmt.Errorf("core: introduced certificate for %s not valid at %s", dn, at)
-		}
-		return cert.PublicKey(), nil
-	}
-	chain, err := envelope.Unwrap(env, resolve)
-	if err != nil {
+	freshMu sync.Mutex
+	fresh   []*pki.Certificate
+}
+
+// release drops everything s holds of the request it served.
+func (s *verifyScratch) release() {
+	s.chain.Reset()
+	clear(s.fresh)
+	s.fresh = s.fresh[:0]
+	s.b, s.channelPeerCert, s.at, s.maxDepth = nil, nil, time.Time{}, 0
+}
+
+func (s *verifyScratch) verify(env *envelope.Envelope) (*VerifiedRequest, error) {
+	b, chain := s.b, &s.chain
+	if err := chain.Unwrap(env, s); err != nil {
 		return nil, err
 	}
-	for _, cert := range fresh {
+	for _, cert := range s.fresh {
 		b.certs.Add(cert)
 	}
 	if err := b.checkPathNaming(chain); err != nil {
 		return nil, err
 	}
+	inner := &chain.Layers[len(chain.Layers)-1]
 	if b.MaxRequestAge > 0 {
-		stamped := chain.Layers[len(chain.Layers)-1].Body.Timestamp
+		stamped := inner.Body.Timestamp
 		if stamped.IsZero() {
 			return nil, fmt.Errorf("core: innermost layer carries no timestamp")
 		}
-		if age := at.Sub(stamped); age > b.MaxRequestAge {
+		if age := s.at.Sub(stamped); age > b.MaxRequestAge {
 			return nil, fmt.Errorf("core: request is %s old, limit %s (replay window)", age, b.MaxRequestAge)
 		}
 	}
@@ -195,8 +169,8 @@ func (b *Broker) Verify(env *envelope.Envelope, channelPeer identity.DN, channel
 	}
 	// The innermost layer must be signed by the user the spec names:
 	// the signature over res_spec is the user's.
-	if inner := chain.Layers[len(chain.Layers)-1].SignerDN; inner != spec.User {
-		return nil, fmt.Errorf("core: spec names user %s but innermost signature is by %s", spec.User, inner)
+	if signer := inner.Env.SignerDN; signer != spec.User {
+		return nil, fmt.Errorf("core: spec names user %s but innermost signature is by %s", spec.User, signer)
 	}
 	caps, err := chain.Capabilities()
 	if err != nil {
@@ -205,7 +179,76 @@ func (b *Broker) Verify(env *envelope.Envelope, channelPeer identity.DN, channel
 	if n := len(caps); n > 0 && caps[n-1].SubjectDN() != b.Key.DN {
 		return nil, fmt.Errorf("%w: it ends at %s, verifier is %s", ErrCapabilityHolder, caps[n-1].SubjectDN(), b.Key.DN)
 	}
-	return &VerifiedRequest{Spec: spec, Path: chain.PathDNs(), Capabilities: caps}, nil
+	return &VerifiedRequest{Spec: spec, Path: chain.PathDNs(), Capabilities: caps, Signatures: chain.Verified()}, nil
+}
+
+// parse returns der's parsed certificate, from the broker's cache or,
+// parsed from a private copy (the parsed form may outlive this
+// request), from the request's fresh list.
+func (s *verifyScratch) parse(der []byte) (*pki.Certificate, error) {
+	if cert, ok := s.b.certs.Get(der); ok {
+		return cert, nil
+	}
+	cert, err := pki.ParseCertificate(append([]byte(nil), der...))
+	if err != nil {
+		return nil, err
+	}
+	s.freshMu.Lock()
+	s.fresh = append(s.fresh, cert)
+	s.freshMu.Unlock()
+	return cert, nil
+}
+
+// ResolveKey is the chain's envelope.KeyResolver. The outermost layer
+// is depth 0. Unwrap may resolve inner layers that carry a certificate
+// in any order and before the layers outside them have verified, so
+// that branch reads its arguments and the cache and writes nothing but
+// this request's fresh list.
+func (s *verifyScratch) ResolveKey(depth int, dn identity.DN, certHint []byte) (identity.PublicKey, error) {
+	b := s.b
+	if depth == 0 {
+		// The channel handshake authenticated this key.
+		if pinned, ok := b.Trust.PeerKey(dn); ok {
+			return pinned, nil
+		}
+		if s.channelPeerCert != nil {
+			cert, err := s.parse(s.channelPeerCert)
+			if err != nil {
+				return nil, err
+			}
+			if cert.SubjectDN() != dn {
+				return nil, fmt.Errorf("core: channel certificate subject %s does not match signer %s", cert.SubjectDN(), dn)
+			}
+			return b.Trust.DirectlyTrusted(cert, s.at)
+		}
+		return nil, fmt.Errorf("core: no trust path to channel peer %s", dn)
+	}
+	// Inner layers: the verified wrapping layer introduced this
+	// signer by embedding its certificate.
+	if depth > s.maxDepth {
+		return nil, fmt.Errorf("core: introduction depth %d exceeds local policy limit %d", depth, s.maxDepth)
+	}
+	if certHint == nil {
+		if b.Directory != nil {
+			pub, err := b.Directory.LookupKey(dn)
+			if err != nil {
+				return nil, fmt.Errorf("core: directory lookup for %s: %w", dn, err)
+			}
+			return pub, nil
+		}
+		return nil, fmt.Errorf("core: layer %d (%s) has no introducing certificate", depth, dn)
+	}
+	cert, err := s.parse(certHint)
+	if err != nil {
+		return nil, fmt.Errorf("core: introduced certificate for %s: %w", dn, err)
+	}
+	if cert.SubjectDN() != dn {
+		return nil, fmt.Errorf("core: introduced certificate names %s, layer signed by %s", cert.SubjectDN(), dn)
+	}
+	if !cert.ValidAt(s.at) {
+		return nil, fmt.Errorf("core: introduced certificate for %s not valid at %s", dn, s.at)
+	}
+	return cert.PublicKey(), nil
 }
 
 // checkPathNaming enforces the signed next-hop pointers: each layer
@@ -216,14 +259,14 @@ func (b *Broker) Verify(env *envelope.Envelope, channelPeer identity.DN, channel
 // with domain B by listing the DN of BB_B in its request").
 func (b *Broker) checkPathNaming(chain *envelope.Chain) error {
 	for i := len(chain.Layers) - 1; i >= 0; i-- {
-		layer := chain.Layers[i]
+		layer := &chain.Layers[i]
 		want := b.Key.DN
 		if i > 0 {
-			want = chain.Layers[i-1].SignerDN
+			want = chain.Layers[i-1].Env.SignerDN
 		}
 		if layer.Body.NextHopDN != want {
 			return fmt.Errorf("core: layer signed by %s is addressed to %s, but next signer is %s",
-				layer.SignerDN, layer.Body.NextHopDN, want)
+				layer.Env.SignerDN, layer.Body.NextHopDN, want)
 		}
 	}
 	return nil

@@ -121,14 +121,18 @@ func (s *Spec) AppendBinary(buf []byte) []byte {
 	return wire.AppendStringMap(buf, 13, s.LinkedHandles)
 }
 
-// DecodeBinary reverses AppendBinary. Input that does not open with the
-// spec's magic and version is wire.ErrUnsupportedFormat.
-func (s *Spec) DecodeBinary(data []byte) error {
-	fields, err := wire.Header(data, specMagic)
+// DecodeSpec decodes a spec from a verified chain's request: the
+// reverse of AppendBinary. Input that does not open with the spec's
+// magic and version is wire.ErrUnsupportedFormat. Every string of the
+// spec is cut from one exact-size copy of the spec's fields, so it
+// holds nothing of the frame raw was decoded from.
+func DecodeSpec(raw []byte) (*Spec, error) {
+	fields, err := wire.Header(raw, specMagic)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("core: decode spec: %w", err)
 	}
-	d := wire.Dec{Buf: fields}
+	s := &Spec{}
+	d := wire.Dec{Buf: fields, Text: string(fields)}
 	for d.More() {
 		f, wt := d.Tag()
 		switch {
@@ -166,14 +170,8 @@ func (s *Spec) DecodeBinary(data []byte) error {
 			d.Skip(wt)
 		}
 	}
-	return d.Err()
-}
-
-// DecodeSpec decodes a spec from a verified chain's request.
-func DecodeSpec(raw []byte) (*Spec, error) {
-	var s Spec
-	if err := s.DecodeBinary(raw); err != nil {
+	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("core: decode spec: %w", err)
 	}
-	return &s, nil
+	return s, nil
 }

@@ -38,23 +38,23 @@ func appendEnvelope(buf []byte, e *Envelope) []byte {
 	return buf
 }
 
-// decodeEnvelope parses one binary envelope in place: Payload and
-// Signature are sub-slices of d.Buf, and so the caller's to keep only
-// for as long as it owns those bytes (DESIGN.md §6.6, "Who owns a
+// decodeEnvelope parses one binary envelope into e, in place: Payload
+// and Signature are sub-slices of d.Buf, and so the caller's to keep
+// only for as long as it owns those bytes (DESIGN.md §6.6, "Who owns a
 // frame"). SignerDN is a substring of d.Text when the decoder has one
 // and a copy otherwise.
-func decodeEnvelope(d wire.Dec) (*Envelope, error) {
+func decodeEnvelope(e *Envelope, d wire.Dec) error {
 	if len(d.Buf) < 2 || d.Buf[0] != envMagic {
-		return nil, fmt.Errorf("envelope: not a binary envelope")
+		return fmt.Errorf("envelope: not a binary envelope")
 	}
 	if d.Buf[1] != envVersion {
-		return nil, fmt.Errorf("envelope: unsupported version %d", d.Buf[1])
+		return fmt.Errorf("envelope: unsupported version %d", d.Buf[1])
 	}
 	d.Buf = d.Buf[2:]
 	if d.Text != "" {
 		d.Text = d.Text[2:]
 	}
-	e := &Envelope{}
+	*e = Envelope{}
 	for d.More() {
 		f, wt := d.Tag()
 		switch {
@@ -70,9 +70,9 @@ func decodeEnvelope(d wire.Dec) (*Envelope, error) {
 		}
 	}
 	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("envelope: decode: %w", err)
+		return fmt.Errorf("envelope: decode: %w", err)
 	}
-	return e, nil
+	return nil
 }
 
 // bodySize is the length of b's canonical field encoding: every field's
@@ -111,23 +111,25 @@ func appendBody(buf []byte, b *Body) []byte {
 	return buf
 }
 
-// decodeBody parses a payload produced by appendBody, in place: every
-// bytes field of the body, and of the envelope inside it, is a
+// decodeBody parses a payload produced by appendBody into b, in place:
+// every bytes field of the body, and of the envelope inside it, is a
 // sub-slice of data. text, when set, holds the same bytes as data, and
-// the layer's DNs are substrings of it: one copy per onion, made by
-// Unwrap, serves every layer. Policy attributes stay copies.
-func decodeBody(data []byte, text string) (*Body, error) {
-	b := &Body{}
+// the layer's DNs and policy attributes are substrings of it: one copy
+// per onion, made by Unwrap, serves every layer. The envelope nested
+// in the body, if any, is decoded into inner and reported by hasInner;
+// b.Inner is left as the caller set it. b keeps its capability array
+// and policy map.
+func decodeBody(b *Body, inner *Envelope, data []byte, text string) (hasInner bool, err error) {
+	b.reset()
 	d := wire.Dec{Buf: data, Text: text}
 	for d.More() {
 		f, wt := d.Tag()
 		switch {
 		case f == 1 && wt == wire.TBytes:
-			inner, err := decodeEnvelope(d.Nested())
-			if err != nil {
-				return nil, err
+			if err := decodeEnvelope(inner, d.Nested()); err != nil {
+				return false, err
 			}
-			b.Inner = inner
+			hasInner = true
 		case f == 2 && wt == wire.TBytes:
 			b.Request = d.Bytes()
 		case f == 3 && wt == wire.TBytes:
@@ -137,10 +139,14 @@ func decodeBody(data []byte, text string) (*Body, error) {
 		case f == 5 && wt == wire.TBytes:
 			b.CapabilityDERs = append(b.CapabilityDERs, d.Bytes())
 		case f == 6 && wt == wire.TBytes:
+			pair := d.Nested()
+			k, v := pair.String(), pair.String()
+			if err := pair.Err(); err != nil {
+				return false, fmt.Errorf("envelope: decode body: %w", err)
+			}
 			if b.PolicyInfo == nil {
 				b.PolicyInfo = make(map[string]string)
 			}
-			k, v := d.StringPair()
 			b.PolicyInfo[k] = v
 		case f == 7 && wt == wire.TBytes:
 			b.Timestamp = wire.DecodeTime(d.Bytes())
@@ -149,7 +155,7 @@ func decodeBody(data []byte, text string) (*Body, error) {
 		}
 	}
 	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("envelope: decode body: %w", err)
+		return false, fmt.Errorf("envelope: decode body: %w", err)
 	}
-	return b, nil
+	return hasInner, nil
 }

@@ -105,27 +105,48 @@ func (e *Envelope) verify(pub identity.PublicKey) error {
 	return nil
 }
 
-func (e *Envelope) peekBody(text string) (*Body, error) {
-	body, err := decodeBody(e.Payload, text)
-	if err != nil {
-		return nil, fmt.Errorf("envelope: body signed by %s: %w", e.SignerDN, err)
+// peekBody decodes e's body into b and the envelope nested in it, if
+// any, into inner; hasInner reports whether there was one. b.Inner is
+// left for the caller to point at wherever it keeps inner.
+func (e *Envelope) peekBody(b *Body, inner *Envelope, text string) (hasInner bool, err error) {
+	if hasInner, err = decodeBody(b, inner, e.Payload, text); err != nil {
+		return false, fmt.Errorf("envelope: body signed by %s: %w", e.SignerDN, err)
 	}
-	return body, nil
+	return hasInner, nil
 }
 
-// Layer is one verified stratum of an unwrapped envelope chain, ordered
-// outermost (most recent hop) first.
+// Layer is one stratum of an unwrapped envelope chain. Env and Body are
+// held by value: a chain decodes into the layer array it already has.
 type Layer struct {
-	SignerDN identity.DN
-	Body     *Body
+	Env  Envelope
+	Body Body
 }
 
 // Chain is the fully verified onion: Layers[0] is the outermost
 // (signed by the last BB before the verifier), Layers[len-1] the
-// innermost (signed by the user). Request is the innermost payload.
+// innermost (signed by the user), and each layer's Body.Inner points
+// at the next layer's Env. Request is the innermost payload.
+//
+// A Chain is reusable. Unwrap decodes into the arrays the chain already
+// has, and Reset drops every reference into the frame the last onion
+// was decoded from while keeping them; a verifier that pools chains
+// allocates nothing per layer once they have grown.
 type Chain struct {
 	Layers  []Layer
 	Request []byte
+	run     run
+}
+
+// run is the state of Unwrap while it checks layers: the resolver, and
+// the run of layers the caller and its helper goroutines share.
+type run struct {
+	resolve    KeyResolver
+	start, end int
+	errs       []error      // layer start+i's error at i
+	next       atomic.Int64 // the next layer to hand out
+	failed     atomic.Int64 // the outermost layer known to have failed
+	verified   atomic.Int64 // signatures checked since the last Reset
+	wg         sync.WaitGroup
 }
 
 // PathDNs returns the signer DNs from the user outward:
@@ -134,7 +155,7 @@ type Chain struct {
 func (c *Chain) PathDNs() []identity.DN {
 	out := make([]identity.DN, 0, len(c.Layers))
 	for i := len(c.Layers) - 1; i >= 0; i-- {
-		out = append(out, c.Layers[i].SignerDN)
+		out = append(out, c.Layers[i].Env.SignerDN)
 	}
 	return out
 }
@@ -150,23 +171,64 @@ func (c *Chain) Capabilities() (pki.CapabilityChain, error) {
 	return pki.DecodeCapabilityChain(ders)
 }
 
+// Verified returns how many layer signatures the last Unwrap checked,
+// counted where each check runs: N(N+1)/2 over a path of N domains.
+func (c *Chain) Verified() int { return int(c.run.verified.Load()) }
+
+// Reset drops everything the chain holds of the onion it last
+// unwrapped — every sub-slice of its frame, every DN cut from its
+// string, every error — and keeps the arrays.
+func (c *Chain) Reset() {
+	for i := range c.Layers {
+		c.Layers[i].Env = Envelope{}
+		c.Layers[i].Body.reset()
+	}
+	c.Layers = c.Layers[:0]
+	c.Request = nil
+	clear(c.run.errs[:cap(c.run.errs)])
+	c.run.verified.Store(0)
+}
+
+// reset zeroes b but keeps its capability array and policy map.
+func (b *Body) reset() {
+	clear(b.CapabilityDERs)
+	clear(b.PolicyInfo)
+	*b = Body{CapabilityDERs: b.CapabilityDERs[:0], PolicyInfo: b.PolicyInfo}
+}
+
+// push appends a layer holding env, reusing the slot the array may
+// already have (and the capability array and policy map in it).
+func (c *Chain) push(env *Envelope) {
+	if n := len(c.Layers); n < cap(c.Layers) {
+		c.Layers = c.Layers[:n+1]
+	} else {
+		c.Layers = append(c.Layers, Layer{})
+	}
+	c.Layers[len(c.Layers)-1].Env = *env
+}
+
 // KeyResolver resolves the public key to verify the layer at depth
 // (0 is the outermost) signed by dn. The certDER hint is the certificate
 // the NEXT outer layer attached for this signer (cert_N in the paper);
 // it is nil for the outermost layer, whose key the verifier knows from
 // the TLS handshake, and for an inner layer whose wrapper attached none.
 //
-// Unwrap calls it once per layer. A call that carries a hint may come
-// from any goroutine, alongside other such calls, and before the layers
-// outside it have verified: it must depend on its arguments only and
-// leave nothing behind. A call without a hint — the one that may ask a
-// directory — is made only once every layer outside has verified, and
-// never beside another call without a hint.
-type KeyResolver func(depth int, dn identity.DN, certDER []byte) (identity.PublicKey, error)
+// Unwrap calls ResolveKey once per layer. A call that carries a hint
+// may come from any goroutine, alongside other such calls, and before
+// the layers outside it have verified: it must depend on its arguments
+// only and leave nothing behind. A call without a hint — the one that
+// may ask a directory — is made only once every layer outside has
+// verified, and never beside another call without a hint.
+type KeyResolver interface {
+	ResolveKey(depth int, dn identity.DN, certDER []byte) (identity.PublicKey, error)
+}
 
-// Unwrap peels and verifies every layer of the onion and returns the
-// chain only if every layer verified; the error is the one a walk from
-// the outside in, one layer at a time, would have met first.
+// Unwrap peels and verifies every layer of the onion into c and
+// succeeds only if every layer verified; the error is the one a walk
+// from the outside in, one layer at a time, would have met first. What
+// c held before is dropped first. After an error c holds no verified
+// chain, only what the caller must Reset before it lets go of outer's
+// frame.
 //
 // The outermost layer is resolved, verified and decoded on its own, so
 // not one byte inside the neighbour's envelope is decoded before the
@@ -175,29 +237,21 @@ type KeyResolver func(depth int, dn identity.DN, certDER []byte) (identity.Publi
 // to min(GOMAXPROCS, layers)-1 helper goroutines. A layer without a
 // certificate hint is a flush point: its key is asked for only after
 // every layer outside it has verified.
-func Unwrap(outer *Envelope, resolve KeyResolver) (*Chain, error) {
+func (c *Chain) Unwrap(outer *Envelope, resolve KeyResolver) error {
+	c.Reset()
 	if outer == nil {
-		return nil, fmt.Errorf("envelope: empty chain")
+		return fmt.Errorf("envelope: empty chain")
 	}
-	envs := append(make([]*Envelope, 0, 8), outer)
-	chain := &Chain{Layers: make([]Layer, 0, 8)}
-	check := func(d int) error {
-		env := envs[d]
-		var hint []byte
-		if d > 0 {
-			hint = chain.Layers[d-1].Body.UpstreamCertDER
-		}
-		pub, err := resolve(d, env.SignerDN, hint)
-		if err != nil {
-			return fmt.Errorf("envelope: resolving key for layer %d (%s): %w", d, env.SignerDN, err)
-		}
-		if err := env.verify(pub); err != nil {
-			return fmt.Errorf("envelope: layer %d: %w", d, err)
-		}
-		return nil
-	}
-	if err := check(0); err != nil {
-		return nil, err
+	c.run.resolve = resolve
+	err := c.peel(outer)
+	c.run.resolve = nil
+	return err
+}
+
+func (c *Chain) peel(outer *Envelope) error {
+	c.push(outer)
+	if err := c.check(0); err != nil {
+		return err
 	}
 
 	// Decode inward, in place: every layer's bytes stay where outer's
@@ -205,109 +259,156 @@ func Unwrap(outer *Envelope, resolve KeyResolver) (*Chain, error) {
 	// that its signature holds, serves the DNs of every layer inside.
 	// after is what the walk ran into where it stopped; it is reported
 	// only if every layer found on the way verifies.
-	var after error
+	var (
+		after error
+		inner Envelope
+	)
 	text := string(outer.Payload)
-	for env := outer; ; text = env.text { // an inner layer's slice of it
-		body, err := env.peekBody(text)
-		chain.Layers = append(chain.Layers, Layer{SignerDN: env.SignerDN, Body: body})
+	for d := 0; ; d++ {
+		l := &c.Layers[d]
+		hasInner, err := l.Env.peekBody(&l.Body, &inner, text)
 		if err != nil {
-			after = fmt.Errorf("envelope: layer %d: %w", len(envs)-1, err)
+			after = fmt.Errorf("envelope: layer %d: %w", d, err)
 			break
 		}
-		if body.Inner == nil {
-			if body.Request == nil {
-				after = fmt.Errorf("envelope: innermost layer (%s) carries no request", env.SignerDN)
+		if !hasInner {
+			if l.Body.Request == nil {
+				after = fmt.Errorf("envelope: innermost layer (%s) carries no request", l.Env.SignerDN)
 			}
-			chain.Request = body.Request
+			c.Request = l.Body.Request
 			break
 		}
-		if len(envs) == maxDepth {
+		if len(c.Layers) == maxDepth {
 			after = fmt.Errorf("envelope: chain deeper than %d layers", maxDepth)
 			break
 		}
-		env = body.Inner
-		envs = append(envs, env)
+		c.push(&inner)
+		text = inner.text // an inner layer's slice of it
+	}
+	// The array has stopped growing: link each layer to the next.
+	for d := 1; d < len(c.Layers); d++ {
+		c.Layers[d-1].Body.Inner = &c.Layers[d].Env
 	}
 
 	// One run of layers at a time: a run starts at layer 1 or at a
 	// flush point and ends before the next flush point.
-	for start := 1; start < len(envs); {
+	for start := 1; start < len(c.Layers); {
 		end := start + 1
-		for end < len(envs) && chain.Layers[end-1].Body.UpstreamCertDER != nil {
+		for end < len(c.Layers) && c.Layers[end-1].Body.UpstreamCertDER != nil {
 			end++
 		}
-		if err := checkRun(start, end, check); err != nil {
-			return nil, err
+		if err := c.checkRun(start, end); err != nil {
+			return err
 		}
 		start = end
 	}
-	if after != nil {
-		return nil, after
-	}
-	return chain, nil
+	return after
 }
 
-// checkRun runs check on layers [start, end) and returns the error of
-// the outermost layer that failed. The caller takes layer start, then
+// check resolves layer d's key and verifies its signature.
+func (c *Chain) check(d int) error {
+	env := &c.Layers[d].Env
+	var hint []byte
+	if d > 0 {
+		hint = c.Layers[d-1].Body.UpstreamCertDER
+	}
+	pub, err := c.run.resolve.ResolveKey(d, env.SignerDN, hint)
+	if err != nil {
+		return fmt.Errorf("envelope: resolving key for layer %d (%s): %w", d, env.SignerDN, err)
+	}
+	c.run.verified.Add(1)
+	if err := env.verify(pub); err != nil {
+		return fmt.Errorf("envelope: layer %d: %w", d, err)
+	}
+	return nil
+}
+
+// checkRun checks layers [start, end) and returns the error of the
+// outermost layer that failed. The caller takes layer start, then
 // draws from the cursor it shares with the helpers, so a helper that
 // wakes late finds the work done. With one layer or one processor it
-// starts no goroutine.
-func checkRun(start, end int, check func(d int) error) error {
+// starts no goroutine. It returns only once every helper is done with
+// c.
+func (c *Chain) checkRun(start, end int) error {
 	workers := min(runtime.GOMAXPROCS(0), end-start)
 	if workers <= 1 {
 		for d := start; d < end; d++ {
-			if err := check(d); err != nil {
+			if err := c.check(d); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	var (
-		errs   = make([]error, end-start)
-		next   atomic.Int64 // the next layer to hand out
-		failed atomic.Int64 // the outermost layer known to have failed
-		wg     sync.WaitGroup
-	)
-	next.Store(int64(start + 1))
-	failed.Store(int64(end))
-	run := func(d int) {
-		if int64(d) > failed.Load() {
-			return // a walk from the outside would have stopped before d
-		}
-		if errs[d-start] = check(d); errs[d-start] == nil {
-			return
-		}
-		for f := failed.Load(); int64(d) < f; f = failed.Load() {
-			if failed.CompareAndSwap(f, int64(d)) {
-				break
-			}
-		}
+	r := &c.run
+	r.start, r.end = start, end
+	if n := end - start; cap(r.errs) < n {
+		r.errs = make([]error, n)
+	} else {
+		r.errs = r.errs[:n]
+		clear(r.errs)
 	}
-	draw := func() {
-		for {
-			d := int(next.Add(1)) - 1
-			if d >= end {
-				return
-			}
-			run(d)
-		}
-	}
-	wg.Add(workers - 1)
+	r.next.Store(int64(start + 1))
+	r.failed.Store(int64(end))
+	r.wg.Add(workers - 1)
 	for i := 1; i < workers; i++ {
-		go func() {
-			defer wg.Done()
-			draw()
-		}()
+		go help()
+		helpers <- c
 	}
-	run(start)
-	draw()
-	wg.Wait()
-	for _, err := range errs {
+	c.checkLayer(start)
+	c.draw()
+	r.wg.Wait()
+	for _, err := range r.errs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// helpers hands each helper goroutine the chain it was started for:
+// started on a function that captures nothing, a helper costs no
+// allocation. Each send is matched by one goroutine started just before
+// it, so a send that finds the buffer full only waits for a helper
+// already on its way. The buffer holds what brokers sharing a process
+// hand out at once — an unwrap hands out at most GOMAXPROCS-1 — so the
+// caller goes on to its own layers without waiting for the scheduler.
+var helpers = make(chan *Chain, 64)
+
+// help takes one chain and draws layers from its run until none is
+// left.
+func help() {
+	c := <-helpers
+	c.draw()
+	c.run.wg.Done()
+}
+
+// draw checks layers from the shared cursor until the run is handed
+// out.
+func (c *Chain) draw() {
+	for {
+		d := int(c.run.next.Add(1)) - 1
+		if d >= c.run.end {
+			return
+		}
+		c.checkLayer(d)
+	}
+}
+
+// checkLayer checks layer d of the run unless a layer outside it is
+// known to have failed, and records its failure.
+func (c *Chain) checkLayer(d int) {
+	r := &c.run
+	if int64(d) > r.failed.Load() {
+		return // a walk from the outside would have stopped before d
+	}
+	if r.errs[d-r.start] = c.check(d); r.errs[d-r.start] == nil {
+		return
+	}
+	for f := r.failed.Load(); int64(d) < f; f = r.failed.Load() {
+		if r.failed.CompareAndSwap(f, int64(d)) {
+			break
+		}
+	}
 }
 
 // maxDepth bounds the number of nested layers Unwrap accepts,
@@ -332,7 +433,11 @@ func (e *Envelope) AppendField(buf []byte, field uint32) []byte {
 // them, and nothing that outlives data's owner may keep one without
 // copying it (DESIGN.md §6.6, "Who owns a frame").
 func Decode(data []byte) (*Envelope, error) {
-	return decodeEnvelope(wire.Dec{Buf: data})
+	e := &Envelope{}
+	if err := decodeEnvelope(e, wire.Dec{Buf: data}); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // WireSize returns the encoded size in bytes, used by the Figure 7 /

@@ -3,6 +3,7 @@ package envelope
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -58,14 +59,30 @@ func buildOnion(t *testing.T, hops int) (keys []*identity.KeyPair, outer *Envelo
 // exactly WireSize bytes.
 func encode(e *Envelope) []byte { return appendEnvelope(make([]byte, 0, e.WireSize()), e) }
 
+// resolverFunc adapts a function to KeyResolver.
+type resolverFunc func(depth int, dn identity.DN, certDER []byte) (identity.PublicKey, error)
+
+func (f resolverFunc) ResolveKey(depth int, dn identity.DN, certDER []byte) (identity.PublicKey, error) {
+	return f(depth, dn, certDER)
+}
+
+// unwrap unwraps outer into a chain of its own.
+func unwrap(outer *Envelope, resolve KeyResolver) (*Chain, error) {
+	chain := &Chain{}
+	if err := chain.Unwrap(outer, resolve); err != nil {
+		return nil, err
+	}
+	return chain, nil
+}
+
 // open verifies a one-layer envelope under pub on the Unwrap path and
 // returns its body.
 func open(env *Envelope, pub identity.PublicKey) (*Body, error) {
-	chain, err := Unwrap(env, func(int, identity.DN, []byte) (identity.PublicKey, error) { return pub, nil })
+	chain, err := unwrap(env, resolverFunc(func(int, identity.DN, []byte) (identity.PublicKey, error) { return pub, nil }))
 	if err != nil {
 		return nil, err
 	}
-	return chain.Layers[0].Body, nil
+	return &chain.Layers[0].Body, nil
 }
 
 func resolverFor(keys []*identity.KeyPair) KeyResolver {
@@ -73,13 +90,13 @@ func resolverFor(keys []*identity.KeyPair) KeyResolver {
 	for _, k := range keys {
 		byDN[k.DN] = k.Public()
 	}
-	return func(_ int, dn identity.DN, _ []byte) (identity.PublicKey, error) {
+	return resolverFunc(func(_ int, dn identity.DN, _ []byte) (identity.PublicKey, error) {
 		pub, ok := byDN[dn]
 		if !ok {
 			return nil, fmt.Errorf("unknown signer %s", dn)
 		}
 		return pub, nil
-	}
+	})
 }
 
 func TestSealOpen(t *testing.T) {
@@ -131,7 +148,7 @@ func TestOpenRejectsTamperedPayload(t *testing.T) {
 
 func TestUnwrapThreeHops(t *testing.T) {
 	keys, outer := buildOnion(t, 3)
-	chain, err := Unwrap(outer, resolverFor(keys))
+	chain, err := unwrap(outer, resolverFor(keys))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,9 +171,10 @@ func TestUnwrapThreeHops(t *testing.T) {
 // TestUnwrapChecksEachLayerOnce: a RAR crossing eight domains is
 // unwrapped once per hop, and each unwrap resolves one key — and checks
 // one signature with it — per layer it finds: 1+2+...+8 = 36, whether
-// the onion was sealed here or decoded in place out of a frame.
+// the onion was sealed here or decoded in place out of a frame. The
+// chain's own count, kept where each signature is checked, agrees.
 func TestUnwrapChecksEachLayerOnce(t *testing.T) {
-	checks := 0
+	checks, verified := 0, 0
 	for hops := 0; hops < 8; hops++ {
 		keys, outer := buildOnion(t, hops)
 		data := encode(outer)
@@ -166,21 +184,22 @@ func TestUnwrapChecksEachLayerOnce(t *testing.T) {
 		}
 		resolve := resolverFor(keys)
 		var mu sync.Mutex
-		chain, err := Unwrap(received, func(depth int, dn identity.DN, hint []byte) (identity.PublicKey, error) {
+		chain, err := unwrap(received, resolverFunc(func(depth int, dn identity.DN, hint []byte) (identity.PublicKey, error) {
 			mu.Lock()
 			checks++
 			mu.Unlock()
-			return resolve(depth, dn, hint)
-		})
+			return resolve.ResolveKey(depth, dn, hint)
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(chain.Layers) != hops+1 || chain.PathDNs()[0] != keys[0].DN {
 			t.Fatalf("%d hops: unwrapped %d layers from %v", hops, len(chain.Layers), chain.PathDNs())
 		}
+		verified += chain.Verified()
 	}
-	if checks != 36 {
-		t.Errorf("an 8-domain RAR cost %d signature checks, want 36", checks)
+	if checks != 36 || verified != 36 {
+		t.Errorf("an 8-domain RAR cost %d key resolutions and %d counted signature checks, want 36", checks, verified)
 	}
 }
 
@@ -188,24 +207,28 @@ func TestUnwrapDetectsInnerTampering(t *testing.T) {
 	keys, outer := buildOnion(t, 2)
 	// Tamper with the innermost layer through the outer payload bytes:
 	// flip a byte inside the encoded inner envelope's payload.
-	body, err := decodeBody(outer.Payload, "")
-	if err != nil {
+	var (
+		body  Body
+		inner Envelope
+	)
+	if _, err := decodeBody(&body, &inner, outer.Payload, ""); err != nil {
 		t.Fatal(err)
 	}
-	body.Inner.Payload[10] ^= 0xff
+	body.Inner = &inner
+	inner.Payload[10] ^= 0xff
 	// Re-encode; the outer signature is now stale, so re-sign outer to
 	// simulate a malicious LAST hop modifying an inner layer.
-	payload := appendBody(nil, body)
+	payload := appendBody(nil, &body)
 	sig, _ := keys[len(keys)-1].Sign(payload)
 	outer = &Envelope{SignerDN: keys[len(keys)-1].DN, Payload: payload, Signature: sig}
-	if _, err := Unwrap(outer, resolverFor(keys)); err == nil {
+	if _, err := unwrap(outer, resolverFor(keys)); err == nil {
 		t.Fatal("inner tampering went undetected")
 	}
 }
 
 func TestUnwrapRejectsUnknownSigner(t *testing.T) {
 	keys, outer := buildOnion(t, 2)
-	if _, err := Unwrap(outer, resolverFor(keys[:2])); err == nil {
+	if _, err := unwrap(outer, resolverFor(keys[:2])); err == nil {
 		t.Fatal("unknown signer accepted")
 	}
 }
@@ -216,7 +239,7 @@ func TestUnwrapRejectsEmptyInnermost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Unwrap(env, resolverFor([]*identity.KeyPair{user})); err == nil {
+	if _, err := unwrap(env, resolverFor([]*identity.KeyPair{user})); err == nil {
 		t.Fatal("empty innermost layer accepted")
 	}
 }
@@ -238,7 +261,7 @@ func TestUnwrapDepthBound(t *testing.T) {
 	for layers := 1; layers < maxDepth; layers++ {
 		wrap()
 	}
-	chain, err := Unwrap(env, resolve)
+	chain, err := unwrap(env, resolve)
 	if err != nil {
 		t.Fatalf("%d layers refused: %v", maxDepth, err)
 	}
@@ -246,7 +269,7 @@ func TestUnwrapDepthBound(t *testing.T) {
 		t.Fatalf("layers = %d, want %d", len(chain.Layers), maxDepth)
 	}
 	wrap()
-	_, err = Unwrap(env, resolve)
+	_, err = unwrap(env, resolve)
 	if want := fmt.Sprintf("envelope: chain deeper than %d layers", maxDepth); err == nil || err.Error() != want {
 		t.Fatalf("%d layers: err = %v, want %q", maxDepth+1, err, want)
 	}
@@ -256,7 +279,7 @@ func TestUnwrapDepthBound(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		wrap()
 	}
-	if _, err := Unwrap(env, resolverFor([]*identity.KeyPair{user})); err == nil {
+	if _, err := unwrap(env, resolverFor([]*identity.KeyPair{user})); err == nil {
 		t.Fatal("over-deep onion accepted")
 	}
 }
@@ -268,7 +291,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Unwrap(decoded, resolverFor(keys)); err != nil {
+	if _, err := unwrap(decoded, resolverFor(keys)); err != nil {
 		t.Fatalf("decoded onion fails verification: %v", err)
 	}
 }
@@ -293,8 +316,11 @@ func TestPeekBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := env.peekBody(env.text)
-	if err != nil {
+	var (
+		body  Body
+		inner Envelope
+	)
+	if _, err := env.peekBody(&body, &inner, env.text); err != nil {
 		t.Fatal(err)
 	}
 	if body.NextHopDN != "/CN=bb-a" {
@@ -315,5 +341,36 @@ func TestSealPreservesExplicitTimestamp(t *testing.T) {
 	}
 	if !body.Timestamp.Equal(ts) {
 		t.Errorf("timestamp = %v, want %v", body.Timestamp, ts)
+	}
+}
+
+// TestUnwrapAllocationBound: unwrapping into a chain that has unwrapped
+// before allocates one object at any depth — the string copy of the
+// outer payload that every inner DN and policy attribute is cut from.
+// Layers decode into the chain's own array, their capability arrays and
+// policy maps are kept, and the checks run without closures, helper
+// goroutines included (≥ 2 per layer were measured when a layer was
+// its own Envelope and Body).
+func TestUnwrapAllocationBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, hops := range []int{1, 7} {
+		keys, outer := buildOnion(t, hops)
+		received, err := Decode(encode(outer))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resolve := resolverFor(keys)
+		var chain Chain
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := chain.Unwrap(received, resolve); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("unwrapping %d layers into a used chain allocates %.1f objects, want 1", hops+1, allocs)
+		}
 	}
 }

@@ -41,12 +41,12 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(`garbage`))
 
-	resolve := func(_ int, dn identity.DN, _ []byte) (identity.PublicKey, error) {
+	resolve := resolverFunc(func(_ int, dn identity.DN, _ []byte) (identity.PublicKey, error) {
 		if dn == key.DN {
 			return key.Public(), nil
 		}
 		return nil, fmt.Errorf("unknown %s", dn)
-	}
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		input := bytes.Clone(data)
 		env, err := Decode(data)
@@ -55,8 +55,15 @@ func FuzzDecode(f *testing.F) {
 		}
 		// Unwrap may fail (bad signature, unknown signer) but must not
 		// panic.
-		_, _ = Unwrap(env, resolve)
-		body, perr := env.peekBody(env.text)
+		_, _ = unwrap(env, resolve)
+		var (
+			body  Body
+			inner Envelope
+		)
+		hasInner, perr := env.peekBody(&body, &inner, env.text)
+		if hasInner {
+			body.Inner = &inner
+		}
 		if !bytes.Equal(data, input) {
 			t.Fatalf("decoding wrote to its input:\n before % x\n after  % x", input, data)
 		}
@@ -75,15 +82,22 @@ func FuzzDecode(f *testing.F) {
 		if perr != nil {
 			return
 		}
-		signed := appendBody(nil, body)
-		if len(signed) != bodySize(body) {
-			t.Fatalf("appendBody wrote %d bytes, bodySize says %d", len(signed), bodySize(body))
+		signed := appendBody(nil, &body)
+		if len(signed) != bodySize(&body) {
+			t.Fatalf("appendBody wrote %d bytes, bodySize says %d", len(signed), bodySize(&body))
 		}
-		rebody, err := decodeBody(signed, string(signed))
+		var (
+			rebody  Body
+			reinner Envelope
+		)
+		hasInner, err = decodeBody(&rebody, &reinner, signed, string(signed))
 		if err != nil {
 			t.Fatalf("the encoder's own body does not decode: %v", err)
 		}
-		if re := appendBody(nil, rebody); !bytes.Equal(re, signed) {
+		if hasInner {
+			rebody.Inner = &reinner
+		}
+		if re := appendBody(nil, &rebody); !bytes.Equal(re, signed) {
 			t.Fatalf("decode then encode changed an encoded body:\n in  % x\n out % x", signed, re)
 		}
 	})
@@ -92,7 +106,8 @@ func FuzzDecode(f *testing.F) {
 // FuzzUnwrapMatchesSerial holds the concurrent Unwrap to the serial
 // twin on whatever bytes the fuzzer makes of the differential test's
 // own chains: same verdict, error text, chain and directory lookups,
-// under any introduction limit, with and without a directory.
+// under any introduction limit, with and without a directory, into one
+// Chain reused from input to input.
 func FuzzUnwrapMatchesSerial(f *testing.F) {
 	signers := twinFixture(f)
 	rng := mrand.New(mrand.NewSource(1301))
@@ -106,6 +121,8 @@ func FuzzUnwrapMatchesSerial(f *testing.F) {
 	}
 	// Helpers are started only when there are processors to run them on.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	// Every input is unwrapped into the same chain.
+	var chain Chain
 	f.Fuzz(func(t *testing.T, data []byte, limit uint8, withDir bool) {
 		env, err := Decode(data)
 		if err != nil {
@@ -115,6 +132,6 @@ func FuzzUnwrapMatchesSerial(f *testing.F) {
 		if withDir {
 			tc.dir = dir
 		}
-		diffAgainstTwin(t, tc)
+		diffAgainstTwin(t, &chain, tc)
 	})
 }

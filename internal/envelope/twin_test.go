@@ -23,9 +23,11 @@ import (
 // concurrently: one layer at a time from the outside in, each resolved,
 // verified and decoded before the next is looked at. It is the
 // reference Unwrap is judged against (as sweepTwin is for resv's
-// ledger). Two things differ from the text it was copied from: resolve
-// is handed the depth, which the resolver used to count for itself, and
-// the depth bound is exact (it admitted maxDepth+1 layers).
+// ledger). Three things differ from the text it was copied from:
+// resolve is handed the depth, which the resolver used to count for
+// itself; the depth bound is exact (it admitted maxDepth+1 layers); and
+// layers are held by value, each linked to the next once the walk is
+// done, as Unwrap holds them.
 func serialTwin(outer *Envelope, resolve KeyResolver) (*Chain, error) {
 	chain := &Chain{}
 	env := outer
@@ -34,27 +36,32 @@ func serialTwin(outer *Envelope, resolve KeyResolver) (*Chain, error) {
 		if depth >= maxDepth {
 			return nil, fmt.Errorf("envelope: chain deeper than %d layers", maxDepth)
 		}
-		pub, err := resolve(depth, env.SignerDN, certHint)
+		pub, err := resolve.ResolveKey(depth, env.SignerDN, certHint)
 		if err != nil {
 			return nil, fmt.Errorf("envelope: resolving key for layer %d (%s): %w", depth, env.SignerDN, err)
 		}
 		if err := env.verify(pub); err != nil {
 			return nil, fmt.Errorf("envelope: layer %d: %w", depth, err)
 		}
-		body, err := env.peekBody(env.text)
+		chain.Layers = append(chain.Layers, Layer{Env: *env})
+		l := &chain.Layers[depth]
+		inner := &Envelope{}
+		hasInner, err := l.Env.peekBody(&l.Body, inner, l.Env.text)
 		if err != nil {
 			return nil, fmt.Errorf("envelope: layer %d: %w", depth, err)
 		}
-		chain.Layers = append(chain.Layers, Layer{SignerDN: env.SignerDN, Body: body})
-		if body.Inner == nil {
-			if body.Request == nil {
+		if !hasInner {
+			if l.Body.Request == nil {
 				return nil, fmt.Errorf("envelope: innermost layer (%s) carries no request", env.SignerDN)
 			}
-			chain.Request = body.Request
+			chain.Request = l.Body.Request
+			for d := 1; d < len(chain.Layers); d++ {
+				chain.Layers[d-1].Body.Inner = &chain.Layers[d].Env
+			}
 			return chain, nil
 		}
-		certHint = body.UpstreamCertDER
-		env = body.Inner
+		certHint = l.Body.UpstreamCertDER
+		env = inner
 	}
 	return nil, fmt.Errorf("envelope: empty chain")
 }
@@ -143,7 +150,7 @@ type twinVerifier struct {
 	lookups []identity.DN
 }
 
-func (v *twinVerifier) resolve(depth int, dn identity.DN, hint []byte) (identity.PublicKey, error) {
+func (v *twinVerifier) ResolveKey(depth int, dn identity.DN, hint []byte) (identity.PublicKey, error) {
 	if depth == 0 {
 		for _, s := range twinSigners {
 			if s.key.DN == dn {
@@ -339,33 +346,57 @@ func genTwinCase(tb testing.TB, rng *mrand.Rand) twinCase {
 	return tc
 }
 
-// diffAgainstTwin runs serialTwin and Unwrap on one case and requires
-// the same verdict, error text, chain and directory lookups.
-func diffAgainstTwin(t *testing.T, tc twinCase) {
+// diffAgainstTwin runs serialTwin, and Unwrap into chain, on one case
+// and requires the same verdict, error text, decoded layers and
+// directory lookups. chain may hold what an earlier case left: what it
+// decodes now must not show it.
+func diffAgainstTwin(t *testing.T, chain *Chain, tc twinCase) {
 	t.Helper()
 	want := &twinVerifier{limit: tc.limit, dir: tc.dir}
-	wantChain, wantErr := serialTwin(tc.outer, want.resolve)
+	wantChain, wantErr := serialTwin(tc.outer, want)
 	got := &twinVerifier{limit: tc.limit, dir: tc.dir}
-	gotChain, gotErr := Unwrap(tc.outer, got.resolve)
-	if gotChain != nil {
-		// Where a layer's DNs are stored is not part of what was decoded:
-		// the twin copies each, Unwrap cuts them from one string.
-		for _, l := range gotChain.Layers {
-			if l.Body.Inner != nil {
-				l.Body.Inner.text = ""
-			}
-		}
-	}
+	gotErr := chain.Unwrap(tc.outer, got)
 	switch {
 	case (wantErr == nil) != (gotErr == nil):
 		t.Fatalf("%s: verdicts differ: twin err = %v, Unwrap err = %v", tc.summary, wantErr, gotErr)
 	case wantErr != nil && wantErr.Error() != gotErr.Error():
 		t.Fatalf("%s: error text differs:\n twin:   %v\n Unwrap: %v", tc.summary, wantErr, gotErr)
-	case !reflect.DeepEqual(wantChain, gotChain):
-		t.Fatalf("%s: chains differ:\n twin:   %+v\n Unwrap: %+v", tc.summary, wantChain, gotChain)
 	case !reflect.DeepEqual(want.lookups, got.lookups):
 		t.Fatalf("%s: directory lookups differ:\n twin:   %v\n Unwrap: %v", tc.summary, want.lookups, got.lookups)
+	case wantErr != nil:
+		return
+	case !reflect.DeepEqual(decoded(wantChain), decoded(chain)) || !bytes.Equal(wantChain.Request, chain.Request):
+		t.Fatalf("%s: chains differ:\n twin:   %+v\n Unwrap: %+v", tc.summary, decoded(wantChain), decoded(chain))
+	case chain.Verified() != len(chain.Layers):
+		t.Fatalf("%s: %d layers verified, Unwrap counted %d signature checks", tc.summary, len(chain.Layers), chain.Verified())
 	}
+	for d := 1; d < len(chain.Layers); d++ {
+		if chain.Layers[d-1].Body.Inner != &chain.Layers[d].Env {
+			t.Fatalf("%s: layer %d's Inner is not layer %d", tc.summary, d-1, d)
+		}
+	}
+	if n := len(chain.Layers); chain.Layers[n-1].Body.Inner != nil {
+		t.Fatalf("%s: the innermost layer has an Inner", tc.summary)
+	}
+}
+
+// decoded is what a chain's layers say, without where it is kept: the
+// twin copies each DN, Unwrap cuts them from one string; a reused chain
+// keeps an empty capability array and policy map where the twin has
+// none; Inner is checked as a link, not as a value.
+func decoded(c *Chain) []Layer {
+	out := make([]Layer, len(c.Layers))
+	for i, l := range c.Layers {
+		l.Env.text, l.Body.Inner = "", nil
+		if len(l.Body.CapabilityDERs) == 0 {
+			l.Body.CapabilityDERs = nil
+		}
+		if len(l.Body.PolicyInfo) == 0 {
+			l.Body.PolicyInfo = nil
+		}
+		out[i] = l
+	}
+	return out
 }
 
 // TestUnwrapMatchesSerialTwin is the seeded differential property:
@@ -374,7 +405,8 @@ func diffAgainstTwin(t *testing.T, tc twinCase) {
 // and not yet valid, depth at and over the introduction limit — the
 // concurrent Unwrap and the serial twin agree on verdict, error text,
 // decoded chain and the sequence of directory lookups, whether one,
-// two or eight processors are on offer.
+// two or eight processors are on offer. Unwrap decodes every case into
+// the same Chain, so a case that left anything behind shows in the next.
 func TestUnwrapMatchesSerialTwin(t *testing.T) {
 	chains := 10000
 	if testing.Short() {
@@ -382,12 +414,15 @@ func TestUnwrapMatchesSerialTwin(t *testing.T) {
 	}
 	procs := []int{1, 2, 8}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	// One chain serves every case, as a pooled one serves request after
+	// request.
+	var chain Chain
 	for p, n := range procs {
 		runtime.GOMAXPROCS(n)
 		// Each setting draws its own third of the chains.
 		rng := mrand.New(mrand.NewSource(int64(1301 + p)))
 		for i := 0; i < (chains+len(procs)-1)/len(procs); i++ {
-			diffAgainstTwin(t, genTwinCase(t, rng))
+			diffAgainstTwin(t, &chain, genTwinCase(t, rng))
 		}
 	}
 }
@@ -414,7 +449,7 @@ func TestUnwrapForgedWrapperAsksNoDirectory(t *testing.T) {
 		for _, s := range signers {
 			v.dir[s.key.DN] = s.key.Public()
 		}
-		if _, err := Unwrap(outer, v.resolve); err == nil {
+		if _, err := unwrap(outer, v); err == nil {
 			t.Fatalf("forged layer %d accepted", forged)
 		}
 		// Signer i signs layer i from the inside, and the outermost

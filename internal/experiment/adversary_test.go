@@ -50,16 +50,7 @@ func TestDestinationRefusesCapabilityHeldByAnother(t *testing.T) {
 	// The source broker's layer, written by hand: everything Extend
 	// writes, but the capability goes to a DN that is not the next hop.
 	bbA := w.members[src][0].cfg
-	userLayer, err := envelope.Unwrap(rarU, func(int, identity.DN, []byte) (identity.PublicKey, error) {
-		return alice.Agent.Key.Public(), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	caps, err := userLayer.Capabilities()
-	if err != nil {
-		t.Fatal(err)
-	}
+	caps := userCapabilities(t, rarU, alice.Agent.Key.Public())
 	other, err := identity.GenerateKeyPair(identity.NewDN("Grid", "DomainX", "bb"))
 	if err != nil {
 		t.Fatal(err)
@@ -136,16 +127,7 @@ func TestDestinationRefusesCapabilityScopedToAnotherRAR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	userLayer, err := envelope.Unwrap(rar17, func(int, identity.DN, []byte) (identity.PublicKey, error) {
-		return alice.Agent.Key.Public(), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	caps, err := userLayer.Capabilities()
-	if err != nil {
-		t.Fatal(err)
-	}
+	caps := userCapabilities(t, rar17, alice.Agent.Key.Public())
 	if r := caps[len(caps)-1].Attrs.Restrictions; len(r) != 1 || r[0] != spec17.RestrictionFor() {
 		t.Fatalf("Alice's delegation carries %v, want [%s]", r, spec17.RestrictionFor())
 	}
@@ -504,4 +486,26 @@ func (c forgingConn) Recv() ([]byte, error) {
 		return nil, err
 	}
 	return m.AppendBinary(nil), nil
+}
+
+// signerKey is an envelope.KeyResolver that knows one key.
+type signerKey struct{ pub identity.PublicKey }
+
+func (k signerKey) ResolveKey(int, identity.DN, []byte) (identity.PublicKey, error) {
+	return k.pub, nil
+}
+
+// userCapabilities verifies a user's one-layer RAR under the user's key
+// and returns the capability chain it carries.
+func userCapabilities(t *testing.T, rar *envelope.Envelope, user identity.PublicKey) pki.CapabilityChain {
+	t.Helper()
+	var chain envelope.Chain
+	if err := chain.Unwrap(rar, signerKey{user}); err != nil {
+		t.Fatal(err)
+	}
+	caps, err := chain.Capabilities()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return caps
 }

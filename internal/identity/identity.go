@@ -84,13 +84,17 @@ func (d DN) Valid() bool {
 	if d == "" || !strings.HasPrefix(string(d), "/") {
 		return false
 	}
-	for _, part := range strings.Split(strings.TrimPrefix(string(d), "/"), "/") {
+	for rest := string(d[1:]); ; {
+		part, more, found := strings.Cut(rest, "/")
 		eq := strings.IndexByte(part, '=')
 		if eq <= 0 || eq == len(part)-1 {
 			return false
 		}
+		if !found {
+			return true
+		}
+		rest = more
 	}
-	return true
 }
 
 func (d DN) String() string { return string(d) }

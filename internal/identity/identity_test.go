@@ -44,7 +44,7 @@ func TestDNValid(t *testing.T) {
 			t.Errorf("DN %q should be valid", d)
 		}
 	}
-	invalid := []DN{"", "CN=x", "/CN=", "/=x", "/CN"}
+	invalid := []DN{"", "CN=x", "/CN=", "/=x", "/CN", "/", "/CN=x/", "/O=a//CN=x", "/O=a/CN"}
 	for _, d := range invalid {
 		if d.Valid() {
 			t.Errorf("DN %q should be invalid", d)

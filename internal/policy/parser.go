@@ -40,6 +40,7 @@ func Parse(name, text string) (*Policy, error) {
 		if err != nil {
 			return nil, fmt.Errorf("policy %s line %d: %w", name, lineNo+1, err)
 		}
+		rule.reason = fmt.Sprintf("rule %d: %s", len(p.Rules)+1, rule.Source)
 		p.Rules = append(p.Rules, rule)
 	}
 	return p, nil

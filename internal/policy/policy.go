@@ -129,6 +129,9 @@ type Rule struct {
 	Conditions []Condition
 	// Source is the original DSL line, for traces.
 	Source string
+	// reason is the Decision.Reason of a match, "rule <n>: <Source>",
+	// written once by Parse, which numbers the rules.
+	reason string
 }
 
 // Matches reports whether all conditions hold.
@@ -152,9 +155,9 @@ func (p *Policy) Evaluate(r *Request) Decision {
 	if r == nil {
 		return Decision{Effect: Deny, Reason: "nil request"}
 	}
-	for i, ru := range p.Rules {
+	for _, ru := range p.Rules {
 		if ru.Matches(r) {
-			return Decision{Effect: ru.Effect, Reason: fmt.Sprintf("rule %d: %s", i+1, ru.Source)}
+			return Decision{Effect: ru.Effect, Reason: ru.reason}
 		}
 	}
 	return Decision{Effect: Deny, Reason: "no matching rule (implicit deny)"}

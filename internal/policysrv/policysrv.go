@@ -42,6 +42,7 @@ type Query struct {
 	// certificate chain accompanying the request.
 	CapabilityChain pki.CapabilityChain
 	// RequireRestriction scopes capability verification to this RAR.
+	// It is read only when CapabilityChain is not empty.
 	RequireRestriction string
 	// LinkedReservations maps resource type -> verified handle present.
 	LinkedReservations map[string]bool

@@ -74,6 +74,14 @@ func parseFlags(args []string, out io.Writer) (options, error) {
 	return o, nil
 }
 
+// machine describes the host as this process observes it: operating
+// system, architecture, logical CPUs and GOMAXPROCS. It names no CPU
+// model, which the process cannot see portably.
+func machine() string {
+	return fmt.Sprintf("%s/%s, %d logical CPUs, GOMAXPROCS=%d",
+		runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.GOMAXPROCS(0))
+}
+
 func main() {
 	o, err := parseFlags(os.Args[1:], os.Stderr)
 	if errors.Is(err, flag.ErrHelp) {
@@ -170,9 +178,8 @@ func main() {
 		}
 		defer os.RemoveAll(dir)
 		t, err := experiment.RunScaleLoad(experiment.ScaleLoadConfig{
-			Latency:    o.hopLatency / 10,
-			SampleRate: 0.01,
-			EventsDir:  dir,
+			Latency:   o.hopLatency / 10,
+			EventsDir: dir,
 		})
 		if err != nil {
 			fail("scale", err)
@@ -192,9 +199,8 @@ func main() {
 		}
 		emit(t)
 		if o.fleetBench != "" {
-			machine := fmt.Sprintf("linux, Intel Xeon @ 2.10GHz, 1 hardware thread (nproc=%d)", runtime.NumCPU())
 			date := time.Now().Format("2006-01-02")
-			if err := experiment.WriteFleetBench(res, o.fleetBench, machine, date, time.Since(start)); err != nil {
+			if err := experiment.WriteFleetBench(res, o.fleetBench, machine(), date, time.Since(start)); err != nil {
 				fail("fleet-bench", err)
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s\n", o.fleetBench)

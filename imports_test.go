@@ -127,7 +127,6 @@ func TestOnePeeringAuthor(t *testing.T) {
 // because another type's method of the same name is.
 func TestEveryDeclarationHasACaller(t *testing.T) {
 	allowed := map[string]string{
-		"journal.EncodeRecord":                      "tests in six packages frame records with it",
 		"bb.BB.ReleaseTunnelFlow":                   "pairs with AllocateTunnelFlow, which examples/tunnel and the tunnel experiment call",
 		"gara.NewCoordinator":                       "the STARS reservation-coordinator baseline, kept as a baseline",
 		"gara.Coordinator.ReserveFor":               "the STARS reservation-coordinator baseline, kept as a baseline",
@@ -149,13 +148,6 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 		"experiment.WorldConfig.ElectionTimeout":  "mirrors bb.Config.ElectionTimeout, which bbd sets",
 		"experiment.WorldConfig.Logger":           "mirrors bb.Config.Logger, which bbd sets",
 		"experiment.WorldConfig.WrapListener":     "the one way to the bytes a follower is handed: an in-memory send copies, so no dialer hook reaches them",
-		"transport.FaultConfig.CrashAfter":        "a fault kind of the test fake ROADMAP item 9's explorer composes",
-		"transport.FaultConfig.Delay":             "a fault kind of the test fake ROADMAP item 9's explorer composes",
-		"transport.FaultConfig.DelayProb":         "a fault kind of the test fake ROADMAP item 9's explorer composes",
-		"transport.FaultConfig.DialFailProb":      "a fault kind of the test fake ROADMAP item 9's explorer composes",
-		"transport.FaultConfig.HangProb":          "a fault kind of the test fake ROADMAP item 9's explorer composes",
-		"transport.FaultConfig.ResetProb":         "a fault kind of the test fake ROADMAP item 9's explorer composes",
-		"transport.FaultConfig.Script":            "a fault kind of the test fake ROADMAP item 9's explorer composes",
 		"journal.Options.BatchInterval":           "only its default sets it: tests freeze group commit with time.Hour, the allocation gate TestFollowerAppendFrameAllocationFree among them, until ROADMAP item 9's clock replaces it",
 	}
 	m, err := loadModule(".")

@@ -20,7 +20,6 @@ import (
 	"e2eqos/internal/signalling"
 	"e2eqos/internal/sla"
 	"e2eqos/internal/topology"
-	"e2eqos/internal/transport"
 	"e2eqos/internal/units"
 )
 
@@ -226,7 +225,7 @@ func TestStatusOfDeniedAndInFlightRARs(t *testing.T) {
 		w, err := experiment.BuildWorld(experiment.WorldConfig{
 			NumDomains:  2,
 			CallTimeout: 300 * time.Millisecond,
-			WrapDialer:  faultAt("Domain0", transport.FaultConfig{HangProb: 1}),
+			WrapDialer:  faultAt("Domain0", hang),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -155,7 +155,7 @@ type TunnelOpRec = tunnelOpRec
 // frame encodes one record as the WAL and the replication stream carry
 // it.
 func frame(op string, rec journal.BinaryRecord) []byte {
-	f, err := journal.EncodeRecord(op, rec)
+	f, err := journal.AppendRecord(nil, op, rec)
 	if err != nil {
 		panic(err)
 	}

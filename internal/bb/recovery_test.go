@@ -298,7 +298,7 @@ func TestRestartRefusesUnknownBrokerOps(t *testing.T) {
 			// rar_id, epoch, and the op nested: what the retired records held.
 			payload := wire.AppendInt(wire.AppendString(nil, 1, "RAR-T"), 2, 1)
 			payload = wire.AppendBytes(payload, 3, wire.AppendString(wire.AppendString(nil, 1, "alloc"), 2, "sf-1"))
-			frame, err := journal.EncodeRecord(op, journal.RawBinary(payload))
+			frame, err := journal.AppendRecord(nil, op, journal.RawBinary(payload))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -322,7 +322,7 @@ func TestRestartRefusesUnknownBrokerOps(t *testing.T) {
 // rather than bringing the tunnel up without its replay entries.
 func TestRestartRefusesBatchIDState(t *testing.T) {
 	entry := wire.AppendString(wire.AppendInt(wire.AppendString(nil, 1, "RAR-T"), 2, 1), 3, "B-0123456789abcdef")
-	record, err := journal.EncodeRecord("bb.tunnel_batch", journal.RawBinary(entry))
+	record, err := journal.AppendRecord(nil, "bb.tunnel_batch", journal.RawBinary(entry))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ func admitThenCompact(t *testing.T) (admit, compact []byte) {
 	}
 	frames := make([][]byte, 2)
 	for i, r := range rec.Records {
-		if frames[i], err = journal.EncodeRecord(r.Op, journal.RawBinary(r.Data)); err != nil {
+		if frames[i], err = journal.AppendRecord(nil, r.Op, journal.RawBinary(r.Data)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -46,15 +46,19 @@ func waitForCleanTables(t *testing.T, w *experiment.World) {
 }
 
 // faultAt wraps a single domain's outbound dialer with the given fault
-// profile, leaving every other hop healthy.
-func faultAt(domain string, cfg transport.FaultConfig) func(string, transport.Dialer) transport.Dialer {
+// script, leaving every other hop healthy.
+func faultAt(domain string, script transport.Script) func(string, transport.Dialer) transport.Dialer {
 	return func(name string, d transport.Dialer) transport.Dialer {
 		if name != domain {
 			return d
 		}
-		return transport.NewFaultyDialer(d, cfg)
+		return transport.NewFaultyDialer(d, script)
 	}
 }
+
+// hang is a script under which every message hangs: a dead peer that
+// keeps its connections open.
+func hang(string, bool, []byte) transport.FaultAction { return transport.FaultHang }
 
 // TestMidPathHangDeniesWithinDeadline is the headline robustness
 // scenario: in a 5-domain chain the mid-path broker's outbound link
@@ -66,7 +70,7 @@ func TestMidPathHangDeniesWithinDeadline(t *testing.T) {
 	w, err := experiment.BuildWorld(experiment.WorldConfig{
 		NumDomains:  5,
 		CallTimeout: hopTimeout,
-		WrapDialer:  faultAt("Domain1", transport.FaultConfig{HangProb: 1}),
+		WrapDialer:  faultAt("Domain1", hang),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +115,12 @@ func TestLostResponsesRollBackEveryDomain(t *testing.T) {
 	w, err := experiment.BuildWorld(experiment.WorldConfig{
 		NumDomains:  5,
 		CallTimeout: 150 * time.Millisecond,
-		WrapDialer:  faultAt("Domain0", transport.FaultConfig{RecvDropProb: 1}),
+		WrapDialer: faultAt("Domain0", func(_ string, send bool, _ []byte) transport.FaultAction {
+			if send {
+				return transport.FaultPass
+			}
+			return transport.FaultDrop
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +157,7 @@ func TestBreakerFailsFastAfterThreshold(t *testing.T) {
 		CallTimeout:      hopTimeout,
 		BreakerThreshold: 2,
 		BreakerCooldown:  time.Minute,
-		WrapDialer:       faultAt("Domain0", transport.FaultConfig{HangProb: 1}),
+		WrapDialer:       faultAt("Domain0", hang),
 	})
 	if err != nil {
 		t.Fatal(err)

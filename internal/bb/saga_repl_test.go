@@ -101,7 +101,7 @@ func (f *sagaFollower) openSaga(id, kind string, data []byte) {
 	step = wire.AppendInt(step, 2, 1)
 	step = wire.AppendString(step, 3, kind)
 	step = wire.AppendBytes(step, 4, data)
-	frame, err := journal.EncodeRecord("saga.step", journal.RawBinary(step))
+	frame, err := journal.AppendRecord(nil, "saga.step", journal.RawBinary(step))
 	if err != nil {
 		f.t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestUnpayableCompensationIsAbandonedLoudly(t *testing.T) {
 // reservation.
 func TestFollowerRefusesUnknownSagaOp(t *testing.T) {
 	f := newSagaFollower(t)
-	frame, err := journal.EncodeRecord("saga.bogus", journal.RawBinary(wire.AppendString(nil, 1, "split:RAR-split#9")))
+	frame, err := journal.AppendRecord(nil, "saga.bogus", journal.RawBinary(wire.AppendString(nil, 1, "split:RAR-split#9")))
 	if err != nil {
 		t.Fatal(err)
 	}

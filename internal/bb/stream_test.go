@@ -21,8 +21,8 @@ import (
 )
 
 // The pipelined journal stream (DESIGN.md §6.8) under scripted faults:
-// transport.FaultConfig.Script picks out one frame or one
-// acknowledgement of one follower's stream.
+// a transport.Script picks out one frame or one acknowledgement of one
+// follower's stream.
 
 // streamScript decides the fault for one decoded message on the
 // connection dialled to addr.
@@ -44,18 +44,15 @@ func streamWorld(t *testing.T, domains, replicas int, callTimeout time.Duration,
 		CallTimeout: callTimeout,
 		EnableObs:   true,
 		WrapDialer: func(_ string, d transport.Dialer) transport.Dialer {
-			return transport.NewFaultyDialer(d, transport.FaultConfig{
-				Delay: 30 * time.Millisecond,
-				Script: func(addr string, send bool, raw []byte) transport.FaultAction {
-					if !arm.Load() {
-						return transport.FaultPass
-					}
-					m, err := signalling.DecodeMessage(raw)
-					if err != nil {
-						return transport.FaultPass
-					}
-					return script(addr, send, m)
-				},
+			return transport.NewFaultyDialer(d, func(addr string, send bool, raw []byte) transport.FaultAction {
+				if !arm.Load() {
+					return transport.FaultPass
+				}
+				m, err := signalling.DecodeMessage(raw)
+				if err != nil {
+					return transport.FaultPass
+				}
+				return script(addr, send, m)
 			})
 		},
 	})
@@ -140,7 +137,7 @@ func lastOutcomeFrame(t *testing.T, stateDir, domain string, replica int) []byte
 	}
 	for i := len(rec.Records) - 1; i >= 0; i-- {
 		if r := rec.Records[i]; r.Op == "bb.rar" {
-			frame, err := journal.EncodeRecord(r.Op, journal.RawBinary(r.Data))
+			frame, err := journal.AppendRecord(nil, r.Op, journal.RawBinary(r.Data))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,15 +179,16 @@ func TestStreamPipelinedFaults(t *testing.T) {
 		name    string
 		match   func(send bool, m *signalling.Message) bool
 		action  transport.FaultAction
+		delay   time.Duration // the script holds the message this long first
 		resyncs float64
 		refused bool // the follower refuses an out-of-splice frame
 	}{
-		{"drop-frame", isFrame, transport.FaultDrop, 1, true},
-		{"duplicate-frame", isFrame, transport.FaultDuplicate, 0, true},
-		{"delay-frame", isFrame, transport.FaultDelay, 0, false},
-		{"drop-ack", isAck, transport.FaultDrop, 1, false},
-		{"duplicate-ack", isAck, transport.FaultDuplicate, 0, false},
-		{"delay-ack", isAck, transport.FaultDelay, 0, false},
+		{"drop-frame", isFrame, transport.FaultDrop, 0, 1, true},
+		{"duplicate-frame", isFrame, transport.FaultDuplicate, 0, 0, true},
+		{"delay-frame", isFrame, transport.FaultPass, 30 * time.Millisecond, 0, false},
+		{"drop-ack", isAck, transport.FaultDrop, 0, 1, false},
+		{"duplicate-ack", isAck, transport.FaultDuplicate, 0, 0, false},
+		{"delay-ack", isAck, transport.FaultPass, 30 * time.Millisecond, 0, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -226,6 +224,7 @@ func TestStreamPipelinedFaults(t *testing.T) {
 						limit.Store(p.FromSeq + int64(len(p.Records)))
 					}
 				}
+				time.Sleep(tc.delay)
 				return tc.action
 			}
 			w, _, arm := streamWorld(t, 1, 2, 250*time.Millisecond, script)
@@ -466,13 +465,13 @@ func TestStreamFollowerChecks(t *testing.T) {
 	corrupt := append([]byte(nil), good...)
 	corrupt[len(corrupt)-1] ^= 0xff
 	trailing := append(append([]byte(nil), good...), 0)
-	unappliable, err := journal.EncodeRecord("bb.rar", journal.RawBinary{0xff, 0xff, 0xff, 0xff})
+	unappliable, err := journal.AppendRecord(nil, "bb.rar", journal.RawBinary{0xff, 0xff, 0xff, 0xff})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A record of the retired single-op vocabulary, as a leader one
 	// release back would stream it.
-	retired, err := journal.EncodeRecord("bb.tunnel_alloc", journal.RawBinary{0x0a, 0x01, 'R'})
+	retired, err := journal.AppendRecord(nil, "bb.tunnel_alloc", journal.RawBinary{0x0a, 0x01, 'R'})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,7 +545,7 @@ func TestStreamFollowerChecks(t *testing.T) {
 		t.Fatalf("follower journal holds %d records", n)
 	}
 	for _, r := range wal.Records[len(wal.Records)-3:] {
-		if again, _ := journal.EncodeRecord(r.Op, journal.RawBinary(r.Data)); !bytes.Equal(again, good) {
+		if again, _ := journal.AppendRecord(nil, r.Op, journal.RawBinary(r.Data)); !bytes.Equal(again, good) {
 			t.Errorf("follower journal tail holds %s, not the streamed frame", r.Op)
 		}
 	}
@@ -714,17 +713,14 @@ func TestPromotedSourceMintsAboveItsLeader(t *testing.T) {
 		NumDomains: 2, Replicas: 3, Capacity: 1000 * units.Mbps, StateDir: t.TempDir(), FsyncPolicy: "never",
 		CallTimeout: 2 * time.Second, EnableObs: true,
 		WrapDialer: func(_ string, d transport.Dialer) transport.Dialer {
-			return transport.NewFaultyDialer(d, transport.FaultConfig{
-				Delay: 300 * time.Millisecond,
-				Script: func(addr string, send bool, raw []byte) transport.FaultAction {
-					if !arm.Load() || !send || !strings.HasPrefix(addr, "bb."+src+".r") {
-						return transport.FaultPass
-					}
-					if m, err := signalling.DecodeMessage(raw); err == nil && m.JournalStream != nil && len(m.JournalStream.Records) > 0 {
-						return transport.FaultDelay
-					}
+			return transport.NewFaultyDialer(d, func(addr string, send bool, raw []byte) transport.FaultAction {
+				if !arm.Load() || !send || !strings.HasPrefix(addr, "bb."+src+".r") {
 					return transport.FaultPass
-				},
+				}
+				if m, err := signalling.DecodeMessage(raw); err == nil && m.JournalStream != nil && len(m.JournalStream.Records) > 0 {
+					time.Sleep(300 * time.Millisecond)
+				}
+				return transport.FaultPass
 			})
 		},
 	})
@@ -882,7 +878,7 @@ func TestFollowerStreamApplyAllocationBound(t *testing.T) {
 	for i := 0; i+3 < len(rec.Records); i += 4 {
 		var frames [][]byte
 		for _, r := range rec.Records[i : i+4] {
-			f, err := journal.EncodeRecord(r.Op, journal.RawBinary(r.Data))
+			f, err := journal.AppendRecord(nil, r.Op, journal.RawBinary(r.Data))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -541,12 +541,12 @@ func TestSingleSubFlowOpSurvivesLostResponse(t *testing.T) {
 		CallTimeout:  150 * time.Millisecond,
 		MaxRetries:   1,
 		RetryBackoff: 5 * time.Millisecond,
-		WrapDialer: faultAt("Domain0", transport.FaultConfig{Script: func(_ string, send bool, _ []byte) transport.FaultAction {
+		WrapDialer: faultAt("Domain0", func(_ string, send bool, _ []byte) transport.FaultAction {
 			if !send && lose.CompareAndSwap(true, false) {
 				return transport.FaultDrop
 			}
 			return transport.FaultPass
-		}}),
+		}),
 	}, 100*units.Mbps)
 	src, dst := w.BBs[w.SourceDomain()], w.BBs[w.DestDomain()]
 	srcEP, _ := src.Tunnel(rarID)

@@ -2,6 +2,9 @@ package experiment
 
 import (
 	"fmt"
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"e2eqos/internal/resv"
@@ -21,8 +24,10 @@ type FaultSweepConfig struct {
 const (
 	// faultDomains is the chain length.
 	faultDomains = 5
-	// faultSeed drives the fault injection. Same seed, same faults: the
-	// sweep never reads the clock for randomness.
+	// faultSeed drives the fault injection, and the sweep never reads
+	// the clock for randomness. Same seed, same draws: it fixes the
+	// sequence each dialer's lossScript draws; which message a draw
+	// lands on follows the order in which messages reach that dialer.
 	faultSeed = 1
 )
 
@@ -34,6 +39,29 @@ var faultProbs = []float64{0, 0.02, 0.05, 0.1, 0.2}
 // faultRetryBudgets are the MaxRetries settings compared per
 // probability.
 var faultRetryBudgets = []int{0, 2}
+
+// lossScript loses each message, in either direction, with
+// probability p: one Float64 draw per message from its own stream
+// seeded with seed (0 behaves as 1). It counts what it drops into
+// drops. One script serves one dialer; the connections it opens share
+// the stream.
+func lossScript(seed int64, p float64, drops *atomic.Int64) transport.Script {
+	if seed == 0 {
+		seed = 1
+	}
+	var mu sync.Mutex
+	rng := rand.New(rand.NewSource(seed))
+	return func(string, bool, []byte) transport.FaultAction {
+		mu.Lock()
+		lost := rng.Float64() < p
+		mu.Unlock()
+		if !lost {
+			return transport.FaultPass
+		}
+		drops.Add(1)
+		return transport.FaultDrop
+	}
+}
 
 // faultCell is one measured (probability, retry-budget) combination.
 type faultCell struct {
@@ -50,7 +78,7 @@ type faultCell struct {
 // reservations through it.
 func runFaultCell(cfg FaultSweepConfig, prob float64, retries int) (faultCell, error) {
 	var out faultCell
-	var dialers []*transport.FaultyDialer
+	var drops atomic.Int64
 	// Per-dialer seeds come from the sweep's seed stream, not a
 	// counter from 1: distinct (seed, prob, retries) cells inject
 	// distinct-but-reproducible fault patterns.
@@ -66,13 +94,7 @@ func runFaultCell(cfg FaultSweepConfig, prob float64, retries int) (faultCell, e
 			if prob <= 0 {
 				return d
 			}
-			fd := transport.NewFaultyDialer(d, transport.FaultConfig{
-				SendDropProb: prob,
-				RecvDropProb: prob,
-				Seed:         int64(seeds.Uint64() >> 1),
-			})
-			dialers = append(dialers, fd)
-			return fd
+			return transport.NewFaultyDialer(d, lossScript(int64(seeds.Uint64()>>1), prob, &drops))
 		},
 	})
 	if err != nil {
@@ -101,9 +123,7 @@ func runFaultCell(cfg FaultSweepConfig, prob float64, retries int) (faultCell, e
 			out.denyLat += elapsed
 		}
 	}
-	for _, fd := range dialers {
-		out.faults += fd.Stats().Total()
-	}
+	out.faults = drops.Load()
 	// Denial-propagation correctness: every granted reservation holds
 	// one slot per domain; anything beyond that is bandwidth stranded
 	// by a lost response. Best-effort cancels are asynchronous, so

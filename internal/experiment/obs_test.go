@@ -3,6 +3,7 @@ package experiment
 import (
 	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -110,6 +111,7 @@ func TestFaultSweepReportsObsColumns(t *testing.T) {
 // fired, then asserts the world-level counters recorded it.
 func TestFaultyWorldCountsRobustnessMetrics(t *testing.T) {
 	seed := int64(7)
+	var drops atomic.Int64
 	w, err := BuildWorld(WorldConfig{
 		NumDomains:   3,
 		EnableObs:    true,
@@ -117,11 +119,7 @@ func TestFaultyWorldCountsRobustnessMetrics(t *testing.T) {
 		MaxRetries:   2,
 		RetryBackoff: 2 * time.Millisecond,
 		WrapDialer: func(domain string, d transport.Dialer) transport.Dialer {
-			fd := transport.NewFaultyDialer(d, transport.FaultConfig{
-				SendDropProb: 0.15,
-				RecvDropProb: 0.15,
-				Seed:         seed,
-			})
+			fd := transport.NewFaultyDialer(d, lossScript(seed, 0.15, &drops))
 			seed++
 			return fd
 		},
@@ -146,6 +144,9 @@ func TestFaultyWorldCountsRobustnessMetrics(t *testing.T) {
 	}
 	if got := w.CounterTotal("bb_rars_received_total"); got == 0 {
 		t.Error("no RARs counted as received")
+	}
+	if drops.Load() == 0 {
+		t.Error("retries recorded, but the loss scripts dropped nothing")
 	}
 	// Sanity on the aggregated snapshot: every domain reports.
 	if snaps := w.MetricsSnapshot(); len(snaps) != len(w.Domains) {

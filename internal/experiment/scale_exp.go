@@ -24,30 +24,24 @@ const (
 	scaleBatchOps = 2048
 	// scaleDomains is the reservation path length.
 	scaleDomains = 5
+	// scaleSampleRate is each broker's flight-recorder ingress sampling
+	// probability; with EventsDir empty no recorder runs at all.
+	scaleSampleRate = 0.01
 )
 
 // ScaleLoadConfig parameterises the fleet-telemetry load experiment.
 type ScaleLoadConfig struct {
 	// Latency is the modelled one-way signalling latency per hop.
 	Latency time.Duration
-	// SampleRate is each broker's flight-recorder ingress sampling
-	// probability; with EventsDir empty no recorder runs at all.
-	SampleRate float64
 	// EventsDir, when set, records sampled events under
 	// EventsDir/<domain> during the run.
 	EventsDir string
 }
 
 // validate rejects configurations that used to be absorbed silently:
-// a negative sampling probability or latency is always a caller bug,
-// not a request for the default.
+// a negative latency is always a caller bug, not a request for the
+// default.
 func (c ScaleLoadConfig) validate() error {
-	if c.SampleRate < 0 {
-		return fmt.Errorf("scale: SampleRate %v is negative; use 0 to disable sampling", c.SampleRate)
-	}
-	if c.SampleRate > 1 {
-		return fmt.Errorf("scale: SampleRate %v exceeds 1 (a probability)", c.SampleRate)
-	}
 	if c.Latency < 0 {
 		return fmt.Errorf("scale: Latency %v is negative; use 0 for no modelled latency", c.Latency)
 	}
@@ -74,7 +68,7 @@ func RunScaleLoad(cfg ScaleLoadConfig) (*Table, error) {
 		Latency:     cfg.Latency,
 		CallTimeout: 30 * time.Second,
 		EnableObs:   true,
-		SampleRate:  cfg.SampleRate,
+		SampleRate:  scaleSampleRate,
 		EventsDir:   cfg.EventsDir,
 	})
 	if err != nil {
@@ -181,7 +175,7 @@ func RunScaleLoad(cfg ScaleLoadConfig) (*Table, error) {
 	if cfg.EventsDir != "" {
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"flight recorder at %.0f%% sampling captured %.0f events (%.0f forced) across the fleet",
-			cfg.SampleRate*100, w.CounterTotal("bb_events_recorded_total"), w.CounterTotal("bb_events_forced_total")))
+			scaleSampleRate*100, w.CounterTotal("bb_events_recorded_total"), w.CounterTotal("bb_events_forced_total")))
 	}
 	return t, nil
 }

@@ -6,25 +6,14 @@ import (
 	"time"
 )
 
-// TestScaleLoadConfigValidation pins the config checks RunScaleLoad
-// used to skip: negative sampling probabilities and latencies were
-// silently absorbed.
+// TestScaleLoadConfigValidation pins the config check RunScaleLoad
+// used to skip: a negative latency was silently absorbed.
 func TestScaleLoadConfigValidation(t *testing.T) {
 	cases := []struct {
 		name    string
 		cfg     ScaleLoadConfig
 		wantErr string
 	}{
-		{
-			name:    "negative sample rate",
-			cfg:     ScaleLoadConfig{SampleRate: -0.01},
-			wantErr: "SampleRate",
-		},
-		{
-			name:    "sample rate above one",
-			cfg:     ScaleLoadConfig{SampleRate: 1.5},
-			wantErr: "exceeds 1",
-		},
 		{
 			name:    "negative latency",
 			cfg:     ScaleLoadConfig{Latency: -time.Millisecond},
@@ -52,8 +41,6 @@ func TestScaleLoadConfigAccepts(t *testing.T) {
 		cfg  ScaleLoadConfig
 	}{
 		{name: "zero everything defaults", cfg: ScaleLoadConfig{}},
-		{name: "zero sample rate disables sampling", cfg: ScaleLoadConfig{SampleRate: 0}},
-		{name: "probability one", cfg: ScaleLoadConfig{SampleRate: 1}},
 		{name: "zero latency", cfg: ScaleLoadConfig{Latency: 0}},
 	}
 	for _, tc := range cases {

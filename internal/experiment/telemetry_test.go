@@ -261,9 +261,8 @@ func TestFlightRecorderForcesDenials(t *testing.T) {
 // non-zero latencies for the broker's hot stages.
 func TestScaleLoadReportsQuantiles(t *testing.T) {
 	tbl, err := RunScaleLoad(ScaleLoadConfig{
-		Latency:    500 * time.Microsecond,
-		SampleRate: 0.01,
-		EventsDir:  t.TempDir(),
+		Latency:   500 * time.Microsecond,
+		EventsDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)

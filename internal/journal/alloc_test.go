@@ -48,7 +48,7 @@ func TestFollowerAppendFrameAllocationFree(t *testing.T) {
 	// buffer only refills the capacity the warm-up left it.
 	j, _ := openT(t, t.TempDir(), Options{Fsync: FsyncBatch, BatchInterval: time.Hour, TailBytes: 1 << 20})
 	defer j.Close()
-	raw, err := EncodeRecord("resv.admit", binPayload{a: 3, b: 9})
+	raw, err := AppendRecord(nil, "resv.admit", binPayload{a: 3, b: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

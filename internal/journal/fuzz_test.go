@@ -29,9 +29,9 @@ func frameRaw(payload []byte) []byte {
 // record must re-encode to the exact bytes it was parsed from (framing
 // is canonical).
 func FuzzDecodeRecord(f *testing.F) {
-	good, _ := EncodeRecord("resv.admit", payload{N: 1})
-	empty, _ := EncodeRecord("resv.compact", nil)
-	bin, _ := EncodeRecord("resv.admit", RawBinary{0x0a, 0x01, 0x78})
+	good, _ := AppendRecord(nil, "resv.admit", payload{N: 1})
+	empty, _ := AppendRecord(nil, "resv.compact", nil)
+	bin, _ := AppendRecord(nil, "resv.admit", RawBinary{0x0a, 0x01, 0x78})
 	f.Add([]byte{})
 	f.Add(good)
 	f.Add(empty)
@@ -79,7 +79,7 @@ func FuzzDecodeRecord(f *testing.F) {
 			}
 			// Canonical framing: re-encoding the decoded payload must
 			// reproduce the input frame byte for byte.
-			re, err := EncodeRecord(rec.Op, RawBinary(rec.Data))
+			re, err := AppendRecord(nil, rec.Op, RawBinary(rec.Data))
 			if err != nil || !bytes.Equal(re, data[off:off+n]) {
 				t.Fatalf("re-encode mismatch (%v): %q vs %q", err, re, data[off:off+n])
 			}

@@ -50,9 +50,9 @@ func openT(t *testing.T, dir string, opts Options) (*Journal, *Recovered) {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	frame, err := EncodeRecord("test.op", payload{N: 7, S: "x"})
+	frame, err := AppendRecord(nil, "test.op", payload{N: 7, S: "x"})
 	if err != nil {
-		t.Fatalf("EncodeRecord: %v", err)
+		t.Fatalf("AppendRecord: %v", err)
 	}
 	rec, n, err := DecodeRecord(frame)
 	if err != nil {
@@ -74,7 +74,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRecordErrors(t *testing.T) {
-	good, _ := EncodeRecord("op", payload{N: 1})
+	good, _ := AppendRecord(nil, "op", payload{N: 1})
 
 	if _, _, err := DecodeRecord(nil); err != io.EOF {
 		t.Errorf("empty buf: err = %v, want io.EOF", err)
@@ -141,7 +141,7 @@ func TestOpenRefusesWholeFramesItCannotRead(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			after, _ := EncodeRecord("test.op", payload{N: 2})
+			after, _ := AppendRecord(nil, "test.op", payload{N: 2})
 			wal = append(append(wal, frameRaw(foreign)...), after...) // mid-WAL: a good record follows
 			if err := os.WriteFile(path, wal, 0o644); err != nil {
 				t.Fatal(err)

@@ -106,11 +106,6 @@ func AppendRecord(buf []byte, op string, data BinaryRecord) ([]byte, error) {
 	return buf, nil
 }
 
-// EncodeRecord frames op+data into a fresh append-ready buffer.
-func EncodeRecord(op string, data BinaryRecord) ([]byte, error) {
-	return AppendRecord(nil, op, data)
-}
-
 // DecodeRecord parses one framed record from the front of buf,
 // returning the record and the number of bytes consumed. io.EOF means
 // buf is empty (clean end); ErrTruncated means buf ends mid-frame;

@@ -147,9 +147,9 @@ func TestStreamAppendFrameRejectsBadFrames(t *testing.T) {
 	if err := appendRaw(j, []byte("not a frame")); err == nil {
 		t.Fatal("AppendFrame accepted garbage")
 	}
-	good, err := EncodeRecord("test.op", payload{N: 1})
+	good, err := AppendRecord(nil, "test.op", payload{N: 1})
 	if err != nil {
-		t.Fatalf("EncodeRecord: %v", err)
+		t.Fatalf("AppendRecord: %v", err)
 	}
 	if err := appendRaw(j, append(good, 0xff)); err == nil {
 		t.Fatal("AppendFrame accepted trailing bytes")
@@ -306,7 +306,7 @@ func TestTailSinceMatchesLinearScan(t *testing.T) {
 			j.Trim(j.Seq() - int64(rng.Intn(40)) + 2)
 		case n < 28:
 			var frame []byte
-			if frame, err = EncodeRecord("test.op", payload{N: step}); err == nil {
+			if frame, err = AppendRecord(nil, "test.op", payload{N: step}); err == nil {
 				err = appendRaw(j, frame)
 			}
 		default:

@@ -186,7 +186,7 @@ func encodeEvent(t *testing.T, e event) []byte {
 		sort.Strings(sorted)
 		e.data = compactRec{Removed: sorted}
 	}
-	b, err := journal.EncodeRecord(e.op, e.data)
+	b, err := journal.AppendRecord(nil, e.op, e.data)
 	if err != nil {
 		t.Fatalf("encode %s: %v", e.op, err)
 	}
@@ -525,7 +525,7 @@ func TestLedgerIgnoresDamagedWindows(t *testing.T) {
 		Handle: "test-9", Bandwidth: 50 * units.Mbps, Status: Granted,
 		Window: units.Window{Start: t0.Add(40 * time.Minute), End: t0.Add(20 * time.Minute)},
 	}
-	b, err := journal.EncodeRecord(opAdmit, admitRec{Resv: bad, Seq: 9})
+	b, err := journal.AppendRecord(nil, opAdmit, admitRec{Resv: bad, Seq: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

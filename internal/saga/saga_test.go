@@ -25,7 +25,7 @@ type fakeJournal struct {
 }
 
 func (f *fakeJournal) Append(op string, data journal.BinaryRecord) error {
-	frame, err := journal.EncodeRecord(op, data)
+	frame, err := journal.AppendRecord(nil, op, data)
 	if err != nil {
 		return err
 	}

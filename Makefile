@@ -5,8 +5,9 @@
 #   make verify            tier-2: metrics lint + allocation gates + short
 #                          fuzz pass (none of which the race run contains:
 #                          the gates skip under -race, fuzzing is its own
-#                          mode), then go vet and the race detector over
-#                          the whole tree. For one battery under -race,
+#                          mode), then a gofmt check (fails on any file
+#                          `gofmt -l .` lists), go vet and the race
+#                          detector over the whole tree. For one battery under -race,
 #                          run `go test -race -run <pattern> <packages>`
 #   make loc               non-test, non-blank, non-comment-only Go lines
 #                          per package under internal/ and cmd/, and the
@@ -97,6 +98,7 @@ test: build
 	$(GO) test ./...
 
 verify: build metrics-lint alloc-gate fuzz-short
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l: unformatted Go files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
 

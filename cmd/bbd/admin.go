@@ -16,7 +16,8 @@ import (
 // startAdmin serves the broker's operator endpoint on addr:
 //
 //	/metrics      Prometheus text exposition of the broker registry
-//	/top          JSON live view: windowed rates, gauges, quantiles
+//	/top          JSON registry levels and quantiles at the request's
+//	              instant (obs.TopSnapshot); `qosctl top` derives rates
 //	/replication  JSON replica-group status (role, term, lag)
 //	/promote      POST: stand this replica for election (failover)
 //	/debug/pprof/ the standard Go profiler
@@ -30,7 +31,6 @@ func startAdmin(addr string, broker *bb.BB, logger *slog.Logger) (func() error, 
 		return nil, fmt.Errorf("bbd: admin listen: %w", err)
 	}
 	reg := broker.MetricsRegistry()
-	top := obs.NewTop(broker.Domain(), reg)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -38,7 +38,7 @@ func startAdmin(addr string, broker *bb.BB, logger *slog.Logger) (func() error, 
 	})
 	mux.HandleFunc("/top", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(top.Snapshot(time.Now()))
+		_ = json.NewEncoder(w).Encode(obs.NewTopSnapshot(broker.Domain(), reg))
 	})
 	mux.HandleFunc("/replication", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -1,22 +1,29 @@
 package main
 
 import (
+	"bytes"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/x509"
+	"encoding/json"
 	"encoding/pem"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"e2eqos/internal/bb"
 	"e2eqos/internal/core"
 	"e2eqos/internal/identity"
+	"e2eqos/internal/obs"
 	"e2eqos/internal/pki"
 	"e2eqos/internal/signalling"
 	"e2eqos/internal/transport"
@@ -319,12 +326,11 @@ func TestLoadConfigRefusesUnknownKey(t *testing.T) {
 	}
 }
 
-// TestBuildRefusesConfigThatDisagrees: a peer whose cert_file is another
-// domain's broker, and a replica set that leaves out its own replica_id
-// or has no state_dir, stop the daemon at boot with the broker's named
-// error, not at the first reserve that needs them.
-func TestBuildRefusesConfigThatDisagrees(t *testing.T) {
-	dir := t.TempDir()
+// chainConfig writes a CA and the keys and certificates of three
+// brokers, DomainA-DomainB-DomainC, into dir, and returns a builder of
+// DomainA's config: it peers with DomainB at a dead address.
+func chainConfig(t *testing.T, dir string) func() *FileConfig {
+	t.Helper()
 	ca, err := pki.NewCA(identity.NewDN("Grid", "", "RootCA"))
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +357,7 @@ func TestBuildRefusesConfigThatDisagrees(t *testing.T) {
 		}
 		domCfgs = append(domCfgs, DomainConfig{Name: dom, BBDN: string(key.DN)})
 	}
-	config := func() *FileConfig {
+	return func() *FileConfig {
 		return &FileConfig{
 			Domain:    "DomainA",
 			Listen:    "127.0.0.1:0",
@@ -364,6 +370,75 @@ func TestBuildRefusesConfigThatDisagrees(t *testing.T) {
 			Peers:     []PeerConfig{{Domain: "DomainB", Addr: "127.0.0.1:1", CertFile: filepath.Join(dir, "DomainB.cert.pem")}},
 		}
 	}
+}
+
+// TestAdminEndpointServesTheRegistry: /metrics is the broker registry's
+// text exposition, /top its levels at the request's instant, and an
+// unreplicated broker reports so on /replication and refuses a GET of
+// /promote.
+func TestAdminEndpointServesTheRegistry(t *testing.T) {
+	broker, ln, recorder, err := chainConfig(t, t.TempDir())().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recorder.Close()
+	defer broker.Close()
+	defer ln.Close()
+	addr := fmt.Sprintf("127.0.0.1:%d", freePorts(t, 1)[0])
+	closeAdmin, err := startAdmin(addr, broker, broker.Logger())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAdmin()
+	get := func(path string) *http.Response {
+		t.Helper()
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	reg := broker.MetricsRegistry()
+
+	body, err := io.ReadAll(get("/metrics").Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	reg.WriteText(&want)
+	if want.Len() == 0 || string(body) != want.String() {
+		t.Errorf("/metrics is not the registry's exposition:\n%s\nwant:\n%s", body, want.String())
+	}
+
+	var top obs.TopSnapshot
+	if err := json.NewDecoder(get("/top").Body).Decode(&top); err != nil {
+		t.Fatal(err)
+	}
+	if top.Domain != "DomainA" || top.TimeNS == 0 || !reflect.DeepEqual(top.Values, reg.Snapshot()) {
+		t.Errorf("/top = %+v, want DomainA's registry levels %v", top, reg.Snapshot())
+	}
+
+	var status bb.ReplicationStatus
+	if err := json.NewDecoder(get("/replication").Body).Decode(&status); err != nil {
+		t.Fatal(err)
+	}
+	if status.Replicated {
+		t.Errorf("/replication = %+v, want Replicated false", status)
+	}
+
+	if resp := get("/promote"); resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("GET /promote: %s, want 405", resp.Status)
+	}
+}
+
+// TestBuildRefusesConfigThatDisagrees: a peer whose cert_file is another
+// domain's broker, and a replica set that leaves out its own replica_id
+// or has no state_dir, stop the daemon at boot with the broker's named
+// error, not at the first reserve that needs them.
+func TestBuildRefusesConfigThatDisagrees(t *testing.T) {
+	dir := t.TempDir()
+	config := chainConfig(t, dir)
 	for _, row := range []struct {
 		name string
 		edit func(*FileConfig)

@@ -94,13 +94,14 @@ type FileConfig struct {
 	StartAsFollower bool `json:"start_as_follower,omitempty"`
 	// ElectionTimeout, when set (e.g. "2s"), arms automatic failover:
 	// a follower that hears no leader for this long (staggered by
-	// replica id) stands for election. "" keeps failover manual
-	// (`qosctl promote` / the admin endpoint).
+	// replica id) stands for election. "" keeps failover manual:
+	// POST /promote on the admin endpoint.
 	ElectionTimeout string `json:"election_timeout,omitempty"`
 
 	// AdminAddr, when set (e.g. "127.0.0.1:7101"), serves the broker's
-	// admin HTTP endpoint: Prometheus metrics on /metrics, the live
-	// rate/quantile view on /top, and the pprof profiler under
+	// admin HTTP endpoint: Prometheus metrics on /metrics, the metric
+	// levels and quantiles `qosctl top` polls on /top, replica status
+	// on /replication, POST /promote, and the pprof profiler under
 	// /debug/pprof/. Default "" = disabled (metrics are still
 	// collected; they are just not exposed).
 	AdminAddr string `json:"admin_addr,omitempty"`

@@ -5,8 +5,8 @@
 //
 //	bbd -config domain-a.json
 //
-// See cmd/bbd/config.go for the configuration schema and
-// examples/quickstart for a scripted three-domain deployment.
+// See cmd/bbd/config.go for the configuration schema, and deploy in
+// cmd/bbd/bbd_test.go for a scripted three-domain TLS deployment.
 package main
 
 import (

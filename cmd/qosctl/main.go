@@ -10,10 +10,14 @@
 //	qosctl ... cancel -rar RAR-abcdef
 //	qosctl ... status -rar RAR-abcdef
 //
-// Two telemetry subcommands need no credentials: `qosctl top -admin
-// 127.0.0.1:7101` renders a broker's live rate/quantile view, and
-// `qosctl events -dir /var/lib/bbd/events` reads its flight-recorder
-// log.
+//	qosctl ... tunnel-batch-alloc -rar RAR-abcdef -subs f1,f2 -bw 5Mb/s
+//	qosctl ... tunnel-batch-release -rar RAR-abcdef -subs f1,f2
+//
+// Two telemetry subcommands need no credentials. `qosctl top -admin
+// 127.0.0.1:7101` polls a broker's registry levels and renders each
+// counter as its rate since the previous poll, with the gauges and
+// latency quantiles; `qosctl events -dir /var/lib/bbd/events` reads
+// its flight-recorder log.
 package main
 
 import (
@@ -45,7 +49,7 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "bound on connecting and on each call (0 waits forever)")
 	flag.Parse()
 	if flag.NArg() < 1 {
-		die("usage: qosctl [flags] reserve|cancel|status|tunnel-alloc|tunnel-release|tunnel-batch-alloc|tunnel-batch-release|events|top [command flags]")
+		die("usage: qosctl [flags] reserve|cancel|status|tunnel-batch-alloc|tunnel-batch-release|events|top [command flags]")
 	}
 	// events reads the on-disk flight-recorder log and top polls the
 	// plain-HTTP admin endpoint: neither signs anything nor dials the
@@ -94,47 +98,35 @@ func main() {
 		runSimple(client, signalling.MsgCancel, flag.Args()[1:])
 	case "status":
 		runSimple(client, signalling.MsgStatus, flag.Args()[1:])
-	case "tunnel-alloc":
-		runTunnelBatch(client, key, signalling.OpAlloc, true, flag.Args()[1:])
-	case "tunnel-release":
-		runTunnelBatch(client, key, signalling.OpRelease, true, flag.Args()[1:])
 	case "tunnel-batch-alloc":
-		runTunnelBatch(client, key, signalling.OpAlloc, false, flag.Args()[1:])
+		runTunnelBatch(client, key, signalling.OpAlloc, flag.Args()[1:])
 	case "tunnel-batch-release":
-		runTunnelBatch(client, key, signalling.OpRelease, false, flag.Args()[1:])
+		runTunnelBatch(client, key, signalling.OpRelease, flag.Args()[1:])
 	default:
 		die("unknown command %q", flag.Arg(0))
 	}
 }
 
 // runTunnelBatch allocates or releases sub-flows inside an established
-// tunnel in one round trip: many with tunnel-batch-alloc / -release
-// (-subs), one with tunnel-alloc / -release (single: -sub, a batch of
-// one op). The broker it talks to applies the ops at its own endpoint
-// only; a user driving a tunnel themselves sends the same batch to the
-// brokers at both ends. The batch's Seq is the wall clock in ns unless
-// -seq pins it, and it is printed, so a user whose connection died can
-// retransmit the identical batch with tunnel-batch-* -seq and get the
-// recorded answer instead of a double admission. qosctl acknowledges
-// nothing: a broker holds its answers up to a per-sender cap.
-func runTunnelBatch(client *signalling.Client, key *identity.KeyPair, action signalling.TunnelOpAction, single bool, args []string) {
-	name, subsFlag, subsHelp := "tunnel-batch-"+string(action), "subs", "comma-separated sub-flow ids (required)"
-	if single {
-		name, subsFlag, subsHelp = "tunnel-"+string(action), "sub", "sub-flow id (required)"
-	}
+// tunnel in one round trip, with tunnel-batch-alloc / -release (-subs;
+// one sub-flow is a batch of one op). The broker it talks to applies
+// the ops at its own endpoint only; a user driving a tunnel themselves
+// sends the same batch to the brokers at both ends. The batch's Seq is
+// the wall clock in ns unless -seq pins it, and it is printed, so a
+// user whose connection died can retransmit the identical batch with
+// -seq and get the recorded answer instead of a double admission.
+// qosctl acknowledges nothing: a broker holds its answers up to a
+// per-sender cap.
+func runTunnelBatch(client *signalling.Client, key *identity.KeyPair, action signalling.TunnelOpAction, args []string) {
+	name := "tunnel-batch-" + string(action)
 	fs := flag.NewFlagSet(name, flag.ExitOnError)
 	rar := fs.String("rar", "", "tunnel RAR id (required)")
-	subs := fs.String(subsFlag, "", subsHelp)
-	bwStr, seq := new(string), new(int64)
-	if !single || action == signalling.OpAlloc {
-		bwStr = fs.String("bw", "1Mb/s", "per-sub-flow bandwidth (alloc only)")
-	}
-	if !single {
-		seq = fs.Int64("seq", 0, "batch sequence number to reuse when retransmitting (default: the wall clock in ns)")
-	}
+	subs := fs.String("subs", "", "comma-separated sub-flow ids (required)")
+	bwStr := fs.String("bw", "1Mb/s", "per-sub-flow bandwidth (alloc only)")
+	seq := fs.Int64("seq", 0, "batch sequence number to reuse when retransmitting (default: the wall clock in ns)")
 	_ = fs.Parse(args)
 	if *rar == "" || *subs == "" {
-		die("%s: -rar and -%s are required", name, subsFlag)
+		die("%s: -rar and -subs are required", name)
 	}
 	var bw units.Bandwidth
 	if action == signalling.OpAlloc {
@@ -151,11 +143,7 @@ func runTunnelBatch(client *signalling.Client, key *identity.KeyPair, action sig
 	if payload.Seq == 0 {
 		payload.Seq = time.Now().UnixNano()
 	}
-	ids := []string{*subs}
-	if !single {
-		ids = strings.Split(*subs, ",")
-	}
-	for _, sub := range ids {
+	for _, sub := range strings.Split(*subs, ",") {
 		op := signalling.TunnelOp{Action: action, SubFlowID: strings.TrimSpace(sub)}
 		if action == signalling.OpAlloc {
 			op.Bandwidth = int64(bw)
@@ -286,8 +274,8 @@ func printResult(rarID string, resp *signalling.Message) {
 	for _, a := range r.Approvals {
 		fmt.Printf("  approval: domain=%s bb=%s handle=%s granted=%t\n", a.Domain, a.BBDN, a.Handle, a.Granted)
 	}
-	for k, v := range r.PolicyInfo {
-		fmt.Printf("  info: %s=%s\n", k, v)
+	for _, k := range obs.SortedKeys(r.PolicyInfo) {
+		fmt.Printf("  info: %s=%s\n", k, r.PolicyInfo[k])
 	}
 	printTrace(r)
 }

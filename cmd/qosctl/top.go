@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
+	"os"
 	"strings"
 	"time"
 
@@ -12,33 +14,46 @@ import (
 )
 
 // runTop polls one or more brokers' admin /top endpoints and renders
-// the live view: windowed counter rates, gauge levels, and latency
-// quantiles. The admin endpoint is plain HTTP (it binds loopback by
-// convention), so no user credentials are needed.
+// the live view: counter rates, gauge levels, and latency quantiles.
+// The admin endpoint is plain HTTP (it binds loopback by convention),
+// so no user credentials are needed.
 func runTop(args []string) {
 	fs := flag.NewFlagSet("top", flag.ExitOnError)
 	admin := fs.String("admin", "", "comma-separated broker admin addresses, e.g. 127.0.0.1:7101 (required)")
 	interval := fs.Duration("interval", 2*time.Second, "delay between polls")
-	polls := fs.Int("n", 1, "number of polls (0 = poll until interrupted)")
+	polls := fs.Int("n", 1, "number of views to print after the baseline poll (0 = until interrupted)")
 	_ = fs.Parse(args)
 	if *admin == "" {
 		die("top: -admin is required")
 	}
-	addrs := strings.Split(*admin, ",")
+	pollTop(os.Stdout, strings.Split(*admin, ","), *interval, *polls)
+}
+
+// pollTop takes a baseline snapshot of every broker, then prints polls
+// views (0: until interrupted), each one interval after the last. A
+// broker serves levels; each view's rates are the growth since that
+// broker's previous snapshot, so they are right at any interval.
+func pollTop(w io.Writer, addrs []string, interval time.Duration, polls int) {
 	client := &http.Client{Timeout: 5 * time.Second}
-	for i := 0; *polls == 0 || i < *polls; i++ {
+	prev := make(map[string]*obs.TopSnapshot, len(addrs))
+	for i := 0; polls == 0 || i <= polls; i++ {
 		if i > 0 {
-			time.Sleep(*interval)
-			fmt.Println()
+			time.Sleep(interval)
+		}
+		if i > 1 {
+			fmt.Fprintln(w)
 		}
 		for _, addr := range addrs {
 			addr = strings.TrimSpace(addr)
 			snap, err := fetchTop(client, addr)
 			if err != nil {
-				fmt.Printf("%s: %v\n", addr, err)
+				fmt.Fprintf(w, "%s: %v\n", addr, err)
 				continue
 			}
-			renderTop(addr, snap)
+			if i > 0 {
+				renderTop(w, addr, prev[addr], snap)
+			}
+			prev[addr] = snap
 		}
 	}
 }
@@ -63,23 +78,49 @@ func fetchTop(client *http.Client, addr string) (*obs.TopSnapshot, error) {
 	return &snap, nil
 }
 
-func renderTop(addr string, s *obs.TopSnapshot) {
-	fmt.Printf("%s  [%s]  window=%gs  %s\n", s.Domain, addr, s.WindowSec,
-		time.Unix(0, s.TimeNS).UTC().Format("15:04:05Z"))
-	for _, name := range obs.SortedKeys(s.Rates) {
-		if rate := s.Rates[name]; rate > 0 {
-			fmt.Printf("  %-42s %12.1f/s\n", name, rate)
+// topRates splits cur's series into counter rates and gauge levels. A
+// _total series is a counter: its rate is its growth since prev over
+// the time between the two snapshots, and only a counter that grew has
+// one. A counter below its previous level belongs to a restarted
+// broker and counts from zero. _count and _sum are the histograms'
+// scalars, which the quantiles carry. With no prev there are no rates.
+func topRates(prev, cur *obs.TopSnapshot) (rates, gauges map[string]float64) {
+	rates, gauges = make(map[string]float64), make(map[string]float64)
+	for name, v := range cur.Values {
+		switch {
+		case strings.HasSuffix(name, "_total"):
+			if prev == nil || cur.TimeNS <= prev.TimeNS {
+				continue
+			}
+			if last := prev.Values[name]; v >= last {
+				v -= last
+			}
+			if v > 0 {
+				rates[name] = v / time.Duration(cur.TimeNS-prev.TimeNS).Seconds()
+			}
+		case strings.HasSuffix(name, "_count") || strings.HasSuffix(name, "_sum"):
+		default:
+			gauges[name] = v
 		}
 	}
-	for _, name := range obs.SortedKeys(s.Gauges) {
-		fmt.Printf("  %-42s %12g\n", name, s.Gauges[name])
+	return rates, gauges
+}
+
+func renderTop(w io.Writer, addr string, prev, cur *obs.TopSnapshot) {
+	fmt.Fprintf(w, "%s  [%s]  %s\n", cur.Domain, addr, time.Unix(0, cur.TimeNS).UTC().Format("15:04:05Z"))
+	rates, gauges := topRates(prev, cur)
+	for _, name := range obs.SortedKeys(rates) {
+		fmt.Fprintf(w, "  %-42s %12.1f/s\n", name, rates[name])
 	}
-	for _, name := range obs.SortedKeys(s.Quantiles) {
-		q := s.Quantiles[name]
+	for _, name := range obs.SortedKeys(gauges) {
+		fmt.Fprintf(w, "  %-42s %12g\n", name, gauges[name])
+	}
+	for _, name := range obs.SortedKeys(cur.Quantiles) {
+		q := cur.Quantiles[name]
 		if q.Count == 0 {
 			continue
 		}
-		fmt.Printf("  %-42s n=%-8d p50=%-10s p99=%-10s p999=%s\n",
+		fmt.Fprintf(w, "  %-42s n=%-8d p50=%-10s p99=%-10s p999=%s\n",
 			name, q.Count, fmtSeconds(q.P50), fmtSeconds(q.P99), fmtSeconds(q.P999))
 	}
 }

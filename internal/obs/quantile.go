@@ -218,7 +218,7 @@ func (h *QHist) Sum() float64 {
 }
 
 // QuantileSnapshot is one histogram's percentile report, the shape
-// experiment tables and the /top endpoint serve.
+// experiment tables print and a TopSnapshot carries.
 type QuantileSnapshot struct {
 	Count uint64  `json:"count"`
 	Sum   float64 `json:"sum"`
@@ -268,7 +268,7 @@ func (r *Registry) Quantile(name, help string) *QHist {
 }
 
 // Quantiles reports every registered QHist keyed by metric name —
-// the snapshot experiment reports and the live /top view consume.
+// the snapshot experiment reports and TopSnapshot consume.
 func (r *Registry) Quantiles() map[string]QuantileSnapshot {
 	if r == nil {
 		return nil

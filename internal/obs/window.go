@@ -2,151 +2,25 @@ package obs
 
 import (
 	"sort"
-	"strings"
-	"sync"
 	"time"
 )
 
-// RateWindow turns a monotonically increasing counter level into a
-// windowed per-second rate: a ring of time buckets accumulates the
-// deltas between successive samples, and Rate sums the buckets that
-// are still inside the window. Sampling and reading are driven by the
-// caller's clock (scrape time), so the window needs no goroutine.
-//
-// Not safe for concurrent use on its own; Top serializes access.
-type RateWindow struct {
-	bucketDur time.Duration
-	buckets   []rateBucket
-	last      float64
-	lastSet   bool
-	firstNS   int64 // first sample time, for ramp-up scaling
-}
-
-type rateBucket struct {
-	slot  int64 // absolute bucket number, nowNS / bucketDur
-	delta float64
-}
-
-// NewRateWindow builds a window of n buckets of d each (window span
-// n*d). n < 1 or d <= 0 select 10 buckets of 1s.
-func NewRateWindow(n int, d time.Duration) *RateWindow {
-	if n < 1 {
-		n = 10
-	}
-	if d <= 0 {
-		d = time.Second
-	}
-	return &RateWindow{bucketDur: d, buckets: make([]rateBucket, n)}
-}
-
-// Sample feeds the counter's current level at time now. Levels that
-// go backwards (a restarted broker's fresh registry) reset the base
-// without crediting a negative delta.
-func (w *RateWindow) Sample(now time.Time, level float64) {
-	nowNS := now.UnixNano()
-	slot := nowNS / int64(w.bucketDur)
-	b := &w.buckets[int(slot%int64(len(w.buckets)))]
-	if b.slot != slot {
-		b.slot, b.delta = slot, 0
-	}
-	if w.lastSet {
-		if d := level - w.last; d > 0 {
-			b.delta += d
-		}
-	} else {
-		w.firstNS = nowNS
-	}
-	w.last = level
-	w.lastSet = true
-}
-
-// Rate returns the windowed per-second rate as of now.
-func (w *RateWindow) Rate(now time.Time) float64 {
-	nowNS := now.UnixNano()
-	slot := nowNS / int64(w.bucketDur)
-	minSlot := slot - int64(len(w.buckets)) + 1
-	var sum float64
-	for _, b := range w.buckets {
-		if b.slot >= minSlot && b.slot <= slot {
-			sum += b.delta
-		}
-	}
-	span := time.Duration(len(w.buckets)) * w.bucketDur
-	if w.lastSet {
-		if lived := time.Duration(nowNS - w.firstNS); lived > w.bucketDur && lived < span {
-			span = lived // ramp-up: don't dilute early rates over unseen history
-		}
-	}
-	if span <= 0 {
-		return 0
-	}
-	return sum / span.Seconds()
-}
-
-// TopSnapshot is one broker's live view: windowed rates for every
-// counter, current gauge values, and quantile summaries. The bbd
-// admin endpoint serves it as JSON at /top and `qosctl top` renders
-// it.
+// TopSnapshot is one broker's registry at one instant: the level of
+// every scalar series and the quantile summaries. The bbd admin
+// endpoint serves it as JSON at /top. It carries levels, not rates:
+// `qosctl top` keeps each broker's previous snapshot and divides a
+// counter's growth by the time between the two, so the broker keeps
+// no telemetry state between requests.
 type TopSnapshot struct {
 	Domain    string                      `json:"domain"`
 	TimeNS    int64                       `json:"ts_ns"`
-	WindowSec float64                     `json:"window_sec"`
-	Rates     map[string]float64          `json:"rates"`  // counter name -> events/sec over the window
-	Gauges    map[string]float64          `json:"gauges"` // gauge name -> level
+	Values    map[string]float64          `json:"values"` // Registry.Snapshot
 	Quantiles map[string]QuantileSnapshot `json:"quantiles"`
 }
 
-// Top aggregates a registry into rolling rate windows. Each Snapshot
-// call samples every counter (feeding the windows) and reports the
-// current rates — callers poll it; between polls nothing runs.
-type Top struct {
-	domain  string
-	reg     *Registry
-	nBuck   int
-	buckDur time.Duration
-
-	mu      sync.Mutex
-	windows map[string]*RateWindow
-}
-
-// NewTop builds a live view over reg with a 10s window (10 buckets of
-// 1s).
-func NewTop(domain string, reg *Registry) *Top {
-	return &Top{domain: domain, reg: reg, nBuck: 10, buckDur: time.Second, windows: make(map[string]*RateWindow)}
-}
-
-// Snapshot samples the registry at now and returns the live view.
-// Nil-safe: a nil Top (or nil registry) reports an empty snapshot.
-func (t *Top) Snapshot(now time.Time) TopSnapshot {
-	out := TopSnapshot{TimeNS: now.UnixNano()}
-	if t == nil {
-		return out
-	}
-	out.Domain = t.domain
-	out.WindowSec = (time.Duration(t.nBuck) * t.buckDur).Seconds()
-	out.Rates = make(map[string]float64)
-	out.Gauges = make(map[string]float64)
-	snap := t.reg.Snapshot()
-	t.mu.Lock()
-	for name, v := range snap {
-		switch {
-		case strings.HasSuffix(name, "_total"):
-			w := t.windows[name]
-			if w == nil {
-				w = NewRateWindow(t.nBuck, t.buckDur)
-				t.windows[name] = w
-			}
-			w.Sample(now, v)
-			out.Rates[name] = w.Rate(now)
-		case strings.HasSuffix(name, "_count") || strings.HasSuffix(name, "_sum"):
-			// histogram scalars: quantile snapshots carry these
-		default:
-			out.Gauges[name] = v
-		}
-	}
-	t.mu.Unlock()
-	out.Quantiles = t.reg.Quantiles()
-	return out
+// NewTopSnapshot reads reg now.
+func NewTopSnapshot(domain string, reg *Registry) TopSnapshot {
+	return TopSnapshot{Domain: domain, TimeNS: time.Now().UnixNano(), Values: reg.Snapshot(), Quantiles: reg.Quantiles()}
 }
 
 // SortedKeys returns m's keys sorted — rendering helper shared by

@@ -35,11 +35,15 @@
 #                          (TestFollowerStreamApplyAllocationBound),
 #                          QHist Observe, event append, ledger reads,
 #                          signature verify, a warm chain Verify (the
-#                          same count at 2 and 8 layers, <= 6), Unwrap
+#                          same count at 2 and 8 layers, <= 6), Open
 #                          into a used chain (1 object at any depth), a
 #                          policy decision (0), one 8-domain World
 #                          reserve + cancel (TestReserveChainAllocationBound:
-#                          <= 470 objects), Seal, tunnel batch validate /
+#                          <= 470 objects), the layer signatures each
+#                          broker of a 3-, 5- and 8-domain reserve checks
+#                          (TestReserveSignatureCheckAllocationBound:
+#                          5 / 9 / 15, and 6 / 15 / 36 under a policy
+#                          naming the user), Seal, tunnel batch validate /
 #                          decode / dense
 #                          grant of an alloc and a release batch
 #                          (TestTunnelBatchDenseAllocationBound), a batch
@@ -114,6 +118,7 @@ alloc-gate:
 fuzz-short:
 	$(GO) test -run NONE -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/envelope
 	$(GO) test -run NONE -fuzz '^FuzzUnwrapMatchesSerial$$' -fuzztime 10s ./internal/envelope
+	$(GO) test -run NONE -fuzz '^FuzzTransitOpenMatchesUnwrap$$' -fuzztime 10s ./internal/envelope
 	$(GO) test -run NONE -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s ./internal/signalling
 	$(GO) test -run NONE -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/policy
 	$(GO) test -run NONE -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/journal

@@ -195,6 +195,11 @@ type BB struct {
 	table *resv.Table
 	log   *slog.Logger
 	m     bbMetrics
+	// audits is set when the policy reads who is asking, so every
+	// reserve's onion is checked in full here before the policy reads
+	// a name from it. It catches a corrupted onion, not a forged user:
+	// the neighbour introduces the user's key (DESIGN.md §6.11).
+	audits bool
 
 	// inbound is the SLA regulating premium traffic from each peered
 	// domain; peerCerts is each peer's certificate by its broker DN.
@@ -283,6 +288,7 @@ func New(cfg Config) (*BB, error) {
 		cfg:       cfg,
 		proto:     proto,
 		table:     table,
+		audits:    cfg.Policy.NamesRequester(),
 		log:       obs.BrokerLogger(cfg.Logger, cfg.Domain),
 		m:         newBBMetrics(cfg.Metrics),
 		inbound:   make(map[string]*sla.SLA, len(cfg.Peers)),

@@ -17,8 +17,12 @@ type bbMetrics struct {
 	denied    *obs.Counter // reserves denied or failed at this hop
 	cancels   *obs.Counter // cancel requests received
 	// layerChecks counts the envelope-layer signatures verified in
-	// accepted reserve chains: N(N+1)/2 across a path of N domains.
+	// accepted reserve chains: 2N-1 across a path of N domains when
+	// every hop but the destination vouches (DESIGN.md §6.11).
 	layerChecks *obs.Counter
+	// vouched counts the inner layers of accepted reserve chains taken
+	// on the channel peer's signature without a check of their own.
+	vouched *obs.Counter
 	// Robustness-layer counters.
 	rollbacks       *obs.Counter // optimistic admissions rolled back
 	retries         *obs.Counter // downstream call retries
@@ -93,6 +97,7 @@ func newBBMetrics(r *obs.Registry) bbMetrics {
 		denied:       r.Counter("bb_rars_denied_total", "reserve requests denied or failed at this hop"),
 		cancels:      r.Counter("bb_cancels_total", "cancel requests received"),
 		layerChecks:  r.Counter("bb_layer_signatures_verified_total", "envelope layer signatures verified in accepted reserve chains"),
+		vouched:      r.Counter("bb_layers_vouched_total", "inner envelope layers of accepted reserve chains taken on the channel peer's signature, unchecked"),
 		rollbacks:    r.Counter("bb_rollbacks_total", "optimistic admissions rolled back after downstream denial or failure"),
 		retries:      r.Counter("bb_retries_total", "downstream call retries after transport failures"),
 		breakerOpens: r.Counter("bb_breaker_opens_total", "per-peer circuit breaker open transitions"),

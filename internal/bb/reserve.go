@@ -72,7 +72,7 @@ func (b *BB) handleReserve(peer signalling.Peer, payload *signalling.ReservePayl
 	}
 	now := b.cfg.Clock()
 	tVerify := time.Now()
-	verified, err := b.proto.Verify(env, peer.DN, peer.CertDER, now)
+	verified, err := b.proto.Receive(env, peer.DN, peer.CertDER, now, b.transit(payload))
 	verifyNS := time.Since(tVerify).Nanoseconds()
 	if span != nil {
 		span.VerifyNS = verifyNS
@@ -87,6 +87,7 @@ func (b *BB) handleReserve(peer signalling.Peer, payload *signalling.ReservePayl
 		return resp
 	}
 	b.m.layerChecks.Add(int64(verified.Signatures))
+	b.m.vouched.Add(int64(verified.Vouched))
 	spec := verified.Spec
 
 	// Flight-recorder sampling: only the ingress hop — the broker that
@@ -162,6 +163,18 @@ func (b *BB) handleReserve(peer signalling.Peer, payload *signalling.ReservePayl
 	close(e.done)
 	b.maybeCheckpoint()
 	return resp
+}
+
+// transit is the domain past which this hop may take a reserve's inner
+// layers on its neighbour's signature (DESIGN.md §6.11): its own,
+// unless its policy reads who is asking or the reserve stops here
+// whatever its spec says. Receive audits every layer of a spec that
+// ends in it.
+func (b *BB) transit(p *signalling.ReservePayload) string {
+	if b.audits || p.Mode == signalling.ModeLocal {
+		return ""
+	}
+	return b.cfg.Domain
 }
 
 // logReserveVerdict emits the one per-reserve log record: grants at

@@ -81,18 +81,34 @@ type VerifiedRequest struct {
 	// policy-engine verification.
 	Capabilities pki.CapabilityChain
 	// Signatures is how many layer signatures verifying the request
-	// checked: one per layer, N(N+1)/2 over a path of N domains.
+	// checked: every layer at the end of the line and under Verify, the
+	// channel peer's alone at a hop that vouched for the rest.
 	Signatures int
+	// Vouched is how many inner layers were accepted on the channel
+	// peer's signature without a check of their own.
+	Vouched int
 }
 
 // Verify unwraps an inbound envelope received over a mutually
 // authenticated channel from channelPeer (with certificate
-// channelPeerCert, as captured by the handshake). The outermost layer
-// must be signed by the channel peer; every inner layer's key is
-// accepted through the introduction semantics — the already-verified
-// wrapping layer embeds the signer's certificate — bounded by the
-// trust store's introducer-depth policy.
+// channelPeerCert, as captured by the handshake) and audits every
+// layer. The outermost layer must be signed by the channel peer; every
+// inner layer's key is accepted through the introduction semantics —
+// the already-verified wrapping layer embeds the signer's certificate —
+// bounded by the trust store's introducer-depth policy.
 func (b *Broker) Verify(env *envelope.Envelope, channelPeer identity.DN, channelPeerCert []byte, at time.Time) (*VerifiedRequest, error) {
+	return b.Receive(env, channelPeer, channelPeerCert, at, "")
+}
+
+// Receive is Verify for a broker that may pass the request on
+// (DESIGN.md §6.11). When the spec's signed destination is a domain
+// other than transit, it checks the channel peer's layer alone and
+// vouches for the layers inside on that signature; every check that
+// needs no signature still runs, the introducer-depth bound included.
+// A spec that ends at transit, one that does not decode, an empty
+// transit and a broker with a Directory have every layer checked, as
+// Verify does: vouching assumes inner keys the neighbour introduced.
+func (b *Broker) Receive(env *envelope.Envelope, channelPeer identity.DN, channelPeerCert []byte, at time.Time, transit string) (*VerifiedRequest, error) {
 	if env == nil {
 		return nil, fmt.Errorf("core: nil envelope")
 	}
@@ -106,7 +122,7 @@ func (b *Broker) Verify(env *envelope.Envelope, channelPeer identity.DN, channel
 	if s == nil {
 		s = new(verifyScratch)
 	}
-	s.b, s.channelPeerCert, s.at, s.maxDepth = b, channelPeerCert, at, b.Trust.MaxIntroducerDepth()
+	s.b, s.channelPeerCert, s.at, s.maxDepth, s.transit = b, channelPeerCert, at, b.Trust.MaxIntroducerDepth(), transit
 	verified, err := s.verify(env)
 	s.release()
 	b.scratch.Put(s)
@@ -124,6 +140,12 @@ type verifyScratch struct {
 	channelPeerCert []byte
 	at              time.Time
 	maxDepth        int
+	// transit is the domain past which a request may be vouched for
+	// ("" audits every layer); spec and specErr are what Audit decoded
+	// of the request.
+	transit string
+	spec    *Spec
+	specErr error
 	// Certificates met for the first time wait here and enter the cache
 	// only once the chain that carried them has verified. Inner layers
 	// are resolved from several goroutines, hence the lock.
@@ -136,16 +158,34 @@ func (s *verifyScratch) release() {
 	s.chain.Reset()
 	clear(s.fresh)
 	s.fresh = s.fresh[:0]
-	s.b, s.channelPeerCert, s.at, s.maxDepth = nil, nil, time.Time{}, 0
+	s.b, s.channelPeerCert, s.at, s.maxDepth, s.transit = nil, nil, time.Time{}, 0, ""
+	s.spec, s.specErr = nil, nil
+}
+
+// Audit is the chain's envelope.Auditor, the one decision of §6.11 in
+// DESIGN.md. It decodes the spec and has every inner layer checked
+// unless the spec sends the request on past s.transit. A spec that does
+// not decode names no destination, so it is checked in full and
+// refused as Verify refuses it. With a Directory, inner keys come from
+// a repository rather than from certificates the neighbour embeds, so
+// the neighbour could not have forged them and every layer is checked.
+func (s *verifyScratch) Audit(c *envelope.Chain) bool {
+	s.spec, s.specErr = DecodeSpec(c.Request)
+	return s.transit == "" || s.b.Directory != nil || s.specErr != nil || s.spec.DestDomain == s.transit
 }
 
 func (s *verifyScratch) verify(env *envelope.Envelope) (*VerifiedRequest, error) {
 	b, chain := s.b, &s.chain
-	if err := chain.Unwrap(env, s); err != nil {
+	if err := chain.Open(env, s, s); err != nil {
 		return nil, err
 	}
 	for _, cert := range s.fresh {
 		b.certs.Add(cert)
+	}
+	if n := chain.Vouched(); n > s.maxDepth {
+		// No inner key was resolved, so the bound the resolver keeps
+		// is kept here, at the first layer past it.
+		return nil, introducedTooDeep(s.maxDepth+1, s.maxDepth)
 	}
 	if err := b.checkPathNaming(chain); err != nil {
 		return nil, err
@@ -160,9 +200,9 @@ func (s *verifyScratch) verify(env *envelope.Envelope) (*VerifiedRequest, error)
 			return nil, fmt.Errorf("core: request is %s old, limit %s (replay window)", age, b.MaxRequestAge)
 		}
 	}
-	spec, err := DecodeSpec(chain.Request)
-	if err != nil {
-		return nil, err
+	spec := s.spec
+	if s.specErr != nil {
+		return nil, s.specErr
 	}
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("core: inbound spec: %w", err)
@@ -179,7 +219,12 @@ func (s *verifyScratch) verify(env *envelope.Envelope) (*VerifiedRequest, error)
 	if n := len(caps); n > 0 && caps[n-1].SubjectDN() != b.Key.DN {
 		return nil, fmt.Errorf("%w: it ends at %s, verifier is %s", ErrCapabilityHolder, caps[n-1].SubjectDN(), b.Key.DN)
 	}
-	return &VerifiedRequest{Spec: spec, Path: chain.PathDNs(), Capabilities: caps, Signatures: chain.Verified()}, nil
+	return &VerifiedRequest{Spec: spec, Path: chain.PathDNs(), Capabilities: caps, Signatures: chain.Verified(), Vouched: chain.Vouched()}, nil
+}
+
+// introducedTooDeep refuses a layer past the introducer-depth limit.
+func introducedTooDeep(depth, limit int) error {
+	return fmt.Errorf("core: introduction depth %d exceeds local policy limit %d", depth, limit)
 }
 
 // parse returns der's parsed certificate, from the broker's cache or,
@@ -200,7 +245,7 @@ func (s *verifyScratch) parse(der []byte) (*pki.Certificate, error) {
 }
 
 // ResolveKey is the chain's envelope.KeyResolver. The outermost layer
-// is depth 0. Unwrap may resolve inner layers that carry a certificate
+// is depth 0. Open may resolve inner layers that carry a certificate
 // in any order and before the layers outside them have verified, so
 // that branch reads its arguments and the cache and writes nothing but
 // this request's fresh list.
@@ -226,7 +271,7 @@ func (s *verifyScratch) ResolveKey(depth int, dn identity.DN, certHint []byte) (
 	// Inner layers: the verified wrapping layer introduced this
 	// signer by embedding its certificate.
 	if depth > s.maxDepth {
-		return nil, fmt.Errorf("core: introduction depth %d exceeds local policy limit %d", depth, s.maxDepth)
+		return nil, introducedTooDeep(depth, s.maxDepth)
 	}
 	if certHint == nil {
 		if b.Directory != nil {

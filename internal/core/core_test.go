@@ -322,8 +322,44 @@ func TestIntroducerDepthPolicyEnforced(t *testing.T) {
 	// C refuses introduction chains deeper than 1: the user's layer
 	// (depth 2) must be rejected.
 	w.brokers[2].Trust.SetMaxIntroducerDepth(1)
-	spec := testSpec(w.alice.Key.DN)
 	now := time.Now()
+	rarB := rarForC(t, w, testSpec(w.alice.Key.DN), now)
+	_, err := w.brokers[2].Verify(rarB, w.brokers[1].DN(), w.certs[1].DER, now)
+	if want := "introduction depth 2 exceeds local policy limit 1"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("chain deeper than local introducer policy: err = %v, want one containing %q", err, want)
+	}
+}
+
+// TestTransitIntroducerDepthPolicyEnforced: a broker that passes a
+// request on checks its channel peer's layer alone and resolves no
+// inner key, yet the introducer-depth bound holds there too, in the
+// words an audit refuses with. C, vouching for a request bound past
+// it, refuses the 3-layer onion under a limit of 1 and takes it under
+// a limit of 2 on one signature check.
+func TestTransitIntroducerDepthPolicyEnforced(t *testing.T) {
+	w := buildWorld(t, false)
+	spec := testSpec(w.alice.Key.DN)
+	spec.DestDomain = "DomainD"
+	now := time.Now()
+	rarB := rarForC(t, w, spec, now)
+	w.brokers[2].Trust.SetMaxIntroducerDepth(1)
+	_, err := w.brokers[2].Receive(rarB, w.brokers[1].DN(), w.certs[1].DER, now, "DomainC")
+	if want := "introduction depth 2 exceeds local policy limit 1"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("transit broker under a depth limit of 1: err = %v, want one containing %q", err, want)
+	}
+	w.brokers[2].Trust.SetMaxIntroducerDepth(2)
+	v, err := w.brokers[2].Receive(rarB, w.brokers[1].DN(), w.certs[1].DER, now, "DomainC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Signatures != 1 || v.Vouched != 2 {
+		t.Errorf("transit broker checked %d layers and vouched for %d, want 1 and 2", v.Signatures, v.Vouched)
+	}
+}
+
+// rarForC runs A and B on spec and returns the 3-layer onion B sends C.
+func rarForC(t *testing.T, w *world, spec *Spec, now time.Time) *envelope.Envelope {
+	t.Helper()
 	rarU, err := w.alice.BuildRAR(spec, w.certs[0])
 	if err != nil {
 		t.Fatal(err)
@@ -344,9 +380,7 @@ func TestIntroducerDepthPolicyEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.brokers[2].Verify(rarB, w.brokers[1].DN(), w.certs[1].DER, now); err == nil {
-		t.Fatal("chain deeper than local introducer policy accepted")
-	}
+	return rarB
 }
 
 func TestSpecUserMustSignInnermost(t *testing.T) {

@@ -95,3 +95,36 @@ func TestDirectoryNotConsultedWhenCertsInline(t *testing.T) {
 		t.Fatal("inline propagation failed")
 	}
 }
+
+// TestDirectoryKeysAreAuditedInTransit: a vouching hop takes inner
+// layers on its neighbour's signature because the neighbour introduced
+// their keys and could have forged them anyway. Keys from a Directory
+// are not the neighbour's to forge, so a broker with one checks every
+// layer even of a request bound past it, and refuses a user whose key
+// the directory lacks.
+func TestDirectoryKeysAreAuditedInTransit(t *testing.T) {
+	w := buildWorld(t, false)
+	dir := &mapDirectory{keys: map[identity.DN]identity.PublicKey{
+		w.alice.Key.DN: w.alice.Key.Public(),
+	}}
+	for _, broker := range w.brokers {
+		broker.OmitIntroducerCerts = true
+		broker.Directory = dir
+		dir.keys[broker.DN()] = broker.Key.Public()
+	}
+	spec := testSpec(w.alice.Key.DN)
+	spec.DestDomain = "DomainD"
+	now := time.Now()
+	rarB := rarForC(t, w, spec, now)
+	v, err := w.brokers[2].Receive(rarB, w.brokers[1].DN(), w.certs[1].DER, now, "DomainC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Signatures != 3 || v.Vouched != 0 {
+		t.Errorf("transit broker with a directory checked %d layers and vouched for %d, want 3 and 0", v.Signatures, v.Vouched)
+	}
+	delete(dir.keys, w.alice.Key.DN)
+	if _, err := w.brokers[2].Receive(rarB, w.brokers[1].DN(), w.certs[1].DER, now, "DomainC"); err == nil {
+		t.Fatal("transit broker with a directory took a user layer whose key the directory lacks")
+	}
+}

@@ -115,7 +115,7 @@ func appendBody(buf []byte, b *Body) []byte {
 // every bytes field of the body, and of the envelope inside it, is a
 // sub-slice of data. text, when set, holds the same bytes as data, and
 // the layer's DNs and policy attributes are substrings of it: one copy
-// per onion, made by Unwrap, serves every layer. The envelope nested
+// per onion, made by Open, serves every layer. The envelope nested
 // in the body, if any, is decoded into inner and reported by hasInner;
 // b.Inner is left as the caller set it. b keeps its capability array
 // and policy map.

@@ -122,12 +122,14 @@ type Layer struct {
 	Body Body
 }
 
-// Chain is the fully verified onion: Layers[0] is the outermost
-// (signed by the last BB before the verifier), Layers[len-1] the
-// innermost (signed by the user), and each layer's Body.Inner points
-// at the next layer's Env. Request is the innermost payload.
+// Chain is the opened onion: Layers[0] is the outermost (signed by the
+// last BB before the verifier), Layers[len-1] the innermost (signed by
+// the user), and each layer's Body.Inner points at the next layer's
+// Env. Request is the innermost payload. After Open, layer 0 has
+// verified, and the layers inside it either verified too or were
+// vouched for on its signature (Vouched).
 //
-// A Chain is reusable. Unwrap decodes into the arrays the chain already
+// A Chain is reusable. Open decodes into the arrays the chain already
 // has, and Reset drops every reference into the frame the last onion
 // was decoded from while keeping them; a verifier that pools chains
 // allocates nothing per layer once they have grown.
@@ -135,9 +137,10 @@ type Chain struct {
 	Layers  []Layer
 	Request []byte
 	run     run
+	vouched int // inner layers the last Open accepted unchecked
 }
 
-// run is the state of Unwrap while it checks layers: the resolver, and
+// run is the state of Open while it checks layers: the resolver, and
 // the run of layers the caller and its helper goroutines share.
 type run struct {
 	resolve    KeyResolver
@@ -171,9 +174,14 @@ func (c *Chain) Capabilities() (pki.CapabilityChain, error) {
 	return pki.DecodeCapabilityChain(ders)
 }
 
-// Verified returns how many layer signatures the last Unwrap checked,
-// counted where each check runs: N(N+1)/2 over a path of N domains.
+// Verified returns how many layer signatures the last Open checked:
+// every layer, or layer 0 alone when it vouched for the rest.
 func (c *Chain) Verified() int { return int(c.run.verified.Load()) }
+
+// Vouched returns how many inner layers the last Open accepted on the
+// signature of layer 0 without checking their own: len(Layers)-1 when
+// its Auditor said no, else 0.
+func (c *Chain) Vouched() int { return c.vouched }
 
 // Reset drops everything the chain holds of the onion it last
 // unwrapped — every sub-slice of its frame, every DN cut from its
@@ -187,6 +195,7 @@ func (c *Chain) Reset() {
 	c.Request = nil
 	clear(c.run.errs[:cap(c.run.errs)])
 	c.run.verified.Store(0)
+	c.vouched = 0
 }
 
 // reset zeroes b but keeps its capability array and policy map.
@@ -213,7 +222,7 @@ func (c *Chain) push(env *Envelope) {
 // it is nil for the outermost layer, whose key the verifier knows from
 // the TLS handshake, and for an inner layer whose wrapper attached none.
 //
-// Unwrap calls ResolveKey once per layer. A call that carries a hint
+// Open calls ResolveKey once per layer it checks. A call that carries a hint
 // may come from any goroutine, alongside other such calls, and before
 // the layers outside it have verified: it must depend on its arguments
 // only and leave nothing behind. A call without a hint — the one that
@@ -223,32 +232,43 @@ type KeyResolver interface {
 	ResolveKey(depth int, dn identity.DN, certDER []byte) (identity.PublicKey, error)
 }
 
-// Unwrap peels and verifies every layer of the onion into c and
-// succeeds only if every layer verified; the error is the one a walk
-// from the outside in, one layer at a time, would have met first. What
-// c held before is dropped first. After an error c holds no verified
-// chain, only what the caller must Reset before it lets go of outer's
-// frame.
+// An Auditor decides, once an onion has decoded in full, whether the
+// layers inside the outermost are checked as well (DESIGN.md §6.11). It
+// is asked once per Open, on the caller's goroutine, after layer 0 has
+// verified and before any inner key is resolved; it may read c.
+type Auditor interface {
+	Audit(c *Chain) bool
+}
+
+// Open peels the onion into c and verifies it; the error is the one a
+// walk from the outside in, one layer at a time, would have met first.
+// What c held before is dropped first. After an error c holds no
+// verified chain, only what the caller must Reset before it lets go of
+// outer's frame.
 //
 // The outermost layer is resolved, verified and decoded on its own, so
 // not one byte inside the neighbour's envelope is decoded before the
 // neighbour's signature holds. The layers inside it are then decoded,
-// and their keys resolved and signatures checked by the caller and up
-// to min(GOMAXPROCS, layers)-1 helper goroutines. A layer without a
-// certificate hint is a flush point: its key is asked for only after
-// every layer outside it has verified.
-func (c *Chain) Unwrap(outer *Envelope, resolve KeyResolver) error {
+// and there is one decision: once the onion has decoded without error,
+// audit says whether the inner layers are checked. If it says no, Open
+// accepts them on layer 0's signature, which Vouched then counts. An
+// onion that does not decode, and every onion under a nil audit, has
+// every layer checked: their keys resolved and signatures checked by
+// the caller and up to min(GOMAXPROCS, layers)-1 helper goroutines. A
+// layer without a certificate hint is a flush point: its key is asked
+// for only after every layer outside it has verified.
+func (c *Chain) Open(outer *Envelope, resolve KeyResolver, audit Auditor) error {
 	c.Reset()
 	if outer == nil {
 		return fmt.Errorf("envelope: empty chain")
 	}
 	c.run.resolve = resolve
-	err := c.peel(outer)
+	err := c.peel(outer, audit)
 	c.run.resolve = nil
 	return err
 }
 
-func (c *Chain) peel(outer *Envelope) error {
+func (c *Chain) peel(outer *Envelope, audit Auditor) error {
 	c.push(outer)
 	if err := c.check(0); err != nil {
 		return err
@@ -288,6 +308,12 @@ func (c *Chain) peel(outer *Envelope) error {
 	// The array has stopped growing: link each layer to the next.
 	for d := 1; d < len(c.Layers); d++ {
 		c.Layers[d-1].Body.Inner = &c.Layers[d].Env
+	}
+	// The one decision: an onion that decoded cleanly and that its
+	// auditor passes on is accepted on layer 0's signature.
+	if after == nil && audit != nil && !audit.Audit(c) {
+		c.vouched = len(c.Layers) - 1
+		return nil
 	}
 
 	// One run of layers at a time: a run starts at layer 1 or at a
@@ -411,7 +437,7 @@ func (c *Chain) checkLayer(d int) {
 	}
 }
 
-// maxDepth bounds the number of nested layers Unwrap accepts,
+// maxDepth bounds the number of nested layers Open accepts,
 // protecting against maliciously deep onions. Inner layers are decoded
 // before they are verified, so this is also the most unauthenticated
 // decoding one request can ask for.

@@ -69,13 +69,13 @@ func (f resolverFunc) ResolveKey(depth int, dn identity.DN, certDER []byte) (ide
 // unwrap unwraps outer into a chain of its own.
 func unwrap(outer *Envelope, resolve KeyResolver) (*Chain, error) {
 	chain := &Chain{}
-	if err := chain.Unwrap(outer, resolve); err != nil {
+	if err := chain.Open(outer, resolve, nil); err != nil {
 		return nil, err
 	}
 	return chain, nil
 }
 
-// open verifies a one-layer envelope under pub on the Unwrap path and
+// open verifies a one-layer envelope under pub on the full walk and
 // returns its body.
 func open(env *Envelope, pub identity.PublicKey) (*Body, error) {
 	chain, err := unwrap(env, resolverFunc(func(int, identity.DN, []byte) (identity.PublicKey, error) { return pub, nil }))
@@ -365,7 +365,7 @@ func TestUnwrapAllocationBound(t *testing.T) {
 		resolve := resolverFor(keys)
 		var chain Chain
 		allocs := testing.AllocsPerRun(100, func() {
-			if err := chain.Unwrap(received, resolve); err != nil {
+			if err := chain.Open(received, resolve, nil); err != nil {
 				t.Fatal(err)
 			}
 		})

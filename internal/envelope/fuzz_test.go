@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	mrand "math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -53,7 +54,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Unwrap may fail (bad signature, unknown signer) but must not
+		// Open may fail (bad signature, unknown signer) but must not
 		// panic.
 		_, _ = unwrap(env, resolve)
 		var (
@@ -103,7 +104,8 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzUnwrapMatchesSerial holds the concurrent Unwrap to the serial
+// FuzzUnwrapMatchesSerial holds the full walk (Open with no Auditor,
+// its inner layers checked concurrently) to the serial
 // twin on whatever bytes the fuzzer makes of the differential test's
 // own chains: same verdict, error text, chain and directory lookups,
 // under any introduction limit, with and without a directory, into one
@@ -134,4 +136,76 @@ func FuzzUnwrapMatchesSerial(f *testing.F) {
 		}
 		diffAgainstTwin(t, &chain, tc)
 	})
+}
+
+// FuzzTransitOpenMatchesUnwrap holds the walk of a hop that vouches —
+// Open with an Auditor that always passes the request on — to the full
+// walk, Open with no Auditor, on whatever bytes the fuzzer makes of the
+// differential test's chains. Wherever the full walk's first failure is
+// in layer 0 or in the decode, the vouching walk fails with the same
+// text; wherever the full walk succeeds, the vouching walk succeeds
+// with the same decoded chain, having checked layer 0 alone and
+// vouched for the rest; and whenever it fails, it fails as the full
+// walk does. Each walk decodes every input into one reused Chain.
+func FuzzTransitOpenMatchesUnwrap(f *testing.F) {
+	signers := twinFixture(f)
+	rng := mrand.New(mrand.NewSource(1302))
+	for i := 0; i < 48; i++ {
+		tc := genTwinCase(f, rng)
+		f.Add(encode(tc.outer), uint8(tc.limit), tc.dir != nil)
+	}
+	dir := map[identity.DN]identity.PublicKey{}
+	for _, s := range signers[:len(signers)/2] {
+		dir[s.key.DN] = s.key.Public()
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var full, transit Chain
+	f.Fuzz(func(t *testing.T, data []byte, limit uint8, withDir bool) {
+		env, err := Decode(data)
+		if err != nil {
+			return
+		}
+		verifier := func() *twinVerifier {
+			v := &twinVerifier{limit: int(limit)}
+			if withDir {
+				v.dir = dir
+			}
+			return v
+		}
+		fullErr := full.Open(env, verifier(), nil)
+		transitErr := transit.Open(env, verifier(), passOn{})
+		switch {
+		case transitErr != nil && (fullErr == nil || transitErr.Error() != fullErr.Error()):
+			t.Fatalf("vouching walk failed unlike the full walk:\n full:     %v\n vouching: %v", fullErr, transitErr)
+		case fullErr != nil && transitErr == nil && outerOrDecode(fullErr):
+			t.Fatalf("vouching walk accepted what the full walk refuses in layer 0 or the decode: %v", fullErr)
+		case fullErr != nil:
+			return
+		case transitErr != nil:
+			t.Fatalf("vouching walk refused what the full walk accepts: %v", transitErr)
+		case !reflect.DeepEqual(decoded(&full), decoded(&transit)) || !bytes.Equal(full.Request, transit.Request):
+			t.Fatalf("chains differ:\n full:     %+v\n vouching: %+v", decoded(&full), decoded(&transit))
+		case transit.Verified() != 1 || transit.Vouched() != len(transit.Layers)-1:
+			t.Fatalf("vouching walk over %d layers checked %d and vouched for %d, want 1 and %d",
+				len(transit.Layers), transit.Verified(), transit.Vouched(), len(transit.Layers)-1)
+		}
+	})
+}
+
+// passOn is the Auditor of a hop that passes every request on.
+type passOn struct{}
+
+func (passOn) Audit(*Chain) bool { return false }
+
+// outerOrDecode reports whether the full walk's error lies in layer 0 or in
+// the decode rather than in an inner layer's key or signature.
+func outerOrDecode(err error) bool {
+	var d int
+	if _, e := fmt.Sscanf(err.Error(), "envelope: resolving key for layer %d ", &d); e == nil {
+		return d == 0
+	}
+	if _, e := fmt.Sscanf(err.Error(), "envelope: layer %d: envelope: layer signed by", &d); e == nil {
+		return d == 0
+	}
+	return true
 }

@@ -19,15 +19,15 @@ import (
 	"e2eqos/internal/pki"
 )
 
-// serialTwin is Unwrap as it stood before layers were checked
+// serialTwin is the full walk as it stood before layers were checked
 // concurrently: one layer at a time from the outside in, each resolved,
 // verified and decoded before the next is looked at. It is the
-// reference Unwrap is judged against (as sweepTwin is for resv's
+// reference the full walk (Open with no Auditor) is judged against (as sweepTwin is for resv's
 // ledger). Three things differ from the text it was copied from:
 // resolve is handed the depth, which the resolver used to count for
 // itself; the depth bound is exact (it admitted maxDepth+1 layers); and
 // layers are held by value, each linked to the next once the walk is
-// done, as Unwrap holds them.
+// done, as Open holds them.
 func serialTwin(outer *Envelope, resolve KeyResolver) (*Chain, error) {
 	chain := &Chain{}
 	env := outer
@@ -346,7 +346,7 @@ func genTwinCase(tb testing.TB, rng *mrand.Rand) twinCase {
 	return tc
 }
 
-// diffAgainstTwin runs serialTwin, and Unwrap into chain, on one case
+// diffAgainstTwin runs serialTwin, and the full walk into chain, on one case
 // and requires the same verdict, error text, decoded layers and
 // directory lookups. chain may hold what an earlier case left: what it
 // decodes now must not show it.
@@ -355,20 +355,20 @@ func diffAgainstTwin(t *testing.T, chain *Chain, tc twinCase) {
 	want := &twinVerifier{limit: tc.limit, dir: tc.dir}
 	wantChain, wantErr := serialTwin(tc.outer, want)
 	got := &twinVerifier{limit: tc.limit, dir: tc.dir}
-	gotErr := chain.Unwrap(tc.outer, got)
+	gotErr := chain.Open(tc.outer, got, nil)
 	switch {
 	case (wantErr == nil) != (gotErr == nil):
-		t.Fatalf("%s: verdicts differ: twin err = %v, Unwrap err = %v", tc.summary, wantErr, gotErr)
+		t.Fatalf("%s: verdicts differ: twin err = %v, Open err = %v", tc.summary, wantErr, gotErr)
 	case wantErr != nil && wantErr.Error() != gotErr.Error():
-		t.Fatalf("%s: error text differs:\n twin:   %v\n Unwrap: %v", tc.summary, wantErr, gotErr)
+		t.Fatalf("%s: error text differs:\n twin:   %v\n Open:   %v", tc.summary, wantErr, gotErr)
 	case !reflect.DeepEqual(want.lookups, got.lookups):
-		t.Fatalf("%s: directory lookups differ:\n twin:   %v\n Unwrap: %v", tc.summary, want.lookups, got.lookups)
+		t.Fatalf("%s: directory lookups differ:\n twin:   %v\n Open:   %v", tc.summary, want.lookups, got.lookups)
 	case wantErr != nil:
 		return
 	case !reflect.DeepEqual(decoded(wantChain), decoded(chain)) || !bytes.Equal(wantChain.Request, chain.Request):
-		t.Fatalf("%s: chains differ:\n twin:   %+v\n Unwrap: %+v", tc.summary, decoded(wantChain), decoded(chain))
+		t.Fatalf("%s: chains differ:\n twin:   %+v\n Open:   %+v", tc.summary, decoded(wantChain), decoded(chain))
 	case chain.Verified() != len(chain.Layers):
-		t.Fatalf("%s: %d layers verified, Unwrap counted %d signature checks", tc.summary, len(chain.Layers), chain.Verified())
+		t.Fatalf("%s: %d layers verified, Open counted %d signature checks", tc.summary, len(chain.Layers), chain.Verified())
 	}
 	for d := 1; d < len(chain.Layers); d++ {
 		if chain.Layers[d-1].Body.Inner != &chain.Layers[d].Env {
@@ -381,7 +381,7 @@ func diffAgainstTwin(t *testing.T, chain *Chain, tc twinCase) {
 }
 
 // decoded is what a chain's layers say, without where it is kept: the
-// twin copies each DN, Unwrap cuts them from one string; a reused chain
+// twin copies each DN, Open cuts them from one string; a reused chain
 // keeps an empty capability array and policy map where the twin has
 // none; Inner is checked as a link, not as a value.
 func decoded(c *Chain) []Layer {
@@ -403,9 +403,9 @@ func decoded(c *Chain) []Layer {
 // over 10^4 generated chains of 1-12 layers — intact, one or two layers
 // corrupted, certificates missing with and without a directory, expired
 // and not yet valid, depth at and over the introduction limit — the
-// concurrent Unwrap and the serial twin agree on verdict, error text,
+// concurrent full walk and the serial twin agree on verdict, error text,
 // decoded chain and the sequence of directory lookups, whether one,
-// two or eight processors are on offer. Unwrap decodes every case into
+// two or eight processors are on offer. Open decodes every case into
 // the same Chain, so a case that left anything behind shows in the next.
 func TestUnwrapMatchesSerialTwin(t *testing.T) {
 	chains := 10000

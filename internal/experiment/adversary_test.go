@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -427,6 +428,150 @@ func TestTransitBrokerReplaysCancelledRAR(t *testing.T) {
 	}
 }
 
+// TestDestinationRefusesLayerForgedUpstream: on a 4-domain chain,
+// Domain1 flips one byte of the user layer's signature in the onion it
+// forwards and re-seals its own layer with its real key. The byte sits
+// inside Domain0's signed payload, so Domain0's layer is the one that
+// no longer verifies. Domain2, a transit hop under the default policy,
+// checks only the layer Domain1 signed, which holds, admits and passes
+// the request on (DESIGN.md §6.11). Domain3, the destination, audits
+// the whole onion and refuses it, naming Domain0's layer, and every
+// admission upstream is withdrawn. With a policy that names the user on
+// Domain2, Domain2 audits the onion itself and refuses it first, as
+// every hop did before transit hops vouched.
+func TestDestinationRefusesLayerForgedUpstream(t *testing.T) {
+	for _, namesUser := range []bool{false, true} {
+		var bb1 *identity.KeyPair
+		tamper := func(frame []byte) ([]byte, error) {
+			m, err := signalling.DecodeMessage(frame)
+			if err != nil || m.Type != signalling.MsgReserve {
+				return frame, nil
+			}
+			env, err := m.Reserve.Envelope()
+			if err != nil {
+				return nil, err
+			}
+			var chain envelope.Chain
+			if err := chain.Open(env, introducedKeys{bb1.Public()}, nil); err != nil {
+				return nil, err
+			}
+			userSig := chain.Layers[len(chain.Layers)-1].Env.Signature
+			payload := bytes.Clone(env.Payload)
+			payload[bytes.Index(payload, userSig)] ^= 1
+			sig, err := bb1.Sign(payload)
+			if err != nil {
+				return nil, err
+			}
+			out := m.Reserve.Forward(&envelope.Envelope{SignerDN: bb1.DN, Payload: payload, Signature: sig})
+			out.ID = m.ID
+			return out.AppendBinary(nil), nil
+		}
+		cfg := WorldConfig{
+			NumDomains: 4,
+			EnableObs:  true,
+			WrapDialer: func(domain string, d transport.Dialer) transport.Dialer {
+				if domain != "Domain1" {
+					return d
+				}
+				return tamperingDialer{d, tamper}
+			},
+		}
+		if namesUser {
+			cfg.Policies = map[string]*policy.Policy{"Domain2": policy.MustParse("alice-only",
+				fmt.Sprintf("allow if user = %q and bw <= avail\ndeny", identity.NewDN("Grid", "Domain0", "Alice")))}
+		}
+		w, err := BuildWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		bb1 = w.members["Domain1"][0].cfg.Key
+		alice, err := w.NewUser("Alice", "Domain0", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer alice.Close()
+		spec := alice.NewSpec(SpecOptions{DestDomain: "Domain3", Bandwidth: 10 * units.Mbps})
+		res, err := alice.ReserveE2E(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// The refusal names the layer that broke, counted from the outside
+		// at the hop that refused: Domain0's is layer 2 at Domain3 and
+		// layer 1 at Domain2.
+		refuser, layer := "Domain3", 2
+		if namesUser {
+			refuser, layer = "Domain2", 1
+		}
+		want := fmt.Sprintf("layer %d: envelope: layer signed by %s", layer, w.BBCerts["Domain0"].SubjectDN())
+		if res.Granted || !strings.Contains(res.Reason, want) {
+			t.Fatalf("names user %v: answered %+v, want a refusal containing %q", namesUser, res, want)
+		}
+		at := spec.Window.Start
+		for _, d := range w.Domains {
+			if got := w.BBs[d].Table().CommittedAt(at); got != 0 {
+				t.Errorf("names user %v: %s holds %v after the refusal", namesUser, d, got)
+			}
+		}
+		snap := w.MetricsSnapshot()
+		if got := snap[refuser]["bb_layer_signatures_verified_total"]; got != 0 {
+			t.Errorf("names user %v: %s accepted a chain (%.0f layer checks); it should have refused", namesUser, refuser, got)
+		}
+		if got := snap["Domain3"]["bb_rars_received_total"]; namesUser && got != 0 {
+			t.Errorf("names user %v: Domain3 received %.0f reserves; Domain2 should have refused first", namesUser, got)
+		}
+		if got := snap["Domain2"]["bb_layers_vouched_total"]; !namesUser && got != 2 {
+			t.Errorf("names user %v: Domain2 vouched for %.0f layers, want 2", namesUser, got)
+		}
+	}
+}
+
+// tamperingDialer hands out connections whose every sent frame passes
+// through tamper first: what a broker holding its real key can send its
+// neighbour.
+type tamperingDialer struct {
+	transport.Dialer
+	tamper func([]byte) ([]byte, error)
+}
+
+func (d tamperingDialer) Dial(addr string) (transport.Conn, error) {
+	c, err := d.Dialer.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return tamperingConn{c, d.tamper}, nil
+}
+
+type tamperingConn struct {
+	transport.Conn
+	tamper func([]byte) ([]byte, error)
+}
+
+func (c tamperingConn) Send(frame []byte) error {
+	frame, err := c.tamper(frame)
+	if err != nil {
+		return err
+	}
+	return c.Conn.Send(frame)
+}
+
+// introducedKeys is an envelope.KeyResolver for a chain whose outermost
+// signer's key is known: every inner key is the one its wrapper's
+// certificate introduces.
+type introducedKeys struct{ outer identity.PublicKey }
+
+func (k introducedKeys) ResolveKey(depth int, dn identity.DN, hint []byte) (identity.PublicKey, error) {
+	if depth == 0 {
+		return k.outer, nil
+	}
+	cert, err := pki.ParseCertificate(hint)
+	if err != nil {
+		return nil, err
+	}
+	return cert.PublicKey(), nil
+}
+
 // recordingDialer hands out connections that show sent every frame
 // they send.
 type recordingDialer struct {
@@ -500,7 +645,7 @@ func (k signerKey) ResolveKey(int, identity.DN, []byte) (identity.PublicKey, err
 func userCapabilities(t *testing.T, rar *envelope.Envelope, user identity.PublicKey) pki.CapabilityChain {
 	t.Helper()
 	var chain envelope.Chain
-	if err := chain.Unwrap(rar, signerKey{user}); err != nil {
+	if err := chain.Open(rar, signerKey{user}, nil); err != nil {
 		t.Fatal(err)
 	}
 	caps, err := chain.Capabilities()

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 
+	"e2eqos/internal/identity"
+	"e2eqos/internal/policy"
 	"e2eqos/internal/units"
 )
 
@@ -38,19 +40,55 @@ func reserveAndCancel(w *World, u *User) error {
 	return u.Cancel(u.Domain, spec.RARID)
 }
 
-// TestReserveVerifiesEachLayerOnce pins what a reserve checks: hop k
-// re-opens all k layers of the onion, so a grant across N domains
-// verifies N(N+1)/2 layer signatures — 6, 15 and 36 at N = 3, 5 and 8
-// — as the brokers' bb_layer_signatures_verified_total counts them
-// where each check runs.
-func TestReserveVerifiesEachLayerOnce(t *testing.T) {
+// TestReserveSignatureCheckAllocationBound pins how a reserve's layer
+// signature checks are allocated among the brokers of an N-domain
+// chain, as each one's bb_layer_signatures_verified_total counts them
+// (DESIGN.md §6.11). Under the default policy the source checks the
+// user's layer, each transit hop the layer its neighbour signed, and
+// the destination all N: 5, 9 and 15 at N = 3, 5 and 8. A policy that
+// names the user makes every hop audit the whole onion, hop k checking
+// k+1 layers: 6, 15 and 36. bb_layers_vouched_total counts what the
+// transit hops took on their neighbour's word. The name puts it under
+// make alloc-gate.
+func TestReserveSignatureCheckAllocationBound(t *testing.T) {
+	wantTotal := map[bool]map[int]int{false: {3: 5, 5: 9, 8: 15}, true: {3: 6, 5: 15, 8: 36}}
 	for _, n := range []int{3, 5, 8} {
-		w, u := chainUser(t, n, WorldConfig{EnableObs: true})
-		if err := reserveAndCancel(w, u); err != nil {
-			t.Fatalf("%d domains: %v", n, err)
-		}
-		if got, want := w.CounterTotal("bb_layer_signatures_verified_total"), float64(n*(n+1)/2); got != want {
-			t.Errorf("%d domains: a reserve verified %.0f layer signatures, want %.0f", n, got, want)
+		for _, namesUser := range []bool{false, true} {
+			cfg := WorldConfig{EnableObs: true}
+			if namesUser {
+				cfg.Policies = map[string]*policy.Policy{}
+				for i := 0; i < n; i++ {
+					cfg.Policies[fmt.Sprintf("Domain%d", i)] = policy.MustParse("alice-only",
+						fmt.Sprintf("allow if user = %q and bw <= avail\ndeny", identity.NewDN("Grid", "Domain0", "alice")))
+				}
+			}
+			w, u := chainUser(t, n, cfg)
+			if err := reserveAndCancel(w, u); err != nil {
+				t.Fatalf("%d domains, names user %v: %v", n, namesUser, err)
+			}
+			total := 0
+			for k := 0; k < n; k++ {
+				checks, vouched := k+1, 0
+				switch {
+				case namesUser:
+				case k == n-1:
+					checks = n
+				default:
+					checks, vouched = 1, k
+				}
+				m := w.Metrics[fmt.Sprintf("Domain%d", k)].Snapshot()
+				got := m["bb_layer_signatures_verified_total"]
+				total += int(got)
+				if got != float64(checks) {
+					t.Errorf("%d domains, names user %v: Domain%d checked %.0f layer signatures, want %d", n, namesUser, k, got, checks)
+				}
+				if got := m["bb_layers_vouched_total"]; got != float64(vouched) {
+					t.Errorf("%d domains, names user %v: Domain%d vouched for %.0f layers, want %d", n, namesUser, k, got, vouched)
+				}
+			}
+			if total != wantTotal[namesUser][n] {
+				t.Errorf("%d domains, names user %v: a reserve checks %d layer signatures, want %d", n, namesUser, total, wantTotal[namesUser][n])
+			}
 		}
 	}
 }
@@ -59,9 +97,10 @@ func TestReserveVerifiesEachLayerOnce(t *testing.T) {
 // eight domains, on the in-memory transport with warm connections and
 // certificate caches, allocate at most 470 objects in the whole
 // process. Verifying the onion allocates per request, not per layer
-// (DESIGN.md §6.11), so the 36 layer checks add nothing: 371 were
-// measured, 570 when each layer cost two structs, each check run its
-// closures and each decision its reason.
+// (DESIGN.md §6.11), so the 15 layer checks add nothing: 362 were
+// measured, 371 when every hop checked every layer (36), 570 when each
+// layer cost two structs, each check run its closures and each
+// decision its reason.
 func TestReserveChainAllocationBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")

@@ -163,6 +163,34 @@ func (p *Policy) Evaluate(r *Request) Decision {
 	return Decision{Effect: Deny, Reason: "no matching rule (implicit deny)"}
 }
 
+// NamesRequester reports whether any rule tests who is asking: a user,
+// group, capability or linked-reservation condition, negated or not.
+// Those facts come from the innermost layer of the RAR, so a broker
+// whose policy reads them checks every layer of the onion before it
+// reads them. That catches an onion corrupted or forwarded unchecked on
+// the way; it does not authenticate the user, whose key the neighbour
+// introduces like any inner key (DESIGN.md §6.11).
+func (p *Policy) NamesRequester() bool {
+	for _, ru := range p.Rules {
+		for _, c := range ru.Conditions {
+			if namesRequester(c) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func namesRequester(c Condition) bool {
+	switch c := c.(type) {
+	case notCond:
+		return namesRequester(c.inner)
+	case userCond, groupCond, capabilityCond, linkedCond:
+		return true
+	}
+	return false
+}
+
 // String renders the policy back in DSL form.
 func (p *Policy) String() string {
 	var b strings.Builder

@@ -83,6 +83,10 @@ func New(domain string, pol *policy.Policy) *Server {
 	}
 }
 
+// NamesRequester reports whether the policy reads who is asking
+// (policy.Policy.NamesRequester).
+func (s *Server) NamesRequester() bool { return s.pol.NamesRequester() }
+
 // TrustGroupServer delegates accreditation of groupName to gs.
 func (s *Server) TrustGroupServer(groupName string, gs *group.Server) {
 	s.mu.Lock()

@@ -39,7 +39,10 @@
 #                          into a used chain (1 object at any depth), a
 #                          policy decision (0), one 8-domain World
 #                          reserve + cancel (TestReserveChainAllocationBound:
-#                          <= 470 objects), the layer signatures each
+#                          <= 324 objects), the same objects for every
+#                          domain a reserve crosses, from 3 to 8
+#                          (TestReserveAllocationBoundPerDomain), the
+#                          layer signatures each
 #                          broker of a 3-, 5- and 8-domain reserve checks
 #                          (TestReserveSignatureCheckAllocationBound:
 #                          5 / 9 / 15, and 6 / 15 / 36 under a policy

@@ -3,6 +3,7 @@ package bb_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -20,17 +21,19 @@ import (
 // frame"): what they decode out of a frame is theirs only until the
 // exchange the frame belongs to is over. poisoner makes "over" violent.
 // Every connection it wraps overwrites a request frame with 0xA5 the
-// moment the response to it has been sent, and remembers the response
-// frames it delivers until the test, between two steps, declares every
-// exchange settled and has those overwritten too. Whatever a broker
+// moment the response to it has been sent, and a response frame the
+// moment its reader comes back for the next frame: a decoded result owns
+// everything of it, the approval stack a broker adopts included. The
+// last response frame of each connection is overwritten when the test,
+// between two steps, declares every exchange settled. Whatever a broker
 // then still holds of a frame — an alias in its durable state, a
 // goroutine still reading — shows up as a changed digest, a broken
-// replay, or a race report.
+// replay or approval stack, or a race report.
 type poisoner struct {
 	mu        sync.Mutex
-	responses [][]byte // delivered, not yet overwritten
-	poisoned  int      // frames overwritten
-	payloads  int      // served request payloads overwritten (poisonHandler)
+	responses map[*poisonConn][]byte // the last response each connection delivered, not yet overwritten
+	poisoned  int                    // frames overwritten
+	payloads  int                    // served request payloads overwritten (poisonHandler)
 }
 
 func (p *poisoner) poison(frame []byte) {
@@ -46,10 +49,27 @@ func (p *poisoner) poison(frame []byte) {
 func (p *poisoner) settle() {
 	p.mu.Lock()
 	frames := p.responses
-	p.responses = nil
+	p.responses = make(map[*poisonConn][]byte)
 	p.mu.Unlock()
 	for _, f := range frames {
 		p.poison(f)
+	}
+}
+
+// hand records frame as the response c delivered last, and overwrites
+// the one before it, whose reader is done with it; a nil frame just
+// overwrites.
+func (p *poisoner) hand(c *poisonConn, frame []byte) {
+	p.mu.Lock()
+	last := p.responses[c]
+	if frame != nil {
+		p.responses[c] = frame
+	} else {
+		delete(p.responses, c)
+	}
+	p.mu.Unlock()
+	if last != nil {
+		p.poison(last)
 	}
 }
 
@@ -72,6 +92,8 @@ func frameID(frame []byte) (id uint64, result, ok bool) {
 }
 
 func (c *poisonConn) Recv() ([]byte, error) {
+	// The reader is back: it is done with the response it was handed.
+	c.p.hand(c, nil)
 	frame, err := c.Conn.Recv()
 	if err != nil {
 		return nil, err
@@ -79,9 +101,7 @@ func (c *poisonConn) Recv() ([]byte, error) {
 	switch id, result, ok := frameID(frame); {
 	case !ok:
 	case result:
-		c.p.mu.Lock()
-		c.p.responses = append(c.p.responses, frame)
-		c.p.mu.Unlock()
+		c.p.hand(c, frame)
 	default:
 		c.mu.Lock()
 		c.requests[id] = frame
@@ -207,6 +227,25 @@ func (h poisonHandler) Handle(peer signalling.Peer, msg *signalling.Message) *si
 	return resp
 }
 
+// checkStack checks the approval stack b recorded for rarID as the k-th
+// domain of granted's path, counting from the source: the approvals
+// granted carries from the destination up to that domain, byte for byte,
+// each signature verifying.
+func checkStack(t *testing.T, w *experiment.World, b *bb.BB, k int, rarID string, granted *signalling.ResultPayload, step string) {
+	t.Helper()
+	out := b.Outcome(rarID)
+	if out == nil || out.Result == nil {
+		t.Fatalf("%s: %s recorded no outcome for %s", step, b.Domain(), rarID)
+	}
+	want := granted.Approvals[:len(granted.Approvals)-k]
+	if !reflect.DeepEqual(out.Result.Approvals, want) {
+		t.Fatalf("%s: %s recorded the approval stack\n %+v\nwant\n %+v", step, b.Domain(), out.Result.Approvals, want)
+	}
+	if err := w.VerifyApprovals(out.Result); err != nil {
+		t.Fatalf("%s: %s's recorded approval stack: %v", step, b.Domain(), err)
+	}
+}
+
 // TestNoFrameAliasOutlivesItsExchange drives the reserve path's whole
 // life over poisoning connections: a 3-domain grant, its retransmission,
 // status, a tunnel reserve and a batch through the endpoints it
@@ -215,12 +254,14 @@ func (h poisonHandler) Handle(peer signalling.Peer, msg *signalling.Message) *si
 // the cancels. Every step must succeed as it does on plain connections,
 // and at every settled point each broker's StateDigest must read the
 // same before and after the delivered frames are overwritten: the
-// state a broker keeps aliases no frame. Each served request's payload
-// is overwritten too, as soon as the broker has answered it
-// (poisonHandler): the state a broker keeps aliases no payload the
-// server will decode the next request into.
+// state a broker keeps aliases no frame. Each broker's recorded
+// approval stack must verify too: it was adopted from a result whose
+// frame was overwritten as soon as the broker's client had decoded it.
+// Each served request's payload is overwritten too, as soon as the
+// broker has answered it (poisonHandler): the state a broker keeps
+// aliases no payload the server will decode the next request into.
 func TestNoFrameAliasOutlivesItsExchange(t *testing.T) {
-	p := &poisoner{}
+	p := &poisoner{responses: make(map[*poisonConn][]byte)}
 	w, err := experiment.BuildWorld(experiment.WorldConfig{
 		NumDomains:  3,
 		Capacity:    1000 * units.Mbps,
@@ -295,7 +336,14 @@ func TestNoFrameAliasOutlivesItsExchange(t *testing.T) {
 	if err := w.VerifyApprovals(granted); err != nil {
 		t.Fatal(err)
 	}
+	stacks := func(step string) {
+		t.Helper()
+		for k, d := range w.Domains {
+			checkStack(t, w, w.BBs[d], k, spec.RARID, granted, step)
+		}
+	}
 	settled("the grant")
+	stacks("the grant")
 	replayed := func(step string) {
 		t.Helper()
 		again, err := u.ReserveE2E(spec)
@@ -360,6 +408,7 @@ func TestNoFrameAliasOutlivesItsExchange(t *testing.T) {
 	}
 	replayed("retransmission after recovery")
 	settled("the recovery")
+	stacks("the recovery")
 
 	// Cancels travel the recorded route and leave nothing behind.
 	for _, id := range []string{spec.RARID, tunnel.RARID} {
@@ -393,9 +442,10 @@ func TestNoFrameAliasOutlivesItsExchange(t *testing.T) {
 // is handed is overwritten once it is answered; the followers must
 // still hold their leader's state to the byte, and once one of them is
 // promoted it must answer a retransmitted reserve with the recorded
-// outcome, byte for byte.
+// outcome, byte for byte. Every follower's recorded approval stack,
+// registered from a record with no copy of its frame, must verify.
 func TestFollowerKeepsNoStreamFrame(t *testing.T) {
-	p := &poisoner{}
+	p := &poisoner{responses: make(map[*poisonConn][]byte)}
 	w, err := experiment.BuildWorld(experiment.WorldConfig{
 		NumDomains:  3,
 		Replicas:    3,
@@ -432,8 +482,11 @@ func TestFollowerKeepsNoStreamFrame(t *testing.T) {
 	}
 	// Every frame of the stream so far was overwritten as soon as its
 	// follower answered it: waitReplicated compares digests after that.
-	for _, d := range w.Domains {
+	for k, d := range w.Domains {
 		waitReplicated(t, w, d, []int{0, 1, 2})
+		for i := 0; i < 3; i++ {
+			checkStack(t, w, w.ReplicaBB(d, i), k, kept.RARID, granted, fmt.Sprintf("replica %d", i))
+		}
 	}
 	p.mu.Lock()
 	poisoned := p.poisoned
@@ -463,7 +516,9 @@ func TestFollowerKeepsNoStreamFrame(t *testing.T) {
 // TestRecoveryKeepsNoWALByte: boot recovery decodes the WAL in place
 // too. Every broker's journal replayed into a fresh broker, and every
 // byte recovery read overwritten afterwards, must leave that broker
-// holding the state of the one that wrote the journal.
+// holding the state of the one that wrote the journal, and a recorded
+// approval stack that verifies: it was registered with no copy of its
+// frame.
 func TestRecoveryKeepsNoWALByte(t *testing.T) {
 	stateDir := t.TempDir()
 	w, err := experiment.BuildWorld(experiment.WorldConfig{
@@ -483,10 +538,13 @@ func TestRecoveryKeepsNoWALByte(t *testing.T) {
 	}
 	t.Cleanup(u.Close)
 	src, dest := w.SourceDomain(), w.DestDomain()
-	for i := 0; i < 2; i++ {
-		if res, err := u.ReserveE2E(u.NewSpec(experiment.SpecOptions{DestDomain: dest, Bandwidth: 10 * units.Mbps})); err != nil || !res.Granted {
-			t.Fatalf("reserve: res=%+v err=%v", res, err)
-		}
+	kept := u.NewSpec(experiment.SpecOptions{DestDomain: dest, Bandwidth: 10 * units.Mbps})
+	granted, err := u.ReserveE2E(kept)
+	if err != nil || !granted.Granted {
+		t.Fatalf("reserve: res=%+v err=%v", granted, err)
+	}
+	if res, err := u.ReserveE2E(u.NewSpec(experiment.SpecOptions{DestDomain: dest, Bandwidth: 10 * units.Mbps})); err != nil || !res.Granted {
+		t.Fatalf("reserve: res=%+v err=%v", res, err)
 	}
 	cancelled := u.NewSpec(experiment.SpecOptions{DestDomain: dest, Bandwidth: 10 * units.Mbps})
 	if res, err := u.ReserveE2E(cancelled); err != nil || !res.Granted {
@@ -495,7 +553,7 @@ func TestRecoveryKeepsNoWALByte(t *testing.T) {
 	if err := u.Cancel(src, cancelled.RARID); err != nil {
 		t.Fatalf("cancel: %v", err)
 	}
-	for _, d := range w.Domains {
+	for k, d := range w.Domains {
 		want, err := w.BBs[d].StateDigest()
 		if err != nil {
 			t.Fatal(err)
@@ -504,6 +562,7 @@ func TestRecoveryKeepsNoWALByte(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: recovery: %v", d, err)
 		}
+		checkStack(t, w, recovered, k, kept.RARID, granted, "recovery")
 		got, err := recovered.StateDigest()
 		recovered.Close()
 		if err != nil {

@@ -1,8 +1,8 @@
 package bb
 
 import (
-	"bytes"
 	"errors"
+	"fmt"
 
 	"e2eqos/internal/identity"
 	"e2eqos/internal/signalling"
@@ -26,15 +26,21 @@ func appendOutcome(buf []byte, field uint32, m *signalling.Message) []byte {
 	return wire.EndNested(buf, start)
 }
 
-// decodeOutcome decodes a copy of the nested frame: a message decoded
-// in place aliases its frame, and a replay cache entry must not keep the
-// whole log or snapshot it was recovered from alive.
-func decodeOutcome(d *wire.Dec) (*signalling.Message, error) {
-	b := d.Bytes()
-	if d.Err() != nil {
-		return nil, d.Err()
+// decodeOutcome decodes a recorded outcome whose strings are cut from
+// text, which holds the same bytes as data. A decoded result owns its
+// signatures (DESIGN.md §6.6, "Who owns a frame"), so the outcome keeps
+// nothing of data: it needs no copy of its frame to outlive the log,
+// snapshot or stream message it was read from. Only a result is an
+// outcome; any other message would alias data.
+func decodeOutcome(data []byte, text string) (*signalling.Message, error) {
+	m, err := signalling.DecodeMessageIn(data, text)
+	if err != nil {
+		return nil, err
 	}
-	return signalling.DecodeMessage(bytes.Clone(b))
+	if m.Result == nil {
+		return nil, fmt.Errorf("bb: a recorded outcome is a result, not a %s message", m.Type)
+	}
+	return m, nil
 }
 
 // childRoute: 1=next 2=key 3=bw.
@@ -92,7 +98,7 @@ func (r rarRec) AppendBinary(buf []byte) []byte {
 // outlives the log, snapshot or stream message it was read from
 // (DESIGN.md §6.6, "Who owns a frame"). Every string, the outcome's
 // included, is cut from one string copy of the record; the outcome's
-// signatures from one byte copy of its frame.
+// signatures are its own (decodeOutcome).
 func (r *rarRec) DecodeBinary(data []byte) error {
 	d := wire.Dec{Buf: data, Text: string(data)}
 	var whole childRoute
@@ -116,7 +122,7 @@ func (r *rarRec) DecodeBinary(data []byte) error {
 			if d.Err() != nil {
 				return d.Err()
 			}
-			m, err := signalling.DecodeMessageIn(bytes.Clone(sub.Buf), sub.Text)
+			m, err := decodeOutcome(sub.Buf, sub.Text)
 			if err != nil {
 				return err
 			}
@@ -214,8 +220,8 @@ func (r tunnelBatchRec) AppendBinary(buf []byte) []byte {
 // ops, Ops is made once, and every string is cut from one string copy of
 // the record. Nothing keeps one of them: the sender's window copies its
 // sender, the endpoint copies the alloc ops' ids into a Keys
-// (replayer.applyBatch), and the outcome is decoded from a copy of its
-// own.
+// (replayer.applyBatch), and the outcome's strings are cut from one
+// string copy of its own frame, so it does not pin the record's.
 func (r *tunnelBatchRec) DecodeBinary(data []byte) error {
 	n := 0
 	for c := (wire.Dec{Buf: data}); c.More(); {
@@ -245,7 +251,11 @@ func (r *tunnelBatchRec) DecodeBinary(data []byte) error {
 				return err
 			}
 		case f == 5 && wt == wire.TBytes:
-			m, err := decodeOutcome(&d)
+			b := d.Bytes()
+			if d.Err() != nil {
+				return d.Err()
+			}
+			m, err := decodeOutcome(b, string(b))
 			if err != nil {
 				return err
 			}

@@ -3,8 +3,10 @@ package bb
 import (
 	"encoding/hex"
 	"errors"
+	"strings"
 	"testing"
 
+	"e2eqos/internal/signalling"
 	"e2eqos/internal/wire"
 )
 
@@ -49,5 +51,27 @@ func TestDecodeBrokerStateRefusesOtherFormats(t *testing.T) {
 		if _, err := decodeBrokerState(data); !errors.Is(err, wire.ErrUnsupportedFormat) {
 			t.Errorf("%s: err = %v, want wire.ErrUnsupportedFormat", name, err)
 		}
+	}
+}
+
+// TestRecordedOutcomeIsAResult: a bb.rar or bb.tunnel_batch record whose
+// outcome is not a result is refused by name. An outcome is decoded with
+// no copy of its frame, which only a result, owning its signatures,
+// allows: a reserve's envelope would alias the record.
+func TestRecordedOutcomeIsAResult(t *testing.T) {
+	reserve := &signalling.Message{Type: signalling.MsgReserve, Reserve: &signalling.ReservePayload{
+		Mode: signalling.ModeEndToEnd, EnvelopeData: []byte{0xE5, 0x01, 0x0A},
+	}}
+	var rar rarRec
+	if err := rar.DecodeBinary(rarRec{RARID: "RAR-1", Outcome: reserve}.AppendBinary(nil)); err == nil || !strings.Contains(err.Error(), "not a reserve message") {
+		t.Errorf("bb.rar with a reserve for its outcome: err = %v", err)
+	}
+	var batch tunnelBatchRec
+	if err := batch.DecodeBinary(tunnelBatchRec{RARID: "RAR-1", Outcome: reserve}.AppendBinary(nil)); err == nil || !strings.Contains(err.Error(), "not a reserve message") {
+		t.Errorf("bb.tunnel_batch with a reserve for its outcome: err = %v", err)
+	}
+	var granted rarRec
+	if err := granted.DecodeBinary(rarRec{RARID: "RAR-1", Outcome: signalling.OKResult("h-1")}.AppendBinary(nil)); err != nil || granted.Outcome.Result.Handle != "h-1" {
+		t.Errorf("bb.rar with a result for its outcome: %+v, %v", granted.Outcome, err)
 	}
 }

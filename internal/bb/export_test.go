@@ -39,6 +39,14 @@ func (b *BB) CommitGateReserve(window units.Window, outcome *signalling.Message)
 	return nil
 }
 
+// Outcome is the outcome b recorded under route key, what a
+// retransmission of that reserve is answered with: nil when there is
+// none.
+func (b *BB) Outcome(key string) *signalling.Message {
+	e, _ := b.routes.get(key)
+	return e.outcome
+}
+
 // RecoverScribbled replays the journal directory dir into a memory-only
 // broker built from b's configuration, exactly as boot recovery replays
 // it, then overwrites every byte recovery read — the snapshot and the

@@ -1,7 +1,6 @@
 package bb
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"log/slog"
@@ -613,12 +612,12 @@ func (b *BB) settle(fc *forwardCtx, legs []childRoute, results []*signalling.Res
 
 	resp := signalling.OKResult(fc.r.Handle)
 	out := resp.Result
+	out.Approvals = stackOf(results)
 	for i, down := range results {
 		if i == 0 {
-			out.Approvals, out.PolicyInfo, out.Trace = adoptApprovals(down.Approvals), down.PolicyInfo, down.Trace
+			out.PolicyInfo, out.Trace = down.PolicyInfo, down.Trace
 			continue
 		}
-		out.Approvals = append(out.Approvals, adoptApprovals(down.Approvals)...)
 		out.Trace = append(out.Trace, down.Trace...)
 	}
 	// A forwarding hop signed its approval while downstream worked and
@@ -644,7 +643,7 @@ func (b *BB) refuse(fc *forwardCtx, down *signalling.ResultPayload, remark strin
 	resp := signalling.ErrorResult("")
 	if down != nil {
 		resp.Result.Reason = down.Reason
-		resp.Result.Approvals = adoptApprovals(down.Approvals)
+		resp.Result.Approvals = down.Approvals
 		resp.Result.Trace = down.Trace
 	}
 	if a, err := b.signApproval(fc.verified.Spec.RARID, "", false, remark); err == nil {
@@ -688,17 +687,23 @@ func (b *BB) owe(saga *string, kind string, arg compArg) {
 	b.sagas.Did(*saga, kind, arg.AppendBinary(nil))
 }
 
-// adoptApprovals takes the approvals of a downstream result into this
-// hop's own, leaving room for the hop's approval on top. The result goes
-// to the caller and into the route entry as the replayable outcome, which
-// outlives the frame downstream answered in: each signature, a sub-slice
-// of that frame, gets bytes of its own. The strings are cut from the one
-// string the decoder made of that frame; it holds little besides them,
-// so the outcome keeps it whole (DESIGN.md §6.6, "Who owns a frame").
-func adoptApprovals(down []signalling.DomainApproval) []signalling.DomainApproval {
-	out := append(make([]signalling.DomainApproval, 0, len(down)+1), down...)
-	for i := range out {
-		out[i].Signature = bytes.Clone(out[i].Signature)
+// stackOf is the approval stack the legs' results hand this hop, with
+// room for its own approval on top. A decoded result owns its stack and
+// left that room (DESIGN.md §6.6, "Who owns a frame"), so one leg's
+// stack is adopted as it is and the hop's approval goes on top in
+// place. A split's stacks merge into one fresh list: appending the other
+// legs' approvals into the first leg's array would outgrow its room.
+func stackOf(results []*signalling.ResultPayload) []signalling.DomainApproval {
+	if len(results) == 1 {
+		return results[0].Approvals
+	}
+	n := 1
+	for _, down := range results {
+		n += len(down.Approvals)
+	}
+	out := make([]signalling.DomainApproval, 0, n)
+	for _, down := range results {
+		out = append(out, down.Approvals...)
 	}
 	return out
 }

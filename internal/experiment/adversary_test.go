@@ -246,7 +246,7 @@ func TestDestinationRefusesReusedSeqFromBroker(t *testing.T) {
 // and refuses Alice's 10 Mb/s. Domain1 answers Domain0 with a grant: it
 // flips the granted flag of Domain2's approval, which Domain2's
 // signature no longer covers, and signs its own approval as granted.
-// Domain0 adopts the approvals without checking them (adoptApprovals),
+// Domain0 adopts the approvals without checking them (bb's stackOf),
 // admits Alice and grants her a reservation no bandwidth backs in
 // Domain1 or Domain2. The user-side check, World.VerifyApprovals, is what
 // refuses the altered approval, and it names Domain2. DESIGN.md §6.11

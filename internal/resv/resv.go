@@ -9,6 +9,7 @@ package resv
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -238,8 +239,11 @@ func (t *Table) admit(req AdmitRequest) (*Reservation, []event, error) {
 			t.name, peak, req.Bandwidth, t.capacity)
 	}
 	t.seq++
+	// "<name>-<seq>", built on the stack: the string is the one object.
+	var buf [64]byte
+	handle := strconv.AppendInt(append(append(buf[:0], t.name...), '-'), t.seq, 10)
 	r := &Reservation{
-		Handle:    fmt.Sprintf("%s-%d", t.name, t.seq),
+		Handle:    string(handle),
 		User:      req.User,
 		SrcHost:   req.SrcHost,
 		DstHost:   req.DstHost,

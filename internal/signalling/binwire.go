@@ -416,8 +416,9 @@ func (a *DomainApproval) appendFields(buf []byte) []byte {
 	return buf
 }
 
-// decodeFields decodes in place: Signature is a sub-slice of d.Buf, and
-// the strings are substrings of d.Text when the decoder has one.
+// decodeFields decodes in place: Signature is a sub-slice of d.Buf until
+// ownSignatures copies it out, and the strings are substrings of d.Text
+// when the decoder has one.
 func (a *DomainApproval) decodeFields(d *wire.Dec) error {
 	for d.More() {
 		f, wt := d.Tag()
@@ -549,17 +550,32 @@ func (p *ResultPayload) appendFields(buf []byte) []byte {
 	return buf
 }
 
-// decodeFields decodes the approvals in place (DESIGN.md §6.6, "Who
-// owns a frame"): their signatures are sub-slices of d.Buf and their
-// strings substrings of one string made from it when the first
-// approval is met, so a result without approvals pays nothing and one
-// with eight pays one copy, not forty. Whoever keeps an approval past
-// the request clones what it keeps. The payload's own strings, the
-// policy attributes, spans and batch results stay copies — unless d has
-// a Text, whose substrings the payload's strings and the approvals' are
-// then cut from (DecodeMessageIn).
+// decodeFields makes the result own its approval stack (DESIGN.md §6.6,
+// "Who owns a frame"). A first pass counts the approvals, so the stack
+// is made once, with one slot to spare for the approval of the hop that
+// adopts it and stacks its own on top; the approvals' strings are cut
+// from one string made from d.Buf, or from d.Text when the decoder has
+// one (DecodeMessageIn), and their signatures are then copied out of the
+// frame into one array. A result without approvals pays nothing, one
+// with eight pays three objects, not forty. The payload's own strings,
+// the policy attributes, spans and batch results are copies, or
+// substrings of d.Text. Nothing decoded aliases the frame.
 func (p *ResultPayload) decodeFields(d *wire.Dec) error {
+	n := 0
+	for c := *d; c.More(); {
+		f, wt := c.Tag()
+		if f == 4 && wt == wire.TBytes {
+			n++
+		}
+		c.Skip(wt)
+	}
 	text := d.Text
+	if n > 0 {
+		p.Approvals = make([]DomainApproval, 0, n+1)
+		if text == "" {
+			text = string(d.Buf)
+		}
+	}
 	for d.More() {
 		f, wt := d.Tag()
 		switch {
@@ -570,9 +586,6 @@ func (p *ResultPayload) decodeFields(d *wire.Dec) error {
 		case f == 3 && wt == wire.TBytes:
 			p.Handle = d.String()
 		case f == 4 && wt == wire.TBytes:
-			if text == "" {
-				text = string(d.Buf)
-			}
 			sub := d.NestedIn(text)
 			p.Approvals = append(p.Approvals, DomainApproval{})
 			if err := p.Approvals[len(p.Approvals)-1].decodeFields(&sub); err != nil {
@@ -607,7 +620,33 @@ func (p *ResultPayload) decodeFields(d *wire.Dec) error {
 			skipUnknown(d, wt)
 		}
 	}
-	return d.Err()
+	if d.Err() != nil {
+		return d.Err()
+	}
+	ownSignatures(p.Approvals)
+	return nil
+}
+
+// ownSignatures moves the approvals' signatures, sub-slices of the frame
+// they were decoded from, into one array of their own, each capped at
+// its own end.
+func ownSignatures(approvals []DomainApproval) {
+	size := 0
+	for i := range approvals {
+		size += len(approvals[i].Signature)
+	}
+	if size == 0 {
+		return
+	}
+	sigs := make([]byte, 0, size)
+	for i := range approvals {
+		a := &approvals[i]
+		if a.Signature != nil {
+			at := len(sigs)
+			sigs = append(sigs, a.Signature...)
+			a.Signature = sigs[at:len(sigs):len(sigs)]
+		}
+	}
 }
 
 // encBufPool recycles encode buffers for the RPC send paths. Both

@@ -3,6 +3,8 @@ package signalling
 import (
 	"bytes"
 	"testing"
+
+	"e2eqos/internal/wire"
 )
 
 // FuzzDecodeMessage ensures arbitrary wire bytes never panic the
@@ -10,7 +12,9 @@ import (
 // none of them (it decodes in place: a write
 // would corrupt the frame for its owner), and that accepted messages
 // re-encode to a frame the codec maps to itself — decode then encode
-// returns every frame the encoder could have produced. Batch payloads that
+// returns every frame the encoder could have produced. A result keeps
+// nothing of its frame: it re-encodes the same once the frame is
+// zeroed, and its approval stack has one slot to spare. Batch payloads that
 // decode must additionally never panic Validate, stay within
 // MaxBatchOps, and get from Validate the verdict the map-based oracle
 // gives them, whichever way it falls.
@@ -50,6 +54,22 @@ func FuzzDecodeMessage(f *testing.F) {
 		[]byte("\x00\x01\x02"),
 		[]byte(``),
 	}
+	// Results whose approvals a first pass must count right: an unknown
+	// field between two approvals, a field 4 of the varint wire type,
+	// and a last approval cut short.
+	approval := func(domain string) []byte {
+		a := DomainApproval{Domain: domain, BBDN: "/O=Grid/CN=bb", RARID: "RAR-1", Granted: true, Signature: []byte{0xDE, 0xAD}}
+		buf, start := wire.BeginNested(nil, 4)
+		return wire.EndNested(a.appendFields(buf), start)
+	}
+	result := func(fields ...[]byte) []byte {
+		return bytes.Join(append([][]byte{{BinMagic, BinVersion, typeCode(MsgResult), 7}}, fields...), nil)
+	}
+	seeds = append(seeds,
+		result(approval("A"), []byte{0x78, 0x01}, approval("B")),
+		result(approval("A"), []byte{0x20, 0x05}, approval("B")),
+		result(approval("A"), approval("B")[:20]),
+	)
 	// Each golden frame and each frame of a retired type (which must
 	// fail), plus the malformed shapes the decoder must classify without
 	// panicking — torn varints, unknown fields, truncated frames, wrong
@@ -126,6 +146,20 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 		if re, _ := again.Encode(); !bytes.Equal(re, enc) {
 			t.Fatalf("decode then encode changed an encoded frame:\n in  % x\n out % x", enc, re)
+		}
+		if r := msg.Result; r != nil {
+			if len(r.Approvals) > 0 && cap(r.Approvals) != len(r.Approvals)+1 {
+				t.Fatalf("a stack of %d approvals decoded with capacity %d, want one to spare", len(r.Approvals), cap(r.Approvals))
+			}
+			frame := bytes.Clone(data)
+			owned, err := DecodeMessage(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clear(frame)
+			if re := owned.AppendBinary(nil); !bytes.Equal(re, enc) {
+				t.Fatalf("a result changed when its frame was zeroed:\n before % x\n after  % x", enc, re)
+			}
 		}
 		if b := msg.TunnelBatch; b != nil {
 			if len(b.Ops) > MaxBatchOps {

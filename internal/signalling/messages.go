@@ -430,9 +430,11 @@ func DecodeMessage(data []byte) (*Message, error) {
 // DecodeMessageIn is DecodeMessage for a caller that keeps the message
 // and holds the frame's bytes as a string too — a substring of one copy
 // of a larger record, say: text must equal string(data). Every string
-// of the message is cut from text rather than copied, while byte fields
-// (an approval's signature) alias data as they always do. A result
-// message and its payload come in one allocation.
+// of the message is cut from text rather than copied. A result keeps
+// nothing of data, its approvals' signatures being copied into one
+// array of its own; a reserve's envelope and a stream message's records
+// alias data as they always do. A result message and its payload come
+// in one allocation.
 func DecodeMessageIn(data []byte, text string) (*Message, error) {
 	m := newResult(ResultPayload{})
 	if err := m.decodeFrame(data, text, nil); err != nil {

@@ -25,7 +25,7 @@
 #                          message's decode and answer
 #                          (TestStreamExchangeAllocationFree), a timed
 #                          call over the in-memory transport
-#                          (TestCallAllocationBound: <= 5 objects), a
+#                          (TestCallAllocationBound: <= 4 objects), a
 #                          served reserve, cancel and 256-op batch
 #                          decoded into a kept message
 #                          (TestServedRequestAllocationBound: their

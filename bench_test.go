@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"e2eqos/internal/bb"
 	"e2eqos/internal/core"
 	"e2eqos/internal/envelope"
 	"e2eqos/internal/experiment"
@@ -62,7 +63,7 @@ func benchWorldTelemetry(b *testing.B, domains int) (*experiment.World, *experim
 		Capacity:   units.Bandwidth(1000) * units.Gbps,
 		EnableObs:  true,
 		EventsDir:  b.TempDir(),
-		SampleRate: 0.01,
+		Broker:     bb.Config{SampleRate: 0.01},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -477,4 +478,43 @@ func TestBuildRefusesConfigThatDisagrees(t *testing.T) {
 	ln.Close()
 	broker.Close()
 	recorder.Close()
+}
+
+// TestBuildClosesTheBrokerWhenListenFails: a listen address already in
+// use fails Build after the broker is up, and the broker goes with the
+// error: its journal's group-commit goroutine is not left running.
+func TestBuildClosesTheBrokerWhenListenFails(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	cfg := chainConfig(t, t.TempDir())()
+	cfg.Listen, cfg.StateDir, cfg.EventsDir = taken.Addr().String(), t.TempDir(), t.TempDir()
+	// Earlier tests' connections may still be winding down: take the
+	// baseline once the count has stopped falling.
+	base := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n == base {
+			break
+		}
+		base = n
+	}
+	broker, ln, recorder, err := cfg.Build()
+	if err == nil {
+		ln.Close()
+		broker.Close()
+		recorder.Close()
+		t.Fatalf("Build listened on %s, which is taken", cfg.Listen)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, started with %d:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }

@@ -38,7 +38,8 @@ type FileConfig struct {
 	// PolicyText inlines it instead.
 	PolicyFile string `json:"policy_file,omitempty"`
 	PolicyText string `json:"policy_text,omitempty"`
-	// IntroducerDepth bounds accepted trust chains (default 16).
+	// IntroducerDepth bounds accepted trust chains (default
+	// pki.DefaultIntroducerDepth).
 	IntroducerDepth int `json:"introducer_depth,omitempty"`
 	// Domains and Links describe the inter-domain topology.
 	Domains []DomainConfig `json:"domains"`
@@ -189,7 +190,7 @@ func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, e
 
 	depth := cfg.IntroducerDepth
 	if depth <= 0 {
-		depth = 16
+		depth = pki.DefaultIntroducerDepth
 	}
 	trust := pki.NewTrustStore(depth)
 	var rootDERs [][]byte
@@ -225,7 +226,7 @@ func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, e
 		policyText = string(data)
 	}
 	if policyText == "" {
-		policyText = "allow if bw <= avail\ndeny"
+		policyText = policy.DefaultText
 	}
 	pol, err := policy.Parse(cfg.Domain, policyText)
 	if err != nil {
@@ -353,6 +354,7 @@ func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, e
 	}
 	ln, err := transport.ListenTLS(cfg.Listen, tlsCfg)
 	if err != nil {
+		broker.Close()
 		recorder.Close()
 		return nil, nil, nil, err
 	}

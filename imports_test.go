@@ -137,18 +137,14 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 		"signalling.StreamRecords":                  "it names Kind's wire value 0",
 	}
 	allowedFields := map[string]string{
-		"signalling.TunnelBatchPayload.BatchID":   "bench/ writes it; it goes with NewBatchID once bench sets Seq (ROADMAP 1A)",
-		"topology.Link.Capacity":                  "topology.Linear's capacity argument, which bench/ passes (ROADMAP 1A)",
-		"policy.Policy.Name":                      "policy.MustParse's name argument, which bench/ passes (ROADMAP 1A)",
-		"policysrv.Server.domain":                 "policysrv.New's domain argument, which bench/ passes (ROADMAP 1A)",
-		"experiment.WorldConfig.Seed":             "bench/ sets it; no world reads it (ROADMAP 1A)",
-		"core.Broker.MaxRequestAge":               "arming the replay window is ROADMAP item 4's decision: the benchmark's stepped clock runs hours ahead of the user's stamps",
-		"experiment.WorldConfig.BreakerThreshold": "mirrors bb.Config.BreakerThreshold, which bbd sets",
-		"experiment.WorldConfig.BreakerCooldown":  "mirrors bb.Config.BreakerCooldown, which bbd sets",
-		"experiment.WorldConfig.ElectionTimeout":  "mirrors bb.Config.ElectionTimeout, which bbd sets",
-		"experiment.WorldConfig.Logger":           "mirrors bb.Config.Logger, which bbd sets",
-		"experiment.WorldConfig.WrapListener":     "the one way to the bytes a follower is handed: an in-memory send copies, so no dialer hook reaches them",
-		"journal.Options.BatchInterval":           "only its default sets it: tests freeze group commit with time.Hour, the allocation gate TestFollowerAppendFrameAllocationFree among them, until ROADMAP item 9's clock replaces it",
+		"signalling.TunnelBatchPayload.BatchID": "bench/ writes it; it goes with NewBatchID once bench sets Seq (ROADMAP 1A)",
+		"topology.Link.Capacity":                "topology.Linear's capacity argument, which bench/ passes (ROADMAP 1A)",
+		"policy.Policy.Name":                    "policy.MustParse's name argument, which bench/ passes (ROADMAP 1A)",
+		"policysrv.Server.domain":               "policysrv.New's domain argument, which bench/ passes (ROADMAP 1A)",
+		"experiment.WorldConfig.Seed":           "bench/ sets it; no world reads it (ROADMAP 1A)",
+		"core.Broker.MaxRequestAge":             "arming the replay window is ROADMAP item 4's decision: the benchmark's stepped clock runs hours ahead of the user's stamps",
+		"experiment.WorldConfig.WrapListener":   "the one way to the bytes a follower is handed: an in-memory send copies, so no dialer hook reaches them",
+		"journal.Options.BatchInterval":         "only its default sets it: tests freeze group commit with time.Hour, the allocation gate TestFollowerAppendFrameAllocationFree among them, until ROADMAP item 9's clock replaces it",
 	}
 	m, err := loadModule(".")
 	if err != nil {

@@ -62,10 +62,9 @@ func TestRerouteAroundDeadBranch(t *testing.T) {
 	for _, dead := range []string{"Domain1", "Domain2", "Domain3"} {
 		t.Run(dead, func(t *testing.T) {
 			w := multiWorld(t, 3, experiment.WorldConfig{
-				CallTimeout:  2 * time.Second,
-				RetryBackoff: time.Millisecond,
-				MaxPaths:     3,
-				EnableObs:    true,
+				CallTimeout: 2 * time.Second,
+				Broker:      bb.Config{RetryBackoff: time.Millisecond, MaxPaths: 3},
+				EnableObs:   true,
 			})
 			if err := w.StopDomain(dead); err != nil {
 				t.Fatal(err)
@@ -138,12 +137,9 @@ func TestRerouteAroundDeadBranch(t *testing.T) {
 // attempting it at all.
 func TestBreakerSkipsPathOnReroute(t *testing.T) {
 	w := multiWorld(t, 3, experiment.WorldConfig{
-		CallTimeout:      2 * time.Second,
-		RetryBackoff:     time.Millisecond,
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Minute,
-		MaxPaths:         3,
-		EnableObs:        true,
+		CallTimeout: 2 * time.Second,
+		Broker:      bb.Config{RetryBackoff: time.Millisecond, BreakerThreshold: 1, BreakerCooldown: time.Minute, MaxPaths: 3},
+		EnableObs:   true,
 	})
 	if err := w.StopDomain("Domain1"); err != nil {
 		t.Fatal(err)
@@ -186,7 +182,7 @@ func TestBreakerSkipsPathOnReroute(t *testing.T) {
 func TestTripBreakerForcesReroute(t *testing.T) {
 	w := multiWorld(t, 3, experiment.WorldConfig{
 		CallTimeout: 2 * time.Second,
-		MaxPaths:    3,
+		Broker:      bb.Config{MaxPaths: 3},
 		EnableObs:   true,
 	})
 	if err := w.BBs["Domain0"].TripBreaker("Domain1"); err != nil {
@@ -228,8 +224,7 @@ func TestSplitAcrossCapacityConstrainedPaths(t *testing.T) {
 			"Domain2": 5 * units.Mbps,
 		},
 		CallTimeout: 2 * time.Second,
-		MaxPaths:    2,
-		SplitParts:  2,
+		Broker:      bb.Config{MaxPaths: 2, SplitParts: 2},
 		EnableObs:   true,
 	})
 	u, err := w.NewUser("alice", "", nil, nil)
@@ -292,11 +287,9 @@ func TestSplitAbortsAtomicallyOnPartialDenial(t *testing.T) {
 			"Domain1": 5 * units.Mbps,
 			"Domain2": 3 * units.Mbps, // cannot carry a 5 Mb/s share
 		},
-		CallTimeout:  2 * time.Second,
-		RetryBackoff: time.Millisecond,
-		MaxPaths:     2,
-		SplitParts:   2,
-		EnableObs:    true,
+		CallTimeout: 2 * time.Second,
+		Broker:      bb.Config{RetryBackoff: time.Millisecond, MaxPaths: 2, SplitParts: 2},
+		EnableObs:   true,
 	})
 	u, err := w.NewUser("alice", "", nil, nil)
 	if err != nil {
@@ -393,13 +386,11 @@ func TestSplitCrashRecoveryResumesCompensations(t *testing.T) {
 			"Domain1": 5 * units.Mbps,
 			"Domain2": 5 * units.Mbps,
 		},
-		CallTimeout:  time.Second,
-		RetryBackoff: 5 * time.Millisecond,
-		MaxPaths:     2,
-		SplitParts:   2,
-		EnableObs:    true,
-		StateDir:     t.TempDir(),
-		FsyncPolicy:  "always",
+		CallTimeout: time.Second,
+		Broker:      bb.Config{RetryBackoff: 5 * time.Millisecond, MaxPaths: 2, SplitParts: 2},
+		EnableObs:   true,
+		StateDir:    t.TempDir(),
+		FsyncPolicy: "always",
 		WrapDialer: func(domain string, d transport.Dialer) transport.Dialer {
 			if domain != "Domain0" {
 				return d
@@ -482,11 +473,11 @@ func TestSplitCrashRecoveryResumesCompensations(t *testing.T) {
 func TestAbandonedRollbackCountedAndRecorded(t *testing.T) {
 	events := t.TempDir()
 	w, err := experiment.BuildWorld(experiment.WorldConfig{
-		NumDomains:   3,
-		CallTimeout:  200 * time.Millisecond,
-		RetryBackoff: time.Millisecond,
-		EnableObs:    true,
-		EventsDir:    events,
+		NumDomains:  3,
+		CallTimeout: 200 * time.Millisecond,
+		Broker:      bb.Config{RetryBackoff: time.Millisecond},
+		EnableObs:   true,
+		EventsDir:   events,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -738,13 +729,12 @@ func TestForwardOutcomeMatrix(t *testing.T) {
 				row.tap(tap)
 			}
 			cfg := experiment.WorldConfig{
-				NumDomains:   3,
-				Capacity:     10 * mb,
-				Capacities:   row.caps,
-				CallTimeout:  150 * time.Millisecond,
-				RetryBackoff: time.Millisecond,
-				MaxPaths:     row.branches,
-				EnableObs:    true,
+				NumDomains:  3,
+				Capacity:    10 * mb,
+				Capacities:  row.caps,
+				CallTimeout: 150 * time.Millisecond,
+				Broker:      bb.Config{RetryBackoff: time.Millisecond, MaxPaths: row.branches},
+				EnableObs:   true,
 				WrapDialer: func(domain string, d transport.Dialer) transport.Dialer {
 					if domain != "Domain0" {
 						return d
@@ -754,7 +744,7 @@ func TestForwardOutcomeMatrix(t *testing.T) {
 				},
 			}
 			if row.split {
-				cfg.SplitParts = 2
+				cfg.Broker.SplitParts = 2
 			}
 			if row.durable {
 				cfg.StateDir, cfg.FsyncPolicy = t.TempDir(), "always"

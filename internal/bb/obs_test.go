@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"e2eqos/internal/bb"
 	"e2eqos/internal/core"
 	"e2eqos/internal/experiment"
 	"e2eqos/internal/obs"
@@ -240,10 +241,9 @@ func TestTraceSurvivesRetryWithoutDuplicateSpans(t *testing.T) {
 	flaky := &dropFirstResponseDialer{}
 	flaky.drops.Store(1)
 	w, u := traceWorld(t, experiment.WorldConfig{
-		NumDomains:   3,
-		CallTimeout:  time.Second,
-		MaxRetries:   1,
-		RetryBackoff: 5 * time.Millisecond,
+		NumDomains:  3,
+		CallTimeout: time.Second,
+		Broker:      bb.Config{MaxRetries: 1, RetryBackoff: 5 * time.Millisecond},
 		WrapDialer: func(name string, d transport.Dialer) transport.Dialer {
 			if name != "Domain0" {
 				return d
@@ -420,7 +420,7 @@ func TestVerdictLogRecords(t *testing.T) {
 		w, err := experiment.BuildWorld(experiment.WorldConfig{
 			NumDomains: 2,
 			Policies:   map[string]*policy.Policy{"Domain1": policy.MustParse("small-only", "allow if bw <= 50Mb/s\ndeny")},
-			Logger:     slog.New(recordingHandler{level: level, log: log}),
+			Broker:     bb.Config{Logger: slog.New(recordingHandler{level: level, log: log})},
 		})
 		if err != nil {
 			t.Fatal(err)

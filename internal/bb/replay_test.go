@@ -127,7 +127,7 @@ func newIdleFollower(t *testing.T) (*sagaFollower, *recordedLog) {
 	log := &recordedLog{}
 	w, err := experiment.BuildWorld(experiment.WorldConfig{
 		NumDomains: 1, Replicas: 3, StateDir: t.TempDir(), FsyncPolicy: "never", CallTimeout: time.Second, EnableObs: true,
-		Logger: slog.New(recordingHandler{level: slog.LevelError, log: log}),
+		Broker: bb.Config{Logger: slog.New(recordingHandler{level: slog.LevelError, log: log})},
 	})
 	if err != nil {
 		t.Fatal(err)

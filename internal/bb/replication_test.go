@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"e2eqos/internal/bb"
 	"e2eqos/internal/core"
 	"e2eqos/internal/experiment"
 	"e2eqos/internal/obs"
@@ -385,12 +386,12 @@ func TestReplicatedFailoverPreservesTunnelBatches(t *testing.T) {
 // follows the winner to byte-identical state.
 func TestAutomaticFailoverElectsOneSurvivor(t *testing.T) {
 	w, err := experiment.BuildWorld(experiment.WorldConfig{
-		NumDomains:      2,
-		Replicas:        3,
-		StateDir:        t.TempDir(),
-		FsyncPolicy:     "always",
-		CallTimeout:     2 * time.Second,
-		ElectionTimeout: 100 * time.Millisecond,
+		NumDomains:  2,
+		Replicas:    3,
+		StateDir:    t.TempDir(),
+		FsyncPolicy: "always",
+		CallTimeout: 2 * time.Second,
+		Broker:      bb.Config{ElectionTimeout: 100 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

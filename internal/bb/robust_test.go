@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"e2eqos/internal/bb"
 	"e2eqos/internal/experiment"
 	"e2eqos/internal/resv"
 	"e2eqos/internal/signalling"
@@ -153,11 +154,10 @@ func TestLostResponsesRollBackEveryDomain(t *testing.T) {
 func TestBreakerFailsFastAfterThreshold(t *testing.T) {
 	const hopTimeout = 200 * time.Millisecond
 	w, err := experiment.BuildWorld(experiment.WorldConfig{
-		NumDomains:       2,
-		CallTimeout:      hopTimeout,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Minute,
-		WrapDialer:       faultAt("Domain0", hang),
+		NumDomains:  2,
+		CallTimeout: hopTimeout,
+		Broker:      bb.Config{BreakerThreshold: 2, BreakerCooldown: time.Minute},
+		WrapDialer:  faultAt("Domain0", hang),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -204,10 +204,10 @@ func TestBreakerFailsFastAfterThreshold(t *testing.T) {
 func TestTripOpensABreakerConfiguredOffForOneCooldown(t *testing.T) {
 	var skew atomic.Int64
 	w, err := experiment.BuildWorld(experiment.WorldConfig{
-		NumDomains:      2,
-		Clock:           func() time.Time { return time.Now().Add(time.Duration(skew.Load())) },
-		BreakerCooldown: time.Minute,
-		EnableObs:       true,
+		NumDomains: 2,
+		Clock:      func() time.Time { return time.Now().Add(time.Duration(skew.Load())) },
+		Broker:     bb.Config{BreakerCooldown: time.Minute},
+		EnableObs:  true,
 		WrapDialer: func(name string, d transport.Dialer) transport.Dialer {
 			if name == "Domain0" {
 				return deadDialer{}
@@ -271,10 +271,9 @@ func TestRetryRecoversFromTransientDialFailure(t *testing.T) {
 	flaky := &countdownDialer{}
 	flaky.fails.Store(1)
 	w, err := experiment.BuildWorld(experiment.WorldConfig{
-		NumDomains:   3,
-		CallTimeout:  time.Second,
-		MaxRetries:   1,
-		RetryBackoff: 5 * time.Millisecond,
+		NumDomains:  3,
+		CallTimeout: time.Second,
+		Broker:      bb.Config{MaxRetries: 1, RetryBackoff: 5 * time.Millisecond},
 		WrapDialer: func(name string, d transport.Dialer) transport.Dialer {
 			if name != "Domain0" {
 				return d

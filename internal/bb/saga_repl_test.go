@@ -37,14 +37,14 @@ func newSagaFollower(t *testing.T) *sagaFollower {
 	t.Helper()
 	events := t.TempDir()
 	w, err := experiment.BuildWorld(experiment.WorldConfig{
-		NumDomains:   2,
-		Replicas:     3,
-		StateDir:     t.TempDir(),
-		FsyncPolicy:  "always",
-		CallTimeout:  time.Second,
-		RetryBackoff: time.Millisecond,
-		EnableObs:    true,
-		EventsDir:    events,
+		NumDomains:  2,
+		Replicas:    3,
+		StateDir:    t.TempDir(),
+		FsyncPolicy: "always",
+		CallTimeout: time.Second,
+		Broker:      bb.Config{RetryBackoff: time.Millisecond},
+		EnableObs:   true,
+		EventsDir:   events,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -537,10 +537,9 @@ func TestTunnelBatchTransportFailureUndoesLocalHalves(t *testing.T) {
 func TestSingleSubFlowOpSurvivesLostResponse(t *testing.T) {
 	var lose atomic.Bool // drop the next response on the source's outbound connection
 	w, u, rarID := buildTunnelWorldWith(t, experiment.WorldConfig{
-		NumDomains:   2,
-		CallTimeout:  150 * time.Millisecond,
-		MaxRetries:   1,
-		RetryBackoff: 5 * time.Millisecond,
+		NumDomains:  2,
+		CallTimeout: 150 * time.Millisecond,
+		Broker:      bb.Config{MaxRetries: 1, RetryBackoff: 5 * time.Millisecond},
 		WrapDialer: faultAt("Domain0", func(_ string, send bool, _ []byte) transport.FaultAction {
 			if !send && lose.CompareAndSwap(true, false) {
 				return transport.FaultDrop

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"e2eqos/internal/bb"
 	"e2eqos/internal/resv"
 	"e2eqos/internal/transport"
 	"e2eqos/internal/units"
@@ -84,12 +85,11 @@ func runFaultCell(cfg FaultSweepConfig, prob float64, retries int) (faultCell, e
 	// distinct-but-reproducible fault patterns.
 	seeds := newRNG(faultSeed, uint64(prob*1e6)<<8|uint64(retries))
 	w, err := BuildWorld(WorldConfig{
-		NumDomains:   faultDomains,
-		Capacity:     units.Gbps,
-		CallTimeout:  cfg.CallTimeout,
-		MaxRetries:   retries,
-		RetryBackoff: 2 * time.Millisecond,
-		EnableObs:    true,
+		NumDomains:  faultDomains,
+		Capacity:    units.Gbps,
+		CallTimeout: cfg.CallTimeout,
+		Broker:      bb.Config{MaxRetries: retries, RetryBackoff: 2 * time.Millisecond},
+		EnableObs:   true,
 		WrapDialer: func(domain string, d transport.Dialer) transport.Dialer {
 			if prob <= 0 {
 				return d

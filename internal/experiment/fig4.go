@@ -7,7 +7,6 @@ import (
 	"e2eqos/internal/dsim"
 	"e2eqos/internal/identity"
 	"e2eqos/internal/netsim"
-	"e2eqos/internal/policy"
 	"e2eqos/internal/sla"
 	"e2eqos/internal/topology"
 	"e2eqos/internal/units"
@@ -151,8 +150,8 @@ func runFig4ScenarioRate(scenario string, duration time.Duration, davidRate unit
 	if err != nil {
 		return out, err
 	}
-	// Control plane: C's capacity only covers Alice's reservation; the
-	// per-domain policies admit anything that fits.
+	// Control plane: C's capacity only covers Alice's reservation; every
+	// domain's default policy admits anything that fits.
 	w, err := BuildWorld(WorldConfig{
 		Topo:     topo,
 		Capacity: 10 * units.Mbps,
@@ -164,12 +163,6 @@ func runFig4ScenarioRate(scenario string, duration time.Duration, davidRate unit
 		},
 		SLARate:               10*units.Mbps + davidRate,
 		TrustUserCAEverywhere: true,
-		Policies: map[string]*policy.Policy{
-			"DomainA": policy.MustParse("a", "allow if bw <= avail\ndeny"),
-			"DomainB": policy.MustParse("b", "allow if bw <= avail\ndeny"),
-			"DomainC": policy.MustParse("c", "allow if bw <= avail\ndeny"),
-			"DomainD": policy.MustParse("d", "allow if bw <= avail\ndeny"),
-		},
 	})
 	if err != nil {
 		return out, err

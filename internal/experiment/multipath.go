@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"e2eqos/internal/bb"
 	"e2eqos/internal/resv"
 	"e2eqos/internal/topology"
 	"e2eqos/internal/units"
@@ -52,7 +53,7 @@ func fanWorld(branches int, w WorldConfig) (*World, error) {
 	}
 	w.Topo = topo
 	w.CallTimeout = multipathCallTimeout
-	w.RetryBackoff = 2 * time.Millisecond
+	w.Broker.RetryBackoff = 2 * time.Millisecond
 	w.EnableObs = true
 	return BuildWorld(w)
 }
@@ -141,27 +142,26 @@ func RunMultipathExp() (*Table, error) {
 				"Domain1": 5 * units.Mbps,
 				"Domain2": alt,
 			},
-			MaxPaths:   2,
-			SplitParts: 2,
+			Broker: bb.Config{MaxPaths: 2, SplitParts: 2},
 		}
 	}
 	scenarios := []scenario{
 		{
 			name: "all branches healthy", branches: 3,
-			wcfg:      WorldConfig{MaxPaths: 3},
+			wcfg:      WorldConfig{Broker: bb.Config{MaxPaths: 3}},
 			wantSlots: 3, // ingress + primary branch + destination
 			bw:        5 * units.Mbps, grant: true,
 		},
 		{
 			name: "primary branch dead mid-signalling", branches: 3,
-			wcfg:      WorldConfig{MaxPaths: 3},
+			wcfg:      WorldConfig{Broker: bb.Config{MaxPaths: 3}},
 			wantSlots: 3,
 			inject:    func(w *World) error { return w.StopDomain("Domain1") },
 			bw:        5 * units.Mbps, grant: true,
 		},
 		{
 			name: "primary breaker forced open", branches: 3,
-			wcfg:      WorldConfig{MaxPaths: 3},
+			wcfg:      WorldConfig{Broker: bb.Config{MaxPaths: 3}},
 			wantSlots: 3,
 			inject:    func(w *World) error { return w.BBs["Domain0"].TripBreaker("Domain1") },
 			bw:        5 * units.Mbps, grant: true,

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"e2eqos/internal/bb"
 	"e2eqos/internal/obs"
 	"e2eqos/internal/transport"
 	"e2eqos/internal/units"
@@ -113,11 +114,10 @@ func TestFaultyWorldCountsRobustnessMetrics(t *testing.T) {
 	seed := int64(7)
 	var drops atomic.Int64
 	w, err := BuildWorld(WorldConfig{
-		NumDomains:   3,
-		EnableObs:    true,
-		CallTimeout:  60 * time.Millisecond,
-		MaxRetries:   2,
-		RetryBackoff: 2 * time.Millisecond,
+		NumDomains:  3,
+		EnableObs:   true,
+		CallTimeout: 60 * time.Millisecond,
+		Broker:      bb.Config{MaxRetries: 2, RetryBackoff: 2 * time.Millisecond},
 		WrapDialer: func(domain string, d transport.Dialer) transport.Dialer {
 			fd := transport.NewFaultyDialer(d, lossScript(seed, 0.15, &drops))
 			seed++

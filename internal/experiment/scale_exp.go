@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"e2eqos/internal/bb"
 	"e2eqos/internal/obs"
 	"e2eqos/internal/signalling"
 	"e2eqos/internal/units"
@@ -68,7 +69,7 @@ func RunScaleLoad(cfg ScaleLoadConfig) (*Table, error) {
 		Latency:     cfg.Latency,
 		CallTimeout: 30 * time.Second,
 		EnableObs:   true,
-		SampleRate:  scaleSampleRate,
+		Broker:      bb.Config{SampleRate: scaleSampleRate},
 		EventsDir:   cfg.EventsDir,
 	})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"e2eqos/internal/bb"
 	"e2eqos/internal/core"
 	"e2eqos/internal/obs"
 	"e2eqos/internal/signalling"
@@ -60,7 +61,7 @@ func TestFlightRecorderSamplesReserveChain(t *testing.T) {
 		NumDomains: 3,
 		EnableObs:  true,
 		EventsDir:  dir,
-		SampleRate: 1,
+		Broker:     bb.Config{SampleRate: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +144,7 @@ func TestFlightRecorderTraceThroughTunnelBatch(t *testing.T) {
 		NumDomains: 3,
 		EnableObs:  true,
 		EventsDir:  dir,
-		SampleRate: 1,
+		Broker:     bb.Config{SampleRate: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +209,7 @@ func TestFlightRecorderForcesDenials(t *testing.T) {
 		NumDomains: 2,
 		EnableObs:  true,
 		EventsDir:  dir,
-		SampleRate: 0, // never sample; only forced events may appear
+		Broker:     bb.Config{SampleRate: 0}, // never sample; only forced events may appear
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ package experiment
 
 import (
 	"fmt"
-	"log/slog"
 	"path/filepath"
 	"time"
 
@@ -46,7 +45,7 @@ type WorldConfig struct {
 	// Latency is the one-way signalling latency (default 0).
 	Latency time.Duration
 	// Policies maps domain name -> policy; missing domains get
-	// "allow if bw <= avail; deny".
+	// policy.DefaultText.
 	Policies map[string]*policy.Policy
 	// TrustUserCAEverywhere makes every broker root the user CA — the
 	// requirement of the source-domain baseline ("each BB must know
@@ -68,18 +67,18 @@ type WorldConfig struct {
 	// CallTimeout bounds every signalling call made by brokers and by
 	// users created with NewUser (0 = wait forever).
 	CallTimeout time.Duration
-	// MaxRetries / RetryBackoff / BreakerThreshold / BreakerCooldown
-	// mirror the bb.Config robustness knobs for every broker.
-	MaxRetries       int
-	RetryBackoff     time.Duration
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// MaxPaths / SplitParts mirror the bb.Config multipath knobs:
-	// MaxPaths > 1 lets every ingress re-route across that many disjoint
-	// paths, SplitParts >= 2 enables splitting one reservation across
-	// paths when no single path carries it.
-	MaxPaths   int
-	SplitParts int
+	// Broker is the template every broker in the world is built from:
+	// the retry, breaker, multipath, sampling, election and logging
+	// settings bbd reads from its config file. BuildWorld copies it per
+	// member and overwrites what the World itself decides: Domain, Key,
+	// Cert, Trust, Policy, Capacity, Topo, Peers, PeerAddrs, Dialer,
+	// Pools, Plane, Clock, CallTimeout, Metrics, Recorder, StateDir,
+	// Fsync, ReplicaID, ReplicaAddrs and StartAsFollower. Its
+	// ElectionTimeout arms automatic failover in a replicated world, but
+	// the World does not follow an automatic win: the domain's
+	// well-known address, BBs and the other views stay on the dead
+	// leader until PromoteReplica names the winner.
+	Broker bb.Config
 	// WrapDialer, when set, wraps each broker's outbound dialer —
 	// the hook the fault-injection experiments use to subject a
 	// specific hop to failure.
@@ -96,13 +95,12 @@ type WorldConfig struct {
 	// benchmarks measure the uninstrumented baseline.
 	EnableObs bool
 	// EventsDir, when set, gives every broker a flight recorder writing
-	// to EventsDir/<domain>; SampleRate is each broker's ingress
-	// sampling probability (denials and errors are always recorded).
+	// to EventsDir/<domain>, sampling ingress requests at
+	// Broker.SampleRate (denials and errors are always recorded).
 	// Recorders survive CrashDomain/RestartDomainFromJournal — like a
 	// real deployment, the event log outlives the broker process — and
 	// close with the world.
-	EventsDir  string
-	SampleRate float64
+	EventsDir string
 
 	// StateDir, when set, makes every broker durable: each journals to
 	// its own subdirectory StateDir/<domain>, and
@@ -117,21 +115,10 @@ type WorldConfig struct {
 	// / PromoteAny drive failover. Otherwise each domain is a group of
 	// one.
 	Replicas int
-	// ElectionTimeout, when set with Replicas > 1, arms automatic
-	// failover: a follower that hears nothing from its leader for this
-	// long (id-staggered) stands for election on its own. Zero keeps
-	// elections manual (PromoteReplica / PromoteAny). The World does not
-	// follow an automatic win: the domain's well-known address, BBs and
-	// the other views stay on the dead leader until PromoteReplica names
-	// the winner.
-	ElectionTimeout time.Duration
 	// FsyncPolicy selects the journal durability policy for every
 	// broker: "batch" (default), "always" or "never". Only meaningful
 	// with StateDir set.
 	FsyncPolicy string
-	// Logger, when set, receives every broker's structured log records
-	// (each stamped with its domain). Nil keeps brokers silent.
-	Logger *slog.Logger
 }
 
 // World is a running testbed.
@@ -193,8 +180,9 @@ func replicaAddrOf(domain string, i int) string {
 	return fmt.Sprintf("bb.%s.r%d", domain, i)
 }
 
-// BuildWorld assembles and starts a testbed.
-func BuildWorld(cfg WorldConfig) (*World, error) {
+// BuildWorld assembles and starts a testbed. When it fails it closes
+// whatever it had already started.
+func BuildWorld(cfg WorldConfig) (_ *World, err error) {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 100 * units.Mbps
 	}
@@ -230,6 +218,11 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 		clock:       cfg.Clock,
 		callTimeout: cfg.CallTimeout,
 	}
+	defer func() {
+		if err != nil {
+			w.Close()
+		}
+	}()
 	fsync, err := journal.ParsePolicy(cfg.FsyncPolicy)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
@@ -270,7 +263,7 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 		if err != nil {
 			return nil, err
 		}
-		trust := pki.NewTrustStore(16) // the introducer depth bbd defaults to
+		trust := pki.NewTrustStore(pki.DefaultIntroducerDepth)
 		mat[name] = &domainMaterial{ca: ca, key: key, cert: cert, trust: trust}
 		w.BBCerts[name] = cert
 		addrs[key.DN] = addrOf(name)
@@ -299,7 +292,7 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 		m := mat[name]
 		pol := cfg.Policies[name]
 		if pol == nil {
-			pol = policy.MustParse("default-"+name, "allow if bw <= avail\ndeny")
+			pol = policy.MustParse("default-"+name, policy.DefaultText)
 		}
 		ps := policysrv.New(name, pol)
 		ps.SetClock(cfg.Clock)
@@ -345,34 +338,13 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 			if cfg.WrapDialer != nil {
 				dialer = cfg.WrapDialer(name, endpoint)
 			}
-			bcfg := bb.Config{
-				Domain:           name,
-				Key:              m.key,
-				Cert:             m.cert,
-				Trust:            m.trust,
-				Policy:           ps,
-				Capacity:         capacity,
-				Topo:             topo,
-				Peers:            peers,
-				PeerAddrs:        addrs,
-				Dialer:           dialer,
-				Pools:            pools,
-				Plane:            netsimdp.New(),
-				Clock:            cfg.Clock,
-				CallTimeout:      cfg.CallTimeout,
-				MaxRetries:       cfg.MaxRetries,
-				RetryBackoff:     cfg.RetryBackoff,
-				BreakerThreshold: cfg.BreakerThreshold,
-				BreakerCooldown:  cfg.BreakerCooldown,
-				MaxPaths:         cfg.MaxPaths,
-				SplitParts:       cfg.SplitParts,
-				Logger:           cfg.Logger,
-				SampleRate:       cfg.SampleRate,
-				ReplicaID:        i,
-				ReplicaAddrs:     replicaAddrs,
-				StartAsFollower:  i != 0,
-				ElectionTimeout:  cfg.ElectionTimeout,
-			}
+			bcfg := cfg.Broker
+			bcfg.Domain, bcfg.Key, bcfg.Cert, bcfg.Trust, bcfg.Policy = name, m.key, m.cert, m.trust, ps
+			bcfg.Capacity, bcfg.Topo, bcfg.Peers, bcfg.PeerAddrs = capacity, topo, peers, addrs
+			bcfg.Dialer, bcfg.Pools, bcfg.Plane = dialer, pools, netsimdp.New()
+			bcfg.Clock, bcfg.CallTimeout = cfg.Clock, cfg.CallTimeout
+			bcfg.Metrics, bcfg.Recorder, bcfg.StateDir, bcfg.Fsync = nil, nil, "", fsync
+			bcfg.ReplicaID, bcfg.ReplicaAddrs, bcfg.StartAsFollower = i, replicaAddrs, i != 0
 			if cfg.EnableObs {
 				bcfg.Metrics = obs.NewRegistry()
 			}
@@ -382,13 +354,15 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 				}
 			}
 			if cfg.StateDir != "" {
-				bcfg.StateDir, bcfg.Fsync = filepath.Join(cfg.StateDir, sub), fsync
+				bcfg.StateDir = filepath.Join(cfg.StateDir, sub)
 			}
 			broker, err := bb.New(bcfg)
 			if err != nil {
+				bcfg.Recorder.Close()
 				return nil, err
 			}
 			mb := &member{broker: broker, cfg: bcfg, endpoint: endpoint, alive: true}
+			w.members[name] = append(w.members[name], mb)
 			if addr, ok := replicaAddrs[i]; ok {
 				var wrap func(transport.Listener) transport.Listener
 				if cfg.WrapListener != nil {
@@ -398,7 +372,6 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 					return nil, err
 				}
 			}
-			w.members[name] = append(w.members[name], mb)
 		}
 		// Replica 0 (or the sole broker) fronts the domain: it is what the
 		// rest of the world sees through addrOf.

@@ -1,9 +1,60 @@
 package experiment
 
 import (
+	"runtime"
 	"testing"
 	"time"
+
+	"e2eqos/internal/transport"
+	"e2eqos/internal/units"
 )
+
+// TestFailedBuildLeavesNothingRunning: a domain that fails to build
+// takes down the domains built before it. Domain2's empty pool fails
+// after Domain0 and Domain1 are serving; afterwards neither answers at
+// its address, and the goroutines their servers and journals ran are
+// gone.
+func TestFailedBuildLeavesNothingRunning(t *testing.T) {
+	// Earlier tests' brokers may still be winding down: take the
+	// baseline once the count has stopped falling.
+	base := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n == base {
+			break
+		}
+		base = n
+	}
+	dialers := map[string]transport.Dialer{}
+	_, err := BuildWorld(WorldConfig{
+		NumDomains: 3,
+		Pools:      map[string]map[string]units.Bandwidth{"Domain2": {"cpu": 0}},
+		StateDir:   t.TempDir(),
+		EventsDir:  t.TempDir(),
+		WrapDialer: func(domain string, d transport.Dialer) transport.Dialer {
+			dialers[domain] = d
+			return d
+		},
+	})
+	if err == nil {
+		t.Fatal("BuildWorld accepted an empty pool")
+	}
+	for _, domain := range []string{"Domain0", "Domain1"} {
+		if conn, err := dialers["Domain1"].Dial(addrOf(domain)); err == nil {
+			conn.Close()
+			t.Errorf("%s still serves after the build failed", domain)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, started with %d:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
 
 // TestWorldViewsFollowFailover: once a follower is promoted, every view
 // the World keeps of the domain — its broker, data plane, metrics

@@ -33,6 +33,10 @@ type TrustStore struct {
 	caChecked map[[sha256.Size]byte]identity.PublicKey
 }
 
+// DefaultIntroducerDepth is the introducer-chain depth a broker accepts
+// when its configuration sets none.
+const DefaultIntroducerDepth = 16
+
 // NewTrustStore creates an empty store accepting introducer chains up
 // to maxIntroducerDepth links.
 func NewTrustStore(maxIntroducerDepth int) *TrustStore {

@@ -144,6 +144,10 @@ func (ru *Rule) Matches(r *Request) bool {
 	return true
 }
 
+// DefaultText is the policy of a domain that states none: admit what
+// the domain has room for.
+const DefaultText = "allow if bw <= avail\ndeny"
+
 // Policy is an ordered decision list.
 type Policy struct {
 	Name  string

@@ -89,14 +89,12 @@
 #                          BenchmarkReplCommitGate/rar_cancel (one record)
 #                          and /reserve (resv.admit + bb.rar with a
 #                          3-approval outcome) (BENCH_replication.json)
-#   make bench-fleet       full scenario fleet at 100k users; regenerates
-#                          BENCH_scale.json
 #   make bench-route       route-lookup micro-benchmarks with -benchmem:
 #                          cached NextHop and the cold k-disjoint Paths
 #                          computation (BENCH_route.json)
 GO ?= go
 
-.PHONY: build test verify loc alloc-gate bench bench-e2e bench-e2e-compare bench-chain bench-wire bench-concurrency bench-subflow bench-obs bench-replication bench-fleet bench-route metrics-lint fuzz-short
+.PHONY: build test verify loc alloc-gate bench bench-e2e bench-e2e-compare bench-chain bench-wire bench-concurrency bench-subflow bench-obs bench-replication bench-route metrics-lint fuzz-short
 
 build:
 	$(GO) build ./...
@@ -164,9 +162,6 @@ bench-obs:
 bench-replication:
 	$(GO) test -run NONE -bench 'ReplicatedAdmit' -benchtime 500x -count 3 .
 	$(GO) test -run NONE -bench 'ReplCommitGate' -benchtime 20000x -count 3 -benchmem ./internal/bb
-
-bench-fleet:
-	$(GO) run ./cmd/experiments -exp fleet -fleet-users 100000 -fleet-bench BENCH_scale.json
 
 bench-route:
 	$(GO) test -run NONE -bench 'NextHop|PathsCold' -benchmem ./internal/topology

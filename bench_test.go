@@ -455,7 +455,7 @@ func BenchmarkReserveChainTraced(b *testing.B) {
 					return nil, err
 				}
 				msg.Reserve.TraceID = obs.NewTraceID()
-				resp, err := c.Call(msg)
+				resp, err := c.Call(msg, 0)
 				if err != nil {
 					return nil, err
 				}

@@ -142,11 +142,11 @@ func deploy(t *testing.T) *deployment {
 			EventsDir:  filepath.Join(dir, dom+"-events"),
 			SampleRate: 1,
 		}
-		broker, ln, recorder, err := cfg.Build()
+		broker, ln, err := cfg.Build()
 		if err != nil {
 			t.Fatalf("building %s: %v", dom, err)
 		}
-		t.Cleanup(func() { ln.Close(); broker.Close(); recorder.Close() })
+		t.Cleanup(func() { ln.Close(); broker.Close() })
 		go signalling.NewServer(broker, nil).Serve(ln)
 	}
 	return &deployment{
@@ -210,7 +210,7 @@ func TestDaemonEndToEndReservationOverTLS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := client.Call(msg)
+	resp, err := client.Call(msg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,14 +222,14 @@ func TestDaemonEndToEndReservationOverTLS(t *testing.T) {
 	}
 
 	// Status then cancel via the daemon.
-	statusResp, err := client.Call(&signalling.Message{Type: signalling.MsgStatus, Status: &signalling.StatusPayload{RARID: spec.RARID}})
+	statusResp, err := client.Call(&signalling.Message{Type: signalling.MsgStatus, Status: &signalling.StatusPayload{RARID: spec.RARID}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if statusResp.Result == nil || !statusResp.Result.Granted {
 		t.Fatalf("status failed: %+v", statusResp.Result)
 	}
-	cancelResp, err := client.Call(&signalling.Message{Type: signalling.MsgCancel, Cancel: &signalling.CancelPayload{RARID: spec.RARID}})
+	cancelResp, err := client.Call(&signalling.Message{Type: signalling.MsgCancel, Cancel: &signalling.CancelPayload{RARID: spec.RARID}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestBuildRefusesOtherKeyAlgorithm(t *testing.T) {
 	if err := os.WriteFile(cfg.KeyFile, pem.EncodeToMemory(&pem.Block{Type: "EC PRIVATE KEY", Bytes: sec1}), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, err = cfg.Build()
+	_, _, err = cfg.Build()
 	if !errors.Is(err, identity.ErrKeyAlgorithm) {
 		t.Fatalf("Build with an EC key file: err = %v, want identity.ErrKeyAlgorithm", err)
 	}
@@ -378,11 +378,10 @@ func chainConfig(t *testing.T, dir string) func() *FileConfig {
 // unreplicated broker reports so on /replication and refuses a GET of
 // /promote.
 func TestAdminEndpointServesTheRegistry(t *testing.T) {
-	broker, ln, recorder, err := chainConfig(t, t.TempDir())().Build()
+	broker, ln, err := chainConfig(t, t.TempDir())().Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer recorder.Close()
 	defer broker.Close()
 	defer ln.Close()
 	addr := fmt.Sprintf("127.0.0.1:%d", freePorts(t, 1)[0])
@@ -458,11 +457,10 @@ func TestBuildRefusesConfigThatDisagrees(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := config()
 			row.edit(cfg)
-			broker, ln, recorder, err := cfg.Build()
+			broker, ln, err := cfg.Build()
 			if err == nil {
 				ln.Close()
 				broker.Close()
-				recorder.Close()
 				t.Fatalf("Build accepted the config, want an error mentioning %q", row.want)
 			}
 			if !strings.Contains(err.Error(), row.want) {
@@ -471,13 +469,12 @@ func TestBuildRefusesConfigThatDisagrees(t *testing.T) {
 		})
 	}
 	// The same files, agreeing, build.
-	broker, ln, recorder, err := config().Build()
+	broker, ln, err := config().Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	ln.Close()
 	broker.Close()
-	recorder.Close()
 }
 
 // TestBuildClosesTheBrokerWhenListenFails: a listen address already in
@@ -502,11 +499,10 @@ func TestBuildClosesTheBrokerWhenListenFails(t *testing.T) {
 		}
 		base = n
 	}
-	broker, ln, recorder, err := cfg.Build()
+	broker, ln, err := cfg.Build()
 	if err == nil {
 		ln.Close()
 		broker.Close()
-		recorder.Close()
 		t.Fatalf("Build listened on %s, which is taken", cfg.Listen)
 	}
 	deadline := time.Now().Add(5 * time.Second)

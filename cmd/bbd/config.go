@@ -171,21 +171,19 @@ func LoadConfig(path string) (*FileConfig, error) {
 	return &cfg, nil
 }
 
-// Build assembles the broker, its TLS listener, and (when events_dir
-// is set) the flight recorder; the caller owns closing the recorder
-// after the broker shuts down.
-func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, error) {
+// Build assembles the broker and its TLS listener.
+func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, error) {
 	cert, err := pki.LoadCertFile(cfg.CertFile)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	key, err := pki.LoadKeyFile(cfg.KeyFile, cert.SubjectDN())
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	capacity, err := units.ParseBandwidth(cfg.Capacity)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 
 	depth := cfg.IntroducerDepth
@@ -197,10 +195,10 @@ func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, e
 	for _, path := range cfg.RootFiles {
 		root, err := pki.LoadCertFile(path)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		if err := trust.AddRoot(root); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		rootDERs = append(rootDERs, root.DER)
 	}
@@ -208,12 +206,12 @@ func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, e
 	topo := topology.New()
 	for _, d := range cfg.Domains {
 		if err := topo.AddDomain(topology.Domain{Name: d.Name, BBDN: identity.DN(d.BBDN)}); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 	}
 	for _, l := range cfg.Links {
 		if err := topo.AddLink(topology.Link{A: l.A, B: l.B, Cost: l.Cost}); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 	}
 
@@ -221,7 +219,7 @@ func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, e
 	if cfg.PolicyFile != "" {
 		data, err := os.ReadFile(cfg.PolicyFile)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("bbd: %w", err)
+			return nil, nil, fmt.Errorf("bbd: %w", err)
 		}
 		policyText = string(data)
 	}
@@ -230,7 +228,7 @@ func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, e
 	}
 	pol, err := policy.Parse(cfg.Domain, policyText)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	ps := policysrv.New(cfg.Domain, pol)
 
@@ -239,13 +237,13 @@ func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, e
 	for _, p := range cfg.Peers {
 		peerCert, err := pki.LoadCertFile(p.CertFile)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		peerAddrs[peerCert.SubjectDN()] = p.Addr
 		rate := capacity
 		if p.SLARate != "" {
 			if rate, err = units.ParseBandwidth(p.SLARate); err != nil {
-				return nil, nil, nil, err
+				return nil, nil, err
 			}
 		}
 		peers = append(peers, bb.Peering{Domain: p.Domain, Cert: peerCert, SLARate: rate})
@@ -266,7 +264,7 @@ func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, e
 	}
 	callTimeout, err := parseDur("call_timeout", cfg.CallTimeout, 5*time.Second)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	// The same budget bounds connection establishment: a peer that
 	// accepts TCP but never finishes the TLS handshake must not stall
@@ -274,47 +272,39 @@ func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, e
 	dialer.Timeout = callTimeout
 	retryBackoff, err := parseDur("retry_backoff", cfg.RetryBackoff, 0)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	breakerCooldown, err := parseDur("breaker_cooldown", cfg.BreakerCooldown, 0)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	electionTimeout, err := parseDur("election_timeout", cfg.ElectionTimeout, 0)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	level, err := obs.ParseLevel(cfg.LogLevel)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("bbd: %w", err)
+		return nil, nil, fmt.Errorf("bbd: %w", err)
 	}
 	logger, err := obs.NewLogger(os.Stderr, level, cfg.LogFormat)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("bbd: %w", err)
+		return nil, nil, fmt.Errorf("bbd: %w", err)
 	}
 	metrics := obs.NewRegistry()
 	dialer.Metrics = transport.NewMetrics(metrics)
 
 	fsync, err := journal.ParsePolicy(cfg.FsyncPolicy)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("bbd: %w", err)
+		return nil, nil, fmt.Errorf("bbd: %w", err)
 	}
 
 	var pools map[string]*resv.Table
 	if cfg.CPUs > 0 {
 		cpus, err := resv.NewTable("cpu-"+cfg.Domain, units.Bandwidth(cfg.CPUs))
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		pools = map[string]*resv.Table{"cpu": cpus}
-	}
-
-	var recorder *obs.Recorder
-	if cfg.EventsDir != "" {
-		recorder, err = obs.OpenRecorder(cfg.EventsDir)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("bbd: %w", err)
-		}
 	}
 
 	bbCfg := bb.Config{
@@ -340,7 +330,7 @@ func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, e
 		Metrics:          metrics,
 		StateDir:         cfg.StateDir,
 		Fsync:            fsync,
-		Recorder:         recorder,
+		EventsDir:        cfg.EventsDir,
 		SampleRate:       cfg.SampleRate,
 		ReplicaID:        cfg.ReplicaID,
 		ReplicaAddrs:     cfg.ReplicaPeers,
@@ -349,15 +339,13 @@ func (cfg *FileConfig) Build() (*bb.BB, *transport.TLSListener, *obs.Recorder, e
 	}
 	broker, err := bb.New(bbCfg)
 	if err != nil {
-		recorder.Close()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	ln, err := transport.ListenTLS(cfg.Listen, tlsCfg)
 	if err != nil {
 		broker.Close()
-		recorder.Close()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	ln.Metrics = dialer.Metrics
-	return broker, ln, recorder, nil
+	return broker, ln, nil
 }

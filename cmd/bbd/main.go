@@ -31,7 +31,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	broker, ln, recorder, err := cfg.Build()
+	broker, ln, err := cfg.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,9 +55,4 @@ func main() {
 	logger.Info("bbd shutting down")
 	srv.Shutdown()
 	broker.Close()
-	// The recorder outlives the broker: in-flight handlers may still
-	// append events until Close drains them.
-	if err := recorder.Close(); err != nil {
-		logger.Warn("flight recorder close", "err", err)
-	}
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"e2eqos/internal/experiment"
@@ -30,7 +29,6 @@ type options struct {
 	faultTrials int
 	fleetUsers  int
 	fleetSeed   uint64
-	fleetBench  string
 }
 
 // parseFlags parses args and refuses, by name, a flag whose value no
@@ -49,7 +47,6 @@ func parseFlags(args []string, out io.Writer) (options, error) {
 	fs.IntVar(&o.faultTrials, "fault-trials", 20, "reservations per cell of the faults sweep")
 	fs.IntVar(&o.fleetUsers, "fleet-users", 100_000, "simulated population for the fleet experiment")
 	fs.Uint64Var(&o.fleetSeed, "fleet-seed", 1, "RNG seed for the fleet experiment")
-	fs.StringVar(&o.fleetBench, "fleet-bench", "", "write the fleet run as a BENCH_scale.json-style file at this path")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -72,14 +69,6 @@ func parseFlags(args []string, out io.Writer) (options, error) {
 		}
 	}
 	return o, nil
-}
-
-// machine describes the host as this process observes it: operating
-// system, architecture, logical CPUs and GOMAXPROCS. It names no CPU
-// model, which the process cannot see portably.
-func machine() string {
-	return fmt.Sprintf("%s/%s, %d logical CPUs, GOMAXPROCS=%d",
-		runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.GOMAXPROCS(0))
 }
 
 func main() {
@@ -189,8 +178,7 @@ func main() {
 	// The fleet runs only when asked for by name: at its default
 	// 100k-user population it dominates the suite's wall clock.
 	if o.exp == "fleet" {
-		start := time.Now()
-		res, t, err := experiment.RunFleetExperiment(experiment.FleetConfig{
+		t, err := experiment.RunFleetExperiment(experiment.FleetConfig{
 			Users: o.fleetUsers,
 			Seed:  o.fleetSeed,
 		})
@@ -198,13 +186,6 @@ func main() {
 			fail("fleet", err)
 		}
 		emit(t)
-		if o.fleetBench != "" {
-			date := time.Now().Format("2006-01-02")
-			if err := experiment.WriteFleetBench(res, o.fleetBench, machine(), date, time.Since(start)); err != nil {
-				fail("fleet-bench", err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", o.fleetBench)
-		}
 	}
 
 	if run("keydist") {

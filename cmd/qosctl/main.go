@@ -89,19 +89,18 @@ func main() {
 		die("dialing broker: %v", err)
 	}
 	defer client.Close()
-	client.Timeout = *timeout
 
 	switch flag.Arg(0) {
 	case "reserve":
-		runReserve(client, key, cert, flag.Args()[1:])
+		runReserve(client, *timeout, key, cert, flag.Args()[1:])
 	case "cancel":
-		runSimple(client, signalling.MsgCancel, flag.Args()[1:])
+		runSimple(client, *timeout, signalling.MsgCancel, flag.Args()[1:])
 	case "status":
-		runSimple(client, signalling.MsgStatus, flag.Args()[1:])
+		runSimple(client, *timeout, signalling.MsgStatus, flag.Args()[1:])
 	case "tunnel-batch-alloc":
-		runTunnelBatch(client, key, signalling.OpAlloc, flag.Args()[1:])
+		runTunnelBatch(client, *timeout, key, signalling.OpAlloc, flag.Args()[1:])
 	case "tunnel-batch-release":
-		runTunnelBatch(client, key, signalling.OpRelease, flag.Args()[1:])
+		runTunnelBatch(client, *timeout, key, signalling.OpRelease, flag.Args()[1:])
 	default:
 		die("unknown command %q", flag.Arg(0))
 	}
@@ -117,7 +116,7 @@ func main() {
 // -seq and get the recorded answer instead of a double admission.
 // qosctl acknowledges nothing: a broker holds its answers up to a
 // per-sender cap.
-func runTunnelBatch(client *signalling.Client, key *identity.KeyPair, action signalling.TunnelOpAction, args []string) {
+func runTunnelBatch(client *signalling.Client, timeout time.Duration, key *identity.KeyPair, action signalling.TunnelOpAction, args []string) {
 	name := "tunnel-batch-" + string(action)
 	fs := flag.NewFlagSet(name, flag.ExitOnError)
 	rar := fs.String("rar", "", "tunnel RAR id (required)")
@@ -153,7 +152,7 @@ func runTunnelBatch(client *signalling.Client, key *identity.KeyPair, action sig
 	if err := payload.Validate(); err != nil {
 		die("%s: %v", name, err)
 	}
-	resp, err := client.Call(&signalling.Message{Type: signalling.MsgTunnelBatch, TunnelBatch: payload})
+	resp, err := client.Call(&signalling.Message{Type: signalling.MsgTunnelBatch, TunnelBatch: payload}, timeout)
 	if err != nil {
 		die("%v", err)
 	}
@@ -177,7 +176,7 @@ func runTunnelBatch(client *signalling.Client, key *identity.KeyPair, action sig
 	}
 }
 
-func runReserve(client *signalling.Client, key *identity.KeyPair, cert *pki.Certificate, args []string) {
+func runReserve(client *signalling.Client, timeout time.Duration, key *identity.KeyPair, cert *pki.Certificate, args []string) {
 	fs := flag.NewFlagSet("reserve", flag.ExitOnError)
 	src := fs.String("src", "", "source host (required)")
 	dst := fs.String("dst", "", "destination host (required)")
@@ -232,14 +231,14 @@ func runReserve(client *signalling.Client, key *identity.KeyPair, cert *pki.Cert
 	if *traceFlag {
 		msg.Reserve.TraceID = obs.NewTraceID()
 	}
-	resp, err := client.Call(msg)
+	resp, err := client.Call(msg, timeout)
 	if err != nil {
 		die("%v", err)
 	}
 	printResult(spec.RARID, resp)
 }
 
-func runSimple(client *signalling.Client, typ signalling.MsgType, args []string) {
+func runSimple(client *signalling.Client, timeout time.Duration, typ signalling.MsgType, args []string) {
 	fs := flag.NewFlagSet(string(typ), flag.ExitOnError)
 	rar := fs.String("rar", "", "RAR id (required)")
 	_ = fs.Parse(args)
@@ -253,7 +252,7 @@ func runSimple(client *signalling.Client, typ signalling.MsgType, args []string)
 	case signalling.MsgStatus:
 		msg.Status = &signalling.StatusPayload{RARID: *rar}
 	}
-	resp, err := client.Call(msg)
+	resp, err := client.Call(msg, timeout)
 	if err != nil {
 		die("%v", err)
 	}

@@ -317,7 +317,7 @@ func TestNoFrameAliasOutlivesItsExchange(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		resp, err := c.CallTimeout(&signalling.Message{Type: signalling.MsgStatus, Status: &signalling.StatusPayload{RARID: rarID}}, 2*time.Second)
+		resp, err := c.Call(&signalling.Message{Type: signalling.MsgStatus, Status: &signalling.StatusPayload{RARID: rarID}}, 2*time.Second)
 		if err != nil || resp.Result == nil {
 			t.Fatalf("status %s: resp=%+v err=%v", rarID, resp, err)
 		}

@@ -119,12 +119,12 @@ type Config struct {
 	// registered exactly once). Nil disables metrics at no cost.
 	Metrics *obs.Registry
 
-	// Recorder receives wide flight-recorder events (sampled plus every
-	// denial/rollback/downstream failure). Nil disables the recorder at
-	// no cost. The recorder is owned by the caller — bbd and the
-	// experiment world close it after the broker — so it survives a
-	// Crash()/recover cycle the way the on-disk journal does.
-	Recorder *obs.Recorder
+	// EventsDir, when set, turns on the flight recorder: wide events
+	// (sampled plus every denial/rollback/downstream failure) are
+	// appended to a bounded event log in this directory. New opens it,
+	// resuming the newest segment a previous incarnation left, and
+	// Close or Crash closes it. Empty disables the recorder at no cost.
+	EventsDir string
 	// SampleRate is the probability that a request entering the network
 	// at this broker (a user-submitted RAR or a source-side tunnel
 	// batch) is flight-recorded. The decision propagates in the
@@ -246,9 +246,12 @@ type BB struct {
 	// resume across crash recovery). Never nil.
 	sagas *saga.Coordinator
 
-	// sampler makes the flight recorder's ingress sampling decisions
-	// (nil when SampleRate is 0: only forced events are recorded).
-	sampler *obs.Sampler
+	// recorder is the flight recorder opened from Config.EventsDir (nil
+	// when it is empty; every append on a nil recorder no-ops). sampler
+	// makes its ingress sampling decisions (nil when SampleRate is 0:
+	// only forced events are recorded).
+	recorder *obs.Recorder
+	sampler  *obs.Sampler
 }
 
 // New assembles a broker from the config.
@@ -317,7 +320,7 @@ func New(cfg Config) (*BB, error) {
 		}
 	}
 	b.pool = newClientPool(func(dn identity.DN) (*signalling.Client, error) {
-		return b.dial("peer "+string(dn), b.cfg.PeerAddrs[dn], dn, b.cfg.CallTimeout)
+		return b.dial("peer "+string(dn), b.cfg.PeerAddrs[dn], dn)
 	}, func() { b.m.clientEvictions.Inc() })
 	// The saga coordinator exists before the journal opens: recovery
 	// replays "saga." records into it, and compensation only starts
@@ -332,6 +335,13 @@ func New(cfg Config) (*BB, error) {
 			return nil, err
 		}
 		b.sagas.AttachJournal(b.journal)
+	}
+	if cfg.EventsDir != "" {
+		// The last step that can fail: only the journal is open to undo.
+		if b.recorder, err = obs.OpenRecorder(cfg.EventsDir); err != nil {
+			b.journal.Close()
+			return nil, fmt.Errorf("bb %s: flight recorder: %w", cfg.Domain, err)
+		}
 	}
 	if b.replicated() {
 		b.repl = newReplicator(b)
@@ -374,10 +384,10 @@ func (b *BB) Domain() string { return b.cfg.Domain }
 func (b *BB) Table() *resv.Table { return b.table }
 
 // dial opens a signalling client to addr ("" when none is configured)
-// whose calls time out after timeout, and refuses it unless the far end
-// authenticated as want. who names the far end in errors: a peer broker
-// (the pool owns those clients) or a replica of this one (same DN).
-func (b *BB) dial(who, addr string, want identity.DN, timeout time.Duration) (*signalling.Client, error) {
+// and refuses it unless the far end authenticated as want. who names
+// the far end in errors: a peer broker (the pool owns those clients) or
+// a replica of this one (same DN).
+func (b *BB) dial(who, addr string, want identity.DN) (*signalling.Client, error) {
 	switch {
 	case addr == "":
 		return nil, fmt.Errorf("bb %s: no address for %s", b.cfg.Domain, who)
@@ -388,7 +398,6 @@ func (b *BB) dial(who, addr string, want identity.DN, timeout time.Duration) (*s
 	if err != nil {
 		return nil, fmt.Errorf("bb %s: dialing %s: %w", b.cfg.Domain, who, err)
 	}
-	c.Timeout = timeout
 	if got := c.PeerDN(); got != want {
 		c.Close()
 		return nil, fmt.Errorf("bb %s: %s at %s authenticated as %s, not %s", b.cfg.Domain, who, addr, got, want)
@@ -414,13 +423,17 @@ func (b *BB) clientFor(dn identity.DN) (*signalling.Client, error) {
 }
 
 // Close tears down all outbound clients and, when the broker is
-// durable, flushes and closes its journal — the graceful shutdown.
+// durable, flushes and closes its journal — the graceful shutdown. The
+// flight recorder closes last of all, once nothing is left to append.
 func (b *BB) Close() {
 	b.sagas.Close()
 	b.repl.close()
 	b.pool.closeAll()
 	if err := b.journal.Close(); err != nil {
 		b.log.Error("journal: close failed", "err", err)
+	}
+	if err := b.recorder.Close(); err != nil {
+		b.log.Error("flight recorder: close failed", "err", err)
 	}
 }
 
@@ -433,6 +446,9 @@ func (b *BB) Crash() {
 	b.repl.close()
 	b.pool.closeAll()
 	b.journal.Crash()
+	// Event writes are unbuffered: the recorder loses nothing, and the
+	// next incarnation resumes its newest segment.
+	b.recorder.Close()
 }
 
 // syncDataPlane pushes the currently committed aggregate into the

@@ -2,6 +2,9 @@ package bb_test
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -548,7 +551,9 @@ func TestDataPlaneSyncOnGrantAndCancel(t *testing.T) {
 // TestNewChecksItsConfig: bb.New is the one place a broker's config is
 // checked, so a peering and a replica set that disagree with the rest of
 // the config are refused there, by name, before anything serves — and a
-// peering that agrees is pinned into the trust store.
+// peering that agrees is pinned into the trust store. An events
+// directory that cannot be opened is refused after the journal opened,
+// and a refused config leaves no goroutine of the journal running.
 func TestNewChecksItsConfig(t *testing.T) {
 	topo, err := topology.Linear(3, 100*units.Mbps)
 	if err != nil {
@@ -586,6 +591,10 @@ func TestNewChecksItsConfig(t *testing.T) {
 		edit(&cfg)
 		return cfg
 	}
+	notADir := filepath.Join(t.TempDir(), "events")
+	if err := os.WriteFile(notADir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, row := range []struct {
 		name string
 		edit func(*bb.Config)
@@ -604,13 +613,35 @@ func TestNewChecksItsConfig(t *testing.T) {
 		{"a replica set without a state directory", func(c *bb.Config) {
 			c.ReplicaAddrs = map[int]string{0: "r0", 1: "r1"}
 		}, "bb Domain1: replication requires a state directory (the stream is the journal)"},
+		{"an events directory that is a file", func(c *bb.Config) {
+			c.StateDir, c.EventsDir = t.TempDir(), notADir
+		}, "bb Domain1: flight recorder: mkdir " + notADir + ": not a directory"},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := config(row.edit)
+			// Earlier tests' goroutines may still be winding down: take
+			// the baseline once the count has stopped falling.
+			base := runtime.NumGoroutine()
+			for i := 0; i < 100; i++ {
+				time.Sleep(10 * time.Millisecond)
+				n := runtime.NumGoroutine()
+				if n == base {
+					break
+				}
+				base = n
+			}
 			b, err := bb.New(cfg)
 			if row.want != "" {
 				if err == nil || err.Error() != row.want {
 					t.Fatalf("bb.New: err = %v, want %q", err, row.want)
+				}
+				deadline := time.Now().Add(5 * time.Second)
+				for runtime.NumGoroutine() > base {
+					if time.Now().After(deadline) {
+						buf := make([]byte, 1<<16)
+						t.Fatalf("%d goroutines, started with %d:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+					}
+					time.Sleep(5 * time.Millisecond)
 				}
 				return
 			}

@@ -57,7 +57,7 @@ func (b *BB) RecoverScribbled(dir string) (*BB, error) {
 		return nil, err
 	}
 	cfg := b.cfg
-	cfg.StateDir, cfg.Metrics, cfg.Recorder = "", nil, nil
+	cfg.StateDir, cfg.Metrics, cfg.EventsDir = "", nil, ""
 	cfg.ReplicaID, cfg.ReplicaAddrs, cfg.StartAsFollower = 0, nil, false
 	nb, err := New(cfg)
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 // sampled at its ingress hop or ended badly (denial, rollback,
 // downstream error — the requests someone will ask about) becomes one
 // wide binary event in the broker's bounded on-disk event log. With
-// no Recorder configured every helper is a nil check.
+// no EventsDir configured every helper is a nil check.
 
 // appendEvent stamps the broker's identity and clock onto ev and
 // writes it. Event-log failures are counted and logged, never
@@ -19,7 +19,7 @@ import (
 func (b *BB) appendEvent(ev *obs.Event) {
 	ev.Domain = b.cfg.Domain
 	ev.TimeNS = b.cfg.Clock().UnixNano()
-	if err := b.cfg.Recorder.Append(ev); err != nil {
+	if err := b.recorder.Append(ev); err != nil {
 		b.m.eventDrops.Inc()
 		b.log.Warn("flight recorder: append failed", "err", err)
 		return
@@ -31,7 +31,7 @@ func (b *BB) appendEvent(ev *obs.Event) {
 // rarID and user may be empty when the request failed before
 // verification produced a spec.
 func (b *BB) recordReserveEvent(rarID, user string, payload *signalling.ReservePayload, resp *signalling.Message, t0 time.Time) {
-	if b.cfg.Recorder == nil || resp == nil || resp.Result == nil {
+	if b.recorder == nil || resp == nil || resp.Result == nil {
 		return
 	}
 	forced := !resp.Result.Granted
@@ -74,7 +74,7 @@ func (b *BB) recordReserveEvent(rarID, user string, payload *signalling.ReserveP
 // sub-flow batch — the destination handler and the source-side
 // TunnelBatch API both report through it, under the batch's trace id.
 func (b *BB) recordBatchEvent(payload *signalling.TunnelBatchPayload, ops int, verdict, reason string, t0 time.Time) {
-	if b.cfg.Recorder == nil {
+	if b.recorder == nil {
 		return
 	}
 	forced := verdict != obs.VerdictGranted

@@ -55,7 +55,7 @@ func tracedReserve(w *experiment.World, u *experiment.User, spec *core.Spec) (*s
 		return nil, err
 	}
 	defer c.Close()
-	resp, err := c.Call(msg)
+	resp, err := c.Call(msg, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -438,7 +438,7 @@ func (s *stream) maintain(tick bool) bool {
 	if s.conn == nil {
 		// Replicas share the domain's identity: the one they authenticate
 		// as is this broker's own.
-		client, err := r.b.dial(fmt.Sprintf("replica %d", s.id), r.addrs[s.id], r.b.DN(), r.callTimeout())
+		client, err := r.b.dial(fmt.Sprintf("replica %d", s.id), r.addrs[s.id], r.b.DN())
 		if err != nil {
 			return false
 		}
@@ -866,12 +866,12 @@ func (r *replicator) promote() error {
 // callReplica makes one ad-hoc RPC to a peer replica (elections only;
 // pumps keep persistent clients).
 func (r *replicator) callReplica(id int, msg *signalling.Message) (*signalling.Message, error) {
-	c, err := r.b.dial(fmt.Sprintf("replica %d", id), r.addrs[id], r.b.DN(), r.callTimeout())
+	c, err := r.b.dial(fmt.Sprintf("replica %d", id), r.addrs[id], r.b.DN())
 	if err != nil {
 		return nil, err
 	}
 	defer c.Close()
-	return c.CallTimeout(msg, r.callTimeout())
+	return c.Call(msg, r.callTimeout())
 }
 
 // electionLoop arms automatic failover: a follower that hears nothing
@@ -902,7 +902,7 @@ func (r *replicator) electionLoop(stop chan struct{}) {
 // recordFailoverEvent force-records an election win in the flight
 // recorder: failovers are exactly the events someone will ask about.
 func (b *BB) recordFailoverEvent(term int64) {
-	if b.cfg.Recorder == nil {
+	if b.recorder == nil {
 		return
 	}
 	b.m.eventsForced.Inc()

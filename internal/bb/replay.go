@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"e2eqos/internal/journal"
-	"e2eqos/internal/resv"
 	"e2eqos/internal/saga"
 	"e2eqos/internal/tunnel"
 	"e2eqos/internal/units"
@@ -21,8 +20,8 @@ import (
 // construction.
 //
 // Route and tunnel (re)registrations and removals go to the registries,
-// which own the epoch rules; table records go through the
-// resv.StreamReplayer. Every journaled object writes its records in the
+// which own the epoch rules; table records go through
+// resv.Table.ApplyRecord. Every journaled object writes its records in the
 // order it applied them (the table's and each tunnel registration's
 // order lock), and a registration's bb.tunnel record precedes its batch
 // records, so a batch record applies at once: generations are dense per
@@ -32,12 +31,11 @@ import (
 // Not safe for concurrent use: New runs it before the broker is shared,
 // a follower under applyMu.
 type replayer struct {
-	b    *BB
-	resv *resv.StreamReplayer
+	b *BB
 }
 
 func newReplayer(b *BB) *replayer {
-	return &replayer{b: b, resv: resv.NewStreamReplayer(b.table)}
+	return &replayer{b: b}
 }
 
 // install replaces the broker's entire durable state with a snapshot's,
@@ -97,7 +95,7 @@ func (rp *replayer) install(data []byte) error {
 // and skipping that would presume a committed split aborted. Ops of no
 // known vocabulary are ignored.
 func (rp *replayer) apply(r journal.Record) error {
-	if err := rp.resv.Apply(r); err != nil {
+	if err := rp.b.table.ApplyRecord(r); err != nil {
 		return err
 	}
 	b := rp.b

@@ -146,7 +146,7 @@ func (b *BB) callPeer(dn identity.DN, msg *signalling.Message) (*signalling.Mess
 			b.noteFailure(br, dn)
 			continue
 		}
-		resp, err := client.CallTimeout(msg, b.cfg.CallTimeout)
+		resp, err := client.Call(msg, b.cfg.CallTimeout)
 		if err != nil {
 			lastErr = fmt.Errorf("bb %s: call to %s (attempt %d): %w", b.cfg.Domain, dn, attempt+1, err)
 			b.dropClient(dn, client)

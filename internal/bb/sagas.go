@@ -60,7 +60,7 @@ func (b *BB) execCancelComp(data []byte) error {
 	if err != nil {
 		return err
 	}
-	_, err = client.CallTimeout(&signalling.Message{
+	_, err = client.Call(&signalling.Message{
 		Type:   signalling.MsgCancel,
 		Cancel: &signalling.CancelPayload{RARID: c.Key},
 	}, b.cfg.CallTimeout)
@@ -103,7 +103,7 @@ func (b *BB) compAbandoned(id string, step saga.Step) {
 	key, peer := arg.Key, string(arg.Peer)
 	b.log.Error("rollback cancel abandoned, downstream state unknown",
 		obs.AttrRAR, key, obs.AttrPeer, peer, "saga", id, "attempts", saga.Attempts)
-	if b.cfg.Recorder != nil {
+	if b.recorder != nil {
 		b.m.eventsForced.Inc()
 		b.appendEvent(&obs.Event{
 			Kind:    obs.EventRollbackAbandoned,

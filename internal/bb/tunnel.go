@@ -477,7 +477,7 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 	b.m.tunnelReleases.Add(int64(releases))
 	b.m.tunnelDenied.Add(int64(denied))
 	b.m.tunnelBatches.Inc()
-	if b.cfg.Recorder != nil {
+	if b.recorder != nil {
 		verdict := obs.VerdictGranted
 		for _, r := range results {
 			if !r.Granted {

@@ -218,7 +218,7 @@ func userBatch(w *experiment.World, u *experiment.User, domain string, p *signal
 		return nil, err
 	}
 	defer c.Close()
-	resp, err := c.Call(&signalling.Message{Type: signalling.MsgTunnelBatch, TunnelBatch: p})
+	resp, err := c.Call(&signalling.Message{Type: signalling.MsgTunnelBatch, TunnelBatch: p}, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -79,7 +79,7 @@ func TestDestinationRefusesCapabilityHeldByAnother(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := c.Call(msg)
+	resp, err := c.Call(msg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestDestinationRefusesCapabilityScopedToAnotherRAR(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := c.Call(msg)
+		resp, err := c.Call(msg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestDestinationRefusesReusedSeqFromBroker(t *testing.T) {
 		resp, err := c.Call(&signalling.Message{Type: signalling.MsgTunnelBatch, TunnelBatch: &signalling.TunnelBatchPayload{
 			TunnelRARID: spec.RARID, Seq: 7, User: alice.DN(),
 			Ops: []signalling.TunnelOp{{Action: signalling.OpAlloc, SubFlowID: id, Bandwidth: int64(10 * units.Mbps)}},
-		}})
+		}}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -408,7 +408,7 @@ func TestTransitBrokerReplaysCancelledRAR(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	resp, err := c.CallTimeout(replay, 5*time.Second)
+	resp, err := c.Call(replay, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,6 @@ func fleetAggregates(users int) int {
 // Quantiles is a p50/p99/p999 summary of one distribution.
 type Quantiles struct {
 	P50, P99, P999 float64
-	Count          int
 }
 
 // quantilesOf computes exact order-statistic quantiles (sorting a
@@ -106,7 +105,7 @@ func quantilesOf(samples []float64) Quantiles {
 		i := int(q * float64(len(s)-1))
 		return s[i]
 	}
-	return Quantiles{P50: at(0.50), P99: at(0.99), P999: at(0.999), Count: len(s)}
+	return Quantiles{P50: at(0.50), P99: at(0.99), P999: at(0.999)}
 }
 
 // AttackResult compares honest and attacker outcomes across the two

@@ -1,19 +1,17 @@
 package experiment
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 )
 
 // RunFleetExperiment runs the scenario fleet and renders it as an
 // experiment table for cmd/experiments.
-func RunFleetExperiment(cfg FleetConfig) (*FleetResult, *Table, error) {
+func RunFleetExperiment(cfg FleetConfig) (*Table, error) {
 	start := time.Now()
 	res, err := RunFleet(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	elapsed := time.Since(start)
 	t := &Table{
@@ -45,99 +43,5 @@ func RunFleetExperiment(cfg FleetConfig) (*FleetResult, *Table, error) {
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("fleet digest %s… (seed-reproducible; same seed ⇒ byte-identical)", res.Digest[:16]),
 		fmt.Sprintf("virtual-time closed loop over real admission tables and the fake data-plane backend; wall clock %.1fs", elapsed.Seconds()))
-	return res, t, nil
-}
-
-// fleetBenchFile is the BENCH_scale.json layout, following the other
-// BENCH_*.json artefacts in the repo root.
-type fleetBenchFile struct {
-	Benchmark string              `json:"benchmark"`
-	Machine   string              `json:"machine"`
-	Date      string              `json:"date"`
-	Users     int                 `json:"users"`
-	Domains   int                 `json:"domains"`
-	Seed      uint64              `json:"seed"`
-	Digest    string              `json:"fleet_digest"`
-	WallSec   float64             `json:"wall_clock_seconds"`
-	Scenarios []fleetBenchSection `json:"scenarios"`
-	Note      string              `json:"note"`
-}
-
-type fleetBenchSection struct {
-	Name           string     `json:"name"`
-	Grants         int64      `json:"grants"`
-	Denials        int64      `json:"denials"`
-	Retries        int64      `json:"retries"`
-	Cancels        int64      `json:"cancels"`
-	Events         int        `json:"dsim_events"`
-	GrantLatencyMs benchQuant `json:"grant_latency_ms"`
-	GoodputMbps    benchQuant `json:"goodput_mbps"`
-	Invariants     []string   `json:"invariants_passed"`
-	Attack         *benchAtk  `json:"attack,omitempty"`
-}
-
-type benchQuant struct {
-	P50   float64 `json:"p50"`
-	P99   float64 `json:"p99"`
-	P999  float64 `json:"p999"`
-	Count int     `json:"count"`
-}
-
-type benchAtk struct {
-	HonestDefendedP50  float64 `json:"honest_defended_p50_mbps"`
-	HonestAttackedP50  float64 `json:"honest_attacked_p50_mbps"`
-	AttackerDefended   float64 `json:"attacker_defended_p50_mbps"`
-	AttackerAttacked   float64 `json:"attacker_attacked_p50_mbps"`
-	DegradationPercent float64 `json:"honest_degradation_pct"`
-}
-
-func toBenchQuant(q Quantiles) benchQuant {
-	return benchQuant{P50: q.P50, P99: q.P99, P999: q.P999, Count: q.Count}
-}
-
-// WriteFleetBench writes BENCH_scale.json for a fleet run. The date
-// is passed in by the caller so this package never reads the clock
-// for anything that feeds a digest.
-func WriteFleetBench(res *FleetResult, path, machine, date string, wall time.Duration) error {
-	f := fleetBenchFile{
-		Benchmark: "make bench-fleet (scenario fleet, internal/experiment RunFleet)",
-		Machine:   machine,
-		Date:      date,
-		Users:     res.Users,
-		Domains:   res.Domains,
-		Seed:      res.Seed,
-		Digest:    res.Digest,
-		WallSec:   wall.Seconds(),
-		Note: "virtual-time closed loop: real resv.Table admission (sharded aggregates), real dataplane/fake enforcement, modelled signalling " +
-			"(2ms/hop + 50µs FIFO service per broker). Latencies are virtual; the wall clock measures the harness itself. " +
-			"Same seed reproduces every number and the digest byte-for-byte.",
-	}
-	for _, s := range res.Scenarios {
-		sec := fleetBenchSection{
-			Name:           s.Name,
-			Grants:         s.Grants,
-			Denials:        s.Denials,
-			Retries:        s.Retries,
-			Cancels:        s.Cancels,
-			Events:         s.Events,
-			GrantLatencyMs: toBenchQuant(s.GrantLatencyMs),
-			GoodputMbps:    toBenchQuant(s.GoodputMbps),
-			Invariants:     s.Invariants,
-		}
-		if s.Attack != nil {
-			sec.Attack = &benchAtk{
-				HonestDefendedP50:  s.Attack.HonestDefended.P50,
-				HonestAttackedP50:  s.Attack.HonestAttacked.P50,
-				AttackerDefended:   s.Attack.AttackerDefended.P50,
-				AttackerAttacked:   s.Attack.AttackerAttacked.P50,
-				DegradationPercent: s.Attack.DegradationPct,
-			}
-		}
-		f.Scenarios = append(f.Scenarios, sec)
-	}
-	out, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
+	return t, nil
 }

@@ -25,11 +25,7 @@ func (u *User) reserveTraced(spec *core.Spec) (*signalling.ResultPayload, error)
 		return nil, err
 	}
 	msg.Reserve.TraceID = obs.NewTraceID()
-	client, err := u.clientTo(u.Domain)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := client.Call(msg)
+	resp, err := u.call(u.Domain, msg)
 	if err != nil {
 		return nil, err
 	}
@@ -254,6 +250,48 @@ func TestFlightRecorderForcesDenials(t *testing.T) {
 	}
 	if w.CounterTotal("bb_events_forced_total") == 0 {
 		t.Error("bb_events_forced_total not incremented")
+	}
+}
+
+// TestRestartedBrokerAppendsToItsEventLog: a broker opens its flight
+// recorder from its own directory, so a broker rebuilt after a crash
+// appends after the events its predecessor recorded, in order.
+func TestRestartedBrokerAppendsToItsEventLog(t *testing.T) {
+	dir := t.TempDir()
+	w, err := BuildWorld(WorldConfig{NumDomains: 2, StateDir: t.TempDir(), EventsDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	src := w.SourceDomain()
+	deny := func(user string) string {
+		t.Helper()
+		u, err := w.NewUser(user, "", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer u.Close()
+		spec := u.NewSpec(SpecOptions{DestDomain: w.DestDomain(), Bandwidth: 10_000 * units.Mbps})
+		if res, err := u.ReserveE2E(spec); err != nil || res.Granted {
+			t.Fatalf("oversized reserve: %+v, %v; want a denial", res, err)
+		}
+		return spec.RARID
+	}
+	first := deny("alice")
+	if err := w.CrashDomain(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.RestartDomainFromJournal(src); err != nil {
+		t.Fatal(err)
+	}
+	second := deny("bob")
+	evs := readDomainEvents(t, dir, src)
+	if len(evs) != 2 || evs[0].RARID != first || evs[1].RARID != second {
+		var got []string
+		for _, ev := range evs {
+			got = append(got, ev.RARID)
+		}
+		t.Fatalf("%s recorded %q, want [%s %s]", src, got, first, second)
 	}
 }
 

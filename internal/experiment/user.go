@@ -85,14 +85,20 @@ func (u *User) clientTo(domain string) (*signalling.Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A user call may fan out across every hop of the chain before a
-	// result comes back, so its deadline is the per-hop budget scaled
-	// by the worst-case path length (plus one hop of slack).
-	if t := u.world.callTimeout; t > 0 {
-		c.Timeout = t * time.Duration(len(u.world.Domains)+1)
-	}
 	u.clients[domain] = c
 	return c, nil
+}
+
+// call sends msg to a domain's broker and waits for its answer. A user
+// call may fan out across every hop of the chain before a result comes
+// back, so its deadline is the per-hop budget scaled by the worst-case
+// path length (plus one hop of slack); none when the world sets none.
+func (u *User) call(domain string, msg *signalling.Message) (*signalling.Message, error) {
+	c, err := u.clientTo(domain)
+	if err != nil {
+		return nil, err
+	}
+	return c.Call(msg, u.world.callTimeout*time.Duration(len(u.world.Domains)+1))
 }
 
 // Close tears down the user's connections.
@@ -156,11 +162,7 @@ func (u *User) ReserveE2E(spec *core.Spec) (*signalling.ResultPayload, error) {
 	if err != nil {
 		return nil, err
 	}
-	client, err := u.clientTo(u.Domain)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := client.Call(msg)
+	resp, err := u.call(u.Domain, msg)
 	if err != nil {
 		return nil, err
 	}
@@ -182,11 +184,7 @@ func (u *User) ReserveLocalAt(domain string, spec *core.Spec) (*signalling.Resul
 	if err != nil {
 		return nil, err
 	}
-	client, err := u.clientTo(domain)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := client.Call(msg)
+	resp, err := u.call(domain, msg)
 	if err != nil {
 		return nil, err
 	}
@@ -199,11 +197,7 @@ func (u *User) ReserveLocalAt(domain string, spec *core.Spec) (*signalling.Resul
 // Cancel withdraws a reservation starting at the given domain (the
 // cancel propagates along the recorded path).
 func (u *User) Cancel(domain, rarID string) error {
-	client, err := u.clientTo(domain)
-	if err != nil {
-		return err
-	}
-	resp, err := client.Call(&signalling.Message{
+	resp, err := u.call(domain, &signalling.Message{
 		Type:   signalling.MsgCancel,
 		Cancel: &signalling.CancelPayload{RARID: rarID},
 	})

@@ -89,11 +89,7 @@ func TestWireFullBattery(t *testing.T) {
 // tunnelBatch sends a batched sub-flow request straight to one end
 // domain's broker as u, the way a tunnel's users reach its two ends.
 func tunnelBatch(u *User, domain string, payload *signalling.TunnelBatchPayload) (*signalling.ResultPayload, error) {
-	client, err := u.clientTo(domain)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := client.Call(&signalling.Message{Type: signalling.MsgTunnelBatch, TunnelBatch: payload})
+	resp, err := u.call(domain, &signalling.Message{Type: signalling.MsgTunnelBatch, TunnelBatch: payload})
 	if err != nil {
 		return nil, err
 	}

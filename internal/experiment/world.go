@@ -72,7 +72,7 @@ type WorldConfig struct {
 	// settings bbd reads from its config file. BuildWorld copies it per
 	// member and overwrites what the World itself decides: Domain, Key,
 	// Cert, Trust, Policy, Capacity, Topo, Peers, PeerAddrs, Dialer,
-	// Pools, Plane, Clock, CallTimeout, Metrics, Recorder, StateDir,
+	// Pools, Plane, Clock, CallTimeout, Metrics, EventsDir, StateDir,
 	// Fsync, ReplicaID, ReplicaAddrs and StartAsFollower. Its
 	// ElectionTimeout arms automatic failover in a replicated world, but
 	// the World does not follow an automatic win: the domain's
@@ -96,10 +96,10 @@ type WorldConfig struct {
 	EnableObs bool
 	// EventsDir, when set, gives every broker a flight recorder writing
 	// to EventsDir/<domain>, sampling ingress requests at
-	// Broker.SampleRate (denials and errors are always recorded).
-	// Recorders survive CrashDomain/RestartDomainFromJournal — like a
-	// real deployment, the event log outlives the broker process — and
-	// close with the world.
+	// Broker.SampleRate (denials and errors are always recorded). Each
+	// broker opens and closes its own, as it does its journal: a broker
+	// rebuilt after CrashDomain or KillLeader reopens the same directory
+	// and appends after what its predecessor recorded.
 	EventsDir string
 
 	// StateDir, when set, makes every broker durable: each journals to
@@ -343,22 +343,19 @@ func BuildWorld(cfg WorldConfig) (_ *World, err error) {
 			bcfg.Capacity, bcfg.Topo, bcfg.Peers, bcfg.PeerAddrs = capacity, topo, peers, addrs
 			bcfg.Dialer, bcfg.Pools, bcfg.Plane = dialer, pools, netsimdp.New()
 			bcfg.Clock, bcfg.CallTimeout = cfg.Clock, cfg.CallTimeout
-			bcfg.Metrics, bcfg.Recorder, bcfg.StateDir, bcfg.Fsync = nil, nil, "", fsync
+			bcfg.Metrics, bcfg.EventsDir, bcfg.StateDir, bcfg.Fsync = nil, "", "", fsync
 			bcfg.ReplicaID, bcfg.ReplicaAddrs, bcfg.StartAsFollower = i, replicaAddrs, i != 0
 			if cfg.EnableObs {
 				bcfg.Metrics = obs.NewRegistry()
 			}
 			if cfg.EventsDir != "" {
-				if bcfg.Recorder, err = obs.OpenRecorder(filepath.Join(cfg.EventsDir, sub)); err != nil {
-					return nil, fmt.Errorf("experiment: %w", err)
-				}
+				bcfg.EventsDir = filepath.Join(cfg.EventsDir, sub)
 			}
 			if cfg.StateDir != "" {
 				bcfg.StateDir = filepath.Join(cfg.StateDir, sub)
 			}
 			broker, err := bb.New(bcfg)
 			if err != nil {
-				bcfg.Recorder.Close()
 				return nil, err
 			}
 			mb := &member{broker: broker, cfg: bcfg, endpoint: endpoint, alive: true}
@@ -613,8 +610,7 @@ func (w *World) PromoteAny(name string) (int, error) {
 	return -1, fmt.Errorf("experiment: no replica of %q could win an election: %v", name, lastErr)
 }
 
-// Close stops all listeners, established connections, brokers and
-// flight recorders.
+// Close stops all listeners, established connections and brokers.
 func (w *World) Close() {
 	for _, stop := range w.stops {
 		stop()
@@ -626,7 +622,6 @@ func (w *World) Close() {
 				m.stopReplica()
 			}
 			m.broker.Close()
-			m.cfg.Recorder.Close()
 		}
 	}
 }

@@ -93,33 +93,22 @@ func AttachJournal(t *Table, j *journal.Journal) {
 	})
 }
 
-// StreamReplayer applies journaled table records one at a time, in
-// journal order, on top of a table holding the snapshot they follow (or
-// an empty one): the one way a record reaches a table, at boot from the
-// WAL tail and on a replication follower from its leader's stream. A
-// table journals its mutations in the order it applied them (its order
-// lock), so replay keeps no state of its own: every record is absolute,
-// and one the table already reflects — an admit of a held handle, a
-// cancel of a withdrawn or compacted one, a compact of absent handles —
-// is a no-op. Not safe for concurrent use; both feeds are serial.
-type StreamReplayer struct {
-	t *Table
-}
-
-// NewStreamReplayer builds a stream replayer over t.
-func NewStreamReplayer(t *Table) *StreamReplayer {
-	return &StreamReplayer{t: t}
-}
-
-// Apply replays one journaled record. Records outside the "resv."
+// ApplyRecord replays one journaled table record on top of the
+// snapshot it follows (or an empty table): the one way a record reaches
+// a table, at boot from the WAL tail and on a replication follower from
+// its leader's stream. A table journals its mutations in the order it
+// applied them (its order lock), so replay keeps no state of its own:
+// every record is absolute, and one the table already reflects — an
+// admit of a held handle, a cancel of a withdrawn or compacted one, a
+// compact of absent handles — is a no-op. Records outside the "resv."
 // vocabulary are ignored, so a mixed broker journal feeds straight
 // through; an unknown "resv." op is an error (a version-skew tripwire,
-// not a tolerable torn write).
-func (s *StreamReplayer) Apply(rec journal.Record) error {
+// not a tolerable torn write). Not safe for concurrent use; both feeds
+// are serial.
+func (t *Table) ApplyRecord(rec journal.Record) error {
 	if !strings.HasPrefix(rec.Op, "resv.") {
 		return nil
 	}
-	t := s.t
 	switch rec.Op {
 	case opAdmit:
 		var a admitRec

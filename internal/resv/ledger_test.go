@@ -280,7 +280,7 @@ func errText(err error) string {
 // through one seeded random history that takes every write path of the
 // map — Admit, Cancel, Compact and the sweep inside Admit,
 // Snapshot→RestoreTable, ResetFrom, a crash recovery's replay of the
-// tail, and StreamReplayer.Apply on a follower fed the table's own
+// tail, and ApplyRecord on a follower fed the table's own
 // records — and after every step holds table and follower to the twin: the same verdicts and error strings,
 // the same journal records, the same snapshot bytes, the same Available
 // and CommittedAt on random and edge-aligned windows, and a ledger that
@@ -326,7 +326,6 @@ func TestLedgerMatchesSweepProperty(t *testing.T) {
 	sut := adopt(fresh)
 	base := mustSnapshot(t, sut)
 	fol := mustRestore(t, base)
-	rep := NewStreamReplayer(fol)
 
 	var handles []string
 	epochs := []time.Time{
@@ -473,7 +472,6 @@ func TestLedgerMatchesSweepProperty(t *testing.T) {
 			sut = adopt(fol)
 			base, tail = mustSnapshot(t, sut), nil
 			fol = mustRestore(t, base)
-			rep = NewStreamReplayer(fol)
 		default: // a long quiet spell: everything near the clock dies
 			clk.Set(clk.Now().Add(time.Duration(1+rng.Intn(3)) * time.Hour))
 		}
@@ -488,8 +486,8 @@ func TestLedgerMatchesSweepProperty(t *testing.T) {
 		}
 		sutLog, twin.log = sutLog[:0], twin.log[:0]
 		for _, rec := range pending {
-			if err := rep.Apply(rec); err != nil {
-				t.Fatalf("step %d: Apply(%s): %v", step, rec.Op, err)
+			if err := fol.ApplyRecord(rec); err != nil {
+				t.Fatalf("step %d: ApplyRecord(%s): %v", step, rec.Op, err)
 			}
 		}
 		pending = pending[:0]

@@ -38,13 +38,11 @@ func reconstruct(t *testing.T, dir, name string, capacity units.Bandwidth) *Tabl
 	return tbl
 }
 
-// replayAll applies a record tail to tbl through a StreamReplayer of its
-// own, as boot recovery does.
+// replayAll applies a record tail to tbl, as boot recovery does.
 func replayAll(t *testing.T, tbl *Table, recs []journal.Record) {
 	t.Helper()
-	rep := NewStreamReplayer(tbl)
 	for i, rec := range recs {
-		if err := rep.Apply(rec); err != nil {
+		if err := tbl.ApplyRecord(rec); err != nil {
 			t.Fatalf("replaying record %d (%s): %v", i, rec.Op, err)
 		}
 	}

@@ -129,6 +129,11 @@ type Coordinator struct {
 	journal Journal
 	execs   map[string]Exec
 	sagas   map[string]*sagaState
+	// closing counts sagas deleted from sagas whose OpEnd is not yet
+	// appended, or whose last callback has not returned. Live counts
+	// them; Snapshot must not: a rotation between the delete and the
+	// append would keep a saga whose OpEnd it truncates.
+	closing int
 
 	stop    chan struct{}
 	stopped bool
@@ -200,8 +205,18 @@ func (c *Coordinator) Did(id, kind string, data []byte) {
 func (c *Coordinator) Commit(id string) {
 	c.mu.Lock()
 	delete(c.sagas, id)
+	c.closing++
 	c.mu.Unlock()
 	c.append(OpEnd, record{ID: id})
+	c.closed()
+}
+
+// closed ends a closing saga's count in Live once its OpEnd is
+// appended and its callback has returned.
+func (c *Coordinator) closed() {
+	c.mu.Lock()
+	c.closing--
+	c.mu.Unlock()
 }
 
 // Abort marks a saga failed and starts its compensation worker. Safe
@@ -243,10 +258,12 @@ func (c *Coordinator) compensate(id string) {
 			end := s.settled()
 			if end {
 				delete(c.sagas, id)
+				c.closing++
 			}
 			c.mu.Unlock()
 			if end {
 				c.append(OpEnd, record{ID: id})
+				c.closed()
 			}
 			return
 		}
@@ -285,6 +302,7 @@ func (c *Coordinator) compensate(id string) {
 		end := s.settled()
 		if end {
 			delete(c.sagas, id)
+			c.closing++
 		}
 		c.mu.Unlock()
 		if end {
@@ -294,6 +312,9 @@ func (c *Coordinator) compensate(id string) {
 		}
 		if c.opts.OnCompensated != nil {
 			c.opts.OnCompensated(id, step)
+		}
+		if end {
+			c.closed()
 		}
 	}
 }
@@ -394,11 +415,12 @@ func (c *Coordinator) Restore(data []byte) error {
 }
 
 // Live reports how many sagas are open (active or compensating) —
-// rollback debt an operator can alarm on.
+// rollback debt an operator can alarm on. A saga counts until its
+// OpEnd is appended and its last callback has returned.
 func (c *Coordinator) Live() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.sagas)
+	return len(c.sagas) + c.closing
 }
 
 // Close stops compensation workers between attempts and waits for

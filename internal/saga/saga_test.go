@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -124,6 +125,54 @@ func TestAbortCompensatesInReverse(t *testing.T) {
 	assertOps(t, j.opList(), []string{
 		OpStep, OpStep, OpStep, OpComp, OpComp, OpEnd,
 	})
+}
+
+// endGate is a journal whose OpEnd appends announce themselves on
+// ending and then wait for release.
+type endGate struct {
+	fakeJournal
+	ending, release chan struct{}
+}
+
+func (g *endGate) Append(op string, data journal.BinaryRecord) error {
+	if op == OpEnd {
+		g.ending <- struct{}{}
+		<-g.release
+	}
+	return g.fakeJournal.Append(op, data)
+}
+
+// TestSagaLiveUntilItsEndIsJournaled: a closing saga counts in Live
+// until its OpEnd is appended and OnCompensated has returned, so a
+// reader that sees Live() == 0 sees the end journaled and counted —
+// whether the saga closed by compensation or by Commit.
+func TestSagaLiveUntilItsEndIsJournaled(t *testing.T) {
+	g := &endGate{ending: make(chan struct{}), release: make(chan struct{})}
+	var compensated atomic.Bool
+	c := journaled(Options{OnCompensated: func(string, Step) { compensated.Store(true) }}, g)
+	defer c.Close()
+	c.RegisterExec("undo", func([]byte) error { return nil })
+	abortOne(c, "s1", "undo", nil)
+	<-g.ending
+	if n := c.Live(); n != 1 {
+		t.Errorf("Live() = %d while the compensated saga's end is being journaled, want 1", n)
+	}
+	g.release <- struct{}{}
+	waitFor(t, "saga to close", func() bool { return c.Live() == 0 })
+	if !compensated.Load() {
+		t.Fatal("Live() read 0 before OnCompensated ran")
+	}
+	assertOps(t, g.opList(), []string{OpStep, OpEnd})
+
+	c.Did("s2", "undo", nil)
+	go c.Commit("s2")
+	<-g.ending
+	if n := c.Live(); n != 1 {
+		t.Errorf("Live() = %d while the committed saga's end is being journaled, want 1", n)
+	}
+	g.release <- struct{}{}
+	waitFor(t, "saga to close", func() bool { return c.Live() == 0 })
+	assertOps(t, g.opList(), []string{OpStep, OpEnd, OpStep, OpEnd})
 }
 
 // journaled builds a coordinator with j attached.

@@ -95,7 +95,7 @@ func TestCallAllocationBound(t *testing.T) {
 	go NewServer(HandlerFunc(func(Peer, *Message) *Message { return ok }), nil).Serve(ln)
 	req := &Message{Type: MsgStatus, Status: &StatusPayload{RARID: "RAR-1"}}
 	call := func() {
-		resp, err := c.CallTimeout(req, time.Minute)
+		resp, err := c.Call(req, time.Minute)
 		if err != nil || !resp.Result.Granted {
 			t.Fatalf("call: resp=%+v err=%v", resp, err)
 		}

@@ -362,7 +362,7 @@ func TestSendTimeoutIsTerminal(t *testing.T) {
 	defer c.Close()
 
 	msg := &Message{Type: MsgStatus, Status: &StatusPayload{RARID: "R"}}
-	_, err := c.CallTimeout(msg, 20*time.Millisecond)
+	_, err := c.Call(msg, 20*time.Millisecond)
 	if err == nil {
 		t.Fatal("call over a stuck connection succeeded")
 	}
@@ -375,7 +375,7 @@ func TestSendTimeoutIsTerminal(t *testing.T) {
 	// The next call must fail fast on the recorded terminal fault, not
 	// wait out another deadline.
 	start := time.Now()
-	if _, err := c.CallTimeout(msg, time.Second); err == nil {
+	if _, err := c.Call(msg, time.Second); err == nil {
 		t.Fatal("call on a dead client succeeded")
 	}
 	if waited := time.Since(start); waited > 100*time.Millisecond {

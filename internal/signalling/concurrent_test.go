@@ -65,7 +65,7 @@ func TestConcurrentCallsInterleaved(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			id := strconv.Itoa(i)
-			resp, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: id}})
+			resp, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: id}}, 0)
 			if err != nil {
 				errs <- err
 				return
@@ -105,7 +105,7 @@ func TestConcurrentTimeoutIsolation(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, err := c.CallTimeout(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "stall"}}, 50*time.Millisecond)
+		_, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "stall"}}, 50*time.Millisecond)
 		stallErr <- err
 	}()
 	errs := make(chan error, 8)
@@ -114,7 +114,7 @@ func TestConcurrentTimeoutIsolation(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			id := strconv.Itoa(i)
-			resp, err := c.CallTimeout(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: id}}, time.Second)
+			resp, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: id}}, time.Second)
 			if err != nil {
 				errs <- fmt.Errorf("healthy call %s: %w", id, err)
 				return
@@ -140,7 +140,7 @@ func TestConcurrentTimeoutIsolation(t *testing.T) {
 		t.Fatalf("one timed-out call killed the connection: %v", c.Err())
 	}
 	// The connection must still carry new calls after the expiry.
-	resp, err := c.CallTimeout(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "after"}}, time.Second)
+	resp, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "after"}}, time.Second)
 	if err != nil || resp.Result.Handle != "after" {
 		t.Fatalf("call after timeout: resp=%v err=%v", resp, err)
 	}
@@ -162,7 +162,7 @@ func TestConcurrentCloseInFlight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			started <- struct{}{}
-			_, err := c.CallTimeout(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: strconv.Itoa(i)}}, 10*time.Second)
+			_, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: strconv.Itoa(i)}}, 10*time.Second)
 			if err != nil {
 				failed.Add(1)
 			}
@@ -187,7 +187,7 @@ func TestConcurrentCloseInFlight(t *testing.T) {
 	if c.Alive() {
 		t.Error("client still reports alive after Close")
 	}
-	if _, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "post"}}); err == nil {
+	if _, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "post"}}, 0); err == nil {
 		t.Error("call on closed client succeeded")
 	}
 }
@@ -204,7 +204,7 @@ func TestConcurrentLateResponseDropped(t *testing.T) {
 		return 0
 	})
 
-	_, err := c.CallTimeout(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "slow"}}, 30*time.Millisecond)
+	_, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "slow"}}, 30*time.Millisecond)
 	if !transport.IsTimeout(err) {
 		t.Fatalf("slow call: err=%v, want timeout", err)
 	}
@@ -219,7 +219,7 @@ func TestConcurrentLateResponseDropped(t *testing.T) {
 	if !c.Alive() {
 		t.Fatalf("late response killed the connection: %v", c.Err())
 	}
-	resp, err := c.CallTimeout(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "next"}}, time.Second)
+	resp, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "next"}}, time.Second)
 	if err != nil || resp.Result.Handle != "next" {
 		t.Fatalf("call after late drop: resp=%v err=%v", resp, err)
 	}
@@ -238,7 +238,7 @@ func TestConcurrentCloseWhenIdleDrains(t *testing.T) {
 	respC := make(chan *Message, 1)
 	errC := make(chan error, 1)
 	go func() {
-		resp, err := c.CallTimeout(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "inflight"}}, time.Second)
+		resp, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "inflight"}}, time.Second)
 		respC <- resp
 		errC <- err
 	}()
@@ -252,7 +252,7 @@ func TestConcurrentCloseWhenIdleDrains(t *testing.T) {
 	}
 	c.CloseWhenIdle()
 
-	if _, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "refused"}}); err == nil {
+	if _, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "refused"}}, 0); err == nil {
 		t.Fatal("call accepted after CloseWhenIdle")
 	}
 	resp, err := <-respC, <-errC
@@ -293,12 +293,12 @@ func TestConcurrentServerShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.CallTimeout(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "pre"}}, time.Second); err != nil {
+	if _, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "pre"}}, time.Second); err != nil {
 		t.Fatalf("call before shutdown: %v", err)
 	}
 
 	srv.Shutdown()
-	if _, err := c.CallTimeout(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "during"}}, time.Second); err == nil {
+	if _, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "during"}}, time.Second); err == nil {
 		t.Fatal("call succeeded against a shut-down server")
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -327,7 +327,7 @@ func TestConcurrentServerShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	resp, err := c2.CallTimeout(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "post"}}, time.Second)
+	resp, err := c2.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "post"}}, time.Second)
 	if err != nil || resp.Result.Handle != "post" {
 		t.Fatalf("call after restart: resp=%v err=%v", resp, err)
 	}
@@ -360,7 +360,7 @@ func TestCallsShareOneTimer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			t0 := time.Now()
-			_, errs[i] = c.CallTimeout(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: strconv.Itoa(i)}}, timeout(i))
+			_, errs[i] = c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: strconv.Itoa(i)}}, timeout(i))
 			took[i] = time.Since(t0)
 		}()
 	}
@@ -377,7 +377,7 @@ func TestCallsShareOneTimer(t *testing.T) {
 	if n := pending(c); n != 0 {
 		t.Errorf("%d waiters left after every call timed out", n)
 	}
-	resp, err := c.CallTimeout(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "after"}}, time.Second)
+	resp, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "after"}}, time.Second)
 	if err != nil || resp.Result.Handle != "after" {
 		t.Fatalf("call after the timeouts: resp=%v err=%v", resp, err)
 	}
@@ -398,7 +398,7 @@ func TestDeadClientKeepsNoTimer(t *testing.T) {
 	silentServer(t, ln)
 	errc := make(chan error, 1)
 	go func() {
-		_, err := c.CallTimeout(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "r"}}, time.Hour)
+		_, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "r"}}, time.Hour)
 		errc <- err
 	}()
 	for deadline := time.Now().Add(2 * time.Second); pending(c) == 0; time.Sleep(time.Millisecond) {
@@ -450,7 +450,7 @@ func TestAnswerRacingDeadlineIsDeliveredOrCounted(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				id := strconv.Itoa(g*each + i)
-				resp, err := c.CallTimeout(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: id}}, timeout)
+				resp, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: id}}, timeout)
 				switch {
 				case err == nil && resp.Result.Handle == id:
 					delivered.Add(1)

@@ -55,7 +55,7 @@ func TestServeReportsHandlerPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	resp, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "boom"}})
+	resp, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "boom"}}, 0)
 	if err != nil {
 		t.Fatalf("panic killed the connection: %v", err)
 	}
@@ -66,7 +66,7 @@ func TestServeReportsHandlerPanic(t *testing.T) {
 		t.Errorf("reason %q does not mention the panic", resp.Result.Reason)
 	}
 	// The connection survives: a following healthy request still works.
-	resp, err = c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "fine"}})
+	resp, err = c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "fine"}}, 0)
 	if err != nil || resp.Result == nil || !resp.Result.Granted {
 		t.Fatalf("connection unusable after a recovered panic: %v %+v", err, resp)
 	}

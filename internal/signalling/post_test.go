@@ -192,7 +192,7 @@ func TestPostUnansweredPastTimeout(t *testing.T) {
 	if err := c.Post(statusMsg("old"), timeout, func(resp *Message) { got <- resp }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CallTimeout(statusMsg("call"), timeout); !transport.IsTimeout(err) {
+	if _, err := c.Call(statusMsg("call"), timeout); !transport.IsTimeout(err) {
 		t.Fatalf("call err = %v, want a timeout", err)
 	}
 	if !c.Alive() {

@@ -45,9 +45,8 @@ func TestCallTimeoutOnSilentPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.Timeout = 60 * time.Millisecond
 	start := time.Now()
-	_, err = c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "r"}})
+	_, err = c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "r"}}, 60*time.Millisecond)
 	if err == nil {
 		t.Fatal("call to silent peer succeeded")
 	}
@@ -93,7 +92,7 @@ func TestCallDoesNotMutateCallerMessage(t *testing.T) {
 			wg.Add(1)
 			go func(c *Client) {
 				defer wg.Done()
-				resp, err := c.Call(shared)
+				resp, err := c.Call(shared, 0)
 				if err != nil {
 					errs <- err
 					return
@@ -149,10 +148,9 @@ func TestCallDropsMismatchedIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.Timeout = 100 * time.Millisecond
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "r"}})
+		_, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "r"}}, 100*time.Millisecond)
 		done <- err
 	}()
 	select {

@@ -316,11 +316,6 @@ func OKResult(handle string) *Message {
 type Client struct {
 	conn transport.Conn
 
-	// Timeout bounds each Call (send plus wait for the matching
-	// response) when positive; zero waits forever. It may be set any
-	// time before the first call.
-	Timeout time.Duration
-
 	sendMu sync.Mutex // serializes Send and send-deadline handling
 
 	mu      sync.Mutex
@@ -523,15 +518,10 @@ func (c *Client) fail(err error) {
 	})
 }
 
-// Call sends msg and blocks for the matching response, honouring the
-// client's Timeout. The caller's message is never mutated, so one
-// message value may safely be shared across clients and retries.
-func (c *Client) Call(msg *Message) (*Message, error) {
-	return c.CallTimeout(msg, c.Timeout)
-}
-
-// CallTimeout is Call with an explicit per-call deadline (0 = wait
-// forever). A deadline expiry surfaces as an error matched by
+// Call sends msg and blocks for the matching response, or for at most
+// timeout (0 = wait forever). The caller's message is never mutated, so
+// one message value may safely be shared across clients and retries.
+// A deadline expiry surfaces as an error matched by
 // transport.IsTimeout; unlike the pre-mux client the connection
 // itself stays usable — other in-flight calls are unaffected, and the
 // late response (if it ever arrives) is dropped and counted. The
@@ -541,7 +531,7 @@ func (c *Client) Call(msg *Message) (*Message, error) {
 // The deadline runs from the call's registration, and the client's one
 // timer enforces it (sweep): a call owns no timer, and its channel is
 // the pool's again once it has received its one value.
-func (c *Client) CallTimeout(msg *Message, timeout time.Duration) (*Message, error) {
+func (c *Client) Call(msg *Message, timeout time.Duration) (*Message, error) {
 	w := waiter{ch: callChans.Get().(chan *Message)}
 	if timeout > 0 {
 		w.deadline = time.Now().Add(timeout)

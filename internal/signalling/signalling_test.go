@@ -127,7 +127,7 @@ func TestClientServerRoundTrip(t *testing.T) {
 	if c.PeerDN() != "/CN=server" {
 		t.Errorf("peer = %s", c.PeerDN())
 	}
-	resp, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "r1"}})
+	resp, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "r1"}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestClientSerialisesConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "r"}})
+			resp, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "r"}}, 0)
 			if err != nil {
 				errs <- err
 				return
@@ -191,7 +191,7 @@ func TestServeRejectsNilHandlerResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	resp, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "r"}})
+	resp, err := c.Call(&Message{Type: MsgStatus, Status: &StatusPayload{RARID: "r"}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func TestWorkerOutOfOrderCompletion(t *testing.T) {
 	}), nil).Serve(ln)
 	// Warm the connection so the blocked requests land on parked workers.
 	for i := 0; i < 4*parkedWorkers; i++ {
-		if _, err := c.Call(statusMsg("warm")); err != nil {
+		if _, err := c.Call(statusMsg("warm"), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,7 +52,7 @@ func TestWorkerOutOfOrderCompletion(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if resp, err := c.Call(statusMsg("block")); err != nil || resp.Result.Handle != "block" {
+			if resp, err := c.Call(statusMsg("block"), 0); err != nil || resp.Result.Handle != "block" {
 				t.Errorf("blocked call: resp=%+v err=%v", resp, err)
 			}
 		}()
@@ -62,7 +62,7 @@ func TestWorkerOutOfOrderCompletion(t *testing.T) {
 	}
 	for i := 0; i < 2*parkedWorkers; i++ {
 		id := strconv.Itoa(i)
-		resp, err := c.CallTimeout(statusMsg(id), 2*time.Second)
+		resp, err := c.Call(statusMsg(id), 2*time.Second)
 		if err != nil || resp.Result.Handle != id {
 			t.Fatalf("request %s behind %d blocked handlers: resp=%+v err=%v", id, parkedWorkers, resp, err)
 		}
@@ -95,7 +95,7 @@ func TestWorkerReusedAndSurvivesPanic(t *testing.T) {
 		if i%8 == 3 {
 			id = "boom"
 		}
-		resp, err := c.Call(statusMsg(id))
+		resp, err := c.Call(statusMsg(id), 0)
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
@@ -129,7 +129,7 @@ func TestWorkerBurstBeyondBound(t *testing.T) {
 		return OKResult(msg.Status.RARID)
 	}), nil).Serve(ln)
 	for i := 0; i < 2*parkedWorkers; i++ {
-		if _, err := c.Call(statusMsg("warm")); err != nil {
+		if _, err := c.Call(statusMsg("warm"), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,7 +138,7 @@ func TestWorkerBurstBeyondBound(t *testing.T) {
 		wg.Add(1)
 		go func(id string) {
 			defer wg.Done()
-			resp, err := c.CallTimeout(statusMsg(id), 5*time.Second)
+			resp, err := c.Call(statusMsg(id), 5*time.Second)
 			if err != nil || resp.Result.Handle != id {
 				t.Errorf("burst request %s: resp=%+v err=%v", id, resp, err)
 			}
@@ -182,7 +182,7 @@ func TestWorkerGoroutinesEndWithConnection(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if _, err := c.Call(statusMsg("x")); err != nil {
+				if _, err := c.Call(statusMsg("x"), 0); err != nil {
 					t.Error(err)
 				}
 			}()
@@ -243,7 +243,7 @@ func TestWorkerStreamFramesInOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%10 == 0 {
-			if resp, err := c.Call(statusMsg("x")); err != nil || resp.Result.Handle != "status" {
+			if resp, err := c.Call(statusMsg("x"), 0); err != nil || resp.Result.Handle != "status" {
 				t.Fatalf("status call beside the stream: resp=%+v err=%v", resp, err)
 			}
 		}
@@ -301,7 +301,7 @@ func BenchmarkServeRoundTrip(b *testing.B) {
 	defer c.Close()
 	msg := statusMsg("x")
 	for i := 0; i < 100; i++ {
-		if _, err := c.Call(msg); err != nil {
+		if _, err := c.Call(msg, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -310,7 +310,7 @@ func BenchmarkServeRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Call(msg); err != nil {
+		if _, err := c.Call(msg, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

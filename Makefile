@@ -39,13 +39,14 @@
 #                          into a used chain (1 object at any depth), a
 #                          policy decision (0), one 8-domain World
 #                          reserve + cancel (TestReserveChainAllocationBound:
-#                          <= 324 objects), the same objects for every
+#                          <= 292 objects), the same objects for every
 #                          domain a reserve crosses, from 3 to 8
 #                          (TestReserveAllocationBoundPerDomain), the
-#                          layer signatures each
-#                          broker of a 3-, 5- and 8-domain reserve checks
+#                          signatures each broker of a 3-, 5- and
+#                          8-domain reserve makes and checks
 #                          (TestReserveSignatureCheckAllocationBound:
-#                          5 / 9 / 15, and 6 / 15 / 36 under a policy
+#                          4 / 6 / 9 made with the user's; 5 / 9 / 15
+#                          checked, and 6 / 15 / 36 under a policy
 #                          naming the user), Seal, tunnel batch validate /
 #                          decode / dense
 #                          grant of an alloc and a release batch

@@ -270,13 +270,27 @@ func printResult(rarID string, resp *signalling.Message) {
 		os.Exit(1)
 	}
 	fmt.Printf("GRANTED %s handle=%s\n", rarID, r.Handle)
-	for _, a := range r.Approvals {
-		fmt.Printf("  approval: domain=%s bb=%s handle=%s granted=%t\n", a.Domain, a.BBDN, a.Handle, a.Granted)
-	}
+	printStatements(r.Approvals)
 	for _, k := range obs.SortedKeys(r.PolicyInfo) {
 		fmt.Printf("  info: %s=%s\n", k, r.PolicyInfo[k])
 	}
 	printTrace(r)
+}
+
+// printStatements lists a grant's statements, each signed by the
+// destination of one path over that path's claims, and their claims.
+func printStatements(approvals []signalling.DomainApproval) {
+	stmts, err := signalling.Statements(approvals)
+	if err != nil {
+		fmt.Printf("  %v\n", err)
+		return
+	}
+	for _, claims := range stmts {
+		fmt.Printf("  granted: statement by %s over %d claims\n", claims[0].Domain, len(claims))
+		for _, c := range claims {
+			fmt.Printf("    claim: domain=%s bb=%s handle=%s\n", c.Domain, c.BBDN, c.Handle)
+		}
+	}
 }
 
 // printTrace renders the per-hop timeline of a traced reserve; on a

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"e2eqos/internal/experiment"
+	"e2eqos/internal/signalling"
 	"e2eqos/internal/units"
 )
 
@@ -51,14 +52,21 @@ func main() {
 	if !res.Granted {
 		log.Fatalf("denied: %s", res.Reason)
 	}
-	fmt.Println("GRANTED — signed approvals along the return path:")
-	for _, a := range res.Approvals {
-		fmt.Printf("  %-8s bb=%s handle=%s\n", a.Domain, a.BBDN, a.Handle)
+	fmt.Println("GRANTED")
+	stmts, err := signalling.Statements(res.Approvals)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, claims := range stmts {
+		fmt.Printf("granted: statement by %s over %d claims\n", claims[0].Domain, len(claims))
+		for _, c := range claims {
+			fmt.Printf("  %-8s bb=%s handle=%s\n", c.Domain, c.BBDN, c.Handle)
+		}
 	}
 	if err := world.VerifyApprovals(res); err != nil {
-		log.Fatalf("approval signature check: %v", err)
+		log.Fatalf("grant statement check: %v", err)
 	}
-	fmt.Println("all approval signatures verified")
+	fmt.Println("grant statement verified")
 
 	for _, dom := range world.Domains {
 		committed := world.BBs[dom].Table().CommittedAt(spec.Window.Start.Add(time.Minute))

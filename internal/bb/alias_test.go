@@ -227,17 +227,16 @@ func (h poisonHandler) Handle(peer signalling.Peer, msg *signalling.Message) *si
 	return resp
 }
 
-// checkStack checks the approval stack b recorded for rarID as the k-th
-// domain of granted's path, counting from the source: the approvals
-// granted carries from the destination up to that domain, byte for byte,
-// each signature verifying.
-func checkStack(t *testing.T, w *experiment.World, b *bb.BB, k int, rarID string, granted *signalling.ResultPayload, step string) {
+// checkStack checks the approval stack b recorded for rarID: every
+// domain on the path passes the destination's grant on as it is, so it
+// is the one granted carries, byte for byte, and its statement verifies.
+func checkStack(t *testing.T, w *experiment.World, b *bb.BB, rarID string, granted *signalling.ResultPayload, step string) {
 	t.Helper()
 	out := b.Outcome(rarID)
 	if out == nil || out.Result == nil {
 		t.Fatalf("%s: %s recorded no outcome for %s", step, b.Domain(), rarID)
 	}
-	want := granted.Approvals[:len(granted.Approvals)-k]
+	want := granted.Approvals
 	if !reflect.DeepEqual(out.Result.Approvals, want) {
 		t.Fatalf("%s: %s recorded the approval stack\n %+v\nwant\n %+v", step, b.Domain(), out.Result.Approvals, want)
 	}
@@ -338,8 +337,8 @@ func TestNoFrameAliasOutlivesItsExchange(t *testing.T) {
 	}
 	stacks := func(step string) {
 		t.Helper()
-		for k, d := range w.Domains {
-			checkStack(t, w, w.BBs[d], k, spec.RARID, granted, step)
+		for _, d := range w.Domains {
+			checkStack(t, w, w.BBs[d], spec.RARID, granted, step)
 		}
 	}
 	settled("the grant")
@@ -482,10 +481,10 @@ func TestFollowerKeepsNoStreamFrame(t *testing.T) {
 	}
 	// Every frame of the stream so far was overwritten as soon as its
 	// follower answered it: waitReplicated compares digests after that.
-	for k, d := range w.Domains {
+	for _, d := range w.Domains {
 		waitReplicated(t, w, d, []int{0, 1, 2})
 		for i := 0; i < 3; i++ {
-			checkStack(t, w, w.ReplicaBB(d, i), k, kept.RARID, granted, fmt.Sprintf("replica %d", i))
+			checkStack(t, w, w.ReplicaBB(d, i), kept.RARID, granted, fmt.Sprintf("replica %d", i))
 		}
 	}
 	p.mu.Lock()
@@ -553,7 +552,7 @@ func TestRecoveryKeepsNoWALByte(t *testing.T) {
 	if err := u.Cancel(src, cancelled.RARID); err != nil {
 		t.Fatalf("cancel: %v", err)
 	}
-	for k, d := range w.Domains {
+	for _, d := range w.Domains {
 		want, err := w.BBs[d].StateDigest()
 		if err != nil {
 			t.Fatal(err)
@@ -562,7 +561,7 @@ func TestRecoveryKeepsNoWALByte(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: recovery: %v", d, err)
 		}
-		checkStack(t, w, recovered, k, kept.RARID, granted, "recovery")
+		checkStack(t, w, recovered, kept.RARID, granted, "recovery")
 		got, err := recovered.StateDigest()
 		recovered.Close()
 		if err != nil {

@@ -488,50 +488,17 @@ func (b *BB) removeEdgeFlow(rarID string) {
 	p.RemoveProfile(rarID)
 }
 
-// signApproval builds this domain's signed approval record.
-func (b *BB) signApproval(rarID, handle string, granted bool, reason string) (signalling.DomainApproval, error) {
+// signRefusal builds this domain's signed refusal of a RAR.
+func (b *BB) signRefusal(rarID, reason string) (signalling.DomainApproval, error) {
 	a := signalling.DomainApproval{
-		Domain:  b.cfg.Domain,
-		BBDN:    b.cfg.Key.DN,
-		RARID:   rarID,
-		Handle:  handle,
-		Granted: granted,
-		Reason:  reason,
+		Domain: b.cfg.Domain,
+		BBDN:   b.cfg.Key.DN,
+		RARID:  rarID,
+		Reason: reason,
 	}
 	if err := signalling.SignApproval(&a, b.cfg.Key); err != nil {
 		return signalling.DomainApproval{}, err
 	}
+	b.m.signatures.Inc()
 	return a, nil
-}
-
-// grantApproval is this domain's grant approval while a forwarding hop
-// signs it beside its downstream call.
-type grantApproval struct {
-	done     chan struct{}
-	approval signalling.DomainApproval
-	err      error
-}
-
-// presignGrant starts signing the approval a forwarding hop stacks on
-// the downstream grant. What it signs — the RAR id, this hop's own
-// handle, granted — is fixed by local admission and takes nothing from
-// downstream, so the signature is computed while the downstream call
-// is in flight instead of after it. The result stays inside the
-// returned value until wait collects it once downstream has granted;
-// on denial, transport failure or rollback nobody collects it and it
-// is garbage. The goroutine ends with the one signature, waited for or
-// not.
-func (b *BB) presignGrant(rarID, handle string) *grantApproval {
-	g := &grantApproval{done: make(chan struct{})}
-	go func() {
-		defer close(g.done)
-		g.approval, g.err = b.signApproval(rarID, handle, true, "")
-	}()
-	return g
-}
-
-// wait returns the signed approval.
-func (g *grantApproval) wait() (signalling.DomainApproval, error) {
-	<-g.done
-	return g.approval, g.err
 }

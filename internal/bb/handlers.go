@@ -55,7 +55,7 @@ func (b *BB) Handle(peer signalling.Peer, msg *signalling.Message) *signalling.M
 // denial."
 func (b *BB) deny(rarID, reason string) *signalling.Message {
 	resp := signalling.ErrorResult(reason)
-	if a, err := b.signApproval(rarID, "", false, reason); err == nil {
+	if a, err := b.signRefusal(rarID, reason); err == nil {
 		resp.Result.Approvals = []signalling.DomainApproval{a}
 	}
 	return resp

@@ -241,6 +241,10 @@ func TestSplitAcrossCapacityConstrainedPaths(t *testing.T) {
 	if err := w.VerifyApprovals(res); err != nil {
 		t.Fatalf("approval signatures on split grant: %v", err)
 	}
+	// One statement per leg, each by the destination.
+	if stmts, err := signalling.Statements(res.Approvals); err != nil || len(stmts) != 2 || stmts[0][0].Domain != w.DestDomain() || stmts[1][0].Domain != w.DestDomain() {
+		t.Errorf("split grant statements %+v (%v), want two by %s", stmts, err, w.DestDomain())
+	}
 	if n := w.CounterTotal("bb_splits_total"); n != 1 {
 		t.Errorf("bb_splits_total = %v, want 1", n)
 	}
@@ -695,7 +699,7 @@ func TestForwardOutcomeMatrix(t *testing.T) {
 		{
 			name: "split grant", branches: 2, split: true, durable: true,
 			caps:    map[string]units.Bandwidth{"Domain1": 5 * mb, "Domain2": 5 * mb},
-			granted: true, stack: []string{"Domain3 ok", "Domain1 ok", "Domain3 ok", "Domain2 ok", "Domain0 ok"},
+			granted: true, stack: []string{"Domain3 ok", "Domain1 ok", "Domain0 ok", "Domain3 ok", "Domain2 ok", "Domain0 ok"}, // a statement per leg
 			verdict: obs.VerdictGranted, counters: [...]float64{0, 1, 1, 0, 1, 0},
 			cancels:   []string{"R~s1", "R~s2"},
 			rarRecord: "0a015210021a0148321b2f4f3d477269642f4f553d446f6d61696e302f434e3d616c6963654a270a1a2f4f3d477269642f4f553d446f6d61696e312f434e3d62622d311204527e73311880ade2044a270a1a2f4f3d477269642f4f553d446f6d61696e322f434e3d62622d321204527e73321880ade204",

@@ -23,6 +23,10 @@ type bbMetrics struct {
 	// vouched counts the inner layers of accepted reserve chains taken
 	// on the channel peer's signature without a check of their own.
 	vouched *obs.Counter
+	// signatures counts the signatures this broker made: the layers it
+	// sealed onward, the grants it signed at the end of the line and the
+	// refusals it signed. Across a granted path of N domains they are N.
+	signatures *obs.Counter
 	// Robustness-layer counters.
 	rollbacks       *obs.Counter // optimistic admissions rolled back
 	retries         *obs.Counter // downstream call retries
@@ -98,6 +102,7 @@ func newBBMetrics(r *obs.Registry) bbMetrics {
 		cancels:      r.Counter("bb_cancels_total", "cancel requests received"),
 		layerChecks:  r.Counter("bb_layer_signatures_verified_total", "envelope layer signatures verified in accepted reserve chains"),
 		vouched:      r.Counter("bb_layers_vouched_total", "inner envelope layers of accepted reserve chains taken on the channel peer's signature, unchecked"),
+		signatures:   r.Counter("bb_signatures_made_total", "signatures this broker made: envelope layers sealed onward, grant statements and refusals"),
 		rollbacks:    r.Counter("bb_rollbacks_total", "optimistic admissions rolled back after downstream denial or failure"),
 		retries:      r.Counter("bb_retries_total", "downstream call retries after transport failures"),
 		breakerOpens: r.Counter("bb_breaker_opens_total", "per-peer circuit breaker open transitions"),

@@ -208,8 +208,10 @@ type forwardCtx struct {
 	verified *core.VerifiedRequest
 	span     *obs.Span // nil unless the reserve is traced or sampled
 
-	r     *resv.Reservation // the local admission
-	grant *grantApproval    // this hop's approval, being signed (forwarding hops)
+	r *resv.Reservation // the local admission
+	// claims is the grant the end of the line signs: its own claim in
+	// slot 0, filled in by settle, then one per broker layer (claimStack).
+	claims []signalling.DomainApproval
 
 	// saga names the open saga holding what this forward owes downstream
 	// ("" while it owes nothing): see owe.
@@ -278,6 +280,16 @@ func (b *BB) processReserve(fc *forwardCtx, now time.Time) *signalling.Message {
 		}
 	}
 
+	// The end of the line lists every broker layer's claim in the grant
+	// it signs, so a layer without one is refused before admission.
+	end := spec.DestDomain == b.cfg.Domain || payload.Mode == signalling.ModeLocal
+	if end {
+		var err error
+		if fc.claims, err = b.claimStack(verified); err != nil {
+			return b.deny(spec.RARID, fmt.Sprintf("%s: %v", b.cfg.Domain, err))
+		}
+	}
+
 	// Consult the policy server (§5): validated assertions,
 	// capability-chain verification and local policy.
 	q := &policysrv.Query{
@@ -325,12 +337,9 @@ func (b *BB) processReserve(fc *forwardCtx, now time.Time) *signalling.Message {
 
 	fc.r = r
 
-	if spec.DestDomain == b.cfg.Domain || payload.Mode == signalling.ModeLocal {
+	if end {
 		return b.settle(fc, nil, nil)
 	}
-	// A forwarding hop: its own approval is signed while downstream
-	// works, once, whatever paths and split legs the forward tries.
-	fc.grant = b.presignGrant(spec.RARID, r.Handle)
 	resp := b.forward(fc)
 	if fc.saga != "" {
 		// Whatever the forward still owes downstream — a leg lost in
@@ -462,10 +471,12 @@ func (b *BB) send(fc *forwardCtx, nd *topology.Domain, leg *signalling.ReservePa
 	if nextCert == nil {
 		return nil, fmt.Errorf("no certificate for next hop %s", nd.BBDN)
 	}
-	extended, err := b.proto.Extend(fc.env, fc.peer.CertDER, fc.verified, nextCert, nil)
+	// The layer this hop signs carries its admission claim.
+	extended, err := b.proto.Extend(fc.env, fc.peer.CertDER, fc.verified, nextCert, &core.Additions{Claim: fc.r.Handle})
 	if err != nil {
 		return nil, fmt.Errorf("extend: %w", err)
 	}
+	b.m.signatures.Inc()
 	// Everything else of the leg rides along: the trace id and sampling
 	// decision, so every hop below records a span into the same trace;
 	// the pin and split fields, so every hop below computes the same
@@ -577,8 +588,9 @@ func (b *BB) split(fc *forwardCtx, paths [][]string) *signalling.Message {
 // none at the destination or for a local-mode reservation, one on a
 // single path (under the hop's own key, or the attempt-salted one if the
 // ingress re-routed), one per share of a split — programs the data plane
-// and assembles the granted result: what the legs answered, with this
-// domain's approval stacked on top.
+// and assembles the granted result. A forwarding hop passes on the
+// grant the legs answered with as it is; the end of the line signs the
+// grant, its own claim over every broker layer's.
 func (b *BB) settle(fc *forwardCtx, legs []childRoute, results []*signalling.ResultPayload) *signalling.Message {
 	spec := fc.verified.Spec
 	fromUser := len(fc.verified.Path) == 1
@@ -620,23 +632,58 @@ func (b *BB) settle(fc *forwardCtx, legs []childRoute, results []*signalling.Res
 		}
 		out.Trace = append(out.Trace, down.Trace...)
 	}
-	// A forwarding hop signed its approval while downstream worked and
-	// collects it now; the end of the line signs here.
-	var own signalling.DomainApproval
-	var err error
-	if fc.grant != nil {
-		own, err = fc.grant.wait()
-	} else {
-		own, err = b.signApproval(spec.RARID, fc.r.Handle, true, "")
-	}
-	if err == nil {
-		out.Approvals = append(out.Approvals, own)
+	if len(legs) == 0 {
+		fc.claims[0] = signalling.DomainApproval{
+			Domain: b.cfg.Domain, BBDN: b.cfg.Key.DN, RARID: spec.RARID, Handle: fc.r.Handle, Granted: true,
+		}
+		if err := signalling.SignGrant(fc.claims, b.cfg.Key); err == nil {
+			b.m.signatures.Inc()
+			out.Approvals = fc.claims
+		}
 	}
 	return resp
 }
 
+// claimStack is the grant a reserve that ends here will carry: slot 0
+// left for this domain's claim, then one claim per broker layer, the
+// outermost first, as the approvals of a grant have always run
+// (DESIGN.md §6.11, "Why a grant is one signature"). Each names the
+// domain the topology serves by the layer's signer and that domain's
+// broker, and its handle, copied out of the onion into one string: the
+// grant outlives the request in the route entry. A broker layer without
+// a claim, or signed by a broker no domain is served by, is an error.
+func (b *BB) claimStack(v *core.VerifiedRequest) ([]signalling.DomainApproval, error) {
+	if len(v.Claims) < len(v.Path)-1 {
+		return nil, fmt.Errorf("layer of %s carries no admission claim", v.Path[1])
+	}
+	size := 0
+	for i, c := range v.Claims {
+		if c == "" {
+			return nil, fmt.Errorf("layer of %s carries no admission claim", v.Path[i+1])
+		}
+		size += len(c)
+	}
+	var text strings.Builder
+	text.Grow(size)
+	for _, c := range v.Claims {
+		text.WriteString(c)
+	}
+	handles := text.String()
+	stack := make([]signalling.DomainApproval, len(v.Claims)+1)
+	for i, c := range v.Claims {
+		domain, ok := b.cfg.Topo.DomainOfBB(v.Path[i+1])
+		d, known := b.cfg.Topo.Domain(domain)
+		if !ok || !known {
+			return nil, fmt.Errorf("claim by unknown broker %s", v.Path[i+1])
+		}
+		stack[len(v.Claims)-i] = signalling.DomainApproval{Domain: domain, BBDN: d.BBDN, Handle: handles[:len(c)], Granted: true}
+		handles = handles[len(c):]
+	}
+	return stack, nil
+}
+
 // refuse carries a refusal from below upstream: its reason, its
-// approvals and its trace, with this hop's signed remark on top. This
+// refusals and its trace, with this hop's signed remark on top. This
 // hop did not refuse — the refusal is in a deeper span — so its own span
 // says rolled back.
 func (b *BB) refuse(fc *forwardCtx, down *signalling.ResultPayload, remark string) *signalling.Message {
@@ -646,7 +693,7 @@ func (b *BB) refuse(fc *forwardCtx, down *signalling.ResultPayload, remark strin
 		resp.Result.Approvals = down.Approvals
 		resp.Result.Trace = down.Trace
 	}
-	if a, err := b.signApproval(fc.verified.Spec.RARID, "", false, remark); err == nil {
+	if a, err := b.signRefusal(fc.verified.Spec.RARID, remark); err == nil {
 		resp.Result.Approvals = append(resp.Result.Approvals, a)
 	}
 	if fc.span != nil {
@@ -687,17 +734,15 @@ func (b *BB) owe(saga *string, kind string, arg compArg) {
 	b.sagas.Did(*saga, kind, arg.AppendBinary(nil))
 }
 
-// stackOf is the approval stack the legs' results hand this hop, with
-// room for its own approval on top. A decoded result owns its stack and
-// left that room (DESIGN.md §6.6, "Who owns a frame"), so one leg's
-// stack is adopted as it is and the hop's approval goes on top in
-// place. A split's stacks merge into one fresh list: appending the other
-// legs' approvals into the first leg's array would outgrow its room.
+// stackOf is the grant the legs' results hand this hop. A decoded
+// result owns its stack (DESIGN.md §6.6, "Who owns a frame"), so one
+// leg's grant is adopted as it is. A split's merge into one fresh list,
+// one statement per leg.
 func stackOf(results []*signalling.ResultPayload) []signalling.DomainApproval {
 	if len(results) == 1 {
 		return results[0].Approvals
 	}
-	n := 1
+	n := 0
 	for _, down := range results {
 		n += len(down.Approvals)
 	}

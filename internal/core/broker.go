@@ -87,6 +87,13 @@ type VerifiedRequest struct {
 	// Vouched is how many inner layers were accepted on the channel
 	// peer's signature without a check of their own.
 	Vouched int
+	// Claims are the admission claims the broker layers carry,
+	// Claims[i] the one Path[i+1] signed, "" where a layer carries none
+	// (envelope.Body.Claim). Only a request whose every layer was
+	// checked has them: nil when a layer was vouched for, and when no
+	// layer carries a claim. They are cut from the onion's string, so
+	// whoever keeps one copies it.
+	Claims []string
 }
 
 // Verify unwraps an inbound envelope received over a mutually
@@ -219,7 +226,26 @@ func (s *verifyScratch) verify(env *envelope.Envelope) (*VerifiedRequest, error)
 	if n := len(caps); n > 0 && caps[n-1].SubjectDN() != b.Key.DN {
 		return nil, fmt.Errorf("%w: it ends at %s, verifier is %s", ErrCapabilityHolder, caps[n-1].SubjectDN(), b.Key.DN)
 	}
-	return &VerifiedRequest{Spec: spec, Path: chain.PathDNs(), Capabilities: caps, Signatures: chain.Verified(), Vouched: chain.Vouched()}, nil
+	return &VerifiedRequest{Spec: spec, Path: chain.PathDNs(), Capabilities: caps, Signatures: chain.Verified(), Vouched: chain.Vouched(), Claims: claims(chain)}, nil
+}
+
+// claims lists the broker layers' claims in path order, or nil: see
+// VerifiedRequest.Claims.
+func claims(chain *envelope.Chain) []string {
+	if chain.Vouched() > 0 {
+		return nil
+	}
+	n := len(chain.Layers) - 1
+	for d := 0; d < n; d++ {
+		if chain.Layers[d].Body.Claim != "" {
+			out := make([]string, n)
+			for i := range out {
+				out[i] = chain.Layers[n-1-i].Body.Claim
+			}
+			return out
+		}
+	}
+	return nil
 }
 
 // introducedTooDeep refuses a layer past the introducer-depth limit.
@@ -317,12 +343,21 @@ func (b *Broker) checkPathNaming(chain *envelope.Chain) error {
 	return nil
 }
 
+// Additions is what a hop appends to the layer it signs onward (PAPER.md
+// §1 item 1b, "can append additional policy information"): its
+// admission claim, the handle it admitted the request under, and any
+// policy attributes for the domains below.
+type Additions struct {
+	Claim      string
+	PolicyInfo map[string]string
+}
+
 // Extend wraps a verified inbound request for the next hop: it embeds
 // the upstream peer's certificate (introducing its key downstream),
 // names the next hop, re-delegates the capability chain to the next
-// broker and appends this domain's policy additions, then signs the
+// broker and appends this domain's additions, if any, then signs the
 // whole layer (RAR_{N+1} of §6.4).
-func (b *Broker) Extend(inbound *envelope.Envelope, upstreamCert []byte, verified *VerifiedRequest, nextHop *pki.Certificate, additions map[string]string) (*envelope.Envelope, error) {
+func (b *Broker) Extend(inbound *envelope.Envelope, upstreamCert []byte, verified *VerifiedRequest, nextHop *pki.Certificate, add *Additions) (*envelope.Envelope, error) {
 	if inbound == nil || verified == nil {
 		return nil, fmt.Errorf("core: Extend needs the inbound envelope and its verification")
 	}
@@ -336,7 +371,9 @@ func (b *Broker) Extend(inbound *envelope.Envelope, upstreamCert []byte, verifie
 		Inner:           inbound,
 		UpstreamCertDER: upstreamCert,
 		NextHopDN:       nextHop.SubjectDN(),
-		PolicyInfo:      additions,
+	}
+	if add != nil {
+		body.Claim, body.PolicyInfo = add.Claim, add.PolicyInfo
 	}
 	if len(verified.Capabilities) > 0 {
 		hopPub := nextHop.PublicKey()

@@ -133,7 +133,7 @@ func propagate(t *testing.T, w *world, spec *Spec) (*VerifiedRequest, *envelope.
 	if err != nil {
 		t.Fatalf("BB-A verify: %v", err)
 	}
-	rarA, err := w.brokers[0].Extend(rarU, w.alice.Cert.DER, vA, w.certs[1], map[string]string{"te.param": "from-A"})
+	rarA, err := w.brokers[0].Extend(rarU, w.alice.Cert.DER, vA, w.certs[1], &Additions{Claim: "DomainA-1", PolicyInfo: map[string]string{"te.param": "from-A"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func propagate(t *testing.T, w *world, spec *Spec) (*VerifiedRequest, *envelope.
 	if err != nil {
 		t.Fatalf("BB-B verify: %v", err)
 	}
-	rarB, err := w.brokers[1].Extend(rarA, w.certs[0].DER, vB, w.certs[2], map[string]string{"sls.excess": "remark"})
+	rarB, err := w.brokers[1].Extend(rarA, w.certs[0].DER, vB, w.certs[2], &Additions{Claim: "DomainB-1", PolicyInfo: map[string]string{"sls.excess": "remark"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,6 +166,11 @@ func TestEndToEndPropagation(t *testing.T) {
 	}
 	if vC.Path[0] != w.alice.Key.DN || vC.Path[1] != w.brokers[0].DN() || vC.Path[2] != w.brokers[1].DN() {
 		t.Errorf("path = %v", vC.Path)
+	}
+	// Each broker layer's admission claim, in path order: the audit
+	// that checked every layer hands them over.
+	if !slices.Equal(vC.Claims, []string{"DomainA-1", "DomainB-1"}) {
+		t.Errorf("claims = %q, want each broker layer's in path order", vC.Claims)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // stability. Body fields: 1=inner (a nested envelope encoding, so the
 // onion grows additively) 2=request 3=upstream_cert 4=next_hop_dn
 // 5=capabilities (repeated) 6=policy_info (repeated key/value pairs,
-// key-sorted for canonical bytes) 7=timestamp.
+// key-sorted for canonical bytes) 7=timestamp 8=claim.
 const (
 	envMagic   = 0xE5
 	envVersion = 1
@@ -88,7 +88,7 @@ func bodySize(b *Body) int {
 		n += 1 + wire.SizeUvarint(uint64(len(der))) + len(der)
 	}
 	var ts [24]byte
-	return n + wire.SizeStringMap(6, b.PolicyInfo) + len(wire.AppendTime(ts[:0], 7, b.Timestamp))
+	return n + wire.SizeStringMap(6, b.PolicyInfo) + len(wire.AppendTime(ts[:0], 7, b.Timestamp)) + wire.SizeBytes(8, len(b.Claim))
 }
 
 // appendBody appends b's canonical field encoding — the signed bytes.
@@ -108,13 +108,14 @@ func appendBody(buf []byte, b *Body) []byte {
 	}
 	buf = wire.AppendStringMap(buf, 6, b.PolicyInfo)
 	buf = wire.AppendTime(buf, 7, b.Timestamp)
+	buf = wire.AppendString(buf, 8, b.Claim)
 	return buf
 }
 
 // decodeBody parses a payload produced by appendBody into b, in place:
 // every bytes field of the body, and of the envelope inside it, is a
 // sub-slice of data. text, when set, holds the same bytes as data, and
-// the layer's DNs and policy attributes are substrings of it: one copy
+// the layer's DNs, claim and policy attributes are substrings of it: one copy
 // per onion, made by Open, serves every layer. The envelope nested
 // in the body, if any, is decoded into inner and reported by hasInner;
 // b.Inner is left as the caller set it. b keeps its capability array
@@ -150,6 +151,8 @@ func decodeBody(b *Body, inner *Envelope, data []byte, text string) (hasInner bo
 			b.PolicyInfo[k] = v
 		case f == 7 && wt == wire.TBytes:
 			b.Timestamp = wire.DecodeTime(d.Bytes())
+		case f == 8 && wt == wire.TBytes:
+			b.Claim = d.String()
 		default:
 			d.Skip(wt)
 		}

@@ -79,6 +79,12 @@ type Body struct {
 	// downstream domains, cost offers, ...). The protocol is
 	// deliberately syntax-agnostic, so this is opaque key/value data.
 	PolicyInfo map[string]string
+	// Claim is the reservation handle a forwarding broker admitted the
+	// request under, written into the layer it signs onward: the
+	// destination lists every layer's claim in the grant it signs
+	// (DESIGN.md §6.11, "Why a grant is one signature"). Empty in the
+	// user's layer.
+	Claim string
 	// Timestamp records when the layer was created.
 	Timestamp time.Time
 }

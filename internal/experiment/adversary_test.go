@@ -65,6 +65,7 @@ func TestDestinationRefusesCapabilityHeldByAnother(t *testing.T) {
 		UpstreamCertDER: alice.Agent.Cert.DER,
 		NextHopDN:       w.BBCerts[dst].SubjectDN(),
 		CapabilityDERs:  [][]byte{delegated.DER},
+		Claim:           "DomainA-forwarded",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,6 +153,7 @@ func TestDestinationRefusesCapabilityScopedToAnotherRAR(t *testing.T) {
 			UpstreamCertDER: alice.Agent.Cert.DER,
 			NextHopDN:       dstDN,
 			CapabilityDERs:  capDERs,
+			Claim:           "DomainA-forwarded", // the admission claim a forwarding broker writes
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -244,15 +246,17 @@ func TestDestinationRefusesReusedSeqFromBroker(t *testing.T) {
 // its real key turns the destination's signed refusal into a grant in
 // the answer it returns upstream. Domain2, the destination, has 5 Mb/s
 // and refuses Alice's 10 Mb/s. Domain1 answers Domain0 with a grant: it
-// flips the granted flag of Domain2's approval, which Domain2's
-// signature no longer covers, and signs its own approval as granted.
-// Domain0 adopts the approvals without checking them (bb's stackOf),
-// admits Alice and grants her a reservation no bandwidth backs in
-// Domain1 or Domain2. The user-side check, World.VerifyApprovals, is what
-// refuses the altered approval, and it names Domain2. DESIGN.md §6.11
-// records the gap: no broker verifies downstream approvals.
+// flips the granted flag of Domain2's refusal, which makes it read as
+// the grant's statement, and turns its own signed refusal into an
+// unsigned claim with a handle of its choosing. It cannot sign a claim
+// of its own: no hop signs a grant but the destination. Domain0 adopts
+// the grant without checking it (bb's stackOf), admits Alice and grants
+// her a reservation no bandwidth backs in Domain1 or Domain2. The
+// user-side check, World.VerifyApprovals, is what refuses it: Domain2's
+// signature covers a refusal, not a statement over these claims, and
+// the refusal names Domain2. DESIGN.md §6.11 records the gap: no broker
+// verifies the statement it adopts.
 func TestTransitBrokerInflatesDownstreamApproval(t *testing.T) {
-	var bb1 *identity.KeyPair
 	forge := func(m *signalling.Message) error {
 		r := m.Result
 		if r == nil || r.Granted {
@@ -264,10 +268,7 @@ func TestTransitBrokerInflatesDownstreamApproval(t *testing.T) {
 			case "Domain2":
 				a.Granted, a.Reason = true, ""
 			case "Domain1":
-				a.Granted, a.Reason, a.Handle = true, "", "forged"
-				if err := signalling.SignApproval(a, bb1); err != nil {
-					return err
-				}
+				*a = signalling.DomainApproval{Domain: a.Domain, BBDN: a.BBDN, Handle: "forged", Granted: true}
 			}
 		}
 		r.Granted, r.Reason, r.Handle = true, "", "forged"
@@ -288,7 +289,6 @@ func TestTransitBrokerInflatesDownstreamApproval(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	bb1 = w.members["Domain1"][0].cfg.Key
 	alice, err := w.NewUser("Alice", "Domain0", nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +313,7 @@ func TestTransitBrokerInflatesDownstreamApproval(t *testing.T) {
 			t.Errorf("%s committed %v; the forged grant should be backed by nothing there", d, got)
 		}
 	}
-	// What the user's check does: refuse the altered approval by name.
+	// What the user's check does: refuse the forged statement by name.
 	err = w.VerifyApprovals(res)
 	if err == nil || !strings.Contains(err.Error(), "Domain2") {
 		t.Fatalf("VerifyApprovals = %v, want a refusal naming Domain2", err)
@@ -395,7 +395,9 @@ func TestTransitBrokerReplaysCancelledRAR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	extended, err := proto.Extend(env, upstream.DER, verified, w.BBCerts["Domain2"], nil)
+	// It writes an admission claim into its layer, as it did for the
+	// grant: the destination refuses a broker layer without one.
+	extended, err := proto.Extend(env, upstream.DER, verified, w.BBCerts["Domain2"], &core.Additions{Claim: "Domain1-replayed"})
 	if err != nil {
 		t.Fatal(err)
 	}

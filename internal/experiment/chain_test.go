@@ -41,55 +41,70 @@ func reserveAndCancel(w *World, u *User) error {
 	return u.Cancel(u.Domain, spec.RARID)
 }
 
-// TestReserveSignatureCheckAllocationBound pins how a reserve's layer
-// signature checks are allocated among the brokers of an N-domain
-// chain, as each one's bb_layer_signatures_verified_total counts them
-// (DESIGN.md §6.11). Under the default policy the source checks the
-// user's layer, each transit hop the layer its neighbour signed, and
-// the destination all N: 5, 9 and 15 at N = 3, 5 and 8. A policy that
-// names the user makes every hop audit the whole onion, hop k checking
-// k+1 layers: 6, 15 and 36. bb_layers_vouched_total counts what the
-// transit hops took on their neighbour's word. The name puts it under
-// make alloc-gate.
+// TestReserveSignatureCheckAllocationBound pins the signatures a
+// reserve and its cancel make and check across an N-domain chain, per
+// broker, as each one's bb_signatures_made_total and
+// bb_layer_signatures_verified_total count them (DESIGN.md §6.11).
+// Every broker signs once — a forwarding hop the layer it seals onward,
+// the destination the grant's one statement — and the user signs its
+// layer: N+1 signatures, 4, 6 and 9 at N = 3, 5 and 8 (6, 10 and 16
+// while every hop signed a grant approval too), whatever the policy.
+// Under the default policy the source checks the user's layer, each
+// transit hop the layer its neighbour signed, and the destination all
+// N: 5, 9 and 15. A policy that names the user makes every hop audit
+// the whole onion, hop k checking k+1 layers: 6, 15 and 36.
+// bb_layers_vouched_total counts what the transit hops took on their
+// neighbour's word. The name puts it under make alloc-gate.
 func TestReserveSignatureCheckAllocationBound(t *testing.T) {
-	wantTotal := map[bool]map[int]int{false: {3: 5, 5: 9, 8: 15}, true: {3: 6, 5: 15, 8: 36}}
-	for _, n := range []int{3, 5, 8} {
-		for _, namesUser := range []bool{false, true} {
-			cfg := WorldConfig{EnableObs: true}
-			if namesUser {
-				cfg.Policies = map[string]*policy.Policy{}
-				for i := 0; i < n; i++ {
-					cfg.Policies[fmt.Sprintf("Domain%d", i)] = policy.MustParse("alice-only",
-						fmt.Sprintf("allow if user = %q and bw <= avail\ndeny", identity.NewDN("Grid", "Domain0", "alice")))
-				}
+	for _, row := range []struct {
+		n               int
+		namesUser       bool
+		signed, checked int
+	}{
+		{3, false, 4, 5}, {5, false, 6, 9}, {8, false, 9, 15},
+		{3, true, 4, 6}, {5, true, 6, 15}, {8, true, 9, 36},
+	} {
+		n, namesUser := row.n, row.namesUser
+		cfg := WorldConfig{EnableObs: true}
+		if namesUser {
+			cfg.Policies = map[string]*policy.Policy{}
+			for i := 0; i < n; i++ {
+				cfg.Policies[fmt.Sprintf("Domain%d", i)] = policy.MustParse("alice-only",
+					fmt.Sprintf("allow if user = %q and bw <= avail\ndeny", identity.NewDN("Grid", "Domain0", "alice")))
 			}
-			w, u := chainUser(t, n, cfg)
-			if err := reserveAndCancel(w, u); err != nil {
-				t.Fatalf("%d domains, names user %v: %v", n, namesUser, err)
+		}
+		w, u := chainUser(t, n, cfg)
+		if err := reserveAndCancel(w, u); err != nil {
+			t.Fatalf("%d domains, names user %v: %v", n, namesUser, err)
+		}
+		signed, checked := 1, 0 // the user signed its own layer
+		for k := 0; k < n; k++ {
+			checks, vouched := k+1, 0
+			switch {
+			case namesUser:
+			case k == n-1:
+				checks = n
+			default:
+				checks, vouched = 1, k
 			}
-			total := 0
-			for k := 0; k < n; k++ {
-				checks, vouched := k+1, 0
-				switch {
-				case namesUser:
-				case k == n-1:
-					checks = n
-				default:
-					checks, vouched = 1, k
-				}
-				m := w.Metrics[fmt.Sprintf("Domain%d", k)].Snapshot()
-				got := m["bb_layer_signatures_verified_total"]
-				total += int(got)
-				if got != float64(checks) {
-					t.Errorf("%d domains, names user %v: Domain%d checked %.0f layer signatures, want %d", n, namesUser, k, got, checks)
-				}
-				if got := m["bb_layers_vouched_total"]; got != float64(vouched) {
-					t.Errorf("%d domains, names user %v: Domain%d vouched for %.0f layers, want %d", n, namesUser, k, got, vouched)
-				}
+			m := w.Metrics[fmt.Sprintf("Domain%d", k)].Snapshot()
+			got := m["bb_layer_signatures_verified_total"]
+			checked += int(got)
+			if got != float64(checks) {
+				t.Errorf("%d domains, names user %v: Domain%d checked %.0f layer signatures, want %d", n, namesUser, k, got, checks)
 			}
-			if total != wantTotal[namesUser][n] {
-				t.Errorf("%d domains, names user %v: a reserve checks %d layer signatures, want %d", n, namesUser, total, wantTotal[namesUser][n])
+			if got := m["bb_layers_vouched_total"]; got != float64(vouched) {
+				t.Errorf("%d domains, names user %v: Domain%d vouched for %.0f layers, want %d", n, namesUser, k, got, vouched)
 			}
+			made := m["bb_signatures_made_total"]
+			signed += int(made)
+			if made != 1 {
+				t.Errorf("%d domains, names user %v: Domain%d made %.0f signatures, want 1", n, namesUser, k, made)
+			}
+		}
+		if signed != row.signed || checked != row.checked {
+			t.Errorf("%d domains, names user %v: a reserve and its cancel make %d signatures and check %d, want %d and %d",
+				n, namesUser, signed, checked, row.signed, row.checked)
 		}
 	}
 }
@@ -113,30 +128,33 @@ func reserveCycleAllocs(t *testing.T, n int) float64 {
 }
 
 // TestReserveChainAllocationBound: one 8-domain reserve and its cancel
-// allocate at most 324 objects. Verifying the onion allocates per
-// request, not per layer (DESIGN.md §6.11), and a hop adopts the
-// approval stack it was answered with (§6.6, "Who owns a frame"): 309
-// were measured, 361 when each hop copied every approval below it, 371
-// when every hop checked every layer, 570 when each layer cost two
-// structs, each check run its closures and each decision its reason.
+// allocate at most 292 objects. Verifying the onion allocates per
+// request, not per layer (DESIGN.md §6.11), a hop adopts the grant it
+// was answered with (§6.6, "Who owns a frame"), and only the
+// destination signs one: 284 were measured, 309 when every forwarding
+// hop signed its own approval beside its downstream call, 361 when each
+// hop copied every approval below it, 371 when every hop checked every
+// layer, 570 when each layer cost two structs, each check run its
+// closures and each decision its reason.
 func TestReserveChainAllocationBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
 	allocs := reserveCycleAllocs(t, 8)
 	t.Logf("8-domain reserve + cancel: %.1f objects", allocs)
-	if allocs > 324 {
-		t.Errorf("8-domain reserve + cancel allocates %.1f objects, want at most 324", allocs)
+	if allocs > 292 {
+		t.Errorf("8-domain reserve + cancel allocates %.1f objects, want at most 292", allocs)
 	}
 }
 
 // TestReserveAllocationBoundPerDomain: each domain a reserve crosses
 // costs the same number of objects, wherever on the path it sits. A
-// hop's approval stack comes decoded whole, in one list and one
-// signature array whatever its depth, and goes upstream with the hop's
-// own approval appended in place. 38 per domain were measured at N = 3
-// to 8; copying each approval below a hop cost 44 objects for the
-// fourth domain, rising to 48.5 for the seventh and eighth.
+// forwarding hop's grant comes decoded whole, in one list and one
+// signature array whatever its depth, and goes upstream as it is. 34 per
+// domain were measured at N = 3 to 8 (38 while each forwarding hop
+// signed an approval of its own beside its downstream call); copying
+// each approval below a hop cost 44 objects for the fourth domain,
+// rising to 48.5 for the seventh and eighth.
 func TestReserveAllocationBoundPerDomain(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")

@@ -154,9 +154,9 @@ func (w *ProtocolWorld) Propagate(spec *core.Spec) ([]ChainSample, error) {
 		}
 		if i+1 < len(w.Brokers) {
 			start = time.Now()
-			next, err := broker.Extend(env, peerCert, verified, w.Certs[i+1], map[string]string{
+			next, err := broker.Extend(env, peerCert, verified, w.Certs[i+1], &core.Additions{PolicyInfo: map[string]string{
 				fmt.Sprintf("hop%d", i): "ok",
-			})
+			}})
 			sample.ExtendTime = time.Since(start)
 			if err != nil {
 				return nil, fmt.Errorf("hop %d extend: %w", i, err)

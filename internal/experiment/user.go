@@ -214,16 +214,27 @@ func (u *User) Cancel(domain, rarID string) error {
 	return nil
 }
 
-// VerifyApprovals checks every signed domain approval in a grant
-// against the corresponding broker key.
+// VerifyApprovals checks a result's approvals against the domains'
+// broker certificates: a grant's statements (signalling.VerifyGrant), or
+// each refusal of a denial under its own signature.
 func (w *World) VerifyApprovals(res *signalling.ResultPayload) error {
+	keyOf := func(domain string) (identity.PublicKey, bool) {
+		cert, ok := w.BBCerts[domain]
+		if !ok {
+			return nil, false
+		}
+		return cert.PublicKey(), true
+	}
+	if res.Granted {
+		return signalling.VerifyGrant(res, keyOf)
+	}
 	for i := range res.Approvals {
 		a := &res.Approvals[i]
-		cert, ok := w.BBCerts[a.Domain]
+		pub, ok := keyOf(a.Domain)
 		if !ok {
 			return fmt.Errorf("experiment: approval from unknown domain %s", a.Domain)
 		}
-		if err := signalling.VerifyApproval(a, cert.PublicKey()); err != nil {
+		if err := signalling.VerifyApproval(a, pub); err != nil {
 			return err
 		}
 	}

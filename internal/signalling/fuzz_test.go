@@ -65,10 +65,18 @@ func FuzzDecodeMessage(f *testing.F) {
 	result := func(fields ...[]byte) []byte {
 		return bytes.Join(append([][]byte{{BinMagic, BinVersion, typeCode(MsgResult), 7}}, fields...), nil)
 	}
+	// A grant statement: the destination's signed claim, then the
+	// unsigned claims it covers, with no RAR id of their own.
+	claim := func(domain string) []byte {
+		a := DomainApproval{Domain: domain, BBDN: "/O=Grid/CN=bb", Handle: domain + "-1", Granted: true}
+		buf, start := wire.BeginNested(nil, 4)
+		return wire.EndNested(a.appendFields(buf), start)
+	}
 	seeds = append(seeds,
 		result(approval("A"), []byte{0x78, 0x01}, approval("B")),
 		result(approval("A"), []byte{0x20, 0x05}, approval("B")),
 		result(approval("A"), approval("B")[:20]),
+		result([]byte{0x08, 0x01}, approval("C"), claim("B"), claim("A")),
 	)
 	// Each golden frame and each frame of a retired type (which must
 	// fail), plus the malformed shapes the decoder must classify without

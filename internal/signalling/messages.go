@@ -1,8 +1,9 @@
 // Package signalling defines the inter-BB wire protocol: message
-// formats, the signed per-domain approvals that propagate back to the
-// source, and client/server plumbing over the transport abstraction.
-// It carries the core package's nested RAR envelopes between brokers
-// and the direct tunnel-allocation traffic between end domains.
+// formats, the grant statements and signed refusals that propagate
+// back to the source, and client/server plumbing over the transport
+// abstraction. It carries the core package's nested RAR envelopes
+// between brokers and the direct tunnel-allocation traffic between end
+// domains.
 package signalling
 
 import (
@@ -13,6 +14,7 @@ import (
 	"e2eqos/internal/envelope"
 	"e2eqos/internal/identity"
 	"e2eqos/internal/obs"
+	"e2eqos/internal/wire"
 )
 
 // MsgType discriminates protocol messages.
@@ -337,16 +339,17 @@ func (p *JournalStreamPayload) Reply(granted bool, ack, term int64) *Message {
 }
 
 // ResultPayload answers any request. For reserve requests, Approvals
-// carries one signed approval per domain on the path, appended as the
-// grant propagates back upstream (§6.4: "the BB adds its own signed
-// policy information and propagates the modified request to the
-// previous intermediate domain BB").
+// carries one approval per domain on the path, destination first. A
+// grant's are claims under the destination's one statement (SignGrant);
+// a denial's are refusals, each signed by the hop that appended it on
+// the way back upstream.
 type ResultPayload struct {
 	Granted bool
 	Reason  string
 	// Handle is the local reservation handle in the responding domain.
 	Handle string
-	// Approvals accumulate along the return path, destination first.
+	// Approvals are the grant's claims or the denial's refusals,
+	// destination first.
 	Approvals []DomainApproval
 	// PolicyInfo carries returned attributes (cost quotes etc.).
 	PolicyInfo map[string]string
@@ -367,15 +370,19 @@ type ResultPayload struct {
 	Term int64
 }
 
-// DomainApproval is one domain's signed statement about a RAR.
+// DomainApproval is one domain's word about a RAR: a refusal, signed by
+// its broker alone, or one claim of a grant — the domain admitted the
+// RAR under Handle — which the statement it follows covers.
 type DomainApproval struct {
 	Domain  string
 	BBDN    identity.DN
-	RARID   string
+	RARID   string // set on refusals and statements, not on the claims a statement covers
 	Handle  string
 	Granted bool
 	Reason  string
-	// Signature is the broker's signature over the canonical payload.
+	// Signature is the broker's signature: over the refusal's canonical
+	// payload, or over the grant statement this claim opens. Empty on a
+	// claim a statement covers.
 	Signature []byte
 }
 
@@ -408,6 +415,105 @@ func VerifyApproval(a *DomainApproval, pub identity.PublicKey) error {
 	}
 	if err := identity.Verify(pub, approvalPayload(a), a.Signature); err != nil {
 		return fmt.Errorf("signalling: approval by %s: %w", a.BBDN, err)
+	}
+	return nil
+}
+
+// appendGrantPayload appends the canonical byte string a grant
+// statement's signature covers: a domain-separation prefix, the RAR id,
+// then each claim in order, the signer's own first, as a nested field
+// of its core encoding, so that no claim can shift bytes into its
+// neighbour or vanish for being empty. Its callers build it in a buffer
+// on their stack: a statement over a path of up to about ten domains is
+// signed or checked without allocating its payload.
+func appendGrantPayload(buf []byte, rarID string, claims []DomainApproval) []byte {
+	buf = append(buf, "e2eqos-grant-v1\x00"...)
+	buf = wire.AppendString(buf, 1, rarID)
+	for i := range claims {
+		var start int
+		buf, start = wire.BeginNested(buf, 2)
+		buf = claims[i].appendCore(buf)
+		buf = wire.EndNested(buf, start)
+	}
+	return buf
+}
+
+// SignGrant makes claims[0] the statement over claims: its signature
+// covers its own claim, which names the RAR, and every claim after it
+// (DESIGN.md §6.11, "Why a grant is one signature").
+func SignGrant(claims []DomainApproval, key *identity.KeyPair) error {
+	var payload [1024]byte
+	sig, err := key.Sign(appendGrantPayload(payload[:0], claims[0].RARID, claims))
+	if err != nil {
+		return fmt.Errorf("signalling: signing grant: %w", err)
+	}
+	claims[0].Signature = sig
+	return nil
+}
+
+// Statements splits a grant's approvals into its statements: each signed
+// claim with the unsigned claims after it, up to the next signed one. A
+// split grant carries one statement per leg. An unsigned claim before
+// the first signed one is covered by none, and refused by name.
+func Statements(approvals []DomainApproval) ([][]DomainApproval, error) {
+	if len(approvals) == 0 {
+		return nil, fmt.Errorf("signalling: grant carries no statement")
+	}
+	var out [][]DomainApproval
+	for i := 0; i < len(approvals); {
+		if len(approvals[i].Signature) == 0 {
+			return nil, fmt.Errorf("signalling: claim by %s is covered by no statement", approvals[i].Domain)
+		}
+		j := i + 1
+		for j < len(approvals) && len(approvals[j].Signature) == 0 {
+			j++
+		}
+		out = append(out, approvals[i:j])
+		i = j
+	}
+	return out, nil
+}
+
+// VerifyGrant checks a grant's statements against the keys keyOf knows
+// by domain. It refuses a result that is not a grant, a grant without a
+// statement, an unsigned claim no statement covers, and statements about
+// different RARs; a statement whose signature does not cover its claims
+// as they stand — one altered, dropped, reordered or spliced in, or a
+// refusal turned into a grant — is refused naming its signer; then a
+// claim from a domain keyOf does not know, or one that does not say
+// granted. It checks one signature per statement: each claim's own
+// signature is its onion layer's, which the destination checked.
+func VerifyGrant(res *ResultPayload, keyOf func(domain string) (identity.PublicKey, bool)) error {
+	if !res.Granted {
+		return fmt.Errorf("signalling: result is not a grant")
+	}
+	stmts, err := Statements(res.Approvals)
+	if err != nil {
+		return err
+	}
+	rarID := stmts[0][0].RARID
+	var payload [1024]byte
+	for _, claims := range stmts {
+		s := &claims[0]
+		if s.RARID != rarID {
+			return fmt.Errorf("signalling: statement by %s is about %s, not %s", s.Domain, s.RARID, rarID)
+		}
+		pub, ok := keyOf(s.Domain)
+		if !ok {
+			return fmt.Errorf("signalling: grant statement by unknown domain %s", s.Domain)
+		}
+		if err := identity.Verify(pub, appendGrantPayload(payload[:0], rarID, claims), s.Signature); err != nil {
+			return fmt.Errorf("signalling: grant statement by %s: %w", s.Domain, err)
+		}
+		for i := range claims {
+			c := &claims[i]
+			if _, ok := keyOf(c.Domain); !ok {
+				return fmt.Errorf("signalling: grant claim from unknown domain %s", c.Domain)
+			}
+			if !c.Granted {
+				return fmt.Errorf("signalling: claim by %s on a grant does not say granted", c.Domain)
+			}
+		}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package signalling
 
 import (
 	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 
@@ -94,6 +95,92 @@ func TestApprovalSignVerify(t *testing.T) {
 	}
 	if err := VerifyApproval(nil, key.Public()); err == nil {
 		t.Fatal("nil approval accepted")
+	}
+}
+
+// TestVerifyGrantStatements holds VerifyGrant to its rule: a signature
+// covers its own claim and every unsigned claim after it, up to the next
+// signed one. One statement and a split's two verify; each of the
+// refusals it owes is met, in its own words.
+func TestVerifyGrantStatements(t *testing.T) {
+	keys := map[string]*identity.KeyPair{}
+	for _, d := range []string{"A", "B", "C"} {
+		key, err := identity.GenerateKeyPair(identity.NewDN("Grid", d, "bb"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[d] = key
+	}
+	keyOf := func(domain string) (identity.PublicKey, bool) {
+		key, ok := keys[domain]
+		if !ok {
+			return nil, false
+		}
+		return key.Public(), true
+	}
+	// statement is dest's grant of rarID over its own claim and the
+	// claims of the domains named after it.
+	statement := func(rarID, dest string, others ...string) []DomainApproval {
+		claims := []DomainApproval{{Domain: dest, BBDN: keys[dest].DN, RARID: rarID, Handle: dest + "-1", Granted: true}}
+		for _, d := range others {
+			c := DomainApproval{Domain: d, Handle: d + "-1", Granted: true}
+			if key, ok := keys[d]; ok {
+				c.BBDN = key.DN
+			}
+			claims = append(claims, c)
+		}
+		if err := SignGrant(claims, keys[dest]); err != nil {
+			t.Fatal(err)
+		}
+		return claims
+	}
+	grant := func(stmts ...[]DomainApproval) *ResultPayload {
+		res := &ResultPayload{Granted: true}
+		for _, s := range stmts {
+			res.Approvals = append(res.Approvals, s...)
+		}
+		return res
+	}
+	if err := VerifyGrant(grant(statement("R", "C", "B", "A")), keyOf); err != nil {
+		t.Fatalf("one statement: %v", err)
+	}
+	if err := VerifyGrant(grant(statement("R", "C", "B", "A"), statement("R", "C", "A")), keyOf); err != nil {
+		t.Fatalf("a split's two statements: %v", err)
+	}
+
+	refusal := DomainApproval{Domain: "C", BBDN: keys["C"].DN, RARID: "R", Reason: "full"}
+	if err := SignApproval(&refusal, keys["C"]); err != nil {
+		t.Fatal(err)
+	}
+	refusal.Granted, refusal.Reason = true, ""
+	unsigned := statement("R", "C", "B")
+	unsigned[0].Signature = nil
+	for _, c := range []struct {
+		name string
+		res  *ResultPayload
+		want string
+	}{
+		{"a denial", &ResultPayload{Approvals: statement("R", "C")}, "not a grant"},
+		{"no statement", grant(), "no statement"},
+		{"an unsigned claim first", grant(unsigned), "claim by C is covered by no statement"},
+		{"statements about two RARs", grant(statement("R", "C", "B"), statement("S", "C", "A")), "statement by C is about S, not R"},
+		{"a refusal turned grant", grant([]DomainApproval{refusal, {Domain: "B", Handle: "B-1", Granted: true}}), "grant statement by C"},
+		{"an empty claim appended", grant(append(statement("R", "C", "B"), DomainApproval{})), "grant statement by C"},
+		{"a statement by an unknown domain", grant(statement("R", "C", "B"), []DomainApproval{{Domain: "X", RARID: "R", Granted: true, Signature: []byte{1}}}), "grant statement by unknown domain X"},
+		{"a signed claim from an unknown domain", grant(statement("R", "C", "X")), "grant claim from unknown domain X"},
+	} {
+		err := VerifyGrant(c.res, keyOf)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: VerifyGrant = %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+	notGranted := statement("R", "C", "B")
+	notGranted[1].Granted = false
+	if err := SignGrant(notGranted, keys["C"]); err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyGrant(grant(notGranted), keyOf); err == nil || !strings.Contains(err.Error(), "claim by B on a grant does not say granted") {
+		t.Errorf("a signed claim that does not say granted: VerifyGrant = %v", err)
 	}
 }
 

@@ -29,17 +29,22 @@
 #                          served reserve, cancel and 256-op batch
 #                          decoded into a kept message
 #                          (TestServedRequestAllocationBound: their
-#                          strings only), a
+#                          strings only), a grant of 2 or 8 claims
+#                          decoded and copied out for its caller
+#                          (TestDecodeGrantAllocationBound: <= 2, and
+#                          <= 2 to decode its approvals), a
 #                          follower applying a reserve's and a cancel's
 #                          stream message
-#                          (TestFollowerStreamApplyAllocationBound),
+#                          (TestFollowerStreamApplyAllocationBound:
+#                          <= 8 and 0),
 #                          QHist Observe, event append, ledger reads,
 #                          signature verify, a warm chain Verify (the
-#                          same count at 2 and 8 layers, <= 6), Open
+#                          same count at 2 and 8 layers, <= 6; <= 7
+#                          when every broker layer carries a claim), Open
 #                          into a used chain (1 object at any depth), a
 #                          policy decision (0), one 8-domain World
 #                          reserve + cancel (TestReserveChainAllocationBound:
-#                          <= 292 objects), the same objects for every
+#                          <= 269 objects), the same objects for every
 #                          domain a reserve crosses, from 3 to 8
 #                          (TestReserveAllocationBoundPerDomain), the
 #                          signatures each broker of a 3-, 5- and

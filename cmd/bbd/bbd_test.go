@@ -217,6 +217,9 @@ func TestDaemonEndToEndReservationOverTLS(t *testing.T) {
 	if resp.Result == nil || !resp.Result.Granted {
 		t.Fatalf("reservation failed: %+v", resp.Result)
 	}
+	if err := resp.Result.DecodeApprovals(); err != nil {
+		t.Fatal(err)
+	}
 	if len(resp.Result.Approvals) != 3 {
 		t.Fatalf("approvals = %d, want 3 (one per domain over real TLS)", len(resp.Result.Approvals))
 	}

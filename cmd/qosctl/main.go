@@ -270,6 +270,9 @@ func printResult(rarID string, resp *signalling.Message) {
 		os.Exit(1)
 	}
 	fmt.Printf("GRANTED %s handle=%s\n", rarID, r.Handle)
+	if err := r.DecodeApprovals(); err != nil {
+		die("%v", err)
+	}
 	printStatements(r.Approvals)
 	for _, k := range obs.SortedKeys(r.PolicyInfo) {
 		fmt.Printf("  info: %s=%s\n", k, r.PolicyInfo[k])

@@ -236,9 +236,13 @@ func checkStack(t *testing.T, w *experiment.World, b *bb.BB, rarID string, grant
 	if out == nil || out.Result == nil {
 		t.Fatalf("%s: %s recorded no outcome for %s", step, b.Domain(), rarID)
 	}
+	recorded, err := out.Result.DecodedApprovals()
+	if err != nil {
+		t.Fatalf("%s: %s recorded an approval stack that does not decode: %v", step, b.Domain(), err)
+	}
 	want := granted.Approvals
-	if !reflect.DeepEqual(out.Result.Approvals, want) {
-		t.Fatalf("%s: %s recorded the approval stack\n %+v\nwant\n %+v", step, b.Domain(), out.Result.Approvals, want)
+	if !reflect.DeepEqual(recorded, want) {
+		t.Fatalf("%s: %s recorded the approval stack\n %+v\nwant\n %+v", step, b.Domain(), recorded, want)
 	}
 	if err := w.VerifyApprovals(out.Result); err != nil {
 		t.Fatalf("%s: %s's recorded approval stack: %v", step, b.Domain(), err)

@@ -27,11 +27,11 @@ func appendOutcome(buf []byte, field uint32, m *signalling.Message) []byte {
 }
 
 // decodeOutcome decodes a recorded outcome whose strings are cut from
-// text, which holds the same bytes as data. A decoded result owns its
-// signatures (DESIGN.md §6.6, "Who owns a frame"), so the outcome keeps
-// nothing of data: it needs no copy of its frame to outlive the log,
-// snapshot or stream message it was read from. Only a result is an
-// outcome; any other message would alias data.
+// text, which holds the same bytes as data, its approval stack included
+// (DESIGN.md §6.6, "Who owns a frame"): the outcome keeps nothing of
+// data, and needs no copy of its frame to outlive the log, snapshot or
+// stream message it was read from. Only a result is an outcome; any
+// other message would alias data.
 func decodeOutcome(data []byte, text string) (*signalling.Message, error) {
 	m, err := signalling.DecodeMessageIn(data, text)
 	if err != nil {
@@ -97,8 +97,8 @@ func (r rarRec) AppendBinary(buf []byte) []byte {
 // DecodeBinary decodes one copy of data: the entry a record becomes
 // outlives the log, snapshot or stream message it was read from
 // (DESIGN.md §6.6, "Who owns a frame"). Every string, the outcome's
-// included, is cut from one string copy of the record; the outcome's
-// signatures are its own (decodeOutcome).
+// and its approval stack included, is cut from one string copy of the
+// record (decodeOutcome).
 func (r *rarRec) DecodeBinary(data []byte) error {
 	d := wire.Dec{Buf: data, Text: string(data)}
 	var whole childRoute

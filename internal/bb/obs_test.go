@@ -62,6 +62,9 @@ func tracedReserve(w *experiment.World, u *experiment.User, spec *core.Spec) (*s
 	if resp.Result == nil {
 		return nil, fmt.Errorf("broker sent no result")
 	}
+	if err := resp.Result.DecodeApprovals(); err != nil {
+		return nil, err
+	}
 	return resp.Result, nil
 }
 

@@ -589,8 +589,8 @@ func (b *BB) split(fc *forwardCtx, paths [][]string) *signalling.Message {
 // single path (under the hop's own key, or the attempt-salted one if the
 // ingress re-routed), one per share of a split — programs the data plane
 // and assembles the granted result. A forwarding hop passes on the
-// grant the legs answered with as it is; the end of the line signs the
-// grant, its own claim over every broker layer's.
+// grant the legs answered with as the bytes it came in; the end of the
+// line signs the grant, its own claim over every broker layer's.
 func (b *BB) settle(fc *forwardCtx, legs []childRoute, results []*signalling.ResultPayload) *signalling.Message {
 	spec := fc.verified.Spec
 	fromUser := len(fc.verified.Path) == 1
@@ -624,7 +624,7 @@ func (b *BB) settle(fc *forwardCtx, legs []childRoute, results []*signalling.Res
 
 	resp := signalling.OKResult(fc.r.Handle)
 	out := resp.Result
-	out.Approvals = stackOf(results)
+	out.Stack = stackOf(results)
 	for i, down := range results {
 		if i == 0 {
 			out.PolicyInfo, out.Trace = down.PolicyInfo, down.Trace
@@ -690,7 +690,7 @@ func (b *BB) refuse(fc *forwardCtx, down *signalling.ResultPayload, remark strin
 	resp := signalling.ErrorResult("")
 	if down != nil {
 		resp.Result.Reason = down.Reason
-		resp.Result.Approvals = down.Approvals
+		resp.Result.Stack, resp.Result.Approvals = down.Stack, down.Approvals
 		resp.Result.Trace = down.Trace
 	}
 	if a, err := b.signRefusal(fc.verified.Spec.RARID, remark); err == nil {
@@ -734,32 +734,32 @@ func (b *BB) owe(saga *string, kind string, arg compArg) {
 	b.sagas.Did(*saga, kind, arg.AppendBinary(nil))
 }
 
-// stackOf is the grant the legs' results hand this hop. A decoded
-// result owns its stack (DESIGN.md §6.6, "Who owns a frame"), so one
-// leg's grant is adopted as it is. A split's merge into one fresh list,
-// one statement per leg.
-func stackOf(results []*signalling.ResultPayload) []signalling.DomainApproval {
+// stackOf is the grant the legs' results hand this hop, as the bytes
+// they were answered in: a decoded result holds all of its approvals in
+// its Stack, which owns its bytes (DESIGN.md §6.6, "Who owns a frame").
+// One leg's is passed on as it is; a split's are joined, one statement
+// per leg.
+func stackOf(results []*signalling.ResultPayload) string {
 	if len(results) == 1 {
-		return results[0].Approvals
+		return results[0].Stack
 	}
-	n := 0
+	var stack strings.Builder
 	for _, down := range results {
-		n += len(down.Approvals)
+		stack.WriteString(down.Stack)
 	}
-	out := make([]signalling.DomainApproval, 0, n)
-	for _, down := range results {
-		out = append(out, down.Approvals...)
-	}
-	return out
+	return stack.String()
 }
 
 // deniedAtDest reports whether a denial came from the destination
 // domain itself — its signed refusal is on the approval stack — as
 // opposed to a mid-chain hop a disjoint path can route around. Every
 // disjoint path converges on the destination, so its refusal is
-// terminal for re-routing and splitting alike.
+// terminal for re-routing and splitting alike. It decodes a copy of the
+// stack, a refusal being passed on as it came; the stack decodes, as the
+// result's decode walked every approval in it.
 func deniedAtDest(res *signalling.ResultPayload, dest string) bool {
-	for _, a := range res.Approvals {
+	approvals, _ := res.DecodedApprovals()
+	for _, a := range approvals {
 		if a.Domain == dest && !a.Granted {
 			return true
 		}

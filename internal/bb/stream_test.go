@@ -843,7 +843,7 @@ func TestFollowerStreamApplyAllocationBound(t *testing.T) {
 	}
 	const (
 		runs         = 40
-		reserveBound = 10 // DESIGN.md §6.8
+		reserveBound = 8 // DESIGN.md §6.8
 	)
 	srcDir := t.TempDir()
 	src, err := experiment.BuildWorld(experiment.WorldConfig{

@@ -57,12 +57,17 @@ func (b *BB) registerTunnelDest(verified *core.VerifiedRequest, peer signalling.
 
 // registerTunnelSource records the tunnel endpoint at the source
 // domain, remembering the destination broker from the signed
-// approvals so sub-flow requests can go directly to it.
+// approvals, decoded from a copy of the grant's stack, so sub-flow
+// requests can go directly to it.
 func (b *BB) registerTunnelSource(spec *core.Spec, result *signalling.ResultPayload) error {
+	approvals, err := result.DecodedApprovals()
+	if err != nil {
+		return err
+	}
 	var destBB identity.DN
-	for _, a := range result.Approvals {
+	for _, a := range approvals {
 		if a.Domain == spec.DestDomain && a.Granted {
-			destBB = identity.DN(strings.Clone(string(a.BBDN))) // not the result frame's text
+			destBB = identity.DN(strings.Clone(string(a.BBDN))) // not the grant's text
 			break
 		}
 	}

@@ -25,6 +25,9 @@ type chainFixture struct {
 	user    *UserAgent
 	brokers []*Broker
 	certs   []*pki.Certificate
+	// claims, when set, has every broker layer carry an admission claim,
+	// as a forwarding broker's does.
+	claims bool
 }
 
 // buildChain builds the fixture; lifetimes[i], when set, is how long
@@ -96,7 +99,11 @@ func (fx *chainFixture) carry(tb testing.TB, dest int, at time.Time, tamper func
 		if tamper != nil && i == dest-1 {
 			tamper(env)
 		}
-		if env, err = fx.brokers[i].Extend(env, peerCert, verified, fx.certs[i+1], nil); err != nil {
+		var add *Additions
+		if fx.claims {
+			add = &Additions{Claim: fmt.Sprintf("net-D%d-1", i)}
+		}
+		if env, err = fx.brokers[i].Extend(env, peerCert, verified, fx.certs[i+1], add); err != nil {
 			tb.Fatal(err)
 		}
 		peerDN, peerCert = fx.brokers[i].DN(), fx.certs[i].DER
@@ -213,17 +220,24 @@ func TestOtherKeyAlgorithmRefusedByName(t *testing.T) {
 // warmVerify builds a hops-long chain, warms the destination's
 // certificate cache with one verification and returns the envelope the
 // destination receives and the function that verifies it again.
-func warmVerify(t *testing.T, hops int, now time.Time) (*envelope.Envelope, func()) {
+func warmVerify(t *testing.T, hops int, now time.Time, claims bool) (*envelope.Envelope, func()) {
 	t.Helper()
 	fx := buildChain(t, hops, nil)
+	fx.claims = claims
 	env, peerDN, peerCert := fx.carry(t, hops-1, now, nil)
 	dest := fx.brokers[hops-1]
+	v, err := dest.Verify(env, peerDN, peerCert, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if claims && len(v.Claims) != hops-1 {
+		t.Fatalf("a %d-layer onion of claiming brokers verified with %d claims, want %d", hops, len(v.Claims), hops-1)
+	}
 	verify := func() {
 		if _, err := dest.Verify(env, peerDN, peerCert, now); err != nil {
 			t.Fatal(err)
 		}
 	}
-	verify()
 	return env, verify
 }
 
@@ -249,24 +263,32 @@ func bytesPerRun(runs int, f func()) float64 {
 // more than 6 objects: the VerifiedRequest and its Path, the Spec, its
 // one string and its assertions, and the onion's one string copy (26 at
 // 2 layers and 38 at 8 were measured when a layer was its own Envelope
-// and Body and each check run had its closures).
+// and Body and each check run had its closures). The audit a
+// destination runs, over layers that each carry their broker's
+// admission claim, keeps one object more, VerifiedRequest.Claims: 7, at
+// any depth too.
 func TestWarmVerifyAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	now := time.Now()
-	warm := func(hops int) float64 {
-		_, verify := warmVerify(t, hops, now)
-		return testing.AllocsPerRun(50, verify)
-	}
-	at2, at8 := warm(2), warm(8)
-	t.Logf("warm Verify: %.0f allocs at 2 layers, %.0f at 8", at2, at8)
-	if at8 != at2 {
-		t.Errorf("a warm 8-layer Verify allocates %.0f objects, a 2-layer one %.0f: a layer costs an allocation again", at8, at2)
-	}
-	if at8 > 6 {
-		t.Errorf("a warm Verify allocates %.0f objects, want at most 6: more than the request keeps", at8)
+	for _, row := range []struct {
+		claims bool
+		bound  float64
+	}{{false, 6}, {true, 7}} {
+		warm := func(hops int) float64 {
+			_, verify := warmVerify(t, hops, now, row.claims)
+			return testing.AllocsPerRun(50, verify)
+		}
+		at2, at8 := warm(2), warm(8)
+		t.Logf("warm Verify, claims %v: %.0f allocs at 2 layers, %.0f at 8", row.claims, at2, at8)
+		if at8 != at2 {
+			t.Errorf("claims %v: a warm 8-layer Verify allocates %.0f objects, a 2-layer one %.0f: a layer costs an allocation again", row.claims, at8, at2)
+		}
+		if at8 > row.bound {
+			t.Errorf("claims %v: a warm Verify allocates %.0f objects, want at most %.0f: more than the request keeps", row.claims, at8, row.bound)
+		}
 	}
 }
 
@@ -281,8 +303,8 @@ func TestWarmVerifyBytesAllocationBound(t *testing.T) {
 		t.Skip("allocation counts are meaningless under -race")
 	}
 	now := time.Now()
-	_, verify2 := warmVerify(t, 2, now)
-	env8, verify8 := warmVerify(t, 8, now)
+	_, verify2 := warmVerify(t, 2, now, false)
+	env8, verify8 := warmVerify(t, 8, now, false)
 	at2, at8 := bytesPerRun(50, verify2), bytesPerRun(50, verify8)
 	wire := float64(env8.WireSize())
 	t.Logf("warm Verify: %.0f B at 2 layers, %.0f B at 8 (%.0f B on the wire)", at2, at8, wire)

@@ -262,6 +262,9 @@ func TestTransitBrokerInflatesDownstreamApproval(t *testing.T) {
 		if r == nil || r.Granted {
 			return nil
 		}
+		if err := r.DecodeApprovals(); err != nil {
+			return err
+		}
 		for i := range r.Approvals {
 			a := &r.Approvals[i]
 			switch a.Domain {
@@ -341,7 +344,7 @@ func TestTransitBrokerReplaysCancelledRAR(t *testing.T) {
 			if domain != "Domain0" {
 				return d
 			}
-			return recordingDialer{d, func(sent []byte) {
+			return recordingDialer{Dialer: d, sent: func(sent []byte) {
 				if m, err := signalling.DecodeMessage(sent); err == nil && m.Type == signalling.MsgReserve {
 					mu.Lock()
 					frame = bytes.Clone(sent)
@@ -575,10 +578,10 @@ func (k introducedKeys) ResolveKey(depth int, dn identity.DN, hint []byte) (iden
 }
 
 // recordingDialer hands out connections that show sent every frame
-// they send.
+// they send, and received every frame they receive; either may be nil.
 type recordingDialer struct {
 	transport.Dialer
-	sent func([]byte)
+	sent, received func([]byte)
 }
 
 func (d recordingDialer) Dial(addr string) (transport.Conn, error) {
@@ -586,17 +589,27 @@ func (d recordingDialer) Dial(addr string) (transport.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return recordingConn{c, d.sent}, nil
+	return recordingConn{c, d}, nil
 }
 
 type recordingConn struct {
 	transport.Conn
-	sent func([]byte)
+	d recordingDialer
 }
 
 func (c recordingConn) Send(frame []byte) error {
-	c.sent(frame)
+	if c.d.sent != nil {
+		c.d.sent(frame)
+	}
 	return c.Conn.Send(frame)
+}
+
+func (c recordingConn) Recv() ([]byte, error) {
+	frame, err := c.Conn.Recv()
+	if err == nil && c.d.received != nil {
+		c.d.received(frame)
+	}
+	return frame, err
 }
 
 // forgingDialer hands out connections whose answers pass through forge,

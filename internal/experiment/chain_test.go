@@ -128,33 +128,35 @@ func reserveCycleAllocs(t *testing.T, n int) float64 {
 }
 
 // TestReserveChainAllocationBound: one 8-domain reserve and its cancel
-// allocate at most 292 objects. Verifying the onion allocates per
-// request, not per layer (DESIGN.md §6.11), a hop adopts the grant it
-// was answered with (§6.6, "Who owns a frame"), and only the
-// destination signs one: 284 were measured, 309 when every forwarding
-// hop signed its own approval beside its downstream call, 361 when each
-// hop copied every approval below it, 371 when every hop checked every
-// layer, 570 when each layer cost two structs, each check run its
-// closures and each decision its reason.
+// allocate at most 269 objects. Verifying the onion allocates per
+// request, not per layer (DESIGN.md §6.11), a hop passes on the grant it
+// was answered with as the bytes it came in (§6.6, "Who owns a frame"),
+// and only the destination signs one: 261 were measured, 283 when each
+// forwarding hop decoded the grant into a list and a signature array,
+// 309 when every forwarding hop signed its own approval beside its
+// downstream call, 361 when each hop copied every approval below it, 371
+// when every hop checked every layer, 570 when each layer cost two
+// structs, each check run its closures and each decision its reason.
 func TestReserveChainAllocationBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
 	allocs := reserveCycleAllocs(t, 8)
 	t.Logf("8-domain reserve + cancel: %.1f objects", allocs)
-	if allocs > 292 {
-		t.Errorf("8-domain reserve + cancel allocates %.1f objects, want at most 292", allocs)
+	if allocs > 269 {
+		t.Errorf("8-domain reserve + cancel allocates %.1f objects, want at most 269", allocs)
 	}
 }
 
 // TestReserveAllocationBoundPerDomain: each domain a reserve crosses
 // costs the same number of objects, wherever on the path it sits. A
-// forwarding hop's grant comes decoded whole, in one list and one
-// signature array whatever its depth, and goes upstream as it is. 34 per
-// domain were measured at N = 3 to 8 (38 while each forwarding hop
-// signed an approval of its own beside its downstream call); copying
-// each approval below a hop cost 44 objects for the fourth domain,
-// rising to 48.5 for the seventh and eighth.
+// forwarding hop's grant comes as one string whatever its depth, and
+// goes upstream as it is. 31 per domain were measured at N = 3 to 8 (34
+// while each forwarding hop decoded the grant into a list and a
+// signature array, 38 while each signed an approval of its own beside
+// its downstream call); copying each approval below a hop cost 44
+// objects for the fourth domain, rising to 48.5 for the seventh and
+// eighth.
 func TestReserveAllocationBoundPerDomain(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")

@@ -1,14 +1,18 @@
 package experiment
 
 import (
+	"bytes"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"e2eqos/internal/core"
 	"e2eqos/internal/signalling"
+	"e2eqos/internal/transport"
 	"e2eqos/internal/units"
+	"e2eqos/internal/wire"
 )
 
 // TestGrantStatementRefusesTampering: an 8-domain grant is one
@@ -125,4 +129,98 @@ func TestDestinationRefusesLayerWithoutClaim(t *testing.T) {
 	if got := w.BBs["Domain1"].Table().CommittedAt(spec.Window.Start); got != 0 {
 		t.Errorf("destination committed %v for a refused request", got)
 	}
+}
+
+// TestForwardingHopsRelayTheGrantAsAnswered: a forwarding hop passes
+// the grant upstream as the bytes it was answered in (DESIGN.md §6.6,
+// "Who owns a frame"). On a 4-domain path, the approvals of the answer
+// each hop received from below and those of the answer the user
+// received are the same bytes, and they verify as the destination's
+// statement over four claims.
+func TestForwardingHopsRelayTheGrantAsAnswered(t *testing.T) {
+	var mu sync.Mutex
+	answered := map[string][]byte{} // by domain: the approvals of the answer it received
+	w, err := BuildWorld(WorldConfig{
+		NumDomains: 4,
+		WrapDialer: func(domain string, d transport.Dialer) transport.Dialer {
+			return recordingDialer{Dialer: d, received: func(frame []byte) {
+				if stack := approvalEntries(t, frame); stack != nil {
+					mu.Lock()
+					answered[domain] = stack
+					mu.Unlock()
+				}
+			}}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	u, err := w.NewUser("Alice", "Domain0", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+	rar, err := u.Agent.BuildRAR(u.NewSpec(SpecOptions{DestDomain: "Domain3", Bandwidth: units.Mbps}), w.BBCerts["Domain0"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := signalling.NewReserveMessage(signalling.ModeEndToEnd, rar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := w.Net.NewEndpoint(u.DN(), u.Agent.Cert.DER).Dial(w.BBAddr("Domain0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.Send(msg.AppendBinary(nil)); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := conn.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := signalling.DecodeMessage(frame)
+	if err != nil || res.Result == nil || !res.Result.Granted {
+		t.Fatalf("reserve: %+v %v", res, err)
+	}
+	if err := w.VerifyApprovals(res.Result); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Result.DecodeApprovals(); err != nil || len(res.Result.Approvals) != 4 {
+		t.Fatalf("the user's grant decodes to %d approvals (err %v), want 4", len(res.Result.Approvals), err)
+	}
+	user := approvalEntries(t, frame)
+	mu.Lock()
+	defer mu.Unlock()
+	for _, d := range []string{"Domain0", "Domain1", "Domain2"} {
+		if !bytes.Equal(answered[d], user) {
+			t.Errorf("%s was answered with the approvals\n % x\nthe user with\n % x", d, answered[d], user)
+		}
+	}
+}
+
+// approvalEntries returns the approval entries (field 4) of a result
+// frame as they lie in it, joined in order: nil for any other frame,
+// and for a result without approvals.
+func approvalEntries(t *testing.T, frame []byte) []byte {
+	if m, err := signalling.DecodeMessage(frame); err != nil || m.Result == nil {
+		return nil
+	}
+	d := wire.Dec{Buf: frame[3:]}
+	d.Uvarint() // the message id
+	var out []byte
+	for d.More() {
+		at := d.Offset()
+		f, wt := d.Tag()
+		d.Skip(wt)
+		if f == 4 && wt == wire.TBytes {
+			out = append(out, frame[3+at:3+d.Offset()]...)
+		}
+	}
+	if err := d.Err(); err != nil {
+		t.Errorf("a result frame that decodes does not walk: %v", err)
+	}
+	return out
 }

@@ -166,10 +166,7 @@ func (u *User) ReserveE2E(spec *core.Spec) (*signalling.ResultPayload, error) {
 	if err != nil {
 		return nil, err
 	}
-	if resp.Result == nil {
-		return nil, fmt.Errorf("experiment: broker sent no result")
-	}
-	return resp.Result, nil
+	return decodedResult(resp)
 }
 
 // ReserveLocalAt performs a single-domain reservation at the given
@@ -188,8 +185,17 @@ func (u *User) ReserveLocalAt(domain string, spec *core.Spec) (*signalling.Resul
 	if err != nil {
 		return nil, err
 	}
+	return decodedResult(resp)
+}
+
+// decodedResult is the result a broker answered with, its approvals
+// decoded for the user, who is the one to read them.
+func decodedResult(resp *signalling.Message) (*signalling.ResultPayload, error) {
 	if resp.Result == nil {
 		return nil, fmt.Errorf("experiment: broker sent no result")
+	}
+	if err := resp.Result.DecodeApprovals(); err != nil {
+		return nil, err
 	}
 	return resp.Result, nil
 }
@@ -214,9 +220,10 @@ func (u *User) Cancel(domain, rarID string) error {
 	return nil
 }
 
-// VerifyApprovals checks a result's approvals against the domains'
-// broker certificates: a grant's statements (signalling.VerifyGrant), or
-// each refusal of a denial under its own signature.
+// VerifyApprovals checks a result's approvals, decoded or not, against
+// the domains' broker certificates: a grant's statements
+// (signalling.VerifyGrant), or each refusal of a denial under its own
+// signature.
 func (w *World) VerifyApprovals(res *signalling.ResultPayload) error {
 	keyOf := func(domain string) (identity.PublicKey, bool) {
 		cert, ok := w.BBCerts[domain]
@@ -228,8 +235,12 @@ func (w *World) VerifyApprovals(res *signalling.ResultPayload) error {
 	if res.Granted {
 		return signalling.VerifyGrant(res, keyOf)
 	}
-	for i := range res.Approvals {
-		a := &res.Approvals[i]
+	approvals, err := res.DecodedApprovals()
+	if err != nil {
+		return err
+	}
+	for i := range approvals {
+		a := &approvals[i]
 		pub, ok := keyOf(a.Domain)
 		if !ok {
 			return fmt.Errorf("experiment: approval from unknown domain %s", a.Domain)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"e2eqos/internal/identity"
 )
 
 // TestEncodeAllocationFree is the gate behind `make bench-wire`: the
@@ -149,5 +151,72 @@ func TestServedRequestAllocationBound(t *testing.T) {
 		if got := r.AppendBinary(nil); !bytes.Equal(got, frame) {
 			t.Errorf("%s: the kept message re-encodes to another frame", tc.name)
 		}
+	}
+}
+
+// TestDecodeGrantAllocationBound gates what a hop pays for the grant it
+// is answered with (DESIGN.md §6.6, "Who owns a frame"): the frame
+// decoded into the message a client's reader keeps, and the copy of the
+// result a call hands its caller. The approvals stay the bytes they
+// came in, so a grant of 8 claims costs what one of 2 does: the result's
+// one string and the copy, no list and no signature array. Decoding the
+// approvals, which only a reader that checks them does, costs one copy
+// of their bytes and one list; and the decoded result re-encodes to the
+// frame it came in.
+func TestDecodeGrantAllocationBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate is meaningless under the race detector")
+	}
+	grant := func(claims int) []byte {
+		res := &ResultPayload{Granted: true, Handle: "net-Domain0-1"}
+		for i := claims - 1; i >= 0; i-- {
+			res.Approvals = append(res.Approvals, DomainApproval{
+				Domain: fmt.Sprintf("Domain%d", i), BBDN: identity.DN(fmt.Sprintf("/O=Grid/OU=Domain%d/CN=bb-%d", i, i)),
+				Handle: fmt.Sprintf("net-Domain%d-1", i), Granted: true,
+			})
+		}
+		res.Approvals[0].RARID, res.Approvals[0].Signature = "RAR-1", bytes.Repeat([]byte{0xA5}, 64)
+		return (&Message{Type: MsgResult, ID: 9, Result: res}).AppendBinary(nil)
+	}
+	var kept Message
+	var costs []float64
+	for _, claims := range []int{2, 8} {
+		frame := grant(claims)
+		var res *ResultPayload
+		decode := func() {
+			if err := kept.decodeFrame(frame, "", nil); err != nil {
+				t.Fatal(err)
+			}
+			res = newResult(*kept.Result).Result
+		}
+		decode() // the kept payload exists from here on
+		got := testing.AllocsPerRun(200, decode)
+		t.Logf("%d claims: decoding a grant allocates %.1f objects", claims, got)
+		if got > 2 {
+			t.Errorf("%d claims: decoding a grant allocates %.1f objects, want at most 2", claims, got)
+		}
+		costs = append(costs, got)
+		if res.Stack == "" || len(res.Approvals) != 0 {
+			t.Fatalf("%d claims: decoded a stack of %d bytes and %d approvals, want the approvals as bytes", claims, len(res.Stack), len(res.Approvals))
+		}
+		if re := (&Message{Type: MsgResult, ID: 9, Result: res}).AppendBinary(nil); !bytes.Equal(re, frame) {
+			t.Errorf("%d claims: a decoded grant re-encodes to another frame:\n got  % x\n want % x", claims, re, frame)
+		}
+		var approvals []DomainApproval
+		if got := testing.AllocsPerRun(200, func() {
+			c := *res
+			if err := c.DecodeApprovals(); err != nil {
+				t.Fatal(err)
+			}
+			approvals = c.Approvals
+		}); got > 2 {
+			t.Errorf("%d claims: DecodeApprovals allocates %.1f objects, want at most 2", claims, got)
+		}
+		if len(approvals) != claims || approvals[0].Domain != fmt.Sprintf("Domain%d", claims-1) || len(approvals[0].Signature) != 64 {
+			t.Errorf("%d claims: decoded %+v", claims, approvals)
+		}
+	}
+	if costs[1] != costs[0] {
+		t.Errorf("decoding a grant of 8 claims allocates %.1f objects, one of 2 %.1f: a claim costs an allocation", costs[1], costs[0])
 	}
 }

@@ -2,6 +2,7 @@ package signalling
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"e2eqos/internal/identity"
@@ -416,9 +417,8 @@ func (a *DomainApproval) appendFields(buf []byte) []byte {
 	return buf
 }
 
-// decodeFields decodes in place: Signature is a sub-slice of d.Buf until
-// ownSignatures copies it out, and the strings are substrings of d.Text
-// when the decoder has one.
+// decodeFields decodes in place: Signature is a sub-slice of d.Buf, and
+// the strings are substrings of d.Text when the decoder has one.
 func (a *DomainApproval) decodeFields(d *wire.Dec) error {
 	for d.More() {
 		f, wt := d.Tag()
@@ -521,10 +521,12 @@ func (p *JournalStreamPayload) decodeFields(d *wire.Dec) error {
 // ResultPayload: 1=granted 2=reason 3=handle 4=approvals(repeated)
 // 5=policy_info(repeated k/v pairs, key-sorted) 6=trace_id
 // 7=trace(repeated spans) 8=batch_results(repeated) 9=ack_seq 10=term.
+// The approvals are Stack, as it was answered, then Approvals.
 func (p *ResultPayload) appendFields(buf []byte) []byte {
 	buf = wire.AppendBool(buf, 1, p.Granted)
 	buf = wire.AppendString(buf, 2, p.Reason)
 	buf = wire.AppendString(buf, 3, p.Handle)
+	buf = append(buf, p.Stack...)
 	for i := range p.Approvals {
 		var start int
 		buf, start = wire.BeginNested(buf, 4)
@@ -550,33 +552,53 @@ func (p *ResultPayload) appendFields(buf []byte) []byte {
 	return buf
 }
 
-// decodeFields makes the result own its approval stack (DESIGN.md §6.6,
-// "Who owns a frame"). A first pass counts the approvals, so the stack
-// is made once, with one slot to spare for the approval of the hop that
-// adopts it and stacks its own on top; the approvals' strings are cut
-// from one string made from d.Buf, or from d.Text when the decoder has
-// one (DecodeMessageIn), and their signatures are then copied out of the
-// frame into one array. A result without approvals pays nothing, one
-// with eight pays three objects, not forty. The payload's own strings,
-// the policy attributes, spans and batch results are copies, or
-// substrings of d.Text. Nothing decoded aliases the frame.
+// decodeFields leaves the approvals as the bytes they came in (DESIGN.md
+// §6.6, "Who owns a frame"): Stack is the result's field-4 entries, in
+// order, and Approvals stays empty. A first pass walks every approval
+// down to its fields, so a torn one is refused here and never relayed,
+// and finds where the entries lie. Stack and the payload's own strings
+// are then cut from one string made from d.Buf, or from d.Text when
+// the decoder has one (DecodeMessageIn); entries that other fields
+// separate are joined into one string. A result without approvals pays
+// nothing for them, one with eight pays one string, not a list and a
+// signature array. The policy attributes, spans and batch results are
+// copies, or substrings of d.Text. Nothing decoded aliases the frame.
 func (p *ResultPayload) decodeFields(d *wire.Dec) error {
-	n := 0
+	first, last, size := 0, 0, 0
 	for c := *d; c.More(); {
+		at := c.Offset()
 		f, wt := c.Tag()
-		if f == 4 && wt == wire.TBytes {
-			n++
+		if f != 4 || wt != wire.TBytes {
+			c.Skip(wt)
+			continue
 		}
-		c.Skip(wt)
+		a := wire.Dec{Buf: c.Bytes()}
+		for a.More() {
+			_, wt := a.Tag()
+			a.Skip(wt)
+		}
+		if err := a.Err(); err != nil {
+			return err
+		}
+		if size == 0 {
+			first = at
+		}
+		size += c.Offset() - at
+		last = c.Offset()
 	}
-	text := d.Text
-	if n > 0 {
-		p.Approvals = make([]DomainApproval, 0, n+1)
-		if text == "" {
-			text = string(d.Buf)
+	var joined strings.Builder // the entries, when other fields lie between them
+	if size > 0 {
+		if d.Text == "" {
+			d.Text = string(d.Buf)
+		}
+		if last-first == size {
+			p.Stack = d.Text[first:last]
+		} else {
+			joined.Grow(size)
 		}
 	}
 	for d.More() {
+		at := d.Offset()
 		f, wt := d.Tag()
 		switch {
 		case f == 1 && wt == wire.TVarint:
@@ -586,10 +608,9 @@ func (p *ResultPayload) decodeFields(d *wire.Dec) error {
 		case f == 3 && wt == wire.TBytes:
 			p.Handle = d.String()
 		case f == 4 && wt == wire.TBytes:
-			sub := d.NestedIn(text)
-			p.Approvals = append(p.Approvals, DomainApproval{})
-			if err := p.Approvals[len(p.Approvals)-1].decodeFields(&sub); err != nil {
-				return err
+			d.Skip(wt)
+			if joined.Cap() > 0 {
+				joined.WriteString(d.Text[at:d.Offset()])
 			}
 		case f == 5 && wt == wire.TBytes:
 			if p.PolicyInfo == nil {
@@ -620,33 +641,53 @@ func (p *ResultPayload) decodeFields(d *wire.Dec) error {
 			skipUnknown(d, wt)
 		}
 	}
-	if d.Err() != nil {
-		return d.Err()
+	if joined.Cap() > 0 {
+		p.Stack = joined.String()
 	}
-	ownSignatures(p.Approvals)
-	return nil
+	return d.Err()
 }
 
-// ownSignatures moves the approvals' signatures, sub-slices of the frame
-// they were decoded from, into one array of their own, each capped at
-// its own end.
-func ownSignatures(approvals []DomainApproval) {
-	size := 0
-	for i := range approvals {
-		size += len(approvals[i].Signature)
+// DecodedApprovals returns every approval of the result, destination
+// first: Stack decoded, then Approvals. p is left as it is. The decoded
+// approvals' strings are substrings of Stack, and their signatures share
+// one copy of its bytes; that copy and the list are all it allocates.
+func (p *ResultPayload) DecodedApprovals() ([]DomainApproval, error) {
+	if p.Stack == "" {
+		return p.Approvals, nil
 	}
-	if size == 0 {
-		return
+	buf := []byte(p.Stack)
+	n := 0
+	for c := (wire.Dec{Buf: buf}); c.More(); n++ {
+		if f, wt := c.Tag(); f != 4 || wt != wire.TBytes {
+			return nil, fmt.Errorf("signalling: approval stack holds field %d of wire type %d", f, wt)
+		}
+		c.Skip(wire.TBytes)
 	}
-	sigs := make([]byte, 0, size)
-	for i := range approvals {
-		a := &approvals[i]
-		if a.Signature != nil {
-			at := len(sigs)
-			sigs = append(sigs, a.Signature...)
-			a.Signature = sigs[at:len(sigs):len(sigs)]
+	out := make([]DomainApproval, n, n+len(p.Approvals))
+	d := wire.Dec{Buf: buf, Text: p.Stack}
+	for i := range n {
+		d.Tag()
+		sub := d.Nested()
+		if err := out[i].decodeFields(&sub); err != nil {
+			return nil, err
 		}
 	}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	return append(out, p.Approvals...), nil
+}
+
+// DecodeApprovals moves the approval stack into Approvals, below the
+// approvals already there (DecodedApprovals), for a reader that checks
+// or prints them.
+func (p *ResultPayload) DecodeApprovals() error {
+	all, err := p.DecodedApprovals()
+	if err != nil {
+		return err
+	}
+	p.Approvals, p.Stack = all, ""
+	return nil
 }
 
 // encBufPool recycles encode buffers for the RPC send paths. Both

@@ -13,6 +13,7 @@ import (
 	"e2eqos/internal/identity"
 	"e2eqos/internal/obs"
 	"e2eqos/internal/transport"
+	"e2eqos/internal/wire"
 )
 
 // goldenMessages is one deterministic message per wire type. The
@@ -203,6 +204,13 @@ func TestGoldenWireVectors(t *testing.T) {
 			t.Errorf("%s: golden bytes failed to decode: %v", g.name, err)
 			continue
 		}
+		// A decoded result holds its approvals as the bytes they came in.
+		if r := dec.Result; r != nil {
+			if err := r.DecodeApprovals(); err != nil {
+				t.Errorf("%s: approvals failed to decode: %v", g.name, err)
+				continue
+			}
+		}
 		if !reflect.DeepEqual(dec, g.msg) {
 			t.Errorf("%s: golden bytes decoded to\n%+v\nwant\n%+v", g.name, dec, g.msg)
 		}
@@ -259,6 +267,50 @@ func TestBinaryFramesSkipUnknownFields(t *testing.T) {
 	}
 	if msg.Cancel == nil || msg.Cancel.RARID != "R" || msg.ID != 9 {
 		t.Fatalf("known fields lost around unknown ones: %+v", msg)
+	}
+}
+
+// TestResultStackIsItsApprovalEntries: a decoded result holds its
+// approvals as the field-4 entries of its frame, byte for byte, joined
+// in order when other fields lie between them, and they decode to the
+// approvals that were encoded. An approval torn inside a well-framed
+// entry is refused when the result is decoded, so no hop relays it.
+func TestResultStackIsItsApprovalEntries(t *testing.T) {
+	claims := []DomainApproval{
+		{Domain: "Domain2", BBDN: "/O=Grid/CN=bb-2", RARID: "RAR-1", Handle: "h-2", Granted: true, Signature: []byte{0xDE, 0xAD}},
+		{Domain: "Domain1", BBDN: "/O=Grid/CN=bb-1", Handle: "h-1", Granted: true},
+		{Domain: "Domain0", BBDN: "/O=Grid/CN=bb-0", Handle: "h-0", Granted: true},
+	}
+	entry := func(a DomainApproval) []byte {
+		buf, start := wire.BeginNested(nil, 4)
+		return wire.EndNested(a.appendFields(buf), start)
+	}
+	frame := []byte{BinMagic, BinVersion, typeCode(MsgResult), 7, 0x08, 0x01}
+	frame = append(frame, entry(claims[0])...)
+	frame = wire.AppendString(frame, 2, "between")
+	frame = append(frame, entry(claims[1])...)
+	frame = wire.AppendString(frame, 6, "T-1")
+	frame = append(frame, entry(claims[2])...)
+	msg, err := DecodeMessage(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := msg.Result
+	if want := string(entry(claims[0])) + string(entry(claims[1])) + string(entry(claims[2])); r.Stack != want {
+		t.Fatalf("stack\n % x\nwant the entries joined\n % x", r.Stack, want)
+	}
+	if r.Reason != "between" || r.TraceID != "T-1" || !r.Granted {
+		t.Fatalf("fields between the entries decoded as %+v", r)
+	}
+	if err := r.DecodeApprovals(); err != nil || !reflect.DeepEqual(r.Approvals, claims) || r.Stack != "" {
+		t.Fatalf("approvals decoded to %+v, stack %q (err %v), want %+v", r.Approvals, r.Stack, err, claims)
+	}
+
+	torn := []byte{BinMagic, BinVersion, typeCode(MsgResult), 7}
+	torn = append(torn, entry(claims[0])...)
+	torn = append(torn, 0x22, 0x03, 0x0a, 0x05, 'D') // a domain string longer than its entry
+	if _, err := DecodeMessage(torn); err == nil {
+		t.Fatal("a result carrying a torn approval decoded")
 	}
 }
 

@@ -2,6 +2,7 @@ package signalling
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"e2eqos/internal/wire"
@@ -14,10 +15,11 @@ import (
 // re-encode to a frame the codec maps to itself — decode then encode
 // returns every frame the encoder could have produced. A result keeps
 // nothing of its frame: it re-encodes the same once the frame is
-// zeroed, and its approval stack has one slot to spare. Batch payloads that
-// decode must additionally never panic Validate, stay within
-// MaxBatchOps, and get from Validate the verdict the map-based oracle
-// gives them, whichever way it falls.
+// zeroed. It holds its approvals as the bytes they came in, which decode
+// (DecodeApprovals), and to the same approvals again once re-encoded.
+// Batch payloads that decode must additionally never panic Validate,
+// stay within MaxBatchOps, and get from Validate the verdict the
+// map-based oracle gives them, whichever way it falls.
 func FuzzDecodeMessage(f *testing.F) {
 	batch := func(seq, acked int64, ops ...TunnelOp) []byte {
 		return (&Message{Type: MsgTunnelBatch, ID: 4, TunnelBatch: &TunnelBatchPayload{
@@ -54,9 +56,10 @@ func FuzzDecodeMessage(f *testing.F) {
 		[]byte("\x00\x01\x02"),
 		[]byte(``),
 	}
-	// Results whose approvals a first pass must count right: an unknown
-	// field between two approvals, a field 4 of the varint wire type,
-	// and a last approval cut short.
+	// Results whose approvals a first pass must find: an unknown field
+	// between two approvals, a field 4 of the varint wire type, a last
+	// approval cut short, and a well-framed approval torn inside, which
+	// must be refused, not relayed.
 	approval := func(domain string) []byte {
 		a := DomainApproval{Domain: domain, BBDN: "/O=Grid/CN=bb", RARID: "RAR-1", Granted: true, Signature: []byte{0xDE, 0xAD}}
 		buf, start := wire.BeginNested(nil, 4)
@@ -77,6 +80,14 @@ func FuzzDecodeMessage(f *testing.F) {
 		result(approval("A"), []byte{0x20, 0x05}, approval("B")),
 		result(approval("A"), approval("B")[:20]),
 		result([]byte{0x08, 0x01}, approval("C"), claim("B"), claim("A")),
+		result(approval("A"), []byte{0x22, 0x03, 0x0a, 0x05, 'B'}),
+		result(approval("A"), []byte{0x22, 0x02, 0x28, 0x80}),
+	)
+	// Approvals that other fields of the result separate: a reason, a
+	// policy attribute and a trace id between the claims of a grant.
+	seeds = append(seeds,
+		result([]byte{0x08, 0x01}, claim("C"), []byte{0x12, 0x01, 'r'}, claim("B"), []byte{0x2a, 0x04, 0x01, 'k', 0x01, 'v'}, claim("A")),
+		result(approval("A"), []byte{0x32, 0x02, 'T', '1'}, approval("B"), []byte{0x1a, 0x01, 'h'}),
 	)
 	// Each golden frame and each frame of a retired type (which must
 	// fail), plus the malformed shapes the decoder must classify without
@@ -156,8 +167,16 @@ func FuzzDecodeMessage(f *testing.F) {
 			t.Fatalf("decode then encode changed an encoded frame:\n in  % x\n out % x", enc, re)
 		}
 		if r := msg.Result; r != nil {
-			if len(r.Approvals) > 0 && cap(r.Approvals) != len(r.Approvals)+1 {
-				t.Fatalf("a stack of %d approvals decoded with capacity %d, want one to spare", len(r.Approvals), cap(r.Approvals))
+			if len(r.Approvals) > 0 {
+				t.Fatalf("a result decoded %d approvals, want them left in its stack", len(r.Approvals))
+			}
+			approvals, err := r.DecodedApprovals()
+			if err != nil {
+				t.Fatalf("a result decoded with a stack that does not: %v\n % x", err, r.Stack)
+			}
+			reapprovals, err := again.Result.DecodedApprovals()
+			if err != nil || !reflect.DeepEqual(reapprovals, approvals) {
+				t.Fatalf("re-encoded approvals decode to\n %+v (err %v)\nwant\n %+v", reapprovals, err, approvals)
 			}
 			frame := bytes.Clone(data)
 			owned, err := DecodeMessage(frame)

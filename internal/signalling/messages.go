@@ -338,18 +338,24 @@ func (p *JournalStreamPayload) Reply(granted bool, ack, term int64) *Message {
 	return &p.reply
 }
 
-// ResultPayload answers any request. For reserve requests, Approvals
-// carries one approval per domain on the path, destination first. A
+// ResultPayload answers any request. For reserve requests, the approvals
+// carry one approval per domain on the path, destination first. A
 // grant's are claims under the destination's one statement (SignGrant);
 // a denial's are refusals, each signed by the hop that appended it on
-// the way back upstream.
+// the way back upstream. They travel as Stack, then Approvals.
 type ResultPayload struct {
 	Granted bool
 	Reason  string
 	// Handle is the local reservation handle in the responding domain.
 	Handle string
-	// Approvals are the grant's claims or the denial's refusals,
-	// destination first.
+	// Stack is the approvals a result was answered with, encoded, as
+	// they came: a decoded result holds all of its approvals here, and a
+	// broker passes them on without reading them. DecodeApprovals turns
+	// them into Approvals for a reader that checks them.
+	Stack string
+	// Approvals are the grant's claims or the denial's refusals that
+	// follow Stack: on a decoded result, none until DecodeApprovals; on
+	// a result a broker builds, the ones it adds.
 	Approvals []DomainApproval
 	// PolicyInfo carries returned attributes (cost quotes etc.).
 	PolicyInfo map[string]string
@@ -475,9 +481,9 @@ func Statements(approvals []DomainApproval) ([][]DomainApproval, error) {
 }
 
 // VerifyGrant checks a grant's statements against the keys keyOf knows
-// by domain. It refuses a result that is not a grant, a grant without a
-// statement, an unsigned claim no statement covers, and statements about
-// different RARs; a statement whose signature does not cover its claims
+// by domain, its approvals decoded or not. It refuses a result that is
+// not a grant, a grant without a statement, an unsigned claim no
+// statement covers, and statements about different RARs; a statement whose signature does not cover its claims
 // as they stand — one altered, dropped, reordered or spliced in, or a
 // refusal turned into a grant — is refused naming its signer; then a
 // claim from a domain keyOf does not know, or one that does not say
@@ -487,7 +493,11 @@ func VerifyGrant(res *ResultPayload, keyOf func(domain string) (identity.PublicK
 	if !res.Granted {
 		return fmt.Errorf("signalling: result is not a grant")
 	}
-	stmts, err := Statements(res.Approvals)
+	approvals, err := res.DecodedApprovals()
+	if err != nil {
+		return err
+	}
+	stmts, err := Statements(approvals)
 	if err != nil {
 		return err
 	}
@@ -536,10 +546,9 @@ func DecodeMessage(data []byte) (*Message, error) {
 // DecodeMessageIn is DecodeMessage for a caller that keeps the message
 // and holds the frame's bytes as a string too — a substring of one copy
 // of a larger record, say: text must equal string(data). Every string
-// of the message is cut from text rather than copied. A result keeps
-// nothing of data, its approvals' signatures being copied into one
-// array of its own; a reserve's envelope and a stream message's records
-// alias data as they always do. A result message and its payload come
+// of the message is cut from text rather than copied, a result's Stack
+// included: a result keeps nothing of data. A reserve's envelope and a
+// stream message's records alias data as they always do. A result message and its payload come
 // in one allocation.
 func DecodeMessageIn(data []byte, text string) (*Message, error) {
 	m := newResult(ResultPayload{})

@@ -254,6 +254,9 @@ type Dec struct {
 // Err returns the sticky decode error, nil while healthy.
 func (d *Dec) Err() error { return d.err }
 
+// Offset is the position in Buf of the next byte to decode.
+func (d *Dec) Offset() int { return d.off }
+
 // More reports whether undecoded bytes remain and no error occurred.
 func (d *Dec) More() bool { return d.err == nil && d.off < len(d.Buf) }
 

@@ -38,13 +38,19 @@
 #                          (TestFollowerStreamApplyAllocationBound:
 #                          <= 8 and 0),
 #                          QHist Observe, event append, ledger reads,
-#                          signature verify, a warm chain Verify (the
-#                          same count at 2 and 8 layers, <= 6; <= 7
-#                          when every broker layer carries a claim), Open
-#                          into a used chain (1 object at any depth), a
-#                          policy decision (0), one 8-domain World
-#                          reserve + cancel (TestReserveChainAllocationBound:
-#                          <= 269 objects), the same objects for every
+#                          signature verify and AppendSign (0), a warm
+#                          chain Verify (the same count at 2 and 8
+#                          layers, <= 6; <= 7 when every broker layer
+#                          carries a claim), Open into a used chain
+#                          through a DN table of its brokers (the
+#                          user's DN at any depth, and one string copy
+#                          of an onion that carries policy attributes),
+#                          a recycled Extend (0), a policy
+#                          decision (0), one 8-domain World reserve +
+#                          cancel (TestReserveChainAllocationBound:
+#                          <= 239 objects;
+#                          TestReserveChainByteAllocationBound: <= 56
+#                          KiB), the same objects for every
 #                          domain a reserve crosses, from 3 to 8
 #                          (TestReserveAllocationBoundPerDomain), the
 #                          signatures each broker of a 3-, 5- and

@@ -23,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -263,45 +264,60 @@ func printResult(rarID string, resp *signalling.Message) {
 	if resp.Result == nil {
 		die("broker sent no result")
 	}
-	r := resp.Result
-	if !r.Granted {
-		fmt.Printf("DENIED %s: %s\n", rarID, r.Reason)
-		printTrace(r)
-		os.Exit(1)
-	}
-	fmt.Printf("GRANTED %s handle=%s\n", rarID, r.Handle)
-	if err := r.DecodeApprovals(); err != nil {
+	granted, err := writeResult(os.Stdout, rarID, resp.Result)
+	if err != nil {
 		die("%v", err)
 	}
-	printStatements(r.Approvals)
-	for _, k := range obs.SortedKeys(r.PolicyInfo) {
-		fmt.Printf("  info: %s=%s\n", k, r.PolicyInfo[k])
+	if !granted {
+		os.Exit(1)
 	}
-	printTrace(r)
 }
 
-// printStatements lists a grant's statements, each signed by the
+// writeResult writes an answer as qosctl prints it and reports whether
+// it granted. A grant's statements are listed; a granted answer without
+// approvals — a status or cancel answer — lists none.
+func writeResult(w io.Writer, rarID string, r *signalling.ResultPayload) (bool, error) {
+	if !r.Granted {
+		fmt.Fprintf(w, "DENIED %s: %s\n", rarID, r.Reason)
+		writeTrace(w, r)
+		return false, nil
+	}
+	fmt.Fprintf(w, "GRANTED %s handle=%s\n", rarID, r.Handle)
+	if err := r.DecodeApprovals(); err != nil {
+		return true, err
+	}
+	if len(r.Approvals) > 0 {
+		writeStatements(w, r.Approvals)
+	}
+	for _, k := range obs.SortedKeys(r.PolicyInfo) {
+		fmt.Fprintf(w, "  info: %s=%s\n", k, r.PolicyInfo[k])
+	}
+	writeTrace(w, r)
+	return true, nil
+}
+
+// writeStatements lists a grant's statements, each signed by the
 // destination of one path over that path's claims, and their claims.
-func printStatements(approvals []signalling.DomainApproval) {
+func writeStatements(w io.Writer, approvals []signalling.DomainApproval) {
 	stmts, err := signalling.Statements(approvals)
 	if err != nil {
-		fmt.Printf("  %v\n", err)
+		fmt.Fprintf(w, "  %v\n", err)
 		return
 	}
 	for _, claims := range stmts {
-		fmt.Printf("  granted: statement by %s over %d claims\n", claims[0].Domain, len(claims))
+		fmt.Fprintf(w, "  granted: statement by %s over %d claims\n", claims[0].Domain, len(claims))
 		for _, c := range claims {
-			fmt.Printf("    claim: domain=%s bb=%s handle=%s\n", c.Domain, c.BBDN, c.Handle)
+			fmt.Fprintf(w, "    claim: domain=%s bb=%s handle=%s\n", c.Domain, c.BBDN, c.Handle)
 		}
 	}
 }
 
-// printTrace renders the per-hop timeline of a traced reserve; on a
+// writeTrace renders the per-hop timeline of a traced reserve; on a
 // denial it names the hop that refused (or timed out) and shows where
 // the chain's time went.
-func printTrace(r *signalling.ResultPayload) {
+func writeTrace(w io.Writer, r *signalling.ResultPayload) {
 	if len(r.Trace) == 0 {
 		return
 	}
-	fmt.Print(obs.RenderTimeline(r.TraceID, r.Trace))
+	fmt.Fprint(w, obs.RenderTimeline(r.TraceID, r.Trace))
 }

@@ -15,6 +15,7 @@ import (
 
 	"e2eqos/internal/core"
 	"e2eqos/internal/dataplane"
+	"e2eqos/internal/envelope"
 	"e2eqos/internal/identity"
 	"e2eqos/internal/journal"
 	"e2eqos/internal/obs"
@@ -277,6 +278,15 @@ func New(cfg Config) (*BB, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The brokers an onion names are the topology's: their DNs decode
+	// as the topology's strings, and only a user's DN is copied.
+	brokers := []identity.DN{cfg.Key.DN}
+	for _, name := range cfg.Topo.Domains() {
+		if d, _ := cfg.Topo.Domain(name); d.BBDN != "" {
+			brokers = append(brokers, d.BBDN)
+		}
+	}
+	proto.DNs = envelope.NewDNTable(brokers)
 	table, err := resv.NewTable("net-"+cfg.Domain, cfg.Capacity)
 	if err != nil {
 		return nil, err

@@ -60,7 +60,7 @@ func (b *BB) handleReserve(peer signalling.Peer, payload *signalling.ReservePayl
 	if payload.TraceID != "" {
 		span = &obs.Span{Domain: b.cfg.Domain, BB: string(b.cfg.Key.DN)}
 	}
-	env, err := payload.Envelope()
+	env, err := payload.EnvelopeFrom(peer.DN)
 	if err != nil {
 		b.m.denied.Inc()
 		b.log.Warn("reserve: malformed envelope", obs.AttrPeer, string(peer.DN), "err", err)
@@ -485,6 +485,9 @@ func (b *BB) send(fc *forwardCtx, nd *topology.Domain, leg *signalling.ReservePa
 	b.m.forwarded.Inc()
 	tDown := time.Now()
 	downstream, retries, err := b.callPeer(nd.BBDN, fwd)
+	// Every attempt encoded its frame from the envelope and the transport
+	// copied it before the call returned: nothing reads the layer now.
+	b.proto.Recycle(extended)
 	b.m.downstreamSeconds.ObserveSince(tDown)
 	if fc.span != nil {
 		// Accumulate: a re-routing ingress forwards more than once.
@@ -658,7 +661,7 @@ func (b *BB) claimStack(v *core.VerifiedRequest) ([]signalling.DomainApproval, e
 	}
 	size := 0
 	for i, c := range v.Claims {
-		if c == "" {
+		if len(c) == 0 {
 			return nil, fmt.Errorf("layer of %s carries no admission claim", v.Path[i+1])
 		}
 		size += len(c)
@@ -666,7 +669,7 @@ func (b *BB) claimStack(v *core.VerifiedRequest) ([]signalling.DomainApproval, e
 	var text strings.Builder
 	text.Grow(size)
 	for _, c := range v.Claims {
-		text.WriteString(c)
+		text.Write(c)
 	}
 	handles := text.String()
 	stack := make([]signalling.DomainApproval, len(v.Claims)+1)

@@ -1,8 +1,11 @@
 package bb_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -367,4 +370,106 @@ func TestDeadPeerRestartRecovers(t *testing.T) {
 	if err := w.VerifyApprovals(res); err != nil {
 		t.Fatalf("approval signature check after restart: %v", err)
 	}
+}
+
+// TestRetriedReserveResendsTheSameLayer: a forwarding hop seals its
+// layer into a buffer it takes back only once the call that sent the
+// layer has returned, retries included. The source's first answer from
+// below is lost; while the source backs off before its retry, another
+// user's reserve is sealed and forwarded by the same broker. The retried
+// frame must be byte for byte the first (its message id aside), and the
+// retried reserve is answered from the recorded outcome and granted
+// under a statement that verifies.
+func TestRetriedReserveResendsTheSameLayer(t *testing.T) {
+	var (
+		mu      sync.Mutex
+		frames  [][]byte // reserve frames the source sent, in order
+		dropped atomic.Bool
+	)
+	w, err := experiment.BuildWorld(experiment.WorldConfig{
+		NumDomains:  3,
+		CallTimeout: 150 * time.Millisecond,
+		EnableObs:   true,
+		Broker:      bb.Config{MaxRetries: 1, RetryBackoff: 250 * time.Millisecond},
+		WrapDialer: faultAt("Domain0", func(_ string, send bool, msg []byte) transport.FaultAction {
+			m, err := signalling.DecodeMessage(bytes.Clone(msg))
+			switch {
+			case err != nil:
+			case send && m.Type == signalling.MsgReserve:
+				mu.Lock()
+				frames = append(frames, bytes.Clone(msg))
+				mu.Unlock()
+			case !send && m.Type == signalling.MsgResult && dropped.CompareAndSwap(false, true):
+				return transport.FaultDrop
+			}
+			return transport.FaultPass
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	alice, err := w.NewUser("alice", "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(alice.Close)
+	bob, err := w.NewUser("bob", "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(bob.Close)
+
+	type outcome struct {
+		res *signalling.ResultPayload
+		err error
+	}
+	first := make(chan outcome, 1)
+	go func() {
+		res, err := alice.ReserveE2E(alice.NewSpec(experiment.SpecOptions{DestDomain: w.DestDomain(), Bandwidth: units.Mbps}))
+		first <- outcome{res, err}
+	}()
+	// The source counts a retry before it backs off: the first attempt
+	// has returned, and its layer must not have been handed back yet.
+	deadline := time.Now().Add(5 * time.Second)
+	for w.Metrics["Domain0"].Snapshot()["bb_retries_total"] < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the source never retried")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	other, err := bob.ReserveE2E(bob.NewSpec(experiment.SpecOptions{DestDomain: w.DestDomain(), Bandwidth: units.Mbps}))
+	if err != nil || !other.Granted {
+		t.Fatalf("reserve during the backoff: %v %+v", err, other)
+	}
+	got := <-first
+	if got.err != nil || !got.res.Granted {
+		t.Fatalf("retried reserve: %v %+v", got.err, got.res)
+	}
+	if err := w.VerifyApprovals(got.res); err != nil {
+		t.Fatalf("retried reserve's grant: %v", err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(frames) != 3 {
+		t.Fatalf("the source sent %d reserve frames, want 3 (first attempt, the other reserve, the retry)", len(frames))
+	}
+	if !bytes.Equal(frameBody(t, frames[2]), frameBody(t, frames[0])) {
+		t.Errorf("the retried frame differs from the first:\n first % x\n retry % x", frames[0], frames[2])
+	}
+	if bytes.Equal(frameBody(t, frames[1]), frameBody(t, frames[0])) {
+		t.Error("the other reserve's frame equals the first: the check above proves nothing")
+	}
+}
+
+// frameBody is a signalling frame without its header and message id.
+func frameBody(t *testing.T, frame []byte) []byte {
+	t.Helper()
+	const header = 3 // magic, version, type code
+	_, n := binary.Uvarint(frame[header:])
+	if n <= 0 {
+		t.Fatalf("frame % x has no message id", frame)
+	}
+	return frame[header+n:]
 }

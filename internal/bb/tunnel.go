@@ -44,9 +44,9 @@ func (b *BB) registerTunnelDest(verified *core.VerifiedRequest, peer signalling.
 	spec := verified.Spec
 	sourceBB := peer.DN
 	if len(verified.Path) > 1 {
-		// [user, BB_src, ...]; a layer's DN is cut from the string copy of
-		// the whole onion, which the endpoint must not keep alive.
-		sourceBB = identity.DN(strings.Clone(string(verified.Path[1])))
+		// [user, BB_src, ...]; a layer's DN is the broker's DN table's,
+		// or a copy of its own, never a slice of the frame.
+		sourceBB = verified.Path[1]
 	}
 	ep, err := tunnel.NewEndpoint(spec.RARID, spec.Bandwidth, spec.Window, sourceBB, spec.User)
 	if err != nil {

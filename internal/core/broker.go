@@ -36,6 +36,10 @@ type Broker struct {
 	// Directory, when set, resolves keys for layers that arrive
 	// without an introducing certificate (out-of-band distribution).
 	Directory KeyDirectory
+	// DNs, when set, holds the DNs the onions this broker verifies name
+	// besides their users', its topology's brokers, so that decoding one
+	// costs no copy of it (envelope.DNTable). It is read, never written.
+	DNs *envelope.DNTable
 	// OmitIntroducerCerts makes Extend leave the upstream certificate
 	// out of the wrapped layer: downstream verifiers must then use a
 	// Directory. This is the ablation knob for the §6.4 comparison of
@@ -52,6 +56,8 @@ type Broker struct {
 	// scratch pools the *verifyScratch that Verify works in; it too is
 	// the broker's own.
 	scratch sync.Pool
+	// seals pools the envelopes Extend seals into and Recycle takes back.
+	seals sync.Pool
 }
 
 // NewBroker assembles a protocol broker. cert, when given, must be
@@ -88,12 +94,12 @@ type VerifiedRequest struct {
 	// peer's signature without a check of their own.
 	Vouched int
 	// Claims are the admission claims the broker layers carry,
-	// Claims[i] the one Path[i+1] signed, "" where a layer carries none
-	// (envelope.Body.Claim). Only a request whose every layer was
+	// Claims[i] the one Path[i+1] signed, empty where a layer carries
+	// none (envelope.Body.Claim). Only a request whose every layer was
 	// checked has them: nil when a layer was vouched for, and when no
-	// layer carries a claim. They are cut from the onion's string, so
-	// whoever keeps one copies it.
-	Claims []string
+	// layer carries a claim. They are sub-slices of the frame the
+	// request came in, so whoever keeps one copies it.
+	Claims [][]byte
 }
 
 // Verify unwraps an inbound envelope received over a mutually
@@ -183,7 +189,7 @@ func (s *verifyScratch) Audit(c *envelope.Chain) bool {
 
 func (s *verifyScratch) verify(env *envelope.Envelope) (*VerifiedRequest, error) {
 	b, chain := s.b, &s.chain
-	if err := chain.Open(env, s, s); err != nil {
+	if err := chain.Open(env, b.DNs, s, s); err != nil {
 		return nil, err
 	}
 	for _, cert := range s.fresh {
@@ -231,14 +237,14 @@ func (s *verifyScratch) verify(env *envelope.Envelope) (*VerifiedRequest, error)
 
 // claims lists the broker layers' claims in path order, or nil: see
 // VerifiedRequest.Claims.
-func claims(chain *envelope.Chain) []string {
+func claims(chain *envelope.Chain) [][]byte {
 	if chain.Vouched() > 0 {
 		return nil
 	}
 	n := len(chain.Layers) - 1
 	for d := 0; d < n; d++ {
-		if chain.Layers[d].Body.Claim != "" {
-			out := make([]string, n)
+		if len(chain.Layers[d].Body.Claim) > 0 {
+			out := make([][]byte, n)
 			for i := range out {
 				out[i] = chain.Layers[n-1-i].Body.Claim
 			}
@@ -356,7 +362,10 @@ type Additions struct {
 // the upstream peer's certificate (introducing its key downstream),
 // names the next hop, re-delegates the capability chain to the next
 // broker and appends this domain's additions, if any, then signs the
-// whole layer (RAR_{N+1} of §6.4).
+// whole layer (RAR_{N+1} of §6.4). The layer, inner envelope and
+// signature included, is written into one buffer from the broker's
+// pool: a caller done with the envelope may hand it back (Recycle), and
+// one that keeps it need not.
 func (b *Broker) Extend(inbound *envelope.Envelope, upstreamCert []byte, verified *VerifiedRequest, nextHop *pki.Certificate, add *Additions) (*envelope.Envelope, error) {
 	if inbound == nil || verified == nil {
 		return nil, fmt.Errorf("core: Extend needs the inbound envelope and its verification")
@@ -373,7 +382,7 @@ func (b *Broker) Extend(inbound *envelope.Envelope, upstreamCert []byte, verifie
 		NextHopDN:       nextHop.SubjectDN(),
 	}
 	if add != nil {
-		body.Claim, body.PolicyInfo = add.Claim, add.PolicyInfo
+		body.Claim, body.PolicyInfo = []byte(add.Claim), add.PolicyInfo
 	}
 	if len(verified.Capabilities) > 0 {
 		hopPub := nextHop.PublicKey()
@@ -388,5 +397,22 @@ func (b *Broker) Extend(inbound *envelope.Envelope, upstreamCert []byte, verifie
 		}
 		body.CapabilityDERs = [][]byte{delegated.DER}
 	}
-	return envelope.Seal(b.Key, body)
+	sealed, _ := b.seals.Get().(*envelope.Envelope)
+	if sealed == nil {
+		sealed = new(envelope.Envelope)
+	}
+	if err := envelope.SealInto(sealed, b.Key, &body); err != nil {
+		b.seals.Put(sealed)
+		return nil, err
+	}
+	return sealed, nil
+}
+
+// Recycle hands back an envelope Extend returned, once nothing reads it
+// any more: the next Extend seals into its buffer. An envelope sent on
+// is done with once the call that sent it has returned, retries
+// included, since a frame is encoded from it and copied before the call
+// returns (DESIGN.md §6.6, "Who owns a frame").
+func (b *Broker) Recycle(e *envelope.Envelope) {
+	b.seals.Put(e)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -169,7 +170,7 @@ func TestEndToEndPropagation(t *testing.T) {
 	}
 	// Each broker layer's admission claim, in path order: the audit
 	// that checked every layer hands them over.
-	if !slices.Equal(vC.Claims, []string{"DomainA-1", "DomainB-1"}) {
+	if got := fmt.Sprintf("%s", vC.Claims); got != "[DomainA-1 DomainB-1]" {
 		t.Errorf("claims = %q, want each broker layer's in path order", vC.Claims)
 	}
 }

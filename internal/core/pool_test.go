@@ -40,7 +40,7 @@ func frameOf(env *envelope.Envelope) []byte {
 // once its exchange is over. What Verify returned must not change.
 func (r *poolRequest) verifyFrame(b *Broker, now time.Time) (*VerifiedRequest, error) {
 	frame := bytes.Clone(r.frame)
-	env, err := envelope.Decode(frame)
+	env, err := envelope.Decode(frame, r.peerDN)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +180,7 @@ func residue(v reflect.Value, path string) string {
 
 // TestPooledVerifyKeepsNothingOfTheLast: once Verify has returned, the
 // scratch it worked in holds nothing of the request — no sub-slice of
-// its frame, no DN cut from the onion's string, no error, no broker —
+// its frame, no DN, no policy attribute, no error, no broker —
 // only the capacity of its arrays. A destination verifies an 8-layer
 // request, a 2-layer one, a forged one and so on in turn: each outcome
 // is what a broker that had pooled nothing says, each survives its

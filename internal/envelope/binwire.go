@@ -3,7 +3,6 @@ package envelope
 import (
 	"fmt"
 
-	"e2eqos/internal/identity"
 	"e2eqos/internal/wire"
 )
 
@@ -41,28 +40,24 @@ func appendEnvelope(buf []byte, e *Envelope) []byte {
 // decodeEnvelope parses one binary envelope into e, in place: Payload
 // and Signature are sub-slices of d.Buf, and so the caller's to keep
 // only for as long as it owns those bytes (DESIGN.md §6.6, "Who owns a
-// frame"). SignerDN is a substring of d.Text when the decoder has one
-// and a copy otherwise.
-func decodeEnvelope(e *Envelope, d wire.Dec) error {
+// frame"). It leaves SignerDN empty and returns the signer's name as
+// the bytes it is, for the caller to make a DN of.
+func decodeEnvelope(e *Envelope, d wire.Dec) (signer []byte, err error) {
 	if len(d.Buf) < 2 || d.Buf[0] != envMagic {
-		return fmt.Errorf("envelope: not a binary envelope")
+		return nil, fmt.Errorf("envelope: not a binary envelope")
 	}
 	if d.Buf[1] != envVersion {
-		return fmt.Errorf("envelope: unsupported version %d", d.Buf[1])
+		return nil, fmt.Errorf("envelope: unsupported version %d", d.Buf[1])
 	}
 	d.Buf = d.Buf[2:]
-	if d.Text != "" {
-		d.Text = d.Text[2:]
-	}
 	*e = Envelope{}
 	for d.More() {
 		f, wt := d.Tag()
 		switch {
 		case f == 1 && wt == wire.TBytes:
-			e.SignerDN = identity.DN(d.String())
+			signer = d.Bytes()
 		case f == 2 && wt == wire.TBytes:
-			payload := d.Nested()
-			e.Payload, e.text = payload.Buf, payload.Text
+			e.Payload = d.Bytes()
 		case f == 3 && wt == wire.TBytes:
 			e.Signature = d.Bytes()
 		default:
@@ -70,9 +65,9 @@ func decodeEnvelope(e *Envelope, d wire.Dec) error {
 		}
 	}
 	if err := d.Err(); err != nil {
-		return fmt.Errorf("envelope: decode: %w", err)
+		return nil, fmt.Errorf("envelope: decode: %w", err)
 	}
-	return nil
+	return signer, nil
 }
 
 // bodySize is the length of b's canonical field encoding: every field's
@@ -108,51 +103,51 @@ func appendBody(buf []byte, b *Body) []byte {
 	}
 	buf = wire.AppendStringMap(buf, 6, b.PolicyInfo)
 	buf = wire.AppendTime(buf, 7, b.Timestamp)
-	buf = wire.AppendString(buf, 8, b.Claim)
+	buf = wire.AppendBytes(buf, 8, b.Claim)
 	return buf
 }
 
 // decodeBody parses a payload produced by appendBody into b, in place:
-// every bytes field of the body, and of the envelope inside it, is a
-// sub-slice of data. text, when set, holds the same bytes as data, and
-// the layer's DNs, claim and policy attributes are substrings of it: one copy
-// per onion, made by Open, serves every layer. The envelope nested
-// in the body, if any, is decoded into inner and reported by hasInner;
-// b.Inner is left as the caller set it. b keeps its capability array
-// and policy map.
-func decodeBody(b *Body, inner *Envelope, data []byte, text string) (hasInner bool, err error) {
+// every bytes field of the body, the claim included, and of the envelope
+// inside it, is a sub-slice of data. The layer's DNs, the signer of the
+// envelope inside and its policy attributes are made by n.
+// The envelope nested in the body, if any, is decoded into inner and
+// reported by hasInner; b.Inner is left as the caller set it. b keeps
+// its capability array and policy map.
+func decodeBody(b *Body, inner *Envelope, data []byte, n *names) (hasInner bool, err error) {
 	b.reset()
-	d := wire.Dec{Buf: data, Text: text}
+	d := wire.Dec{Buf: data}
 	for d.More() {
 		f, wt := d.Tag()
 		switch {
 		case f == 1 && wt == wire.TBytes:
-			if err := decodeEnvelope(inner, d.Nested()); err != nil {
+			signer, err := decodeEnvelope(inner, d.Nested())
+			if err != nil {
 				return false, err
 			}
-			hasInner = true
+			inner.SignerDN, hasInner = n.dn(signer), true
 		case f == 2 && wt == wire.TBytes:
 			b.Request = d.Bytes()
 		case f == 3 && wt == wire.TBytes:
 			b.UpstreamCertDER = d.Bytes()
 		case f == 4 && wt == wire.TBytes:
-			b.NextHopDN = identity.DN(d.String())
+			b.NextHopDN = n.dn(d.Bytes())
 		case f == 5 && wt == wire.TBytes:
 			b.CapabilityDERs = append(b.CapabilityDERs, d.Bytes())
 		case f == 6 && wt == wire.TBytes:
 			pair := d.Nested()
-			k, v := pair.String(), pair.String()
+			k, v := pair.Bytes(), pair.Bytes()
 			if err := pair.Err(); err != nil {
 				return false, fmt.Errorf("envelope: decode body: %w", err)
 			}
 			if b.PolicyInfo == nil {
 				b.PolicyInfo = make(map[string]string)
 			}
-			b.PolicyInfo[k] = v
+			b.PolicyInfo[n.attr(k)] = n.attr(v)
 		case f == 7 && wt == wire.TBytes:
 			b.Timestamp = wire.DecodeTime(d.Bytes())
 		case f == 8 && wt == wire.TBytes:
-			b.Claim = d.String()
+			b.Claim = d.Bytes()
 		default:
 			d.Skip(wt)
 		}

@@ -41,10 +41,10 @@ type Envelope struct {
 	Payload []byte
 	// Signature is SignerDN's signature over Payload.
 	Signature []byte
-	// text, when set, holds the same bytes as Payload: the slice of the
-	// onion's one string copy that a layer decoded under it gets, so
-	// decoding this layer's body copies no DN either.
-	text string
+	// sealed is the buffer a seal wrote Payload and Signature into, one
+	// behind the other; a later SealInto reuses it. A decoded envelope
+	// has none.
+	sealed []byte
 }
 
 // Body is the content of one envelope layer. Exactly one of Inner or
@@ -83,8 +83,9 @@ type Body struct {
 	// request under, written into the layer it signs onward: the
 	// destination lists every layer's claim in the grant it signs
 	// (DESIGN.md §6.11, "Why a grant is one signature"). Empty in the
-	// user's layer.
-	Claim string
+	// user's layer. Decoded, it is a sub-slice of the frame like the
+	// body's other bytes.
+	Claim []byte
 	// Timestamp records when the layer was created.
 	Timestamp time.Time
 }
@@ -92,15 +93,33 @@ type Body struct {
 // Seal signs body with the given key and returns the envelope layer.
 // The signature covers the body's canonical binary encoding.
 func Seal(signer *identity.KeyPair, body Body) (*Envelope, error) {
+	e := new(Envelope)
+	if err := SealInto(e, signer, &body); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// SealInto is Seal into e, whatever e held before: the payload and the
+// signature behind it are written into one buffer, the one an earlier
+// seal of e wrote into when that is large enough, else a new one of
+// exactly the layer's size. A zero body.Timestamp is set to now.
+func SealInto(e *Envelope, signer *identity.KeyPair, body *Body) error {
 	if body.Timestamp.IsZero() {
 		body.Timestamp = time.Now()
 	}
-	payload := appendBody(make([]byte, 0, bodySize(&body)), &body)
-	sig, err := signer.Sign(payload)
-	if err != nil {
-		return nil, fmt.Errorf("envelope: sign: %w", err)
+	n := bodySize(body)
+	buf := e.sealed[:0]
+	if cap(buf) < n+identity.SignatureSize {
+		buf = make([]byte, 0, n+identity.SignatureSize)
 	}
-	return &Envelope{SignerDN: signer.DN, Payload: payload, Signature: sig}, nil
+	buf = appendBody(buf, body)
+	buf, err := signer.AppendSign(buf, buf)
+	if err != nil {
+		return fmt.Errorf("envelope: sign: %w", err)
+	}
+	*e = Envelope{SignerDN: signer.DN, Payload: buf[:n:n], Signature: buf[n:], sealed: buf}
+	return nil
 }
 
 // verify checks the layer's signature over its payload bytes.
@@ -112,10 +131,11 @@ func (e *Envelope) verify(pub identity.PublicKey) error {
 }
 
 // peekBody decodes e's body into b and the envelope nested in it, if
-// any, into inner; hasInner reports whether there was one. b.Inner is
-// left for the caller to point at wherever it keeps inner.
-func (e *Envelope) peekBody(b *Body, inner *Envelope, text string) (hasInner bool, err error) {
-	if hasInner, err = decodeBody(b, inner, e.Payload, text); err != nil {
+// any, into inner, their DNs through n; hasInner reports whether there
+// was one. b.Inner is left for the caller to point at wherever it keeps
+// inner.
+func (e *Envelope) peekBody(b *Body, inner *Envelope, n *names) (hasInner bool, err error) {
+	if hasInner, err = decodeBody(b, inner, e.Payload, n); err != nil {
 		return false, fmt.Errorf("envelope: body signed by %s: %w", e.SignerDN, err)
 	}
 	return hasInner, nil
@@ -143,6 +163,7 @@ type Chain struct {
 	Layers  []Layer
 	Request []byte
 	run     run
+	names   names
 	vouched int // inner layers the last Open accepted unchecked
 }
 
@@ -190,8 +211,8 @@ func (c *Chain) Verified() int { return int(c.run.verified.Load()) }
 func (c *Chain) Vouched() int { return c.vouched }
 
 // Reset drops everything the chain holds of the onion it last
-// unwrapped — every sub-slice of its frame, every DN cut from its
-// string, every error — and keeps the arrays.
+// unwrapped — every sub-slice of its frame, every DN, every error — and
+// keeps the arrays.
 func (c *Chain) Reset() {
 	for i := range c.Layers {
 		c.Layers[i].Env = Envelope{}
@@ -199,6 +220,7 @@ func (c *Chain) Reset() {
 	}
 	c.Layers = c.Layers[:0]
 	c.Request = nil
+	c.names = names{}
 	clear(c.run.errs[:cap(c.run.errs)])
 	c.run.verified.Store(0)
 	c.vouched = 0
@@ -252,6 +274,11 @@ type Auditor interface {
 // verified chain, only what the caller must Reset before it lets go of
 // outer's frame.
 //
+// Every DN decoded from the layers inside outer comes from dns when it
+// holds those bytes, and is a copy of its own when it does not; a nil
+// dns copies every DN. The layers' policy attributes, if any, are cut
+// from one string copy of outer's payload.
+//
 // The outermost layer is resolved, verified and decoded on its own, so
 // not one byte inside the neighbour's envelope is decoded before the
 // neighbour's signature holds. The layers inside it are then decoded,
@@ -263,14 +290,14 @@ type Auditor interface {
 // the caller and up to min(GOMAXPROCS, layers)-1 helper goroutines. A
 // layer without a certificate hint is a flush point: its key is asked
 // for only after every layer outside it has verified.
-func (c *Chain) Open(outer *Envelope, resolve KeyResolver, audit Auditor) error {
+func (c *Chain) Open(outer *Envelope, dns *DNTable, resolve KeyResolver, audit Auditor) error {
 	c.Reset()
 	if outer == nil {
 		return fmt.Errorf("envelope: empty chain")
 	}
-	c.run.resolve = resolve
+	c.run.resolve, c.names.table, c.names.frame = resolve, dns, outer.Payload
 	err := c.peel(outer, audit)
-	c.run.resolve = nil
+	c.run.resolve, c.names.table, c.names.frame = nil, nil, nil
 	return err
 }
 
@@ -281,18 +308,16 @@ func (c *Chain) peel(outer *Envelope, audit Auditor) error {
 	}
 
 	// Decode inward, in place: every layer's bytes stay where outer's
-	// payload has them, and one string copy of that payload, made now
-	// that its signature holds, serves the DNs of every layer inside.
-	// after is what the walk ran into where it stopped; it is reported
-	// only if every layer found on the way verifies.
+	// payload has them, and c.names makes its strings. after is what the
+	// walk ran into where it stopped; it is reported only if every layer
+	// found on the way verifies.
 	var (
 		after error
 		inner Envelope
 	)
-	text := string(outer.Payload)
 	for d := 0; ; d++ {
 		l := &c.Layers[d]
-		hasInner, err := l.Env.peekBody(&l.Body, &inner, text)
+		hasInner, err := l.Env.peekBody(&l.Body, &inner, &c.names)
 		if err != nil {
 			after = fmt.Errorf("envelope: layer %d: %w", d, err)
 			break
@@ -309,7 +334,6 @@ func (c *Chain) peel(outer *Envelope, audit Auditor) error {
 			break
 		}
 		c.push(&inner)
-		text = inner.text // an inner layer's slice of it
 	}
 	// The array has stopped growing: link each layer to the next.
 	for d := 1; d < len(c.Layers); d++ {
@@ -461,13 +485,20 @@ func (e *Envelope) AppendField(buf []byte, field uint32) []byte {
 
 // Decode reads the envelope bytes that AppendField wraps, in place: the
 // envelope's Payload and Signature, and every bytes field of the bodies
-// later decoded out of it, are sub-slices of data. The caller must own data for as long as it uses
-// them, and nothing that outlives data's owner may keep one without
-// copying it (DESIGN.md §6.6, "Who owns a frame").
-func Decode(data []byte) (*Envelope, error) {
+// later decoded out of it, are sub-slices of data. The caller must own
+// data for as long as it uses them, and nothing that outlives data's
+// owner may keep one without copying it (DESIGN.md §6.6, "Who owns a
+// frame"). SignerDN is signer when the envelope names it — the channel
+// peer a verifier will hold it to — and a copy of the name otherwise.
+func Decode(data []byte, signer identity.DN) (*Envelope, error) {
 	e := &Envelope{}
-	if err := decodeEnvelope(e, wire.Dec{Buf: data}); err != nil {
+	dn, err := decodeEnvelope(e, wire.Dec{Buf: data})
+	if err != nil {
 		return nil, err
+	}
+	e.SignerDN = signer
+	if string(dn) != string(signer) {
+		e.SignerDN = identity.DN(dn)
 	}
 	return e, nil
 }

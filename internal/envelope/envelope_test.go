@@ -3,10 +3,12 @@ package envelope
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"e2eqos/internal/identity"
 )
@@ -66,10 +68,10 @@ func (f resolverFunc) ResolveKey(depth int, dn identity.DN, certDER []byte) (ide
 	return f(depth, dn, certDER)
 }
 
-// unwrap unwraps outer into a chain of its own.
+// unwrap unwraps outer into a chain of its own, copying every DN.
 func unwrap(outer *Envelope, resolve KeyResolver) (*Chain, error) {
 	chain := &Chain{}
-	if err := chain.Open(outer, resolve, nil); err != nil {
+	if err := chain.Open(outer, nil, resolve, nil); err != nil {
 		return nil, err
 	}
 	return chain, nil
@@ -178,7 +180,7 @@ func TestUnwrapChecksEachLayerOnce(t *testing.T) {
 	for hops := 0; hops < 8; hops++ {
 		keys, outer := buildOnion(t, hops)
 		data := encode(outer)
-		received, err := Decode(data)
+		received, err := Decode(data, keys[hops].DN)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +213,7 @@ func TestUnwrapDetectsInnerTampering(t *testing.T) {
 		body  Body
 		inner Envelope
 	)
-	if _, err := decodeBody(&body, &inner, outer.Payload, ""); err != nil {
+	if _, err := decodeBody(&body, &inner, outer.Payload, &names{}); err != nil {
 		t.Fatal(err)
 	}
 	body.Inner = &inner
@@ -287,7 +289,7 @@ func TestUnwrapDepthBound(t *testing.T) {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	keys, outer := buildOnion(t, 2)
 	data := encode(outer)
-	decoded, err := Decode(data)
+	decoded, err := Decode(data, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,8 +298,128 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeTakesTheSignerItIsGiven: the outer layer's SignerDN is the
+// DN Decode is handed when the envelope names it — the channel peer's
+// own string, no copy — and a copy of the name the envelope carries
+// when it names someone else.
+func TestDecodeTakesTheSignerItIsGiven(t *testing.T) {
+	keys, outer := buildOnion(t, 1)
+	data := encode(outer)
+	peer := identity.DN(string(keys[1].DN)) // a string of its own
+	got, err := Decode(data, peer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.SignerDN != peer || unsafe.StringData(string(got.SignerDN)) != unsafe.StringData(string(peer)) {
+		t.Errorf("SignerDN %q is not the peer's string %q", got.SignerDN, peer)
+	}
+	other, err := Decode(data, keys[0].DN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.SignerDN != keys[1].DN {
+		t.Errorf("SignerDN = %q, want the envelope's %q", other.SignerDN, keys[1].DN)
+	}
+	if raceEnabled {
+		return // allocation counts are meaningless under -race
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Decode(data, peer); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Errorf("decoding an envelope its channel peer signed allocates %.0f objects, want 1 (the Envelope)", allocs)
+	}
+}
+
+// TestDNTableCostsTheSameForEveryUser: a broker's DN table holds its
+// topology's brokers and nothing else, so an onion from a user met for
+// the first time costs what one from a user met before does, one copy
+// of the user's DN, however many users come (2 × pki's certificate
+// cache bound of them here); the brokers' DNs are the table's strings;
+// and no onion, accepted or refused, changes the table.
+func TestDNTableCostsTheSameForEveryUser(t *testing.T) {
+	bb, dest := mustKey(t, "bb"), identity.NewDN("Grid", "", "dest")
+	dns := NewDNTable([]identity.DN{bb.DN, dest})
+	held := maps.Clone(dns.dns)
+	onion := func(user *identity.KeyPair) *Envelope {
+		inner, err := Seal(user, Body{Request: json.RawMessage(`{}`), NextHopDN: bb.DN})
+		if err != nil {
+			t.Fatal(err)
+		}
+		outer, err := Seal(bb, Body{Inner: inner, NextHopDN: dest})
+		if err != nil {
+			t.Fatal(err)
+		}
+		received, err := Decode(encode(outer), bb.DN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return received
+	}
+	const users = 1024
+	onions := make([]*Envelope, users)
+	byDN := map[identity.DN]identity.PublicKey{bb.DN: bb.Public()}
+	for i := range onions {
+		user := mustKey(t, fmt.Sprintf("user-%d", i))
+		onions[i], byDN[user.DN] = onion(user), user.Public()
+	}
+	resolve := resolverFunc(func(_ int, dn identity.DN, _ []byte) (identity.PublicKey, error) {
+		if pub, ok := byDN[dn]; ok {
+			return pub, nil
+		}
+		return nil, fmt.Errorf("unknown signer %s", dn)
+	})
+	var chain Chain
+	for i, env := range onions {
+		if err := chain.Open(env, dns, resolve, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := chain.Layers[1].Env.SignerDN, identity.NewDN("Grid", "", fmt.Sprintf("user-%d", i)); got != want {
+			t.Fatalf("user %d: inner signer %q, want %q", i, got, want)
+		}
+		if err := fromTable(&chain, dns); err != nil {
+			t.Fatalf("user %d: %v", i, err)
+		}
+	}
+	if !maps.Equal(held, dns.dns) {
+		t.Errorf("%d accepted onions changed the table: %d DNs, want %d", users, len(dns.dns), len(held))
+	}
+	stranger := mustKey(t, "stranger") // resolves the inner signer to the wrong key
+	if err := chain.Open(onion(mustKey(t, "forger")), dns, resolverFunc(func(depth int, _ identity.DN, _ []byte) (identity.PublicKey, error) {
+		if depth == 0 {
+			return bb.Public(), nil
+		}
+		return stranger.Public(), nil
+	}), nil); err == nil {
+		t.Fatal("an inner layer under the wrong key verified")
+	}
+	if !maps.Equal(held, dns.dns) {
+		t.Error("a refused onion changed the table")
+	}
+
+	if raceEnabled {
+		return // allocation counts are meaningless under -race
+	}
+	next := 0
+	allUsers := testing.AllocsPerRun(users-1, func() {
+		next++
+		if err := chain.Open(onions[next%users], dns, resolve, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	oneUser := testing.AllocsPerRun(100, func() {
+		if err := chain.Open(onions[0], dns, resolve, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allUsers != 1 || oneUser != 1 {
+		t.Errorf("opening an onion allocates %.1f objects when every user is new and %.1f when one user repeats, want 1 (the user's DN) for both", allUsers, oneUser)
+	}
+}
+
 func TestDecodeGarbage(t *testing.T) {
-	if _, err := Decode([]byte("not json")); err == nil {
+	if _, err := Decode([]byte("not json"), ""); err == nil {
 		t.Fatal("garbage decoded")
 	}
 }
@@ -320,7 +442,7 @@ func TestPeekBody(t *testing.T) {
 		body  Body
 		inner Envelope
 	)
-	if _, err := env.peekBody(&body, &inner, env.text); err != nil {
+	if _, err := env.peekBody(&body, &inner, &names{}); err != nil {
 		t.Fatal(err)
 	}
 	if body.NextHopDN != "/CN=bb-a" {
@@ -345,32 +467,72 @@ func TestSealPreservesExplicitTimestamp(t *testing.T) {
 }
 
 // TestUnwrapAllocationBound: unwrapping into a chain that has unwrapped
-// before allocates one object at any depth — the string copy of the
-// outer payload that every inner DN and policy attribute is cut from.
-// Layers decode into the chain's own array, their capability arrays and
-// policy maps are kept, and the checks run without closures, helper
-// goroutines included (≥ 2 per layer were measured when a layer was
-// its own Envelope and Body).
+// before, through a DN table of the onion's brokers, allocates the same
+// at any depth: one copy of the user's DN, which no broker's table
+// holds, and one string copy of the onion when its layers carry policy
+// attributes, every key and value cut from it; an onion without, as
+// the reserve path's are, is not copied. Layers decode into the chain's
+// own array, their capability arrays and policy maps are kept, and the
+// checks run without closures, helper goroutines included (≥ 2 per
+// layer were measured when a layer was its own Envelope and Body; 1 per
+// onion while every DN was cut from a string copy of the whole onion;
+// 4 per attribute-carrying layer while each key and value was copied).
 func TestUnwrapAllocationBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, hops := range []int{1, 7} {
-		keys, outer := buildOnion(t, hops)
-		received, err := Decode(encode(outer))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resolve := resolverFor(keys)
-		var chain Chain
-		allocs := testing.AllocsPerRun(100, func() {
-			if err := chain.Open(received, resolve, nil); err != nil {
+		for _, attributes := range []bool{true, false} {
+			keys, outer := buildOnion(t, hops)
+			if !attributes {
+				keys, outer = plainOnion(t, hops)
+			}
+			received, err := Decode(encode(outer), keys[hops].DN)
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs != 1 {
-			t.Errorf("unwrapping %d layers into a used chain allocates %.1f objects, want 1", hops+1, allocs)
+			resolve := resolverFor(keys)
+			var brokers []identity.DN
+			for i := 0; i <= hops; i++ {
+				brokers = append(brokers, identity.NewDN("Grid", "", fmt.Sprintf("bb-%d", i)))
+			}
+			dns := NewDNTable(brokers)
+			var chain Chain
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := chain.Open(received, dns, resolve, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+			want := 1.0
+			if attributes {
+				want = 2
+			}
+			if allocs != want {
+				t.Errorf("unwrapping %d layers (policy attributes %v) into a used chain allocates %.1f objects, want %.0f", hops+1, attributes, allocs, want)
+			}
+			if err := fromTable(&chain, dns); err != nil {
+				t.Error(err)
+			}
 		}
 	}
+}
+
+// plainOnion is buildOnion's chain without policy attributes.
+func plainOnion(t *testing.T, hops int) (keys []*identity.KeyPair, outer *Envelope) {
+	t.Helper()
+	user := mustKey(t, "alice")
+	keys = append(keys, user)
+	env, err := Seal(user, Body{Request: json.RawMessage(`{}`), NextHopDN: identity.NewDN("Grid", "", "bb-0")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < hops; i++ {
+		bb := mustKey(t, fmt.Sprintf("bb-%d", i))
+		keys = append(keys, bb)
+		if env, err = Seal(bb, Body{Inner: env, NextHopDN: identity.NewDN("Grid", "", fmt.Sprintf("bb-%d", i+1)), Claim: []byte(fmt.Sprintf("claim-%d", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys, env
 }

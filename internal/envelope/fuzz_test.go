@@ -50,7 +50,7 @@ func FuzzDecode(f *testing.F) {
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		input := bytes.Clone(data)
-		env, err := Decode(data)
+		env, err := Decode(data, key.DN)
 		if err != nil {
 			return
 		}
@@ -61,7 +61,7 @@ func FuzzDecode(f *testing.F) {
 			body  Body
 			inner Envelope
 		)
-		hasInner, perr := env.peekBody(&body, &inner, env.text)
+		hasInner, perr := env.peekBody(&body, &inner, &names{})
 		if hasInner {
 			body.Inner = &inner
 		}
@@ -73,7 +73,7 @@ func FuzzDecode(f *testing.F) {
 		if len(enc) != env.WireSize() || cap(enc) != len(enc) {
 			t.Fatalf("appendEnvelope wrote %d bytes into %d, WireSize says %d", len(enc), cap(enc), env.WireSize())
 		}
-		again, err := Decode(enc)
+		again, err := Decode(enc, "")
 		if err != nil {
 			t.Fatalf("the encoder's own output does not decode: %v", err)
 		}
@@ -91,7 +91,7 @@ func FuzzDecode(f *testing.F) {
 			rebody  Body
 			reinner Envelope
 		)
-		hasInner, err = decodeBody(&rebody, &reinner, signed, string(signed))
+		hasInner, err = decodeBody(&rebody, &reinner, signed, &names{})
 		if err != nil {
 			t.Fatalf("the encoder's own body does not decode: %v", err)
 		}
@@ -109,7 +109,7 @@ func FuzzDecode(f *testing.F) {
 // twin on whatever bytes the fuzzer makes of the differential test's
 // own chains: same verdict, error text, chain and directory lookups,
 // under any introduction limit, with and without a directory, into one
-// Chain reused from input to input.
+// Chain and through one DN table reused from input to input.
 func FuzzUnwrapMatchesSerial(f *testing.F) {
 	signers := twinFixture(f)
 	rng := mrand.New(mrand.NewSource(1301))
@@ -123,10 +123,11 @@ func FuzzUnwrapMatchesSerial(f *testing.F) {
 	}
 	// Helpers are started only when there are processors to run them on.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	// Every input is unwrapped into the same chain.
+	// Every input is unwrapped into the same chain, through one table.
 	var chain Chain
+	dns := twinTable(signers)
 	f.Fuzz(func(t *testing.T, data []byte, limit uint8, withDir bool) {
-		env, err := Decode(data)
+		env, err := Decode(data, signers[len(signers)-1].key.DN)
 		if err != nil {
 			return
 		}
@@ -134,7 +135,7 @@ func FuzzUnwrapMatchesSerial(f *testing.F) {
 		if withDir {
 			tc.dir = dir
 		}
-		diffAgainstTwin(t, &chain, tc)
+		diffAgainstTwin(t, &chain, dns, tc)
 	})
 }
 
@@ -146,7 +147,8 @@ func FuzzUnwrapMatchesSerial(f *testing.F) {
 // text; wherever the full walk succeeds, the vouching walk succeeds
 // with the same decoded chain, having checked layer 0 alone and
 // vouched for the rest; and whenever it fails, it fails as the full
-// walk does. Each walk decodes every input into one reused Chain.
+// walk does. Each walk decodes every input into one reused Chain, and
+// both through one DN table, whose strings an accepted chain's DNs are.
 func FuzzTransitOpenMatchesUnwrap(f *testing.F) {
 	signers := twinFixture(f)
 	rng := mrand.New(mrand.NewSource(1302))
@@ -160,8 +162,9 @@ func FuzzTransitOpenMatchesUnwrap(f *testing.F) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	var full, transit Chain
+	dns := twinTable(signers)
 	f.Fuzz(func(t *testing.T, data []byte, limit uint8, withDir bool) {
-		env, err := Decode(data)
+		env, err := Decode(data, signers[len(signers)-1].key.DN)
 		if err != nil {
 			return
 		}
@@ -172,8 +175,8 @@ func FuzzTransitOpenMatchesUnwrap(f *testing.F) {
 			}
 			return v
 		}
-		fullErr := full.Open(env, verifier(), nil)
-		transitErr := transit.Open(env, verifier(), passOn{})
+		fullErr := full.Open(env, dns, verifier(), nil)
+		transitErr := transit.Open(env, dns, verifier(), passOn{})
 		switch {
 		case transitErr != nil && (fullErr == nil || transitErr.Error() != fullErr.Error()):
 			t.Fatalf("vouching walk failed unlike the full walk:\n full:     %v\n vouching: %v", fullErr, transitErr)
@@ -188,6 +191,9 @@ func FuzzTransitOpenMatchesUnwrap(f *testing.F) {
 		case transit.Verified() != 1 || transit.Vouched() != len(transit.Layers)-1:
 			t.Fatalf("vouching walk over %d layers checked %d and vouched for %d, want 1 and %d",
 				len(transit.Layers), transit.Verified(), transit.Vouched(), len(transit.Layers)-1)
+		}
+		if err := fromTable(&transit, dns); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

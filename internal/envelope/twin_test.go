@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"e2eqos/internal/identity"
 	"e2eqos/internal/pki"
@@ -25,9 +26,9 @@ import (
 // reference the full walk (Open with no Auditor) is judged against (as sweepTwin is for resv's
 // ledger). Three things differ from the text it was copied from:
 // resolve is handed the depth, which the resolver used to count for
-// itself; the depth bound is exact (it admitted maxDepth+1 layers); and
+// itself; the depth bound is exact (it admitted maxDepth+1 layers);
 // layers are held by value, each linked to the next once the walk is
-// done, as Open holds them.
+// done, as Open holds them; and every DN is a copy of its own.
 func serialTwin(outer *Envelope, resolve KeyResolver) (*Chain, error) {
 	chain := &Chain{}
 	env := outer
@@ -46,7 +47,7 @@ func serialTwin(outer *Envelope, resolve KeyResolver) (*Chain, error) {
 		chain.Layers = append(chain.Layers, Layer{Env: *env})
 		l := &chain.Layers[depth]
 		inner := &Envelope{}
-		hasInner, err := l.Env.peekBody(&l.Body, inner, l.Env.text)
+		hasInner, err := l.Env.peekBody(&l.Body, inner, &names{})
 		if err != nil {
 			return nil, fmt.Errorf("envelope: layer %d: %w", depth, err)
 		}
@@ -346,16 +347,17 @@ func genTwinCase(tb testing.TB, rng *mrand.Rand) twinCase {
 	return tc
 }
 
-// diffAgainstTwin runs serialTwin, and the full walk into chain, on one case
-// and requires the same verdict, error text, decoded layers and
-// directory lookups. chain may hold what an earlier case left: what it
-// decodes now must not show it.
-func diffAgainstTwin(t *testing.T, chain *Chain, tc twinCase) {
+// diffAgainstTwin runs serialTwin, and the full walk into chain through
+// dns, on one case and requires the same verdict, error text, decoded
+// layers and directory lookups, and every DN dns holds to be dns's
+// string. chain may hold what earlier cases left: what the walk decodes
+// now must not show it.
+func diffAgainstTwin(t *testing.T, chain *Chain, dns *DNTable, tc twinCase) {
 	t.Helper()
 	want := &twinVerifier{limit: tc.limit, dir: tc.dir}
 	wantChain, wantErr := serialTwin(tc.outer, want)
 	got := &twinVerifier{limit: tc.limit, dir: tc.dir}
-	gotErr := chain.Open(tc.outer, got, nil)
+	gotErr := chain.Open(tc.outer, dns, got, nil)
 	switch {
 	case (wantErr == nil) != (gotErr == nil):
 		t.Fatalf("%s: verdicts differ: twin err = %v, Open err = %v", tc.summary, wantErr, gotErr)
@@ -370,6 +372,9 @@ func diffAgainstTwin(t *testing.T, chain *Chain, tc twinCase) {
 	case chain.Verified() != len(chain.Layers):
 		t.Fatalf("%s: %d layers verified, Open counted %d signature checks", tc.summary, len(chain.Layers), chain.Verified())
 	}
+	if err := fromTable(chain, dns); err != nil {
+		t.Fatalf("%s: %v", tc.summary, err)
+	}
 	for d := 1; d < len(chain.Layers); d++ {
 		if chain.Layers[d-1].Body.Inner != &chain.Layers[d].Env {
 			t.Fatalf("%s: layer %d's Inner is not layer %d", tc.summary, d-1, d)
@@ -380,14 +385,41 @@ func diffAgainstTwin(t *testing.T, chain *Chain, tc twinCase) {
 	}
 }
 
-// decoded is what a chain's layers say, without where it is kept: the
-// twin copies each DN, Open cuts them from one string; a reused chain
-// keeps an empty capability array and policy map where the twin has
-// none; Inner is checked as a link, not as a value.
+// twinTable is the DN table of every other signer, so that a walk
+// decodes DNs the table holds and DNs it copies.
+func twinTable(signers []*twinSigner) *DNTable {
+	var dns []identity.DN
+	for i := 0; i < len(signers); i += 2 {
+		dns = append(dns, signers[i].key.DN)
+	}
+	return NewDNTable(dns)
+}
+
+// fromTable fails when a DN of chain's that dns holds is a copy of its
+// own and not dns's string. Layer 0's signer is the one the envelope
+// was decoded with, and is not looked up.
+func fromTable(chain *Chain, dns *DNTable) error {
+	for d, l := range chain.Layers {
+		names := []identity.DN{l.Body.NextHopDN}
+		if d > 0 {
+			names = append(names, l.Env.SignerDN)
+		}
+		for _, dn := range names {
+			if held, ok := dns.dns[string(dn)]; ok && unsafe.StringData(string(held)) != unsafe.StringData(string(dn)) {
+				return fmt.Errorf("layer %d's %s is a copy, not the DN table's", d, dn)
+			}
+		}
+	}
+	return nil
+}
+
+// decoded is what a chain's layers say, without where it is kept: a
+// reused chain keeps an empty capability array and policy map where the
+// twin has none; Inner is checked as a link, not as a value.
 func decoded(c *Chain) []Layer {
 	out := make([]Layer, len(c.Layers))
 	for i, l := range c.Layers {
-		l.Env.text, l.Body.Inner = "", nil
+		l.Body.Inner = nil
 		if len(l.Body.CapabilityDERs) == 0 {
 			l.Body.CapabilityDERs = nil
 		}
@@ -414,15 +446,16 @@ func TestUnwrapMatchesSerialTwin(t *testing.T) {
 	}
 	procs := []int{1, 2, 8}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	// One chain serves every case, as a pooled one serves request after
-	// request.
+	// One chain and one DN table serve every case, as a broker's serve
+	// request after request.
 	var chain Chain
+	dns := twinTable(twinFixture(t))
 	for p, n := range procs {
 		runtime.GOMAXPROCS(n)
 		// Each setting draws its own third of the chains.
 		rng := mrand.New(mrand.NewSource(int64(1301 + p)))
 		for i := 0; i < (chains+len(procs)-1)/len(procs); i++ {
-			diffAgainstTwin(t, &chain, genTwinCase(t, rng))
+			diffAgainstTwin(t, &chain, dns, genTwinCase(t, rng))
 		}
 	}
 }

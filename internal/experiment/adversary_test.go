@@ -65,7 +65,7 @@ func TestDestinationRefusesCapabilityHeldByAnother(t *testing.T) {
 		UpstreamCertDER: alice.Agent.Cert.DER,
 		NextHopDN:       w.BBCerts[dst].SubjectDN(),
 		CapabilityDERs:  [][]byte{delegated.DER},
-		Claim:           "DomainA-forwarded",
+		Claim:           []byte("DomainA-forwarded"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestDestinationRefusesCapabilityScopedToAnotherRAR(t *testing.T) {
 			UpstreamCertDER: alice.Agent.Cert.DER,
 			NextHopDN:       dstDN,
 			CapabilityDERs:  capDERs,
-			Claim:           "DomainA-forwarded", // the admission claim a forwarding broker writes
+			Claim:           []byte("DomainA-forwarded"), // the admission claim a forwarding broker writes
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -457,7 +457,7 @@ func TestDestinationRefusesLayerForgedUpstream(t *testing.T) {
 				return nil, err
 			}
 			var chain envelope.Chain
-			if err := chain.Open(env, introducedKeys{bb1.Public()}, nil); err != nil {
+			if err := chain.Open(env, nil, introducedKeys{bb1.Public()}, nil); err != nil {
 				return nil, err
 			}
 			userSig := chain.Layers[len(chain.Layers)-1].Env.Signature
@@ -660,7 +660,7 @@ func (k signerKey) ResolveKey(int, identity.DN, []byte) (identity.PublicKey, err
 func userCapabilities(t *testing.T, rar *envelope.Envelope, user identity.PublicKey) pki.CapabilityChain {
 	t.Helper()
 	var chain envelope.Chain
-	if err := chain.Open(rar, signerKey{user}, nil); err != nil {
+	if err := chain.Open(rar, nil, signerKey{user}, nil); err != nil {
 		t.Fatal(err)
 	}
 	caps, err := chain.Capabilities()

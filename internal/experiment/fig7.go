@@ -6,6 +6,7 @@ import (
 
 	"e2eqos/internal/cas"
 	"e2eqos/internal/core"
+	"e2eqos/internal/envelope"
 	"e2eqos/internal/identity"
 	"e2eqos/internal/pki"
 	"e2eqos/internal/units"
@@ -99,6 +100,12 @@ func BuildProtocolWorld(n int, withCapability bool) (*ProtocolWorld, error) {
 			}
 		}
 	}
+	// Every broker knows the others' DNs, as a topology names them.
+	dns := make([]identity.DN, n)
+	for i, key := range keys {
+		dns[i] = key.DN
+	}
+	table := envelope.NewDNTable(dns)
 	for i := range w.Brokers {
 		if i > 0 {
 			w.Brokers[i].Trust.PinPeer(keys[i-1].DN, keys[i-1].Public())
@@ -106,6 +113,7 @@ func BuildProtocolWorld(n int, withCapability bool) (*ProtocolWorld, error) {
 		if i+1 < n {
 			w.Brokers[i].Trust.PinPeer(keys[i+1].DN, keys[i+1].Public())
 		}
+		w.Brokers[i].DNs = table
 	}
 	return w, nil
 }

@@ -181,25 +181,25 @@ func GenerateKeyPair(dn DN) (*KeyPair, error) {
 // Public returns the public half of the pair.
 func (k *KeyPair) Public() PublicKey { return k.Private.Public() }
 
-// Sign signs msg as the pair's DN.
-func (k *KeyPair) Sign(msg []byte) ([]byte, error) {
+// SignatureSize is the length of every signature Sign makes.
+const SignatureSize = ed25519.SignatureSize
+
+// Sign signs msg as the pair's DN. The same key and message always give
+// the same signature.
+func (k *KeyPair) Sign(msg []byte) ([]byte, error) { return k.AppendSign(nil, msg) }
+
+// AppendSign appends the pair's signature over msg to dst and returns
+// the extended slice. msg may be dst itself: the signature is made
+// before a byte is appended, so it lands behind the bytes it covers.
+// A signature only appended costs no allocation of its own.
+func (k *KeyPair) AppendSign(dst, msg []byte) ([]byte, error) {
 	if k == nil {
 		return nil, errors.New("identity: nil key pair")
 	}
-	sig, err := Sign(k.Private, msg)
-	if err != nil {
+	if err := k.Private.check(); err != nil {
 		return nil, fmt.Errorf("identity: signing as %s: %w", k.DN, err)
 	}
-	return sig, nil
-}
-
-// Sign produces the signature of priv over msg. The same key and message
-// always give the same signature.
-func Sign(priv PrivateKey, msg []byte) ([]byte, error) {
-	if err := priv.check(); err != nil {
-		return nil, err
-	}
-	return ed25519.Sign(ed25519.PrivateKey(priv), msg), nil
+	return append(dst, ed25519.Sign(ed25519.PrivateKey(k.Private), msg)...), nil
 }
 
 // Verify checks sig over msg against pub. A key or signature of the

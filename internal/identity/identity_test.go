@@ -116,7 +116,7 @@ func TestWrongLengthsAreErrors(t *testing.T) {
 	}
 	for _, n := range []int{0, 1, 32, 63, 65} {
 		priv := make(PrivateKey, n)
-		if _, err := Sign(priv, msg); err == nil {
+		if _, err := (&KeyPair{DN: kp.DN, Private: priv}).AppendSign(nil, msg); err == nil {
 			t.Errorf("private key of %d bytes signed", n)
 		}
 		if _, err := (&KeyPair{DN: kp.DN, Private: priv}).Sign(msg); err == nil {
@@ -275,7 +275,7 @@ func BenchmarkSignVerify(b *testing.B) {
 		b.Run(fmt.Sprintf("Sign/%dB", size), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Sign(kp.Private, msg); err != nil {
+				if _, err := kp.Sign(msg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -288,5 +288,35 @@ func BenchmarkSignVerify(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestAppendSignAllocationFree: a signature appended behind the bytes it
+// covers, into a buffer with room for it, costs no allocation, and is
+// the signature Sign makes.
+func TestAppendSignAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	kp, err := GenerateKeyPair("/CN=signer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 300, 300+SignatureSize)
+	copy(buf, "the layer a broker seals")
+	want, err := kp.Sign(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	if allocs := testing.AllocsPerRun(100, func() {
+		if got, err = kp.AppendSign(buf, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("AppendSign into a buffer with room allocates %.0f objects, want none", allocs)
+	}
+	if !bytes.Equal(got[:len(buf)], buf) || !bytes.Equal(got[len(buf):], want) {
+		t.Error("AppendSign's signature is not Sign's, or it moved the bytes it covers")
 	}
 }

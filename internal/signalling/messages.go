@@ -117,11 +117,16 @@ type ReservePayload struct {
 
 // Envelope returns the carried envelope, decoded in place out of
 // EnvelopeData on a received payload.
-func (p *ReservePayload) Envelope() (*envelope.Envelope, error) {
+func (p *ReservePayload) Envelope() (*envelope.Envelope, error) { return p.EnvelopeFrom("") }
+
+// EnvelopeFrom is Envelope for a payload received from peer: an outer
+// layer that names peer as its signer gets peer's DN, not a copy of the
+// name (envelope.Decode).
+func (p *ReservePayload) EnvelopeFrom(peer identity.DN) (*envelope.Envelope, error) {
 	if p.env != nil {
 		return p.env, nil
 	}
-	return envelope.Decode(p.EnvelopeData)
+	return envelope.Decode(p.EnvelopeData, peer)
 }
 
 // Forward builds the message that carries env on to the next hop with

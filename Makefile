@@ -46,9 +46,12 @@
 #                          user's DN at any depth, and one string copy
 #                          of an onion that carries policy attributes),
 #                          a recycled Extend (0), a policy
-#                          decision (0), one 8-domain World reserve +
+#                          decision (0), a policy server's decision
+#                          into the caller's Result
+#                          (TestDecideAllocationFree: 0), one 8-domain
+#                          World reserve +
 #                          cancel (TestReserveChainAllocationBound:
-#                          <= 239 objects;
+#                          <= 222 objects;
 #                          TestReserveChainByteAllocationBound: <= 56
 #                          KiB), the same objects for every
 #                          domain a reserve crosses, from 3 to 8
@@ -63,7 +66,11 @@
 #                          grant of an alloc and a release batch
 #                          (TestTunnelBatchDenseAllocationBound), a batch
 #                          denied at its last op
-#                          (TestTunnelBatchDeniedAllocationBound), a
+#                          (TestTunnelBatchDeniedAllocationBound), the
+#                          source's round trip of a batch granted whole
+#                          (TestTunnelBatchSourceAllocationBound: no
+#                          more objects at 256 ops than at 64, no per-op
+#                          results), a
 #                          follower applying a bb.tunnel_batch record
 #                          (TestTunnelBatchReplayAllocationBound), a
 #                          tunnel endpoint's alloc and release batch, one
@@ -126,7 +133,7 @@ loc:
 	printf '%6d total\n' $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -vcE '^[[:space:]]*(//.*)?$$')
 
 alloc-gate:
-	$(GO) test -run 'AllocationFree|AllocationBound' ./internal/signalling ./internal/journal ./internal/obs ./internal/resv ./internal/core ./internal/identity ./internal/bb ./internal/tunnel ./internal/envelope ./internal/policy ./internal/experiment
+	$(GO) test -run 'AllocationFree|AllocationBound' ./internal/signalling ./internal/journal ./internal/obs ./internal/resv ./internal/core ./internal/identity ./internal/bb ./internal/tunnel ./internal/envelope ./internal/policy ./internal/policysrv ./internal/experiment
 
 fuzz-short:
 	$(GO) test -run NONE -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/envelope

@@ -311,3 +311,6 @@ func field1(body []byte) []string {
 	}
 	return out
 }
+
+// GrantedBatch is the one answer every batch granted whole is given.
+var GrantedBatch = grantedBatch

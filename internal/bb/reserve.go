@@ -307,7 +307,8 @@ func (b *BB) processReserve(fc *forwardCtx, now time.Time) *signalling.Message {
 		q.RequireRestriction = spec.RestrictionFor()
 	}
 	tPolicy := time.Now()
-	res, err := b.cfg.Policy.Decide(q)
+	var res policysrv.Result
+	err := b.cfg.Policy.DecideInto(q, &res)
 	if span != nil {
 		span.PolicyNS = time.Since(tPolicy).Nanoseconds()
 	}

@@ -209,13 +209,16 @@ func (b *BB) handleTunnelBatch(peer signalling.Peer, payload *signalling.TunnelB
 	b.m.tunnelReleases.Add(int64(releases))
 	b.m.tunnelDenied.Add(int64(denied))
 	// Dense success path: a fully-granted batch answers with the single
-	// granted bit — the sender knows its own op list, so per-op results
-	// only enumerate when some op was denied. On large batches the
-	// results array would otherwise dominate the response frame.
-	resp := &signalling.Message{Type: signalling.MsgResult, Result: &signalling.ResultPayload{Granted: denied == 0}}
+	// granted bit, the one shared grantedBatch — the sender knows its own
+	// op list, so per-op results only enumerate when some op was denied.
+	// On large batches the results array would otherwise dominate the
+	// response frame.
+	resp := grantedBatch
 	if denied > 0 {
-		resp.Result.BatchResults = results
-		resp.Result.Reason = deniedReason(b.cfg.Domain, denied, len(results))
+		resp = &signalling.Message{Type: signalling.MsgResult, Result: &signalling.ResultPayload{
+			BatchResults: results,
+			Reason:       deniedReason(b.cfg.Domain, denied, len(results)),
+		}}
 	}
 	// Record the outcome, then journal it before releasing duplicate
 	// waiters, so a retransmission never observes an unjournaled
@@ -237,6 +240,12 @@ func (b *BB) handleTunnelBatch(peer signalling.Peer, payload *signalling.TunnelB
 	b.maybeCheckpoint()
 	return resp
 }
+
+// grantedBatch is the answer to every batch granted whole. One message
+// serves them all, so nothing writes to it: the connection encodes an
+// answer under the request's ID without stamping it, and a replay hands
+// out a shallow copy (entry.replay).
+var grantedBatch = &signalling.Message{Type: signalling.MsgResult, Result: &signalling.ResultPayload{Granted: true}}
 
 // deniedReason is "<domain>: <denied>/<ops> ops denied", built in one
 // string: fmt would box the domain and every count past 255.
@@ -284,13 +293,14 @@ func (b *BB) ReleaseTunnelFlow(tunnelRARID, subFlowID string) error {
 	return b.tunnelOp(tunnelRARID, signalling.TunnelOp{Action: signalling.OpRelease, SubFlowID: subFlowID}, "")
 }
 
-// tunnelOp runs a batch of one and turns its one result into an error.
+// tunnelOp runs a batch of one and turns its refusal into an error: a
+// batch answers with results only when an op was refused.
 func (b *BB) tunnelOp(tunnelRARID string, op signalling.TunnelOp, user identity.DN) error {
 	results, err := b.TunnelBatch(tunnelRARID, []signalling.TunnelOp{op}, user)
 	if err != nil {
 		return err
 	}
-	if !results[0].Granted {
+	if results != nil {
 		return fmt.Errorf("bb %s: sub-flow %s of %s refused: %s", b.cfg.Domain, op.Action, op.SubFlowID, results[0].Reason)
 	}
 	return nil
@@ -313,7 +323,11 @@ func (b *BB) tunnelOp(tunnelRARID string, op signalling.TunnelOp, user identity.
 // journal the source writes what it applied the way the destination
 // does, one record per batch: the local halves before the call leaves,
 // the undone ones (if any) after it, each pass holding the registration's
-// order lock through its record. The returned results are in op order.
+// order lock through its record. A batch granted whole answers with no
+// results, as the destination does on the wire: the caller knows its own
+// op list. A batch any of whose ops was refused, by either end, answers
+// with every op's result, in op order; a transport failure with none and
+// the error.
 func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user identity.DN) ([]signalling.TunnelOpResult, error) {
 	t0 := time.Now()
 	t, _ := b.tunnels.get(tunnelRARID)
@@ -339,7 +353,7 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 		payload.Sampled = true
 		payload.TraceID = obs.NewTraceID()
 	}
-	results := make([]signalling.TunnelOpResult, len(ops))
+	var results []signalling.TunnelOpResult // from the first refusal on (refuse)
 	// Local halves first, in one batch; only locally-admitted ops travel
 	// to the peer. While every op is admitted that is the caller's own
 	// slice: remote and remoteIdx (the op index of each travelling op)
@@ -358,7 +372,6 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 	ep.Batch(func(tx tunnel.Tx) {
 		gen := tx.Gen()
 		for i, op := range ops {
-			results[i].SubFlowID = op.SubFlowID
 			rec := tunnelOpRec{Action: "release", SubFlowID: op.SubFlowID}
 			var err error
 			if op.Action == signalling.OpAlloc {
@@ -374,7 +387,7 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 				}
 			}
 			if err != nil {
-				results[i].Reason = err.Error()
+				results = refuse(results, ops, i, err.Error())
 				if remoteIdx == nil {
 					remote = append(make([]signalling.TunnelOp, 0, len(ops)-1), ops[:i]...)
 					remoteIdx = make([]int, i, len(ops)-1)
@@ -443,7 +456,6 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 					rr = &resp.Result.BatchResults[k]
 				}
 				if resp.Result.Granted || (rr != nil && rr.Granted) {
-					results[i].Granted = true
 					if ops[i].Action == signalling.OpAlloc {
 						allocs++
 					} else {
@@ -453,10 +465,11 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 				}
 				// Destination refused (or the whole batch was refused before
 				// any op ran, leaving no per-op results).
-				results[i].Reason = resp.Result.Reason
+				reason := resp.Result.Reason
 				if rr != nil && rr.Reason != "" {
-					results[i].Reason = rr.Reason
+					reason = rr.Reason
 				}
+				results = refuse(results, ops, i, reason)
 				denied++
 			}
 			rec := tunnelOpRec{Action: "release", SubFlowID: ops[i].SubFlowID}
@@ -484,15 +497,26 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 	b.m.tunnelBatches.Inc()
 	if b.recorder != nil {
 		verdict := obs.VerdictGranted
-		for _, r := range results {
-			if !r.Granted {
-				verdict = obs.VerdictDenied
-				break
-			}
+		if results != nil {
+			verdict = obs.VerdictDenied
 		}
 		b.recordBatchEvent(payload, len(ops), verdict, firstReason(results), t0)
 	}
 	return results, nil
+}
+
+// refuse records op i of ops as refused for reason. At the first refusal
+// it builds results, every op granted and named by the caller's own id,
+// so a batch granted whole builds none.
+func refuse(results []signalling.TunnelOpResult, ops []signalling.TunnelOp, i int, reason string) []signalling.TunnelOpResult {
+	if results == nil {
+		results = make([]signalling.TunnelOpResult, len(ops))
+		for k := range ops {
+			results[k] = signalling.TunnelOpResult{SubFlowID: ops[k].SubFlowID, Granted: true}
+		}
+	}
+	results[i].Granted, results[i].Reason = false, reason
+	return results
 }
 
 // firstReason surfaces the first per-op denial reason of a batch.

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -458,8 +459,8 @@ func desyncTunnel(t *testing.T, w *experiment.World, u *experiment.User, rarID s
 	direct(signalling.TunnelOp{Action: signalling.OpAlloc, SubFlowID: "ghost", Bandwidth: int64(10 * units.Mbps)})
 	if results, err := w.BBs[w.SourceDomain()].TunnelBatch(rarID, []signalling.TunnelOp{
 		{Action: signalling.OpAlloc, SubFlowID: "lonely", Bandwidth: int64(20 * units.Mbps)},
-	}, u.DN()); err != nil || !results[0].Granted {
-		t.Fatalf("allocating lonely: results=%+v err=%v", results, err)
+	}, u.DN()); err != nil || results != nil {
+		t.Fatalf("allocating lonely: results=%+v err=%v, want it granted whole", results, err)
 	}
 	direct(signalling.TunnelOp{Action: signalling.OpRelease, SubFlowID: "lonely"})
 }
@@ -485,12 +486,7 @@ func TestTunnelBatchMixedDenialsKeepOpOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range []string{"", "exceeds free capacity", `"ghost" already allocated`, `unknown sub-flow "lonely"`, ""} {
-		r := results[i]
-		if r.SubFlowID != mixedBatch[i].SubFlowID || r.Granted != (want == "") || !strings.Contains(r.Reason, want) || (want == "" && r.Reason != "") {
-			t.Errorf("op %d (%s): %+v, want reason containing %q", i, mixedBatch[i].SubFlowID, r, want)
-		}
-	}
+	wantResults(t, results, mixedBatch, "", "exceeds free capacity", `"ghost" already allocated`, `unknown sub-flow "lonely"`, "")
 	srcEP, _ := w.BBs[src].Tunnel(rarID)
 	destEP, _ := w.BBs[dest].Tunnel(rarID)
 	if got := fmt.Sprint(srcEP.SubFlows(), srcEP.Used()); got != fmt.Sprint([]string{"first", "last", "lonely"}, 30*units.Mbps) {
@@ -504,6 +500,122 @@ func TestTunnelBatchMixedDenialsKeepOpOrder(t *testing.T) {
 	}
 	wantTunnelCounters(t, w, src, 3, 0, 3)
 	wantTunnelCounters(t, w, dest, 4, 1, 2)
+}
+
+// TestTunnelBatchAnswersAsTheWireDoes: the source answers its caller
+// the way the destination answers it. A batch granted whole gets no
+// per-op results; one with any op refused, by either end, gets every
+// op's result in op order, the granted ones named and granted; a batch
+// that cannot reach the destination gets no results and the error.
+func TestTunnelBatchAnswersAsTheWireDoes(t *testing.T) {
+	alloc := func(id string, mbps units.Bandwidth) signalling.TunnelOp {
+		return signalling.TunnelOp{Action: signalling.OpAlloc, SubFlowID: id, Bandwidth: int64(mbps * units.Mbps)}
+	}
+	for _, row := range []struct {
+		name    string
+		ops     []signalling.TunnelOp
+		failNet bool
+		reasons []string // one per op, "" when granted; nil: no results
+	}{
+		{"granted whole", []signalling.TunnelOp{alloc("first", 5), alloc("last", 5)}, false, nil},
+		{"one op refused by the source", []signalling.TunnelOp{alloc("first", 5), alloc("too-big", 200), alloc("last", 5)}, false,
+			[]string{"", "exceeds free capacity", ""}},
+		{"one op refused by the destination", []signalling.TunnelOp{alloc("first", 5), alloc("ghost", 10), alloc("last", 5)}, false,
+			[]string{"", `"ghost" already allocated`, ""}},
+		{"transport failure", []signalling.TunnelOp{alloc("first", 5), alloc("last", 5)}, true, nil},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			w, u, rarID := desyncedTunnelWorld(t)
+			if row.failNet {
+				if err := w.StopDomain(w.DestDomain()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			results, err := w.BBs[w.SourceDomain()].TunnelBatch(rarID, row.ops, u.DN())
+			if (err != nil) != row.failNet {
+				t.Fatalf("err = %v, want a transport failure: %t", err, row.failNet)
+			}
+			if row.reasons == nil {
+				if results != nil {
+					t.Fatalf("results = %+v, want none", results)
+				}
+				return
+			}
+			wantResults(t, results, row.ops, row.reasons...)
+		})
+	}
+}
+
+// wantResults checks a batch's answer: one result per op, in op order,
+// granted with no reason where reasons has "", else refused for a reason
+// that contains it.
+func wantResults(t *testing.T, results []signalling.TunnelOpResult, ops []signalling.TunnelOp, reasons ...string) {
+	t.Helper()
+	if len(results) != len(ops) {
+		t.Fatalf("%d results for %d ops: %+v", len(results), len(ops), results)
+	}
+	for i, want := range reasons {
+		r := results[i]
+		if r.SubFlowID != ops[i].SubFlowID || r.Granted != (want == "") || !strings.Contains(r.Reason, want) || (want == "" && r.Reason != "") {
+			t.Errorf("op %d (%s): %+v, want reason containing %q", i, ops[i].SubFlowID, r, want)
+		}
+	}
+}
+
+// TestGrantedBatchesShareOneAnswer: every batch the destination grants
+// whole is answered with one shared message, which its replay cache
+// entry keeps too. Batches from several goroutines at once, each
+// answer encoded by its connection, and a duplicate answered from the
+// replay cache, leave it as it was, byte for byte; -race sees no write.
+func TestGrantedBatchesShareOneAnswer(t *testing.T) {
+	w, u, rarID := buildTunnelWorld(t, 2, units.Gbps)
+	src, dst := w.BBs[w.SourceDomain()], w.BBs[w.DestDomain()]
+	want := bb.GrantedBatch.AppendBinary(nil)
+	const senders, batches = 4, 8
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < batches; i++ {
+				ops := make([]signalling.TunnelOp, 4)
+				for k := range ops {
+					ops[k] = signalling.TunnelOp{Action: signalling.OpAlloc, SubFlowID: fmt.Sprintf("s%d-b%d-%d", s, i, k), Bandwidth: int64(units.Kbps)}
+				}
+				if results, err := src.TunnelBatch(rarID, ops, u.DN()); err != nil || results != nil {
+					t.Errorf("sender %d batch %d: results=%+v err=%v, want it granted whole", s, i, results, err)
+					return
+				}
+			}
+		}(s)
+	}
+	direct := &signalling.Message{Type: signalling.MsgTunnelBatch, TunnelBatch: &signalling.TunnelBatchPayload{
+		TunnelRARID: rarID, Seq: testSeq.Add(1), User: u.DN(),
+		Ops: []signalling.TunnelOp{{Action: signalling.OpAlloc, SubFlowID: "direct", Bandwidth: int64(units.Kbps)}},
+	}}
+	first := dst.Handle(rawPeer(u), direct)
+	replay := dst.Handle(rawPeer(u), direct)
+	wg.Wait()
+	if first != bb.GrantedBatch {
+		t.Errorf("a batch granted whole was answered with %+v, not the shared answer", first)
+	}
+	if replay == nil || replay.Result != bb.GrantedBatch.Result {
+		t.Errorf("its duplicate was answered with %+v, not a copy of the shared answer", replay)
+	}
+	if n := dst.MetricsRegistry().Snapshot()["bb_tunnel_batch_replays_total"]; n != 1 {
+		t.Errorf("bb_tunnel_batch_replays_total = %v, want 1", n)
+	}
+	for _, e := range dst.ReplayEntries() {
+		if e.Outcome != bb.GrantedBatch {
+			t.Errorf("replay entry %d of %s keeps %+v, not the shared answer", e.Seq, e.Sender, e.Outcome)
+		}
+	}
+	if got := bb.GrantedBatch.AppendBinary(nil); !bytes.Equal(got, want) {
+		t.Errorf("the shared answer encodes as\n%x\nafter the batches, was\n%x", got, want)
+	}
+	if ep, _ := dst.Tunnel(rarID); ep.Len() != senders*batches*4+1 {
+		t.Errorf("the destination holds %d sub-flows, want %d", ep.Len(), senders*batches*4+1)
+	}
 }
 
 // TestTunnelBatchTransportFailureUndoesLocalHalves: when the batch
@@ -744,6 +856,69 @@ func TestTunnelBatchDenseAllocationBound(t *testing.T) {
 				shape, large.objects, large.bytes, small.objects, small.bytes)
 		}
 	}
+}
+
+// TestTunnelBatchSourceAllocationBound: the source's TunnelBatch, round
+// trip included, answers a batch granted whole with no per-op results.
+// From 64 ops to 256 it allocates no more objects, and its bytes grow by
+// the request frame's two copies (the transport's and the destination
+// decoder's) and at most 16 B an op for what an end keeps per op (the
+// destination's copy of an alloc's ids, the source's undo data for a
+// release); the per-op results it built, 40 B an op, are not among them.
+func TestTunnelBatchSourceAllocationBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate is meaningless under the race detector")
+	}
+	small, large := sourceBatchCost(t, 64), sourceBatchCost(t, 256)
+	for i, shape := range []batchShape{allocBatch, releaseBatch} {
+		s, l := small[i], large[i]
+		limit := s.bytes + 2*(l.frame-s.frame) + 16*(256-64)
+		if l.objects > s.objects || l.bytes > limit {
+			t.Errorf("granted %s batch at the source: %d objects / %d B for 256 ops, %d / %d for 64; want no more objects and at most %d B",
+				shape, l.objects, l.bytes, s.objects, s.bytes, limit)
+		}
+	}
+}
+
+// sourceCost is what one TunnelBatch call allocated, and the size of the
+// request frame it sent.
+type sourceCost struct{ objects, bytes, frame uint64 }
+
+// sourceBatchCost is the least a fully granted source TunnelBatch of ops
+// fresh allocations, then of their releases, allocated over a series of
+// such pairs in a 2-domain world: the least, because the world's other
+// goroutines add to some calls.
+func sourceBatchCost(t *testing.T, ops int) [2]sourceCost {
+	t.Helper()
+	w, u, rarID := buildTunnelWorld(t, 2, units.Gbps)
+	src := w.BBs[w.SourceDomain()]
+	batches := [2][]signalling.TunnelOp{make([]signalling.TunnelOp, ops), make([]signalling.TunnelOp, ops)}
+	for i := 0; i < ops; i++ {
+		id := fmt.Sprintf("sf-%d", i)
+		batches[0][i] = signalling.TunnelOp{Action: signalling.OpAlloc, SubFlowID: id, Bandwidth: int64(units.Kbps)}
+		batches[1][i] = signalling.TunnelOp{Action: signalling.OpRelease, SubFlowID: id}
+	}
+	var cost [2]sourceCost
+	for i, batch := range batches {
+		cost[i] = sourceCost{^uint64(0), ^uint64(0), uint64(len((&signalling.Message{Type: signalling.MsgTunnelBatch, ID: 1, TunnelBatch: &signalling.TunnelBatchPayload{
+			TunnelRARID: rarID, Seq: 1, User: u.DN(), Ops: batch,
+		}}).AppendBinary(nil)))}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for run := 0; run < 30; run++ {
+		for i, batch := range batches {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			results, err := src.TunnelBatch(rarID, batch, u.DN())
+			runtime.ReadMemStats(&after)
+			if err != nil || results != nil {
+				t.Fatalf("batch of %d %s ops: results=%+v err=%v, want it granted whole", ops, batch[0].Action, results, err)
+			}
+			cost[i].objects = min(cost[i].objects, after.Mallocs-before.Mallocs)
+			cost[i].bytes = min(cost[i].bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+	}
+	return cost
 }
 
 // TestTunnelBatchDeniedAllocationBound: a batch whose last op is denied

@@ -194,8 +194,8 @@ func TestTunnelCrashRecoveryFromJournal(t *testing.T) {
 		{Action: signalling.OpAlloc, SubFlowID: "post-crash", Bandwidth: int64(units.Mbps)},
 	}
 	results, err = w.BBs[src].TunnelBatch(spec.RARID, more, u.DN())
-	if err != nil || !results[0].Granted {
-		t.Fatalf("post-recovery batch: results=%+v err=%v", results, err)
+	if err != nil || results != nil {
+		t.Fatalf("post-recovery batch: results=%+v err=%v, want it granted whole", results, err)
 	}
 	if _, ok := subFlow(epPost, "post-crash"); !ok {
 		t.Error("post-recovery allocation missing at the destination")
@@ -277,8 +277,8 @@ func TestTunnelSourceRecoversFromJournal(t *testing.T) {
 				}
 			}(w.Metrics[d].Snapshot()["bb_journal_appends_total"])
 		}
-		if results, err := w.BBs[w.SourceDomain()].TunnelBatch(rarID, ops, u.DN()); err != nil || !results[255].Granted {
-			t.Fatalf("batch: results[255]=%+v err=%v", results[255], err)
+		if results, err := w.BBs[w.SourceDomain()].TunnelBatch(rarID, ops, u.DN()); err != nil || results != nil {
+			t.Fatalf("batch: results=%+v err=%v, want it granted whole", results, err)
 		}
 		checkJournalOrder(t, w, state)
 	})
@@ -334,11 +334,11 @@ func TestSourceThatLostItsLastRecordsIsRefusedByName(t *testing.T) {
 	epDst, _ := w.BBs[dst].Tunnel(rarID)
 	for i := 1; i <= 3; i++ {
 		id := fmt.Sprintf("new-%d", i)
-		r := alloc(id)[0]
+		results := alloc(id) // none when granted
 		_, inSrc := subFlow(epSrc, id)
 		_, inDst := subFlow(epDst, id)
-		if !r.Granted || !inSrc || !inDst {
-			t.Errorf("%s: granted=%t (%s), held at the source %t, at the destination %t; want granted and held at both", id, r.Granted, r.Reason, inSrc, inDst)
+		if results != nil || !inSrc || !inDst {
+			t.Errorf("%s: results %+v, held at the source %t, at the destination %t; want granted and held at both", id, results, inSrc, inDst)
 		}
 	}
 	if n := w.Metrics[dst].Snapshot()["bb_tunnel_batches_stale_total"]; n != 0 {

@@ -137,11 +137,37 @@ type Rule struct {
 // Matches reports whether all conditions hold.
 func (ru *Rule) Matches(r *Request) bool {
 	for _, c := range ru.Conditions {
-		if !c.Eval(r) {
+		if !holds(c, r) {
 			return false
 		}
 	}
 	return true
+}
+
+// holds is c.Eval(r), called on the condition's own type wherever Parse
+// made it: through the interface r would escape, and every caller's
+// request with it.
+func holds(c Condition, r *Request) bool {
+	switch c := c.(type) {
+	case notCond:
+		return !holds(c.inner, r)
+	case userCond:
+		return c.Eval(r)
+	case groupCond:
+		return c.Eval(r)
+	case capabilityCond:
+		return c.Eval(r)
+	case bwCond:
+		return c.Eval(r)
+	case timeCond:
+		return c.Eval(r)
+	case linkedCond:
+		return c.Eval(r)
+	case domainCond:
+		return c.Eval(r)
+	}
+	rc := *r // a condition from elsewhere gets a copy
+	return c.Eval(&rc)
 }
 
 // DefaultText is the policy of a domain that states none: admit what

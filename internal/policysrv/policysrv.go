@@ -111,8 +111,19 @@ func (s *Server) SetClock(now func() time.Time) {
 // Decide validates the query's authorization material and evaluates
 // local policy.
 func (s *Server) Decide(q *Query) (*Result, error) {
+	res := new(Result)
+	if err := s.DecideInto(q, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// DecideInto is Decide answering into the caller's res, which it
+// overwrites. A query without group assertions or a capability chain
+// allocates nothing: the policy is evaluated over a request on the stack.
+func (s *Server) DecideInto(q *Query, res *Result) error {
 	if q == nil {
-		return nil, fmt.Errorf("policysrv: nil query")
+		return fmt.Errorf("policysrv: nil query")
 	}
 	s.mu.RLock()
 	pol := s.pol
@@ -120,7 +131,7 @@ func (s *Server) Decide(q *Query) (*Result, error) {
 	s.mu.RUnlock()
 	now := nowFn()
 
-	res := &Result{}
+	*res = Result{}
 
 	// 1. Validate group assertions with the delegated group servers.
 	for _, g := range q.Assertions {
@@ -153,7 +164,7 @@ func (s *Server) Decide(q *Query) (*Result, error) {
 	}
 
 	// 3. Evaluate local policy over the validated facts.
-	req := &policy.Request{
+	req := policy.Request{
 		User:               q.User,
 		Groups:             res.ValidatedGroups,
 		Capabilities:       res.Capabilities,
@@ -164,8 +175,8 @@ func (s *Server) Decide(q *Query) (*Result, error) {
 		DestDomain:         q.DestDomain,
 		LinkedReservations: q.LinkedReservations,
 	}
-	res.Decision = pol.Evaluate(req)
-	return res, nil
+	res.Decision = pol.Evaluate(&req)
+	return nil
 }
 
 // effectiveTime evaluates time-of-day policy at the reservation start

@@ -62,11 +62,9 @@ func nonTestImports(t *testing.T, root string, skip []string, visit func(path, i
 // TestControlPathHasOneEncoding: the packages that put bytes on the
 // wire, under a signature or in the journal encode with internal/wire
 // and nothing else. A non-test file there that imports encoding/json is
-// a second encoding coming back. (internal/pki and internal/experiment
-// keep it: certificate extensions and a report writer are not the
-// control path.)
+// a second encoding coming back.
 func TestControlPathHasOneEncoding(t *testing.T) {
-	for _, pkg := range []string{"wire", "signalling", "envelope", "core", "journal", "resv", "saga", "bb", "tunnel", "group"} {
+	for _, pkg := range []string{"wire", "signalling", "envelope", "core", "journal", "resv", "saga", "bb", "tunnel", "group", "pki", "experiment"} {
 		files := nonTestImports(t, filepath.Join("internal", pkg), nil, func(path, imp string) {
 			if imp == "encoding/json" {
 				t.Errorf("%s imports encoding/json", path)

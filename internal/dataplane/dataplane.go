@@ -13,7 +13,8 @@
 //   - netsimdp wraps the packet-level netsim simulator (what every
 //     experiment world's broker is wired against);
 //   - fake meters offered bytes in closed form, for the large-scale
-//     scenario fleet, which holds its planes directly.
+//     scenario fleet, which holds its planes directly and programs
+//     them from its brokers' answers.
 //
 // A broker with no data plane (Config.Plane nil) runs control-plane
 // only.

@@ -2,8 +2,9 @@
 // scenario fleet. It enforces the same (r, b) token-bucket semantics as
 // the packet simulator, but at byte granularity: marking or policing N
 // bytes is O(1), independent of packet count, which is what makes
-// 10^5–10^6 simulated users affordable. The fleet holds its planes
-// directly: Mark, Police and ClassStats are its metering, not part of
+// metering 10^5 simulated users affordable. The fleet holds its planes
+// directly and programs them from the real brokers' grants and
+// cancels: Mark, Police and ClassStats are its metering, not part of
 // the broker's contract.
 package fake
 

@@ -1,23 +1,21 @@
 // Scenario fleet: a deterministic, seed-reproducible closed-loop
-// driver that exercises the broker's admission machinery and
-// data-plane metering at 10^5–10^6 simulated users. The fleet is the
-// standing regression harness for scale work: every scenario runs
-// real resv.Table admission (sharded into per-domain aggregates, the
-// way a deployment splits its premium pool across ingress points),
-// closed-form token-bucket metering (the fake backend's Mark and
-// Police, which no broker calls), and a modelled signalling path —
-// per-hop latency plus a FIFO single-server queue per broker — in dsim
-// virtual time. The full-crypto signalling
-// path measured in BENCH_concurrency.json runs at ~4.5 ms per
-// reservation; at 10^5 users that is hours of wall clock, so the fleet
-// models the path and drives the real decision logic under it.
+// driver that puts 10^5 simulated users on the real brokers of a
+// 3-domain World. Every reservation, refusal and cancel is a broker's,
+// asked for through experiment.User; the fleet schedules the users in
+// dsim virtual time, meters their traffic through the closed-form fake
+// data plane (Mark and Police, which no broker calls), and checks its
+// own ledger against the brokers' reservation tables after every
+// scenario.
 //
-// Everything is deterministic: virtual time starts at a fixed epoch,
+// Everything the fleet digests is deterministic: the brokers read a
+// clock that is the run's start instant plus dsim's virtual offset,
 // every behaviour draw comes from per-user splitmix64 streams seeded
 // from FleetConfig.Seed, no Go map is iterated for a scheduling
-// decision, and each scenario folds its grants, denials, cancels and
-// final table snapshots into a SHA-256 digest — two runs with the same
-// seed must produce byte-identical digests.
+// decision, and only one broker call is in flight at a time. Each
+// scenario folds its grants, denials, cancels and final table state
+// into a SHA-256 digest, with every instant taken relative to the
+// start, so two runs with the same seed produce byte-identical
+// digests whatever the date.
 package experiment
 
 import (
@@ -26,20 +24,17 @@ import (
 	"fmt"
 	"hash"
 	"sort"
+	"strings"
+	"sync/atomic"
 	"time"
 
 	"e2eqos/internal/dataplane/fake"
 	"e2eqos/internal/dsim"
-	"e2eqos/internal/identity"
 	"e2eqos/internal/resv"
+	"e2eqos/internal/signalling"
 	"e2eqos/internal/sla"
 	"e2eqos/internal/units"
 )
-
-// fleetEpoch is the fixed virtual wall-clock origin. Reservation
-// windows, table compaction horizons and admission stamps all derive
-// from it plus dsim virtual time; nothing reads the real date.
-var fleetEpoch = time.Date(2001, time.June, 4, 0, 0, 0, 0, time.UTC)
 
 // fleetWindowSlack pads every reservation window past its planned
 // cancel so the closed-loop cancel always precedes window expiry.
@@ -53,24 +48,21 @@ type FleetConfig struct {
 	Seed uint64
 }
 
-// The modelled fleet's constants.
+// The fleet's constants.
 const (
 	// fleetDomains is the signalling chain length: source, transit,
 	// destination.
 	fleetDomains = 3
 	// fleetPerUserRate is each honest reservation's bandwidth.
 	fleetPerUserRate = units.Mbps
-	// fleetCapacityFactor sizes each domain's premium aggregate as a
+	// fleetCapacityFactor sizes each domain's premium pool as a
 	// fraction of Users×fleetPerUserRate: diurnal peaks run the pool
-	// hot without saturating it.
-	fleetCapacityFactor = 0.35
-	// fleetHopLatency is the modelled one-way signalling latency per
-	// hop, matching BENCH_concurrency.json's setup.
-	fleetHopLatency = 2 * time.Millisecond
-	// fleetServiceTime is the modelled per-request broker occupancy;
-	// each broker is a FIFO single server, which is what turns flash
-	// crowds into grant-latency tails.
-	fleetServiceTime = 50 * time.Microsecond
+	// hot and just touch its edge, so a few of the peak's requests are
+	// refused and retry.
+	fleetCapacityFactor = 0.30
+	// fleetMinCapacity floors each domain's pool, so that a tiny
+	// population still admits.
+	fleetMinCapacity = 64 * fleetPerUserRate
 	// fleetAttackerFraction is the share of users that misreserve in
 	// the misreservation scenario.
 	fleetAttackerFraction = 0.01
@@ -79,14 +71,6 @@ const (
 	// cheap when only the source domain checks.
 	fleetAttackerOverbook = 10
 )
-
-// fleetAggregates is how many admission shards each domain's capacity
-// is split into, the per-ingress aggregate tables a deployment would
-// run: users/256 clamped to [16, 4096], which bounds the per-admit edge
-// scan to a few hundred reservations.
-func fleetAggregates(users int) int {
-	return min(max(users/256, 16), 4096)
-}
 
 // Quantiles is a p50/p99/p999 summary of one distribution.
 type Quantiles struct {
@@ -130,18 +114,15 @@ type ScenarioResult struct {
 	Denials int64
 	Retries int64
 	Cancels int64
-	// GrantLatencyMs is the end-to-end reserve latency distribution
-	// (modelled hops + queueing + service) over granted requests.
-	GrantLatencyMs Quantiles
 	// GoodputMbps is the per-hold premium goodput distribution through
 	// the edge marker.
 	GoodputMbps Quantiles
 	// Attack is set by the misreservation scenario only.
-	Attack *AttackResult `json:",omitempty"`
+	Attack *AttackResult
 	// Invariants lists the cross-cutting checks that passed.
 	Invariants []string
 	// Digest is the scenario's SHA-256 over grants, denials, cancels
-	// and final table snapshots, in settle order.
+	// and final table state, in settle order.
 	Digest string
 	// Events is how many dsim events the scenario processed.
 	Events int
@@ -157,96 +138,99 @@ type FleetResult struct {
 	Digest string
 }
 
-// fleetDomain is one domain of the modelled chain: its admission
-// shards, its data plane, its broker's FIFO queue and the running
-// committed aggregate the broker would push to its policer.
+// fleetDomain is one domain of the World as the fleet sees it: its
+// broker's reservation table, the fake data plane the fleet meters it
+// with, and the running committed aggregate the fleet programs that
+// plane's policer with.
 type fleetDomain struct {
 	name      string
 	capacity  units.Bandwidth
-	shards    []*resv.Table
+	table     *resv.Table
 	plane     *fake.Plane
-	busyUntil time.Duration
 	committed units.Bandwidth
 }
 
-// fleetBooking is one live reservation in the engine's ledger.
+// fleetBooking is one granted reservation in the engine's ledger. The
+// first len(handles) domains of the chain hold it, handles[i] in
+// domain i.
 type fleetBooking struct {
 	flow      string
 	user      int
 	bw        units.Bandwidth
 	handles   []string
-	path      []int
 	grantedAt time.Duration
 	offer     float64
 	cancelled bool
 }
 
-// fleetEngine drives one scenario: fresh tables, planes and virtual
-// clock per scenario so digests are independent.
+// fleetEngine drives one scenario on a World of its own, so digests
+// are independent.
 type fleetEngine struct {
-	cfg       FleetConfig
-	sim       *dsim.Sim
+	cfg   FleetConfig
+	sim   *dsim.Sim
+	world *World
+	// base is the instant the scenario started at. The brokers' clock
+	// is base plus dsim's virtual offset, which tick mirrors into now
+	// for the broker goroutines. Certificates are issued against the
+	// real date, so base has to be it.
+	base      time.Time
+	now       atomic.Int64
 	domains   []*fleetDomain
+	users     []*User // created on first use
 	bookings  map[string]*fleetBooking
-	userShard []int
 	userOffer []float64
 
-	latencies  []float64 // ms, granted reserves
 	goodputs   []float64 // Mb/s, completed holds
 	grants     int64
 	denials    int64
 	retries    int64
 	cancels    int64
-	admitOps   int64 // successful table admissions, for compaction bounds
+	admitOps   int64 // admissions the grants hold, for compaction bounds
 	drained    bool
 	violations []string
 	h          hash.Hash
 	seq        int64
 }
 
-func newFleetEngine(cfg FleetConfig, scenario string) *fleetEngine {
+func newFleetEngine(cfg FleetConfig, scenario string) (*fleetEngine, error) {
 	e := &fleetEngine{
 		cfg:      cfg,
 		sim:      dsim.New(),
+		base:     time.Now().Round(0),
+		users:    make([]*User, cfg.Users),
 		bookings: make(map[string]*fleetBooking),
 		h:        sha256.New(),
 	}
 	fmt.Fprintf(e.h, "scenario %s seed %d users %d\n", scenario, cfg.Seed, cfg.Users)
-	aggregates := fleetAggregates(cfg.Users)
-	capacity := units.Bandwidth(fleetCapacityFactor * float64(cfg.Users) * float64(fleetPerUserRate))
-	perShard := capacity / units.Bandwidth(aggregates)
-	if perShard < 4*fleetPerUserRate {
-		perShard = 4 * fleetPerUserRate // tiny smoke configs still admit
+	capacity := max(units.Bandwidth(fleetCapacityFactor*float64(cfg.Users)*float64(fleetPerUserRate)), fleetMinCapacity)
+	w, err := BuildWorld(WorldConfig{
+		NumDomains: fleetDomains,
+		Capacity:   capacity,
+		Clock:      func() time.Time { return e.base.Add(time.Duration(e.now.Load())) },
+	})
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	clock := func() time.Time { return fleetEpoch.Add(e.sim.Now()) }
-	for d := 0; d < fleetDomains; d++ {
-		dom := &fleetDomain{
-			name:     fmt.Sprintf("d%d", d),
-			capacity: perShard * units.Bandwidth(aggregates),
+	e.world = w
+	for _, name := range w.Domains {
+		e.domains = append(e.domains, &fleetDomain{
+			name:     name,
+			capacity: capacity,
+			table:    w.BBs[name].Table(),
 			plane:    fake.New(),
-		}
-		for a := 0; a < aggregates; a++ {
-			t, err := resv.NewTable(fmt.Sprintf("d%da%d", d, a), perShard)
-			if err != nil {
-				panic(err) // capacity is positive by construction
-			}
-			t.SetClock(clock)
-			dom.shards = append(dom.shards, t)
-		}
-		e.domains = append(e.domains, dom)
+		})
 	}
-	// Per-user statics from dedicated streams: the shard a user's
-	// reservations land in, and how hard the user drives its profile.
-	e.userShard = make([]int, cfg.Users)
+	// How hard each user drives its profile, from a dedicated stream.
 	e.userOffer = make([]float64, cfg.Users)
-	shardRNG := newRNG(cfg.Seed, 0xA11)
 	offerRNG := newRNG(cfg.Seed, 0xB22)
 	for u := 0; u < cfg.Users; u++ {
-		e.userShard[u] = shardRNG.Intn(aggregates)
 		e.userOffer[u] = 0.70 + 0.55*offerRNG.Float64()
 	}
-	return e
+	return e, nil
 }
+
+// close stops the scenario's World.
+func (e *fleetEngine) close() { e.world.Close() }
 
 // userRNG returns user u's private behaviour stream for a scenario
 // phase, independent of every other user's.
@@ -254,8 +238,28 @@ func (e *fleetEngine) userRNG(u int, phase uint64) *rng {
 	return newRNG(e.cfg.Seed, uint64(u)<<8|phase)
 }
 
-// at converts virtual sim time to virtual wall time.
-func (e *fleetEngine) at(t time.Duration) time.Time { return fleetEpoch.Add(t) }
+// tick mirrors dsim's virtual time into the brokers' clock and
+// returns it.
+func (e *fleetEngine) tick() time.Duration {
+	t := e.sim.Now()
+	e.now.Store(int64(t))
+	return t
+}
+
+// at converts virtual time to the brokers' wall time.
+func (e *fleetEngine) at(t time.Duration) time.Time { return e.base.Add(t) }
+
+// user returns user u's principal, creating it on first use.
+func (e *fleetEngine) user(u int) (*User, error) {
+	if e.users[u] == nil {
+		usr, err := e.world.NewUser(fmt.Sprintf("u%d", u), "", nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		e.users[u] = usr
+	}
+	return e.users[u], nil
+}
 
 func (e *fleetEngine) violate(format string, args ...any) {
 	if len(e.violations) < 32 {
@@ -263,127 +267,108 @@ func (e *fleetEngine) violate(format string, args ...any) {
 	}
 }
 
-// traverse models one signalling pass over the path: per-hop latency
-// plus FIFO queueing plus service at each broker. It returns the
-// virtual time the last hop finished processing.
-func (e *fleetEngine) traverse(from time.Duration, path []int, visit func(d *fleetDomain, i int) bool) time.Duration {
-	arrival := from
-	for i, di := range path {
-		d := e.domains[di]
-		arrival += fleetHopLatency
-		if d.busyUntil > arrival {
-			arrival = d.busyUntil
-		}
-		arrival += fleetServiceTime
-		d.busyUntil = arrival
-		if visit != nil && !visit(d, i) {
-			return arrival
-		}
-	}
-	return arrival
-}
-
-// reserve runs one closed-loop reservation attempt across path. On
-// grant it installs the edge profile, bumps each domain's committed
-// aggregate and returns the booking; on denial it rolls back partial
-// admissions hop by hop and returns nil.
-func (e *fleetEngine) reserve(user int, bw units.Bandwidth, hold time.Duration, path []int) *fleetBooking {
-	t := e.sim.Now()
-	win := units.NewWindow(e.at(t), hold+fleetWindowSlack)
+// reserve asks the brokers for one reservation of bw for user: end to
+// end, or at the source domain only when local is set (the paper's
+// source-domain baseline). On grant it installs the edge profile,
+// bumps the committed aggregate of every domain holding a claim and
+// returns the booking; a refusal is counted under the domain that
+// refused, and nil returned. The user's connection is dropped once
+// the broker has answered.
+func (e *fleetEngine) reserve(user int, bw units.Bandwidth, hold time.Duration, local bool) *fleetBooking {
+	t := e.tick()
 	e.seq++
 	flow := fmt.Sprintf("u%d.%d", user, e.seq)
-	dn := identity.DN("fleet:" + flow)
-	var handles []string
-	deniedAt := -1
-	done := e.traverse(t, path, func(d *fleetDomain, i int) bool {
-		shard := d.shards[e.userShard[user]]
-		r, err := shard.Admit(resv.AdmitRequest{
-			User:      dn,
-			SrcHost:   flow,
-			DstHost:   d.name,
-			Bandwidth: bw,
-			Window:    win,
-		})
-		if err != nil {
-			deniedAt = i
-			return false
-		}
-		handles = append(handles, r.Handle)
-		e.admitOps++
-		return true
-	})
-	latency := done + fleetHopLatency*time.Duration(len(path)) - t
-	if deniedAt >= 0 {
-		// Hop-by-hop rollback of the partial chain, most recent first.
-		for i := len(handles) - 1; i >= 0; i-- {
-			d := e.domains[path[i]]
-			if err := d.shards[e.userShard[user]].Cancel(handles[i]); err != nil {
-				e.violate("rollback %s at %s: %v", flow, d.name, err)
-			}
-		}
-		e.denials++
-		fmt.Fprintf(e.h, "deny %s %s %d\n", flow, e.domains[path[deniedAt]].name, latency)
+	u, err := e.user(user)
+	if err != nil {
+		e.violate("user %d: %v", user, err)
 		return nil
 	}
-	e.grants++
-	e.latencies = append(e.latencies, float64(latency)/float64(time.Millisecond))
-	b := &fleetBooking{
-		flow:      flow,
-		user:      user,
-		bw:        bw,
-		handles:   handles,
-		path:      append([]int(nil), path...),
-		grantedAt: done,
-		offer:     e.userOffer[user],
+	spec := u.NewSpec(SpecOptions{
+		DestDomain: e.world.DestDomain(),
+		Bandwidth:  bw,
+		Window:     units.NewWindow(e.at(t), hold+fleetWindowSlack),
+	})
+	spec.RARID = flow
+	var res *signalling.ResultPayload
+	hops := len(e.domains)
+	if local {
+		res, err = u.ReserveLocalAt(u.Domain, spec)
+		hops = 1
+	} else {
+		res, err = u.ReserveE2E(spec)
 	}
+	u.Close()
+	if err != nil {
+		e.violate("reserve %s: %v", flow, err)
+		return nil
+	}
+	if !res.Granted {
+		// The refusal comes first, the remarks of the hops above it
+		// after it.
+		denier := ""
+		if len(res.Approvals) > 0 {
+			denier = res.Approvals[0].Domain
+		}
+		e.denials++
+		fmt.Fprintf(e.h, "deny %s %s %d\n", flow, denier, t)
+		return nil
+	}
+	if len(res.Approvals) != hops {
+		e.violate("grant %s holds %d claims, want %d", flow, len(res.Approvals), hops)
+		return nil
+	}
+	// A grant's claims come destination first. Each handle is cut from
+	// the result's approval stack, so it is copied rather than kept
+	// pinning the stack for the booking's life.
+	b := &fleetBooking{flow: flow, user: user, bw: bw, grantedAt: t, offer: e.userOffer[user]}
+	for i := hops - 1; i >= 0; i-- {
+		b.handles = append(b.handles, strings.Clone(res.Approvals[i].Handle))
+	}
+	e.grants++
+	e.admitOps += int64(hops)
 	e.bookings[flow] = b
-	src := e.domains[path[0]]
+	src := e.domains[0]
 	src.plane.InstallProfile(flow, sla.TrafficProfile{Rate: bw, BucketBytes: defaultFleetBucket})
-	src.plane.Mark(flow, 0, done) // open the marking window at grant
-	for _, di := range path {
-		d := e.domains[di]
+	src.plane.Mark(flow, 0, t) // open the marking window at grant
+	for _, d := range e.domains[:hops] {
 		d.committed += bw
 		if d.committed > d.capacity {
 			e.violate("domain %s committed %v exceeds capacity %v", d.name, d.committed, d.capacity)
 		}
 		d.plane.SetAggregate(sla.TrafficProfile{Rate: d.committed, BucketBytes: defaultFleetBucket})
 	}
-	fmt.Fprintf(e.h, "grant %s %v %d %d\n", flow, bw, latency, done)
+	fmt.Fprintf(e.h, "grant %s %v %d %v\n", flow, bw, t, b.handles)
 	return b
 }
 
 // defaultFleetBucket matches the broker's default profile burst.
 const defaultFleetBucket = 30_000
 
-// cancelBooking tears one booking down along its path (cancel
-// signalling occupies the same broker queues) and folds the hold's
-// measured goodput into the distribution.
+// cancelBooking has the user cancel one booking at its source broker,
+// which tears it down along its path, and folds the hold's measured
+// goodput into the distribution.
 func (e *fleetEngine) cancelBooking(b *fleetBooking) {
-	if b == nil || b.cancelled {
+	if b.cancelled {
 		return
 	}
 	b.cancelled = true
-	t := e.sim.Now()
-	e.traverse(t, b.path, func(d *fleetDomain, i int) bool {
-		if err := d.shards[e.userShard[b.user]].Cancel(b.handles[i]); err != nil {
-			e.violate("cancel %s at %s: %v", b.flow, d.name, err)
-		}
+	t := e.tick()
+	u := e.users[b.user]
+	if err := u.Cancel(u.Domain, b.flow); err != nil {
+		e.violate("cancel %s: %v", b.flow, err)
+	}
+	u.Close()
+	for _, d := range e.domains[:len(b.handles)] {
 		d.committed -= b.bw
-		agg := d.committed
-		if agg < 0 {
+		if d.committed < 0 {
 			e.violate("domain %s committed went negative", d.name)
-			agg = 0
 		}
-		rate := agg
-		if rate <= 0 {
-			rate = 1 // closed policer
-		}
+		rate := max(d.committed, 1) // 1 b/s: a closed policer
 		d.plane.SetAggregate(sla.TrafficProfile{Rate: rate, BucketBytes: defaultFleetBucket})
-		return true
-	})
+	}
 	e.cancels++
 	hold := t - b.grantedAt
-	src := e.domains[b.path[0]]
+	src := e.domains[0]
 	if hold > 0 {
 		offered := int64(float64(b.bw.BytesIn(hold)) * b.offer)
 		premium := src.plane.Mark(b.flow, offered, t)
@@ -395,14 +380,11 @@ func (e *fleetEngine) cancelBooking(b *fleetBooking) {
 
 // holdThenCancel schedules the closed-loop cancel for a grant.
 func (e *fleetEngine) holdThenCancel(b *fleetBooking, hold time.Duration) {
-	if b == nil {
-		return
-	}
 	_ = e.sim.Schedule(e.sim.Now()+hold, func() { e.cancelBooking(b) })
 }
 
-// drain cancels every live booking immediately (scenario teardown).
-func (e *fleetEngine) drain() {
+// liveBookings returns the bookings not yet cancelled, in flow order.
+func (e *fleetEngine) liveBookings() []*fleetBooking {
 	flows := make([]string, 0, len(e.bookings))
 	for f, b := range e.bookings {
 		if !b.cancelled {
@@ -410,40 +392,45 @@ func (e *fleetEngine) drain() {
 		}
 	}
 	sort.Strings(flows)
-	for _, f := range flows {
-		e.cancelBooking(e.bookings[f])
+	live := make([]*fleetBooking, len(flows))
+	for i, f := range flows {
+		live[i] = e.bookings[f]
+	}
+	return live
+}
+
+// drain cancels every live booking immediately (scenario teardown).
+func (e *fleetEngine) drain() {
+	for _, b := range e.liveBookings() {
+		e.cancelBooking(b)
 	}
 	e.drained = true
 }
 
-// finish runs the invariant battery, folds final table snapshots into
-// the digest and assembles the scenario result.
+// finish runs the invariant battery, folds the final table state and
+// the planes' class stats into the digest and assembles the scenario
+// result. Table instants are folded relative to base.
 func (e *fleetEngine) finish(name string, events int) (ScenarioResult, error) {
+	e.tick()
 	checks := e.checkInvariants()
 	for _, d := range e.domains {
-		for _, shard := range d.shards {
-			snap, err := shard.Snapshot()
-			if err != nil {
-				return ScenarioResult{}, fmt.Errorf("fleet: snapshot %s: %w", shard.Name(), err)
-			}
-			e.h.Write(snap)
+		for _, r := range d.table.All() {
+			fmt.Fprintf(e.h, "entry %s %s %s %v %d %d\n", r.Handle, r.User, r.Status, r.Bandwidth,
+				r.Window.Start.Sub(e.base), r.Window.End.Sub(e.base))
 		}
 		cs := d.plane.ClassStats()
-		// The middle column was a best-effort byte count the fake plane
-		// never meters; it stays a literal 0 so the pinned digests hold.
-		fmt.Fprintf(e.h, "plane %s %d 0 %d\n", d.name, cs.PremiumBytes, cs.ExcessPremiumBytes)
+		fmt.Fprintf(e.h, "plane %s %d %d\n", d.name, cs.PremiumBytes, cs.ExcessPremiumBytes)
 	}
 	res := ScenarioResult{
-		Name:           name,
-		Grants:         e.grants,
-		Denials:        e.denials,
-		Retries:        e.retries,
-		Cancels:        e.cancels,
-		GrantLatencyMs: quantilesOf(e.latencies),
-		GoodputMbps:    quantilesOf(e.goodputs),
-		Invariants:     checks,
-		Digest:         hex.EncodeToString(e.h.Sum(nil)),
-		Events:         events,
+		Name:        name,
+		Grants:      e.grants,
+		Denials:     e.denials,
+		Retries:     e.retries,
+		Cancels:     e.cancels,
+		GoodputMbps: quantilesOf(e.goodputs),
+		Invariants:  checks,
+		Digest:      hex.EncodeToString(e.h.Sum(nil)),
+		Events:      events,
 	}
 	if len(e.violations) > 0 {
 		return res, fmt.Errorf("fleet: scenario %s violated invariants: %v", name, e.violations)

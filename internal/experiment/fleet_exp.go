@@ -19,8 +19,8 @@ func RunFleetExperiment(cfg FleetConfig) (*Table, error) {
 		Title: fmt.Sprintf("scenario fleet, %d users × %d domains, seed %d", res.Users, res.Domains, res.Seed),
 		Claim: "admission, enforcement and teardown hold their invariants under diurnal load, flash crowds, churn and the misreservation attack at fleet scale",
 		Columns: []string{
-			"scenario", "grants", "denials", "retries",
-			"grant p50/p99/p999 (ms)", "goodput p50/p99/p999 (Mb/s)", "invariants",
+			"scenario", "grants", "denials", "retries", "cancels",
+			"goodput p50/p99/p999 (Mb/s)", "invariants",
 		},
 	}
 	for _, s := range res.Scenarios {
@@ -29,7 +29,7 @@ func RunFleetExperiment(cfg FleetConfig) (*Table, error) {
 			fmt.Sprintf("%d", s.Grants),
 			fmt.Sprintf("%d", s.Denials),
 			fmt.Sprintf("%d", s.Retries),
-			fmt.Sprintf("%.2f / %.2f / %.2f", s.GrantLatencyMs.P50, s.GrantLatencyMs.P99, s.GrantLatencyMs.P999),
+			fmt.Sprintf("%d", s.Cancels),
 			fmt.Sprintf("%.2f / %.2f / %.2f", s.GoodputMbps.P50, s.GoodputMbps.P99, s.GoodputMbps.P999),
 			fmt.Sprintf("%d passed", len(s.Invariants)),
 		)
@@ -41,7 +41,7 @@ func RunFleetExperiment(cfg FleetConfig) (*Table, error) {
 		}
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("fleet digest %s… (seed-reproducible; same seed ⇒ byte-identical)", res.Digest[:16]),
-		fmt.Sprintf("virtual-time closed loop over real admission tables and the fake data-plane backend; wall clock %.1fs", elapsed.Seconds()))
+		fmt.Sprintf("fleet digest %s (seed-reproducible; same seed ⇒ byte-identical)", res.Digest),
+		fmt.Sprintf("virtual-time closed loop over the real brokers of a %d-domain World, metered by the fake data-plane backend; wall clock %.1fs", res.Domains, elapsed.Seconds()))
 	return t, nil
 }

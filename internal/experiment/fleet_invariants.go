@@ -9,11 +9,11 @@ import (
 )
 
 // Cross-cutting invariant checkers, asserted after every scenario.
-// They re-derive ground truth from the reservation tables and compare
-// it against the engine's own ledger — the point is to catch admission
-// or bookkeeping regressions, so nothing here trusts the code path
-// that produced the state. A failed check lands in e.violations and
-// fails the whole fleet run.
+// They read the brokers' reservation tables and compare them against
+// the engine's own ledger of what the brokers answered: the point is
+// to catch admission, rollback or cancel regressions in the brokers,
+// so nothing here trusts the code path that produced the state. A
+// failed check lands in e.violations and fails the whole fleet run.
 
 // checkInvariants runs the battery and returns the names of the
 // checks that passed (violations accumulate separately).
@@ -34,30 +34,30 @@ func (e *fleetEngine) checkInvariants() []string {
 	return passed
 }
 
-// checkCapacity asserts that no admission shard is overcommitted at
-// any point of the scenario: the peak committed bandwidth over the
-// whole horizon must leave Available non-negative.
+// checkCapacity asserts that no domain's table is overcommitted at any
+// point of the scenario: the peak committed bandwidth over the whole
+// horizon must leave Available non-negative.
 func (e *fleetEngine) checkCapacity() bool {
 	ok := true
-	whole := units.Window{Start: fleetEpoch, End: e.at(e.sim.Now() + fleetWindowSlack)}
+	whole := units.Window{Start: e.base, End: e.at(e.sim.Now() + fleetWindowSlack)}
 	for _, d := range e.domains {
-		for _, shard := range d.shards {
-			if avail := shard.Available(whole); avail < 0 {
-				e.violate("shard %s overcommitted: available %v", shard.Name(), avail)
-				ok = false
-			}
+		if avail := d.table.Available(whole); avail < 0 {
+			e.violate("table %s overcommitted: available %v", d.table.Name(), avail)
+			ok = false
 		}
 	}
 	return ok
 }
 
-// checkLedger cross-checks every booking the engine ever granted
-// against the tables: live bookings must exist exactly once with
-// matching bandwidth (zero lost grants), and no shard may hold a
-// granted reservation the ledger doesn't know (zero double grants).
+// checkLedger cross-checks every booking the brokers ever granted
+// against their tables: live bookings must exist exactly once with
+// matching bandwidth (zero lost grants), and no table may hold a
+// granted reservation the ledger doesn't know (zero double grants: a
+// refusal the brokers failed to roll back shows up here).
 func (e *fleetEngine) checkLedger() bool {
 	ok := true
-	// Every handle the ledger thinks is live.
+	// Every handle the ledger thinks is live. A handle names its table,
+	// so one set serves every domain.
 	liveHandles := make(map[string]units.Bandwidth)
 	flows := make([]string, 0, len(e.bookings))
 	for f := range e.bookings {
@@ -66,9 +66,8 @@ func (e *fleetEngine) checkLedger() bool {
 	sort.Strings(flows)
 	for _, f := range flows {
 		b := e.bookings[f]
-		for i, di := range b.path {
-			shard := e.domains[di].shards[e.userShard[b.user]]
-			r, found := shard.Lookup(b.handles[i])
+		for i, d := range e.domains[:len(b.handles)] {
+			r, found := d.table.Lookup(b.handles[i])
 			if b.cancelled {
 				// A cancelled booking may already be compacted away;
 				// if still visible it must not consume capacity.
@@ -80,7 +79,7 @@ func (e *fleetEngine) checkLedger() bool {
 			}
 			liveHandles[b.handles[i]] = b.bw
 			if !found {
-				e.violate("lost grant: %s handle %s missing from %s", f, b.handles[i], shard.Name())
+				e.violate("lost grant: %s handle %s missing from %s", f, b.handles[i], d.table.Name())
 				ok = false
 				continue
 			}
@@ -92,33 +91,28 @@ func (e *fleetEngine) checkLedger() bool {
 	}
 	// Every granted table entry must be in the ledger.
 	for _, d := range e.domains {
-		for _, shard := range d.shards {
-			for _, r := range shard.All() {
-				if r.Status != resv.Granted {
-					continue
-				}
-				if _, known := liveHandles[r.Handle]; !known {
-					e.violate("double grant: %s holds %s the ledger never granted (or already cancelled)", shard.Name(), r.Handle)
-					ok = false
-				}
+		for _, r := range d.table.All() {
+			if r.Status != resv.Granted {
+				continue
+			}
+			if _, known := liveHandles[r.Handle]; !known {
+				e.violate("double grant: %s holds %s the ledger never granted (or already cancelled)", d.table.Name(), r.Handle)
+				ok = false
 			}
 		}
 	}
 	return ok
 }
 
-// checkCommittedSums asserts the running aggregate each domain pushed
-// to its policer equals the table-derived committed bandwidth.
+// checkCommittedSums asserts the running aggregate the fleet pushed to
+// each domain's policer equals the committed bandwidth of the broker's
+// table.
 func (e *fleetEngine) checkCommittedSums() bool {
 	ok := true
 	now := e.at(e.sim.Now())
 	for _, d := range e.domains {
-		var fromTables units.Bandwidth
-		for _, shard := range d.shards {
-			fromTables += shard.CommittedAt(now)
-		}
-		if fromTables != d.committed {
-			e.violate("domain %s aggregate drift: tables say %v, running sum %v", d.name, fromTables, d.committed)
+		if c := d.table.CommittedAt(now); c != d.committed {
+			e.violate("domain %s aggregate drift: table says %v, running sum %v", d.name, c, d.committed)
 			ok = false
 		}
 	}
@@ -126,7 +120,8 @@ func (e *fleetEngine) checkCommittedSums() bool {
 }
 
 // checkDrained asserts scenario teardown released everything: after
-// drain, every domain's committed aggregate is zero.
+// drain, every domain's committed aggregate is zero, in the ledger and
+// in the broker's table.
 func (e *fleetEngine) checkDrained() bool {
 	if !e.drained {
 		return false
@@ -138,11 +133,9 @@ func (e *fleetEngine) checkDrained() bool {
 			e.violate("domain %s not drained: %v still committed", d.name, d.committed)
 			ok = false
 		}
-		for _, shard := range d.shards {
-			if c := shard.CommittedAt(now); c != 0 {
-				e.violate("shard %s not drained: %v committed", shard.Name(), c)
-				ok = false
-			}
+		if c := d.table.CommittedAt(now); c != 0 {
+			e.violate("table %s not drained: %v committed", d.table.Name(), c)
+			ok = false
 		}
 	}
 	return ok
@@ -155,9 +148,7 @@ func (e *fleetEngine) checkCompactionBounded(totalAdmits int64) bool {
 	ok := true
 	var lenBefore int64
 	for _, d := range e.domains {
-		for _, shard := range d.shards {
-			lenBefore += int64(shard.Len())
-		}
+		lenBefore += int64(d.table.Len())
 	}
 	if totalAdmits > 1000 && lenBefore >= totalAdmits {
 		e.violate("compaction never ran: %d entries retained of %d admits", lenBefore, totalAdmits)
@@ -165,12 +156,10 @@ func (e *fleetEngine) checkCompactionBounded(totalAdmits int64) bool {
 	}
 	horizon := e.at(e.sim.Now() + resv.DefaultRetention + fleetWindowSlack + time.Minute)
 	for _, d := range e.domains {
-		for _, shard := range d.shards {
-			shard.Compact(horizon)
-			if n := shard.Len(); n != 0 {
-				e.violate("shard %s leaked %d entries past retention", shard.Name(), n)
-				ok = false
-			}
+		d.table.Compact(horizon)
+		if n := d.table.Len(); n != 0 {
+			e.violate("table %s leaked %d entries past retention", d.table.Name(), n)
+			ok = false
 		}
 	}
 	return ok

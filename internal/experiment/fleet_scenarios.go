@@ -5,29 +5,19 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"e2eqos/internal/units"
 )
 
-// The four scenario families. Each builds a fresh engine (fresh
-// tables, planes, virtual clock) so scenario digests are independent
+// The four scenario families. Each builds a fresh engine (a fresh
+// World, planes and virtual clock) so scenario digests are independent
 // and order-insensitive.
 
-// fullPath is the end-to-end signalling chain (every domain in order).
-func (e *fleetEngine) fullPath() []int {
-	path := make([]int, len(e.domains))
-	for i := range path {
-		path[i] = i
-	}
-	return path
-}
-
-// sessionWithRetry is the closed-loop user: reserve, hold, cancel; on
-// denial, back off and retry a bounded number of times.
-func (e *fleetEngine) sessionWithRetry(u int, bw units.Bandwidth, hold time.Duration, path []int, retries int, r *rng) {
-	if b := e.reserve(u, bw, hold, path); b != nil {
+// sessionWithRetry is the closed-loop user: reserve end to end, hold,
+// cancel; on denial, back off and retry a bounded number of times.
+func (e *fleetEngine) sessionWithRetry(u int, bw units.Bandwidth, hold time.Duration, retries int, r *rng) {
+	if b := e.reserve(u, bw, hold, false); b != nil {
 		e.holdThenCancel(b, hold)
 		return
 	}
@@ -36,7 +26,7 @@ func (e *fleetEngine) sessionWithRetry(u int, bw units.Bandwidth, hold time.Dura
 	}
 	e.retries++
 	_ = e.sim.After(r.Between(time.Second, 10*time.Second), func() {
-		e.sessionWithRetry(u, bw, hold, path, retries-1, r)
+		e.sessionWithRetry(u, bw, hold, retries-1, r)
 	})
 }
 
@@ -45,10 +35,13 @@ func (e *fleetEngine) sessionWithRetry(u int, bw units.Bandwidth, hold time.Dura
 // decides per slot whether to hold a reservation, for roughly half to
 // one-and-a-half slots.
 func runDiurnal(cfg FleetConfig) (ScenarioResult, error) {
-	e := newFleetEngine(cfg, "diurnal")
+	e, err := newFleetEngine(cfg, "diurnal")
+	if err != nil {
+		return ScenarioResult{}, err
+	}
+	defer e.close()
 	const slots = 24
 	slotDur := 2 * time.Minute
-	path := e.fullPath()
 	for u := 0; u < cfg.Users; u++ {
 		r := e.userRNG(u, 1)
 		for s := 0; s < slots; s++ {
@@ -61,7 +54,7 @@ func runDiurnal(cfg FleetConfig) (ScenarioResult, error) {
 			hold := r.Between(slotDur/2, slotDur*3/2)
 			u := u
 			if err := e.sim.Schedule(start, func() {
-				e.sessionWithRetry(u, fleetPerUserRate, hold, path, 2, r)
+				e.sessionWithRetry(u, fleetPerUserRate, hold, 2, r)
 			}); err != nil {
 				return ScenarioResult{}, err
 			}
@@ -73,11 +66,14 @@ func runDiurnal(cfg FleetConfig) (ScenarioResult, error) {
 }
 
 // runFlashCrowd lays a 10% baseline load, then hits the brokers with
-// 30% of the population reserving within a two-second window — the
-// FIFO broker queues turn the burst into the grant-latency tail.
+// 30% of the population reserving within a two-second window: the
+// burst runs the pools dry, and the crowd's late arrivals are refused.
 func runFlashCrowd(cfg FleetConfig) (ScenarioResult, error) {
-	e := newFleetEngine(cfg, "flash")
-	path := e.fullPath()
+	e, err := newFleetEngine(cfg, "flash")
+	if err != nil {
+		return ScenarioResult{}, err
+	}
+	defer e.close()
 	for u := 0; u < cfg.Users; u++ {
 		r := e.userRNG(u, 2)
 		if r.Float64() < 0.10 {
@@ -85,7 +81,7 @@ func runFlashCrowd(cfg FleetConfig) (ScenarioResult, error) {
 			hold := r.Between(30*time.Second, 50*time.Second)
 			u := u
 			if err := e.sim.Schedule(start, func() {
-				e.sessionWithRetry(u, fleetPerUserRate, hold, path, 1, r)
+				e.sessionWithRetry(u, fleetPerUserRate, hold, 1, r)
 			}); err != nil {
 				return ScenarioResult{}, err
 			}
@@ -95,7 +91,7 @@ func runFlashCrowd(cfg FleetConfig) (ScenarioResult, error) {
 			hold := r.Between(10*time.Second, 20*time.Second)
 			u := u
 			if err := e.sim.Schedule(start, func() {
-				e.sessionWithRetry(u, fleetPerUserRate, hold, path, 0, r)
+				e.sessionWithRetry(u, fleetPerUserRate, hold, 0, r)
 			}); err != nil {
 				return ScenarioResult{}, err
 			}
@@ -110,8 +106,11 @@ func runFlashCrowd(cfg FleetConfig) (ScenarioResult, error) {
 // short holds for twelve virtual minutes — the compaction stress: the
 // tables must shed dead reservations while admission keeps running.
 func runChurn(cfg FleetConfig) (ScenarioResult, error) {
-	e := newFleetEngine(cfg, "churn")
-	path := e.fullPath()
+	e, err := newFleetEngine(cfg, "churn")
+	if err != nil {
+		return ScenarioResult{}, err
+	}
+	defer e.close()
 	churners := cfg.Users / 20
 	if churners < 8 {
 		churners = min(8, cfg.Users)
@@ -121,33 +120,33 @@ func runChurn(cfg FleetConfig) (ScenarioResult, error) {
 		r := e.userRNG(u, 3)
 		u := u
 		if err := e.sim.Schedule(r.Between(0, 5*time.Second), func() {
-			e.churnLoop(u, r, path, horizon)
+			e.churnLoop(u, r, horizon)
 		}); err != nil {
 			return ScenarioResult{}, err
 		}
 	}
 	events := e.sim.Run(horizon + time.Minute)
 	e.drain()
-	if e.checkCompactionBounded(e.admitOps) {
-		res, err := e.finish("churn", events)
+	bounded := e.checkCompactionBounded(e.admitOps)
+	res, err := e.finish("churn", events)
+	if bounded {
 		res.Invariants = append(res.Invariants, "compaction-bounded")
-		return res, err
 	}
-	return e.finish("churn", events)
+	return res, err
 }
 
 // churnLoop books, holds briefly, cancels, pauses, rebooks — until
 // the horizon.
-func (e *fleetEngine) churnLoop(u int, r *rng, path []int, until time.Duration) {
+func (e *fleetEngine) churnLoop(u int, r *rng, until time.Duration) {
 	if e.sim.Now() >= until {
 		return
 	}
 	hold := r.Between(5*time.Second, 30*time.Second)
 	gap := r.Between(200*time.Millisecond, 2*time.Second)
 	rebook := func() {
-		_ = e.sim.After(gap, func() { e.churnLoop(u, r, path, until) })
+		_ = e.sim.After(gap, func() { e.churnLoop(u, r, until) })
 	}
-	b := e.reserve(u, fleetPerUserRate, hold, path)
+	b := e.reserve(u, fleetPerUserRate, hold, false)
 	if b == nil {
 		rebook()
 		return
@@ -193,17 +192,16 @@ func runMisreservation(cfg FleetConfig) (ScenarioResult, error) {
 	whole := sha256.New()
 	fmt.Fprintf(whole, "defended %s\nattack %s\n", defRes.Digest, atkRes.Digest)
 	res := ScenarioResult{
-		Name:           "misreservation",
-		Grants:         defRes.Grants + atkRes.Grants,
-		Denials:        defRes.Denials + atkRes.Denials,
-		Retries:        defRes.Retries + atkRes.Retries,
-		Cancels:        defRes.Cancels + atkRes.Cancels,
-		GrantLatencyMs: defRes.GrantLatencyMs,
-		GoodputMbps:    defRes.GoodputMbps,
-		Attack:         attack,
-		Invariants:     append(defRes.Invariants, "attacker-goodput<=reservation", "policer-byte-conservation"),
-		Digest:         hex.EncodeToString(whole.Sum(nil)),
-		Events:         defRes.Events + atkRes.Events,
+		Name:        "misreservation",
+		Grants:      defRes.Grants + atkRes.Grants,
+		Denials:     defRes.Denials + atkRes.Denials,
+		Retries:     defRes.Retries + atkRes.Retries,
+		Cancels:     defRes.Cancels + atkRes.Cancels,
+		GoodputMbps: defRes.GoodputMbps,
+		Attack:      attack,
+		Invariants:  append(defRes.Invariants, "attacker-goodput<=reservation", "policer-byte-conservation"),
+		Digest:      hex.EncodeToString(whole.Sum(nil)),
+		Events:      defRes.Events + atkRes.Events,
 	}
 	return res, nil
 }
@@ -222,8 +220,11 @@ func runAttackArm(cfg FleetConfig, defended bool) (ScenarioResult, armGoodput, e
 	if defended {
 		name = "misreservation-defended"
 	}
-	e := newFleetEngine(cfg, name)
-	path := e.fullPath()
+	e, err := newFleetEngine(cfg, name)
+	if err != nil {
+		return ScenarioResult{}, armGoodput{}, err
+	}
+	defer e.close()
 	attackers := max(int(fleetAttackerFraction*float64(cfg.Users)), 1)
 	attackerBW := fleetAttackerOverbook * fleetPerUserRate
 	const (
@@ -244,72 +245,51 @@ func runAttackArm(cfg FleetConfig, defended bool) (ScenarioResult, armGoodput, e
 		start := r.Between(0, joinBy)
 		u := u
 		if err := e.sim.Schedule(start, func() {
-			if !isAttacker {
-				e.reserve(u, fleetPerUserRate, hold, path)
-				return
-			}
-			if defended {
+			switch {
+			case !isAttacker:
+				e.reserve(u, fleetPerUserRate, hold, false)
+			case defended:
 				// End-to-end provisioning: the attacker must ask every
 				// domain, destination included.
-				e.reserve(u, attackerBW, hold, path)
-			} else {
+				e.reserve(u, attackerBW, hold, false)
+			default:
 				// Source-domain provisioning: book only the home domain;
 				// its broker still programs the edge marker.
-				e.reserve(u, attackerBW, hold, path[:1])
+				e.reserve(u, attackerBW, hold, true)
 			}
 		}); err != nil {
 			return ScenarioResult{}, armGoodput{}, err
 		}
 	}
 	var arm armGoodput
-	var measureErr error
 	// Open the measurement window: consume all pre-window traffic so
 	// the per-flow meters sit at their steady state.
 	if err := e.sim.Schedule(measFrom, func() {
-		e.forEachLiveBooking(func(b *fleetBooking) {
-			src := e.domains[b.path[0]]
+		for _, b := range e.liveBookings() {
 			pre := int64(float64(b.bw.BytesIn(e.sim.Now()-b.grantedAt)) * b.offer)
-			src.plane.Mark(b.flow, pre, e.sim.Now())
-		})
+			e.domains[0].plane.Mark(b.flow, pre, e.sim.Now())
+		}
 		dest := e.domains[len(e.domains)-1]
 		dest.plane.Police(0, e.sim.Now())
 	}); err != nil {
 		return ScenarioResult{}, armGoodput{}, err
 	}
 	if err := e.sim.Schedule(measTo, func() {
-		arm, measureErr = e.measureGoodput(attackers, measTo-measFrom, defended)
+		arm = e.measureGoodput(attackers, measTo-measFrom, defended)
 	}); err != nil {
 		return ScenarioResult{}, armGoodput{}, err
 	}
 	events := e.sim.Run(measTo + time.Minute)
 	e.drain()
 	res, err := e.finish(name, events)
-	if err == nil {
-		err = measureErr
-	}
 	return res, arm, err
-}
-
-// forEachLiveBooking visits live bookings in deterministic (sorted
-// flow) order.
-func (e *fleetEngine) forEachLiveBooking(fn func(b *fleetBooking)) {
-	flows := make([]string, 0, len(e.bookings))
-	for f, b := range e.bookings {
-		if !b.cancelled {
-			flows = append(flows, f)
-		}
-	}
-	sort.Strings(flows)
-	for _, f := range flows {
-		fn(e.bookings[f])
-	}
 }
 
 // measureGoodput meters every live flow's window traffic through its
 // edge marker, polices the premium sum at the destination aggregate,
 // distributes the passed bytes proportionally (aggregate policing is
 // flow-blind) and asserts the arm's invariants.
-func (e *fleetEngine) measureGoodput(attackers int, window time.Duration, defended bool) (armGoodput, error) {
+func (e *fleetEngine) measureGoodput(attackers int, window time.Duration, defended bool) armGoodput {
 	now := e.sim.Now()
 	type flowPremium struct {
 		b       *fleetBooking
@@ -317,17 +297,16 @@ func (e *fleetEngine) measureGoodput(attackers int, window time.Duration, defend
 	}
 	var flows []flowPremium
 	var totalPremium int64
-	e.forEachLiveBooking(func(b *fleetBooking) {
-		src := e.domains[b.path[0]]
+	for _, b := range e.liveBookings() {
 		factor := b.offer
 		if b.user < attackers {
 			factor = 1.5 // attackers blast over their profile; the edge clips
 		}
 		offered := int64(float64(b.bw.BytesIn(window)) * factor)
-		premium := src.plane.Mark(b.flow, offered, now)
+		premium := e.domains[0].plane.Mark(b.flow, offered, now)
 		flows = append(flows, flowPremium{b, premium})
 		totalPremium += premium
-	})
+	}
 	dest := e.domains[len(e.domains)-1]
 	passed := dest.plane.Police(totalPremium, now)
 	aggRate := dest.committed
@@ -360,5 +339,5 @@ func (e *fleetEngine) measureGoodput(attackers int, window time.Duration, defend
 		}
 	}
 	fmt.Fprintf(e.h, "measure premium %d passed %d agg %d\n", totalPremium, passed, int64(aggRate))
-	return armGoodput{honest: quantilesOf(honest), attacker: quantilesOf(attacker)}, nil
+	return armGoodput{honest: quantilesOf(honest), attacker: quantilesOf(attacker)}
 }

@@ -39,14 +39,6 @@ func (r *rng) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
 }
 
-// Intn returns a uniform draw in [0, n).
-func (r *rng) Intn(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(r.Uint64() % uint64(n))
-}
-
 // Between returns a uniform duration in [lo, hi).
 func (r *rng) Between(lo, hi time.Duration) time.Duration {
 	if hi <= lo {

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -93,12 +94,24 @@ func (u *User) clientTo(domain string) (*signalling.Client, error) {
 // call may fan out across every hop of the chain before a result comes
 // back, so its deadline is the per-hop budget scaled by the worst-case
 // path length (plus one hop of slack); none when the world sets none.
+// A call that finds the connection closed (the broker was stopped or
+// restarted) fails, and drops the cached client so the next call
+// redials.
 func (u *User) call(domain string, msg *signalling.Message) (*signalling.Message, error) {
 	c, err := u.clientTo(domain)
 	if err != nil {
 		return nil, err
 	}
-	return c.Call(msg, u.world.callTimeout*time.Duration(len(u.world.Domains)+1))
+	resp, err := c.Call(msg, u.world.callTimeout*time.Duration(len(u.world.Domains)+1))
+	if errors.Is(err, transport.ErrClosed) {
+		u.mu.Lock()
+		if u.clients[domain] == c {
+			delete(u.clients, domain)
+		}
+		u.mu.Unlock()
+		c.Close()
+	}
+	return resp, err
 }
 
 // Close tears down the user's connections.

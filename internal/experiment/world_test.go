@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 	"time"
@@ -118,5 +119,38 @@ func TestUnreplicatedDomainIsAGroupOfOne(t *testing.T) {
 	}
 	if _, err := w.KillLeader(w.SourceDomain()); err == nil {
 		t.Error("KillLeader accepted a group of one")
+	}
+}
+
+// TestUserRedialsAfterRestart: a user whose source broker crashed and
+// was rebuilt from its journal finds its connection closed once, and
+// the next call redials the new broker without the user being closed.
+func TestUserRedialsAfterRestart(t *testing.T) {
+	w, err := BuildWorld(WorldConfig{NumDomains: 2, StateDir: t.TempDir(), FsyncPolicy: "always", CallTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	u, err := w.NewUser("alice", "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(u.Close)
+	spec := u.NewSpec(SpecOptions{DestDomain: w.DestDomain(), Bandwidth: units.Mbps})
+	if res, err := u.ReserveE2E(spec); err != nil || !res.Granted {
+		t.Fatalf("reserve: %v %+v", err, res)
+	}
+	src := w.SourceDomain()
+	if err := w.CrashDomain(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.RestartDomainFromJournal(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := u.Cancel(src, spec.RARID); !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("first cancel after the restart: %v, want the closed connection", err)
+	}
+	if err := u.Cancel(src, spec.RARID); err != nil {
+		t.Fatalf("second cancel after the restart: %v", err)
 	}
 }

@@ -5,12 +5,12 @@ import (
 	"crypto/x509"
 	"crypto/x509/pkix"
 	"encoding/asn1"
-	"encoding/json"
 	"fmt"
 	"math/big"
 	"time"
 
 	"e2eqos/internal/identity"
+	"e2eqos/internal/wire"
 )
 
 // Private-enterprise OIDs for the X.509v3 extensions carried by
@@ -29,13 +29,63 @@ var (
 type CapabilityAttrs struct {
 	// Community names the issuing community authorization service,
 	// e.g. "ESnet".
-	Community string `json:"community"`
+	Community string
 	// Capabilities lists the granted capabilities, e.g.
 	// ["network-reservation"].
-	Capabilities []string `json:"capabilities"`
+	Capabilities []string
 	// Restrictions accumulate during delegation, e.g.
 	// ["valid-for-rar:RAR-17"].
-	Restrictions []string `json:"restrictions,omitempty"`
+	Restrictions []string
+}
+
+// capAttrsMagic opens the capability extension's payload, which is
+// wire-encoded like every other signed value: 1=community
+// 2=capabilities (repeated) 3=restrictions (repeated).
+const capAttrsMagic = 0xE7
+
+// appendBinary appends the attributes' canonical encoding.
+func (a *CapabilityAttrs) appendBinary(buf []byte) []byte {
+	buf = append(buf, capAttrsMagic, wire.Version)
+	buf = wire.AppendString(buf, 1, a.Community)
+	buf = appendRepeated(buf, 2, a.Capabilities)
+	return appendRepeated(buf, 3, a.Restrictions)
+}
+
+// appendRepeated appends one field per entry, empty entries included.
+func appendRepeated(buf []byte, field uint32, list []string) []byte {
+	for _, s := range list {
+		buf = wire.AppendTag(buf, field, wire.TBytes)
+		buf = wire.AppendUvarint(buf, uint64(len(s)))
+		buf = append(buf, s...)
+	}
+	return buf
+}
+
+// decodeCapabilityAttrs is the reverse of appendBinary.
+func decodeCapabilityAttrs(raw []byte) (CapabilityAttrs, error) {
+	var a CapabilityAttrs
+	fields, err := wire.Header(raw, capAttrsMagic)
+	if err != nil {
+		return a, fmt.Errorf("pki: decode capability attrs: %w", err)
+	}
+	d := wire.Dec{Buf: fields}
+	for d.More() {
+		f, wt := d.Tag()
+		switch {
+		case f == 1 && wt == wire.TBytes:
+			a.Community = d.String()
+		case f == 2 && wt == wire.TBytes:
+			a.Capabilities = append(a.Capabilities, d.String())
+		case f == 3 && wt == wire.TBytes:
+			a.Restrictions = append(a.Restrictions, d.String())
+		default:
+			d.Skip(wt)
+		}
+	}
+	if err := d.Err(); err != nil {
+		return CapabilityAttrs{}, fmt.Errorf("pki: decode capability attrs: %w", err)
+	}
+	return a, nil
 }
 
 // subsetOf reports whether every capability in a also appears in b.
@@ -84,15 +134,11 @@ type CapabilityCertificate struct {
 	Attrs CapabilityAttrs
 }
 
-func capabilityExtensions(attrs CapabilityAttrs) ([]pkix.Extension, error) {
-	payload, err := json.Marshal(attrs)
-	if err != nil {
-		return nil, fmt.Errorf("pki: marshal capability attrs: %w", err)
-	}
+func capabilityExtensions(attrs CapabilityAttrs) []pkix.Extension {
 	return []pkix.Extension{
 		{Id: OIDCapabilityFlag, Value: []byte{0xff}},
-		{Id: OIDCapabilityAttrs, Value: payload},
-	}, nil
+		{Id: OIDCapabilityAttrs, Value: attrs.appendBinary(nil)},
+	}
 }
 
 // issueCapability builds and signs a capability certificate.
@@ -104,10 +150,6 @@ func issueCapability(issuerDN identity.DN, issuerKey identity.PrivateKey, subjec
 	if subjectPub == nil {
 		return nil, fmt.Errorf("pki: nil subject key for capability to %s", subjectDN)
 	}
-	exts, err := capabilityExtensions(attrs)
-	if err != nil {
-		return nil, err
-	}
 	serial, err := rand.Int(rand.Reader, big.NewInt(1<<62))
 	if err != nil {
 		return nil, fmt.Errorf("pki: capability serial: %w", err)
@@ -117,7 +159,7 @@ func issueCapability(issuerDN identity.DN, issuerKey identity.PrivateKey, subjec
 		Subject:         dnToName(subjectDN),
 		NotBefore:       time.Now().Add(-time.Minute),
 		NotAfter:        time.Now().Add(validity),
-		ExtraExtensions: exts,
+		ExtraExtensions: capabilityExtensions(attrs),
 	}
 	// The synthetic parent supplies only the issuer name; the signing key
 	// is the issuer's (possibly proxy) private key. KeyUsage stays zero so
@@ -199,8 +241,9 @@ func ExtractCapabilityAttrs(cert *x509.Certificate) (CapabilityAttrs, bool, erro
 		case ext.Id.Equal(OIDCapabilityFlag):
 			flagged = true
 		case ext.Id.Equal(OIDCapabilityAttrs):
-			if err := json.Unmarshal(ext.Value, &attrs); err != nil {
-				return CapabilityAttrs{}, false, fmt.Errorf("pki: decode capability attrs: %w", err)
+			var err error
+			if attrs, err = decodeCapabilityAttrs(ext.Value); err != nil {
+				return CapabilityAttrs{}, false, err
 			}
 			havePayload = true
 		}

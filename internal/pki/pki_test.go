@@ -8,6 +8,7 @@ import (
 	"errors"
 	"math/big"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -316,6 +317,34 @@ func TestExtractCapabilityAttrsAbsent(t *testing.T) {
 	}
 	if ok {
 		t.Fatal("identity cert flagged as capability cert")
+	}
+}
+
+// TestCapabilityAttrsCodec: the capability extension's payload is the
+// wire encoding; it round-trips, and a truncated payload or one with
+// trailing garbage is refused as capability attrs.
+func TestCapabilityAttrsCodec(t *testing.T) {
+	in := CapabilityAttrs{
+		Community:    "ESnet",
+		Capabilities: []string{"network-reservation", ""},
+		Restrictions: []string{"valid-for-rar:RAR-17", "valid-in:DomainC"},
+	}
+	raw := in.appendBinary(nil)
+	out, err := decodeCapabilityAttrs(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Community != in.Community || !slices.Equal(out.Capabilities, in.Capabilities) || !slices.Equal(out.Restrictions, in.Restrictions) {
+		t.Fatalf("round trip: got %+v, want %+v", out, in)
+	}
+	for name, bad := range map[string][]byte{
+		"truncated":        raw[:len(raw)-3],
+		"trailing garbage": append(slices.Clip(raw), 0x00, 0xff),
+	} {
+		_, err := decodeCapabilityAttrs(bad)
+		if err == nil || !strings.Contains(err.Error(), "capability attrs") {
+			t.Errorf("%s payload: err %v, want a capability attrs decode error", name, err)
+		}
 	}
 }
 

@@ -76,7 +76,10 @@
 #                          tunnel endpoint's alloc and release batch, one
 #                          cut from a tunnel.Keys (TestKeysAllocationBound),
 #                          an endpoint snapshot's decode and Restore
-#                          (TestRestoreAllocationBound) (DESIGN.md §6.5,
+#                          (TestRestoreAllocationBound), a broker
+#                          programming its simulation data plane
+#                          (TestPlaneProgrammingAllocationFree: 0)
+#                          (DESIGN.md §6.5,
 #                          §6.6, §6.8, §6.11 give each bound its reason;
 #                          run without -race: the gates skip under it)
 #   make bench-e2e         the repository's benchmark (bench/README.md):
@@ -133,7 +136,7 @@ loc:
 	printf '%6d total\n' $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -vcE '^[[:space:]]*(//.*)?$$')
 
 alloc-gate:
-	$(GO) test -run 'AllocationFree|AllocationBound' ./internal/signalling ./internal/journal ./internal/obs ./internal/resv ./internal/core ./internal/identity ./internal/bb ./internal/tunnel ./internal/envelope ./internal/policy ./internal/policysrv ./internal/experiment
+	$(GO) test -run 'AllocationFree|AllocationBound' ./internal/signalling ./internal/journal ./internal/obs ./internal/resv ./internal/core ./internal/identity ./internal/bb ./internal/tunnel ./internal/envelope ./internal/policy ./internal/policysrv ./internal/experiment ./internal/dataplane/netsimdp
 
 fuzz-short:
 	$(GO) test -run NONE -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/envelope

@@ -111,6 +111,79 @@ func TestOnePeeringAuthor(t *testing.T) {
 	}
 }
 
+// TestOneDataPlaneProgrammer: internal/bb is the one programmer of a
+// data plane. Non-test code outside it that installs or removes a
+// flow's profile, or sets an aggregate, on anything that implements
+// dataplane.DataPlane (the interface itself, *netsimdp.Plane or a
+// backend yet to come) is a copy of what a broker does, and whatever
+// meters that plane measures the copy instead of the broker. The match
+// is by go/types object: a method of the same name on a type that is no
+// data plane does not count. The broker reaches its devices only
+// through the interface, so internal/bb imports neither the packet
+// simulator nor its adapter, directly or not.
+func TestOneDataPlaneProgrammer(t *testing.T) {
+	m, err := loadModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bbPkg := m.module + "/internal/bb"
+	iface := m.pkgs[m.module+"/internal/dataplane"].Scope().Lookup("DataPlane").Type().Underlying().(*types.Interface)
+	programs := func(fn *types.Func) bool {
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return false
+		}
+		if obj, _, _ := types.LookupFieldOrMethod(iface, false, nil, fn.Name()); obj == nil {
+			return false
+		}
+		typ := recv.Type()
+		return types.Implements(typ, iface) || types.Implements(types.NewPointer(typ), iface)
+	}
+	inBB := 0
+	for imp, files := range m.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				fn, ok := m.info.Uses[sel.Sel].(*types.Func)
+				if !ok || !programs(fn) {
+					return true
+				}
+				if imp == bbPkg {
+					inBB++
+				} else {
+					t.Errorf("%s: calls %s: only internal/bb programs a data plane", m.fset.Position(sel.Pos()), fn.FullName())
+				}
+				return true
+			})
+		}
+	}
+	if inBB == 0 {
+		t.Error("internal/bb programs no data plane: the fence matches nothing")
+	}
+	deps := map[string]bool{}
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		for _, q := range p.Imports() {
+			if strings.HasPrefix(q.Path(), m.module+"/") && !deps[q.Path()] {
+				deps[q.Path()] = true
+				walk(q)
+			}
+		}
+	}
+	walk(m.pkgs[bbPkg])
+	for _, banned := range []string{"internal/netsim", "internal/dataplane/netsimdp"} {
+		if deps[m.module+"/"+banned] {
+			t.Errorf("internal/bb imports %s: the broker reaches its devices only through dataplane.DataPlane", banned)
+		}
+	}
+	if !deps[m.module+"/internal/dataplane"] {
+		t.Error("internal/bb does not import internal/dataplane: the import list above is stale")
+	}
+}
+
 // TestEveryDeclarationHasACaller: every package-level declaration and
 // method under internal/, exported or not, is used somewhere in the
 // module's non-test code, and every named struct field there is both

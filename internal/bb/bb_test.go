@@ -522,8 +522,8 @@ func TestDataPlaneSyncOnGrantAndCancel(t *testing.T) {
 	sink := netsim.NewSink(sim)
 	policer := netsim.NewPolicer(sim, sla.TrafficProfile{Rate: 1, BucketBytes: 1}, sink)
 	marker := netsim.NewEdgeMarker(sim, policer)
-	w.NetsimPlane(w.SourceDomain()).AttachEdge(marker)
-	w.NetsimPlane(w.SourceDomain()).AttachPolicer(policer)
+	w.Planes[w.SourceDomain()].AttachEdge(marker)
+	w.Planes[w.SourceDomain()].AttachPolicer(policer)
 
 	spec := u.NewSpec(experiment.SpecOptions{DestDomain: w.DestDomain(), Bandwidth: 10 * units.Mbps})
 	spec.Window.Start = time.Now().Add(-time.Minute) // active now

@@ -8,20 +8,15 @@
 // goes through this interface; the broker itself never touches a
 // concrete simulator or device driver.
 //
-// Backends live in sub-packages, one package per backend:
+// One backend implements it, the simulation data plane in the netsimdp
+// sub-package: every experiment World's broker programs one, and the
+// experiments measure it, packets through attached netsim devices or
+// bytes metered in closed form. Only the broker programs a plane; a
+// broker with no data plane (Config.Plane nil) runs control-plane only.
 //
-//   - netsimdp wraps the packet-level netsim simulator (what every
-//     experiment world's broker is wired against);
-//   - fake meters offered bytes in closed form, for the large-scale
-//     scenario fleet, which holds its planes directly and programs
-//     them from its brokers' answers.
-//
-// A broker with no data plane (Config.Plane nil) runs control-plane
-// only.
-//
-// All implementations must be safe for concurrent use: broker
-// goroutines install and remove profiles while traffic (real or
-// modelled) is being marked and policed.
+// An implementation must be safe for concurrent use: broker goroutines
+// install and remove profiles while traffic (real or modelled) is
+// being marked and policed.
 package dataplane
 
 import "e2eqos/internal/sla"

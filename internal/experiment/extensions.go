@@ -187,7 +187,7 @@ func buildSimplePipeline(w *World, rarID string) (*dsim.Sim, *netsim.Sink, *nets
 	sink := netsim.NewSink(sim)
 	link := netsim.NewLink(sim, 100_000_000, sink)
 	marker := netsim.NewEdgeMarker(sim, link)
-	w.NetsimPlane("DomainA").AttachEdge(marker)
+	w.Planes["DomainA"].AttachEdge(marker)
 	marker.InstallReservation(netsim.FlowID(rarID), sla.TrafficProfile{Rate: 10_000_000, BucketBytes: 30_000})
 	return sim, sink, marker
 }

@@ -195,10 +195,10 @@ func runFig4ScenarioRate(scenario string, duration time.Duration, davidRate unit
 	policerB := netsim.NewPolicer(sim, sla.TrafficProfile{Rate: 1, BucketBytes: 1}, linkBC)
 	markerA := netsim.NewEdgeMarker(sim, policerB) // A's edge feeds B's ingress
 	markerD := netsim.NewEdgeMarker(sim, policerB) // D's edge feeds B's ingress
-	w.NetsimPlane("DomainA").AttachEdge(markerA)
-	w.NetsimPlane("DomainD").AttachEdge(markerD)
-	w.NetsimPlane("DomainB").AttachPolicer(policerB)
-	w.NetsimPlane("DomainC").AttachPolicer(policerC)
+	w.Planes["DomainA"].AttachEdge(markerA)
+	w.Planes["DomainD"].AttachEdge(markerD)
+	w.Planes["DomainB"].AttachPolicer(policerB)
+	w.Planes["DomainC"].AttachPolicer(policerC)
 
 	// Each source seeds its jitter from its flow id, the RAR id: fixed
 	// ids make the figure reproducible run to run.

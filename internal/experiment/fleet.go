@@ -2,10 +2,10 @@
 // driver that puts 10^5 simulated users on the real brokers of a
 // 3-domain World. Every reservation, refusal and cancel is a broker's,
 // asked for through experiment.User; the fleet schedules the users in
-// dsim virtual time, meters their traffic through the closed-form fake
-// data plane (Mark and Police, which no broker calls), and checks its
-// own ledger against the brokers' reservation tables after every
-// scenario.
+// dsim virtual time, meters their traffic in closed form through the
+// data planes the brokers program (Mark and Police, which no broker
+// calls), and checks its own ledger against the brokers' reservation
+// tables after every scenario.
 //
 // Everything the fleet digests is deterministic: the brokers read a
 // clock that is the run's start instant plus dsim's virtual offset,
@@ -28,11 +28,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"e2eqos/internal/dataplane/fake"
+	"e2eqos/internal/dataplane/netsimdp"
 	"e2eqos/internal/dsim"
 	"e2eqos/internal/resv"
 	"e2eqos/internal/signalling"
-	"e2eqos/internal/sla"
 	"e2eqos/internal/units"
 )
 
@@ -139,14 +138,14 @@ type FleetResult struct {
 }
 
 // fleetDomain is one domain of the World as the fleet sees it: its
-// broker's reservation table, the fake data plane the fleet meters it
-// with, and the running committed aggregate the fleet programs that
-// plane's policer with.
+// broker's reservation table, the data plane that broker programs and
+// the fleet meters, and the fleet's running committed sum, the model
+// the invariant battery checks the table against.
 type fleetDomain struct {
 	name      string
 	capacity  units.Bandwidth
 	table     *resv.Table
-	plane     *fake.Plane
+	plane     *netsimdp.Plane
 	committed units.Bandwidth
 }
 
@@ -217,7 +216,7 @@ func newFleetEngine(cfg FleetConfig, scenario string) (*fleetEngine, error) {
 			name:     name,
 			capacity: capacity,
 			table:    w.BBs[name].Table(),
-			plane:    fake.New(),
+			plane:    w.Planes[name],
 		})
 	}
 	// How hard each user drives its profile, from a dedicated stream.
@@ -269,9 +268,10 @@ func (e *fleetEngine) violate(format string, args ...any) {
 
 // reserve asks the brokers for one reservation of bw for user: end to
 // end, or at the source domain only when local is set (the paper's
-// source-domain baseline). On grant it installs the edge profile,
-// bumps the committed aggregate of every domain holding a claim and
-// returns the booking; a refusal is counted under the domain that
+// source-domain baseline). On grant it opens the flow's marking
+// window on the profile the source broker installed, bumps the
+// committed sum of every domain holding a claim and returns the
+// booking; a refusal is counted under the domain that
 // refused, and nil returned. The user's connection is dropped once
 // the broker has answered.
 func (e *fleetEngine) reserve(user int, bw units.Bandwidth, hold time.Duration, local bool) *fleetBooking {
@@ -327,15 +327,12 @@ func (e *fleetEngine) reserve(user int, bw units.Bandwidth, hold time.Duration, 
 	e.grants++
 	e.admitOps += int64(hops)
 	e.bookings[flow] = b
-	src := e.domains[0]
-	src.plane.InstallProfile(flow, sla.TrafficProfile{Rate: bw, BucketBytes: defaultFleetBucket})
-	src.plane.Mark(flow, 0, t) // open the marking window at grant
+	e.domains[0].plane.Mark(flow, 0, t) // open the marking window at grant
 	for _, d := range e.domains[:hops] {
 		d.committed += bw
 		if d.committed > d.capacity {
 			e.violate("domain %s committed %v exceeds capacity %v", d.name, d.committed, d.capacity)
 		}
-		d.plane.SetAggregate(sla.TrafficProfile{Rate: d.committed, BucketBytes: defaultFleetBucket})
 	}
 	fmt.Fprintf(e.h, "grant %s %v %d %v\n", flow, bw, t, b.handles)
 	return b
@@ -344,15 +341,21 @@ func (e *fleetEngine) reserve(user int, bw units.Bandwidth, hold time.Duration, 
 // defaultFleetBucket matches the broker's default profile burst.
 const defaultFleetBucket = 30_000
 
-// cancelBooking has the user cancel one booking at its source broker,
-// which tears it down along its path, and folds the hold's measured
-// goodput into the distribution.
+// cancelBooking folds the hold's measured goodput into the
+// distribution, then has the user cancel the booking at its source
+// broker, which tears it down along its path and removes the flow's
+// profile: the goodput has to be read first.
 func (e *fleetEngine) cancelBooking(b *fleetBooking) {
 	if b.cancelled {
 		return
 	}
 	b.cancelled = true
 	t := e.tick()
+	if hold := t - b.grantedAt; hold > 0 {
+		offered := int64(float64(b.bw.BytesIn(hold)) * b.offer)
+		premium := e.domains[0].plane.Mark(b.flow, offered, t)
+		e.goodputs = append(e.goodputs, float64(premium*8)/hold.Seconds()/1e6)
+	}
 	u := e.users[b.user]
 	if err := u.Cancel(u.Domain, b.flow); err != nil {
 		e.violate("cancel %s: %v", b.flow, err)
@@ -363,18 +366,8 @@ func (e *fleetEngine) cancelBooking(b *fleetBooking) {
 		if d.committed < 0 {
 			e.violate("domain %s committed went negative", d.name)
 		}
-		rate := max(d.committed, 1) // 1 b/s: a closed policer
-		d.plane.SetAggregate(sla.TrafficProfile{Rate: rate, BucketBytes: defaultFleetBucket})
 	}
 	e.cancels++
-	hold := t - b.grantedAt
-	src := e.domains[0]
-	if hold > 0 {
-		offered := int64(float64(b.bw.BytesIn(hold)) * b.offer)
-		premium := src.plane.Mark(b.flow, offered, t)
-		e.goodputs = append(e.goodputs, float64(premium*8)/hold.Seconds()/1e6)
-	}
-	src.plane.RemoveProfile(b.flow)
 	fmt.Fprintf(e.h, "cancel %s %d\n", b.flow, t)
 }
 

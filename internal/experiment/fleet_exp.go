@@ -42,6 +42,6 @@ func RunFleetExperiment(cfg FleetConfig) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("fleet digest %s (seed-reproducible; same seed ⇒ byte-identical)", res.Digest),
-		fmt.Sprintf("virtual-time closed loop over the real brokers of a %d-domain World, metered by the fake data-plane backend; wall clock %.1fs", res.Domains, elapsed.Seconds()))
+		fmt.Sprintf("virtual-time closed loop over the real brokers of a %d-domain World, metered in closed form on the data planes they program; wall clock %.1fs", res.Domains, elapsed.Seconds()))
 	return t, nil
 }

@@ -12,7 +12,6 @@ import (
 
 	"e2eqos/internal/bb"
 	"e2eqos/internal/cas"
-	"e2eqos/internal/dataplane"
 	"e2eqos/internal/dataplane/netsimdp"
 	"e2eqos/internal/group"
 	"e2eqos/internal/identity"
@@ -138,7 +137,7 @@ type World struct {
 	// Pools holds each domain's co-managed pools (WorldConfig.Pools),
 	// shared by every member of its group.
 	Pools  map[string]map[string]*resv.Table
-	Planes map[string]dataplane.DataPlane
+	Planes map[string]*netsimdp.Plane
 	// Metrics holds each domain's broker registry (none unless
 	// WorldConfig.EnableObs); NetMetrics aggregates transport counters
 	// across the whole in-memory network.
@@ -210,7 +209,7 @@ func BuildWorld(cfg WorldConfig) (_ *World, err error) {
 		BBs:         make(map[string]*bb.BB),
 		BBCerts:     make(map[string]*pki.Certificate),
 		Pools:       make(map[string]map[string]*resv.Table),
-		Planes:      make(map[string]dataplane.DataPlane),
+		Planes:      make(map[string]*netsimdp.Plane),
 		Metrics:     make(map[string]*obs.Registry),
 		stops:       make(map[string]func()),
 		members:     make(map[string][]*member),
@@ -387,7 +386,7 @@ func (w *World) front(name string, i int) {
 	m := w.members[name][i]
 	w.leaders[name] = i
 	w.BBs[name] = m.broker
-	w.Planes[name] = m.cfg.Plane
+	w.Planes[name] = m.cfg.Plane.(*netsimdp.Plane)
 	if m.cfg.Metrics != nil {
 		w.Metrics[name] = m.cfg.Metrics
 	}
@@ -628,14 +627,6 @@ func (w *World) Close() {
 
 // SourceDomain returns the first domain (where users live by default).
 func (w *World) SourceDomain() string { return w.Domains[0] }
-
-// NetsimPlane returns the domain's data plane as the netsim backend,
-// so experiments can attach packet-level devices to it. It returns
-// nil when the domain was built with a different backend.
-func (w *World) NetsimPlane(domain string) *netsimdp.Plane {
-	p, _ := w.Planes[domain].(*netsimdp.Plane)
-	return p
-}
 
 // DestDomain returns the last domain.
 func (w *World) DestDomain() string { return w.Domains[len(w.Domains)-1] }

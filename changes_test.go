@@ -12,7 +12,7 @@ import (
 // which tests moved; the reasoning behind it belongs in DESIGN.md, the
 // plans in ROADMAP.md. An entry is a line that starts "- PR <n>" and
 // the indented lines under it. firstBounded is the first entry written
-// under the bound: earlier ones are held to it once ROADMAP item 11
+// under the bound: earlier ones are held to it once ROADMAP item 22
 // rewrites them by topic.
 func TestChangesEntriesStayShort(t *testing.T) {
 	const firstBounded, maxBytes = 42, 2500

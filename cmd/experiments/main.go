@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"e2eqos/internal/experiment"
@@ -31,6 +33,78 @@ type options struct {
 	fleetSeed   uint64
 }
 
+// step is one table of the suite: the -exp names that print it, and
+// how it is made. -exp all prints every table but the named-only ones,
+// in this order.
+type step struct {
+	names     []string
+	namedOnly bool
+	run       func(o options) (*experiment.Table, error)
+}
+
+var steps = []step{
+	{names: []string{"fig1"}, run: func(options) (*experiment.Table, error) { return experiment.RunFigure1(), nil }},
+	{names: []string{"fig3", "fig5"}, run: func(o options) (*experiment.Table, error) {
+		return experiment.RunSignallingComparison(o.hopLatency, o.trials)
+	}},
+	{names: []string{"fig4"}, run: func(o options) (*experiment.Table, error) {
+		_, t, err := experiment.RunFigure4(o.duration)
+		return t, err
+	}},
+	{names: []string{"fig4"}, run: func(o options) (*experiment.Table, error) { return experiment.RunFigure4Sweep(o.duration) }},
+	{names: []string{"fig5"}, run: func(options) (*experiment.Table, error) { return experiment.RunCoReservation() }},
+	{names: []string{"fig6"}, run: func(options) (*experiment.Table, error) { return experiment.RunFigure6() }},
+	{names: []string{"fig7"}, run: func(options) (*experiment.Table, error) { return experiment.RunFigure7() }},
+	{names: []string{"trust"}, run: func(options) (*experiment.Table, error) { return experiment.RunTrustChain() }},
+	{names: []string{"trust-scaling"}, run: func(options) (*experiment.Table, error) { return experiment.RunTrustScaling(), nil }},
+	{names: []string{"tunnel"}, run: func(o options) (*experiment.Table, error) { return experiment.RunTunnelScaling(o.hopLatency) }},
+	{names: []string{"subflows"}, run: func(o options) (*experiment.Table, error) {
+		return experiment.RunSubFlowLoad(o.hopLatency / 10) // sub-flow signalling skips the chain: two ends, one hop
+	}},
+	{names: []string{"scale"}, run: func(o options) (*experiment.Table, error) {
+		dir, err := os.MkdirTemp("", "qos-events-")
+		if err != nil {
+			return nil, err
+		}
+		defer os.RemoveAll(dir)
+		return experiment.RunScaleLoad(experiment.ScaleLoadConfig{Latency: o.hopLatency / 10, EventsDir: dir})
+	}},
+	// At its default 100k-user population the fleet would dominate the
+	// suite's wall clock.
+	{names: []string{"fleet"}, namedOnly: true, run: func(o options) (*experiment.Table, error) {
+		return experiment.RunFleetExperiment(experiment.FleetConfig{Users: o.fleetUsers, Seed: o.fleetSeed})
+	}},
+	{names: []string{"keydist"}, run: func(options) (*experiment.Table, error) { return experiment.RunKeyDistribution() }},
+	{names: []string{"diffserv"}, run: func(o options) (*experiment.Table, error) { return experiment.RunDiffServChain(o.duration) }},
+	{names: []string{"faults"}, run: func(o options) (*experiment.Table, error) {
+		return experiment.RunFaultSweep(experiment.FaultSweepConfig{CallTimeout: o.callTimeout, Trials: o.faultTrials})
+	}},
+	{names: []string{"multipath"}, run: func(options) (*experiment.Table, error) { return experiment.RunMultipathExp() }},
+	{names: []string{"billing"}, run: func(options) (*experiment.Table, error) { return experiment.RunBilling() }},
+	{names: []string{"failover"}, run: func(options) (*experiment.Table, error) {
+		dir, err := os.MkdirTemp("", "qos-replicas-")
+		if err != nil {
+			return nil, err
+		}
+		defer os.RemoveAll(dir)
+		return experiment.RunFailover(dir)
+	}},
+}
+
+// names lists every -exp name but all, in the order steps first name
+// them.
+func names() []string {
+	var out []string
+	for _, s := range steps {
+		for _, n := range s.names {
+			if !slices.Contains(out, n) {
+				out = append(out, n)
+			}
+		}
+	}
+	return out
+}
+
 // parseFlags parses args and refuses, by name, a flag whose value no
 // experiment can run with. Every error has been written to out, with
 // the usage for a malformed flag.
@@ -38,7 +112,7 @@ func parseFlags(args []string, out io.Writer) (options, error) {
 	var o options
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(out)
-	fs.StringVar(&o.exp, "exp", "all", "experiment to run: fig1, fig3, fig4, fig5, fig6, fig7, trust, trust-scaling, tunnel, subflows, scale, fleet, keydist, billing, diffserv, faults, multipath, failover, all")
+	fs.StringVar(&o.exp, "exp", "all", "experiment to run: "+strings.Join(names(), ", ")+", all")
 	fs.BoolVar(&o.md, "md", false, "emit markdown instead of aligned text")
 	fs.DurationVar(&o.hopLatency, "latency", 5*time.Millisecond, "one-way signalling latency per hop")
 	fs.DurationVar(&o.duration, "duration", 2*time.Second, "simulated traffic duration for fig4")
@@ -61,6 +135,7 @@ func parseFlags(args []string, out io.Writer) (options, error) {
 		{"duration", o.duration <= 0, "positive"},
 		{"call-timeout", o.callTimeout <= 0, "positive"},
 		{"latency", o.hopLatency < 0, "zero or more"},
+		{"exp", o.exp != "all" && !slices.Contains(names(), o.exp), "one of " + strings.Join(names(), ", ") + " or all"},
 	} {
 		if c.bad {
 			err := fmt.Errorf("-%s %s: must be %s", c.name, fs.Lookup(c.name).Value, c.want)
@@ -79,163 +154,19 @@ func main() {
 	if err != nil {
 		os.Exit(2)
 	}
-
-	run := func(name string) bool { return o.exp == "all" || o.exp == name }
-	emit := func(t *experiment.Table) {
+	for _, s := range steps {
+		if o.exp == "all" && s.namedOnly || o.exp != "all" && !slices.Contains(s.names, o.exp) {
+			continue
+		}
+		t, err := s.run(o)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", strings.Join(s.names, "+"), err)
+			os.Exit(1)
+		}
 		if o.md {
 			fmt.Println(t.Markdown())
 		} else {
 			fmt.Println(t.Render())
 		}
-	}
-	fail := func(name string, err error) {
-		fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", name, err)
-		os.Exit(1)
-	}
-
-	if run("fig1") {
-		emit(experiment.RunFigure1())
-	}
-	if run("fig3") || run("fig5") {
-		t, err := experiment.RunSignallingComparison(o.hopLatency, o.trials)
-		if err != nil {
-			fail("fig3+fig5", err)
-		}
-		emit(t)
-	}
-	if run("fig4") {
-		_, t, err := experiment.RunFigure4(o.duration)
-		if err != nil {
-			fail("fig4", err)
-		}
-		emit(t)
-		sweep, err := experiment.RunFigure4Sweep(o.duration)
-		if err != nil {
-			fail("fig4-sweep", err)
-		}
-		emit(sweep)
-	}
-	if run("fig5") {
-		t, err := experiment.RunCoReservation()
-		if err != nil {
-			fail("fig5-coreservation", err)
-		}
-		emit(t)
-	}
-	if run("fig6") {
-		t, err := experiment.RunFigure6()
-		if err != nil {
-			fail("fig6", err)
-		}
-		emit(t)
-	}
-	if run("fig7") {
-		t, err := experiment.RunFigure7()
-		if err != nil {
-			fail("fig7", err)
-		}
-		emit(t)
-	}
-	if run("trust") {
-		t, err := experiment.RunTrustChain()
-		if err != nil {
-			fail("trust", err)
-		}
-		emit(t)
-	}
-	if run("trust-scaling") {
-		emit(experiment.RunTrustScaling())
-	}
-	if run("tunnel") {
-		t, err := experiment.RunTunnelScaling(o.hopLatency)
-		if err != nil {
-			fail("tunnel", err)
-		}
-		emit(t)
-	}
-	if run("subflows") {
-		t, err := experiment.RunSubFlowLoad(o.hopLatency / 10) // sub-flow signalling skips the chain: two ends, one hop
-		if err != nil {
-			fail("subflows", err)
-		}
-		emit(t)
-	}
-	if run("scale") {
-		dir, err := os.MkdirTemp("", "qos-events-")
-		if err != nil {
-			fail("scale", err)
-		}
-		defer os.RemoveAll(dir)
-		t, err := experiment.RunScaleLoad(experiment.ScaleLoadConfig{
-			Latency:   o.hopLatency / 10,
-			EventsDir: dir,
-		})
-		if err != nil {
-			fail("scale", err)
-		}
-		emit(t)
-	}
-	// The fleet runs only when asked for by name: at its default
-	// 100k-user population it dominates the suite's wall clock.
-	if o.exp == "fleet" {
-		t, err := experiment.RunFleetExperiment(experiment.FleetConfig{
-			Users: o.fleetUsers,
-			Seed:  o.fleetSeed,
-		})
-		if err != nil {
-			fail("fleet", err)
-		}
-		emit(t)
-	}
-
-	if run("keydist") {
-		t, err := experiment.RunKeyDistribution()
-		if err != nil {
-			fail("keydist", err)
-		}
-		emit(t)
-	}
-	if run("diffserv") {
-		t, err := experiment.RunDiffServChain(o.duration)
-		if err != nil {
-			fail("diffserv", err)
-		}
-		emit(t)
-	}
-	if run("faults") {
-		t, err := experiment.RunFaultSweep(experiment.FaultSweepConfig{
-			CallTimeout: o.callTimeout,
-			Trials:      o.faultTrials,
-		})
-		if err != nil {
-			fail("faults", err)
-		}
-		emit(t)
-	}
-	if run("multipath") {
-		t, err := experiment.RunMultipathExp()
-		if err != nil {
-			fail("multipath", err)
-		}
-		emit(t)
-	}
-	if run("billing") {
-		t, err := experiment.RunBilling()
-		if err != nil {
-			fail("billing", err)
-		}
-		emit(t)
-	}
-	if run("failover") {
-		dir, err := os.MkdirTemp("", "qos-replicas-")
-		if err != nil {
-			fail("failover", err)
-		}
-		defer os.RemoveAll(dir)
-		t, err := experiment.RunFailover(dir)
-		if err != nil {
-			fail("failover", err)
-		}
-		emit(t)
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // TestParseFlagsRefusesByName: a count below one, a zero or negative
-// duration or deadline and a negative latency are refused at parse
-// time, and the refusal names the flag, instead of being replaced by a
+// duration or deadline, a negative latency and an experiment no step
+// names are refused at parse time, and the refusal names the flag, instead of being replaced by a
 // default somewhere inside the experiment.
 func TestParseFlagsRefusesByName(t *testing.T) {
 	for _, c := range []struct {
@@ -26,6 +26,8 @@ func TestParseFlagsRefusesByName(t *testing.T) {
 		{[]string{"-duration", "0s"}, "-duration"},
 		{[]string{"-call-timeout", "-5ms"}, "-call-timeout"},
 		{[]string{"-fleet-users", "many"}, "-fleet-users"},
+		{[]string{"-exp", "fig2"}, "-exp"},
+		{[]string{"-exp", "fig5"}, ""},
 	} {
 		var out strings.Builder
 		_, err := parseFlags(c.args, &out)

@@ -283,57 +283,65 @@ func (j *Journal) Append(op string, data BinaryRecord) error {
 	}
 	var err error
 	var frame []byte
-	switch j.opts.Fsync {
-	case FsyncBatch:
+	if j.opts.Fsync == FsyncBatch {
 		start := len(j.buf)
 		j.buf, err = AppendRecord(j.buf, op, data)
-		if err != nil {
-			j.mu.Unlock()
-			j.fail(err)
-			return err
-		}
 		frame = j.buf[start:]
-		select {
-		case j.kick <- struct{}{}:
-		default:
-		}
-	default:
+	} else {
 		j.scratch, err = AppendRecord(j.scratch[:0], op, data)
-		if err != nil {
-			j.mu.Unlock()
-			j.fail(err)
-			return err
-		}
 		frame = j.scratch
-		if _, werr := j.f.Write(j.scratch); werr != nil {
-			err = werr
-			j.err = werr
-		} else if j.opts.Fsync == FsyncAlways {
-			if serr := j.f.Sync(); serr != nil {
-				err = serr
-				j.err = serr
-			} else {
-				j.fsyncs++
-				if fn := j.opts.OnFsync; fn != nil {
-					defer fn()
-				}
-			}
-		}
 	}
-	j.records++
-	j.appends++
-	j.noteAppendLocked(frame)
-	j.mu.Unlock()
 	if err != nil {
-		if fn := j.opts.OnError; fn != nil {
-			fn(err)
-		}
+		j.mu.Unlock()
+		j.fail(err)
+		return err
+	}
+	if err := j.logLocked(frame); err != nil {
 		return err
 	}
 	if fn := j.opts.OnAppend; fn != nil {
 		fn(time.Since(t0))
 	}
 	return nil
+}
+
+// logLocked logs one frame under the configured fsync policy: in batch
+// mode the frame already ends j.buf and the syncer is woken, otherwise
+// it is written, and under FsyncAlways synced, here. It counts and
+// numbers the append, releases j.mu, which the caller holds, and
+// reports a write error to OnError.
+func (j *Journal) logLocked(frame []byte) error {
+	var err error
+	synced := false
+	if j.opts.Fsync == FsyncBatch {
+		select {
+		case j.kick <- struct{}{}:
+		default:
+		}
+	} else if _, err = j.f.Write(frame); err == nil && j.opts.Fsync == FsyncAlways {
+		if err = j.f.Sync(); err == nil {
+			j.fsyncs++
+			synced = true
+		}
+	}
+	if err != nil {
+		j.err = err
+	}
+	j.records++
+	j.appends++
+	j.noteAppendLocked(frame)
+	j.mu.Unlock()
+	if synced {
+		if fn := j.opts.OnFsync; fn != nil {
+			fn()
+		}
+	}
+	if err != nil {
+		if fn := j.opts.OnError; fn != nil {
+			fn(err)
+		}
+	}
+	return err
 }
 
 // syncLoop is the FsyncBatch group-commit goroutine: it sleeps one

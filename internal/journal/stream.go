@@ -216,41 +216,12 @@ func (j *Journal) AppendFrame(f Frame) error {
 		j.mu.Unlock()
 		return fmt.Errorf("journal: append after close")
 	}
-	var err error
-	switch j.opts.Fsync {
-	case FsyncBatch:
+	if j.opts.Fsync == FsyncBatch {
+		start := len(j.buf)
 		j.buf = append(j.buf, frame...)
-		select {
-		case j.kick <- struct{}{}:
-		default:
-		}
-	default:
-		if _, werr := j.f.Write(frame); werr != nil {
-			err = werr
-			j.err = werr
-		} else if j.opts.Fsync == FsyncAlways {
-			if serr := j.f.Sync(); serr != nil {
-				err = serr
-				j.err = serr
-			} else {
-				j.fsyncs++
-				if fn := j.opts.OnFsync; fn != nil {
-					defer fn()
-				}
-			}
-		}
+		frame = j.buf[start:]
 	}
-	j.records++
-	j.appends++
-	j.noteAppendLocked(frame)
-	j.mu.Unlock()
-	if err != nil {
-		if fn := j.opts.OnError; fn != nil {
-			fn(err)
-		}
-		return err
-	}
-	return nil
+	return j.logLocked(frame)
 }
 
 // SnapshotWith builds a state snapshot atomically with the journal's

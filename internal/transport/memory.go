@@ -244,6 +244,11 @@ func (c *memConn) Send(msg []byte) error {
 	cp := make([]byte, len(msg))
 	copy(cp, msg)
 	tm := timedMsg{data: cp, deliverAt: time.Now().Add(c.net.Latency)}
+	// Counted before it is queued, so that whoever receives the message,
+	// or an answer to it, finds it counted; a send that fails takes its
+	// count back.
+	c.net.msgs.Add(1)
+	c.net.bytes.Add(int64(len(msg)))
 	// The queue is tried before a deadline timer is armed: a sender that
 	// bounds every frame would otherwise build one per message and wait
 	// on none of them.
@@ -255,15 +260,21 @@ func (c *memConn) Send(msg []byte) error {
 		select {
 		case c.out <- tm:
 		case <-c.done:
+			c.uncount(len(msg))
 			return ErrClosed
 		case <-timeout:
+			c.uncount(len(msg))
 			c.net.Metrics.timeout()
 			return ErrTimeout
 		}
 	}
-	c.net.msgs.Add(1)
-	c.net.bytes.Add(int64(len(msg)))
 	return nil
+}
+
+// uncount takes back the count of a message Send could not queue.
+func (c *memConn) uncount(size int) {
+	c.net.msgs.Add(-1)
+	c.net.bytes.Add(-int64(size))
 }
 
 func (c *memConn) Recv() ([]byte, error) {

@@ -22,7 +22,7 @@ func (b *BB) handleCancel(peer signalling.Peer, payload *signalling.CancelPayloa
 		e, ok = b.routes.remove(payload.RARID, e.epoch)
 	}
 	if !ok {
-		return signalling.ErrorResult(fmt.Sprintf("%s: unknown RAR %s", b.cfg.Domain, payload.RARID))
+		return peer.Reply(signalling.ResultPayload{Reason: fmt.Sprintf("%s: unknown RAR %s", b.cfg.Domain, payload.RARID)})
 	}
 	// Journal the route removal even if the table cancel below fails:
 	// the entry is gone from the live map either way, and a recovered
@@ -41,21 +41,24 @@ func (b *BB) handleCancel(peer signalling.Peer, payload *signalling.CancelPayloa
 	}
 	b.removeEdgeFlow(base)
 	if err := b.table.Cancel(e.val.Handle); err != nil {
-		return signalling.ErrorResult(fmt.Sprintf("%s: %v", b.cfg.Domain, err))
+		return peer.Reply(signalling.ResultPayload{Reason: fmt.Sprintf("%s: %v", b.cfg.Domain, err)})
 	}
 	b.syncDataPlane()
 	// Propagate downstream along the recorded legs, each under that
 	// leg's own route key (best effort, under the call deadline: a dead
 	// hop must not wedge the cancel chain). If the synchronous attempt
 	// fails, hand the cancel to the persistent async path so hops below
-	// the failure don't stay booked.
+	// the failure don't stay booked. Whatever a leg answered is read by
+	// nobody.
 	for _, leg := range e.val.Legs {
-		if _, _, err := b.callPeer(leg.Next, &signalling.Message{
+		resp, _, err := b.callPeer(leg.Next, &signalling.Message{
 			Type:   signalling.MsgCancel,
 			Cancel: &signalling.CancelPayload{RARID: leg.Key},
-		}); err != nil {
+		})
+		if err != nil {
 			b.cancelDownstream(leg.Next, leg.Key)
 		}
+		signalling.Release(resp)
 	}
 	if b.log.Enabled(context.Background(), slog.LevelInfo) {
 		b.log.Info("cancel: released reservation",
@@ -65,32 +68,30 @@ func (b *BB) handleCancel(peer signalling.Peer, payload *signalling.CancelPayloa
 	// teardown) join the group commit before the caller hears back.
 	b.replWaitCommit()
 	b.maybeCheckpoint()
-	return signalling.OKResult(e.val.Handle)
+	return peer.Reply(signalling.ResultPayload{Granted: true, Handle: e.val.Handle})
 }
 
 // handleStatus answers what this hop holds for a RAR: a granted entry
 // with its reservation, a denied one with the reason it recorded, one
 // still being decided as in flight.
-func (b *BB) handleStatus(payload *signalling.StatusPayload) *signalling.Message {
+func (b *BB) handleStatus(peer signalling.Peer, payload *signalling.StatusPayload) *signalling.Message {
 	e, ok := b.routes.get(payload.RARID)
 	if !ok {
-		return signalling.ErrorResult(fmt.Sprintf("%s: unknown RAR %s", b.cfg.Domain, payload.RARID))
+		return peer.Reply(signalling.ResultPayload{Reason: fmt.Sprintf("%s: unknown RAR %s", b.cfg.Domain, payload.RARID)})
 	}
 	if e.pending {
-		return signalling.ErrorResult(fmt.Sprintf("%s: RAR %s in flight", b.cfg.Domain, payload.RARID))
+		return peer.Reply(signalling.ResultPayload{Reason: fmt.Sprintf("%s: RAR %s in flight", b.cfg.Domain, payload.RARID)})
 	}
 	if o := e.outcome; o != nil && o.Result != nil && !o.Result.Granted {
-		return signalling.ErrorResult(fmt.Sprintf("%s: RAR %s denied: %s", b.cfg.Domain, payload.RARID, o.Result.Reason))
+		return peer.Reply(signalling.ResultPayload{Reason: fmt.Sprintf("%s: RAR %s denied: %s", b.cfg.Domain, payload.RARID, o.Result.Reason)})
 	}
 	r, ok := b.table.Lookup(e.val.Handle)
 	if !ok {
-		return signalling.ErrorResult(fmt.Sprintf("%s: handle %s vanished", b.cfg.Domain, e.val.Handle))
+		return peer.Reply(signalling.ResultPayload{Reason: fmt.Sprintf("%s: handle %s vanished", b.cfg.Domain, e.val.Handle)})
 	}
-	resp := signalling.OKResult(e.val.Handle)
-	resp.Result.PolicyInfo = map[string]string{
+	return peer.Reply(signalling.ResultPayload{Granted: true, Handle: e.val.Handle, PolicyInfo: map[string]string{
 		"status":    r.Status.String(),
 		"bandwidth": r.Bandwidth.String(),
 		"window":    r.Window.String(),
-	}
-	return resp
+	}})
 }

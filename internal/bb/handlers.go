@@ -38,7 +38,7 @@ func (b *BB) Handle(peer signalling.Peer, msg *signalling.Message) *signalling.M
 		if msg.Status == nil {
 			return signalling.ErrorResult("status message without payload")
 		}
-		return b.handleStatus(msg.Status)
+		return b.handleStatus(peer, msg.Status)
 	case signalling.MsgJournalStream:
 		if msg.JournalStream == nil {
 			return signalling.ErrorResult("journal-stream message without payload")

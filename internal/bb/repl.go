@@ -644,21 +644,28 @@ func (b *BB) handleJournalStream(peer signalling.Peer, p *signalling.JournalStre
 		return signalling.ErrorResult(fmt.Sprintf("%s: stream for foreign domain %q", b.cfg.Domain, p.Domain))
 	}
 	if p.Kind == signalling.StreamVote {
-		return b.repl.handleVote(p)
+		return b.repl.handleVote(peer, p)
 	}
-	return b.repl.handleStream(p)
+	return b.repl.handleStream(peer, p)
+}
+
+// streamAnswer is a replica's answer to a stream or vote message:
+// granted, its acknowledged sequence and its term, built in the served
+// message's reply slot.
+func streamAnswer(peer signalling.Peer, granted bool, ack, term int64) *signalling.Message {
+	return peer.Reply(signalling.ResultPayload{Granted: granted, AckSeq: ack, Term: term})
 }
 
 // handleStream applies one leader message: optional snapshot install,
 // then records in order, each re-journaled verbatim. The reply carries
 // the follower's applied sequence as the acknowledgement.
-func (r *replicator) handleStream(p *signalling.JournalStreamPayload) *signalling.Message {
+func (r *replicator) handleStream(peer signalling.Peer, p *signalling.JournalStreamPayload) *signalling.Message {
 	b := r.b
 	r.mu.Lock()
 	if p.Term < r.term {
 		term := r.term
 		r.mu.Unlock()
-		return p.Reply(false, 0, term) // stale leader: fence it
+		return streamAnswer(peer, false, 0, term) // stale leader: fence it
 	}
 	if p.Term > r.term || r.role == replLeader {
 		// A newer term, or a competing leader at our own term after we
@@ -685,10 +692,10 @@ func (r *replicator) handleStream(p *signalling.JournalStreamPayload) *signallin
 		// Refused: the leader restarts the stream from a snapshot.
 		b.m.replStreamErrors.Inc()
 		b.log.Error("replication: stream message refused", "applied", applied, "err", err)
-		return p.Reply(false, applied, term)
+		return streamAnswer(peer, false, applied, term)
 	}
 	b.maybeCheckpoint()
-	return p.Reply(true, applied, term)
+	return streamAnswer(peer, true, applied, term)
 }
 
 // applyMessage installs the message's snapshot, if any, then applies its
@@ -756,20 +763,20 @@ func (r *replicator) installSnapshot(data []byte) error {
 // fails the strictly-greater check. The applied-sequence restriction
 // is what turns majority acknowledgement into durability — a candidate
 // missing committed records cannot assemble a majority.
-func (r *replicator) handleVote(p *signalling.JournalStreamPayload) *signalling.Message {
+func (r *replicator) handleVote(peer signalling.Peer, p *signalling.JournalStreamPayload) *signalling.Message {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if p.Term <= r.term {
-		return p.Reply(false, r.appliedSeq, r.term)
+		return streamAnswer(peer, false, r.appliedSeq, r.term)
 	}
 	r.stepDownLocked(p.Term, -1)
 	if p.FromSeq < r.appliedSeq {
-		return p.Reply(false, r.appliedSeq, r.term)
+		return streamAnswer(peer, false, r.appliedSeq, r.term)
 	}
 	// Grant. Reset the failover clock so this voter doesn't stand
 	// against the candidate it just endorsed.
 	r.lastHeard = time.Now()
-	return p.Reply(true, r.appliedSeq, r.term)
+	return streamAnswer(peer, true, r.appliedSeq, r.term)
 }
 
 // ---------------------------------------------------------------------
@@ -817,11 +824,13 @@ func (r *replicator) promote() error {
 			lastErr = err
 			continue
 		}
-		if resp.Result.Granted {
+		granted, theirs := resp.Result.Granted, resp.Result.Term
+		signalling.Release(resp)
+		if granted {
 			votes++
-		} else if resp.Result.Term > term {
-			r.observeTerm(resp.Result.Term)
-			return fmt.Errorf("bb %s: election at term %d superseded by term %d", b.cfg.Domain, term, resp.Result.Term)
+		} else if theirs > term {
+			r.observeTerm(theirs)
+			return fmt.Errorf("bb %s: election at term %d superseded by term %d", b.cfg.Domain, term, theirs)
 		}
 	}
 	if majority := len(r.addrs)/2 + 1; votes < majority {

@@ -439,3 +439,56 @@ func TestAutomaticFailoverElectsOneSurvivor(t *testing.T) {
 		return err1 == nil && err2 == nil && bytes.Equal(got, want)
 	})
 }
+
+// TestEveryReplicaCountsItsJournalAppends: a follower re-journals its
+// leader's records through AppendFrame, not Append, and its
+// bb_journal_appends_total must count them as the leader's counts its
+// own. After one reserve and one cancel, every replica's metric equals
+// the appends its journal made, and every follower made some.
+func TestEveryReplicaCountsItsJournalAppends(t *testing.T) {
+	w, err := experiment.BuildWorld(experiment.WorldConfig{
+		NumDomains:  2,
+		Replicas:    3,
+		StateDir:    t.TempDir(),
+		FsyncPolicy: "always",
+		CallTimeout: 2 * time.Second,
+		EnableObs:   true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	u, err := w.NewUser("alice", "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(u.Close)
+	for _, d := range w.Domains {
+		for i := 1; i < 3; i++ {
+			eventually(t, fmt.Sprintf("%s replica %d joins the stream", d, i), func() bool {
+				return replMetric(w, d, i, "bb_repl_snapshots_installed_total") >= 1
+			})
+		}
+	}
+	spec := u.NewSpec(experiment.SpecOptions{DestDomain: w.DestDomain(), Bandwidth: 5 * units.Mbps})
+	if res, err := u.ReserveE2E(spec); err != nil || !res.Granted {
+		t.Fatalf("reserve: res=%+v err=%v", res, err)
+	}
+	if err := u.Cancel(w.SourceDomain(), spec.RARID); err != nil {
+		t.Fatalf("cancel: %v", err)
+	}
+	for _, d := range w.Domains {
+		waitReplicated(t, w, d, []int{0, 1, 2})
+		for i := 0; i < 3; i++ {
+			b := w.ReplicaBB(d, i)
+			appends := b.Journal().Stats().Appends
+			metric := b.MetricsRegistry().Snapshot()["bb_journal_appends_total"]
+			if int64(metric) != appends {
+				t.Errorf("%s replica %d: bb_journal_appends_total = %v, its journal made %d appends", d, i, metric, appends)
+			}
+			if appends == 0 {
+				t.Errorf("%s replica %d: its journal made no appends", d, i)
+			}
+		}
+	}
+}

@@ -395,9 +395,13 @@ func (b *BB) forward(fc *forwardCtx) *signalling.Message {
 		}
 	}
 
-	var refusal *signalling.ResultPayload // the last one heard
-	var lost error                        // why the last leg went unanswered
-	mid, tried := 0, 0                    // refusals short of the destination; legs sent
+	// refusal is the last refusal heard. Every answer send returns, this
+	// one and a grant alike, is given back (signalling.Release) once the
+	// hop's own outcome is built from it.
+	var refusal *signalling.Message
+	defer func() { signalling.Release(refusal) }()
+	var lost error     // why the last leg went unanswered
+	mid, tried := 0, 0 // refusals short of the destination; legs sent
 	for i, path := range paths {
 		nd, known := b.cfg.Topo.Domain(path[1])
 		if !known {
@@ -433,11 +437,14 @@ func (b *BB) forward(fc *forwardCtx) *signalling.Message {
 			lost = err
 			continue
 		}
-		if down.Granted {
-			return b.settle(fc, []childRoute{route}, []*signalling.ResultPayload{down})
+		if down.Result.Granted {
+			resp := b.settle(fc, []childRoute{route}, []*signalling.Message{down})
+			signalling.Release(down)
+			return resp
 		}
+		signalling.Release(refusal)
 		refusal = down
-		if deniedAtDest(down, spec.DestDomain) {
+		if deniedAtDest(down.Result, spec.DestDomain) {
 			break
 		}
 		mid++
@@ -465,9 +472,11 @@ func (b *BB) forward(fc *forwardCtx) *signalling.Message {
 
 // send forwards one leg — the reserve extended by this hop's layer,
 // under the leg's pin, salt and share — and returns what the hop below
-// answered, grant or refusal. An error means nobody knows what happened
-// below; what to do about that is the caller's business.
-func (b *BB) send(fc *forwardCtx, nd *topology.Domain, leg *signalling.ReservePayload, key string) (*signalling.ResultPayload, error) {
+// answered, grant or refusal, a result the caller releases once it has
+// built its own outcome from it (signalling.Release). An error means
+// nobody knows what happened below; what to do about that is the
+// caller's business.
+func (b *BB) send(fc *forwardCtx, nd *topology.Domain, leg *signalling.ReservePayload, key string) (*signalling.Message, error) {
 	nextCert := b.peerCerts[nd.BBDN]
 	if nextCert == nil {
 		return nil, fmt.Errorf("no certificate for next hop %s", nd.BBDN)
@@ -504,7 +513,7 @@ func (b *BB) send(fc *forwardCtx, nd *topology.Domain, leg *signalling.ReservePa
 			obs.AttrTrace, leg.TraceID, "retries", retries, "err", err)
 		return nil, err
 	}
-	return downstream.Result, nil
+	return downstream, nil
 }
 
 // split places the reservation as per-path legs, each carrying an
@@ -551,8 +560,14 @@ func (b *BB) split(fc *forwardCtx, paths [][]string) *signalling.Message {
 
 	share := int64(spec.Bandwidth) / int64(parts)
 	legs := make([]childRoute, 0, parts)
-	results := make([]*signalling.ResultPayload, 0, parts)
-	var refusal *signalling.ResultPayload
+	answers := make([]*signalling.Message, 0, parts)
+	var refusal *signalling.Message
+	defer func() { // once the outcome is built from them
+		for _, down := range answers {
+			signalling.Release(down)
+		}
+		signalling.Release(refusal)
+	}()
 	for p, path := range usable {
 		leg := *fc.payload
 		leg.PathPin, leg.SplitPart, leg.SplitOf, leg.SplitBW = path, p+1, parts, share
@@ -565,11 +580,11 @@ func (b *BB) split(fc *forwardCtx, paths [][]string) *signalling.Message {
 		if err != nil {
 			break
 		}
-		if !down.Granted {
+		if !down.Result.Granted {
 			refusal = down
 			break
 		}
-		legs, results = append(legs, route), append(results, down)
+		legs, answers = append(legs, route), append(answers, down)
 	}
 	if len(legs) == parts {
 		b.sagas.Commit(fc.saga)
@@ -577,7 +592,7 @@ func (b *BB) split(fc *forwardCtx, paths [][]string) *signalling.Message {
 		b.m.sagasCommitted.Inc()
 		b.m.splits.Inc()
 		b.log.Info("reserve: split reservation granted", obs.AttrRAR, spec.RARID, "parts", parts)
-		return b.settle(fc, legs, results)
+		return b.settle(fc, legs, answers)
 	}
 	b.m.splitFails.Inc()
 	resp := b.refuse(fc, refusal, "split aborted")
@@ -593,9 +608,10 @@ func (b *BB) split(fc *forwardCtx, paths [][]string) *signalling.Message {
 // single path (under the hop's own key, or the attempt-salted one if the
 // ingress re-routed), one per share of a split — programs the data plane
 // and assembles the granted result. A forwarding hop passes on the
-// grant the legs answered with as the bytes it came in; the end of the
-// line signs the grant, its own claim over every broker layer's.
-func (b *BB) settle(fc *forwardCtx, legs []childRoute, results []*signalling.ResultPayload) *signalling.Message {
+// grant the legs answered with as the bytes it came in, and adopts their
+// policy attributes and spans; the end of the line signs the grant, its
+// own claim over every broker layer's.
+func (b *BB) settle(fc *forwardCtx, legs []childRoute, answers []*signalling.Message) *signalling.Message {
 	spec := fc.verified.Spec
 	fromUser := len(fc.verified.Path) == 1
 	if spec.Tunnel {
@@ -606,7 +622,7 @@ func (b *BB) settle(fc *forwardCtx, legs []childRoute, results []*signalling.Res
 		var err error
 		switch {
 		case len(legs) > 0 && fromUser:
-			err = b.registerTunnelSource(spec, results[0])
+			err = b.registerTunnelSource(spec, answers[0].Result)
 		case len(legs) == 0 && spec.DestDomain == b.cfg.Domain && fc.payload.Mode != signalling.ModeLocal:
 			err = b.registerTunnelDest(fc.verified, fc.peer)
 		}
@@ -628,8 +644,9 @@ func (b *BB) settle(fc *forwardCtx, legs []childRoute, results []*signalling.Res
 
 	resp := signalling.OKResult(fc.r.Handle)
 	out := resp.Result
-	out.Stack = stackOf(results)
-	for i, down := range results {
+	out.Stack = stackOf(answers)
+	for i, a := range answers {
+		down := a.Result
 		if i == 0 {
 			out.PolicyInfo, out.Trace = down.PolicyInfo, down.Trace
 			continue
@@ -690,9 +707,10 @@ func (b *BB) claimStack(v *core.VerifiedRequest) ([]signalling.DomainApproval, e
 // refusals and its trace, with this hop's signed remark on top. This
 // hop did not refuse — the refusal is in a deeper span — so its own span
 // says rolled back.
-func (b *BB) refuse(fc *forwardCtx, down *signalling.ResultPayload, remark string) *signalling.Message {
+func (b *BB) refuse(fc *forwardCtx, answer *signalling.Message, remark string) *signalling.Message {
 	resp := signalling.ErrorResult("")
-	if down != nil {
+	if answer != nil {
+		down := answer.Result
 		resp.Result.Reason = down.Reason
 		resp.Result.Stack, resp.Result.Approvals = down.Stack, down.Approvals
 		resp.Result.Trace = down.Trace
@@ -738,18 +756,18 @@ func (b *BB) owe(saga *string, kind string, arg compArg) {
 	b.sagas.Did(*saga, kind, arg.AppendBinary(nil))
 }
 
-// stackOf is the grant the legs' results hand this hop, as the bytes
+// stackOf is the grant the legs' answers hand this hop, as the bytes
 // they were answered in: a decoded result holds all of its approvals in
 // its Stack, which owns its bytes (DESIGN.md §6.6, "Who owns a frame").
 // One leg's is passed on as it is; a split's are joined, one statement
 // per leg.
-func stackOf(results []*signalling.ResultPayload) string {
-	if len(results) == 1 {
-		return results[0].Stack
+func stackOf(answers []*signalling.Message) string {
+	if len(answers) == 1 {
+		return answers[0].Result.Stack
 	}
 	var stack strings.Builder
-	for _, down := range results {
-		stack.WriteString(down.Stack)
+	for _, down := range answers {
+		stack.WriteString(down.Result.Stack)
 	}
 	return stack.String()
 }

@@ -2,6 +2,7 @@ package bb
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -134,8 +135,11 @@ func (b *BB) callPeer(dn identity.DN, msg *signalling.Message) (*signalling.Mess
 		if attempt > 0 {
 			retries++
 			b.m.retries.Inc()
+			// A clone, not msg.Type itself: handing the logger a string of
+			// msg would put every message callPeer is given, and its
+			// payload, on the heap for a line only a retry writes.
 			b.log.Debug("retrying downstream call",
-				obs.AttrPeer, string(dn), "type", string(msg.Type),
+				obs.AttrPeer, string(dn), "type", strings.Clone(string(msg.Type)),
 				"attempt", attempt+1, "backoff", backoff)
 			time.Sleep(backoff)
 			backoff *= 2

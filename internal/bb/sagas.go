@@ -60,10 +60,11 @@ func (b *BB) execCancelComp(data []byte) error {
 	if err != nil {
 		return err
 	}
-	_, err = client.Call(&signalling.Message{
+	resp, err := client.Call(&signalling.Message{
 		Type:   signalling.MsgCancel,
 		Cancel: &signalling.CancelPayload{RARID: c.Key},
 	}, b.cfg.CallTimeout)
+	signalling.Release(resp) // whatever it says, the debt is settled
 	if err != nil {
 		b.dropClient(c.Peer, client)
 		return err

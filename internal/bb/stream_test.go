@@ -836,7 +836,8 @@ func TestCommitWaitersShareOneTimer(t *testing.T) {
 // then bb.rar with a three-approval outcome) and a cancel's
 // (bb.rar_cancel, resv.cancel), one message each, applied by an idle
 // follower whose leader is dead, so nothing else runs while the gate
-// counts.
+// counts. The follower answers into a reply slot, as it does when a
+// server hands it one (signalling.Peer.Reply).
 func TestFollowerStreamApplyAllocationBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate is meaningless under the race detector")
@@ -908,7 +909,7 @@ func TestFollowerStreamApplyAllocationBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := w.ReplicaBB(domain, 1)
-	self := signalling.Peer{DN: f.DN()}
+	self := signalling.Peer{DN: f.DN(), Slot: new(signalling.ReplySlot)}
 	apply := func(what string, messages [][][]byte) float64 {
 		t.Helper()
 		msgs := make([]signalling.Message, len(messages))

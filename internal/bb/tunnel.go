@@ -2,6 +2,7 @@ package bb
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -362,7 +363,10 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 	// mints the batch's Seq and puts it in flight.
 	var remote []signalling.TunnelOp
 	var remoteIdx []int
-	var released []units.Bandwidth // by op index: undo data for remote-denied releases
+	// released is the undo data for remote-denied releases, by op index,
+	// in a buffer from releasedBufs that goes back once reconciled.
+	var released []units.Bandwidth
+	var releasedBuf *[]units.Bandwidth
 	var applied []tunnelOpRec
 	if b.journal != nil {
 		applied = make([]tunnelOpRec, 0, len(ops))
@@ -381,7 +385,8 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 				var bw units.Bandwidth
 				if bw, rec.Gen, err = tx.Release(op.SubFlowID); err == nil {
 					if released == nil {
-						released = make([]units.Bandwidth, len(ops))
+						releasedBuf = releasedBufs.Get().(*[]units.Bandwidth)
+						released = slices.Grow((*releasedBuf)[:0], len(ops))[:len(ops)]
 					}
 					released[i] = bw
 				}
@@ -419,6 +424,7 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 		// Every op failed locally: nothing travelled, the batch settles
 		// here as a denial.
 		order.Unlock()
+		putReleased(releasedBuf, released)
 		b.recordBatchEvent(payload, len(ops), obs.VerdictDenied, firstReason(results), t0)
 		return results, nil
 	}
@@ -487,6 +493,8 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 	})
 	b.journalTunnelBatch(ep, tunnelBatchRec{Ops: undone})
 	order.Unlock()
+	putReleased(releasedBuf, released)
+	signalling.Release(resp)
 	if err != nil {
 		b.recordBatchEvent(payload, len(ops), obs.VerdictError, err.Error(), t0)
 		return nil, fmt.Errorf("bb %s: tunnel batch at destination: %w", b.cfg.Domain, err)
@@ -503,6 +511,19 @@ func (b *BB) TunnelBatch(tunnelRARID string, ops []signalling.TunnelOp, user ide
 		b.recordBatchEvent(payload, len(ops), verdict, firstReason(results), t0)
 	}
 	return results, nil
+}
+
+// releasedBufs recycles TunnelBatch's undo data for released sub-flows:
+// the buffer must outlive the call to the destination, and only a
+// refusal there reads it.
+var releasedBufs = sync.Pool{New: func() any { return new([]units.Bandwidth) }}
+
+// putReleased hands released, taken from buf, back to releasedBufs.
+func putReleased(buf *[]units.Bandwidth, released []units.Bandwidth) {
+	if buf != nil {
+		*buf = released[:0]
+		releasedBufs.Put(buf)
+	}
 }
 
 // refuse records op i of ops as refused for reason. At the first refusal

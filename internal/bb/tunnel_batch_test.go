@@ -862,9 +862,12 @@ func TestTunnelBatchDenseAllocationBound(t *testing.T) {
 // trip included, answers a batch granted whole with no per-op results.
 // From 64 ops to 256 it allocates no more objects, and its bytes grow by
 // the request frame's two copies (the transport's and the destination
-// decoder's) and at most 16 B an op for what an end keeps per op (the
-// destination's copy of an alloc's ids, the source's undo data for a
-// release); the per-op results it built, 40 B an op, are not among them.
+// decoder's) and by what an end keeps per op: at most 16 B an op for an
+// alloc, the destination's copy of its ids, and nothing for a release,
+// whose undo data at the source is a pooled buffer, but the rounding of
+// the two copies up to their size classes, at most an eighth each. The
+// per-op results it built, 40 B an op, are not among them, nor the undo
+// data's 8 B an op.
 func TestTunnelBatchSourceAllocationBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate is meaningless under the race detector")
@@ -873,6 +876,9 @@ func TestTunnelBatchSourceAllocationBound(t *testing.T) {
 	for i, shape := range []batchShape{allocBatch, releaseBatch} {
 		s, l := small[i], large[i]
 		limit := s.bytes + 2*(l.frame-s.frame) + 16*(256-64)
+		if shape == releaseBatch {
+			limit = s.bytes + 2*(l.frame-s.frame) + 2*l.frame/8
+		}
 		if l.objects > s.objects || l.bytes > limit {
 			t.Errorf("granted %s batch at the source: %d objects / %d B for 256 ops, %d / %d for 64; want no more objects and at most %d B",
 				shape, l.objects, l.bytes, s.objects, s.bytes, limit)

@@ -40,11 +40,11 @@ func frameOf(env *envelope.Envelope) []byte {
 // once its exchange is over. What Verify returned must not change.
 func (r *poolRequest) verifyFrame(b *Broker, now time.Time) (*VerifiedRequest, error) {
 	frame := bytes.Clone(r.frame)
-	env, err := envelope.Decode(frame, r.peerDN)
-	if err != nil {
+	var env envelope.Envelope
+	if err := envelope.DecodeInto(&env, frame, r.peerDN); err != nil {
 		return nil, err
 	}
-	got, err := b.Verify(env, r.peerDN, r.peerCert, now)
+	got, err := b.Verify(&env, r.peerDN, r.peerCert, now)
 	for i := range frame {
 		frame[i] = 0xA5
 	}

@@ -483,24 +483,26 @@ func (e *Envelope) AppendField(buf []byte, field uint32) []byte {
 	return appendEnvelope(buf, e)
 }
 
-// Decode reads the envelope bytes that AppendField wraps, in place: the
-// envelope's Payload and Signature, and every bytes field of the bodies
-// later decoded out of it, are sub-slices of data. The caller must own
-// data for as long as it uses them, and nothing that outlives data's
-// owner may keep one without copying it (DESIGN.md §6.6, "Who owns a
-// frame"). SignerDN is signer when the envelope names it — the channel
-// peer a verifier will hold it to — and a copy of the name otherwise.
-func Decode(data []byte, signer identity.DN) (*Envelope, error) {
-	e := &Envelope{}
+// DecodeInto reads the envelope bytes that AppendField wraps into e, in
+// place: the envelope's Payload and Signature, and every bytes field of
+// the bodies later decoded out of it, are sub-slices of data. The caller
+// must own data for as long as it uses them, and nothing that outlives
+// data's owner may keep one without copying it (DESIGN.md §6.6, "Who
+// owns a frame"); e should live no longer than data's owner either, as a
+// served reserve's payload, which decodes its envelope into itself, does.
+// SignerDN is signer when the envelope names it — the channel peer a
+// verifier will hold it to — and a copy of the name otherwise. Once it
+// succeeds, e holds nothing it held before.
+func DecodeInto(e *Envelope, data []byte, signer identity.DN) error {
 	dn, err := decodeEnvelope(e, wire.Dec{Buf: data})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	e.SignerDN = signer
 	if string(dn) != string(signer) {
 		e.SignerDN = identity.DN(dn)
 	}
-	return e, nil
+	return nil
 }
 
 // WireSize returns the encoded size in bytes, used by the Figure 7 /

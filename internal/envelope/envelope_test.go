@@ -13,6 +13,15 @@ import (
 	"e2eqos/internal/identity"
 )
 
+// decode is DecodeInto into an envelope of its own.
+func decode(data []byte, signer identity.DN) (*Envelope, error) {
+	e := new(Envelope)
+	if err := DecodeInto(e, data, signer); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
 type testRequest struct {
 	Source string `json:"source"`
 	Dest   string `json:"dest"`
@@ -180,7 +189,7 @@ func TestUnwrapChecksEachLayerOnce(t *testing.T) {
 	for hops := 0; hops < 8; hops++ {
 		keys, outer := buildOnion(t, hops)
 		data := encode(outer)
-		received, err := Decode(data, keys[hops].DN)
+		received, err := decode(data, keys[hops].DN)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +298,7 @@ func TestUnwrapDepthBound(t *testing.T) {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	keys, outer := buildOnion(t, 2)
 	data := encode(outer)
-	decoded, err := Decode(data, "")
+	decoded, err := decode(data, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,14 +315,14 @@ func TestDecodeTakesTheSignerItIsGiven(t *testing.T) {
 	keys, outer := buildOnion(t, 1)
 	data := encode(outer)
 	peer := identity.DN(string(keys[1].DN)) // a string of its own
-	got, err := Decode(data, peer)
+	got, err := decode(data, peer)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.SignerDN != peer || unsafe.StringData(string(got.SignerDN)) != unsafe.StringData(string(peer)) {
 		t.Errorf("SignerDN %q is not the peer's string %q", got.SignerDN, peer)
 	}
-	other, err := Decode(data, keys[0].DN)
+	other, err := decode(data, keys[0].DN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +333,7 @@ func TestDecodeTakesTheSignerItIsGiven(t *testing.T) {
 		return // allocation counts are meaningless under -race
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := Decode(data, peer); err != nil {
+		if _, err := decode(data, peer); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 1 {
@@ -351,7 +360,7 @@ func TestDNTableCostsTheSameForEveryUser(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		received, err := Decode(encode(outer), bb.DN)
+		received, err := decode(encode(outer), bb.DN)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,7 +428,7 @@ func TestDNTableCostsTheSameForEveryUser(t *testing.T) {
 }
 
 func TestDecodeGarbage(t *testing.T) {
-	if _, err := Decode([]byte("not json"), ""); err == nil {
+	if _, err := decode([]byte("not json"), ""); err == nil {
 		t.Fatal("garbage decoded")
 	}
 }
@@ -488,7 +497,7 @@ func TestUnwrapAllocationBound(t *testing.T) {
 			if !attributes {
 				keys, outer = plainOnion(t, hops)
 			}
-			received, err := Decode(encode(outer), keys[hops].DN)
+			received, err := decode(encode(outer), keys[hops].DN)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -50,7 +50,7 @@ func FuzzDecode(f *testing.F) {
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		input := bytes.Clone(data)
-		env, err := Decode(data, key.DN)
+		env, err := decode(data, key.DN)
 		if err != nil {
 			return
 		}
@@ -73,7 +73,7 @@ func FuzzDecode(f *testing.F) {
 		if len(enc) != env.WireSize() || cap(enc) != len(enc) {
 			t.Fatalf("appendEnvelope wrote %d bytes into %d, WireSize says %d", len(enc), cap(enc), env.WireSize())
 		}
-		again, err := Decode(enc, "")
+		again, err := decode(enc, "")
 		if err != nil {
 			t.Fatalf("the encoder's own output does not decode: %v", err)
 		}
@@ -127,7 +127,7 @@ func FuzzUnwrapMatchesSerial(f *testing.F) {
 	var chain Chain
 	dns := twinTable(signers)
 	f.Fuzz(func(t *testing.T, data []byte, limit uint8, withDir bool) {
-		env, err := Decode(data, signers[len(signers)-1].key.DN)
+		env, err := decode(data, signers[len(signers)-1].key.DN)
 		if err != nil {
 			return
 		}
@@ -164,7 +164,7 @@ func FuzzTransitOpenMatchesUnwrap(f *testing.F) {
 	var full, transit Chain
 	dns := twinTable(signers)
 	f.Fuzz(func(t *testing.T, data []byte, limit uint8, withDir bool) {
-		env, err := Decode(data, signers[len(signers)-1].key.DN)
+		env, err := decode(data, signers[len(signers)-1].key.DN)
 		if err != nil {
 			return
 		}

@@ -63,8 +63,11 @@ func reserveAndCancel(w *World, u *User) error {
 //   - objects, kib: a hop verifies the onion per request, not per layer,
 //     passes its grant upstream as the bytes it came in, seals into a
 //     recycled buffer and takes the brokers' DNs from a DN table (§6.6
-//     "Who owns a frame", §6.11): 25 objects a domain wherever it sits,
-//     plus 14. Bytes grow with the square of the path, as each layer
+//     "Who owns a frame", §6.11). It decodes the outer envelope into the
+//     served request, builds the message it forwards on its stack, gives
+//     back every answer it reads and drops, and answers a cancel from
+//     the request's reply slot: 19 objects a domain wherever it sits,
+//     plus 17. Bytes grow with the square of the path, as each layer
 //     carries the onion below it, so they get a bound per N.
 //
 // Four tests read the table, a group of columns each:
@@ -83,15 +86,15 @@ var reserveCosts = []struct {
 	objects          float64
 	kib              float64
 }{
-	{n: 3, signed: 4, checked: 5, vouched: 1, checkedNamed: 6, msgs: 12, appends: 12, objects: 89, kib: 15},
-	{n: 5, signed: 6, checked: 9, vouched: 6, checkedNamed: 15, msgs: 20, appends: 20, objects: 139, kib: 28},
-	{n: 8, signed: 9, checked: 15, vouched: 21, checkedNamed: 36, msgs: 32, appends: 32, objects: 214, kib: 56},
+	{n: 3, signed: 4, checked: 5, vouched: 1, checkedNamed: 6, msgs: 12, appends: 12, objects: 74, kib: 12},
+	{n: 5, signed: 6, checked: 9, vouched: 6, checkedNamed: 15, msgs: 20, appends: 20, objects: 112, kib: 23},
+	{n: 8, signed: 9, checked: 15, vouched: 21, checkedNamed: 36, msgs: 32, appends: 32, objects: 169, kib: 48},
 }
 
 // objectsPerDomain and objectsBase are the objects column's law: a
 // reserve and its cancel across N domains allocate
 // objectsPerDomain·N + objectsBase objects.
-const objectsPerDomain, objectsBase = 25, 14
+const objectsPerDomain, objectsBase = 19, 17
 
 // cell is one column's reading against its pinned value.
 type cell struct {

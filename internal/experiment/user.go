@@ -223,6 +223,7 @@ func (u *User) Cancel(domain, rarID string) error {
 	if err != nil {
 		return err
 	}
+	defer signalling.Release(resp) // the verdict is all a cancel reads
 	if resp.Result == nil || !resp.Result.Granted {
 		reason := "no result"
 		if resp.Result != nil {

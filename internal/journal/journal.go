@@ -296,21 +296,16 @@ func (j *Journal) Append(op string, data BinaryRecord) error {
 		j.fail(err)
 		return err
 	}
-	if err := j.logLocked(frame); err != nil {
-		return err
-	}
-	if fn := j.opts.OnAppend; fn != nil {
-		fn(time.Since(t0))
-	}
-	return nil
+	return j.logLocked(frame, t0)
 }
 
 // logLocked logs one frame under the configured fsync policy: in batch
 // mode the frame already ends j.buf and the syncer is woken, otherwise
 // it is written, and under FsyncAlways synced, here. It counts and
 // numbers the append, releases j.mu, which the caller holds, and
-// reports a write error to OnError.
-func (j *Journal) logLocked(frame []byte) error {
+// reports the append begun at t0 to OnAppend, or its write error to
+// OnError: Append and a follower's AppendFrame are observed alike.
+func (j *Journal) logLocked(frame []byte, t0 time.Time) error {
 	var err error
 	synced := false
 	if j.opts.Fsync == FsyncBatch {
@@ -340,6 +335,8 @@ func (j *Journal) logLocked(frame []byte) error {
 		if fn := j.opts.OnError; fn != nil {
 			fn(err)
 		}
+	} else if fn := j.opts.OnAppend; fn != nil {
+		fn(time.Since(t0))
 	}
 	return err
 }

@@ -1,6 +1,9 @@
 package journal
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // Streaming support: every appended CRC-framed record is numbered by a
 // per-incarnation sequence. A journal opened with Options.TailBytes > 0
@@ -211,6 +214,7 @@ func (j *Journal) AppendFrame(f Frame) error {
 	if len(frame) == 0 {
 		return fmt.Errorf("journal: append-frame: frame was not checked")
 	}
+	t0 := time.Now()
 	j.mu.Lock()
 	if j.closed {
 		j.mu.Unlock()
@@ -221,7 +225,7 @@ func (j *Journal) AppendFrame(f Frame) error {
 		j.buf = append(j.buf, frame...)
 		frame = j.buf[start:]
 	}
-	return j.logLocked(frame)
+	return j.logLocked(frame, t0)
 }
 
 // SnapshotWith builds a state snapshot atomically with the journal's

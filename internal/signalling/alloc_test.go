@@ -46,9 +46,9 @@ func TestEncodeAllocationFree(t *testing.T) {
 // TestStreamExchangeAllocationFree gates both ends of a replication
 // exchange at the codec (DESIGN.md §6.8): a stream message decoded into
 // the message a server keeps for them — records in place, the domain
-// unchanged — its answer built by Reply and encoded, and that answer
-// decoded into the message a client keeps for Post answers, allocate
-// nothing.
+// unchanged — its answer built in the reply slot the server keeps for
+// it (Peer.Reply), encoded and the slot emptied, and that answer decoded
+// into the message a client keeps for Post answers, allocate nothing.
 func TestStreamExchangeAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate is meaningless under the race detector")
@@ -58,6 +58,7 @@ func TestStreamExchangeAllocationFree(t *testing.T) {
 		Domain: "Domain0", Term: 3, LeaderID: 1, FromSeq: 41, CommitSeq: 40, Records: records,
 	}}).AppendBinary(nil)
 	var stream, answer Message
+	peer := Peer{Slot: new(ReplySlot)}
 	buf := make([]byte, 0, 256)
 	exchange := func() {
 		if err := stream.decodeFrame(frame, "", nil); err != nil {
@@ -67,7 +68,8 @@ func TestStreamExchangeAllocationFree(t *testing.T) {
 		if p.Domain != "Domain0" || len(p.Records) != 2 || len(p.Records[1]) != 600 {
 			t.Fatalf("decoded %+v", p)
 		}
-		buf = p.Reply(true, p.FromSeq+2, p.Term).appendFrame(buf[:0], 7)
+		buf = peer.Reply(ResultPayload{Granted: true, AckSeq: p.FromSeq + 2, Term: p.Term}).appendFrame(buf[:0], 7)
+		peer.Slot.sent()
 		if err := answer.decodeFrame(buf, "", nil); err != nil {
 			t.Fatal(err)
 		}
@@ -82,31 +84,51 @@ func TestStreamExchangeAllocationFree(t *testing.T) {
 }
 
 // TestCallAllocationBound gates one timed call over the in-memory
-// transport, answered with a shared result (DESIGN.md §6.6, "Who owns a
-// frame"): the client's one timer bounds it and its answer channel is
-// the pool's, the server decodes the request into a message its
-// connection keeps, and the answer is copied out of the demux's message
-// in one allocation. What is left is the transport's copy of each frame
-// sent, the request's one string, and the answer the caller keeps.
+// transport (DESIGN.md §6.6, "Who owns a frame"): the client's one timer
+// bounds it and its answer channel is the pool's, the server decodes the
+// request into a message its connection keeps and answers with a shared
+// result or into the request's reply slot, and the answer is copied out
+// of the demux's message into one from the answers' pool. What is left
+// is the transport's copy of each frame sent and the request's one
+// string, and the answer if the caller keeps it: 4 objects, 3 when the
+// caller gives its answer back.
 func TestCallAllocationBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate is meaningless under the race detector")
 	}
-	c, ln := dialPair(t, 0)
 	ok := OKResult("")
-	go NewServer(HandlerFunc(func(Peer, *Message) *Message { return ok }), nil).Serve(ln)
-	req := &Message{Type: MsgStatus, Status: &StatusPayload{RARID: "RAR-1"}}
-	call := func() {
-		resp, err := c.Call(req, time.Minute)
-		if err != nil || !resp.Result.Granted {
-			t.Fatalf("call: resp=%+v err=%v", resp, err)
+	for _, row := range []struct {
+		name     string
+		h        HandlerFunc
+		released bool
+		bound    float64
+	}{
+		{"a kept answer", func(Peer, *Message) *Message { return ok }, false, 4},
+		{"a released answer", func(Peer, *Message) *Message { return ok }, true, 3},
+		{"a released answer from the reply slot", func(p Peer, _ *Message) *Message {
+			return p.Reply(ResultPayload{Granted: true})
+		}, true, 3},
+	} {
+		c, ln := dialPair(t, 0)
+		go NewServer(row.h, nil).Serve(ln)
+		req := &Message{Type: MsgStatus, Status: &StatusPayload{RARID: "RAR-1"}}
+		call := func() {
+			resp, err := c.Call(req, time.Minute)
+			if err != nil || !resp.Result.Granted {
+				t.Fatalf("%s: call: resp=%+v err=%v", row.name, resp, err)
+			}
+			if row.released {
+				Release(resp)
+			}
 		}
-	}
-	for i := 0; i < 50; i++ {
-		call() // the timer, the kept messages and a parked worker exist from here on
-	}
-	if got := testing.AllocsPerRun(500, call); got > 4 {
-		t.Errorf("a timed call allocates %.1f objects, want <= 4", got)
+		for i := 0; i < 50; i++ {
+			call() // the timer, the kept messages and a parked worker exist from here on
+		}
+		got := testing.AllocsPerRun(500, call)
+		t.Logf("%s: %.1f objects", row.name, got)
+		if got > row.bound {
+			t.Errorf("%s: a timed call allocates %.1f objects, want <= %.0f", row.name, got, row.bound)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"e2eqos/internal/envelope"
 	"e2eqos/internal/identity"
 	"e2eqos/internal/obs"
 	"e2eqos/internal/transport"
@@ -440,7 +441,8 @@ func TestSendTimeoutIsTerminal(t *testing.T) {
 // payloads and their PathPin and Ops arrays. A request decoded into a
 // kept message that last held another must come out as it does from a
 // fresh decode, with nothing of the earlier one: not its pin, not its
-// ops beyond the new count, not its type's payload.
+// ops beyond the new count, not its type's payload, not the envelope a
+// reserve's payload decoded into itself.
 func TestKeptRequestLeavesNothingOfTheLast(t *testing.T) {
 	batch := func(n int) *Message {
 		ops := make([]TunnelOp, n)
@@ -505,5 +507,40 @@ func TestKeptRequestLeavesNothingOfTheLast(t *testing.T) {
 	r.kept.reset()
 	if r.kept.batch.Ops != nil {
 		t.Errorf("a kept message holds on to an Ops array of %d ops, over the bound of %d", cap(r.kept.batch.Ops), maxKeptOps)
+	}
+
+	// A reserve's envelope decodes into the kept payload, and the request
+	// decoded next holds nothing of it, a reserve that has not asked for
+	// its envelope included.
+	key, err := identity.GenerateKeyPair(identity.NewDN("Grid", "A", "alice"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := envelope.Seal(key, envelope.Body{Request: []byte(`{"x":1}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := NewReserveMessage(ModeEndToEnd, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, then := range []*Message{unpinned, cancel} {
+		var r request
+		if err := r.decodeFrame(sealed.AppendBinary(nil), "", &r.kept); err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.Reserve.EnvelopeFrom(key.DN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != &r.kept.reserve.decoded || got.SignerDN != key.DN || !bytes.Equal(got.Payload, env.Payload) || !bytes.Equal(got.Signature, env.Signature) {
+			t.Fatalf("the envelope was not decoded into the kept payload: %+v", got)
+		}
+		if err := r.decodeFrame(then.AppendBinary(nil), "", &r.kept); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(r.kept.reserve.decoded, envelope.Envelope{}) {
+			t.Errorf("a %s decoded after a reserve still holds its envelope: %+v", then.Type, r.kept.reserve.decoded)
+		}
 	}
 }

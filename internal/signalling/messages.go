@@ -113,6 +113,10 @@ type ReservePayload struct {
 	// env is the envelope of a payload built here (NewReserveMessage):
 	// it is encoded straight into the frame, never into EnvelopeData.
 	env *envelope.Envelope
+	// decoded is the outer layer of a received payload's envelope, once
+	// EnvelopeFrom has decoded it: it lives as long as the payload, a
+	// served request's until the server decodes the next one into it.
+	decoded envelope.Envelope
 }
 
 // Envelope returns the carried envelope, decoded in place out of
@@ -121,12 +125,16 @@ func (p *ReservePayload) Envelope() (*envelope.Envelope, error) { return p.Envel
 
 // EnvelopeFrom is Envelope for a payload received from peer: an outer
 // layer that names peer as its signer gets peer's DN, not a copy of the
-// name (envelope.Decode).
+// name (envelope.DecodeInto). A received payload's envelope is decoded into
+// the payload itself and is valid as long as the payload is.
 func (p *ReservePayload) EnvelopeFrom(peer identity.DN) (*envelope.Envelope, error) {
 	if p.env != nil {
 		return p.env, nil
 	}
-	return envelope.Decode(p.EnvelopeData, peer)
+	if err := envelope.DecodeInto(&p.decoded, p.EnvelopeData, peer); err != nil {
+		return nil, err
+	}
+	return &p.decoded, nil
 }
 
 // Forward builds the message that carries env on to the next hop with
@@ -134,7 +142,7 @@ func (p *ReservePayload) EnvelopeFrom(peer identity.DN) (*envelope.Envelope, err
 // decision, the pin, the attempt and the split fields.
 func (p *ReservePayload) Forward(env *envelope.Envelope) *Message {
 	next := *p
-	next.Mode, next.EnvelopeData, next.env = ModeEndToEnd, nil, env
+	next.Mode, next.EnvelopeData, next.env, next.decoded = ModeEndToEnd, nil, env, envelope.Envelope{}
 	return &Message{Type: MsgReserve, Reserve: &next}
 }
 
@@ -294,7 +302,8 @@ const (
 // follower that lags past the leader's in-memory tail first receives a
 // full Snapshot cut at SnapSeq, with Records extending it. CommitSeq
 // is the highest sequence acknowledged by a majority; followers answer
-// with a ResultPayload carrying their own AckSeq and Term (Reply).
+// with a ResultPayload carrying their own AckSeq and Term, built in the
+// served message's reply slot (Peer.Reply).
 //
 // A decoded payload aliases its frame (DESIGN.md §6.6, "Who owns a
 // frame"): Snapshot and every record are sub-slices of it, valid while
@@ -326,21 +335,6 @@ type JournalStreamPayload struct {
 	// Records are raw journal frames, exactly as they sit in the
 	// leader's WAL.
 	Records [][]byte
-
-	// reply and result hold the answer Reply builds, so answering a
-	// stream message allocates nothing.
-	reply  Message
-	result ResultPayload
-}
-
-// Reply builds the answer to this stream or vote message: Granted, the
-// receiver's acknowledged sequence and its term. The message lives in
-// the payload and is valid until the payload is decoded into or
-// answered again, which the server does only after sending it.
-func (p *JournalStreamPayload) Reply(granted bool, ack, term int64) *Message {
-	p.result = ResultPayload{Granted: granted, AckSeq: ack, Term: term}
-	p.reply = Message{Type: MsgResult, Result: &p.result}
-	return &p.reply
 }
 
 // ResultPayload answers any request. For reserve requests, the approvals

@@ -15,21 +15,28 @@ import (
 )
 
 // Peer describes the authenticated remote side of a connection, as
-// established by the channel handshake.
+// established by the channel handshake, and where the request being
+// served may be answered.
 type Peer struct {
 	DN      identity.DN
 	CertDER []byte
+	// Slot is the served request's reply slot (Reply). The server sets
+	// it for every request it serves; nil, Reply builds a new message.
+	Slot *ReplySlot
 }
 
 // Handler processes one request message and returns the response.
 // Implementations must be safe for concurrent use: requests arriving
 // on one connection are dispatched concurrently.
 //
-// msg and its payload are valid only until Handle returns: the server
-// decodes a later request into the same message, payload and PathPin
-// or Ops array (DESIGN.md §6.6, "Who owns a frame"). A handler copies
+// msg and its payload, the envelope a reserve's payload decodes into
+// included, are valid only until Handle returns: the server decodes a
+// later request into the same message, payload and PathPin or Ops
+// array (DESIGN.md §6.6, "Who owns a frame"). A handler copies
 // whatever it keeps past its return, and the response it returns
-// shares nothing with msg but strings.
+// shares nothing with msg but strings. A response built by peer.Reply
+// lives in the request's reply slot until the server has sent it: the
+// handler returns it and keeps nothing of it.
 type Handler interface {
 	Handle(peer Peer, msg *Message) *Message
 }
@@ -145,7 +152,9 @@ const parkedWorkers = 4
 // frames are the exception: they are an ordered stream (each splices
 // onto the one before), so the reader handles them itself, in arrival
 // order, before it reads the next — each decoded into the one message
-// the connection keeps for them.
+// the connection keeps for them. Each served request, and the stream
+// messages together, own a reply slot (Peer.Reply), emptied once the
+// answer built in it is sent.
 func serveConn(conn transport.Conn, h Handler, logger *slog.Logger) {
 	defer conn.Close()
 	peer := Peer{DN: conn.PeerDN(), CertDER: conn.PeerCertDER()}
@@ -159,7 +168,10 @@ func serveConn(conn transport.Conn, h Handler, logger *slog.Logger) {
 	// both implementations and the mux client matches responses by ID, so
 	// out-of-order completion is fine.
 	serve := func(r *request) {
-		sendResponse(conn, safeHandle(h, peer, &r.Message, logger), r.ID, peer, logger)
+		p := peer
+		p.Slot = &r.reply
+		sendResponse(conn, safeHandle(h, p, &r.Message, logger), r.ID, peer, logger)
+		r.reply.sent()
 		r.kept.reset()
 		select {
 		case free <- r:
@@ -175,6 +187,7 @@ func serveConn(conn transport.Conn, h Handler, logger *slog.Logger) {
 	defer close(work)
 	workers := 0
 	var stream Message
+	var streamPeer Peer // peer, with the stream messages' reply slot once one has come
 	for {
 		data, err := conn.Recv()
 		if err != nil {
@@ -185,7 +198,12 @@ func serveConn(conn transport.Conn, h Handler, logger *slog.Logger) {
 				malformed(conn, data, err, peer, logger)
 				continue
 			}
-			sendResponse(conn, safeHandle(h, peer, &stream, logger), stream.ID, peer, logger)
+			if streamPeer.Slot == nil {
+				streamPeer = peer
+				streamPeer.Slot = new(ReplySlot)
+			}
+			sendResponse(conn, safeHandle(h, streamPeer, &stream, logger), stream.ID, peer, logger)
+			streamPeer.Slot.sent()
 			// Drop the references to the frame just served.
 			p := stream.JournalStream
 			clear(p.Records)
@@ -227,10 +245,12 @@ func serveConn(conn transport.Conn, h Handler, logger *slog.Logger) {
 }
 
 // request is a served request: the message a connection decodes it
-// into, and the payloads that message's payload fields point into.
+// into, the payloads that message's payload fields point into, and the
+// slot its answer may be built in (Peer.Reply).
 type request struct {
 	Message
-	kept payloads
+	kept  payloads
+	reply ReplySlot
 }
 
 // malformed answers a frame whose body does not decode. The transport
@@ -433,7 +453,7 @@ func (c *Client) OldestPost() (at time.Time, ok bool) {
 // the framing may be desynchronized — so the loop records the fault,
 // wakes every waiter, and exits. Every response is decoded into one
 // message the loop keeps: a Post's callback is done with it when it
-// returns, and a Call gets a copy of its own.
+// returns, and a Call gets a copy of its own, from the answers' pool.
 func (c *Client) demux() {
 	var resp Message
 	for {
@@ -459,13 +479,13 @@ func (c *Client) demux() {
 		case w.fn != nil:
 			w.fn(&resp)
 		default:
-			// The call keeps its answer: a result is copied out, message
-			// and payload in one allocation, and the loop decodes into
-			// its payload again; anything else is handed over whole.
+			// The call gets its answer: a result is copied out into a
+			// message from the pool its caller may give it back to
+			// (Release), and the loop decodes into its payload again;
+			// anything else is handed over whole.
 			var m *Message
 			if resp.Result != nil {
-				m = newResult(*resp.Result)
-				m.ID = resp.ID
+				m = answer(resp.ID, resp.Result)
 			} else {
 				m = new(Message)
 				*m, resp = resp, Message{}
@@ -531,6 +551,10 @@ func (c *Client) fail(err error) {
 // The deadline runs from the call's registration, and the client's one
 // timer enforces it (sweep): a call owns no timer, and its channel is
 // the pool's again once it has received its one value.
+//
+// A result answer comes from a pool: a caller that only reads it gives
+// it back with Release once it has copied out what it keeps, and one
+// that keeps it does nothing.
 func (c *Client) Call(msg *Message, timeout time.Duration) (*Message, error) {
 	w := waiter{ch: callChans.Get().(chan *Message)}
 	if timeout > 0 {

@@ -9,17 +9,12 @@
 #   make alloc-gate        every Test*AllocationFree / *AllocationBound (each test states its bound and DESIGN.md its reason; skips under -race)
 #   make bench-e2e         the repository's benchmark (bench/README.md): four workloads, rows appended to bench/out/
 #   make bench-e2e-compare A=parent.jsonl B=change.jsonl gates B's rows against A's under the bounds in BENCHMARK.json
-#   make bench             benchmark harness
-#   make bench-chain       destination Verify of a warm 1/2/3/5/8-layer chain with -benchmem, then identity.Sign and Verify alone
-#   make bench-wire        the allocation gates, then signalling frame encode/decode on the batch-64 frame and one warm request/response
-#   make bench-concurrency reserve throughput vs parallel requesters (BENCH_concurrency.json)
-#   make bench-subflow     sub-flow admission throughput at batch sizes 1 to 256, with -benchmem, plus the 1%-sampled telemetry arm
-#   make bench-obs         telemetry micro-benchmarks with -benchmem (BENCH_obs.json)
-#   make bench-replication end-to-end admission unreplicated vs a 3-replica group, then the commit gate alone (BENCH_replication.json)
-#   make bench-route       route-lookup micro-benchmarks with -benchmem: cached NextHop and cold Paths (BENCH_route.json)
+#
+# The paper's figures come from `go run ./cmd/experiments -exp <id>`; each package's micro-benchmarks run with
+# `go test -run NONE -bench <name> -benchmem ./internal/<package>`.
 GO ?= go
 
-.PHONY: build test verify loc alloc-gate bench bench-e2e bench-e2e-compare bench-chain bench-wire bench-concurrency bench-subflow bench-obs bench-replication bench-route metrics-lint fuzz-short
+.PHONY: build test verify loc alloc-gate bench-e2e bench-e2e-compare metrics-lint fuzz-short
 
 build:
 	$(GO) build ./...
@@ -64,29 +59,3 @@ bench-e2e:
 
 bench-e2e-compare:
 	$(GO) run ./bench -compare $(A) $(B)
-
-bench:
-	$(GO) test -bench=. -benchmem
-
-bench-chain:
-	$(GO) test -run NONE -bench 'TrustChainVerify' -benchmem .
-	$(GO) test -run NONE -bench 'SignVerify' -benchmem ./internal/identity
-
-bench-wire: alloc-gate
-	$(GO) test -run NONE -bench 'BenchmarkCodec|BenchmarkServeRoundTrip' -benchmem ./internal/signalling
-
-bench-concurrency:
-	$(GO) test -run NONE -bench 'ConcurrentReserveChain' -benchtime 2s .
-
-bench-subflow:
-	$(GO) test -run NONE -bench 'SubFlowThroughput' -benchtime 150000x -benchmem .
-
-bench-obs:
-	$(GO) test -run NONE -bench 'QHistObserve|QHistQuantile|SamplerSample|RecorderAppend' -benchmem ./internal/obs
-
-bench-replication:
-	$(GO) test -run NONE -bench 'ReplicatedAdmit' -benchtime 500x -count 3 .
-	$(GO) test -run NONE -bench 'ReplCommitGate' -benchtime 20000x -count 3 -benchmem ./internal/bb
-
-bench-route:
-	$(GO) test -run NONE -bench 'NextHop|PathsCold' -benchmem ./internal/topology

@@ -199,9 +199,6 @@ func TestOneDataPlaneProgrammer(t *testing.T) {
 func TestEveryDeclarationHasACaller(t *testing.T) {
 	allowed := map[string]string{
 		"bb.BB.ReleaseTunnelFlow":                   "pairs with AllocateTunnelFlow, which examples/tunnel and the tunnel experiment call",
-		"gara.NewCoordinator":                       "the STARS reservation-coordinator baseline, kept as a baseline",
-		"gara.Coordinator.ReserveFor":               "the STARS reservation-coordinator baseline, kept as a baseline",
-		"gara.NetworkAPI.Cancel":                    "the GARA network API baseline, kept as a baseline: it undoes Reserve",
 		"experiment.World.CrashDomain":              "the harness of the crash-point sweep, ROADMAP item 2",
 		"experiment.World.RestartDomain":            "the harness of the crash-point sweep, ROADMAP item 2",
 		"experiment.World.RestartDomainFromJournal": "the harness of the crash-point sweep, ROADMAP item 2",

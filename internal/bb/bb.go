@@ -312,6 +312,12 @@ func New(cfg Config) (*BB, error) {
 		sampler:   obs.NewSampler(cfg.SampleRate),
 	}
 	for _, p := range cfg.Peers {
+		if p.Domain == cfg.Domain {
+			return nil, fmt.Errorf("bb %s: peer %s is this broker's own domain", cfg.Domain, p.Domain)
+		}
+		if p.SLARate <= 0 {
+			return nil, fmt.Errorf("bb %s: peer %s: SLA rate %v is not positive", cfg.Domain, p.Domain, p.SLARate)
+		}
 		dn := p.Cert.SubjectDN()
 		if d, ok := cfg.Topo.Domain(p.Domain); !ok || d.BBDN != dn {
 			return nil, fmt.Errorf("bb %s: peer %s: certificate subject %s is not the topology's broker for that domain", cfg.Domain, p.Domain, dn)
@@ -322,11 +328,7 @@ func New(cfg Config) (*BB, error) {
 		b.inbound[p.Domain] = &sla.SLA{
 			Upstream:   p.Domain,
 			Downstream: cfg.Domain,
-			Service: sla.SLS{
-				Profile:     sla.TrafficProfile{Rate: p.SLARate, BucketBytes: 64_000},
-				MaxLatency:  5 * time.Millisecond,
-				Reliability: 0.999,
-			},
+			Service:    sla.SLS{Profile: sla.TrafficProfile{Rate: p.SLARate, BucketBytes: 64_000}},
 		}
 	}
 	b.pool = newClientPool(func(dn identity.DN) (*signalling.Client, error) {

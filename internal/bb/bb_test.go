@@ -607,6 +607,12 @@ func TestNewChecksItsConfig(t *testing.T) {
 		{"a peer the topology does not know", func(c *bb.Config) {
 			c.Peers[1].Domain = "Elsewhere"
 		}, "bb Domain1: peer Elsewhere: certificate subject " + string(keys["Domain2"].DN) + " is not the topology's broker for that domain"},
+		{"a peering with this broker's own domain", func(c *bb.Config) {
+			c.Peers[1].Domain, c.Peers[1].Cert = "Domain1", certs["Domain1"]
+		}, "bb Domain1: peer Domain1 is this broker's own domain"},
+		{"a peering with no SLA rate", func(c *bb.Config) {
+			c.Peers[1].SLARate = 0
+		}, "bb Domain1: peer Domain2: SLA rate 0b/s is not positive"},
 		{"a replica set without this broker's own id", func(c *bb.Config) {
 			c.StateDir, c.ReplicaID, c.ReplicaAddrs = t.TempDir(), 2, map[int]string{0: "r0", 1: "r1"}
 		}, "bb Domain1: the replica addresses leave out this broker's own replica id 2"},

@@ -272,9 +272,6 @@ func (b *BB) processReserve(fc *forwardCtx, now time.Time) *signalling.Message {
 		if contract == nil {
 			return b.deny(spec.RARID, fmt.Sprintf("%s: no SLA with upstream domain %s", b.cfg.Domain, upDomain))
 		}
-		if !contract.Valid() {
-			return b.deny(spec.RARID, fmt.Sprintf("%s: SLA with %s not valid", b.cfg.Domain, upDomain))
-		}
 		if err := contract.Conforms(b.cfg.Capacity-avail, bw); err != nil {
 			return b.deny(spec.RARID, fmt.Sprintf("%s: %v", b.cfg.Domain, err))
 		}

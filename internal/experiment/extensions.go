@@ -9,7 +9,6 @@ import (
 	"e2eqos/internal/dsim"
 	"e2eqos/internal/identity"
 	"e2eqos/internal/netsim"
-	"e2eqos/internal/sla"
 )
 
 // RunKeyDistribution quantifies the §6.4 trade between the two key
@@ -128,7 +127,7 @@ func RunBilling() (*Table, error) {
 		return nil, fmt.Errorf("billing setup reservation denied: %s", res.Reason)
 	}
 
-	sim, sink, marker := buildSimplePipeline(w, spec.RARID)
+	sim, sink, marker := buildSimplePipeline(w)
 	src := netsim.NewSource(sim, netsim.FlowID(spec.RARID), spec.Bandwidth, 1250, marker)
 	if err := src.Install(duration); err != nil {
 		return nil, err
@@ -178,16 +177,14 @@ func RunBilling() (*Table, error) {
 	return t, nil
 }
 
-// buildSimplePipeline wires source-edge -> link -> sink and installs
-// the flow's 10 Mb/s reservation profile at the edge (the reservation
-// was granted before the data plane was attached, so the profile is
-// programmed explicitly here).
-func buildSimplePipeline(w *World, rarID string) (*dsim.Sim, *netsim.Sink, *netsim.EdgeMarker) {
+// buildSimplePipeline wires source-edge -> link -> sink. The source
+// broker installed the flow's profile on its plane at grant, and
+// attaching the edge replays it.
+func buildSimplePipeline(w *World) (*dsim.Sim, *netsim.Sink, *netsim.EdgeMarker) {
 	sim := dsim.New()
 	sink := netsim.NewSink(sim)
 	link := netsim.NewLink(sim, 100_000_000, sink)
 	marker := netsim.NewEdgeMarker(sim, link)
 	w.Planes["DomainA"].AttachEdge(marker)
-	marker.InstallReservation(netsim.FlowID(rarID), sla.TrafficProfile{Rate: 10_000_000, BucketBytes: 30_000})
 	return sim, sink, marker
 }

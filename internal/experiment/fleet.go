@@ -55,13 +55,15 @@ const (
 	// fleetPerUserRate is each honest reservation's bandwidth.
 	fleetPerUserRate = units.Mbps
 	// fleetCapacityFactor sizes each domain's premium pool as a
-	// fraction of Users×fleetPerUserRate: diurnal peaks run the pool
-	// hot and just touch its edge, so a few of the peak's requests are
-	// refused and retry.
+	// fraction of Users×fleetPerUserRate.
 	fleetCapacityFactor = 0.30
 	// fleetMinCapacity floors each domain's pool, so that a tiny
 	// population still admits.
 	fleetMinCapacity = 64 * fleetPerUserRate
+	// fleetDiurnalOverload is the diurnal peak's expected concurrency
+	// as a multiple of the pool: at every population the peak overruns
+	// the pool a little, so some of its requests are refused and retry.
+	fleetDiurnalOverload = 1.02
 	// fleetAttackerFraction is the share of users that misreserve in
 	// the misreservation scenario.
 	fleetAttackerFraction = 0.01

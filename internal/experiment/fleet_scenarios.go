@@ -33,7 +33,8 @@ func (e *fleetEngine) sessionWithRetry(u int, bw units.Bandwidth, hold time.Dura
 // runDiurnal models a compressed day: 24 slots whose activity follows
 // a sinusoid (night trough, midday peak). Each user independently
 // decides per slot whether to hold a reservation, for roughly half to
-// one-and-a-half slots.
+// one-and-a-half slots, so a slot's activity is about the share of the
+// population holding one during it.
 func runDiurnal(cfg FleetConfig) (ScenarioResult, error) {
 	e, err := newFleetEngine(cfg, "diurnal")
 	if err != nil {
@@ -42,11 +43,14 @@ func runDiurnal(cfg FleetConfig) (ScenarioResult, error) {
 	defer e.close()
 	const slots = 24
 	slotDur := 2 * time.Minute
+	// The peak slot's activity: the pool's share of the population,
+	// times fleetDiurnalOverload.
+	peak := fleetDiurnalOverload * float64(e.domains[0].capacity) / (float64(cfg.Users) * float64(fleetPerUserRate))
 	for u := 0; u < cfg.Users; u++ {
 		r := e.userRNG(u, 1)
 		for s := 0; s < slots; s++ {
-			// Activity between 2% (trough) and 28% (peak).
-			frac := 0.02 + 0.26*(1+math.Sin(2*math.Pi*float64(s)/slots-math.Pi/2))/2
+			// Activity between 2% (trough) and the peak.
+			frac := 0.02 + (peak-0.02)*(1+math.Sin(2*math.Pi*float64(s)/slots-math.Pi/2))/2
 			if r.Float64() >= frac {
 				continue
 			}

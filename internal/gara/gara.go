@@ -194,62 +194,6 @@ func (api *NetworkAPI) rollback(req Requester, rarID string, acquired []string) 
 	}
 }
 
-// Cancel withdraws an end-to-end reservation made with the given
-// strategy.
-func (api *NetworkAPI) Cancel(req Requester, spec *core.Spec, strategy Strategy) error {
-	switch strategy {
-	case HopByHop:
-		return req.Cancel(spec.SourceDomain, spec.RARID)
-	default:
-		domains, err := api.pathDomains(spec)
-		if err != nil {
-			return err
-		}
-		var firstErr error
-		for _, dom := range domains {
-			if err := req.Cancel(dom, spec.RARID); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
-}
-
-// Coordinator is the STARS-style reservation coordinator baseline: a
-// separate source-domain entity trusted by all brokers that performs
-// the end-to-end reservation on the user's behalf. It removes the
-// need for every broker to know every user, but still "require[s] a
-// direct trust relationship between all intermediate and possible
-// end-domains" and the coordinator.
-type Coordinator struct {
-	api *NetworkAPI
-	// Agent is the coordinator's own requester identity (trusted by
-	// all domains).
-	Agent Requester
-}
-
-// NewCoordinator builds an RC over the network API.
-func NewCoordinator(api *NetworkAPI, agent Requester) *Coordinator {
-	return &Coordinator{api: api, Agent: agent}
-}
-
-// ReserveFor performs the end-to-end reservation for the user's spec,
-// re-issued under the coordinator's identity (the RC is what the
-// domains authenticate).
-func (c *Coordinator) ReserveFor(userSpec *core.Spec, strategy Strategy) (*core.Spec, *signalling.ResultPayload, error) {
-	if strategy == HopByHop {
-		return nil, nil, fmt.Errorf("gara: the coordinator baseline uses source-domain strategies")
-	}
-	spec := *userSpec
-	spec.RARID = core.NewRARID()
-	spec.User = c.Agent.DN()
-	res, err := c.api.Reserve(c.Agent, &spec, strategy)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &spec, res, nil
-}
-
 // Coreservation ------------------------------------------------------------
 
 // CoRequest describes an all-or-nothing multi-resource reservation:

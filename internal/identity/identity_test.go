@@ -259,7 +259,9 @@ func FuzzVerify(f *testing.F) {
 }
 
 // BenchmarkSignVerify records the price of one envelope layer,
-// approval or certificate check (make bench-chain).
+// approval or certificate check:
+//
+//	go test -run NONE -bench SignVerify -benchmem ./internal/identity
 func BenchmarkSignVerify(b *testing.B) {
 	kp, err := GenerateKeyPair(NewDN("Grid", "A", "alice"))
 	if err != nil {

@@ -213,9 +213,9 @@ func TestQHistExposeSummary(t *testing.T) {
 	}
 }
 
-// BenchmarkQHistObserveParallel measures the contended hot path (`make
-// bench-obs`, BENCH_obs.json): 0 allocs/op, and flat as GOMAXPROCS goes
-// from 1 to 8.
+// BenchmarkQHistObserveParallel measures the contended hot path
+// (`go test -run NONE -bench QHistObserve -benchmem ./internal/obs`):
+// 0 allocs/op, and flat as GOMAXPROCS goes from 1 to 8.
 func BenchmarkQHistObserveParallel(b *testing.B) {
 	h := NewQHist("q_seconds", "latency")
 	b.SetParallelism(1) // GOMAXPROCS workers

@@ -9,8 +9,8 @@ import (
 	"e2eqos/internal/identity"
 )
 
-// TestEncodeAllocationFree is the gate behind `make bench-wire`: the
-// encoders must not allocate when appending to a buffer with capacity.
+// TestEncodeAllocationFree is the gate behind BenchmarkCodec's encode
+// arm: the encoders must not allocate when appending to a buffer with capacity.
 // Decoding is allowed its bounded per-field allocations (strings,
 // slices), but encoding a frame the RPC layer has a pooled buffer for
 // must cost zero.

@@ -21,9 +21,12 @@ func benchBatchMessage(n int) *Message {
 	}}
 }
 
-// BenchmarkCodec measures the codec on the batch-64 frame — the
-// `make bench-wire` numbers. Run with -benchmem: the encode arm is the
-// one the allocation gate (TestEncodeAllocationFree) holds at zero.
+// BenchmarkCodec measures the codec on the batch-64 frame:
+//
+//	go test -run NONE -bench 'BenchmarkCodec|BenchmarkServeRoundTrip' -benchmem ./internal/signalling
+//
+// The encode arm is the one the allocation gate
+// (TestEncodeAllocationFree) holds at zero.
 func BenchmarkCodec(b *testing.B) {
 	msg := benchBatchMessage(64)
 	frame := msg.AppendBinary(nil)

@@ -9,7 +9,6 @@ package sla
 
 import (
 	"fmt"
-	"time"
 
 	"e2eqos/internal/units"
 )
@@ -23,33 +22,11 @@ type TrafficProfile struct {
 	BucketBytes int64
 }
 
-// Valid reports whether the profile is internally consistent.
-func (p TrafficProfile) Valid() bool {
-	return p.Rate > 0 && p.BucketBytes > 0
-}
-
 // SLS is a service level specification: the measurable QoS parameters
 // an SLA demands for one service class.
 type SLS struct {
 	// Profile is the admitted aggregate traffic envelope.
 	Profile TrafficProfile
-	// MaxLatency is the per-domain delay bound offered to conforming
-	// traffic; zero means unspecified.
-	MaxLatency time.Duration
-	// Reliability is the contracted availability in [0,1]; zero means
-	// unspecified ("reliability parameters expected for this service").
-	Reliability float64
-}
-
-// Valid reports whether the SLS is well formed.
-func (s SLS) Valid() bool {
-	if !s.Profile.Valid() {
-		return false
-	}
-	if s.Reliability < 0 || s.Reliability > 1 {
-		return false
-	}
-	return s.MaxLatency >= 0
 }
 
 // SLA is the bilateral contract between two peered domains. It also
@@ -67,14 +44,6 @@ type SLA struct {
 	Downstream string
 	// Service is the premium-class SLS for the aggregate.
 	Service SLS
-}
-
-// Valid reports structural validity.
-func (s *SLA) Valid() bool {
-	if s == nil || !s.Service.Valid() {
-		return false
-	}
-	return s.Upstream != "" && s.Downstream != "" && s.Upstream != s.Downstream
 }
 
 // Conforms checks whether an additional reservation of rate bw on top
